@@ -294,3 +294,37 @@ func benchScheme(b *testing.B, s noc.Scheme) {
 		n.Step(w)
 	}
 }
+
+// BenchmarkNetworkBuild times Experiment.Build — network.New's wiring pass
+// plus router, NI and lane-store construction — at the sizes the experiments
+// and the service use: the paper's two platforms, the benchmark's largest
+// direct workload and the largest spec nocd accepts. Run with -benchmem:
+// allocs/op is part of the cost a per-job build pays.
+func BenchmarkNetworkBuild(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		topo noc.Topology
+	}{
+		{"mesh8x8", noc.Mesh(8, 8)},
+		{"cmesh4x4x4", noc.CMesh(4, 4, 4)},
+		{"mesh24x24", noc.Mesh(24, 24)},
+		{"mesh64x64", noc.Mesh(64, 64)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			exp := noc.Experiment{
+				Topology: c.topo,
+				Scheme:   noc.PseudoSB,
+				Routing:  noc.XY,
+				Policy:   noc.StaticVA,
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				builtNet = exp.Build()
+			}
+		})
+	}
+}
+
+// builtNet keeps BenchmarkNetworkBuild's result reachable so the compiler
+// cannot elide the build.
+var builtNet *noc.Network

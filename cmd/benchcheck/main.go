@@ -2,8 +2,10 @@
 // operating point (8×8 mesh, Pseudo+S+B, loaded uniform-random traffic) for
 // the sequential and the parallel kernel, plus the sweep pipeline's ns/point
 // on a fully warm cache (pure batch-API overhead: expansion,
-// canonicalization, scheduling — zero simulation), and gates performance
-// regressions against a checked-in snapshot:
+// canonicalization, scheduling — zero simulation) and the ns one
+// Experiment.Build() of a 24×24 mesh takes (job/build: the set-up every job
+// pays before its first cycle), and gates performance regressions against a
+// checked-in snapshot:
 //
 //	benchcheck -write BENCH_7.json               # refresh the snapshot
 //	benchcheck -against BENCH_7.json             # fail on >15% regression
@@ -92,6 +94,7 @@ func main() {
 		NumCPU: runtime.NumCPU(),
 		NsPerCycle: map[string]float64{
 			"fig12/sequential": measure(0),
+			"job/build":        measureBuild(),
 			"sweep/warm-point": measureSweep(),
 		},
 	}
@@ -102,7 +105,7 @@ func main() {
 		fmt.Println("fig12/parallel     skipped: GOMAXPROCS=1, the sharded kernel would measure sharding overhead, not parallelism")
 	}
 	for _, k := range seriesOrder(cur.NsPerCycle) {
-		fmt.Printf("%-18s %10.1f ns/cycle\n", k, cur.NsPerCycle[k])
+		fmt.Printf("%-18s %10.1f ns/op\n", k, cur.NsPerCycle[k])
 	}
 
 	if *write != "" {
@@ -244,7 +247,7 @@ func toleranceFor(k string, def float64, overrides map[string]float64) float64 {
 
 // seriesOrder returns the measured series in canonical report order.
 func seriesOrder(m map[string]float64) []string {
-	canonical := []string{"fig12/sequential", "fig12/parallel", "sweep/warm-point"}
+	canonical := []string{"fig12/sequential", "fig12/parallel", "job/build", "sweep/warm-point"}
 	var out []string
 	for _, k := range canonical {
 		if _, ok := m[k]; ok {
@@ -275,24 +278,29 @@ func contains(s []string, v string) bool {
 // bench_test.go: warm the pools to the zero-alloc steady state, then time
 // n.Run for b.N cycles).
 func measure(workers int) float64 {
+	return minNsPerOp(func(b *testing.B) {
+		exp := noc.Experiment{
+			Topology: noc.Mesh(8, 8),
+			Scheme:   noc.PseudoSB,
+			Routing:  noc.XY,
+			Policy:   noc.StaticVA,
+			Workers:  workers,
+			Warmup:   100,
+			Measure:  1,
+		}
+		n := exp.Build()
+		w := exp.SyntheticWorkload(noc.Synthetic{Pattern: noc.UniformRandom, Rate: 0.18})
+		n.Run(w, 2000)
+		b.ResetTimer()
+		n.Run(w, b.N)
+	})
+}
+
+// minNsPerOp returns the minimum ns/op over repeats runs of bench.
+func minNsPerOp(bench func(b *testing.B)) float64 {
 	best := 0.0
 	for i := 0; i < repeats; i++ {
-		r := testing.Benchmark(func(b *testing.B) {
-			exp := noc.Experiment{
-				Topology: noc.Mesh(8, 8),
-				Scheme:   noc.PseudoSB,
-				Routing:  noc.XY,
-				Policy:   noc.StaticVA,
-				Workers:  workers,
-				Warmup:   100,
-				Measure:  1,
-			}
-			n := exp.Build()
-			w := exp.SyntheticWorkload(noc.Synthetic{Pattern: noc.UniformRandom, Rate: 0.18})
-			n.Run(w, 2000)
-			b.ResetTimer()
-			n.Run(w, b.N)
-		})
+		r := testing.Benchmark(bench)
 		ns := float64(r.T.Nanoseconds()) / float64(r.N)
 		if best == 0 || ns < best {
 			best = ns
@@ -300,6 +308,26 @@ func measure(workers int) float64 {
 	}
 	return best
 }
+
+// measureBuild returns the minimum ns per Experiment.Build() of a 24×24 mesh
+// (mirrors BenchmarkNetworkBuild/mesh24x24 in bench_test.go) — the largest
+// network the repository's benchmark builds per job.
+func measureBuild() float64 {
+	exp := noc.Experiment{
+		Topology: noc.Mesh(24, 24),
+		Scheme:   noc.PseudoSB,
+		Routing:  noc.XY,
+		Policy:   noc.StaticVA,
+	}
+	return minNsPerOp(func(b *testing.B) {
+		for n := 0; n < b.N; n++ {
+			builtNet = exp.Build()
+		}
+	})
+}
+
+// builtNet keeps measureBuild's result reachable so the build is not elided.
+var builtNet *noc.Network
 
 // sweepGridPoints is the warm-sweep benchmark's grid size (2 schemes × 32
 // seeds); ns/point is the measured sweep wall time divided by it.
@@ -340,19 +368,11 @@ func measureSweep() float64 {
 	}
 	run() // simulate the grid once; everything after is cache-served
 
-	best := 0.0
-	for i := 0; i < repeats; i++ {
-		r := testing.Benchmark(func(b *testing.B) {
-			for n := 0; n < b.N; n++ {
-				run()
-			}
-		})
-		ns := float64(r.T.Nanoseconds()) / float64(r.N) / sweepGridPoints
-		if best == 0 || ns < best {
-			best = ns
+	return minNsPerOp(func(b *testing.B) {
+		for n := 0; n < b.N; n++ {
+			run()
 		}
-	}
-	return best
+	}) / sweepGridPoints
 }
 
 func fatal(format string, args ...any) {

@@ -120,6 +120,18 @@ func TestActiveSetMatchesNaive(t *testing.T) {
 			pattern: traffic.BitComplement,
 			rate:    0.08,
 		},
+		// The largest state the benchmark builds (576 routers), sparsely
+		// loaded: most routers sit outside the active set, shards span many
+		// rows, and the single-pass wiring is exercised at scale.
+		grid{
+			name:    "mesh24/psb/sparse",
+			topo:    func() topology.Topology { return topology.NewMesh(24, 24) },
+			scheme:  core.PseudoSB,
+			algo:    routing.XY,
+			pol:     vcalloc.Static,
+			pattern: traffic.UniformRandom,
+			rate:    0.002,
+		},
 	)
 	for _, tc := range cases {
 		tc := tc

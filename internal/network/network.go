@@ -266,7 +266,7 @@ type Network struct {
 	niAlloc *vcalloc.Allocator
 	routers []Node
 	nis     []*ni
-	ups     [][]upstream // [router][inPort]
+	ups     []upstream // what feeds input port in of router r, at lanes.InBase[r]+in
 	rcfg    *router.Config
 	// lanes is the structure-of-arrays hot-path store every standard router's
 	// per-(port, vc) state lives in (core.LaneStore; DESIGN.md §17). The
@@ -408,44 +408,6 @@ func New(cfg Config) *Network {
 		n.rel = &rel
 	}
 
-	// Ring sized for the largest link latency plus slack.
-	maxLat := 1
-	for r := 0; r < t.Routers(); r++ {
-		for o := 0; o < t.OutPorts(r); o++ {
-			for d := 0; d < t.Nodes(); d++ {
-				if !reachable(t, r, o, d) {
-					continue
-				}
-				if h := t.NextHop(r, o, d); h.Latency > maxLat {
-					maxLat = h.Latency
-				}
-			}
-		}
-	}
-	ringLen := 1
-	for ringLen < maxLat+3 {
-		ringLen <<= 1
-	}
-	n.ring = make([][]delivery, ringLen)
-	n.ringMask = ringLen - 1
-
-	// Route table: dimension-order routing is a pure function of
-	// (class, router, dst), so tabulate it once and turn the per-hop route
-	// computation into a byte load. Skipped (falling back to the dynamic
-	// computation) only for topologies too large to tabulate cheaply.
-	n.nNodes = t.Nodes()
-	if cls := engine.NumClasses(); cls*t.Routers()*n.nNodes <= routeTabLimit {
-		n.routeTab = make([]int8, cls*t.Routers()*n.nNodes)
-		for c := 0; c < cls; c++ {
-			for r := 0; r < t.Routers(); r++ {
-				row := n.routeTab[(c*t.Routers()+r)*n.nNodes:]
-				for d := 0; d < n.nNodes; d++ {
-					row[d] = int8(engine.Route(r, d, c))
-				}
-			}
-		}
-	}
-
 	// Fault schedule: validated defensively (the spec layer validates with
 	// the real horizon; here only structure matters), replayed by a State
 	// whose dead-queries shard workers may read while the main phase holds
@@ -464,7 +426,8 @@ func New(cfg Config) *Network {
 		if err := sched.Validate(ft, 1<<62); err != nil {
 			panic(fmt.Sprintf("network: invalid fault schedule: %v", err))
 		}
-		n.faults = fault.NewState(sched, t.Routers(), fault.NeighborTable(ft))
+		nbr := fault.NeighborTable(ft)
+		n.faults = fault.NewState(sched, t.Routers(), nbr)
 		// Misrouting around dead links can exceed the minimal hop count;
 		// bound it so a pathological schedule becomes packet drops, never
 		// livelock. Generous: a detour never needs more than a few grid
@@ -481,7 +444,6 @@ func New(cfg Config) *Network {
 		// cycles of forming.
 		n.staleLimit = 2048
 		n.condemnFn = n.condemn
-		nbr := fault.NeighborTable(ft)
 		n.wiredFn = make([]func(out int) bool, t.Routers())
 		n.deadFn = make([]func(out int) bool, t.Routers())
 		for r := 0; r < t.Routers(); r++ {
@@ -504,6 +466,7 @@ func New(cfg Config) *Network {
 		inRadix[r], outRadix[r] = t.InPorts(r), t.OutPorts(r)
 	}
 	n.lanes = core.NewLaneStore(cfg.NumVCs, cfg.BufDepth, inRadix, outRadix)
+	n.wire()
 
 	n.rcfg = &router.Config{
 		NumVCs:   cfg.NumVCs,
@@ -573,60 +536,79 @@ func New(cfg Config) *Network {
 		}
 	}
 	n.nis = make([]*ni, t.Nodes())
-	n.ups = make([][]upstream, t.Routers())
-	for r := range n.ups {
-		n.ups[r] = make([]upstream, t.InPorts(r))
-		for i := range n.ups[r] {
-			n.ups[r][i] = upstream{router: -2}
-		}
-	}
-	// Wire router-to-router upstream links.
-	for r := 0; r < t.Routers(); r++ {
-		for o := 0; o < t.OutPorts(r); o++ {
-			for d := 0; d < t.Nodes(); d++ {
-				if !reachable(t, r, o, d) {
-					continue
-				}
-				h := t.NextHop(r, o, d)
-				if h.Router < 0 {
-					continue
-				}
-				u := upstream{router: r, out: o}
-				cur := n.ups[h.Router][h.InPort]
-				if cur.router != -2 && cur != u {
-					panic(fmt.Sprintf("network: input port %d of router %d fed by two outputs", h.InPort, h.Router))
-				}
-				n.ups[h.Router][h.InPort] = u
-			}
-		}
-	}
 	// Wire terminals.
 	for node := 0; node < t.Nodes(); node++ {
 		r, inP, outP := t.NodeRouter(node)
 		n.routers[r].MarkEjection(outP)
-		n.ups[r][inP] = upstream{router: -1, out: node}
+		n.ups[n.lanes.InBase[r]+inP] = upstream{router: -1, out: node}
 		n.nis[node] = newNI(n, node, r, inP)
 	}
 	return n
 }
 
-// reachable reports whether output port o at router r is a meaningful exit
-// toward destination d — i.e. the port dimension-order routing could use.
-// It is used only during wiring/sizing to avoid asking NextHop nonsense
-// questions on multidrop topologies.
-func reachable(t topology.Topology, r, o, d int) bool {
-	for class := 0; class < 2; class++ {
-		rt := t.Route(r, d, class)
-		if rt == o {
-			return true
-		}
-		// Also walk one step further for the turn port: from the drop/turn
-		// router the other dimension's port matters; wiring only needs
-		// every (router, port) pair to be exercised by some destination,
-		// which Route over all (r, d, class) provides.
+// wire derives everything New needs from the topology's port graph in one
+// pass over (router, dst). The two dimension orders' output ports fill the
+// route-table row; each distinct port's NextHop gives a link latency (the
+// delivery ring is sized for the largest) and the upstream of the input port
+// it feeds. NextHop is only ever asked about a port Route returned for that
+// destination, so multidrop topologies are never asked nonsense questions.
+// Topologies past routeTabLimit get no table and compute routes dynamically.
+func (n *Network) wire() {
+	t := n.topo
+	nR, nN, cls := t.Routers(), t.Nodes(), n.engine.NumClasses()
+	n.nNodes = nN
+	if cls*nR*nN <= routeTabLimit {
+		n.routeTab = make([]int8, cls*nR*nN)
 	}
-	return false
+	dim := make([]int, cls) // routing class -> dimension order
+	for c := range dim {
+		dim[c] = n.engine.DimOrder(c)
+	}
+	inBase := n.lanes.InBase
+	n.ups = make([]upstream, inBase[nR])
+	for i := range n.ups {
+		n.ups[i] = upstream{router: -2}
+	}
+	maxLat := 1
+	for r := 0; r < nR; r++ {
+		for d := 0; d < nN; d++ {
+			outs := [2]int{t.Route(r, d, 0), t.Route(r, d, 1)}
+			if n.routeTab != nil {
+				for c, k := range dim {
+					n.routeTab[(c*nR+r)*nN+d] = int8(outs[k])
+				}
+			}
+			for i, o := range outs {
+				if i == 1 && o == outs[0] {
+					break
+				}
+				h := t.NextHop(r, o, d)
+				maxLat = max(maxLat, h.Latency)
+				if h.Router < 0 {
+					continue
+				}
+				p := inBase[h.Router] + h.InPort
+				if h.InPort < 0 || p >= inBase[h.Router+1] {
+					panic(fmt.Sprintf("network: router %d has no input port %d", h.Router, h.InPort))
+				}
+				u := upstream{router: r, out: o}
+				if cur := n.ups[p]; cur.router != -2 && cur != u {
+					panic(fmt.Sprintf("network: input port %d of router %d fed by two outputs", h.InPort, h.Router))
+				}
+				n.ups[p] = u
+			}
+		}
+	}
+	ringLen := 1
+	for ringLen < maxLat+3 { // largest link latency plus slack
+		ringLen <<= 1
+	}
+	n.ring = make([][]delivery, ringLen)
+	n.ringMask = ringLen - 1
 }
+
+// upstreamOf returns what feeds input port in of router r.
+func (n *Network) upstreamOf(r, in int) upstream { return n.ups[n.lanes.InBase[r]+in] }
 
 // Now returns the current simulation cycle.
 func (n *Network) Now() sim.Cycle { return n.now }
@@ -748,7 +730,7 @@ func (n *Network) routeFor(r, dst, class int) int {
 // resolveCredit resolves a credit return to whatever feeds (id, in), with
 // one cycle latency.
 func (n *Network) resolveCredit(id, in, vc int) (int, delivery) {
-	u := n.ups[id][in]
+	u := n.upstreamOf(id, in)
 	switch u.router {
 	case -2:
 		panic(fmt.Sprintf("network: credit from unwired input port %d of router %d", in, id))
@@ -1248,7 +1230,7 @@ func (n *Network) stormScan() {
 				}
 				continue
 			}
-			u := n.ups[d.router][d.port]
+			u := n.upstreamOf(d.router, d.port)
 			switch {
 			case u.router >= 0 && st.LinkDead(u.router, u.out):
 				n.condemn(f.Packet)
@@ -1325,7 +1307,7 @@ func (n *Network) purgePacket(p *flit.Packet) {
 				// slot this sweep is rebuilding would be lost when the slot
 				// is reassigned below. Defer every router credit until the
 				// sweep is done so relays land in fully-rebuilt slots.
-				u := n.ups[d.router][d.port]
+				u := n.upstreamOf(d.router, d.port)
 				if u.router >= 0 {
 					n.credRet = append(n.credRet, credRet{router: u.router, out: u.out, vc: f.VC})
 				} else {

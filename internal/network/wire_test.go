@@ -1,0 +1,157 @@
+package network
+
+import (
+	"fmt"
+	"reflect"
+	"testing"
+
+	"pseudocircuit/internal/routing"
+	"pseudocircuit/internal/topology"
+)
+
+// reachable is the predicate network.New used before the single-pass build:
+// output port o at router r is a meaningful exit toward destination d when
+// either dimension order routes through it.
+func reachable(t topology.Topology, r, o, d int) bool {
+	return t.Route(r, d, 0) == o || t.Route(r, d, 1) == o
+}
+
+// referenceWiring is the pre-single-pass derivation, kept as the oracle: two
+// scans over every (router, outPort, dst) triple filtered by reachable (ring
+// sizing, then upstream wiring, with the original conflict panic), and a
+// third over (class, router, dst) for the route table. Terminal upstreams
+// are filled the way New does after the router-to-router pass.
+func referenceWiring(t topology.Topology, algo routing.Algorithm) (ups [][]upstream, ringLen int, tab []int8) {
+	maxLat := 1
+	for r := 0; r < t.Routers(); r++ {
+		for o := 0; o < t.OutPorts(r); o++ {
+			for d := 0; d < t.Nodes(); d++ {
+				if !reachable(t, r, o, d) {
+					continue
+				}
+				if h := t.NextHop(r, o, d); h.Latency > maxLat {
+					maxLat = h.Latency
+				}
+			}
+		}
+	}
+	ringLen = 1
+	for ringLen < maxLat+3 {
+		ringLen <<= 1
+	}
+
+	engine := routing.New(algo, t)
+	if cls := engine.NumClasses(); cls*t.Routers()*t.Nodes() <= routeTabLimit {
+		tab = make([]int8, cls*t.Routers()*t.Nodes())
+		for c := 0; c < cls; c++ {
+			for r := 0; r < t.Routers(); r++ {
+				row := tab[(c*t.Routers()+r)*t.Nodes():]
+				for d := 0; d < t.Nodes(); d++ {
+					row[d] = int8(engine.Route(r, d, c))
+				}
+			}
+		}
+	}
+
+	ups = make([][]upstream, t.Routers())
+	for r := range ups {
+		ups[r] = make([]upstream, t.InPorts(r))
+		for i := range ups[r] {
+			ups[r][i] = upstream{router: -2}
+		}
+	}
+	for r := 0; r < t.Routers(); r++ {
+		for o := 0; o < t.OutPorts(r); o++ {
+			for d := 0; d < t.Nodes(); d++ {
+				if !reachable(t, r, o, d) {
+					continue
+				}
+				h := t.NextHop(r, o, d)
+				if h.Router < 0 {
+					continue
+				}
+				u := upstream{router: r, out: o}
+				cur := ups[h.Router][h.InPort]
+				if cur.router != -2 && cur != u {
+					panic(fmt.Sprintf("network: input port %d of router %d fed by two outputs", h.InPort, h.Router))
+				}
+				ups[h.Router][h.InPort] = u
+			}
+		}
+	}
+	for node := 0; node < t.Nodes(); node++ {
+		r, inP, _ := t.NodeRouter(node)
+		ups[r][inP] = upstream{router: -1, out: node}
+	}
+	return ups, ringLen, tab
+}
+
+// TestWireMatchesReference is the build-equivalence oracle: the single pass
+// over (router, dst) must yield the same upstream table, ring length and
+// route table as the triple scans it replaced, on every topology family and
+// every routing algorithm (O1TURN covers the two-class table).
+func TestWireMatchesReference(t *testing.T) {
+	topos := []struct {
+		name string
+		topo topology.Topology
+	}{
+		{"mesh2x2", topology.NewMesh(2, 2)},
+		{"mesh3x5", topology.NewMesh(3, 5)},
+		{"mesh8x8", topology.NewMesh(8, 8)},
+		{"cmesh4x4x4", topology.NewCMesh(4, 4, 4)},
+		{"mecs4x4x4", topology.NewMECS(4, 4, 4)},
+		{"fbfly4x4x4", topology.NewFBFly(4, 4, 4)},
+	}
+	for _, tc := range topos {
+		for _, algo := range []routing.Algorithm{routing.XY, routing.YX, routing.O1TURN} {
+			t.Run(fmt.Sprintf("%s/%v", tc.name, algo), func(t *testing.T) {
+				cfg := DefaultConfig(tc.topo)
+				cfg.Algorithm = algo
+				n := New(cfg)
+				ups, ringLen, tab := referenceWiring(tc.topo, algo)
+				for r := range ups {
+					got := n.ups[n.lanes.InBase[r]:n.lanes.InBase[r+1]]
+					if !reflect.DeepEqual(got, ups[r]) {
+						t.Errorf("router %d upstreams = %v, reference %v", r, got, ups[r])
+					}
+				}
+				if len(n.ring) != ringLen {
+					t.Errorf("ring length = %d, reference %d", len(n.ring), ringLen)
+				}
+				if tab == nil || !reflect.DeepEqual(n.routeTab, tab) {
+					t.Errorf("route table differs from reference (%d vs %d entries)", len(n.routeTab), len(tab))
+				}
+			})
+		}
+	}
+}
+
+// sharedInputMesh miswires a mesh: router 3's north output lands on router
+// 1's west input, which router 0's east output already feeds.
+type sharedInputMesh struct{ *topology.Mesh }
+
+func (m sharedInputMesh) NextHop(r, out, dst int) topology.Hop {
+	if r == 3 && out == topology.PortN {
+		return topology.Hop{Router: 1, InPort: topology.PortW, Latency: 1}
+	}
+	return m.Mesh.NextHop(r, out, dst)
+}
+
+// TestWireRejectsSharedInput checks the single pass kept the conflict check:
+// an input port fed by two outputs panics with the reference's message.
+func TestWireRejectsSharedInput(t *testing.T) {
+	topo := sharedInputMesh{topology.NewMesh(2, 2)}
+	panicOf := func(f func()) (msg any) {
+		defer func() { msg = recover() }()
+		f()
+		return nil
+	}
+	want := panicOf(func() { referenceWiring(topo, routing.XY) })
+	got := panicOf(func() { New(DefaultConfig(topo)) })
+	if want != "network: input port 1 of router 1 fed by two outputs" {
+		t.Fatalf("reference panic = %v", want)
+	}
+	if got != want {
+		t.Errorf("New panic = %v, reference %v", got, want)
+	}
+}

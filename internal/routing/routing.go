@@ -76,19 +76,25 @@ func (e *Engine) ClassFor(rng *sim.RNG) int {
 	return 0
 }
 
-// Route returns the output port at router r for a packet to dstNode with
-// routing class class.
-func (e *Engine) Route(r, dstNode, class int) int {
+// DimOrder returns the topology dimension order (0 = X-first, 1 = Y-first)
+// the algorithm routes class class with.
+func (e *Engine) DimOrder(class int) int {
 	switch e.algo {
 	case XY:
-		return e.topo.Route(r, dstNode, 0)
+		return 0
 	case YX:
-		return e.topo.Route(r, dstNode, 1)
+		return 1
 	case O1TURN:
-		return e.topo.Route(r, dstNode, class)
+		return class
 	default:
 		panic(fmt.Sprintf("routing: unknown algorithm %d", int(e.algo)))
 	}
+}
+
+// Route returns the output port at router r for a packet to dstNode with
+// routing class class.
+func (e *Engine) Route(r, dstNode, class int) int {
+	return e.topo.Route(r, dstNode, e.DimOrder(class))
 }
 
 // RouteAvoid is the fault-aware variant of Route: it detours around dead

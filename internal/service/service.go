@@ -469,7 +469,11 @@ func (m *Manager) simulate(j *job, pool *noc.Pool) (res noc.Result, err error) {
 	if err != nil {
 		return noc.Result{}, err
 	}
+	buildStart := time.Now()
 	n := exp.Build()
+	built := time.Now()
+	m.ins.buildTime.Observe(built.Sub(buildStart).Seconds())
+	m.ins.span("build", j, "built", buildStart, built)
 	return exp.RunOnContext(j.ctx, n, w, m.cfg.Chunk, func(n *noc.Network) {
 		j.mu.Lock()
 		j.cyclesDone = int(n.Now())

@@ -36,6 +36,7 @@ type instruments struct {
 	storePutErrs *telemetry.Counter
 
 	queueWait *telemetry.Histogram
+	buildTime *telemetry.Histogram   // inside runTime: constructing the network
 	runTime   telemetry.HistogramVec // label scheme
 
 	queued  *telemetry.Gauge // jobs waiting for a worker
@@ -67,6 +68,8 @@ func newInstruments(m *Manager, spanCap int) *instruments {
 
 		queueWait: reg.Histogram("nocd_queue_wait_seconds",
 			"wall time between a job entering the queue and a worker dequeuing it", nil),
+		buildTime: reg.Histogram("nocd_build_seconds",
+			"wall time a worker spent constructing one job's network, before its first cycle", nil),
 		runTime: reg.HistogramVec("nocd_run_seconds",
 			"wall time a worker spent simulating one job", "scheme", nil),
 	}

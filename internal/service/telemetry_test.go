@@ -64,6 +64,7 @@ func TestLifecycleMetrics(t *testing.T) {
 		`nocd_jobs{state="queued"} 0`,
 		`nocd_jobs{state="running"} 0`,
 		"nocd_queue_wait_seconds_count 1",
+		"nocd_build_seconds_count 1",
 		`nocd_run_seconds_count{scheme="pseudo+s+b"} 1`,
 		"nocd_cache_entries 1",
 		"nocd_ready 1",
@@ -86,6 +87,7 @@ func TestLifecycleMetrics(t *testing.T) {
 	for span, outcome := range map[string]string{
 		"cache-lookup": "miss",
 		"queue-wait":   "dequeued",
+		"build":        "built",
 		"run":          "done",
 		"cache-hit":    "hit",
 	} {
@@ -297,5 +299,19 @@ func TestServiceTelemetryNoBehaviorChange(t *testing.T) {
 	}
 	if *got.Result != direct {
 		t.Fatalf("service result differs from direct run:\nservice: %+v\ndirect:  %+v", *got.Result, direct)
+	}
+	// The build was timed on the way, as a span nested inside the job's run
+	// span (TestLifecycleMetrics checks the histogram took the observation).
+	var build, run telemetry.Span
+	for _, s := range m.SpanLog().Spans() {
+		switch s.Name {
+		case "build":
+			build = s
+		case "run":
+			run = s
+		}
+	}
+	if build.Job != j.ID || build.Start.Before(run.Start) || build.End.After(run.End) {
+		t.Errorf("build span %+v not inside run span %+v of job %s", build, run, j.ID)
 	}
 }

@@ -21,7 +21,7 @@ import (
 // simulated time — simulation results are bit-identical with span recording
 // on, because nothing reads the log back.
 type Span struct {
-	Name    string // "queue-wait", "run", "cache-hit", "cache-miss", "coalesced", "cancel", "drain"
+	Name    string // "queue-wait", "build", "run", "cache-hit", "cache-miss", "coalesced", "cancel", "drain"
 	Job     string // job ID, empty for daemon-scoped spans
 	Key     string // canonical spec hash (may be truncated for display)
 	Scheme  string // canonical scheme name, for per-scheme slicing
