@@ -8,6 +8,7 @@
 package pseudocircuit_test
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -226,19 +227,33 @@ func BenchmarkSimulatorNaiveKernel(b *testing.B) {
 	}
 }
 
-// BenchmarkFig12Sequential / BenchmarkFig12Parallel measure the sharded
-// parallel kernel against the sequential one at a Fig. 12-style operating
-// point (8×8 mesh, Pseudo+S+B, loaded uniform-random traffic). Parallel
-// drives Run so the worker goroutines are live (one start/stop per
+// BenchmarkFig12Sequential / BenchmarkFig12Parallel measure the cycle
+// kernel's sharded schedule against the one-shard one at a Fig. 12-style
+// operating point (8×8 mesh, Pseudo+S+B, loaded uniform-random traffic).
+// Parallel drives Run so the worker goroutines are live (one start/stop per
 // iteration batch, not per cycle); the ratio of the two ns/cycle figures is
 // the parallel speedup at GOMAXPROCS workers.
-func BenchmarkFig12Sequential(b *testing.B) { benchFig12Kernel(b, 0) }
+func BenchmarkFig12Sequential(b *testing.B) { benchKernel(b, 8, 0.18, 0) }
 
-func BenchmarkFig12Parallel(b *testing.B) { benchFig12Kernel(b, runtime.GOMAXPROCS(0)) }
+func BenchmarkFig12Parallel(b *testing.B) { benchKernel(b, 8, 0.18, runtime.GOMAXPROCS(0)) }
 
-func benchFig12Kernel(b *testing.B, workers int) {
+// BenchmarkKernelSchedules is the mesh size × workers matrix behind
+// EXPERIMENTS.md "Cycle kernel schedules": where sharding the cycle pays and
+// where it costs. The large meshes take seconds to warm; run it with a
+// fixed, small iteration count (-benchtime 500x).
+func BenchmarkKernelSchedules(b *testing.B) {
+	for _, side := range []int{8, 16, 32, 64} {
+		for _, workers := range []int{0, 2, 4} {
+			b.Run(fmt.Sprintf("mesh%dx%d/workers=%d", side, side, workers), func(b *testing.B) {
+				benchKernel(b, side, 0.10, workers)
+			})
+		}
+	}
+}
+
+func benchKernel(b *testing.B, side int, rate float64, workers int) {
 	exp := noc.Experiment{
-		Topology: noc.Mesh(8, 8),
+		Topology: noc.Mesh(side, side),
 		Scheme:   noc.PseudoSB,
 		Routing:  noc.XY,
 		Policy:   noc.StaticVA,
@@ -247,7 +262,7 @@ func benchFig12Kernel(b *testing.B, workers int) {
 		Measure:  1,
 	}
 	n := exp.Build()
-	w := exp.SyntheticWorkload(noc.Synthetic{Pattern: noc.UniformRandom, Rate: 0.18})
+	w := exp.SyntheticWorkload(noc.Synthetic{Pattern: noc.UniformRandom, Rate: rate})
 	n.Run(w, 2000) // reach the zero-alloc steady state before measuring
 	b.ReportAllocs()
 	b.ResetTimer()

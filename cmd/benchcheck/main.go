@@ -1,11 +1,12 @@
-// Command benchcheck measures the cycle kernel's ns/cycle at the Fig. 12
-// operating point (8×8 mesh, Pseudo+S+B, loaded uniform-random traffic) for
-// the sequential and the parallel kernel, plus the sweep pipeline's ns/point
-// on a fully warm cache (pure batch-API overhead: expansion,
-// canonicalization, scheduling — zero simulation) and the ns one
-// Experiment.Build() of a 24×24 mesh takes (job/build: the set-up every job
-// pays before its first cycle), and gates performance regressions against a
-// checked-in snapshot:
+// Command benchcheck measures the cycle kernel's ns/cycle under its
+// sequential (one shard) and parallel (one shard per CPU) schedules at the
+// Fig. 12 operating point (8×8 mesh, Pseudo+S+B, uniform-random traffic at
+// 0.18) and on a 32×32 mesh at 0.10 (a size where sharding pays, which 8×8 is
+// not), plus the sweep pipeline's ns/point on a fully warm cache (pure
+// batch-API overhead: expansion, canonicalization, scheduling — zero
+// simulation) and the ns one Experiment.Build() of a 24×24 mesh takes
+// (job/build: the set-up every job pays before its first cycle), and gates
+// performance regressions against a checked-in snapshot:
 //
 //	benchcheck -write BENCH_7.json               # refresh the snapshot
 //	benchcheck -against BENCH_7.json             # fail on >15% regression
@@ -28,9 +29,9 @@
 // never an error; the snapshot should then be refreshed with -write so the
 // gate tightens.
 //
-// On a single-CPU host (GOMAXPROCS == 1) the fig12/parallel series is
-// skipped: the sharded kernel degenerates to one worker and the measurement
-// would gate sharding overhead, not parallel speed. The snapshot records the
+// On a single-CPU host (GOMAXPROCS == 1) the */parallel series are skipped:
+// the sharded schedule degenerates to one worker and the measurement would
+// gate sharding overhead, not parallel speed. The snapshot records the
 // effective worker count in parallelWorkers so a reader can tell which case
 // produced the numbers.
 package main
@@ -57,8 +58,8 @@ import (
 
 // Snapshot is the checked-in benchmark baseline. Host metadata records where
 // the numbers came from: comparisons across different hardware measure the
-// hardware, not the code. ParallelWorkers is the worker count fig12/parallel
-// ran with — 0 means the series was skipped (single-CPU host).
+// hardware, not the code. ParallelWorkers is the worker count the */parallel
+// series ran with — 0 means they were skipped (single-CPU host).
 type Snapshot struct {
 	GOOS            string             `json:"goos"`
 	GOARCH          string             `json:"goarch"`
@@ -93,16 +94,18 @@ func main() {
 		GOARCH: runtime.GOARCH,
 		NumCPU: runtime.NumCPU(),
 		NsPerCycle: map[string]float64{
-			"fig12/sequential": measure(0),
-			"job/build":        measureBuild(),
-			"sweep/warm-point": measureSweep(),
+			"fig12/sequential":  measure(8, 0.18, 0),
+			"mesh32/sequential": measure(32, 0.10, 0),
+			"job/build":         measureBuild(),
+			"sweep/warm-point":  measureSweep(),
 		},
 	}
 	if workers > 1 {
 		cur.ParallelWorkers = workers
-		cur.NsPerCycle["fig12/parallel"] = measure(workers)
+		cur.NsPerCycle["fig12/parallel"] = measure(8, 0.18, workers)
+		cur.NsPerCycle["mesh32/parallel"] = measure(32, 0.10, workers)
 	} else {
-		fmt.Println("fig12/parallel     skipped: GOMAXPROCS=1, the sharded kernel would measure sharding overhead, not parallelism")
+		fmt.Println("*/parallel         skipped: GOMAXPROCS=1, the sharded kernel would measure sharding overhead, not parallelism")
 	}
 	for _, k := range seriesOrder(cur.NsPerCycle) {
 		fmt.Printf("%-18s %10.1f ns/op\n", k, cur.NsPerCycle[k])
@@ -144,7 +147,7 @@ func main() {
 	for _, k := range seriesOrder(cur.NsPerCycle) {
 		want, ok := base.NsPerCycle[k]
 		if !ok || want <= 0 {
-			if k == "fig12/parallel" && base.ParallelWorkers == 0 {
+			if strings.HasSuffix(k, "/parallel") && base.ParallelWorkers == 0 {
 				// The snapshot host skipped the parallel series (single CPU,
 				// recorded as parallelWorkers 0): there is no baseline to
 				// require, so the skip stands even under -require-all.
@@ -247,7 +250,7 @@ func toleranceFor(k string, def float64, overrides map[string]float64) float64 {
 
 // seriesOrder returns the measured series in canonical report order.
 func seriesOrder(m map[string]float64) []string {
-	canonical := []string{"fig12/sequential", "fig12/parallel", "job/build", "sweep/warm-point"}
+	canonical := []string{"fig12/sequential", "fig12/parallel", "mesh32/sequential", "mesh32/parallel", "job/build", "sweep/warm-point"}
 	var out []string
 	for _, k := range canonical {
 		if _, ok := m[k]; ok {
@@ -273,27 +276,25 @@ func contains(s []string, v string) bool {
 	return false
 }
 
-// measure returns the minimum ns/cycle over repeats runs of the Fig. 12
-// kernel benchmark (mirrors BenchmarkFig12Sequential/Parallel in
-// bench_test.go: warm the pools to the zero-alloc steady state, then time
-// n.Run for b.N cycles).
-func measure(workers int) float64 {
-	return minNsPerOp(func(b *testing.B) {
-		exp := noc.Experiment{
-			Topology: noc.Mesh(8, 8),
-			Scheme:   noc.PseudoSB,
-			Routing:  noc.XY,
-			Policy:   noc.StaticVA,
-			Workers:  workers,
-			Warmup:   100,
-			Measure:  1,
-		}
-		n := exp.Build()
-		w := exp.SyntheticWorkload(noc.Synthetic{Pattern: noc.UniformRandom, Rate: 0.18})
-		n.Run(w, 2000)
-		b.ResetTimer()
-		n.Run(w, b.N)
-	})
+// measure returns the minimum ns/cycle over repeats runs of the kernel
+// benchmark on a side×side mesh under uniform-random traffic at rate (at 8,
+// 0.18 it mirrors BenchmarkFig12Sequential/Parallel in bench_test.go): warm
+// the pools to the zero-alloc steady state once, then time n.Run for b.N
+// cycles.
+func measure(side int, rate float64, workers int) float64 {
+	exp := noc.Experiment{
+		Topology: noc.Mesh(side, side),
+		Scheme:   noc.PseudoSB,
+		Routing:  noc.XY,
+		Policy:   noc.StaticVA,
+		Workers:  workers,
+		Warmup:   100,
+		Measure:  1,
+	}
+	n := exp.Build()
+	w := exp.SyntheticWorkload(noc.Synthetic{Pattern: noc.UniformRandom, Rate: rate})
+	n.Run(w, 2000)
+	return minNsPerOp(func(b *testing.B) { n.Run(w, b.N) })
 }
 
 // minNsPerOp returns the minimum ns/op over repeats runs of bench.

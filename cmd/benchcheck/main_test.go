@@ -57,9 +57,9 @@ func TestToleranceFor(t *testing.T) {
 }
 
 func TestSeriesOrder(t *testing.T) {
-	m := map[string]float64{"sweep/warm-point": 1, "job/build": 1, "fig12/sequential": 1, "extra/z": 1, "extra/a": 1}
+	m := map[string]float64{"sweep/warm-point": 1, "job/build": 1, "mesh32/parallel": 1, "mesh32/sequential": 1, "fig12/sequential": 1, "extra/z": 1, "extra/a": 1}
 	got := seriesOrder(m)
-	want := []string{"fig12/sequential", "job/build", "sweep/warm-point", "extra/a", "extra/z"}
+	want := []string{"fig12/sequential", "mesh32/sequential", "mesh32/parallel", "job/build", "sweep/warm-point", "extra/a", "extra/z"}
 	if len(got) != len(want) {
 		t.Fatalf("seriesOrder = %v", got)
 	}

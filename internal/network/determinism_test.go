@@ -14,9 +14,9 @@ import (
 	"pseudocircuit/internal/vcalloc"
 )
 
-// kernel selects which cycle kernel a determinism run uses: the naive
-// reference loop, the active-set kernel (workers 0), or the sharded
-// parallel kernel (workers > 1).
+// kernel selects which schedule of the cycle kernel a determinism run uses:
+// the naive reference (one shard, every router ticked), one shard (workers
+// 0 or 1), or that many shards with goroutines behind them (workers > 1).
 type kernel struct {
 	name    string
 	naive   bool
@@ -24,10 +24,10 @@ type kernel struct {
 }
 
 // kernels is the determinism triangle: the naive reference, the sequential
-// active-set kernel, and the parallel kernel across the worker counts the
-// acceptance harness requires. workers=1 must degrade to the sequential
-// kernel; higher counts exercise shard partitioning including shards
-// smaller than a row and clamping (small topologies have < 8 routers).
+// active-set kernel, and the sharded schedule across the worker counts the
+// acceptance harness requires. workers=1 is the one-shard schedule; higher
+// counts exercise shard partitioning including shards smaller than a row
+// and clamping (small topologies have < 8 routers).
 var kernels = []kernel{
 	{"naive", true, 0},
 	{"active", false, 0},

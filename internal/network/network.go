@@ -8,19 +8,20 @@
 // cross-router effects are latched with at least one cycle of latency, so
 // routers tick in a fixed order without affecting results.
 //
-// The cycle kernel is work-proportional: an active-set scheduler visits only
-// routers that hold state or received a flit/credit this cycle (idle routers
-// are provably at a fixed point, so skipping their ticks is bit-identical to
-// the naive all-routers loop — Config.Naive selects that loop for the
-// determinism harness), and a per-network flit/packet free list recycles
-// delivered flits so the steady-state tick path performs no allocations.
-//
-// With Opts.Workers > 1 the kernel additionally shards routers and NIs
-// across that many goroutines inside each cycle: the latched-cross-effects
-// invariant above means concurrent routers cannot observe each other
-// mid-cycle, and all shard-local side effects (link/credit schedules, stats,
-// energy) are merged in fixed shard order, so parallel runs stay
-// bit-identical to sequential ones (DESIGN.md §12).
+// There is one cycle kernel (Step; DESIGN.md §9). Routers and NIs are split
+// into contiguous shards — always at least one — and every cycle is a main
+// phase, one phase per shard, and a merge in shard order. The kernel is
+// work-proportional: a shard ticks only routers that hold state or received
+// a flit/credit (an idle router is provably at a fixed point, so skipping it
+// is bit-identical to ticking it), and flits and packets come from a free
+// list, so the steady-state cycle allocates nothing. What differs between
+// runs is only the schedule: the sequential kernel is one shard run inline,
+// Config.Naive is that shard with every router ticked (the reference the
+// determinism harness compares against), and Opts.Workers > 1 makes that
+// many shards, which Run and Drain put goroutines behind. Shards cannot
+// observe each other inside a cycle — that is the latching invariant above —
+// and their side effects are merged in fixed shard order, so every schedule
+// produces the same bits.
 package network
 
 import (
@@ -201,55 +202,77 @@ type credRet struct {
 }
 
 // pending is a shard-buffered schedule call: a delivery plus the link
-// latency it was issued with. Shards buffer instead of appending to the
-// delivery ring directly so the merge can reproduce the sequential kernel's
-// exact append order.
+// latency it was issued with.
 type pending struct {
 	lat int
 	d   delivery
 }
 
-// shard is one worker's slice of the network: a contiguous router range
-// [r0, r1), a contiguous NI range [n0, n1), and private accumulators for
-// every global structure a router tick or NI injection touches. Routers in
-// the shard are constructed against rcfg, whose Stats/Energy point at the
-// shard's meters and whose Send/Credit callbacks buffer into pendTick; the
-// shard's NIs draw flits from its private pool and buffer their schedules
-// into pendInj. After each cycle the main goroutine merges pendInj in shard
-// order (= ascending node order, matching the sequential injection loop),
-// then pendTick in shard order (= ascending router order, matching the
-// sequential tick loop), then drains the shard meters in shard order.
+// shard is one slice of the network: a contiguous router range [r0, r1), a
+// contiguous NI range [n0, n1), and a private copy of every global structure
+// a router tick or NI injection touches, so shards can run a cycle's phase
+// concurrently. Its routers count into its own meters, its NIs draw flits
+// from pool, and both emit through schedule.
+//
+// A network with several shards buffers their emissions in pend and has the
+// main goroutine replay them after the phases: injections in shard order
+// (ascending node order) and then router emissions in shard order (ascending
+// router order), which is the order one shard alone appends them in. So a
+// lone shard has nothing to reorder: it appends straight to the delivery
+// ring and counts straight into the network's meters.
 type shard struct {
 	net    *Network
-	idx    int // index into the network's shardStats/shardEnergy slices
 	r0, r1 int // routers [r0, r1)
 	n0, n1 int // NI nodes [n0, n1)
 
-	rcfg *router.Config
 	pool *flit.Pool
+	lone bool // the network's only shard
 
-	pendInj  []pending
-	pendTick []pending
+	pend   []pending
+	injEnd int // pend[:injEnd] was emitted before this cycle's router ticks
 	// pendKill buffers hop-limit victims found while latching this shard's
 	// due deliveries; the main goroutine condemns them in shard order after
-	// the phases, reproducing the sequential kernel's due-order kills.
+	// the phases (the victim list is shared, and due order within a shard is
+	// all that purging depends on — purge effects commute).
 	pendKill []*flit.Packet
 
-	// work carries one token per cycle: true = run this cycle's phases,
+	// work carries one token per cycle: true = run this cycle's phase,
 	// false = exit the worker goroutine (acknowledged on Network.done).
 	work chan bool
 }
 
-// send is the shard-local router Send callback.
-func (sh *shard) send(id, out int, f *flit.Flit) {
-	lat, d := sh.net.resolveFlit(id, out, f)
-	sh.pendTick = append(sh.pendTick, pending{lat: lat, d: d})
+// schedule emits delivery d, due in latency cycles.
+func (sh *shard) schedule(latency int, d delivery) {
+	if sh.lone {
+		sh.net.schedule(latency, d)
+		return
+	}
+	sh.pend = append(sh.pend, pending{lat: latency, d: d})
 }
 
-// credit is the shard-local router Credit callback.
+// send is the router Send callback: it resolves one hop for a flit leaving
+// output port out of router id and sets lookahead routing for the next
+// router. A flit switched during cycle t spends h.Latency cycles in link
+// traversal (LT) and is processed by the next hop at t + h.Latency + 1, so LT
+// is a real pipeline stage (paper Fig. 6: ... | ST | LT |).
+func (sh *shard) send(id, out int, f *flit.Flit) {
+	n := sh.net
+	h := n.topo.NextHop(id, out, f.Packet.Dst)
+	f.NextOut = -1
+	if h.Router >= 0 {
+		f.NextOut = n.routeFor(h.Router, f.Packet.Dst, f.RouteClass)
+	}
+	sh.schedule(h.Latency+1, delivery{flit: f, router: h.Router, port: h.InPort})
+}
+
+// credit is the router Credit callback: a credit returns to whatever feeds
+// (id, in), router output or NI, with one cycle latency.
 func (sh *shard) credit(id, in, vc int) {
-	lat, d := sh.net.resolveCredit(id, in, vc)
-	sh.pendTick = append(sh.pendTick, pending{lat: lat, d: d})
+	u := sh.net.upstreamOf(id, in)
+	if u.router == -2 {
+		panic(fmt.Sprintf("network: credit from unwired input port %d of router %d", in, id))
+	}
+	sh.schedule(1, delivery{router: u.router, port: u.out, vc: vc})
 }
 
 // routeTabLimit caps the route-table size (entries = classes × routers ×
@@ -267,7 +290,6 @@ type Network struct {
 	routers []Node
 	nis     []*ni
 	ups     []upstream // what feeds input port in of router r, at lanes.InBase[r]+in
-	rcfg    *router.Config
 	// lanes is the structure-of-arrays hot-path store every standard router's
 	// per-(port, vc) state lives in (core.LaneStore; DESIGN.md §17). The
 	// network owns it so the arrays span all routers contiguously — the
@@ -302,7 +324,7 @@ type Network struct {
 	pool *flit.Pool
 	// active marks routers the scheduler must tick this cycle: set on any
 	// flit/credit delivery, cleared when the router's Tick reports it
-	// reached a fixed point. naive bypasses the active set entirely.
+	// reached a fixed point. naive forces the mask on: every router ticks.
 	active []bool
 	naive  bool
 
@@ -348,12 +370,13 @@ type Network struct {
 	rel        *Reliability
 	relPending int
 
-	// Parallel kernel state (nil/zero when Opts.Workers <= 1): the shards,
-	// their slice-indexed stats/energy accumulators (shard i owns element i;
-	// contiguous so the per-cycle drain walks two flat slices in shard
-	// order), the shared completion channel, whether worker goroutines are
-	// live (between startWorkers/stopWorkers, i.e. inside Run/Drain), and the
-	// due-deliveries slice of the cycle in flight, published to workers.
+	// Cycle kernel state: the shards (at least one), the stats/energy
+	// accumulators of a sharded network (shard i owns element i, contiguous so
+	// the per-cycle drain walks two flat slices in shard order; empty with a
+	// lone shard, which counts into Stats and Energy directly), the shared
+	// completion channel, whether worker goroutines are live (between
+	// startWorkers/stopWorkers, i.e. inside Run/Drain), and the due-deliveries
+	// slice of the cycle in flight, published to the shard phases.
 	shards      []*shard
 	shardStats  []stats.Network
 	shardEnergy []energy.Meter
@@ -468,7 +491,7 @@ func New(cfg Config) *Network {
 	n.lanes = core.NewLaneStore(cfg.NumVCs, cfg.BufDepth, inRadix, outRadix)
 	n.wire()
 
-	n.rcfg = &router.Config{
+	base := router.Config{
 		NumVCs:   cfg.NumVCs,
 		BufDepth: cfg.BufDepth,
 		Lanes:    n.lanes,
@@ -476,49 +499,12 @@ func New(cfg Config) *Network {
 		Alloc:    alloc,
 		Energy:   n.Energy,
 		Stats:    n.Stats,
-		Send:     n.sendFlit,
-		Credit:   n.sendCredit,
 		Reg:      cfg.Registry,
 		Trace:    cfg.Tracer,
 	}
 	if n.faults != nil {
-		n.rcfg.LinkUp = func(id, out int) bool { return !n.faults.LinkDead(id, out) }
-		n.rcfg.Reroute = func(id, dst, class int) int { return n.routeFor(id, dst, class) }
-	}
-	// Shard the routers and NIs for the parallel kernel. The naive reference
-	// loop and the tracer stay sequential: naive exists precisely as the
-	// single-threaded reference, and the trace ring is single-writer (worker
-	// count cannot change results either way, so forcing workers=1 under
-	// tracing is an execution detail, not a behaviour change).
-	if w := cfg.Opts.Workers; w > 1 && !cfg.Naive && cfg.Tracer == nil {
-		if w > t.Routers() {
-			w = t.Routers()
-		}
-		if w > 1 {
-			n.shards = make([]*shard, w)
-			n.shardStats = make([]stats.Network, w)
-			n.shardEnergy = make([]energy.Meter, w)
-			n.done = make(chan struct{}, w)
-			for i := range n.shards {
-				sh := &shard{
-					net:  n,
-					idx:  i,
-					r0:   i * t.Routers() / w,
-					r1:   (i + 1) * t.Routers() / w,
-					n0:   i * t.Nodes() / w,
-					n1:   (i + 1) * t.Nodes() / w,
-					pool: flit.NewPool(),
-					work: make(chan bool, 1),
-				}
-				rcfg := *n.rcfg
-				rcfg.Energy = &n.shardEnergy[i]
-				rcfg.Stats = &n.shardStats[i]
-				rcfg.Send = sh.send
-				rcfg.Credit = sh.credit
-				sh.rcfg = &rcfg
-				n.shards[i] = sh
-			}
-		}
+		base.LinkUp = func(id, out int) bool { return !n.faults.LinkDead(id, out) }
+		base.Reroute = func(id, dst, class int) int { return n.routeFor(id, dst, class) }
 	}
 	factory := cfg.Factory
 	if factory == nil {
@@ -526,22 +512,60 @@ func New(cfg Config) *Network {
 			return router.New(id, in, out, rcfg)
 		}
 	}
+	// Shard the routers and NIs: Opts.Workers shards, at most one per router,
+	// and exactly one for the naive reference and under tracing — naive exists
+	// precisely as the single-threaded reference, and the trace ring is
+	// single-writer (the shard count cannot change results, so this is an
+	// execution detail, not a behaviour change).
+	w := min(cfg.Opts.Workers, t.Routers())
+	if w < 1 || cfg.Naive || cfg.Tracer != nil {
+		w = 1
+	}
+	n.shards = make([]*shard, w)
+	n.done = make(chan struct{}, w)
+	if w > 1 {
+		n.shardStats = make([]stats.Network, w)
+		n.shardEnergy = make([]energy.Meter, w)
+	}
 	n.routers = make([]Node, t.Routers())
-	for r := range n.routers {
-		n.routers[r] = factory(r, t.InPorts(r), t.OutPorts(r), n.routerConfig(r))
-		if n.faults != nil {
-			if _, ok := n.routers[r].(faultNode); !ok {
-				panic(fmt.Sprintf("network: router %T cannot run under a fault schedule", n.routers[r]))
+	for i := range n.shards {
+		sh := &shard{
+			net:  n,
+			r0:   i * t.Routers() / w,
+			r1:   (i + 1) * t.Routers() / w,
+			n0:   i * t.Nodes() / w,
+			n1:   (i + 1) * t.Nodes() / w,
+			pool: pool, // shard 0 draws from Config.Pool, so a warmed free list is reused
+			lone: w == 1,
+			work: make(chan bool, 1),
+		}
+		if i > 0 {
+			sh.pool = flit.NewPool()
+		}
+		n.shards[i] = sh
+		rcfg := base
+		rcfg.Send, rcfg.Credit = sh.send, sh.credit
+		if w > 1 {
+			rcfg.Energy, rcfg.Stats = &n.shardEnergy[i], &n.shardStats[i]
+		}
+		for r := sh.r0; r < sh.r1; r++ {
+			n.routers[r] = factory(r, t.InPorts(r), t.OutPorts(r), &rcfg)
+			if n.faults != nil {
+				if _, ok := n.routers[r].(faultNode); !ok {
+					panic(fmt.Sprintf("network: router %T cannot run under a fault schedule", n.routers[r]))
+				}
 			}
 		}
 	}
-	n.nis = make([]*ni, t.Nodes())
 	// Wire terminals.
-	for node := 0; node < t.Nodes(); node++ {
-		r, inP, outP := t.NodeRouter(node)
-		n.routers[r].MarkEjection(outP)
-		n.ups[n.lanes.InBase[r]+inP] = upstream{router: -1, out: node}
-		n.nis[node] = newNI(n, node, r, inP)
+	n.nis = make([]*ni, t.Nodes())
+	for _, sh := range n.shards {
+		for node := sh.n0; node < sh.n1; node++ {
+			r, inP, outP := t.NodeRouter(node)
+			n.routers[r].MarkEjection(outP)
+			n.ups[n.lanes.InBase[r]+inP] = upstream{router: -1, out: node}
+			n.nis[node] = newNI(sh, node, r, inP)
+		}
 	}
 	return n
 }
@@ -676,43 +700,6 @@ func (n *Network) Inject(p *flit.Packet) {
 	n.relInflightDelta(p, 1, false)
 }
 
-// routerConfig returns the router.Config router r must be constructed
-// against: its shard's when the parallel kernel is on, the network-global
-// one otherwise.
-func (n *Network) routerConfig(r int) *router.Config {
-	for _, sh := range n.shards {
-		if r >= sh.r0 && r < sh.r1 {
-			return sh.rcfg
-		}
-	}
-	return n.rcfg
-}
-
-// shardForNode returns the shard owning NI node, nil when sequential.
-func (n *Network) shardForNode(node int) *shard {
-	for _, sh := range n.shards {
-		if node >= sh.n0 && node < sh.n1 {
-			return sh
-		}
-	}
-	return nil
-}
-
-// resolveFlit resolves one hop for a flit leaving output port out of router
-// id: set lookahead routing for the next router and return the delivery and
-// its latency. A flit switched during cycle t spends h.Latency cycles in
-// link traversal (LT) and is processed by the next hop at t + h.Latency + 1,
-// so LT is a real pipeline stage (paper Fig. 6: ... | ST | LT |).
-func (n *Network) resolveFlit(id, out int, f *flit.Flit) (int, delivery) {
-	h := n.topo.NextHop(id, out, f.Packet.Dst)
-	if h.Router < 0 {
-		f.NextOut = -1
-		return h.Latency + 1, delivery{flit: f, router: -1, port: h.InPort}
-	}
-	f.NextOut = n.routeFor(h.Router, f.Packet.Dst, f.RouteClass)
-	return h.Latency + 1, delivery{flit: f, router: h.Router, port: h.InPort}
-}
-
 // routeFor computes lookahead routing at router r: plain dimension-order
 // when no fault schedule is configured, the fault-aware detour otherwise.
 // Safe to call from shard workers — the fault state is mutated only by the
@@ -727,32 +714,7 @@ func (n *Network) routeFor(r, dst, class int) int {
 	return n.engine.RouteAvoid(r, dst, class, n.wiredFn[r], n.deadFn[r])
 }
 
-// resolveCredit resolves a credit return to whatever feeds (id, in), with
-// one cycle latency.
-func (n *Network) resolveCredit(id, in, vc int) (int, delivery) {
-	u := n.upstreamOf(id, in)
-	switch u.router {
-	case -2:
-		panic(fmt.Sprintf("network: credit from unwired input port %d of router %d", in, id))
-	case -1:
-		return 1, delivery{router: -1, port: u.out, vc: vc}
-	default:
-		return 1, delivery{router: u.router, port: u.out, vc: vc}
-	}
-}
-
-// sendFlit is the sequential-kernel router Send callback.
-func (n *Network) sendFlit(id, out int, f *flit.Flit) {
-	lat, d := n.resolveFlit(id, out, f)
-	n.schedule(lat, d)
-}
-
-// sendCredit is the sequential-kernel router Credit callback.
-func (n *Network) sendCredit(id, in, vc int) {
-	lat, d := n.resolveCredit(id, in, vc)
-	n.schedule(lat, d)
-}
-
+// schedule appends delivery d to the ring slot due in latency cycles.
 func (n *Network) schedule(latency int, d delivery) {
 	if latency < 1 || latency >= len(n.ring) {
 		panic(fmt.Sprintf("network: link latency %d outside ring", latency))
@@ -761,11 +723,28 @@ func (n *Network) schedule(latency int, d delivery) {
 	n.ring[slot] = append(n.ring[slot], d)
 }
 
-// Step advances the simulation one cycle.
+// Step advances the simulation one cycle. Every schedule of the kernel runs
+// this one pipeline:
+//
+//  1. Main phase, on the calling goroutine: fault events, retransmit timers,
+//     NI-bound deliveries (ejection + NI credits, in due order) and the
+//     workload tick — everything that touches the global stats, the packet
+//     pool and the source queues.
+//  2. One phase per shard (shardPhase): latch the routers' due deliveries,
+//     inject from the NIs, tick the routers. Shards are mutually
+//     independent: a router tick reads and writes only that router's state
+//     plus its shard's buffers and meters, because every cross-router effect
+//     is latched through the delivery ring. So the phases may run inline in
+//     shard order or, with worker goroutines live (inside Run/Drain),
+//     concurrently: the two are the same schedule.
+//  3. Merge, on the calling goroutine: replay the shards' buffered
+//     emissions, condemn their hop-limit victims and drain their meters, all
+//     in shard order. Everything merged is either a sum or a ring append in
+//     the order a lone shard produces, so the cycle is bit-identical however
+//     many shards ran it.
 func (n *Network) Step(w Workload) {
-	// Fault events land first, on the main goroutine, strictly before any
-	// delivery or router work: the fault state is therefore constant for the
-	// rest of the cycle, whichever kernel runs it.
+	// Fault events land first, strictly before any delivery or router work:
+	// the fault state is therefore constant for the rest of the cycle.
 	if n.faults != nil {
 		n.applyFaults()
 		n.watchdog()
@@ -780,113 +759,11 @@ func (n *Network) Step(w Workload) {
 		}
 	}
 	// Retransmit timers fire after fault state settles and before any
-	// delivery or injection work, on the main goroutine in both kernels:
-	// re-injected packets join their source queues for this cycle's
-	// injection phase, wherever it runs.
+	// delivery or injection work: re-injected packets join their source
+	// queues for this cycle's injection.
 	if n.rel != nil {
 		n.relTick(w)
 	}
-	if n.shards != nil {
-		n.stepSharded(w)
-		return
-	}
-	// 1. Deliver flits and credits due now; every delivery (re)activates
-	// its target router. A schedule always targets a future ring slot
-	// (latency >= 1, < len(ring)), so the slot's backing array can be
-	// reused once drained.
-	slot := int(n.now) & n.ringMask
-	due := n.ring[slot]
-	for _, d := range due {
-		switch {
-		case d.flit != nil && d.router >= 0:
-			if n.hopLimit > 0 && d.flit.Kind.IsHead() && d.flit.Packet.Hops > n.hopLimit {
-				n.condemn(d.flit.Packet)
-			}
-			n.routers[d.router].Deliver(d.port, d.flit)
-			n.active[d.router] = true
-		case d.flit != nil:
-			n.nis[d.port].receive(n.now, d.flit, w)
-		case d.router >= 0:
-			n.routers[d.router].DeliverCredit(d.port, d.vc)
-			n.active[d.router] = true
-		default:
-			n.nis[d.port].credit(d.vc)
-		}
-	}
-	n.ring[slot] = due[:0]
-	// 2. Workload generates traffic; busy NIs inject (one flit per node per
-	// cycle). An NI with no queued work is skipped — the check mirrors
-	// inject's own early return, so skipping is behaviour-preserving.
-	if w != nil {
-		w.Tick(n.now, n)
-	}
-	for _, s := range n.nis {
-		if s.cur == nil && len(s.queue) == 0 {
-			continue
-		}
-		s.inject(n.now)
-	}
-	// 3. Routers tick: all of them under the naive reference kernel, only
-	// the active set otherwise. Both orders are ascending router ID, so the
-	// kernels are interchangeable cycle for cycle.
-	if n.naive {
-		for _, r := range n.routers {
-			r.Tick(n.now)
-			if n.CheckInvariants {
-				r.CheckInvariants()
-			}
-		}
-	} else {
-		for id, r := range n.routers {
-			if !n.active[id] {
-				continue
-			}
-			if !r.Tick(n.now) {
-				n.active[id] = false
-			}
-			if n.CheckInvariants {
-				r.CheckInvariants()
-			}
-		}
-	}
-	// Hop-limit victims condemned during delivery are purged only now, when
-	// every flit the cycle produced has reached the ring where the purge
-	// sweep can find it.
-	if len(n.victims) > 0 {
-		n.purgeVictims()
-	}
-	n.now++
-	n.Stats.MeasuredTo = n.now
-	if n.series != nil {
-		n.series.Tick(n.now, n.Stats)
-	}
-}
-
-// stepSharded advances the simulation one cycle under the parallel kernel.
-// It reproduces the sequential Step exactly:
-//
-//  1. NI-bound deliveries (ejection + NI credits) and the workload tick run
-//     on the main goroutine, in due/node order, exactly as sequentially —
-//     they touch the global stats, the packet pool and source queues.
-//  2. Each shard then latches its routers' due deliveries (due order is
-//     preserved per router, and a delivery only touches its target router),
-//     injects from its NIs (ascending node order within the shard), and
-//     ticks its active routers (ascending router order within the shard).
-//     Shards are mutually independent: a router tick reads and writes only
-//     that router's state plus shard-local buffers/meters, because every
-//     cross-router effect is latched through the delivery ring.
-//  3. The main goroutine merges the shard-buffered schedules — injections
-//     in shard order (= ascending node order, the sequential phase-2 append
-//     order) then router emissions in shard order (= ascending router
-//     order, the sequential phase-3 append order) — and drains the shard
-//     stats/energy meters in shard order. All merged quantities are sums,
-//     and ring-append order is reproduced exactly, so the cycle is
-//     bit-identical to the sequential kernel's.
-//
-// With worker goroutines live (inside Run/Drain) phase 2 runs concurrently;
-// otherwise it runs inline in shard order, which is the same schedule
-// serialized.
-func (n *Network) stepSharded(w Workload) {
 	slot := int(n.now) & n.ringMask
 	due := n.ring[slot]
 	for _, d := range due {
@@ -915,26 +792,14 @@ func (n *Network) stepSharded(w Workload) {
 			n.shardPhase(sh)
 		}
 	}
+	// A schedule always targets a future ring slot (latency >= 1, <
+	// len(ring)), so the slot's backing array can be reused once drained.
 	n.ring[slot] = due[:0]
-	for _, sh := range n.shards {
-		for _, p := range sh.pendInj {
-			n.schedule(p.lat, p.d)
-		}
-		sh.pendInj = sh.pendInj[:0]
-	}
-	for _, sh := range n.shards {
-		for _, p := range sh.pendTick {
-			n.schedule(p.lat, p.d)
-		}
-		sh.pendTick = sh.pendTick[:0]
-	}
-	// Hop-limit victims the shards found while latching deliveries: condemn
-	// in shard order (= ascending router order, matching the sequential due
-	// loop's kills — purge effects commute, so within-slot order is enough)
-	// and purge now that every shard-buffered send has been merged into the
-	// ring. Purging may emit relay credits through shard Credit callbacks;
-	// drain those immediately so they land in the same ring slot as under
-	// the sequential kernel.
+	n.mergePending()
+	// Hop-limit victims are purged only now, when every flit the cycle
+	// produced has reached the ring where the purge sweep can find it.
+	// Purging may emit relay credits through the routers' Credit callback;
+	// merge those at once so they land in this cycle's ring slots.
 	for _, sh := range n.shards {
 		for _, p := range sh.pendKill {
 			n.condemn(p)
@@ -943,12 +808,7 @@ func (n *Network) stepSharded(w Workload) {
 	}
 	if len(n.victims) > 0 {
 		n.purgeVictims()
-		for _, sh := range n.shards {
-			for _, p := range sh.pendTick {
-				n.schedule(p.lat, p.d)
-			}
-			sh.pendTick = sh.pendTick[:0]
-		}
+		n.mergePending()
 	}
 	n.Stats.MergeAll(n.shardStats)
 	n.Energy.MergeAll(n.shardEnergy)
@@ -960,10 +820,11 @@ func (n *Network) stepSharded(w Workload) {
 }
 
 // shardPhase runs one shard's slice of a cycle: latch due deliveries into
-// the shard's routers, inject from the shard's NIs, tick the shard's active
-// routers. Called from worker goroutines when they are live, inline on the
-// main goroutine otherwise — the two are bit-identical because shards touch
-// disjoint state and all shared effects are buffered shard-locally.
+// the shard's routers (due order is preserved per router, and a delivery
+// only touches its target router), inject from the shard's busy NIs (one
+// flit per node per cycle, ascending node order), tick the shard's active
+// routers — all of them under the naive reference — in ascending router
+// order.
 func (n *Network) shardPhase(sh *shard) {
 	for _, d := range n.curDue {
 		if d.router < sh.r0 || d.router >= sh.r1 {
@@ -979,34 +840,53 @@ func (n *Network) shardPhase(sh *shard) {
 		}
 		n.active[d.router] = true
 	}
-	for node := sh.n0; node < sh.n1; node++ {
-		s := n.nis[node]
+	for _, s := range n.nis[sh.n0:sh.n1] {
+		// The check mirrors inject's own early return, so skipping an NI
+		// with no queued work is behaviour-preserving.
 		if s.cur == nil && len(s.queue) == 0 {
 			continue
 		}
 		s.inject(n.now)
 	}
-	for id := sh.r0; id < sh.r1; id++ {
-		if !n.active[id] {
+	sh.injEnd = len(sh.pend)
+	routers, active, naive := n.routers[sh.r0:sh.r1], n.active[sh.r0:sh.r1], n.naive
+	for i, on := range active {
+		if !on && !naive {
 			continue
 		}
-		if !n.routers[id].Tick(n.now) {
-			n.active[id] = false
-		}
+		// A false return promises a fixed point until the next delivery.
+		active[i] = routers[i].Tick(n.now)
 		if n.CheckInvariants {
-			n.routers[id].CheckInvariants()
+			routers[i].CheckInvariants()
 		}
 	}
 }
 
+// mergePending replays the shards' buffered emissions into the delivery
+// ring: what each emitted before its router ticks (injections) in shard
+// order, then the routers' emissions in shard order.
+func (n *Network) mergePending() {
+	for _, sh := range n.shards {
+		for _, p := range sh.pend[:sh.injEnd] {
+			n.schedule(p.lat, p.d)
+		}
+	}
+	for _, sh := range n.shards {
+		for _, p := range sh.pend[sh.injEnd:] {
+			n.schedule(p.lat, p.d)
+		}
+		sh.pend, sh.injEnd = sh.pend[:0], 0
+	}
+}
+
 // startWorkers brings up one goroutine per shard and returns the matching
-// stop function (a no-op pair when the kernel is sequential or workers are
-// already live, so nesting Run/Drain is safe). Workers are scoped to
-// Run/Drain rather than to the Network so there is no Close obligation and
-// an idle Network holds no goroutines; Step outside Run executes the same
-// sharded phases inline.
+// stop function (a no-op pair with a lone shard, which runs inline, or when
+// workers are already live, so nesting Run/Drain is safe). Workers are
+// scoped to Run/Drain rather than to the Network so there is no Close
+// obligation and an idle Network holds no goroutines; Step outside Run
+// executes the same phases inline.
 func (n *Network) startWorkers() func() {
-	if n.shards == nil || n.parRunning {
+	if len(n.shards) == 1 || n.parRunning {
 		return func() {}
 	}
 	n.parRunning = true
@@ -1361,7 +1241,7 @@ func (n *Network) purgePacket(p *flit.Packet) {
 // like normal ejection, so per-shard free lists stay balanced).
 func (n *Network) dropFlit(f *flit.Flit) {
 	n.Stats.FlitsDropped++
-	n.nis[f.Packet.Src].fpool.RecycleFlit(f)
+	n.nis[f.Packet.Src].sh.pool.RecycleFlit(f)
 }
 
 // Run advances the simulation for cycles cycles.

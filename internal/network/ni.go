@@ -13,7 +13,12 @@ import (
 // under credit flow control, and reassembles arriving flits into packets
 // (paper §3.A).
 type ni struct {
-	net    *Network
+	net *Network
+	// sh is the owning shard: injected flits are drawn from its pool and
+	// emitted through it. Ejected flits are recycled to their source node's
+	// shard pool, so every shard's free list is fed by exactly the flits its
+	// own NIs injected and stays balanced under any traffic pattern.
+	sh     *shard
 	node   int
 	router int
 	inPort int
@@ -43,20 +48,13 @@ type ni struct {
 	relWin  []uint64
 	tx      []relTx
 	txIdx   map[uint64]int
-
-	// sh is the owning shard of the parallel kernel (nil when sequential);
-	// injections buffer into it instead of the delivery ring. fpool supplies
-	// injection flits: the shard's private pool under the parallel kernel
-	// (ejected flits are recycled back to their source node's fpool, so the
-	// per-shard free lists stay balanced under any traffic pattern), the
-	// network pool otherwise.
-	sh    *shard
-	fpool *flit.Pool
 }
 
-func newNI(n *Network, node, r, inPort int) *ni {
+func newNI(sh *shard, node, r, inPort int) *ni {
+	n := sh.net
 	s := &ni{
 		net:     n,
+		sh:      sh,
 		node:    node,
 		router:  r,
 		inPort:  inPort,
@@ -66,11 +64,6 @@ func newNI(n *Network, node, r, inPort int) *ni {
 		rng:     n.rng.Split(),
 		lastDst: -1,
 		rx:      make(map[uint64]int),
-		fpool:   n.pool,
-	}
-	if sh := n.shardForNode(node); sh != nil {
-		s.sh = sh
-		s.fpool = sh.pool
 	}
 	if n.rel != nil {
 		nodes := n.topo.Nodes()
@@ -111,7 +104,7 @@ func (s *ni) inject(now sim.Cycle) {
 		}
 		p := s.queue[0]
 		s.queue = s.queue[:copy(s.queue, s.queue[1:])]
-		s.cur = s.fpool.SplitInto(s.curBuf[:0], p)
+		s.cur = s.sh.pool.SplitInto(s.curBuf[:0], p)
 		s.curBuf = s.cur
 		s.idx = 0
 		s.class = s.net.engine.ClassFor(s.rng)
@@ -142,11 +135,7 @@ func (s *ni) inject(now sim.Cycle) {
 		p.NetStart = now
 	}
 	s.credits[s.outVC]--
-	if s.sh != nil {
-		s.sh.pendInj = append(s.sh.pendInj, pending{lat: 1, d: delivery{flit: f, router: s.router, port: s.inPort}})
-	} else {
-		s.net.schedule(1, delivery{flit: f, router: s.router, port: s.inPort})
-	}
+	s.sh.schedule(1, delivery{flit: f, router: s.router, port: s.inPort})
 	if tr := s.net.tracer; tr != nil {
 		tr.Record(obs.Event{
 			Cycle: int64(now), Kind: obs.Inject, Packet: p.ID, Seq: int32(f.Seq),
@@ -187,11 +176,7 @@ func (s *ni) receive(now sim.Cycle, f *flit.Flit, w Workload) {
 			Loc: int32(s.node), In: -1, VC: int32(f.VC), Out: -1,
 		})
 	}
-	// Recycle to the source node's injection pool: under the parallel
-	// kernel that keeps each shard's free list fed by exactly the flits its
-	// own NIs injected (self-balancing, so the zero-alloc steady state
-	// survives any traffic pattern); sequentially it is the network pool.
-	s.net.nis[p.Src].fpool.RecycleFlit(f)
+	s.net.nis[p.Src].sh.pool.RecycleFlit(f)
 	s.rx[p.ID]++
 	if s.rx[p.ID] < p.Size {
 		return

@@ -16,10 +16,10 @@ import (
 // workload when it implements FailureObserver), never a hang.
 //
 // Determinism: every piece of reliability state — sequence counters, sender
-// records, receiver windows — is mutated on the kernel's main goroutine only
-// (Inject, ni.receive and relTick all run there, in both the sequential and
-// the sharded kernel, in identical order), so reliable runs stay
-// bit-identical across naive/active/parallel kernels at every worker count.
+// records, receiver windows — is mutated in the kernel's main phase only
+// (Inject, ni.receive and relTick all run there, in the same order however
+// the cycle is scheduled), so reliable runs stay bit-identical across the
+// naive, one-shard and sharded schedules at every worker count.
 
 // Reliability configures the end-to-end reliable delivery layer. The zero
 // value of each field selects its default.
@@ -209,8 +209,8 @@ func (n *Network) relInflightDelta(p *flit.Packet, d int, delivered bool) {
 	}
 }
 
-// relTick drives every sender's retransmit timers one cycle. It runs on the
-// main goroutine in both kernels, after fault events land and before any
+// relTick drives every sender's retransmit timers one cycle. It runs in the
+// kernel's main phase, after fault events land and before any
 // delivery or injection work, walking NIs in ascending node order — a fixed
 // point in the cycle, so timer decisions are bit-identical at every worker
 // count. Due records either retransmit (fresh pooled packet, same flow and

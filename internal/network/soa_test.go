@@ -13,62 +13,82 @@ import (
 	"pseudocircuit/internal/vcalloc"
 )
 
-// TestLaneStoreRoundTrip drives two identically seeded networks — the naive
-// reference kernel and the active-set kernel, both over the shared
-// structure-of-arrays LaneStore — through randomized tick bursts and, after
-// each burst, checks the layout from both sides:
+// TestLaneStoreRoundTrip drives three identically seeded networks — the
+// naive reference, the one-shard schedule and four shards stepped inline
+// (bare Step), all over the shared structure-of-arrays LaneStore — through
+// randomized tick bursts and, after each burst, checks the layout from both
+// sides:
 //
 //   - flat view: LaneStore.CheckConsistency re-derives every occupancy mask
 //     and the PCByOut reverse index from the ground-truth arrays for every
 //     router;
 //   - struct view: LaneStore.View materializes each lane back into the
-//     pre-SoA struct shape, and the two kernels' views must be deeply equal
-//     lane by lane — the flat layout holds exactly the state the struct
-//     layout would, whichever kernel mutated it.
+//     pre-SoA struct shape, and the schedules' views must be deeply equal
+//     lane by lane, as must their credit counters and pseudo-circuit
+//     registers — the flat layout holds exactly the state the struct layout
+//     would, whichever schedule mutated it, at every burst and not only in
+//     the end-of-run totals the determinism triangle compares.
 func TestLaneStoreRoundTrip(t *testing.T) {
-	build := func(naive bool) (*network.Network, network.Workload, topology.Topology) {
-		topo := topology.NewMesh(4, 4)
-		cfg := network.DefaultConfig(topo)
-		cfg.Opts = core.DefaultOptions(core.PseudoSB)
-		cfg.Algorithm = routing.XY
-		cfg.Policy = vcalloc.Static
-		cfg.Naive = naive
-		n := network.New(cfg)
-		n.CheckInvariants = true
+	topo := topology.NewMesh(4, 4)
+	type leg struct {
+		name string
+		net  *network.Network
+		w    network.Workload
+	}
+	var legs []leg
+	for _, k := range []kernel{{"naive", true, 0}, {"active", false, 0}, {"par4", false, 4}} {
+		n := buildKernel(topo, core.PseudoSB, routing.XY, vcalloc.Static, k)
 		w := traffic.NewSynthetic(traffic.Config{
 			Pattern: traffic.UniformRandom, Nodes: topo.Nodes(), Rate: 0.12,
 		}, sim.NewRNG(11))
-		return n, w, topo
-	}
-	nA, wA, topo := build(true)
-	nB, wB, _ := build(false)
-	sA, sB := nA.Lanes(), nB.Lanes()
-	if sA == nil || sB == nil {
-		t.Fatal("standard-router networks must own a LaneStore")
+		if n.Lanes() == nil {
+			t.Fatal("standard-router networks must own a LaneStore")
+		}
+		legs = append(legs, leg{k.name, n, w})
 	}
 
 	rng := sim.NewRNG(99)
 	for trial := 0; trial < 40; trial++ {
 		burst := 1 + rng.Intn(13)
-		for i := 0; i < burst; i++ {
-			nA.Step(wA)
-			nB.Step(wB)
-		}
-		for _, s := range []*core.LaneStore{sA, sB} {
+		for _, l := range legs {
+			for i := 0; i < burst; i++ {
+				l.net.Step(l.w)
+			}
+			s := l.net.Lanes()
 			for r := 0; r < topo.Routers(); r++ {
 				inBase, outBase := s.InBase[r], s.OutBase[r]
 				nIn, nOut := s.InBase[r+1]-inBase, s.OutBase[r+1]-outBase
 				if err := s.CheckConsistency(r, inBase, nIn, outBase, nOut); err != nil {
-					t.Fatalf("trial %d: %v", trial, err)
+					t.Fatalf("trial %d, %s: %v", trial, l.name, err)
 				}
 			}
 		}
-		for p := 0; p < len(sA.Occ); p++ {
-			for vc := 0; vc < sA.NumVCs; vc++ {
-				va, vb := sA.View(p, vc), sB.View(p, vc)
-				if !reflect.DeepEqual(va, vb) {
-					t.Fatalf("trial %d: lane view diverges at port %d vc %d:\nnaive:  %+v\nactive: %+v",
-						trial, p, vc, va, vb)
+		ref := legs[0]
+		for _, l := range legs[1:] {
+			a, b := ref.net.Lanes(), l.net.Lanes()
+			for p := 0; p < len(a.Occ); p++ {
+				for vc := 0; vc < a.NumVCs; vc++ {
+					va, vb := a.View(p, vc), b.View(p, vc)
+					if !reflect.DeepEqual(va, vb) {
+						t.Fatalf("trial %d: lane view diverges at port %d vc %d:\n%s: %+v\n%s: %+v",
+							trial, p, vc, ref.name, va, l.name, vb)
+					}
+				}
+			}
+			// What View leaves out: credit counters and output-VC ownership
+			// per output lane, the pseudo-circuit register file per input
+			// port, the speculation history per output port.
+			for _, f := range []struct {
+				name     string
+				ref, got any
+			}{
+				{"Credits", a.Credits, b.Credits}, {"VCBusy", a.VCBusy, b.VCBusy},
+				{"PCInVC", a.PCInVC, b.PCInVC}, {"PCOut", a.PCOut, b.PCOut},
+				{"PCValid", a.PCValid, b.PCValid}, {"PCSpec", a.PCSpec, b.PCSpec},
+				{"HistIn", a.HistIn, b.HistIn}, {"HistValid", a.HistValid, b.HistValid},
+			} {
+				if !reflect.DeepEqual(f.ref, f.got) {
+					t.Fatalf("trial %d: %s diverges:\n%s: %v\n%s: %v", trial, f.name, ref.name, f.ref, l.name, f.got)
 				}
 			}
 		}

@@ -413,11 +413,7 @@ func (e Experiment) Run(w Workload) Result {
 // already-built network (from Build), leaving the network available for
 // post-run inspection (e.g. Network.LinkLoads, Network.Registry).
 func (e Experiment) RunOn(n *Network, w Workload) Result {
-	e = e.defaults()
-	n.Run(w, e.Warmup)
-	n.ResetStats()
-	n.Run(w, e.Measure)
-	return collect(n, e.Measure)
+	return e.RunOnObserved(n, w, 0, nil)
 }
 
 // RunWindowsOn executes the warmup once on an already-built network, then
@@ -427,14 +423,7 @@ func (e Experiment) RunOn(n *Network, w Workload) Result {
 // this is the measurement protocol behind the fault-window experiment
 // (pre/during/post segments around a scheduled fault).
 func (e Experiment) RunWindowsOn(n *Network, w Workload, windows []int) []Result {
-	e = e.defaults()
-	n.Run(w, e.Warmup)
-	out := make([]Result, len(windows))
-	for i, c := range windows {
-		n.ResetStats()
-		n.Run(w, c)
-		out[i] = collect(n, c)
-	}
+	out, _ := e.defaults().runChunked(context.Background(), n, w, windows, 0, nil) // never cancelled
 	return out
 }
 
@@ -445,24 +434,11 @@ func (e Experiment) RunWindowsOn(n *Network, w Workload, windows []int) []Result
 // racing the cycle loop. every <= 0 or a nil fn degrades to plain RunOn.
 func (e Experiment) RunOnObserved(n *Network, w Workload, every int, fn func(n *Network)) Result {
 	e = e.defaults()
-	if every <= 0 || fn == nil {
-		return e.RunOn(n, w)
+	if every <= 0 {
+		fn = nil
 	}
-	chunked := func(total int) {
-		for done := 0; done < total; {
-			c := every
-			if rem := total - done; rem < c {
-				c = rem
-			}
-			n.Run(w, c)
-			done += c
-			fn(n)
-		}
-	}
-	chunked(e.Warmup)
-	n.ResetStats()
-	chunked(e.Measure)
-	return collect(n, e.Measure)
+	out, _ := e.runChunked(context.Background(), n, w, []int{e.Measure}, every, fn) // never cancelled
+	return out[0]
 }
 
 // RunContext is Run with cancellation: the context is checked between
@@ -485,14 +461,27 @@ func (e Experiment) RunOnContext(ctx context.Context, n *Network, w Workload, ev
 	if every <= 0 {
 		every = 1000
 	}
-	chunked := func(total int) error {
+	out, err := e.runChunked(ctx, n, w, []int{e.Measure}, every, fn)
+	if err != nil {
+		return Result{}, err
+	}
+	return out[0], nil
+}
+
+// runChunked is the one measurement loop behind the Run* methods: warm up,
+// then for each window reset the statistics, run it and collect its Result.
+// Every phase runs in chunks of at most every cycles (every <= 0: the whole
+// phase in one); ctx is polled before each chunk and fn, when not nil, is
+// called after each one, the last included. e must have its defaults applied.
+func (e Experiment) runChunked(ctx context.Context, n *Network, w Workload, windows []int, every int, fn func(n *Network)) ([]Result, error) {
+	phase := func(total int) error {
 		for done := 0; done < total; {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			c := every
-			if rem := total - done; rem < c {
-				c = rem
+			c := total - done
+			if every > 0 && every < c {
+				c = every
 			}
 			n.Run(w, c)
 			done += c
@@ -502,14 +491,18 @@ func (e Experiment) RunOnContext(ctx context.Context, n *Network, w Workload, ev
 		}
 		return nil
 	}
-	if err := chunked(e.Warmup); err != nil {
-		return Result{}, err
+	if err := phase(e.Warmup); err != nil {
+		return nil, err
 	}
-	n.ResetStats()
-	if err := chunked(e.Measure); err != nil {
-		return Result{}, err
+	out := make([]Result, len(windows))
+	for i, c := range windows {
+		n.ResetStats()
+		if err := phase(c); err != nil {
+			return nil, err
+		}
+		out[i] = collect(n, c)
 	}
-	return collect(n, e.Measure), nil
+	return out, nil
 }
 
 // WriteMetricsJSONL writes the network's per-router counters, time-series
