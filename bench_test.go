@@ -252,17 +252,34 @@ func BenchmarkKernelSchedules(b *testing.B) {
 }
 
 func benchKernel(b *testing.B, side int, rate float64, workers int) {
-	exp := noc.Experiment{
+	benchCycles(b, noc.Experiment{
 		Topology: noc.Mesh(side, side),
 		Scheme:   noc.PseudoSB,
 		Routing:  noc.XY,
 		Policy:   noc.StaticVA,
 		Workers:  workers,
-		Warmup:   100,
-		Measure:  1,
-	}
+	}, noc.Synthetic{Pattern: noc.UniformRandom, Rate: rate})
+}
+
+// BenchmarkEVCSequential is BenchmarkFig12Sequential's pair on the EVC
+// comparison router at the repository benchmark's mesh8-bc-evc operating
+// point (8×8 mesh, bit complement 0.10, dynamic VA): both tick the one
+// router pipeline, this one with the express policy installed.
+func BenchmarkEVCSequential(b *testing.B) {
+	benchCycles(b, noc.Experiment{
+		Topology: noc.Mesh(8, 8),
+		Scheme:   noc.Baseline,
+		Routing:  noc.XY,
+		Policy:   noc.DynamicVA,
+		UseEVC:   true,
+	}, noc.Synthetic{Pattern: noc.BitComplement, Rate: 0.10})
+}
+
+// benchCycles reports ns per simulated cycle of exp under syn, the network
+// built and warmed once.
+func benchCycles(b *testing.B, exp noc.Experiment, syn noc.Synthetic) {
 	n := exp.Build()
-	w := exp.SyntheticWorkload(noc.Synthetic{Pattern: noc.UniformRandom, Rate: rate})
+	w := exp.SyntheticWorkload(syn)
 	n.Run(w, 2000) // reach the zero-alloc steady state before measuring
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -217,7 +217,11 @@ func main() {
 	fmt.Printf("avg latency         %.2f cycles (network %.2f)\n", res.AvgLatency, res.AvgNetLatency)
 	fmt.Printf("throughput          %.4f flits/node/cycle\n", res.Throughput)
 	fmt.Printf("pc reusability      %.1f%%  (buffer bypass %.1f%%)\n", 100*res.Reusability, 100*res.BypassRate)
-	fmt.Printf("temporal locality   e2e %.1f%%  crossbar %.1f%%\n", 100*res.E2ELocality, 100*res.XbarLocality)
+	xbar := "n/a" // no sample behind it: a policy router (-evc) does not report Fig. 1 crossbar locality
+	if n.Stats.XbarPrev > 0 {
+		xbar = fmt.Sprintf("%.1f%%", 100*res.XbarLocality)
+	}
+	fmt.Printf("temporal locality   e2e %.1f%%  crossbar %s\n", 100*res.E2ELocality, xbar)
 	fmt.Printf("router energy       %.1f nJ (buffer %.1f%%, crossbar %.1f%%, arbiter %.1f%%)\n",
 		res.EnergyPJ/1000,
 		100*res.BufferPJ/res.EnergyPJ, 100*res.CrossbarPJ/res.EnergyPJ, 100*res.ArbiterPJ/res.EnergyPJ)

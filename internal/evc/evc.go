@@ -11,7 +11,13 @@
 // sink two hops away. The EVC source performs flow control against the
 // sink's buffer, so express flits never stall mid-path.
 //
-// Implementation notes (documented deviations, DESIGN.md §4):
+// The router is internal/router's baseline speculative pipeline
+// (BW | VA+SA | ST) with this package installed on it as a router.Policy;
+// only what is express lives here: the phase-0 latch, the VA pick, the
+// express stamp on traversing flits, the upstream credit relay and the
+// express fault-teardown rule (DESIGN.md §4, §17).
+//
+// Documented deviations from the original proposal:
 //
 //   - Express paths are striped across the two EVCs by source-coordinate
 //     parity, so each (link, VC) pair carries a single source's express
@@ -19,9 +25,6 @@
 //     using the original paper's token scheme.
 //   - Pipeline grants preempted by an express pass-through are re-arbitrated
 //     (EVC's flit prioritization).
-//
-// The router pipeline is otherwise identical to the baseline speculative
-// router (BW | VA+SA | ST), with no pseudo-circuit machinery.
 package evc
 
 import (
@@ -34,92 +37,26 @@ import (
 )
 
 // oppositeIn maps a direction output port to the input port a flit sent on
-// it arrives at downstream (E→W, W→E, N→S, S→N).
-func oppositeIn(out int) int {
-	switch out {
-	case topology.PortE:
-		return topology.PortW
-	case topology.PortW:
-		return topology.PortE
-	case topology.PortN:
-		return topology.PortS
-	case topology.PortS:
-		return topology.PortN
-	default:
-		panic(fmt.Sprintf("evc: port %d is not a direction port", out))
-	}
+// it arrives at downstream.
+var oppositeIn = [4]int{
+	topology.PortE: topology.PortW,
+	topology.PortW: topology.PortE,
+	topology.PortN: topology.PortS,
+	topology.PortS: topology.PortN,
 }
 
-type vcState struct {
-	buf     []*flit.Flit
-	at      []sim.Cycle
-	active  bool
-	outPort int
-	outVC   int
-	class   int
-	src     int
-	dst     int
-	pkt     *flit.Packet // the packet owning the VC (fault teardown needs it even when buf is empty)
-}
-
-func (v *vcState) reset() {
-	v.active = false
-	v.outPort = -1
-	v.outVC = -1
-	v.pkt = nil
-}
-
-// inputPort holds one input port's state. Ports and their VC lanes live in
-// contiguous value slices (the same layout discipline as the standard
-// router's core.LaneStore, DESIGN.md §17) — iteration takes the address of
-// each element (&in.vcs[v]), never a range copy, so mutation hits the slice.
-type inputPort struct {
-	vcs     []vcState
-	arrival *flit.Flit
-	rrVC    int
-}
-
-type outputPort struct {
-	credits  []int // NVC: downstream buffer; EVC: express-sink buffer
-	vcBusy   []bool
-	rrIn     int
-	ejection bool
-}
-
-type reservation struct {
-	in, vc, out int
-	f           *flit.Flit
-}
-
-type saRequest struct {
-	in, vc, out int
-}
-
-// Router is an EVC-capable baseline router. It implements network.Node.
+// Router is a baseline router carrying the express policy. It implements
+// network.Node through the embedded pipeline, whose Preemptions field counts
+// the grants displaced by express flits.
 type Router struct {
-	ID   int
+	*router.Router
 	cfg  *router.Config
 	mesh *topology.Mesh
 	base int // first EVC index (NumVCs - numEVCs)
+	x, y int // this router's mesh coordinates
 
-	in  []inputPort
-	out []outputPort
-
-	res     []reservation
-	nextRes []reservation
-	busyIn  []bool
-	busyOut []bool
-	reqs    []saRequest
-	chosen  []int
-
-	// Preemptions counts pipeline grants displaced by express flits.
-	Preemptions uint64
 	// ExpressForwards counts one-cycle intermediate bypasses.
 	ExpressForwards uint64
-
-	// worked records that this tick forwarded or traversed a flit; see
-	// Tick.
-	worked bool
 }
 
 // New builds an EVC router on mesh with numEVCs express VCs (paper: 2).
@@ -128,76 +65,34 @@ func New(id, inPorts, outPorts int, cfg *router.Config, mesh *topology.Mesh, num
 		panic("evc: need an even number of EVCs in [2, NumVCs)")
 	}
 	r := &Router{
-		ID:      id,
-		cfg:     cfg,
-		mesh:    mesh,
-		base:    cfg.NumVCs - numEVCs,
-		in:      make([]inputPort, inPorts),
-		out:     make([]outputPort, outPorts),
-		busyIn:  make([]bool, inPorts),
-		busyOut: make([]bool, outPorts),
-		chosen:  make([]int, inPorts),
+		Router: router.New(id, inPorts, outPorts, cfg),
+		cfg:    cfg,
+		mesh:   mesh,
+		base:   cfg.NumVCs - numEVCs,
 	}
-	for i := range r.in {
-		p := &r.in[i]
-		p.vcs = make([]vcState, cfg.NumVCs)
-		for v := range p.vcs {
-			p.vcs[v] = vcState{outPort: -1, outVC: -1}
-		}
-	}
-	for o := range r.out {
-		p := &r.out[o]
-		p.credits = make([]int, cfg.NumVCs)
-		p.vcBusy = make([]bool, cfg.NumVCs)
-		for v := range p.credits {
-			p.credits[v] = cfg.BufDepth
-		}
-	}
+	r.x, r.y = mesh.Coord(id)
+	r.SetPolicy(r)
 	return r
-}
-
-// MarkEjection implements network.Node.
-func (r *Router) MarkEjection(out int) { r.out[out].ejection = true }
-
-// Deliver implements network.Node.
-func (r *Router) Deliver(in int, f *flit.Flit) {
-	if r.in[in].arrival != nil {
-		panic(fmt.Sprintf("evc router %d: two flits on input port %d in one cycle", r.ID, in))
-	}
-	r.in[in].arrival = f
 }
 
 // DeliverCredit implements network.Node. EVC credits are relayed upstream
 // when the coordinate parity shows the express path originates there.
+// (Direction ports are never ejection ports on a mesh.)
 func (r *Router) DeliverCredit(out, vc int) {
-	if vc >= r.base && out < 4 && !r.out[out].ejection {
-		if r.parityFor(out) != vc-r.base {
-			// Credit belongs to the upstream express source: relay it.
-			r.cfg.Credit(r.ID, oppositeIn(out), vc)
-			return
-		}
+	if vc >= r.base && out < 4 && r.parityFor(out) != vc-r.base {
+		r.cfg.Credit(r.ID, oppositeIn[out], vc)
+		return
 	}
-	o := &r.out[out]
-	o.credits[vc]++
-	if o.credits[vc] > r.cfg.BufDepth {
-		panic(fmt.Sprintf("evc router %d: credit overflow on out %d vc %d", r.ID, out, vc))
-	}
+	r.Router.DeliverCredit(out, vc)
 }
 
 // parityFor returns this router's coordinate parity in the dimension of a
 // direction port, selecting which EVC this router sources express paths on.
 func (r *Router) parityFor(out int) int {
-	x, y := r.mesh.Coord(r.ID)
 	if out == topology.PortE || out == topology.PortW {
-		return x & 1
+		return r.x & 1
 	}
-	return y & 1
-}
-
-// linkDead reports whether output port out is currently unusable under the
-// configured fault schedule; always false without one.
-func (r *Router) linkDead(out int) bool {
-	return r.cfg.LinkUp != nil && !r.cfg.LinkUp(r.ID, out)
+	return r.y & 1
 }
 
 // expressBlocked reports whether the two-hop express path via out is
@@ -237,446 +132,77 @@ func (r *Router) expressCapable(out, dst int) bool {
 	if out >= 4 {
 		return false
 	}
-	x, y := r.mesh.Coord(r.ID)
 	dr, _, _ := r.mesh.NodeRouter(dst)
 	dx, dy := r.mesh.Coord(dr)
 	switch out {
 	case topology.PortE:
-		return dx-x >= 2
+		return dx-r.x >= 2
 	case topology.PortW:
-		return x-dx >= 2
+		return r.x-dx >= 2
 	case topology.PortS:
-		return dy-y >= 2
-	case topology.PortN:
-		return y-dy >= 2
+		return dy-r.y >= 2
+	default: // PortN
+		return r.y-dy >= 2
 	}
-	return false
 }
 
-// Tick implements network.Node. The boolean reports whether the router must
-// be ticked again next cycle (see network.Node); an EVC router with no
-// pending traversals, buffered flits, or in-flight packets holds no other
-// cycle-dependent state, so it is at a fixed point until the next delivery.
-func (r *Router) Tick(now sim.Cycle) bool {
-	r.worked = false
-	r.expressPass(now)
-	r.executeReservations(now)
-	r.admitHeads()
-	r.allocateVCs(now)
-	r.classify(now)
-	r.switchArbitrate()
-	r.processArrivals(now)
-	r.res, r.nextRes = r.nextRes, r.res[:0]
-	return r.worked || r.holdsFlits()
-}
-
-// holdsFlits reports pending traversals, buffered flits, or an in-flight
-// packet owning a VC.
-func (r *Router) holdsFlits() bool {
-	if len(r.res) > 0 {
-		return true
-	}
-	for i := range r.in {
-		for v := range r.in[i].vcs {
-			vs := &r.in[i].vcs[v]
-			if vs.active || len(vs.buf) > 0 {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// expressPass forwards arriving express flits through the latch in their
-// arrival cycle, with absolute priority (phase 0).
-func (r *Router) expressPass(now sim.Cycle) {
-	for i := range r.busyIn {
-		r.busyIn[i] = false
-	}
-	for o := range r.busyOut {
-		r.busyOut[o] = false
-	}
-	for i := range r.in {
-		in := &r.in[i]
-		f := in.arrival
+// Latch implements router.Policy: arriving express flits are forwarded
+// through the latch in their arrival cycle, with absolute priority.
+func (r *Router) Latch(now sim.Cycle) {
+	for i := range oppositeIn {
+		f := r.Staged(i)
 		if f == nil || f.ExpressHops == 0 {
 			continue
 		}
-		out := f.NextOut
-		if i >= 4 || out != oppositeIn(i) {
-			panic(fmt.Sprintf("evc router %d: express flit %v not travelling straight (in %d out %d)", r.ID, f, i, out))
+		if f.NextOut != oppositeIn[i] {
+			panic(fmt.Sprintf("evc router %d: express flit %v not travelling straight (in %d out %d)", r.ID, f, i, f.NextOut))
 		}
-		in.arrival = nil
 		f.ExpressHops--
-		// Hop accounting is head-only, as in traverse: the packet visits the
-		// intermediate router once, not once per flit. (Body flits of one
-		// packet occupy different routers in the same cycle, so a per-flit
-		// increment would also be a cross-router write.)
+		// Hop accounting is head-only, as in the pipeline's ST: the packet
+		// visits the intermediate router once, not once per flit. (Body flits
+		// of one packet occupy different routers in the same cycle, so a
+		// per-flit increment would also be a cross-router write.)
 		if f.Kind.IsHead() {
 			f.Packet.Hops++
 		}
 		r.ExpressForwards++
-		r.worked = true
-		r.cfg.Stats.Traversals++
-		r.cfg.Energy.AddTraversal()
-		r.cfg.Send(r.ID, out, f)
-		r.busyIn[i] = true
-		r.busyOut[out] = true
-	}
-	_ = now
-}
-
-// executeReservations performs ST for last cycle's grants; grants whose
-// output an express flit just claimed are preempted and re-arbitrated.
-func (r *Router) executeReservations(now sim.Cycle) {
-	for _, res := range r.res {
-		if r.busyOut[res.out] {
-			r.Preemptions++
-			continue
-		}
-		vs := &r.in[res.in].vcs[res.vc]
-		if vs.outVC < 0 || r.linkDead(res.out) || !r.hasCredit(res.out, vs.outVC) {
-			continue
-		}
-		if len(vs.buf) == 0 || vs.buf[0] != res.f {
-			panic(fmt.Sprintf("evc router %d: reservation lost its flit", r.ID))
-		}
-		r.popBuffer(res.in, res.vc)
-		r.traverse(res.in, res.vc, res.out, res.f)
-		r.busyIn[res.in] = true
-		r.busyOut[res.out] = true
-	}
-	_ = now
-}
-
-func (r *Router) hasCredit(out, vc int) bool {
-	o := &r.out[out]
-	return o.ejection || o.credits[vc] > 0
-}
-
-func (r *Router) admitHeads() {
-	for i := range r.in {
-		for v := range r.in[i].vcs {
-			vs := &r.in[i].vcs[v]
-			if vs.active || len(vs.buf) == 0 {
-				continue
-			}
-			h := vs.buf[0]
-			if !h.Kind.IsHead() {
-				panic(fmt.Sprintf("evc router %d: non-head flit %v at head of idle VC", r.ID, h))
-			}
-			vs.active = true
-			vs.outPort = h.NextOut
-			vs.outVC = -1
-			vs.class = h.RouteClass
-			vs.src = h.Packet.Src
-			vs.dst = h.Packet.Dst
-			vs.pkt = h.Packet
-			// Stale lookahead: re-route around a link that died while the
-			// flit was in flight.
-			if r.cfg.Reroute != nil && vs.outPort < 4 && r.linkDead(vs.outPort) {
-				vs.outPort = r.cfg.Reroute(r.ID, vs.dst, vs.class)
-			}
-		}
+		r.Forward(now, i, f.NextOut)
 	}
 }
 
-// allocateVCs performs VA: express-capable packets prefer their parity EVC
-// (dynamic EVC allocation); everything else uses the NVC pool.
-func (r *Router) allocateVCs(now sim.Cycle) {
-	n := len(r.in)
-	start := int(now) % n
-	for k := 0; k < n; k++ {
-		in := &r.in[(start+k)%n]
-		for v := range in.vcs {
-			vs := &in.vcs[v]
-			if !vs.active || vs.outVC >= 0 || len(vs.buf) == 0 || !vs.buf[0].Kind.IsHead() {
-				continue
-			}
-			r.tryVA(vs)
-		}
+// PickVC implements router.Policy: express-capable packets prefer their
+// parity EVC (dynamic EVC allocation); everything else takes the free NVC
+// with the most credit. Ejection uses VC 0 — the NI drains every VC.
+func (r *Router) PickVC(out, dst, class int, eject bool, busy []bool, credits []int) int {
+	if eject {
+		return 0
 	}
-}
-
-func (r *Router) tryVA(vs *vcState) {
-	o := &r.out[vs.outPort]
-	if o.ejection {
-		vs.outVC = 0
-		return
-	}
-	if r.linkDead(vs.outPort) {
-		return // dead link: hold the packet until recovery or reroute
-	}
-	if r.expressCapable(vs.outPort, vs.dst) && !r.expressBlocked(vs.outPort) &&
-		r.expressRouteStable(vs.outPort, vs.dst, vs.class) {
-		v := r.base + r.parityFor(vs.outPort)
-		if !o.vcBusy[v] && o.credits[v] > 0 {
-			o.vcBusy[v] = true
-			vs.outVC = v
-			return
+	if r.expressCapable(out, dst) && !r.expressBlocked(out) && r.expressRouteStable(out, dst, class) {
+		if v := r.base + r.parityFor(out); !busy[v] && credits[v] > 0 {
+			return v
 		}
 	}
 	best, bestCred := -1, -1
 	for v := 0; v < r.base; v++ {
-		if o.vcBusy[v] {
-			continue
-		}
-		if o.credits[v] > bestCred {
-			best, bestCred = v, o.credits[v]
+		if !busy[v] && credits[v] > bestCred {
+			best, bestCred = v, credits[v]
 		}
 	}
-	if best >= 0 {
-		o.vcBusy[best] = true
-		vs.outVC = best
+	return best
+}
+
+// Traversed implements router.Policy: a flit leaving on an EVC has one
+// intermediate bypass ahead (l_max = 2). Ejection never allocates an EVC.
+func (r *Router) Traversed(f *flit.Flit) {
+	if f.VC >= r.base {
+		f.ExpressHops = 1
 	}
 }
 
-func (r *Router) classify(now sim.Cycle) {
-	r.reqs = r.reqs[:0]
-	for i := range r.in {
-		for v := range r.in[i].vcs {
-			vs := &r.in[i].vcs[v]
-			if !vs.active || len(vs.buf) == 0 || vs.at[0] >= now {
-				continue
-			}
-			if r.linkDead(vs.outPort) {
-				continue // dead link: stall until recovery or the storm's reroute
-			}
-			if vs.outVC < 0 {
-				r.reqs = append(r.reqs, saRequest{in: i, vc: v, out: vs.outPort})
-				continue
-			}
-			if !r.hasCredit(vs.outPort, vs.outVC) {
-				continue
-			}
-			r.reqs = append(r.reqs, saRequest{in: i, vc: v, out: vs.outPort})
-		}
-	}
-}
-
-func (r *Router) switchArbitrate() {
-	for i := range r.chosen {
-		r.chosen[i] = -1
-	}
-	for qi, q := range r.reqs {
-		ip := &r.in[q.in]
-		if r.chosen[q.in] < 0 {
-			r.chosen[q.in] = qi
-			continue
-		}
-		cur := r.reqs[r.chosen[q.in]]
-		if rrDist(q.vc, ip.rrVC, r.cfg.NumVCs) < rrDist(cur.vc, ip.rrVC, r.cfg.NumVCs) {
-			r.chosen[q.in] = qi
-		}
-	}
-	for o := range r.out {
-		op := &r.out[o]
-		best := -1
-		for i := range r.in {
-			qi := r.chosen[i]
-			if qi < 0 || r.reqs[qi].out != o {
-				continue
-			}
-			if best < 0 || rrDist(i, op.rrIn, len(r.in)) < rrDist(best, op.rrIn, len(r.in)) {
-				best = i
-			}
-		}
-		if best < 0 {
-			continue
-		}
-		q := r.reqs[r.chosen[best]]
-		vs := &r.in[q.in].vcs[q.vc]
-		r.cfg.Energy.AddArbitration()
-		r.cfg.Stats.SAGrants++
-		r.nextRes = append(r.nextRes, reservation{in: q.in, vc: q.vc, out: q.out, f: vs.buf[0]})
-		r.in[q.in].rrVC = (q.vc + 1) % r.cfg.NumVCs
-		op.rrIn = (q.in + 1) % len(r.in)
-	}
-}
-
-func (r *Router) processArrivals(now sim.Cycle) {
-	for i := range r.in {
-		in := &r.in[i]
-		f := in.arrival
-		if f == nil {
-			continue
-		}
-		in.arrival = nil
-		vs := &in.vcs[f.VC]
-		if len(vs.buf) >= r.cfg.BufDepth {
-			panic(fmt.Sprintf("evc router %d: buffer overflow at in %d vc %d", r.ID, i, f.VC))
-		}
-		vs.buf = append(vs.buf, f)
-		vs.at = append(vs.at, now)
-		r.cfg.Energy.AddWrite()
-	}
-}
-
-func (r *Router) popBuffer(in, vc int) {
-	vs := &r.in[in].vcs[vc]
-	vs.buf = vs.buf[:copy(vs.buf, vs.buf[1:])]
-	vs.at = vs.at[:copy(vs.at, vs.at[1:])]
-	r.cfg.Energy.AddRead()
-	r.cfg.Credit(r.ID, in, vc)
-}
-
-func (r *Router) traverse(in, vc, out int, f *flit.Flit) {
-	r.worked = true
-	vs := &r.in[in].vcs[vc]
-	op := &r.out[out]
-	r.cfg.Stats.Traversals++
-	r.cfg.Energy.AddTraversal()
-	f.VC = vs.outVC
-	if vs.outVC >= r.base && !op.ejection {
-		f.ExpressHops = 1 // one intermediate bypass ahead (l_max = 2)
-	}
-	if !op.ejection {
-		op.credits[vs.outVC]--
-		if op.credits[vs.outVC] < 0 {
-			panic(fmt.Sprintf("evc router %d: negative credit on out %d vc %d", r.ID, out, vs.outVC))
-		}
-	}
-	if f.Kind.IsHead() {
-		f.Packet.Hops++
-	}
-	if f.Kind.IsTail() {
-		if !op.ejection {
-			op.vcBusy[vs.outVC] = false
-		}
-		vs.reset()
-	}
-	r.cfg.Send(r.ID, out, f)
-}
-
-func rrDist(x, ptr, n int) int { return ((x-ptr)%n + n) % n }
-
-// Quiescent implements network.Node.
-func (r *Router) Quiescent() bool {
-	if len(r.res) != 0 {
-		return false
-	}
-	for i := range r.in {
-		in := &r.in[i]
-		if in.arrival != nil {
-			return false
-		}
-		for v := range in.vcs {
-			vs := &in.vcs[v]
-			if len(vs.buf) != 0 || vs.active {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// CheckInvariants implements network.Node.
-func (r *Router) CheckInvariants() {
-	for i := range r.in {
-		for v := range r.in[i].vcs {
-			vs := &r.in[i].vcs[v]
-			if len(vs.buf) != len(vs.at) {
-				panic(fmt.Sprintf("evc router %d: buffer desync at in %d vc %d", r.ID, i, v))
-			}
-			if len(vs.buf) > r.cfg.BufDepth {
-				panic(fmt.Sprintf("evc router %d: buffer overflow at in %d vc %d", r.ID, i, v))
-			}
-		}
-	}
-	for o := range r.out {
-		op := &r.out[o]
-		if op.ejection {
-			continue
-		}
-		for v, c := range op.credits {
-			if c < 0 || c > r.cfg.BufDepth {
-				panic(fmt.Sprintf("evc router %d: credit %d out of range on out %d vc %d", r.ID, c, o, v))
-			}
-		}
-	}
-}
-
-// FaultScan implements the fault-storm sweep for the EVC router (see
-// router.Router.FaultScan). In addition to the base rules, a packet
-// committed to an express VC is torn down when either link of its two-hop
-// express path dies: its credits track the sink buffer two hops away, so it
-// cannot simply wait out the fault at the intermediate router.
-func (r *Router) FaultScan(fc *router.FaultContext) {
-	for i := range r.in {
-		for v := range r.in[i].vcs {
-			vs := &r.in[i].vcs[v]
-			for _, f := range vs.buf {
-				if fc.RouterDead || fc.DstDead(f.Packet.Dst) {
-					fc.Kill(f.Packet)
-				}
-			}
-			if !vs.active {
-				continue
-			}
-			express := vs.outVC >= r.base && vs.outPort < 4
-			switch {
-			case fc.RouterDead || fc.DstDead(vs.dst):
-				fc.Kill(vs.pkt)
-			case vs.outPort < len(r.out) && !r.out[vs.outPort].ejection &&
-				(fc.LinkDead(vs.outPort) || (express && r.expressBlocked(vs.outPort))):
-				if vs.outVC < 0 {
-					vs.outPort = fc.Reroute(vs.dst, vs.class)
-				} else if fc.Salvage && len(vs.buf) > 0 && vs.buf[0].Kind.IsHead() {
-					r.out[vs.outPort].vcBusy[vs.outVC] = false
-					vs.outVC = -1
-					vs.outPort = fc.Reroute(vs.dst, vs.class)
-					fc.Salvaged(vs.pkt)
-				} else {
-					fc.Kill(vs.pkt)
-				}
-			}
-		}
-	}
-}
-
-// FaultStale implements the bounded-wait stale sweep for the EVC router
-// (see router.Router.FaultStale): every resident packet whose header entered
-// the network before cutoff is reported for purging.
-func (r *Router) FaultStale(cutoff sim.Cycle, kill func(p *flit.Packet)) {
-	for i := range r.in {
-		for v := range r.in[i].vcs {
-			vs := &r.in[i].vcs[v]
-			for _, f := range vs.buf {
-				if f.Packet.NetStart < cutoff {
-					kill(f.Packet)
-				}
-			}
-			if vs.active && vs.pkt.NetStart < cutoff {
-				kill(vs.pkt)
-			}
-		}
-	}
-}
-
-// FaultPurge implements the per-packet purge for the EVC router (see
-// router.Router.FaultPurge). Credits for purged flits flow through the
-// normal pop path, so express credits are relayed upstream to their source.
-func (r *Router) FaultPurge(p *flit.Packet, drop func(f *flit.Flit)) {
-	for i := range r.in {
-		for v := range r.in[i].vcs {
-			vs := &r.in[i].vcs[v]
-			for k := 0; k < len(vs.buf); {
-				if vs.buf[k].Packet != p {
-					k++
-					continue
-				}
-				f := vs.buf[k]
-				vs.buf = append(vs.buf[:k], vs.buf[k+1:]...)
-				vs.at = append(vs.at[:k], vs.at[k+1:]...)
-				r.cfg.Credit(r.ID, i, v)
-				drop(f)
-			}
-			if vs.active && vs.pkt == p {
-				if vs.outVC >= 0 && !r.out[vs.outPort].ejection {
-					r.out[vs.outPort].vcBusy[vs.outVC] = false
-				}
-				vs.reset()
-			}
-		}
-	}
+// PathDead implements router.Policy: a packet committed to an express VC is
+// torn down when either link of its two-hop express path dies — its credits
+// track the sink buffer two hops away, so it cannot simply wait out the fault
+// at the intermediate router.
+func (r *Router) PathDead(out, outVC int) bool {
+	return outVC >= r.base && out < 4 && r.expressBlocked(out)
 }

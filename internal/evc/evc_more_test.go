@@ -3,6 +3,7 @@ package evc_test
 import (
 	"testing"
 
+	"pseudocircuit/internal/core"
 	"pseudocircuit/internal/evc"
 	"pseudocircuit/internal/network"
 	"pseudocircuit/internal/sim"
@@ -108,4 +109,18 @@ func TestEVCPreemption(t *testing.T) {
 	if n.Stats.PacketsDelivered < 1000 {
 		t.Fatalf("only %d packets delivered", n.Stats.PacketsDelivered)
 	}
+}
+
+// TestEVCRejectsPseudoOptions: the express policy rides the baseline
+// pipeline; a network that asks for pseudo-circuits too is refused at build
+// time rather than silently running an unsupported combination.
+func TestEVCRejectsPseudoOptions(t *testing.T) {
+	cfg := evcConfig(topology.NewMesh(4, 4))
+	cfg.Opts = core.DefaultOptions(core.PseudoSB)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("EVC routers accepted pseudo-circuit options")
+		}
+	}()
+	network.New(cfg)
 }

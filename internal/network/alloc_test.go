@@ -1,11 +1,12 @@
 package network_test
 
 import (
-	"fmt"
 	"testing"
 
 	"pseudocircuit/internal/core"
+	"pseudocircuit/internal/evc"
 	"pseudocircuit/internal/network"
+	"pseudocircuit/internal/router"
 	"pseudocircuit/internal/routing"
 	"pseudocircuit/internal/sim"
 	"pseudocircuit/internal/topology"
@@ -25,10 +26,21 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 	// serializes shard phases inline (no goroutines), so the same
 	// exactly-zero bound applies: per-shard pend queues, pools and
 	// accumulators must all reach a steady-state footprint.
-	for _, workers := range []int{0, 1, 4} {
-		workers := workers
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			n, w := buildAllocNet(workers)
+	//
+	// The evc legs run the EVC comparison router at the repository
+	// benchmark's mesh8-bc-evc point: its lanes live in the same preallocated
+	// LaneStore, so the same bound applies.
+	for _, c := range []struct {
+		name    string
+		workers int
+		evc     bool
+	}{
+		{"workers=0", 0, false}, {"workers=1", 1, false}, {"workers=4", 4, false},
+		{"evc/workers=0", 0, true}, {"evc/workers=4", 4, true},
+	} {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			n, w := buildAllocNet(c.workers, c.evc)
 
 			// Warm up well past the stats reset so every growable structure
 			// has reached its working-set size.
@@ -58,18 +70,41 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-func buildAllocNet(workers int) (*network.Network, network.Workload) {
+func buildAllocNet(workers int, useEVC bool) (*network.Network, network.Workload) {
 	topo := topology.NewMesh(8, 8)
-	cfg := network.DefaultConfig(topo)
-	cfg.Opts = core.DefaultOptions(core.PseudoSB)
+	cfg, pattern := allocConfig(topo, useEVC)
 	cfg.Opts.Workers = workers
-	cfg.Algorithm = routing.XY
-	cfg.Policy = vcalloc.Static
 	n := network.New(cfg)
 	w := traffic.NewSynthetic(traffic.Config{
-		Pattern: traffic.UniformRandom, Nodes: topo.Nodes(), Rate: 0.10,
+		Pattern: pattern, Nodes: topo.Nodes(), Rate: 0.10,
 	}, sim.NewRNG(7))
 	return n, w
+}
+
+// allocConfig is the zero-alloc tests' operating point on topo: Pseudo+S+B
+// with static VA under uniform traffic, or, with useEVC, the comparison router
+// with dynamic VA under bit complement (mesh8-bc-evc).
+func allocConfig(topo *topology.Mesh, useEVC bool) (network.Config, traffic.Pattern) {
+	cfg := network.DefaultConfig(topo)
+	cfg.Algorithm = routing.XY
+	if useEVC {
+		cfg.Policy = vcalloc.Dynamic
+		installEVC(&cfg, topo)
+		return cfg, traffic.BitComplement
+	}
+	cfg.Opts = core.DefaultOptions(core.PseudoSB)
+	cfg.Policy = vcalloc.Static
+	return cfg, traffic.UniformRandom
+}
+
+// installEVC swaps the EVC comparison router into cfg (Opts must be Baseline):
+// half the VCs express, injection restricted to the normal half.
+func installEVC(cfg *network.Config, m *topology.Mesh) {
+	nEVC := cfg.NumVCs / 2
+	cfg.NIVCLimit = cfg.NumVCs - nEVC
+	cfg.Factory = func(id, in, out int, rcfg *router.Config) network.Node {
+		return evc.New(id, in, out, rcfg, m, nEVC)
+	}
 }
 
 // TestParallelRunSteadyStateAlloc bounds the live-worker path: with worker
@@ -78,7 +113,7 @@ func buildAllocNet(workers int) (*network.Network, network.Workload) {
 // startup (the runtime's g structures), but that cost is per-Run, not
 // per-cycle: doubling the cycles must not increase allocations.
 func TestParallelRunSteadyStateAlloc(t *testing.T) {
-	n, w := buildAllocNet(4)
+	n, w := buildAllocNet(4, false)
 	n.Run(w, 2000)
 	n.ResetStats()
 	n.Run(w, 2000)

@@ -5,10 +5,8 @@ import (
 	"testing"
 
 	"pseudocircuit/internal/core"
-	"pseudocircuit/internal/evc"
 	"pseudocircuit/internal/fault"
 	"pseudocircuit/internal/network"
-	"pseudocircuit/internal/router"
 	"pseudocircuit/internal/routing"
 	"pseudocircuit/internal/sim"
 	"pseudocircuit/internal/topology"
@@ -29,11 +27,7 @@ func buildFaulted(scheme core.Scheme, k kernel, sched *fault.Schedule, useEVC bo
 	cfg.Naive = k.naive
 	cfg.Faults = sched
 	if useEVC {
-		nEVC := cfg.NumVCs / 2
-		cfg.NIVCLimit = cfg.NumVCs - nEVC
-		cfg.Factory = func(id, in, out int, rcfg *router.Config) network.Node {
-			return evc.New(id, in, out, rcfg, m, nEVC)
-		}
+		installEVC(&cfg, m)
 	}
 	n := network.New(cfg)
 	n.CheckInvariants = true

@@ -155,10 +155,10 @@ type Config struct {
 	// default) costs one predictable branch per probe site and zero
 	// allocations.
 	//
-	// Registry collects per-router/per-port counters (standard routers only;
-	// the EVC comparison router does not attach rows). Series collects
-	// cycle-windowed samples of the global counters. Tracer records flit
-	// lifecycle events into a bounded ring.
+	// Registry collects per-router/per-port counters (every router built on
+	// internal/router attaches a row, the EVC comparison router included).
+	// Series collects cycle-windowed samples of the global counters. Tracer
+	// records flit lifecycle events into a bounded ring.
 	Registry *stats.Registry
 	Series   *stats.Series
 	Tracer   *obs.Tracer
@@ -290,12 +290,12 @@ type Network struct {
 	routers []Node
 	nis     []*ni
 	ups     []upstream // what feeds input port in of router r, at lanes.InBase[r]+in
-	// lanes is the structure-of-arrays hot-path store every standard router's
+	// lanes is the structure-of-arrays hot-path store every router's
 	// per-(port, vc) state lives in (core.LaneStore; DESIGN.md §17). The
 	// network owns it so the arrays span all routers contiguously — the
 	// active-set walk touches one cache-linear region, and parallel shards
-	// operate on disjoint index ranges of the same slices. Comparison routers
-	// (EVC) keep private state and leave their region untouched.
+	// operate on disjoint index ranges of the same slices. A custom Factory
+	// node that is not built on internal/router leaves its region untouched.
 	lanes *core.LaneStore
 	// routeTab caches the pure dimension-order route for every
 	// (class, router, dst) triple, indexed (class*Routers + r)*Nodes + dst.
@@ -481,8 +481,8 @@ func New(cfg Config) *Network {
 		}
 	}
 
-	// The network owns the structure-of-arrays hot-path store; every standard
-	// router gets a contiguous region of it (prefix-summed by radix).
+	// The network owns the structure-of-arrays hot-path store; every router
+	// gets a contiguous region of it (prefix-summed by radix).
 	inRadix := make([]int, t.Routers())
 	outRadix := make([]int, t.Routers())
 	for r := range inRadix {
@@ -1327,8 +1327,8 @@ type LinkLoad struct {
 
 // LinkLoads returns per-channel utilization, most loaded first — a
 // diagnostic for spotting hotspots and routing imbalance (e.g. specjbb's
-// over-utilized home banks, paper §6.A). Router implementations without
-// per-port counters (the EVC comparison router) are skipped.
+// over-utilized home banks, paper §6.A). Node implementations without
+// per-port counters are skipped.
 func (n *Network) LinkLoads() []LinkLoad {
 	type sender interface{ OutputSends() []uint64 }
 	var out []LinkLoad

@@ -21,17 +21,19 @@ import (
 // lifecycle tracer (small enough to wrap). Probes write into preallocated
 // storage, so the Step path must stay allocation-free even while observing.
 func TestObservedSteadyStateZeroAlloc(t *testing.T) {
+	t.Run("psb", func(t *testing.T) { observedSteadyStateZeroAlloc(t, false) })
+	t.Run("evc", func(t *testing.T) { observedSteadyStateZeroAlloc(t, true) })
+}
+
+func observedSteadyStateZeroAlloc(t *testing.T, useEVC bool) {
 	topo := topology.NewMesh(8, 8)
-	cfg := network.DefaultConfig(topo)
-	cfg.Opts = core.DefaultOptions(core.PseudoSB)
-	cfg.Algorithm = routing.XY
-	cfg.Policy = vcalloc.Static
+	cfg, pattern := allocConfig(topo, useEVC)
 	cfg.Registry = stats.NewRegistry()
 	cfg.Series = stats.NewSeries(100, 8) // ring wraps during the run
 	cfg.Tracer = obs.NewTracer(1 << 10)  // ring wraps during the run
 	n := network.New(cfg)
 	w := traffic.NewSynthetic(traffic.Config{
-		Pattern: traffic.UniformRandom, Nodes: topo.Nodes(), Rate: 0.10,
+		Pattern: pattern, Nodes: topo.Nodes(), Rate: 0.10,
 	}, sim.NewRNG(7))
 
 	n.Run(w, 2000)
@@ -39,6 +41,9 @@ func TestObservedSteadyStateZeroAlloc(t *testing.T) {
 	n.Run(w, 2000)
 	if n.Tracer().Dropped() == 0 {
 		t.Fatal("tracer ring never wrapped; shrink the capacity so the test covers eviction")
+	}
+	if tot := n.Registry().Totals(); tot.Traversals != n.Stats.Traversals || tot.Traversals == 0 {
+		t.Fatalf("registry saw %d traversals, the network %d", tot.Traversals, n.Stats.Traversals)
 	}
 
 	const stepsPerRun = 100

@@ -6,10 +6,8 @@ import (
 	"testing"
 
 	"pseudocircuit/internal/core"
-	"pseudocircuit/internal/evc"
 	"pseudocircuit/internal/fault"
 	"pseudocircuit/internal/network"
-	"pseudocircuit/internal/router"
 	"pseudocircuit/internal/routing"
 	"pseudocircuit/internal/sim"
 	"pseudocircuit/internal/topology"
@@ -32,11 +30,7 @@ func buildReliable(scheme core.Scheme, k kernel, sched *fault.Schedule, useEVC b
 	cfg.Faults = sched
 	cfg.Reliable = &network.Reliability{Timeout: 64, MaxTimeout: 256, Budget: 8}
 	if useEVC {
-		nEVC := cfg.NumVCs / 2
-		cfg.NIVCLimit = cfg.NumVCs - nEVC
-		cfg.Factory = func(id, in, out int, rcfg *router.Config) network.Node {
-			return evc.New(id, in, out, rcfg, m, nEVC)
-		}
+		installEVC(&cfg, m)
 	}
 	n := network.New(cfg)
 	n.CheckInvariants = true

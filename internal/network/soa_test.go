@@ -28,8 +28,24 @@ import (
 //     registers — the flat layout holds exactly the state the struct layout
 //     would, whichever schedule mutated it, at every burst and not only in
 //     the end-of-run totals the determinism triangle compares.
+//
+// The EVC comparison router lives in the same store (it is a policy on the
+// same pipeline), so the whole check runs on it too.
 func TestLaneStoreRoundTrip(t *testing.T) {
 	topo := topology.NewMesh(4, 4)
+	t.Run("psb", func(t *testing.T) {
+		laneStoreRoundTrip(t, topo, func(k kernel) *network.Network {
+			return buildKernel(topo, core.PseudoSB, routing.XY, vcalloc.Static, k)
+		})
+	})
+	t.Run("evc", func(t *testing.T) {
+		laneStoreRoundTrip(t, topo, func(k kernel) *network.Network {
+			return buildFaulted(core.Baseline, k, nil, true)
+		})
+	})
+}
+
+func laneStoreRoundTrip(t *testing.T, topo topology.Topology, build func(k kernel) *network.Network) {
 	type leg struct {
 		name string
 		net  *network.Network
@@ -37,12 +53,12 @@ func TestLaneStoreRoundTrip(t *testing.T) {
 	}
 	var legs []leg
 	for _, k := range []kernel{{"naive", true, 0}, {"active", false, 0}, {"par4", false, 4}} {
-		n := buildKernel(topo, core.PseudoSB, routing.XY, vcalloc.Static, k)
+		n := build(k)
 		w := traffic.NewSynthetic(traffic.Config{
 			Pattern: traffic.UniformRandom, Nodes: topo.Nodes(), Rate: 0.12,
 		}, sim.NewRNG(11))
 		if n.Lanes() == nil {
-			t.Fatal("standard-router networks must own a LaneStore")
+			t.Fatal("every network must own a LaneStore")
 		}
 		legs = append(legs, leg{k.name, n, w})
 	}

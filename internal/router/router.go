@@ -27,6 +27,12 @@
 // All cross-router communication (flits, credits) is mediated by callbacks
 // with at least one cycle of latency, so routers may tick in any order.
 //
+// This is the only VC-router pipeline in the repository. A rival scheme is a
+// Policy installed on it (internal/evc is the first): the pipeline calls the
+// policy at four nil-guarded sites — a phase 0 ahead of ST, the VA pick, a
+// stamp on every traversing flit, and the fault-teardown test — and owns
+// everything else (DESIGN.md §17).
+//
 // Hot-path state lives in the structure-of-arrays core.LaneStore owned by
 // the network (DESIGN.md §17): per-(port, vc) lane metadata, the
 // pseudo-circuit register file, per-port occupancy masks, and per-output
@@ -99,6 +105,31 @@ type reservation struct {
 
 type saRequest struct {
 	in, vc, out int
+}
+
+// Policy is the scheme seam of the pipeline: what a rival flow-control
+// scheme changes about a speculative VC router, and nothing else. The hook
+// sites, in Tick order, are below; a router without a policy pays one
+// predictable nil test at each. A policy usually embeds the *Router it is
+// installed on and shadows DeliverCredit when its credits need relaying.
+type Policy interface {
+	// Latch is phase 0, ahead of ST for last cycle's grants: the policy may
+	// Forward flits staged by Deliver straight through the crossbar. What it
+	// forwards owns its crossbar ports this cycle, so a grant for the same
+	// output is preempted (counted in Preemptions) and re-arbitrates — which
+	// is why the latch has to run before ST, not beside the arrivals phase.
+	Latch(now sim.Cycle)
+	// PickVC is the VA decision for a header bound for output port out of a
+	// packet to dst in routing class class: the output VC to allocate, or -1
+	// to retry next cycle. busy and credits are the port's per-VC state;
+	// eject marks a terminal port, whose VCs are neither busy nor credited.
+	PickVC(out, dst, class int, eject bool, busy []bool, credits []int) int
+	// Traversed sees every flit ST moves (never a forwarded one), after
+	// f.VC holds its output VC and before the flit is sent.
+	Traversed(f *flit.Flit)
+	// PathDead extends fault teardown: a packet committed to (out, outVC)
+	// is torn down as if link out had died when it reports true.
+	PathDead(out, outVC int) bool
 }
 
 // Router is one pipelined router instance. All per-(port, vc) state lives in
@@ -175,6 +206,12 @@ type Router struct {
 	// outSends counts flits per output port over the router's lifetime
 	// (link-utilization diagnostics).
 	outSends []uint64
+
+	// pol is the installed scheme policy, nil for the paper's own schemes.
+	pol Policy
+	// Preemptions counts SA grants displaced by a flit the policy forwarded
+	// in phase 0; always zero without a policy.
+	Preemptions uint64
 
 	// rs is this router's row in the per-router registry (nil when per-router
 	// instrumentation is off) and tr the lifecycle tracer (nil when tracing
@@ -286,6 +323,16 @@ func New(id, inPorts, outPorts int, cfg *Config) *Router {
 		}
 	}
 	return r
+}
+
+// SetPolicy installs p on a freshly built router. The pseudo-circuit schemes
+// stay inline behind Opts.Pseudo and are not policies; combining the two is
+// unsupported.
+func (r *Router) SetPolicy(p Policy) {
+	if r.cfg.Opts.Pseudo {
+		panic("router: a policy rides the baseline pipeline; Opts.Pseudo must be off")
+	}
+	r.pol = p
 }
 
 // MarkEjection flags output port out as a terminal (ejection) port: VC state
@@ -441,6 +488,38 @@ func (r *Router) Deliver(in int, f *flit.Flit) {
 	r.arrMask |= 1 << uint(in)
 }
 
+// Staged returns the flit Deliver staged on input port in this cycle, nil
+// when there is none or a policy already forwarded it.
+func (r *Router) Staged(in int) *flit.Flit { return r.arrival[in] }
+
+// Forward sends the flit staged on input port in straight out of output port
+// out (Policy.Latch only): one crossbar traversal in the flit's arrival cycle
+// that touches no buffer, VC or credit state and claims both crossbar ports.
+func (r *Router) Forward(now sim.Cycle, in, out int) {
+	f := r.arrival[in]
+	r.arrival[in] = nil
+	r.arrMask &^= 1 << uint(in)
+	r.busyIn |= 1 << uint(in)
+	r.busyOut |= 1 << uint(out)
+	r.worked = true
+	r.cfg.Stats.Traversals++
+	r.cfg.Energy.AddTraversal()
+	if rs := r.rs; rs != nil {
+		rs.Traversals++
+		rs.OutSends[out]++
+		rs.In[in].Traversals++
+	}
+	if r.tr != nil {
+		r.tr.Record(obs.Event{
+			Cycle: int64(now), Kind: obs.Traverse, Packet: f.Packet.ID, Seq: int32(f.Seq),
+			Src: int32(f.Packet.Src), Dst: int32(f.Packet.Dst),
+			Loc: int32(r.ID), In: int32(in), VC: int32(f.VC), Out: int32(out),
+		})
+	}
+	r.outSends[out]++
+	r.cfg.Send(r.ID, out, f)
+}
+
 // DeliverCredit returns one credit for (output port out, VC vc); the network
 // calls it when the downstream hop frees a buffer slot.
 func (r *Router) DeliverCredit(out, vc int) {
@@ -470,6 +549,10 @@ func (r *Router) anyCredit(out int) bool {
 // be too (the active-set fixed point).
 func (r *Router) Tick(now sim.Cycle) bool {
 	r.worked = false
+	r.busyIn, r.busyOut = 0, 0
+	if r.pol != nil {
+		r.pol.Latch(now)
+	}
 	r.executeReservations(now)
 	r.admitHeads()
 	r.allocateVCs(now)
@@ -498,10 +581,15 @@ func (r *Router) holdsFlits() bool {
 }
 
 // executeReservations performs ST for last cycle's SA grants (phase 1) and
-// computes this cycle's crossbar busy sets.
+// adds them to this cycle's crossbar busy sets.
 func (r *Router) executeReservations(now sim.Cycle) {
-	r.busyIn, r.busyOut = 0, 0
 	for _, res := range r.res {
+		// Grants are one per output, so only a flit forwarded in phase 0 can
+		// hold the column already: it preempts the grant, which re-arbitrates.
+		if (r.busyOut>>uint(res.out))&1 != 0 {
+			r.Preemptions++
+			continue
+		}
 		l := res.in*r.V + res.vc
 		// Speculative SA: a grant issued in parallel with a failed VA is
 		// void (paper §3.A); the flit retries.
@@ -606,21 +694,26 @@ func (r *Router) allocateVCs(now sim.Cycle) {
 func (r *Router) tryVA(in, vc int) bool {
 	l := in*r.V + vc
 	out := r.outPort[l]
-	if !r.ejection[out] && r.linkDead(out) {
+	eject := r.ejection[out]
+	if !eject && r.linkDead(out) {
 		return false // dead link: hold the packet until recovery or reroute
 	}
+	busy, credits := r.vcBusy[out*r.V:(out+1)*r.V], r.credits[out*r.V:(out+1)*r.V]
 	var v int
-	if r.ejection[out] {
+	switch {
+	case r.pol != nil:
+		v = r.pol.PickVC(out, r.dstL[l], r.classL[l], eject, busy, credits)
+	case eject:
 		// The receiver NI drains every VC; allocate within the class.
-		lo, _ := r.cfg.Alloc.ClassRange(r.classL[l])
-		v = lo
-	} else {
-		v = r.cfg.Alloc.Pick(r.srcL[l], r.dstL[l], r.classL[l],
-			r.vcBusy[out*r.V:(out+1)*r.V], r.credits[out*r.V:(out+1)*r.V])
-		if v < 0 {
-			return false
-		}
-		r.vcBusy[out*r.V+v] = true
+		v, _ = r.cfg.Alloc.ClassRange(r.classL[l])
+	default:
+		v = r.cfg.Alloc.Pick(r.srcL[l], r.dstL[l], r.classL[l], busy, credits)
+	}
+	if v < 0 {
+		return false
+	}
+	if !eject {
+		busy[v] = true
 	}
 	r.outVC[l] = v
 	r.va[in] &^= 1 << uint(vc)
@@ -959,10 +1052,12 @@ func (r *Router) traverse(now sim.Cycle, in, vc, out int, f *flit.Flit, viaPC, b
 	st := r.cfg.Stats
 
 	// Fig. 1 crossbar-connection temporal locality, measured at packet
-	// granularity (header flits) regardless of scheme: body flits reuse
-	// their header's connection by construction and would trivially inflate
-	// the metric.
-	if f.Kind.IsHead() {
+	// granularity (header flits) regardless of pseudo-circuit scheme: body
+	// flits reuse their header's connection by construction and would
+	// trivially inflate the metric. Policy routers do not report it — their
+	// Results predate the shared pipeline and are pinned bit for bit.
+	fig1 := f.Kind.IsHead() && r.pol == nil
+	if fig1 {
 		if r.lastOut[in] >= 0 {
 			st.XbarPrev++
 			if r.lastOut[in] == out {
@@ -970,13 +1065,11 @@ func (r *Router) traverse(now sim.Cycle, in, vc, out int, f *flit.Flit, viaPC, b
 			}
 		}
 		r.lastOut[in] = out
+		st.HeadTravs++
 	}
 
 	st.Traversals++
 	r.cfg.Energy.AddTraversal()
-	if f.Kind.IsHead() {
-		st.HeadTravs++
-	}
 	if viaPC {
 		st.PCReused++
 		if r.pcSpec[in] {
@@ -997,7 +1090,7 @@ func (r *Router) traverse(now sim.Cycle, in, vc, out int, f *flit.Flit, viaPC, b
 		rs.OutSends[out]++
 		ps := &rs.In[in]
 		ps.Traversals++
-		if f.Kind.IsHead() {
+		if fig1 {
 			rs.HeadTravs++
 		}
 		if viaPC {
@@ -1065,6 +1158,9 @@ func (r *Router) traverse(now sim.Cycle, in, vc, out int, f *flit.Flit, viaPC, b
 			panic(fmt.Sprintf("router %d: negative credit on out %d vc %d", r.ID, out, ov))
 		}
 	}
+	if r.pol != nil {
+		r.pol.Traversed(f)
+	}
 	if f.Kind.IsHead() {
 		f.Packet.Hops++
 	}
@@ -1114,8 +1210,9 @@ type FaultContext struct {
 // crossing dead links are cleared together with the history that could
 // revive them, packets that can no longer make progress are reported to
 // fc.Kill, and survivors whose committed-but-unallocated output died are
-// re-routed. Called between cycles from the kernel's main phase, so staged
-// arrivals are always nil and scratch state is idle.
+// re-routed. A policy's PathDead counts as a dead output link. Called between
+// cycles from the kernel's main phase, so staged arrivals are always nil and
+// scratch state is idle.
 func (r *Router) FaultScan(fc *FaultContext) {
 	for i := 0; i < r.nIn; i++ {
 		if r.pcValid[i] && (fc.RouterDead || fc.LinkDead(r.pcOut[i])) {
@@ -1136,7 +1233,8 @@ func (r *Router) FaultScan(fc *FaultContext) {
 			switch {
 			case fc.RouterDead || fc.DstDead(r.dstL[l]):
 				fc.Kill(r.pkt[l])
-			case r.outPort[l] < r.nOut && !r.ejection[r.outPort[l]] && fc.LinkDead(r.outPort[l]):
+			case r.outPort[l] < r.nOut && !r.ejection[r.outPort[l]] && (fc.LinkDead(r.outPort[l]) ||
+				r.pol != nil && r.pol.PathDead(r.outPort[l], r.outVC[l])):
 				if r.outVC[l] < 0 {
 					// Not yet committed to an output VC: detour in place.
 					r.outPort[l] = fc.Reroute(r.dstL[l], r.classL[l])
@@ -1232,15 +1330,24 @@ func (r *Router) Quiescent() bool {
 // CheckInvariants panics if internal invariants are violated; tests call it
 // every cycle. Beyond the paper's structural invariants it verifies every
 // derived structure the SoA layout introduced — the occupancy masks and the
-// PCByOut reverse index — against the ground-truth arrays.
+// PCByOut reverse index — against the ground-truth arrays, and the two rules
+// a policy's VA pick and phase-0 latch must keep: a non-ejection output VC is
+// busy exactly when one active lane owns it, and no flit is buffered with
+// express hops still ahead of it.
 func (r *Router) CheckInvariants() {
 	var pcMask uint64
+	owners := make([]int, r.nOut*r.V)
 	for i := 0; i < r.nIn; i++ {
 		var occ, act, va uint64
 		for vc := 0; vc < r.V; vc++ {
 			l := i*r.V + vc
 			if r.bufLen[l] < 0 || r.bufLen[l] > r.D {
 				panic(fmt.Sprintf("router %d: buffer overflow at in %d vc %d", r.ID, i, vc))
+			}
+			for _, f := range r.buf[l*r.D : l*r.D+r.bufLen[l]] {
+				if f.ExpressHops != 0 {
+					panic(fmt.Sprintf("router %d: flit %v buffered mid-express at in %d vc %d", r.ID, f, i, vc))
+				}
 			}
 			if r.bufLen[l] > 0 {
 				occ |= 1 << uint(vc)
@@ -1252,6 +1359,8 @@ func (r *Router) CheckInvariants() {
 				act |= 1 << uint(vc)
 				if r.outVC[l] < 0 {
 					va |= 1 << uint(vc)
+				} else if !r.ejection[r.outPort[l]] {
+					owners[r.outPort[l]*r.V+r.outVC[l]]++
 				}
 			}
 		}
@@ -1294,6 +1403,9 @@ func (r *Router) CheckInvariants() {
 			c := r.credits[o*r.V+vc]
 			if !r.ejection[o] && (c < 0 || c > r.D) {
 				panic(fmt.Sprintf("router %d: credit %d out of range on out %d vc %d", r.ID, c, o, vc))
+			}
+			if n := owners[o*r.V+vc]; n > 1 || r.vcBusy[o*r.V+vc] != (n == 1) {
+				panic(fmt.Sprintf("router %d: out %d vc %d busy=%v with %d owning lanes", r.ID, o, vc, r.vcBusy[o*r.V+vc], n))
 			}
 			if c > 0 {
 				cred++

@@ -187,8 +187,7 @@ const (
 // Observe configures the observability layer of an Experiment. The zero
 // value disables everything; each probe is independent.
 type Observe struct {
-	// PerRouter enables the per-router/per-port counter Registry. Standard
-	// routers only: the EVC comparison router records no per-router rows.
+	// PerRouter enables the per-router/per-port counter Registry.
 	PerRouter bool
 	// Window enables cycle-windowed time-series sampling with the given
 	// window length in cycles (0 = off).

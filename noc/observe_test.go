@@ -20,17 +20,41 @@ func observedExperiment(o noc.Observe) noc.Experiment {
 	}
 }
 
+// observedEVC is the EVC comparison router at the repository benchmark's
+// mesh8-bc-evc operating point: the express policy rides the same pipeline,
+// so every probe must see it like any other router.
+func observedEVC(o noc.Observe) noc.Experiment {
+	e := observedExperiment(o)
+	e.Scheme, e.Policy, e.UseEVC = noc.Baseline, noc.DynamicVA, true
+	return e
+}
+
 func runObserved(e noc.Experiment) (*noc.Network, noc.Result) {
 	n := e.Build()
-	res := e.RunOn(n, e.SyntheticWorkload(noc.Synthetic{Pattern: noc.UniformRandom, Rate: 0.10}))
+	syn := noc.Synthetic{Pattern: noc.UniformRandom, Rate: 0.10}
+	if e.UseEVC {
+		syn.Pattern = noc.BitComplement
+	}
+	res := e.RunOn(n, e.SyntheticWorkload(syn))
 	return n, res
+}
+
+// observedLegs runs a probe test on the pseudo-circuit router and on EVC.
+func observedLegs(t *testing.T, fn func(t *testing.T, mk func(noc.Observe) noc.Experiment)) {
+	t.Run("psb", func(t *testing.T) { fn(t, observedExperiment) })
+	t.Run("evc", func(t *testing.T) { fn(t, observedEVC) })
 }
 
 // The acceptance criterion for the registry: per-router counters, summed,
 // must equal the global counters exactly — same increment sites, same
 // measurement window.
 func TestRegistryAggregationMatchesGlobal(t *testing.T) {
-	n, _ := runObserved(observedExperiment(noc.Observe{PerRouter: true}))
+	observedLegs(t, testRegistryAggregation)
+}
+
+func testRegistryAggregation(t *testing.T, mk func(noc.Observe) noc.Experiment) {
+	e := mk(noc.Observe{PerRouter: true})
+	n, _ := runObserved(e)
 	st := n.Stats
 	tot := n.Registry().Totals()
 	if len(n.Registry().Routers()) != 64 {
@@ -56,8 +80,9 @@ func TestRegistryAggregationMatchesGlobal(t *testing.T) {
 			t.Errorf("per-router %s sum = %d, global = %d", c.name, c.local, c.global)
 		}
 	}
-	if tot.Traversals == 0 || tot.PCReused == 0 {
-		t.Error("registry recorded nothing; instrumentation not wired?")
+	if tot.Traversals == 0 || tot.SAGrants == 0 || (tot.PCReused == 0) != e.UseEVC {
+		t.Errorf("registry recorded %d traversals, %d grants, %d reuses; instrumentation not wired?",
+			tot.Traversals, tot.SAGrants, tot.PCReused)
 	}
 	// Per-port counters roll up to the router counters.
 	for _, r := range n.Registry().Routers() {
@@ -76,13 +101,15 @@ func TestRegistryAggregationMatchesGlobal(t *testing.T) {
 // Probes are observation-only: enabling all of them must not change any
 // measurement.
 func TestObservabilityNoBehaviorChange(t *testing.T) {
-	_, base := runObserved(observedExperiment(noc.Observe{}))
-	_, full := runObserved(observedExperiment(noc.Observe{
-		PerRouter: true, Window: 250, Trace: true, TraceCap: 1 << 12,
-	}))
-	if base != full {
-		t.Errorf("observability changed results:\noff: %+v\non:  %+v", base, full)
-	}
+	observedLegs(t, func(t *testing.T, mk func(noc.Observe) noc.Experiment) {
+		_, base := runObserved(mk(noc.Observe{}))
+		_, full := runObserved(mk(noc.Observe{
+			PerRouter: true, Window: 250, Trace: true, TraceCap: 1 << 12,
+		}))
+		if base != full {
+			t.Errorf("observability changed results:\noff: %+v\non:  %+v", base, full)
+		}
+	})
 }
 
 // The windowed series must cover warmup and measurement, with window sums
@@ -117,7 +144,11 @@ func TestSeriesCoversRun(t *testing.T) {
 // End to end: exports produced from a live run validate against their own
 // schemas, including the metrics cross-check of router sums vs global.
 func TestObservedExportsEndToEnd(t *testing.T) {
-	n, _ := runObserved(observedExperiment(noc.Observe{
+	observedLegs(t, testObservedExports)
+}
+
+func testObservedExports(t *testing.T, mk func(noc.Observe) noc.Experiment) {
+	n, _ := runObserved(mk(noc.Observe{
 		PerRouter: true, Window: 500, Trace: true,
 	}))
 
@@ -141,6 +172,11 @@ func TestObservedExportsEndToEnd(t *testing.T) {
 	}
 	if _, err := obs.ValidateEventsJSONL(bytes.NewReader(events.Bytes())); err != nil {
 		t.Errorf("event export invalid: %v", err)
+	}
+	for _, kind := range []obs.Kind{obs.BufWrite, obs.SAGrant, obs.Traverse} {
+		if !bytes.Contains(events.Bytes(), []byte(`"ev":"`+kind.String()+`"`)) {
+			t.Errorf("event export has no %v event: routers not traced?", kind)
+		}
 	}
 	var chrome bytes.Buffer
 	if err := tr.WriteChromeTrace(&chrome); err != nil {
