@@ -21,9 +21,9 @@
 // blocks, ?watch=1 streams each grid point's result as NDJSON), GET
 // /sweeps, GET /sweeps/{id}, POST /sweeps/{id}/cancel (or DELETE),
 // GET /healthz (liveness), GET /readyz (readiness: 503 while draining or
-// queue-full), GET /metrics (Prometheus text exposition), GET /spans
-// (job-lifecycle spans: JSONL, ?format=chrome for chrome://tracing), and
-// the stock /debug/vars (service counters under "nocd") and /debug/pprof.
+// queue-full), GET /metrics (Prometheus text exposition; the one place the
+// service counters are published), GET /spans (job-lifecycle spans: JSONL,
+// ?format=chrome for chrome://tracing), and the stock /debug/pprof.
 // -log-json adds one structured JSON log line per request on stderr.
 //
 // -store-dir persists results on disk (content-addressed by canonical
@@ -36,7 +36,6 @@ package main
 import (
 	"context"
 	"errors"
-	"expvar"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -101,7 +100,6 @@ func main() {
 		SpanCap:  *spanCap,
 		Store:    st,
 	})
-	expvar.Publish("nocd", expvar.Func(func() any { return m.Stats() }))
 
 	var dispatcher sweepapi.Dispatcher
 	if *peers != "" {
@@ -133,8 +131,8 @@ func main() {
 	})
 
 	mux := newMux(m, sw)
-	// The expvar and pprof handlers self-register on the default mux;
-	// delegate the whole /debug/ subtree to it.
+	// The pprof handlers self-register on the default mux; delegate the
+	// whole /debug/ subtree to it.
 	mux.Handle("GET /debug/", http.DefaultServeMux)
 
 	var handler http.Handler = mux

@@ -16,11 +16,13 @@ import (
 // Sweep bodies carry a grid on top of the template and stay well under it.
 const maxBodyBytes = 1 << 20
 
-// watchInterval paces the NDJSON progress stream of GET /jobs/{id}?watch=1.
+// watchInterval paces the progress lines of GET /jobs/{id}?watch=1 while the
+// job runs; its completion ends the stream at once, not at the next tick.
 const watchInterval = 250 * time.Millisecond
 
-// sweepWatchInterval paces sweep result streams. Sweeps complete many small
-// points per second on a warm cache, so they poll faster than job watch.
+// sweepWatchInterval paces the point lines of a sweep stream while the sweep
+// runs; as with jobs, completion does not wait for it. Sweeps complete many
+// small points per second on a warm cache, so they report faster than jobs.
 const sweepWatchInterval = 100 * time.Millisecond
 
 // newMux builds the service API. main adds the /debug/ subtree and the
@@ -193,6 +195,7 @@ func streamSweep(sw *sweepapi.Manager, w http.ResponseWriter, r *http.Request, i
 	if !ok {
 		return
 	}
+	done, _ := sw.Done(id)
 	if err := enc.Encode(sweepLine{Type: "sweep", Sweep: &st}); err != nil {
 		return
 	}
@@ -223,6 +226,8 @@ func streamSweep(sw *sweepapi.Manager, w http.ResponseWriter, r *http.Request, i
 		select {
 		case <-r.Context().Done():
 			return
+		case <-done:
+			done = nil // woken once; the next pass reads the terminal status
 		case <-ticker.C:
 		}
 	}
@@ -308,9 +313,10 @@ func handleStatus(m *service.Manager, w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// streamStatus writes one status line per tick as NDJSON until the job is
-// terminal or the client goes away; per-chunk progress (cyclesDone) arrives
-// as the simulation crosses chunk boundaries.
+// streamStatus writes one status line per tick as NDJSON, and a last one as
+// soon as the job is terminal, until then or until the client goes away;
+// per-chunk progress (cyclesDone) arrives as the simulation crosses chunk
+// boundaries.
 func streamStatus(m *service.Manager, w http.ResponseWriter, r *http.Request, id string) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
@@ -318,6 +324,7 @@ func streamStatus(m *service.Manager, w http.ResponseWriter, r *http.Request, id
 	enc := json.NewEncoder(w)
 	ticker := time.NewTicker(watchInterval)
 	defer ticker.Stop()
+	done, _ := m.Done(id)
 	for {
 		j, ok := m.Get(id)
 		if !ok {
@@ -335,6 +342,8 @@ func streamStatus(m *service.Manager, w http.ResponseWriter, r *http.Request, id
 		select {
 		case <-r.Context().Done():
 			return
+		case <-done:
+			done = nil
 		case <-ticker.C:
 		}
 	}

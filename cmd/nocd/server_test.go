@@ -264,6 +264,7 @@ func TestDaemonWatchStreamCanceledJob(t *testing.T) {
 	defer resp.Body.Close()
 
 	var last nocdclient.Job
+	var canceledAt time.Time
 	lines := 0
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -276,6 +277,7 @@ func TestDaemonWatchStreamCanceledJob(t *testing.T) {
 			if _, err := c.Cancel(ctx, j.ID); err != nil {
 				t.Fatal(err)
 			}
+			canceledAt = time.Now()
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -283,6 +285,11 @@ func TestDaemonWatchStreamCanceledJob(t *testing.T) {
 	}
 	if lines == 0 || last.State != "canceled" {
 		t.Fatalf("stream ended after %d lines in state %q, want terminal canceled", lines, last.State)
+	}
+	// The job is terminal within one chunk of the cancel, and the stream
+	// wakes on that, not on its next progress tick.
+	if d := time.Since(canceledAt); d >= watchInterval/2 {
+		t.Fatalf("stream ended %v after the cancel; the progress ticker is %v", d, watchInterval)
 	}
 }
 

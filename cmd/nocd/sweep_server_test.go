@@ -220,6 +220,57 @@ func TestSweepEndpointCancel(t *testing.T) {
 	}
 }
 
+// TestSweepStreamWakesOnCompletion: a sweep answered wholly from the cache
+// is finished in a few milliseconds, and its stream must say so then, not at
+// the next progress tick. 64 points keep the sweep alive past the stream's
+// first look at it, which is the case that used to wait out the ticker.
+func TestSweepStreamWakesOnCompletion(t *testing.T) {
+	_, _, c := testServer(t, service.Config{Workers: 2})
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	seeds := make([]any, 32)
+	for i := range seeds {
+		seeds[i] = i + 1
+	}
+	req := nocdclient.SweepRequest{
+		Template: smallReq(0),
+		Axes:     map[string][]any{"scheme": {"baseline", "pseudo"}, "seed": seeds},
+	}
+	run := func() (time.Duration, nocdclient.SweepStatus) {
+		start := time.Now()
+		stream, err := c.SubmitSweep(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer stream.Close()
+		for {
+			if _, err := stream.Next(); err == io.EOF {
+				break
+			} else if err != nil {
+				t.Fatal(err)
+			}
+		}
+		fin, _ := stream.Final()
+		return time.Since(start), fin
+	}
+	if _, fin := run(); fin.Done != 64 || fin.CacheHits != 0 {
+		t.Fatalf("cold sweep: %+v", fin)
+	}
+	// Best of three: the bound is on the protocol, not on a shared host's
+	// worst scheduling hiccup.
+	best := time.Hour
+	for i := 0; i < 3; i++ {
+		d, fin := run()
+		if fin.Done != 64 || fin.CacheHits != 64 {
+			t.Fatalf("cached sweep: %+v", fin)
+		}
+		best = min(best, d)
+	}
+	if best >= sweepWatchInterval/2 {
+		t.Fatalf("a fully cached sweep took %v to stream; the progress ticker is %v", best, sweepWatchInterval)
+	}
+}
+
 // TestClientSweepEndToEnd drives a sweep through nocdclient's streaming
 // iterator against the real daemon mux: acceptance line, every point,
 // io.EOF with the terminal status.

@@ -11,9 +11,12 @@
 // switch arbitration, removing one pipeline stage. With buffer bypassing it
 // also skips the buffer-write stage, removing a second.
 //
-// This package holds the state machines and matching logic (registers,
-// comparator, history registers, scheme/ablation options); the router
-// package wires them into the pipeline.
+// This package holds that logic: RegFile is one router's register pairs,
+// history registers and comparator, with the only four operations that write
+// them (connect, connect speculatively, terminate, clear), over storage in the
+// LaneStore (soa.go); Scheme and Options select what the pipeline does with
+// them. The router package calls RegFile from its pipeline phases and holds no
+// pseudo-circuit state of its own.
 package core
 
 import "fmt"
@@ -128,108 +131,171 @@ func DefaultOptions(s Scheme) Options {
 	}
 }
 
-// Register is the per-input-port pseudo-circuit register (Fig. 3 (a)): the
-// input VC and output port of the most recent crossbar connection through
-// this input port, plus a valid bit. Termination clears only the valid bit,
-// leaving the registers intact so speculation can revive the circuit
-// (§3.C, §4.A).
-type Register struct {
-	InVC    int
-	OutPort int
-	Valid   bool
-	// Speculative marks circuits created by pseudo-circuit speculation, for
-	// accounting only; behaviour is identical.
-	Speculative bool
+// RegFile is the pseudo-circuit state of one router and the only code that
+// writes it: per input port the register pair of Fig. 3 (a) with its valid
+// bit, per output port the history register of Fig. 5 (b), and the few derived
+// structures that keep the router's scans proportional to live circuits
+// (DESIGN.md §17 prices each). The slices are a per-router view cut from the
+// LaneStore, indexed by router-local port; the router reads them freely and
+// mutates them through the four methods below, which is what keeps the derived
+// structures in step. Check verifies that.
+type RegFile struct {
+	// Per input port: input VC and output port of the most recent crossbar
+	// connection through it. Termination clears only Valid, leaving the pair
+	// intact so speculation can reconnect the circuit (§3.C, §4.A). Spec marks
+	// a circuit speculation created, for accounting only.
+	InVC  []int
+	Out   []int
+	Valid []bool
+	Spec  []bool
+	// Hist is the depth-N extension of the register pair (SpecHistoryDepth).
+	Hist []InputHistory
+
+	// Per output port: the input port of the most recent pseudo-circuit
+	// through it, which settles which of several registers pointing at one
+	// idle output speculation reconnects.
+	HistIn    []int
+	HistValid []bool
+	// ByOut[out] is the input port holding a valid circuit to out, -1 when
+	// none; the termination rules allow at most one.
+	ByOut []int
+
+	ValidMask uint64 // bit in ⇔ Valid[in]
+	HeldMask  uint64 // bit out ⇔ ByOut[out] >= 0
+	HistMask  uint64 // bit out ⇔ HistValid[out]
 }
 
-// NewRegister returns an empty (invalid) register.
-func NewRegister() Register {
-	return Register{InVC: -1, OutPort: -1}
-}
-
-// Match implements the pseudo-circuit comparator: it reports whether a flit
-// on input VC vc destined for output port out may reuse the circuit. The
+// Match is the pseudo-circuit comparator: may a flit on input VC vc of input
+// port in, destined for output port out, reuse the port's circuit? The
 // hardware comparator (37 ps at 45 nm) fits within the ST stage, so matching
 // costs no extra cycle.
-func (r *Register) Match(vc, out int) bool {
-	return r.Valid && r.InVC == vc && r.OutPort == out
+func (f *RegFile) Match(in, vc, out int) bool {
+	return f.Valid[in] && f.InVC[in] == vc && f.Out[in] == out
 }
 
-// Set records a fresh connection after a crossbar traversal, making the
-// circuit valid and non-speculative.
-func (r *Register) Set(vc, out int) {
-	r.InVC = vc
-	r.OutPort = out
-	r.Valid = true
-	r.Speculative = false
-}
-
-// Terminate disconnects the circuit, clearing the valid bit without touching
-// the registers (§3.C).
-func (r *Register) Terminate() {
-	r.Valid = false
-}
-
-// Clear tears the circuit down completely: the valid bit and both registers
-// are reset, so neither Revive nor depth-1 speculation can reconnect it. This
-// is the fault-teardown path — a link or router failure invalidates the
-// learned connection itself, not just its validity, because the crossbar
-// state it describes may be wrong when the link returns.
-func (r *Register) Clear() {
-	*r = NewRegister()
-}
-
-// SetSpeculative connects the register to (vc, out) speculatively — the
-// depth-N speculation path, which may restore a connection older than the
-// register's own last value. It panics if the register is already valid.
-func (r *Register) SetSpeculative(vc, out int) {
-	if r.Valid {
-		panic("core: SetSpeculative on a valid pseudo-circuit")
+// Connect records the crossbar traversal (in, vc) → out: the register is
+// rewritten, valid and non-speculative (§3.B), any other input's circuit on
+// out is terminated, and both histories note the connection. created reports
+// that the flit did not already match the circuit, displaced that another
+// input's circuit was terminated.
+func (f *RegFile) Connect(in, vc, out int) (created, displaced bool) {
+	created = !f.Match(in, vc, out)
+	if j := f.ByOut[out]; j >= 0 && j != in {
+		f.Terminate(j)
+		displaced = true
 	}
-	r.InVC = vc
-	r.OutPort = out
-	r.Valid = true
-	r.Speculative = true
-}
-
-// Revive speculatively reconnects the terminated circuit (§4.A). It panics
-// if the register is already valid; speculation must only use unallocated
-// connections.
-func (r *Register) Revive() {
-	if r.Valid {
-		panic("core: Revive on a valid pseudo-circuit")
+	if f.Valid[in] && f.Out[in] != out {
+		f.release(f.Out[in])
 	}
-	if r.OutPort < 0 {
-		panic("core: Revive on a register that never held a circuit")
+	f.set(in, vc, out, false)
+	f.Hist[in].Record(vc, out)
+	f.HistIn[out] = in
+	f.HistValid[out] = true
+	f.HistMask |= 1 << uint(out)
+	return created, displaced
+}
+
+// ConnectSpeculative reconnects the most recent circuit through the idle
+// output port out (§4.A): the input its history register names, on the VC
+// that input last used towards out. It reports false, changing nothing, when
+// out holds a circuit or has no history, or that input is connected elsewhere
+// or no longer remembers out.
+func (f *RegFile) ConnectSpeculative(out int) bool {
+	if !f.HistValid[out] || f.ByOut[out] >= 0 {
+		return false
 	}
-	r.Valid = true
-	r.Speculative = true
+	in := f.HistIn[out]
+	if f.Valid[in] {
+		return false
+	}
+	vc, ok := f.Hist[in].Lookup(out)
+	if !ok {
+		return false
+	}
+	f.set(in, vc, out, true)
+	return true
 }
 
-// History is the per-output-port history register used by pseudo-circuit
-// speculation (Fig. 5 (b)): the input port of the most recent pseudo-circuit
-// through this output port. It resolves conflicts when several input ports'
-// registers point at the same output: only the most recent connection is
-// revived.
-type History struct {
-	InPort int
-	Valid  bool
+// Terminate disconnects input port in's valid circuit, leaving the register
+// pair for speculation to reconnect (§3.C).
+func (f *RegFile) Terminate(in int) {
+	f.Valid[in] = false
+	f.ValidMask &^= 1 << uint(in)
+	f.release(f.Out[in])
 }
 
-// NewHistory returns an empty history register.
-func NewHistory() History { return History{InPort: -1} }
+// Clear tears input port in's circuit down completely (fault teardown): the
+// valid bit, the register pair and the input's memory of that output are all
+// reset, so no speculation path can reconnect it — the crossbar state it
+// describes may be wrong when the link returns.
+func (f *RegFile) Clear(in int) {
+	if f.Valid[in] {
+		f.Hist[in].Drop(f.Out[in])
+		f.Terminate(in)
+	}
+	f.InVC[in], f.Out[in] = -1, -1
+	f.Spec[in] = false
+}
 
-// Record notes that input port in was most recently connected to this
+func (f *RegFile) set(in, vc, out int, spec bool) {
+	f.InVC[in], f.Out[in] = vc, out
+	f.Valid[in], f.Spec[in] = true, spec
+	f.ValidMask |= 1 << uint(in)
+	f.ByOut[out] = in
+	f.HeldMask |= 1 << uint(out)
+}
+
+func (f *RegFile) release(out int) {
+	f.ByOut[out] = -1
+	f.HeldMask &^= 1 << uint(out)
+}
+
+// Check verifies the derived structures against the registers: ByOut and the
+// three mask words, and with them that no two inputs hold a circuit to one
 // output.
-func (h *History) Record(in int) {
-	h.InPort = in
-	h.Valid = true
+func (f *RegFile) Check() error {
+	var valid, held, hist uint64
+	for in, v := range f.Valid {
+		if v {
+			valid |= 1 << uint(in)
+		}
+	}
+	for out := range f.ByOut {
+		holder := -1
+		for in, v := range f.Valid {
+			if v && f.Out[in] == out {
+				if holder >= 0 {
+					return fmt.Errorf("inputs %d and %d both hold a pseudo-circuit to output %d", holder, in, out)
+				}
+				holder = in
+			}
+		}
+		if holder != f.ByOut[out] {
+			return fmt.Errorf("ByOut[%d] = %d, registers say %d", out, f.ByOut[out], holder)
+		}
+		if holder >= 0 {
+			held |= 1 << uint(out)
+		}
+		if f.HistValid[out] {
+			hist |= 1 << uint(out)
+		}
+	}
+	if valid != f.ValidMask {
+		return fmt.Errorf("ValidMask %b, registers say %b", f.ValidMask, valid)
+	}
+	if held != f.HeldMask {
+		return fmt.Errorf("HeldMask %b, ByOut says %b", f.HeldMask, held)
+	}
+	if hist != f.HistMask {
+		return fmt.Errorf("HistMask %b, history registers say %b", f.HistMask, hist)
+	}
+	return nil
 }
 
 // InputHistory is the depth-N per-input connection history backing the
 // SpecHistoryDepth extension: a small most-recent-first list of the
 // connections this input port carried. Depth 1 reproduces the paper (the
-// single register pair is the history).
+// single register pair is the history) and is what the zero value holds.
 type InputHistory struct {
 	entries []histEntry
 	depth   int
@@ -257,7 +323,7 @@ func (h *InputHistory) Record(vc, out int) {
 			return
 		}
 	}
-	if len(h.entries) < h.depth {
+	if len(h.entries) == 0 || len(h.entries) < h.depth {
 		h.entries = append(h.entries, histEntry{})
 	}
 	copy(h.entries[1:], h.entries)
@@ -285,6 +351,3 @@ func (h *InputHistory) Lookup(out int) (vc int, ok bool) {
 	}
 	return 0, false
 }
-
-// Depth returns the configured depth.
-func (h *InputHistory) Depth() int { return h.depth }

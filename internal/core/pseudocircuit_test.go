@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -41,91 +42,187 @@ func TestSchemeValidate(t *testing.T) {
 	}
 }
 
-func TestRegisterLifecycle(t *testing.T) {
-	r := core.NewRegister()
-	if r.Valid {
-		t.Fatal("new register valid")
-	}
-	if r.Match(0, 0) {
-		t.Fatal("invalid register matched")
-	}
-	r.Set(2, 5)
-	if !r.Match(2, 5) {
-		t.Fatal("set register does not match its own connection")
-	}
-	if r.Match(1, 5) || r.Match(2, 4) {
-		t.Fatal("register matched a different connection")
-	}
-	r.Terminate()
-	if r.Valid || r.Match(2, 5) {
-		t.Fatal("terminated register still matches")
-	}
-	// Termination preserves the registers (§3.C) so speculation can revive.
-	if r.InVC != 2 || r.OutPort != 5 {
-		t.Fatal("termination cleared the registers")
-	}
-	r.Revive()
-	if !r.Valid || !r.Speculative || !r.Match(2, 5) {
-		t.Fatal("revive did not restore the circuit speculatively")
-	}
-	r.Set(2, 5)
-	if r.Speculative {
-		t.Fatal("traversal did not clear the speculative flag")
+// regFile returns the register file of a lone router with the given radix, as
+// the router cuts it from its lane store.
+func regFile(in, out, depth int) *core.RegFile {
+	return core.NewLaneStore(2, 4, []int{in}, []int{out}).RegFile(0, depth)
+}
+
+func check(t *testing.T, f *core.RegFile) {
+	t.Helper()
+	if err := f.Check(); err != nil {
+		t.Fatal(err)
 	}
 }
 
-func TestRevivePanics(t *testing.T) {
+func TestRegisterLifecycle(t *testing.T) {
+	f := regFile(3, 6, 1)
+	if f.Valid[1] || f.Match(1, 0, 0) {
+		t.Fatal("new register valid")
+	}
+	if created, displaced := f.Connect(1, 2, 5); !created || displaced {
+		t.Fatalf("first connection: created %v displaced %v", created, displaced)
+	}
+	check(t, f)
+	if !f.Match(1, 2, 5) {
+		t.Fatal("connected register does not match its own connection")
+	}
+	if f.Match(1, 1, 5) || f.Match(1, 2, 4) || f.Match(0, 2, 5) {
+		t.Fatal("register matched a different connection")
+	}
+	if created, _ := f.Connect(1, 2, 5); created {
+		t.Fatal("a matching flit created a circuit")
+	}
+	f.Terminate(1)
+	check(t, f)
+	if f.Valid[1] || f.Match(1, 2, 5) {
+		t.Fatal("terminated register still matches")
+	}
+	// Termination preserves the registers (§3.C) so speculation can reconnect.
+	if f.InVC[1] != 2 || f.Out[1] != 5 {
+		t.Fatal("termination cleared the registers")
+	}
+	if !f.ConnectSpeculative(5) {
+		t.Fatal("speculation refused an idle output with history")
+	}
+	check(t, f)
+	if !f.Valid[1] || !f.Spec[1] || !f.Match(1, 2, 5) {
+		t.Fatal("speculation did not restore the circuit speculatively")
+	}
+	f.Connect(1, 2, 5)
+	if f.Spec[1] {
+		t.Fatal("traversal did not clear the speculative flag")
+	}
+	// A traversal from another input claims the output (§3.C condition 1).
+	if created, displaced := f.Connect(0, 1, 5); !created || !displaced {
+		t.Fatalf("claiming a held output: created %v displaced %v", created, displaced)
+	}
+	check(t, f)
+	if f.Valid[1] || f.ByOut[5] != 0 {
+		t.Fatalf("output 5 held by %d with input 1 valid=%v", f.ByOut[5], f.Valid[1])
+	}
+	// Fault teardown forgets the connection itself, so nothing reconnects it.
+	f.Clear(0)
+	check(t, f)
+	if f.Valid[0] || f.Out[0] != -1 || f.InVC[0] != -1 {
+		t.Fatal("clear left the registers")
+	}
+	if f.ConnectSpeculative(5) {
+		t.Fatal("speculation reconnected a cleared circuit")
+	}
+}
+
+func TestSpeculativeConnectRefuses(t *testing.T) {
 	t.Run("valid", func(t *testing.T) {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("Revive on valid register did not panic")
-			}
-		}()
-		r := core.NewRegister()
-		r.Set(0, 1)
-		r.Revive()
+		f := regFile(2, 4, 1)
+		f.Connect(0, 0, 1)
+		f.Terminate(0)
+		f.Connect(0, 1, 2)
+		if f.ConnectSpeculative(1) {
+			t.Fatal("speculation rewired an input that is connected elsewhere")
+		}
+		if f.ConnectSpeculative(2) {
+			t.Fatal("speculation connected an output that holds a circuit")
+		}
+		check(t, f)
 	})
 	t.Run("never-set", func(t *testing.T) {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("Revive on empty register did not panic")
-			}
-		}()
-		r := core.NewRegister()
-		r.Revive()
+		f := regFile(2, 4, 1)
+		if f.ConnectSpeculative(3) {
+			t.Fatal("speculation connected an output that never held a circuit")
+		}
+		check(t, f)
 	})
+	// Depth 1 is the paper: once the input connects elsewhere it has
+	// forgotten the idle output. Depth 2 still remembers it.
+	for depth, want := range map[int]bool{1: false, 2: true} {
+		f := regFile(2, 4, depth)
+		f.Connect(0, 0, 1)
+		f.Connect(0, 1, 2)
+		f.Terminate(0)
+		if got := f.ConnectSpeculative(1); got != want {
+			t.Errorf("depth %d: reconnecting the older output = %v, want %v", depth, got, want)
+		}
+		check(t, f)
+	}
 }
 
 // TestMatchProperty: the comparator matches exactly the stored connection
 // while valid (Fig. 3 (a) semantics).
 func TestMatchProperty(t *testing.T) {
 	err := quick.Check(func(setVC, setOut, qVC, qOut uint8, terminated bool) bool {
-		r := core.NewRegister()
-		r.Set(int(setVC), int(setOut))
+		setOut, qOut = setOut%core.LaneLimit, qOut%core.LaneLimit
+		f := regFile(1, core.LaneLimit, 1)
+		f.Connect(0, int(setVC), int(setOut))
 		if terminated {
-			r.Terminate()
-			return !r.Match(int(qVC), int(qOut))
+			f.Terminate(0)
+			return !f.Match(0, int(qVC), int(qOut))
 		}
 		want := setVC == qVC && setOut == qOut
-		return r.Match(int(qVC), int(qOut)) == want
+		return f.Match(0, int(qVC), int(qOut)) == want
 	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 }
 
+// TestHistory: the per-output history register tracks the most recent input
+// through the output, and that is the one speculation reconnects (Fig. 5 (b)).
 func TestHistory(t *testing.T) {
-	h := core.NewHistory()
-	if h.Valid {
+	f := regFile(4, 2, 1)
+	if f.HistValid[1] {
 		t.Fatal("new history valid")
 	}
-	h.Record(3)
-	if !h.Valid || h.InPort != 3 {
-		t.Fatalf("history = %+v after Record(3)", h)
+	f.Connect(3, 0, 1)
+	if !f.HistValid[1] || f.HistIn[1] != 3 {
+		t.Fatalf("history = %d/%v after input 3 connected", f.HistIn[1], f.HistValid[1])
 	}
-	h.Record(1)
-	if h.InPort != 1 {
+	f.Connect(1, 0, 1)
+	if f.HistIn[1] != 1 {
 		t.Fatal("history did not track most recent input")
+	}
+	f.Terminate(1)
+	if !f.ConnectSpeculative(1) || f.ByOut[1] != 1 {
+		t.Fatalf("speculation reconnected input %d, want the most recent (1)", f.ByOut[1])
+	}
+	check(t, f)
+}
+
+// TestCheckNamesTheDesyncedStructure corrupts, on a live store, the reverse
+// index and then each mask word, and expects the store's consistency check
+// (which is the register file's own) to name what it found.
+func TestCheckNamesTheDesyncedStructure(t *testing.T) {
+	live := func() (*core.LaneStore, *core.RegFile) {
+		s := core.NewLaneStore(2, 4, []int{2, 3}, []int{2, 4})
+		f := s.RegFile(1, 1)
+		f.Connect(0, 1, 2)
+		f.Connect(2, 0, 3)
+		f.Terminate(2)
+		if err := s.CheckConsistency(1, s.InBase[1], 3, s.OutBase[1], 4); err != nil {
+			t.Fatal(err)
+		}
+		return s, f
+	}
+	for _, c := range []struct {
+		want    string
+		corrupt func(s *core.LaneStore, f *core.RegFile)
+	}{
+		{"ByOut[2]", func(s *core.LaneStore, f *core.RegFile) { s.PCByOut[s.OutBase[1]+2] = -1 }},
+		{"ByOut[3]", func(s *core.LaneStore, f *core.RegFile) { f.ByOut[3] = 2 }},
+		{"both hold", func(s *core.LaneStore, f *core.RegFile) { f.Valid[2], f.Out[2] = true, 2 }},
+		{"ValidMask", func(s *core.LaneStore, f *core.RegFile) { f.ValidMask |= 1 << 2 }},
+		{"HeldMask", func(s *core.LaneStore, f *core.RegFile) { f.HeldMask &^= 1 << 2 }},
+		{"HistMask", func(s *core.LaneStore, f *core.RegFile) { f.HistMask &^= 1 << 3 }},
+	} {
+		s, f := live()
+		c.corrupt(s, f)
+		err := s.CheckConsistency(1, s.InBase[1], 3, s.OutBase[1], 4)
+		if err == nil || !strings.Contains(err.Error(), "router 1: ") || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("corrupting %s: CheckConsistency = %v", c.want, err)
+		}
+		if err := s.CheckConsistency(0, 0, 2, 0, 2); err != nil {
+			t.Errorf("corrupting %s in router 1 failed router 0: %v", c.want, err)
+		}
 	}
 }
 

@@ -6,8 +6,8 @@
 // (one heap object per input port, one per VC) every scan is a pointer chase;
 // LaneStore flattens all of it into contiguous slices indexed by
 // (router, port, vc) so the scans are cache-linear and the pseudo-circuit
-// comparator inputs (the register file of Fig. 3) are one flat array walked
-// in a single pass per router.
+// comparator inputs (the register file of Fig. 3, RegFile) are one flat array
+// walked in a single pass per router.
 //
 // Index scheme (DESIGN.md §17):
 //
@@ -60,9 +60,9 @@ type LaneStore struct {
 	// Per buffer slot l*BufDepth + k.
 	At []int64 // arrival cycle of each buffered flit (BW takes one cycle)
 
-	// Per input port p = InBase[r]+in: the pseudo-circuit register file
-	// (Fig. 3 (a)) as parallel arrays — the comparator inputs — plus the
-	// occupancy masks the phase scans are driven by.
+	// Per input port p = InBase[r]+in: the storage of the pseudo-circuit
+	// registers (Fig. 3 (a)), plus the occupancy masks the phase scans are
+	// driven by.
 	PCInVC  []int
 	PCOut   []int
 	PCValid []bool
@@ -74,14 +74,16 @@ type LaneStore struct {
 	Credits []int
 	VCBusy  []bool
 
-	// Per output port q = OutBase[r]+out: the speculation history register
-	// (Fig. 5 (b)) and the valid-pseudo-circuit reverse index: PCByOut[q] is
-	// the router-local input port holding a valid pseudo-circuit to this
-	// output, -1 when none (at most one can exist — the paper's termination
-	// rules enforce it), making the former O(ports) outputHasPC scan O(1).
+	// Per output port q = OutBase[r]+out: the storage of the history registers
+	// (Fig. 5 (b)) and of the reverse index (router-local input, -1 when none).
 	HistIn    []int
 	HistValid []bool
 	PCByOut   []int
+
+	// Regs[r] is router r's pseudo-circuit register file: a view of the PC*
+	// and Hist* arrays above, with the mask words derived from them. The
+	// arrays are written through it and nowhere else.
+	Regs []RegFile
 }
 
 // NewLaneStore builds the store for routers with the given per-router input
@@ -134,7 +136,28 @@ func NewLaneStore(numVCs, bufDepth int, inPorts, outPorts []int) *LaneStore {
 	s.HistIn = fill(nOut, -1)
 	s.HistValid = make([]bool, nOut)
 	s.PCByOut = fill(nOut, -1)
+
+	hist := make([]InputHistory, nIn)
+	s.Regs = make([]RegFile, len(inPorts))
+	for r := range s.Regs {
+		i0, i1, o0, o1 := s.InBase[r], s.InBase[r+1], s.OutBase[r], s.OutBase[r+1]
+		s.Regs[r] = RegFile{
+			InVC: s.PCInVC[i0:i1], Out: s.PCOut[i0:i1], Valid: s.PCValid[i0:i1], Spec: s.PCSpec[i0:i1],
+			Hist:   hist[i0:i1],
+			HistIn: s.HistIn[o0:o1], HistValid: s.HistValid[o0:o1], ByOut: s.PCByOut[o0:o1],
+		}
+	}
 	return s
+}
+
+// RegFile returns router r's register file with an empty speculation history
+// of the given depth per input port (Options.SpecHistoryDepth).
+func (s *LaneStore) RegFile(r, depth int) *RegFile {
+	f := &s.Regs[r]
+	for i := range f.Hist {
+		f.Hist[i] = NewInputHistory(depth)
+	}
+	return f
 }
 
 func fill(n, v int) []int {
@@ -177,9 +200,9 @@ func (s *LaneStore) View(p, vc int) LaneView {
 
 // CheckConsistency verifies every derived structure against the ground-truth
 // arrays for the router whose ports are [inBase, inBase+nIn) and
-// [outBase, outBase+nOut): occupancy masks against BufLen/Active, and
-// PCByOut against the register file. It returns a descriptive error rather
-// than panicking so tests can attribute failures.
+// [outBase, outBase+nOut): occupancy masks against BufLen/Active, and the
+// register file's own check. It returns a descriptive error rather than
+// panicking so tests can attribute failures.
 func (s *LaneStore) CheckConsistency(router, inBase, nIn, outBase, nOut int) error {
 	for in := 0; in < nIn; in++ {
 		p := inBase + in
@@ -200,21 +223,8 @@ func (s *LaneStore) CheckConsistency(router, inBase, nIn, outBase, nOut int) err
 			return fmt.Errorf("router %d in %d: act mask %b, lanes say %b", router, in, s.Act[p], act)
 		}
 	}
-	for out := 0; out < nOut; out++ {
-		q := outBase + out
-		holder := -1
-		for in := 0; in < nIn; in++ {
-			p := inBase + in
-			if s.PCValid[p] && s.PCOut[p] == out {
-				if holder >= 0 {
-					return fmt.Errorf("router %d: inputs %d and %d both hold a pseudo-circuit to output %d", router, holder, in, out)
-				}
-				holder = in
-			}
-		}
-		if holder != s.PCByOut[q] {
-			return fmt.Errorf("router %d out %d: PCByOut %d, register file says %d", router, out, s.PCByOut[q], holder)
-		}
+	if err := s.Regs[router].Check(); err != nil {
+		return fmt.Errorf("router %d: %w", router, err)
 	}
 	return nil
 }

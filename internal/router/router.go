@@ -34,15 +34,15 @@
 // everything else (DESIGN.md §17).
 //
 // Hot-path state lives in the structure-of-arrays core.LaneStore owned by
-// the network (DESIGN.md §17): per-(port, vc) lane metadata, the
-// pseudo-circuit register file, per-port occupancy masks, and per-output
-// credits are contiguous slices the phases below walk linearly, with the
-// occupancy masks letting every scan skip empty lanes without touching them.
-// Flit and packet pointers stay in router-local flat arrays (same layout,
-// router-owned) so core carries no dependency on the data plane. All
-// mutations go through the lane helper methods, which keep the derived masks
-// and the PCByOut reverse index in lockstep with the ground-truth arrays —
-// CheckInvariants re-derives and verifies them.
+// the network (DESIGN.md §17): per-(port, vc) lane metadata, per-port
+// occupancy masks and per-output credits are contiguous slices the phases
+// below walk linearly, with the occupancy masks letting every scan skip empty
+// lanes without touching them. Flit and packet pointers stay in router-local
+// flat arrays (same layout, router-owned) so core carries no dependency on the
+// data plane. Lane mutations go through the lane helper methods, which keep
+// the masks in lockstep with the ground-truth arrays; the pseudo-circuit
+// registers and everything derived from them are core.RegFile's, which this
+// package reads but never writes. CheckInvariants verifies both.
 package router
 
 import (
@@ -157,40 +157,24 @@ type Router struct {
 	pkt []*flit.Packet
 
 	// Input-port views (len nIn).
-	pcInVC  []int
-	pcOut   []int
-	pcValid []bool
-	pcSpec  []bool
-	occ     []uint64
-	act     []uint64
+	occ []uint64
+	act []uint64
+	// va is derived: bit vc ⇔ active lane awaiting VA (outVC < 0).
+	va []uint64
 
-	// Output-lane and output-port views.
-	credits   []int // len nOut*V
-	vcBusy    []bool
-	histIn    []int // len nOut
-	histValid []bool
-	pcByOut   []int
+	// Output-lane views (len nOut*V).
+	credits []int
+	vcBusy  []bool
 
-	// Router-local per-port state off the comparator path.
-	hist     []core.InputHistory // speculation history (depth N extension)
-	arrival  []*flit.Flit        // staged by Deliver for this cycle
-	rrVC     []int               // SA input-arbitration round-robin pointers
-	lastOut  []int               // Fig. 1 temporal-locality measurement
-	rrIn     []int               // SA output-arbitration round-robin pointers
+	// pc is the pseudo-circuit register file (read here, written in core).
+	pc *core.RegFile
+
+	// Router-local per-port state.
+	arrival  []*flit.Flit // staged by Deliver for this cycle
+	rrVC     []int        // SA input-arbitration round-robin pointers
+	lastOut  []int        // Fig. 1 temporal-locality measurement
+	rrIn     []int        // SA output-arbitration round-robin pointers
 	ejection []bool
-
-	// Derived masks and counters that keep the per-cycle maintenance scans
-	// work-proportional; all are redundant with the views above and verified
-	// by CheckInvariants.
-	va       []uint64 // per input port: bit vc ⇔ active lane awaiting VA (outVC < 0)
-	pcMask   uint64   // bit in ⇔ pcValid[in]
-	heldMask uint64   // bit out ⇔ pcByOut[out] >= 0
-	histMask uint64   // bit out ⇔ histValid[out]
-	outCred  []int    // per output port: count of VCs with credits > 0
-	headAt   []int64  // per input lane: arrival cycle of the head flit (= At[l*D])
-	headHead []bool   // per input lane: head flit is a header
-	vaNow    int64    // cycle vaStart was computed for (-2 = never)
-	vaStart  int      // cached int(vaNow) % nIn, advanced incrementally
 
 	res     []reservation // STs to execute this cycle
 	nextRes []reservation // grants made this cycle
@@ -238,10 +222,10 @@ func New(id, inPorts, outPorts int, cfg *Config) *Router {
 	if err := cfg.Opts.Validate(); err != nil {
 		panic(err)
 	}
-	ls := cfg.Lanes
+	ls, slot := cfg.Lanes, id
 	inBase, outBase := 0, 0
 	if ls == nil {
-		ls = core.NewLaneStore(cfg.NumVCs, cfg.BufDepth, []int{inPorts}, []int{outPorts})
+		ls, slot = core.NewLaneStore(cfg.NumVCs, cfg.BufDepth, []int{inPorts}, []int{outPorts}), 0
 	} else {
 		inBase, outBase = ls.InBase[id], ls.OutBase[id]
 		if ls.InBase[id+1]-inBase != inPorts || ls.OutBase[id+1]-outBase != outPorts {
@@ -273,20 +257,15 @@ func New(id, inPorts, outPorts int, cfg *Config) *Router {
 		buf:     make([]*flit.Flit, inPorts*V*D),
 		pkt:     make([]*flit.Packet, inPorts*V),
 
-		pcInVC:  ls.PCInVC[inBase : inBase+inPorts],
-		pcOut:   ls.PCOut[inBase : inBase+inPorts],
-		pcValid: ls.PCValid[inBase : inBase+inPorts],
-		pcSpec:  ls.PCSpec[inBase : inBase+inPorts],
-		occ:     ls.Occ[inBase : inBase+inPorts],
-		act:     ls.Act[inBase : inBase+inPorts],
+		occ: ls.Occ[inBase : inBase+inPorts],
+		act: ls.Act[inBase : inBase+inPorts],
+		va:  make([]uint64, inPorts),
 
-		credits:   ls.Credits[outBase*V : (outBase+outPorts)*V],
-		vcBusy:    ls.VCBusy[outBase*V : (outBase+outPorts)*V],
-		histIn:    ls.HistIn[outBase : outBase+outPorts],
-		histValid: ls.HistValid[outBase : outBase+outPorts],
-		pcByOut:   ls.PCByOut[outBase : outBase+outPorts],
+		credits: ls.Credits[outBase*V : (outBase+outPorts)*V],
+		vcBusy:  ls.VCBusy[outBase*V : (outBase+outPorts)*V],
 
-		hist:     make([]core.InputHistory, inPorts),
+		pc: ls.RegFile(slot, cfg.Opts.SpecHistoryDepth),
+
 		arrival:  make([]*flit.Flit, inPorts),
 		rrVC:     make([]int, inPorts),
 		lastOut:  make([]int, inPorts),
@@ -295,32 +274,12 @@ func New(id, inPorts, outPorts int, cfg *Config) *Router {
 
 		chosen:   make([]int, inPorts),
 		pcCand:   make([]int, inPorts),
-		va:       make([]uint64, inPorts),
-		outCred:  make([]int, outPorts),
-		headAt:   make([]int64, inPorts*V),
-		headHead: make([]bool, inPorts*V),
-		vaNow:    -2,
 		outSends: make([]uint64, outPorts),
 		rs:       cfg.Reg.Attach(id, inPorts, outPorts),
 		tr:       cfg.Trace,
 	}
-	for i := 0; i < inPorts; i++ {
-		r.hist[i] = core.NewInputHistory(cfg.Opts.SpecHistoryDepth)
+	for i := range r.lastOut {
 		r.lastOut[i] = -1
-	}
-	// Lane sentinels: a fresh store arrives pre-initialized, but a store
-	// region may also be re-sliced by tests; normalize defensively.
-	for l := range r.outPort {
-		if !r.activeL[l] && r.bufLen[l] == 0 {
-			r.outPort[l], r.outVC[l] = -1, -1
-		}
-	}
-	for o := 0; o < outPorts; o++ {
-		for vc := 0; vc < V; vc++ {
-			if r.credits[o*V+vc] > 0 {
-				r.outCred[o]++
-			}
-		}
 	}
 	return r
 }
@@ -343,7 +302,7 @@ func (r *Router) MarkEjection(out int) { r.ejection[out] = true }
 // --- lane helpers: the accessor seam ----------------------------------------
 //
 // Every mutation of lane ground truth flows through these, keeping the
-// occupancy masks and PCByOut consistent by construction.
+// occupancy masks consistent by construction.
 
 // pushBuf appends a flit to lane (in, vc) and returns the new depth.
 func (r *Router) pushBuf(in, vc int, f *flit.Flit, now sim.Cycle) int {
@@ -354,10 +313,6 @@ func (r *Router) pushBuf(in, vc int, f *flit.Flit, now sim.Cycle) int {
 	r.at[b] = int64(now)
 	r.bufLen[l] = n + 1
 	r.occ[in] |= 1 << uint(vc)
-	if n == 0 {
-		r.headAt[l] = int64(now)
-		r.headHead[l] = f.Kind.IsHead()
-	}
 	return n + 1
 }
 
@@ -375,9 +330,6 @@ func (r *Router) popHead(in, vc int) {
 	r.bufLen[l] = n - 1
 	if n == 1 {
 		r.occ[in] &^= 1 << uint(vc)
-	} else {
-		r.headAt[l] = r.at[b]
-		r.headHead[l] = r.buf[b].Kind.IsHead()
 	}
 	r.cfg.Energy.AddRead()
 }
@@ -394,9 +346,6 @@ func (r *Router) removeBufAt(in, vc, k int) {
 	r.bufLen[l] = n - 1
 	if n == 1 {
 		r.occ[in] &^= 1 << uint(vc)
-	} else if k == 0 {
-		r.headAt[l] = r.at[b]
-		r.headHead[l] = r.buf[b].Kind.IsHead()
 	}
 }
 
@@ -409,70 +358,6 @@ func (r *Router) resetLane(in, vc int) {
 	r.pkt[l] = nil
 	r.act[in] &^= 1 << uint(vc)
 	r.va[in] &^= 1 << uint(vc)
-}
-
-// pcMatch is the pseudo-circuit comparator (Fig. 3): may a flit on input VC
-// vc destined for output port out reuse input port in's circuit?
-func (r *Router) pcMatch(in, vc, out int) bool {
-	return r.pcValid[in] && r.pcInVC[in] == vc && r.pcOut[in] == out
-}
-
-// pcTerminate disconnects input port in's circuit, clearing the valid bit
-// without touching the registers (§3.C). Caller has checked pcValid[in].
-func (r *Router) pcTerminate(in int) {
-	r.pcValid[in] = false
-	r.pcMask &^= 1 << uint(in)
-	out := r.pcOut[in]
-	r.pcByOut[out] = -1
-	r.heldMask &^= 1 << uint(out)
-}
-
-// pcSet records a fresh connection after a crossbar traversal, making the
-// circuit valid and non-speculative.
-func (r *Router) pcSet(in, vc, out int) {
-	if r.pcValid[in] && r.pcOut[in] != out {
-		r.pcByOut[r.pcOut[in]] = -1
-		r.heldMask &^= 1 << uint(r.pcOut[in])
-	}
-	r.pcInVC[in] = vc
-	r.pcOut[in] = out
-	r.pcValid[in] = true
-	r.pcSpec[in] = false
-	r.pcMask |= 1 << uint(in)
-	r.pcByOut[out] = in
-	r.heldMask |= 1 << uint(out)
-}
-
-// pcSetSpeculative connects input port in's register to (vc, out)
-// speculatively (§4.A); the caller guarantees the register is invalid and the
-// output holds no circuit.
-func (r *Router) pcSetSpeculative(in, vc, out int) {
-	if r.pcValid[in] {
-		panic("router: speculative connect on a valid pseudo-circuit")
-	}
-	r.pcInVC[in] = vc
-	r.pcOut[in] = out
-	r.pcValid[in] = true
-	r.pcSpec[in] = true
-	r.pcMask |= 1 << uint(in)
-	r.pcByOut[out] = in
-	r.heldMask |= 1 << uint(out)
-}
-
-// pcClear tears input port in's circuit down completely (fault teardown):
-// valid bit and both registers reset, so neither speculation path can
-// reconnect it — the crossbar state it describes may be wrong when the link
-// returns.
-func (r *Router) pcClear(in int) {
-	if r.pcValid[in] {
-		r.pcByOut[r.pcOut[in]] = -1
-		r.heldMask &^= 1 << uint(r.pcOut[in])
-	}
-	r.pcInVC[in] = -1
-	r.pcOut[in] = -1
-	r.pcValid[in] = false
-	r.pcSpec[in] = false
-	r.pcMask &^= 1 << uint(in)
 }
 
 // -----------------------------------------------------------------------------
@@ -510,14 +395,20 @@ func (r *Router) Forward(now sim.Cycle, in, out int) {
 		rs.In[in].Traversals++
 	}
 	if r.tr != nil {
-		r.tr.Record(obs.Event{
-			Cycle: int64(now), Kind: obs.Traverse, Packet: f.Packet.ID, Seq: int32(f.Seq),
-			Src: int32(f.Packet.Src), Dst: int32(f.Packet.Dst),
-			Loc: int32(r.ID), In: int32(in), VC: int32(f.VC), Out: int32(out),
-		})
+		r.trace(now, obs.Traverse, f, in, f.VC, out)
 	}
 	r.outSends[out]++
 	r.cfg.Send(r.ID, out, f)
+}
+
+// trace records a lifecycle event for flit f at this router; callers guard on
+// r.tr so an untraced run pays a nil test and no call.
+func (r *Router) trace(now sim.Cycle, kind obs.Kind, f *flit.Flit, in, vc, out int) {
+	r.tr.Record(obs.Event{
+		Cycle: int64(now), Kind: kind, Packet: f.Packet.ID, Seq: int32(f.Seq),
+		Src: int32(f.Packet.Src), Dst: int32(f.Packet.Dst),
+		Loc: int32(r.ID), In: int32(in), VC: int32(vc), Out: int32(out),
+	})
 }
 
 // DeliverCredit returns one credit for (output port out, VC vc); the network
@@ -525,9 +416,6 @@ func (r *Router) Forward(now sim.Cycle, in, out int) {
 func (r *Router) DeliverCredit(out, vc int) {
 	m := out*r.V + vc
 	r.credits[m]++
-	if r.credits[m] == 1 {
-		r.outCred[out]++
-	}
 	if r.credits[m] > r.D {
 		panic(fmt.Sprintf("router %d: credit overflow on out %d vc %d", r.ID, out, vc))
 	}
@@ -537,10 +425,17 @@ func (r *Router) hasCredit(out, vc int) bool {
 	return r.ejection[out] || r.credits[out*r.V+vc] > 0
 }
 
-// anyCredit reports whether any VC of output port out has credit; the
-// outCred counters make it O(1).
+// anyCredit reports whether any VC of output port out has credit.
 func (r *Router) anyCredit(out int) bool {
-	return r.ejection[out] || r.outCred[out] > 0
+	if r.ejection[out] {
+		return true
+	}
+	for _, c := range r.credits[out*r.V : (out+1)*r.V] {
+		if c > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // Tick advances the router by one cycle. It reports whether the router must
@@ -557,7 +452,7 @@ func (r *Router) Tick(now sim.Cycle) bool {
 	r.admitHeads()
 	r.allocateVCs(now)
 	r.classify(now)
-	r.pcTraversals(now)
+	r.rideCircuits(now)
 	r.switchArbitrate(now)
 	r.maintainPseudoCircuits()
 	r.processArrivals(now)
@@ -667,13 +562,7 @@ func (r *Router) linkDead(out int) bool {
 // visited — a router full of streaming bodies skips the phase entirely.
 func (r *Router) allocateVCs(now sim.Cycle) {
 	n := r.nIn
-	// start = int(now) % n, advanced incrementally: routers on consecutive
-	// active cycles pay one wrap test instead of an integer division.
-	start := r.vaStart + int(int64(now)-r.vaNow)
-	if start >= n || start < 0 {
-		start = int(int64(now) % int64(n))
-	}
-	r.vaNow, r.vaStart = int64(now), start
+	start := int(now % sim.Cycle(n))
 	for k := 0; k < n; k++ {
 		i := start + k
 		if i >= n {
@@ -681,7 +570,7 @@ func (r *Router) allocateVCs(now sim.Cycle) {
 		}
 		for m := r.va[i] & r.occ[i]; m != 0; m &= m - 1 {
 			vc := bits.TrailingZeros64(m)
-			if !r.headHead[i*r.V+vc] {
+			if !r.buf[(i*r.V+vc)*r.D].Kind.IsHead() {
 				continue // header already traversed; body flits keep the VC
 			}
 			r.tryVA(i, vc)
@@ -723,10 +612,9 @@ func (r *Router) tryVA(in, vc int) bool {
 // classify splits eligible head flits into pseudo-circuit candidates and SA
 // requests (phase 3a). A flit is eligible once it has spent a full cycle in
 // the buffer (BW stage). One linear pass per router: the per-port occupancy
-// masks select the populated lanes and the pseudo-circuit comparator inputs
-// (pcInVC/pcOut/pcValid) are read from the contiguous register file, so the
-// comparator check is a batched walk across input ports rather than a
-// per-object pointer chase.
+// masks select the populated lanes and the pseudo-circuit comparator reads
+// the contiguous register file, so the comparator check is a batched walk
+// across input ports rather than a per-object pointer chase.
 func (r *Router) classify(now sim.Cycle) {
 	r.reqs = r.reqs[:0]
 	pseudo := r.cfg.Opts.Pseudo
@@ -735,7 +623,7 @@ func (r *Router) classify(now sim.Cycle) {
 		for m := r.act[i] & r.occ[i]; m != 0; m &= m - 1 {
 			vc := bits.TrailingZeros64(m)
 			l := i*r.V + vc
-			if r.headAt[l] >= int64(now) {
+			if r.at[l*r.D] >= int64(now) {
 				continue // still in BW this cycle
 			}
 			out := r.outPort[l]
@@ -759,7 +647,7 @@ func (r *Router) classify(now sim.Cycle) {
 			// rides it instead of re-arbitrating, even if the crossbar port
 			// is occupied this cycle (back-to-back streaming: it traverses
 			// next cycle, still without SA).
-			if pseudo && r.pcCand[i] < 0 && r.pcMatch(i, vc, out) {
+			if pseudo && r.pcCand[i] < 0 && r.pc.Match(i, vc, out) {
 				r.pcCand[i] = vc
 				continue
 			}
@@ -768,10 +656,10 @@ func (r *Router) classify(now sim.Cycle) {
 	}
 }
 
-// pcTraversals performs PC-compare + ST for pseudo-circuit candidates
+// rideCircuits performs PC-compare + ST for pseudo-circuit candidates
 // (phase 3b). With the paper's starvation-free policy a candidate defers to
 // any SA request claiming either of its ports.
-func (r *Router) pcTraversals(now sim.Cycle) {
+func (r *Router) rideCircuits(now sim.Cycle) {
 	for i := 0; i < r.nIn; i++ {
 		v := r.pcCand[i]
 		if v < 0 {
@@ -858,11 +746,7 @@ func (r *Router) grant(now sim.Cycle, q saRequest) {
 		r.rs.SAGrants++
 	}
 	if r.tr != nil {
-		r.tr.Record(obs.Event{
-			Cycle: int64(now), Kind: obs.SAGrant, Packet: f.Packet.ID, Seq: int32(f.Seq),
-			Src: int32(f.Packet.Src), Dst: int32(f.Packet.Dst),
-			Loc: int32(r.ID), In: int32(q.in), VC: int32(q.vc), Out: int32(q.out),
-		})
+		r.trace(now, obs.SAGrant, f, q.in, q.vc, q.out)
 	}
 	r.nextRes = append(r.nextRes, reservation{in: q.in, vc: q.vc, out: q.out, f: f})
 	if r.rrVC[q.in] = q.vc + 1; r.rrVC[q.in] == r.V {
@@ -875,20 +759,22 @@ func (r *Router) grant(now sim.Cycle, q saRequest) {
 		// The new connection claims its ports: terminate conflicting
 		// pseudo-circuits (§3.C condition 1) — the granted input's own
 		// circuit and the circuit of whichever input holds the output.
-		if r.pcValid[q.in] {
-			r.pcTerminate(q.in)
-			r.cfg.Stats.PCTerminated++
-			if r.rs != nil {
-				r.rs.PCTerminated++
-			}
+		if r.pc.Valid[q.in] {
+			r.pc.Terminate(q.in)
+			r.countTermination()
 		}
-		if j := r.pcByOut[q.out]; j >= 0 {
-			r.pcTerminate(j)
-			r.cfg.Stats.PCTerminated++
-			if r.rs != nil {
-				r.rs.PCTerminated++
-			}
+		if j := r.pc.ByOut[q.out]; j >= 0 {
+			r.pc.Terminate(j)
+			r.countTermination()
 		}
+	}
+}
+
+// countTermination accounts one terminated pseudo-circuit.
+func (r *Router) countTermination() {
+	r.cfg.Stats.PCTerminated++
+	if r.rs != nil {
+		r.rs.PCTerminated++
 	}
 }
 
@@ -904,26 +790,22 @@ func rrDist(x, ptr, n int) int {
 
 // maintainPseudoCircuits terminates circuits whose output ran out of credit
 // (§3.C condition 2) and speculatively revives circuits on idle outputs
-// (§4.A) — phase 5. The PCByOut reverse index makes the former O(ports²)
-// output-has-circuit scan a single lookup.
+// (§4.A) — phase 5.
 func (r *Router) maintainPseudoCircuits() {
 	if !r.cfg.Opts.Pseudo {
 		return
 	}
 	if r.cfg.Opts.TerminateOnZeroCredit {
-		for m := r.pcMask; m != 0; m &= m - 1 {
+		for m := r.pc.ValidMask; m != 0; m &= m - 1 {
 			i := bits.TrailingZeros64(m)
 			// §3.C condition 2: "congestion at the downstream router on the
 			// output port" — a port-level condition (no credit left in any
 			// VC); transient per-VC exhaustion inside a streaming packet does
 			// not terminate the circuit, because per-flit safety is already
 			// enforced by the credit check every traversal performs.
-			if !r.anyCredit(r.pcOut[i]) {
-				r.pcTerminate(i)
-				r.cfg.Stats.PCTerminated++
-				if r.rs != nil {
-					r.rs.PCTerminated++
-				}
+			if !r.anyCredit(r.pc.Out[i]) {
+				r.pc.Terminate(i)
+				r.countTermination()
 				r.worked = true
 			}
 		}
@@ -938,7 +820,7 @@ func (r *Router) maintainPseudoCircuits() {
 	for _, res := range r.nextRes {
 		resMask |= 1 << uint(res.out)
 	}
-	for om := r.histMask &^ r.heldMask &^ resMask; om != 0; om &= om - 1 {
+	for om := r.pc.HistMask &^ r.pc.HeldMask &^ resMask; om != 0; om &= om - 1 {
 		o := bits.TrailingZeros64(om)
 		if r.linkDead(o) {
 			continue // never speculate a circuit across a dead link
@@ -946,15 +828,9 @@ func (r *Router) maintainPseudoCircuits() {
 		if !r.anyCredit(o) && !r.cfg.Opts.SpeculateToCongested {
 			continue
 		}
-		in := r.histIn[o]
-		if r.pcValid[in] {
+		if !r.pc.ConnectSpeculative(o) {
 			continue
 		}
-		vc, ok := r.hist[in].Lookup(o)
-		if !ok {
-			continue
-		}
-		r.pcSetSpeculative(in, vc, o)
 		r.cfg.Stats.PCSpeculated++
 		if r.rs != nil {
 			r.rs.PCSpeculated++
@@ -985,11 +861,7 @@ func (r *Router) processArrivals(now sim.Cycle) {
 			}
 		}
 		if r.tr != nil {
-			r.tr.Record(obs.Event{
-				Cycle: int64(now), Kind: obs.BufWrite, Packet: f.Packet.ID, Seq: int32(f.Seq),
-				Src: int32(f.Packet.Src), Dst: int32(f.Packet.Dst),
-				Loc: int32(r.ID), In: int32(i), VC: int32(f.VC), Out: int32(f.NextOut),
-			})
+			r.trace(now, obs.BufWrite, f, i, f.VC, f.NextOut)
 		}
 	}
 	r.arrMask = 0
@@ -1012,7 +884,7 @@ func (r *Router) tryBypass(now sim.Cycle, i int, f *flit.Flit) bool {
 		if r.linkDead(f.NextOut) {
 			return false // dead onward link: buffer, then re-route at admission
 		}
-		if !r.pcMatch(i, f.VC, f.NextOut) || (r.busyOut>>uint(f.NextOut))&1 != 0 {
+		if !r.pc.Match(i, f.VC, f.NextOut) || (r.busyOut>>uint(f.NextOut))&1 != 0 {
 			return false
 		}
 		// VA in parallel with the bypass (§4.B: "VA is performed only for
@@ -1029,7 +901,7 @@ func (r *Router) tryBypass(now sim.Cycle, i int, f *flit.Flit) bool {
 		if r.linkDead(r.outPort[l]) {
 			return false
 		}
-		if !r.pcMatch(i, f.VC, r.outPort[l]) || (r.busyOut>>uint(r.outPort[l]))&1 != 0 {
+		if !r.pc.Match(i, f.VC, r.outPort[l]) || (r.busyOut>>uint(r.outPort[l]))&1 != 0 {
 			return false
 		}
 	}
@@ -1072,7 +944,7 @@ func (r *Router) traverse(now sim.Cycle, in, vc, out int, f *flit.Flit, viaPC, b
 	r.cfg.Energy.AddTraversal()
 	if viaPC {
 		st.PCReused++
-		if r.pcSpec[in] {
+		if r.pc.Spec[in] {
 			st.SpecReused++
 		}
 		if f.Kind.IsHead() {
@@ -1096,7 +968,7 @@ func (r *Router) traverse(now sim.Cycle, in, vc, out int, f *flit.Flit, viaPC, b
 		if viaPC {
 			rs.PCReused++
 			ps.PCReused++
-			if r.pcSpec[in] {
+			if r.pc.Spec[in] {
 				rs.SpecReused++
 			}
 			if f.Kind.IsHead() {
@@ -1116,34 +988,22 @@ func (r *Router) traverse(now sim.Cycle, in, vc, out int, f *flit.Flit, viaPC, b
 		if bypass {
 			kind = obs.Bypass
 		}
-		r.tr.Record(obs.Event{
-			Cycle: int64(now), Kind: kind, Packet: f.Packet.ID, Seq: int32(f.Seq),
-			Src: int32(f.Packet.Src), Dst: int32(f.Packet.Dst),
-			Loc: int32(r.ID), In: int32(in), VC: int32(vc), Out: int32(out),
-		})
+		r.trace(now, kind, f, in, vc, out)
 	}
 
 	// Pseudo-circuit refresh: every traversal (re)writes the register
 	// (§3.B) and claims the output, terminating any other circuit on it.
 	if r.cfg.Opts.Pseudo {
-		if !r.pcMatch(in, vc, out) {
+		created, displaced := r.pc.Connect(in, vc, out)
+		if created {
 			st.PCCreated++
 			if r.rs != nil {
 				r.rs.PCCreated++
 			}
 		}
-		if j := r.pcByOut[out]; j >= 0 && j != in {
-			r.pcTerminate(j)
-			st.PCTerminated++
-			if r.rs != nil {
-				r.rs.PCTerminated++
-			}
+		if displaced {
+			r.countTermination()
 		}
-		r.pcSet(in, vc, out)
-		r.hist[in].Record(vc, out)
-		r.histIn[out] = in
-		r.histValid[out] = true
-		r.histMask |= 1 << uint(out)
 	}
 
 	// Flow control and lookahead state for the next hop.
@@ -1152,9 +1012,7 @@ func (r *Router) traverse(now sim.Cycle, in, vc, out int, f *flit.Flit, viaPC, b
 	if !r.ejection[out] {
 		m := out*r.V + ov
 		r.credits[m]--
-		if r.credits[m] == 0 {
-			r.outCred[out]--
-		} else if r.credits[m] < 0 {
+		if r.credits[m] < 0 {
 			panic(fmt.Sprintf("router %d: negative credit on out %d vc %d", r.ID, out, ov))
 		}
 	}
@@ -1215,9 +1073,8 @@ type FaultContext struct {
 // scratch state is idle.
 func (r *Router) FaultScan(fc *FaultContext) {
 	for i := 0; i < r.nIn; i++ {
-		if r.pcValid[i] && (fc.RouterDead || fc.LinkDead(r.pcOut[i])) {
-			r.hist[i].Drop(r.pcOut[i])
-			r.pcClear(i)
+		if r.pc.Valid[i] && (fc.RouterDead || fc.LinkDead(r.pc.Out[i])) {
+			r.pc.Clear(i)
 			fc.PCTerm()
 		}
 		for vc := 0; vc < r.V; vc++ {
@@ -1316,26 +1173,17 @@ func (r *Router) FaultPurge(p *flit.Packet, drop func(f *flit.Flit)) {
 // Quiescent reports whether the router holds no flits and no pending grants
 // (used for drain-based termination and invariant tests).
 func (r *Router) Quiescent() bool {
-	if len(r.res) != 0 {
-		return false
-	}
-	for i := 0; i < r.nIn; i++ {
-		if r.arrival[i] != nil || r.occ[i]|r.act[i] != 0 {
-			return false
-		}
-	}
-	return true
+	return r.arrMask == 0 && !r.holdsFlits()
 }
 
 // CheckInvariants panics if internal invariants are violated; tests call it
 // every cycle. Beyond the paper's structural invariants it verifies every
-// derived structure the SoA layout introduced — the occupancy masks and the
-// PCByOut reverse index — against the ground-truth arrays, and the two rules
+// derived structure the SoA layout introduced — the occupancy and VA masks
+// here, the register file's through its own check — and the two rules
 // a policy's VA pick and phase-0 latch must keep: a non-ejection output VC is
 // busy exactly when one active lane owns it, and no flit is buffered with
 // express hops still ahead of it.
 func (r *Router) CheckInvariants() {
-	var pcMask uint64
 	owners := make([]int, r.nOut*r.V)
 	for i := 0; i < r.nIn; i++ {
 		var occ, act, va uint64
@@ -1351,9 +1199,6 @@ func (r *Router) CheckInvariants() {
 			}
 			if r.bufLen[l] > 0 {
 				occ |= 1 << uint(vc)
-				if r.headAt[l] != r.at[l*r.D] || r.headHead[l] != r.buf[l*r.D].Kind.IsHead() {
-					panic(fmt.Sprintf("router %d: head cache desynced at in %d vc %d", r.ID, i, vc))
-				}
 			}
 			if r.activeL[l] {
 				act |= 1 << uint(vc)
@@ -1371,34 +1216,11 @@ func (r *Router) CheckInvariants() {
 		if va != r.va[i] {
 			panic(fmt.Sprintf("router %d: VA mask desynced at in %d (%b, lanes say %b)", r.ID, i, r.va[i], va))
 		}
-		if r.pcValid[i] {
-			pcMask |= 1 << uint(i)
-		}
 	}
-	if pcMask != r.pcMask {
-		panic(fmt.Sprintf("router %d: pcMask desynced (%b, registers say %b)", r.ID, r.pcMask, pcMask))
+	if err := r.pc.Check(); err != nil {
+		panic(fmt.Sprintf("router %d: %v", r.ID, err))
 	}
-	var heldMask uint64
 	for o := 0; o < r.nOut; o++ {
-		holder := -1
-		for i := 0; i < r.nIn; i++ {
-			if r.pcValid[i] && r.pcOut[i] == o {
-				if holder >= 0 {
-					panic(fmt.Sprintf("router %d: inputs %d and %d both hold a pseudo-circuit to output %d", r.ID, holder, i, o))
-				}
-				holder = i
-			}
-		}
-		if holder != r.pcByOut[o] {
-			panic(fmt.Sprintf("router %d: PCByOut[%d] = %d, register file says %d", r.ID, o, r.pcByOut[o], holder))
-		}
-		if holder >= 0 {
-			heldMask |= 1 << uint(o)
-		}
-		if r.histValid[o] && r.histMask&(1<<uint(o)) == 0 {
-			panic(fmt.Sprintf("router %d: histMask missing output %d", r.ID, o))
-		}
-		cred := 0
 		for vc := 0; vc < r.V; vc++ {
 			c := r.credits[o*r.V+vc]
 			if !r.ejection[o] && (c < 0 || c > r.D) {
@@ -1407,23 +1229,14 @@ func (r *Router) CheckInvariants() {
 			if n := owners[o*r.V+vc]; n > 1 || r.vcBusy[o*r.V+vc] != (n == 1) {
 				panic(fmt.Sprintf("router %d: out %d vc %d busy=%v with %d owning lanes", r.ID, o, vc, r.vcBusy[o*r.V+vc], n))
 			}
-			if c > 0 {
-				cred++
-			}
 		}
-		if cred != r.outCred[o] {
-			panic(fmt.Sprintf("router %d: outCred[%d] = %d, credits say %d", r.ID, o, r.outCred[o], cred))
-		}
-	}
-	if heldMask != r.heldMask {
-		panic(fmt.Sprintf("router %d: heldMask desynced (%b, PCByOut says %b)", r.ID, r.heldMask, heldMask))
 	}
 }
 
 // PCValid reports whether input port in currently holds a valid
 // pseudo-circuit, and to which output (testing hook).
 func (r *Router) PCValid(in int) (out int, valid bool) {
-	return r.pcOut[in], r.pcValid[in]
+	return r.pc.Out[in], r.pc.Valid[in]
 }
 
 // BufferedFlits returns the number of flits buffered across all VCs of input

@@ -32,7 +32,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"pseudocircuit/internal/store"
@@ -220,18 +219,6 @@ type Manager struct {
 	inflight   map[string]*job // by key: queued or running, singleflight
 	cache      map[string]noc.Result
 	cacheOrder []string
-
-	submitted   atomic.Int64 // accepted submissions (incl. cache/dedup hits)
-	enqueued    atomic.Int64 // submissions that became new queued jobs
-	cacheHits   atomic.Int64
-	storeHits   atomic.Int64 // cache hits served from the disk store
-	storeMisses atomic.Int64 // disk lookups that found no intact entry
-	dedupHits   atomic.Int64
-	rejected    atomic.Int64 // queue-full rejections
-	completed   atomic.Int64
-	failed      atomic.Int64
-	canceled    atomic.Int64
-	running     atomic.Int64 // gauge
 }
 
 // New starts a manager and its workers.
@@ -273,16 +260,12 @@ func (m *Manager) Submit(r Request) (Job, error) {
 		j.cyclesDone = j.total
 		j.result = &res
 		close(j.done)
-		m.submitted.Add(1)
-		m.cacheHits.Add(1)
 		m.ins.submissions.Inc()
 		m.ins.cacheHits.Inc()
 		m.ins.instant("cache-hit", j, "hit", now)
 		return j.snapshot(), nil
 	}
 	if j, ok := m.inflight[key]; ok {
-		m.submitted.Add(1)
-		m.dedupHits.Add(1)
 		m.ins.submissions.Inc()
 		m.ins.coalesced.Inc()
 		m.ins.instant("cache-lookup", j, "coalesced", now)
@@ -303,16 +286,12 @@ func (m *Manager) Submit(r Request) (Job, error) {
 			j.cyclesDone = j.total
 			j.result = &res
 			close(j.done)
-			m.submitted.Add(1)
-			m.cacheHits.Add(1)
-			m.storeHits.Add(1)
 			m.ins.submissions.Inc()
 			m.ins.cacheHits.Inc()
 			m.ins.storeHits.Inc()
 			m.ins.instant("store-hit", j, "hit", now)
 			return j.snapshot(), nil
 		}
-		m.storeMisses.Add(1)
 		m.ins.storeMisses.Inc()
 	}
 	j := m.newJobLocked(canon, key, exp)
@@ -325,13 +304,10 @@ func (m *Manager) Submit(r Request) (Job, error) {
 		delete(m.jobs, j.id)
 		m.jobOrder = m.jobOrder[:len(m.jobOrder)-1]
 		j.cancel()
-		m.rejected.Add(1)
 		m.ins.rejected.Inc()
 		return Job{}, ErrQueueFull
 	}
 	m.inflight[key] = j
-	m.submitted.Add(1)
-	m.enqueued.Add(1)
 	m.ins.submissions.Inc()
 	m.ins.cacheMisses.Inc()
 	m.ins.queued.Add(1)
@@ -402,11 +378,9 @@ func (m *Manager) runJob(j *job, pool *noc.Pool) {
 	m.ins.queued.Add(-1)
 	m.ins.queueWait.Observe(started.Sub(j.enqueuedAt).Seconds())
 	m.ins.span("queue-wait", j, "dequeued", j.enqueuedAt, started)
-	m.running.Add(1)
 	m.ins.running.Add(1)
 	res, err := m.simulate(j, pool)
 	finished := time.Now()
-	m.running.Add(-1)
 	m.ins.running.Add(-1)
 
 	m.mu.Lock()
@@ -435,15 +409,12 @@ func (m *Manager) runJob(j *job, pool *noc.Pool) {
 		j.state = StateDone
 		j.cyclesDone = j.total
 		j.result = &res
-		m.completed.Add(1)
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		j.state = StateCanceled
 		j.err = err.Error()
-		m.canceled.Add(1)
 	default:
 		j.state = StateFailed
 		j.err = err.Error()
-		m.failed.Add(1)
 	}
 	outcome := string(j.state)
 	cyclesDone := j.cyclesDone
@@ -539,6 +510,17 @@ func (m *Manager) Jobs() []Job {
 	return out
 }
 
+// Done exposes the job's completion channel (closed at terminal state).
+func (m *Manager) Done(id string) (<-chan struct{}, bool) {
+	m.mu.Lock()
+	j, ok := m.jobs[id]
+	m.mu.Unlock()
+	if !ok {
+		return nil, false
+	}
+	return j.done, true
+}
+
 // Wait blocks until the job reaches a terminal state or the context ends;
 // either way it returns the latest snapshot.
 func (m *Manager) Wait(ctx context.Context, id string) (Job, error) {
@@ -612,29 +594,33 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 	}
 }
 
-// Stats returns the service counters in one map, ready for expvar.
+// Stats reads the service counters and live gauges into one map, by the
+// short names the tests use; /metrics is the published surface.
 func (m *Manager) Stats() map[string]int64 {
+	count := func(c *telemetry.Counter) int64 {
+		if c == nil { // store counters exist only with a store
+			return 0
+		}
+		return int64(c.Value())
+	}
 	m.mu.Lock()
-	queueLen := int64(len(m.queue))
-	cacheSize := int64(len(m.cache))
-	inflight := int64(len(m.inflight))
-	jobs := int64(len(m.jobs))
-	m.mu.Unlock()
+	defer m.mu.Unlock()
+	ins := m.ins
 	return map[string]int64{
-		"submitted":    m.submitted.Load(),
-		"enqueued":     m.enqueued.Load(),
-		"cache_hits":   m.cacheHits.Load(),
-		"store_hits":   m.storeHits.Load(),
-		"store_misses": m.storeMisses.Load(),
-		"dedup_hits":   m.dedupHits.Load(),
-		"rejected":     m.rejected.Load(),
-		"completed":    m.completed.Load(),
-		"failed":       m.failed.Load(),
-		"canceled":     m.canceled.Load(),
-		"running":      m.running.Load(),
-		"queue_len":    queueLen,
-		"cache_size":   cacheSize,
-		"inflight":     inflight,
-		"jobs":         jobs,
+		"submitted":    count(ins.submissions),
+		"enqueued":     count(ins.cacheMisses),
+		"cache_hits":   count(ins.cacheHits),
+		"store_hits":   count(ins.storeHits),
+		"store_misses": count(ins.storeMisses),
+		"dedup_hits":   count(ins.coalesced),
+		"rejected":     count(ins.rejected),
+		"completed":    count(ins.outcomes.With(string(StateDone))),
+		"failed":       count(ins.outcomes.With(string(StateFailed))),
+		"canceled":     count(ins.outcomes.With(string(StateCanceled))),
+		"running":      int64(ins.running.Value()),
+		"queue_len":    int64(len(m.queue)),
+		"cache_size":   int64(len(m.cache)),
+		"inflight":     int64(len(m.inflight)),
+		"jobs":         int64(len(m.jobs)),
 	}
 }
