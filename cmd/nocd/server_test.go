@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"pseudocircuit/internal/service"
+	"pseudocircuit/internal/store"
 	"pseudocircuit/noc"
 	"pseudocircuit/nocdclient"
 )
@@ -86,6 +87,46 @@ func TestDaemonEndToEnd(t *testing.T) {
 	}
 	if s := m.Stats(); s["completed"] != 1 || s["cache_hits"] != 1 {
 		t.Fatalf("stats after cache hit: %v", s)
+	}
+}
+
+// TestClientSeesStoreHit: a Go client can tell a job served from the disk
+// store from one served from memory, as a sweep point's consumer already can.
+func TestClientSeesStoreHit(t *testing.T) {
+	dir := t.TempDir()
+	daemon := func() *nocdclient.Client {
+		st, err := store.Open(dir, 1<<30)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, c := testServer(t, service.Config{Workers: 1, Store: st})
+		return c
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+
+	cold, err := daemon().SubmitWait(ctx, smallReq(1))
+	if err != nil {
+		t.Fatalf("cold submit: %v", err)
+	}
+	if cold.State != "done" || cold.CacheHit || cold.StoreHit {
+		t.Fatalf("cold run: %+v", cold)
+	}
+	// A second daemon on the same directory has the result on disk only.
+	c := daemon()
+	disk, err := c.SubmitWait(ctx, smallReq(1))
+	if err != nil {
+		t.Fatalf("disk submit: %v", err)
+	}
+	if !disk.CacheHit || !disk.StoreHit || *disk.Result != *cold.Result {
+		t.Fatalf("disk hit: cacheHit=%v storeHit=%v", disk.CacheHit, disk.StoreHit)
+	}
+	mem, err := c.SubmitWait(ctx, smallReq(1))
+	if err != nil {
+		t.Fatalf("memory submit: %v", err)
+	}
+	if !mem.CacheHit || mem.StoreHit {
+		t.Fatalf("memory hit: cacheHit=%v storeHit=%v", mem.CacheHit, mem.StoreHit)
 	}
 }
 

@@ -13,7 +13,6 @@ package main
 
 import (
 	"encoding/json"
-	"expvar"
 	"flag"
 	"fmt"
 	"io"
@@ -21,18 +20,15 @@ import (
 	_ "net/http/pprof"
 	"os"
 	"strings"
-	"sync"
 
 	"pseudocircuit/internal/obs"
-	"pseudocircuit/internal/routing"
-	"pseudocircuit/internal/vcalloc"
 	"pseudocircuit/internal/version"
 	"pseudocircuit/noc"
 )
 
 func main() {
 	var (
-		topoFlag  = flag.String("topo", "cmesh4x4x4", "topology: mesh8x8, cmesh4x4x4, mecs4x4x4, fbfly4x4x4, or mesh<K>x<K>")
+		topoFlag  = flag.String("topo", "cmesh4x4x4", "topology, any name noc.ParseTopology accepts: mesh<KX>x<KY> or {cmesh,mecs,fbfly}<KX>x<KY>x<C> (mesh8x8, cmesh4x4x4, cmesh8x8x2, ...)")
 		scheme    = flag.String("scheme", "pseudo+s+b", "scheme: baseline, pseudo, pseudo+s, pseudo+b, pseudo+s+b")
 		algo      = flag.String("routing", "xy", "routing algorithm: xy, yx, o1turn")
 		policy    = flag.String("va", "static", "VC allocation: static, dynamic")
@@ -46,7 +42,7 @@ func main() {
 		useEVC    = flag.Bool("evc", false, "use the Express-Virtual-Channel comparison router (scheme must be baseline)")
 		faults    = flag.String("faults", "", `fault schedule as inline JSON or @file, e.g. '{"events":[{"cycle":2000,"kind":"link-down","router":5},{"cycle":4000,"kind":"link-up","router":5}]}' (overrides the config file's schedule)`)
 		churn     = flag.String("churn", "", `stochastic fault churn as inline JSON or @file, e.g. '{"seed":7,"linkFail":1e-5,"linkRepair":0.002}' (mutually exclusive with -faults)`)
-		reliable  = flag.String("reliable", "", `end-to-end reliable delivery: "default" or inline JSON like '{"timeout":256,"maxTimeout":2048,"budget":8}'`)
+		reliable  = flag.String("reliable", "", `end-to-end reliable delivery: "default", or inline JSON or @file like '{"timeout":256,"maxTimeout":2048,"budget":8}'`)
 		config    = flag.String("config", "", "JSON experiment spec file (overrides the individual flags)")
 		jsonOut   = flag.Bool("json", false, "emit the result as JSON")
 		links     = flag.Int("links", 0, "also print the N most-loaded channels")
@@ -54,9 +50,9 @@ func main() {
 		traceOut   = flag.String("trace", "", "write a Chrome trace_event file of flit lifecycle events (load via chrome://tracing or Perfetto)")
 		eventsOut  = flag.String("trace-jsonl", "", "write flit lifecycle events as JSONL")
 		metricsOut = flag.String("metrics-out", "", "write per-router counters, windowed time series, and global totals as JSONL")
-		window     = flag.Int("window", 1000, "time-series window length in cycles (with -metrics-out or -pprof)")
+		window     = flag.Int("window", 1000, "time-series window length in cycles (with -metrics-out)")
 		traceCap   = flag.Int("trace-cap", 0, "max retained trace events, oldest dropped first (0 = default)")
-		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof and expvar run counters on this address (e.g. localhost:6060)")
+		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 
 		valMetrics = flag.String("validate-metrics", "", "validate a metrics JSONL file against the export schema and exit")
 		valEvents  = flag.String("validate-events", "", "validate an event JSONL file against the export schema and exit")
@@ -75,88 +71,44 @@ func main() {
 		validateAndExit(*valMetrics, *valEvents, *valTrace)
 	}
 
-	var exp noc.Experiment
+	var spec noc.Spec
 	if *config != "" {
-		data, err := os.ReadFile(*config)
-		if err != nil {
-			fatal("reading config: %v", err)
-		}
-		var spec noc.Spec
-		if err := json.Unmarshal(data, &spec); err != nil {
-			fatal("parsing config: %v", err)
-		}
-		if exp, err = spec.Experiment(); err != nil {
-			fatal("%v", err)
-		}
+		decodeArg("config", "@"+*config, &spec)
 	} else {
-		exp = noc.Experiment{
-			Topology: parseTopo(*topoFlag),
-			Scheme:   parseScheme(*scheme),
-			Routing:  parseRouting(*algo),
-			Policy:   parsePolicy(*policy),
+		spec = noc.Spec{
+			Topology: *topoFlag,
+			Scheme:   *scheme,
+			Routing:  *algo,
+			VA:       *policy,
 			Warmup:   *warmup,
 			Measure:  *measure,
 			Seed:     *seed,
 			UseEVC:   *useEVC,
 		}
 	}
-
 	if *workers > 0 {
-		exp.Workers = *workers
+		spec.Workers = *workers
 	}
-
 	if *faults != "" {
-		data := []byte(*faults)
-		if strings.HasPrefix(*faults, "@") {
-			var err error
-			if data, err = os.ReadFile((*faults)[1:]); err != nil {
-				fatal("reading fault schedule: %v", err)
-			}
-		}
-		var fs noc.FaultSpec
-		if err := json.Unmarshal(data, &fs); err != nil {
-			fatal("parsing fault schedule: %v", err)
-		}
-		sched, err := fs.Schedule(exp)
-		if err != nil {
-			fatal("%v", err)
-		}
-		exp.Faults = sched
+		spec.Faults = new(noc.FaultSpec)
+		decodeArg("fault schedule", *faults, spec.Faults)
 	}
-
 	if *churn != "" {
-		data := []byte(*churn)
-		if strings.HasPrefix(*churn, "@") {
-			var err error
-			if data, err = os.ReadFile((*churn)[1:]); err != nil {
-				fatal("reading churn spec: %v", err)
-			}
-		}
-		var cs noc.ChurnSpec
-		if err := json.Unmarshal(data, &cs); err != nil {
-			fatal("parsing churn spec: %v", err)
-		}
-		c, err := cs.Churn(exp)
-		if err != nil {
-			fatal("%v", err)
-		}
-		if exp.Faults != nil {
-			fatal("-faults and -churn are mutually exclusive")
-		}
-		exp.Churn = c
+		spec.Churn = new(noc.ChurnSpec)
+		decodeArg("churn spec", *churn, spec.Churn)
 	}
-
 	if *reliable != "" {
-		var rs noc.ReliableSpec
+		spec.Reliable = new(noc.ReliableSpec)
 		if *reliable != "default" {
-			if err := json.Unmarshal([]byte(*reliable), &rs); err != nil {
-				fatal("parsing reliable spec: %v", err)
-			}
+			decodeArg("reliable spec", *reliable, spec.Reliable)
 		}
-		exp.Reliable = &noc.Reliability{Timeout: rs.Timeout, MaxTimeout: rs.MaxTimeout, Budget: rs.Budget}
+	}
+	exp, err := spec.Experiment()
+	if err != nil {
+		fatal("%v", err)
 	}
 
-	if *metricsOut != "" || *pprofAddr != "" {
+	if *metricsOut != "" {
 		exp.Observe.PerRouter = true
 		exp.Observe.Window = *window
 	}
@@ -165,28 +117,24 @@ func main() {
 		exp.Observe.TraceCap = *traceCap
 	}
 
-	var w noc.Workload
+	ws := noc.WorkloadSpec{Pattern: *pattern, Rate: *rate}
 	if *benchmark != "" {
-		var err error
-		w, err = exp.CMPWorkload(*benchmark)
-		if err != nil {
-			fatal(err.Error())
-		}
-	} else {
-		w = exp.SyntheticWorkload(noc.Synthetic{Pattern: parsePattern(*pattern), Rate: *rate})
+		ws = noc.WorkloadSpec{Kind: "cmp", Benchmark: *benchmark}
+	}
+	w, err := ws.Workload(exp)
+	if err != nil {
+		fatal("%v", err)
 	}
 	n := exp.Build()
 
-	var res noc.Result
 	if *pprofAddr != "" {
-		stop := serveDebug(*pprofAddr, n)
-		// Chunk the run so the published expvar snapshot stays fresh; the
-		// callback runs between chunks, never concurrently with Step.
-		res = exp.RunOnObserved(n, w, 1000, stop.update)
-		stop.update(n)
-	} else {
-		res = exp.RunOn(n, w)
+		go func() {
+			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
+				fmt.Fprintf(os.Stderr, "nocsim: pprof server: %v\n", err)
+			}
+		}()
 	}
+	res := exp.RunOn(n, w)
 
 	if *metricsOut != "" {
 		writeFile(*metricsOut, func(w io.Writer) error { return noc.WriteMetricsJSONL(w, n) })
@@ -249,79 +197,17 @@ func main() {
 	}
 }
 
-func parseTopo(s string) noc.Topology {
-	switch s {
-	case "cmesh4x4x4":
-		return noc.CMesh(4, 4, 4)
-	case "mecs4x4x4":
-		return noc.MECS(4, 4, 4)
-	case "fbfly4x4x4":
-		return noc.FBFly(4, 4, 4)
-	default:
-		var kx, ky int
-		if n, err := fmt.Sscanf(s, "mesh%dx%d", &kx, &ky); n == 2 && err == nil {
-			return noc.Mesh(kx, ky)
+// decodeArg decodes a flag's JSON value, given inline or as @file, into v.
+func decodeArg(what, arg string, v any) {
+	data := []byte(arg)
+	if strings.HasPrefix(arg, "@") {
+		var err error
+		if data, err = os.ReadFile(arg[1:]); err != nil {
+			fatal("reading %s: %v", what, err)
 		}
-		fatal("unknown topology %q", s)
-		return nil
 	}
-}
-
-func parseScheme(s string) noc.Scheme {
-	switch strings.ToLower(s) {
-	case "baseline":
-		return noc.Baseline
-	case "pseudo":
-		return noc.Pseudo
-	case "pseudo+s":
-		return noc.PseudoS
-	case "pseudo+b":
-		return noc.PseudoB
-	case "pseudo+s+b":
-		return noc.PseudoSB
-	default:
-		fatal("unknown scheme %q", s)
-		return noc.Baseline
-	}
-}
-
-func parseRouting(s string) noc.Algorithm {
-	switch strings.ToLower(s) {
-	case "xy":
-		return routing.XY
-	case "yx":
-		return routing.YX
-	case "o1turn":
-		return routing.O1TURN
-	default:
-		fatal("unknown routing algorithm %q", s)
-		return routing.XY
-	}
-}
-
-func parsePolicy(s string) noc.Policy {
-	switch strings.ToLower(s) {
-	case "static":
-		return vcalloc.Static
-	case "dynamic":
-		return vcalloc.Dynamic
-	default:
-		fatal("unknown VA policy %q", s)
-		return vcalloc.Dynamic
-	}
-}
-
-func parsePattern(s string) noc.Pattern {
-	switch strings.ToLower(s) {
-	case "uniform", "ur":
-		return noc.UniformRandom
-	case "bitcomp", "bc":
-		return noc.BitComplement
-	case "transpose", "bp":
-		return noc.BitPermutation
-	default:
-		fatal("unknown traffic pattern %q", s)
-		return noc.UniformRandom
+	if err := json.Unmarshal(data, v); err != nil {
+		fatal("parsing %s: %v", what, err)
 	}
 }
 
@@ -362,53 +248,6 @@ func writeFile(path string, write func(w io.Writer) error) {
 	if err := f.Close(); err != nil {
 		fatal("writing %s: %v", path, err)
 	}
-}
-
-// debugServer publishes a snapshot of the run's counters under the "nocsim"
-// expvar (alongside the stock expvar/pprof handlers). The snapshot is
-// refreshed between simulation chunks so HTTP reads never race the
-// simulation.
-type debugServer struct {
-	mu   sync.Mutex
-	snap map[string]any
-}
-
-func serveDebug(addr string, n *noc.Network) *debugServer {
-	d := &debugServer{}
-	d.update(n)
-	expvar.Publish("nocsim", expvar.Func(func() any {
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		return d.snap
-	}))
-	go func() {
-		if err := http.ListenAndServe(addr, nil); err != nil {
-			fmt.Fprintf(os.Stderr, "nocsim: debug server: %v\n", err)
-		}
-	}()
-	return d
-}
-
-func (d *debugServer) update(n *noc.Network) {
-	st := n.Stats
-	snap := map[string]any{
-		"measured_from":     int64(st.MeasuredFrom),
-		"measured_to":       int64(st.MeasuredTo),
-		"packets_injected":  st.PacketsInjected,
-		"packets_delivered": st.PacketsDelivered,
-		"flits_delivered":   st.FlitsDelivered,
-		"avg_latency":       st.AvgLatency(),
-		"pc_reused":         st.PCReused,
-		"traversals":        st.Traversals,
-		"bypassed":          st.Bypassed,
-	}
-	if tr := n.Tracer(); tr != nil {
-		snap["trace_events"] = tr.Len()
-		snap["trace_dropped"] = tr.Dropped()
-	}
-	d.mu.Lock()
-	d.snap = snap
-	d.mu.Unlock()
 }
 
 func fatal(format string, args ...any) {

@@ -22,6 +22,7 @@ import (
 	"pseudocircuit/internal/topology"
 	"pseudocircuit/internal/trace"
 	"pseudocircuit/internal/vcalloc"
+	"pseudocircuit/noc"
 )
 
 func main() {
@@ -105,7 +106,11 @@ func replayTrace(path, schemeName string, seed uint64) {
 		fatal("trace has %d nodes; replay topology has %d", nodes, topo.Nodes())
 	}
 	cfg := network.DefaultConfig(topo)
-	cfg.Opts = core.DefaultOptions(parseScheme(schemeName))
+	scheme, err := noc.ParseScheme(schemeName)
+	if err != nil {
+		fatal("%v", err)
+	}
+	cfg.Opts = core.DefaultOptions(scheme)
 	cfg.Algorithm = routing.XY
 	cfg.Policy = vcalloc.Static
 	cfg.Seed = seed
@@ -132,28 +137,6 @@ func readAll(path string) ([]trace.Record, int) {
 		fatal("reading records: %v", err)
 	}
 	return recs, tr.Nodes()
-}
-
-func parseScheme(s string) core.Scheme {
-	for _, sc := range core.Schemes {
-		if sc.String() == s {
-			return sc
-		}
-	}
-	switch s {
-	case "baseline":
-		return core.Baseline
-	case "pseudo":
-		return core.Pseudo
-	case "pseudo+s":
-		return core.PseudoS
-	case "pseudo+b":
-		return core.PseudoB
-	case "pseudo+s+b":
-		return core.PseudoSB
-	}
-	fatal("unknown scheme %q", s)
-	return core.Baseline
 }
 
 func fatal(format string, args ...any) {

@@ -147,11 +147,6 @@ type Workload struct {
 	missLatencySum uint64
 	missCompleted  uint64
 	cycles         uint64
-
-	// failures counts delivery failures the reliability layer reported
-	// (abandoned packets, unwound in DeliveryFailed). Zero without
-	// Config.Reliable.
-	failures uint64
 }
 
 // New builds the CMP workload for profile prof on topology t using the
@@ -478,7 +473,6 @@ func (w *Workload) DeliveryFailed(now sim.Cycle, src, dst int, class flit.Class,
 	if !ok {
 		panic("cmp: foreign packet reported failed to CMP workload")
 	}
-	w.failures++
 	switch m.kind {
 	case msgReadReq, msgWriteReq, msgData, msgWriteAck:
 		// The miss can no longer complete: either the request never reached
@@ -515,10 +509,6 @@ func (w *Workload) DeliveryFailed(now sim.Cycle, src, dst int, class flit.Class,
 	}
 }
 
-// DeliveryFailures returns the number of abandoned packets the reliability
-// layer reported (diagnostics; zero when reliable delivery is off).
-func (w *Workload) DeliveryFailures() uint64 { return w.failures }
-
 // Done implements network.Workload: true when a miss cap is set, reached,
 // and all transactions have completed.
 func (w *Workload) Done() bool {
@@ -547,30 +537,6 @@ func (w *Workload) TotalMisses() uint64 { return w.totalMisses }
 // Writebacks returns posted write-back packets scheduled so far
 // (write-back protocol only).
 func (w *Workload) Writebacks() uint64 { return w.writebacks }
-
-// OutstandingMisses returns MSHR entries currently awaiting completion
-// across all cores (diagnostics).
-func (w *Workload) OutstandingMisses() int {
-	n := 0
-	for _, c := range w.cores {
-		n += c.outstanding
-	}
-	return n
-}
-
-// PendingEvents returns scheduled-but-uninjected bank/core events
-// (diagnostics).
-func (w *Workload) PendingEvents() int { return len(w.pending) }
-
-// PendingWriteTxns returns write transactions awaiting invalidation acks
-// (diagnostics).
-func (w *Workload) PendingWriteTxns() int {
-	n := 0
-	for _, b := range w.banks {
-		n += len(b.txns)
-	}
-	return n
-}
 
 // AvgMissLatency returns the mean cycles from miss issue to data/ack
 // arrival — the system-level quantity the network accelerates (paper §8:

@@ -98,7 +98,3 @@ func (pl *Pool) SplitInto(dst []*Flit, p *Packet) []*Flit {
 // FreeFlits reports the number of flits currently parked in the pool
 // (diagnostics and tests).
 func (pl *Pool) FreeFlits() int { return len(pl.flits) }
-
-// FreePackets reports the number of packets currently parked in the pool
-// (diagnostics and tests).
-func (pl *Pool) FreePackets() int { return len(pl.packets) }

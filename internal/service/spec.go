@@ -112,25 +112,11 @@ func materialize(s noc.Spec) (exp noc.Experiment, err error) {
 
 // checkTopologyBounds bounds the grid dimensions before Spec.Experiment
 // constructs the topology, which allocates proportionally to the node
-// count; it mirrors noc.ParseTopology's name grammar.
+// count.
 func checkTopologyBounds(topo string) error {
-	var kx, ky, c int
-	switch {
-	case strings.HasPrefix(topo, "mesh"):
-		c = 1
-		if n, err := fmt.Sscanf(topo, "mesh%dx%d", &kx, &ky); n != 2 || err != nil {
-			return fmt.Errorf("unknown topology %q", topo)
-		}
-	case strings.HasPrefix(topo, "cmesh"), strings.HasPrefix(topo, "mecs"), strings.HasPrefix(topo, "fbfly"):
-		i := strings.IndexAny(topo, "0123456789-")
-		if i < 0 {
-			return fmt.Errorf("unknown topology %q", topo)
-		}
-		if n, err := fmt.Sscanf(topo, topo[:i]+"%dx%dx%d", &kx, &ky, &c); n != 3 || err != nil {
-			return fmt.Errorf("unknown topology %q", topo)
-		}
-	default:
-		return fmt.Errorf("unknown topology %q", topo)
+	_, kx, ky, c, err := noc.ParseTopologyName(topo)
+	if err != nil {
+		return err
 	}
 	if kx < 1 || ky < 1 || c < 1 || kx > MaxDim || ky > MaxDim || c > MaxDim {
 		return fmt.Errorf("topology %q dimensions outside [1, %d]", topo, MaxDim)

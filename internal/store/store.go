@@ -57,9 +57,8 @@ type Store struct {
 
 	bytes atomic.Int64
 
-	evictions    atomic.Uint64
-	evictedBytes atomic.Uint64
-	corrupt      atomic.Uint64
+	evictions atomic.Uint64
+	corrupt   atomic.Uint64
 }
 
 type entry struct {
@@ -217,7 +216,6 @@ func (s *Store) Put(key string, payload []byte) error {
 	size := int64(len(payload)) + headerLen
 	if size > s.maxBytes {
 		s.evictions.Add(1)
-		s.evictedBytes.Add(uint64(size))
 		return nil
 	}
 	sum := sha256.Sum256(payload)
@@ -259,17 +257,6 @@ func (s *Store) Put(key string, payload []byte) error {
 	return nil
 }
 
-// Delete removes the entry, if present. Not counted as an eviction.
-func (s *Store) Delete(key string) {
-	if s.readOnly || !validKey(key) {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	os.Remove(filepath.Join(s.dir, key))
-	s.dropLocked(key)
-}
-
 // evictOverCapLocked removes least-recently-used entries until `need` more
 // bytes fit under the cap.
 func (s *Store) evictOverCapLocked(need int64) {
@@ -278,7 +265,6 @@ func (s *Store) evictOverCapLocked(need int64) {
 		os.Remove(filepath.Join(s.dir, e.key))
 		s.dropLocked(e.key)
 		s.evictions.Add(1)
-		s.evictedBytes.Add(uint64(e.size))
 	}
 }
 
@@ -309,9 +295,6 @@ func (s *Store) touchLocked(e *entry) {
 	}
 }
 
-// Dir returns the store's directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Len returns the number of resident entries (0 for read-only stores, which
 // keep no index).
 func (s *Store) Len() int {
@@ -326,9 +309,6 @@ func (s *Store) Bytes() int64 { return s.bytes.Load() }
 // Evictions returns the number of entries evicted by the byte cap (plus
 // oversize payloads rejected at Put).
 func (s *Store) Evictions() uint64 { return s.evictions.Load() }
-
-// EvictedBytes returns the total bytes reclaimed by those evictions.
-func (s *Store) EvictedBytes() uint64 { return s.evictedBytes.Load() }
 
 // Corrupt returns the number of corrupt or truncated entries detected (at
 // Open or Get) and evicted — torn writes from a crash, external tampering.

@@ -79,7 +79,6 @@ func (g grid) router(x, y int) int        { return y*g.kx + x }
 func (g grid) nodeHome(node int) int      { return node / g.conc }
 func (g grid) nodeSlot(node int) int      { return node % g.conc }
 func (g grid) validNode(node int) bool    { return node >= 0 && node < g.Nodes() }
-func (g grid) validRouter(r int) bool     { return r >= 0 && r < g.Routers() }
 func (g grid) terminalPorts(base int) int { return base + g.conc }
 
 func (g grid) checkNode(node int) {

@@ -67,8 +67,6 @@ type Config struct {
 type Synthetic struct {
 	cfg  Config
 	rngs []*sim.RNG
-	// generated counts injected packets (diagnostics).
-	generated uint64
 }
 
 // NewSynthetic builds a synthetic workload; rng seeds the per-node streams.
@@ -101,7 +99,6 @@ func (s *Synthetic) Tick(now sim.Cycle, inj network.Injector) {
 		if dst == node {
 			continue // patterns with fixed points skip self-traffic
 		}
-		s.generated++
 		p := network.AcquirePacket(inj)
 		p.Src = node
 		p.Dst = dst
@@ -149,9 +146,6 @@ func (s *Synthetic) Deliver(now sim.Cycle, p *flit.Packet) {}
 
 // Done implements network.Workload; open-loop sources never finish.
 func (s *Synthetic) Done() bool { return false }
-
-// Generated returns the number of packets generated so far.
-func (s *Synthetic) Generated() uint64 { return s.generated }
 
 func isqrt(n int) int {
 	r := 0

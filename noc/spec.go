@@ -265,29 +265,46 @@ func ParsePattern(s string) (Pattern, error) {
 	}
 }
 
+// ParseTopologyName splits a topology name of the forms Spec.Topology
+// documents into its kind ("mesh", "cmesh", "mecs" or "fbfly"), grid
+// dimensions and concentration (1 for a mesh). It constructs nothing, so a
+// caller facing untrusted input can bound the dimensions before
+// ParseTopology allocates in proportion to them.
+func ParseTopologyName(s string) (kind string, kx, ky, c int, err error) {
+	for _, kind = range []string{"mesh", "cmesh", "mecs", "fbfly"} {
+		if !strings.HasPrefix(s, kind) {
+			continue
+		}
+		c = 1
+		format, dims := kind+"%dx%dx%d", []any{&kx, &ky, &c}
+		if kind == "mesh" {
+			format, dims = "mesh%dx%d", dims[:2]
+		}
+		if n, serr := fmt.Sscanf(s, format, dims...); n == len(dims) && serr == nil {
+			return kind, kx, ky, c, nil
+		}
+		break
+	}
+	return "", 0, 0, 0, fmt.Errorf("noc: unknown topology %q", s)
+}
+
 // ParseTopology resolves a topology name of the forms Spec.Topology
 // documents.
 func ParseTopology(s string) (Topology, error) {
-	var kx, ky, c int
-	switch {
-	case strings.HasPrefix(s, "mesh"):
-		if n, err := fmt.Sscanf(s, "mesh%dx%d", &kx, &ky); n == 2 && err == nil {
-			return topology.NewMesh(kx, ky), nil
-		}
-	case strings.HasPrefix(s, "cmesh"):
-		if n, err := fmt.Sscanf(s, "cmesh%dx%dx%d", &kx, &ky, &c); n == 3 && err == nil {
-			return topology.NewCMesh(kx, ky, c), nil
-		}
-	case strings.HasPrefix(s, "mecs"):
-		if n, err := fmt.Sscanf(s, "mecs%dx%dx%d", &kx, &ky, &c); n == 3 && err == nil {
-			return topology.NewMECS(kx, ky, c), nil
-		}
-	case strings.HasPrefix(s, "fbfly"):
-		if n, err := fmt.Sscanf(s, "fbfly%dx%dx%d", &kx, &ky, &c); n == 3 && err == nil {
-			return topology.NewFBFly(kx, ky, c), nil
-		}
+	kind, kx, ky, c, err := ParseTopologyName(s)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("noc: unknown topology %q", s)
+	switch kind {
+	case "mesh":
+		return topology.NewMesh(kx, ky), nil
+	case "cmesh":
+		return topology.NewCMesh(kx, ky, c), nil
+	case "mecs":
+		return topology.NewMECS(kx, ky, c), nil
+	default:
+		return topology.NewFBFly(kx, ky, c), nil
+	}
 }
 
 // ParseScheme resolves a scheme name.

@@ -79,3 +79,23 @@ func TestSpecDefaults(t *testing.T) {
 		t.Error("empty scheme should be baseline")
 	}
 }
+
+func TestParseTopologyName(t *testing.T) {
+	for name, want := range map[string][4]any{
+		"mesh8x16":   {"mesh", 8, 16, 1},
+		"cmesh8x8x2": {"cmesh", 8, 8, 2},
+		"mecs4x4x4":  {"mecs", 4, 4, 4},
+		"fbfly2x3x4": {"fbfly", 2, 3, 4},
+		"mesh-4x-4":  {"mesh", -4, -4, 1}, // parsed, not judged: bounds are the caller's
+	} {
+		kind, kx, ky, c, err := noc.ParseTopologyName(name)
+		if got := [4]any{kind, kx, ky, c}; err != nil || got != want {
+			t.Errorf("%s: got %v, %v; want %v", name, got, err, want)
+		}
+	}
+	for _, name := range []string{"", "ring8", "mesh", "mesh8", "cmesh4x4", "cmeshy4x4x4", "fbfly"} {
+		if kind, _, _, _, err := noc.ParseTopologyName(name); err == nil {
+			t.Errorf("%q accepted as %s", name, kind)
+		}
+	}
+}

@@ -37,13 +37,16 @@ type Request struct {
 // Job mirrors the daemon's job snapshot. State is one of "queued",
 // "running", "done", "failed", "canceled".
 type Job struct {
-	ID          string `json:"id"`
-	Key         string `json:"key"`
-	State       string `json:"state"`
-	CacheHit    bool   `json:"cacheHit"`
-	Dedup       bool   `json:"dedup"`
-	CyclesDone  int    `json:"cyclesDone"`
-	CyclesTotal int    `json:"cyclesTotal"`
+	ID       string `json:"id"`
+	Key      string `json:"key"`
+	State    string `json:"state"`
+	CacheHit bool   `json:"cacheHit"`
+	// StoreHit marks a cache hit served from the daemon's disk store rather
+	// than its memory.
+	StoreHit    bool `json:"storeHit"`
+	Dedup       bool `json:"dedup"`
+	CyclesDone  int  `json:"cyclesDone"`
+	CyclesTotal int  `json:"cyclesTotal"`
 	// QueueWaitMS and RunMS are the daemon-side wall times the job spent
 	// waiting for a worker and simulating; both zero for cache hits.
 	QueueWaitMS float64 `json:"queueWaitMs"`
