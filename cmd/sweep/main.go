@@ -8,120 +8,130 @@
 //	sweep -exp fig8                # one figure
 //	sweep -exp fig9 -benchmarks fma3d,specjbb -measure 5000
 //	sweep -exp fig12 -csv          # CSV output for plotting
+//	sweep -exp fig13 -progress     # live n/total on stderr, any experiment
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"pseudocircuit/internal/experiments"
 	"pseudocircuit/internal/version"
+	"pseudocircuit/noc"
 )
 
-// tabler lets every figure result render uniformly.
-type tabler interface {
-	Tables() []experiments.Table
+// tables adapts a typed experiment to "run it, render its tables".
+func tables[R interface{ Tables() []experiments.Table }](f func(experiments.Options) R) func(experiments.Options) []experiments.Table {
+	return func(o experiments.Options) []experiments.Table { return f(o).Tables() }
 }
 
-func main() {
-	var (
-		exp      = flag.String("exp", "all", "experiment: fig1, fig6, fig8, fig9, fig10, fig11, fig12, fig13, fig14, table1, table2, ablations, heatmap, faults, fault-heatmap, churn, ext-system, ext-load, ext-depth, all")
-		warmup   = flag.Int("warmup", 1000, "warmup cycles")
-		measure  = flag.Int("measure", 10000, "measured cycles")
-		benches  = flag.String("benchmarks", "", "comma-separated benchmark subset (default: all)")
-		seed     = flag.Uint64("seed", 1, "base seed")
-		workers  = flag.Int("workers", 0, "cycle-kernel worker goroutines per run (0/1 sequential); any value gives bit-identical results")
-		csv      = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-		progress = flag.Bool("progress", false, "report live per-grid-point progress on stderr")
+// table adapts a bare table the same way.
+func table(f func() experiments.Table) func(experiments.Options) []experiments.Table {
+	return func(experiments.Options) []experiments.Table { return []experiments.Table{f()} }
+}
 
-		showVersion = flag.Bool("version", false, "print build information and exit")
-	)
-	flag.Parse()
+// experimentList is every experiment, in the order -exp all prints them.
+// The Fig. 9/10 grid is one entry: it renders both figures.
+var experimentList = []struct {
+	name string
+	run  func(experiments.Options) []experiments.Table
+}{
+	{"table1", table(experiments.TableI)},
+	{"table2", table(experiments.TableII)},
+	{"fig1", tables(experiments.Fig1)},
+	{"fig6", tables(experiments.Fig6)},
+	{"fig8", tables(experiments.Fig8)},
+	{"fig9", tables(experiments.Fig9And10)},
+	{"fig11", tables(experiments.Fig11)},
+	{"fig12", tables(experiments.Fig12)},
+	{"fig13", tables(experiments.Fig13)},
+	{"fig14", tables(experiments.Fig14)},
+	{"ablations", tables(experiments.Ablations)},
+	{"heatmap", tables(experiments.RouterHeatmap)},
+	{"faults", tables(experiments.FaultWindow)},
+	{"fault-heatmap", tables(experiments.FaultHeatmap)},
+	{"churn", tables(experiments.Churn)},
+	{"ext-system", tables(experiments.SystemImpact)},
+	{"ext-load", tables(experiments.ReuseVsLoad)},
+	{"ext-depth", tables(experiments.SpecDepth)},
+}
 
-	if *showVersion {
-		fmt.Println(version.String("sweep"))
-		return
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its inputs and outputs as parameters; it returns the
+// exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	var names []string
+	for _, e := range experimentList {
+		names = append(names, e.name)
 	}
 
+	fs := flag.NewFlagSet("sweep", flag.ExitOnError)
+	var (
+		exp      = fs.String("exp", "all", "experiment: "+strings.Join(names, ", ")+", all (fig10 is fig9: one grid renders both)")
+		warmup   = fs.Int("warmup", 1000, "warmup cycles")
+		measure  = fs.Int("measure", 10000, "measured cycles")
+		benches  = fs.String("benchmarks", "", "comma-separated benchmark subset (default: all)")
+		seed     = fs.Uint64("seed", 1, "base seed")
+		workers  = fs.Int("workers", 0, "cycle-kernel worker goroutines per run (0/1 sequential); any value gives bit-identical results")
+		csv      = fs.Bool("csv", false, "emit CSV instead of aligned tables")
+		progress = fs.Bool("progress", false, "report live per-simulation progress on stderr")
+
+		showVersion = fs.Bool("version", false, "print build information and exit")
+	)
+	fs.Parse(args)
+	if *showVersion {
+		fmt.Fprintln(stdout, version.String("sweep"))
+		return 0
+	}
+	fail := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "sweep: "+format+"\n", a...)
+		return 1
+	}
+
+	if *exp == "fig10" {
+		*exp = "fig9"
+	}
+	if *exp != "all" && !slices.Contains(names, *exp) {
+		return fail("unknown experiment %q (have %s, all)", *exp, strings.Join(names, ", "))
+	}
+	if *warmup < 0 || *measure < 0 {
+		return fail("-warmup %d -measure %d: cycle counts must not be negative", *warmup, *measure)
+	}
 	o := experiments.Options{Warmup: *warmup, Measure: *measure, Seed: *seed, Workers: *workers}
 	if *benches != "" {
 		o.Benchmarks = strings.Split(*benches, ",")
-	}
-
-	runners := map[string]func() tabler{
-		"fig1":  func() tabler { return experiments.Fig1(o) },
-		"fig6":  func() tabler { return experiments.Fig6(o) },
-		"fig8":  func() tabler { return experiments.Fig8(o) },
-		"fig9":  func() tabler { return gridOnce(o) },
-		"fig10": func() tabler { return gridOnce(o) },
-		"fig11": func() tabler { return experiments.Fig11(o) },
-		"fig12": func() tabler { return experiments.Fig12(o) },
-		"fig13": func() tabler { return experiments.Fig13(o) },
-		"fig14": func() tabler { return experiments.Fig14(o) },
-		"table1": func() tabler {
-			return tableOnly{experiments.TableI()}
-		},
-		"table2": func() tabler {
-			return tableOnly{experiments.TableII()}
-		},
-		"ablations":     func() tabler { return experiments.Ablations(o) },
-		"heatmap":       func() tabler { return experiments.RouterHeatmap(o) },
-		"faults":        func() tabler { return experiments.FaultWindow(o) },
-		"fault-heatmap": func() tabler { return experiments.FaultHeatmap(o) },
-		"churn":         func() tabler { return experiments.Churn(o) },
-		"ext-system":    func() tabler { return experiments.SystemImpact(o) },
-		"ext-load":      func() tabler { return experiments.ReuseVsLoad(o) },
-		"ext-depth":     func() tabler { return experiments.SpecDepth(o) },
-	}
-
-	order := []string{"table1", "table2", "fig1", "fig6", "fig8", "fig9", "fig11", "fig12", "fig13", "fig14", "ablations", "heatmap", "faults", "fault-heatmap", "churn", "ext-system", "ext-load", "ext-depth"}
-	var selected []string
-	if *exp == "all" {
-		selected = order
-	} else {
-		if _, ok := runners[*exp]; !ok {
-			fmt.Fprintf(os.Stderr, "sweep: unknown experiment %q\n", *exp)
-			os.Exit(1)
+		known := noc.CMPBenchmarks()
+		for _, b := range o.Benchmarks {
+			if !slices.Contains(known, b) {
+				return fail("unknown benchmark %q (have %s)", b, strings.Join(known, ", "))
+			}
 		}
-		selected = []string{*exp}
 	}
 
-	for _, name := range selected {
+	for _, e := range experimentList {
+		if *exp != "all" && *exp != e.name {
+			continue
+		}
 		if *progress {
-			name := name
 			o.Progress = func(done, total int) {
-				fmt.Fprintf(os.Stderr, "\r%s: %d/%d", name, done, total)
+				fmt.Fprintf(stderr, "\r%s: %d/%d", e.name, done, total)
 				if done == total {
-					fmt.Fprintln(os.Stderr)
+					fmt.Fprintln(stderr)
 				}
 			}
 		}
-		r := runners[name]()
-		for _, t := range r.Tables() {
+		for _, t := range e.run(o) {
 			if *csv {
-				t.CSV(os.Stdout)
+				t.CSV(stdout)
 			} else {
-				t.Fprint(os.Stdout)
+				t.Fprint(stdout)
 			}
 		}
 	}
+	return 0
 }
-
-// gridCache avoids running the expensive Fig. 9/10 grid twice when both are
-// requested in one invocation.
-var gridCache *experiments.GridResult
-
-func gridOnce(o experiments.Options) tabler {
-	if gridCache == nil {
-		g := experiments.Fig9And10(o)
-		gridCache = &g
-	}
-	return gridCache
-}
-
-// tableOnly adapts a bare Table to the tabler interface.
-type tableOnly struct{ t experiments.Table }
-
-func (t tableOnly) Tables() []experiments.Table { return []experiments.Table{t.t} }

@@ -42,46 +42,47 @@ func ablations() []ablation {
 	}
 }
 
-// Ablations runs every knob flip with Pseudo+S+B, XY + static VA.
+// Ablations runs every knob flip with Pseudo+S+B, XY + static VA. All four
+// compare against the same paper-side configuration, simulated once per
+// benchmark.
 func Ablations(o Options) AblationResult {
 	o = o.defaults()
+	variant := func(opts core.Options, key vcalloc.StaticKey) []point {
+		var ps []point
+		for _, b := range o.Benchmarks {
+			p := cmpPoint(b, opts.Scheme, routing.XY, vcalloc.Static)
+			p.Opts, p.StaticKey = &opts, key
+			ps = append(ps, p)
+		}
+		return ps
+	}
+	paperOpts := core.DefaultOptions(core.PseudoSB)
+	points := variant(paperOpts, vcalloc.KeyDestination)
 	var res AblationResult
 	for _, a := range ablations() {
 		res.Names = append(res.Names, a.name)
-		paperOpts := core.DefaultOptions(core.PseudoSB)
 		flipOpts := paperOpts
 		a.flip(&flipOpts)
-		pLat, pReuse := runAblation(o, paperOpts, vcalloc.KeyDestination)
-		fLat, fReuse := runAblation(o, flipOpts, a.staticKey)
+		points = append(points, variant(flipOpts, a.staticKey)...)
+	}
+	// One row of benchmarks per variant, the paper's first.
+	avg := func(row []noc.Result) (lat, reuse float64) {
+		for _, r := range row {
+			lat += r.AvgLatency
+			reuse += r.Reusability
+		}
+		return lat / float64(len(row)), reuse / float64(len(row))
+	}
+	rows := rowsOf(o.run(points), len(o.Benchmarks))
+	pLat, pReuse := avg(rows[0])
+	for _, row := range rows[1:] {
+		fLat, fReuse := avg(row)
 		res.Paper = append(res.Paper, pLat)
 		res.Flipped = append(res.Flipped, fLat)
 		res.PaperReuse = append(res.PaperReuse, pReuse)
 		res.FlippedReuse = append(res.FlippedReuse, fReuse)
 	}
 	return res
-}
-
-func runAblation(o Options, opts core.Options, key vcalloc.StaticKey) (lat, reuse float64) {
-	n := 0
-	for _, b := range o.Benchmarks {
-		e := noc.Experiment{
-			Topology:  cmpTopology(),
-			Scheme:    opts.Scheme,
-			Opts:      &opts,
-			Routing:   routing.XY,
-			Policy:    vcalloc.Static,
-			StaticKey: key,
-			Seed:      o.Seed,
-			Warmup:    o.Warmup,
-			Measure:   o.Measure,
-			Workers:   o.Workers,
-		}
-		r := mustRunCMP(e, b)
-		lat += r.AvgLatency
-		reuse += r.Reusability
-		n++
-	}
-	return lat / float64(n), reuse / float64(n)
 }
 
 // Tables renders the ablation study.

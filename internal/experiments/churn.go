@@ -4,9 +4,6 @@ import (
 	"fmt"
 
 	"pseudocircuit/internal/core"
-	"pseudocircuit/internal/routing"
-	"pseudocircuit/internal/topology"
-	"pseudocircuit/internal/vcalloc"
 	"pseudocircuit/noc"
 )
 
@@ -42,22 +39,15 @@ var churnConfigs = []struct {
 }
 
 // ChurnResult holds the churn figure: delivered latency, throughput, energy
-// per delivered flit, and the reliability layer's recovery work (retransmits,
+// per delivered flit (the reliability overhead shows up there), fault
+// exposure and the reliability layer's recovery work (retransmits,
 // duplicates, abandoned packets) as seeded stochastic fault churn rises, per
-// scheme. All slices are indexed [config][level].
+// scheme.
 type ChurnResult struct {
 	Configs []string
 	Levels  []string
-	// Network metrics over delivered traffic.
-	Latency     [][]float64
-	Throughput  [][]float64
-	EnergyPerFl [][]float64 // pJ per delivered flit: the reliability overhead shows up here
-	// Fault exposure and recovery work.
-	Events        [][]uint64
-	Dropped       [][]uint64
-	Retransmitted [][]uint64
-	Duplicates    [][]uint64
-	Failed        [][]uint64
+	// Cells[config][level] is that run's measurement.
+	Cells [][]noc.Result
 }
 
 // Churn measures end-to-end reliable delivery under rising fault churn on the
@@ -69,73 +59,31 @@ type ChurnResult struct {
 // varies, so columns are directly comparable.
 func Churn(o Options) ChurnResult {
 	o = o.defaults()
-	const rate = 0.05
-
-	res := ChurnResult{}
-	for _, c := range churnConfigs {
-		res.Configs = append(res.Configs, c.label)
-	}
+	var res ChurnResult
 	for _, l := range churnLevels {
 		res.Levels = append(res.Levels, l.label)
 	}
-	nc, nl := len(churnConfigs), len(churnLevels)
-	mkF := func() [][]float64 {
-		m := make([][]float64, nc)
-		for i := range m {
-			m[i] = make([]float64, nl)
-		}
-		return m
-	}
-	mkU := func() [][]uint64 {
-		m := make([][]uint64, nc)
-		for i := range m {
-			m[i] = make([]uint64, nl)
-		}
-		return m
-	}
-	res.Latency, res.Throughput, res.EnergyPerFl = mkF(), mkF(), mkF()
-	res.Events, res.Dropped, res.Retransmitted, res.Duplicates, res.Failed = mkU(), mkU(), mkU(), mkU(), mkU()
-
-	tick := o.progress(nc * nl)
-	forEach(nc*nl, func(idx int, pool *noc.Pool) {
-		ci, li := idx/nl, idx%nl
-		c, l := churnConfigs[ci], churnLevels[li]
-		e := noc.Experiment{
-			Topology: topology.NewMesh(8, 8),
-			Scheme:   c.scheme,
-			Routing:  routing.XY,
-			Policy:   vcalloc.Static,
-			Seed:     o.Seed,
-			Pool:     pool,
-			UseEVC:   c.evc,
-			Warmup:   o.Warmup,
-			Measure:  o.Measure,
-			Workers:  o.Workers,
-			Reliable: &noc.Reliability{},
-		}
-		if l.linkFail > 0 || l.rtrFail > 0 {
-			e.Churn = &noc.FaultChurn{
-				Seed:         o.Seed + uint64(li), // same process per level across configs
-				LinkFail:     l.linkFail,
-				LinkRepair:   l.linkRepair,
-				RouterFail:   l.rtrFail,
-				RouterRepair: l.rtrRepair,
-				Policy:       noc.FaultReroute,
+	var points []point
+	for _, c := range churnConfigs {
+		res.Configs = append(res.Configs, c.label)
+		for li, l := range churnLevels {
+			p := meshPoint(c.scheme, noc.Synthetic{Pattern: noc.UniformRandom, Rate: 0.05, PacketSize: 5})
+			p.UseEVC = c.evc
+			p.Reliable = &noc.Reliability{}
+			if l.linkFail > 0 || l.rtrFail > 0 {
+				p.Churn = &noc.FaultChurn{
+					Seed:         o.Seed + uint64(li), // same process per level across configs
+					LinkFail:     l.linkFail,
+					LinkRepair:   l.linkRepair,
+					RouterFail:   l.rtrFail,
+					RouterRepair: l.rtrRepair,
+					Policy:       noc.FaultReroute,
+				}
 			}
+			points = append(points, p)
 		}
-		r := e.RunSynthetic(noc.Synthetic{Pattern: noc.UniformRandom, Rate: rate, PacketSize: 5})
-		res.Latency[ci][li] = r.AvgLatency
-		res.Throughput[ci][li] = r.Throughput
-		if r.FlitsDelivered > 0 {
-			res.EnergyPerFl[ci][li] = r.EnergyPJ / float64(r.FlitsDelivered)
-		}
-		res.Events[ci][li] = r.FaultEvents
-		res.Dropped[ci][li] = r.PacketsDropped
-		res.Retransmitted[ci][li] = r.PacketsRetransmitted
-		res.Duplicates[ci][li] = r.DuplicatesDropped
-		res.Failed[ci][li] = r.DeliveryFailed
-		tick()
-	})
+	}
+	res.Cells = rowsOf(o.run(points), len(churnLevels))
 	return res
 }
 
@@ -148,16 +96,21 @@ func (r ChurnResult) Tables() []Table {
 	}
 	for i, cfg := range r.Configs {
 		for s, lvl := range r.Levels {
+			c := r.Cells[i][s]
+			perFlit := 0.0
+			if c.FlitsDelivered > 0 {
+				perFlit = c.EnergyPJ / float64(c.FlitsDelivered)
+			}
 			t.Rows = append(t.Rows, []string{
 				cfg, lvl,
-				num(r.Latency[i][s]),
-				fmt.Sprintf("%.3f", r.Throughput[i][s]),
-				fmt.Sprintf("%.2f", r.EnergyPerFl[i][s]),
-				fmt.Sprintf("%d", r.Events[i][s]),
-				fmt.Sprintf("%d", r.Dropped[i][s]),
-				fmt.Sprintf("%d", r.Retransmitted[i][s]),
-				fmt.Sprintf("%d", r.Duplicates[i][s]),
-				fmt.Sprintf("%d", r.Failed[i][s]),
+				num(c.AvgLatency),
+				fmt.Sprintf("%.3f", c.Throughput),
+				fmt.Sprintf("%.2f", perFlit),
+				fmt.Sprintf("%d", c.FaultEvents),
+				fmt.Sprintf("%d", c.PacketsDropped),
+				fmt.Sprintf("%d", c.PacketsRetransmitted),
+				fmt.Sprintf("%d", c.DuplicatesDropped),
+				fmt.Sprintf("%d", c.DeliveryFailed),
 			})
 		}
 	}

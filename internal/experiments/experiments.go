@@ -3,6 +3,12 @@
 // and returns both typed results (asserted by tests) and printable tables
 // whose rows mirror what the paper reports. cmd/sweep prints them;
 // bench_test.go wraps them in testing.B benchmarks.
+//
+// Every figure has the same three steps: list its points (cmpPoint,
+// meshPoint), run them (Options.run, or Options.each when it must look at
+// the network afterwards) and reduce the results, in point order, to its
+// typed result. The runner owns the run protocol, the worker pool and
+// progress reporting, so no figure handles them.
 package experiments
 
 import (
@@ -116,41 +122,108 @@ func pct(v float64) string  { return fmt.Sprintf("%.1f%%", 100*v) }
 func num(v float64) string  { return fmt.Sprintf("%.2f", v) }
 func norm(v float64) string { return fmt.Sprintf("%.3f", v) }
 
-// cmpTopology returns the CMP platform topology of paper §5 / Fig. 7: a 4×4
-// concentrated mesh with 2 cores + 2 L2 banks per router.
-func cmpTopology() noc.Topology { return topology.NewCMesh(4, 4, 4) }
+// point is one simulation of a figure: a noc.Experiment without its run
+// protocol (Seed, Pool, Warmup, Measure and Workers come from Options) plus
+// the traffic that drives it. A figure lists its points, runs them and
+// reduces the results.
+type point struct {
+	noc.Experiment
+	traffic func(e noc.Experiment) noc.Workload
+}
 
-// cmpExperiment builds the standard CMP-platform experiment. pool (may be
-// nil) is the worker-local flit pool from forEach.
-func cmpExperiment(o Options, pool *noc.Pool, s core.Scheme, algo routing.Algorithm, pol vcalloc.Policy) noc.Experiment {
-	return noc.Experiment{
-		Topology: cmpTopology(),
-		Scheme:   s,
-		Routing:  algo,
-		Policy:   pol,
-		Seed:     o.Seed,
-		Pool:     pool,
-		Warmup:   o.Warmup,
-		Measure:  o.Measure,
-		Workers:  o.Workers,
+// cmpPoint is a benchmark of the closed-loop CMP substrate on the platform
+// of paper §5 / Fig. 7: a 4×4 concentrated mesh with 2 cores + 2 L2 banks
+// per router. Figures that host the CMP elsewhere overwrite Topology.
+func cmpPoint(benchmark string, s core.Scheme, algo routing.Algorithm, pol vcalloc.Policy) point {
+	return point{
+		Experiment: noc.Experiment{Topology: topology.NewCMesh(4, 4, 4), Scheme: s, Routing: algo, Policy: pol},
+		traffic: func(e noc.Experiment) noc.Workload {
+			w, err := e.CMPWorkload(benchmark)
+			if err != nil {
+				panic(err)
+			}
+			return w
+		},
 	}
 }
 
-// baseline runs the no-scheme reference for a routing/VA combination.
-// The paper's headline comparison (§6.A) uses O1TURN with dynamic VA,
-// "which provides the best performance in the baseline system".
-func baseline(o Options, pool *noc.Pool, benchmark string, algo routing.Algorithm, pol vcalloc.Policy) noc.Result {
-	r, err := cmpExperiment(o, pool, core.Baseline, algo, pol).RunCMP(benchmark)
-	if err != nil {
-		panic(err)
+// meshPoint is a synthetic pattern on the paper's standard mesh: 8×8, XY,
+// static VA.
+func meshPoint(s core.Scheme, syn noc.Synthetic) point {
+	return point{
+		Experiment: noc.Experiment{Topology: topology.NewMesh(8, 8), Scheme: s, Routing: routing.XY, Policy: vcalloc.Static},
+		traffic:    func(e noc.Experiment) noc.Workload { return e.SyntheticWorkload(syn) },
 	}
-	return r
 }
 
-func mustRunCMP(e noc.Experiment, benchmark string) noc.Result {
-	r, err := e.RunCMP(benchmark)
-	if err != nil {
-		panic(err)
+// each completes every point with the run protocol, builds its network and
+// workload on the forEach worker pool and hands them to fn, which runs them
+// and may inspect the live network afterwards; fn writes only to its own
+// index. Progress ticks once per point.
+func (o Options) each(points []point, fn func(i int, e noc.Experiment, n *noc.Network, w noc.Workload)) {
+	tick := o.progress(len(points))
+	forEach(len(points), func(i int, pool *noc.Pool) {
+		e := points[i].Experiment
+		e.Seed, e.Pool, e.Warmup, e.Measure, e.Workers = o.Seed, pool, o.Warmup, o.Measure, o.Workers
+		fn(i, e, e.Build(), points[i].traffic(e))
+		tick()
+	})
+}
+
+// run simulates every point under the standard warmup/measure protocol and
+// returns the results in point order.
+func (o Options) run(points []point) []noc.Result {
+	out := make([]noc.Result, len(points))
+	o.each(points, func(i int, e noc.Experiment, n *noc.Network, w noc.Workload) {
+		out[i] = e.RunOn(n, w)
+	})
+	return out
+}
+
+// rowsOf splits a row-major grid into its rows of n; applied again it
+// groups the rows of the next dimension out.
+func rowsOf[T any](xs []T, n int) [][]T {
+	rows := make([][]T, 0, len(xs)/n)
+	for ; len(xs) > 0; xs = xs[n:] {
+		rows = append(rows, xs[:n])
 	}
-	return r
+	return rows
+}
+
+// seriesTable renders rows × series: a header of corner then the series
+// names, one row per label with cell(row, s) under each series and, when
+// lastCell is not nil, a closing row (an average, a gain) under lastLabel.
+func seriesTable(id, title, corner string, rows, series []string, cell func(row, s int) string, lastLabel string, lastCell func(s int) string) Table {
+	t := Table{ID: id, Title: title, Header: append([]string{corner}, series...)}
+	line := func(label string, cell func(s int) string) {
+		r := []string{label}
+		for s := range series {
+			r = append(r, cell(s))
+		}
+		t.Rows = append(t.Rows, r)
+	}
+	for i, label := range rows {
+		line(label, func(s int) string { return cell(i, s) })
+	}
+	if lastCell != nil {
+		line(lastLabel, lastCell)
+	}
+	return t
+}
+
+// meshGrid renders one cell per router of a kx×ky mesh: row y, column x,
+// router y*kx+x.
+func meshGrid(id, title string, kx, ky int, cell func(router int) string) Table {
+	t := Table{ID: id, Title: title, Header: []string{"y\\x"}}
+	for x := 0; x < kx; x++ {
+		t.Header = append(t.Header, fmt.Sprintf("x=%d", x))
+	}
+	for y := 0; y < ky; y++ {
+		row := []string{fmt.Sprintf("%d", y)}
+		for x := 0; x < kx; x++ {
+			row = append(row, cell(y*kx+x))
+		}
+		t.Rows = append(t.Rows, row)
+	}
+	return t
 }

@@ -6,7 +6,6 @@ import (
 	"pseudocircuit/internal/cmp"
 	"pseudocircuit/internal/core"
 	"pseudocircuit/internal/routing"
-	"pseudocircuit/internal/topology"
 	"pseudocircuit/internal/traffic"
 	"pseudocircuit/internal/vcalloc"
 	"pseudocircuit/noc"
@@ -30,31 +29,29 @@ type SystemImpactResult struct {
 // SystemImpact runs the system-level extension experiment.
 func SystemImpact(o Options) SystemImpactResult {
 	o = o.defaults()
-	res := SystemImpactResult{Benchmarks: o.Benchmarks}
+	var points []point
 	for _, b := range o.Benchmarks {
-		bm, bs := runSystem(o, b, core.Baseline)
-		pm, ps := runSystem(o, b, core.PseudoSB)
-		res.BaseMissLat = append(res.BaseMissLat, bm)
-		res.PSBMissLat = append(res.PSBMissLat, pm)
-		res.BaseStall = append(res.BaseStall, bs)
-		res.PSBStall = append(res.PSBStall, ps)
+		for _, s := range []core.Scheme{core.Baseline, core.PseudoSB} {
+			points = append(points, cmpPoint(b, s, routing.XY, vcalloc.Static))
+		}
+	}
+	missLat, stall := make([]float64, len(points)), make([]float64, len(points))
+	o.each(points, func(i int, e noc.Experiment, n *noc.Network, wl noc.Workload) {
+		w := wl.(*cmp.Workload)
+		n.Run(w, e.Warmup)
+		n.ResetStats()
+		w.ResetSystemStats()
+		n.Run(w, e.Measure)
+		missLat[i], stall[i] = w.AvgMissLatency(), w.StallFraction()
+	})
+	res := SystemImpactResult{Benchmarks: o.Benchmarks}
+	for i := 0; i < len(points); i += 2 {
+		res.BaseMissLat = append(res.BaseMissLat, missLat[i])
+		res.PSBMissLat = append(res.PSBMissLat, missLat[i+1])
+		res.BaseStall = append(res.BaseStall, stall[i])
+		res.PSBStall = append(res.PSBStall, stall[i+1])
 	}
 	return res
-}
-
-func runSystem(o Options, benchmark string, s core.Scheme) (missLat, stall float64) {
-	e := cmpExperiment(o, nil, s, routing.XY, vcalloc.Static)
-	n := e.Build()
-	wl, err := e.CMPWorkload(benchmark)
-	if err != nil {
-		panic(err)
-	}
-	w := wl.(*cmp.Workload)
-	n.Run(w, o.Warmup)
-	n.ResetStats()
-	w.ResetSystemStats()
-	n.Run(w, o.Measure)
-	return w.AvgMissLatency(), w.StallFraction()
 }
 
 // Tables renders the extension.
@@ -92,41 +89,37 @@ type SpecDepthResult struct {
 func SpecDepth(o Options) SpecDepthResult {
 	o = o.defaults()
 	res := SpecDepthResult{Depths: []int{1, 2, 4, 8}}
-	res.Latency = make([]float64, len(res.Depths))
-	res.Reuse = make([]float64, len(res.Depths))
-	res.SpecShare = make([]float64, len(res.Depths))
-	forEach(len(res.Depths), func(di int, pool *noc.Pool) {
+	var points []point
+	for _, d := range res.Depths {
 		opts := core.DefaultOptions(core.PseudoSB)
-		opts.SpecHistoryDepth = res.Depths[di]
-		nb := float64(len(o.Benchmarks))
+		opts.SpecHistoryDepth = d
 		for _, b := range o.Benchmarks {
-			e := noc.Experiment{
-				Topology: cmpTopology(),
-				Scheme:   opts.Scheme,
-				Opts:     &opts,
-				Routing:  routing.XY,
-				Policy:   vcalloc.Static,
-				Seed:     o.Seed,
-				Pool:     pool,
-				Warmup:   o.Warmup,
-				Measure:  o.Measure,
-				Workers:  o.Workers,
-			}
-			n := e.Build()
-			wl, err := e.CMPWorkload(b)
-			if err != nil {
-				panic(err)
-			}
-			n.Run(wl, o.Warmup)
-			n.ResetStats()
-			n.Run(wl, o.Measure)
-			res.Latency[di] += n.Stats.AvgNetLatency() / nb
-			res.Reuse[di] += n.Stats.Reusability() / nb
-			if n.Stats.PCReused > 0 {
-				res.SpecShare[di] += float64(n.Stats.SpecReused) / float64(n.Stats.PCReused) / nb
-			}
+			p := cmpPoint(b, opts.Scheme, routing.XY, vcalloc.Static)
+			p.Opts = &opts
+			points = append(points, p)
+		}
+	}
+	rs := make([]noc.Result, len(points))
+	specShare := make([]float64, len(points))
+	o.each(points, func(i int, e noc.Experiment, n *noc.Network, w noc.Workload) {
+		rs[i] = e.RunOn(n, w)
+		if n.Stats.PCReused > 0 {
+			specShare[i] = float64(n.Stats.SpecReused) / float64(n.Stats.PCReused)
 		}
 	})
+	nb := float64(len(o.Benchmarks))
+	shares := rowsOf(specShare, len(o.Benchmarks))
+	for di, row := range rowsOf(rs, len(o.Benchmarks)) {
+		var lat, reuse, share float64
+		for bi, r := range row {
+			lat += r.AvgNetLatency / nb
+			reuse += r.Reusability / nb
+			share += shares[di][bi] / nb
+		}
+		res.Latency = append(res.Latency, lat)
+		res.Reuse = append(res.Reuse, reuse)
+		res.SpecShare = append(res.SpecShare, share)
+	}
 	return res
 }
 
@@ -161,22 +154,14 @@ type ReuseVsLoadResult struct {
 func ReuseVsLoad(o Options) ReuseVsLoadResult {
 	o = o.defaults()
 	res := ReuseVsLoadResult{Loads: []float64{0.02, 0.06, 0.10, 0.14, 0.18, 0.22}}
+	var points []point
 	for _, load := range res.Loads {
-		run := func(s core.Scheme) noc.Result {
-			e := noc.Experiment{
-				Topology: topology.NewMesh(8, 8),
-				Scheme:   s,
-				Routing:  routing.XY,
-				Policy:   vcalloc.Static,
-				Seed:     o.Seed,
-				Warmup:   o.Warmup,
-				Measure:  o.Measure,
-				Workers:  o.Workers,
-			}
-			return e.RunSynthetic(noc.Synthetic{Pattern: traffic.UniformRandom, Rate: load})
+		for _, s := range []core.Scheme{core.Baseline, core.PseudoSB} {
+			points = append(points, meshPoint(s, noc.Synthetic{Pattern: traffic.UniformRandom, Rate: load}))
 		}
-		base := run(core.Baseline)
-		psb := run(core.PseudoSB)
+	}
+	for _, row := range rowsOf(o.run(points), 2) {
+		base, psb := row[0], row[1]
 		res.Reuse = append(res.Reuse, psb.Reusability)
 		res.Bypass = append(res.Bypass, psb.BypassRate)
 		res.Gain = append(res.Gain, 1-psb.AvgLatency/base.AvgLatency)

@@ -4,46 +4,21 @@ import (
 	"fmt"
 
 	"pseudocircuit/internal/core"
-	"pseudocircuit/internal/routing"
-	"pseudocircuit/internal/topology"
-	"pseudocircuit/internal/vcalloc"
 	"pseudocircuit/noc"
 )
-
-// faultSegments are the three measurement windows around a scheduled fault.
-var faultSegments = []string{"pre", "fault", "post"}
 
 // FaultWindowResult holds the fault-window figure: latency, throughput,
 // energy and pseudo-circuit reuse measured before, during and after a
 // scheduled fault, per scheme. The pre window calibrates each scheme's
 // healthy behavior; the fault window shows the detour/drop cost; the post
-// window shows recovery once the link or router comes back. Dropped,
-// Rerouted and PCTorn attribute the in-flight damage to the window whose
-// fault transition caused it.
+// window shows recovery once the link or router comes back. FaultEvents,
+// PacketsDropped, PacketsRerouted and PCFaultTerminated attribute the
+// in-flight damage to the window whose fault transition caused it.
 type FaultWindowResult struct {
 	Configs  []string // scheme + fault kind label per row group
 	Segments []string // pre, fault, post
-	// All indexed [config][segment].
-	Latency    [][]float64
-	Throughput [][]float64
-	EnergyPJ   [][]float64
-	Reuse      [][]float64
-	Events     [][]uint64
-	Dropped    [][]uint64
-	Rerouted   [][]uint64
-	PCTorn     [][]uint64
-}
-
-// faultWindowConfigs pairs each compared router architecture with a fault
-// schedule. The faulted element is router 27 (center of the 8×8 mesh, x=3
-// y=3): the link fault kills its east output link, the router fault kills the
-// whole router. Every packet is salvaged where possible (reroute policy) so
-// the figure shows fault-aware adaptive routing, not just drops.
-type faultWindowConfig struct {
-	label  string
-	scheme core.Scheme
-	evc    bool
-	kinds  [2]noc.FaultEvent // down/up pair template (cycles filled in)
+	// Cells[config][segment] is that window's measurement.
+	Cells [][]noc.Result
 }
 
 // FaultWindow measures the fault-window figure on the paper's standard 8×8
@@ -52,94 +27,50 @@ type faultWindowConfig struct {
 // windows; the schedule takes the fault down at the pre/fault boundary and
 // back up at the fault/post boundary. Cycles in a schedule are absolute, so
 // the warmup offset is added here.
+//
+// Each compared router architecture is paired with a fault. The faulted
+// element is router 27 (center of the 8×8 mesh, x=3 y=3): the link fault
+// kills its east output link, the router fault kills the whole router. Every
+// packet is salvaged where possible (reroute policy) so the figure shows
+// fault-aware adaptive routing, not just drops.
 func FaultWindow(o Options) FaultWindowResult {
 	o = o.defaults()
-	const rate = 0.10
 	pre := o.Measure / 4
 	during := o.Measure / 2
 	post := o.Measure - pre - during
 	downAt := int64(o.Warmup + pre)
 	upAt := int64(o.Warmup + pre + during)
 
-	link := [2]noc.FaultEvent{
-		{Kind: noc.LinkDown, Router: 27, Port: 0},
-		{Kind: noc.LinkUp, Router: 27, Port: 0},
+	link := []noc.FaultEvent{
+		{Cycle: downAt, Kind: noc.LinkDown, Router: 27, Port: 0},
+		{Cycle: upAt, Kind: noc.LinkUp, Router: 27, Port: 0},
 	}
-	rtr := [2]noc.FaultEvent{
-		{Kind: noc.RouterDown, Router: 27},
-		{Kind: noc.RouterUp, Router: 27},
+	rtr := []noc.FaultEvent{
+		{Cycle: downAt, Kind: noc.RouterDown, Router: 27},
+		{Cycle: upAt, Kind: noc.RouterUp, Router: 27},
 	}
-	configs := []faultWindowConfig{
-		{label: "Baseline (link)", scheme: core.Baseline, kinds: link},
-		{label: "Pseudo+S+B (link)", scheme: core.PseudoSB, kinds: link},
-		{label: "Pseudo+S+B (router)", scheme: core.PseudoSB, kinds: rtr},
-		{label: "EVC (link)", scheme: core.Baseline, evc: true, kinds: link},
-	}
-
-	res := FaultWindowResult{Segments: faultSegments}
-	for _, c := range configs {
+	res := FaultWindowResult{Segments: []string{"pre", "fault", "post"}}
+	var points []point
+	for _, c := range []struct {
+		label  string
+		scheme core.Scheme
+		evc    bool
+		events []noc.FaultEvent
+	}{
+		{label: "Baseline (link)", scheme: core.Baseline, events: link},
+		{label: "Pseudo+S+B (link)", scheme: core.PseudoSB, events: link},
+		{label: "Pseudo+S+B (router)", scheme: core.PseudoSB, events: rtr},
+		{label: "EVC (link)", scheme: core.Baseline, evc: true, events: link},
+	} {
 		res.Configs = append(res.Configs, c.label)
+		p := meshPoint(c.scheme, noc.Synthetic{Pattern: noc.UniformRandom, Rate: 0.10, PacketSize: 5})
+		p.UseEVC = c.evc
+		p.Faults = &noc.FaultSchedule{Policy: noc.FaultReroute, Events: c.events}
+		points = append(points, p)
 	}
-	res.Latency = make([][]float64, len(configs))
-	res.Throughput = make([][]float64, len(configs))
-	res.EnergyPJ = make([][]float64, len(configs))
-	res.Reuse = make([][]float64, len(configs))
-	res.Events = make([][]uint64, len(configs))
-	res.Dropped = make([][]uint64, len(configs))
-	res.Rerouted = make([][]uint64, len(configs))
-	res.PCTorn = make([][]uint64, len(configs))
-
-	tick := o.progress(len(configs))
-	forEach(len(configs), func(i int, pool *noc.Pool) {
-		c := configs[i]
-		down, up := c.kinds[0], c.kinds[1]
-		down.Cycle, up.Cycle = downAt, upAt
-		e := noc.Experiment{
-			Topology: topology.NewMesh(8, 8),
-			Scheme:   c.scheme,
-			Routing:  routing.XY,
-			Policy:   vcalloc.Static,
-			Seed:     o.Seed,
-			Pool:     pool,
-			UseEVC:   c.evc,
-			Warmup:   o.Warmup,
-			Measure:  o.Measure,
-			Workers:  o.Workers,
-			Faults: &noc.FaultSchedule{
-				Policy: noc.FaultReroute,
-				Events: []noc.FaultEvent{down, up},
-			},
-		}
-		n := e.Build()
-		w := e.SyntheticWorkload(noc.Synthetic{Pattern: noc.UniformRandom, Rate: rate, PacketSize: 5})
-		segs := e.RunWindowsOn(n, w, []int{pre, during, post})
-		lat := make([]float64, len(segs))
-		thr := make([]float64, len(segs))
-		nrg := make([]float64, len(segs))
-		reuse := make([]float64, len(segs))
-		evs := make([]uint64, len(segs))
-		drop := make([]uint64, len(segs))
-		rer := make([]uint64, len(segs))
-		torn := make([]uint64, len(segs))
-		for s, r := range segs {
-			lat[s] = r.AvgLatency
-			thr[s] = r.Throughput
-			nrg[s] = r.EnergyPJ
-			reuse[s] = r.Reusability
-			evs[s] = r.FaultEvents
-			drop[s] = r.PacketsDropped
-			rer[s] = r.PacketsRerouted
-			torn[s] = r.PCFaultTerminated
-		}
-		res.Latency[i] = lat
-		res.Throughput[i] = thr
-		res.EnergyPJ[i] = nrg
-		res.Reuse[i] = reuse
-		res.Events[i] = evs
-		res.Dropped[i] = drop
-		res.Rerouted[i] = rer
-		res.PCTorn[i] = torn
-		tick()
+	res.Cells = make([][]noc.Result, len(points))
+	o.each(points, func(i int, e noc.Experiment, n *noc.Network, w noc.Workload) {
+		res.Cells[i] = e.RunWindowsOn(n, w, []int{pre, during, post})
 	})
 	return res
 }
@@ -153,16 +84,17 @@ func (r FaultWindowResult) Tables() []Table {
 	}
 	for i, cfg := range r.Configs {
 		for s, seg := range r.Segments {
+			c := r.Cells[i][s]
 			t.Rows = append(t.Rows, []string{
 				cfg, seg,
-				num(r.Latency[i][s]),
-				fmt.Sprintf("%.3f", r.Throughput[i][s]),
-				fmt.Sprintf("%.0f", r.EnergyPJ[i][s]),
-				pct(r.Reuse[i][s]),
-				fmt.Sprintf("%d", r.Events[i][s]),
-				fmt.Sprintf("%d", r.Dropped[i][s]),
-				fmt.Sprintf("%d", r.Rerouted[i][s]),
-				fmt.Sprintf("%d", r.PCTorn[i][s]),
+				num(c.AvgLatency),
+				fmt.Sprintf("%.3f", c.Throughput),
+				fmt.Sprintf("%.0f", c.EnergyPJ),
+				pct(c.Reusability),
+				fmt.Sprintf("%d", c.FaultEvents),
+				fmt.Sprintf("%d", c.PacketsDropped),
+				fmt.Sprintf("%d", c.PacketsRerouted),
+				fmt.Sprintf("%d", c.PCFaultTerminated),
 			})
 		}
 	}
@@ -186,75 +118,48 @@ type FaultHeatmapResult struct {
 // second window of the same length and reports the per-router deltas.
 func FaultHeatmap(o Options) FaultHeatmapResult {
 	o = o.defaults()
-	const kx, ky, rate, rtr = 8, 8, 0.10, 27
+	const kx, ky, rtr = 8, 8, 27
 	half := o.Measure / 2
-	e := noc.Experiment{
-		Topology: topology.NewMesh(kx, ky),
-		Scheme:   noc.PseudoSB,
-		Routing:  routing.XY,
-		Policy:   vcalloc.Static,
-		Seed:     o.Seed,
-		Warmup:   o.Warmup,
-		Measure:  o.Measure,
-		Workers:  o.Workers,
-		Observe:  noc.Observe{PerRouter: true},
-		Faults: &noc.FaultSchedule{
-			Policy: noc.FaultReroute,
-			Events: []noc.FaultEvent{
-				{Cycle: int64(o.Warmup + half), Kind: noc.RouterDown, Router: rtr},
-				{Cycle: int64(o.Warmup + o.Measure - 1), Kind: noc.RouterUp, Router: rtr},
-			},
+	p := meshPoint(noc.PseudoSB, noc.Synthetic{Pattern: noc.UniformRandom, Rate: 0.10, PacketSize: 5})
+	p.Observe = noc.Observe{PerRouter: true}
+	p.Faults = &noc.FaultSchedule{
+		Policy: noc.FaultReroute,
+		Events: []noc.FaultEvent{
+			{Cycle: int64(o.Warmup + half), Kind: noc.RouterDown, Router: rtr},
+			{Cycle: int64(o.Warmup + o.Measure - 1), Kind: noc.RouterUp, Router: rtr},
 		},
 	}
-	n := e.Build()
-	w := e.SyntheticWorkload(noc.Synthetic{Pattern: noc.UniformRandom, Rate: rate, PacketSize: 5})
-
 	res := FaultHeatmapResult{
 		KX: kx, KY: ky, Router: rtr,
 		ReuseDelta: make([]float64, kx*ky),
 		StallDelta: make([]int64, kx*ky),
 	}
-	snapshot := func(sign float64) {
-		for _, r := range n.Registry().Routers() {
-			res.ReuseDelta[r.ID] += sign * r.Reusability()
-			res.StallDelta[r.ID] += int64(sign) * int64(r.CreditStallCycles())
+	o.each([]point{p}, func(_ int, e noc.Experiment, n *noc.Network, w noc.Workload) {
+		snapshot := func(sign float64) {
+			for _, r := range n.Registry().Routers() {
+				res.ReuseDelta[r.ID] += sign * r.Reusability()
+				res.StallDelta[r.ID] += int64(sign) * int64(r.CreditStallCycles())
+			}
 		}
-	}
-	n.Run(w, o.Warmup)
-	n.ResetStats()
-	n.Run(w, half)
-	snapshot(-1)
-	n.ResetStats()
-	n.Run(w, o.Measure-half)
-	snapshot(+1)
+		n.Run(w, e.Warmup)
+		n.ResetStats()
+		n.Run(w, half)
+		snapshot(-1)
+		n.ResetStats()
+		n.Run(w, e.Measure-half)
+		snapshot(+1)
+	})
 	return res
 }
 
-// Tables renders the delta grids; row y, column x, router y*KX+x.
+// Tables renders the delta grids.
 func (h FaultHeatmapResult) Tables() []Table {
-	header := make([]string, h.KX+1)
-	header[0] = "y\\x"
-	for x := 0; x < h.KX; x++ {
-		header[x+1] = fmt.Sprintf("x=%d", x)
-	}
-	grid := func(id, title string, cell func(r int) string) Table {
-		t := Table{ID: id, Title: title, Header: header}
-		for y := 0; y < h.KY; y++ {
-			row := make([]string, h.KX+1)
-			row[0] = fmt.Sprintf("%d", y)
-			for x := 0; x < h.KX; x++ {
-				row[x+1] = cell(y*h.KX + x)
-			}
-			t.Rows = append(t.Rows, row)
-		}
-		return t
-	}
 	return []Table{
-		grid("fault-heatmap.reuse",
+		meshGrid("fault-heatmap.reuse",
 			fmt.Sprintf("Pseudo-circuit reuse delta, router %d down (faulted minus healthy window)", h.Router),
-			func(r int) string { return pct(h.ReuseDelta[r]) }),
-		grid("fault-heatmap.stalls",
+			h.KX, h.KY, func(r int) string { return pct(h.ReuseDelta[r]) }),
+		meshGrid("fault-heatmap.stalls",
 			fmt.Sprintf("Credit-stall cycle delta, router %d down (faulted minus healthy window)", h.Router),
-			func(r int) string { return fmt.Sprintf("%+d", h.StallDelta[r]) }),
+			h.KX, h.KY, func(r int) string { return fmt.Sprintf("%+d", h.StallDelta[r]) }),
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"pseudocircuit/internal/core"
 	"pseudocircuit/internal/routing"
 	"pseudocircuit/internal/vcalloc"
-	"pseudocircuit/noc"
 )
 
 // Fig1Result holds per-benchmark communication temporal locality (paper
@@ -25,19 +24,16 @@ type Fig1Result struct {
 // locality; the headline relationship is Xbar > E2E.
 func Fig1(o Options) Fig1Result {
 	o = o.defaults()
-	res := Fig1Result{
-		Benchmarks: o.Benchmarks,
-		E2E:        make([]float64, len(o.Benchmarks)),
-		Xbar:       make([]float64, len(o.Benchmarks)),
+	var points []point
+	for _, b := range o.Benchmarks {
+		points = append(points, cmpPoint(b, core.Baseline, routing.XY, vcalloc.Dynamic))
 	}
-	forEach(len(o.Benchmarks), func(i int, pool *noc.Pool) {
-		r := mustRunCMP(cmpExperiment(o, pool, core.Baseline, routing.XY, vcalloc.Dynamic), o.Benchmarks[i])
-		res.E2E[i] = r.E2ELocality
-		res.Xbar[i] = r.XbarLocality
-	})
-	for i := range o.Benchmarks {
-		res.AvgE2E += res.E2E[i]
-		res.AvgXbar += res.Xbar[i]
+	res := Fig1Result{Benchmarks: o.Benchmarks}
+	for _, r := range o.run(points) {
+		res.E2E = append(res.E2E, r.E2ELocality)
+		res.Xbar = append(res.Xbar, r.XbarLocality)
+		res.AvgE2E += r.E2ELocality
+		res.AvgXbar += r.XbarLocality
 	}
 	res.AvgE2E /= float64(len(o.Benchmarks))
 	res.AvgXbar /= float64(len(o.Benchmarks))
@@ -46,14 +42,10 @@ func Fig1(o Options) Fig1Result {
 
 // Tables renders the figure.
 func (r Fig1Result) Tables() []Table {
-	t := Table{
-		ID:     "fig1",
-		Title:  "Communication temporal locality (end-to-end vs crossbar connection)",
-		Header: []string{"benchmark", "end-to-end", "crossbar"},
-	}
-	for i, b := range r.Benchmarks {
-		t.Rows = append(t.Rows, []string{b, pct(r.E2E[i]), pct(r.Xbar[i])})
-	}
-	t.Rows = append(t.Rows, []string{"average", pct(r.AvgE2E), pct(r.AvgXbar)})
-	return []Table{t}
+	cols := [][]float64{r.E2E, r.Xbar}
+	avg := []float64{r.AvgE2E, r.AvgXbar}
+	return []Table{seriesTable("fig1", "Communication temporal locality (end-to-end vs crossbar connection)",
+		"benchmark", r.Benchmarks, []string{"end-to-end", "crossbar"},
+		func(b, s int) string { return pct(cols[s][b]) },
+		"average", func(s int) string { return pct(avg[s]) })}
 }

@@ -28,59 +28,43 @@ type Fig11Result struct {
 func Fig11(o Options) Fig11Result {
 	o = o.defaults()
 	algos := []routing.Algorithm{routing.XY, routing.YX}
-	res := Fig11Result{Benchmarks: o.Benchmarks, Schemes: schemeLabels}
-	res.Normalized = make([][][]float64, len(algos))
-	res.Avg = make([][]float64, len(algos))
-	for ai, algo := range algos {
-		algo := algo
-		res.Avg[ai] = make([]float64, len(core.Schemes))
-		res.Normalized[ai] = make([][]float64, len(o.Benchmarks))
-		forEach(len(o.Benchmarks), func(bi int, pool *noc.Pool) {
-			b := o.Benchmarks[bi]
-			row := make([]float64, len(core.Schemes))
-			var basePerFlit float64
-			for si, s := range core.Schemes {
-				r := mustRunCMP(cmpExperiment(o, pool, s, algo, vcalloc.Static), b)
-				perFlit := r.EnergyPJ / float64(max(r.FlitsDelivered, 1))
-				if si == 0 {
-					basePerFlit = perFlit
-				}
-				row[si] = perFlit / basePerFlit
-			}
-			res.Normalized[ai][bi] = row
-		})
-		for bi := range o.Benchmarks {
-			for si := range res.Avg[ai] {
-				res.Avg[ai][si] += res.Normalized[ai][bi][si] / float64(len(o.Benchmarks))
+	var points []point
+	for _, algo := range algos {
+		for _, b := range o.Benchmarks {
+			for _, s := range core.Schemes {
+				points = append(points, cmpPoint(b, s, algo, vcalloc.Static))
 			}
 		}
+	}
+	res := Fig11Result{Benchmarks: o.Benchmarks, Schemes: schemeLabels}
+	perFlit := func(r noc.Result) float64 { return r.EnergyPJ / float64(max(r.FlitsDelivered, 1)) }
+	nb := len(o.Benchmarks)
+	for _, perAlgo := range rowsOf(rowsOf(o.run(points), len(core.Schemes)), nb) {
+		var normalized [][]float64
+		avg := make([]float64, len(core.Schemes))
+		for _, row := range perAlgo {
+			nrm := make([]float64, len(row))
+			for si, r := range row {
+				nrm[si] = perFlit(r) / perFlit(row[0])
+				avg[si] += nrm[si] / float64(nb)
+			}
+			normalized = append(normalized, nrm)
+		}
+		res.Normalized = append(res.Normalized, normalized)
+		res.Avg = append(res.Avg, avg)
 	}
 	return res
 }
 
 // Tables renders Fig. 11 (a) XY and (b) YX.
 func (r Fig11Result) Tables() []Table {
-	labels := []string{"XY", "YX"}
 	var out []Table
-	for ai, lab := range labels {
-		t := Table{
-			ID:     fmt.Sprintf("fig11%c", 'a'+ai),
-			Title:  fmt.Sprintf("Normalized router energy, %s + static VA", lab),
-			Header: append([]string{"benchmark"}, r.Schemes...),
-		}
-		for bi, b := range r.Benchmarks {
-			row := []string{b}
-			for si := range r.Schemes {
-				row = append(row, norm(r.Normalized[ai][bi][si]))
-			}
-			t.Rows = append(t.Rows, row)
-		}
-		avg := []string{"average"}
-		for si := range r.Schemes {
-			avg = append(avg, norm(r.Avg[ai][si]))
-		}
-		t.Rows = append(t.Rows, avg)
-		out = append(out, t)
+	for ai, lab := range []string{"XY", "YX"} {
+		out = append(out, seriesTable(fmt.Sprintf("fig11%c", 'a'+ai),
+			fmt.Sprintf("Normalized router energy, %s + static VA", lab),
+			"benchmark", r.Benchmarks, r.Schemes,
+			func(b, s int) string { return norm(r.Normalized[ai][b][s]) },
+			"average", func(s int) string { return norm(r.Avg[ai][s]) }))
 	}
 	return out
 }

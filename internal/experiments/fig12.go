@@ -4,10 +4,7 @@ import (
 	"fmt"
 
 	"pseudocircuit/internal/core"
-	"pseudocircuit/internal/routing"
-	"pseudocircuit/internal/topology"
 	"pseudocircuit/internal/traffic"
-	"pseudocircuit/internal/vcalloc"
 	"pseudocircuit/noc"
 )
 
@@ -44,41 +41,33 @@ var fig12Patterns = []struct {
 // Fig12 runs the synthetic load sweeps.
 func Fig12(o Options) Fig12Result {
 	o = o.defaults()
-	res := Fig12Result{Schemes: schemeLabels}
-	total := 0
+	var points []point
 	for _, pc := range fig12Patterns {
-		total += len(core.Schemes) * len(pc.loads)
-	}
-	tick := o.progress(total)
-	for _, pc := range fig12Patterns {
-		pc := pc
-		res.Patterns = append(res.Patterns, pc.name)
-		res.Loads = append(res.Loads, pc.loads)
-		lat := make([][]float64, len(core.Schemes))
-		for si := range core.Schemes {
-			lat[si] = make([]float64, len(pc.loads))
-		}
-		forEach(len(core.Schemes)*len(pc.loads), func(k int, pool *noc.Pool) {
-			si, li := k/len(pc.loads), k%len(pc.loads)
-			e := noc.Experiment{
-				Topology: topology.NewMesh(8, 8),
-				Scheme:   core.Schemes[si],
-				Routing:  routing.XY,
-				Policy:   vcalloc.Static,
-				Seed:     o.Seed,
-				Pool:     pool,
-				Warmup:   o.Warmup,
-				Measure:  o.Measure,
-				Workers:  o.Workers,
+		for _, s := range core.Schemes {
+			for _, load := range pc.loads {
+				points = append(points, meshPoint(s, noc.Synthetic{Pattern: pc.pattern, Rate: load, PacketSize: 5}))
 			}
-			r := e.RunSynthetic(noc.Synthetic{Pattern: pc.pattern, Rate: pc.loads[li], PacketSize: 5})
-			lat[si][li] = r.AvgLatency
-			tick()
-		})
-		impr := make([]float64, len(core.Schemes))
-		for si := range core.Schemes {
+		}
+	}
+	res := Fig12Result{Schemes: schemeLabels}
+	rs := o.run(points)
+	for _, pc := range fig12Patterns {
+		n := len(core.Schemes) * len(pc.loads)
+		var lat [][]float64
+		for _, row := range rowsOf(rs[:n], len(pc.loads)) {
+			l := make([]float64, len(row))
+			for li, r := range row {
+				l[li] = r.AvgLatency
+			}
+			lat = append(lat, l)
+		}
+		rs = rs[n:]
+		impr := make([]float64, len(lat))
+		for si := range lat {
 			impr[si] = 1 - lat[si][0]/lat[0][0]
 		}
+		res.Patterns = append(res.Patterns, pc.name)
+		res.Loads = append(res.Loads, pc.loads)
 		res.Latency = append(res.Latency, lat)
 		res.LowLoadImprovement = append(res.LowLoadImprovement, impr)
 	}
@@ -89,25 +78,15 @@ func Fig12(o Options) Fig12Result {
 func (r Fig12Result) Tables() []Table {
 	var out []Table
 	for pi, p := range r.Patterns {
-		t := Table{
-			ID:     fmt.Sprintf("fig12%c", 'a'+pi),
-			Title:  fmt.Sprintf("Latency vs offered traffic, %s (8x8 mesh, XY, static VA)", p),
-			Header: []string{"load (flits/node/cyc)"},
+		var loads []string
+		for _, load := range r.Loads[pi] {
+			loads = append(loads, fmt.Sprintf("%.2f", load))
 		}
-		t.Header = append(t.Header, r.Schemes...)
-		for li, load := range r.Loads[pi] {
-			row := []string{fmt.Sprintf("%.2f", load)}
-			for si := range r.Schemes {
-				row = append(row, num(r.Latency[pi][si][li]))
-			}
-			t.Rows = append(t.Rows, row)
-		}
-		impr := []string{"low-load gain"}
-		for si := range r.Schemes {
-			impr = append(impr, pct(r.LowLoadImprovement[pi][si]))
-		}
-		t.Rows = append(t.Rows, impr)
-		out = append(out, t)
+		out = append(out, seriesTable(fmt.Sprintf("fig12%c", 'a'+pi),
+			fmt.Sprintf("Latency vs offered traffic, %s (8x8 mesh, XY, static VA)", p),
+			"load (flits/node/cyc)", loads, r.Schemes,
+			func(l, s int) string { return num(r.Latency[pi][s][l]) },
+			"low-load gain", func(s int) string { return pct(r.LowLoadImprovement[pi][s]) }))
 	}
 	return out
 }

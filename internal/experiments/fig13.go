@@ -29,59 +29,45 @@ type Fig13Result struct {
 // topologies as 4×4 grids with 4 terminals per router.
 func Fig13(o Options) Fig13Result {
 	o = o.defaults()
-	benchmark := "fma3d"
-	topos := []struct {
+	res := Fig13Result{Schemes: schemeLabels, Benchmark: "fma3d"}
+	var points []point
+	for _, tc := range []struct {
 		name string
-		make func() noc.Topology
+		topo noc.Topology
 	}{
-		{"Mesh", func() noc.Topology { return topology.NewMesh(8, 8) }},
-		{"CMesh", func() noc.Topology { return topology.NewCMesh(4, 4, 4) }},
-		{"MECS", func() noc.Topology { return topology.NewMECS(4, 4, 4) }},
-		{"FBFLY", func() noc.Topology { return topology.NewFBFly(4, 4, 4) }},
-	}
-	res := Fig13Result{Schemes: schemeLabels, Benchmark: benchmark}
-	var meshBase float64
-	for ti, tc := range topos {
+		{"Mesh", topology.NewMesh(8, 8)},
+		{"CMesh", topology.NewCMesh(4, 4, 4)},
+		{"MECS", topology.NewMECS(4, 4, 4)},
+		{"FBFLY", topology.NewFBFly(4, 4, 4)},
+	} {
 		res.Topologies = append(res.Topologies, tc.name)
-		row := make([]float64, len(core.Schemes))
-		for si, s := range core.Schemes {
-			e := noc.Experiment{
-				Topology: tc.make(),
-				Scheme:   s,
-				Routing:  routing.XY,
-				Policy:   vcalloc.Static,
-				Seed:     o.Seed,
-				Warmup:   o.Warmup,
-				Measure:  o.Measure,
-				Workers:  o.Workers,
-			}
-			r := mustRunCMP(e, benchmark)
-			if ti == 0 && si == 0 {
-				meshBase = r.AvgNetLatency
-			}
-			row[si] = r.AvgNetLatency / meshBase
-			if si == 0 {
-				res.AvgHops = append(res.AvgHops, r.AvgHops)
-			}
+		for _, s := range core.Schemes {
+			p := cmpPoint(res.Benchmark, s, routing.XY, vcalloc.Static)
+			p.Topology = tc.topo
+			points = append(points, p)
 		}
-		res.Normalized = append(res.Normalized, row)
+	}
+	rs := o.run(points)
+	for _, row := range rowsOf(rs, len(core.Schemes)) {
+		nrm := make([]float64, len(row))
+		for si, r := range row {
+			nrm[si] = r.AvgNetLatency / rs[0].AvgNetLatency
+		}
+		res.Normalized = append(res.Normalized, nrm)
+		res.AvgHops = append(res.AvgHops, row[0].AvgHops)
 	}
 	return res
 }
 
 // Tables renders the figure.
 func (r Fig13Result) Tables() []Table {
-	t := Table{
-		ID:     "fig13",
-		Title:  "Normalized latency by topology and scheme (" + r.Benchmark + ", DOR + static VA; 1.0 = mesh baseline)",
-		Header: append([]string{"topology", "avg hops"}, r.Schemes...),
-	}
-	for ti, top := range r.Topologies {
-		row := []string{top, num(r.AvgHops[ti])}
-		for si := range r.Schemes {
-			row = append(row, norm(r.Normalized[ti][si]))
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	return []Table{t}
+	return []Table{seriesTable("fig13",
+		"Normalized latency by topology and scheme ("+r.Benchmark+", DOR + static VA; 1.0 = mesh baseline)",
+		"topology", r.Topologies, append([]string{"avg hops"}, r.Schemes...),
+		func(t, s int) string {
+			if s == 0 {
+				return num(r.AvgHops[t])
+			}
+			return norm(r.Normalized[t][s-1])
+		}, "", nil)}
 }

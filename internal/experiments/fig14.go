@@ -30,50 +30,47 @@ type Fig14Result struct {
 // Fig14 runs the EVC comparison.
 func Fig14(o Options) Fig14Result {
 	o = o.defaults()
-	topos := []struct {
-		name string
-		make func() *topology.Mesh
+	variants := []struct {
+		label  string
+		scheme core.Scheme
+		evc    bool
 	}{
-		{"Mesh", func() *topology.Mesh { return topology.NewMesh(8, 8) }},
-		{"CMesh", func() *topology.Mesh { return topology.NewCMesh(4, 4, 4) }},
+		{"Baseline", core.Baseline, false}, // the reference: first
+		{"EVC", core.Baseline, true},
+		{"Pseudo+S+B", core.PseudoSB, false},
 	}
-	res := Fig14Result{
-		Benchmarks: o.Benchmarks,
-		Variants:   []string{"Baseline", "EVC", "Pseudo+S+B"},
+	res := Fig14Result{Benchmarks: o.Benchmarks}
+	for _, v := range variants {
+		res.Variants = append(res.Variants, v.label)
 	}
-	for _, tc := range topos {
-		tc := tc
+	var points []point
+	for _, tc := range []struct {
+		name string
+		topo noc.Topology
+	}{
+		{"Mesh", topology.NewMesh(8, 8)},
+		{"CMesh", topology.NewCMesh(4, 4, 4)},
+	} {
 		res.Topologies = append(res.Topologies, tc.name)
-		perBench := make([][]float64, len(o.Benchmarks))
-		avg := make([]float64, len(res.Variants))
-		forEach(len(o.Benchmarks), func(bi int, pool *noc.Pool) {
-			b := o.Benchmarks[bi]
-			run := func(scheme core.Scheme, useEVC bool) float64 {
-				e := noc.Experiment{
-					Topology: tc.make(),
-					Scheme:   scheme,
-					Routing:  routing.XY,
-					Policy:   vcalloc.Dynamic,
-					UseEVC:   useEVC,
-					Seed:     o.Seed,
-					Pool:     pool,
-					Warmup:   o.Warmup,
-					Measure:  o.Measure,
-					Workers:  o.Workers,
-				}
-				return mustRunCMP(e, b).AvgNetLatency
+		for _, b := range o.Benchmarks {
+			for _, v := range variants {
+				p := cmpPoint(b, v.scheme, routing.XY, vcalloc.Dynamic)
+				p.Topology, p.UseEVC = tc.topo, v.evc
+				points = append(points, p)
 			}
-			base := run(core.Baseline, false)
-			perBench[bi] = []float64{
-				1.0,
-				run(core.Baseline, true) / base,
-				run(core.PseudoSB, false) / base,
+		}
+	}
+	nb := len(o.Benchmarks)
+	for _, perTopo := range rowsOf(rowsOf(o.run(points), len(variants)), nb) {
+		var perBench [][]float64
+		avg := make([]float64, len(variants))
+		for _, row := range perTopo {
+			nrm := make([]float64, len(row))
+			for v, r := range row {
+				nrm[v] = r.AvgNetLatency / row[0].AvgNetLatency
+				avg[v] += nrm[v] / float64(nb)
 			}
-		})
-		for bi := range o.Benchmarks {
-			for v := range perBench[bi] {
-				avg[v] += perBench[bi][v] / float64(len(o.Benchmarks))
-			}
+			perBench = append(perBench, nrm)
 		}
 		res.Normalized = append(res.Normalized, perBench)
 		res.Avg = append(res.Avg, avg)
@@ -85,24 +82,11 @@ func Fig14(o Options) Fig14Result {
 func (r Fig14Result) Tables() []Table {
 	var out []Table
 	for ti, top := range r.Topologies {
-		t := Table{
-			ID:     fmt.Sprintf("fig14%c", 'a'+ti),
-			Title:  fmt.Sprintf("Normalized latency vs EVC, %s (XY, dynamic VA)", top),
-			Header: append([]string{"benchmark"}, r.Variants...),
-		}
-		for bi, b := range r.Benchmarks {
-			row := []string{b}
-			for vi := range r.Variants {
-				row = append(row, norm(r.Normalized[ti][bi][vi]))
-			}
-			t.Rows = append(t.Rows, row)
-		}
-		avg := []string{"average"}
-		for vi := range r.Variants {
-			avg = append(avg, norm(r.Avg[ti][vi]))
-		}
-		t.Rows = append(t.Rows, avg)
-		out = append(out, t)
+		out = append(out, seriesTable(fmt.Sprintf("fig14%c", 'a'+ti),
+			fmt.Sprintf("Normalized latency vs EVC, %s (XY, dynamic VA)", top),
+			"benchmark", r.Benchmarks, r.Variants,
+			func(b, v int) string { return norm(r.Normalized[ti][b][v]) },
+			"average", func(v int) string { return norm(r.Avg[ti][v]) }))
 	}
 	return out
 }

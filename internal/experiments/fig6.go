@@ -2,11 +2,8 @@ package experiments
 
 import (
 	"pseudocircuit/internal/core"
-	"pseudocircuit/internal/routing"
 	"pseudocircuit/internal/sim"
-	"pseudocircuit/internal/topology"
 	"pseudocircuit/internal/traffic"
-	"pseudocircuit/internal/vcalloc"
 	"pseudocircuit/noc"
 )
 
@@ -25,47 +22,33 @@ type Fig6Result struct {
 // Fig6 measures per-hop delay with a single periodic single-flit flow along
 // one mesh row: after warmup the flow's crossbar connections are stable, so
 // every hop hits the pseudo-circuit (and the bypass latch when enabled).
+// Per scheme it differences the latency to nodes 2 and 6, which sit 2 and 6
+// hops along row 0, isolating the per-hop router+link delay, and subtracts
+// the 1 cycle of link traversal. A lone flow needs no more than 400 warmup
+// and 2000 measured cycles, whatever the options ask for.
 func Fig6(o Options) Fig6Result {
 	o = o.defaults()
+	o.Warmup, o.Measure = 400, 2000
 	res := Fig6Result{Schemes: []string{"Baseline", "Pseudo / Pseudo+S", "Pseudo+B / Pseudo+S+B"}}
+	var points []point
 	for _, s := range []core.Scheme{core.Baseline, core.Pseudo, core.PseudoB} {
-		res.PerHop = append(res.PerHop, measurePerHop(o, s))
+		for _, dst := range []int{2, 6} {
+			p := meshPoint(s, noc.Synthetic{})
+			p.traffic = func(noc.Experiment) noc.Workload {
+				return traffic.NewFlows(traffic.Flow{Src: 0, Dst: dst, Size: 1, Period: 25, Start: sim.Cycle(0)})
+			}
+			points = append(points, p)
+		}
+	}
+	for _, lat := range rowsOf(o.run(points), 2) {
+		res.PerHop = append(res.PerHop, (lat[1].AvgNetLatency-lat[0].AvgNetLatency)/4-1)
 	}
 	return res
 }
 
-// measurePerHop returns (latency(long) - latency(short)) / extra hops for a
-// lone periodic flow, isolating the per-hop router+link delay, minus the 1
-// cycle of link traversal.
-func measurePerHop(o Options, s core.Scheme) float64 {
-	lat := func(dst int) float64 {
-		e := noc.Experiment{
-			Topology: topology.NewMesh(8, 8),
-			Scheme:   s,
-			Routing:  routing.XY,
-			Policy:   vcalloc.Static,
-			Seed:     o.Seed,
-			Warmup:   400,
-			Measure:  2000,
-			Workers:  o.Workers,
-		}
-		w := traffic.NewFlows(traffic.Flow{Src: 0, Dst: dst, Size: 1, Period: 25, Start: sim.Cycle(0)})
-		return e.Run(w).AvgNetLatency
-	}
-	// Nodes 2 and 6 sit 2 and 6 hops along row 0.
-	perHopTotal := (lat(6) - lat(2)) / 4
-	return perHopTotal - 1 // subtract link traversal
-}
-
 // Tables renders the figure.
 func (r Fig6Result) Tables() []Table {
-	t := Table{
-		ID:     "fig6",
-		Title:  "Per-hop router delay by pipeline (cycles; paper: 3 / 2 / 1)",
-		Header: []string{"pipeline", "router cycles/hop"},
-	}
-	for i, s := range r.Schemes {
-		t.Rows = append(t.Rows, []string{s, num(r.PerHop[i])})
-	}
-	return []Table{t}
+	return []Table{seriesTable("fig6", "Per-hop router delay by pipeline (cycles; paper: 3 / 2 / 1)",
+		"pipeline", r.Schemes, []string{"router cycles/hop"},
+		func(i, _ int) string { return num(r.PerHop[i]) }, "", nil)}
 }

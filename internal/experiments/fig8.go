@@ -4,7 +4,6 @@ import (
 	"pseudocircuit/internal/core"
 	"pseudocircuit/internal/routing"
 	"pseudocircuit/internal/vcalloc"
-	"pseudocircuit/noc"
 )
 
 // Fig8Result holds overall performance (Fig. 8a: network latency reduction)
@@ -30,70 +29,46 @@ type Fig8Result struct {
 	AvgReuse     []float64
 }
 
-var fig8Schemes = []core.Scheme{core.Pseudo, core.PseudoS, core.PseudoB, core.PseudoSB}
-
-// Fig8 runs the overall-performance experiment.
+// Fig8 runs the overall-performance experiment: per benchmark, the baseline
+// and the four schemes.
 func Fig8(o Options) Fig8Result {
 	o = o.defaults()
+	var points []point
+	for _, b := range o.Benchmarks {
+		for _, s := range core.Schemes {
+			points = append(points, cmpPoint(b, s, routing.O1TURN, vcalloc.Dynamic))
+		}
+	}
 	res := Fig8Result{
 		Benchmarks:   o.Benchmarks,
 		Schemes:      schemeLabels[1:],
-		AvgReduction: make([]float64, len(fig8Schemes)),
-		AvgReuse:     make([]float64, len(fig8Schemes)),
+		AvgReduction: make([]float64, len(schemeLabels)-1),
+		AvgReuse:     make([]float64, len(schemeLabels)-1),
 	}
-	res.Reduction = make([][]float64, len(o.Benchmarks))
-	res.Reuse = make([][]float64, len(o.Benchmarks))
-	forEach(len(o.Benchmarks), func(bi int, pool *noc.Pool) {
-		b := o.Benchmarks[bi]
-		base := baseline(o, pool, b, routing.O1TURN, vcalloc.Dynamic)
-		reds := make([]float64, len(fig8Schemes))
-		reuse := make([]float64, len(fig8Schemes))
-		for i, s := range fig8Schemes {
-			r := mustRunCMP(cmpExperiment(o, pool, s, routing.O1TURN, vcalloc.Dynamic), b)
-			reds[i] = 1 - r.AvgNetLatency/base.AvgNetLatency
-			reuse[i] = r.Reusability
+	nb := float64(len(o.Benchmarks))
+	for _, row := range rowsOf(o.run(points), len(core.Schemes)) {
+		var reds, reuse []float64
+		for i, r := range row[1:] {
+			reds = append(reds, 1-r.AvgNetLatency/row[0].AvgNetLatency)
+			reuse = append(reuse, r.Reusability)
+			res.AvgReduction[i] += reds[i] / nb
+			res.AvgReuse[i] += reuse[i] / nb
 		}
-		res.Reduction[bi] = reds
-		res.Reuse[bi] = reuse
-	})
-	for bi := range o.Benchmarks {
-		for i := range fig8Schemes {
-			res.AvgReduction[i] += res.Reduction[bi][i] / float64(len(o.Benchmarks))
-			res.AvgReuse[i] += res.Reuse[bi][i] / float64(len(o.Benchmarks))
-		}
+		res.Reduction = append(res.Reduction, reds)
+		res.Reuse = append(res.Reuse, reuse)
 	}
 	return res
 }
 
 // Tables renders Fig. 8a and Fig. 8b.
 func (r Fig8Result) Tables() []Table {
-	a := Table{
-		ID:     "fig8a",
-		Title:  "Overall latency reduction vs best baseline (O1TURN, dynamic VA)",
-		Header: append([]string{"benchmark"}, r.Schemes...),
+	table := func(id, title string, cells [][]float64, avg []float64) Table {
+		return seriesTable(id, title, "benchmark", r.Benchmarks, r.Schemes,
+			func(b, s int) string { return pct(cells[b][s]) },
+			"average", func(s int) string { return pct(avg[s]) })
 	}
-	b := Table{
-		ID:     "fig8b",
-		Title:  "Overall pseudo-circuit reusability",
-		Header: append([]string{"benchmark"}, r.Schemes...),
+	return []Table{
+		table("fig8a", "Overall latency reduction vs best baseline (O1TURN, dynamic VA)", r.Reduction, r.AvgReduction),
+		table("fig8b", "Overall pseudo-circuit reusability", r.Reuse, r.AvgReuse),
 	}
-	for i, bench := range r.Benchmarks {
-		ra := []string{bench}
-		rb := []string{bench}
-		for s := range r.Schemes {
-			ra = append(ra, pct(r.Reduction[i][s]))
-			rb = append(rb, pct(r.Reuse[i][s]))
-		}
-		a.Rows = append(a.Rows, ra)
-		b.Rows = append(b.Rows, rb)
-	}
-	avgA := []string{"average"}
-	avgB := []string{"average"}
-	for s := range r.Schemes {
-		avgA = append(avgA, pct(r.AvgReduction[s]))
-		avgB = append(avgB, pct(r.AvgReuse[s]))
-	}
-	a.Rows = append(a.Rows, avgA)
-	b.Rows = append(b.Rows, avgB)
-	return []Table{a, b}
 }

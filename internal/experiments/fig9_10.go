@@ -3,9 +3,9 @@ package experiments
 import (
 	"fmt"
 
+	"pseudocircuit/internal/core"
 	"pseudocircuit/internal/routing"
 	"pseudocircuit/internal/vcalloc"
-	"pseudocircuit/noc"
 )
 
 // GridResult holds the routing-algorithm × VA-policy sweep behind Fig. 9
@@ -42,46 +42,38 @@ func comboLabel(c combo) string {
 	return fmt.Sprintf("%v %v", c.pol, c.algo)
 }
 
-// Fig9And10 runs the full grid (6 combos × 4 schemes per benchmark, plus
-// the baseline reference). It is the most expensive experiment; shrink
-// Options.Benchmarks or Measure for quick runs.
+// Fig9And10 runs the full grid: per benchmark, the baseline reference and
+// the four schemes under each of the 6 combos. It is the most expensive
+// experiment; shrink Options.Benchmarks or Measure for quick runs.
 func Fig9And10(o Options) GridResult {
 	o = o.defaults()
 	res := GridResult{Benchmarks: o.Benchmarks, Schemes: schemeLabels[1:]}
 	for _, c := range gridCombos {
 		res.Combos = append(res.Combos, comboLabel(c))
 	}
-	res.Reduction = make([][][]float64, len(o.Benchmarks))
-	res.Reuse = make([][][]float64, len(o.Benchmarks))
-	// Parallelize over (benchmark, combo) pairs: each pair runs its
-	// baseline plus the four schemes.
-	type cell struct{ bi, ci int }
-	cells := make([]cell, 0, len(o.Benchmarks)*len(gridCombos))
-	for bi := range o.Benchmarks {
-		res.Reduction[bi] = make([][]float64, len(fig8Schemes))
-		res.Reuse[bi] = make([][]float64, len(fig8Schemes))
-		for si := range fig8Schemes {
-			res.Reduction[bi][si] = make([]float64, len(gridCombos))
-			res.Reuse[bi][si] = make([]float64, len(gridCombos))
-		}
-		for ci := range gridCombos {
-			cells = append(cells, cell{bi, ci})
+	var points []point
+	for _, b := range o.Benchmarks {
+		for _, s := range core.Schemes {
+			for _, c := range gridCombos {
+				points = append(points, cmpPoint(b, s, c.algo, c.pol))
+			}
 		}
 	}
-	// Each cell runs 1 baseline + len(fig8Schemes) scheme simulations.
-	tick := o.progress(len(cells) * (1 + len(fig8Schemes)))
-	forEach(len(cells), func(k int, pool *noc.Pool) {
-		bi, ci := cells[k].bi, cells[k].ci
-		b, c := o.Benchmarks[bi], gridCombos[ci]
-		base := baseline(o, pool, b, c.algo, c.pol).AvgNetLatency
-		tick()
-		for si, s := range fig8Schemes {
-			r := mustRunCMP(cmpExperiment(o, pool, s, c.algo, c.pol), b)
-			res.Reduction[bi][si][ci] = 1 - r.AvgNetLatency/base
-			res.Reuse[bi][si][ci] = r.Reusability
-			tick()
+	// One row of combos per (benchmark, scheme); a benchmark's first row is
+	// its baseline.
+	for _, rows := range rowsOf(rowsOf(o.run(points), len(gridCombos)), len(core.Schemes)) {
+		var red, reuse [][]float64
+		for _, row := range rows[1:] {
+			rd, ru := make([]float64, len(row)), make([]float64, len(row))
+			for ci, r := range row {
+				rd[ci] = 1 - r.AvgNetLatency/rows[0][ci].AvgNetLatency
+				ru[ci] = r.Reusability
+			}
+			red, reuse = append(red, rd), append(reuse, ru)
 		}
-	})
+		res.Reduction = append(res.Reduction, red)
+		res.Reuse = append(res.Reuse, reuse)
+	}
 	return res
 }
 
@@ -90,27 +82,13 @@ func Fig9And10(o Options) GridResult {
 func (r GridResult) Tables() []Table {
 	var out []Table
 	for si, s := range r.Schemes {
-		t9 := Table{
-			ID:     fmt.Sprintf("fig9.%d", si+1),
-			Title:  fmt.Sprintf("Network latency reduction, %s", s),
-			Header: append([]string{"benchmark"}, r.Combos...),
+		table := func(id, title string, cells [][][]float64) Table {
+			return seriesTable(fmt.Sprintf("%s.%d", id, si+1), title+", "+s, "benchmark", r.Benchmarks, r.Combos,
+				func(b, c int) string { return pct(cells[b][si][c]) }, "", nil)
 		}
-		t10 := Table{
-			ID:     fmt.Sprintf("fig10.%d", si+1),
-			Title:  fmt.Sprintf("Pseudo-circuit reusability, %s", s),
-			Header: append([]string{"benchmark"}, r.Combos...),
-		}
-		for bi, b := range r.Benchmarks {
-			row9 := []string{b}
-			row10 := []string{b}
-			for ci := range r.Combos {
-				row9 = append(row9, pct(r.Reduction[bi][si][ci]))
-				row10 = append(row10, pct(r.Reuse[bi][si][ci]))
-			}
-			t9.Rows = append(t9.Rows, row9)
-			t10.Rows = append(t10.Rows, row10)
-		}
-		out = append(out, t9, t10)
+		out = append(out,
+			table("fig9", "Network latency reduction", r.Reduction),
+			table("fig10", "Pseudo-circuit reusability", r.Reuse))
 	}
 	return out
 }

@@ -1,0 +1,97 @@
+package experiments_test
+
+import (
+	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"pseudocircuit/internal/experiments"
+)
+
+var update = flag.Bool("update", false, "rewrite testdata/*.golden from the current tree")
+
+// tables adapts a typed experiment to "run it, render its tables".
+func tables[R interface{ Tables() []experiments.Table }](f func(experiments.Options) R) func(experiments.Options) []experiments.Table {
+	return func(o experiments.Options) []experiments.Table { return f(o).Tables() }
+}
+
+// simulating lists every experiment that runs the simulator, under its
+// cmd/sweep name.
+var simulating = []struct {
+	name string
+	run  func(experiments.Options) []experiments.Table
+}{
+	{"fig1", tables(experiments.Fig1)},
+	{"fig6", tables(experiments.Fig6)},
+	{"fig8", tables(experiments.Fig8)},
+	{"fig9", tables(experiments.Fig9And10)},
+	{"fig11", tables(experiments.Fig11)},
+	{"fig12", tables(experiments.Fig12)},
+	{"fig13", tables(experiments.Fig13)},
+	{"fig14", tables(experiments.Fig14)},
+	{"ablations", tables(experiments.Ablations)},
+	{"heatmap", tables(experiments.RouterHeatmap)},
+	{"faults", tables(experiments.FaultWindow)},
+	{"fault-heatmap", tables(experiments.FaultHeatmap)},
+	{"churn", tables(experiments.Churn)},
+	{"ext-system", tables(experiments.SystemImpact)},
+	{"ext-load", tables(experiments.ReuseVsLoad)},
+	{"ext-depth", tables(experiments.SpecDepth)},
+}
+
+// TestGolden pins the rendered tables of every experiment, at a reduced
+// size, to testdata/<name>.golden. The files were recorded on the commit
+// before the experiments moved onto one runner (go test -run TestGolden
+// -update rewrites them); a refactor of this package must leave them
+// byte-identical. Three benchmarks, so the order in which an average is
+// accumulated is visible.
+func TestGolden(t *testing.T) {
+	o := experiments.Options{Warmup: 100, Measure: 400, Benchmarks: []string{"fma3d", "specjbb", "fft"}}
+	for _, e := range simulating {
+		t.Run(e.name, func(t *testing.T) {
+			var got bytes.Buffer
+			for _, tb := range e.run(o) {
+				tb.Fprint(&got)
+			}
+			path := filepath.Join("testdata", e.name+".golden")
+			if *update {
+				if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want) {
+				t.Errorf("%s differs from %s\n--- got ---\n%s--- want ---\n%s", e.name, path, got.Bytes(), want)
+			}
+		})
+	}
+}
+
+// TestProgressReported: every simulating experiment reports each simulation
+// it runs through Options.Progress, never past its total, and ends on
+// done == total.
+func TestProgressReported(t *testing.T) {
+	for _, e := range simulating {
+		t.Run(e.name, func(t *testing.T) {
+			calls, last, total := 0, 0, 0
+			o := experiments.Options{Warmup: 20, Measure: 60, Benchmarks: []string{"fma3d"}}
+			o.Progress = func(done, tot int) { // calls are serialized
+				calls++
+				if done != calls || done > tot {
+					t.Errorf("call %d reported %d/%d", calls, done, tot)
+				}
+				last, total = done, tot
+			}
+			e.run(o)
+			if calls == 0 || last != total {
+				t.Errorf("%d progress calls, last %d/%d", calls, last, total)
+			}
+		})
+	}
+}

@@ -3,9 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"pseudocircuit/internal/routing"
-	"pseudocircuit/internal/topology"
-	"pseudocircuit/internal/vcalloc"
 	"pseudocircuit/noc"
 )
 
@@ -30,20 +27,8 @@ type HeatmapResult struct {
 func RouterHeatmap(o Options) HeatmapResult {
 	o = o.defaults()
 	const kx, ky, rate = 8, 8, 0.10
-	e := noc.Experiment{
-		Topology: topology.NewMesh(kx, ky),
-		Scheme:   noc.PseudoSB,
-		Routing:  routing.XY,
-		Policy:   vcalloc.Static,
-		Seed:     o.Seed,
-		Warmup:   o.Warmup,
-		Measure:  o.Measure,
-		Workers:  o.Workers,
-		Observe:  noc.Observe{PerRouter: true},
-	}
-	n := e.Build()
-	e.RunOn(n, e.SyntheticWorkload(noc.Synthetic{Pattern: noc.UniformRandom, Rate: rate, PacketSize: 5}))
-
+	p := meshPoint(noc.PseudoSB, noc.Synthetic{Pattern: noc.UniformRandom, Rate: rate, PacketSize: 5})
+	p.Observe = noc.Observe{PerRouter: true}
 	res := HeatmapResult{
 		KX: kx, KY: ky, Scheme: "Pseudo+S+B", Rate: rate,
 		Reuse:        make([]float64, kx*ky),
@@ -51,45 +36,32 @@ func RouterHeatmap(o Options) HeatmapResult {
 		CreditStalls: make([]uint64, kx*ky),
 		BufHighWater: make([]int, kx*ky),
 	}
-	for _, r := range n.Registry().Routers() {
-		res.Reuse[r.ID] = r.Reusability()
-		res.Bypass[r.ID] = r.BypassRate()
-		res.CreditStalls[r.ID] = r.CreditStallCycles()
-		for i := range r.In {
-			if hw := r.In[i].BufHighWater; hw > res.BufHighWater[r.ID] {
-				res.BufHighWater[r.ID] = hw
+	o.each([]point{p}, func(_ int, e noc.Experiment, n *noc.Network, w noc.Workload) {
+		e.RunOn(n, w)
+		for _, r := range n.Registry().Routers() {
+			res.Reuse[r.ID] = r.Reusability()
+			res.Bypass[r.ID] = r.BypassRate()
+			res.CreditStalls[r.ID] = r.CreditStallCycles()
+			for i := range r.In {
+				if hw := r.In[i].BufHighWater; hw > res.BufHighWater[r.ID] {
+					res.BufHighWater[r.ID] = hw
+				}
 			}
 		}
-	}
+	})
 	return res
 }
 
-// Tables renders one KY×KX grid per metric; row y, column x, router y*KX+x.
+// Tables renders one KY×KX grid per metric.
 func (h HeatmapResult) Tables() []Table {
-	header := make([]string, h.KX+1)
-	header[0] = "y\\x"
-	for x := 0; x < h.KX; x++ {
-		header[x+1] = fmt.Sprintf("x=%d", x)
-	}
-	grid := func(id, title string, cell func(r int) string) Table {
-		t := Table{ID: id, Title: title, Header: header}
-		for y := 0; y < h.KY; y++ {
-			row := make([]string, h.KX+1)
-			row[0] = fmt.Sprintf("%d", y)
-			for x := 0; x < h.KX; x++ {
-				row[x+1] = cell(y*h.KX + x)
-			}
-			t.Rows = append(t.Rows, row)
-		}
-		return t
-	}
-	title := func(metric string) string {
-		return fmt.Sprintf("Per-router %s, %s, UR %.2f on %dx%d mesh", metric, h.Scheme, h.Rate, h.KX, h.KY)
+	grid := func(id, metric string, cell func(r int) string) Table {
+		title := fmt.Sprintf("Per-router %s, %s, UR %.2f on %dx%d mesh", metric, h.Scheme, h.Rate, h.KX, h.KY)
+		return meshGrid(id, title, h.KX, h.KY, cell)
 	}
 	return []Table{
-		grid("heatmap.reuse", title("pseudo-circuit reuse"), func(r int) string { return pct(h.Reuse[r]) }),
-		grid("heatmap.bypass", title("buffer bypass"), func(r int) string { return pct(h.Bypass[r]) }),
-		grid("heatmap.stalls", title("credit-stall cycles"), func(r int) string { return fmt.Sprintf("%d", h.CreditStalls[r]) }),
-		grid("heatmap.bufhwm", title("buffer high-water (flits)"), func(r int) string { return fmt.Sprintf("%d", h.BufHighWater[r]) }),
+		grid("heatmap.reuse", "pseudo-circuit reuse", func(r int) string { return pct(h.Reuse[r]) }),
+		grid("heatmap.bypass", "buffer bypass", func(r int) string { return pct(h.Bypass[r]) }),
+		grid("heatmap.stalls", "credit-stall cycles", func(r int) string { return fmt.Sprintf("%d", h.CreditStalls[r]) }),
+		grid("heatmap.bufhwm", "buffer high-water (flits)", func(r int) string { return fmt.Sprintf("%d", h.BufHighWater[r]) }),
 	}
 }

@@ -1,10 +1,9 @@
 // Package store is a disk-backed content-addressed result store: one file
 // per canonical-spec hash, each self-checksummed, the whole directory
 // LRU-bounded by bytes. It is the persistence layer under the simulation
-// service's in-memory result cache — results survive daemon restarts, and a
-// directory can be shared read-only across processes (every Get re-reads
-// and re-verifies the file, so a reader never depends on the writer's
-// in-memory index).
+// service's in-memory result cache — results survive daemon restarts. Every
+// Get re-reads and re-verifies the file, so a hit never depends on the
+// in-memory index alone.
 //
 // Entry format: the 64-hex-character SHA-256 of the payload, a newline,
 // then the payload. Writes go to a dot-prefixed temp file in the same
@@ -21,7 +20,6 @@ package store
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -34,18 +32,12 @@ import (
 // headerLen is the checksum line: 64 hex characters plus the newline.
 const headerLen = 65
 
-// ErrReadOnly is returned by Put on a store opened with OpenReadOnly.
-var ErrReadOnly = errors.New("store: read-only")
-
 // Store is a disk-backed key→payload store. Keys are 64-character lowercase
 // hex strings (the service's canonical spec hashes). Safe for concurrent
-// use by multiple goroutines; safe for concurrent use across processes only
-// in the one-writer, many-readers arrangement the package comment
-// describes.
+// use by multiple goroutines of one process.
 type Store struct {
 	dir      string
 	maxBytes int64
-	readOnly bool
 
 	mu      sync.Mutex
 	entries map[string]*entry
@@ -87,21 +79,6 @@ func Open(dir string, maxBytes int64) (*Store, error) {
 	s.evictOverCapLocked(0)
 	s.mu.Unlock()
 	return s, nil
-}
-
-// OpenReadOnly opens the store at dir for reads only: Get re-verifies
-// entries straight off the disk (no index, no cap, no eviction — corrupt
-// entries are reported as misses and counted, never deleted), so a second
-// process can serve hits from a directory a live daemon is writing.
-func OpenReadOnly(dir string) (*Store, error) {
-	fi, err := os.Stat(dir)
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	if !fi.IsDir() {
-		return nil, fmt.Errorf("store: %s is not a directory", dir)
-	}
-	return &Store{dir: dir, readOnly: true, entries: map[string]*entry{}}, nil
 }
 
 // scan rebuilds the index from the directory, removing temp-file leftovers
@@ -156,23 +133,13 @@ func (s *Store) scan() error {
 }
 
 // Get returns the payload stored under key. The entry is read from disk and
-// checksum-verified on every call; a corrupt entry is evicted (read-write
-// stores only), counted, and reported as a miss — never served.
+// checksum-verified on every call; a corrupt entry is evicted, counted, and
+// reported as a miss — never served.
 func (s *Store) Get(key string) ([]byte, bool) {
 	if !validKey(key) {
 		return nil, false
 	}
 	path := filepath.Join(s.dir, key)
-	if s.readOnly {
-		payload, err := loadVerified(path)
-		if err != nil {
-			if !os.IsNotExist(err) {
-				s.corrupt.Add(1)
-			}
-			return nil, false
-		}
-		return payload, true
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	payload, err := loadVerified(path)
@@ -207,9 +174,6 @@ func (s *Store) Get(key string) ([]byte, bool) {
 // payload larger than the whole cap is not stored at all (counted as an
 // eviction rather than silently wedging the store).
 func (s *Store) Put(key string, payload []byte) error {
-	if s.readOnly {
-		return ErrReadOnly
-	}
 	if !validKey(key) {
 		return fmt.Errorf("store: invalid key %q", key)
 	}
@@ -295,8 +259,7 @@ func (s *Store) touchLocked(e *entry) {
 	}
 }
 
-// Len returns the number of resident entries (0 for read-only stores, which
-// keep no index).
+// Len returns the number of resident entries.
 func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -259,44 +259,6 @@ func TestLRUOrderSurvivesRestart(t *testing.T) {
 	}
 }
 
-// TestReadOnlySharing: a read-only store on the same directory serves
-// entries a read-write store wrote after the reader opened, rejects writes,
-// and reports corruption without deleting anything.
-func TestReadOnlySharing(t *testing.T) {
-	dir := t.TempDir()
-	w := mustOpen(t, dir, 1<<20)
-	r, err := OpenReadOnly(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Put(testKey(0), []byte("shared")); err != nil {
-		t.Fatal(err)
-	}
-	got, ok := r.Get(testKey(0))
-	if !ok || string(got) != "shared" {
-		t.Fatalf("read-only Get = %q, %v", got, ok)
-	}
-	if err := r.Put(testKey(1), []byte("nope")); err != ErrReadOnly {
-		t.Fatalf("read-only Put err = %v, want ErrReadOnly", err)
-	}
-
-	path := filepath.Join(dir, testKey(0))
-	data, _ := os.ReadFile(path)
-	data[len(data)-1] ^= 0xff
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := r.Get(testKey(0)); ok {
-		t.Fatal("read-only store served a corrupt entry")
-	}
-	if r.Corrupt() != 1 {
-		t.Fatalf("read-only Corrupt = %d, want 1", r.Corrupt())
-	}
-	if _, err := os.Stat(path); err != nil {
-		t.Fatal("read-only store deleted a file")
-	}
-}
-
 // TestConcurrentAccess hammers one store from several goroutines; the race
 // detector and the final invariants are the assertions.
 func TestConcurrentAccess(t *testing.T) {
