@@ -1,10 +1,14 @@
 package service
 
 import (
+	"encoding/json"
 	"errors"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
+
+	"pseudocircuit/noc"
 )
 
 func keyOf(t *testing.T, raw string) string {
@@ -165,6 +169,22 @@ func TestCanonicalizeRejects(t *testing.T) {
 		"cmp wrong size":     `{"topology":"mesh4x4","scheme":"pseudo","workload":{"kind":"cmp","benchmark":"fft"}}`,
 		"synthetic w/ bench": `{"topology":"mesh8x8","scheme":"pseudo","workload":{"rate":0.1,"benchmark":"fft"}}`,
 		"unknown kind":       `{"topology":"mesh8x8","scheme":"pseudo","workload":{"kind":"openloop","rate":0.1}}`,
+		"evc on o1turn":      `{"topology":"mesh8x8","scheme":"baseline","useEVC":true,"routing":"o1turn","workload":{"rate":0.1}}`,
+		"evc on mecs":        `{"topology":"mecs4x4x4","scheme":"baseline","useEVC":true,"workload":{"rate":0.1}}`,
+		"evc with pseudo":    `{"topology":"mesh8x8","scheme":"pseudo","useEVC":true,"workload":{"rate":0.1}}`,
+		"evc odd express":    `{"topology":"mesh8x8","scheme":"baseline","useEVC":true,"numVCs":6,"workload":{"rate":0.1}}`,
+		"o1turn odd VCs":     `{"topology":"mesh8x8","scheme":"pseudo","routing":"o1turn","numVCs":3,"workload":{"rate":0.1}}`,
+		"one-wide mesh":      `{"topology":"mesh1x8","scheme":"pseudo","workload":{"rate":0.1}}`,
+		"zero concentration": `{"topology":"cmesh4x4x0","scheme":"pseudo","workload":{"rate":0.1}}`,
+		"negative numVCs":    `{"topology":"mesh8x8","scheme":"pseudo","numVCs":-1,"workload":{"rate":0.1}}`,
+		"too many VCs":       `{"topology":"mesh8x8","scheme":"pseudo","numVCs":65,"workload":{"rate":0.1}}`,
+		"deep buffers":       `{"topology":"mesh8x8","scheme":"pseudo","bufDepth":1025,"workload":{"rate":0.1}}`,
+		"negative measure":   `{"topology":"mesh8x8","scheme":"pseudo","measure":-5,"workload":{"rate":0.1}}`,
+		"cycles overflow":    `{"topology":"mesh8x8","scheme":"pseudo","warmup":9223372036854775807,"measure":1,"workload":{"rate":0.1}}`,
+		"radix over 64":      `{"topology":"fbfly40x40x1","scheme":"pseudo","workload":{"rate":0.1}}`,
+		"oblong transpose":   `{"topology":"mesh8x4","scheme":"pseudo","workload":{"pattern":"transpose","rate":0.1}}`,
+		"huge packets":       `{"topology":"mesh8x8","scheme":"pseudo","workload":{"rate":0.1,"packetSize":2000000000}}`,
+		"packets over bound": `{"topology":"mesh8x8","scheme":"pseudo","workload":{"rate":0.1,"packetSize":1025}}`,
 	}
 	for name, raw := range bad {
 		r, err := DecodeRequest([]byte(raw))
@@ -177,6 +197,70 @@ func TestCanonicalizeRejects(t *testing.T) {
 		}
 		if err != nil && strings.Contains(strings.ToLower(err.Error()), "panic") {
 			t.Errorf("%s: rejection leaked a panic: %v", name, err)
+		}
+	}
+}
+
+// TestCanonicalizeAcceptsAtTheBounds: the largest values the front door
+// lets through still canonicalize.
+func TestCanonicalizeAcceptsAtTheBounds(t *testing.T) {
+	keyOf(t, `{"topology":"mesh8x8","scheme":"pseudo","numVCs":64,"bufDepth":1024,"workers":32,
+		"warmup":0,"measure":9999000,"workload":{"rate":0.1,"packetSize":1024}}`)
+}
+
+// TestCanonicalTopologyKeepsItsGrid: a key names one experiment. The
+// canonical topology is the submitted one — kind, grid and concentration —
+// so grids with the same router count never share a key (a name guessed
+// from the router count once mapped mecs8x2x4 and mecs2x8x4 onto
+// mecs4x4x4's cache entry).
+func TestCanonicalTopologyKeepsItsGrid(t *testing.T) {
+	seen := map[string]string{}
+	for _, topo := range []string{
+		"mesh8x2", "cmesh8x2x4", "mecs8x2x4", "mecs2x8x4", "fbfly2x8x4", "mecs5x3x4", "mecs4x4x4", "fbfly4x4x4",
+	} {
+		r := mustDecode(t, `{"topology":"`+topo+`","scheme":"pseudo+s+b","workload":{"rate":0.1}}`)
+		canon, key, exp, err := Canonicalize(r)
+		if err != nil {
+			t.Fatalf("%s: %v", topo, err)
+		}
+		if canon.Spec.Topology != topo {
+			t.Errorf("%s canonicalized to %s", topo, canon.Spec.Topology)
+		}
+		if back, err := noc.ParseTopology(canon.Spec.Topology); err != nil || back.Routers() != exp.Topology.Routers() {
+			t.Errorf("%s: canonical name %s does not name the %d-router topology that runs (%v)",
+				topo, canon.Spec.Topology, exp.Topology.Routers(), err)
+		}
+		if prev, dup := seen[key]; dup {
+			t.Errorf("%s and %s share key %s", topo, prev, key)
+		}
+		seen[key] = topo
+	}
+}
+
+// TestCanonicalKeysPinned: the content address of a spec is a stored
+// artefact — the disk store and every peer's cache are keyed by it — so it
+// must not move under a refactor. testdata/canonical_keys.json was recorded
+// at the commit before the spec path was reworked; a deliberate change of
+// the encoding re-records it and says so in CHANGES.md.
+func TestCanonicalKeysPinned(t *testing.T) {
+	raw, err := os.ReadFile("testdata/canonical_keys.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []struct {
+		Name    string          `json:"name"`
+		Request json.RawMessage `json:"request"`
+		Key     string          `json:"key"`
+	}
+	if err := json.Unmarshal(raw, &rows); err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) < 12 {
+		t.Fatalf("only %d pinned keys", len(rows))
+	}
+	for _, row := range rows {
+		if got := keyOf(t, string(row.Request)); got != row.Key {
+			t.Errorf("%s: key %s, pinned %s", row.Name, got, row.Key)
 		}
 	}
 }

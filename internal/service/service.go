@@ -59,8 +59,8 @@ type Config struct {
 	// Store, when non-nil, persists results on disk under their canonical
 	// spec hash: the in-memory cache is consulted first, then the store, and
 	// every completed simulation is written through — so the cache survives
-	// restarts and can be shared (read-only) across processes. Nil keeps the
-	// cache memory-only.
+	// restarts. One process owns a store directory. Nil keeps the cache
+	// memory-only.
 	Store *store.Store
 }
 

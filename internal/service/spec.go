@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"strings"
 
 	"pseudocircuit/noc"
 )
@@ -27,7 +26,8 @@ var ErrBadRequest = errors.New("bad request")
 
 // Submission limits. The service materializes topologies and runs cycles on
 // behalf of remote callers, so absurd requests are rejected at the front
-// door rather than allocating in a worker.
+// door rather than allocating in a worker. These are resource bounds only:
+// what makes an experiment valid is noc's to say (Spec.Experiment).
 const (
 	// MaxNodes bounds the terminal count of a requested topology.
 	MaxNodes = 4096
@@ -44,6 +44,9 @@ const (
 	// the canonical cache key; the bound just stops a remote caller from
 	// demanding an absurd goroutine fan-out.
 	MaxWorkers = 32
+	// MaxPacketSize bounds the flits per synthetic packet: a packet's flit
+	// slice is allocated at injection.
+	MaxPacketSize = 1024
 )
 
 // DecodeRequest parses a job request strictly: unknown fields, trailing
@@ -70,24 +73,16 @@ func DecodeRequest(data []byte) (Request, error) {
 // omitted, case differences — produce identical keys, while any
 // behaviour-changing difference (seed, scheme, rate, ...) changes the key.
 func Canonicalize(r Request) (Request, string, noc.Experiment, error) {
-	var exp noc.Experiment
-	if err := checkTopologyBounds(r.Spec.Topology); err != nil {
-		return r, "", exp, fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
 	exp, err := materialize(r.Spec)
 	if err != nil {
 		return r, "", exp, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
-	if err := checkExperiment(exp, r.Spec); err != nil {
+	if err := checkBounds(exp, r); err != nil {
 		return r, "", exp, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
-	wl, err := r.Workload.Normalize()
+	wl, err := r.Workload.Normalize(exp)
 	if err != nil {
 		return r, "", exp, fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	if wl.Kind == "cmp" && exp.Topology.Nodes() != 64 {
-		return r, "", exp, fmt.Errorf("%w: cmp workloads need a 64-terminal topology, %s has %d",
-			ErrBadRequest, r.Spec.Topology, exp.Topology.Nodes())
 	}
 	canon := Request{Spec: noc.SpecOf(exp), Workload: wl}
 	enc, err := json.Marshal(canon)
@@ -98,70 +93,50 @@ func Canonicalize(r Request) (Request, string, noc.Experiment, error) {
 	return canon, hex.EncodeToString(sum[:]), exp, nil
 }
 
-// materialize runs Spec.Experiment under a recover guard: the noc layer is
-// panic-on-misuse (it serves trusted in-process callers), while the service
-// faces the network and must turn every misuse into a 400.
+// materialize bounds the grid, then runs Spec.Experiment: the topology it
+// constructs allocates in proportion to the node count. The recover guard
+// is the safety net, not the rule book — Spec.Experiment is meant to be
+// total, but the service faces the network and must turn even a rule noc
+// missed into a 400.
 func materialize(s noc.Spec) (exp noc.Experiment, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("invalid spec: %v", p)
 		}
 	}()
+	_, kx, ky, c, err := noc.ParseTopologyName(s.Topology)
+	if err != nil {
+		return exp, err
+	}
+	if kx > MaxDim || ky > MaxDim || c > MaxDim {
+		return exp, fmt.Errorf("topology %q has a dimension over %d", s.Topology, MaxDim)
+	}
+	if nodes := kx * ky * c; nodes > MaxNodes {
+		return exp, fmt.Errorf("topology %q has %d nodes, limit %d", s.Topology, nodes, MaxNodes)
+	}
 	return s.Experiment()
 }
 
-// checkTopologyBounds bounds the grid dimensions before Spec.Experiment
-// constructs the topology, which allocates proportionally to the node
-// count.
-func checkTopologyBounds(topo string) error {
-	_, kx, ky, c, err := noc.ParseTopologyName(topo)
-	if err != nil {
-		return err
+// checkBounds rejects a valid experiment that exceeds the service's
+// resource bounds.
+func checkBounds(exp noc.Experiment, r Request) error {
+	if r.BufDepth > 1024 {
+		return fmt.Errorf("bufDepth %d over limit 1024", r.BufDepth)
 	}
-	if kx < 1 || ky < 1 || c < 1 || kx > MaxDim || ky > MaxDim || c > MaxDim {
-		return fmt.Errorf("topology %q dimensions outside [1, %d]", topo, MaxDim)
+	if r.Workers > MaxWorkers {
+		return fmt.Errorf("workers %d over limit %d", r.Workers, MaxWorkers)
 	}
-	if nodes := kx * ky * c; nodes > MaxNodes {
-		return fmt.Errorf("topology %q has %d nodes, limit %d", topo, nodes, MaxNodes)
+	if r.Workload.PacketSize > MaxPacketSize {
+		return fmt.Errorf("packetSize %d over limit %d", r.Workload.PacketSize, MaxPacketSize)
 	}
-	return nil
-}
-
-// checkExperiment rejects parameter combinations the noc layer would panic
-// on or that exceed the service's resource bounds.
-func checkExperiment(exp noc.Experiment, s noc.Spec) error {
-	if s.NumVCs < 0 || s.NumVCs > 64 {
-		return fmt.Errorf("numVCs %d outside [0, 64]", s.NumVCs)
-	}
-	if s.BufDepth < 0 || s.BufDepth > 1024 {
-		return fmt.Errorf("bufDepth %d outside [0, 1024]", s.BufDepth)
-	}
-	if s.Warmup < 0 || s.Measure < 0 {
-		return fmt.Errorf("negative cycle counts (warmup %d, measure %d)", s.Warmup, s.Measure)
-	}
-	if s.Workers < 0 || s.Workers > MaxWorkers {
-		return fmt.Errorf("workers %d outside [0, %d]", s.Workers, MaxWorkers)
-	}
-	warmup, measure := exp.Protocol()
-	if warmup+measure > MaxCycles {
-		return fmt.Errorf("warmup+measure %d exceeds limit %d", warmup+measure, MaxCycles)
+	if warmup, measure := exp.Protocol(); warmup > MaxCycles-measure { // both >= 0: no overflow
+		return fmt.Errorf("warmup %d + measure %d exceeds limit %d", warmup, measure, MaxCycles)
 	}
 	// Reliable delivery keeps three per-peer arrays on every NI — O(nodes²)
 	// words total — so it gets a tighter node bound than plain runs.
 	if exp.Reliable != nil && exp.Topology.Nodes() > MaxReliableNodes {
 		return fmt.Errorf("reliable delivery limited to %d nodes, topology %q has %d",
-			MaxReliableNodes, s.Topology, exp.Topology.Nodes())
-	}
-	if exp.UseEVC {
-		if exp.Scheme.Pseudo {
-			return fmt.Errorf("useEVC is a comparison baseline; scheme must be baseline")
-		}
-		if !strings.HasPrefix(s.Topology, "mesh") && !strings.HasPrefix(s.Topology, "cmesh") {
-			return fmt.Errorf("useEVC requires a mesh or cmesh topology, got %q", s.Topology)
-		}
-		if exp.NumVCs != 0 && exp.NumVCs < 2 {
-			return fmt.Errorf("useEVC needs at least 2 VCs, got %d", exp.NumVCs)
-		}
+			MaxReliableNodes, r.Topology, exp.Topology.Nodes())
 	}
 	return nil
 }

@@ -187,10 +187,14 @@ func TestQueueFullNotReady(t *testing.T) {
 	m := New(Config{Workers: 1, QueueCap: 1, Chunk: 100})
 	defer shutdown(t, m)
 
-	// Occupy the single worker, then fill the single queue slot.
-	if _, err := m.Submit(longReq(11)); err != nil {
+	// Occupy the single worker, then fill the single queue slot. The first
+	// job must have left the queue before the fill, or the worker frees the
+	// slot again after the loop saw it full.
+	first, err := m.Submit(longReq(11))
+	if err != nil {
 		t.Fatal(err)
 	}
+	waitState(t, m, first.ID, StateRunning)
 	var filled bool
 	for i := uint64(0); i < 50 && !filled; i++ {
 		if _, err := m.Submit(longReq(100 + i)); err == nil {

@@ -20,19 +20,20 @@
 // explicit 400-mapped error, never a truncation. Results stream back as
 // NDJSON as each point completes, and a sweep can be cancelled as a unit.
 //
-// Parsing is hostile-input safe (FuzzSweepSpec): malformed JSON, duplicate
-// axis names, unknown axes, wrong-typed or out-of-range values are all
-// errors wrapping service.ErrBadRequest, and never panics.
+// An axis is a request field: its name is on a closed list of the wire
+// format's scalar fields (axisFields) and each value is decoded onto the
+// template as encoding/json decodes that field of a POST /jobs body, so it
+// is typed and ranged as the field it sets. Parsing is hostile-input safe
+// (FuzzSweepSpec): malformed JSON, duplicate or unknown axes, wrong-typed or
+// out-of-range values all wrap service.ErrBadRequest, and nothing panics.
 package sweepapi
 
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
 
 	"pseudocircuit/internal/service"
 )
@@ -60,25 +61,20 @@ type rawSweep struct {
 	Axes     json.RawMessage `json:"axes"`
 }
 
-// axis is one parsed grid dimension.
+// axis is one parsed grid dimension. Values stay as the JSON text submitted
+// (each a string or a number), to be decoded by the field they set.
 type axis struct {
 	name   string
-	values []axisValue
+	values []json.RawMessage
 }
 
-// axisValue is a JSON scalar: a string or a number (kept as json.Number so
-// uint64 seeds round-trip without float truncation).
-type axisValue struct {
-	str   string
-	num   json.Number
-	isStr bool
-}
-
-func (v axisValue) String() string {
-	if v.isStr {
-		return fmt.Sprintf("%q", v.str)
-	}
-	return v.num.String()
+// axisFields is the closed list of request fields an axis may set: the
+// scalar model parameters of the wire format. The value says whether the
+// field is the workload's (true) or the spec's.
+var axisFields = map[string]bool{
+	"topology": false, "scheme": false, "routing": false, "va": false, "staticKey": false,
+	"numVCs": false, "bufDepth": false, "seed": false, "warmup": false, "measure": false,
+	"pattern": true, "rate": true, "packetSize": true, "benchmark": true,
 }
 
 func badf(format string, args ...any) error {
@@ -181,7 +177,6 @@ func parseAxes(raw json.RawMessage) ([]axis, error) {
 		return nil, nil
 	}
 	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.UseNumber()
 	tok, err := dec.Token()
 	if err != nil {
 		return nil, badf("axes: %v", err)
@@ -201,22 +196,18 @@ func parseAxes(raw json.RawMessage) ([]axis, error) {
 			return nil, badf("duplicate axis %q", name)
 		}
 		seen[name] = true
-		if _, ok := axisSetters[name]; !ok {
+		if _, ok := axisFields[name]; !ok {
 			return nil, badf("unknown axis %q (have %v)", name, axisNames())
 		}
-		var vals []any
-		if err := dec.Decode(&vals); err != nil {
+		ax := axis{name: name}
+		if err := dec.Decode(&ax.values); err != nil {
 			return nil, badf("axis %q: %v", name, err)
 		}
-		ax := axis{name: name, values: make([]axisValue, 0, len(vals))}
-		for _, v := range vals {
-			switch v := v.(type) {
-			case string:
-				ax.values = append(ax.values, axisValue{str: v, isStr: true})
-			case json.Number:
-				ax.values = append(ax.values, axisValue{num: v})
-			default:
-				return nil, badf("axis %q: values must be strings or numbers, got %T", name, v)
+		for _, v := range ax.values {
+			// null would decode as "leave the field alone", and no axis
+			// field is a bool, a list or an object.
+			if c := v[0]; c != '"' && c != '-' && (c < '0' || c > '9') {
+				return nil, badf("axis %q: values must be strings or numbers, got %s", name, v)
 			}
 		}
 		axes = append(axes, ax)
@@ -231,110 +222,22 @@ func parseAxes(raw json.RawMessage) ([]axis, error) {
 	return axes, nil
 }
 
-// applyAxis sets one template field from an axis value. The axis names are
-// a closed set mirroring the JSON field names of the request wire format.
-func applyAxis(r *service.Request, name string, v axisValue) error {
-	return axisSetters[name](r, v)
-}
-
-var errWantString = errors.New("want a string")
-
-func (v axisValue) asString() (string, error) {
-	if !v.isStr {
-		return "", errWantString
+// applyAxis sets one template field from an axis value, by decoding
+// {"<name>": <value>} onto the part of the request that has the field.
+func applyAxis(r *service.Request, name string, v json.RawMessage) error {
+	var dst any = &r.Spec
+	if axisFields[name] {
+		dst = &r.Workload
 	}
-	return v.str, nil
-}
-
-func (v axisValue) asInt() (int, error) {
-	if v.isStr {
-		return 0, errors.New("want a number")
+	if err := json.Unmarshal([]byte(`{"`+name+`":`+string(v)+`}`), dst); err != nil {
+		return badf("axis %q: %v", name, err)
 	}
-	n, err := v.num.Int64()
-	if err != nil {
-		return 0, err
-	}
-	if n < -1<<31 || n > 1<<31 {
-		return 0, errors.New("out of range")
-	}
-	return int(n), nil
-}
-
-func (v axisValue) asUint64() (uint64, error) {
-	if v.isStr {
-		return 0, errors.New("want a number")
-	}
-	// json.Number.Int64 overflows above 1<<63; parse the text directly so
-	// full-range uint64 seeds survive.
-	return strconv.ParseUint(v.num.String(), 10, 64)
-}
-
-func (v axisValue) asFloat() (float64, error) {
-	if v.isStr {
-		return 0, errors.New("want a number")
-	}
-	return v.num.Float64()
-}
-
-// setter wraps a typed assignment with a uniform axis-scoped error.
-func strSetter(name string, set func(*service.Request, string)) func(*service.Request, axisValue) error {
-	return func(r *service.Request, v axisValue) error {
-		s, err := v.asString()
-		if err != nil {
-			return badf("axis %q: %v", name, err)
-		}
-		set(r, s)
-		return nil
-	}
-}
-
-func intSetter(name string, set func(*service.Request, int)) func(*service.Request, axisValue) error {
-	return func(r *service.Request, v axisValue) error {
-		n, err := v.asInt()
-		if err != nil {
-			return badf("axis %q: %v", name, err)
-		}
-		set(r, n)
-		return nil
-	}
-}
-
-var axisSetters = map[string]func(*service.Request, axisValue) error{
-	"topology":  strSetter("topology", func(r *service.Request, s string) { r.Topology = s }),
-	"scheme":    strSetter("scheme", func(r *service.Request, s string) { r.Scheme = s }),
-	"routing":   strSetter("routing", func(r *service.Request, s string) { r.Routing = s }),
-	"va":        strSetter("va", func(r *service.Request, s string) { r.VA = s }),
-	"staticKey": strSetter("staticKey", func(r *service.Request, s string) { r.StaticKey = s }),
-	"pattern":   strSetter("pattern", func(r *service.Request, s string) { r.Workload.Pattern = s }),
-	"benchmark": strSetter("benchmark", func(r *service.Request, s string) { r.Workload.Benchmark = s }),
-
-	"numVCs":     intSetter("numVCs", func(r *service.Request, n int) { r.NumVCs = n }),
-	"bufDepth":   intSetter("bufDepth", func(r *service.Request, n int) { r.BufDepth = n }),
-	"warmup":     intSetter("warmup", func(r *service.Request, n int) { r.Warmup = n }),
-	"measure":    intSetter("measure", func(r *service.Request, n int) { r.Measure = n }),
-	"packetSize": intSetter("packetSize", func(r *service.Request, n int) { r.Workload.PacketSize = n }),
-
-	"seed": func(r *service.Request, v axisValue) error {
-		n, err := v.asUint64()
-		if err != nil {
-			return badf("axis %q: %v", "seed", err)
-		}
-		r.Seed = n
-		return nil
-	},
-	"rate": func(r *service.Request, v axisValue) error {
-		f, err := v.asFloat()
-		if err != nil {
-			return badf("axis %q: %v", "rate", err)
-		}
-		r.Workload.Rate = f
-		return nil
-	},
+	return nil
 }
 
 func axisNames() []string {
-	names := make([]string, 0, len(axisSetters))
-	for n := range axisSetters {
+	names := make([]string, 0, len(axisFields))
+	for n := range axisFields {
 		names = append(names, n)
 	}
 	sort.Strings(names)

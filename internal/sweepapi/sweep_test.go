@@ -361,3 +361,59 @@ func TestSweepShutdown(t *testing.T) {
 		t.Fatalf("sweep not drained by shutdown: %+v", fin)
 	}
 }
+
+// TestAxisIsARequestField: an axis value is decoded by the field it sets,
+// so it is typed and ranged exactly as that field of a POST /jobs body is,
+// and only the scalar model parameters can be swept.
+func TestAxisIsARequestField(t *testing.T) {
+	tmpl := `{"topology":"mesh4x4","scheme":"baseline","va":"static","warmup":10,"measure":50,"workload":{"pattern":"uniform","rate":0.1}}`
+	for name, axes := range map[string]string{
+		"float in an int field":   `{"numVCs":[1.5]}`,
+		"string in seed":          `{"seed":["7"]}`,
+		"seed past uint64":        `{"seed":[18446744073709551616]}`,
+		"number in a string":      `{"topology":[8]}`,
+		"null value":              `{"scheme":[null]}`,
+		"bool value":              `{"numVCs":[true]}`,
+		"list value":              `{"numVCs":[[1]]}`,
+		"object value":            `{"numVCs":[{}]}`,
+		"useEVC is not an axis":   `{"useEVC":[true]}`,
+		"workers is not an axis":  `{"workers":[2]}`,
+		"faults is not an axis":   `{"faults":[{"events":[]}]}`,
+		"workload is not an axis": `{"workload":[{"rate":0.2}]}`,
+		"kind is not an axis":     `{"kind":["cmp"]}`,
+		"packetSize over bound":   `{"packetSize":[1025]}`,
+		"numVCs over bound":       `{"numVCs":[65]}`,
+		"negative measure":        `{"measure":[-5]}`,
+	} {
+		_, err := Parse([]byte(`{"template":`+tmpl+`,"axes":`+axes+`}`), 0)
+		if !errors.Is(err, service.ErrBadRequest) {
+			t.Errorf("%s: err = %v, want ErrBadRequest", name, err)
+		}
+	}
+
+	// Every name on the closed list sets its field, on the spec or on the
+	// workload; the full uint64 seed range survives.
+	plan, err := Parse([]byte(`{"template":`+tmpl+`,"axes":{
+		"topology":["mesh4x2"],"scheme":["pseudo+s"],"routing":["yx"],"va":["dynamic"],"staticKey":["flow"],
+		"numVCs":[8],"bufDepth":[2],"seed":[18446744073709551615],"warmup":[20],"measure":[60],
+		"pattern":["bitcomp"],"rate":[0.25],"packetSize":[3]}}`), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := service.Request{
+		Spec: noc.Spec{Topology: "mesh4x2", Scheme: "pseudo+s", Routing: "yx", VA: "dynamic", StaticKey: "flow",
+			NumVCs: 8, BufDepth: 2, Seed: 18446744073709551615, Warmup: 20, Measure: 60},
+		Workload: noc.WorkloadSpec{Kind: "synthetic", Pattern: "bitcomp", Rate: 0.25, PacketSize: 3},
+	}
+	if len(plan.Points) != 1 || plan.Points[0].Req != want {
+		t.Errorf("thirteen axes gave %+v, want %+v", plan.Points, want)
+	}
+	plan, err = Parse([]byte(`{"template":{"topology":"cmesh4x4x4","scheme":"pseudo","workload":{"kind":"cmp","benchmark":"fft"}},
+		"axes":{"benchmark":["fma3d","specjbb"]}}`), 0)
+	if err != nil || len(plan.Points) != 2 || plan.Points[1].Req.Workload.Benchmark != "specjbb" {
+		t.Errorf("benchmark axis: plan %+v, err %v", plan, err)
+	}
+	if len(axisFields) != 14 {
+		t.Errorf("%d axis names; a new one needs a row above", len(axisFields))
+	}
+}

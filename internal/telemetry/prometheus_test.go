@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"bytes"
-	"math"
 	"strings"
 	"testing"
 )
@@ -92,82 +91,4 @@ func TestValidateExpositionRejects(t *testing.T) {
 	if _, err := ValidateExposition(strings.NewReader(ok)); err != nil {
 		t.Errorf("gauge named foo_count rejected: %v", err)
 	}
-}
-
-// Percentile interpolation at bucket edges (satellite): ranks landing
-// exactly on a bucket boundary must report the boundary, interior ranks
-// interpolate linearly, and the degenerate shapes (empty, single-bucket,
-// overflow-only) stay finite.
-func TestHistogramPercentileEdges(t *testing.T) {
-	mk := func() *Histogram { return newHistogram([]float64{10, 20, 40}) }
-
-	t.Run("empty", func(t *testing.T) {
-		if p := mk().Percentile(99); p != 0 {
-			t.Fatalf("empty histogram p99 = %v, want 0", p)
-		}
-	})
-
-	t.Run("exact bucket edge", func(t *testing.T) {
-		h := mk()
-		for i := 0; i < 4; i++ {
-			h.Observe(5) // all in (0,10]
-		}
-		// Every rank is inside the first bucket; p100's rank (4) sits at the
-		// bucket's top edge and must report exactly the upper bound.
-		if p := h.Percentile(100); p != 10 {
-			t.Fatalf("p100 = %v, want exactly the bucket edge 10", p)
-		}
-		// p25 -> rank 1 of 4 -> a quarter of the way through (0,10].
-		if p := h.Percentile(25); p != 2.5 {
-			t.Fatalf("p25 = %v, want 2.5", p)
-		}
-	})
-
-	t.Run("interpolates interior bucket", func(t *testing.T) {
-		h := mk()
-		h.Observe(5)  // bucket (0,10]
-		h.Observe(15) // bucket (10,20]
-		h.Observe(15)
-		h.Observe(15)
-		// rank(50) = ceil(0.5*4) = 2 -> first of the three in (10,20]:
-		// 10 + 10 * (2-1)/3.
-		want := 10 + 10*(1.0/3)
-		if p := h.Percentile(50); math.Abs(p-want) > 1e-12 {
-			t.Fatalf("p50 = %v, want %v", p, want)
-		}
-		// rank(100) = 4 -> top of (10,20] -> exactly 20.
-		if p := h.Percentile(100); p != 20 {
-			t.Fatalf("p100 = %v, want 20", p)
-		}
-	})
-
-	t.Run("overflow bucket clamps", func(t *testing.T) {
-		h := mk()
-		h.Observe(1000)
-		if p := h.Percentile(50); p != 40 {
-			t.Fatalf("overflow p50 = %v, want highest finite bound 40", p)
-		}
-	})
-
-	t.Run("p0 clamps to rank 1", func(t *testing.T) {
-		h := mk()
-		h.Observe(5)
-		h.Observe(35)
-		// p0 clamps to rank 1: the single first-bucket sample occupies its
-		// whole bucket (frac 1), so the estimate is that bucket's top edge.
-		if p := h.Percentile(0); p != 10 {
-			t.Fatalf("p0 = %v, want first bucket edge 10", p)
-		}
-	})
-
-	t.Run("quantile order", func(t *testing.T) {
-		h := newHistogram(DurationBuckets)
-		for i := 0; i < 1000; i++ {
-			h.Observe(float64(i) * 0.001)
-		}
-		p50, p90, p99 := h.Quantiles()
-		if !(p50 <= p90 && p90 <= p99) {
-			t.Fatalf("quantiles not monotone: %v %v %v", p50, p90, p99)
-		}
-	})
 }

@@ -109,49 +109,6 @@ func (h *Histogram) Count() uint64 { return h.total.Load() }
 // Sum returns the sum of all samples.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
-// Percentile estimates the p-th percentile (p in [0,100]) by linear
-// interpolation inside the bucket containing that rank. The first bucket
-// interpolates from zero (observations here are non-negative durations); the
-// overflow bucket cannot be interpolated and reports the highest finite
-// bound. An empty histogram reports 0.
-func (h *Histogram) Percentile(p float64) float64 {
-	total := h.total.Load()
-	if total == 0 {
-		return 0
-	}
-	rank := math.Ceil(p / 100 * float64(total))
-	if rank < 1 {
-		rank = 1
-	}
-	var seen uint64
-	for i := range h.counts {
-		c := h.counts[i].Load()
-		if c == 0 {
-			continue
-		}
-		if float64(seen+c) >= rank {
-			if i == len(h.bounds) {
-				return h.bounds[len(h.bounds)-1]
-			}
-			lo := 0.0
-			if i > 0 {
-				lo = h.bounds[i-1]
-			}
-			hi := h.bounds[i]
-			// Position of the rank within this bucket, in (0, 1].
-			frac := (rank - float64(seen)) / float64(c)
-			return lo + (hi-lo)*frac
-		}
-		seen += c
-	}
-	return h.bounds[len(h.bounds)-1]
-}
-
-// Quantiles returns the standard reporting set (p50, p90, p99).
-func (h *Histogram) Quantiles() (p50, p90, p99 float64) {
-	return h.Percentile(50), h.Percentile(90), h.Percentile(99)
-}
-
 // DurationBuckets is the default bucket set for service latencies, in
 // seconds: 100µs to ~2 minutes, roughly trebling. Queue waits at an idle
 // daemon land in the first buckets; saturated-queue waits and long

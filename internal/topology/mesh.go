@@ -41,9 +41,6 @@ func newMesh(name string, kx, ky, conc, span int) *Mesh {
 // Name implements Topology.
 func (m *Mesh) Name() string { return m.name }
 
-// Dims returns the router-grid dimensions.
-func (m *Mesh) Dims() (kx, ky int) { return m.kx, m.ky }
-
 // Coord returns router r's grid coordinates.
 func (m *Mesh) Coord(r int) (x, y int) { return m.grid.coord(r) }
 

@@ -43,6 +43,8 @@ type Topology interface {
 	Nodes() int
 	// Concentration returns terminals per router.
 	Concentration() int
+	// Dims returns the router-grid dimensions.
+	Dims() (kx, ky int)
 	// InPorts and OutPorts return the port counts of router r (MECS is
 	// asymmetric: few outputs, many inputs).
 	InPorts(r int) int
@@ -74,6 +76,7 @@ type grid struct {
 func (g grid) Routers() int               { return g.kx * g.ky }
 func (g grid) Nodes() int                 { return g.kx * g.ky * g.conc }
 func (g grid) Concentration() int         { return g.conc }
+func (g grid) Dims() (kx, ky int)         { return g.kx, g.ky }
 func (g grid) coord(r int) (x, y int)     { return r % g.kx, r / g.kx }
 func (g grid) router(x, y int) int        { return y*g.kx + x }
 func (g grid) nodeHome(node int) int      { return node / g.conc }

@@ -190,10 +190,8 @@ type Observe struct {
 	// PerRouter enables the per-router/per-port counter Registry.
 	PerRouter bool
 	// Window enables cycle-windowed time-series sampling with the given
-	// window length in cycles (0 = off).
+	// window length in cycles (0 = off); the newest 4096 windows are kept.
 	Window int
-	// WindowCap bounds the retained windows (ring buffer); 0 selects 4096.
-	WindowCap int
 	// Trace enables the flit-lifecycle event tracer.
 	Trace bool
 	// TraceCap bounds the retained events (ring buffer); 0 selects 1<<17.
@@ -218,8 +216,7 @@ type Experiment struct {
 	BufDepth  int
 	Seed      uint64
 	// UseEVC replaces the router with the Express-Virtual-Channel
-	// comparison baseline (§7.B); Scheme must be Baseline and Topology a
-	// mesh/cmesh.
+	// comparison baseline (§7.B); see validate for what it requires.
 	UseEVC bool
 	// Pool supplies the network's flit/packet free list; nil builds a
 	// private one. See Pool.
@@ -248,9 +245,9 @@ type Experiment struct {
 	// the run's horizon (warmup + measure). Like Faults it is a model
 	// parameter and participates in canonical specs and cache keys — as its
 	// compact parameters, not the expanded events. Mutually exclusive with
-	// Faults; Build panics when both are set or when expansion fails (the
-	// Spec path rejects both with an error first). Nil or all-zero fail
-	// probabilities disable it.
+	// Faults (validate); Build panics when expansion fails (the Spec path
+	// rejects that with an error first). Nil or all-zero fail probabilities
+	// disable it.
 	Churn *FaultChurn
 	// Reliable enables NI-level end-to-end reliable delivery: sequenced
 	// packets, receiver acks and dedup, sender retransmission with capped
@@ -330,8 +327,67 @@ func (e Experiment) Protocol() (warmup, measure int) {
 	return e.Warmup, e.Measure
 }
 
-// Build constructs the network for this experiment without running it.
+// faultTopo returns the topology as the grid faults and churn are declared
+// on; MECS and the flattened butterfly are not one.
+func (e Experiment) faultTopo() (fault.Topo, error) {
+	ft, ok := e.Topology.(fault.Topo)
+	if !ok {
+		return nil, fmt.Errorf("noc: topology %s does not support faults or churn", topologyName(e.Topology))
+	}
+	return ft, nil
+}
+
+// validate is the one list of model rules: what an Experiment must satisfy
+// to build and run without a panic from a lower layer. Spec.Experiment
+// returns its error, Build panics with it. How large and how long a run may
+// be is not a model rule but the caller's bound: see internal/service.
+func (e Experiment) validate() error {
+	d := e.defaults()
+	t := e.Topology
+	faults := e.Faults != nil && len(e.Faults.Events) > 0
+	churn := e.Churn != nil && e.Churn.Enabled()
+	radix := 0
+	for r := 0; r < t.Routers(); r++ {
+		radix = max(radix, t.InPorts(r), t.OutPorts(r))
+	}
+	switch {
+	case e.NumVCs < 0 || e.BufDepth < 0 || e.Warmup < 0 || e.Measure < 0 || e.Workers < 0:
+		return fmt.Errorf("noc: negative parameter (numVCs %d, bufDepth %d, warmup %d, measure %d, workers %d)",
+			e.NumVCs, e.BufDepth, e.Warmup, e.Measure, e.Workers)
+	case d.NumVCs > core.LaneLimit || radix > core.LaneLimit:
+		return fmt.Errorf("noc: %d VCs on a %d-port router exceed the %d-lane limit", d.NumVCs, radix, core.LaneLimit)
+	case e.Routing == O1TURN && d.NumVCs%2 != 0:
+		return fmt.Errorf("noc: O1TURN splits the VCs between its two classes; %d is odd", d.NumVCs)
+	case faults && churn:
+		return fmt.Errorf("noc: faults and churn are mutually exclusive")
+	}
+	if faults || churn {
+		if _, err := e.faultTopo(); err != nil {
+			return err
+		}
+	}
+	if e.UseEVC {
+		_, mesh := t.(*topology.Mesh)
+		switch nEVC := d.NumVCs / 2; {
+		case e.Scheme.Pseudo:
+			return fmt.Errorf("noc: UseEVC is a comparison baseline; scheme must be baseline")
+		case !mesh:
+			return fmt.Errorf("noc: UseEVC requires a mesh or cmesh topology, got %s", topologyName(t))
+		case e.Routing == O1TURN:
+			return fmt.Errorf("noc: UseEVC requires single-class routing (xy or yx)")
+		case nEVC < 2 || nEVC%2 != 0:
+			return fmt.Errorf("noc: UseEVC makes half the VCs express and needs an even number of them, at least 2; got %d of %d", nEVC, d.NumVCs)
+		}
+	}
+	return nil
+}
+
+// Build constructs the network for this experiment without running it. It
+// panics on an experiment validate rejects.
 func (e Experiment) Build() *Network {
+	if err := e.validate(); err != nil {
+		panic(err.Error())
+	}
 	e = e.defaults()
 	cfg := network.Config{
 		Topo:      e.Topology,
@@ -348,14 +404,7 @@ func (e Experiment) Build() *Network {
 		Reliable:  e.Reliable,
 	}
 	if e.Churn != nil && e.Churn.Enabled() {
-		if e.Faults != nil && len(e.Faults.Events) > 0 {
-			panic("noc: Faults and Churn are mutually exclusive")
-		}
-		ft, ok := e.Topology.(fault.Topo)
-		if !ok {
-			panic(fmt.Sprintf("noc: topology %q does not support fault churn", e.Topology.Name()))
-		}
-		sched, err := e.Churn.Expand(ft, int64(e.Warmup+e.Measure))
+		sched, err := e.Churn.Expand(e.Topology.(fault.Topo), int64(e.Warmup+e.Measure))
 		if err != nil {
 			panic("noc: " + err.Error())
 		}
@@ -372,11 +421,7 @@ func (e Experiment) Build() *Network {
 			cfg.Registry = stats.NewRegistry()
 		}
 		if e.Observe.Window > 0 {
-			wcap := e.Observe.WindowCap
-			if wcap == 0 {
-				wcap = 4096
-			}
-			cfg.Series = stats.NewSeries(e.Observe.Window, wcap)
+			cfg.Series = stats.NewSeries(e.Observe.Window, 4096)
 		}
 		if e.Observe.Trace {
 			tcap := e.Observe.TraceCap
@@ -387,13 +432,7 @@ func (e Experiment) Build() *Network {
 		}
 	}
 	if e.UseEVC {
-		if e.Scheme.Pseudo {
-			panic("noc: UseEVC is a comparison baseline; Scheme must be Baseline")
-		}
-		m, ok := e.Topology.(*topology.Mesh)
-		if !ok {
-			panic("noc: UseEVC requires a mesh or concentrated-mesh topology")
-		}
+		m := e.Topology.(*topology.Mesh)
 		nEVC := e.NumVCs / 2
 		cfg.NIVCLimit = e.NumVCs - nEVC
 		cfg.Factory = func(id, in, out int, rcfg *router.Config) network.Node {

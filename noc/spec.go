@@ -3,8 +3,10 @@ package noc
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"strings"
 
+	"pseudocircuit/internal/cmp"
 	"pseudocircuit/internal/fault"
 	"pseudocircuit/internal/network"
 	"pseudocircuit/internal/routing"
@@ -103,9 +105,9 @@ func (cs *ChurnSpec) Churn(e Experiment) (*FaultChurn, error) {
 	if !c.Enabled() {
 		return nil, nil
 	}
-	ft, ok := e.Topology.(fault.Topo)
-	if !ok {
-		return nil, fmt.Errorf("noc: topology %q does not support fault churn", e.Topology.Name())
+	ft, err := e.faultTopo()
+	if err != nil {
+		return nil, err
 	}
 	d := e.defaults()
 	if _, err := c.Expand(ft, int64(d.Warmup+d.Measure)); err != nil {
@@ -159,9 +161,9 @@ func (fs *FaultSpec) Schedule(e Experiment) (*FaultSchedule, error) {
 			Cycle: ev.Cycle, Kind: k, Router: ev.Router, Port: ev.Port,
 		})
 	}
-	ft, ok := e.Topology.(fault.Topo)
-	if !ok {
-		return nil, fmt.Errorf("noc: topology %q does not support fault schedules", e.Topology.Name())
+	ft, err := e.faultTopo()
+	if err != nil {
+		return nil, err
 	}
 	d := e.defaults()
 	if err := sched.Validate(ft, int64(d.Warmup+d.Measure)); err != nil {
@@ -186,11 +188,13 @@ type WorkloadSpec struct {
 	Benchmark string `json:"benchmark,omitempty"`
 }
 
-// Normalize validates the spec and fills every defaulted field with its
-// canonical value (lowercased names, paper defaults), so that two
-// semantically identical specs normalize to identical structs. It is the
-// basis of content-addressed result caching in the simulation service.
-func (w WorkloadSpec) Normalize() (WorkloadSpec, error) {
+// Normalize validates the spec against the experiment it will drive (which
+// supplies the topology) and fills every defaulted field with its canonical
+// value (lowercased names, paper defaults), so that two semantically
+// identical specs normalize to identical structs. It is the basis of
+// content-addressed result caching in the simulation service.
+func (w WorkloadSpec) Normalize(e Experiment) (WorkloadSpec, error) {
+	nodes := e.Topology.Nodes()
 	switch strings.ToLower(w.Kind) {
 	case "", "synthetic":
 		w.Kind = "synthetic"
@@ -199,6 +203,9 @@ func (w WorkloadSpec) Normalize() (WorkloadSpec, error) {
 			return w, err
 		}
 		w.Pattern = p.String()
+		if side := int(math.Sqrt(float64(nodes))); p == BitPermutation && side*side != nodes {
+			return w, fmt.Errorf("noc: transpose needs a square node count, %s has %d", topologyName(e.Topology), nodes)
+		}
 		if w.Benchmark != "" {
 			return w, fmt.Errorf("noc: synthetic workload cannot name a benchmark (%q)", w.Benchmark)
 		}
@@ -216,15 +223,12 @@ func (w WorkloadSpec) Normalize() (WorkloadSpec, error) {
 		if w.Pattern != "" || w.Rate != 0 || w.PacketSize != 0 {
 			return w, fmt.Errorf("noc: cmp workload takes only a benchmark, not synthetic fields")
 		}
-		found := false
-		for _, name := range CMPBenchmarks() {
-			if name == w.Benchmark {
-				found = true
-				break
-			}
-		}
-		if !found {
+		if _, ok := cmp.ProfileByName(w.Benchmark); !ok {
 			return w, fmt.Errorf("noc: unknown benchmark %q (have %v)", w.Benchmark, CMPBenchmarks())
+		}
+		if cfg := cmp.PaperTableI(); nodes != cfg.Cores+cfg.L2Banks {
+			return w, fmt.Errorf("noc: cmp workloads need a %d-terminal topology, %s has %d",
+				cfg.Cores+cfg.L2Banks, topologyName(e.Topology), nodes)
 		}
 	default:
 		return w, fmt.Errorf("noc: unknown workload kind %q", w.Kind)
@@ -236,17 +240,14 @@ func (w WorkloadSpec) Normalize() (WorkloadSpec, error) {
 // topology and seed). Callers should Normalize first; Workload normalizes
 // again defensively.
 func (w WorkloadSpec) Workload(e Experiment) (Workload, error) {
-	w, err := w.Normalize()
+	w, err := w.Normalize(e)
 	if err != nil {
 		return nil, err
 	}
 	if w.Kind == "cmp" {
 		return e.CMPWorkload(w.Benchmark)
 	}
-	p, err := ParsePattern(w.Pattern)
-	if err != nil {
-		return nil, err
-	}
+	p, _ := ParsePattern(w.Pattern) // a normalized name
 	return e.SyntheticWorkload(Synthetic{Pattern: p, Rate: w.Rate, PacketSize: w.PacketSize}), nil
 }
 
@@ -289,11 +290,14 @@ func ParseTopologyName(s string) (kind string, kx, ky, c int, err error) {
 }
 
 // ParseTopology resolves a topology name of the forms Spec.Topology
-// documents.
+// documents. The smallest grid is 2x2 routers with one terminal each.
 func ParseTopology(s string) (Topology, error) {
 	kind, kx, ky, c, err := ParseTopologyName(s)
 	if err != nil {
 		return nil, err
+	}
+	if kx < 2 || ky < 2 || c < 1 {
+		return nil, fmt.Errorf("noc: topology %q is smaller than a 2x2 grid of 1-terminal routers", s)
 	}
 	switch kind {
 	case "mesh":
@@ -305,6 +309,17 @@ func ParseTopology(s string) (Topology, error) {
 	default:
 		return topology.NewFBFly(kx, ky, c), nil
 	}
+}
+
+// topologyName prints a topology in ParseTopologyName's grammar, from the
+// value's own kind, grid and concentration, so the name parses back to this
+// topology and no other.
+func topologyName(t Topology) string {
+	kx, ky := t.Dims()
+	if t.Name() == "mesh" {
+		return fmt.Sprintf("mesh%dx%d", kx, ky)
+	}
+	return fmt.Sprintf("%s%dx%dx%d", t.Name(), kx, ky, t.Concentration())
 }
 
 // ParseScheme resolves a scheme name.
@@ -325,7 +340,8 @@ func ParseScheme(s string) (Scheme, error) {
 	}
 }
 
-// Experiment materializes the spec.
+// Experiment materializes the spec. It is total: a spec it accepts builds
+// and runs without panicking (Experiment.validate is the rule list).
 func (s Spec) Experiment() (Experiment, error) {
 	var e Experiment
 	t, err := ParseTopology(s.Topology)
@@ -375,9 +391,6 @@ func (s Spec) Experiment() (Experiment, error) {
 	if e.Churn, err = s.Churn.Churn(e); err != nil {
 		return e, err
 	}
-	if e.Faults != nil && e.Churn != nil {
-		return e, fmt.Errorf("noc: faults and churn are mutually exclusive")
-	}
 	if s.Reliable != nil {
 		r := *s.Reliable
 		if r.Timeout < 0 || r.MaxTimeout < 0 || r.Budget < 0 {
@@ -388,22 +401,14 @@ func (s Spec) Experiment() (Experiment, error) {
 		}
 		e.Reliable = &Reliability{Timeout: r.Timeout, MaxTimeout: r.MaxTimeout, Budget: r.Budget}
 	}
-	return e, nil
+	return e, e.validate()
 }
 
 // SpecOf renders an experiment back to its spec (for reports).
 func SpecOf(e Experiment) Spec {
 	e = e.defaults()
-	t := e.Topology
-	var topoName string
-	kx, ky := dimsOf(t)
-	if t.Concentration() == 1 && t.Name() == "mesh" {
-		topoName = fmt.Sprintf("mesh%dx%d", kx, ky)
-	} else {
-		topoName = fmt.Sprintf("%s%dx%dx%d", t.Name(), kx, ky, t.Concentration())
-	}
 	s := Spec{
-		Topology: topoName,
+		Topology: topologyName(e.Topology),
 		Scheme:   strings.ToLower(e.Scheme.String()),
 		Routing:  strings.ToLower(e.Routing.String()),
 		VA:       strings.TrimSuffix(e.Policy.String(), "VA"),
@@ -481,22 +486,7 @@ func SpecOf(e Experiment) Spec {
 	return s
 }
 
-func dimsOf(t Topology) (kx, ky int) {
-	type dimser interface{ Dims() (int, int) }
-	if d, ok := t.(dimser); ok {
-		return d.Dims()
-	}
-	// MECS/FBFLY expose their grid through router count and concentration;
-	// assume square (the shapes this package constructs).
-	n := t.Routers()
-	k := 1
-	for k*k < n {
-		k++
-	}
-	return k, n / k
-}
-
-// MarshalJSON round-trips Result for machine-readable CLI output.
+// String renders the spec as its JSON encoding.
 func (s Spec) String() string {
 	b, err := json.Marshal(s)
 	if err != nil {
