@@ -101,7 +101,7 @@ func main() {
 		Store:    st,
 	})
 
-	var dispatcher sweepapi.Dispatcher
+	var dispatcher service.Fleet
 	if *peers != "" {
 		if *selfURL == "" {
 			fatal("-peers requires -self (this node's base URL as the peers list it)")

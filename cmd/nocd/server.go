@@ -10,6 +10,7 @@ import (
 	"pseudocircuit/internal/service"
 	"pseudocircuit/internal/sweepapi"
 	"pseudocircuit/internal/telemetry"
+	"pseudocircuit/nocdclient"
 )
 
 // maxBodyBytes bounds a job-submission body; specs are a few hundred bytes.
@@ -100,25 +101,24 @@ func newMux(m *service.Manager, sw *sweepapi.Manager) *http.ServeMux {
 	return mux
 }
 
-// sweepLine is one line of the sweep NDJSON stream: a leading "sweep" line
-// with the accepted sweep, one "point" line per completed grid point in
-// completion order, and a final "end" line with the terminal status. A
-// stream that stops without an "end" line was cut off, and clients must
-// treat it so.
-type sweepLine struct {
-	Type  string                `json:"type"`
-	Sweep *sweepapi.Status      `json:"sweep,omitempty"`
-	Point *sweepapi.PointStatus `json:"point,omitempty"`
+// readBody reads a submission body within maxBodyBytes; when it cannot, it
+// has answered the request and returns false.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes+1))
+	switch {
+	case err != nil:
+		writeError(w, http.StatusBadRequest, err)
+	case len(body) > maxBodyBytes:
+		writeError(w, http.StatusRequestEntityTooLarge, errors.New("request body over 1 MiB"))
+	default:
+		return body, true
+	}
+	return nil, false
 }
 
 func handleSweepSubmit(sw *sweepapi.Manager, w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes+1))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if len(body) > maxBodyBytes {
-		writeError(w, http.StatusRequestEntityTooLarge, errors.New("request body over 1 MiB"))
+	body, ok := readBody(w, r)
+	if !ok {
 		return
 	}
 	st, err := sw.Submit(body)
@@ -133,6 +133,22 @@ func handleSweepSubmit(sw *sweepapi.Manager, w http.ResponseWriter, r *http.Requ
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
+	answerSweep(sw, w, r, st, http.StatusAccepted)
+}
+
+func handleSweepStatus(sw *sweepapi.Manager, w http.ResponseWriter, r *http.Request) {
+	st, ok := sw.Get(r.PathValue("id"))
+	if !ok {
+		writeError(w, http.StatusNotFound, sweepapi.ErrUnknownSweep)
+		return
+	}
+	answerSweep(sw, w, r, st, http.StatusOK)
+}
+
+// answerSweep answers a request about sweep st as its query asks: ?watch=1
+// streams it, ?wait=1 blocks until it is terminal, neither returns the
+// snapshot at hand with the status given.
+func answerSweep(sw *sweepapi.Manager, w http.ResponseWriter, r *http.Request, st sweepapi.Status, status int) {
 	q := r.URL.Query()
 	switch {
 	case q.Get("watch") != "":
@@ -148,33 +164,7 @@ func handleSweepSubmit(sw *sweepapi.Manager, w http.ResponseWriter, r *http.Requ
 		}
 		writeJSON(w, http.StatusOK, fin)
 	default:
-		writeJSON(w, http.StatusAccepted, st)
-	}
-}
-
-func handleSweepStatus(sw *sweepapi.Manager, w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	st, ok := sw.Get(id)
-	if !ok {
-		writeError(w, http.StatusNotFound, sweepapi.ErrUnknownSweep)
-		return
-	}
-	q := r.URL.Query()
-	switch {
-	case q.Get("watch") != "":
-		streamSweep(sw, w, r, id)
-	case q.Get("wait") != "":
-		fin, err := sw.Wait(r.Context(), id)
-		if err != nil {
-			if r.Context().Err() != nil {
-				return
-			}
-			writeError(w, http.StatusServiceUnavailable, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, fin)
-	default:
-		writeJSON(w, http.StatusOK, st)
+		writeJSON(w, status, st)
 	}
 }
 
@@ -196,7 +186,7 @@ func streamSweep(sw *sweepapi.Manager, w http.ResponseWriter, r *http.Request, i
 		return
 	}
 	done, _ := sw.Done(id)
-	if err := enc.Encode(sweepLine{Type: "sweep", Sweep: &st}); err != nil {
+	if err := enc.Encode(nocdclient.SweepLine{Type: "sweep", Sweep: &st}); err != nil {
 		return
 	}
 	cursor := 0
@@ -207,7 +197,7 @@ func streamSweep(sw *sweepapi.Manager, w http.ResponseWriter, r *http.Request, i
 		}
 		cursor = next
 		for i := range pts {
-			if err := enc.Encode(sweepLine{Type: "point", Point: &pts[i]}); err != nil {
+			if err := enc.Encode(nocdclient.SweepLine{Type: "point", Point: &pts[i]}); err != nil {
 				return
 			}
 		}
@@ -217,7 +207,7 @@ func streamSweep(sw *sweepapi.Manager, w http.ResponseWriter, r *http.Request, i
 		// Terminal status means every point is published; with the cursor
 		// caught up the stream is complete.
 		if st.Terminal() && cursor == st.Completed {
-			enc.Encode(sweepLine{Type: "end", Sweep: &st})
+			enc.Encode(nocdclient.SweepLine{Type: "end", Sweep: &st})
 			if flusher != nil {
 				flusher.Flush()
 			}
@@ -234,13 +224,8 @@ func streamSweep(sw *sweepapi.Manager, w http.ResponseWriter, r *http.Request, i
 }
 
 func handleSubmit(m *service.Manager, w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes+1))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if len(body) > maxBodyBytes {
-		writeError(w, http.StatusRequestEntityTooLarge, errors.New("request body over 1 MiB"))
+	body, ok := readBody(w, r)
+	if !ok {
 		return
 	}
 	req, err := service.DecodeRequest(body)

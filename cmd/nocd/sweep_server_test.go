@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -482,5 +483,111 @@ func TestTwoNodeSweepDispatch(t *testing.T) {
 	}
 	if remotes != int(bRan) {
 		t.Fatalf("%d points marked remote, node B ran %d", remotes, bRan)
+	}
+}
+
+// TestLocalTiersBeforeTheFleet: node A holds results (on disk, then in
+// memory) for keys whose ring owner is node B. A sweep on A serves them
+// itself, marked local and storeHit / cacheHit, and not one request reaches
+// B; a B-owned key A does not hold still goes to B. (At the parent a
+// peer-owned point went to the peer first and A's own tiers were never
+// looked at.)
+func TestLocalTiersBeforeTheFleet(t *testing.T) {
+	mB := service.New(service.Config{Workers: 2, Chunk: 100})
+	srvB := httptest.NewServer(newMux(mB, newTestSweeps(t, mB)))
+	t.Cleanup(func() {
+		srvB.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		mB.Shutdown(ctx)
+	})
+	reachedB := func() string {
+		t.Helper()
+		_, body := get(t, srvB.URL+"/metrics")
+		for _, line := range strings.Split(body, "\n") {
+			if v, ok := strings.CutPrefix(line, "nocd_submissions_total "); ok {
+				return v
+			}
+		}
+		t.Fatal("node B exposes no nocd_submissions_total")
+		return ""
+	}
+
+	// Node A on a store directory, with or without the fleet behind it.
+	dir := t.TempDir()
+	nodeA := func(fleet bool) (*httptest.Server, *cluster.Dispatcher) {
+		st, err := store.Open(dir, 1<<30)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := service.New(service.Config{Workers: 2, Chunk: 100, Store: st})
+		d, err := cluster.New(cluster.Config{
+			Self: "http://node-a", Peers: []string{srvB.URL},
+			Replicas: 2, Telemetry: m.Telemetry(), Spans: m.SpanLog(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := sweepapi.Config{}
+		if fleet {
+			cfg.Dispatcher = d
+		}
+		srv := httptest.NewServer(newMux(m, newTestSweepsWith(t, m, cfg)))
+		t.Cleanup(func() {
+			srv.Close()
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			m.Shutdown(ctx)
+		})
+		return srv, d
+	}
+	sweepOf := func(seeds []string) string {
+		return `{"template": {"topology":"mesh4x4","scheme":"pseudo","va":"static",
+		  "warmup":50,"measure":200,"workload":{"pattern":"uniform","rate":0.1}},
+		  "axes": {"seed": [` + strings.Join(seeds, ",") + `]}}`
+	}
+
+	// Alone, A simulates four B-owned keys into its store; a fifth stays unrun.
+	alone, d := nodeA(false)
+	var ofB []string
+	for seed := 1; seed < 4096 && len(ofB) < 5; seed++ {
+		plan, err := sweepapi.Parse([]byte(sweepOf([]string{strconv.Itoa(seed)})), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.Ring().Owners(plan.Points[0].Key, 1)[0] == srvB.URL {
+			ofB = append(ofB, strconv.Itoa(seed))
+		}
+	}
+	if len(ofB) < 5 {
+		t.Fatalf("only %d seeds under 4096 hash to node B", len(ofB))
+	}
+	held, notHeld := ofB[:4], ofB[4:]
+	if _, last, _ := postSweepStream(t, alone.URL, sweepOf(held)); last.Done != 4 || last.CacheHits != 0 {
+		t.Fatalf("seeding A's store: %+v", last)
+	}
+
+	// Restarted into the fleet, A has them on disk only.
+	inFleet, _ := nodeA(true)
+	for pass, want := range []struct{ cacheHits, storeHits int }{{4, 4}, {4, 0}} {
+		_, last, points := postSweepStream(t, inFleet.URL, sweepOf(held))
+		if last.State != "done" || last.Done != 4 || last.Remote != 0 ||
+			last.CacheHits != want.cacheHits || last.StoreHits != want.storeHits {
+			t.Fatalf("pass %d: %+v, want %+v and nothing remote", pass, last, want)
+		}
+		for _, p := range points {
+			if p.Source != service.RouteLocal || !p.CacheHit || p.StoreHit != (want.storeHits > 0) {
+				t.Fatalf("pass %d, point %d: source %q cacheHit %v storeHit %v", pass, p.Index, p.Source, p.CacheHit, p.StoreHit)
+			}
+		}
+		if got := reachedB(); got != "0" {
+			t.Fatalf("pass %d: %s submissions reached node B for keys A holds", pass, got)
+		}
+	}
+
+	// The fleet is really there: a B-owned key A does not hold goes to B.
+	_, last, points := postSweepStream(t, inFleet.URL, sweepOf(notHeld))
+	if last.Done != 1 || last.Remote != 1 || points[0].Source != service.RouteRemote || reachedB() != "1" {
+		t.Fatalf("key A does not hold: %+v, source %q, %s submissions at B", last, points[0].Source, reachedB())
 	}
 }

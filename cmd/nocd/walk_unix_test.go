@@ -1,0 +1,97 @@
+//go:build unix
+
+package main
+
+import (
+	"context"
+	"net/http"
+	"os"
+	"path/filepath"
+	"syscall"
+	"testing"
+	"time"
+
+	"pseudocircuit/internal/service"
+	"pseudocircuit/internal/store"
+)
+
+// TestBlockedDiskReadHoldsNoLock: the disk tier is read with the manager's
+// lock released. The entry of one key is a FIFO nobody writes to, so the
+// read of it blocks like a dying disk would; while it does, status reads,
+// the job list, /readyz and submissions of keys held in memory are all
+// still answered. (At the parent the read ran under the lock and every one
+// of them hung with it. /metrics is not on the list: its store gauges take
+// the store's own lock, which store.Get holds across its read.)
+func TestBlockedDiskReadHoldsNoLock(t *testing.T) {
+	dir := t.TempDir()
+	st, err := store.Open(dir, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, m, c := testServer(t, service.Config{Workers: 1, Store: st})
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	first, err := c.SubmitWait(ctx, smallReq(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	_, key, _, err := service.Canonicalize(smallReq(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fifo := filepath.Join(dir, key)
+	if err := syscall.Mkfifo(fifo, 0o644); err != nil {
+		t.Skipf("mkfifo: %v", err)
+	}
+	unblock := func() { // the read returns no bytes: a corrupt entry, a miss
+		if w, err := os.OpenFile(fifo, os.O_WRONLY|syscall.O_NONBLOCK, 0); err == nil {
+			w.Close()
+		}
+	}
+	t.Cleanup(unblock) // whatever fails below, the server must be able to close
+	blocked := make(chan error, 1)
+	go func() {
+		_, err := m.Submit(smallReq(2)) // memory and in-flight miss; the disk read blocks
+		blocked <- err
+	}()
+	select {
+	case err := <-blocked:
+		t.Fatalf("the submission did not block on its disk read (err %v)", err)
+	case <-time.After(100 * time.Millisecond):
+	}
+
+	short, stop := context.WithTimeout(ctx, 5*time.Second)
+	defer stop()
+	if j, err := c.Job(short, first.ID); err != nil || j.ID != first.ID {
+		t.Fatalf("GET /jobs/{id} behind a blocked disk read: %+v, %v", j, err)
+	}
+	hc := &http.Client{Timeout: 5 * time.Second}
+	for _, path := range []string{"/jobs", "/readyz"} {
+		resp, err := hc.Get(srv.URL + path)
+		if err != nil {
+			t.Fatalf("GET %s behind a blocked disk read: %v", path, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
+		}
+	}
+	if j, err := c.Submit(short, smallReq(1)); err != nil || !j.CacheHit {
+		t.Fatalf("memory hit behind a blocked disk read: %+v, %v", j, err)
+	}
+
+	// The disk answers at last, with a miss: the job is simulated after all.
+	unblock()
+	select {
+	case err := <-blocked:
+		if err != nil {
+			t.Fatalf("submission after the disk answered: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("submission still blocked after the disk answered")
+	}
+	if st.Corrupt() != 1 {
+		t.Fatalf("the empty entry was counted corrupt %d times, want 1", st.Corrupt())
+	}
+}

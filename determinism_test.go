@@ -192,39 +192,3 @@ func TestTraceReplayKernelEquivalence(t *testing.T) {
 		}
 	}
 }
-
-// TestPoolReuseDeterminism runs the same experiment twice through one shared
-// pool (the parallel-sweep worker pattern) and once with a private pool; all
-// three must agree — recycled objects must carry no state between runs. A
-// sharded network must reuse the shared pool too: shard 0 draws its flits
-// from it, so a finished run leaves its free list warm.
-func TestPoolReuseDeterminism(t *testing.T) {
-	for _, workers := range []int{0, 4} {
-		run := func(pool *noc.Pool) noc.Result {
-			e := noc.Experiment{
-				Topology: noc.Mesh(4, 4),
-				Scheme:   noc.PseudoSB,
-				Routing:  noc.XY,
-				Policy:   noc.StaticVA,
-				Workers:  workers,
-				Pool:     pool,
-				Warmup:   500,
-				Measure:  3000,
-			}
-			return e.RunSynthetic(noc.Synthetic{Pattern: noc.UniformRandom, Rate: 0.10})
-		}
-		pool := noc.NewPool()
-		first := run(pool)
-		if pool.FreeFlits() == 0 {
-			t.Errorf("workers=%d: the run left no flits in the shared pool; its free list is unused", workers)
-		}
-		second := run(pool) // free lists warm from the first run
-		private := run(nil)
-		if !reflect.DeepEqual(first, second) {
-			t.Errorf("workers=%d: shared pool: warm rerun diverged:\nfirst:  %+v\nsecond: %+v", workers, first, second)
-		}
-		if !reflect.DeepEqual(first, private) {
-			t.Errorf("workers=%d: shared vs private pool diverged:\nshared:  %+v\nprivate: %+v", workers, first, private)
-		}
-	}
-}

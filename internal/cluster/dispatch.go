@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"pseudocircuit/internal/service"
-	"pseudocircuit/internal/sweepapi"
 	"pseudocircuit/internal/telemetry"
 	"pseudocircuit/noc"
 	"pseudocircuit/nocdclient"
@@ -27,8 +26,8 @@ type Config struct {
 	Replicas int
 	// Retry tunes the per-peer client; zero selects nocdclient defaults.
 	Retry nocdclient.RetryPolicy
-	// HTTP overrides the transport (tests); nil uses a client with a sane
-	// per-attempt timeout.
+	// HTTP overrides the transport (tests); nil uses http.DefaultClient. No
+	// client-wide timeout is wanted: every request carries its own bound.
 	HTTP *http.Client
 	// Telemetry, when non-nil, receives the dispatch counters.
 	Telemetry *telemetry.Registry
@@ -36,13 +35,28 @@ type Config struct {
 	Spans *telemetry.SpanLog
 }
 
-// Dispatcher routes grid points to their consistent-hash owners, meeting
-// sweepapi.Dispatcher. It is stateless per-call and safe for concurrent use.
+// How long a peer may take before it counts as down: answerBound for what a
+// healthy daemon answers at once (accepting a job by plain POST /jobs,
+// reporting its state), pollBound for one long-poll for the job's end,
+// renewed while the peer still answers a status read. So a peer that never
+// answers costs a point answerBound, one that goes quiet later at most
+// pollBound + answerBound.
+const (
+	answerBound = 5 * time.Second
+	pollBound   = 30 * time.Second
+)
+
+// Dispatcher routes grid points to their consistent-hash owners: the fleet
+// tier of the service's walk (service.Fleet), consulted after every local
+// tier missed. It is stateless per-call and safe for concurrent use.
 type Dispatcher struct {
 	self     string
 	ring     *Ring
 	clients  map[string]*nocdclient.Client
 	replicas int
+	// The two bounds, fields only so that tests can shorten them.
+	answerBound, pollBound time.Duration
+
 	spans    *telemetry.SpanLog
 	routes   telemetry.CounterVec // label route: local|remote|fallback
 	peerErrs *telemetry.Counter
@@ -60,14 +74,16 @@ func New(cfg Config) (*Dispatcher, error) {
 	}
 	hc := cfg.HTTP
 	if hc == nil {
-		hc = &http.Client{Timeout: 5 * time.Minute}
+		hc = http.DefaultClient
 	}
 	d := &Dispatcher{
-		self:     cfg.Self,
-		ring:     ring,
-		clients:  map[string]*nocdclient.Client{},
-		replicas: cfg.Replicas,
-		spans:    cfg.Spans,
+		self:        cfg.Self,
+		ring:        ring,
+		clients:     map[string]*nocdclient.Client{},
+		replicas:    cfg.Replicas,
+		answerBound: answerBound,
+		pollBound:   pollBound,
+		spans:       cfg.Spans,
 	}
 	for _, m := range ring.Members() {
 		if m != cfg.Self {
@@ -97,23 +113,23 @@ func (d *Dispatcher) Dispatch(ctx context.Context, key string, req service.Reque
 	owners := d.ring.Owners(key, d.replicas)
 	for _, owner := range owners {
 		if owner == d.self {
-			d.count(sweepapi.RouteLocal)
-			return noc.Result{}, sweepapi.RouteLocal, nil
+			d.count(service.RouteLocal)
+			return noc.Result{}, service.RouteLocal, nil
 		}
 		res, err := d.remote(ctx, owner, key, req)
 		if err == nil {
-			d.count(sweepapi.RouteRemote)
-			return res, sweepapi.RouteRemote, nil
+			d.count(service.RouteRemote)
+			return res, service.RouteRemote, nil
 		}
 		if ctx.Err() != nil {
-			return noc.Result{}, sweepapi.RouteRemote, ctx.Err()
+			return noc.Result{}, service.RouteRemote, ctx.Err()
 		}
 		var apiErr *nocdclient.APIError
 		if errors.As(err, &apiErr) && apiErr.Status >= 400 && apiErr.Status < 500 &&
 			apiErr.Status != http.StatusTooManyRequests {
 			// Deterministic rejection: every peer (and the local service)
 			// would refuse the same way. Propagate instead of spreading it.
-			return noc.Result{}, sweepapi.RouteRemote, err
+			return noc.Result{}, service.RouteRemote, err
 		}
 		if d.peerErrs != nil {
 			d.peerErrs.Inc()
@@ -121,23 +137,35 @@ func (d *Dispatcher) Dispatch(ctx context.Context, key string, req service.Reque
 	}
 	// Every responsible peer is down (or this node owns no replica of the
 	// key and none answered): run it here rather than failing the sweep.
-	d.count(sweepapi.RouteFallback)
-	return noc.Result{}, sweepapi.RouteFallback, nil
+	d.count(service.RouteFallback)
+	return noc.Result{}, service.RouteFallback, nil
 }
 
-// remote runs one grid point on one peer and returns its result.
+// remote runs one grid point on one peer and returns its result, under the
+// two bounds above: a peer that stops answering is given up on, one that is
+// merely busy is not. ctx ends any of it at once.
 func (d *Dispatcher) remote(ctx context.Context, owner, key string, req service.Request) (noc.Result, error) {
 	start := time.Now()
-	j, err := d.clients[owner].SubmitWait(ctx, nocdclient.Request{Spec: req.Spec, Workload: req.Workload})
-	if err == nil && !j.Terminal() {
-		j, err = d.clients[owner].Wait(ctx, j.ID)
+	c := d.clients[owner]
+	j, err := within(ctx, d.answerBound, func(ctx context.Context) (nocdclient.Job, error) {
+		return c.Submit(ctx, req)
+	})
+	for id := j.ID; err == nil && !j.Terminal(); {
+		j, err = within(ctx, d.pollBound, func(ctx context.Context) (nocdclient.Job, error) {
+			return c.Wait(ctx, id)
+		})
+		if errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil {
+			j, err = within(ctx, d.answerBound, func(ctx context.Context) (nocdclient.Job, error) {
+				return c.Job(ctx, id)
+			})
+		}
 	}
 	outcome := "ok"
 	switch {
 	case err != nil:
 		outcome = "error"
-	case j.State != "done":
-		outcome = j.State
+	case j.State != service.StateDone:
+		outcome = string(j.State)
 		err = fmt.Errorf("cluster: peer job %s %s: %s", j.ID, j.State, j.Error)
 	case j.Result == nil:
 		outcome = "error"
@@ -153,6 +181,13 @@ func (d *Dispatcher) remote(ctx context.Context, owner, key string, req service.
 		return noc.Result{}, err
 	}
 	return *j.Result, nil
+}
+
+// within runs ask under ctx shortened to at most bound.
+func within(ctx context.Context, bound time.Duration, ask func(context.Context) (nocdclient.Job, error)) (nocdclient.Job, error) {
+	ctx, cancel := context.WithTimeout(ctx, bound)
+	defer cancel()
+	return ask(ctx)
 }
 
 func (d *Dispatcher) count(route string) {

@@ -18,8 +18,9 @@ import (
 	"pseudocircuit/nocdclient"
 )
 
-// peerServer is a minimal nocd-compatible daemon: POST /jobs?wait=1 backed
-// by a real service.Manager, enough surface for the dispatcher's client.
+// peerServer is a minimal nocd-compatible daemon: POST /jobs and GET
+// /jobs/{id} (each with ?wait=1) backed by a real service.Manager, enough
+// surface for the dispatcher's client.
 func peerServer(t *testing.T) (*httptest.Server, *service.Manager) {
 	t.Helper()
 	m := service.New(service.Config{Workers: 2, Chunk: 100})
@@ -49,6 +50,16 @@ func peerServer(t *testing.T) (*httptest.Server, *service.Manager) {
 				json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
 				return
 			}
+		}
+		json.NewEncoder(w).Encode(j)
+	})
+	mux.HandleFunc("GET /jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
+		j, ok := m.Get(r.PathValue("id"))
+		if ok && r.URL.Query().Get("wait") != "" {
+			j, _ = m.Wait(r.Context(), j.ID)
+		}
+		if !ok {
+			w.WriteHeader(http.StatusNotFound)
 		}
 		json.NewEncoder(w).Encode(j)
 	})
@@ -101,7 +112,7 @@ func TestDispatchSelfOwned(t *testing.T) {
 	}
 	req, key := keyOwnedBy(t, d.Ring(), "http://self")
 	_, route, err := d.Dispatch(context.Background(), key, req)
-	if err != nil || route != sweepapi.RouteLocal {
+	if err != nil || route != service.RouteLocal {
 		t.Fatalf("route %q err %v, want local", route, err)
 	}
 }
@@ -119,7 +130,7 @@ func TestDispatchRemote(t *testing.T) {
 	}
 	req, key := keyOwnedBy(t, d.Ring(), srv.URL)
 	res, route, err := d.Dispatch(context.Background(), key, req)
-	if err != nil || route != sweepapi.RouteRemote {
+	if err != nil || route != service.RouteRemote {
 		t.Fatalf("route %q err %v, want remote", route, err)
 	}
 
@@ -136,12 +147,8 @@ func TestDispatchRemote(t *testing.T) {
 	if peerSvc.Stats()["completed"] != 1 {
 		t.Fatalf("peer completed %d jobs, want 1", peerSvc.Stats()["completed"])
 	}
-	var b strings.Builder
-	if err := reg.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(b.String(), `nocd_dispatch_total{route="remote"} 1`) {
-		t.Fatalf("dispatch counter missing:\n%s", b.String())
+	if out := exposition(t, reg); !strings.Contains(out, `nocd_dispatch_total{route="remote"} 1`) {
+		t.Fatalf("dispatch counter missing:\n%s", out)
 	}
 }
 
@@ -159,14 +166,10 @@ func TestDispatchFallback(t *testing.T) {
 	}
 	req, key := keyOwnedBy(t, d.Ring(), url)
 	_, route, err := d.Dispatch(context.Background(), key, req)
-	if err != nil || route != sweepapi.RouteFallback {
+	if err != nil || route != service.RouteFallback {
 		t.Fatalf("route %q err %v, want fallback", route, err)
 	}
-	var b strings.Builder
-	if err := reg.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
+	out := exposition(t, reg)
 	if !strings.Contains(out, `nocd_dispatch_total{route="fallback"} 1`) ||
 		!strings.Contains(out, "nocd_dispatch_peer_errors_total 1") {
 		t.Fatalf("fallback counters missing:\n%s", out)
@@ -197,11 +200,11 @@ func TestDispatchReplicaFailover(t *testing.T) {
 	// for others; both outcomes are correct — what may not happen is a
 	// failure or a fallback that skipped a live replica before self.
 	switch route {
-	case sweepapi.RouteRemote:
+	case service.RouteRemote:
 		if peerSvc.Stats()["completed"] != 1 {
 			t.Fatalf("remote route but peer completed %d", peerSvc.Stats()["completed"])
 		}
-	case sweepapi.RouteLocal:
+	case service.RouteLocal:
 		if owners[1] != "http://self" {
 			t.Fatalf("local route but self is not the second replica: %v", owners)
 		}

@@ -123,7 +123,7 @@ func num(v float64) string  { return fmt.Sprintf("%.2f", v) }
 func norm(v float64) string { return fmt.Sprintf("%.3f", v) }
 
 // point is one simulation of a figure: a noc.Experiment without its run
-// protocol (Seed, Pool, Warmup, Measure and Workers come from Options) plus
+// protocol (Seed, Warmup, Measure and Workers come from Options) plus
 // the traffic that drives it. A figure lists its points, runs them and
 // reduces the results.
 type point struct {
@@ -162,9 +162,9 @@ func meshPoint(s core.Scheme, syn noc.Synthetic) point {
 // index. Progress ticks once per point.
 func (o Options) each(points []point, fn func(i int, e noc.Experiment, n *noc.Network, w noc.Workload)) {
 	tick := o.progress(len(points))
-	forEach(len(points), func(i int, pool *noc.Pool) {
+	forEach(len(points), func(i int) {
 		e := points[i].Experiment
-		e.Seed, e.Pool, e.Warmup, e.Measure, e.Workers = o.Seed, pool, o.Warmup, o.Measure, o.Workers
+		e.Seed, e.Warmup, e.Measure, e.Workers = o.Seed, o.Warmup, o.Measure, o.Workers
 		fn(i, e, e.Build(), points[i].traffic(e))
 		tick()
 	})

@@ -3,33 +3,24 @@ package experiments
 import (
 	"runtime"
 	"sync"
-
-	"pseudocircuit/noc"
 )
 
-// forEach runs fn(i, pool) for i in [0, n) on up to GOMAXPROCS workers.
-// Every simulation is self-contained and deterministic (its own network, RNG
-// and meters), so per-index results are identical to a sequential run;
+// forEach runs fn(i) for i in [0, n) on up to GOMAXPROCS workers. Every
+// simulation is self-contained and deterministic (its own network, RNG,
+// pool and meters), so per-index results are identical to a sequential run;
 // callers write results only to their own index.
-//
-// Each worker owns one flit/packet pool that it threads through its grid
-// points in sequence, so the free lists warmed by one run are reused by the
-// next instead of re-growing from the heap. Pools are never shared between
-// workers; fn must hand the pool only to networks it runs to completion
-// before returning.
-func forEach(n int, fn func(i int, pool *noc.Pool)) {
+func forEach(n int, fn func(i int)) {
 	forEachN(n, runtime.GOMAXPROCS(0), fn)
 }
 
 // forEachN is forEach with an explicit worker count (tests pin it).
-func forEachN(n, workers int, fn func(i int, pool *noc.Pool)) {
+func forEachN(n, workers int, fn func(i int)) {
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
-		pool := noc.NewPool()
 		for i := 0; i < n; i++ {
-			fn(i, pool)
+			fn(i)
 		}
 		return
 	}
@@ -39,9 +30,8 @@ func forEachN(n, workers int, fn func(i int, pool *noc.Pool)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			pool := noc.NewPool()
 			for i := range next {
-				fn(i, pool)
+				fn(i)
 			}
 		}()
 	}

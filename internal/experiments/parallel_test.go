@@ -8,16 +8,14 @@ import (
 	"pseudocircuit/noc"
 )
 
-// runPoint runs one small grid point with the worker-local pool, the way
-// every Fig function does.
-func runPoint(i int, pool *noc.Pool) noc.Result {
+// runPoint runs one small grid point, the way every Fig function does.
+func runPoint(i int) noc.Result {
 	e := noc.Experiment{
 		Topology: noc.Mesh(4, 4),
 		Scheme:   noc.Schemes[i%len(noc.Schemes)],
 		Routing:  noc.XY,
 		Policy:   noc.StaticVA,
 		Seed:     uint64(1 + i),
-		Pool:     pool,
 		Warmup:   200,
 		Measure:  800,
 	}
@@ -25,20 +23,18 @@ func runPoint(i int, pool *noc.Pool) noc.Result {
 }
 
 // TestForEachParallelMatchesSequential drives the sweep executor with one
-// worker and with many, sharing each worker's pool across its grid points,
-// and requires identical per-index results. Run under -race this also
-// checks that pool handoff between sequential runs on one worker never
-// crosses goroutines.
+// worker and with many and requires identical per-index results. Run under
+// -race this also checks that concurrently running points share nothing.
 func TestForEachParallelMatchesSequential(t *testing.T) {
 	const n = 16
 	seq := make([]noc.Result, n)
-	forEachN(n, 1, func(i int, pool *noc.Pool) {
-		seq[i] = runPoint(i, pool)
+	forEachN(n, 1, func(i int) {
+		seq[i] = runPoint(i)
 	})
 	for _, workers := range []int{2, 4, 8} {
 		par := make([]noc.Result, n)
-		forEachN(n, workers, func(i int, pool *noc.Pool) {
-			par[i] = runPoint(i, pool)
+		forEachN(n, workers, func(i int) {
+			par[i] = runPoint(i)
 		})
 		for i := range seq {
 			if !reflect.DeepEqual(seq[i], par[i]) {
@@ -54,7 +50,7 @@ func TestForEachParallelMatchesSequential(t *testing.T) {
 func TestForEachNZeroWork(t *testing.T) {
 	for _, workers := range []int{-1, 0, 1, 4} {
 		calls := 0
-		forEachN(0, workers, func(i int, pool *noc.Pool) {
+		forEachN(0, workers, func(i int) {
 			calls++
 		})
 		if calls != 0 {
@@ -64,30 +60,20 @@ func TestForEachNZeroWork(t *testing.T) {
 }
 
 // TestForEachNWorkersExceedN: with more workers than work items the
-// executor clamps rather than spawning idle goroutines, and still runs each
-// index exactly once with a non-nil worker-local pool.
+// executor still runs each index exactly once.
 func TestForEachNWorkersExceedN(t *testing.T) {
 	const n = 3
 	var mu sync.Mutex
 	counts := make([]int, n)
-	pools := make(map[*noc.Pool]bool)
-	forEachN(n, 64, func(i int, pool *noc.Pool) {
-		if pool == nil {
-			t.Errorf("nil pool for index %d", i)
-			return
-		}
+	forEachN(n, 64, func(i int) {
 		mu.Lock()
 		counts[i]++
-		pools[pool] = true
 		mu.Unlock()
 	})
 	for i, c := range counts {
 		if c != 1 {
 			t.Errorf("index %d ran %d times", i, c)
 		}
-	}
-	if len(pools) > n {
-		t.Errorf("%d distinct pools for %d work items: workers not clamped", len(pools), n)
 	}
 }
 
@@ -97,19 +83,12 @@ func TestForEachNWorkersExceedN(t *testing.T) {
 func TestForEachNSingleWorkerIsSequential(t *testing.T) {
 	for _, workers := range []int{0, 1} {
 		var order []int
-		var pools []*noc.Pool
-		forEachN(5, workers, func(i int, pool *noc.Pool) {
+		forEachN(5, workers, func(i int) {
 			order = append(order, i) // unsynchronized: must be one goroutine
-			pools = append(pools, pool)
 		})
 		for k, i := range order {
 			if k != i {
 				t.Fatalf("workers=%d: position %d got index %d", workers, k, i)
-			}
-		}
-		for k := 1; k < len(pools); k++ {
-			if pools[k] != pools[0] {
-				t.Errorf("workers=%d: sequential run switched pools at index %d", workers, k)
 			}
 		}
 	}
@@ -121,10 +100,7 @@ func TestForEachCoversAllIndices(t *testing.T) {
 	for _, workers := range []int{1, 3, 7, 32} {
 		counts := make([]int, 50)
 		var order []int // written only under workers=1
-		forEachN(len(counts), workers, func(i int, pool *noc.Pool) {
-			if pool == nil {
-				t.Fatalf("workers=%d: nil pool for index %d", workers, i)
-			}
+		forEachN(len(counts), workers, func(i int) {
 			if workers == 1 {
 				order = append(order, i)
 				counts[i]++

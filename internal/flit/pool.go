@@ -94,7 +94,3 @@ func (pl *Pool) SplitInto(dst []*Flit, p *Packet) []*Flit {
 	}
 	return dst
 }
-
-// FreeFlits reports the number of flits currently parked in the pool
-// (diagnostics and tests).
-func (pl *Pool) FreeFlits() int { return len(pl.flits) }

@@ -125,11 +125,6 @@ type Config struct {
 	// NIVCLimit restricts injection to VCs [0, NIVCLimit) when positive;
 	// the EVC configuration reserves the upper VCs for express paths.
 	NIVCLimit int
-	// Pool supplies the flit/packet free list; nil builds a private one.
-	// Sharing a pool across sequentially executed networks (one experiment
-	// worker) carries warmed free lists between runs. A pool must never be
-	// shared by concurrently running networks.
-	Pool *flit.Pool
 	// Naive disables the active-set scheduler: every router is ticked every
 	// cycle, as the seed simulator did. Results are bit-identical either
 	// way (the determinism harness asserts this); the naive kernel exists
@@ -406,10 +401,6 @@ func New(cfg Config) *Network {
 			WithStaticKey(cfg.StaticKey)
 	}
 
-	pool := cfg.Pool
-	if pool == nil {
-		pool = flit.NewPool()
-	}
 	n := &Network{
 		cfg:      cfg,
 		topo:     t,
@@ -419,7 +410,7 @@ func New(cfg Config) *Network {
 		Stats:    &stats.Network{},
 		Energy:   energy.NewMeter(),
 		rng:      sim.NewRNG(cfg.Seed),
-		pool:     pool,
+		pool:     flit.NewPool(),
 		active:   make([]bool, t.Routers()),
 		naive:    cfg.Naive,
 		registry: cfg.Registry,
@@ -535,7 +526,7 @@ func New(cfg Config) *Network {
 			r1:   (i + 1) * t.Routers() / w,
 			n0:   i * t.Nodes() / w,
 			n1:   (i + 1) * t.Nodes() / w,
-			pool: pool, // shard 0 draws from Config.Pool, so a warmed free list is reused
+			pool: n.pool, // shard 0 shares the network's free list
 			lone: w == 1,
 			work: make(chan bool, 1),
 		}

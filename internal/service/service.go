@@ -4,16 +4,15 @@
 // Shape of the subsystem:
 //
 //   - Submissions are canonicalized (spec.go) and content-addressed by the
-//     SHA-256 of their canonical encoding. A key that was already computed
-//     is answered from the result cache without simulating; a key that is
-//     currently queued or running joins the in-flight job (singleflight)
-//     instead of enqueueing a duplicate.
+//     SHA-256 of their canonical encoding. Where a key's result may come
+//     from, and in what order, is one function (walk): the memory cache, an
+//     identical queued or running job (singleflight), the disk store, the
+//     key's owner elsewhere in the fleet, and only then a simulation here.
+//     Submit is its non-blocking form, Do the whole walk to a terminal job.
 //   - New work enters a bounded FIFO queue; a full queue rejects the
 //     submission (backpressure) rather than buffering without limit.
-//   - A fixed pool of workers drains the queue. Each worker owns one
-//     noc.Pool that it threads through its jobs in sequence — the same
-//     free-list reuse pattern as the parallel sweep executor — so steady
-//     state stays allocation-free across jobs. Pools never cross workers.
+//   - A fixed pool of workers drains the queue; every job builds its own
+//     network and shares nothing with the next.
 //   - Every job carries a context; cancelling it stops the simulation at
 //     the next chunk boundary (noc.Experiment.RunOnContext). Shutdown
 //     drains the queue gracefully and escalates to cancelling in-flight
@@ -37,6 +36,7 @@ import (
 	"pseudocircuit/internal/store"
 	"pseudocircuit/internal/telemetry"
 	"pseudocircuit/noc"
+	"pseudocircuit/nocdclient"
 )
 
 // Config parameterizes a Manager. Zero values select the defaults.
@@ -86,54 +86,35 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// State is a job's lifecycle phase.
-type State string
-
-const (
-	StateQueued   State = "queued"
-	StateRunning  State = "running"
-	StateDone     State = "done"
-	StateFailed   State = "failed"
-	StateCanceled State = "canceled"
+// State, Job and Request (spec.go) are the wire schema, declared once in
+// nocdclient; the manager fills them, the transport encodes them.
+type (
+	State = nocdclient.State
+	Job   = nocdclient.Job
 )
 
-// Terminal reports whether the state is final.
-func (s State) Terminal() bool {
-	return s == StateDone || s == StateFailed || s == StateCanceled
-}
+const (
+	StateQueued   = nocdclient.StateQueued
+	StateRunning  = nocdclient.StateRunning
+	StateDone     = nocdclient.StateDone
+	StateFailed   = nocdclient.StateFailed
+	StateCanceled = nocdclient.StateCanceled
+)
 
-// Job is an immutable status snapshot of one submission.
-type Job struct {
-	ID    string `json:"id"`
-	Key   string `json:"key"`
-	State State  `json:"state"`
-	// CacheHit marks a submission answered from the result cache without
-	// simulating.
-	CacheHit bool `json:"cacheHit"`
-	// StoreHit marks a cache hit that was served from the persistent disk
-	// store rather than process memory — i.e. the result outlived a restart
-	// or was written by another process sharing the store directory.
-	StoreHit bool `json:"storeHit,omitempty"`
-	// Dedup marks a submission that joined an identical in-flight job; the
-	// ID is the original job's.
-	Dedup       bool `json:"dedup"`
-	CyclesDone  int  `json:"cyclesDone"`
-	CyclesTotal int  `json:"cyclesTotal"`
-	// QueueWaitMS is the wall time the job spent waiting for a worker, in
-	// milliseconds; zero for cache hits and while still queued.
-	QueueWaitMS float64 `json:"queueWaitMs"`
-	// RunMS is the wall time a worker spent simulating, in milliseconds:
-	// elapsed-so-far while running, final once terminal, zero for cache hits.
-	RunMS float64 `json:"runMs"`
-	// CyclesPerSec is the simulation rate over the run so far; present while
-	// running and on terminal snapshots of jobs that actually simulated.
-	CyclesPerSec float64 `json:"cyclesPerSec,omitempty"`
-	// ETASeconds estimates the remaining run time from the current rate;
-	// present only while running.
-	ETASeconds float64     `json:"etaSeconds,omitempty"`
-	Request    Request     `json:"request"`
-	Result     *noc.Result `json:"result,omitempty"`
-	Error      string      `json:"error,omitempty"`
+// Where a walk found its result. The fleet tier reports the same strings.
+const (
+	RouteLocal    = "local"    // on this node, which owns the key or held the result
+	RouteRemote   = "remote"   // served by the key's owner elsewhere
+	RouteFallback = "fallback" // on this node, because no owner answered
+)
+
+// Fleet is the walk's last tier before simulating here: the nodes that own
+// the key elsewhere. Dispatch either serves the result from a peer
+// (RouteRemote) or tells the walk to run the job on this node (RouteLocal
+// when this node is the owner, RouteFallback when every responsible peer
+// was unreachable). A non-nil error ends the walk.
+type Fleet interface {
+	Dispatch(ctx context.Context, key string, req Request) (res noc.Result, route string, err error)
 }
 
 // Submission/lifecycle errors the transport maps to HTTP statuses.
@@ -143,26 +124,19 @@ var (
 	ErrUnknownJob   = errors.New("service: unknown job")
 )
 
-// job is the mutable record behind Job snapshots.
+// job is the mutable record behind Job snapshots. Of the embedded snapshot,
+// ID, Key, Request and CyclesTotal are fixed at creation; State, the hit
+// marks, CyclesDone, Result and Error change under mu; Dedup and the timing
+// fields are filled in per snapshot.
 type job struct {
-	id     string
-	key    string
+	Job
 	scheme string // bounded label value for per-scheme metrics
-	req    Request
 	exp    noc.Experiment
-	total  int
 	ctx    context.Context
 	cancel context.CancelFunc
 	done   chan struct{} // closed when the job reaches a terminal state
 
-	mu         sync.Mutex
-	state      State
-	cacheHit   bool
-	storeHit   bool
-	cyclesDone int
-	result     *noc.Result
-	err        string
-
+	mu sync.Mutex
 	// Wall-clock lifecycle marks; zero until the phase is reached.
 	enqueuedAt time.Time
 	startedAt  time.Time
@@ -172,19 +146,9 @@ type job struct {
 func (j *job) snapshot() Job {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	s := Job{
-		ID:          j.id,
-		Key:         j.key,
-		State:       j.state,
-		CacheHit:    j.cacheHit,
-		StoreHit:    j.storeHit,
-		CyclesDone:  j.cyclesDone,
-		CyclesTotal: j.total,
-		Request:     j.req,
-		Error:       j.err,
-	}
-	if j.result != nil {
-		r := *j.result
+	s := j.Job
+	if s.Result != nil {
+		r := *s.Result
 		s.Result = &r
 	}
 	if !j.startedAt.IsZero() {
@@ -194,10 +158,10 @@ func (j *job) snapshot() Job {
 			runFor = j.finishedAt.Sub(j.startedAt)
 		}
 		s.RunMS = float64(runFor) / float64(time.Millisecond)
-		if secs := runFor.Seconds(); secs > 0 && j.cyclesDone > 0 {
-			s.CyclesPerSec = float64(j.cyclesDone) / secs
-			if j.state == StateRunning {
-				s.ETASeconds = float64(j.total-j.cyclesDone) / s.CyclesPerSec
+		if secs := runFor.Seconds(); secs > 0 && j.CyclesDone > 0 {
+			s.CyclesPerSec = float64(j.CyclesDone) / secs
+			if j.State == StateRunning {
+				s.ETASeconds = float64(j.CyclesTotal-j.CyclesDone) / s.CyclesPerSec
 			}
 		}
 	}
@@ -239,80 +203,164 @@ func New(cfg Config) *Manager {
 	return m
 }
 
-// Submit accepts a request, answering from the cache or an identical
-// in-flight job when possible, enqueueing a new job otherwise. Errors:
-// ErrBadRequest (wrapped, invalid spec), ErrQueueFull, ErrShuttingDown.
+// Submit is the walk's non-blocking form: it answers from the memory cache,
+// an identical in-flight job or the disk store when it can, and otherwise
+// enqueues a new job and returns. Errors: ErrBadRequest (wrapped, invalid
+// spec), ErrQueueFull, ErrShuttingDown.
 func (m *Manager) Submit(r Request) (Job, error) {
+	j, _, err := m.walk(context.Background(), r, nil, false)
+	return j, err
+}
+
+// Do runs the whole walk to a terminal job: every local tier, then fleet
+// (nil: there is none), then a simulation here, waiting out a full queue
+// and the run itself. It also says where the result came from (a Route
+// constant). When ctx ends first the job it waits on is cancelled, as by
+// Cancel, and Do returns ctx's error; its other errors are Submit's (never
+// ErrQueueFull) and fleet's.
+func (m *Manager) Do(ctx context.Context, r Request, fleet Fleet) (Job, string, error) {
+	return m.walk(ctx, r, fleet, true)
+}
+
+// queueFullRetry is how long Do sleeps before offering its job to a full
+// queue again.
+const queueFullRetry = 5 * time.Millisecond
+
+// walk is the one place that says where a finished result may come from
+// and in what order: (1) the memory cache, (2) an identical queued or
+// running job, (3) the disk store, (4) the key's owner in the fleet, (5) a
+// simulation here. Tiers 1 and 2 are map reads under m.mu. Tiers 3 and 4
+// block on a disk or a peer, so they run with m.mu released, once each, and
+// the walk then starts over from tier 1: whatever happened meanwhile (an
+// identical submission enqueued, a result cached) is found before anything
+// is enqueued twice. A slow tier answers hit or miss; a corrupt entry or a
+// hung peer is a miss. A disk hit is promoted into memory. A peer's answer
+// is handed on and adopted into neither local tier: its owner keeps it, and
+// another binary's result stored under our key would make a version skew a
+// wrong answer that outlives it (DESIGN.md §11).
+//
+// Without wait the walk returns where the job is enqueued or the queue is
+// full, and skips the fleet, which would block: that is Submit.
+func (m *Manager) walk(ctx context.Context, r Request, fleet Fleet, wait bool) (Job, string, error) {
 	canon, key, exp, err := Canonicalize(r)
 	if err != nil {
-		return Job{}, err
+		return Job{}, "", err
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return Job{}, ErrShuttingDown
-	}
-	now := time.Now()
-	if res, ok := m.cache[key]; ok {
-		j := m.newJobLocked(canon, key, exp)
-		j.state = StateDone
-		j.cacheHit = true
-		j.cyclesDone = j.total
-		j.result = &res
-		close(j.done)
-		m.ins.submissions.Inc()
-		m.ins.cacheHits.Inc()
-		m.ins.instant("cache-hit", j, "hit", now)
-		return j.snapshot(), nil
-	}
-	if j, ok := m.inflight[key]; ok {
-		m.ins.submissions.Inc()
-		m.ins.coalesced.Inc()
-		m.ins.instant("cache-lookup", j, "coalesced", now)
-		s := j.snapshot()
-		s.Dedup = true
-		return s, nil
-	}
-	// Memory and in-flight both missed; the disk store is the last cache
-	// tier before simulating. A disk hit is promoted into the memory cache
-	// so repeats stay off the disk.
-	if m.cfg.Store != nil {
-		if res, ok := m.storeLookupLocked(key); ok {
-			m.addCacheLocked(key, res)
-			j := m.newJobLocked(canon, key, exp)
-			j.state = StateDone
-			j.cacheHit = true
-			j.storeHit = true
-			j.cyclesDone = j.total
-			j.result = &res
-			close(j.done)
-			m.ins.submissions.Inc()
-			m.ins.cacheHits.Inc()
-			m.ins.storeHits.Inc()
-			m.ins.instant("store-hit", j, "hit", now)
-			return j.snapshot(), nil
+	source := RouteLocal
+	askDisk, askFleet := m.cfg.Store != nil, fleet != nil && wait
+	var onDisk *noc.Result
+	for ctx.Err() == nil {
+		now := time.Now()
+		m.mu.Lock()
+		if m.closed {
+			m.mu.Unlock()
+			return Job{}, source, ErrShuttingDown
 		}
-		m.ins.storeMisses.Inc()
+		if res, ok := m.cache[key]; ok { // tier 1
+			j := m.hitLocked(canon, key, exp, res, false, now)
+			m.mu.Unlock()
+			return j.snapshot(), source, nil
+		}
+		if j, ok := m.inflight[key]; ok { // tier 2
+			m.mu.Unlock()
+			m.ins.submissions.Inc()
+			m.ins.coalesced.Inc()
+			m.ins.instant("cache-lookup", j, "coalesced", now)
+			s, err := j.snapshot(), error(nil)
+			if wait {
+				s, err = m.await(ctx, j)
+			}
+			s.Dedup = true
+			return s, source, err
+		}
+		switch {
+		case onDisk != nil: // tier 3 hit, on the pass before
+			j := m.hitLocked(canon, key, exp, *onDisk, true, now)
+			m.mu.Unlock()
+			return j.snapshot(), source, nil
+		case askDisk: // tier 3
+			m.mu.Unlock()
+			askDisk = false
+			if onDisk = m.storeLookup(key); onDisk == nil {
+				m.ins.storeMisses.Inc()
+			}
+		case askFleet: // tier 4
+			m.mu.Unlock()
+			askFleet = false
+			var res noc.Result
+			if res, source, err = fleet.Dispatch(ctx, key, canon); err != nil {
+				return Job{}, source, err
+			}
+			if source == RouteRemote {
+				return Job{Key: key, State: StateDone, Request: canon, Result: &res}, source, nil
+			}
+		case len(m.queue) == cap(m.queue): // tier 5 has no room
+			m.mu.Unlock()
+			m.ins.rejected.Inc()
+			if !wait {
+				return Job{}, source, ErrQueueFull
+			}
+			select {
+			case <-ctx.Done():
+			case <-time.After(queueFullRetry):
+			}
+		default: // tier 5
+			j := m.newJobLocked(canon, key, exp)
+			j.enqueuedAt = now
+			m.queue <- j // never blocks: every send is under m.mu, and there was room
+			m.inflight[key] = j
+			m.mu.Unlock()
+			m.ins.submissions.Inc()
+			m.ins.cacheMisses.Inc()
+			m.ins.queued.Add(1)
+			m.ins.instant("cache-lookup", j, "miss", now)
+			if !wait {
+				return j.snapshot(), source, nil
+			}
+			s, err := m.await(ctx, j)
+			return s, source, err
+		}
 	}
-	j := m.newJobLocked(canon, key, exp)
-	j.enqueuedAt = now // pre-publication: workers only see j after the send
-	select {
-	case m.queue <- j:
-	default:
-		// Reject before publishing the record: a rejected submission
-		// leaves no trace to poll.
-		delete(m.jobs, j.id)
-		m.jobOrder = m.jobOrder[:len(m.jobOrder)-1]
-		j.cancel()
-		m.ins.rejected.Inc()
-		return Job{}, ErrQueueFull
-	}
-	m.inflight[key] = j
+	return Job{}, source, ctx.Err()
+}
+
+// hitLocked registers a job that is done on arrival, answered from the
+// memory cache or (storeHit) from the disk store, whose result it promotes
+// into memory; m.mu must be held.
+func (m *Manager) hitLocked(req Request, key string, exp noc.Experiment, res noc.Result, storeHit bool, now time.Time) *job {
+	j := m.newJobLocked(req, key, exp)
+	j.State, j.CacheHit, j.StoreHit = StateDone, true, storeHit
+	j.CyclesDone = j.CyclesTotal
+	j.Result = &res
+	close(j.done)
 	m.ins.submissions.Inc()
-	m.ins.cacheMisses.Inc()
-	m.ins.queued.Add(1)
-	m.ins.instant("cache-lookup", j, "miss", now)
-	return j.snapshot(), nil
+	m.ins.cacheHits.Inc()
+	span := "cache-hit"
+	if storeHit {
+		m.addCacheLocked(key, res)
+		m.ins.storeHits.Inc()
+		span = "store-hit"
+	}
+	m.ins.instant(span, j, "hit", now)
+	return j
+}
+
+// await blocks until j is terminal. A context that ends first cancels the
+// job, every submitter attached to it included (singleflight semantics).
+func (m *Manager) await(ctx context.Context, j *job) (Job, error) {
+	select {
+	case <-j.done:
+		return j.snapshot(), nil
+	case <-ctx.Done():
+		return m.cancelJob(j), ctx.Err()
+	}
+}
+
+// cancelJob asks j to stop and returns its (possibly still running) snapshot.
+func (m *Manager) cancelJob(j *job) Job {
+	j.cancel()
+	m.ins.instant("cancel", j, "requested", time.Now())
+	return j.snapshot()
 }
 
 // newJobLocked allocates and registers a job record; m.mu must be held.
@@ -321,19 +369,16 @@ func (m *Manager) newJobLocked(req Request, key string, exp noc.Experiment) *job
 	warmup, measure := exp.Protocol()
 	ctx, cancel := context.WithCancel(context.Background())
 	j := &job{
-		id:     fmt.Sprintf("j%d", m.seq),
-		key:    key,
+		Job: Job{ID: fmt.Sprintf("j%d", m.seq), Key: key, State: StateQueued,
+			CyclesTotal: warmup + measure, Request: req},
 		scheme: schemeLabel(req),
-		req:    req,
 		exp:    exp,
-		total:  warmup + measure,
 		ctx:    ctx,
 		cancel: cancel,
 		done:   make(chan struct{}),
-		state:  StateQueued,
 	}
-	m.jobs[j.id] = j
-	m.jobOrder = append(m.jobOrder, j.id)
+	m.jobs[j.ID] = j
+	m.jobOrder = append(m.jobOrder, j.ID)
 	m.evictJobsLocked()
 	return j
 }
@@ -355,38 +400,34 @@ func (m *Manager) evictJobsLocked() {
 func (j *job) snapshotStateTerminal() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.state.Terminal()
+	return j.State.Terminal()
 }
 
 func (m *Manager) worker() {
 	defer m.wg.Done()
-	// One pool per worker, threaded through its jobs in sequence (never
-	// shared across goroutines) — free lists warmed by one job are reused
-	// by the next.
-	pool := noc.NewPool()
 	for j := range m.queue {
-		m.runJob(j, pool)
+		m.runJob(j)
 	}
 }
 
-func (m *Manager) runJob(j *job, pool *noc.Pool) {
+func (m *Manager) runJob(j *job) {
 	started := time.Now()
 	j.mu.Lock()
-	j.state = StateRunning
+	j.State = StateRunning
 	j.startedAt = started
 	j.mu.Unlock()
 	m.ins.queued.Add(-1)
 	m.ins.queueWait.Observe(started.Sub(j.enqueuedAt).Seconds())
 	m.ins.span("queue-wait", j, "dequeued", j.enqueuedAt, started)
 	m.ins.running.Add(1)
-	res, err := m.simulate(j, pool)
+	res, err := m.simulate(j)
 	finished := time.Now()
 	m.ins.running.Add(-1)
 
 	m.mu.Lock()
-	delete(m.inflight, j.key)
+	delete(m.inflight, j.Key)
 	if err == nil {
-		m.addCacheLocked(j.key, res)
+		m.addCacheLocked(j.Key, res)
 	}
 	m.mu.Unlock()
 	if err == nil && m.cfg.Store != nil {
@@ -394,7 +435,7 @@ func (m *Manager) runJob(j *job, pool *noc.Pool) {
 		// not correctness — the result is already in memory — so it is
 		// counted, never fatal.
 		if payload, merr := json.Marshal(res); merr == nil {
-			if perr := m.cfg.Store.Put(j.key, payload); perr != nil {
+			if perr := m.cfg.Store.Put(j.Key, payload); perr != nil {
 				m.ins.storePutErrs.Inc()
 			}
 		} else {
@@ -406,18 +447,18 @@ func (m *Manager) runJob(j *job, pool *noc.Pool) {
 	j.finishedAt = finished
 	switch {
 	case err == nil:
-		j.state = StateDone
-		j.cyclesDone = j.total
-		j.result = &res
+		j.State = StateDone
+		j.CyclesDone = j.CyclesTotal
+		j.Result = &res
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		j.state = StateCanceled
-		j.err = err.Error()
+		j.State = StateCanceled
+		j.Error = err.Error()
 	default:
-		j.state = StateFailed
-		j.err = err.Error()
+		j.State = StateFailed
+		j.Error = err.Error()
 	}
-	outcome := string(j.state)
-	cyclesDone := j.cyclesDone
+	outcome := string(j.State)
+	cyclesDone := j.CyclesDone
 	j.mu.Unlock()
 	m.ins.outcomes.With(outcome).Inc()
 	m.ins.cycles.Add(uint64(cyclesDone))
@@ -428,15 +469,14 @@ func (m *Manager) runJob(j *job, pool *noc.Pool) {
 
 // simulate runs one job to completion or cancellation. Any panic out of the
 // simulator becomes a failed job, not a dead worker.
-func (m *Manager) simulate(j *job, pool *noc.Pool) (res noc.Result, err error) {
+func (m *Manager) simulate(j *job) (res noc.Result, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("simulation panic: %v", p)
 		}
 	}()
 	exp := j.exp
-	exp.Pool = pool
-	w, err := j.req.Workload.Workload(exp)
+	w, err := j.Request.Workload.Workload(exp)
 	if err != nil {
 		return noc.Result{}, err
 	}
@@ -447,24 +487,25 @@ func (m *Manager) simulate(j *job, pool *noc.Pool) (res noc.Result, err error) {
 	m.ins.span("build", j, "built", buildStart, built)
 	return exp.RunOnContext(j.ctx, n, w, m.cfg.Chunk, func(n *noc.Network) {
 		j.mu.Lock()
-		j.cyclesDone = int(n.Now())
+		j.CyclesDone = int(n.Now())
 		j.mu.Unlock()
 	})
 }
 
-// storeLookupLocked fetches and decodes a result from the disk store; m.mu
-// must be held. A checksum-valid entry whose payload no longer decodes
-// (format drift across versions) is treated as a miss.
-func (m *Manager) storeLookupLocked(key string) (noc.Result, bool) {
+// storeLookup fetches and decodes a result from the disk store, nil on a
+// miss; m.mu must not be held, since the read can block as long as the disk
+// does. A checksum-valid entry whose payload no longer decodes (format
+// drift across versions) is a miss.
+func (m *Manager) storeLookup(key string) *noc.Result {
 	payload, ok := m.cfg.Store.Get(key)
 	if !ok {
-		return noc.Result{}, false
+		return nil
 	}
 	var res noc.Result
 	if err := json.Unmarshal(payload, &res); err != nil {
-		return noc.Result{}, false
+		return nil
 	}
-	return res, true
+	return &res
 }
 
 // addCacheLocked inserts a result, evicting the oldest entries over
@@ -549,9 +590,7 @@ func (m *Manager) Cancel(id string) (Job, error) {
 	if !ok {
 		return Job{}, ErrUnknownJob
 	}
-	j.cancel()
-	m.ins.instant("cancel", j, "requested", time.Now())
-	return j.snapshot(), nil
+	return m.cancelJob(j), nil
 }
 
 // Shutdown stops accepting submissions and drains: queued and running jobs

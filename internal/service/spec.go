@@ -9,16 +9,12 @@ import (
 	"fmt"
 
 	"pseudocircuit/noc"
+	"pseudocircuit/nocdclient"
 )
 
-// Request is the wire format of a job submission: an experiment spec plus a
-// workload selection. The embedded noc.Spec fields appear at the top level
-// of the JSON object ("topology", "scheme", ...), the workload nested under
-// "workload".
-type Request struct {
-	noc.Spec
-	Workload noc.WorkloadSpec `json:"workload"`
-}
+// Request is the wire format of a job submission, declared with the rest of
+// the wire schema in nocdclient.
+type Request = nocdclient.Request
 
 // ErrBadRequest wraps every validation failure of a submitted request, so
 // transport layers can map it to a 400 without inspecting message text.

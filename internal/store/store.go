@@ -12,6 +12,11 @@
 // checksum at Open or Get, evicted, never served), but never a readable
 // half-result under a valid key.
 //
+// Beside the entries sits a one-line stamp file naming the Epoch they were
+// written under. Nothing in a key or an entry says which rules derived the
+// key, so a directory from another epoch (or from before there were epochs)
+// is emptied at Open rather than trusted.
+//
 // The store knows nothing about what the payloads mean: it moves bytes. The
 // service layer owns (de)serialization of noc.Result and the metric names;
 // the store exports plain counters (Evictions, Corrupt) for it to re-expose.
@@ -24,6 +29,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -31,6 +37,16 @@ import (
 
 // headerLen is the checksum line: 64 hex characters plus the newline.
 const headerLen = 65
+
+// Epoch names the rules that derive a key from a spec. Bump it whenever a
+// key may come to stand for a different result than it stood for before
+// (PR 20 gave non-square mecs/fbfly grids their own keys; before it they
+// shared the square grid's): Open then evicts what the old rules stored.
+const Epoch = "1"
+
+// epochFile holds Epoch and a newline. The name is no valid key and has no
+// leading dot, so the scan leaves it alone.
+const epochFile = "EPOCH"
 
 // Store is a disk-backed key→payload store. Keys are 64-character lowercase
 // hex strings (the service's canonical spec hashes). Safe for concurrent
@@ -59,7 +75,9 @@ type entry struct {
 }
 
 // Open opens (creating if needed) the store at dir with the given byte cap.
-// The index is rebuilt from a directory scan: leftover temp files are
+// A directory whose stamp is absent or names another Epoch loses every entry
+// first (counted as evictions) and is stamped anew. Then the index is
+// rebuilt from a directory scan: leftover temp files are
 // removed, every entry is checksum-verified (corrupt and truncated entries
 // are evicted on the spot), survivors are ordered least-recently-used first
 // by file modification time, and the byte cap is enforced before Open
@@ -72,6 +90,9 @@ func Open(dir string, maxBytes int64) (*Store, error) {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	s := &Store{dir: dir, maxBytes: maxBytes, entries: map[string]*entry{}}
+	if err := s.checkEpoch(); err != nil {
+		return nil, err
+	}
 	if err := s.scan(); err != nil {
 		return nil, err
 	}
@@ -79,6 +100,33 @@ func Open(dir string, maxBytes int64) (*Store, error) {
 	s.evictOverCapLocked(0)
 	s.mu.Unlock()
 	return s, nil
+}
+
+// checkEpoch leaves a directory stamped with Epoch alone; any other is
+// emptied of entries and then stamped, in that order, so a crash in between
+// repeats the work instead of blessing what is left.
+func (s *Store) checkEpoch() error {
+	stamp := filepath.Join(s.dir, epochFile)
+	if got, err := os.ReadFile(stamp); err == nil && strings.TrimSpace(string(got)) == Epoch {
+		return nil
+	}
+	des, err := os.ReadDir(s.dir)
+	if err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	for _, de := range des {
+		if !de.Type().IsRegular() || !validKey(de.Name()) {
+			continue
+		}
+		if err := os.Remove(filepath.Join(s.dir, de.Name())); err != nil {
+			return fmt.Errorf("store: evicting an entry of another epoch: %w", err)
+		}
+		s.evictions.Add(1)
+	}
+	if err := os.WriteFile(stamp, []byte(Epoch+"\n"), 0o644); err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	return nil
 }
 
 // scan rebuilds the index from the directory, removing temp-file leftovers
@@ -270,7 +318,8 @@ func (s *Store) Len() int {
 func (s *Store) Bytes() int64 { return s.bytes.Load() }
 
 // Evictions returns the number of entries evicted by the byte cap (plus
-// oversize payloads rejected at Put).
+// oversize payloads rejected at Put and entries of another epoch removed at
+// Open).
 func (s *Store) Evictions() uint64 { return s.evictions.Load() }
 
 // Corrupt returns the number of corrupt or truncated entries detected (at

@@ -287,3 +287,65 @@ func TestConcurrentAccess(t *testing.T) {
 		t.Fatalf("Len = %d, want 200", s.Len())
 	}
 }
+
+// TestEpochStamp: a directory is trusted only under the stamp of the epoch
+// that wrote it. A fresh directory gets the stamp; a matching stamp keeps
+// the entries; a missing or different one evicts every entry (counted) and
+// re-stamps; files that are not entries are left alone either way.
+func TestEpochStamp(t *testing.T) {
+	fill := func(t *testing.T) string {
+		dir := t.TempDir()
+		s := mustOpen(t, dir, 1<<20)
+		if got, err := os.ReadFile(filepath.Join(dir, epochFile)); err != nil || string(got) != Epoch+"\n" {
+			t.Fatalf("fresh directory: stamp %q, %v; want %q", got, err, Epoch+"\n")
+		}
+		for i := 0; i < 3; i++ {
+			if err := s.Put(testKey(i), []byte("payload")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := os.WriteFile(filepath.Join(dir, "README.txt"), []byte("not ours"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+	stamp := func(dir string) string { return filepath.Join(dir, epochFile) }
+	cases := []struct {
+		name    string
+		tamper  func(dir string) error
+		entries int
+	}{
+		{"matching stamp keeps entries", func(string) error { return nil }, 3},
+		{"missing stamp evicts", func(dir string) error { return os.Remove(stamp(dir)) }, 0},
+		{"older stamp evicts", func(dir string) error { return os.WriteFile(stamp(dir), []byte("0\n"), 0o644) }, 0},
+		{"torn stamp evicts", func(dir string) error { return os.WriteFile(stamp(dir), nil, 0o644) }, 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := fill(t)
+			if err := tc.tamper(dir); err != nil {
+				t.Fatal(err)
+			}
+			s := mustOpen(t, dir, 1<<20)
+			if s.Len() != tc.entries || s.Evictions() != uint64(3-tc.entries) {
+				t.Fatalf("Len %d, Evictions %d; want %d and %d", s.Len(), s.Evictions(), tc.entries, 3-tc.entries)
+			}
+			if _, ok := s.Get(testKey(0)); ok != (tc.entries > 0) {
+				t.Fatalf("Get after reopen: hit %v, want %v", ok, tc.entries > 0)
+			}
+			if got, err := os.ReadFile(stamp(dir)); err != nil || string(got) != Epoch+"\n" {
+				t.Fatalf("stamp after reopen %q, %v; want %q", got, err, Epoch+"\n")
+			}
+			if got, err := os.ReadFile(filepath.Join(dir, "README.txt")); err != nil || string(got) != "not ours" {
+				t.Fatalf("foreign file touched: %q, %v", got, err)
+			}
+			// Once re-stamped the directory is trusted again.
+			if err := s.Put(testKey(9), []byte("new")); err != nil {
+				t.Fatal(err)
+			}
+			if s2 := mustOpen(t, dir, 1<<20); s2.Len() != tc.entries+1 || s2.Evictions() != 0 {
+				t.Fatalf("second reopen: Len %d, Evictions %d; want %d and 0", s2.Len(), s2.Evictions(), tc.entries+1)
+			}
+		})
+	}
+}

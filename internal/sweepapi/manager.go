@@ -9,25 +9,8 @@ import (
 
 	"pseudocircuit/internal/service"
 	"pseudocircuit/internal/telemetry"
-	"pseudocircuit/noc"
+	"pseudocircuit/nocdclient"
 )
-
-// Dispatch routes for point execution; cluster.Dispatcher returns the same
-// strings so the two packages stay decoupled.
-const (
-	RouteLocal    = "local"
-	RouteRemote   = "remote"
-	RouteFallback = "fallback"
-)
-
-// Dispatcher decides where one grid point runs. Dispatch either serves the
-// result from a peer (route RouteRemote) or tells the caller to execute
-// locally (RouteLocal when this node owns the key, RouteFallback when every
-// responsible peer was unreachable). A non-nil error makes the point fail
-// (or cancel, when ctx ended).
-type Dispatcher interface {
-	Dispatch(ctx context.Context, key string, req service.Request) (res noc.Result, route string, err error)
-}
 
 // Config parameterizes a sweep Manager. Zero values select the defaults.
 type Config struct {
@@ -41,9 +24,10 @@ type Config struct {
 	// SweepsCap bounds retained sweep records (default 128), oldest terminal
 	// evicted first.
 	SweepsCap int
-	// Dispatcher, when non-nil, fans points out across the fleet; nil runs
+	// Dispatcher, when non-nil, is the fleet tier every point's walk ends on
+	// (service.Manager.Do) once this node's own tiers have missed; nil runs
 	// everything locally.
-	Dispatcher Dispatcher
+	Dispatcher service.Fleet
 }
 
 func (c Config) withDefaults() Config {
@@ -59,87 +43,30 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Status is an immutable snapshot of one sweep.
-type Status struct {
-	ID    string `json:"id"`
-	State string `json:"state"` // running|done|canceled
-	// Points is the grid size; Completed counts terminal points.
-	Points    int `json:"points"`
-	Completed int `json:"completed"`
-	Done      int `json:"done"`
-	Failed    int `json:"failed"`
-	Canceled  int `json:"canceled"`
-	// CacheHits counts locally-executed points served without simulating
-	// (StoreHits of those from the disk tier); Remote counts points served
-	// by peers.
-	CacheHits int `json:"cacheHits"`
-	StoreHits int `json:"storeHits"`
-	Remote    int `json:"remote"`
-	// ElapsedMS is wall time since submission (final once terminal).
-	ElapsedMS float64 `json:"elapsedMs"`
-}
-
-// Terminal reports whether the sweep has finished.
-func (s Status) Terminal() bool { return s.State != "running" }
-
-// PointStatus is the per-point NDJSON line: the canonical spec, where and
-// how it was served, and the result.
-type PointStatus struct {
-	Index    int             `json:"index"`
-	Key      string          `json:"key"`
-	Spec     service.Request `json:"spec"`
-	State    string          `json:"state"` // done|failed|canceled
-	CacheHit bool            `json:"cacheHit,omitempty"`
-	StoreHit bool            `json:"storeHit,omitempty"`
-	Source   string          `json:"source,omitempty"` // local|remote|fallback
-	Result   *noc.Result     `json:"result,omitempty"`
-	Error    string          `json:"error,omitempty"`
-}
+// Status and PointStatus are the wire schema's sweep snapshot and per-point
+// NDJSON line, declared once in nocdclient.
+type (
+	Status      = nocdclient.SweepStatus
+	PointStatus = nocdclient.SweepPoint
+)
 
 // ErrUnknownSweep is returned for sweep IDs that don't resolve.
 var ErrUnknownSweep = errors.New("sweepapi: unknown sweep")
 
-// point is the mutable record behind PointStatus. A point is owned by
-// exactly one worker until it is published (appended to completedOrder
-// under the sweep lock); after publication it is immutable.
-type point struct {
-	index    int
-	key      string
-	req      service.Request
-	state    string
-	cacheHit bool
-	storeHit bool
-	source   string
-	result   *noc.Result
-	err      string
-}
-
-func (p *point) status() PointStatus {
-	return PointStatus{
-		Index: p.index, Key: p.key, Spec: p.req, State: p.state,
-		CacheHit: p.cacheHit, StoreHit: p.storeHit, Source: p.source,
-		Result: p.result, Error: p.err,
-	}
-}
-
 type sweep struct {
-	id     string
 	ctx    context.Context
 	cancel context.CancelFunc
 	done   chan struct{}
 	start  time.Time
-	points []*point
+	// points are the grid in order. A point is owned by exactly one worker
+	// until it is published (appended to completedOrder under mu); after
+	// publication it is immutable.
+	points []PointStatus
 
 	mu             sync.Mutex
-	state          string
+	st             Status // all but Completed and ElapsedMS, which statusLocked fills in
 	finish         time.Time
 	completedOrder []int // publication order; index into points
-	doneN          int
-	failedN        int
-	canceledN      int
-	cacheHits      int
-	storeHits      int
-	remote         int
 }
 
 func (s *sweep) statusLocked() Status {
@@ -147,13 +74,10 @@ func (s *sweep) statusLocked() Status {
 	if !s.finish.IsZero() {
 		elapsed = s.finish.Sub(s.start)
 	}
-	return Status{
-		ID: s.id, State: s.state, Points: len(s.points),
-		Completed: len(s.completedOrder),
-		Done:      s.doneN, Failed: s.failedN, Canceled: s.canceledN,
-		CacheHits: s.cacheHits, StoreHits: s.storeHits, Remote: s.remote,
-		ElapsedMS: float64(elapsed) / float64(time.Millisecond),
-	}
+	st := s.st
+	st.Completed = len(s.completedOrder)
+	st.ElapsedMS = float64(elapsed) / float64(time.Millisecond)
+	return st
 }
 
 func (s *sweep) status() Status {
@@ -217,15 +141,15 @@ func (m *Manager) Submit(data []byte) (Status, error) {
 	m.seq++
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &sweep{
-		id: fmt.Sprintf("s%d", m.seq), ctx: ctx, cancel: cancel,
-		done: make(chan struct{}), start: time.Now(), state: "running",
-		points: make([]*point, len(plan.Points)),
+		ctx: ctx, cancel: cancel, done: make(chan struct{}), start: time.Now(),
+		points: make([]PointStatus, len(plan.Points)),
+		st:     Status{ID: fmt.Sprintf("s%d", m.seq), State: service.StateRunning, Points: len(plan.Points)},
 	}
 	for i, pp := range plan.Points {
-		s.points[i] = &point{index: i, key: pp.Key, req: pp.Req}
+		s.points[i] = PointStatus{Index: i, Key: pp.Key, Spec: pp.Req}
 	}
-	m.sweeps[s.id] = s
-	m.order = append(m.order, s.id)
+	m.sweeps[s.st.ID] = s
+	m.order = append(m.order, s.st.ID)
 	m.evictSweepsLocked()
 	m.wg.Add(1)
 	m.mu.Unlock()
@@ -264,7 +188,7 @@ func (m *Manager) run(s *sweep) {
 		go func() {
 			defer pwg.Done()
 			for i := range idxc {
-				m.runPoint(s, s.points[i])
+				m.runPoint(s, &s.points[i])
 			}
 		}()
 	}
@@ -281,140 +205,74 @@ feed:
 	pwg.Wait()
 	// Points never handed to a worker are canceled wholesale.
 	for i := fed; i < len(s.points); i++ {
-		p := s.points[i]
-		if p.state == "" {
-			p.state = "canceled"
-			p.err = "sweep canceled"
-			m.publish(s, p)
-		}
+		p := &s.points[i]
+		p.State, p.Error = service.StateCanceled, "sweep canceled"
+		m.publish(s, p)
 	}
 
 	s.mu.Lock()
-	if s.canceledN > 0 || s.ctx.Err() != nil {
-		s.state = "canceled"
-	} else {
-		s.state = "done"
+	s.st.State = service.StateDone
+	if s.st.Canceled > 0 || s.ctx.Err() != nil {
+		s.st.State = service.StateCanceled
 	}
 	s.finish = time.Now()
 	final := s.statusLocked()
 	s.mu.Unlock()
 	m.sweepsActive.Add(-1)
-	outcome := final.State
+	outcome := string(final.State)
 	if final.Failed > 0 {
 		outcome = "failed"
 	}
 	m.svc.SpanLog().Record(telemetry.Span{
-		Name: "sweep", Job: s.id, Outcome: outcome, Start: s.start, End: s.finish,
+		Name: "sweep", Job: final.ID, Outcome: outcome, Start: s.start, End: s.finish,
 	})
 	close(s.done)
 }
 
-// runPoint executes one grid point: through the dispatcher when configured,
-// locally through the service otherwise (or as fallback).
-func (m *Manager) runPoint(s *sweep, p *point) {
+// runPoint takes one grid point through the service's walk to a terminal
+// job and records how it ended.
+func (m *Manager) runPoint(s *sweep, p *PointStatus) {
 	defer m.publish(s, p)
-	if s.ctx.Err() != nil {
-		p.state, p.err = "canceled", "sweep canceled"
-		return
-	}
-	if d := m.cfg.Dispatcher; d != nil {
-		res, route, err := d.Dispatch(s.ctx, p.key, p.req)
-		p.source = route
-		switch {
-		case err != nil:
-			if s.ctx.Err() != nil {
-				p.state, p.err = "canceled", "sweep canceled"
-			} else {
-				p.state, p.err = "failed", err.Error()
-			}
-			return
-		case route == RouteRemote:
-			p.state = "done"
-			p.result = &res
-			return
-		}
-		// RouteLocal / RouteFallback: fall through to local execution.
-	} else {
-		p.source = RouteLocal
-	}
-	m.runPointLocal(s, p)
-}
-
-// runPointLocal submits the point to the local service, backing off while
-// the queue is saturated, and waits for the terminal state.
-func (m *Manager) runPointLocal(s *sweep, p *point) {
-	var j service.Job
-	for {
-		var err error
-		j, err = m.svc.Submit(p.req)
-		if err == nil {
-			break
-		}
-		switch {
-		case errors.Is(err, service.ErrQueueFull):
-			select {
-			case <-s.ctx.Done():
-				p.state, p.err = "canceled", "sweep canceled"
-				return
-			case <-time.After(5 * time.Millisecond):
-			}
-		case errors.Is(err, service.ErrShuttingDown):
-			p.state, p.err = "canceled", err.Error()
-			return
-		default:
-			// Canonicalization already vetted the spec at parse time, so
-			// this is unexpected — surface it as the point's failure.
-			p.state, p.err = "failed", err.Error()
-			return
-		}
-	}
-	p.cacheHit, p.storeHit = j.CacheHit, j.StoreHit
-	if !j.State.Terminal() {
-		jw, err := m.svc.Wait(s.ctx, j.ID)
-		if err != nil {
-			// Sweep canceled while the job ran: cancel the underlying job
-			// too (shared submitters included — singleflight semantics).
-			m.svc.Cancel(j.ID)
-			p.state, p.err = "canceled", "sweep canceled"
-			return
-		}
-		j = jw
-	}
-	switch j.State {
-	case service.StateDone:
-		p.state = "done"
-		p.result = j.Result
-	case service.StateCanceled:
-		p.state, p.err = "canceled", j.Error
+	j, source, err := m.svc.Do(s.ctx, p.Spec, m.cfg.Dispatcher)
+	p.Source, p.CacheHit, p.StoreHit = source, j.CacheHit, j.StoreHit
+	switch {
+	case err != nil && s.ctx.Err() != nil:
+		p.State, p.Error = service.StateCanceled, "sweep canceled"
+	case errors.Is(err, service.ErrShuttingDown):
+		p.State, p.Error = service.StateCanceled, err.Error()
+	case err != nil:
+		// Parse vetted the spec, so this is the fleet's refusal or a bug;
+		// either way it is the point's failure.
+		p.State, p.Error = service.StateFailed, err.Error()
 	default:
-		p.state, p.err = "failed", j.Error
+		p.State, p.Result, p.Error = j.State, j.Result, j.Error
 	}
 }
 
 // publish makes a terminal point visible to streamers and accounting. The
 // point's fields must not change afterwards.
-func (m *Manager) publish(s *sweep, p *point) {
+func (m *Manager) publish(s *sweep, p *PointStatus) {
 	s.mu.Lock()
-	s.completedOrder = append(s.completedOrder, p.index)
-	switch p.state {
-	case "done":
-		s.doneN++
-		if p.cacheHit {
-			s.cacheHits++
+	s.completedOrder = append(s.completedOrder, p.Index)
+	switch p.State {
+	case service.StateDone:
+		s.st.Done++
+		if p.CacheHit {
+			s.st.CacheHits++
 		}
-		if p.storeHit {
-			s.storeHits++
+		if p.StoreHit {
+			s.st.StoreHits++
 		}
-		if p.source == RouteRemote {
-			s.remote++
+		if p.Source == service.RouteRemote {
+			s.st.Remote++
 		}
-	case "canceled":
-		s.canceledN++
+	case service.StateCanceled:
+		s.st.Canceled++
 	default:
-		s.failedN++
+		s.st.Failed++
 	}
 	s.mu.Unlock()
-	m.pointsTotal.With(p.state).Inc()
+	m.pointsTotal.With(string(p.State)).Inc()
 	m.pointsActive.Add(-1)
 }
 
@@ -481,7 +339,7 @@ func (m *Manager) PointsSince(id string, cursor int) ([]PointStatus, int, Status
 	fresh := s.completedOrder[cursor:]
 	out := make([]PointStatus, len(fresh))
 	for i, idx := range fresh {
-		out[i] = s.points[idx].status()
+		out[i] = s.points[idx]
 	}
 	st := s.statusLocked()
 	s.mu.Unlock()

@@ -278,17 +278,17 @@ type remoteDispatcher struct {
 func (d *remoteDispatcher) Dispatch(ctx context.Context, key string, req service.Request) (noc.Result, string, error) {
 	j, err := d.peer.Submit(req)
 	if err != nil {
-		return noc.Result{}, RouteFallback, err
+		return noc.Result{}, service.RouteFallback, err
 	}
 	if !j.State.Terminal() {
 		if j, err = d.peer.Wait(ctx, j.ID); err != nil {
-			return noc.Result{}, RouteFallback, err
+			return noc.Result{}, service.RouteFallback, err
 		}
 	}
 	if j.State != service.StateDone {
-		return noc.Result{}, RouteRemote, errors.New(j.Error)
+		return noc.Result{}, service.RouteRemote, errors.New(j.Error)
 	}
-	return *j.Result, RouteRemote, nil
+	return *j.Result, service.RouteRemote, nil
 }
 
 // TestSweepDispatcherRemote: with a dispatcher resolving every point
@@ -311,7 +311,7 @@ func TestSweepDispatcherRemote(t *testing.T) {
 	}
 	pts, _, _, _ := sw.PointsSince(st.ID, 0)
 	for _, p := range pts {
-		if p.Source != RouteRemote {
+		if p.Source != service.RouteRemote {
 			t.Fatalf("point %d source %q", p.Index, p.Source)
 		}
 		j, err := peer.Submit(p.Spec)

@@ -28,7 +28,6 @@ import (
 	"pseudocircuit/internal/core"
 	"pseudocircuit/internal/evc"
 	"pseudocircuit/internal/fault"
-	"pseudocircuit/internal/flit"
 	"pseudocircuit/internal/network"
 	"pseudocircuit/internal/obs"
 	"pseudocircuit/internal/router"
@@ -118,15 +117,6 @@ type Network = network.Network
 
 // Workload re-exports the traffic-generation interface.
 type Workload = network.Workload
-
-// Pool re-exports the flit/packet free list. A pool may be shared by
-// sequentially executed experiments (one per worker in a parallel sweep) to
-// carry warmed free lists between runs; it must never be shared by
-// concurrently running networks.
-type Pool = flit.Pool
-
-// NewPool returns an empty flit/packet pool.
-func NewPool() *Pool { return flit.NewPool() }
 
 // Observability re-exports from the internal layers. The probes are opt-in
 // and observation-only: enabling them cannot change simulation results (the
@@ -218,9 +208,6 @@ type Experiment struct {
 	// UseEVC replaces the router with the Express-Virtual-Channel
 	// comparison baseline (§7.B); see validate for what it requires.
 	UseEVC bool
-	// Pool supplies the network's flit/packet free list; nil builds a
-	// private one. See Pool.
-	Pool *Pool
 	// NaiveKernel disables the active-set scheduler and ticks every router
 	// every cycle (the seed simulator's reference loop). Results are
 	// bit-identical either way; the flag exists for the determinism harness
@@ -398,7 +385,6 @@ func (e Experiment) Build() *Network {
 		BufDepth:  e.BufDepth,
 		Opts:      core.DefaultOptions(e.Scheme),
 		Seed:      e.Seed,
-		Pool:      e.Pool,
 		Naive:     e.NaiveKernel,
 		Faults:    e.Faults,
 		Reliable:  e.Reliable,

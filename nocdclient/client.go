@@ -1,7 +1,9 @@
 // Package nocdclient is a small Go client for the nocd simulation daemon.
-// It speaks the daemon's JSON wire protocol and depends only on the public
-// noc package, so external programs can submit experiments, follow their
-// progress and fetch cached results:
+// It depends only on the public noc package, so external programs can submit
+// experiments, follow their progress and fetch cached results. The JSON wire
+// schema (Request, Job, State, SweepStatus, SweepPoint, SweepLine) is
+// declared here, in wire.go, and nowhere else: the daemon's packages alias
+// these types, so what the daemon encodes is what this client decodes.
 //
 //	c := nocdclient.New("http://localhost:8080")
 //	job, err := c.SubmitWait(ctx, nocdclient.Request{
@@ -26,44 +28,6 @@ import (
 
 	"pseudocircuit/noc"
 )
-
-// Request mirrors the daemon's submission body: an experiment spec with the
-// workload nested under "workload".
-type Request struct {
-	noc.Spec
-	Workload noc.WorkloadSpec `json:"workload"`
-}
-
-// Job mirrors the daemon's job snapshot. State is one of "queued",
-// "running", "done", "failed", "canceled".
-type Job struct {
-	ID       string `json:"id"`
-	Key      string `json:"key"`
-	State    string `json:"state"`
-	CacheHit bool   `json:"cacheHit"`
-	// StoreHit marks a cache hit served from the daemon's disk store rather
-	// than its memory.
-	StoreHit    bool `json:"storeHit"`
-	Dedup       bool `json:"dedup"`
-	CyclesDone  int  `json:"cyclesDone"`
-	CyclesTotal int  `json:"cyclesTotal"`
-	// QueueWaitMS and RunMS are the daemon-side wall times the job spent
-	// waiting for a worker and simulating; both zero for cache hits.
-	QueueWaitMS float64 `json:"queueWaitMs"`
-	RunMS       float64 `json:"runMs"`
-	// CyclesPerSec is the simulation rate; ETASeconds estimates the time
-	// remaining and is present only while the job is running.
-	CyclesPerSec float64     `json:"cyclesPerSec,omitempty"`
-	ETASeconds   float64     `json:"etaSeconds,omitempty"`
-	Request      Request     `json:"request"`
-	Result       *noc.Result `json:"result,omitempty"`
-	Error        string      `json:"error,omitempty"`
-}
-
-// Terminal reports whether the job has finished (successfully or not).
-func (j Job) Terminal() bool {
-	return j.State == "done" || j.State == "failed" || j.State == "canceled"
-}
 
 // APIError is a non-2xx daemon response.
 type APIError struct {

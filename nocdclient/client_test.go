@@ -23,7 +23,7 @@ func testRequest() Request {
 	}
 }
 
-func serveJob(w http.ResponseWriter, state string) {
+func serveJob(w http.ResponseWriter, state State) {
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(Job{ID: "j1", State: state})
 }

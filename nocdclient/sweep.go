@@ -10,47 +10,14 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-
-	"pseudocircuit/noc"
 )
 
-// SweepRequest mirrors the daemon's POST /sweeps body: one spec template
+// SweepRequest is the daemon's POST /sweeps body: one spec template
 // plus named parameter axes; the daemon expands their cartesian product.
 // Axis values must be JSON strings or numbers (the axis's natural type).
 type SweepRequest struct {
 	Template Request          `json:"template"`
 	Axes     map[string][]any `json:"axes,omitempty"`
-}
-
-// SweepStatus mirrors the daemon's sweep snapshot.
-type SweepStatus struct {
-	ID        string  `json:"id"`
-	State     string  `json:"state"` // running|done|canceled
-	Points    int     `json:"points"`
-	Completed int     `json:"completed"`
-	Done      int     `json:"done"`
-	Failed    int     `json:"failed"`
-	Canceled  int     `json:"canceled"`
-	CacheHits int     `json:"cacheHits"`
-	StoreHits int     `json:"storeHits"`
-	Remote    int     `json:"remote"`
-	ElapsedMS float64 `json:"elapsedMs"`
-}
-
-// Terminal reports whether the sweep has finished.
-func (s SweepStatus) Terminal() bool { return s.State != "running" }
-
-// SweepPoint is one completed grid point from the result stream.
-type SweepPoint struct {
-	Index    int         `json:"index"`
-	Key      string      `json:"key"`
-	Spec     Request     `json:"spec"`
-	State    string      `json:"state"` // done|failed|canceled
-	CacheHit bool        `json:"cacheHit"`
-	StoreHit bool        `json:"storeHit"`
-	Source   string      `json:"source"` // local|remote|fallback
-	Result   *noc.Result `json:"result,omitempty"`
-	Error    string      `json:"error,omitempty"`
 }
 
 // ErrTruncatedStream reports a sweep result stream that stopped before its
@@ -71,13 +38,6 @@ type SweepStream struct {
 	sc    *bufio.Scanner
 	final *SweepStatus
 	err   error
-}
-
-// sweepLine mirrors the daemon's stream framing.
-type sweepLine struct {
-	Type  string       `json:"type"`
-	Sweep *SweepStatus `json:"sweep"`
-	Point *SweepPoint  `json:"point"`
 }
 
 // SubmitSweep submits a sweep and returns its live result stream. The
@@ -172,16 +132,16 @@ func (s *SweepStream) Next() (SweepPoint, error) {
 
 // readLine scans and decodes one NDJSON line, mapping stream exhaustion
 // (scanner EOF or a transport error) onto the truncation contract.
-func (s *SweepStream) readLine() (sweepLine, error) {
+func (s *SweepStream) readLine() (SweepLine, error) {
 	if !s.sc.Scan() {
 		if err := s.sc.Err(); err != nil {
-			return sweepLine{}, fmt.Errorf("%w: %w", ErrTruncatedStream, err)
+			return SweepLine{}, fmt.Errorf("%w: %w", ErrTruncatedStream, err)
 		}
-		return sweepLine{}, ErrTruncatedStream
+		return SweepLine{}, ErrTruncatedStream
 	}
-	var line sweepLine
+	var line SweepLine
 	if err := json.Unmarshal(s.sc.Bytes(), &line); err != nil {
-		return sweepLine{}, fmt.Errorf("nocdclient: malformed stream line: %w", err)
+		return SweepLine{}, fmt.Errorf("nocdclient: malformed stream line: %w", err)
 	}
 	return line, nil
 }
