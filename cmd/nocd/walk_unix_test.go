@@ -4,6 +4,7 @@ package main
 
 import (
 	"context"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -18,10 +19,9 @@ import (
 // TestBlockedDiskReadHoldsNoLock: the disk tier is read with the manager's
 // lock released. The entry of one key is a FIFO nobody writes to, so the
 // read of it blocks like a dying disk would; while it does, status reads,
-// the job list, /readyz and submissions of keys held in memory are all
-// still answered. (At the parent the read ran under the lock and every one
-// of them hung with it. /metrics is not on the list: its store gauges take
-// the store's own lock, which store.Get holds across its read.)
+// the job list, /readyz, /metrics and submissions of keys held in memory are
+// all still answered: no gauge takes the store's lock, which store.Get holds
+// across its read.
 func TestBlockedDiskReadHoldsNoLock(t *testing.T) {
 	dir := t.TempDir()
 	st, err := store.Open(dir, 1<<20)
@@ -67,12 +67,17 @@ func TestBlockedDiskReadHoldsNoLock(t *testing.T) {
 		t.Fatalf("GET /jobs/{id} behind a blocked disk read: %+v, %v", j, err)
 	}
 	hc := &http.Client{Timeout: 5 * time.Second}
-	for _, path := range []string{"/jobs", "/readyz"} {
+	for _, path := range []string{"/jobs", "/readyz", "/metrics"} {
 		resp, err := hc.Get(srv.URL + path)
 		if err != nil {
 			t.Fatalf("GET %s behind a blocked disk read: %v", path, err)
 		}
+		// To the last byte: /metrics streams, and its store gauges come late.
+		_, err = io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("GET %s behind a blocked disk read: body: %v", path, err)
+		}
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
 		}

@@ -109,7 +109,6 @@ func main() {
 	}
 
 	if *metricsOut != "" {
-		exp.Observe.PerRouter = true
 		exp.Observe.Window = *window
 	}
 	if *traceOut != "" || *eventsOut != "" {
@@ -166,7 +165,7 @@ func main() {
 	fmt.Printf("throughput          %.4f flits/node/cycle\n", res.Throughput)
 	fmt.Printf("pc reusability      %.1f%%  (buffer bypass %.1f%%)\n", 100*res.Reusability, 100*res.BypassRate)
 	xbar := "n/a" // no sample behind it: a policy router (-evc) does not report Fig. 1 crossbar locality
-	if n.Stats.XbarPrev > 0 {
+	if n.Registry().Totals().XbarPrev > 0 {
 		xbar = fmt.Sprintf("%.1f%%", 100*res.XbarLocality)
 	}
 	fmt.Printf("temporal locality   e2e %.1f%%  crossbar %s\n", 100*res.E2ELocality, xbar)

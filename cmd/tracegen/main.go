@@ -119,7 +119,7 @@ func replayTrace(path, schemeName string, seed uint64) {
 	if !n.Drain(p, 100*len(recs)+100000) {
 		fatal("replay did not drain")
 	}
-	fmt.Printf("replayed %d packets: %v\n", len(recs), n.Stats)
+	fmt.Printf("replayed %d packets: %v\n", len(recs), n.Stats.Summary(n.Registry().Totals()))
 }
 
 func readAll(path string) ([]trace.Record, int) {

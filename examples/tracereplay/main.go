@@ -71,10 +71,10 @@ func main() {
 		if !n.Drain(p, 50*len(recs)+100000) {
 			panic("replay did not drain")
 		}
-		s := n.Stats
+		s, t := n.Stats, n.Registry().Totals()
 		_, p95, _ := s.LatencyHist.Quantiles()
 		fmt.Printf("%-12v %10.2f %8d %7.1f%% %7.1f%%\n",
-			scheme, s.AvgNetLatency(), p95, 100*s.Reusability(), 100*s.BypassRate())
+			scheme, s.AvgNetLatency(), p95, 100*t.Reusability(), 100*t.BypassRate())
 	}
 	fmt.Println("\nSame packets, same timing — only the router scheme differs.")
 }

@@ -32,14 +32,14 @@ func TestCMPSmoke(t *testing.T) {
 	n.Run(w, 2000)
 	n.ResetStats()
 	n.Run(w, 8000)
-	t.Logf("fma3d pseudo+s+b: %v misses=%d", n.Stats, w.TotalMisses())
+	t.Logf("fma3d pseudo+s+b: %v misses=%d", n.Stats.Summary(n.Registry().Totals()), w.TotalMisses())
 	if w.TotalMisses() == 0 {
 		t.Fatal("no misses generated")
 	}
 	if n.Stats.PacketsDelivered == 0 {
 		t.Fatal("no packets delivered")
 	}
-	if n.Stats.Reusability() == 0 {
+	if n.Registry().Totals().Reusability() == 0 {
 		t.Error("no pseudo-circuit reuse on CMP traffic")
 	}
 }
@@ -66,7 +66,7 @@ func TestCMPLocalitySignature(t *testing.T) {
 	n.Run(w, 2000)
 	n.ResetStats()
 	n.Run(w, 10000)
-	e2e, xbar := n.Stats.E2ELocality(), n.Stats.XbarLocality()
+	e2e, xbar := n.Stats.E2ELocality(), n.Registry().Totals().XbarLocality()
 	t.Logf("equake locality: e2e=%.3f xbar=%.3f", e2e, xbar)
 	if xbar <= e2e {
 		t.Errorf("crossbar locality %.3f not above end-to-end %.3f", xbar, e2e)

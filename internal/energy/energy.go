@@ -33,74 +33,34 @@ func PaperParams() Params {
 	}
 }
 
-// Meter accumulates event counts for one simulation and converts them to
-// energy. The zero value with zero Params counts events without energy;
-// use NewMeter for the paper's model.
+// Meter prices one set of event counts. It counts nothing itself: the counts
+// are sums of the routers' own rows (stats.Registry.Totals), taken when the
+// energy is asked for. The zero Params price every event at zero.
 type Meter struct {
 	Params
-	Writes       uint64
-	Reads        uint64
-	Traversals   uint64
-	Arbitrations uint64
-}
-
-// NewMeter returns a meter with the paper's Table II parameters.
-func NewMeter() *Meter {
-	return &Meter{Params: PaperParams()}
-}
-
-// AddWrite records a buffer write.
-func (m *Meter) AddWrite() { m.Writes++ }
-
-// AddRead records a buffer read.
-func (m *Meter) AddRead() { m.Reads++ }
-
-// AddTraversal records a crossbar traversal.
-func (m *Meter) AddTraversal() { m.Traversals++ }
-
-// AddArbitration records a switch-arbitration grant.
-func (m *Meter) AddArbitration() { m.Arbitrations++ }
-
-// MergeCounts folds src's event counts into m and zeroes them in src,
-// leaving both meters' Params untouched. It is the shard-drain primitive of
-// the parallel cycle kernel: per-shard meters are merged into the global
-// meter in fixed shard order once per cycle. All fields are sums, so the
-// per-shard grouping cannot change the totals.
-func (m *Meter) MergeCounts(src *Meter) {
-	m.Writes += src.Writes
-	m.Reads += src.Reads
-	m.Traversals += src.Traversals
-	m.Arbitrations += src.Arbitrations
-	src.Writes, src.Reads, src.Traversals, src.Arbitrations = 0, 0, 0, 0
-}
-
-// MergeAll folds every shard meter into m in slice order. The parallel
-// kernel keeps its per-shard meters slice-indexed (one contiguous []Meter
-// owned by the network, shard i writing only element i), so the
-// once-per-cycle drain is a single ordered walk over that slice.
-func (m *Meter) MergeAll(shards []Meter) {
-	for i := range shards {
-		m.MergeCounts(&shards[i])
-	}
+	Writes       uint64 // buffer writes
+	Reads        uint64 // buffer reads
+	Traversals   uint64 // crossbar traversals
+	Arbitrations uint64 // switch-arbitration grants
 }
 
 // BufferEnergy returns total buffer energy in pJ.
-func (m *Meter) BufferEnergy() float64 {
+func (m Meter) BufferEnergy() float64 {
 	return float64(m.Writes)*m.BufferWrite + float64(m.Reads)*m.BufferRead
 }
 
 // CrossbarEnergy returns total crossbar energy in pJ.
-func (m *Meter) CrossbarEnergy() float64 {
+func (m Meter) CrossbarEnergy() float64 {
 	return float64(m.Traversals) * m.Crossbar
 }
 
 // ArbiterEnergy returns total arbiter energy in pJ.
-func (m *Meter) ArbiterEnergy() float64 {
+func (m Meter) ArbiterEnergy() float64 {
 	return float64(m.Arbitrations) * m.Arbiter
 }
 
 // Total returns total router energy in pJ.
-func (m *Meter) Total() float64 {
+func (m Meter) Total() float64 {
 	return m.BufferEnergy() + m.CrossbarEnergy() + m.ArbiterEnergy()
 }
 

@@ -25,14 +25,8 @@ func TestTableIIPercentages(t *testing.T) {
 }
 
 func TestMeterAccounting(t *testing.T) {
-	m := energy.NewMeter()
-	for i := 0; i < 10; i++ {
-		m.AddWrite()
-		m.AddRead()
-		m.AddTraversal()
-		m.AddArbitration()
-	}
 	p := energy.PaperParams()
+	m := energy.Meter{Params: p, Writes: 10, Reads: 10, Traversals: 10, Arbitrations: 10}
 	wantBuf := 10 * (p.BufferWrite + p.BufferRead)
 	if got := m.BufferEnergy(); math.Abs(got-wantBuf) > 1e-9 {
 		t.Errorf("BufferEnergy = %v, want %v", got, wantBuf)

@@ -103,8 +103,8 @@ func SpecDepth(o Options) SpecDepthResult {
 	specShare := make([]float64, len(points))
 	o.each(points, func(i int, e noc.Experiment, n *noc.Network, w noc.Workload) {
 		rs[i] = e.RunOn(n, w)
-		if n.Stats.PCReused > 0 {
-			specShare[i] = float64(n.Stats.SpecReused) / float64(n.Stats.PCReused)
+		if t := n.Registry().Totals(); t.PCReused > 0 {
+			specShare[i] = float64(t.SpecReused) / float64(t.PCReused)
 		}
 	})
 	nb := float64(len(o.Benchmarks))

@@ -113,15 +113,14 @@ type FaultHeatmapResult struct {
 	StallDelta []int64
 }
 
-// FaultHeatmap runs Pseudo+S+B on the 8×8 mesh with the per-router registry
-// enabled, measures one healthy window, then takes router 27 down for a
-// second window of the same length and reports the per-router deltas.
+// FaultHeatmap runs Pseudo+S+B on the 8×8 mesh, measures one healthy window,
+// then takes router 27 down for a second window of the same length and
+// reports the per-router deltas.
 func FaultHeatmap(o Options) FaultHeatmapResult {
 	o = o.defaults()
 	const kx, ky, rtr = 8, 8, 27
 	half := o.Measure / 2
 	p := meshPoint(noc.PseudoSB, noc.Synthetic{Pattern: noc.UniformRandom, Rate: 0.10, PacketSize: 5})
-	p.Observe = noc.Observe{PerRouter: true}
 	p.Faults = &noc.FaultSchedule{
 		Policy: noc.FaultReroute,
 		Events: []noc.FaultEvent{
@@ -136,9 +135,10 @@ func FaultHeatmap(o Options) FaultHeatmapResult {
 	}
 	o.each([]point{p}, func(_ int, e noc.Experiment, n *noc.Network, w noc.Workload) {
 		snapshot := func(sign float64) {
-			for _, r := range n.Registry().Routers() {
-				res.ReuseDelta[r.ID] += sign * r.Reusability()
-				res.StallDelta[r.ID] += int64(sign) * int64(r.CreditStallCycles())
+			for id, r := range n.Registry().Routers() {
+				t := r.Sum()
+				res.ReuseDelta[id] += sign * t.Reusability()
+				res.StallDelta[id] += int64(sign) * int64(t.CreditStalls)
 			}
 		}
 		n.Run(w, e.Warmup)

@@ -23,12 +23,11 @@ type HeatmapResult struct {
 
 // RouterHeatmap runs the paper's standard mesh configuration (8×8, XY,
 // static VA, Pseudo+S+B, uniform random at the given Fig. 12 low-load point)
-// with the per-router registry enabled and returns the spatial metrics.
+// and returns the spatial metrics from the routers' rows.
 func RouterHeatmap(o Options) HeatmapResult {
 	o = o.defaults()
 	const kx, ky, rate = 8, 8, 0.10
 	p := meshPoint(noc.PseudoSB, noc.Synthetic{Pattern: noc.UniformRandom, Rate: rate, PacketSize: 5})
-	p.Observe = noc.Observe{PerRouter: true}
 	res := HeatmapResult{
 		KX: kx, KY: ky, Scheme: "Pseudo+S+B", Rate: rate,
 		Reuse:        make([]float64, kx*ky),
@@ -38,15 +37,12 @@ func RouterHeatmap(o Options) HeatmapResult {
 	}
 	o.each([]point{p}, func(_ int, e noc.Experiment, n *noc.Network, w noc.Workload) {
 		e.RunOn(n, w)
-		for _, r := range n.Registry().Routers() {
-			res.Reuse[r.ID] = r.Reusability()
-			res.Bypass[r.ID] = r.BypassRate()
-			res.CreditStalls[r.ID] = r.CreditStallCycles()
-			for i := range r.In {
-				if hw := r.In[i].BufHighWater; hw > res.BufHighWater[r.ID] {
-					res.BufHighWater[r.ID] = hw
-				}
-			}
+		for id, r := range n.Registry().Routers() {
+			t := r.Sum()
+			res.Reuse[id] = t.Reusability()
+			res.Bypass[id] = t.BypassRate()
+			res.CreditStalls[id] = t.CreditStalls
+			res.BufHighWater[id] = t.BufHighWater
 		}
 	})
 	return res

@@ -145,9 +145,10 @@ type Flit struct {
 	// §7.B). Zero for ordinary flits.
 	ExpressHops int
 
-	// Timestamps for measurement.
-	InjectedAt sim.Cycle // cycle the header left the source NI queue
-	EnteredNet sim.Cycle // cycle this flit entered the network (link to first router)
+	// EnteredNet is the cycle this flit left its source NI for the first
+	// router. The header's is Packet.NetStart; a later flit's minus that is
+	// the packet's serialization so far.
+	EnteredNet sim.Cycle
 
 	// pooled marks flits owned by a Pool; only those re-enter the free list
 	// on recycle.

@@ -51,13 +51,32 @@ func buildKernel(topo topology.Topology, scheme core.Scheme, algo routing.Algori
 	return n
 }
 
+// sameRun fails the test unless two runs left the same measurements: the
+// NI-side struct and every router's own row, ports and OutSends included —
+// so two kernels that agree in every network-wide total but count an event at
+// different routers do not pass.
+func sameRun(t *testing.T, refName, gotName string, ref, got *network.Network) {
+	t.Helper()
+	if !reflect.DeepEqual(ref.Stats, got.Stats) {
+		t.Errorf("stats diverge between %s and %s:\n%s: %+v\n%s: %+v", refName, gotName, refName, ref.Stats, gotName, got.Stats)
+	}
+	rows, gotRows := ref.Registry().Routers(), got.Registry().Routers()
+	for r := range rows {
+		if !reflect.DeepEqual(rows[r], gotRows[r]) {
+			t.Errorf("router %d's counters diverge between %s and %s:\n%s: %+v\n%s: %+v",
+				r, refName, gotName, refName, rows[r], gotName, gotRows[r])
+			return // one row is enough to read; the rest usually follow from it
+		}
+	}
+}
+
 // TestActiveSetMatchesNaive is the determinism harness for the
 // work-proportional and parallel kernels: for each scheme × topology ×
 // workload grid point, run the naive reference loop (tick every router
 // every cycle), the active-set kernel, and the sharded parallel kernel at
 // workers ∈ {1,2,4,8} with the same seed, and require bit-identical
-// statistics, energy counters and latency histograms across the whole
-// triangle.
+// statistics, latency histograms and per-router counters (and with them
+// energy) across the whole triangle.
 func TestActiveSetMatchesNaive(t *testing.T) {
 	type grid struct {
 		name    string
@@ -154,14 +173,7 @@ func TestActiveSetMatchesNaive(t *testing.T) {
 			ref := run(kernels[0])
 			for _, k := range kernels[1:] {
 				got := run(k)
-				if !reflect.DeepEqual(ref.Stats, got.Stats) {
-					t.Errorf("stats diverge between %s and %s kernels:\n%s: %+v\n%s: %+v",
-						kernels[0].name, k.name, kernels[0].name, ref.Stats, k.name, got.Stats)
-				}
-				if !reflect.DeepEqual(ref.Energy, got.Energy) {
-					t.Errorf("energy diverges between %s and %s kernels:\n%s: %+v\n%s: %+v",
-						kernels[0].name, k.name, kernels[0].name, ref.Energy, k.name, got.Energy)
-				}
+				sameRun(t, kernels[0].name, k.name, ref, got)
 			}
 		})
 	}
@@ -184,12 +196,7 @@ func TestActiveSetMatchesNaiveFlows(t *testing.T) {
 	ref := run(kernels[0])
 	for _, k := range kernels[1:] {
 		got := run(k)
-		if !reflect.DeepEqual(ref.Stats, got.Stats) {
-			t.Errorf("stats diverge on flows (%s vs %s):\nref: %+v\ngot: %+v", kernels[0].name, k.name, ref.Stats, got.Stats)
-		}
-		if !reflect.DeepEqual(ref.Energy, got.Energy) {
-			t.Errorf("energy diverges on flows (%s vs %s):\nref: %+v\ngot: %+v", kernels[0].name, k.name, ref.Energy, got.Energy)
-		}
+		sameRun(t, kernels[0].name, k.name, ref, got)
 	}
 }
 
@@ -211,10 +218,5 @@ func TestParallelKernelRaceSpotCheck(t *testing.T) {
 		return n
 	}
 	seq, par := run(1), run(4)
-	if !reflect.DeepEqual(seq.Stats, par.Stats) {
-		t.Errorf("stats diverge between workers=1 and workers=4:\nseq: %+v\npar: %+v", seq.Stats, par.Stats)
-	}
-	if !reflect.DeepEqual(seq.Energy, par.Energy) {
-		t.Errorf("energy diverges between workers=1 and workers=4:\nseq: %+v\npar: %+v", seq.Energy, par.Energy)
-	}
+	sameRun(t, "workers=1", "workers=4", seq, par)
 }

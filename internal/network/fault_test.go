@@ -1,7 +1,6 @@
 package network_test
 
 import (
-	"reflect"
 	"testing"
 
 	"pseudocircuit/internal/core"
@@ -136,14 +135,7 @@ func TestFaultedDeterminismTriangle(t *testing.T) {
 			}
 			for _, k := range kernels[1:] {
 				got := runFaulted(g, k)
-				if !reflect.DeepEqual(ref.Stats, got.Stats) {
-					t.Errorf("stats diverge between %s and %s kernels:\n%s: %+v\n%s: %+v",
-						kernels[0].name, k.name, kernels[0].name, ref.Stats, k.name, got.Stats)
-				}
-				if !reflect.DeepEqual(ref.Energy, got.Energy) {
-					t.Errorf("energy diverges between %s and %s kernels:\n%s: %+v\n%s: %+v",
-						kernels[0].name, k.name, kernels[0].name, ref.Energy, k.name, got.Energy)
-				}
+				sameRun(t, kernels[0].name, k.name, ref, got)
 			}
 		})
 	}
@@ -162,12 +154,7 @@ func TestEmptyFaultScheduleBitIdentical(t *testing.T) {
 	}
 	ref := run(nil)
 	got := run(&fault.Schedule{Policy: fault.Reroute})
-	if !reflect.DeepEqual(ref.Stats, got.Stats) {
-		t.Errorf("empty schedule diverges from nil:\nnil:   %+v\nempty: %+v", ref.Stats, got.Stats)
-	}
-	if !reflect.DeepEqual(ref.Energy, got.Energy) {
-		t.Errorf("empty schedule energy diverges from nil:\nnil:   %+v\nempty: %+v", ref.Energy, got.Energy)
-	}
+	sameRun(t, "nil schedule", "empty schedule", ref, got)
 	if got.Stats.FaultEvents != 0 {
 		t.Errorf("empty schedule applied %d events", got.Stats.FaultEvents)
 	}

@@ -145,18 +145,13 @@ type Config struct {
 	// no acks, no per-NI reliability state.
 	Reliable *Reliability
 
-	// Observability probes, all opt-in and observation-only: enabling any of
-	// them cannot change simulation results, and leaving them nil (the
-	// default) costs one predictable branch per probe site and zero
-	// allocations.
-	//
-	// Registry collects per-router/per-port counters (every router built on
-	// internal/router attaches a row, the EVC comparison router included).
-	// Series collects cycle-windowed samples of the global counters. Tracer
-	// records flit lifecycle events into a bounded ring.
-	Registry *stats.Registry
-	Series   *stats.Series
-	Tracer   *obs.Tracer
+	// Observability probes, both opt-in and observation-only: enabling either
+	// cannot change simulation results, and leaving them nil (the default)
+	// costs one predictable branch per probe site and zero allocations.
+	// Series collects cycle-windowed samples of the network-wide counters.
+	// Tracer records flit lifecycle events into a bounded ring.
+	Series *stats.Series
+	Tracer *obs.Tracer
 }
 
 // DefaultConfig returns the paper's network configuration (§5) on the given
@@ -206,15 +201,15 @@ type pending struct {
 // shard is one slice of the network: a contiguous router range [r0, r1), a
 // contiguous NI range [n0, n1), and a private copy of every global structure
 // a router tick or NI injection touches, so shards can run a cycle's phase
-// concurrently. Its routers count into its own meters, its NIs draw flits
-// from pool, and both emit through schedule.
+// concurrently. Its routers count into their own registry rows, its NIs draw
+// flits from pool, and both emit through schedule.
 //
 // A network with several shards buffers their emissions in pend and has the
 // main goroutine replay them after the phases: injections in shard order
 // (ascending node order) and then router emissions in shard order (ascending
 // router order), which is the order one shard alone appends them in. So a
 // lone shard has nothing to reorder: it appends straight to the delivery
-// ring and counts straight into the network's meters.
+// ring.
 type shard struct {
 	net    *Network
 	r0, r1 int // routers [r0, r1)
@@ -302,9 +297,11 @@ type Network struct {
 	routeTab []int8
 	nNodes   int
 
-	Stats  *stats.Network
-	Energy *energy.Meter
-
+	// Stats holds what the NIs and the main phase count; router events are
+	// counted in registry, one row per router written only by that router, and
+	// every network-wide router figure (Registry().Totals(), Energy()) is the
+	// rows' sum taken on read.
+	Stats    *stats.Network
 	registry *stats.Registry
 	series   *stats.Series
 	tracer   *obs.Tracer
@@ -365,19 +362,14 @@ type Network struct {
 	rel        *Reliability
 	relPending int
 
-	// Cycle kernel state: the shards (at least one), the stats/energy
-	// accumulators of a sharded network (shard i owns element i, contiguous so
-	// the per-cycle drain walks two flat slices in shard order; empty with a
-	// lone shard, which counts into Stats and Energy directly), the shared
-	// completion channel, whether worker goroutines are live (between
+	// Cycle kernel state: the shards (at least one), the shared completion
+	// channel, whether worker goroutines are live (between
 	// startWorkers/stopWorkers, i.e. inside Run/Drain), and the due-deliveries
 	// slice of the cycle in flight, published to the shard phases.
-	shards      []*shard
-	shardStats  []stats.Network
-	shardEnergy []energy.Meter
-	done        chan struct{}
-	parRunning  bool
-	curDue      []delivery
+	shards     []*shard
+	done       chan struct{}
+	parRunning bool
+	curDue     []delivery
 
 	// CheckInvariants enables per-cycle router invariant checking (tests).
 	CheckInvariants bool
@@ -402,20 +394,18 @@ func New(cfg Config) *Network {
 	}
 
 	n := &Network{
-		cfg:      cfg,
-		topo:     t,
-		engine:   engine,
-		alloc:    alloc,
-		niAlloc:  niAlloc,
-		Stats:    &stats.Network{},
-		Energy:   energy.NewMeter(),
-		rng:      sim.NewRNG(cfg.Seed),
-		pool:     flit.NewPool(),
-		active:   make([]bool, t.Routers()),
-		naive:    cfg.Naive,
-		registry: cfg.Registry,
-		series:   cfg.Series,
-		tracer:   cfg.Tracer,
+		cfg:     cfg,
+		topo:    t,
+		engine:  engine,
+		alloc:   alloc,
+		niAlloc: niAlloc,
+		Stats:   &stats.Network{},
+		rng:     sim.NewRNG(cfg.Seed),
+		pool:    flit.NewPool(),
+		active:  make([]bool, t.Routers()),
+		naive:   cfg.Naive,
+		series:  cfg.Series,
+		tracer:  cfg.Tracer,
 	}
 	if cfg.Reliable != nil {
 		rel := cfg.Reliable.withDefaults()
@@ -472,14 +462,16 @@ func New(cfg Config) *Network {
 		}
 	}
 
-	// The network owns the structure-of-arrays hot-path store; every router
-	// gets a contiguous region of it (prefix-summed by radix).
+	// The network owns the structure-of-arrays hot-path store and the counter
+	// registry; every router gets a contiguous region of the one and a row of
+	// the other (both prefix-summed by radix).
 	inRadix := make([]int, t.Routers())
 	outRadix := make([]int, t.Routers())
 	for r := range inRadix {
 		inRadix[r], outRadix[r] = t.InPorts(r), t.OutPorts(r)
 	}
 	n.lanes = core.NewLaneStore(cfg.NumVCs, cfg.BufDepth, inRadix, outRadix)
+	n.registry = stats.NewRegistry(inRadix, outRadix)
 	n.wire()
 
 	base := router.Config{
@@ -488,9 +480,7 @@ func New(cfg Config) *Network {
 		Lanes:    n.lanes,
 		Opts:     cfg.Opts,
 		Alloc:    alloc,
-		Energy:   n.Energy,
-		Stats:    n.Stats,
-		Reg:      cfg.Registry,
+		Reg:      n.registry,
 		Trace:    cfg.Tracer,
 	}
 	if n.faults != nil {
@@ -514,10 +504,6 @@ func New(cfg Config) *Network {
 	}
 	n.shards = make([]*shard, w)
 	n.done = make(chan struct{}, w)
-	if w > 1 {
-		n.shardStats = make([]stats.Network, w)
-		n.shardEnergy = make([]energy.Meter, w)
-	}
 	n.routers = make([]Node, t.Routers())
 	for i := range n.shards {
 		sh := &shard{
@@ -536,9 +522,6 @@ func New(cfg Config) *Network {
 		n.shards[i] = sh
 		rcfg := base
 		rcfg.Send, rcfg.Credit = sh.send, sh.credit
-		if w > 1 {
-			rcfg.Energy, rcfg.Stats = &n.shardEnergy[i], &n.shardStats[i]
-		}
 		for r := sh.r0; r < sh.r1; r++ {
 			n.routers[r] = factory(r, t.InPorts(r), t.OutPorts(r), &rcfg)
 			if n.faults != nil {
@@ -724,15 +707,14 @@ func (n *Network) schedule(latency int, d delivery) {
 //  2. One phase per shard (shardPhase): latch the routers' due deliveries,
 //     inject from the NIs, tick the routers. Shards are mutually
 //     independent: a router tick reads and writes only that router's state
-//     plus its shard's buffers and meters, because every cross-router effect
-//     is latched through the delivery ring. So the phases may run inline in
-//     shard order or, with worker goroutines live (inside Run/Drain),
-//     concurrently: the two are the same schedule.
+//     (its registry row included) plus its shard's buffers, because every
+//     cross-router effect is latched through the delivery ring. So the
+//     phases may run inline in shard order or, with worker goroutines live
+//     (inside Run/Drain), concurrently: the two are the same schedule.
 //  3. Merge, on the calling goroutine: replay the shards' buffered
-//     emissions, condemn their hop-limit victims and drain their meters, all
-//     in shard order. Everything merged is either a sum or a ring append in
-//     the order a lone shard produces, so the cycle is bit-identical however
-//     many shards ran it.
+//     emissions and condemn their hop-limit victims, in shard order.
+//     Everything merged is a ring append in the order a lone shard produces,
+//     so the cycle is bit-identical however many shards ran it.
 func (n *Network) Step(w Workload) {
 	// Fault events land first, strictly before any delivery or router work:
 	// the fault state is therefore constant for the rest of the cycle.
@@ -801,12 +783,10 @@ func (n *Network) Step(w Workload) {
 		n.purgeVictims()
 		n.mergePending()
 	}
-	n.Stats.MergeAll(n.shardStats)
-	n.Energy.MergeAll(n.shardEnergy)
 	n.now++
 	n.Stats.MeasuredTo = n.now
 	if n.series != nil {
-		n.series.Tick(n.now, n.Stats)
+		n.series.Tick(n.now, n.Stats, n.registry)
 	}
 }
 
@@ -955,21 +935,20 @@ func (n *Network) applyFaults() {
 // the routing algorithm's turn restrictions, so a storm can leave packets in
 // a buffer-dependency cycle — each waiting for a credit only another member
 // of the cycle can release. Such a wedge makes no progress at all, so the
-// hop limit (which fires on delivery) never sees it. The watchdog watches
-// global movement counters from the main phase: stallLimit consecutive
+// hop limit (which fires on delivery) never sees it. The watchdog sums the
+// routers' movement counters from the main phase: stallLimit consecutive
 // cycles with flits in flight, no transient fault currently down (while one
 // is down, parking in front of it is legitimate waiting; a permanent fault
 // will never release anyone, so it does not pause the watchdog) and not a
-// single buffer
-// write, link traversal, delivery or drop anywhere condemns the whole
-// fabric population, accounted as fault drops. The counters are merged
-// identically by every kernel, so the watchdog fires on the same cycle at
-// every worker count. A wedge that forms while other traffic still flows is
-// only detected once that traffic drains — the bound is eventual
-// termination, not bounded staleness.
+// single buffer write, link traversal, delivery or drop anywhere condemns the
+// whole fabric population, accounted as fault drops. Every kernel leaves the
+// same counts in the rows, so the watchdog fires on the same cycle at every
+// worker count. A wedge that forms while other traffic still flows is only
+// detected once that traffic drains — the bound is eventual termination, not
+// bounded staleness.
 func (n *Network) watchdog() {
-	moved := n.Energy.Writes + n.Energy.Traversals +
-		n.Stats.PacketsDelivered + n.Stats.PacketsDropped
+	t := n.registry.Totals()
+	moved := t.BufWrites + t.Traversals + n.Stats.PacketsDelivered + n.Stats.PacketsDropped
 	if n.inFlight == 0 || n.faults.AnyTransientDown() || moved != n.lastMove {
 		n.lastMove = moved
 		n.stallRun = 0
@@ -1034,10 +1013,7 @@ func (n *Network) breakWedge() {
 			LinkDead:   never,
 			DstDead:    never,
 			Kill:       n.condemn,
-			PCTerm: func() {
-				n.Stats.PCTerminated++
-				n.Stats.PCFaultTerminated++
-			},
+			PCTerm:     func() { n.Stats.PCFaultTerminated++ },
 		}
 		node.(faultNode).FaultScan(&fc)
 	}
@@ -1078,10 +1054,7 @@ func (n *Network) stormScan() {
 			Reroute:    func(dst, class int) int { return n.routeFor(r, dst, class) },
 			Kill:       n.condemn,
 			Salvaged:   func(p *flit.Packet) { n.Stats.PacketsRerouted++ },
-			PCTerm: func() {
-				n.Stats.PCTerminated++
-				n.Stats.PCFaultTerminated++
-			},
+			PCTerm:     func() { n.Stats.PCFaultTerminated++ },
 		}
 		node.(faultNode).FaultScan(&fc)
 	}
@@ -1244,19 +1217,16 @@ func (n *Network) Run(w Workload, cycles int) {
 	}
 }
 
-// ResetStats begins the measurement phase: statistics and energy counters
-// are cleared; packets injected before this instant no longer count toward
-// latency averages. Per-router registry counters are reset at the same
-// instant so they cover exactly the global counters' window, and the time
-// series closes its open warmup window and rebases against the zeroed
-// counters.
+// ResetStats begins the measurement phase: Stats and every router's row are
+// cleared at the same instant, so both cover exactly the same window; packets
+// injected before it no longer count toward latency averages. The time series
+// closes its open warmup window and rebases against the zeroed counters.
 func (n *Network) ResetStats() {
 	if n.series != nil {
-		n.series.Rebase(n.now, n.Stats)
+		n.series.Rebase(n.now, n.Stats, n.registry)
 	}
 	n.Stats.Reset(n.now)
 	n.registry.Reset()
-	n.Energy.Writes, n.Energy.Reads, n.Energy.Traversals, n.Energy.Arbitrations = 0, 0, 0, 0
 }
 
 // Drain runs until the workload is done, no packets remain in flight, and —
@@ -1293,9 +1263,17 @@ func (n *Network) Quiescent() bool {
 // sub-streams from it).
 func (n *Network) RNG() *sim.RNG { return n.rng }
 
-// Registry returns the per-router counter registry, nil when that probe is
-// off.
+// Registry returns the routers' event counters: one row per router, and the
+// network-wide figures as their Totals.
 func (n *Network) Registry() *stats.Registry { return n.registry }
+
+// Energy prices the router events counted since the last ResetStats with the
+// paper's Table II model.
+func (n *Network) Energy() energy.Meter {
+	t := n.registry.Totals()
+	return energy.Meter{Params: energy.PaperParams(),
+		Writes: t.BufWrites, Reads: t.BufReads, Traversals: t.Traversals, Arbitrations: t.SAGrants}
+}
 
 // Series returns the cycle-windowed time series, nil when that probe is off.
 func (n *Network) Series() *stats.Series { return n.series }
@@ -1307,7 +1285,7 @@ func (n *Network) Tracer() *obs.Tracer { return n.tracer }
 // *router.Router.
 func (n *Network) Router(r int) Node { return n.routers[r] }
 
-// LinkLoad reports one output channel's traffic over the simulation so far.
+// LinkLoad reports one output channel's traffic over the measurement window.
 type LinkLoad struct {
 	Router      int
 	Out         int
@@ -1316,27 +1294,21 @@ type LinkLoad struct {
 	Ejection    bool
 }
 
-// LinkLoads returns per-channel utilization, most loaded first — a
-// diagnostic for spotting hotspots and routing imbalance (e.g. specjbb's
-// over-utilized home banks, paper §6.A). Node implementations without
-// per-port counters are skipped.
+// LinkLoads returns per-channel utilization over the measurement window,
+// most loaded first — a diagnostic for spotting hotspots and routing
+// imbalance (e.g. specjbb's over-utilized home banks, paper §6.A).
 func (n *Network) LinkLoads() []LinkLoad {
-	type sender interface{ OutputSends() []uint64 }
 	var out []LinkLoad
-	for rid, node := range n.routers {
-		s, ok := node.(sender)
-		if !ok {
-			continue
-		}
-		for o, flits := range s.OutputSends() {
+	window := float64(n.Stats.Window())
+	for rid, row := range n.registry.Routers() {
+		for o, flits := range row.OutSends {
 			if flits == 0 {
 				continue
 			}
-			ll := LinkLoad{Router: rid, Out: o, Flits: flits}
-			if n.now > 0 {
-				ll.Utilization = float64(flits) / float64(n.now)
+			ll := LinkLoad{Router: rid, Out: o, Flits: flits, Ejection: isEjectionPort(n.topo, rid, o)}
+			if window > 0 {
+				ll.Utilization = float64(flits) / window
 			}
-			ll.Ejection = isEjectionPort(n.topo, rid, o)
 			out = append(out, ll)
 		}
 	}

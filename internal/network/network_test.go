@@ -32,7 +32,7 @@ func TestDeterminism(t *testing.T) {
 			Pattern: traffic.UniformRandom, Nodes: 16, Rate: 0.15,
 		}, sim.NewRNG(77))
 		n.Run(w, 2000)
-		return n.Stats.String() + n.Stats.LatencyHist.String()
+		return n.Stats.Summary(n.Registry().Totals()) + n.Stats.LatencyHist.String()
 	}
 	a, b := run(), run()
 	if a != b {
@@ -223,7 +223,8 @@ func TestMeasurementWindow(t *testing.T) {
 	}
 }
 
-// TestLinkLoads: the utilization report is flit-conserving and sorted.
+// TestLinkLoads: the utilization report is flit-conserving, sorted, and
+// covers the measurement window like every other figure.
 func TestLinkLoads(t *testing.T) {
 	n := build(t, topology.NewMesh(4, 4), core.PseudoSB, routing.XY, vcalloc.Static)
 	w := traffic.NewFlows(traffic.Flow{Src: 0, Dst: 3, Size: 5, Period: 10, Count: 30})
@@ -261,5 +262,23 @@ func TestLinkLoads(t *testing.T) {
 	}
 	if ejections != 1 {
 		t.Fatalf("ejection channels = %d, want 1", ejections)
+	}
+
+	// A reset starts the window over: the 600 warmup flits above are gone, and
+	// a second flow's 10 packets are divided by the cycles since the reset.
+	n.ResetStats()
+	from := n.Now()
+	if !n.Drain(traffic.NewFlows(traffic.Flow{Src: 0, Dst: 3, Size: 5, Period: 10, Start: from, Count: 10}), 5000) {
+		t.Fatal("second drain failed")
+	}
+	loads = n.LinkLoads()
+	if len(loads) != 4 {
+		t.Fatalf("%d channels after the reset, want 4", len(loads))
+	}
+	for _, l := range loads {
+		if want := 50 / float64(n.Now()-from); l.Flits != 50 || l.Utilization != want {
+			t.Errorf("router %d out %d: %d flits at %v per cycle after the reset, want 50 at %v (warmup counted?)",
+				l.Router, l.Out, l.Flits, l.Utilization, want)
+		}
 	}
 }

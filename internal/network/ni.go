@@ -129,7 +129,6 @@ func (s *ni) inject(now sim.Cycle) {
 	f.VC = s.outVC
 	f.RouteClass = s.class
 	f.NextOut = s.net.routeFor(s.router, p.Dst, s.class)
-	f.InjectedAt = now
 	f.EnteredNet = now
 	if f.Kind.IsHead() {
 		p.NetStart = now

@@ -123,14 +123,7 @@ func TestReliableChurnDeterminismTriangle(t *testing.T) {
 			}
 			for _, k := range kernels[1:] {
 				got := runReliable(g, sched, k)
-				if !reflect.DeepEqual(ref.Stats, got.Stats) {
-					t.Errorf("stats diverge between %s and %s kernels:\n%s: %+v\n%s: %+v",
-						kernels[0].name, k.name, kernels[0].name, ref.Stats, k.name, got.Stats)
-				}
-				if !reflect.DeepEqual(ref.Energy, got.Energy) {
-					t.Errorf("energy diverges between %s and %s kernels:\n%s: %+v\n%s: %+v",
-						kernels[0].name, k.name, kernels[0].name, ref.Energy, k.name, got.Energy)
-				}
+				sameRun(t, kernels[0].name, k.name, ref, got)
 			}
 		})
 	}

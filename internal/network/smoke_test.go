@@ -37,13 +37,14 @@ func runUniform(t *testing.T, scheme core.Scheme, rate float64) *network.Network
 func TestSmokeSchemes(t *testing.T) {
 	base := runUniform(t, core.Baseline, 0.05)
 	psb := runUniform(t, core.PseudoSB, 0.05)
-	t.Logf("baseline: %v", base.Stats)
-	t.Logf("pseudo+s+b: %v", psb.Stats)
-	if base.Stats.PCReused != 0 {
-		t.Errorf("baseline reused pseudo-circuits: %d", base.Stats.PCReused)
+	baseT, psbT := base.Registry().Totals(), psb.Registry().Totals()
+	t.Logf("baseline: %v", base.Stats.Summary(baseT))
+	t.Logf("pseudo+s+b: %v", psb.Stats.Summary(psbT))
+	if baseT.PCReused != 0 {
+		t.Errorf("baseline reused pseudo-circuits: %d", baseT.PCReused)
 	}
-	if psb.Stats.Reusability() <= 0.05 {
-		t.Errorf("pseudo+s+b reusability too low: %.3f", psb.Stats.Reusability())
+	if psbT.Reusability() <= 0.05 {
+		t.Errorf("pseudo+s+b reusability too low: %.3f", psbT.Reusability())
 	}
 	if psb.Stats.AvgLatency() >= base.Stats.AvgLatency() {
 		t.Errorf("pseudo+s+b latency %.2f not better than baseline %.2f",

@@ -50,7 +50,6 @@ import (
 	"math/bits"
 
 	"pseudocircuit/internal/core"
-	"pseudocircuit/internal/energy"
 	"pseudocircuit/internal/flit"
 	"pseudocircuit/internal/obs"
 	"pseudocircuit/internal/sim"
@@ -72,16 +71,15 @@ type Config struct {
 	BufDepth int
 	Opts     core.Options
 	Alloc    *vcalloc.Allocator
-	Energy   *energy.Meter
-	Stats    *stats.Network
 	Send     SendFunc
 	Credit   CreditFunc
 	// Lanes is the network-owned structure-of-arrays hot-path store shared by
 	// every router (and every shard — shards touch disjoint index ranges).
 	// nil builds a private single-router store (unit tests).
 	Lanes *core.LaneStore
-	// Reg enables per-router/per-port counters when non-nil (observation
-	// only; increments mirror the Stats sites exactly).
+	// Reg holds every router's row of event counters. A router counts each
+	// event once, into its own row and nowhere else; network-wide figures and
+	// energy are sums of rows taken on read, so shards share Reg unmerged.
 	Reg *stats.Registry
 	// Trace enables flit-lifecycle event recording when non-nil.
 	Trace *obs.Tracer
@@ -187,20 +185,15 @@ type Router struct {
 	chosen  []int // per input port: index into reqs selected by input arbitration, -1 none
 	pcCand  []int // per input port: vc of pseudo-circuit candidate, -1 none
 
-	// outSends counts flits per output port over the router's lifetime
-	// (link-utilization diagnostics).
-	outSends []uint64
-
 	// pol is the installed scheme policy, nil for the paper's own schemes.
 	pol Policy
 	// Preemptions counts SA grants displaced by a flit the policy forwarded
 	// in phase 0; always zero without a policy.
 	Preemptions uint64
 
-	// rs is this router's row in the per-router registry (nil when per-router
-	// instrumentation is off) and tr the lifecycle tracer (nil when tracing
-	// is off); both are observation-only and nil in the default configuration,
-	// so the hot path pays one predictable branch each.
+	// rs is this router's row in cfg.Reg: the one place its events are
+	// counted. tr is the lifecycle tracer, nil (one predictable branch per
+	// site) unless tracing is on.
 	rs *stats.RouterStats
 	tr *obs.Tracer
 
@@ -272,11 +265,10 @@ func New(id, inPorts, outPorts int, cfg *Config) *Router {
 		rrIn:     make([]int, outPorts),
 		ejection: make([]bool, outPorts),
 
-		chosen:   make([]int, inPorts),
-		pcCand:   make([]int, inPorts),
-		outSends: make([]uint64, outPorts),
-		rs:       cfg.Reg.Attach(id, inPorts, outPorts),
-		tr:       cfg.Trace,
+		chosen: make([]int, inPorts),
+		pcCand: make([]int, inPorts),
+		rs:     cfg.Reg.Router(id),
+		tr:     cfg.Trace,
 	}
 	for i := range r.lastOut {
 		r.lastOut[i] = -1
@@ -316,7 +308,7 @@ func (r *Router) pushBuf(in, vc int, f *flit.Flit, now sim.Cycle) int {
 	return n + 1
 }
 
-// popHead removes the head flit of lane (in, vc), paying buffer-read energy.
+// popHead removes the head flit of lane (in, vc), counting the buffer read.
 // The shift is a manual loop: buffers are a handful of flits deep, where
 // memmove call overhead exceeds the moves themselves.
 func (r *Router) popHead(in, vc int) {
@@ -331,7 +323,7 @@ func (r *Router) popHead(in, vc int) {
 	if n == 1 {
 		r.occ[in] &^= 1 << uint(vc)
 	}
-	r.cfg.Energy.AddRead()
+	r.rs.BufReads++
 }
 
 // removeBufAt unlinks buffer slot k of lane (in, vc) (fault purge only).
@@ -387,17 +379,11 @@ func (r *Router) Forward(now sim.Cycle, in, out int) {
 	r.busyIn |= 1 << uint(in)
 	r.busyOut |= 1 << uint(out)
 	r.worked = true
-	r.cfg.Stats.Traversals++
-	r.cfg.Energy.AddTraversal()
-	if rs := r.rs; rs != nil {
-		rs.Traversals++
-		rs.OutSends[out]++
-		rs.In[in].Traversals++
-	}
+	r.rs.In[in].Traversals++
+	r.rs.OutSends[out]++
 	if r.tr != nil {
 		r.trace(now, obs.Traverse, f, in, f.VC, out)
 	}
-	r.outSends[out]++
 	r.cfg.Send(r.ID, out, f)
 }
 
@@ -638,9 +624,7 @@ func (r *Router) classify(now sim.Cycle) {
 				continue
 			}
 			if !r.hasCredit(out, r.outVC[l]) {
-				if r.rs != nil {
-					r.rs.In[i].CreditStalls++
-				}
+				r.rs.In[i].CreditStalls++
 				continue // credit-gated: no request without credit
 			}
 			// A flit matching the input port's connected pseudo-circuit
@@ -739,12 +723,8 @@ func (r *Router) switchArbitrate(now sim.Cycle) {
 }
 
 func (r *Router) grant(now sim.Cycle, q saRequest) {
-	r.cfg.Energy.AddArbitration()
-	r.cfg.Stats.SAGrants++
+	r.rs.SAGrants++
 	f := r.buf[(q.in*r.V+q.vc)*r.D]
-	if r.rs != nil {
-		r.rs.SAGrants++
-	}
 	if r.tr != nil {
 		r.trace(now, obs.SAGrant, f, q.in, q.vc, q.out)
 	}
@@ -761,20 +741,12 @@ func (r *Router) grant(now sim.Cycle, q saRequest) {
 		// circuit and the circuit of whichever input holds the output.
 		if r.pc.Valid[q.in] {
 			r.pc.Terminate(q.in)
-			r.countTermination()
+			r.rs.PCTerminated++
 		}
 		if j := r.pc.ByOut[q.out]; j >= 0 {
 			r.pc.Terminate(j)
-			r.countTermination()
+			r.rs.PCTerminated++
 		}
-	}
-}
-
-// countTermination accounts one terminated pseudo-circuit.
-func (r *Router) countTermination() {
-	r.cfg.Stats.PCTerminated++
-	if r.rs != nil {
-		r.rs.PCTerminated++
 	}
 }
 
@@ -805,7 +777,7 @@ func (r *Router) maintainPseudoCircuits() {
 			// enforced by the credit check every traversal performs.
 			if !r.anyCredit(r.pc.Out[i]) {
 				r.pc.Terminate(i)
-				r.countTermination()
+				r.rs.PCTerminated++
 				r.worked = true
 			}
 		}
@@ -831,10 +803,7 @@ func (r *Router) maintainPseudoCircuits() {
 		if !r.pc.ConnectSpeculative(o) {
 			continue
 		}
-		r.cfg.Stats.PCSpeculated++
-		if r.rs != nil {
-			r.rs.PCSpeculated++
-		}
+		r.rs.PCSpeculated++
 		r.worked = true
 	}
 }
@@ -853,12 +822,9 @@ func (r *Router) processArrivals(now sim.Cycle) {
 		if r.bufLen[i*r.V+f.VC] >= r.D {
 			panic(fmt.Sprintf("router %d: buffer overflow at in %d vc %d (credit protocol violated)", r.ID, i, f.VC))
 		}
-		depth := r.pushBuf(i, f.VC, f, now)
-		r.cfg.Energy.AddWrite()
-		if r.rs != nil {
-			if depth > r.rs.In[i].BufHighWater {
-				r.rs.In[i].BufHighWater = depth
-			}
+		r.rs.BufWrites++
+		if depth := r.pushBuf(i, f.VC, f, now); depth > r.rs.In[i].BufHighWater {
+			r.rs.In[i].BufHighWater = depth
 		}
 		if r.tr != nil {
 			r.trace(now, obs.BufWrite, f, i, f.VC, f.NextOut)
@@ -921,66 +887,42 @@ func (r *Router) tryBypass(now sim.Cycle, i int, f *flit.Flit) bool {
 func (r *Router) traverse(now sim.Cycle, in, vc, out int, f *flit.Flit, viaPC, bypass bool) {
 	r.worked = true
 	l := in*r.V + vc
-	st := r.cfg.Stats
+	rs, ps, head := r.rs, &r.rs.In[in], f.Kind.IsHead()
 
 	// Fig. 1 crossbar-connection temporal locality, measured at packet
 	// granularity (header flits) regardless of pseudo-circuit scheme: body
 	// flits reuse their header's connection by construction and would
 	// trivially inflate the metric. Policy routers do not report it — their
 	// Results predate the shared pipeline and are pinned bit for bit.
-	fig1 := f.Kind.IsHead() && r.pol == nil
-	if fig1 {
+	if head && r.pol == nil {
 		if r.lastOut[in] >= 0 {
-			st.XbarPrev++
+			rs.XbarPrev++
 			if r.lastOut[in] == out {
-				st.XbarSame++
+				rs.XbarSame++
 			}
 		}
 		r.lastOut[in] = out
-		st.HeadTravs++
+		rs.HeadTravs++
 	}
 
-	st.Traversals++
-	r.cfg.Energy.AddTraversal()
+	// Traversals, reuses and bypasses are counted per input port (the router's
+	// figure is the ports' sum); their header-only and speculative shares per
+	// router.
+	ps.Traversals++
+	rs.OutSends[out]++
 	if viaPC {
-		st.PCReused++
+		ps.PCReused++
 		if r.pc.Spec[in] {
-			st.SpecReused++
+			rs.SpecReused++
 		}
-		if f.Kind.IsHead() {
-			st.HeadReused++
+		if head {
+			rs.HeadReused++
 		}
 	}
 	if bypass {
-		st.Bypassed++
-		if f.Kind.IsHead() {
-			st.HeadBypassed++
-		}
-	}
-	if rs := r.rs; rs != nil {
-		rs.Traversals++
-		rs.OutSends[out]++
-		ps := &rs.In[in]
-		ps.Traversals++
-		if fig1 {
-			rs.HeadTravs++
-		}
-		if viaPC {
-			rs.PCReused++
-			ps.PCReused++
-			if r.pc.Spec[in] {
-				rs.SpecReused++
-			}
-			if f.Kind.IsHead() {
-				rs.HeadReused++
-			}
-		}
-		if bypass {
-			rs.Bypassed++
-			ps.Bypassed++
-			if f.Kind.IsHead() {
-				rs.HeadBypassed++
-			}
+		ps.Bypassed++
+		if head {
+			rs.HeadBypassed++
 		}
 	}
 	if r.tr != nil {
@@ -996,13 +938,10 @@ func (r *Router) traverse(now sim.Cycle, in, vc, out int, f *flit.Flit, viaPC, b
 	if r.cfg.Opts.Pseudo {
 		created, displaced := r.pc.Connect(in, vc, out)
 		if created {
-			st.PCCreated++
-			if r.rs != nil {
-				r.rs.PCCreated++
-			}
+			rs.PCCreated++
 		}
 		if displaced {
-			r.countTermination()
+			rs.PCTerminated++
 		}
 	}
 
@@ -1019,7 +958,7 @@ func (r *Router) traverse(now sim.Cycle, in, vc, out int, f *flit.Flit, viaPC, b
 	if r.pol != nil {
 		r.pol.Traversed(f)
 	}
-	if f.Kind.IsHead() {
+	if head {
 		f.Packet.Hops++
 	}
 	if f.Kind.IsTail() {
@@ -1029,14 +968,9 @@ func (r *Router) traverse(now sim.Cycle, in, vc, out int, f *flit.Flit, viaPC, b
 		r.resetLane(in, vc)
 	}
 	// The buffer slot (real or bypassed) is free again: return the credit.
-	r.outSends[out]++
 	r.cfg.Credit(r.ID, in, vc)
 	r.cfg.Send(r.ID, out, f)
 }
-
-// OutputSends returns per-output-port flit counts over the router's
-// lifetime (link-utilization diagnostics).
-func (r *Router) OutputSends() []uint64 { return r.outSends }
 
 // FaultContext parameterizes a fault storm sweep over one router. All
 // callbacks run on the kernel's main goroutine.
@@ -1060,7 +994,8 @@ type FaultContext struct {
 	Kill func(p *flit.Packet)
 	// Salvaged reports a committed packet re-routed in place.
 	Salvaged func(p *flit.Packet)
-	// PCTerm is called once per pseudo-circuit torn down by the fault.
+	// PCTerm is called once per pseudo-circuit torn down by the fault (which
+	// the router has already counted as a termination in its own row).
 	PCTerm func()
 }
 
@@ -1075,6 +1010,7 @@ func (r *Router) FaultScan(fc *FaultContext) {
 	for i := 0; i < r.nIn; i++ {
 		if r.pc.Valid[i] && (fc.RouterDead || fc.LinkDead(r.pc.Out[i])) {
 			r.pc.Clear(i)
+			r.rs.PCTerminated++
 			fc.PCTerm()
 		}
 		for vc := 0; vc < r.V; vc++ {

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"pseudocircuit/internal/core"
-	"pseudocircuit/internal/energy"
 	"pseudocircuit/internal/flit"
 	"pseudocircuit/internal/router"
 	"pseudocircuit/internal/sim"
@@ -115,11 +114,11 @@ func TestHeadTailPacketsReusePC(t *testing.T) {
 		h.tick()
 		h.r.DeliverCredit(2, h.sent[len(h.sent)-1].f.VC)
 	}
-	if h.stats.PCReused < 4 {
-		t.Fatalf("PCReused = %d, want >= 4 of 6", h.stats.PCReused)
+	if h.row.Sum().PCReused < 4 {
+		t.Fatalf("PCReused = %d, want >= 4 of 6", h.row.Sum().PCReused)
 	}
-	if h.stats.Bypassed < 4 {
-		t.Fatalf("Bypassed = %d, want >= 4", h.stats.Bypassed)
+	if h.row.Sum().Bypassed < 4 {
+		t.Fatalf("Bypassed = %d, want >= 4", h.row.Sum().Bypassed)
 	}
 }
 
@@ -140,7 +139,7 @@ func TestMismatchFallsBackWithoutPenalty(t *testing.T) {
 	if got := h.lastSent(t).cycle - start; got != 2 {
 		t.Fatalf("mismatched flit took %d cycles, want 3-stage pipeline (ST at +2)", got+1)
 	}
-	if h.stats.PCReused != 0 {
+	if h.row.Sum().PCReused != 0 {
 		t.Fatal("mismatch counted as reuse")
 	}
 }
@@ -148,20 +147,19 @@ func TestMismatchFallsBackWithoutPenalty(t *testing.T) {
 // TestAsymmetricRadix: routers with more inputs than outputs (MECS shape)
 // work.
 func TestAsymmetricRadix(t *testing.T) {
-	h := &harness{stats: &stats.Network{}}
+	h := &harness{}
 	h.cfg = &router.Config{
 		NumVCs:   2,
 		BufDepth: 2,
 		Opts:     core.DefaultOptions(core.PseudoSB),
 		Alloc:    vcalloc.New(vcalloc.Dynamic, 2, 1, 64),
-		Energy:   energy.NewMeter(),
-		Stats:    h.stats,
+		Reg:      stats.NewRegistry([]int{10}, []int{3}),
 		Send: func(id, out int, f *flit.Flit) {
 			h.sent = append(h.sent, sentFlit{out: out, f: f, cycle: h.now})
 		},
 		Credit: func(id, in, vc int) {},
 	}
-	h.r = router.New(0, 10, 3, h.cfg)
+	h.r, h.row = router.New(0, 10, 3, h.cfg), h.cfg.Reg.Router(0)
 	h.r.MarkEjection(2)
 	for in := 0; in < 10; in++ {
 		p := &flit.Packet{ID: uint64(in), Src: 0, Dst: 1, Size: 1}
@@ -202,12 +200,12 @@ func TestSpeculativeFlagClearsOnUse(t *testing.T) {
 	if _, valid := h.r.PCValid(0); !valid {
 		t.Fatal("speculation did not revive")
 	}
-	specReuse := h.stats.SpecReused
+	specReuse := h.row.Sum().SpecReused
 	h.r.Deliver(0, mkFlit(99, 0, 2))
 	h.tick()
 	h.tick()
-	if h.stats.SpecReused != specReuse+1 {
-		t.Fatalf("speculative reuse not counted: %d -> %d", specReuse, h.stats.SpecReused)
+	if h.row.Sum().SpecReused != specReuse+1 {
+		t.Fatalf("speculative reuse not counted: %d -> %d", specReuse, h.row.Sum().SpecReused)
 	}
 }
 

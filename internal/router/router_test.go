@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"pseudocircuit/internal/core"
-	"pseudocircuit/internal/energy"
 	"pseudocircuit/internal/flit"
 	"pseudocircuit/internal/router"
 	"pseudocircuit/internal/sim"
@@ -16,7 +15,7 @@ import (
 type harness struct {
 	r        *router.Router
 	cfg      *router.Config
-	stats    *stats.Network
+	row      *stats.RouterStats // the router's counters
 	sent     []sentFlit
 	credits  []sentCredit
 	credited int // test-side bookkeeping for credit reflection
@@ -38,14 +37,13 @@ type sentCredit struct {
 // with the given scheme. Output 4 is the ejection port.
 func newHarness(t *testing.T, opts core.Options) *harness {
 	t.Helper()
-	h := &harness{stats: &stats.Network{}}
+	h := &harness{}
 	h.cfg = &router.Config{
 		NumVCs:   4,
 		BufDepth: 4,
 		Opts:     opts,
 		Alloc:    vcalloc.New(vcalloc.Dynamic, 4, 1, 64),
-		Energy:   energy.NewMeter(),
-		Stats:    h.stats,
+		Reg:      stats.NewRegistry([]int{5}, []int{5}),
 		Send: func(id, out int, f *flit.Flit) {
 			h.sent = append(h.sent, sentFlit{out: out, f: f, cycle: h.now})
 		},
@@ -53,7 +51,7 @@ func newHarness(t *testing.T, opts core.Options) *harness {
 			h.credits = append(h.credits, sentCredit{in: in, vc: vc, cycle: h.now})
 		},
 	}
-	h.r = router.New(0, 5, 5, h.cfg)
+	h.r, h.row = router.New(0, 5, 5, h.cfg), h.cfg.Reg.Router(0)
 	h.r.MarkEjection(4)
 	return h
 }
@@ -134,11 +132,11 @@ func TestPseudoCircuitReusePipeline(t *testing.T) {
 	if got := s.cycle - 3; got != 1 {
 		t.Fatalf("PC-hit flit took %d cycles after arrival, want ST one cycle after BW", got+1)
 	}
-	if h.stats.PCReused != 1 {
-		t.Fatalf("PCReused = %d, want 1", h.stats.PCReused)
+	if h.row.Sum().PCReused != 1 {
+		t.Fatalf("PCReused = %d, want 1", h.row.Sum().PCReused)
 	}
-	if h.stats.SAGrants != 1 {
-		t.Fatalf("SAGrants = %d, want 1 (only the first flit arbitrates)", h.stats.SAGrants)
+	if h.row.Sum().SAGrants != 1 {
+		t.Fatalf("SAGrants = %d, want 1 (only the first flit arbitrates)", h.row.Sum().SAGrants)
 	}
 }
 
@@ -157,13 +155,13 @@ func TestBufferBypassPipeline(t *testing.T) {
 	if len(h.sent) != base+1 {
 		t.Fatal("bypass flit not sent in its arrival cycle")
 	}
-	if h.stats.Bypassed != 1 {
-		t.Fatalf("Bypassed = %d, want 1", h.stats.Bypassed)
+	if h.row.Sum().Bypassed != 1 {
+		t.Fatalf("Bypassed = %d, want 1", h.row.Sum().Bypassed)
 	}
 	// Bypassed flits pay no buffer energy.
-	if h.cfg.Energy.Writes != 1 || h.cfg.Energy.Reads != 1 {
+	if h.row.BufWrites != 1 || h.row.BufReads != 1 {
 		t.Fatalf("buffer events = %d writes/%d reads, want 1/1 (first flit only)",
-			h.cfg.Energy.Writes, h.cfg.Energy.Reads)
+			h.row.BufWrites, h.row.BufReads)
 	}
 }
 
@@ -189,7 +187,7 @@ func TestPCTerminationByConflict(t *testing.T) {
 	if out, valid := h.r.PCValid(1); !valid || out != 2 {
 		t.Fatalf("input 1's circuit not created: out=%d valid=%v", out, valid)
 	}
-	if h.stats.PCTerminated == 0 {
+	if h.row.Sum().PCTerminated == 0 {
 		t.Fatal("no termination recorded")
 	}
 }
@@ -255,7 +253,7 @@ func TestSpeculationRevival(t *testing.T) {
 	if out, valid := h.r.PCValid(1); !valid || out != 2 {
 		t.Fatalf("speculation did not revive circuit after congestion relief: out=%d valid=%v", out, valid)
 	}
-	if h.stats.PCSpeculated == 0 {
+	if h.row.Sum().PCSpeculated == 0 {
 		t.Fatal("no speculative revival recorded")
 	}
 }
@@ -387,10 +385,10 @@ func TestBypassRefusedWhenBufferOccupied(t *testing.T) {
 	if h.r.BufferedFlits(0) != 1 {
 		t.Fatalf("buffered = %d, want 1", h.r.BufferedFlits(0))
 	}
-	bypassed := h.stats.Bypassed
+	bypassed := h.row.Sum().Bypassed
 	h.r.Deliver(0, mkFlit(101, 0, 2))
 	h.tick()
-	if h.stats.Bypassed != bypassed {
+	if h.row.Sum().Bypassed != bypassed {
 		t.Fatal("flit bypassed an occupied buffer")
 	}
 	if h.r.BufferedFlits(0) != 2 {
@@ -410,7 +408,7 @@ func TestNoSchemeStateInBaseline(t *testing.T) {
 	if _, valid := h.r.PCValid(0); valid {
 		t.Fatal("baseline router holds a valid pseudo-circuit")
 	}
-	if h.stats.PCReused != 0 || h.stats.PCCreated != 0 {
+	if h.row.Sum().PCReused != 0 || h.row.Sum().PCCreated != 0 {
 		t.Fatal("baseline recorded pseudo-circuit activity")
 	}
 }

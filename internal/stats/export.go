@@ -11,9 +11,9 @@ import (
 // Metrics JSONL export: one self-describing JSON object per line, typed by a
 // "type" field. Three line types exist:
 //
-//	{"type":"router", ...}  one per instrumented router (Registry row)
+//	{"type":"router", ...}  one per router (Registry row)
 //	{"type":"window", ...}  one per closed time-series window (Series sample)
-//	{"type":"global", ...}  exactly one, the whole-run Network counters
+//	{"type":"global", ...}  exactly one: the Network counters and the rows' sum
 //
 // The schema is strict — validators reject unknown fields — so downstream
 // tooling can rely on it; the global line lets any consumer cross-check that
@@ -63,7 +63,8 @@ type WindowMetrics struct {
 	Bypassed       uint64 `json:"bypassed"`
 }
 
-// GlobalMetrics is the serialized form of the global Network counters.
+// GlobalMetrics is the serialized form of the network-wide counters: the
+// Network struct's and the Registry's Totals.
 type GlobalMetrics struct {
 	Type             string  `json:"type"` // "global"
 	MeasuredFrom     int64   `json:"measured_from"`
@@ -96,24 +97,25 @@ type GlobalMetrics struct {
 	DeliveryFailed       uint64 `json:"delivery_failed"`
 }
 
-// WriteMetricsJSONL writes the run's metrics as JSONL: router lines from reg
-// (nil skips them), window lines from series (nil skips them), then the
-// global line from st.
+// WriteMetricsJSONL writes the run's metrics as JSONL: router lines from reg,
+// window lines from series (nil skips them), then the global line from st
+// (nil skips it) and reg's totals.
 func WriteMetricsJSONL(w io.Writer, reg *Registry, series *Series, st *Network) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
 	for _, r := range reg.Routers() {
+		t := r.Sum()
 		line := RouterMetrics{
 			Type:         "router",
 			Router:       r.ID,
 			SAGrants:     r.SAGrants,
 			PCCreated:    r.PCCreated,
-			PCReused:     r.PCReused,
+			PCReused:     t.PCReused,
 			PCTerminated: r.PCTerminated,
 			PCSpeculated: r.PCSpeculated,
 			SpecReused:   r.SpecReused,
-			Traversals:   r.Traversals,
-			Bypassed:     r.Bypassed,
+			Traversals:   t.Traversals,
+			Bypassed:     t.Bypassed,
 			HeadTravs:    r.HeadTravs,
 			HeadReused:   r.HeadReused,
 			HeadBypassed: r.HeadBypassed,
@@ -156,6 +158,7 @@ func WriteMetricsJSONL(w io.Writer, reg *Registry, series *Series, st *Network) 
 		}
 	}
 	if st != nil {
+		t := reg.Totals()
 		line := GlobalMetrics{
 			Type:              "global",
 			MeasuredFrom:      int64(st.MeasuredFrom),
@@ -163,14 +166,14 @@ func WriteMetricsJSONL(w io.Writer, reg *Registry, series *Series, st *Network) 
 			PacketsInjected:   st.PacketsInjected,
 			PacketsDelivered:  st.PacketsDelivered,
 			FlitsDelivered:    st.FlitsDelivered,
-			SAGrants:          st.SAGrants,
-			PCCreated:         st.PCCreated,
-			PCReused:          st.PCReused,
-			PCTerminated:      st.PCTerminated,
-			PCSpeculated:      st.PCSpeculated,
-			SpecReused:        st.SpecReused,
-			Traversals:        st.Traversals,
-			Bypassed:          st.Bypassed,
+			SAGrants:          t.SAGrants,
+			PCCreated:         t.PCCreated,
+			PCReused:          t.PCReused,
+			PCTerminated:      t.PCTerminated,
+			PCSpeculated:      t.PCSpeculated,
+			SpecReused:        t.SpecReused,
+			Traversals:        t.Traversals,
+			Bypassed:          t.Bypassed,
 			AvgLatency:        st.AvgLatency(),
 			FaultEvents:       st.FaultEvents,
 			PacketsDropped:    st.PacketsDropped,

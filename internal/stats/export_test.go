@@ -8,28 +8,24 @@ import (
 	"pseudocircuit/internal/stats"
 )
 
-// exportFixture builds a registry/series/global trio whose per-router sums
-// match the global counters, as a real run produces.
+// exportFixture builds a registry/series/global trio as a real run produces.
 func exportFixture() (*stats.Registry, *stats.Series, *stats.Network) {
-	g := stats.NewRegistry()
-	a := g.Attach(0, 2, 2)
-	b := g.Attach(1, 2, 2)
-	a.SAGrants, a.Traversals, a.PCReused = 12, 10, 4
+	g := stats.NewRegistry([]int{2, 2}, []int{2, 2})
+	a, b := g.Router(0), g.Router(1)
+	a.SAGrants, b.SAGrants = 12, 8
 	a.In[0] = stats.PortStats{Traversals: 6, PCReused: 3, BufHighWater: 2}
 	a.In[1] = stats.PortStats{Traversals: 4, PCReused: 1, CreditStalls: 5}
-	b.SAGrants, b.Traversals, b.PCReused = 8, 6, 2
 	b.In[0] = stats.PortStats{Traversals: 6, PCReused: 2}
 
 	var n stats.Network
 	n.MeasuredFrom, n.MeasuredTo = 100, 200
-	n.SAGrants, n.Traversals, n.PCReused = 20, 16, 6
 	n.PacketsInjected, n.PacketsDelivered, n.FlitsDelivered = 40, 38, 190
 	n.LatencySamples, n.LatencySum = 38, 760
 
 	s := stats.NewSeries(50, 4)
 	n2 := n // close two windows against evolving counters
-	s.Tick(150, &n2)
-	s.Tick(200, &n2)
+	s.Tick(150, &n2, g)
+	s.Tick(200, &n2, g)
 	return g, s, &n
 }
 
@@ -54,11 +50,11 @@ func TestMetricsRoundTrip(t *testing.T) {
 	}
 }
 
-// Nil registry and series: only the global line is written, still valid.
+// No routers and a nil series: only the global line is written, still valid.
 func TestMetricsGlobalOnly(t *testing.T) {
 	_, _, n := exportFixture()
 	var buf bytes.Buffer
-	if err := stats.WriteMetricsJSONL(&buf, nil, nil, n); err != nil {
+	if err := stats.WriteMetricsJSONL(&buf, stats.NewRegistry(nil, nil), nil, n); err != nil {
 		t.Fatal(err)
 	}
 	if lines, err := stats.ValidateMetricsJSONL(&buf); err != nil || lines != 1 {

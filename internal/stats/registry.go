@@ -1,168 +1,176 @@
 package stats
 
-// PortStats accumulates per-input-port counters for one router. BufHighWater
-// is the deepest any VC buffer of the port ever got (in flits) since the last
-// Reset; CreditStalls counts head-of-VC flits that were ready to traverse but
-// were held back by credit exhaustion, one count per stalled VC per cycle.
+// A router event is counted once, in the row of the router it happened at.
+// The network-wide figures (Registry.Totals) and the energy meter are sums
+// of rows taken on read; nothing else counts router events.
+
+// PortStats holds the counters kept per input port. BufHighWater is the
+// deepest any VC buffer of the port ever got (in flits) since the last Reset;
+// CreditStalls counts head-of-VC flits that were ready to traverse but were
+// held back by credit exhaustion, one count per stalled VC per cycle.
 type PortStats struct {
-	Traversals   uint64 // crossbar traversals entering through this port
-	PCReused     uint64 // traversals that reused a pseudo-circuit
+	Traversals   uint64 // crossbar traversals entering through this port (all paths)
+	PCReused     uint64 // traversals that reused a pseudo-circuit (incl. bypass)
 	Bypassed     uint64 // traversals that also bypassed the input buffer
 	BufHighWater int    // max flits buffered in any one VC of this port
 	CreditStalls uint64 // head-of-VC cycles lost waiting for downstream credit
 }
 
-// RouterStats accumulates per-router counters; it mirrors the router-level
-// slice of the global Network counters (same increment sites, same reset
-// instant) so per-router values sum exactly to their global counterparts.
+// Events holds the counters kept per router rather than per port.
+type Events struct {
+	SAGrants     uint64 // switch-arbitration grants
+	PCCreated    uint64 // pseudo-circuits written by traversals
+	PCTerminated uint64 // terminations (conflict, credit exhaustion or fault)
+	PCSpeculated uint64 // speculative revivals
+	SpecReused   uint64 // pseudo-circuit reuses of speculative circuits
+	HeadTravs    uint64 // header-flit traversals
+	HeadReused   uint64 // header-flit pseudo-circuit reuses
+	HeadBypassed uint64 // header-flit buffer bypasses
+	XbarSame     uint64 // header traversals repeating the input port's previous connection (Fig. 1)
+	XbarPrev     uint64 // header traversals with a previous connection to compare against
+	BufWrites    uint64 // flits written into an input VC buffer
+	BufReads     uint64 // flits read out of one
+}
+
+func (e *Events) add(o *Events) {
+	e.SAGrants += o.SAGrants
+	e.PCCreated += o.PCCreated
+	e.PCTerminated += o.PCTerminated
+	e.PCSpeculated += o.PCSpeculated
+	e.SpecReused += o.SpecReused
+	e.HeadTravs += o.HeadTravs
+	e.HeadReused += o.HeadReused
+	e.HeadBypassed += o.HeadBypassed
+	e.XbarSame += o.XbarSame
+	e.XbarPrev += o.XbarPrev
+	e.BufWrites += o.BufWrites
+	e.BufReads += o.BufReads
+}
+
+// RouterStats is one router's row: its own Events, its input ports' counters
+// and the flits that left each output port. Only the owning router writes it.
 type RouterStats struct {
 	ID int
-
-	SAGrants     uint64
-	PCCreated    uint64
-	PCReused     uint64
-	PCTerminated uint64
-	PCSpeculated uint64
-	SpecReused   uint64
-	Traversals   uint64
-	Bypassed     uint64
-	HeadTravs    uint64
-	HeadReused   uint64
-	HeadBypassed uint64
-
-	// In holds per-input-port counters; OutSends counts flits leaving each
-	// output port.
+	Events
 	In       []PortStats
 	OutSends []uint64
 }
 
-// Reusability returns this router's pseudo-circuit reuse fraction.
-func (r *RouterStats) Reusability() float64 {
-	if r.Traversals == 0 {
+// Totals is a sum of rows: Events added up, and the port counters added up
+// into the embedded PortStats (whose BufHighWater is the deepest, not a sum).
+type Totals struct {
+	Events
+	PortStats
+}
+
+func (t *Totals) addPorts(in []PortStats) {
+	for i := range in {
+		p := &in[i]
+		t.Traversals += p.Traversals
+		t.PCReused += p.PCReused
+		t.Bypassed += p.Bypassed
+		t.CreditStalls += p.CreditStalls
+		t.BufHighWater = max(t.BufHighWater, p.BufHighWater)
+	}
+}
+
+// Sum returns this router's counters with the ports added up.
+func (r *RouterStats) Sum() Totals {
+	t := Totals{Events: r.Events}
+	t.addPorts(r.In)
+	return t
+}
+
+// Reusability returns the fraction of flit traversals that reused a
+// pseudo-circuit (paper Fig. 8b/10 definition).
+func (t Totals) Reusability() float64 { return ratio(t.PCReused, t.Traversals) }
+
+// BypassRate returns the fraction of flit traversals that bypassed the input
+// buffer.
+func (t Totals) BypassRate() float64 { return ratio(t.Bypassed, t.Traversals) }
+
+// HeadReuseRate returns the fraction of header-flit traversals that reused a
+// pseudo-circuit — the component of reusability that shortens packet latency
+// directly (body flits pipeline behind their header either way).
+func (t Totals) HeadReuseRate() float64 { return ratio(t.HeadReused, t.HeadTravs) }
+
+// HeadBypassRate returns the fraction of header-flit traversals that also
+// bypassed the input buffer.
+func (t Totals) HeadBypassRate() float64 { return ratio(t.HeadBypassed, t.HeadTravs) }
+
+// XbarLocality returns crossbar-connection temporal locality (Fig. 1): the
+// fraction of header traversals repeating the previous connection at their
+// input port.
+func (t Totals) XbarLocality() float64 { return ratio(t.XbarSame, t.XbarPrev) }
+
+func ratio(num, den uint64) float64 {
+	if den == 0 {
 		return 0
 	}
-	return float64(r.PCReused) / float64(r.Traversals)
+	return float64(num) / float64(den)
 }
 
-// BypassRate returns this router's buffer-bypass fraction.
-func (r *RouterStats) BypassRate() float64 {
-	if r.Traversals == 0 {
-		return 0
-	}
-	return float64(r.Bypassed) / float64(r.Traversals)
-}
-
-// CreditStalls sums credit-stall cycles over all input ports.
-func (r *RouterStats) CreditStallCycles() uint64 {
-	var n uint64
-	for i := range r.In {
-		n += r.In[i].CreditStalls
-	}
-	return n
-}
-
-// Registry holds per-router statistics for one network. It is opt-in: a nil
-// *Registry is a valid "disabled" value — Attach returns nil and routers
-// guard every increment on that, so the disabled path costs one predictable
-// nil check and allocates nothing.
-//
-// Rows are created by Attach during network construction and then only
-// written by their owning router, so a Registry is as concurrency-safe as the
-// network that owns it (not at all; one simulation owns one).
+// Registry holds every router's row for one network, allocated flat (one
+// slice of rows, one of ports, one of output counts, prefix-summed by radix
+// as core.LaneStore lays out lanes). A router writes only its own row, so
+// shards of the cycle kernel share a Registry without synchronization and
+// there is nothing to merge.
 type Registry struct {
-	routers []*RouterStats
+	rows []RouterStats
+	in   []PortStats
+	out  []uint64
 }
 
-// NewRegistry returns an empty registry; routers populate it via Attach.
-func NewRegistry() *Registry { return &Registry{} }
-
-// Attach creates (or returns) the per-router row for router id with the given
-// port counts. It is nil-safe: a nil registry yields a nil row, the router's
-// signal that per-router instrumentation is off.
-func (g *Registry) Attach(id, inPorts, outPorts int) *RouterStats {
-	if g == nil {
-		return nil
+// NewRegistry returns a registry with one zeroed row per router; inPorts and
+// outPorts give each router's radix.
+func NewRegistry(inPorts, outPorts []int) *Registry {
+	var nIn, nOut int
+	for r := range inPorts {
+		nIn += inPorts[r]
+		nOut += outPorts[r]
 	}
-	for id >= len(g.routers) {
-		g.routers = append(g.routers, nil)
+	g := &Registry{
+		rows: make([]RouterStats, len(inPorts)),
+		in:   make([]PortStats, nIn),
+		out:  make([]uint64, nOut),
 	}
-	if g.routers[id] == nil {
-		g.routers[id] = &RouterStats{
-			ID:       id,
-			In:       make([]PortStats, inPorts),
-			OutSends: make([]uint64, outPorts),
+	nIn, nOut = 0, 0
+	for r := range g.rows {
+		g.rows[r] = RouterStats{
+			ID:       r,
+			In:       g.in[nIn : nIn+inPorts[r] : nIn+inPorts[r]],
+			OutSends: g.out[nOut : nOut+outPorts[r] : nOut+outPorts[r]],
 		}
+		nIn += inPorts[r]
+		nOut += outPorts[r]
 	}
-	return g.routers[id]
+	return g
 }
 
-// Router returns the row for router id, or nil if none was attached.
-func (g *Registry) Router(id int) *RouterStats {
-	if g == nil || id < 0 || id >= len(g.routers) {
-		return nil
-	}
-	return g.routers[id]
-}
+// Router returns the row of router id.
+func (g *Registry) Router(id int) *RouterStats { return &g.rows[id] }
 
-// Routers returns every attached row in router-ID order.
-func (g *Registry) Routers() []*RouterStats {
-	if g == nil {
-		return nil
-	}
-	out := make([]*RouterStats, 0, len(g.routers))
-	for _, r := range g.routers {
-		if r != nil {
-			out = append(out, r)
-		}
-	}
-	return out
-}
+// Routers returns every row in router-ID order (the registry's own storage).
+func (g *Registry) Routers() []RouterStats { return g.rows }
 
-// Reset zeroes all counters in place (rows and port slices are kept), marking
-// the start of the measurement phase; the network calls it from ResetStats so
-// per-router counters cover exactly the same window as the global ones.
+// Reset zeroes all counters in place, marking the start of the measurement
+// phase; the network calls it from ResetStats so the rows cover exactly the
+// window stats.Network does.
 func (g *Registry) Reset() {
-	if g == nil {
-		return
+	for r := range g.rows {
+		g.rows[r].Events = Events{}
 	}
-	for _, r := range g.routers {
-		if r == nil {
-			continue
-		}
-		in, outs, id := r.In, r.OutSends, r.ID
-		*r = RouterStats{ID: id, In: in, OutSends: outs}
-		for i := range in {
-			in[i] = PortStats{}
-		}
-		for o := range outs {
-			outs[o] = 0
-		}
-	}
+	clear(g.in)
+	clear(g.out)
 }
 
-// Totals aggregates all rows into one RouterStats (ID -1, no port slices).
-// For a standard-router network it must equal the matching global Network
-// counters over the same window; tests assert that equivalence.
-func (g *Registry) Totals() RouterStats {
-	t := RouterStats{ID: -1}
-	if g == nil {
-		return t
+// Totals returns the network-wide router-event counts: the sum of all rows.
+// It allocates nothing.
+func (g *Registry) Totals() Totals {
+	var t Totals
+	for r := range g.rows {
+		t.add(&g.rows[r].Events)
 	}
-	for _, r := range g.routers {
-		if r == nil {
-			continue
-		}
-		t.SAGrants += r.SAGrants
-		t.PCCreated += r.PCCreated
-		t.PCReused += r.PCReused
-		t.PCTerminated += r.PCTerminated
-		t.PCSpeculated += r.PCSpeculated
-		t.SpecReused += r.SpecReused
-		t.Traversals += r.Traversals
-		t.Bypassed += r.Bypassed
-		t.HeadTravs += r.HeadTravs
-		t.HeadReused += r.HeadReused
-		t.HeadBypassed += r.HeadBypassed
-	}
+	t.addPorts(g.in)
 	return t
 }

@@ -6,77 +6,71 @@ import (
 	"pseudocircuit/internal/stats"
 )
 
-// A nil *Registry is the disabled state: every method must be a safe no-op.
-func TestRegistryNilSafe(t *testing.T) {
-	var g *stats.Registry
-	if g.Attach(3, 5, 5) != nil {
-		t.Error("nil registry Attach returned a row")
-	}
-	if g.Router(0) != nil || g.Routers() != nil {
-		t.Error("nil registry lookup returned rows")
-	}
-	g.Reset() // must not panic
-	if tot := g.Totals(); tot.ID != -1 || tot.Traversals != 0 {
-		t.Errorf("nil registry Totals = %+v", tot)
-	}
-}
-
-func TestRegistryAttach(t *testing.T) {
-	g := stats.NewRegistry()
-	r5 := g.Attach(5, 3, 4) // out-of-order, sparse IDs
-	r1 := g.Attach(1, 2, 2)
-	if r5 == nil || r1 == nil {
-		t.Fatal("Attach returned nil on live registry")
-	}
-	if len(r5.In) != 3 || len(r5.OutSends) != 4 {
-		t.Errorf("row 5 port slices = %d in / %d out", len(r5.In), len(r5.OutSends))
-	}
-	if again := g.Attach(5, 3, 4); again != r5 {
-		t.Error("re-Attach returned a different row")
-	}
-	if g.Router(5) != r5 || g.Router(1) != r1 {
-		t.Error("Router lookup mismatch")
-	}
-	if g.Router(0) != nil || g.Router(2) != nil || g.Router(99) != nil || g.Router(-1) != nil {
-		t.Error("unattached IDs must yield nil")
-	}
+// Rows are windows onto flat storage: each has its router's radix, and no
+// write through one row — an append included — can land in a neighbour's.
+func TestRegistryLayout(t *testing.T) {
+	g := stats.NewRegistry([]int{3, 2, 5}, []int{4, 2, 1})
 	rows := g.Routers()
-	if len(rows) != 2 || rows[0] != r1 || rows[1] != r5 {
-		t.Errorf("Routers() = %v rows, want [r1 r5]", len(rows))
+	if len(rows) != 3 {
+		t.Fatalf("%d rows, want 3", len(rows))
+	}
+	for id, want := range [][2]int{{3, 4}, {2, 2}, {5, 1}} {
+		r := g.Router(id)
+		if r != &rows[id] || r.ID != id {
+			t.Errorf("Router(%d) is not row %d of Routers()", id, id)
+		}
+		if len(r.In) != want[0] || len(r.OutSends) != want[1] {
+			t.Errorf("row %d port slices = %d in / %d out, want %d / %d", id, len(r.In), len(r.OutSends), want[0], want[1])
+		}
+		if cap(r.In) != len(r.In) || cap(r.OutSends) != len(r.OutSends) {
+			t.Errorf("row %d slices have spare capacity reaching into row %d", id, id+1)
+		}
+		for i := range r.In {
+			r.In[i].Traversals = uint64(id + 1)
+		}
+		for o := range r.OutSends {
+			r.OutSends[o] = uint64(id + 1)
+		}
+	}
+	for id, r := range rows {
+		if s := r.Sum(); s.Traversals != uint64((id+1)*len(r.In)) {
+			t.Errorf("row %d sums %d traversals: ports overlap a neighbour's", id, s.Traversals)
+		}
+		for o, n := range r.OutSends {
+			if n != uint64(id+1) {
+				t.Errorf("row %d out %d = %d: outputs overlap a neighbour's", id, o, n)
+			}
+		}
 	}
 }
 
 func TestRegistryTotalsAndReset(t *testing.T) {
-	g := stats.NewRegistry()
-	a := g.Attach(0, 2, 2)
-	b := g.Attach(1, 2, 2)
-	a.SAGrants, a.Traversals, a.PCReused = 10, 8, 3
-	b.SAGrants, b.Traversals, b.PCReused = 5, 4, 2
-	a.In[1].CreditStalls = 7
-	a.In[0].BufHighWater = 4
+	g := stats.NewRegistry([]int{2, 2}, []int{2, 2})
+	a, b := g.Router(0), g.Router(1)
+	a.SAGrants, a.BufWrites = 10, 6
+	b.SAGrants, b.BufWrites = 5, 1
+	a.In[0] = stats.PortStats{Traversals: 5, PCReused: 2, BufHighWater: 4}
+	a.In[1] = stats.PortStats{Traversals: 3, PCReused: 1, Bypassed: 1, CreditStalls: 7}
+	b.In[1] = stats.PortStats{Traversals: 4, PCReused: 2, BufHighWater: 2}
 	b.OutSends[0] = 9
 
-	tot := g.Totals()
-	if tot.SAGrants != 15 || tot.Traversals != 12 || tot.PCReused != 5 {
-		t.Errorf("Totals = %+v", tot)
-	}
-	if got := a.CreditStallCycles(); got != 7 {
-		t.Errorf("CreditStallCycles = %d", got)
-	}
-	if r := a.Reusability(); r != 3.0/8 {
+	if s := a.Sum(); s.Traversals != 8 || s.PCReused != 3 || s.CreditStalls != 7 || s.BufHighWater != 4 || s.SAGrants != 10 {
+		t.Errorf("row 0 Sum = %+v", s)
+	} else if r := s.Reusability(); r != 3.0/8 {
 		t.Errorf("Reusability = %v", r)
 	}
+	tot := g.Totals()
+	if tot.SAGrants != 15 || tot.BufWrites != 7 || tot.Traversals != 12 || tot.PCReused != 5 ||
+		tot.Bypassed != 1 || tot.CreditStalls != 7 || tot.BufHighWater != 4 {
+		t.Errorf("Totals = %+v", tot)
+	}
 
-	inBefore := &a.In[0]
 	g.Reset()
-	if g.Router(0) != a || &a.In[0] != inBefore {
-		t.Error("Reset must zero in place, not reallocate rows or ports")
+	if g.Totals() != (stats.Totals{}) {
+		t.Errorf("Totals after Reset = %+v", g.Totals())
 	}
-	if tot := g.Totals(); tot.SAGrants != 0 || tot.Traversals != 0 || tot.PCReused != 0 {
-		t.Errorf("Totals after Reset = %+v", tot)
-	}
-	if a.In[1].CreditStalls != 0 || a.In[0].BufHighWater != 0 || b.OutSends[0] != 0 {
-		t.Error("Reset left port counters set")
+	if g.Router(0) != a || len(a.In) != 2 || b.OutSends[0] != 0 {
+		t.Error("Reset must zero in place, keeping rows and port slices")
 	}
 	if a.ID != 0 || b.ID != 1 {
 		t.Error("Reset clobbered router IDs")
@@ -87,7 +81,7 @@ func TestRegistryTotalsAndReset(t *testing.T) {
 // forwarded anything).
 func TestRouterStatsZeroGuards(t *testing.T) {
 	var r stats.RouterStats
-	if r.Reusability() != 0 || r.BypassRate() != 0 || r.CreditStallCycles() != 0 {
+	if s := r.Sum(); s.Reusability() != 0 || s.BypassRate() != 0 || s.HeadReuseRate() != 0 || s.XbarLocality() != 0 {
 		t.Error("zero-value RouterStats rates must be 0")
 	}
 }

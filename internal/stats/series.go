@@ -64,43 +64,23 @@ func (s Sample) String() string {
 		s.From, s.To, s.Injected, s.Delivered, s.AvgLatency(), 100*s.Reusability())
 }
 
-// snapshot captures the cumulative counters a Series differentiates.
-type snapshot struct {
-	injected, delivered, flits uint64
-	latSamples, latSum         uint64
-	traversals, reused, bypass uint64
-}
-
-func snap(n *Network) snapshot {
-	return snapshot{
-		injected:   n.PacketsInjected,
-		delivered:  n.PacketsDelivered,
-		flits:      n.FlitsDelivered,
-		latSamples: n.LatencySamples,
-		latSum:     n.LatencySum,
-		traversals: n.Traversals,
-		reused:     n.PCReused,
-		bypass:     n.Bypassed,
-	}
-}
-
-// Series records cycle-windowed samples of the global counters into a
+// Series records cycle-windowed samples of the network-wide counters into a
 // bounded ring buffer. The network ticks it once per cycle; every window
-// cycles it closes a Sample. All storage is preallocated, so the per-cycle
-// path never allocates (the steady-state zero-alloc contract holds with the
-// series enabled).
+// cycles it closes a Sample, and only then are the router rows summed. All
+// storage is preallocated, so the per-cycle path never allocates (the
+// steady-state zero-alloc contract holds with the series enabled).
 //
-// The series spans warmup and measurement: Rebase (called when the global
-// counters are reset) closes the current partial window and restarts the
-// baseline, so warmup windows stay in the ring and post-reset windows
-// difference against the zeroed counters.
+// The series spans warmup and measurement: Rebase (called when the counters
+// are reset) closes the current partial window and restarts the baseline, so
+// warmup windows stay in the ring and post-reset windows difference against
+// the zeroed counters.
 type Series struct {
 	window  int
 	samples []Sample // ring storage, len grows to cap then wraps
 	head    int      // index of the oldest sample once wrapped
 	dropped uint64   // samples evicted by the ring bound
 
-	prev snapshot  // counters at the last window boundary
+	prev Sample    // cumulative counters at the last window boundary
 	from sim.Cycle // start of the currently open window
 }
 
@@ -125,38 +105,48 @@ func (s *Series) Len() int { return len(s.samples) }
 // Tick advances the series to cycle now; the network calls it once per Step
 // after updating st. When a window boundary is crossed the open window is
 // closed into the ring.
-func (s *Series) Tick(now sim.Cycle, st *Network) {
+func (s *Series) Tick(now sim.Cycle, st *Network, reg *Registry) {
 	if now-s.from < sim.Cycle(s.window) {
 		return
 	}
-	s.close(now, st)
+	s.close(now, st, reg)
 }
 
 // Rebase closes the currently open window (if any cycles elapsed) against
 // the pre-reset counters and restarts the baseline at now with zeroed
 // counters. The network calls it from ResetStats immediately before the
-// global reset.
-func (s *Series) Rebase(now sim.Cycle, st *Network) {
+// reset.
+func (s *Series) Rebase(now sim.Cycle, st *Network, reg *Registry) {
 	if now > s.from {
-		s.close(now, st)
+		s.close(now, st, reg)
 	}
-	s.prev = snapshot{}
+	s.prev = Sample{}
 	s.from = now
 }
 
-func (s *Series) close(now sim.Cycle, st *Network) {
-	cur := snap(st)
+func (s *Series) close(now sim.Cycle, st *Network, reg *Registry) {
+	t := reg.Totals()
+	cur := Sample{
+		Injected:       st.PacketsInjected,
+		Delivered:      st.PacketsDelivered,
+		FlitsDelivered: st.FlitsDelivered,
+		LatencySamples: st.LatencySamples,
+		LatencySum:     st.LatencySum,
+		Traversals:     t.Traversals,
+		PCReused:       t.PCReused,
+		Bypassed:       t.Bypassed,
+	}
 	sm := Sample{
 		From:           s.from,
 		To:             now,
-		Injected:       cur.injected - s.prev.injected,
-		Delivered:      cur.delivered - s.prev.delivered,
-		FlitsDelivered: cur.flits - s.prev.flits,
-		LatencySamples: cur.latSamples - s.prev.latSamples,
-		LatencySum:     cur.latSum - s.prev.latSum,
-		Traversals:     cur.traversals - s.prev.traversals,
-		PCReused:       cur.reused - s.prev.reused,
-		Bypassed:       cur.bypass - s.prev.bypass,
+		Injected:       cur.Injected - s.prev.Injected,
+		Delivered:      cur.Delivered - s.prev.Delivered,
+		FlitsDelivered: cur.FlitsDelivered - s.prev.FlitsDelivered,
+		LatencySamples: cur.LatencySamples - s.prev.LatencySamples,
+		LatencySum:     cur.LatencySum - s.prev.LatencySum,
+		Traversals:     cur.Traversals - s.prev.Traversals,
+		PCReused:       cur.PCReused - s.prev.PCReused,
+		Bypassed:       cur.Bypassed - s.prev.Bypassed,
 	}
 	if len(s.samples) < cap(s.samples) {
 		s.samples = append(s.samples, sm)

@@ -15,7 +15,7 @@ import (
 func exportWindows(t *testing.T, s *stats.Series, n *stats.Network) []stats.WindowMetrics {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := stats.WriteMetricsJSONL(&buf, nil, s, n); err != nil {
+	if err := stats.WriteMetricsJSONL(&buf, noRouters, s, n); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := stats.ValidateMetricsJSONL(bytes.NewReader(buf.Bytes())); err != nil {
@@ -50,13 +50,13 @@ func TestWindowedExportAcrossRebase(t *testing.T) {
 	s := stats.NewSeries(10, 8)
 	for now := sim.Cycle(1); now <= 15; now++ {
 		n.PacketsInjected += 4
-		s.Tick(now, &n)
+		s.Tick(now, &n, noRouters)
 	}
-	s.Rebase(15, &n) // warmup boundary mid-window, as ResetStats does
+	s.Rebase(15, &n, noRouters) // warmup boundary mid-window, as ResetStats does
 	n.Reset(15)
 	for now := sim.Cycle(16); now <= 35; now++ {
 		n.PacketsInjected++
-		s.Tick(now, &n)
+		s.Tick(now, &n, noRouters)
 	}
 
 	wins := exportWindows(t, s, &n)
@@ -89,9 +89,9 @@ func TestWindowedExportZeroLengthTail(t *testing.T) {
 	s := stats.NewSeries(10, 8)
 	for now := sim.Cycle(1); now <= 20; now++ {
 		n.PacketsInjected++
-		s.Tick(now, &n)
+		s.Tick(now, &n, noRouters)
 	}
-	s.Rebase(20, &n) // boundary-aligned: the open window has zero cycles
+	s.Rebase(20, &n, noRouters) // boundary-aligned: the open window has zero cycles
 	n.Reset(20)
 
 	wins := exportWindows(t, s, &n)
@@ -105,7 +105,7 @@ func TestWindowedExportZeroLengthTail(t *testing.T) {
 	}
 
 	// A second Rebase at the same cycle must still not emit anything.
-	s.Rebase(20, &n)
+	s.Rebase(20, &n, noRouters)
 	if got := exportWindows(t, s, &n); len(got) != 2 {
 		t.Fatalf("double Rebase emitted a window: %d windows, want 2", len(got))
 	}

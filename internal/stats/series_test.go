@@ -7,6 +7,9 @@ import (
 	"pseudocircuit/internal/stats"
 )
 
+// noRouters is the registry of the tests that drive only packet counters.
+var noRouters = stats.NewRegistry(nil, nil)
+
 func TestNewSeriesRejectsBadArgs(t *testing.T) {
 	for _, c := range []struct{ w, cap int }{{0, 4}, {4, 0}, {-1, 4}, {4, -1}} {
 		func() {
@@ -23,6 +26,7 @@ func TestNewSeriesRejectsBadArgs(t *testing.T) {
 // Drive a fake network through three windows and check the per-window deltas.
 func TestSeriesWindows(t *testing.T) {
 	var n stats.Network
+	g := stats.NewRegistry([]int{1}, []int{1})
 	s := stats.NewSeries(10, 8)
 	for now := sim.Cycle(1); now <= 30; now++ {
 		n.PacketsInjected += 2 // 20 per window
@@ -32,9 +36,9 @@ func TestSeriesWindows(t *testing.T) {
 			n.LatencySamples++
 			n.LatencySum += 40
 		}
-		n.Traversals += 4
-		n.PCReused += 3
-		s.Tick(now, &n)
+		g.Router(0).In[0].Traversals += 4
+		g.Router(0).In[0].PCReused += 3
+		s.Tick(now, &n, g)
 	}
 	got := s.Samples()
 	if len(got) != 3 || s.Len() != 3 || s.Dropped() != 0 {
@@ -74,7 +78,7 @@ func TestSeriesRingWrap(t *testing.T) {
 	s := stats.NewSeries(10, 3)
 	for now := sim.Cycle(1); now <= 70; now++ {
 		n.PacketsInjected++
-		s.Tick(now, &n)
+		s.Tick(now, &n, noRouters)
 	}
 	if s.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", s.Len())
@@ -99,14 +103,14 @@ func TestSeriesRebase(t *testing.T) {
 	s := stats.NewSeries(10, 8)
 	for now := sim.Cycle(1); now <= 15; now++ {
 		n.PacketsInjected++
-		s.Tick(now, &n)
+		s.Tick(now, &n, noRouters)
 	}
 	// Mid-window reset at cycle 15, as ResetStats does.
-	s.Rebase(15, &n)
+	s.Rebase(15, &n, noRouters)
 	n.Reset(15)
 	for now := sim.Cycle(16); now <= 25; now++ {
 		n.PacketsInjected += 3
-		s.Tick(now, &n)
+		s.Tick(now, &n, noRouters)
 	}
 	got := s.Samples()
 	if len(got) != 3 {
@@ -125,9 +129,9 @@ func TestSeriesRebaseNoPartial(t *testing.T) {
 	var n stats.Network
 	s := stats.NewSeries(10, 8)
 	for now := sim.Cycle(1); now <= 10; now++ {
-		s.Tick(now, &n)
+		s.Tick(now, &n, noRouters)
 	}
-	s.Rebase(10, &n)
+	s.Rebase(10, &n, noRouters)
 	if s.Len() != 1 {
 		t.Errorf("Len = %d, want 1 (no zero-length window from Rebase at a boundary)", s.Len())
 	}

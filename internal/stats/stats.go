@@ -9,8 +9,10 @@ import (
 	"pseudocircuit/internal/sim"
 )
 
-// Network accumulates measurements for one simulation run. It is not safe
-// for concurrent use; a simulation owns one.
+// Network accumulates what the NIs and the kernel's main phase measure over
+// one simulation run: packets, latency, end-to-end locality, faults and
+// reliability. Router events are counted in the Registry and nowhere else.
+// It is not safe for concurrent use; a simulation owns one.
 type Network struct {
 	// Packets.
 	PacketsInjected  uint64
@@ -31,24 +33,9 @@ type Network struct {
 	// percentile reporting.
 	LatencyHist Histogram
 
-	// Router-level events.
-	Traversals   uint64 // flit crossbar traversals (all paths)
-	PCReused     uint64 // traversals that reused a pseudo-circuit (incl. bypass)
-	Bypassed     uint64 // traversals that also bypassed the input buffer
-	HeadTravs    uint64 // header-flit traversals
-	HeadReused   uint64 // header-flit pseudo-circuit reuses
-	HeadBypassed uint64 // header-flit buffer bypasses
-	SpecReused   uint64 // pseudo-circuit reuses of speculative circuits
-	PCCreated    uint64 // pseudo-circuits written by traversals
-	PCTerminated uint64 // terminations (conflict or credit exhaustion)
-	PCSpeculated uint64 // speculative revivals
-	SAGrants     uint64 // switch-arbitration grants
-
-	// Communication temporal locality (Fig. 1).
-	XbarSame uint64 // traversals repeating the previous connection at that input port
-	XbarPrev uint64 // traversals with a previous connection to compare against
-	E2ESame  uint64 // packets whose (src,dst) repeats the source's previous packet
-	E2EPrev  uint64 // packets with a previous packet at the source
+	// End-to-end communication temporal locality (Fig. 1).
+	E2ESame uint64 // packets whose (src,dst) repeats the source's previous packet
+	E2EPrev uint64 // packets with a previous packet at the source
 
 	// Fault accounting (deterministic fault schedules).
 	FaultEvents       uint64 // schedule events applied (down and up)
@@ -78,66 +65,6 @@ type Network struct {
 // never divides by a zero- or negative-length window.
 func (n *Network) Reset(now sim.Cycle) {
 	*n = Network{MeasuredFrom: now, MeasuredTo: now}
-}
-
-// MergeCounters folds src's additive counters (including any histogram
-// samples) into n and zeroes them in src, leaving both structs' measurement
-// windows (MeasuredFrom/MeasuredTo) untouched. It is the shard-drain
-// primitive of the parallel cycle kernel: per-shard accumulators are merged
-// into the global struct in fixed shard order once per cycle. Every merged
-// field is a sum (and histogram buckets are sums), so the per-shard grouping
-// cannot change the totals — parallel runs report bit-identical statistics
-// to sequential ones.
-func (n *Network) MergeCounters(src *Network) {
-	n.PacketsInjected += src.PacketsInjected
-	n.PacketsDelivered += src.PacketsDelivered
-	n.FlitsDelivered += src.FlitsDelivered
-	n.LatencySamples += src.LatencySamples
-	n.LatencySum += src.LatencySum
-	n.NetLatencySum += src.NetLatencySum
-	n.HopSum += src.HopSum
-	if src.LatencyHist.Count() != 0 {
-		n.LatencyHist.Merge(&src.LatencyHist)
-		src.LatencyHist.Reset()
-	}
-	n.Traversals += src.Traversals
-	n.PCReused += src.PCReused
-	n.Bypassed += src.Bypassed
-	n.HeadTravs += src.HeadTravs
-	n.HeadReused += src.HeadReused
-	n.HeadBypassed += src.HeadBypassed
-	n.SpecReused += src.SpecReused
-	n.PCCreated += src.PCCreated
-	n.PCTerminated += src.PCTerminated
-	n.PCSpeculated += src.PCSpeculated
-	n.SAGrants += src.SAGrants
-	n.XbarSame += src.XbarSame
-	n.XbarPrev += src.XbarPrev
-	n.E2ESame += src.E2ESame
-	n.E2EPrev += src.E2EPrev
-	n.FaultEvents += src.FaultEvents
-	n.PacketsDropped += src.PacketsDropped
-	n.FlitsDropped += src.FlitsDropped
-	n.PacketsRerouted += src.PacketsRerouted
-	n.PCFaultTerminated += src.PCFaultTerminated
-	n.PacketsRetransmitted += src.PacketsRetransmitted
-	n.AcksSent += src.AcksSent
-	n.AcksReceived += src.AcksReceived
-	n.DuplicatesDropped += src.DuplicatesDropped
-	n.DeliveryFailed += src.DeliveryFailed
-	hist := src.LatencyHist
-	*src = Network{MeasuredFrom: src.MeasuredFrom, MeasuredTo: src.MeasuredTo}
-	src.LatencyHist = hist
-}
-
-// MergeAll folds every shard accumulator into n in slice order. The parallel
-// kernel keeps its per-shard accumulators slice-indexed (one contiguous
-// []Network owned by the network, shard i writing only element i), so the
-// once-per-cycle drain is a single ordered walk over that slice.
-func (n *Network) MergeAll(shards []Network) {
-	for i := range shards {
-		n.MergeCounters(&shards[i])
-	}
 }
 
 // Window returns the measured window length in cycles, never negative.
@@ -187,53 +114,6 @@ func (n *Network) AvgHops() float64 {
 	return float64(n.HopSum) / float64(n.LatencySamples)
 }
 
-// Reusability returns the fraction of flit traversals that reused a
-// pseudo-circuit (paper Fig. 8b/10 definition).
-func (n *Network) Reusability() float64 {
-	if n.Traversals == 0 {
-		return 0
-	}
-	return float64(n.PCReused) / float64(n.Traversals)
-}
-
-// BypassRate returns the fraction of flit traversals that bypassed the
-// input buffer.
-func (n *Network) BypassRate() float64 {
-	if n.Traversals == 0 {
-		return 0
-	}
-	return float64(n.Bypassed) / float64(n.Traversals)
-}
-
-// HeadReuseRate returns the fraction of header-flit traversals that reused
-// a pseudo-circuit — the component of reusability that shortens packet
-// latency directly (body flits pipeline behind their header either way).
-func (n *Network) HeadReuseRate() float64 {
-	if n.HeadTravs == 0 {
-		return 0
-	}
-	return float64(n.HeadReused) / float64(n.HeadTravs)
-}
-
-// HeadBypassRate returns the fraction of header-flit traversals that also
-// bypassed the input buffer.
-func (n *Network) HeadBypassRate() float64 {
-	if n.HeadTravs == 0 {
-		return 0
-	}
-	return float64(n.HeadBypassed) / float64(n.HeadTravs)
-}
-
-// XbarLocality returns crossbar-connection temporal locality (Fig. 1): the
-// fraction of traversals repeating the previous connection at their input
-// port.
-func (n *Network) XbarLocality() float64 {
-	if n.XbarPrev == 0 {
-		return 0
-	}
-	return float64(n.XbarSame) / float64(n.XbarPrev)
-}
-
 // E2ELocality returns end-to-end communication temporal locality (Fig. 1):
 // the fraction of packets repeating their source's previous destination.
 func (n *Network) E2ELocality() float64 {
@@ -263,10 +143,10 @@ func (n *Network) InjectionRate(nodes int) float64 {
 	return float64(n.PacketsInjected) / float64(cycles) / float64(nodes)
 }
 
-// String summarizes the run for logs and examples.
-func (n *Network) String() string {
+// Summary renders the run, with the routers' totals t, for logs and examples.
+func (n *Network) Summary(t Totals) string {
 	return fmt.Sprintf(
 		"pkts=%d lat=%.2f netlat=%.2f hops=%.2f reuse=%.1f%% bypass=%.1f%% xbarLoc=%.1f%% e2eLoc=%.1f%%",
 		n.PacketsDelivered, n.AvgLatency(), n.AvgNetLatency(), n.AvgHops(),
-		100*n.Reusability(), 100*n.BypassRate(), 100*n.XbarLocality(), 100*n.E2ELocality())
+		100*t.Reusability(), 100*t.BypassRate(), 100*t.XbarLocality(), 100*n.E2ELocality())
 }

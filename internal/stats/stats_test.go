@@ -14,11 +14,7 @@ func TestZeroValueSafe(t *testing.T) {
 		"AvgLatency":    n.AvgLatency(),
 		"AvgNetLatency": n.AvgNetLatency(),
 		"AvgHops":       n.AvgHops(),
-		"Reusability":   n.Reusability(),
-		"BypassRate":    n.BypassRate(),
-		"XbarLocality":  n.XbarLocality(),
 		"E2ELocality":   n.E2ELocality(),
-		"HeadReuseRate": n.HeadReuseRate(),
 		"Throughput":    n.Throughput(64),
 	} {
 		if v != 0 {
@@ -47,32 +43,33 @@ func TestRecordDelivery(t *testing.T) {
 }
 
 func TestRates(t *testing.T) {
-	var n stats.Network
-	n.Traversals = 200
-	n.PCReused = 80
-	n.Bypassed = 30
-	n.HeadTravs = 50
-	n.HeadReused = 20
-	n.HeadBypassed = 5
-	n.XbarPrev = 100
-	n.XbarSame = 31
-	n.E2EPrev = 100
-	n.E2ESame = 22
-	if got := n.Reusability(); got != 0.4 {
+	var rt stats.Totals
+	rt.Traversals = 200
+	rt.PCReused = 80
+	rt.Bypassed = 30
+	rt.HeadTravs = 50
+	rt.HeadReused = 20
+	rt.HeadBypassed = 5
+	rt.XbarPrev = 100
+	rt.XbarSame = 31
+	if got := rt.Reusability(); got != 0.4 {
 		t.Errorf("Reusability = %v", got)
 	}
-	if got := n.BypassRate(); got != 0.15 {
+	if got := rt.BypassRate(); got != 0.15 {
 		t.Errorf("BypassRate = %v", got)
 	}
-	if got := n.HeadReuseRate(); got != 0.4 {
+	if got := rt.HeadReuseRate(); got != 0.4 {
 		t.Errorf("HeadReuseRate = %v", got)
 	}
-	if got := n.HeadBypassRate(); got != 0.1 {
+	if got := rt.HeadBypassRate(); got != 0.1 {
 		t.Errorf("HeadBypassRate = %v", got)
 	}
-	if got := n.XbarLocality(); got != 0.31 {
+	if got := rt.XbarLocality(); got != 0.31 {
 		t.Errorf("XbarLocality = %v", got)
 	}
+	var n stats.Network
+	n.E2EPrev = 100
+	n.E2ESame = 22
 	if got := n.E2ELocality(); got != 0.22 {
 		t.Errorf("E2ELocality = %v", got)
 	}
@@ -128,8 +125,8 @@ func TestZeroLengthWindow(t *testing.T) {
 func TestString(t *testing.T) {
 	var n stats.Network
 	n.RecordDelivery(10, 9, 2, 3, true)
-	s := n.String()
+	s := n.Summary(stats.Totals{})
 	if !strings.Contains(s, "pkts=1") {
-		t.Errorf("String() = %q", s)
+		t.Errorf("Summary() = %q", s)
 	}
 }

@@ -63,6 +63,10 @@ type Store struct {
 	// ordering; n is small — thousands — and Get already does disk I/O).
 	lru []*entry
 
+	// count and bytes mirror len(entries) and the entries' total size, so the
+	// gauges that read them never wait for mu — which Get holds across a file
+	// read, and a hung disk holds for good.
+	count atomic.Int64
 	bytes atomic.Int64
 
 	evictions atomic.Uint64
@@ -175,6 +179,7 @@ func (s *Store) scan() error {
 	for _, sv := range alive {
 		s.entries[sv.e.key] = sv.e
 		s.lru = append(s.lru, sv.e)
+		s.count.Add(1)
 		s.bytes.Add(sv.e.size)
 	}
 	return nil
@@ -208,6 +213,7 @@ func (s *Store) Get(key string) ([]byte, bool) {
 		e := &entry{key: key, size: int64(len(payload)) + headerLen}
 		s.entries[key] = e
 		s.lru = append(s.lru, e)
+		s.count.Add(1)
 		s.bytes.Add(e.size)
 		s.evictOverCapLocked(0)
 	}
@@ -264,6 +270,7 @@ func (s *Store) Put(key string, payload []byte) error {
 		e := &entry{key: key, size: size}
 		s.entries[key] = e
 		s.lru = append(s.lru, e)
+		s.count.Add(1)
 		s.bytes.Add(size)
 	}
 	return nil
@@ -293,6 +300,7 @@ func (s *Store) dropLocked(key string) {
 			break
 		}
 	}
+	s.count.Add(-1)
 	s.bytes.Add(-e.size)
 }
 
@@ -308,11 +316,7 @@ func (s *Store) touchLocked(e *entry) {
 }
 
 // Len returns the number of resident entries.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.entries)
-}
+func (s *Store) Len() int { return int(s.count.Load()) }
 
 // Bytes returns the resident size in bytes, headers included.
 func (s *Store) Bytes() int64 { return s.bytes.Load() }

@@ -118,12 +118,13 @@ type Network = network.Network
 // Workload re-exports the traffic-generation interface.
 type Workload = network.Workload
 
-// Observability re-exports from the internal layers. The probes are opt-in
-// and observation-only: enabling them cannot change simulation results (the
-// determinism harness covers this), and the zero-value Observe keeps every
-// probe off at zero cost.
+// Observability re-exports from the internal layers. The router rows are the
+// simulator's own counters and always there; the probes (Series, Tracer) are
+// opt-in and observation-only: enabling them cannot change simulation results
+// (the determinism harness covers this), and the zero-value Observe keeps
+// both off at zero cost.
 type (
-	// Registry holds per-router/per-port counters; see Network.Registry.
+	// Registry holds every router's event counters; see Network.Registry.
 	Registry = stats.Registry
 	// RouterStats is one router's row in a Registry.
 	RouterStats = stats.RouterStats
@@ -177,8 +178,6 @@ const (
 // Observe configures the observability layer of an Experiment. The zero
 // value disables everything; each probe is independent.
 type Observe struct {
-	// PerRouter enables the per-router/per-port counter Registry.
-	PerRouter bool
 	// Window enables cycle-windowed time-series sampling with the given
 	// window length in cycles (0 = off); the newest 4096 windows are kept.
 	Window int
@@ -187,8 +186,6 @@ type Observe struct {
 	// TraceCap bounds the retained events (ring buffer); 0 selects 1<<17.
 	TraceCap int
 }
-
-func (o Observe) enabled() bool { return o.PerRouter || o.Window > 0 || o.Trace }
 
 // Experiment describes one simulation configuration. Zero values select the
 // paper's defaults (4 VCs, 4-flit buffers, 1000-cycle warmup, 10000-cycle
@@ -242,8 +239,8 @@ type Experiment struct {
 	// share the network with data), so it participates in canonical specs and
 	// cache keys. Zero-valued fields select the documented defaults.
 	Reliable *Reliability
-	// Observe opts into the observability layer (per-router counters,
-	// windowed time series, lifecycle tracing). Zero value: all off.
+	// Observe opts into the observability layer (windowed time series,
+	// lifecycle tracing). Zero value: all off.
 	Observe Observe
 
 	Warmup  int // warmup cycles before measurement
@@ -402,20 +399,15 @@ func (e Experiment) Build() *Network {
 	if e.Workers != 0 {
 		cfg.Opts.Workers = e.Workers
 	}
-	if e.Observe.enabled() {
-		if e.Observe.PerRouter {
-			cfg.Registry = stats.NewRegistry()
+	if e.Observe.Window > 0 {
+		cfg.Series = stats.NewSeries(e.Observe.Window, 4096)
+	}
+	if e.Observe.Trace {
+		tcap := e.Observe.TraceCap
+		if tcap == 0 {
+			tcap = 1 << 17
 		}
-		if e.Observe.Window > 0 {
-			cfg.Series = stats.NewSeries(e.Observe.Window, 4096)
-		}
-		if e.Observe.Trace {
-			tcap := e.Observe.TraceCap
-			if tcap == 0 {
-				tcap = 1 << 17
-			}
-			cfg.Tracer = obs.NewTracer(tcap)
-		}
+		cfg.Tracer = obs.NewTracer(tcap)
 	}
 	if e.UseEVC {
 		m := e.Topology.(*topology.Mesh)
@@ -531,7 +523,7 @@ func (e Experiment) runChunked(ctx context.Context, n *Network, w Workload, wind
 
 // WriteMetricsJSONL writes the network's per-router counters, time-series
 // windows and global counters as JSONL (see internal/stats for the schema).
-// Probes that are off are simply absent from the output.
+// Without Observe.Window there are no window lines.
 func WriteMetricsJSONL(w io.Writer, n *Network) error {
 	return stats.WriteMetricsJSONL(w, n.Registry(), n.Series(), n.Stats)
 }
@@ -594,8 +586,7 @@ func (e Experiment) RunCMP(benchmark string) (Result, error) {
 }
 
 func collect(n *Network, cycles int) Result {
-	s := n.Stats
-	m := n.Energy
+	s, t, m := n.Stats, n.Registry().Totals(), n.Energy()
 	p50, p95, p99 := s.LatencyHist.Quantiles()
 	return Result{
 		AvgLatency:       s.AvgLatency(),
@@ -604,9 +595,9 @@ func collect(n *Network, cycles int) Result {
 		LatencyP95:       p95,
 		LatencyP99:       p99,
 		AvgHops:          s.AvgHops(),
-		Reusability:      s.Reusability(),
-		BypassRate:       s.BypassRate(),
-		XbarLocality:     s.XbarLocality(),
+		Reusability:      t.Reusability(),
+		BypassRate:       t.BypassRate(),
+		XbarLocality:     t.XbarLocality(),
 		E2ELocality:      s.E2ELocality(),
 		Throughput:       s.Throughput(n.Nodes()),
 		EnergyPJ:         m.Total(),

@@ -45,56 +45,42 @@ func observedLegs(t *testing.T, fn func(t *testing.T, mk func(noc.Observe) noc.E
 	t.Run("evc", func(t *testing.T) { fn(t, observedEVC) })
 }
 
-// The acceptance criterion for the registry: per-router counters, summed,
-// must equal the global counters exactly — same increment sites, same
-// measurement window.
+// The figures a run reports are the routers' rows added up and nothing else:
+// every router has a row, the rows saw the traffic, and noc.Result's
+// router-derived fields are exactly the totals' — on the pseudo-circuit
+// router and on the EVC policy alike.
 func TestRegistryAggregationMatchesGlobal(t *testing.T) {
 	observedLegs(t, testRegistryAggregation)
 }
 
 func testRegistryAggregation(t *testing.T, mk func(noc.Observe) noc.Experiment) {
-	e := mk(noc.Observe{PerRouter: true})
-	n, _ := runObserved(e)
-	st := n.Stats
-	tot := n.Registry().Totals()
+	e := mk(noc.Observe{})
+	n, res := runObserved(e)
+	tot, m := n.Registry().Totals(), n.Energy()
 	if len(n.Registry().Routers()) != 64 {
 		t.Fatalf("%d router rows, want 64", len(n.Registry().Routers()))
 	}
-	for _, c := range []struct {
-		name          string
-		local, global uint64
-	}{
-		{"SAGrants", tot.SAGrants, st.SAGrants},
-		{"PCCreated", tot.PCCreated, st.PCCreated},
-		{"PCReused", tot.PCReused, st.PCReused},
-		{"PCTerminated", tot.PCTerminated, st.PCTerminated},
-		{"PCSpeculated", tot.PCSpeculated, st.PCSpeculated},
-		{"SpecReused", tot.SpecReused, st.SpecReused},
-		{"Traversals", tot.Traversals, st.Traversals},
-		{"Bypassed", tot.Bypassed, st.Bypassed},
-		{"HeadTravs", tot.HeadTravs, st.HeadTravs},
-		{"HeadReused", tot.HeadReused, st.HeadReused},
-		{"HeadBypassed", tot.HeadBypassed, st.HeadBypassed},
-	} {
-		if c.local != c.global {
-			t.Errorf("per-router %s sum = %d, global = %d", c.name, c.local, c.global)
-		}
+	if tot.Traversals == 0 || tot.SAGrants == 0 || tot.BufWrites == 0 || (tot.PCReused == 0) != e.UseEVC {
+		t.Errorf("rows recorded %d traversals, %d grants, %d buffer writes, %d reuses; counters not wired?",
+			tot.Traversals, tot.SAGrants, tot.BufWrites, tot.PCReused)
 	}
-	if tot.Traversals == 0 || tot.SAGrants == 0 || (tot.PCReused == 0) != e.UseEVC {
-		t.Errorf("registry recorded %d traversals, %d grants, %d reuses; instrumentation not wired?",
-			tot.Traversals, tot.SAGrants, tot.PCReused)
+	if res.Reusability != tot.Reusability() || res.BypassRate != tot.BypassRate() || res.XbarLocality != tot.XbarLocality() {
+		t.Errorf("Result reports reuse %v bypass %v xbar %v; the rows sum to %v %v %v",
+			res.Reusability, res.BypassRate, res.XbarLocality, tot.Reusability(), tot.BypassRate(), tot.XbarLocality())
 	}
-	// Per-port counters roll up to the router counters.
+	if m.Traversals != tot.Traversals || m.Arbitrations != tot.SAGrants || m.Writes != tot.BufWrites || m.Reads != tot.BufReads ||
+		res.EnergyPJ != m.Total() {
+		t.Errorf("energy meter %+v (total %v) is not the rows' sum %+v priced (Result: %v pJ)", m, m.Total(), tot, res.EnergyPJ)
+	}
+	// A flit that traverses leaves through exactly one output port.
+	var sends uint64
 	for _, r := range n.Registry().Routers() {
-		var trav, reused uint64
-		for i := range r.In {
-			trav += r.In[i].Traversals
-			reused += r.In[i].PCReused
+		for _, c := range r.OutSends {
+			sends += c
 		}
-		if trav != r.Traversals || reused != r.PCReused {
-			t.Fatalf("router %d: port sums %d/%d != router %d/%d",
-				r.ID, trav, reused, r.Traversals, r.PCReused)
-		}
+	}
+	if sends != tot.Traversals {
+		t.Errorf("OutSends sum to %d, port traversals to %d", sends, tot.Traversals)
 	}
 }
 
@@ -103,9 +89,7 @@ func testRegistryAggregation(t *testing.T, mk func(noc.Observe) noc.Experiment) 
 func TestObservabilityNoBehaviorChange(t *testing.T) {
 	observedLegs(t, func(t *testing.T, mk func(noc.Observe) noc.Experiment) {
 		_, base := runObserved(mk(noc.Observe{}))
-		_, full := runObserved(mk(noc.Observe{
-			PerRouter: true, Window: 250, Trace: true, TraceCap: 1 << 12,
-		}))
+		_, full := runObserved(mk(noc.Observe{Window: 250, Trace: true, TraceCap: 1 << 12}))
 		if base != full {
 			t.Errorf("observability changed results:\noff: %+v\non:  %+v", base, full)
 		}
@@ -148,9 +132,7 @@ func TestObservedExportsEndToEnd(t *testing.T) {
 }
 
 func testObservedExports(t *testing.T, mk func(noc.Observe) noc.Experiment) {
-	n, _ := runObserved(mk(noc.Observe{
-		PerRouter: true, Window: 500, Trace: true,
-	}))
+	n, _ := runObserved(mk(noc.Observe{Window: 500, Trace: true}))
 
 	var metrics bytes.Buffer
 	if err := noc.WriteMetricsJSONL(&metrics, n); err != nil {
@@ -190,7 +172,7 @@ func testObservedExports(t *testing.T, mk func(noc.Observe) noc.Experiment) {
 // RunOnObserved must invoke the callback between chunks and produce the same
 // result as RunOn.
 func TestRunOnObserved(t *testing.T) {
-	e := observedExperiment(noc.Observe{PerRouter: true})
+	e := observedExperiment(noc.Observe{})
 	_, plain := runObserved(e)
 
 	n := e.Build()
