@@ -103,8 +103,7 @@ type core struct {
 	// MSHR count) for miss-latency accounting.
 	inflight []sim.Cycle
 
-	// Counters for tests and reports.
-	misses      uint64
+	// stallCycles counts self-throttled cycles (StallFraction).
 	stallCycles uint64
 }
 
@@ -281,7 +280,6 @@ func (w *Workload) issueMiss(now sim.Cycle, c *core, block uint64, inj network.I
 	c.lastBlock = block
 	c.outstanding++
 	c.inflight = append(c.inflight, now)
-	c.misses++
 	w.totalMisses++
 	isRead := c.rng.Bernoulli(w.prof.ReadFrac)
 	bank := w.banks[w.layout.HomeBank(block)]

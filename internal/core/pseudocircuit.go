@@ -19,7 +19,10 @@
 // pseudo-circuit state of its own.
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Scheme selects which of the paper's schemes is active. The four evaluated
 // configurations are Baseline (all false), Pseudo, Pseudo+S, Pseudo+B and
@@ -133,7 +136,7 @@ func DefaultOptions(s Scheme) Options {
 
 // RegFile is the pseudo-circuit state of one router and the only code that
 // writes it: per input port the register pair of Fig. 3 (a) with its valid
-// bit, per output port the history register of Fig. 5 (b), and the few derived
+// bit, per output port the history register of Fig. 5 (b), and the two derived
 // structures that keep the router's scans proportional to live circuits
 // (DESIGN.md §17 prices each). The slices are a per-router view cut from the
 // LaneStore, indexed by router-local port; the router reads them freely and
@@ -141,36 +144,41 @@ func DefaultOptions(s Scheme) Options {
 // structures in step. Check verifies that.
 type RegFile struct {
 	// Per input port: input VC and output port of the most recent crossbar
-	// connection through it. Termination clears only Valid, leaving the pair
-	// intact so speculation can reconnect the circuit (§3.C, §4.A). Spec marks
-	// a circuit speculation created, for accounting only.
-	InVC  []int
-	Out   []int
-	Valid []bool
-	Spec  []bool
+	// connection through it. Termination clears only the valid bit, leaving the
+	// pair intact so speculation can reconnect the circuit (§3.C, §4.A). Spec
+	// marks a circuit speculation created, for accounting only.
+	InVC []int
+	Out  []int
+	Spec []bool
 	// Hist is the depth-N extension of the register pair (SpecHistoryDepth).
 	Hist []InputHistory
 
 	// Per output port: the input port of the most recent pseudo-circuit
 	// through it, which settles which of several registers pointing at one
 	// idle output speculation reconnects.
-	HistIn    []int
-	HistValid []bool
+	HistIn []int
 	// ByOut[out] is the input port holding a valid circuit to out, -1 when
-	// none; the termination rules allow at most one.
+	// none; the termination rules allow at most one. Derived from the
+	// registers and their valid bits.
 	ByOut []int
 
-	ValidMask uint64 // bit in ⇔ Valid[in]
-	HeldMask  uint64 // bit out ⇔ ByOut[out] >= 0
-	HistMask  uint64 // bit out ⇔ HistValid[out]
+	// ValidMask and HistMask are the valid bits themselves, one per register
+	// pair (bit in) and one per history register (bit out): the only record of
+	// each. HeldMask is derived: bit out ⇔ ByOut[out] >= 0.
+	ValidMask uint64
+	HistMask  uint64
+	HeldMask  uint64
 }
+
+// Valid reports input port in's valid bit.
+func (f *RegFile) Valid(in int) bool { return f.ValidMask>>uint(in)&1 != 0 }
 
 // Match is the pseudo-circuit comparator: may a flit on input VC vc of input
 // port in, destined for output port out, reuse the port's circuit? The
 // hardware comparator (37 ps at 45 nm) fits within the ST stage, so matching
 // costs no extra cycle.
 func (f *RegFile) Match(in, vc, out int) bool {
-	return f.Valid[in] && f.InVC[in] == vc && f.Out[in] == out
+	return f.Valid(in) && f.InVC[in] == vc && f.Out[in] == out
 }
 
 // Connect records the crossbar traversal (in, vc) → out: the register is
@@ -184,13 +192,12 @@ func (f *RegFile) Connect(in, vc, out int) (created, displaced bool) {
 		f.Terminate(j)
 		displaced = true
 	}
-	if f.Valid[in] && f.Out[in] != out {
+	if f.Valid(in) && f.Out[in] != out {
 		f.release(f.Out[in])
 	}
 	f.set(in, vc, out, false)
 	f.Hist[in].Record(vc, out)
 	f.HistIn[out] = in
-	f.HistValid[out] = true
 	f.HistMask |= 1 << uint(out)
 	return created, displaced
 }
@@ -201,11 +208,11 @@ func (f *RegFile) Connect(in, vc, out int) (created, displaced bool) {
 // out holds a circuit or has no history, or that input is connected elsewhere
 // or no longer remembers out.
 func (f *RegFile) ConnectSpeculative(out int) bool {
-	if !f.HistValid[out] || f.ByOut[out] >= 0 {
+	if f.HistMask>>uint(out)&1 == 0 || f.ByOut[out] >= 0 {
 		return false
 	}
 	in := f.HistIn[out]
-	if f.Valid[in] {
+	if f.Valid(in) {
 		return false
 	}
 	vc, ok := f.Hist[in].Lookup(out)
@@ -219,7 +226,6 @@ func (f *RegFile) ConnectSpeculative(out int) bool {
 // Terminate disconnects input port in's valid circuit, leaving the register
 // pair for speculation to reconnect (§3.C).
 func (f *RegFile) Terminate(in int) {
-	f.Valid[in] = false
 	f.ValidMask &^= 1 << uint(in)
 	f.release(f.Out[in])
 }
@@ -229,7 +235,7 @@ func (f *RegFile) Terminate(in int) {
 // reset, so no speculation path can reconnect it — the crossbar state it
 // describes may be wrong when the link returns.
 func (f *RegFile) Clear(in int) {
-	if f.Valid[in] {
+	if f.Valid(in) {
 		f.Hist[in].Drop(f.Out[in])
 		f.Terminate(in)
 	}
@@ -238,8 +244,7 @@ func (f *RegFile) Clear(in int) {
 }
 
 func (f *RegFile) set(in, vc, out int, spec bool) {
-	f.InVC[in], f.Out[in] = vc, out
-	f.Valid[in], f.Spec[in] = true, spec
+	f.InVC[in], f.Out[in], f.Spec[in] = vc, out, spec
 	f.ValidMask |= 1 << uint(in)
 	f.ByOut[out] = in
 	f.HeldMask |= 1 << uint(out)
@@ -250,20 +255,21 @@ func (f *RegFile) release(out int) {
 	f.HeldMask &^= 1 << uint(out)
 }
 
-// Check verifies the derived structures against the registers: ByOut and the
-// three mask words, and with them that no two inputs hold a circuit to one
+// Check verifies the derived structures against the registers: every valid
+// bit sits on a written register pair, ByOut and HeldMask name exactly the
+// outputs those pairs hold, and with them no two inputs hold a circuit to one
 // output.
 func (f *RegFile) Check() error {
-	var valid, held, hist uint64
-	for in, v := range f.Valid {
-		if v {
-			valid |= 1 << uint(in)
+	for m := f.ValidMask; m != 0; m &= m - 1 {
+		if in := bits.TrailingZeros64(m); in >= len(f.Out) || f.Out[in] < 0 {
+			return fmt.Errorf("ValidMask %b: input %d has no register pair to validate", f.ValidMask, in)
 		}
 	}
+	var held uint64
 	for out := range f.ByOut {
 		holder := -1
-		for in, v := range f.Valid {
-			if v && f.Out[in] == out {
+		for in := range f.Out {
+			if f.Valid(in) && f.Out[in] == out {
 				if holder >= 0 {
 					return fmt.Errorf("inputs %d and %d both hold a pseudo-circuit to output %d", holder, in, out)
 				}
@@ -276,18 +282,9 @@ func (f *RegFile) Check() error {
 		if holder >= 0 {
 			held |= 1 << uint(out)
 		}
-		if f.HistValid[out] {
-			hist |= 1 << uint(out)
-		}
-	}
-	if valid != f.ValidMask {
-		return fmt.Errorf("ValidMask %b, registers say %b", f.ValidMask, valid)
 	}
 	if held != f.HeldMask {
 		return fmt.Errorf("HeldMask %b, ByOut says %b", f.HeldMask, held)
-	}
-	if hist != f.HistMask {
-		return fmt.Errorf("HistMask %b, history registers say %b", f.HistMask, hist)
 	}
 	return nil
 }

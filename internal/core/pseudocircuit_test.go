@@ -57,7 +57,7 @@ func check(t *testing.T, f *core.RegFile) {
 
 func TestRegisterLifecycle(t *testing.T) {
 	f := regFile(3, 6, 1)
-	if f.Valid[1] || f.Match(1, 0, 0) {
+	if f.Valid(1) || f.Match(1, 0, 0) {
 		t.Fatal("new register valid")
 	}
 	if created, displaced := f.Connect(1, 2, 5); !created || displaced {
@@ -75,7 +75,7 @@ func TestRegisterLifecycle(t *testing.T) {
 	}
 	f.Terminate(1)
 	check(t, f)
-	if f.Valid[1] || f.Match(1, 2, 5) {
+	if f.Valid(1) || f.Match(1, 2, 5) {
 		t.Fatal("terminated register still matches")
 	}
 	// Termination preserves the registers (§3.C) so speculation can reconnect.
@@ -86,7 +86,7 @@ func TestRegisterLifecycle(t *testing.T) {
 		t.Fatal("speculation refused an idle output with history")
 	}
 	check(t, f)
-	if !f.Valid[1] || !f.Spec[1] || !f.Match(1, 2, 5) {
+	if !f.Valid(1) || !f.Spec[1] || !f.Match(1, 2, 5) {
 		t.Fatal("speculation did not restore the circuit speculatively")
 	}
 	f.Connect(1, 2, 5)
@@ -98,13 +98,13 @@ func TestRegisterLifecycle(t *testing.T) {
 		t.Fatalf("claiming a held output: created %v displaced %v", created, displaced)
 	}
 	check(t, f)
-	if f.Valid[1] || f.ByOut[5] != 0 {
-		t.Fatalf("output 5 held by %d with input 1 valid=%v", f.ByOut[5], f.Valid[1])
+	if f.Valid(1) || f.ByOut[5] != 0 {
+		t.Fatalf("output 5 held by %d with input 1 valid=%v", f.ByOut[5], f.Valid(1))
 	}
 	// Fault teardown forgets the connection itself, so nothing reconnects it.
 	f.Clear(0)
 	check(t, f)
-	if f.Valid[0] || f.Out[0] != -1 || f.InVC[0] != -1 {
+	if f.Valid(0) || f.Out[0] != -1 || f.InVC[0] != -1 {
 		t.Fatal("clear left the registers")
 	}
 	if f.ConnectSpeculative(5) {
@@ -170,12 +170,12 @@ func TestMatchProperty(t *testing.T) {
 // through the output, and that is the one speculation reconnects (Fig. 5 (b)).
 func TestHistory(t *testing.T) {
 	f := regFile(4, 2, 1)
-	if f.HistValid[1] {
+	if f.HistMask != 0 {
 		t.Fatal("new history valid")
 	}
 	f.Connect(3, 0, 1)
-	if !f.HistValid[1] || f.HistIn[1] != 3 {
-		t.Fatalf("history = %d/%v after input 3 connected", f.HistIn[1], f.HistValid[1])
+	if f.HistMask != 1<<1 || f.HistIn[1] != 3 {
+		t.Fatalf("history = %d/%b after input 3 connected", f.HistIn[1], f.HistMask)
 	}
 	f.Connect(1, 0, 1)
 	if f.HistIn[1] != 1 {
@@ -188,9 +188,11 @@ func TestHistory(t *testing.T) {
 	check(t, f)
 }
 
-// TestCheckNamesTheDesyncedStructure corrupts, on a live store, the reverse
-// index and then each mask word, and expects the store's consistency check
-// (which is the register file's own) to name what it found.
+// TestCheckNamesTheDesyncedStructure corrupts, on a live store, each derived
+// structure (the reverse index, the held mask) and then the valid bits they
+// are derived from, and expects the store's consistency check (which is the
+// register file's own) to name what it found. A valid bit has no second copy
+// to disagree with: a wrong one is caught by what the holders say.
 func TestCheckNamesTheDesyncedStructure(t *testing.T) {
 	live := func() (*core.LaneStore, *core.RegFile) {
 		s := core.NewLaneStore(2, 4, []int{2, 3}, []int{2, 4})
@@ -209,10 +211,11 @@ func TestCheckNamesTheDesyncedStructure(t *testing.T) {
 	}{
 		{"ByOut[2]", func(s *core.LaneStore, f *core.RegFile) { s.PCByOut[s.OutBase[1]+2] = -1 }},
 		{"ByOut[3]", func(s *core.LaneStore, f *core.RegFile) { f.ByOut[3] = 2 }},
-		{"both hold", func(s *core.LaneStore, f *core.RegFile) { f.Valid[2], f.Out[2] = true, 2 }},
-		{"ValidMask", func(s *core.LaneStore, f *core.RegFile) { f.ValidMask |= 1 << 2 }},
+		{"both hold", func(s *core.LaneStore, f *core.RegFile) { f.ValidMask, f.Out[2] = f.ValidMask|1<<2, 2 }},
+		{"ByOut[3] = -1, registers say 2", func(s *core.LaneStore, f *core.RegFile) { f.ValidMask |= 1 << 2 }},
+		{"ByOut[2] = 0, registers say -1", func(s *core.LaneStore, f *core.RegFile) { f.ValidMask &^= 1 << 0 }},
+		{"input 1 has no register pair", func(s *core.LaneStore, f *core.RegFile) { f.ValidMask |= 1 << 1 }},
 		{"HeldMask", func(s *core.LaneStore, f *core.RegFile) { f.HeldMask &^= 1 << 2 }},
-		{"HistMask", func(s *core.LaneStore, f *core.RegFile) { f.HistMask &^= 1 << 3 }},
 	} {
 		s, f := live()
 		c.corrupt(s, f)

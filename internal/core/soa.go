@@ -15,7 +15,6 @@
 //	output-port index q = OutBase[r] + out
 //	input lane        l = p*NumVCs + vc
 //	output lane       m = q*NumVCs + vc
-//	buffer slot       l*BufDepth + k   (k < BufLen[l], FIFO head at k = 0)
 //
 // InBase/OutBase are prefix sums over the topology's per-router radices, so a
 // router's lanes form one contiguous range and a shard's routers [r0, r1)
@@ -48,41 +47,38 @@ type LaneStore struct {
 	InBase  []int
 	OutBase []int
 
-	// Per input lane l = (InBase[r]+in)*NumVCs + vc — the former vcState.
-	BufLen  []int // buffered flits (FIFO, head first)
-	Active  []bool
+	// Per input lane l = (InBase[r]+in)*NumVCs + vc — the former vcState. The
+	// flits themselves (pointers, FIFO head first) are router-local; nothing
+	// in the store is per buffer slot.
+	BufLen  []int // buffered flits
 	OutPort []int
 	OutVC   []int
 	Class   []int
 	Src     []int
 	Dst     []int
 
-	// Per buffer slot l*BufDepth + k.
-	At []int64 // arrival cycle of each buffered flit (BW takes one cycle)
-
 	// Per input port p = InBase[r]+in: the storage of the pseudo-circuit
-	// registers (Fig. 3 (a)), plus the occupancy masks the phase scans are
-	// driven by.
-	PCInVC  []int
-	PCOut   []int
-	PCValid []bool
-	PCSpec  []bool
-	Occ     []uint64 // bit vc set ⇔ BufLen[lane] > 0
-	Act     []uint64 // bit vc set ⇔ Active[lane]
+	// register pairs (Fig. 3 (a); their valid bits are RegFile.ValidMask), plus
+	// the two mask words the phase scans are driven by.
+	PCInVC []int
+	PCOut  []int
+	PCSpec []bool
+	Occ    []uint64 // bit vc set ⇔ BufLen[lane] > 0 (the store's index)
+	Act    []uint64 // bit vc set: a packet owns the lane (the only record of it)
 
 	// Per output lane m = (OutBase[r]+out)*NumVCs + vc.
 	Credits []int
 	VCBusy  []bool
 
 	// Per output port q = OutBase[r]+out: the storage of the history registers
-	// (Fig. 5 (b)) and of the reverse index (router-local input, -1 when none).
-	HistIn    []int
-	HistValid []bool
-	PCByOut   []int
+	// (Fig. 5 (b); their valid bits are RegFile.HistMask) and of the reverse
+	// index (router-local input, -1 when none).
+	HistIn  []int
+	PCByOut []int
 
 	// Regs[r] is router r's pseudo-circuit register file: a view of the PC*
-	// and Hist* arrays above, with the mask words derived from them. The
-	// arrays are written through it and nowhere else.
+	// and Hist* arrays above plus the valid-bit words. The arrays are written
+	// through it and nowhere else.
 	Regs []RegFile
 }
 
@@ -112,17 +108,14 @@ func NewLaneStore(numVCs, bufDepth int, inPorts, outPorts []int) *LaneStore {
 	nIn, nOut := s.InBase[len(inPorts)], s.OutBase[len(outPorts)]
 
 	s.BufLen = make([]int, nIn*numVCs)
-	s.Active = make([]bool, nIn*numVCs)
 	s.OutPort = fill(nIn*numVCs, -1)
 	s.OutVC = fill(nIn*numVCs, -1)
 	s.Class = make([]int, nIn*numVCs)
 	s.Src = make([]int, nIn*numVCs)
 	s.Dst = make([]int, nIn*numVCs)
-	s.At = make([]int64, nIn*numVCs*bufDepth)
 
 	s.PCInVC = fill(nIn, -1)
 	s.PCOut = fill(nIn, -1)
-	s.PCValid = make([]bool, nIn)
 	s.PCSpec = make([]bool, nIn)
 	s.Occ = make([]uint64, nIn)
 	s.Act = make([]uint64, nIn)
@@ -134,7 +127,6 @@ func NewLaneStore(numVCs, bufDepth int, inPorts, outPorts []int) *LaneStore {
 	s.VCBusy = make([]bool, nOut*numVCs)
 
 	s.HistIn = fill(nOut, -1)
-	s.HistValid = make([]bool, nOut)
 	s.PCByOut = fill(nOut, -1)
 
 	hist := make([]InputHistory, nIn)
@@ -142,9 +134,9 @@ func NewLaneStore(numVCs, bufDepth int, inPorts, outPorts []int) *LaneStore {
 	for r := range s.Regs {
 		i0, i1, o0, o1 := s.InBase[r], s.InBase[r+1], s.OutBase[r], s.OutBase[r+1]
 		s.Regs[r] = RegFile{
-			InVC: s.PCInVC[i0:i1], Out: s.PCOut[i0:i1], Valid: s.PCValid[i0:i1], Spec: s.PCSpec[i0:i1],
+			InVC: s.PCInVC[i0:i1], Out: s.PCOut[i0:i1], Spec: s.PCSpec[i0:i1],
 			Hist:   hist[i0:i1],
-			HistIn: s.HistIn[o0:o1], HistValid: s.HistValid[o0:o1], ByOut: s.PCByOut[o0:o1],
+			HistIn: s.HistIn[o0:o1], ByOut: s.PCByOut[o0:o1],
 		}
 	}
 	return s
@@ -180,7 +172,6 @@ type LaneView struct {
 	Class   int
 	Src     int
 	Dst     int
-	At      []int64 // arrival cycles of the buffered flits, head first
 }
 
 // View materializes the lane of global input port p, VC vc.
@@ -188,39 +179,31 @@ func (s *LaneStore) View(p, vc int) LaneView {
 	l := p*s.NumVCs + vc
 	return LaneView{
 		BufLen:  s.BufLen[l],
-		Active:  s.Active[l],
+		Active:  s.Act[p]>>uint(vc)&1 != 0,
 		OutPort: s.OutPort[l],
 		OutVC:   s.OutVC[l],
 		Class:   s.Class[l],
 		Src:     s.Src[l],
 		Dst:     s.Dst[l],
-		At:      append([]int64(nil), s.At[l*s.BufDepth:l*s.BufDepth+s.BufLen[l]]...),
 	}
 }
 
-// CheckConsistency verifies every derived structure against the ground-truth
-// arrays for the router whose ports are [inBase, inBase+nIn) and
-// [outBase, outBase+nOut): occupancy masks against BufLen/Active, and the
+// CheckConsistency verifies every derived structure against the records it is
+// derived from for the router whose ports are [inBase, inBase+nIn) and
+// [outBase, outBase+nOut): the occupancy index against BufLen, and the
 // register file's own check. It returns a descriptive error rather than
 // panicking so tests can attribute failures.
 func (s *LaneStore) CheckConsistency(router, inBase, nIn, outBase, nOut int) error {
 	for in := 0; in < nIn; in++ {
 		p := inBase + in
-		var occ, act uint64
+		var occ uint64
 		for vc := 0; vc < s.NumVCs; vc++ {
-			l := p*s.NumVCs + vc
-			if s.BufLen[l] > 0 {
+			if s.BufLen[p*s.NumVCs+vc] > 0 {
 				occ |= 1 << uint(vc)
-			}
-			if s.Active[l] {
-				act |= 1 << uint(vc)
 			}
 		}
 		if occ != s.Occ[p] {
 			return fmt.Errorf("router %d in %d: occ mask %b, buffers say %b", router, in, s.Occ[p], occ)
-		}
-		if act != s.Act[p] {
-			return fmt.Errorf("router %d in %d: act mask %b, lanes say %b", router, in, s.Act[p], act)
 		}
 	}
 	if err := s.Regs[router].Check(); err != nil {

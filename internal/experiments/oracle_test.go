@@ -22,12 +22,30 @@ import (
 // so the express channels of MECS and FBFLY (up to 6 cycles long) are priced
 // by their length and still cost one pipeline each. The equality is exact;
 // a mismatch is a modelling bug, not noise.
+//
+// A lone 5-flit flow on the same pairs adds the serialization term. Latency
+// is tail ejection − header injection, so the tail's lag behind the header
+// is added to the header law:
+//
+//	serialization = (size − 1) + max(0, max over the route's router-to-router
+//	                links of (L + P + 1 + sa) − BufDepth)
+//
+// The first term is one flit a cycle. The second is the credit stall: the
+// slot a flit takes downstream comes back after the link (L + 1 cycles from
+// ST to buffer write), the rest of the next router's pipeline (P − 1), one
+// cycle of credit return, and — at a Baseline router only — one more (sa)
+// because a credit seen in cycle c feeds an SA request whose ST is in c + 1,
+// where a pseudo-circuit flit traverses in c itself. With 4-flit buffers the
+// fifth flit waits for the first one's slot whenever that round trip exceeds
+// 4; stalls at successive hops overlap (the tail is already late where the
+// next credit is), so the packet pays the largest, once. The NI's own loop is
+// 0 + 3 + 1 = 4 and never stalls; the ejection port is uncredited.
 func TestPipelineLawOnEveryTopology(t *testing.T) {
-	const inject = 1
+	const inject, bufDepth, size = 1, 4, 5
 	depth := []struct {
 		scheme noc.Scheme
-		p      int
-	}{{noc.Baseline, 3}, {noc.Pseudo, 2}, {noc.PseudoB, 1}}
+		p, sa  int
+	}{{noc.Baseline, 3, 1}, {noc.Pseudo, 2, 0}, {noc.PseudoB, 1, 0}}
 	for _, tc := range []struct {
 		topo  noc.Topology
 		pairs [][2]int
@@ -53,25 +71,38 @@ func TestPipelineLawOnEveryTopology(t *testing.T) {
 		covered := 0
 		for _, pair := range tc.pairs {
 			src, dst := pair[0], pair[1]
-			routers, wire := 0, 0
+			routers, wire, credited := 0, 0, 0 // credited: the longest link into another router
 			for r, _, _ := topo.NodeRouter(src); r >= 0; {
 				hop := topo.NextHop(r, topo.Route(r, dst, 0), dst)
 				routers++
 				wire += hop.Latency
 				covered = max(covered, hop.Latency)
+				if hop.Router >= 0 {
+					credited = max(credited, hop.Latency)
+				}
 				r = hop.Router
 			}
 			for _, d := range depth {
 				t.Run(fmt.Sprintf("%s/%s/%d-%d", topo.Name(), d.scheme, src, dst), func(t *testing.T) {
 					e := noc.Experiment{
 						Topology: topo, Scheme: d.scheme, Routing: noc.XY, Policy: noc.StaticVA,
-						Warmup: 400, Measure: 2000, // as Fig6: ample for a lone flow
+						BufDepth: bufDepth,
+						Warmup:   400, Measure: 2000, // as Fig6: ample for a lone flow
 					}
 					res := e.RunOn(e.Build(), traffic.NewFlows(traffic.Flow{Src: src, Dst: dst, Size: 1, Period: 25}))
 					want := float64(routers*d.p + wire + inject)
 					if res.PacketsDelivered == 0 || res.AvgNetLatency != want {
 						t.Errorf("%d packets at %v cycles, want %v = %d routers × %d + %d link cycles + %d",
 							res.PacketsDelivered, res.AvgNetLatency, want, routers, d.p, wire, inject)
+					}
+					stall := 0
+					if credited > 0 {
+						stall = max(0, credited+d.p+1+d.sa-bufDepth)
+					}
+					res = e.RunOn(e.Build(), traffic.NewFlows(traffic.Flow{Src: src, Dst: dst, Size: size, Period: 25}))
+					if want += float64(size - 1 + stall); res.PacketsDelivered == 0 || res.AvgNetLatency != want {
+						t.Errorf("%d-flit packets: %d at %v cycles, want %v = header law + %d + a %d-cycle credit stall (longest credited link %d)",
+							size, res.PacketsDelivered, res.AvgNetLatency, want, size-1, stall, credited)
 					}
 				})
 			}

@@ -147,7 +147,10 @@ type Flit struct {
 
 	// EnteredNet is the cycle this flit left its source NI for the first
 	// router. The header's is Packet.NetStart; a later flit's minus that is
-	// the packet's serialization so far.
+	// the packet's serialization so far. Nothing reads it yet: it is reserved
+	// for the per-packet latency ledger (ROADMAP item 2), whose per-hop terms
+	// belong in stamps like this one, which travel with the flit's pointer,
+	// rather than in a per-slot array shifted beside every buffer.
 	EnteredNet sim.Cycle
 
 	// pooled marks flits owned by a Pool; only those re-enter the free list

@@ -268,6 +268,9 @@ func (sh *shard) credit(id, in, vc int) {
 // routeTabLimit caps the route-table size (entries = classes × routers ×
 // nodes); topologies past it fall back to dynamic route computation. 1M
 // single-byte entries covers every configuration in the experiment suite.
+// Priced in DESIGN.md §17: the 4 KiB table of an 8×8 is worth 4–8 % of
+// sim_cycles_per_s; the 331 KiB table of a 24×24 buys no cycles there and
+// costs 3 % of set-up.
 const routeTabLimit = 1 << 20
 
 // Network is a runnable simulated network.
@@ -275,8 +278,8 @@ type Network struct {
 	cfg     Config
 	topo    topology.Topology
 	engine  *routing.Engine
-	alloc   *vcalloc.Allocator
 	niAlloc *vcalloc.Allocator
+	niIdle  []bool // all false, never written: an NI's port has no VC held when it picks
 	routers []Node
 	nis     []*ni
 	ups     []upstream // what feeds input port in of router r, at lanes.InBase[r]+in
@@ -397,8 +400,8 @@ func New(cfg Config) *Network {
 		cfg:     cfg,
 		topo:    t,
 		engine:  engine,
-		alloc:   alloc,
 		niAlloc: niAlloc,
+		niIdle:  make([]bool, cfg.NumVCs),
 		Stats:   &stats.Network{},
 		rng:     sim.NewRNG(cfg.Seed),
 		pool:    flit.NewPool(),
@@ -1174,9 +1177,6 @@ func (n *Network) purgePacket(p *flit.Packet) {
 	if src.cur != nil && src.cur[src.idx].Packet == p {
 		for i := src.idx; i < len(src.cur); i++ {
 			n.dropFlit(src.cur[i])
-		}
-		if src.outVC >= 0 {
-			src.busy[src.outVC] = false
 		}
 		src.cur = nil
 		src.outVC = -1

@@ -30,8 +30,7 @@ type ni struct {
 	class  int // routing class of the current packet
 	outVC  int // VC allocated for the current packet, -1 while VA pending
 
-	busy    []bool // our view of router input VC occupancy
-	credits []int
+	credits []int // free slots per VC of the router input port this NI feeds
 
 	rng     *sim.RNG
 	lastDst int // previous packet's destination (Fig. 1 end-to-end locality)
@@ -59,7 +58,6 @@ func newNI(sh *shard, node, r, inPort int) *ni {
 		router:  r,
 		inPort:  inPort,
 		outVC:   -1,
-		busy:    make([]bool, n.cfg.NumVCs),
 		credits: make([]int, n.cfg.NumVCs),
 		rng:     n.rng.Split(),
 		lastDst: -1,
@@ -115,12 +113,9 @@ func (s *ni) inject(now sim.Cycle) {
 	// while this NI is still draining the rest of the packet.
 	p := s.cur[s.idx].Packet
 	if s.outVC < 0 {
-		v := s.net.niAlloc.Pick(p.Src, p.Dst, s.class, s.busy, s.credits)
-		if v < 0 {
-			return // all candidate VCs busy; retry next cycle
-		}
-		s.outVC = v
-		s.busy[v] = true
+		// One packet at a time, its VC released at the tail: no VC of the port
+		// is ever held when the next packet picks, so the pick cannot fail.
+		s.outVC = s.net.niAlloc.Pick(p.Src, p.Dst, s.class, s.net.niIdle, s.credits)
 	}
 	if s.credits[s.outVC] <= 0 {
 		return // downstream input VC full; wait for credit
@@ -144,8 +139,7 @@ func (s *ni) inject(now sim.Cycle) {
 	}
 	s.idx++
 	if s.idx == len(s.cur) {
-		s.busy[s.outVC] = false // tail injected; VC reusable by the next packet
-		s.cur = nil
+		s.cur = nil // tail injected; the next packet picks its own VC
 		s.outVC = -1
 	}
 }

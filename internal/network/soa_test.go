@@ -19,9 +19,9 @@ import (
 // randomized tick bursts and, after each burst, checks the layout from both
 // sides:
 //
-//   - flat view: LaneStore.CheckConsistency re-derives every occupancy mask
-//     and the PCByOut reverse index from the ground-truth arrays for every
-//     router;
+//   - flat view: LaneStore.CheckConsistency re-derives the occupancy index
+//     from the buffers and the PCByOut reverse index from the registers and
+//     their valid bits, for every router;
 //   - struct view: LaneStore.View materializes each lane back into the
 //     pre-SoA struct shape, and the schedules' views must be deeply equal
 //     lane by lane, as must their credit counters and pseudo-circuit
@@ -93,15 +93,24 @@ func laneStoreRoundTrip(t *testing.T, topo topology.Topology, build func(k kerne
 			}
 			// What View leaves out: credit counters and output-VC ownership
 			// per output lane, the pseudo-circuit register file per input
-			// port, the speculation history per output port.
+			// port with its valid bits, the speculation history per output
+			// port with its own.
+			valid := func(s *core.LaneStore) (v, h []uint64) {
+				for i := range s.Regs {
+					v, h = append(v, s.Regs[i].ValidMask), append(h, s.Regs[i].HistMask)
+				}
+				return v, h
+			}
+			av, ah := valid(a)
+			bv, bh := valid(b)
 			for _, f := range []struct {
 				name     string
 				ref, got any
 			}{
 				{"Credits", a.Credits, b.Credits}, {"VCBusy", a.VCBusy, b.VCBusy},
 				{"PCInVC", a.PCInVC, b.PCInVC}, {"PCOut", a.PCOut, b.PCOut},
-				{"PCValid", a.PCValid, b.PCValid}, {"PCSpec", a.PCSpec, b.PCSpec},
-				{"HistIn", a.HistIn, b.HistIn}, {"HistValid", a.HistValid, b.HistValid},
+				{"ValidMask", av, bv}, {"PCSpec", a.PCSpec, b.PCSpec},
+				{"HistIn", a.HistIn, b.HistIn}, {"HistMask", ah, bh},
 			} {
 				if !reflect.DeepEqual(f.ref, f.got) {
 					t.Fatalf("trial %d: %s diverges:\n%s: %v\n%s: %v", trial, f.name, ref.name, f.ref, l.name, f.got)
@@ -130,8 +139,8 @@ func TestLaneStorePerRouterRanges(t *testing.T) {
 	}
 	nIn := s.InBase[topo.Routers()]
 	nOut := s.OutBase[topo.Routers()]
-	if len(s.BufLen) != nIn*cfg.NumVCs || len(s.At) != nIn*cfg.NumVCs*cfg.BufDepth {
-		t.Errorf("input-lane arrays sized %d/%d, want %d lanes × depth %d", len(s.BufLen), len(s.At), nIn*cfg.NumVCs, cfg.BufDepth)
+	if len(s.BufLen) != nIn*cfg.NumVCs || len(s.Occ) != nIn {
+		t.Errorf("input arrays sized %d/%d, want %d lanes / %d ports", len(s.BufLen), len(s.Occ), nIn*cfg.NumVCs, nIn)
 	}
 	if len(s.Credits) != nOut*cfg.NumVCs || len(s.PCByOut) != nOut {
 		t.Errorf("output arrays sized %d/%d, want %d lanes / %d ports", len(s.Credits), len(s.PCByOut), nOut*cfg.NumVCs, nOut)

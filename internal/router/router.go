@@ -39,10 +39,11 @@
 // below walk linearly, with the occupancy masks letting every scan skip empty
 // lanes without touching them. Flit and packet pointers stay in router-local
 // flat arrays (same layout, router-owned) so core carries no dependency on the
-// data plane. Lane mutations go through the lane helper methods, which keep
-// the masks in lockstep with the ground-truth arrays; the pseudo-circuit
-// registers and everything derived from them are core.RegFile's, which this
-// package reads but never writes. CheckInvariants verifies both.
+// data plane. Every fact has one record (DESIGN.md §17, "State inventory"):
+// lane mutations go through the lane helper methods, which keep the occupancy
+// index and the VA mask in step with it; the pseudo-circuit registers and
+// everything derived from them are core.RegFile's, which this package reads
+// but never writes. CheckInvariants verifies both.
 package router
 
 import (
@@ -141,20 +142,19 @@ type Router struct {
 	nIn, nOut int
 	V, D      int // NumVCs, BufDepth
 
-	// Input-lane views (len nIn*V; buffer slots len nIn*V*D).
+	// Input-lane views (len nIn*V).
 	bufLen  []int
-	activeL []bool
 	outPort []int
 	outVC   []int
 	classL  []int
 	srcL    []int
 	dstL    []int
-	at      []int64
 	// Router-local flat pointer arrays, same indexing as the store.
-	buf []*flit.Flit // lane*D + k
+	buf []*flit.Flit // lane*D + k, FIFO head at k = 0
 	pkt []*flit.Packet
 
-	// Input-port views (len nIn).
+	// Input-port views (len nIn): occ is the index of bufLen > 0; act is the
+	// record of which lanes a packet owns.
 	occ []uint64
 	act []uint64
 	// va is derived: bit vc ⇔ active lane awaiting VA (outVC < 0).
@@ -240,13 +240,11 @@ func New(id, inPorts, outPorts int, cfg *Config) *Router {
 		D:    D,
 
 		bufLen:  ls.BufLen[inBase*V : (inBase+inPorts)*V],
-		activeL: ls.Active[inBase*V : (inBase+inPorts)*V],
 		outPort: ls.OutPort[inBase*V : (inBase+inPorts)*V],
 		outVC:   ls.OutVC[inBase*V : (inBase+inPorts)*V],
 		classL:  ls.Class[inBase*V : (inBase+inPorts)*V],
 		srcL:    ls.Src[inBase*V : (inBase+inPorts)*V],
 		dstL:    ls.Dst[inBase*V : (inBase+inPorts)*V],
-		at:      ls.At[inBase*V*D : (inBase+inPorts)*V*D],
 		buf:     make([]*flit.Flit, inPorts*V*D),
 		pkt:     make([]*flit.Packet, inPorts*V),
 
@@ -293,16 +291,14 @@ func (r *Router) MarkEjection(out int) { r.ejection[out] = true }
 
 // --- lane helpers: the accessor seam ----------------------------------------
 //
-// Every mutation of lane ground truth flows through these, keeping the
-// occupancy masks consistent by construction.
+// Every mutation of a lane's record flows through these, which keeps the
+// occupancy index and the VA mask consistent with it by construction.
 
 // pushBuf appends a flit to lane (in, vc) and returns the new depth.
-func (r *Router) pushBuf(in, vc int, f *flit.Flit, now sim.Cycle) int {
+func (r *Router) pushBuf(in, vc int, f *flit.Flit) int {
 	l := in*r.V + vc
 	n := r.bufLen[l]
-	b := l*r.D + n
-	r.buf[b] = f
-	r.at[b] = int64(now)
+	r.buf[l*r.D+n] = f
 	r.bufLen[l] = n + 1
 	r.occ[in] |= 1 << uint(vc)
 	return n + 1
@@ -317,7 +313,6 @@ func (r *Router) popHead(in, vc int) {
 	n := r.bufLen[l]
 	for k := b; k < b+n-1; k++ {
 		r.buf[k] = r.buf[k+1]
-		r.at[k] = r.at[k+1]
 	}
 	r.bufLen[l] = n - 1
 	if n == 1 {
@@ -333,7 +328,6 @@ func (r *Router) removeBufAt(in, vc, k int) {
 	n := r.bufLen[l]
 	for j := b + k; j < b+n-1; j++ {
 		r.buf[j] = r.buf[j+1]
-		r.at[j] = r.at[j+1]
 	}
 	r.bufLen[l] = n - 1
 	if n == 1 {
@@ -341,10 +335,12 @@ func (r *Router) removeBufAt(in, vc, k int) {
 	}
 }
 
+// active reports whether a packet owns lane (in, vc).
+func (r *Router) active(in, vc int) bool { return r.act[in]>>uint(vc)&1 != 0 }
+
 // resetLane releases lane (in, vc) after a tail traversal or a purge.
 func (r *Router) resetLane(in, vc int) {
 	l := in*r.V + vc
-	r.activeL[l] = false
 	r.outPort[l] = -1
 	r.outVC[l] = -1
 	r.pkt[l] = nil
@@ -428,6 +424,11 @@ func (r *Router) anyCredit(out int) bool {
 // be ticked again next cycle; false means this tick was a no-op apart from
 // clearing scratch state and, absent new deliveries, every later tick would
 // be too (the active-set fixed point).
+//
+// Arrivals are the last phase, and the only one that writes a buffer: a flit
+// buffered in cycle t is first seen by VA, classification and SA in cycle
+// t+1. That order is the whole of the BW stage — no flit carries an arrival
+// stamp for a later phase to compare against.
 func (r *Router) Tick(now sim.Cycle) bool {
 	r.worked = false
 	r.busyIn, r.busyOut = 0, 0
@@ -437,7 +438,7 @@ func (r *Router) Tick(now sim.Cycle) bool {
 	r.executeReservations(now)
 	r.admitHeads()
 	r.allocateVCs(now)
-	r.classify(now)
+	r.classify()
 	r.rideCircuits(now)
 	r.switchArbitrate(now)
 	r.maintainPseudoCircuits()
@@ -515,7 +516,6 @@ func (r *Router) admitHeads() {
 
 func (r *Router) admit(in, vc int, h *flit.Flit) {
 	l := in*r.V + vc
-	r.activeL[l] = true
 	r.act[in] |= 1 << uint(vc)
 	r.va[in] |= 1 << uint(vc)
 	r.outPort[l] = h.NextOut
@@ -595,13 +595,14 @@ func (r *Router) tryVA(in, vc int) bool {
 	return true
 }
 
-// classify splits eligible head flits into pseudo-circuit candidates and SA
-// requests (phase 3a). A flit is eligible once it has spent a full cycle in
-// the buffer (BW stage). One linear pass per router: the per-port occupancy
-// masks select the populated lanes and the pseudo-circuit comparator reads
-// the contiguous register file, so the comparator check is a batched walk
-// across input ports rather than a per-object pointer chase.
-func (r *Router) classify(now sim.Cycle) {
+// classify splits head flits into pseudo-circuit candidates and SA requests
+// (phase 3a). Every buffered flit is eligible: it was written by an earlier
+// tick's arrivals phase, so its BW cycle is behind it. One linear pass per
+// router: the per-port occupancy masks select the populated lanes and the
+// pseudo-circuit comparator reads the contiguous register file, so the
+// comparator check is a batched walk across input ports rather than a
+// per-object pointer chase.
+func (r *Router) classify() {
 	r.reqs = r.reqs[:0]
 	pseudo := r.cfg.Opts.Pseudo
 	for i := 0; i < r.nIn; i++ {
@@ -609,9 +610,6 @@ func (r *Router) classify(now sim.Cycle) {
 		for m := r.act[i] & r.occ[i]; m != 0; m &= m - 1 {
 			vc := bits.TrailingZeros64(m)
 			l := i*r.V + vc
-			if r.at[l*r.D] >= int64(now) {
-				continue // still in BW this cycle
-			}
 			out := r.outPort[l]
 			if r.linkDead(out) {
 				continue // dead link: stall until recovery or the storm's reroute
@@ -739,7 +737,7 @@ func (r *Router) grant(now sim.Cycle, q saRequest) {
 		// The new connection claims its ports: terminate conflicting
 		// pseudo-circuits (§3.C condition 1) — the granted input's own
 		// circuit and the circuit of whichever input holds the output.
-		if r.pc.Valid[q.in] {
+		if r.pc.Valid(q.in) {
 			r.pc.Terminate(q.in)
 			r.rs.PCTerminated++
 		}
@@ -823,7 +821,7 @@ func (r *Router) processArrivals(now sim.Cycle) {
 			panic(fmt.Sprintf("router %d: buffer overflow at in %d vc %d (credit protocol violated)", r.ID, i, f.VC))
 		}
 		r.rs.BufWrites++
-		if depth := r.pushBuf(i, f.VC, f, now); depth > r.rs.In[i].BufHighWater {
+		if depth := r.pushBuf(i, f.VC, f); depth > r.rs.In[i].BufHighWater {
 			r.rs.In[i].BufHighWater = depth
 		}
 		if r.tr != nil {
@@ -844,7 +842,7 @@ func (r *Router) tryBypass(now sim.Cycle, i int, f *flit.Flit) bool {
 		return false
 	}
 	if f.Kind.IsHead() {
-		if r.activeL[l] {
+		if r.active(i, f.VC) {
 			return false // previous packet's tail still in flight upstream of us
 		}
 		if r.linkDead(f.NextOut) {
@@ -861,7 +859,7 @@ func (r *Router) tryBypass(now sim.Cycle, i int, f *flit.Flit) bool {
 			return false
 		}
 	} else {
-		if !r.activeL[l] || r.outVC[l] < 0 {
+		if !r.active(i, f.VC) || r.outVC[l] < 0 {
 			panic(fmt.Sprintf("router %d: body flit %v arrived on idle VC", r.ID, f))
 		}
 		if r.linkDead(r.outPort[l]) {
@@ -1008,7 +1006,7 @@ type FaultContext struct {
 // scratch state is idle.
 func (r *Router) FaultScan(fc *FaultContext) {
 	for i := 0; i < r.nIn; i++ {
-		if r.pc.Valid[i] && (fc.RouterDead || fc.LinkDead(r.pc.Out[i])) {
+		if r.pc.Valid(i) && (fc.RouterDead || fc.LinkDead(r.pc.Out[i])) {
 			r.pc.Clear(i)
 			r.rs.PCTerminated++
 			fc.PCTerm()
@@ -1020,7 +1018,7 @@ func (r *Router) FaultScan(fc *FaultContext) {
 					fc.Kill(f.Packet)
 				}
 			}
-			if !r.activeL[l] {
+			if !r.active(i, vc) {
 				continue
 			}
 			switch {
@@ -1069,7 +1067,7 @@ func (r *Router) FaultStale(cutoff sim.Cycle, kill func(p *flit.Packet)) {
 					kill(f.Packet)
 				}
 			}
-			if r.activeL[l] && r.pkt[l].NetStart < cutoff {
+			if r.active(i, vc) && r.pkt[l].NetStart < cutoff {
 				kill(r.pkt[l])
 			}
 		}
@@ -1096,7 +1094,7 @@ func (r *Router) FaultPurge(p *flit.Packet, drop func(f *flit.Flit)) {
 				r.cfg.Credit(r.ID, i, vc)
 				drop(f)
 			}
-			if r.activeL[l] && r.pkt[l] == p {
+			if r.active(i, vc) && r.pkt[l] == p {
 				if r.outVC[l] >= 0 && !r.ejection[r.outPort[l]] {
 					r.vcBusy[r.outPort[l]*r.V+r.outVC[l]] = false
 				}
@@ -1114,15 +1112,16 @@ func (r *Router) Quiescent() bool {
 
 // CheckInvariants panics if internal invariants are violated; tests call it
 // every cycle. Beyond the paper's structural invariants it verifies every
-// derived structure the SoA layout introduced — the occupancy and VA masks
-// here, the register file's through its own check — and the two rules
-// a policy's VA pick and phase-0 latch must keep: a non-ejection output VC is
-// busy exactly when one active lane owns it, and no flit is buffered with
-// express hops still ahead of it.
+// derived structure the SoA layout introduced — the occupancy index against
+// the buffers and the VA mask against the active lanes here, the register
+// file's through its own check — and the two rules a policy's VA pick and
+// phase-0 latch must keep: a non-ejection output VC is busy exactly when one
+// active lane owns it, and no flit is buffered with express hops still ahead
+// of it.
 func (r *Router) CheckInvariants() {
 	owners := make([]int, r.nOut*r.V)
 	for i := 0; i < r.nIn; i++ {
-		var occ, act, va uint64
+		var occ, va uint64
 		for vc := 0; vc < r.V; vc++ {
 			l := i*r.V + vc
 			if r.bufLen[l] < 0 || r.bufLen[l] > r.D {
@@ -1136,8 +1135,7 @@ func (r *Router) CheckInvariants() {
 			if r.bufLen[l] > 0 {
 				occ |= 1 << uint(vc)
 			}
-			if r.activeL[l] {
-				act |= 1 << uint(vc)
+			if r.active(i, vc) {
 				if r.outVC[l] < 0 {
 					va |= 1 << uint(vc)
 				} else if !r.ejection[r.outPort[l]] {
@@ -1145,9 +1143,8 @@ func (r *Router) CheckInvariants() {
 				}
 			}
 		}
-		if occ != r.occ[i] || act != r.act[i] {
-			panic(fmt.Sprintf("router %d: occupancy masks desynced at in %d (occ %b/%b act %b/%b)",
-				r.ID, i, r.occ[i], occ, r.act[i], act))
+		if occ != r.occ[i] {
+			panic(fmt.Sprintf("router %d: occupancy mask desynced at in %d (%b, buffers say %b)", r.ID, i, r.occ[i], occ))
 		}
 		if va != r.va[i] {
 			panic(fmt.Sprintf("router %d: VA mask desynced at in %d (%b, lanes say %b)", r.ID, i, r.va[i], va))
@@ -1172,7 +1169,7 @@ func (r *Router) CheckInvariants() {
 // PCValid reports whether input port in currently holds a valid
 // pseudo-circuit, and to which output (testing hook).
 func (r *Router) PCValid(in int) (out int, valid bool) {
-	return r.pc.Out[in], r.pc.Valid[in]
+	return r.pc.Out[in], r.pc.Valid(in)
 }
 
 // BufferedFlits returns the number of flits buffered across all VCs of input

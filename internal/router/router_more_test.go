@@ -1,6 +1,8 @@
 package router_test
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"pseudocircuit/internal/core"
@@ -220,6 +222,48 @@ func TestInvariantCheckerCatchesDoubleDelivery(t *testing.T) {
 	h := newHarness(t, core.DefaultOptions(core.Baseline))
 	h.r.Deliver(0, mkFlit(1, 0, 2))
 	h.r.Deliver(0, mkFlit(2, 1, 3))
+}
+
+// TestCheckInvariantsCatchesEachDesync corrupts, one at a time, a record that
+// CheckInvariants compares with a different one — the occupancy index with
+// the buffers, the VA mask with the active lanes' output VCs, output-VC
+// ownership with the lanes that claim it, the credit range, a flit's express
+// state with its being buffered — on a router holding a packet mid-flight,
+// and expects the panic to name what it found.
+func TestCheckInvariantsCatchesEachDesync(t *testing.T) {
+	for _, c := range []struct {
+		want    string
+		corrupt func(ls *core.LaneStore, m int, f *flit.Flit) // m: the owned output lane
+	}{
+		{"occupancy mask desynced", func(ls *core.LaneStore, m int, f *flit.Flit) { ls.Occ[0] = 0 }},
+		{"VA mask desynced", func(ls *core.LaneStore, m int, f *flit.Flit) { ls.OutVC[0] = -1 }},
+		{"busy=false with 1 owning lanes", func(ls *core.LaneStore, m int, f *flit.Flit) { ls.VCBusy[m] = false }},
+		{"busy=true with 0 owning lanes", func(ls *core.LaneStore, m int, f *flit.Flit) { ls.Act[0] = 0 }},
+		{"credit 5 out of range", func(ls *core.LaneStore, m int, f *flit.Flit) { ls.Credits[m] = 5 }},
+		{"buffered mid-express", func(ls *core.LaneStore, m int, f *flit.Flit) { f.ExpressHops = 1 }},
+	} {
+		h := newHarness(t, core.DefaultOptions(core.Baseline))
+		ls := core.NewLaneStore(4, 4, []int{5}, []int{5})
+		h.cfg.Lanes = ls
+		h.r = router.New(0, 5, 5, h.cfg)
+		fs := mkPacket(1, 0, 2, 3)
+		h.r.Deliver(0, fs[0])
+		h.tick()
+		h.r.Deliver(0, fs[1])
+		h.tick() // header admitted and allocated, its ST granted; the body flit buffered behind it
+		if ls.OutVC[0] < 0 || ls.BufLen[0] != 2 {
+			t.Fatalf("set-up: lane (0,0) holds %d flits with output VC %d", ls.BufLen[0], ls.OutVC[0])
+		}
+		c.corrupt(ls, 2*4+ls.OutVC[0], fs[1])
+		func() {
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, c.want) {
+					t.Errorf("corrupting for %q: CheckInvariants said %q", c.want, msg)
+				}
+			}()
+			h.r.CheckInvariants()
+		}()
+	}
 }
 
 // TestCreditOverflowPanics: returning more credits than the buffer holds is

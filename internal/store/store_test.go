@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -225,6 +226,68 @@ func TestLRUByteCap(t *testing.T) {
 	if _, ok := s.Get(testKey(9)); ok {
 		t.Fatal("oversize payload was stored")
 	}
+
+	// The cap holds under concurrent Put: eight writers push 25 distinct keys
+	// each through a store that fits six, and afterwards the counters agree
+	// with the directory and every survivor is served its own payload.
+	t.Run("concurrent", func(t *testing.T) {
+		const writers, each, fit = 8, 25, 6
+		dir := t.TempDir()
+		s := mustOpen(t, dir, fit*entrySize)
+		body := func(i int) []byte { return bytes.Repeat([]byte{byte('a' + i%26)}, 100-i%7) }
+		var wg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := w * each; i < (w+1)*each; i++ {
+					if err := s.Put(testKey(i), body(i)); err != nil {
+						t.Error(err)
+					}
+					if got := s.Bytes(); got > fit*entrySize {
+						t.Errorf("Bytes %d exceeds cap %d mid-run", got, fit*entrySize)
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+		files, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var onDisk int64
+		entries := 0
+		for _, f := range files {
+			if f.Name() == epochFile {
+				continue
+			}
+			info, err := f.Info()
+			if err != nil || !validKey(f.Name()) {
+				t.Fatalf("stray file %q in the store directory (%v)", f.Name(), err)
+			}
+			onDisk += info.Size()
+			entries++
+		}
+		if s.Bytes() > fit*entrySize || s.Bytes() != onDisk || s.Len() != entries {
+			t.Fatalf("Bytes %d / Len %d under cap %d, directory holds %d bytes in %d entries",
+				s.Bytes(), s.Len(), fit*entrySize, onDisk, entries)
+		}
+		if got := s.Evictions(); got != uint64(writers*each-entries) {
+			t.Errorf("Evictions = %d with %d of %d keys resident", got, entries, writers*each)
+		}
+		survivors := 0
+		for i := 0; i < writers*each; i++ {
+			if got, ok := s.Get(testKey(i)); ok {
+				survivors++
+				if !bytes.Equal(got, body(i)) {
+					t.Errorf("key %d served another entry's payload", i)
+				}
+			}
+		}
+		if survivors != entries || entries == 0 {
+			t.Errorf("%d keys answer, %d entries on disk", survivors, entries)
+		}
+	})
 }
 
 // TestLRUOrderSurvivesRestart: recency is carried across restarts through
