@@ -249,6 +249,14 @@ func BenchmarkKernelSchedules(b *testing.B) {
 			})
 		}
 	}
+	// The other end of the load axis, at the repository benchmark's largest
+	// state: ~45 of 576 routers tick per cycle, so the cycle is what it costs
+	// to find them.
+	for _, workers := range []int{0, 2} {
+		b.Run(fmt.Sprintf("mesh24x24-sparse/workers=%d", workers), func(b *testing.B) {
+			benchKernel(b, 24, 0.002, workers)
+		})
+	}
 }
 
 func benchKernel(b *testing.B, side int, rate float64, workers int) {
@@ -340,6 +348,7 @@ func BenchmarkNetworkBuild(b *testing.B) {
 		{"mesh8x8", noc.Mesh(8, 8)},
 		{"cmesh4x4x4", noc.CMesh(4, 4, 4)},
 		{"mesh24x24", noc.Mesh(24, 24)},
+		{"mesh32x32", noc.Mesh(32, 32)}, // the largest mesh whose route table is built
 		{"mesh64x64", noc.Mesh(64, 64)},
 	} {
 		b.Run(c.name, func(b *testing.B) {

@@ -95,6 +95,10 @@ type Packet struct {
 	Injected sim.Cycle // cycle the packet entered the source queue
 	NetStart sim.Cycle // cycle the header flit left the source NI
 	Hops     int       // router hops taken (set by the network)
+	// Arrived counts the flits the destination NI has reassembled so far; it
+	// is zero outside the network (reset on delivery and on a purge, and by
+	// pool recycling like every other field).
+	Arrived int
 
 	// Meta carries workload-level payload (e.g. the CMP substrate's
 	// coherence message); the network never inspects it.

@@ -141,7 +141,7 @@ func TestActiveSetMatchesNaive(t *testing.T) {
 		},
 		// The largest state the benchmark builds (576 routers), sparsely
 		// loaded: most routers sit outside the active set, shards span many
-		// rows, and the single-pass wiring is exercised at scale.
+		// rows, and the wiring from the link walk is exercised at scale.
 		grid{
 			name:    "mesh24/psb/sparse",
 			topo:    func() topology.Topology { return topology.NewMesh(24, 24) },

@@ -26,6 +26,7 @@ package network
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"pseudocircuit/internal/core"
@@ -218,6 +219,19 @@ type shard struct {
 	pool *flit.Pool
 	lone bool // the network's only shard
 
+	// The shard's two work indexes, word-packed over its own ranges (bit i of
+	// tick is router r0+i, bit i of inj is NI n0+i), so a phase visits what
+	// has work and two shards never write one word. tick marks routers to
+	// tick this cycle: set when a flit or credit is latched and by the fault
+	// paths' wakeAll, cleared when Tick reports a fixed point, never cleared
+	// under Config.Naive. inj marks NIs with a packet queued or mid-injection:
+	// set by enqueue, cleared once inject leaves the NI empty. Both are
+	// supersets — a purge may empty an NI or a router behind them, and the
+	// visit that finds nothing to do clears the bit — and CheckInvariants
+	// runs verify that nothing with work is missing from them.
+	tick bitset
+	inj  bitset
+
 	pend   []pending
 	injEnd int // pend[:injEnd] was emitted before this cycle's router ticks
 	// pendKill buffers hop-limit victims found while latching this shard's
@@ -238,6 +252,25 @@ func (sh *shard) schedule(latency int, d delivery) {
 		return
 	}
 	sh.pend = append(sh.pend, pending{lat: latency, d: d})
+}
+
+// bitset is a word-packed index over a shard's routers or NIs; a phase walks
+// its set bits in ascending order.
+type bitset []uint64
+
+func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
+
+func (b bitset) set(i int)      { b[i>>6] |= 1 << uint(i&63) }
+func (b bitset) has(i int) bool { return b[i>>6]>>uint(i&63)&1 != 0 }
+
+// setAll sets bits [0, n) of an index sized for n bits.
+func (b bitset) setAll(n int) {
+	for i := range b {
+		b[i] = ^uint64(0)
+	}
+	if n&63 != 0 {
+		b[len(b)-1] = 1<<uint(n&63) - 1
+	}
 }
 
 // send is the router Send callback: it resolves one hop for a flit leaving
@@ -269,8 +302,8 @@ func (sh *shard) credit(id, in, vc int) {
 // nodes); topologies past it fall back to dynamic route computation. 1M
 // single-byte entries covers every configuration in the experiment suite.
 // Priced in DESIGN.md §17: the 4 KiB table of an 8×8 is worth 4–8 % of
-// sim_cycles_per_s; the 331 KiB table of a 24×24 buys no cycles there and
-// costs 3 % of set-up.
+// sim_cycles_per_s; the 331 KiB table of a 24×24 buys no cycles at 0.002
+// flits/node/cycle and costs 0.3 ms, a sixth of that build.
 const routeTabLimit = 1 << 20
 
 // Network is a runnable simulated network.
@@ -317,11 +350,9 @@ type Network struct {
 	inFlight int // packets injected but not yet fully ejected
 
 	pool *flit.Pool
-	// active marks routers the scheduler must tick this cycle: set on any
-	// flit/credit delivery, cleared when the router's Tick reports it
-	// reached a fixed point. naive forces the mask on: every router ticks.
-	active []bool
-	naive  bool
+	// naive keeps every router in its shard's tick index: all of them tick
+	// every cycle.
+	naive bool
 
 	// Fault machinery (nil/empty without a schedule): the replayed schedule
 	// state, the node→home-router table, per-router wired/dead closures
@@ -405,7 +436,6 @@ func New(cfg Config) *Network {
 		Stats:   &stats.Network{},
 		rng:     sim.NewRNG(cfg.Seed),
 		pool:    flit.NewPool(),
-		active:  make([]bool, t.Routers()),
 		naive:   cfg.Naive,
 		series:  cfg.Series,
 		tracer:  cfg.Tracer,
@@ -476,6 +506,7 @@ func New(cfg Config) *Network {
 	n.lanes = core.NewLaneStore(cfg.NumVCs, cfg.BufDepth, inRadix, outRadix)
 	n.registry = stats.NewRegistry(inRadix, outRadix)
 	n.wire()
+	n.fillRouteTab()
 
 	base := router.Config{
 		NumVCs:   cfg.NumVCs,
@@ -522,6 +553,10 @@ func New(cfg Config) *Network {
 		if i > 0 {
 			sh.pool = flit.NewPool()
 		}
+		sh.tick, sh.inj = newBitset(sh.r1-sh.r0), newBitset(sh.n1-sh.n0)
+		if n.naive {
+			sh.tick.setAll(sh.r1 - sh.r0)
+		}
 		n.shards[i] = sh
 		rcfg := base
 		rcfg.Send, rcfg.Credit = sh.send, sh.credit
@@ -547,58 +582,36 @@ func New(cfg Config) *Network {
 	return n
 }
 
-// wire derives everything New needs from the topology's port graph in one
-// pass over (router, dst). The two dimension orders' output ports fill the
-// route-table row; each distinct port's NextHop gives a link latency (the
-// delivery ring is sized for the largest) and the upstream of the input port
-// it feeds. NextHop is only ever asked about a port Route returned for that
-// destination, so multidrop topologies are never asked nonsense questions.
-// Topologies past routeTabLimit get no table and compute routes dynamically.
+// wire derives New's wiring from the topology's port graph: one walk over
+// every router's links gives the upstream of each input port a link feeds
+// (terminal ports get theirs with the NIs) and the largest link latency,
+// which sizes the delivery ring. The cost is the links'.
 func (n *Network) wire() {
 	t := n.topo
-	nR, nN, cls := t.Routers(), t.Nodes(), n.engine.NumClasses()
-	n.nNodes = nN
-	if cls*nR*nN <= routeTabLimit {
-		n.routeTab = make([]int8, cls*nR*nN)
-	}
-	dim := make([]int, cls) // routing class -> dimension order
-	for c := range dim {
-		dim[c] = n.engine.DimOrder(c)
-	}
 	inBase := n.lanes.InBase
-	n.ups = make([]upstream, inBase[nR])
+	n.ups = make([]upstream, inBase[t.Routers()])
 	for i := range n.ups {
 		n.ups[i] = upstream{router: -2}
 	}
 	maxLat := 1
-	for r := 0; r < nR; r++ {
-		for d := 0; d < nN; d++ {
-			outs := [2]int{t.Route(r, d, 0), t.Route(r, d, 1)}
-			if n.routeTab != nil {
-				for c, k := range dim {
-					n.routeTab[(c*nR+r)*nN+d] = int8(outs[k])
-				}
-			}
-			for i, o := range outs {
-				if i == 1 && o == outs[0] {
-					break
-				}
-				h := t.NextHop(r, o, d)
-				maxLat = max(maxLat, h.Latency)
-				if h.Router < 0 {
-					continue
-				}
-				p := inBase[h.Router] + h.InPort
-				if h.InPort < 0 || p >= inBase[h.Router+1] {
-					panic(fmt.Sprintf("network: router %d has no input port %d", h.Router, h.InPort))
-				}
-				u := upstream{router: r, out: o}
-				if cur := n.ups[p]; cur.router != -2 && cur != u {
-					panic(fmt.Sprintf("network: input port %d of router %d fed by two outputs", h.InPort, h.Router))
-				}
-				n.ups[p] = u
-			}
+	var r int
+	visit := func(out int, h topology.Hop) {
+		maxLat = max(maxLat, h.Latency)
+		if h.Router < 0 {
+			return
 		}
+		p := inBase[h.Router] + h.InPort
+		if h.InPort < 0 || p >= inBase[h.Router+1] {
+			panic(fmt.Sprintf("network: router %d has no input port %d", h.Router, h.InPort))
+		}
+		u := upstream{router: r, out: out}
+		if cur := n.ups[p]; cur.router != -2 && cur != u {
+			panic(fmt.Sprintf("network: input port %d of router %d fed by two outputs", h.InPort, h.Router))
+		}
+		n.ups[p] = u
+	}
+	for r = 0; r < t.Routers(); r++ {
+		t.Links(r, visit)
 	}
 	ringLen := 1
 	for ringLen < maxLat+3 { // largest link latency plus slack
@@ -606,6 +619,22 @@ func (n *Network) wire() {
 	}
 	n.ring = make([][]delivery, ringLen)
 	n.ringMask = ringLen - 1
+}
+
+// fillRouteTab tabulates the routing engine a router row at a time; the cost
+// is the table's entries. Topologies past routeTabLimit get no table and
+// compute routes dynamically.
+func (n *Network) fillRouteTab() {
+	nR, nN := n.topo.Routers(), n.topo.Nodes()
+	n.nNodes = nN
+	rows := n.engine.NumClasses() * nR
+	if rows*nN > routeTabLimit {
+		return
+	}
+	n.routeTab = make([]int8, rows*nN)
+	for i := 0; i < rows; i++ {
+		n.engine.RouteRow(i%nR, i/nR, n.routeTab[i*nN:(i+1)*nN])
+	}
 }
 
 // upstreamOf returns what feeds input port in of router r.
@@ -795,10 +824,11 @@ func (n *Network) Step(w Workload) {
 
 // shardPhase runs one shard's slice of a cycle: latch due deliveries into
 // the shard's routers (due order is preserved per router, and a delivery
-// only touches its target router), inject from the shard's busy NIs (one
-// flit per node per cycle, ascending node order), tick the shard's active
-// routers — all of them under the naive reference — in ascending router
-// order.
+// only touches its target router), inject from the shard's NIs that have work
+// (one flit per node per cycle, ascending node order), tick the shard's
+// routers that have work — all of them under the naive reference — in
+// ascending router order. Both walks follow the shard's indexes, so a phase
+// costs what it has to do, not what it owns.
 func (n *Network) shardPhase(sh *shard) {
 	for _, d := range n.curDue {
 		if d.router < sh.r0 || d.router >= sh.r1 {
@@ -812,27 +842,61 @@ func (n *Network) shardPhase(sh *shard) {
 		} else {
 			n.routers[d.router].DeliverCredit(d.port, d.vc)
 		}
-		n.active[d.router] = true
+		sh.tick.set(d.router - sh.r0)
 	}
-	for _, s := range n.nis[sh.n0:sh.n1] {
-		// The check mirrors inject's own early return, so skipping an NI
-		// with no queued work is behaviour-preserving.
-		if s.cur == nil && len(s.queue) == 0 {
-			continue
+	if n.CheckInvariants {
+		sh.checkIndexes()
+	}
+	nis := n.nis[sh.n0:sh.n1]
+	for wi, w := range sh.inj {
+		for ; w != 0; w &= w - 1 {
+			b := bits.TrailingZeros64(w)
+			s := nis[wi<<6+b]
+			s.inject(n.now)
+			if s.cur == nil && len(s.queue) == 0 {
+				sh.inj[wi] &^= 1 << uint(b)
+			}
 		}
-		s.inject(n.now)
 	}
 	sh.injEnd = len(sh.pend)
-	routers, active, naive := n.routers[sh.r0:sh.r1], n.active[sh.r0:sh.r1], n.naive
-	for i, on := range active {
-		if !on && !naive {
-			continue
+	routers := n.routers[sh.r0:sh.r1]
+	for wi, w := range sh.tick {
+		for ; w != 0; w &= w - 1 {
+			b := bits.TrailingZeros64(w)
+			node := routers[wi<<6+b]
+			// A false return promises a fixed point until the next delivery.
+			if !node.Tick(n.now) && !n.naive {
+				sh.tick[wi] &^= 1 << uint(b)
+			}
+			if n.CheckInvariants {
+				node.CheckInvariants()
+			}
 		}
-		// A false return promises a fixed point until the next delivery.
-		active[i] = routers[i].Tick(n.now)
-		if n.CheckInvariants {
-			routers[i].CheckInvariants()
+	}
+}
+
+// checkIndexes panics if the shard's indexes miss work: an NI holding a
+// packet, or a router that is not quiescent, whose bit is clear would be
+// skipped by the phase and the run would silently diverge from the naive one.
+func (sh *shard) checkIndexes() {
+	for i, s := range sh.net.nis[sh.n0:sh.n1] {
+		if (s.cur != nil || len(s.queue) > 0) && !sh.inj.has(i) {
+			panic(fmt.Sprintf("network: NI %d holds packets but is not in its shard's injection index", s.node))
 		}
+	}
+	for i, node := range sh.net.routers[sh.r0:sh.r1] {
+		if !node.Quiescent() && !sh.tick.has(i) {
+			panic(fmt.Sprintf("network: router %d is not quiescent but is not in its shard's tick index", sh.r0+i))
+		}
+	}
+}
+
+// wakeAll puts every router back in its shard's tick index. The fault paths
+// call it (main phase only): an up event can unblock flits parked behind a
+// dead link, and the teardown sweeps mutate router state directly.
+func (n *Network) wakeAll() {
+	for _, sh := range n.shards {
+		sh.tick.setAll(sh.r1 - sh.r0)
 	}
 }
 
@@ -926,9 +990,7 @@ func (n *Network) applyFaults() {
 			})
 		}
 	}
-	for i := range n.active {
-		n.active[i] = true
-	}
+	n.wakeAll()
 	if anyDown {
 		n.stormScan()
 	}
@@ -997,9 +1059,7 @@ func (n *Network) staleScan() {
 	}
 	if len(n.victims) > 0 {
 		n.purgeVictims()
-		for i := range n.active {
-			n.active[i] = true
-		}
+		n.wakeAll()
 	}
 }
 
@@ -1033,9 +1093,7 @@ func (n *Network) breakWedge() {
 		}
 	}
 	n.purgeVictims()
-	for i := range n.active {
-		n.active[i] = true
-	}
+	n.wakeAll()
 }
 
 // stormScan runs after down events land: it sweeps routers, the delivery
@@ -1187,7 +1245,7 @@ func (n *Network) purgePacket(p *flit.Packet) {
 			break
 		}
 	}
-	delete(n.nis[p.Dst].rx, p.ID)
+	p.Arrived = 0
 	n.inFlight--
 	n.relInflightDelta(p, -1, false)
 	n.Stats.PacketsDropped++
@@ -1301,11 +1359,17 @@ func (n *Network) LinkLoads() []LinkLoad {
 	var out []LinkLoad
 	window := float64(n.Stats.Window())
 	for rid, row := range n.registry.Routers() {
+		var eject uint64 // output ports whose hop leaves the fabric
+		n.topo.Links(rid, func(o int, h topology.Hop) {
+			if h.Router < 0 {
+				eject |= 1 << uint(o)
+			}
+		})
 		for o, flits := range row.OutSends {
 			if flits == 0 {
 				continue
 			}
-			ll := LinkLoad{Router: rid, Out: o, Flits: flits, Ejection: isEjectionPort(n.topo, rid, o)}
+			ll := LinkLoad{Router: rid, Out: o, Flits: flits, Ejection: eject>>uint(o)&1 != 0}
 			if window > 0 {
 				ll.Utilization = float64(flits) / window
 			}
@@ -1314,21 +1378,6 @@ func (n *Network) LinkLoads() []LinkLoad {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Flits > out[j].Flits })
 	return out
-}
-
-// isEjectionPort reports whether output o of router r is a terminal port.
-func isEjectionPort(t topology.Topology, r, o int) bool {
-	for slot := 0; slot < t.Concentration(); slot++ {
-		node := r*t.Concentration() + slot
-		if node >= t.Nodes() {
-			break
-		}
-		rr, _, outP := t.NodeRouter(node)
-		if rr == r && outP == o {
-			return true
-		}
-	}
-	return false
 }
 
 // QueuedPackets returns the number of packets waiting in source queues

@@ -35,8 +35,6 @@ type ni struct {
 	rng     *sim.RNG
 	lastDst int // previous packet's destination (Fig. 1 end-to-end locality)
 
-	rx map[uint64]int // packet ID -> flits received so far
-
 	// Reliability state (allocated only with Config.Reliable; DESIGN.md §14).
 	// Sender side: relNext assigns per-destination sequence numbers, tx holds
 	// the outstanding retransmit records, txIdx maps (dst, seq) to a tx index.
@@ -61,7 +59,6 @@ func newNI(sh *shard, node, r, inPort int) *ni {
 		credits: make([]int, n.cfg.NumVCs),
 		rng:     n.rng.Split(),
 		lastDst: -1,
-		rx:      make(map[uint64]int),
 	}
 	if n.rel != nil {
 		nodes := n.topo.Nodes()
@@ -88,6 +85,7 @@ func (s *ni) enqueue(p *flit.Packet) {
 	}
 	s.lastDst = p.Dst
 	s.queue = append(s.queue, p)
+	s.sh.inj.set(s.node - s.sh.n0)
 }
 
 // inject advances the injection state machine by one cycle: start the next
@@ -170,14 +168,14 @@ func (s *ni) receive(now sim.Cycle, f *flit.Flit, w Workload) {
 		})
 	}
 	s.net.nis[p.Src].sh.pool.RecycleFlit(f)
-	s.rx[p.ID]++
-	if s.rx[p.ID] < p.Size {
+	p.Arrived++
+	if p.Arrived < p.Size {
 		return
 	}
-	if s.rx[p.ID] > p.Size {
+	if p.Arrived > p.Size {
 		panic(fmt.Sprintf("ni %d: duplicate flits for packet %d", s.node, p.ID))
 	}
-	delete(s.rx, p.ID)
+	p.Arrived = 0
 	s.net.inFlight--
 	if n := s.net; n.rel != nil {
 		if p.RelAck {

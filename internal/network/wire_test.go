@@ -86,10 +86,11 @@ func referenceWiring(t topology.Topology, algo routing.Algorithm) (ups [][]upstr
 	return ups, ringLen, tab
 }
 
-// TestWireMatchesReference is the build-equivalence oracle: the single pass
-// over (router, dst) must yield the same upstream table, ring length and
-// route table as the triple scans it replaced, on every topology family and
-// every routing algorithm (O1TURN covers the two-class table).
+// TestWireMatchesReference is the build-equivalence oracle: the link walk and
+// the row fill must yield the same upstream table, ring length and route
+// table as the triple scans over (router, outPort, dst), on every topology
+// family, square and not, and every routing algorithm (O1TURN covers the
+// two-class table).
 func TestWireMatchesReference(t *testing.T) {
 	topos := []struct {
 		name string
@@ -99,7 +100,9 @@ func TestWireMatchesReference(t *testing.T) {
 		{"mesh3x5", topology.NewMesh(3, 5)},
 		{"mesh8x8", topology.NewMesh(8, 8)},
 		{"cmesh4x4x4", topology.NewCMesh(4, 4, 4)},
+		{"mecs2x3x2", topology.NewMECS(2, 3, 2)},
 		{"mecs4x4x4", topology.NewMECS(4, 4, 4)},
+		{"fbfly2x3x2", topology.NewFBFly(2, 3, 2)},
 		{"fbfly4x4x4", topology.NewFBFly(4, 4, 4)},
 	}
 	for _, tc := range topos {
@@ -137,15 +140,21 @@ func (m sharedInputMesh) NextHop(r, out, dst int) topology.Hop {
 	return m.Mesh.NextHop(r, out, dst)
 }
 
-// TestWireRejectsSharedInput checks the single pass kept the conflict check:
+func (m sharedInputMesh) Links(r int, visit func(out int, h topology.Hop)) {
+	m.Mesh.Links(r, func(out int, h topology.Hop) { visit(out, m.NextHop(r, out, 0)) })
+}
+
+// panicOf returns what f panicked with, nil if it returned.
+func panicOf(f func()) (msg any) {
+	defer func() { msg = recover() }()
+	f()
+	return nil
+}
+
+// TestWireRejectsSharedInput checks the link walk kept the conflict check:
 // an input port fed by two outputs panics with the reference's message.
 func TestWireRejectsSharedInput(t *testing.T) {
 	topo := sharedInputMesh{topology.NewMesh(2, 2)}
-	panicOf := func(f func()) (msg any) {
-		defer func() { msg = recover() }()
-		f()
-		return nil
-	}
 	want := panicOf(func() { referenceWiring(topo, routing.XY) })
 	got := panicOf(func() { New(DefaultConfig(topo)) })
 	if want != "network: input port 1 of router 1 fed by two outputs" {
@@ -153,5 +162,89 @@ func TestWireRejectsSharedInput(t *testing.T) {
 	}
 	if got != want {
 		t.Errorf("New panic = %v, reference %v", got, want)
+	}
+}
+
+// countingMesh counts what network.New asks of a topology: Route and NextHop
+// calls, and hops visited through Links (the mesh's own Links calls its own
+// NextHop, not the wrapper's, so nextHops counts New's direct calls only).
+type countingMesh struct {
+	*topology.Mesh
+	routes, nextHops, hops int
+}
+
+func (c *countingMesh) Route(r, dst, class int) int {
+	c.routes++
+	return c.Mesh.Route(r, dst, class)
+}
+
+func (c *countingMesh) NextHop(r, out, dst int) topology.Hop {
+	c.nextHops++
+	return c.Mesh.NextHop(r, out, dst)
+}
+
+func (c *countingMesh) Links(r int, visit func(out int, h topology.Hop)) {
+	c.Mesh.Links(r, func(out int, h topology.Hop) {
+		c.hops++
+		visit(out, h)
+	})
+}
+
+// TestBuildCostFollowsLinks pins what network.New may ask of a topology, as
+// counts that repeat exactly: one hop per link and not one Route or NextHop
+// call, at the largest size whose route table is still built (32×32 is
+// exactly routeTabLimit). A topology without a row form pays one Route per
+// table entry, in the row filler's fallback and nowhere else.
+func TestBuildCostFollowsLinks(t *testing.T) {
+	const k = 32
+	c := &countingMesh{Mesh: topology.NewMesh(k, k)}
+	n := New(DefaultConfig(c))
+	if n.routeTab == nil {
+		t.Fatal("32x32 built no route table")
+	}
+	links := 4*k*(k-1) + k*k // directed router-to-router channels plus one ejection per node
+	if c.routes != 0 || c.nextHops != 0 || c.hops != links {
+		t.Errorf("New made %d Route and %d NextHop calls and visited %d hops; want 0, 0 and %d (the links)",
+			c.routes, c.nextHops, c.hops, links)
+	}
+
+	c = &countingMesh{Mesh: topology.NewMesh(8, 8)}
+	New(DefaultConfig(struct{ topology.Topology }{c})) // the embedded interface hides RouteRow
+	if want := 64 * 64; c.routes != want || c.nextHops != 0 {
+		t.Errorf("without a row form New made %d Route and %d NextHop calls; want %d (one per table entry) and 0",
+			c.routes, c.nextHops, want)
+	}
+}
+
+// TestIndexChecksCatchMissingWork: the invariant check behind the shards'
+// indexes fails when a bit is missing for an NI that holds a packet or a
+// router that holds a flit — the skipped visit would otherwise just be a run
+// that silently differs from the naive one.
+func TestIndexChecksCatchMissingWork(t *testing.T) {
+	build := func() (*Network, *shard) {
+		cfg := DefaultConfig(topology.NewMesh(9, 9))
+		cfg.Opts.Workers = 2
+		n := New(cfg)
+		n.CheckInvariants = true
+		p := n.NewPacket()
+		p.Src, p.Dst, p.Size = 70, 3, 1
+		n.Inject(p)
+		return n, n.shards[1] // node and router 70 are shard 1's bit 30
+	}
+	n, sh := build()
+	sh.inj[0] = 0
+	if got, want := panicOf(func() { n.Step(nil) }), "network: NI 70 holds packets but is not in its shard's injection index"; got != any(want) {
+		t.Errorf("cleared injection index: panic %v, want %q", got, want)
+	}
+
+	n, sh = build()
+	n.Step(nil) // inject
+	n.Step(nil) // router 70 latches the flit and keeps it for its pipeline
+	if n.routers[70].Quiescent() {
+		t.Fatal("router 70 is quiescent one cycle after its NI injected")
+	}
+	sh.tick[0] = 0
+	if got, want := panicOf(func() { n.Step(nil) }), "network: router 70 is not quiescent but is not in its shard's tick index"; got != any(want) {
+		t.Errorf("cleared tick index: panic %v, want %q", got, want)
 	}
 }

@@ -40,18 +40,18 @@ func (f *FBFly) InPorts(r int) int { return f.terminalPorts(f.dirPorts()) }
 // OutPorts implements Topology.
 func (f *FBFly) OutPorts(r int) int { return f.terminalPorts(f.dirPorts()) }
 
-// rowPort returns the port index at router x-coordinate x that reaches row
+// xPort returns the port index at router x-coordinate x that reaches row
 // peer at x-coordinate tx.
-func (f *FBFly) rowPort(x, tx int) int {
+func (f *FBFly) xPort(x, tx int) int {
 	if tx < x {
 		return tx
 	}
 	return tx - 1
 }
 
-// colPort returns the port index at router y-coordinate y that reaches
+// yPort returns the port index at router y-coordinate y that reaches
 // column peer at y-coordinate ty.
-func (f *FBFly) colPort(y, ty int) int {
+func (f *FBFly) yPort(y, ty int) int {
 	base := f.kx - 1
 	if ty < y {
 		return base + ty
@@ -87,13 +87,21 @@ func (f *FBFly) NextHop(r, out, dstNode int) Hop {
 	}
 }
 
+// Links implements Topology: every direction port is a dedicated channel to
+// one row or column peer, then the terminal ports.
+func (f *FBFly) Links(r int, visit func(out int, h Hop)) {
+	for out := 0; out < f.OutPorts(r); out++ {
+		visit(out, f.NextHop(r, out, 0))
+	}
+}
+
 // rowPortAt returns the input port at a router with x-coordinate atX that
 // receives from the row peer at fromX.
-func (f *FBFly) rowPortAt(atX, fromX int) int { return f.rowPort(atX, fromX) }
+func (f *FBFly) rowPortAt(atX, fromX int) int { return f.xPort(atX, fromX) }
 
 // colPortAt returns the input port at a router with y-coordinate atY that
 // receives from the column peer at fromY.
-func (f *FBFly) colPortAt(atY, fromY int) int { return f.colPort(atY, fromY) }
+func (f *FBFly) colPortAt(atY, fromY int) int { return f.yPort(atY, fromY) }
 
 // Route implements Topology: dimension-order (X then Y for class 0, Y then X
 // for class 1); each dimension is one hop.
@@ -107,15 +115,20 @@ func (f *FBFly) Route(r, dstNode, class int) int {
 	dx, dy := f.coord(dr)
 	if class == 0 {
 		if dx != x {
-			return f.rowPort(x, dx)
+			return f.xPort(x, dx)
 		}
-		return f.colPort(y, dy)
+		return f.yPort(y, dy)
 	}
 	if dy != y {
-		return f.colPort(y, dy)
+		return f.yPort(y, dy)
 	}
-	return f.rowPort(x, dx)
+	return f.xPort(x, dx)
 }
+
+// RouteRow fills row[d] = Route(r, d, class) for every node d.
+func (f *FBFly) RouteRow(r, class int, row []int8) { f.routeRow(f, r, class, row) }
+
+func (f *FBFly) termBase() int { return f.dirPorts() }
 
 // AvgDistance implements Topology.
 func (f *FBFly) AvgDistance() float64 { return f.avgGridDistance() }

@@ -89,6 +89,28 @@ func (m *MECS) NextHop(r, out, dstNode int) Hop {
 	}
 }
 
+// Links implements Topology: a multidrop channel makes one hop per router it
+// passes, nearest first, so each direction port reports every drop-off
+// further along its row or column.
+func (m *MECS) Links(r int, visit func(out int, h Hop)) {
+	x, y := m.coord(r)
+	for dx := x + 1; dx < m.kx; dx++ {
+		visit(PortE, m.NextHop(r, PortE, m.router(dx, y)*m.conc))
+	}
+	for dx := x - 1; dx >= 0; dx-- {
+		visit(PortW, m.NextHop(r, PortW, m.router(dx, y)*m.conc))
+	}
+	for dy := y - 1; dy >= 0; dy-- {
+		visit(PortN, m.NextHop(r, PortN, m.router(x, dy)*m.conc))
+	}
+	for dy := y + 1; dy < m.ky; dy++ {
+		visit(PortS, m.NextHop(r, PortS, m.router(x, dy)*m.conc))
+	}
+	for out := 4; out < m.OutPorts(r); out++ {
+		visit(out, m.NextHop(r, out, 0))
+	}
+}
+
 // Route implements Topology: dimension-order with single-hop-per-dimension
 // semantics (the multidrop channel carries the flit all the way to the turn
 // point). Class 0 = X first, class 1 = Y first.
@@ -111,6 +133,9 @@ func (m *MECS) Route(r, dstNode, class int) int {
 	}
 	return stepX(x, dx)
 }
+
+// RouteRow fills row[d] = Route(r, d, class) for every node d.
+func (m *MECS) RouteRow(r, class int, row []int8) { m.routeRow(compass{}, r, class, row) }
 
 // AvgDistance implements Topology.
 func (m *MECS) AvgDistance() float64 { return m.avgGridDistance() }

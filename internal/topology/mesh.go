@@ -75,6 +75,20 @@ func (m *Mesh) NextHop(r, out, dstNode int) Hop {
 	}
 }
 
+// Links implements Topology: the direction ports that have a neighbor (edge
+// ports are unwired), then the terminal ports.
+func (m *Mesh) Links(r int, visit func(out int, h Hop)) {
+	x, y := m.coord(r)
+	for out, wired := range [4]bool{PortE: x+1 < m.kx, PortW: x > 0, PortN: y > 0, PortS: y+1 < m.ky} {
+		if wired {
+			visit(out, m.NextHop(r, out, 0))
+		}
+	}
+	for out := 4; out < m.OutPorts(r); out++ {
+		visit(out, m.NextHop(r, out, 0))
+	}
+}
+
 func (m *Mesh) neighbor(x, y, inPort int) Hop {
 	if x < 0 || x >= m.kx || y < 0 || y >= m.ky {
 		panic(fmt.Sprintf("topology: mesh hop off the grid to (%d,%d)", x, y))
@@ -104,6 +118,9 @@ func (m *Mesh) Route(r, dstNode, class int) int {
 	}
 	return stepX(x, dx)
 }
+
+// RouteRow fills row[d] = Route(r, d, class) for every node d.
+func (m *Mesh) RouteRow(r, class int, row []int8) { m.routeRow(compass{}, r, class, row) }
 
 // AvgDistance implements Topology.
 func (m *Mesh) AvgDistance() float64 { return m.avgGridDistance() }

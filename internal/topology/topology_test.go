@@ -138,6 +138,57 @@ func TestUniqueUpstream(t *testing.T) {
 	}
 }
 
+// TestLinksAreTheRoutedHops: the hops a topology reports about itself are
+// exactly the hops routing can make — {NextHop(r, Route(r, d, c), d)} over
+// every router, destination and dimension order — on square and non-square
+// grids, each router's in ascending output-port order. A link Links missed
+// would be left unwired by the network; one it invented would be wired to
+// nothing routing uses.
+func TestLinksAreTheRoutedHops(t *testing.T) {
+	type link struct {
+		r, out int
+		h      topology.Hop
+	}
+	for name, topo := range map[string]topology.Topology{
+		"mesh3x5":    topology.NewMesh(3, 5),
+		"cmesh4x4x4": topology.NewCMesh(4, 4, 4),
+		"mecs2x3x2":  topology.NewMECS(2, 3, 2),
+		"mecs4x4x4":  topology.NewMECS(4, 4, 4),
+		"fbfly2x3x2": topology.NewFBFly(2, 3, 2),
+		"fbfly4x4x4": topology.NewFBFly(4, 4, 4),
+	} {
+		routed := map[link]bool{}
+		for r := 0; r < topo.Routers(); r++ {
+			for d := 0; d < topo.Nodes(); d++ {
+				for class := 0; class < 2; class++ {
+					o := topo.Route(r, d, class)
+					routed[link{r, o, topo.NextHop(r, o, d)}] = true
+				}
+			}
+		}
+		walked := map[link]bool{}
+		for r := 0; r < topo.Routers(); r++ {
+			last := 0
+			topo.Links(r, func(out int, h topology.Hop) {
+				l := link{r, out, h}
+				if walked[l] {
+					t.Errorf("%s: Links reports %+v twice", name, l)
+				}
+				if out < last {
+					t.Errorf("%s: router %d reports port %d after port %d", name, r, out, last)
+				}
+				walked[l], last = true, out
+				if !routed[l] {
+					t.Errorf("%s: Links reports %+v, which no route takes", name, l)
+				}
+			})
+		}
+		if len(walked) != len(routed) {
+			t.Errorf("%s: Links reports %d hops, routing makes %d", name, len(walked), len(routed))
+		}
+	}
+}
+
 func TestMeshCoordRoundTrip(t *testing.T) {
 	m := topology.NewMesh(5, 7)
 	err := quick.Check(func(r uint8) bool {
