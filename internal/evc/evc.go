@@ -76,14 +76,15 @@ func New(id, inPorts, outPorts int, cfg *router.Config, mesh *topology.Mesh, num
 }
 
 // DeliverCredit implements network.Node. EVC credits are relayed upstream
-// when the coordinate parity shows the express path originates there.
-// (Direction ports are never ejection ports on a mesh.)
-func (r *Router) DeliverCredit(out, vc int) {
+// when the coordinate parity shows the express path originates there; a
+// relayed credit is on its way before this returns and leaves nothing for a
+// tick to do. (Direction ports are never ejection ports on a mesh.)
+func (r *Router) DeliverCredit(out, vc int) bool {
 	if vc >= r.base && out < 4 && r.parityFor(out) != vc-r.base {
 		r.cfg.Credit(r.ID, oppositeIn[out], vc)
-		return
+		return false
 	}
-	r.Router.DeliverCredit(out, vc)
+	return r.Router.DeliverCredit(out, vc)
 }
 
 // parityFor returns this router's coordinate parity in the dimension of a

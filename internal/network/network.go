@@ -11,17 +11,17 @@
 // There is one cycle kernel (Step; DESIGN.md §9). Routers and NIs are split
 // into contiguous shards — always at least one — and every cycle is a main
 // phase, one phase per shard, and a merge in shard order. The kernel is
-// work-proportional: a shard ticks only routers that hold state or received
-// a flit/credit (an idle router is provably at a fixed point, so skipping it
-// is bit-identical to ticking it), and flits and packets come from a free
-// list, so the steady-state cycle allocates nothing. What differs between
-// runs is only the schedule: the sequential kernel is one shard run inline,
-// Config.Naive is that shard with every router ticked (the reference the
-// determinism harness compares against), and Opts.Workers > 1 makes that
-// many shards, which Run and Drain put goroutines behind. Shards cannot
-// observe each other inside a cycle — that is the latching invariant above —
-// and their side effects are merged in fixed shard order, so every schedule
-// produces the same bits.
+// work-proportional: a shard ticks only routers that hold state, received a
+// flit, or received a credit that can change what they do (any other router
+// is provably at a fixed point, so skipping it is bit-identical to ticking
+// it), and flits and packets come from a free list, so the steady-state cycle
+// allocates nothing. What differs between runs is only the schedule: the
+// sequential kernel is one shard run inline, Config.Naive is that shard with
+// every router ticked (the reference the determinism harness compares
+// against), and Opts.Workers > 1 makes that many shards, which Run and Drain
+// put goroutines behind. Shards cannot observe each other inside a cycle —
+// that is the latching invariant above — and their side effects are merged in
+// fixed shard order, so every schedule produces the same bits.
 package network
 
 import (
@@ -86,12 +86,18 @@ func AcquirePacket(inj Injector) *flit.Packet {
 type Node interface {
 	// Tick advances the router one cycle and reports whether it must be
 	// ticked again next cycle. A false return promises the router is at a
-	// fixed point: absent new deliveries, further ticks would neither change
-	// its state nor touch any statistics or energy counter, so the network's
-	// active-set scheduler may skip it until the next Deliver/DeliverCredit.
+	// fixed point: further ticks would neither change its state nor touch any
+	// statistics or energy counter, so the network's active-set scheduler may
+	// skip it until the next Deliver, or the next DeliverCredit that says the
+	// fixed point is gone.
 	Tick(now sim.Cycle) bool
 	Deliver(in int, f *flit.Flit)
-	DeliverCredit(out, vc int)
+	// DeliverCredit returns one credit for (out, vc) and reports whether the
+	// credit can undo a fixed point. False promises that a router whose last
+	// Tick returned false is still at its fixed point with the credit counted;
+	// of a router that is not at one it says nothing, and need not: that
+	// router is scheduled already.
+	DeliverCredit(out, vc int) bool
 	MarkEjection(out int)
 	Quiescent() bool
 	CheckInvariants()
@@ -222,8 +228,9 @@ type shard struct {
 	// The shard's two work indexes, word-packed over its own ranges (bit i of
 	// tick is router r0+i, bit i of inj is NI n0+i), so a phase visits what
 	// has work and two shards never write one word. tick marks routers to
-	// tick this cycle: set when a flit or credit is latched and by the fault
-	// paths' wakeAll, cleared when Tick reports a fixed point, never cleared
+	// tick this cycle: set when a flit is latched, when a credit is latched
+	// that can undo the router's fixed point (latchCredit), and by the fault
+	// paths' wakeAll; cleared when Tick reports a fixed point, never cleared
 	// under Config.Naive. inj marks NIs with a packet queued or mid-injection:
 	// set by enqueue, cleared once inject leaves the NI empty. Both are
 	// supersets — a purge may empty an NI or a router behind them, and the
@@ -252,6 +259,16 @@ func (sh *shard) schedule(latency int, d delivery) {
 		return
 	}
 	sh.pend = append(sh.pend, pending{lat: latency, d: d})
+}
+
+// latchCredit hands router r of this shard one credit for (out, vc), and
+// schedules r when the router says the credit can undo its fixed point. A
+// router that answers no stays as it was, scheduled or not; the naive kernel,
+// ticking it regardless, proves the tick not made was a no-op.
+func (sh *shard) latchCredit(r, out, vc int) {
+	if sh.net.routers[r].DeliverCredit(out, vc) {
+		sh.tick.set(r - sh.r0)
+	}
 }
 
 // bitset is a word-packed index over a shard's routers or NIs; a phase walks
@@ -637,6 +654,17 @@ func (n *Network) fillRouteTab() {
 	}
 }
 
+// shardOf returns the shard that owns router r (main phase only: a shard
+// phase knows its own).
+func (n *Network) shardOf(r int) *shard {
+	for _, sh := range n.shards {
+		if r < sh.r1 {
+			return sh
+		}
+	}
+	panic(fmt.Sprintf("network: router %d belongs to no shard", r))
+}
+
 // upstreamOf returns what feeds input port in of router r.
 func (n *Network) upstreamOf(r, in int) upstream { return n.ups[n.lanes.InBase[r]+in] }
 
@@ -839,10 +867,10 @@ func (n *Network) shardPhase(sh *shard) {
 				sh.pendKill = append(sh.pendKill, d.flit.Packet)
 			}
 			n.routers[d.router].Deliver(d.port, d.flit)
+			sh.tick.set(d.router - sh.r0)
 		} else {
-			n.routers[d.router].DeliverCredit(d.port, d.vc)
+			sh.latchCredit(d.router, d.port, d.vc)
 		}
-		sh.tick.set(d.router - sh.r0)
 	}
 	if n.CheckInvariants {
 		sh.checkIndexes()
@@ -864,7 +892,7 @@ func (n *Network) shardPhase(sh *shard) {
 		for ; w != 0; w &= w - 1 {
 			b := bits.TrailingZeros64(w)
 			node := routers[wi<<6+b]
-			// A false return promises a fixed point until the next delivery.
+			// A false return promises a fixed point until a delivery undoes it.
 			if !node.Tick(n.now) && !n.naive {
 				sh.tick[wi] &^= 1 << uint(b)
 			}
@@ -1224,7 +1252,7 @@ func (n *Network) purgePacket(p *flit.Packet) {
 		n.ring[slot] = kept
 	}
 	for _, c := range n.credRet {
-		n.routers[c.router].DeliverCredit(c.out, c.vc)
+		n.shardOf(c.router).latchCredit(c.router, c.out, c.vc)
 	}
 	n.credRet = n.credRet[:0]
 	for _, node := range n.routers {

@@ -181,6 +181,7 @@ type Router struct {
 	busyIn  uint64 // input ports whose crossbar row is in use this cycle
 	busyOut uint64 // output ports whose crossbar column is in use this cycle
 	arrMask uint64 // input ports with a staged arrival this cycle
+	ports   uint64 // input ports with a buffered flit once ST is done: what phases 2-4 walk
 	reqs    []saRequest
 	chosen  []int // per input port: index into reqs selected by input arbitration, -1 none
 	pcCand  []int // per input port: vc of pseudo-circuit candidate, -1 none
@@ -197,12 +198,13 @@ type Router struct {
 	rs *stats.RouterStats
 	tr *obs.Tracer
 
-	// worked records that this tick mutated router state beyond the buffers
-	// the active-set scan below can see: a crossbar traversal (which
-	// rewrites pseudo-circuit registers and histories even when the flit
-	// leaves the router empty) or a pseudo-circuit termination/speculation.
-	// Any such event may enable further work next cycle, so the router must
-	// stay scheduled one more tick to reach its fixed point.
+	// worked records that this tick rewrote the pseudo-circuit registers or
+	// histories, which holdsFlits cannot see: a crossbar traversal under
+	// Opts.Pseudo (it connects a circuit even when the flit leaves the router
+	// empty) or a termination/speculation. Any such event may enable further
+	// maintenance next cycle, so the router stays scheduled one more tick to
+	// reach its fixed point. Never set without Opts.Pseudo: a baseline or
+	// policy router keeps nothing a traversal could leave unsettled.
 	worked bool
 }
 
@@ -374,7 +376,6 @@ func (r *Router) Forward(now sim.Cycle, in, out int) {
 	r.arrMask &^= 1 << uint(in)
 	r.busyIn |= 1 << uint(in)
 	r.busyOut |= 1 << uint(out)
-	r.worked = true
 	r.rs.In[in].Traversals++
 	r.rs.OutSends[out]++
 	if r.tr != nil {
@@ -394,13 +395,19 @@ func (r *Router) trace(now sim.Cycle, kind obs.Kind, f *flit.Flit, in, vc, out i
 }
 
 // DeliverCredit returns one credit for (output port out, VC vc); the network
-// calls it when the downstream hop frees a buffer slot.
-func (r *Router) DeliverCredit(out, vc int) {
+// calls it when the downstream hop frees a buffer slot. It reports whether the
+// credit can undo a fixed point, so whether a router whose last Tick returned
+// false must be ticked for it. Under Opts.Pseudo it can: credit-exhaustion
+// termination and speculation read the port's credits with no flit in sight.
+// Any other router reads a credit only on behalf of a flit or a packet it
+// holds, and a router that holds one is not at a fixed point.
+func (r *Router) DeliverCredit(out, vc int) bool {
 	m := out*r.V + vc
 	r.credits[m]++
 	if r.credits[m] > r.D {
 		panic(fmt.Sprintf("router %d: credit overflow on out %d vc %d", r.ID, out, vc))
 	}
+	return r.cfg.Opts.Pseudo
 }
 
 func (r *Router) hasCredit(out, vc int) bool {
@@ -429,6 +436,11 @@ func (r *Router) anyCredit(out int) bool {
 // buffered in cycle t is first seen by VA, classification and SA in cycle
 // t+1. That order is the whole of the BW stage — no flit carries an arrival
 // stamp for a later phase to compare against.
+//
+// The cost of a tick follows what the router holds. Phases 2 to 4 only ever
+// act on a buffered flit, so once ST has run they are given the input ports
+// that still hold one and walk those; a router with empty buffers — one that
+// was ticked for an arrival, a grant or a credit — skips them outright.
 func (r *Router) Tick(now sim.Cycle) bool {
 	r.worked = false
 	r.busyIn, r.busyOut = 0, 0
@@ -436,15 +448,30 @@ func (r *Router) Tick(now sim.Cycle) bool {
 		r.pol.Latch(now)
 	}
 	r.executeReservations(now)
-	r.admitHeads()
-	r.allocateVCs(now)
-	r.classify()
-	r.rideCircuits(now)
-	r.switchArbitrate(now)
+	if r.ports = r.occupied(); r.ports != 0 {
+		r.admitHeads()
+		r.allocateVCs(now)
+		r.classify()
+		if r.cfg.Opts.Pseudo { // nothing else ever names a candidate
+			r.rideCircuits(now)
+		}
+		r.switchArbitrate(now)
+	}
 	r.maintainPseudoCircuits()
 	r.processArrivals(now)
 	r.res, r.nextRes = r.nextRes, r.res[:0]
 	return r.worked || r.holdsFlits()
+}
+
+// occupied returns the input ports with a buffered flit, one bit each.
+func (r *Router) occupied() uint64 {
+	var ports uint64
+	for i, m := range r.occ {
+		if m != 0 {
+			ports |= 1 << uint(i)
+		}
+	}
+	return ports
 }
 
 // holdsFlits reports whether any state demands a tick next cycle: pending
@@ -502,7 +529,8 @@ func (r *Router) executeReservations(now sim.Cycle) {
 // an idle VC, latching its lookahead route (phase 2a). The scan walks only
 // lanes with buffered flits and no active packet (occ &^ act).
 func (r *Router) admitHeads() {
-	for i := 0; i < r.nIn; i++ {
+	for p := r.ports; p != 0; p &= p - 1 {
+		i := bits.TrailingZeros64(p)
 		for m := r.occ[i] &^ r.act[i]; m != 0; m &= m - 1 {
 			vc := bits.TrailingZeros64(m)
 			h := r.buf[(i*r.V+vc)*r.D]
@@ -543,23 +571,32 @@ func (r *Router) linkDead(out int) bool {
 
 // allocateVCs performs VA for admitted packets without an output VC
 // (phase 2b). VA is independent of SA, so it proceeds for pseudo-circuit
-// flits too. Inputs are scanned from a rotating offset for fairness; within a
-// port only lanes still awaiting VA with a buffered flit (va & occ) are
-// visited — a router full of streaming bodies skips the phase entirely.
+// flits too. Only lanes still awaiting VA with a buffered flit (va & occ) are
+// visited — a router full of streaming bodies skips the phase entirely — and
+// the ports that have one are served in rotating order for fairness: from
+// port now mod nIn upwards, then from port 0 up to it. The division is paid
+// only when some lane wants VA.
 func (r *Router) allocateVCs(now sim.Cycle) {
-	n := r.nIn
-	start := int(now % sim.Cycle(n))
-	for k := 0; k < n; k++ {
-		i := start + k
-		if i >= n {
-			i -= n
+	var want uint64
+	for p := r.ports; p != 0; p &= p - 1 {
+		if i := bits.TrailingZeros64(p); r.va[i]&r.occ[i] != 0 {
+			want |= 1 << uint(i)
 		}
-		for m := r.va[i] & r.occ[i]; m != 0; m &= m - 1 {
-			vc := bits.TrailingZeros64(m)
-			if !r.buf[(i*r.V+vc)*r.D].Kind.IsHead() {
-				continue // header already traversed; body flits keep the VC
+	}
+	if want == 0 {
+		return
+	}
+	below := uint64(1)<<uint(now%sim.Cycle(r.nIn)) - 1 // ports before the rotation's start
+	for _, w := range [2]uint64{want &^ below, want & below} {
+		for ; w != 0; w &= w - 1 {
+			i := bits.TrailingZeros64(w)
+			for m := r.va[i] & r.occ[i]; m != 0; m &= m - 1 {
+				vc := bits.TrailingZeros64(m)
+				if !r.buf[(i*r.V+vc)*r.D].Kind.IsHead() {
+					continue // header already traversed; body flits keep the VC
+				}
+				r.tryVA(i, vc)
 			}
-			r.tryVA(i, vc)
 		}
 	}
 }
@@ -605,7 +642,8 @@ func (r *Router) tryVA(in, vc int) bool {
 func (r *Router) classify() {
 	r.reqs = r.reqs[:0]
 	pseudo := r.cfg.Opts.Pseudo
-	for i := 0; i < r.nIn; i++ {
+	for p := r.ports; p != 0; p &= p - 1 {
+		i := bits.TrailingZeros64(p)
 		r.pcCand[i] = -1
 		for m := r.act[i] & r.occ[i]; m != 0; m &= m - 1 {
 			vc := bits.TrailingZeros64(m)
@@ -642,7 +680,8 @@ func (r *Router) classify() {
 // (phase 3b). With the paper's starvation-free policy a candidate defers to
 // any SA request claiming either of its ports.
 func (r *Router) rideCircuits(now sim.Cycle) {
-	for i := 0; i < r.nIn; i++ {
+	for p := r.ports; p != 0; p &= p - 1 {
+		i := bits.TrailingZeros64(p)
 		v := r.pcCand[i]
 		if v < 0 {
 			continue
@@ -883,7 +922,6 @@ func (r *Router) tryBypass(now sim.Cycle, i int, f *flit.Flit) bool {
 // stage. viaPC marks pseudo-circuit reuse; bypass marks buffer bypassing
 // (the flit never occupied the buffer).
 func (r *Router) traverse(now sim.Cycle, in, vc, out int, f *flit.Flit, viaPC, bypass bool) {
-	r.worked = true
 	l := in*r.V + vc
 	rs, ps, head := r.rs, &r.rs.In[in], f.Kind.IsHead()
 
@@ -934,6 +972,7 @@ func (r *Router) traverse(now sim.Cycle, in, vc, out int, f *flit.Flit, viaPC, b
 	// Pseudo-circuit refresh: every traversal (re)writes the register
 	// (§3.B) and claims the output, terminating any other circuit on it.
 	if r.cfg.Opts.Pseudo {
+		r.worked = true
 		created, displaced := r.pc.Connect(in, vc, out)
 		if created {
 			rs.PCCreated++

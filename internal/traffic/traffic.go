@@ -65,8 +65,10 @@ type Config struct {
 
 // Synthetic is an open-loop workload implementing network.Workload.
 type Synthetic struct {
-	cfg  Config
-	rngs []*sim.RNG
+	cfg Config
+	// rngs holds each node's stream by value: Tick draws from every one of
+	// them every cycle, in node order, so they sit in one array.
+	rngs []sim.RNG
 }
 
 // NewSynthetic builds a synthetic workload; rng seeds the per-node streams.
@@ -80,9 +82,9 @@ func NewSynthetic(cfg Config, rng *sim.RNG) *Synthetic {
 	if cfg.GridW <= 0 {
 		cfg.GridW = isqrt(cfg.Nodes)
 	}
-	s := &Synthetic{cfg: cfg, rngs: make([]*sim.RNG, cfg.Nodes)}
+	s := &Synthetic{cfg: cfg, rngs: make([]sim.RNG, cfg.Nodes)}
 	for i := range s.rngs {
-		s.rngs[i] = rng.Split()
+		s.rngs[i] = *rng.Split()
 	}
 	return s
 }
@@ -91,11 +93,12 @@ func NewSynthetic(cfg Config, rng *sim.RNG) *Synthetic {
 // probability rate/packetSize (so the flit rate matches cfg.Rate).
 func (s *Synthetic) Tick(now sim.Cycle, inj network.Injector) {
 	pPkt := s.cfg.Rate / float64(s.cfg.PacketSize)
-	for node := 0; node < s.cfg.Nodes; node++ {
-		if !s.rngs[node].Bernoulli(pPkt) {
+	for node := range s.rngs {
+		rng := &s.rngs[node]
+		if !rng.Bernoulli(pPkt) {
 			continue
 		}
-		dst := s.Destination(node, s.rngs[node])
+		dst := s.Destination(node, rng)
 		if dst == node {
 			continue // patterns with fixed points skip self-traffic
 		}
