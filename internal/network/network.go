@@ -89,14 +89,18 @@ type Node interface {
 	// fixed point: further ticks would neither change its state nor touch any
 	// statistics or energy counter, so the network's active-set scheduler may
 	// skip it until the next Deliver, or the next DeliverCredit that says the
-	// fixed point is gone.
+	// fixed point is gone. The standard router asks for another tick while it
+	// holds a flit, a packet or a grant, or a pseudo-circuit to an output that
+	// has run out of credit and is its next tick's to terminate.
 	Tick(now sim.Cycle) bool
 	Deliver(in int, f *flit.Flit)
 	// DeliverCredit returns one credit for (out, vc) and reports whether the
 	// credit can undo a fixed point. False promises that a router whose last
 	// Tick returned false is still at its fixed point with the credit counted;
 	// of a router that is not at one it says nothing, and need not: that
-	// router is scheduled already.
+	// router is scheduled already. The standard router says true to one credit
+	// only, the first back to an output that had none left, and only when it
+	// speculates: a circuit to that output may now be revived.
 	DeliverCredit(out, vc int) bool
 	MarkEjection(out int)
 	Quiescent() bool

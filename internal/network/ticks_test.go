@@ -63,40 +63,62 @@ func counted(cfg *network.Config) tickLedger {
 // Baseline packet pays on unit links (EXPERIMENTS.md "Fig. 6") — and not one
 // more: no tick is spent on a router that holds nothing (a credit coming back
 // to a router the tail has left schedules nothing, and a traversal leaves a
-// baseline router nothing to settle), at any worker count. The parent made 70
+// baseline router nothing to settle), at any worker count. PR 24 made 70
 // calls here, 16 of them on a router holding nothing.
 //
+// The same packet under Pseudo+S+B, on a cold network, costs eight: its body
+// flits ride the circuit the header left (BW | PC+ST), which shortens the
+// credit round trip and the stall by a cycle; the last router ejects without
+// credit and holds the packet seven. Again not one more: no output of this
+// flow ever runs dry (five flits against sixteen credits), so HeldMask & dry
+// is empty throughout, no credit asks for a tick and no traversal leaves one
+// owing. PR 25 made 68 calls here, 21 of them on a router holding nothing.
+//
 // The three repository-benchmark points are job 0 of `bench/run.sh --seed 1`
-// (seed 2), built as noc.Experiment.Build builds them. Their parent counts,
+// (seed 2), built as noc.Experiment.Build builds them. Their PR 24 counts,
 // read with this wrapper: 221 208, 402 895 and 529 251. The sparse Baseline
 // mesh loses a fifth of its ticks or more; the EVC mesh, whose routers relay
-// most credits and were woken by each, loses some; the pseudo-circuit mesh,
-// where a credit can revive a circuit and every traversal rewrites a
-// register, keeps every one.
+// most credits and were woken by each, loses some; the pseudo-circuit mesh
+// kept every one until its routers recorded which outputs are dry, and now
+// loses the 14.3 % that were a credit to a port with credit left or the tick
+// after a traversal that settled nothing.
 func TestTicksFollowFlits(t *testing.T) {
 	t.Run("lone-flow", func(t *testing.T) {
 		const hops = 6
-		for _, workers := range []int{1, 2, 4} {
-			cfg := network.DefaultConfig(topology.NewMesh(hops, hops))
-			cfg.Opts.Workers = workers
-			l := counted(&cfg)
-			n := network.New(cfg)
-			n.CheckInvariants = true
-			p := n.NewPacket()
-			p.Src, p.Dst, p.Size = 0, hops-1, 5
-			n.Inject(p)
-			if !n.Drain(nil, 200) {
-				t.Fatalf("workers=%d: lone packet did not drain", workers)
-			}
-			n.Run(nil, 20) // the last credits come home after the tail is out
-			calls, idle := l.total()
-			if want := 9 * hops; calls != want || idle != 0 {
-				t.Errorf("workers=%d: %d Tick calls, %d of them on a router holding nothing; want %d and 0",
-					workers, calls, idle, want)
-			}
-			for r, c := range l {
-				if (r >= hops) != (c.calls == 0) {
-					t.Errorf("workers=%d: router %d ticked %d times (the path is routers 0..%d)", workers, r, c.calls, hops-1)
+		for _, tc := range []struct {
+			scheme core.Scheme
+			each   int // Tick calls per router on the path
+			last   int // and on the last, which ejects
+		}{{core.Baseline, 9, 9}, {core.PseudoSB, 8, 7}} {
+			for _, workers := range []int{1, 2, 4} {
+				cfg := network.DefaultConfig(topology.NewMesh(hops, hops))
+				cfg.Opts = core.DefaultOptions(tc.scheme)
+				cfg.Opts.Workers = workers
+				l := counted(&cfg)
+				n := network.New(cfg)
+				n.CheckInvariants = true
+				p := n.NewPacket()
+				p.Src, p.Dst, p.Size = 0, hops-1, 5
+				n.Inject(p)
+				if !n.Drain(nil, 200) {
+					t.Fatalf("%v workers=%d: lone packet did not drain", tc.scheme, workers)
+				}
+				n.Run(nil, 20) // the last credits come home after the tail is out
+				if _, idle := l.total(); idle != 0 {
+					t.Errorf("%v workers=%d: %d Tick calls on a router holding nothing; want 0", tc.scheme, workers, idle)
+				}
+				for r, c := range l {
+					want := 0
+					switch {
+					case r < hops-1:
+						want = tc.each
+					case r == hops-1:
+						want = tc.last
+					}
+					if c.calls != want {
+						t.Errorf("%v workers=%d: router %d ticked %d times; want %d (the path is routers 0..%d)",
+							tc.scheme, workers, r, c.calls, want, hops-1)
+					}
 				}
 			}
 		}
@@ -133,8 +155,8 @@ func TestTicksFollowFlits(t *testing.T) {
 			name:    "mesh8-ur-psb",
 			cfg:     network.Config{Topo: mesh8, Policy: vcalloc.Static, Opts: core.DefaultOptions(core.PseudoSB)},
 			pattern: traffic.UniformRandom, rate: 0.10, warmup: 1000, measure: 10000,
-			ok:   func(calls int) bool { return calls == 529251 },
-			want: "exactly 529251",
+			ok:   func(calls int) bool { return calls == 453508 && 100*calls <= 87*529251 },
+			want: "exactly 453508, at most 0.87 x 529251",
 		},
 	} {
 		tc := tc

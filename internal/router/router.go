@@ -163,6 +163,14 @@ type Router struct {
 	// Output-lane views (len nOut*V).
 	credits []int
 	vcBusy  []bool
+	// dry is derived: bit out ⇔ non-ejection output out has no credit left in
+	// any VC. That is §3.C condition 2's "congestion at the downstream router
+	// on the output port" — a port-level condition, not a per-VC one: transient
+	// exhaustion of one VC inside a streaming packet neither terminates a
+	// circuit nor bars speculation (§4.A), because per-flit safety is already
+	// enforced by the credit check every traversal performs. The two sites that
+	// write a credit keep it: DeliverCredit clears the bit, traverse sets it.
+	dry uint64
 
 	// pc is the pseudo-circuit register file (read here, written in core).
 	pc *core.RegFile
@@ -197,15 +205,6 @@ type Router struct {
 	// site) unless tracing is on.
 	rs *stats.RouterStats
 	tr *obs.Tracer
-
-	// worked records that this tick rewrote the pseudo-circuit registers or
-	// histories, which holdsFlits cannot see: a crossbar traversal under
-	// Opts.Pseudo (it connects a circuit even when the flit leaves the router
-	// empty) or a termination/speculation. Any such event may enable further
-	// maintenance next cycle, so the router stays scheduled one more tick to
-	// reach its fixed point. Never set without Opts.Pseudo: a baseline or
-	// policy router keeps nothing a traversal could leave unsettled.
-	worked bool
 }
 
 // New constructs a router with the given input and output radix. Ejection
@@ -397,40 +396,40 @@ func (r *Router) trace(now sim.Cycle, kind obs.Kind, f *flit.Flit, in, vc, out i
 // DeliverCredit returns one credit for (output port out, VC vc); the network
 // calls it when the downstream hop frees a buffer slot. It reports whether the
 // credit can undo a fixed point, so whether a router whose last Tick returned
-// false must be ticked for it. Under Opts.Pseudo it can: credit-exhaustion
-// termination and speculation read the port's credits with no flit in sight.
-// Any other router reads a credit only on behalf of a flit or a packet it
-// holds, and a router that holds one is not at a fixed point.
+// false must be ticked for it. One credit can: the first back to a dry port,
+// under Opts.Speculation — phase 5 passed that port over with no flit in sight
+// and may now revive a circuit to it. Any other credit is read on behalf of a
+// flit or a packet the router holds (and a router that holds one is not at a
+// fixed point), or by phase 5 as a port that was not dry and still is not.
 func (r *Router) DeliverCredit(out, vc int) bool {
 	m := out*r.V + vc
 	r.credits[m]++
 	if r.credits[m] > r.D {
 		panic(fmt.Sprintf("router %d: credit overflow on out %d vc %d", r.ID, out, vc))
 	}
-	return r.cfg.Opts.Pseudo
+	wasDry := r.dry>>uint(out)&1 != 0
+	r.dry &^= 1 << uint(out)
+	return wasDry && r.cfg.Opts.Speculation
 }
 
 func (r *Router) hasCredit(out, vc int) bool {
 	return r.ejection[out] || r.credits[out*r.V+vc] > 0
 }
 
-// anyCredit reports whether any VC of output port out has credit.
-func (r *Router) anyCredit(out int) bool {
-	if r.ejection[out] {
-		return true
-	}
+// noCredit reports what output port out's dry bit records: no credit in any VC.
+func (r *Router) noCredit(out int) bool {
 	for _, c := range r.credits[out*r.V : (out+1)*r.V] {
 		if c > 0 {
-			return true
+			return false
 		}
 	}
-	return false
+	return true
 }
 
 // Tick advances the router by one cycle. It reports whether the router must
-// be ticked again next cycle; false means this tick was a no-op apart from
-// clearing scratch state and, absent new deliveries, every later tick would
-// be too (the active-set fixed point).
+// be ticked again next cycle; false means that, absent new deliveries, every
+// later tick would be a no-op apart from clearing scratch state (the
+// active-set fixed point).
 //
 // Arrivals are the last phase, and the only one that writes a buffer: a flit
 // buffered in cycle t is first seen by VA, classification and SA in cycle
@@ -441,8 +440,15 @@ func (r *Router) anyCredit(out int) bool {
 // act on a buffered flit, so once ST has run they are given the input ports
 // that still hold one and walk those; a router with empty buffers — one that
 // was ticked for an arrival, a grant or a credit — skips them outright.
+//
+// A router holding no flit, packet or grant has phase 5 as its only reader,
+// and one pass of phase 5 is its own fixed point: terminations come before
+// revivals, a revival only ever bars later ones, and an output reserved against
+// revival means a grant is held. What a tick can still leave unsettled is a
+// phase-6 bypass, which runs after phase 5 and may spend the last credit of the
+// port its circuit holds: the next tick's to terminate, exactly HeldMask & dry
+// (empty without Opts.Pseudo, whose register file never holds an output).
 func (r *Router) Tick(now sim.Cycle) bool {
-	r.worked = false
 	r.busyIn, r.busyOut = 0, 0
 	if r.pol != nil {
 		r.pol.Latch(now)
@@ -460,7 +466,7 @@ func (r *Router) Tick(now sim.Cycle) bool {
 	r.maintainPseudoCircuits()
 	r.processArrivals(now)
 	r.res, r.nextRes = r.nextRes, r.res[:0]
-	return r.worked || r.holdsFlits()
+	return r.holdsFlits() || r.cfg.Opts.TerminateOnZeroCredit && r.pc.HeldMask&r.dry != 0
 }
 
 // occupied returns the input ports with a buffered flit, one bit each.
@@ -805,43 +811,32 @@ func (r *Router) maintainPseudoCircuits() {
 		return
 	}
 	if r.cfg.Opts.TerminateOnZeroCredit {
-		for m := r.pc.ValidMask; m != 0; m &= m - 1 {
-			i := bits.TrailingZeros64(m)
-			// §3.C condition 2: "congestion at the downstream router on the
-			// output port" — a port-level condition (no credit left in any
-			// VC); transient per-VC exhaustion inside a streaming packet does
-			// not terminate the circuit, because per-flit safety is already
-			// enforced by the credit check every traversal performs.
-			if !r.anyCredit(r.pc.Out[i]) {
-				r.pc.Terminate(i)
-				r.rs.PCTerminated++
-				r.worked = true
-			}
+		for m := r.pc.HeldMask & r.dry; m != 0; m &= m - 1 {
+			r.pc.Terminate(r.pc.ByOut[bits.TrailingZeros64(m)])
+			r.rs.PCTerminated++
 		}
 	}
 	if !r.cfg.Opts.Speculation {
 		return
 	}
-	// Only outputs with a recorded history, no live circuit, and no crossbar
-	// reservation for next cycle can host a speculative connection; the masks
-	// select exactly those.
-	var resMask uint64
+	// Only outputs with a recorded history, no live circuit, no crossbar
+	// reservation for next cycle and (the paper's rule) some credit left can
+	// host a speculative connection; the masks select exactly those.
+	bar := r.pc.HeldMask
 	for _, res := range r.nextRes {
-		resMask |= 1 << uint(res.out)
+		bar |= 1 << uint(res.out)
 	}
-	for om := r.pc.HistMask &^ r.pc.HeldMask &^ resMask; om != 0; om &= om - 1 {
+	if !r.cfg.Opts.SpeculateToCongested {
+		bar |= r.dry
+	}
+	for om := r.pc.HistMask &^ bar; om != 0; om &= om - 1 {
 		o := bits.TrailingZeros64(om)
 		if r.linkDead(o) {
 			continue // never speculate a circuit across a dead link
 		}
-		if !r.anyCredit(o) && !r.cfg.Opts.SpeculateToCongested {
-			continue
+		if r.pc.ConnectSpeculative(o) {
+			r.rs.PCSpeculated++
 		}
-		if !r.pc.ConnectSpeculative(o) {
-			continue
-		}
-		r.rs.PCSpeculated++
-		r.worked = true
 	}
 }
 
@@ -972,7 +967,6 @@ func (r *Router) traverse(now sim.Cycle, in, vc, out int, f *flit.Flit, viaPC, b
 	// Pseudo-circuit refresh: every traversal (re)writes the register
 	// (§3.B) and claims the output, terminating any other circuit on it.
 	if r.cfg.Opts.Pseudo {
-		r.worked = true
 		created, displaced := r.pc.Connect(in, vc, out)
 		if created {
 			rs.PCCreated++
@@ -990,6 +984,9 @@ func (r *Router) traverse(now sim.Cycle, in, vc, out int, f *flit.Flit, viaPC, b
 		r.credits[m]--
 		if r.credits[m] < 0 {
 			panic(fmt.Sprintf("router %d: negative credit on out %d vc %d", r.ID, out, ov))
+		}
+		if r.credits[m] == 0 && r.noCredit(out) {
+			r.dry |= 1 << uint(out)
 		}
 	}
 	if r.pol != nil {
@@ -1152,11 +1149,11 @@ func (r *Router) Quiescent() bool {
 // CheckInvariants panics if internal invariants are violated; tests call it
 // every cycle. Beyond the paper's structural invariants it verifies every
 // derived structure the SoA layout introduced — the occupancy index against
-// the buffers and the VA mask against the active lanes here, the register
-// file's through its own check — and the two rules a policy's VA pick and
-// phase-0 latch must keep: a non-ejection output VC is busy exactly when one
-// active lane owns it, and no flit is buffered with express hops still ahead
-// of it.
+// the buffers, the VA mask against the active lanes and the dry word against
+// the credits here, the register file's through its own check — and the two
+// rules a policy's VA pick and phase-0 latch must keep: a non-ejection output
+// VC is busy exactly when one active lane owns it, and no flit is buffered
+// with express hops still ahead of it.
 func (r *Router) CheckInvariants() {
 	owners := make([]int, r.nOut*r.V)
 	for i := 0; i < r.nIn; i++ {
@@ -1193,6 +1190,9 @@ func (r *Router) CheckInvariants() {
 		panic(fmt.Sprintf("router %d: %v", r.ID, err))
 	}
 	for o := 0; o < r.nOut; o++ {
+		if dry := r.dry>>uint(o)&1 != 0; dry != (!r.ejection[o] && r.noCredit(o)) {
+			panic(fmt.Sprintf("router %d: dry bit desynced at out %d (%v, credits say %v)", r.ID, o, dry, !dry))
+		}
 		for vc := 0; vc < r.V; vc++ {
 			c := r.credits[o*r.V+vc]
 			if !r.ejection[o] && (c < 0 || c > r.D) {

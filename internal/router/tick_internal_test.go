@@ -3,6 +3,7 @@ package router
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"pseudocircuit/internal/core"
@@ -144,63 +145,155 @@ func TestVAOrderMatchesRotation(t *testing.T) {
 	}
 }
 
-// TestCreditWakesPseudoRouter pins the two halves of DeliverCredit's answer.
-// A quiescent Pseudo+S router whose one history register points at an output
-// with no credit left revives that circuit on the tick after a credit comes
-// back, with no flit anywhere: the credit has to schedule it. The same
-// sequence on a Baseline router answers false, and the tick it would have
-// caused changes no field, counter or register.
-func TestCreditWakesPseudoRouter(t *testing.T) {
-	// spend sends 16 single-flit packets from input 1 to output 2 and never
-	// returns a credit, then ticks the router to its fixed point.
-	spend := func(b *bench) sim.Cycle {
-		now := sim.Cycle(0)
-		for i := 0; i < 16; i++ {
-			f := flit.Split(&flit.Packet{ID: uint64(i), Src: 0, Dst: 1, Size: 1})[0]
-			f.VC, f.NextOut = 0, 2
-			b.r.Deliver(1, f)
-			for len(b.sent) <= i {
-				b.r.Tick(now)
-				now++
+// spend brings b's router to its fixed point with output 2 down n of its 16
+// credits, spent by single-flit packets from input 1, and output 3 down two,
+// spent from input 0; no credit is ever returned. It returns the next cycle.
+func spend(t *testing.T, b *bench, n int) sim.Cycle {
+	t.Helper()
+	r, now, id := b.r, sim.Cycle(0), 0
+	send := func(in, out, n int) {
+		for ; n > 0; n-- {
+			f := flit.Split(&flit.Packet{ID: uint64(id), Src: 0, Dst: 1, Size: 1})[0]
+			f.VC, f.NextOut = 0, out
+			r.Deliver(in, f)
+			for id++; len(b.sent) < id; now++ {
+				r.Tick(now)
 			}
 		}
-		for b.r.Tick(now) {
-			now++
-		}
+	}
+	send(1, 2, n)
+	send(0, 3, 2)
+	for r.Tick(now) {
 		now++
-		if !b.r.Quiescent() || b.r.anyCredit(2) {
-			t.Fatalf("set-up: quiescent=%v, output 2 has credit=%v; want true, false", b.r.Quiescent(), b.r.anyCredit(2))
+	}
+	r.CheckInvariants()
+	var want uint64
+	if n == 16 { // 4 VCs of 4 flits: the port's last credit
+		want = 1 << 2
+	}
+	if !r.Quiescent() || r.dry != want {
+		t.Fatalf("set-up: quiescent=%v, dry=%b; want true, %b", r.Quiescent(), r.dry, want)
+	}
+	return now + 1
+}
+
+// TestCreditWakesPseudoRouter pins DeliverCredit's answer: a credit asks for a
+// tick exactly when it is the first back to a dry port of a router that
+// speculates. Each router is brought to its fixed point with output 2 dry.
+// The credit to output 3, which was not dry, answers false under every scheme,
+// and the tick it would have caused changes no byte of the router, its row or
+// its register file. The credit to output 2 answers true under Pseudo+S and
+// Pseudo+S+B, and the tick it asks for revives input 1's circuit with no flit
+// anywhere; without speculation — Pseudo, Pseudo+B, Baseline — it answers
+// false too, and that tick is as idle as the other.
+func TestCreditWakesPseudoRouter(t *testing.T) {
+	for _, scheme := range core.Schemes {
+		b := newBench(5, 4, core.DefaultOptions(scheme))
+		r, now := b.r, spend(t, b, 16)
+		if scheme.Pseudo && (r.pc.Valid(1) || !r.pc.Valid(0) || r.pc.HistMask != 1<<2|1<<3) {
+			t.Fatalf("%v set-up: valid mask %b, history mask %b; want input 1's circuit dead, input 0's live, both outputs' history kept",
+				scheme, r.pc.ValidMask, r.pc.HistMask)
 		}
-		return now
-	}
+		// idle ticks the router once and reports what that changed.
+		idle := func(why string) {
+			t.Helper()
+			before := snapshot(r)
+			if r.Tick(now) {
+				t.Errorf("%v: the tick nobody asked for (%s) wants another", scheme, why)
+			}
+			now++
+			if after := snapshot(r); after != before {
+				t.Errorf("%v: the tick nobody asked for (%s) changed the router:\nbefore %s\nafter  %s", scheme, why, before, after)
+			}
+		}
 
-	b := newBench(5, 4, core.DefaultOptions(core.PseudoS))
-	now := spend(b)
-	if b.r.pc.Valid(1) || b.r.pc.HistMask>>2&1 == 0 {
-		t.Fatalf("set-up: circuit valid=%v, history mask %b; want a dead circuit with output 2's history kept",
-			b.r.pc.Valid(1), b.r.pc.HistMask)
-	}
-	spec := b.r.rs.PCSpeculated
-	if !b.r.DeliverCredit(2, 0) {
-		t.Error("a credit that lets a pseudo-circuit router speculate did not ask for a tick")
-	}
-	b.r.Tick(now)
-	b.r.CheckInvariants()
-	if out, valid := b.r.PCValid(1); !valid || out != 2 || b.r.rs.PCSpeculated != spec+1 {
-		t.Errorf("after the credit's tick: circuit out=%d valid=%v, %d speculations; want 2, true, %d",
-			out, valid, b.r.rs.PCSpeculated, spec+1)
-	}
+		if r.DeliverCredit(3, 0) {
+			t.Errorf("%v: a credit to a port that was not dry asked for a tick", scheme)
+		}
+		idle("a credit to a port with credit")
 
-	b = newBench(5, 4, core.DefaultOptions(core.Baseline))
-	now = spend(b)
-	if b.r.DeliverCredit(2, 0) {
-		t.Error("a credit to a baseline router that holds nothing asked for a tick")
+		spec := r.rs.PCSpeculated
+		if woke := r.DeliverCredit(2, 0); woke != scheme.Speculation {
+			t.Errorf("%v: the first credit back to a dry port with history asked for a tick: %v; want %v", scheme, woke, scheme.Speculation)
+		}
+		if r.dry != 0 {
+			t.Errorf("%v: dry=%b after the credit; want 0", scheme, r.dry)
+		}
+		if !scheme.Speculation {
+			idle("a credit to a dry port, no speculation")
+			continue
+		}
+		r.Tick(now)
+		r.CheckInvariants()
+		if out, valid := r.PCValid(1); !valid || out != 2 || r.rs.PCSpeculated != spec+1 {
+			t.Errorf("%v, after the credit's tick: circuit out=%d valid=%v, %d speculations; want 2, true, %d",
+				scheme, out, valid, r.rs.PCSpeculated, spec+1)
+		}
 	}
-	before := snapshot(b.r)
-	if b.r.Tick(now) {
-		t.Error("the tick nobody asked for wants another")
+}
+
+// TestCheckInvariantsCatchesDryDesync flips one output's dry bit, in each
+// direction and on the ejection port, on a router with one dry output, and
+// expects CheckInvariants to name the port and what the credits say.
+func TestCheckInvariantsCatchesDryDesync(t *testing.T) {
+	for _, c := range []struct {
+		out  uint
+		want string
+	}{
+		{2, "dry bit desynced at out 2 (false, credits say true)"},
+		{3, "dry bit desynced at out 3 (true, credits say false)"},
+		{4, "dry bit desynced at out 4 (true, credits say false)"},
+	} {
+		b := newBench(5, 4, core.DefaultOptions(core.PseudoSB))
+		spend(t, b, 16)
+		b.r.dry ^= 1 << c.out
+		func() {
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, c.want) {
+					t.Errorf("flipping output %d's dry bit: CheckInvariants said %q; want %q", c.out, msg, c.want)
+				}
+			}()
+			b.r.CheckInvariants()
+		}()
 	}
-	if after := snapshot(b.r); after != before {
-		t.Errorf("the tick nobody asked for changed the router:\nbefore %s\nafter  %s", before, after)
+}
+
+// TestTickOwesTheTerminationABypassLeaves pins the second term of Tick's
+// return. A Pseudo+B router at its fixed point holds input 1's circuit to
+// output 2, which has one credit left. A single-flit packet that matches the
+// circuit bypasses the buffer in phase 6 — after phase 5 — and spends it: the
+// router holds nothing, and still owes the termination of a circuit to a dry
+// port (§3.C condition 2), so the tick asks for another, which terminates it
+// and asks for no more. With TerminateOnZeroCredit off nothing is owed.
+func TestTickOwesTheTerminationABypassLeaves(t *testing.T) {
+	for _, terminate := range []bool{true, false} {
+		opts := core.DefaultOptions(core.PseudoB)
+		opts.TerminateOnZeroCredit = terminate
+		b := newBench(5, 4, opts)
+		r, now := b.r, spend(t, b, 15)
+		f := flit.Split(&flit.Packet{ID: 99, Src: 0, Dst: 1, Size: 1})[0]
+		f.VC, f.NextOut = 0, 2
+		r.Deliver(1, f)
+		bypassed, terminated := r.rs.In[1].Bypassed, r.rs.PCTerminated
+		again := r.Tick(now)
+		r.CheckInvariants()
+		if r.rs.In[1].Bypassed != bypassed+1 || !r.Quiescent() || r.dry != 1<<2 || !r.pc.Valid(1) {
+			t.Fatalf("terminate=%v set-up: %d bypasses, quiescent=%v, dry=%b, circuit valid=%v; want %d, true, output 2, true",
+				terminate, r.rs.In[1].Bypassed, r.Quiescent(), r.dry, r.pc.Valid(1), bypassed+1)
+		}
+		if again != terminate {
+			t.Errorf("terminate=%v: the bypass's tick asks for another: %v", terminate, again)
+		}
+		if !terminate {
+			continue
+		}
+		if r.Tick(now + 1) {
+			t.Error("the tick that terminates the circuit asks for another")
+		}
+		r.CheckInvariants()
+		if r.pc.Valid(1) || r.rs.PCTerminated != terminated+1 {
+			t.Errorf("after the owed tick: circuit valid=%v, %d terminations; want false, %d",
+				r.pc.Valid(1), r.rs.PCTerminated, terminated+1)
+		}
 	}
 }
