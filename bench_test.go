@@ -9,7 +9,6 @@ package pseudocircuit_test
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 
 	"pseudocircuit/internal/experiments"
@@ -227,45 +226,33 @@ func BenchmarkSimulatorNaiveKernel(b *testing.B) {
 	}
 }
 
-// BenchmarkFig12Sequential / BenchmarkFig12Parallel measure the cycle
-// kernel's sharded schedule against the one-shard one at a Fig. 12-style
-// operating point (8×8 mesh, Pseudo+S+B, loaded uniform-random traffic).
-// Parallel drives Run so the worker goroutines are live (one start/stop per
-// iteration batch, not per cycle); the ratio of the two ns/cycle figures is
-// the parallel speedup at GOMAXPROCS workers.
-func BenchmarkFig12Sequential(b *testing.B) { benchKernel(b, 8, 0.18, 0) }
+// BenchmarkFig12Sequential is ns per cycle of the kernel at a Fig. 12-style
+// operating point (8×8 mesh, Pseudo+S+B, loaded uniform-random traffic), driven
+// through Run.
+func BenchmarkFig12Sequential(b *testing.B) { benchKernel(b, 8, 0.18) }
 
-func BenchmarkFig12Parallel(b *testing.B) { benchKernel(b, 8, 0.18, runtime.GOMAXPROCS(0)) }
-
-// BenchmarkKernelSchedules is the mesh size × workers matrix behind
-// EXPERIMENTS.md "Cycle kernel schedules": where sharding the cycle pays and
-// where it costs. The large meshes take seconds to warm; run it with a
-// fixed, small iteration count (-benchtime 500x).
+// BenchmarkKernelSchedules is the mesh-size matrix behind EXPERIMENTS.md
+// "Cycle kernel schedules": what a cycle of the one schedule costs as the
+// network grows. The large meshes take seconds to warm; run it with a fixed,
+// small iteration count (-benchtime 500x).
 func BenchmarkKernelSchedules(b *testing.B) {
 	for _, side := range []int{8, 16, 32, 64} {
-		for _, workers := range []int{0, 2, 4} {
-			b.Run(fmt.Sprintf("mesh%dx%d/workers=%d", side, side, workers), func(b *testing.B) {
-				benchKernel(b, side, 0.10, workers)
-			})
-		}
+		b.Run(fmt.Sprintf("mesh%dx%d", side, side), func(b *testing.B) {
+			benchKernel(b, side, 0.10)
+		})
 	}
 	// The other end of the load axis, at the repository benchmark's largest
 	// state: ~45 of 576 routers tick per cycle, so the cycle is what it costs
 	// to find them.
-	for _, workers := range []int{0, 2} {
-		b.Run(fmt.Sprintf("mesh24x24-sparse/workers=%d", workers), func(b *testing.B) {
-			benchKernel(b, 24, 0.002, workers)
-		})
-	}
+	b.Run("mesh24x24-sparse", func(b *testing.B) { benchKernel(b, 24, 0.002) })
 }
 
-func benchKernel(b *testing.B, side int, rate float64, workers int) {
+func benchKernel(b *testing.B, side int, rate float64) {
 	benchCycles(b, noc.Experiment{
 		Topology: noc.Mesh(side, side),
 		Scheme:   noc.PseudoSB,
 		Routing:  noc.XY,
 		Policy:   noc.StaticVA,
-		Workers:  workers,
 	}, noc.Synthetic{Pattern: noc.UniformRandom, Rate: rate})
 }
 

@@ -181,13 +181,18 @@ func TestDaemonErrors(t *testing.T) {
 		t.Fatalf("cancel unknown job: %v, want 404", err)
 	}
 
-	resp, err := http.Post(srv.URL+"/jobs", "application/json", strings.NewReader(`{"bogus`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("malformed body: status %d, want 400", resp.StatusCode)
+	for _, body := range []string{
+		`{"bogus`,
+		`{"topology":"mesh4x4","scheme":"pseudo","workers":2,"workload":{"rate":0.1}}`, // no such field
+	} {
+		resp, err := http.Post(srv.URL+"/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("body %q: status %d, want 400", body, resp.StatusCode)
+		}
 	}
 }
 

@@ -139,6 +139,7 @@ func TestSweepEndpointRejects(t *testing.T) {
 	cases := []string{
 		`{"axes":{"seed":[1]}}`,
 		`{"template":{"topology":"mesh4x4"},"axes":{"seed":[1],"seed":[2]}}`,
+		`{"template":{"topology":"mesh4x4","scheme":"pseudo","workers":2,"workload":{"rate":0.1}},"axes":{"seed":[1]}}`,
 		`not json`,
 	}
 	for _, body := range cases {

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -38,7 +39,6 @@ func main() {
 		warmup    = flag.Int("warmup", 1000, "warmup cycles")
 		measure   = flag.Int("measure", 10000, "measured cycles")
 		seed      = flag.Uint64("seed", 1, "simulation seed")
-		workers   = flag.Int("workers", 0, "cycle-kernel worker goroutines per cycle (0/1 sequential); any value gives bit-identical results")
 		useEVC    = flag.Bool("evc", false, "use the Express-Virtual-Channel comparison router (scheme must be baseline)")
 		faults    = flag.String("faults", "", `fault schedule as inline JSON or @file, e.g. '{"events":[{"cycle":2000,"kind":"link-down","router":5},{"cycle":4000,"kind":"link-up","router":5}]}' (overrides the config file's schedule)`)
 		churn     = flag.String("churn", "", `stochastic fault churn as inline JSON or @file, e.g. '{"seed":7,"linkFail":1e-5,"linkRepair":0.002}' (mutually exclusive with -faults)`)
@@ -85,9 +85,6 @@ func main() {
 			Seed:     *seed,
 			UseEVC:   *useEVC,
 		}
-	}
-	if *workers > 0 {
-		spec.Workers = *workers
 	}
 	if *faults != "" {
 		spec.Faults = new(noc.FaultSpec)
@@ -205,8 +202,13 @@ func decodeArg(what, arg string, v any) {
 			fatal("reading %s: %v", what, err)
 		}
 	}
-	if err := json.Unmarshal(data, v); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields() // a field nocsim does not know is refused, as nocd refuses it
+	if err := dec.Decode(v); err != nil {
 		fatal("parsing %s: %v", what, err)
+	}
+	if dec.More() {
+		fatal("parsing %s: trailing data after the JSON value", what)
 	}
 }
 

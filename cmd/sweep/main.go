@@ -77,7 +77,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		measure  = fs.Int("measure", 10000, "measured cycles")
 		benches  = fs.String("benchmarks", "", "comma-separated benchmark subset (default: all)")
 		seed     = fs.Uint64("seed", 1, "base seed")
-		workers  = fs.Int("workers", 0, "cycle-kernel worker goroutines per run (0/1 sequential); any value gives bit-identical results")
 		csv      = fs.Bool("csv", false, "emit CSV instead of aligned tables")
 		progress = fs.Bool("progress", false, "report live per-simulation progress on stderr")
 
@@ -102,7 +101,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *warmup < 0 || *measure < 0 {
 		return fail("-warmup %d -measure %d: cycle counts must not be negative", *warmup, *measure)
 	}
-	o := experiments.Options{Warmup: *warmup, Measure: *measure, Seed: *seed, Workers: *workers}
+	o := experiments.Options{Warmup: *warmup, Measure: *measure, Seed: *seed}
 	if *benches != "" {
 		o.Benchmarks = strings.Split(*benches, ",")
 		known := noc.CMPBenchmarks()

@@ -46,30 +46,22 @@ func TestGoldenDeterminism(t *testing.T) {
 	}
 }
 
-// kernelPoint selects a cycle kernel through the public API: the naive
-// reference loop, the default active-set kernel, or the sharded parallel
-// kernel at a given worker count.
+// kernelPoint selects a schedule of the cycle kernel through the public API:
+// the naive reference loop or the default active-set kernel.
 type kernelPoint struct {
-	name    string
-	naive   bool
-	workers int
+	name  string
+	naive bool
 }
 
 // kernelTriangle is checked in every equivalence test below: the naive
-// reference, the sequential active-set kernel, and the parallel kernel at
-// the worker counts the acceptance harness requires.
+// reference first, then the active-set kernel that must match it.
 var kernelTriangle = []kernelPoint{
-	{"naive", true, 0},
-	{"active", false, 0},
-	{"par1", false, 1},
-	{"par2", false, 2},
-	{"par4", false, 4},
-	{"par8", false, 8},
+	{"naive", true},
+	{"active", false},
 }
 
 // TestNaiveKernelEquivalence checks the NaiveKernel reference loop against
-// the default active-set kernel and the parallel kernel through the public
-// API, including the EVC comparison router and the closed-loop CMP
+// the default active-set kernel through the public API, including the EVC comparison router and the closed-loop CMP
 // substrate, whose workloads have idle phases that exercise router
 // deactivation.
 func TestNaiveKernelEquivalence(t *testing.T) {
@@ -89,7 +81,7 @@ func TestNaiveKernelEquivalence(t *testing.T) {
 		rows []noc.RouterStats
 	}
 	runOn := func(e noc.Experiment, k kernelPoint, w noc.Workload) ran {
-		e.NaiveKernel, e.Workers = k.naive, k.workers
+		e.NaiveKernel = k.naive
 		n := e.Build()
 		return ran{e.RunOn(n, w), n.Registry().Routers()}
 	}
@@ -143,8 +135,8 @@ func TestNaiveKernelEquivalence(t *testing.T) {
 
 // TestTraceReplayKernelEquivalence closes the workload matrix: a packet
 // trace extracted from the CMP substrate is replayed open-loop (the paper's
-// methodology) through every kernel, driving the network's Drain path
-// rather than the fixed-cycle Run path. All kernels must drain the trace in
+// methodology) through both schedules, driving the network's Drain path
+// rather than the fixed-cycle Run path. Both must drain the trace in
 // the same number of cycles with bit-identical statistics and per-router
 // counters (energy is their sum).
 func TestTraceReplayKernelEquivalence(t *testing.T) {
@@ -179,7 +171,6 @@ func TestTraceReplayKernelEquivalence(t *testing.T) {
 	run := func(k kernelPoint) *network.Network {
 		cfg := network.DefaultConfig(topology.NewCMesh(4, 4, 4))
 		cfg.Opts = core.DefaultOptions(core.PseudoSB)
-		cfg.Opts.Workers = k.workers
 		cfg.Naive = k.naive
 		n := network.New(cfg)
 		if !n.Drain(trace.NewPlayer(recs), 50*len(recs)+100000) {

@@ -115,14 +115,6 @@ type Options struct {
 	// pseudo-circuit); the strict reading costs extra deferral cycles and
 	// is kept as an ablation.
 	PCDefersToSA bool
-
-	// Workers selects the cycle kernel's worker count: values above 1 tick
-	// routers on that many goroutines inside each simulated cycle. Workers
-	// is an execution knob, not a model parameter — results are bit-identical
-	// for every worker count (the determinism harness enforces this), so it
-	// never participates in result caching or canonical experiment specs.
-	// 0 or 1 selects the sequential kernel.
-	Workers int
 }
 
 // DefaultOptions returns the paper's configuration for the given scheme.

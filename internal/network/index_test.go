@@ -11,15 +11,14 @@ import (
 	"pseudocircuit/internal/traffic"
 )
 
-// TestWorkIndexesOffWordBoundaries runs the determinism triangle where the
-// shards' word-packed indexes are awkward: a 9×9 mesh has 81 routers and NIs,
-// so at workers 1/2/4/8 no shard range is a multiple of 64, every shard's
-// last word is partial and most shards start mid-way through what would be a
-// network-wide word. CheckInvariants is on (buildKernel's contract), so every
-// cycle of every shard verifies that each NI holding a packet and each
-// non-quiescent router has its bit. The faulted and the reliable schedules
-// purge packets out of source queues and router buffers without telling the
-// indexes, and wake every router on each event.
+// TestWorkIndexesOffWordBoundaries runs the determinism pair where the
+// word-packed indexes are awkward: a 9×9 mesh has 81 routers and NIs, so each
+// index is one full word and a 17-bit tail that setAll (the naive reference,
+// and wakeAll on every fault event) must mask. CheckInvariants is on, so every
+// cycle verifies that each NI holding a packet and each non-quiescent router
+// has its bit. The faulted and the reliable schedules purge packets out of
+// source queues and router buffers without telling the indexes, and wake every
+// router on each event.
 func TestWorkIndexesOffWordBoundaries(t *testing.T) {
 	m := topology.NewMesh(9, 9)
 	churned, err := fault.Churn{
@@ -60,7 +59,6 @@ func TestWorkIndexesOffWordBoundaries(t *testing.T) {
 			run := func(k kernel) *network.Network {
 				cfg := network.DefaultConfig(m)
 				cfg.Opts = core.DefaultOptions(core.PseudoSB)
-				cfg.Opts.Workers = k.workers
 				cfg.Naive = k.naive
 				cfg.Faults = tc.faults
 				cfg.Reliable = tc.rel

@@ -8,20 +8,16 @@
 // cross-router effects are latched with at least one cycle of latency, so
 // routers tick in a fixed order without affecting results.
 //
-// There is one cycle kernel (Step; DESIGN.md §9). Routers and NIs are split
-// into contiguous shards — always at least one — and every cycle is a main
-// phase, one phase per shard, and a merge in shard order. The kernel is
-// work-proportional: a shard ticks only routers that hold state, received a
-// flit, or received a credit that can change what they do (any other router
-// is provably at a fixed point, so skipping it is bit-identical to ticking
-// it), and flits and packets come from a free list, so the steady-state cycle
-// allocates nothing. What differs between runs is only the schedule: the
-// sequential kernel is one shard run inline, Config.Naive is that shard with
-// every router ticked (the reference the determinism harness compares
-// against), and Opts.Workers > 1 makes that many shards, which Run and Drain
-// put goroutines behind. Shards cannot observe each other inside a cycle —
-// that is the latching invariant above — and their side effects are merged in
-// fixed shard order, so every schedule produces the same bits.
+// There is one cycle kernel (Step; DESIGN.md §9), on one goroutine: a main
+// phase, then one pass that latches the due deliveries, injects from the NIs
+// and ticks the routers. The kernel is work-proportional: it ticks only
+// routers that hold state, received a flit, or received a credit that can
+// change what they do (any other router is provably at a fixed point, so
+// skipping it is bit-identical to ticking it), and flits and packets come from
+// a free list, so the steady-state cycle allocates nothing. Config.Naive is the
+// same pass with every router ticked: the reference the determinism harness
+// compares against. More CPUs go to whole simulations side by side (cmd/sweep's
+// points, nocd's jobs), never inside a cycle.
 package network
 
 import (
@@ -144,7 +140,7 @@ type Config struct {
 
 	// Faults declares a deterministic fault schedule: cycle-stamped
 	// link/router down/up events applied inside the kernel's main phase, so
-	// faulted runs stay bit-identical across all kernels and worker counts.
+	// faulted runs stay bit-identical on both schedules.
 	// The schedule must satisfy fault.Schedule.Validate on the network's
 	// topology; nil or empty behaves exactly like no schedule at all.
 	Faults *fault.Schedule
@@ -202,81 +198,8 @@ type credRet struct {
 	router, out, vc int
 }
 
-// pending is a shard-buffered schedule call: a delivery plus the link
-// latency it was issued with.
-type pending struct {
-	lat int
-	d   delivery
-}
-
-// shard is one slice of the network: a contiguous router range [r0, r1), a
-// contiguous NI range [n0, n1), and a private copy of every global structure
-// a router tick or NI injection touches, so shards can run a cycle's phase
-// concurrently. Its routers count into their own registry rows, its NIs draw
-// flits from pool, and both emit through schedule.
-//
-// A network with several shards buffers their emissions in pend and has the
-// main goroutine replay them after the phases: injections in shard order
-// (ascending node order) and then router emissions in shard order (ascending
-// router order), which is the order one shard alone appends them in. So a
-// lone shard has nothing to reorder: it appends straight to the delivery
-// ring.
-type shard struct {
-	net    *Network
-	r0, r1 int // routers [r0, r1)
-	n0, n1 int // NI nodes [n0, n1)
-
-	pool *flit.Pool
-	lone bool // the network's only shard
-
-	// The shard's two work indexes, word-packed over its own ranges (bit i of
-	// tick is router r0+i, bit i of inj is NI n0+i), so a phase visits what
-	// has work and two shards never write one word. tick marks routers to
-	// tick this cycle: set when a flit is latched, when a credit is latched
-	// that can undo the router's fixed point (latchCredit), and by the fault
-	// paths' wakeAll; cleared when Tick reports a fixed point, never cleared
-	// under Config.Naive. inj marks NIs with a packet queued or mid-injection:
-	// set by enqueue, cleared once inject leaves the NI empty. Both are
-	// supersets — a purge may empty an NI or a router behind them, and the
-	// visit that finds nothing to do clears the bit — and CheckInvariants
-	// runs verify that nothing with work is missing from them.
-	tick bitset
-	inj  bitset
-
-	pend   []pending
-	injEnd int // pend[:injEnd] was emitted before this cycle's router ticks
-	// pendKill buffers hop-limit victims found while latching this shard's
-	// due deliveries; the main goroutine condemns them in shard order after
-	// the phases (the victim list is shared, and due order within a shard is
-	// all that purging depends on — purge effects commute).
-	pendKill []*flit.Packet
-
-	// work carries one token per cycle: true = run this cycle's phase,
-	// false = exit the worker goroutine (acknowledged on Network.done).
-	work chan bool
-}
-
-// schedule emits delivery d, due in latency cycles.
-func (sh *shard) schedule(latency int, d delivery) {
-	if sh.lone {
-		sh.net.schedule(latency, d)
-		return
-	}
-	sh.pend = append(sh.pend, pending{lat: latency, d: d})
-}
-
-// latchCredit hands router r of this shard one credit for (out, vc), and
-// schedules r when the router says the credit can undo its fixed point. A
-// router that answers no stays as it was, scheduled or not; the naive kernel,
-// ticking it regardless, proves the tick not made was a no-op.
-func (sh *shard) latchCredit(r, out, vc int) {
-	if sh.net.routers[r].DeliverCredit(out, vc) {
-		sh.tick.set(r - sh.r0)
-	}
-}
-
-// bitset is a word-packed index over a shard's routers or NIs; a phase walks
-// its set bits in ascending order.
+// bitset is a word-packed index over the routers or the NIs; a phase walks its
+// set bits in ascending order.
 type bitset []uint64
 
 func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
@@ -299,24 +222,33 @@ func (b bitset) setAll(n int) {
 // router. A flit switched during cycle t spends h.Latency cycles in link
 // traversal (LT) and is processed by the next hop at t + h.Latency + 1, so LT
 // is a real pipeline stage (paper Fig. 6: ... | ST | LT |).
-func (sh *shard) send(id, out int, f *flit.Flit) {
-	n := sh.net
+func (n *Network) send(id, out int, f *flit.Flit) {
 	h := n.topo.NextHop(id, out, f.Packet.Dst)
 	f.NextOut = -1
 	if h.Router >= 0 {
 		f.NextOut = n.routeFor(h.Router, f.Packet.Dst, f.RouteClass)
 	}
-	sh.schedule(h.Latency+1, delivery{flit: f, router: h.Router, port: h.InPort})
+	n.schedule(h.Latency+1, delivery{flit: f, router: h.Router, port: h.InPort})
 }
 
 // credit is the router Credit callback: a credit returns to whatever feeds
 // (id, in), router output or NI, with one cycle latency.
-func (sh *shard) credit(id, in, vc int) {
-	u := sh.net.upstreamOf(id, in)
+func (n *Network) credit(id, in, vc int) {
+	u := n.upstreamOf(id, in)
 	if u.router == -2 {
 		panic(fmt.Sprintf("network: credit from unwired input port %d of router %d", in, id))
 	}
-	sh.schedule(1, delivery{router: u.router, port: u.out, vc: vc})
+	n.schedule(1, delivery{router: u.router, port: u.out, vc: vc})
+}
+
+// latchCredit hands router r one credit for (out, vc), and schedules r when the
+// router says the credit can undo its fixed point. A router that answers no
+// stays as it was, scheduled or not; the naive kernel, ticking it regardless,
+// proves the tick not made was a no-op.
+func (n *Network) latchCredit(r, out, vc int) {
+	if n.routers[r].DeliverCredit(out, vc) {
+		n.tick.set(r)
+	}
 }
 
 // routeTabLimit caps the route-table size (entries = classes × routers ×
@@ -340,9 +272,8 @@ type Network struct {
 	// lanes is the structure-of-arrays hot-path store every router's
 	// per-(port, vc) state lives in (core.LaneStore; DESIGN.md §17). The
 	// network owns it so the arrays span all routers contiguously — the
-	// active-set walk touches one cache-linear region, and parallel shards
-	// operate on disjoint index ranges of the same slices. A custom Factory
-	// node that is not built on internal/router leaves its region untouched.
+	// active-set walk touches one cache-linear region. A custom Factory node
+	// that is not built on internal/router leaves its region untouched.
 	lanes *core.LaneStore
 	// routeTab caches the pure dimension-order route for every
 	// (class, router, dst) triple, indexed (class*Routers + r)*Nodes + dst.
@@ -371,9 +302,21 @@ type Network struct {
 	inFlight int // packets injected but not yet fully ejected
 
 	pool *flit.Pool
-	// naive keeps every router in its shard's tick index: all of them tick
-	// every cycle.
+	// naive keeps every router in the tick index: all of them tick every cycle.
 	naive bool
+
+	// The two work indexes, word-packed (bit r of tick is router r, bit i of
+	// inj is NI i), so a phase visits what has work. tick marks routers to tick
+	// this cycle: set when a flit is latched, when a credit is latched that can
+	// undo the router's fixed point (latchCredit), and by the fault paths'
+	// wakeAll; cleared when Tick reports a fixed point, never cleared under
+	// Config.Naive. inj marks NIs with a packet queued or mid-injection: set by
+	// enqueue, cleared once inject leaves the NI empty. Both are supersets — a
+	// purge may empty an NI or a router behind them, and the visit that finds
+	// nothing to do clears the bit — and CheckInvariants runs verify that
+	// nothing with work is missing from them.
+	tick bitset
+	inj  bitset
 
 	// Fault machinery (nil/empty without a schedule): the replayed schedule
 	// state, the node→home-router table, per-router wired/dead closures
@@ -417,15 +360,6 @@ type Network struct {
 	rel        *Reliability
 	relPending int
 
-	// Cycle kernel state: the shards (at least one), the shared completion
-	// channel, whether worker goroutines are live (between
-	// startWorkers/stopWorkers, i.e. inside Run/Drain), and the due-deliveries
-	// slice of the cycle in flight, published to the shard phases.
-	shards     []*shard
-	done       chan struct{}
-	parRunning bool
-	curDue     []delivery
-
 	// CheckInvariants enables per-cycle router invariant checking (tests).
 	CheckInvariants bool
 }
@@ -467,10 +401,9 @@ func New(cfg Config) *Network {
 	}
 
 	// Fault schedule: validated defensively (the spec layer validates with
-	// the real horizon; here only structure matters), replayed by a State
-	// whose dead-queries shard workers may read while the main phase holds
-	// it constant. The empty schedule is deliberately identical to no
-	// schedule: no state, no hop limit, no extra branches anywhere.
+	// the real horizon; here only structure matters), replayed by a State the
+	// main phase alone mutates. The empty schedule is deliberately identical to
+	// no schedule: no state, no hop limit, no extra branches anywhere.
 	if cfg.Faults != nil && len(cfg.Faults.Events) > 0 {
 		ft, ok := t.(fault.Topo)
 		if !ok {
@@ -529,18 +462,20 @@ func New(cfg Config) *Network {
 	n.wire()
 	n.fillRouteTab()
 
-	base := router.Config{
+	rcfg := router.Config{
 		NumVCs:   cfg.NumVCs,
 		BufDepth: cfg.BufDepth,
 		Lanes:    n.lanes,
 		Opts:     cfg.Opts,
 		Alloc:    alloc,
+		Send:     n.send,
+		Credit:   n.credit,
 		Reg:      n.registry,
 		Trace:    cfg.Tracer,
 	}
 	if n.faults != nil {
-		base.LinkUp = func(id, out int) bool { return !n.faults.LinkDead(id, out) }
-		base.Reroute = func(id, dst, class int) int { return n.routeFor(id, dst, class) }
+		rcfg.LinkUp = func(id, out int) bool { return !n.faults.LinkDead(id, out) }
+		rcfg.Reroute = func(id, dst, class int) int { return n.routeFor(id, dst, class) }
 	}
 	factory := cfg.Factory
 	if factory == nil {
@@ -548,57 +483,26 @@ func New(cfg Config) *Network {
 			return router.New(id, in, out, rcfg)
 		}
 	}
-	// Shard the routers and NIs: Opts.Workers shards, at most one per router,
-	// and exactly one for the naive reference and under tracing — naive exists
-	// precisely as the single-threaded reference, and the trace ring is
-	// single-writer (the shard count cannot change results, so this is an
-	// execution detail, not a behaviour change).
-	w := min(cfg.Opts.Workers, t.Routers())
-	if w < 1 || cfg.Naive || cfg.Tracer != nil {
-		w = 1
+	n.tick, n.inj = newBitset(t.Routers()), newBitset(t.Nodes())
+	if n.naive {
+		n.tick.setAll(t.Routers())
 	}
-	n.shards = make([]*shard, w)
-	n.done = make(chan struct{}, w)
 	n.routers = make([]Node, t.Routers())
-	for i := range n.shards {
-		sh := &shard{
-			net:  n,
-			r0:   i * t.Routers() / w,
-			r1:   (i + 1) * t.Routers() / w,
-			n0:   i * t.Nodes() / w,
-			n1:   (i + 1) * t.Nodes() / w,
-			pool: n.pool, // shard 0 shares the network's free list
-			lone: w == 1,
-			work: make(chan bool, 1),
-		}
-		if i > 0 {
-			sh.pool = flit.NewPool()
-		}
-		sh.tick, sh.inj = newBitset(sh.r1-sh.r0), newBitset(sh.n1-sh.n0)
-		if n.naive {
-			sh.tick.setAll(sh.r1 - sh.r0)
-		}
-		n.shards[i] = sh
-		rcfg := base
-		rcfg.Send, rcfg.Credit = sh.send, sh.credit
-		for r := sh.r0; r < sh.r1; r++ {
-			n.routers[r] = factory(r, t.InPorts(r), t.OutPorts(r), &rcfg)
-			if n.faults != nil {
-				if _, ok := n.routers[r].(faultNode); !ok {
-					panic(fmt.Sprintf("network: router %T cannot run under a fault schedule", n.routers[r]))
-				}
+	for r := range n.routers {
+		n.routers[r] = factory(r, t.InPorts(r), t.OutPorts(r), &rcfg)
+		if n.faults != nil {
+			if _, ok := n.routers[r].(faultNode); !ok {
+				panic(fmt.Sprintf("network: router %T cannot run under a fault schedule", n.routers[r]))
 			}
 		}
 	}
 	// Wire terminals.
 	n.nis = make([]*ni, t.Nodes())
-	for _, sh := range n.shards {
-		for node := sh.n0; node < sh.n1; node++ {
-			r, inP, outP := t.NodeRouter(node)
-			n.routers[r].MarkEjection(outP)
-			n.ups[n.lanes.InBase[r]+inP] = upstream{router: -1, out: node}
-			n.nis[node] = newNI(sh, node, r, inP)
-		}
+	for node := range n.nis {
+		r, inP, outP := t.NodeRouter(node)
+		n.routers[r].MarkEjection(outP)
+		n.ups[n.lanes.InBase[r]+inP] = upstream{router: -1, out: node}
+		n.nis[node] = newNI(n, node, r, inP)
 	}
 	return n
 }
@@ -656,17 +560,6 @@ func (n *Network) fillRouteTab() {
 	for i := 0; i < rows; i++ {
 		n.engine.RouteRow(i%nR, i/nR, n.routeTab[i*nN:(i+1)*nN])
 	}
-}
-
-// shardOf returns the shard that owns router r (main phase only: a shard
-// phase knows its own).
-func (n *Network) shardOf(r int) *shard {
-	for _, sh := range n.shards {
-		if r < sh.r1 {
-			return sh
-		}
-	}
-	panic(fmt.Sprintf("network: router %d belongs to no shard", r))
 }
 
 // upstreamOf returns what feeds input port in of router r.
@@ -740,8 +633,6 @@ func (n *Network) Inject(p *flit.Packet) {
 
 // routeFor computes lookahead routing at router r: plain dimension-order
 // when no fault schedule is configured, the fault-aware detour otherwise.
-// Safe to call from shard workers — the fault state is mutated only by the
-// main phase, strictly before shard phases run.
 func (n *Network) routeFor(r, dst, class int) int {
 	if n.faults == nil {
 		if n.routeTab != nil {
@@ -761,24 +652,18 @@ func (n *Network) schedule(latency int, d delivery) {
 	n.ring[slot] = append(n.ring[slot], d)
 }
 
-// Step advances the simulation one cycle. Every schedule of the kernel runs
-// this one pipeline:
+// Step advances the simulation one cycle:
 //
-//  1. Main phase, on the calling goroutine: fault events, retransmit timers,
-//     NI-bound deliveries (ejection + NI credits, in due order) and the
-//     workload tick — everything that touches the global stats, the packet
-//     pool and the source queues.
-//  2. One phase per shard (shardPhase): latch the routers' due deliveries,
-//     inject from the NIs, tick the routers. Shards are mutually
-//     independent: a router tick reads and writes only that router's state
-//     (its registry row included) plus its shard's buffers, because every
-//     cross-router effect is latched through the delivery ring. So the
-//     phases may run inline in shard order or, with worker goroutines live
-//     (inside Run/Drain), concurrently: the two are the same schedule.
-//  3. Merge, on the calling goroutine: replay the shards' buffered
-//     emissions and condemn their hop-limit victims, in shard order.
-//     Everything merged is a ring append in the order a lone shard produces,
-//     so the cycle is bit-identical however many shards ran it.
+//  1. Main phase: fault events, retransmit timers, NI-bound deliveries
+//     (ejection + NI credits, in due order) and the workload tick —
+//     everything that touches the global stats, the packet pool and the source
+//     queues.
+//  2. phase: latch the routers' due deliveries, inject from the NIs, tick the
+//     routers. A router tick reads and writes only that router's state (its
+//     registry row included) and appends to the delivery ring, because every
+//     cross-router effect is latched through the ring with at least a cycle
+//     of latency; so the order routers tick in cannot reach the results.
+//  3. Purge the hop-limit victims the latch found.
 func (n *Network) Step(w Workload) {
 	// Fault events land first, strictly before any delivery or router work:
 	// the fault state is therefore constant for the rest of the cycle.
@@ -805,7 +690,7 @@ func (n *Network) Step(w Workload) {
 	due := n.ring[slot]
 	for _, d := range due {
 		if d.router >= 0 {
-			continue // router-bound: latched by the owning shard below
+			continue // router-bound: latched by phase below
 		}
 		if d.flit != nil {
 			n.nis[d.port].receive(n.now, d.flit, w)
@@ -816,36 +701,14 @@ func (n *Network) Step(w Workload) {
 	if w != nil {
 		w.Tick(n.now, n)
 	}
-	n.curDue = due
-	if n.parRunning {
-		for _, sh := range n.shards {
-			sh.work <- true
-		}
-		for range n.shards {
-			<-n.done
-		}
-	} else {
-		for _, sh := range n.shards {
-			n.shardPhase(sh)
-		}
-	}
+	n.phase(due)
 	// A schedule always targets a future ring slot (latency >= 1, <
 	// len(ring)), so the slot's backing array can be reused once drained.
 	n.ring[slot] = due[:0]
-	n.mergePending()
 	// Hop-limit victims are purged only now, when every flit the cycle
 	// produced has reached the ring where the purge sweep can find it.
-	// Purging may emit relay credits through the routers' Credit callback;
-	// merge those at once so they land in this cycle's ring slots.
-	for _, sh := range n.shards {
-		for _, p := range sh.pendKill {
-			n.condemn(p)
-		}
-		sh.pendKill = sh.pendKill[:0]
-	}
 	if len(n.victims) > 0 {
 		n.purgeVictims()
-		n.mergePending()
 	}
 	n.now++
 	n.Stats.MeasuredTo = n.now
@@ -854,51 +717,46 @@ func (n *Network) Step(w Workload) {
 	}
 }
 
-// shardPhase runs one shard's slice of a cycle: latch due deliveries into
-// the shard's routers (due order is preserved per router, and a delivery
-// only touches its target router), inject from the shard's NIs that have work
-// (one flit per node per cycle, ascending node order), tick the shard's
-// routers that have work — all of them under the naive reference — in
-// ascending router order. Both walks follow the shard's indexes, so a phase
-// costs what it has to do, not what it owns.
-func (n *Network) shardPhase(sh *shard) {
-	for _, d := range n.curDue {
-		if d.router < sh.r0 || d.router >= sh.r1 {
+// phase runs the router side of a cycle: latch the router-bound due deliveries
+// (in due order), inject from the NIs that have work (one flit per node per
+// cycle, ascending node order), tick the routers that have work — all of them
+// under the naive reference — in ascending router order. Both walks follow
+// the indexes, so a cycle costs what it has to do, not what the network holds.
+func (n *Network) phase(due []delivery) {
+	for _, d := range due {
+		if d.router < 0 {
 			continue
 		}
 		if d.flit != nil {
 			if n.hopLimit > 0 && d.flit.Kind.IsHead() && d.flit.Packet.Hops > n.hopLimit {
-				sh.pendKill = append(sh.pendKill, d.flit.Packet)
+				n.condemn(d.flit.Packet)
 			}
 			n.routers[d.router].Deliver(d.port, d.flit)
-			sh.tick.set(d.router - sh.r0)
+			n.tick.set(d.router)
 		} else {
-			sh.latchCredit(d.router, d.port, d.vc)
+			n.latchCredit(d.router, d.port, d.vc)
 		}
 	}
 	if n.CheckInvariants {
-		sh.checkIndexes()
+		n.checkIndexes()
 	}
-	nis := n.nis[sh.n0:sh.n1]
-	for wi, w := range sh.inj {
+	for wi, w := range n.inj {
 		for ; w != 0; w &= w - 1 {
 			b := bits.TrailingZeros64(w)
-			s := nis[wi<<6+b]
+			s := n.nis[wi<<6+b]
 			s.inject(n.now)
 			if s.cur == nil && len(s.queue) == 0 {
-				sh.inj[wi] &^= 1 << uint(b)
+				n.inj[wi] &^= 1 << uint(b)
 			}
 		}
 	}
-	sh.injEnd = len(sh.pend)
-	routers := n.routers[sh.r0:sh.r1]
-	for wi, w := range sh.tick {
+	for wi, w := range n.tick {
 		for ; w != 0; w &= w - 1 {
 			b := bits.TrailingZeros64(w)
-			node := routers[wi<<6+b]
+			node := n.routers[wi<<6+b]
 			// A false return promises a fixed point until a delivery undoes it.
 			if !node.Tick(n.now) && !n.naive {
-				sh.tick[wi] &^= 1 << uint(b)
+				n.tick[wi] &^= 1 << uint(b)
 			}
 			if n.CheckInvariants {
 				node.CheckInvariants()
@@ -907,85 +765,26 @@ func (n *Network) shardPhase(sh *shard) {
 	}
 }
 
-// checkIndexes panics if the shard's indexes miss work: an NI holding a
-// packet, or a router that is not quiescent, whose bit is clear would be
-// skipped by the phase and the run would silently diverge from the naive one.
-func (sh *shard) checkIndexes() {
-	for i, s := range sh.net.nis[sh.n0:sh.n1] {
-		if (s.cur != nil || len(s.queue) > 0) && !sh.inj.has(i) {
-			panic(fmt.Sprintf("network: NI %d holds packets but is not in its shard's injection index", s.node))
+// checkIndexes panics if the indexes miss work: an NI holding a packet, or a
+// router that is not quiescent, whose bit is clear would be skipped by the
+// phase and the run would silently diverge from the naive one.
+func (n *Network) checkIndexes() {
+	for i, s := range n.nis {
+		if (s.cur != nil || len(s.queue) > 0) && !n.inj.has(i) {
+			panic(fmt.Sprintf("network: NI %d holds packets but is not in the injection index", s.node))
 		}
 	}
-	for i, node := range sh.net.routers[sh.r0:sh.r1] {
-		if !node.Quiescent() && !sh.tick.has(i) {
-			panic(fmt.Sprintf("network: router %d is not quiescent but is not in its shard's tick index", sh.r0+i))
+	for r, node := range n.routers {
+		if !node.Quiescent() && !n.tick.has(r) {
+			panic(fmt.Sprintf("network: router %d is not quiescent but is not in the tick index", r))
 		}
 	}
 }
 
-// wakeAll puts every router back in its shard's tick index. The fault paths
-// call it (main phase only): an up event can unblock flits parked behind a
-// dead link, and the teardown sweeps mutate router state directly.
-func (n *Network) wakeAll() {
-	for _, sh := range n.shards {
-		sh.tick.setAll(sh.r1 - sh.r0)
-	}
-}
-
-// mergePending replays the shards' buffered emissions into the delivery
-// ring: what each emitted before its router ticks (injections) in shard
-// order, then the routers' emissions in shard order.
-func (n *Network) mergePending() {
-	for _, sh := range n.shards {
-		for _, p := range sh.pend[:sh.injEnd] {
-			n.schedule(p.lat, p.d)
-		}
-	}
-	for _, sh := range n.shards {
-		for _, p := range sh.pend[sh.injEnd:] {
-			n.schedule(p.lat, p.d)
-		}
-		sh.pend, sh.injEnd = sh.pend[:0], 0
-	}
-}
-
-// startWorkers brings up one goroutine per shard and returns the matching
-// stop function (a no-op pair with a lone shard, which runs inline, or when
-// workers are already live, so nesting Run/Drain is safe). Workers are
-// scoped to Run/Drain rather than to the Network so there is no Close
-// obligation and an idle Network holds no goroutines; Step outside Run
-// executes the same phases inline.
-func (n *Network) startWorkers() func() {
-	if len(n.shards) == 1 || n.parRunning {
-		return func() {}
-	}
-	n.parRunning = true
-	for _, sh := range n.shards {
-		go n.workerLoop(sh)
-	}
-	return n.stopWorkers
-}
-
-// stopWorkers shuts the worker goroutines down and waits for them to exit,
-// so all their writes are visible to the caller.
-func (n *Network) stopWorkers() {
-	for _, sh := range n.shards {
-		sh.work <- false
-	}
-	for range n.shards {
-		<-n.done
-	}
-	n.parRunning = false
-}
-
-// workerLoop serves one shard: one phase per work token, exit on false.
-func (n *Network) workerLoop(sh *shard) {
-	for <-sh.work {
-		n.shardPhase(sh)
-		n.done <- struct{}{}
-	}
-	n.done <- struct{}{}
-}
+// wakeAll puts every router back in the tick index. The fault paths call it
+// (main phase only): an up event can unblock flits parked behind a dead link,
+// and the teardown sweeps mutate router state directly.
+func (n *Network) wakeAll() { n.tick.setAll(len(n.routers)) }
 
 // applyFaults replays the fault events due this cycle. The fast path — no
 // event due — is a single comparison and allocates nothing; event cycles may
@@ -1038,9 +837,9 @@ func (n *Network) applyFaults() {
 // is down, parking in front of it is legitimate waiting; a permanent fault
 // will never release anyone, so it does not pause the watchdog) and not a
 // single buffer write, link traversal, delivery or drop anywhere condemns the
-// whole fabric population, accounted as fault drops. Every kernel leaves the
-// same counts in the rows, so the watchdog fires on the same cycle at every
-// worker count. A wedge that forms while other traffic still flows is only
+// whole fabric population, accounted as fault drops. Both schedules leave the
+// same counts in the rows, so the watchdog fires on the same cycle under
+// either. A wedge that forms while other traffic still flows is only
 // detected once that traffic drains — the bound is eventual termination, not
 // bounded staleness.
 func (n *Network) watchdog() {
@@ -1256,7 +1055,7 @@ func (n *Network) purgePacket(p *flit.Packet) {
 		n.ring[slot] = kept
 	}
 	for _, c := range n.credRet {
-		n.shardOf(c.router).latchCredit(c.router, c.out, c.vc)
+		n.latchCredit(c.router, c.out, c.vc)
 	}
 	n.credRet = n.credRet[:0]
 	for _, node := range n.routers {
@@ -1291,17 +1090,14 @@ func (n *Network) purgePacket(p *flit.Packet) {
 	n.pool.RecyclePacket(p)
 }
 
-// dropFlit accounts and recycles one purged flit (to its source node's pool,
-// like normal ejection, so per-shard free lists stay balanced).
+// dropFlit accounts and recycles one purged flit.
 func (n *Network) dropFlit(f *flit.Flit) {
 	n.Stats.FlitsDropped++
-	n.nis[f.Packet.Src].sh.pool.RecycleFlit(f)
+	n.pool.RecycleFlit(f)
 }
 
 // Run advances the simulation for cycles cycles.
 func (n *Network) Run(w Workload, cycles int) {
-	stop := n.startWorkers()
-	defer stop()
 	for i := 0; i < cycles; i++ {
 		n.Step(w)
 	}
@@ -1325,8 +1121,6 @@ func (n *Network) ResetStats() {
 // retry budget bounds how long a record can stay unresolved, so faulted
 // reliable runs terminate even under permanent (never-repaired) failures.
 func (n *Network) Drain(w Workload, maxCycles int) bool {
-	stop := n.startWorkers()
-	defer stop()
 	for i := 0; i < maxCycles; i++ {
 		if (w == nil || w.Done()) && n.inFlight == 0 && n.relPending == 0 {
 			return true

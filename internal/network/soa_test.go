@@ -13,10 +13,9 @@ import (
 	"pseudocircuit/internal/vcalloc"
 )
 
-// TestLaneStoreRoundTrip drives three identically seeded networks — the
-// naive reference, the one-shard schedule and four shards stepped inline
-// (bare Step), all over the shared structure-of-arrays LaneStore — through
-// randomized tick bursts and, after each burst, checks the layout from both
+// TestLaneStoreRoundTrip drives two identically seeded networks — the naive
+// reference and the active-set schedule, both over the shared
+// structure-of-arrays LaneStore — through randomized tick bursts and, after each burst, checks the layout from both
 // sides:
 //
 //   - flat view: LaneStore.CheckConsistency re-derives the occupancy index
@@ -27,7 +26,7 @@ import (
 //     lane by lane, as must their credit counters and pseudo-circuit
 //     registers — the flat layout holds exactly the state the struct layout
 //     would, whichever schedule mutated it, at every burst and not only in
-//     the end-of-run totals the determinism triangle compares.
+//     the end-of-run totals the determinism harness compares.
 //
 // The EVC comparison router lives in the same store (it is a policy on the
 // same pipeline), so the whole check runs on it too.
@@ -52,7 +51,7 @@ func laneStoreRoundTrip(t *testing.T, topo topology.Topology, build func(k kerne
 		w    network.Workload
 	}
 	var legs []leg
-	for _, k := range []kernel{{"naive", true, 0}, {"active", false, 0}, {"par4", false, 4}} {
+	for _, k := range kernels {
 		n := build(k)
 		w := traffic.NewSynthetic(traffic.Config{
 			Pattern: traffic.UniformRandom, Nodes: topo.Nodes(), Rate: 0.12,

@@ -15,8 +15,7 @@ import (
 
 // tickLedger counts, per router, the Tick calls the kernel makes and how many
 // of them met a router that held nothing: no staged arrival, no buffered
-// flit, no owned lane, no grant to execute. Each router writes its own entry,
-// so shards may count concurrently.
+// flit, no owned lane, no grant to execute.
 type tickLedger []struct{ calls, idle int }
 
 func (l tickLedger) total() (calls, idle int) {
@@ -63,7 +62,7 @@ func counted(cfg *network.Config) tickLedger {
 // Baseline packet pays on unit links (EXPERIMENTS.md "Fig. 6") — and not one
 // more: no tick is spent on a router that holds nothing (a credit coming back
 // to a router the tail has left schedules nothing, and a traversal leaves a
-// baseline router nothing to settle), at any worker count. PR 24 made 70
+// baseline router nothing to settle). PR 24 made 70
 // calls here, 16 of them on a router holding nothing.
 //
 // The same packet under Pseudo+S+B, on a cold network, costs eight: its body
@@ -90,35 +89,32 @@ func TestTicksFollowFlits(t *testing.T) {
 			each   int // Tick calls per router on the path
 			last   int // and on the last, which ejects
 		}{{core.Baseline, 9, 9}, {core.PseudoSB, 8, 7}} {
-			for _, workers := range []int{1, 2, 4} {
-				cfg := network.DefaultConfig(topology.NewMesh(hops, hops))
-				cfg.Opts = core.DefaultOptions(tc.scheme)
-				cfg.Opts.Workers = workers
-				l := counted(&cfg)
-				n := network.New(cfg)
-				n.CheckInvariants = true
-				p := n.NewPacket()
-				p.Src, p.Dst, p.Size = 0, hops-1, 5
-				n.Inject(p)
-				if !n.Drain(nil, 200) {
-					t.Fatalf("%v workers=%d: lone packet did not drain", tc.scheme, workers)
+			cfg := network.DefaultConfig(topology.NewMesh(hops, hops))
+			cfg.Opts = core.DefaultOptions(tc.scheme)
+			l := counted(&cfg)
+			n := network.New(cfg)
+			n.CheckInvariants = true
+			p := n.NewPacket()
+			p.Src, p.Dst, p.Size = 0, hops-1, 5
+			n.Inject(p)
+			if !n.Drain(nil, 200) {
+				t.Fatalf("%v: lone packet did not drain", tc.scheme)
+			}
+			n.Run(nil, 20) // the last credits come home after the tail is out
+			if _, idle := l.total(); idle != 0 {
+				t.Errorf("%v: %d Tick calls on a router holding nothing; want 0", tc.scheme, idle)
+			}
+			for r, c := range l {
+				want := 0
+				switch {
+				case r < hops-1:
+					want = tc.each
+				case r == hops-1:
+					want = tc.last
 				}
-				n.Run(nil, 20) // the last credits come home after the tail is out
-				if _, idle := l.total(); idle != 0 {
-					t.Errorf("%v workers=%d: %d Tick calls on a router holding nothing; want 0", tc.scheme, workers, idle)
-				}
-				for r, c := range l {
-					want := 0
-					switch {
-					case r < hops-1:
-						want = tc.each
-					case r == hops-1:
-						want = tc.last
-					}
-					if c.calls != want {
-						t.Errorf("%v workers=%d: router %d ticked %d times; want %d (the path is routers 0..%d)",
-							tc.scheme, workers, r, c.calls, want, hops-1)
-					}
+				if c.calls != want {
+					t.Errorf("%v: router %d ticked %d times; want %d (the path is routers 0..%d)",
+						tc.scheme, r, c.calls, want, hops-1)
 				}
 			}
 		}

@@ -216,35 +216,34 @@ func TestBuildCostFollowsLinks(t *testing.T) {
 	}
 }
 
-// TestIndexChecksCatchMissingWork: the invariant check behind the shards'
+// TestIndexChecksCatchMissingWork: the invariant check behind the two work
 // indexes fails when a bit is missing for an NI that holds a packet or a
 // router that holds a flit — the skipped visit would otherwise just be a run
-// that silently differs from the naive one.
+// that silently differs from the naive one. On a 9×9 mesh node and router 70
+// are bit 6 of word 1, so the check is shown to read past the first word.
 func TestIndexChecksCatchMissingWork(t *testing.T) {
-	build := func() (*Network, *shard) {
-		cfg := DefaultConfig(topology.NewMesh(9, 9))
-		cfg.Opts.Workers = 2
-		n := New(cfg)
+	build := func() *Network {
+		n := New(DefaultConfig(topology.NewMesh(9, 9)))
 		n.CheckInvariants = true
 		p := n.NewPacket()
 		p.Src, p.Dst, p.Size = 70, 3, 1
 		n.Inject(p)
-		return n, n.shards[1] // node and router 70 are shard 1's bit 30
+		return n
 	}
-	n, sh := build()
-	sh.inj[0] = 0
-	if got, want := panicOf(func() { n.Step(nil) }), "network: NI 70 holds packets but is not in its shard's injection index"; got != any(want) {
+	n := build()
+	n.inj[1] = 0
+	if got, want := panicOf(func() { n.Step(nil) }), "network: NI 70 holds packets but is not in the injection index"; got != any(want) {
 		t.Errorf("cleared injection index: panic %v, want %q", got, want)
 	}
 
-	n, sh = build()
+	n = build()
 	n.Step(nil) // inject
 	n.Step(nil) // router 70 latches the flit and keeps it for its pipeline
 	if n.routers[70].Quiescent() {
 		t.Fatal("router 70 is quiescent one cycle after its NI injected")
 	}
-	sh.tick[0] = 0
-	if got, want := panicOf(func() { n.Step(nil) }), "network: router 70 is not quiescent but is not in its shard's tick index"; got != any(want) {
+	n.tick[1] = 0
+	if got, want := panicOf(func() { n.Step(nil) }), "network: router 70 is not quiescent but is not in the tick index"; got != any(want) {
 		t.Errorf("cleared tick index: panic %v, want %q", got, want)
 	}
 }

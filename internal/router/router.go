@@ -75,19 +75,18 @@ type Config struct {
 	Send     SendFunc
 	Credit   CreditFunc
 	// Lanes is the network-owned structure-of-arrays hot-path store shared by
-	// every router (and every shard — shards touch disjoint index ranges).
-	// nil builds a private single-router store (unit tests).
+	// every router. nil builds a private single-router store (unit tests).
 	Lanes *core.LaneStore
 	// Reg holds every router's row of event counters. A router counts each
 	// event once, into its own row and nowhere else; network-wide figures and
-	// energy are sums of rows taken on read, so shards share Reg unmerged.
+	// energy are sums of rows taken on read.
 	Reg *stats.Registry
 	// Trace enables flit-lifecycle event recording when non-nil.
 	Trace *obs.Tracer
 	// LinkUp reports whether output port out of router id is currently
 	// usable; nil means no fault schedule is configured (always up). Fault
-	// state changes only in the kernel's main phase, so the callback is
-	// read-only during router ticks and safe to call from shard workers.
+	// state changes only in the kernel's main phase, so the answer is constant
+	// through a cycle's router ticks.
 	LinkUp func(id, out int) bool
 	// Reroute returns a detour output port at router id for a packet to
 	// dst with routing class class whose nominal port is dead (fault-aware

@@ -120,7 +120,7 @@ func (e *Engine) RouteRow(r, class int, row []int8) {
 }
 
 // RouteAvoid is the fault-aware variant of Route: it detours around dead
-// links with a fixed, deterministic preference order so every kernel makes
+// links with a fixed, deterministic preference order so both schedules make
 // the same choice.
 //
 // Selection order:

@@ -72,39 +72,6 @@ func TestCanonicalKeySensitiveToMeaning(t *testing.T) {
 	}
 }
 
-// TestCanonicalKeyIgnoresWorkers: the worker count is an execution knob
-// with no effect on results, so it must not change the cache key — a
-// sequential run's cached result serves parallel requests and vice versa.
-// The materialized experiment still carries it so the job runs with the
-// requested parallelism.
-func TestCanonicalKeyIgnoresWorkers(t *testing.T) {
-	seq := `{"topology":"mesh8x8","scheme":"pseudo+s+b","workload":{"rate":0.1}}`
-	par := `{"topology":"mesh8x8","scheme":"pseudo+s+b","workers":8,"workload":{"rate":0.1}}`
-	if k1, k2 := keyOf(t, seq), keyOf(t, par); k1 != k2 {
-		t.Errorf("workers changed the cache key: %s vs %s", k1, k2)
-	}
-	r, err := DecodeRequest([]byte(par))
-	if err != nil {
-		t.Fatal(err)
-	}
-	canon, _, exp, err := Canonicalize(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if exp.Workers != 8 {
-		t.Errorf("materialized experiment lost the worker count: got %d, want 8", exp.Workers)
-	}
-	if canon.Spec.Workers != 0 {
-		t.Errorf("canonical spec carries workers=%d, want 0 (stripped)", canon.Spec.Workers)
-	}
-	for _, w := range []string{"-1", "1000"} {
-		raw := `{"topology":"mesh8x8","scheme":"pseudo","workers":` + w + `,"workload":{"rate":0.1}}`
-		if _, _, _, err := Canonicalize(mustDecode(t, raw)); !errors.Is(err, ErrBadRequest) {
-			t.Errorf("workers=%s err = %v, want ErrBadRequest", w, err)
-		}
-	}
-}
-
 func mustDecode(t *testing.T, raw string) Request {
 	t.Helper()
 	r, err := DecodeRequest([]byte(raw))
@@ -141,7 +108,8 @@ func TestCanonicalIdempotent(t *testing.T) {
 // at decode time with ErrBadRequest.
 func TestDecodeRequestStrict(t *testing.T) {
 	bad := []string{
-		`{"topology":"mesh8x8","scheme":"pseudo","wrokload":{"rate":0.1}}`, // typo field
+		`{"topology":"mesh8x8","scheme":"pseudo","wrokload":{"rate":0.1}}`,             // typo field
+		`{"topology":"mesh8x8","scheme":"pseudo","workers":4,"workload":{"rate":0.1}}`, // no such field
 		`{"topology":"mesh8x8","scheme":"pseudo"} trailing`,
 		`{"topology":`,
 		`[1,2,3]`,
@@ -204,7 +172,7 @@ func TestCanonicalizeRejects(t *testing.T) {
 // TestCanonicalizeAcceptsAtTheBounds: the largest values the front door
 // lets through still canonicalize.
 func TestCanonicalizeAcceptsAtTheBounds(t *testing.T) {
-	keyOf(t, `{"topology":"mesh8x8","scheme":"pseudo","numVCs":64,"bufDepth":1024,"workers":32,
+	keyOf(t, `{"topology":"mesh8x8","scheme":"pseudo","numVCs":64,"bufDepth":1024,
 		"warmup":0,"measure":9999000,"workload":{"rate":0.1,"packetSize":1024}}`)
 }
 

@@ -69,9 +69,8 @@ func FuzzFaultSchedule(f *testing.F) {
 
 // TestCanonicalKeyFaultsInsensitiveToSpelling: semantically identical fault
 // schedules hash identically — reordered events, the default drop policy
-// spelled out versus omitted, port 0 explicit versus omitted. Sibling of
-// TestCanonicalKeyIgnoresWorkers, but with the opposite polarity: faults DO
-// belong in the cache key, only their spelling does not.
+// spelled out versus omitted, port 0 explicit versus omitted. Faults belong
+// in the cache key; only their spelling does not.
 func TestCanonicalKeyFaultsInsensitiveToSpelling(t *testing.T) {
 	terse := keyOf(t, `{"topology":"mesh8x8","scheme":"pseudo+s+b","workload":{"rate":0.1},
 		"faults":{"events":[{"cycle":2000,"kind":"link-down","router":5},{"cycle":4000,"kind":"link-up","router":5}]}}`)

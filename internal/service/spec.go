@@ -35,11 +35,6 @@ const (
 	// whose per-NI sequence/window arrays cost O(nodes) each (O(nodes²)
 	// across the network).
 	MaxReliableNodes = 1024
-	// MaxWorkers bounds the requested cycle-kernel worker count. Worker
-	// count never changes results (only wall-clock), so it is stripped from
-	// the canonical cache key; the bound just stops a remote caller from
-	// demanding an absurd goroutine fan-out.
-	MaxWorkers = 32
 	// MaxPacketSize bounds the flits per synthetic packet: a packet's flit
 	// slice is allocated at injection.
 	MaxPacketSize = 1024
@@ -118,9 +113,6 @@ func materialize(s noc.Spec) (exp noc.Experiment, err error) {
 func checkBounds(exp noc.Experiment, r Request) error {
 	if r.BufDepth > 1024 {
 		return fmt.Errorf("bufDepth %d over limit 1024", r.BufDepth)
-	}
-	if r.Workers > MaxWorkers {
-		return fmt.Errorf("workers %d over limit %d", r.Workers, MaxWorkers)
 	}
 	if r.Workload.PacketSize > MaxPacketSize {
 		return fmt.Errorf("packetSize %d over limit %d", r.Workload.PacketSize, MaxPacketSize)

@@ -113,7 +113,6 @@ func ratio(num, den uint64) float64 {
 // Registry holds every router's row for one network, allocated flat (one
 // slice of rows, one of ports, one of output counts, prefix-summed by radix
 // as core.LaneStore lays out lanes). A router writes only its own row, so
-// shards of the cycle kernel share a Registry without synchronization and
 // there is nothing to merge.
 type Registry struct {
 	rows []RouterStats

@@ -108,6 +108,7 @@ func TestParseRejects(t *testing.T) {
 		{"missing template", `{"axes":{"seed":[1]}}`},
 		{"null template", `{"template":null,"axes":{"seed":[1]}}`},
 		{"template unknown field", `{"template":{"topology":"mesh4x4","bogus":1}}`},
+		{"template names workers", `{"template":{"topology":"mesh4x4","scheme":"baseline","workers":2,"workload":{"rate":0.1}}}`},
 		{"axes not object", `{"template":` + tmpl + `,"axes":[1,2]}`},
 		{"unknown axis", `{"template":` + tmpl + `,"axes":{"speed":[1]}}`},
 		{"duplicate axis", `{"template":` + tmpl + `,"axes":{"seed":[1],"seed":[2]}}`},

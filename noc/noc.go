@@ -142,8 +142,8 @@ type (
 
 // Fault injection re-exports. A FaultSchedule is a model parameter, not an
 // execution knob: it participates in canonical specs and result caching, and
-// faulted runs stay bit-identical across every kernel and worker count (the
-// determinism harness covers faulted configurations too).
+// faulted runs stay bit-identical between the naive and the active-set
+// schedule (the determinism harness covers faulted configurations too).
 type (
 	// FaultSchedule declares cycle-stamped link/router down/up events applied
 	// deterministically during a run; see Experiment.Faults.
@@ -210,12 +210,6 @@ type Experiment struct {
 	// bit-identical either way; the flag exists for the determinism harness
 	// and kernel benchmarks.
 	NaiveKernel bool
-	// Workers selects the cycle kernel's worker count: values above 1 tick
-	// routers on that many goroutines inside each simulated cycle. It is an
-	// execution knob, not a model parameter — results are bit-identical for
-	// every worker count, so it never participates in canonical specs or
-	// result caching. 0 or 1 runs sequentially.
-	Workers int
 	// Faults declares a deterministic fault schedule for the run: every event
 	// cycle is absolute (warmup cycles count), and the schedule must satisfy
 	// fault.Schedule.Validate on the experiment's topology — Build panics on
@@ -335,9 +329,9 @@ func (e Experiment) validate() error {
 		radix = max(radix, t.InPorts(r), t.OutPorts(r))
 	}
 	switch {
-	case e.NumVCs < 0 || e.BufDepth < 0 || e.Warmup < 0 || e.Measure < 0 || e.Workers < 0:
-		return fmt.Errorf("noc: negative parameter (numVCs %d, bufDepth %d, warmup %d, measure %d, workers %d)",
-			e.NumVCs, e.BufDepth, e.Warmup, e.Measure, e.Workers)
+	case e.NumVCs < 0 || e.BufDepth < 0 || e.Warmup < 0 || e.Measure < 0:
+		return fmt.Errorf("noc: negative parameter (numVCs %d, bufDepth %d, warmup %d, measure %d)",
+			e.NumVCs, e.BufDepth, e.Warmup, e.Measure)
 	case d.NumVCs > core.LaneLimit || radix > core.LaneLimit:
 		return fmt.Errorf("noc: %d VCs on a %d-port router exceed the %d-lane limit", d.NumVCs, radix, core.LaneLimit)
 	case e.Routing == O1TURN && d.NumVCs%2 != 0:
@@ -395,9 +389,6 @@ func (e Experiment) Build() *Network {
 	}
 	if e.Opts != nil {
 		cfg.Opts = *e.Opts
-	}
-	if e.Workers != 0 {
-		cfg.Opts.Workers = e.Workers
 	}
 	if e.Observe.Window > 0 {
 		cfg.Series = stats.NewSeries(e.Observe.Window, 4096)

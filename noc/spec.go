@@ -36,13 +36,9 @@ type Spec struct {
 	UseEVC    bool   `json:"useEVC,omitempty"`
 	Warmup    int    `json:"warmup,omitempty"`
 	Measure   int    `json:"measure,omitempty"`
-	// Workers selects the cycle kernel's worker count. It is an execution
-	// knob with no effect on results, so SpecOf never emits it and the
-	// service strips it from canonical cache keys.
-	Workers int `json:"workers,omitempty"`
-	// Faults declares a deterministic fault schedule. Unlike Workers it is a
-	// model parameter: SpecOf renders it canonically (sorted events, defaults
-	// elided), so it participates in cache keys.
+	// Faults declares a deterministic fault schedule. A model parameter:
+	// SpecOf renders it canonically (sorted events, defaults elided), so it
+	// participates in cache keys.
 	Faults *FaultSpec `json:"faults,omitempty"`
 	// Churn declares a seeded stochastic fault process (mutually exclusive
 	// with Faults). A model parameter: the compact (seed, probabilities)
@@ -384,7 +380,6 @@ func (s Spec) Experiment() (Experiment, error) {
 	e.UseEVC = s.UseEVC
 	e.Warmup = s.Warmup
 	e.Measure = s.Measure
-	e.Workers = s.Workers
 	if e.Faults, err = s.Faults.Schedule(e); err != nil {
 		return e, err
 	}
@@ -422,11 +417,9 @@ func SpecOf(e Experiment) Spec {
 	if e.StaticKey == vcalloc.KeyFlow {
 		s.StaticKey = "flow"
 	}
-	// Workers is deliberately not rendered: worker count never changes
-	// results, so canonical specs (and the cache keys derived from them)
-	// must not vary with it. Faults, by contrast, do change results, so they
-	// are rendered — canonically: events sorted, the default drop policy and
-	// empty schedules elided — and therefore reach the cache key.
+	// Faults change results, so they are rendered — canonically: events
+	// sorted, the default drop policy and empty schedules elided — and
+	// therefore reach the cache key.
 	if e.Faults != nil && len(e.Faults.Events) > 0 {
 		sched := FaultSchedule{
 			Policy: e.Faults.Policy,

@@ -149,7 +149,6 @@ func TestOneRuleList(t *testing.T) {
 		"negative bufDepth": {noc.Spec{Topology: "mesh4x4", BufDepth: -1}, noc.Experiment{Topology: noc.Mesh(4, 4), BufDepth: -1}, "negative"},
 		"negative warmup":   {noc.Spec{Topology: "mesh4x4", Warmup: -1}, noc.Experiment{Topology: noc.Mesh(4, 4), Warmup: -1}, "negative"},
 		"negative measure":  {noc.Spec{Topology: "mesh4x4", Measure: -5}, noc.Experiment{Topology: noc.Mesh(4, 4), Measure: -5}, "negative"},
-		"negative workers":  {noc.Spec{Topology: "mesh4x4", Workers: -1}, noc.Experiment{Topology: noc.Mesh(4, 4), Workers: -1}, "negative"},
 		"too many VCs":      {noc.Spec{Topology: "mesh4x4", NumVCs: 65}, noc.Experiment{Topology: noc.Mesh(4, 4), NumVCs: 65}, "lane limit"},
 		"radix too wide":    {noc.Spec{Topology: "fbfly40x40x1"}, noc.Experiment{Topology: noc.FBFly(40, 40, 1)}, "lane limit"},
 		"o1turn odd VCs": {noc.Spec{Topology: "mesh4x4", Routing: "o1turn", NumVCs: 3},
