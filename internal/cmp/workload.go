@@ -1,7 +1,6 @@
 package cmp
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 
@@ -75,13 +74,47 @@ type event struct {
 	p   *flit.Packet
 }
 
+// eventHeap is a min-heap on due. push and pop are container/heap's Push and
+// Pop with its sift code copied and typed to event, so an event is not boxed
+// into an interface on the way in and out; the same swaps in the same order
+// keep events with equal due popping in the same order.
 type eventHeap []event
 
-func (h eventHeap) Len() int           { return len(h) }
-func (h eventHeap) Less(i, j int) bool { return h[i].due < h[j].due }
-func (h eventHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)        { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any          { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
+func (h *eventHeap) push(e event) {
+	*h = append(*h, e)
+	q := *h
+	for j := len(q) - 1; j > 0; {
+		i := (j - 1) / 2 // parent
+		if !(q[j].due < q[i].due) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		j = i
+	}
+}
+
+func (h *eventHeap) pop() event {
+	q := *h
+	n := len(q) - 1
+	q[0], q[n] = q[n], q[0]
+	for i := 0; ; {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && q[j2].due < q[j].due {
+			j = j2 // right child
+		}
+		if !(q[j].due < q[i].due) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		i = j
+	}
+	e := q[n]
+	*h = q[:n]
+	return e
+}
 
 // core models one out-of-order processor's memory-reference stream with a
 // lockup-free L1 (MSHRsPerCore outstanding misses; the core self-throttles
@@ -181,7 +214,7 @@ func New(t topology.Topology, cfg TableI, prof Profile, rng *sim.RNG) *Workload 
 func (w *Workload) Tick(now sim.Cycle, inj network.Injector) {
 	w.cycles++
 	for len(w.pending) > 0 && w.pending[0].due <= now {
-		e := heap.Pop(&w.pending).(event)
+		e := w.pending.pop()
 		inj.Inject(e.p)
 	}
 	for _, c := range w.cores {
@@ -405,7 +438,7 @@ func (w *Workload) respondWrite(due sim.Cycle, b *bank, coreID int, block uint64
 
 // respondAt schedules a bank→core packet for injection at cycle due.
 func (w *Workload) respondAt(due sim.Cycle, b *bank, coreID int, kind msgKind, size int, block uint64, class flit.Class) {
-	heap.Push(&w.pending, event{due: due, p: &flit.Packet{
+	w.pending.push(event{due: due, p: &flit.Packet{
 		Src: b.node, Dst: w.cores[coreID].node, Size: size, Class: class,
 		Meta: msg{kind: kind, block: block, core: coreID},
 	}})
@@ -414,7 +447,7 @@ func (w *Workload) respondAt(due sim.Cycle, b *bank, coreID int, kind msgKind, s
 // scheduleCoherence schedules a coherence-management packet (invalidation)
 // from a bank to a sharer core, tagged with the owning write transaction.
 func (w *Workload) scheduleCoherence(due sim.Cycle, from, sharer int, kind msgKind, block uint64, writer int) {
-	heap.Push(&w.pending, event{due: due, p: &flit.Packet{
+	w.pending.push(event{due: due, p: &flit.Packet{
 		Src: from, Dst: w.cores[sharer].node, Size: w.cfg.AddrFlits, Class: flit.ClassCoherence,
 		Meta: msg{kind: kind, block: block, core: sharer, writer: writer},
 	}})
@@ -433,7 +466,7 @@ func (w *Workload) coreReceive(now sim.Cycle, c *core, m msg) {
 			// residing in the L1 for a while (posted; holds no MSHR).
 			delay := sim.Cycle(50 + c.rng.Intn(300))
 			w.writebacks++
-			heap.Push(&w.pending, event{due: now + delay, p: &flit.Packet{
+			w.pending.push(event{due: now + delay, p: &flit.Packet{
 				Src: c.node, Dst: w.banks[w.layout.HomeBank(m.block)].node,
 				Size: w.cfg.DataFlits, Class: flit.ClassCoherence,
 				Meta: msg{kind: msgWriteBack, block: m.block, core: c.id},
@@ -450,7 +483,7 @@ func (w *Workload) coreReceive(now sim.Cycle, c *core, m msg) {
 		// Drop the line and acknowledge to the home bank, echoing the write
 		// transaction's identity.
 		b := w.banks[w.layout.HomeBank(m.block)]
-		heap.Push(&w.pending, event{due: now + 1, p: &flit.Packet{
+		w.pending.push(event{due: now + 1, p: &flit.Packet{
 			Src: c.node, Dst: b.node, Size: w.cfg.AddrFlits, Class: flit.ClassCoherence,
 			Meta: msg{kind: msgInvAck, block: m.block, core: c.id, writer: m.writer},
 		}})

@@ -128,12 +128,12 @@ func DefaultOptions(s Scheme) Options {
 
 // RegFile is the pseudo-circuit state of one router and the only code that
 // writes it: per input port the register pair of Fig. 3 (a) with its valid
-// bit, per output port the history register of Fig. 5 (b), and the two derived
-// structures that keep the router's scans proportional to live circuits
-// (DESIGN.md §17 prices each). The slices are a per-router view cut from the
-// LaneStore, indexed by router-local port; the router reads them freely and
-// mutates them through the four methods below, which is what keeps the derived
-// structures in step. Check verifies that.
+// bit, per output port the history register of Fig. 5 (b), and the three
+// derived structures that keep the router's scans proportional to live and
+// revivable circuits (DESIGN.md §17 prices each). The slices are a per-router
+// view cut from the LaneStore, indexed by router-local port; the router reads
+// them freely and mutates them through the four methods below, which is what
+// keeps the derived structures in step. Check verifies that.
 type RegFile struct {
 	// Per input port: input VC and output port of the most recent crossbar
 	// connection through it. Termination clears only the valid bit, leaving the
@@ -154,9 +154,12 @@ type RegFile struct {
 	// registers and their valid bits.
 	ByOut []int
 
-	// ValidMask and HistMask are the valid bits themselves, one per register
-	// pair (bit in) and one per history register (bit out): the only record of
-	// each. HeldMask is derived: bit out ⇔ ByOut[out] >= 0.
+	// ValidMask is the register pairs' valid bits themselves (bit in), the
+	// only record of them. HistMask and HeldMask are derived, one bit per
+	// output: HistMask bit out ⇔ HistIn[out] >= 0 and that input's history
+	// still remembers out — the history register's valid bit, cleared when
+	// the input it names forgets the output, so exactly the outputs
+	// speculation has a circuit to revive; HeldMask bit out ⇔ ByOut[out] >= 0.
 	ValidMask uint64
 	HistMask  uint64
 	HeldMask  uint64
@@ -188,7 +191,9 @@ func (f *RegFile) Connect(in, vc, out int) (created, displaced bool) {
 		f.release(f.Out[in])
 	}
 	f.set(in, vc, out, false)
-	f.Hist[in].Record(vc, out)
+	if ev := f.Hist[in].Record(vc, out); ev >= 0 && f.HistIn[ev] == in {
+		f.HistMask &^= 1 << uint(ev)
+	}
 	f.HistIn[out] = in
 	f.HistMask |= 1 << uint(out)
 	return created, displaced
@@ -198,7 +203,10 @@ func (f *RegFile) Connect(in, vc, out int) (created, displaced bool) {
 // output port out (§4.A): the input its history register names, on the VC
 // that input last used towards out. It reports false, changing nothing, when
 // out holds a circuit or has no history, or that input is connected elsewhere
-// or no longer remembers out.
+// or no longer remembers out. A HistMask bit already means the input
+// remembers out, so at depth 1 — where an input remembers only the output it
+// is connected to — an idle output with its bit set is always revived; the
+// remaining guards are for depth > 1.
 func (f *RegFile) ConnectSpeculative(out int) bool {
 	if f.HistMask>>uint(out)&1 == 0 || f.ByOut[out] >= 0 {
 		return false
@@ -228,7 +236,11 @@ func (f *RegFile) Terminate(in int) {
 // describes may be wrong when the link returns.
 func (f *RegFile) Clear(in int) {
 	if f.Valid(in) {
-		f.Hist[in].Drop(f.Out[in])
+		out := f.Out[in]
+		f.Hist[in].Drop(out)
+		if f.HistIn[out] == in {
+			f.HistMask &^= 1 << uint(out)
+		}
 		f.Terminate(in)
 	}
 	f.InVC[in], f.Out[in] = -1, -1
@@ -250,7 +262,8 @@ func (f *RegFile) release(out int) {
 // Check verifies the derived structures against the registers: every valid
 // bit sits on a written register pair, ByOut and HeldMask name exactly the
 // outputs those pairs hold, and with them no two inputs hold a circuit to one
-// output.
+// output; HistMask names exactly the outputs whose history register points at
+// an input that still remembers them.
 func (f *RegFile) Check() error {
 	for m := f.ValidMask; m != 0; m &= m - 1 {
 		if in := bits.TrailingZeros64(m); in >= len(f.Out) || f.Out[in] < 0 {
@@ -278,6 +291,17 @@ func (f *RegFile) Check() error {
 	if held != f.HeldMask {
 		return fmt.Errorf("HeldMask %b, ByOut says %b", f.HeldMask, held)
 	}
+	var hist uint64
+	for out, in := range f.HistIn {
+		if in >= 0 {
+			if _, ok := f.Hist[in].Lookup(out); ok {
+				hist |= 1 << uint(out)
+			}
+		}
+	}
+	if hist != f.HistMask {
+		return fmt.Errorf("HistMask %b, HistIn and the input histories say %b", f.HistMask, hist)
+	}
 	return nil
 }
 
@@ -302,21 +326,27 @@ func NewInputHistory(depth int) InputHistory {
 	return InputHistory{depth: depth}
 }
 
-// Record notes a connection (vc → out), promoting it to most recent.
-func (h *InputHistory) Record(vc, out int) {
+// Record notes a connection (vc → out), promoting it to most recent. It
+// returns the output of the entry that fell off the end to make room, -1 when
+// none did.
+func (h *InputHistory) Record(vc, out int) (evicted int) {
 	e := histEntry{VC: vc, Out: out}
 	for i, x := range h.entries {
 		if x.Out == out {
 			copy(h.entries[1:i+1], h.entries[:i])
 			h.entries[0] = e
-			return
+			return -1
 		}
 	}
+	evicted = -1
 	if len(h.entries) == 0 || len(h.entries) < h.depth {
 		h.entries = append(h.entries, histEntry{})
+	} else {
+		evicted = h.entries[len(h.entries)-1].Out
 	}
 	copy(h.entries[1:], h.entries)
 	h.entries[0] = e
+	return evicted
 }
 
 // Drop removes any history entry targeting output port out (fault teardown:

@@ -188,11 +188,67 @@ func TestHistory(t *testing.T) {
 	check(t, f)
 }
 
+// TestHistMaskIsWhatSpeculationCanRevive drives random sequences of the four
+// writers at depths 1–4. After each, the register file checks clean; and
+// where phase 5 would offer outputs to ConnectSpeculative, every output's
+// answer agrees with the rule its guards state without reading HistMask — a
+// history register, no circuit on the output, its input not connected
+// elsewhere and still remembering the output. At depth 1 every output
+// HistMask offers while idle is revived: phase 5 retries nothing.
+func TestHistMaskIsWhatSpeculationCanRevive(t *testing.T) {
+	const nIn, nOut, nVC = 3, 4, 2
+	revivable := func(f *core.RegFile, out int) bool {
+		in := f.HistIn[out]
+		if in < 0 || f.ByOut[out] >= 0 || f.Valid(in) {
+			return false
+		}
+		_, ok := f.Hist[in].Lookup(out)
+		return ok
+	}
+	prop := func(d uint8, ops []uint16) bool {
+		depth := 1 + int(d%4)
+		f := regFile(nIn, nOut, depth)
+		for step, op := range ops {
+			in, vc, out := int(op>>2)%nIn, int(op>>4)%nVC, int(op>>6)%nOut
+			switch op % 4 {
+			case 0:
+				f.Connect(in, vc, out)
+			case 1:
+				if f.Valid(in) {
+					f.Terminate(in)
+				}
+			case 2:
+				f.Clear(in)
+			case 3: // phase 5's offer, every output in ascending order
+				offered := f.HistMask &^ f.HeldMask
+				for o := 0; o < nOut; o++ {
+					want := revivable(f, o)
+					if got := f.ConnectSpeculative(o); got != want {
+						t.Logf("depth %d, step %d: ConnectSpeculative(%d) = %v, the rule says %v", depth, step, o, got, want)
+						return false
+					} else if depth == 1 && offered>>uint(o)&1 != 0 && !got {
+						t.Logf("depth 1, step %d: output %d offered by HistMask %b and not revived", step, o, offered)
+						return false
+					}
+				}
+			}
+			if err := f.Check(); err != nil {
+				t.Logf("depth %d, step %d (op %d): %v", depth, step, op%4, err)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestCheckNamesTheDesyncedStructure corrupts, on a live store, each derived
-// structure (the reverse index, the held mask) and then the valid bits they
-// are derived from, and expects the store's consistency check (which is the
-// register file's own) to name what it found. A valid bit has no second copy
-// to disagree with: a wrong one is caught by what the holders say.
+// structure (the reverse index, the held mask, the history mask) and then the
+// valid bits they are derived from, and expects the store's consistency check
+// (which is the register file's own) to name what it found. A valid bit has no
+// second copy to disagree with: a wrong one is caught by what the holders say.
 func TestCheckNamesTheDesyncedStructure(t *testing.T) {
 	live := func() (*core.LaneStore, *core.RegFile) {
 		s := core.NewLaneStore(2, 4, []int{2, 3}, []int{2, 4})
@@ -216,6 +272,10 @@ func TestCheckNamesTheDesyncedStructure(t *testing.T) {
 		{"ByOut[2] = 0, registers say -1", func(s *core.LaneStore, f *core.RegFile) { f.ValidMask &^= 1 << 0 }},
 		{"input 1 has no register pair", func(s *core.LaneStore, f *core.RegFile) { f.ValidMask |= 1 << 1 }},
 		{"HeldMask", func(s *core.LaneStore, f *core.RegFile) { f.HeldMask &^= 1 << 2 }},
+		// Input 2 forgets output 3 and the bit stays: a revival that cannot be.
+		{"HistMask 1100, HistIn and the input histories say 100", func(s *core.LaneStore, f *core.RegFile) { f.Hist[2].Drop(3) }},
+		// Input 0 still remembers output 2 and the bit goes: a lost revival.
+		{"HistMask 1000, HistIn and the input histories say 1100", func(s *core.LaneStore, f *core.RegFile) { f.HistMask &^= 1 << 2 }},
 	} {
 		s, f := live()
 		c.corrupt(s, f)

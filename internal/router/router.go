@@ -818,9 +818,10 @@ func (r *Router) maintainPseudoCircuits() {
 	if !r.cfg.Opts.Speculation {
 		return
 	}
-	// Only outputs with a recorded history, no live circuit, no crossbar
-	// reservation for next cycle and (the paper's rule) some credit left can
-	// host a speculative connection; the masks select exactly those.
+	// Only outputs whose history names an input that still remembers them, no
+	// live circuit, no crossbar reservation for next cycle and (the paper's
+	// rule) some credit left can host a speculative connection; the masks
+	// select exactly those, so at depth 1 every call below revives one.
 	bar := r.pc.HeldMask
 	for _, res := range r.nextRes {
 		bar |= 1 << uint(res.out)
