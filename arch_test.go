@@ -1,6 +1,6 @@
 // Structural rules of the design, stated over the parsed source (go/parser)
-// so that tier-1 runs them: a rule that only a CI grep checks cannot fail in
-// a builder's local loop.
+// so that `go test ./...` runs them: a rule that only a CI grep checks cannot
+// fail in a local test run.
 package pseudocircuit_test
 
 import (
@@ -65,10 +65,20 @@ type checker func(fset *token.FileSet, f *ast.File) []string
 // withTests) and reports every finding.
 func enforce(t *testing.T, check checker, glob string, withTests bool) {
 	t.Helper()
+	for _, c := range findings(t, check, glob, withTests) {
+		t.Error(c)
+	}
+}
+
+// findings runs check over the Go files glob matches (test files too when
+// withTests) and returns what it reports.
+func findings(t *testing.T, check checker, glob string, withTests bool) []string {
+	t.Helper()
 	files, err := filepath.Glob(glob)
 	if err != nil || len(files) == 0 {
 		t.Fatalf("%s: no Go files (%v)", glob, err)
 	}
+	var found []string
 	for _, name := range files {
 		if !withTests && strings.HasSuffix(name, "_test.go") {
 			continue
@@ -78,10 +88,9 @@ func enforce(t *testing.T, check checker, glob string, withTests bool) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, c := range check(fset, f) {
-			t.Error(c)
-		}
+		found = append(found, check(fset, f)...)
 	}
+	return found
 }
 
 // seesEach feeds check one source per finding it must report, each of which
@@ -233,5 +242,247 @@ func TestOneRouterPipeline(t *testing.T) {
 		seesEach(t, pcHelpersIn, map[string]string{
 			"declares (*Router).pcRevive": "package router\ntype Router struct{}\nfunc (r *Router) pcRevive() {}",
 		}, "package router\ntype Router struct{}\nfunc (r *Router) maintainPseudoCircuits() {}\nfunc pcMask() {}")
+	})
+}
+
+// declaredIn lists declarations of banned names. "T.f" is field f of struct
+// type T, "T.f type" the same field only when it has that type; a bare name
+// is a top-level function or a defined (not aliased) type.
+func declaredIn(banned ...string) checker {
+	return func(fset *token.FileSet, f *ast.File) []string {
+		var found []string
+		at := func(n ast.Node, what string) {
+			for _, b := range banned {
+				if what == b {
+					found = append(found, fmt.Sprintf("%s: declares %s", fset.Position(n.Pos()), what))
+				}
+			}
+		}
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil {
+					at(d, d.Name.Name)
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					ts, ok := spec.(*ast.TypeSpec)
+					if !ok || ts.Assign.IsValid() {
+						continue
+					}
+					at(ts, ts.Name.Name)
+					st, ok := ts.Type.(*ast.StructType)
+					if !ok {
+						continue
+					}
+					for _, fld := range st.Fields.List {
+						for _, n := range fld.Names {
+							at(n, ts.Name.Name+"."+n.Name)
+							at(n, ts.Name.Name+"."+n.Name+" "+types.ExprString(fld.Type))
+						}
+					}
+				}
+			}
+		}
+		return found
+	}
+}
+
+// namesIn lists where a source names something banned: an identifier
+// ("outSends", matched exactly), or, however deep it is reached (r.cfg.Stats
+// for "cfg.Stats"), a selector, an == or != comparison ("rs != nil"), a call
+// ("Store.Get("), a comma-ok read an if tests ("m.cache[key]; ok"), or an
+// import path.
+func namesIn(banned ...string) checker {
+	return func(fset *token.FileSet, f *ast.File) []string {
+		var found []string
+		ast.Inspect(f, func(n ast.Node) bool {
+			var s string
+			switch x := n.(type) {
+			case *ast.Ident:
+				for _, b := range banned {
+					if x.Name == b {
+						found = append(found, fmt.Sprintf("%s: names %s", fset.Position(x.Pos()), b))
+					}
+				}
+				return true
+			case *ast.SelectorExpr:
+				s = types.ExprString(x)
+			case *ast.BinaryExpr:
+				if x.Op == token.EQL || x.Op == token.NEQ {
+					s = types.ExprString(x)
+				}
+			case *ast.CallExpr:
+				s = types.ExprString(x.Fun) + "("
+			case *ast.IfStmt:
+				if a, ok := x.Init.(*ast.AssignStmt); ok && len(a.Lhs) == 2 && len(a.Rhs) == 1 {
+					s = types.ExprString(a.Rhs[0]) + "; " + types.ExprString(x.Cond)
+				}
+			case *ast.ImportSpec:
+				s = strings.Trim(x.Path.Value, `"`)
+			}
+			for _, b := range banned {
+				if s != "" && !token.IsIdentifier(b) && (s == b || strings.HasSuffix(s, "."+b)) {
+					found = append(found, fmt.Sprintf("%s: names %s", fset.Position(n.Pos()), b))
+				}
+			}
+			return true
+		})
+		return found
+	}
+}
+
+// TestStructuralRules states, over the parsed source, the structural rules of
+// DESIGN.md, so `go test ./...` runs them. Each subtest feeds its checkers a
+// source per banned form first: the failing case.
+func TestStructuralRules(t *testing.T) {
+	// A router event is counted in one place: the row the router owns in
+	// stats.Registry. Network-wide figures and energy are sums of rows, so a
+	// second sink in the router, a second accumulator with its merge, or a
+	// switch that turns the rows off would be the mirror growing back.
+	t.Run("counted once", func(t *testing.T) {
+		sink := namesIn("rs != nil", "cfg.Stats", "cfg.Energy", "outSends")
+		merge := namesIn("shardStats", "shardEnergy", "MergeCounters", "MergeCounts", "MergeAll")
+		perRouter := namesIn("PerRouter")
+		seesEach(t, sink, map[string]string{
+			"names rs != nil":  "package router\nfunc (r *Router) f() { if r.rs != nil { r.rs.SAGrants++ } }",
+			"names cfg.Stats":  "package router\nfunc (r *Router) f() { r.cfg.Stats.SAGrants++ }",
+			"names cfg.Energy": "package router\nfunc (r *Router) f() { r.cfg.Energy.Add(1) }",
+			"names outSends":   "package router\ntype Router struct{ outSends []uint64 }",
+		}, "package router\nfunc (r *Router) f() { r.rs.SAGrants++; _ = r.cfg.Reg; _ = r.tr != nil }")
+		seesEach(t, merge, map[string]string{
+			"names MergeCounters": "package stats\nfunc (s *Network) MergeCounters(o *Network) {}",
+		}, "package stats\nfunc (r *Registry) Totals() {}")
+		seesEach(t, perRouter, map[string]string{
+			"names PerRouter": "package noc\ntype Experiment struct{ PerRouter bool }",
+		}, "package noc\ntype Experiment struct{ NaiveKernel bool }")
+
+		enforce(t, sink, "internal/router/router.go", false)
+		enforce(t, merge, "internal/*/*.go", false)
+		for _, glob := range []string{"noc/*.go", "cmd/*/*.go", "internal/*/*.go"} {
+			enforce(t, perRouter, glob, true)
+		}
+	})
+
+	// Every field of the cycle kernel's per-router state is the record of a
+	// fact, the store's index, or an accelerator with a price (DESIGN.md §17,
+	// "State inventory"). Each name below was a second record once: a
+	// per-slot arrival stamp, a []bool beside the mask word that holds the
+	// bit, a per-lane copy of a field the lane's packet holds, an NI-side copy
+	// of VC occupancy or of the packet's route class, a router-per-entry
+	// []bool beside the tick index, a reassembly map beside the count the
+	// packet carries, a pointer per node in front of the generators, a
+	// `worked` flag beside the dry word, a route class on every flit.
+	t.Run("one record per fact", func(t *testing.T) {
+		second := declaredIn(
+			"LaneStore.At", "LaneStore.Active", "LaneStore.PCValid", "LaneStore.HistValid",
+			"LaneStore.Class", "LaneStore.Src", "LaneStore.Dst",
+			"RegFile.Valid", "RegFile.HistValid",
+			"Router.at", "Router.activeL", "Router.worked", "Router.classL", "Router.srcL", "Router.dstL",
+			"ni.busy", "ni.rx", "ni.class", "Network.active",
+			"Synthetic.rngs []*sim.RNG", "Flit.RouteClass",
+		)
+		seesEach(t, second, map[string]string{
+			"declares LaneStore.Class":           "package core\ntype LaneStore struct{ OutVC, Class []int }",
+			"declares ni.class":                  "package network\ntype ni struct{ idx, class int }",
+			"declares Flit.RouteClass":           "package flit\ntype Flit struct{ RouteClass int }",
+			"declares Synthetic.rngs []*sim.RNG": "package traffic\ntype Synthetic struct{ rngs []*sim.RNG }",
+		}, "package core\ntype LaneView struct{ Active bool; Class int }\ntype Synthetic struct{ rngs []sim.RNG }\n"+
+			"type Packet struct{ RouteClass int }\ntype Flit = struct{ RouteClass int }\nfunc (s *LaneStore) Class() {}")
+
+		for _, dir := range []string{"core", "router", "network", "traffic", "flit"} {
+			enforce(t, second, filepath.Join("internal", dir, "*.go"), false)
+		}
+	})
+
+	// noc.Spec.Experiment and noc.WorkloadSpec.Workload turn names into an
+	// experiment for nocsim -config, the flags and the service alike; a
+	// parser in a command would be a second grammar growing back. What a
+	// valid experiment is has one home too, noc's validate: the service keeps
+	// resource bounds only, the sweep API decodes an axis value with the
+	// field it sets, and a topology prints its own name.
+	t.Run("one spec front door", func(t *testing.T) {
+		parsers := declaredIn("parseTopo", "parseScheme", "parseRouting", "parsePolicy", "parsePattern")
+		service := namesIn("UseEVC", "HasPrefix")
+		axes := namesIn("axisSetters", "axisValue", "dimsOf")
+		seesEach(t, parsers, map[string]string{
+			"declares parseTopo": "package main\nfunc parseTopo(s string) (noc.Topology, error) { return nil, nil }",
+		}, "package main\nfunc (f *flags) parseTopo() {}\nfunc parse() {}")
+		seesEach(t, service, map[string]string{
+			"names UseEVC":    "package service\nfunc f(e noc.Experiment) bool { return e.UseEVC }",
+			"names HasPrefix": "package service\nvar ok = strings.HasPrefix(\"mesh8x8\", \"mesh\")",
+		}, "package service\nfunc f(e noc.Experiment) error { return e.Validate() }")
+		seesEach(t, axes, map[string]string{
+			"names dimsOf": "package noc\nfunc dimsOf(t Topology) (int, int) { return 0, 0 }",
+		}, "package noc\nfunc (t Topology) Name() string { return \"\" }")
+
+		enforce(t, parsers, "cmd/*/*.go", true)
+		enforce(t, service, "internal/service/spec.go", false)
+		enforce(t, axes, "internal/sweepapi/*.go", true)
+		enforce(t, axes, "noc/*.go", true)
+	})
+
+	// Where a finished result may come from, and in what order, is one
+	// function: service.Manager.walk (memory, in-flight, disk, fleet owner,
+	// simulate here). The sweep API has no dispatch branch of its own, the
+	// fleet tier does not know the sweep API, each wire struct is declared
+	// once (nocdclient/wire.go) and aliased elsewhere, and no flit pool
+	// crosses from one job to the next.
+	t.Run("one result walk", func(t *testing.T) {
+		dispatcher := declaredIn("Dispatcher")
+		dispatch := namesIn("Dispatch")
+		sweepAPI := namesIn("pseudocircuit/internal/sweepapi")
+		walkSites := []string{"m.cache[key]; ok", "m.inflight[key]; ok", "Store.Get(", "Dispatch("}
+		wire := declaredIn("Job", "Request", "SweepStatus", "Status", "SweepPoint", "PointStatus", "SweepLine", "sweepLine")
+		pool := namesIn("Pool", "NewPool")
+		seesEach(t, dispatcher, map[string]string{
+			"declares Dispatcher": "package sweepapi\ntype Dispatcher interface{ Dispatch() }",
+		}, "package sweepapi\ntype Fleet = service.Fleet")
+		seesEach(t, dispatch, map[string]string{
+			"names Dispatch": "package sweepapi\nfunc f(fl Fleet) { fl.Dispatch() }",
+		}, "package sweepapi\nfunc f(m *service.Manager) { m.Submit() }")
+		seesEach(t, sweepAPI, map[string]string{
+			"names pseudocircuit/internal/sweepapi": "package cluster\nimport _ \"pseudocircuit/internal/sweepapi\"",
+		}, "package cluster\nimport _ \"pseudocircuit/nocdclient\"")
+		body := func(stmt string) string { return "package service\nfunc (m *Manager) f(key string) {\n" + stmt + "\n}" }
+		seesEach(t, namesIn(walkSites...), map[string]string{
+			"names m.cache[key]; ok":    body("if res, ok := m.cache[key]; ok { _ = res }"),
+			"names m.inflight[key]; ok": body("if j, ok := m.inflight[key]; ok { _ = j }"),
+			"names Store.Get(":          body("payload, ok := m.cfg.Store.Get(key)"),
+			"names Dispatch(":           body("fleet.Dispatch(ctx, key)"),
+		}, body("if _, ok := m.cache[key]; !ok { m.cache[key] = res }\nm.inflight[key] = j\nm.cfg.Store.Put(key)"))
+		seesEach(t, wire, map[string]string{
+			"declares SweepLine": "package nocd\ntype SweepLine struct{ Type string }",
+		}, "package sweepapi\ntype (\n\tStatus = nocdclient.SweepStatus\n\tLine = nocdclient.SweepLine\n)")
+		seesEach(t, pool, map[string]string{
+			"names NewPool": "package noc\nvar pool = flit.NewPool()",
+		}, "package noc\nvar n = network.New(cfg)")
+
+		enforce(t, dispatcher, "internal/sweepapi/*.go", false)
+		enforce(t, dispatch, "internal/sweepapi/*.go", false)
+		enforce(t, sweepAPI, "internal/cluster/*.go", false)
+		const walk = "internal/service/service.go:"
+		for _, site := range walkSites {
+			var sites []string
+			for _, glob := range []string{"internal/service/*.go", "internal/sweepapi/*.go", "cmd/nocd/*.go"} {
+				sites = append(sites, findings(t, namesIn(site), glob, false)...)
+			}
+			if len(sites) != 1 || !strings.HasPrefix(sites[0], walk) {
+				t.Errorf("%q: want one site, in %s; found %q", site, walk, sites)
+			}
+		}
+		var decls []string
+		for _, glob := range []string{"internal/*/*.go", "nocdclient/*.go", "noc/*.go", "cmd/*/*.go"} {
+			decls = append(decls, findings(t, wire, glob, false)...)
+		}
+		if len(decls) != 5 {
+			t.Errorf("want the five wire structs, all in nocdclient/wire.go; found %q", decls)
+		}
+		for _, d := range decls {
+			if !strings.HasPrefix(d, "nocdclient/wire.go:") {
+				t.Errorf("wire struct declared outside nocdclient/wire.go: %s", d)
+			}
+		}
+		enforce(t, pool, "noc/noc.go", false)
 	})
 }

@@ -52,9 +52,6 @@ type LaneStore struct {
 	BufLen  []int // buffered flits
 	OutPort []int
 	OutVC   []int
-	Class   []int
-	Src     []int
-	Dst     []int
 
 	// Per input port p = InBase[r]+in: the storage of the pseudo-circuit
 	// register pairs (Fig. 3 (a); their valid bits are RegFile.ValidMask), plus
@@ -109,9 +106,6 @@ func NewLaneStore(numVCs, bufDepth int, inPorts, outPorts []int) *LaneStore {
 	s.BufLen = make([]int, nIn*numVCs)
 	s.OutPort = fill(nIn*numVCs, -1)
 	s.OutVC = fill(nIn*numVCs, -1)
-	s.Class = make([]int, nIn*numVCs)
-	s.Src = make([]int, nIn*numVCs)
-	s.Dst = make([]int, nIn*numVCs)
 
 	s.PCInVC = fill(nIn, -1)
 	s.PCOut = fill(nIn, -1)
@@ -168,9 +162,6 @@ type LaneView struct {
 	Active  bool
 	OutPort int
 	OutVC   int
-	Class   int
-	Src     int
-	Dst     int
 }
 
 // View materializes the lane of global input port p, VC vc.
@@ -181,9 +172,6 @@ func (s *LaneStore) View(p, vc int) LaneView {
 		Active:  s.Act[p]>>uint(vc)&1 != 0,
 		OutPort: s.OutPort[l],
 		OutVC:   s.OutVC[l],
-		Class:   s.Class[l],
-		Src:     s.Src[l],
-		Dst:     s.Dst[l],
 	}
 }
 

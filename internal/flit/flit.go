@@ -95,6 +95,9 @@ type Packet struct {
 	Injected sim.Cycle // cycle the packet entered the source queue
 	NetStart sim.Cycle // cycle the header flit left the source NI
 	Hops     int       // router hops taken (set by the network)
+	// RouteClass pins an O1TURN packet to its XY/YX VC class for the whole
+	// route so deadlock freedom holds; the source NI sets it at dequeue.
+	RouteClass int
 	// Arrived counts the flits the destination NI has reassembled so far; it
 	// is zero outside the network (reset on delivery and on a purge, and by
 	// pool recycling like every other field).
@@ -139,10 +142,6 @@ type Flit struct {
 	// NextOut is the output port to take at the router this flit is
 	// arriving at (lookahead routing). -1 means "eject here".
 	NextOut int
-
-	// RouteClass pins O1TURN packets to their XY/YX VC class for the whole
-	// route so deadlock freedom holds.
-	RouteClass int
 
 	// ExpressHops is the number of intermediate routers this flit may still
 	// bypass on an express virtual channel (EVC comparison baseline, paper

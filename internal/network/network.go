@@ -226,7 +226,7 @@ func (n *Network) send(id, out int, f *flit.Flit) {
 	h := n.topo.NextHop(id, out, f.Packet.Dst)
 	f.NextOut = -1
 	if h.Router >= 0 {
-		f.NextOut = n.routeFor(h.Router, f.Packet.Dst, f.RouteClass)
+		f.NextOut = n.routeFor(h.Router, f.Packet.Dst, f.Packet.RouteClass)
 	}
 	n.schedule(h.Latency+1, delivery{flit: f, router: h.Router, port: h.InPort})
 }

@@ -22,7 +22,6 @@ type ni struct {
 	cur    []*flit.Flit // flits of the packet being injected
 	curBuf []*flit.Flit // backing storage for cur, reused across packets
 	idx    int
-	class  int // routing class of the current packet
 	outVC  int // VC allocated for the current packet, -1 while VA pending
 
 	credits []int // free slots per VC of the router input port this NI feeds
@@ -96,7 +95,7 @@ func (s *ni) inject(now sim.Cycle) {
 		s.cur = s.net.pool.SplitInto(s.curBuf[:0], p)
 		s.curBuf = s.cur
 		s.idx = 0
-		s.class = s.net.engine.ClassFor(s.rng)
+		p.RouteClass = s.net.engine.ClassFor(s.rng)
 		s.outVC = -1
 	}
 	// Read the packet through the next unsent flit: earlier flits may
@@ -106,15 +105,14 @@ func (s *ni) inject(now sim.Cycle) {
 	if s.outVC < 0 {
 		// One packet at a time, its VC released at the tail: no VC of the port
 		// is ever held when the next packet picks, so the pick cannot fail.
-		s.outVC = s.net.niAlloc.Pick(p.Src, p.Dst, s.class, s.net.niIdle, s.credits)
+		s.outVC = s.net.niAlloc.Pick(p.Src, p.Dst, p.RouteClass, s.net.niIdle, s.credits)
 	}
 	if s.credits[s.outVC] <= 0 {
 		return // downstream input VC full; wait for credit
 	}
 	f := s.cur[s.idx]
 	f.VC = s.outVC
-	f.RouteClass = s.class
-	f.NextOut = s.net.routeFor(s.router, p.Dst, s.class)
+	f.NextOut = s.net.routeFor(s.router, p.Dst, p.RouteClass)
 	f.EnteredNet = now
 	if f.Kind.IsHead() {
 		p.NetStart = now

@@ -1,6 +1,7 @@
 package network_test
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -23,18 +24,26 @@ import (
 //     their valid bits, for every router;
 //   - struct view: LaneStore.View materializes each lane back into the
 //     pre-SoA struct shape, and the schedules' views must be deeply equal
-//     lane by lane, as must their credit counters and pseudo-circuit
-//     registers — the flat layout holds exactly the state the struct layout
-//     would, whichever schedule mutated it, at every burst and not only in
-//     the end-of-run totals the determinism harness compares.
+//     lane by lane, as must the packet each lane's owner names (its ID and
+//     route class, the fields VA and the fault sweeps read through it),
+//     their credit counters and pseudo-circuit registers — the flat layout
+//     holds exactly the state the struct layout would, whichever schedule
+//     mutated it, at every burst and not only in the end-of-run totals the
+//     determinism harness compares.
 //
 // The EVC comparison router lives in the same store (it is a policy on the
-// same pipeline), so the whole check runs on it too.
+// same pipeline), so the whole check runs on it too; O1TURN puts packets of
+// both route classes in the lanes.
 func TestLaneStoreRoundTrip(t *testing.T) {
 	topo := topology.NewMesh(4, 4)
 	t.Run("psb", func(t *testing.T) {
 		laneStoreRoundTrip(t, topo, func(k kernel) *network.Network {
 			return buildKernel(topo, core.PseudoSB, routing.XY, vcalloc.Static, k)
+		})
+	})
+	t.Run("o1turn", func(t *testing.T) {
+		laneStoreRoundTrip(t, topo, func(k kernel) *network.Network {
+			return buildKernel(topo, core.PseudoSB, routing.O1TURN, vcalloc.Dynamic, k)
 		})
 	})
 	t.Run("evc", func(t *testing.T) {
@@ -80,16 +89,10 @@ func laneStoreRoundTrip(t *testing.T, topo topology.Topology, build func(k kerne
 		}
 		ref := legs[0]
 		for _, l := range legs[1:] {
-			a, b := ref.net.Lanes(), l.net.Lanes()
-			for p := 0; p < len(a.Occ); p++ {
-				for vc := 0; vc < a.NumVCs; vc++ {
-					va, vb := a.View(p, vc), b.View(p, vc)
-					if !reflect.DeepEqual(va, vb) {
-						t.Fatalf("trial %d: lane view diverges at port %d vc %d:\n%s: %+v\n%s: %+v",
-							trial, p, vc, ref.name, va, l.name, vb)
-					}
-				}
+			if err := sameLanes(ref.net, l.net); err != nil {
+				t.Fatalf("trial %d: %s vs %s: %v", trial, ref.name, l.name, err)
 			}
+			a, b := ref.net.Lanes(), l.net.Lanes()
 			// What View leaves out: credit counters and output-VC ownership
 			// per output lane, the pseudo-circuit register file per input
 			// port with its valid bits, the speculation history per output
@@ -116,6 +119,65 @@ func laneStoreRoundTrip(t *testing.T, topo topology.Topology, build func(k kerne
 				}
 			}
 		}
+	}
+}
+
+// sameLanes reports the first input lane at which two networks differ, in
+// its struct view or in the packet its owner names.
+func sameLanes(a, b *network.Network) error {
+	sa, sb := a.Lanes(), b.Lanes()
+	pa, pb := a.LanePackets(), b.LanePackets()
+	for p := 0; p < len(sa.Occ); p++ {
+		for vc := 0; vc < sa.NumVCs; vc++ {
+			if va, vb := sa.View(p, vc), sb.View(p, vc); va != vb {
+				return fmt.Errorf("lane view diverges at port %d vc %d: %+v / %+v", p, vc, va, vb)
+			}
+			if l := p*sa.NumVCs + vc; pa[l] != pb[l] {
+				return fmt.Errorf("lane at port %d vc %d names packet %+v / %+v", p, vc, pa[l], pb[l])
+			}
+		}
+	}
+	return nil
+}
+
+// TestLaneComparisonSeesPackets is the failing case of the per-lane packet
+// comparison: two runs that differ only in the IDs the network hands out fill
+// every lane identically, so their struct views agree at every burst, and
+// sameLanes must still tell them apart by the packets the lanes name.
+func TestLaneComparisonSeesPackets(t *testing.T) {
+	topo := topology.NewMesh(4, 4)
+	var nets [2]*network.Network
+	var ws [2]network.Workload
+	for i := range nets {
+		nets[i] = buildKernel(topo, core.PseudoSB, routing.O1TURN, vcalloc.Dynamic, kernels[1])
+		ws[i] = traffic.NewSynthetic(traffic.Config{
+			Pattern: traffic.UniformRandom, Nodes: topo.Nodes(), Rate: 0.12,
+		}, sim.NewRNG(11))
+	}
+	nets[1].SkipPacketIDs(1 << 40)
+	caught, class1 := false, false
+	for cycle := 0; cycle < 200 && !(caught && class1); cycle++ {
+		for i := range nets {
+			nets[i].Step(ws[i])
+		}
+		a, b := nets[0].Lanes(), nets[1].Lanes()
+		for p := 0; p < len(a.Occ); p++ {
+			for vc := 0; vc < a.NumVCs; vc++ {
+				if va, vb := a.View(p, vc), b.View(p, vc); va != vb {
+					t.Fatalf("cycle %d: packet IDs moved lane state at port %d vc %d: %+v / %+v", cycle, p, vc, va, vb)
+				}
+			}
+		}
+		caught = sameLanes(nets[0], nets[1]) != nil
+		for _, lp := range nets[0].LanePackets() {
+			class1 = class1 || lp.RouteClass == 1
+		}
+	}
+	if !caught {
+		t.Fatal("sameLanes never told apart two runs whose lanes name different packets")
+	}
+	if !class1 {
+		t.Fatal("no lane named a class-1 packet: the route class comparison saw only zeros")
 	}
 }
 

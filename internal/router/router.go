@@ -145,10 +145,8 @@ type Router struct {
 	bufLen  []int
 	outPort []int
 	outVC   []int
-	classL  []int
-	srcL    []int
-	dstL    []int
-	// Router-local flat pointer arrays, same indexing as the store.
+	// Router-local flat pointer arrays, same indexing as the store. pkt[l] owns
+	// lane l while act holds it: VA and the fault sweeps read it.
 	buf []*flit.Flit // lane*D + k, FIFO head at k = 0
 	pkt []*flit.Packet
 
@@ -242,9 +240,6 @@ func New(id, inPorts, outPorts int, cfg *Config) *Router {
 		bufLen:  ls.BufLen[inBase*V : (inBase+inPorts)*V],
 		outPort: ls.OutPort[inBase*V : (inBase+inPorts)*V],
 		outVC:   ls.OutVC[inBase*V : (inBase+inPorts)*V],
-		classL:  ls.Class[inBase*V : (inBase+inPorts)*V],
-		srcL:    ls.Src[inBase*V : (inBase+inPorts)*V],
-		dstL:    ls.Dst[inBase*V : (inBase+inPorts)*V],
 		buf:     make([]*flit.Flit, inPorts*V*D),
 		pkt:     make([]*flit.Packet, inPorts*V),
 
@@ -553,9 +548,6 @@ func (r *Router) admit(in, vc int, h *flit.Flit) {
 	r.va[in] |= 1 << uint(vc)
 	r.outPort[l] = h.NextOut
 	r.outVC[l] = -1
-	r.classL[l] = h.RouteClass
-	r.srcL[l] = h.Packet.Src
-	r.dstL[l] = h.Packet.Dst
 	r.pkt[l] = h.Packet
 	if h.NextOut < 0 || h.NextOut >= r.nOut {
 		panic(fmt.Sprintf("router %d: header %v carries invalid output port %d", r.ID, h, h.NextOut))
@@ -564,7 +556,7 @@ func (r *Router) admit(in, vc int, h *flit.Flit) {
 	// between then and now may have killed the link. Re-route at admission
 	// so the stale lookahead cannot commit the packet to a dead port.
 	if r.cfg.Reroute != nil && r.outPort[l] < 4 && r.linkDead(r.outPort[l]) {
-		r.outPort[l] = r.cfg.Reroute(r.ID, r.dstL[l], r.classL[l])
+		r.outPort[l] = r.cfg.Reroute(r.ID, h.Packet.Dst, h.Packet.RouteClass)
 	}
 }
 
@@ -616,15 +608,16 @@ func (r *Router) tryVA(in, vc int) bool {
 		return false // dead link: hold the packet until recovery or reroute
 	}
 	busy, credits := r.vcBusy[out*r.V:(out+1)*r.V], r.credits[out*r.V:(out+1)*r.V]
+	p := r.pkt[l]
 	var v int
 	switch {
 	case r.pol != nil:
-		v = r.pol.PickVC(out, r.dstL[l], r.classL[l], eject, busy, credits)
+		v = r.pol.PickVC(out, p.Dst, p.RouteClass, eject, busy, credits)
 	case eject:
 		// The receiver NI drains every VC; allocate within the class.
-		v, _ = r.cfg.Alloc.ClassRange(r.classL[l])
+		v, _ = r.cfg.Alloc.ClassRange(p.RouteClass)
 	default:
-		v = r.cfg.Alloc.Pick(r.srcL[l], r.dstL[l], r.classL[l], busy, credits)
+		v = r.cfg.Alloc.Pick(p.Src, p.Dst, p.RouteClass, busy, credits)
 	}
 	if v < 0 {
 		return false
@@ -1058,20 +1051,20 @@ func (r *Router) FaultScan(fc *FaultContext) {
 				continue
 			}
 			switch {
-			case fc.RouterDead || fc.DstDead(r.dstL[l]):
+			case fc.RouterDead || fc.DstDead(r.pkt[l].Dst):
 				fc.Kill(r.pkt[l])
 			case r.outPort[l] < r.nOut && !r.ejection[r.outPort[l]] && (fc.LinkDead(r.outPort[l]) ||
 				r.pol != nil && r.pol.PathDead(r.outPort[l], r.outVC[l])):
 				if r.outVC[l] < 0 {
 					// Not yet committed to an output VC: detour in place.
-					r.outPort[l] = fc.Reroute(r.dstL[l], r.classL[l])
+					r.outPort[l] = fc.Reroute(r.pkt[l].Dst, r.pkt[l].RouteClass)
 				} else if fc.Salvage && r.bufLen[l] > 0 && r.buf[l*r.D].Kind.IsHead() {
 					// Committed but the whole packet is still here: release
 					// the allocation and detour.
 					r.vcBusy[r.outPort[l]*r.V+r.outVC[l]] = false
 					r.outVC[l] = -1
 					r.va[i] |= 1 << uint(vc)
-					r.outPort[l] = fc.Reroute(r.dstL[l], r.classL[l])
+					r.outPort[l] = fc.Reroute(r.pkt[l].Dst, r.pkt[l].RouteClass)
 					fc.Salvaged(r.pkt[l])
 				} else {
 					// Partially forwarded (or salvage disabled): the wormhole

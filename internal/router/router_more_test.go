@@ -105,6 +105,87 @@ func TestVARetry(t *testing.T) {
 	}
 }
 
+// TestO1TURNClassSurvivesRetryAndDetour: an O1TURN packet's route class is
+// the packet's own (the source NI sets it once), and the router reads it
+// through the lane's packet every time it routes or allocates, not only in
+// the header's admission cycle. A class-1 (YX) header rerouted at admission
+// onto a dead link fails VA until the link recovers; an uncommitted class-1
+// header is detoured by FaultScan. Both must route and allocate inside class
+// 1 — VCs 2 and 3 of 4 — where a read that fell back to class 0 (a zeroed
+// field) would detour to output 1 and take VC 0 or 1.
+func TestO1TURNClassSurvivesRetryAndDetour(t *testing.T) {
+	setup := func(t *testing.T, dead map[int]bool) *harness {
+		h := newHarness(t, core.DefaultOptions(core.Baseline))
+		h.cfg.Alloc = vcalloc.New(vcalloc.Dynamic, 4, 2, 64)
+		h.cfg.LinkUp = func(id, out int) bool { return !dead[out] }
+		p := &flit.Packet{ID: 1, Src: 0, Dst: 9, Size: 2, RouteClass: 1}
+		f := flit.Split(p)[0]
+		f.VC, f.NextOut = 2, 2
+		h.r.Deliver(0, f)
+		return h
+	}
+	settle := func(t *testing.T, h *harness) {
+		t.Helper()
+		for i := 0; i < 4; i++ {
+			h.tick()
+		}
+		if len(h.sent) != 1 {
+			t.Fatalf("sent %d flits after the link recovered, want the header", len(h.sent))
+		}
+		if s := h.sent[0]; s.out != 3 || s.f.VC < 2 {
+			t.Fatalf("header left on output %d VC %d, want output 3 and a class-1 VC (2 or 3)", s.out, s.f.VC)
+		}
+	}
+	var classes []int
+	reroute := func(class int) int { // class 1 → 3, class 0 → 1
+		classes = append(classes, class)
+		return 1 + 2*class
+	}
+
+	t.Run("VA retry", func(t *testing.T) {
+		classes = nil
+		dead := map[int]bool{2: true, 3: true}
+		h := setup(t, dead)
+		h.cfg.Reroute = func(id, dst, class int) int { return reroute(class) }
+		for i := 0; i < 4; i++ {
+			h.tick()
+		}
+		if len(h.sent) != 0 {
+			t.Fatalf("header left on output %d while its class-1 detour was dead", h.sent[0].out)
+		}
+		dead[3] = false
+		settle(t, h)
+		if len(classes) != 1 || classes[0] != 1 {
+			t.Fatalf("admission rerouted with classes %v, want [1]", classes)
+		}
+	})
+
+	t.Run("fault detour", func(t *testing.T) {
+		classes = nil
+		dead := map[int]bool{}
+		h := setup(t, dead)
+		h.tick() // BW: the header is buffered, not yet admitted
+		dead[2] = true
+		h.tick() // admitted; VA refused on the dead link, so uncommitted
+		h.tick()
+		if len(h.sent) != 0 {
+			t.Fatal("header left before its link was detoured")
+		}
+		h.r.FaultScan(&router.FaultContext{
+			LinkDead: func(out int) bool { return dead[out] },
+			DstDead:  func(int) bool { return false },
+			Reroute:  func(dst, class int) int { return reroute(class) },
+			Kill:     func(p *flit.Packet) { t.Fatalf("packet %d killed; an uncommitted header is detoured", p.ID) },
+			Salvaged: func(*flit.Packet) {},
+			PCTerm:   func() {},
+		})
+		settle(t, h)
+		if len(classes) != 1 || classes[0] != 1 {
+			t.Fatalf("FaultScan detoured with classes %v, want [1]", classes)
+		}
+	})
+}
+
 // TestHeadTailPacketsReusePC: single-flit packets (the CMP's address-only
 // requests) create and reuse pseudo-circuits like any other.
 func TestHeadTailPacketsReusePC(t *testing.T) {
