@@ -209,12 +209,65 @@ func pcHelpersIn(fset *token.FileSet, f *ast.File) []string {
 	return found
 }
 
+// laneHelpers are router.go's lane helpers, the only writers of laneWords.
+var (
+	laneHelpers = map[string]bool{"pushBuf": true, "popHead": true, "removeBufAt": true, "admit": true, "resetLane": true}
+	laneWords   = map[string]bool{"occ": true, "act": true, "occPorts": true, "actPorts": true}
+)
+
+// writesLaneWord reports whether assigning to e writes a lane word: a field
+// named in laneWords, or an element of one.
+func writesLaneWord(e ast.Expr) bool {
+	for {
+		switch x := e.(type) {
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.ParenExpr:
+			e = x.X
+		case *ast.SelectorExpr:
+			return laneWords[x.Sel.Name]
+		default:
+			return false
+		}
+	}
+}
+
+// laneWordWritesIn lists assignments and ++/-- to a lane word in a function
+// other than the lane helpers.
+func laneWordWritesIn(fset *token.FileSet, f *ast.File) []string {
+	var found []string
+	for _, d := range f.Decls {
+		fn, ok := d.(*ast.FuncDecl)
+		if !ok || fn.Body == nil || laneHelpers[fn.Name.Name] {
+			continue
+		}
+		ast.Inspect(fn.Body, func(n ast.Node) bool {
+			var lhs []ast.Expr
+			switch s := n.(type) {
+			case *ast.AssignStmt:
+				lhs = s.Lhs
+			case *ast.IncDecStmt:
+				lhs = []ast.Expr{s.X}
+			}
+			for _, e := range lhs {
+				if writesLaneWord(e) {
+					found = append(found, fmt.Sprintf("%s: %s assigns %s", fset.Position(e.Pos()), fn.Name.Name, types.ExprString(e)))
+				}
+			}
+			return true
+		})
+	}
+	return found
+}
+
 // TestOneRouterPipeline: internal/evc is a policy on internal/router's
 // pipeline and declares none of its phases again. The pseudo-circuit
 // registers have one home too: core.RegFile writes them and keeps what is
 // derived from them in step (ByOut, HeldMask, and HistMask, whose bits say
 // which outputs speculation can revive); router.go reads them, assigns none
-// and holds no pc* helper of its own.
+// and holds no pc* helper of its own. The lane words have one set of writers:
+// the occupancy and active masks and the two port words derived from them are
+// assigned only by the five lane helpers, which is what keeps them in step.
 func TestOneRouterPipeline(t *testing.T) {
 	t.Run("evc redeclares no phase", func(t *testing.T) {
 		enforce(t, phasesIn, "internal/evc/*.go", true)
@@ -242,6 +295,20 @@ func TestOneRouterPipeline(t *testing.T) {
 		seesEach(t, pcHelpersIn, map[string]string{
 			"declares (*Router).pcRevive": "package router\ntype Router struct{}\nfunc (r *Router) pcRevive() {}",
 		}, "package router\ntype Router struct{}\nfunc (r *Router) maintainPseudoCircuits() {}\nfunc pcMask() {}")
+	})
+	t.Run("lane words have one set of writers", func(t *testing.T) {
+		enforce(t, laneWordWritesIn, "internal/router/router.go", false)
+		method := func(name, stmt string) string {
+			return "package router\nfunc (r *Router) " + name + "(in, vc int) {\n" + stmt + "\n}"
+		}
+		seesEach(t, laneWordWritesIn, map[string]string{
+			"Tick assigns r.occPorts":      method("Tick", "r.occPorts = 0"),
+			"FaultScan assigns r.act[in]":  method("FaultScan", "r.act[in] &^= 1 << uint(vc)"),
+			"grant assigns r.actPorts":     method("grant", "vc, r.actPorts = 0, 1"),
+			"classify assigns (r.occ)[in]": method("classify", "(r.occ)[in]++"),
+		}, method("pushBuf", "r.occ[in] |= 1\nr.occPorts |= 1")+"\n"+
+			"func (r *Router) resetLane(in, vc int) { r.act[in] = 0; r.actPorts = 0 }\n"+
+			"func (r *Router) Tick(in, vc int) { r.ports = r.occPorts; r.va[in] |= 1; x := &Router{occ: nil}; _ = x }")
 	})
 }
 
@@ -372,7 +439,9 @@ func TestStructuralRules(t *testing.T) {
 	// of VC occupancy or of the packet's route class, a router-per-entry
 	// []bool beside the tick index, a reassembly map beside the count the
 	// packet carries, a pointer per node in front of the generators, a
-	// `worked` flag beside the dry word, a route class on every flit.
+	// `worked` flag beside the dry word, a route class on every flit, a credit
+	// riding the flit ring (a `vc` on every delivery) and the deferred-credit
+	// record a purge of that ring needed.
 	t.Run("one record per fact", func(t *testing.T) {
 		second := declaredIn(
 			"LaneStore.At", "LaneStore.Active", "LaneStore.PCValid", "LaneStore.HistValid",
@@ -380,15 +449,18 @@ func TestStructuralRules(t *testing.T) {
 			"RegFile.Valid", "RegFile.HistValid",
 			"Router.at", "Router.activeL", "Router.worked", "Router.classL", "Router.srcL", "Router.dstL",
 			"ni.busy", "ni.rx", "ni.class", "Network.active",
-			"Synthetic.rngs []*sim.RNG", "Flit.RouteClass",
+			"Synthetic.rngs []*sim.RNG", "Flit.RouteClass", "delivery.vc", "credRet",
 		)
 		seesEach(t, second, map[string]string{
 			"declares LaneStore.Class":           "package core\ntype LaneStore struct{ OutVC, Class []int }",
 			"declares ni.class":                  "package network\ntype ni struct{ idx, class int }",
 			"declares Flit.RouteClass":           "package flit\ntype Flit struct{ RouteClass int }",
 			"declares Synthetic.rngs []*sim.RNG": "package traffic\ntype Synthetic struct{ rngs []*sim.RNG }",
+			"declares delivery.vc":               "package network\ntype delivery struct{ router, port, vc int32 }",
+			"declares credRet":                   "package network\ntype credRet struct{ router, out, vc int }",
 		}, "package core\ntype LaneView struct{ Active bool; Class int }\ntype Synthetic struct{ rngs []sim.RNG }\n"+
-			"type Packet struct{ RouteClass int }\ntype Flit = struct{ RouteClass int }\nfunc (s *LaneStore) Class() {}")
+			"type Packet struct{ RouteClass int }\ntype Flit = struct{ RouteClass int }\nfunc (s *LaneStore) Class() {}\n"+
+			"type delivery struct{ router, port int32 }\ntype upCredit struct{ router, out, vc int32 }")
 
 		for _, dir := range []string{"core", "router", "network", "traffic", "flit"} {
 			enforce(t, second, filepath.Join("internal", dir, "*.go"), false)

@@ -230,7 +230,7 @@ func (w *Workload) tickCore(now sim.Cycle, c *core, inj network.Injector) {
 	if w.MaxMisses > 0 && w.totalMisses >= w.MaxMisses {
 		return
 	}
-	p := w.prof
+	p := &w.prof
 	if c.burst > 0 {
 		// Streaming burst: stride onward from the previous miss (the L1
 		// filters dense sequential hits, so the observed miss stream skips
@@ -258,7 +258,7 @@ func (w *Workload) tickCore(now sim.Cycle, c *core, inj network.Injector) {
 // current phase's hot pages (FocusProb of the time) or the full working
 // sets.
 func (w *Workload) chooseBlock(now sim.Cycle, c *core) uint64 {
-	p := w.prof
+	p := &w.prof
 	if c.lastBlock != 0 && c.rng.Bernoulli(p.Temporal) {
 		return c.lastBlock
 	}
@@ -276,7 +276,7 @@ func (w *Workload) chooseBlock(now sim.Cycle, c *core) uint64 {
 
 // newPhase re-draws the core's hot page set from the working sets.
 func (w *Workload) newPhase(now sim.Cycle, c *core) {
-	p := w.prof
+	p := &w.prof
 	c.focus = c.focus[:0]
 	for i := 0; i < p.FocusPages; i++ {
 		c.focus = append(c.focus, w.drawWorkingSet(c)/uint64(w.cfg.InterleaveBlocks))
@@ -287,7 +287,7 @@ func (w *Workload) newPhase(now sim.Cycle, c *core) {
 // drawWorkingSet samples the shared (possibly skewed) or private working
 // set.
 func (w *Workload) drawWorkingSet(c *core) uint64 {
-	p := w.prof
+	p := &w.prof
 	if c.rng.Bernoulli(p.SharedFrac) {
 		u := c.rng.Float64()
 		if p.Skew > 0 {

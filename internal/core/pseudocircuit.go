@@ -180,9 +180,14 @@ func (f *RegFile) Match(in, vc, out int) bool {
 // rewritten, valid and non-speculative (§3.B), any other input's circuit on
 // out is terminated, and both histories note the connection. created reports
 // that the flit did not already match the circuit, displaced that another
-// input's circuit was terminated.
+// input's circuit was terminated. A flit riding a live non-speculative circuit
+// writes nothing: what the Connect that made it wrote (Hist[in]'s front,
+// HistIn[out], ByOut[out], the mask bits) holds while it is valid. A
+// speculative match clears Spec and may promote Hist[in] at depth > 1.
 func (f *RegFile) Connect(in, vc, out int) (created, displaced bool) {
-	created = !f.Match(in, vc, out)
+	if created = !f.Match(in, vc, out); !created && !f.Spec[in] {
+		return false, false
+	}
 	if j := f.ByOut[out]; j >= 0 && j != in {
 		f.Terminate(j)
 		displaced = true

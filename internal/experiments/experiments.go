@@ -19,6 +19,7 @@ import (
 
 	"pseudocircuit/internal/core"
 	"pseudocircuit/internal/routing"
+	"pseudocircuit/internal/stats"
 	"pseudocircuit/internal/topology"
 	"pseudocircuit/internal/vcalloc"
 	"pseudocircuit/noc"
@@ -172,11 +173,21 @@ func (o Options) each(points []point, fn func(i int, e noc.Experiment, n *noc.Ne
 // run simulates every point under the standard warmup/measure protocol and
 // returns the results in point order.
 func (o Options) run(points []point) []noc.Result {
-	out := make([]noc.Result, len(points))
+	out, _ := o.runTotals(points)
+	return out
+}
+
+// runTotals is run that also returns, beside each Result, the router-counter
+// totals of the same measured window: the rates a Result does not carry
+// (header reuse, header bypass), read without adding a field to it — which
+// would move every result digest and store key.
+func (o Options) runTotals(points []point) ([]noc.Result, []stats.Totals) {
+	out, tot := make([]noc.Result, len(points)), make([]stats.Totals, len(points))
 	o.each(points, func(i int, e noc.Experiment, n *noc.Network, w noc.Workload) {
 		out[i] = e.RunOn(n, w)
+		tot[i] = n.Registry().Totals()
 	})
-	return out
+	return out, tot
 }
 
 // rowsOf splits a row-major grid into its rows of n; applied again it

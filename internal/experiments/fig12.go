@@ -23,6 +23,10 @@ type Fig12Result struct {
 	// LowLoadImprovement[p][s] = 1 - latency(scheme)/latency(baseline) at
 	// the lowest load.
 	LowLoadImprovement [][]float64
+	// At the lowest load, [p][s]: pseudo-circuit reusability over all flit
+	// traversals, and the shares of header traversals that rode a circuit and
+	// that also bypassed the buffer.
+	LowLoadReuse, LowLoadHeadReuse, LowLoadHeadBypass [][]float64
 }
 
 // fig12Patterns maps each pattern to its load sweep; the upper ends sit
@@ -50,18 +54,22 @@ func Fig12(o Options) Fig12Result {
 		}
 	}
 	res := Fig12Result{Schemes: schemeLabels}
-	rs := o.run(points)
+	rs, tot := o.runTotals(points)
 	for _, pc := range fig12Patterns {
-		n := len(core.Schemes) * len(pc.loads)
+		ns := len(core.Schemes)
+		n := ns * len(pc.loads)
 		var lat [][]float64
-		for _, row := range rowsOf(rs[:n], len(pc.loads)) {
+		reuse, head, bypass := make([]float64, ns), make([]float64, ns), make([]float64, ns)
+		for si, row := range rowsOf(rs[:n], len(pc.loads)) {
 			l := make([]float64, len(row))
 			for li, r := range row {
 				l[li] = r.AvgLatency
 			}
 			lat = append(lat, l)
+			t := tot[si*len(pc.loads)] // the scheme's lowest load
+			reuse[si], head[si], bypass[si] = row[0].Reusability, t.HeadReuseRate(), t.HeadBypassRate()
 		}
-		rs = rs[n:]
+		rs, tot = rs[n:], tot[n:]
 		impr := make([]float64, len(lat))
 		for si := range lat {
 			impr[si] = 1 - lat[si][0]/lat[0][0]
@@ -70,11 +78,15 @@ func Fig12(o Options) Fig12Result {
 		res.Loads = append(res.Loads, pc.loads)
 		res.Latency = append(res.Latency, lat)
 		res.LowLoadImprovement = append(res.LowLoadImprovement, impr)
+		res.LowLoadReuse = append(res.LowLoadReuse, reuse)
+		res.LowLoadHeadReuse = append(res.LowLoadHeadReuse, head)
+		res.LowLoadHeadBypass = append(res.LowLoadHeadBypass, bypass)
 	}
 	return res
 }
 
-// Tables renders one load-latency table per pattern.
+// Tables renders one load-latency table per pattern, each followed by the
+// pattern's hit rates at its lowest load.
 func (r Fig12Result) Tables() []Table {
 	var out []Table
 	for pi, p := range r.Patterns {
@@ -82,11 +94,17 @@ func (r Fig12Result) Tables() []Table {
 		for _, load := range r.Loads[pi] {
 			loads = append(loads, fmt.Sprintf("%.2f", load))
 		}
-		out = append(out, seriesTable(fmt.Sprintf("fig12%c", 'a'+pi),
+		id := fmt.Sprintf("fig12%c", 'a'+pi)
+		out = append(out, seriesTable(id,
 			fmt.Sprintf("Latency vs offered traffic, %s (8x8 mesh, XY, static VA)", p),
 			"load (flits/node/cyc)", loads, r.Schemes,
 			func(l, s int) string { return num(r.Latency[pi][s][l]) },
 			"low-load gain", func(s int) string { return pct(r.LowLoadImprovement[pi][s]) }))
+		rates := [][]float64{r.LowLoadReuse[pi], r.LowLoadHeadReuse[pi], r.LowLoadHeadBypass[pi]}
+		out = append(out, seriesTable(id+".hits",
+			fmt.Sprintf("Pseudo-circuit hit rates at load %s, %s", loads[0], p),
+			"rate", []string{"reusability", "header reuse", "header bypass"}, r.Schemes,
+			func(q, s int) string { return pct(rates[q][s]) }, "", nil))
 	}
 	return out
 }

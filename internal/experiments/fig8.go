@@ -22,11 +22,14 @@ type Fig8Result struct {
 	Schemes    []string // Pseudo, Pseudo+S, Pseudo+B, Pseudo+S+B
 	// Reduction[b][s] = 1 - latency(scheme)/latency(baseline).
 	Reduction [][]float64
-	// Reuse[b][s] is pseudo-circuit reusability.
-	Reuse [][]float64
+	// Reuse[b][s] is pseudo-circuit reusability: the share of all flit
+	// traversals that rode a circuit. HeadReuse and HeadBypass are the shares
+	// of header traversals that rode one and that also bypassed the buffer —
+	// the hits that shorten a packet, since its body flits follow its header.
+	Reuse, HeadReuse, HeadBypass [][]float64
 	// AvgReduction[s] averages over benchmarks (paper: 16% for Pseudo+S+B).
-	AvgReduction []float64
-	AvgReuse     []float64
+	AvgReduction                          []float64
+	AvgReuse, AvgHeadReuse, AvgHeadBypass []float64
 }
 
 // Fig8 runs the overall-performance experiment: per benchmark, the baseline
@@ -39,28 +42,38 @@ func Fig8(o Options) Fig8Result {
 			points = append(points, cmpPoint(b, s, routing.O1TURN, vcalloc.Dynamic))
 		}
 	}
+	ns := len(schemeLabels) - 1
 	res := Fig8Result{
-		Benchmarks:   o.Benchmarks,
-		Schemes:      schemeLabels[1:],
-		AvgReduction: make([]float64, len(schemeLabels)-1),
-		AvgReuse:     make([]float64, len(schemeLabels)-1),
+		Benchmarks:    o.Benchmarks,
+		Schemes:       schemeLabels[1:],
+		AvgReduction:  make([]float64, ns),
+		AvgReuse:      make([]float64, ns),
+		AvgHeadReuse:  make([]float64, ns),
+		AvgHeadBypass: make([]float64, ns),
 	}
 	nb := float64(len(o.Benchmarks))
-	for _, row := range rowsOf(o.run(points), len(core.Schemes)) {
-		var reds, reuse []float64
+	rs, tot := o.runTotals(points)
+	tots := rowsOf(tot, len(core.Schemes))
+	for b, row := range rowsOf(rs, len(core.Schemes)) {
+		reds, reuse, head, bypass := make([]float64, ns), make([]float64, ns), make([]float64, ns), make([]float64, ns)
 		for i, r := range row[1:] {
-			reds = append(reds, 1-r.AvgNetLatency/row[0].AvgNetLatency)
-			reuse = append(reuse, r.Reusability)
+			t := tots[b][i+1]
+			reds[i], reuse[i] = 1-r.AvgNetLatency/row[0].AvgNetLatency, r.Reusability
+			head[i], bypass[i] = t.HeadReuseRate(), t.HeadBypassRate()
 			res.AvgReduction[i] += reds[i] / nb
 			res.AvgReuse[i] += reuse[i] / nb
+			res.AvgHeadReuse[i] += head[i] / nb
+			res.AvgHeadBypass[i] += bypass[i] / nb
 		}
 		res.Reduction = append(res.Reduction, reds)
 		res.Reuse = append(res.Reuse, reuse)
+		res.HeadReuse = append(res.HeadReuse, head)
+		res.HeadBypass = append(res.HeadBypass, bypass)
 	}
 	return res
 }
 
-// Tables renders Fig. 8a and Fig. 8b.
+// Tables renders Fig. 8a and Fig. 8b, and beside 8b the header hit rates.
 func (r Fig8Result) Tables() []Table {
 	table := func(id, title string, cells [][]float64, avg []float64) Table {
 		return seriesTable(id, title, "benchmark", r.Benchmarks, r.Schemes,
@@ -70,5 +83,7 @@ func (r Fig8Result) Tables() []Table {
 	return []Table{
 		table("fig8a", "Overall latency reduction vs best baseline (O1TURN, dynamic VA)", r.Reduction, r.AvgReduction),
 		table("fig8b", "Overall pseudo-circuit reusability", r.Reuse, r.AvgReuse),
+		table("fig8b.head-reuse", "Header flits riding a pseudo-circuit", r.HeadReuse, r.AvgHeadReuse),
+		table("fig8b.head-bypass", "Header flits bypassing the buffer", r.HeadBypass, r.AvgHeadBypass),
 	}
 }

@@ -182,20 +182,17 @@ type upstream struct {
 	out    int // output port, or node id when router == -1
 }
 
-// delivery is an in-flight flit or credit.
+// delivery is a flit in flight to input port port of router router, or to
+// the NI of node port when router == -1.
 type delivery struct {
-	flit *flit.Flit
-	// Flit target: router/port, or NI node when router == -1.
-	router, port int
-	// Credit target (when flit == nil): router out-port VC, or NI when
-	// router == -1 (port = node, vc meaningful).
-	vc int
+	flit         *flit.Flit
+	router, port int32
 }
 
-// credRet is a router-bound credit return deferred until purgePacket's ring
-// sweep has finished rebuilding every slot (see purgePacket).
-type credRet struct {
-	router, out, vc int
+// upCredit is a credit on its way upstream, to VC vc of output port out of
+// router router, or of the NI of node out when router == -1.
+type upCredit struct {
+	router, out, vc int32
 }
 
 // bitset is a word-packed index over the routers or the NIs; a phase walks its
@@ -228,17 +225,17 @@ func (n *Network) send(id, out int, f *flit.Flit) {
 	if h.Router >= 0 {
 		f.NextOut = n.routeFor(h.Router, f.Packet.Dst, f.Packet.RouteClass)
 	}
-	n.schedule(h.Latency+1, delivery{flit: f, router: h.Router, port: h.InPort})
+	n.schedule(h.Latency+1, delivery{flit: f, router: int32(h.Router), port: int32(h.InPort)})
 }
 
 // credit is the router Credit callback: a credit returns to whatever feeds
-// (id, in), router output or NI, with one cycle latency.
+// (id, in), router output or NI, through the credit latch: one cycle later.
 func (n *Network) credit(id, in, vc int) {
 	u := n.upstreamOf(id, in)
 	if u.router == -2 {
 		panic(fmt.Sprintf("network: credit from unwired input port %d of router %d", in, id))
 	}
-	n.schedule(1, delivery{router: u.router, port: u.out, vc: vc})
+	n.credNext = append(n.credNext, upCredit{router: int32(u.router), out: int32(u.out), vc: int32(vc)})
 }
 
 // latchCredit hands router r one credit for (out, vc), and schedules r when the
@@ -295,11 +292,15 @@ type Network struct {
 	tracer   *obs.Tracer
 
 	now      sim.Cycle
-	ring     [][]delivery // future deliveries, indexed by cycle & ringMask
+	ring     [][]delivery // flits in flight, indexed by arrival cycle & ringMask
 	ringMask int          // len(ring)-1; the ring is a power of two so slot lookup divides nothing
 	rng      *sim.RNG
 	nextID   uint64
 	inFlight int // packets injected but not yet fully ejected
+
+	// The credit latch: the credits returned last cycle, which this one
+	// delivers, and this cycle's. Step swaps them before anything can return one.
+	credDue, credNext []upCredit
 
 	pool *flit.Pool
 	// naive keeps every router in the tick index: all of them tick every cycle.
@@ -329,7 +330,6 @@ type Network struct {
 	deadFn   []func(out int) bool
 	hopLimit int
 	victims  []*flit.Packet
-	credRet  []credRet
 	// Wedge watchdog (active only with a schedule): fault detours are not
 	// covered by XY's turn restrictions, so a storm can leave packets in a
 	// buffer-dependency cycle that never moves again — invisible to the hop
@@ -655,16 +655,19 @@ func (n *Network) schedule(latency int, d delivery) {
 // Step advances the simulation one cycle:
 //
 //  1. Main phase: fault events, retransmit timers, NI-bound deliveries
-//     (ejection + NI credits, in due order) and the workload tick —
+//     (NI credits, then ejections in due order) and the workload tick —
 //     everything that touches the global stats, the packet pool and the source
 //     queues.
-//  2. phase: latch the routers' due deliveries, inject from the NIs, tick the
-//     routers. A router tick reads and writes only that router's state (its
-//     registry row included) and appends to the delivery ring, because every
-//     cross-router effect is latched through the ring with at least a cycle
-//     of latency; so the order routers tick in cannot reach the results.
+//  2. phase: latch the routers' due credits and flits, inject from the NIs,
+//     tick the routers. A router tick reads and writes only that router's
+//     state (its registry row included) and appends to the ring or the credit
+//     latch, which hold every cross-router effect for at least a cycle; so
+//     the order routers tick in cannot reach the results.
 //  3. Purge the hop-limit victims the latch found.
 func (n *Network) Step(w Workload) {
+	// Last cycle's credits are due now. Swapping first keeps a credit that
+	// this cycle's fault purges return one cycle away, like any other.
+	n.credDue, n.credNext = n.credNext, n.credDue[:0]
 	// Fault events land first, strictly before any delivery or router work:
 	// the fault state is therefore constant for the rest of the cycle.
 	if n.faults != nil {
@@ -686,16 +689,16 @@ func (n *Network) Step(w Workload) {
 	if n.rel != nil {
 		n.relTick(w)
 	}
+	for _, c := range n.credDue {
+		if c.router < 0 {
+			n.nis[c.out].credit(int(c.vc))
+		}
+	}
 	slot := int(n.now) & n.ringMask
 	due := n.ring[slot]
 	for _, d := range due {
-		if d.router >= 0 {
-			continue // router-bound: latched by phase below
-		}
-		if d.flit != nil {
+		if d.router < 0 { // router-bound flits are latched by phase below
 			n.nis[d.port].receive(n.now, d.flit, w)
-		} else {
-			n.nis[d.port].credit(d.vc)
 		}
 	}
 	if w != nil {
@@ -717,25 +720,27 @@ func (n *Network) Step(w Workload) {
 	}
 }
 
-// phase runs the router side of a cycle: latch the router-bound due deliveries
-// (in due order), inject from the NIs that have work (one flit per node per
-// cycle, ascending node order), tick the routers that have work — all of them
-// under the naive reference — in ascending router order. Both walks follow
-// the indexes, so a cycle costs what it has to do, not what the network holds.
+// phase runs the router side of a cycle: latch the router-bound due credits,
+// then flits (DeliverCredit and Deliver touch disjoint state and only set tick
+// bits, so either order is the same), inject from the NIs that have work (one
+// flit per node per cycle, ascending node order), tick the routers that have
+// work — all of them under the naive reference — in ascending router order.
+// Both walks follow the indexes: a cycle costs what it has to do.
 func (n *Network) phase(due []delivery) {
+	for _, c := range n.credDue {
+		if c.router >= 0 {
+			n.latchCredit(int(c.router), int(c.out), int(c.vc))
+		}
+	}
 	for _, d := range due {
 		if d.router < 0 {
 			continue
 		}
-		if d.flit != nil {
-			if n.hopLimit > 0 && d.flit.Kind.IsHead() && d.flit.Packet.Hops > n.hopLimit {
-				n.condemn(d.flit.Packet)
-			}
-			n.routers[d.router].Deliver(d.port, d.flit)
-			n.tick.set(d.router)
-		} else {
-			n.latchCredit(d.router, d.port, d.vc)
+		if n.hopLimit > 0 && d.flit.Kind.IsHead() && d.flit.Packet.Hops > n.hopLimit {
+			n.condemn(d.flit.Packet)
 		}
+		n.routers[d.router].Deliver(int(d.port), d.flit)
+		n.tick.set(int(d.router))
 	}
 	if n.CheckInvariants {
 		n.checkIndexes()
@@ -913,9 +918,7 @@ func (n *Network) breakWedge() {
 	}
 	for _, due := range n.ring {
 		for _, d := range due {
-			if d.flit != nil {
-				n.condemn(d.flit.Packet)
-			}
+			n.condemn(d.flit.Packet)
 		}
 	}
 	for _, s := range n.nis {
@@ -956,25 +959,22 @@ func (n *Network) stormScan() {
 	// cannot buffer at the intermediate router they bypass).
 	for _, due := range n.ring {
 		for _, d := range due {
-			f := d.flit
-			if f == nil {
-				continue
-			}
-			if d.router < 0 {
+			f, r := d.flit, int(d.router)
+			if r < 0 {
 				if st.RouterDead(n.nis[d.port].router) {
 					n.condemn(f.Packet)
 				}
 				continue
 			}
-			u := n.upstreamOf(d.router, d.port)
+			u := n.upstreamOf(r, int(d.port))
 			switch {
 			case u.router >= 0 && st.LinkDead(u.router, u.out):
 				n.condemn(f.Packet)
-			case u.router == -1 && st.RouterDead(d.router):
+			case u.router == -1 && st.RouterDead(r):
 				n.condemn(f.Packet)
 			case st.RouterDead(n.home[f.Packet.Dst]):
 				n.condemn(f.Packet)
-			case f.ExpressHops > 0 && st.LinkDead(d.router, f.NextOut):
+			case f.ExpressHops > 0 && st.LinkDead(r, f.NextOut):
 				n.condemn(f.Packet)
 			}
 		}
@@ -1030,22 +1030,16 @@ func (n *Network) purgePacket(p *flit.Packet) {
 	for slot, due := range n.ring {
 		kept := due[:0]
 		for _, d := range due {
-			if d.flit == nil || d.flit.Packet != p {
+			f := d.flit
+			if f.Packet != p {
 				kept = append(kept, d)
 				continue
 			}
-			f := d.flit
 			if d.router >= 0 {
 				// The flit was heading into a buffer slot its sender already
-				// debited; hand the credit back. Plain credit increments
-				// commute, but an EVC router may *relay* the credit, which
-				// schedules a fresh ring delivery — and an append into the
-				// slot this sweep is rebuilding would be lost when the slot
-				// is reassigned below. Defer every router credit until the
-				// sweep is done so relays land in fully-rebuilt slots.
-				u := n.upstreamOf(d.router, d.port)
-				if u.router >= 0 {
-					n.credRet = append(n.credRet, credRet{router: u.router, out: u.out, vc: f.VC})
+				// debited; hand the credit back (a relay joins the latch).
+				if u := n.upstreamOf(int(d.router), int(d.port)); u.router >= 0 {
+					n.latchCredit(u.router, u.out, f.VC)
 				} else {
 					n.nis[u.out].credit(f.VC)
 				}
@@ -1054,10 +1048,6 @@ func (n *Network) purgePacket(p *flit.Packet) {
 		}
 		n.ring[slot] = kept
 	}
-	for _, c := range n.credRet {
-		n.latchCredit(c.router, c.out, c.vc)
-	}
-	n.credRet = n.credRet[:0]
 	for _, node := range n.routers {
 		node.(faultNode).FaultPurge(p, n.dropFlit)
 	}

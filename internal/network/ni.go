@@ -118,7 +118,7 @@ func (s *ni) inject(now sim.Cycle) {
 		p.NetStart = now
 	}
 	s.credits[s.outVC]--
-	s.net.schedule(1, delivery{flit: f, router: s.router, port: s.inPort})
+	s.net.schedule(1, delivery{flit: f, router: int32(s.router), port: int32(s.inPort)})
 	if tr := s.net.tracer; tr != nil {
 		tr.Record(obs.Event{
 			Cycle: int64(now), Kind: obs.Inject, Packet: p.ID, Seq: int32(f.Seq),

@@ -41,9 +41,9 @@
 // flat arrays (same layout, router-owned) so core carries no dependency on the
 // data plane. Every fact has one record (DESIGN.md §17, "State inventory"):
 // lane mutations go through the lane helper methods, which keep the occupancy
-// index and the VA mask in step with it; the pseudo-circuit registers and
-// everything derived from them are core.RegFile's, which this package reads
-// but never writes. CheckInvariants verifies both.
+// index, the VA mask and the port words in step with it; the pseudo-circuit
+// registers and everything derived from them are core.RegFile's, which this
+// package reads but never writes. CheckInvariants verifies both.
 package router
 
 import (
@@ -156,6 +156,9 @@ type Router struct {
 	act []uint64
 	// va is derived: bit vc ⇔ active lane awaiting VA (outVC < 0).
 	va []uint64
+	// Derived port words, kept by the lane helpers and read by Tick: bit in ⇔
+	// occ[in] != 0, and bit in ⇔ act[in] != 0.
+	occPorts, actPorts uint64
 
 	// Output-lane views (len nOut*V).
 	credits []int
@@ -287,7 +290,8 @@ func (r *Router) MarkEjection(out int) { r.ejection[out] = true }
 // --- lane helpers: the accessor seam ----------------------------------------
 //
 // Every mutation of a lane's record flows through these, which keeps the
-// occupancy index and the VA mask consistent with it by construction.
+// occupancy index, the VA mask and the two port words consistent with it by
+// construction.
 
 // pushBuf appends a flit to lane (in, vc) and returns the new depth.
 func (r *Router) pushBuf(in, vc int, f *flit.Flit) int {
@@ -296,6 +300,7 @@ func (r *Router) pushBuf(in, vc int, f *flit.Flit) int {
 	r.buf[l*r.D+n] = f
 	r.bufLen[l] = n + 1
 	r.occ[in] |= 1 << uint(vc)
+	r.occPorts |= 1 << uint(in)
 	return n + 1
 }
 
@@ -311,7 +316,9 @@ func (r *Router) popHead(in, vc int) {
 	}
 	r.bufLen[l] = n - 1
 	if n == 1 {
-		r.occ[in] &^= 1 << uint(vc)
+		if r.occ[in] &^= 1 << uint(vc); r.occ[in] == 0 {
+			r.occPorts &^= 1 << uint(in)
+		}
 	}
 	r.rs.BufReads++
 }
@@ -326,7 +333,9 @@ func (r *Router) removeBufAt(in, vc, k int) {
 	}
 	r.bufLen[l] = n - 1
 	if n == 1 {
-		r.occ[in] &^= 1 << uint(vc)
+		if r.occ[in] &^= 1 << uint(vc); r.occ[in] == 0 {
+			r.occPorts &^= 1 << uint(in)
+		}
 	}
 }
 
@@ -339,7 +348,9 @@ func (r *Router) resetLane(in, vc int) {
 	r.outPort[l] = -1
 	r.outVC[l] = -1
 	r.pkt[l] = nil
-	r.act[in] &^= 1 << uint(vc)
+	if r.act[in] &^= 1 << uint(vc); r.act[in] == 0 {
+		r.actPorts &^= 1 << uint(in)
+	}
 	r.va[in] &^= 1 << uint(vc)
 }
 
@@ -448,7 +459,7 @@ func (r *Router) Tick(now sim.Cycle) bool {
 		r.pol.Latch(now)
 	}
 	r.executeReservations(now)
-	if r.ports = r.occupied(); r.ports != 0 {
+	if r.ports = r.occPorts; r.ports != 0 {
 		r.admitHeads()
 		r.allocateVCs(now)
 		r.classify()
@@ -463,30 +474,10 @@ func (r *Router) Tick(now sim.Cycle) bool {
 	return r.holdsFlits() || r.cfg.Opts.TerminateOnZeroCredit && r.pc.HeldMask&r.dry != 0
 }
 
-// occupied returns the input ports with a buffered flit, one bit each.
-func (r *Router) occupied() uint64 {
-	var ports uint64
-	for i, m := range r.occ {
-		if m != 0 {
-			ports |= 1 << uint(i)
-		}
-	}
-	return ports
-}
-
 // holdsFlits reports whether any state demands a tick next cycle: pending
-// switch traversals, buffered flits, or an in-flight packet owning a VC. The
-// occupancy masks make this an O(ports) word scan.
+// switch traversals, buffered flits, or an in-flight packet owning a VC.
 func (r *Router) holdsFlits() bool {
-	if len(r.res) > 0 {
-		return true
-	}
-	for i := 0; i < r.nIn; i++ {
-		if r.occ[i]|r.act[i] != 0 {
-			return true
-		}
-	}
-	return false
+	return len(r.res) > 0 || r.occPorts|r.actPorts != 0
 }
 
 // executeReservations performs ST for last cycle's SA grants (phase 1) and
@@ -545,6 +536,7 @@ func (r *Router) admitHeads() {
 func (r *Router) admit(in, vc int, h *flit.Flit) {
 	l := in*r.V + vc
 	r.act[in] |= 1 << uint(vc)
+	r.actPorts |= 1 << uint(in)
 	r.va[in] |= 1 << uint(vc)
 	r.outPort[l] = h.NextOut
 	r.outVC[l] = -1
@@ -957,8 +949,9 @@ func (r *Router) traverse(now sim.Cycle, in, vc, out int, f *flit.Flit, viaPC, b
 		r.trace(now, kind, f, in, vc, out)
 	}
 
-	// Pseudo-circuit refresh: every traversal (re)writes the register
-	// (§3.B) and claims the output, terminating any other circuit on it.
+	// Pseudo-circuit refresh: every traversal leaves the register holding its
+	// connection (§3.B) and the output claimed, terminating any other circuit
+	// on it; a flit riding a live non-speculative circuit finds both so.
 	if r.cfg.Opts.Pseudo {
 		created, displaced := r.pc.Connect(in, vc, out)
 		if created {
@@ -1142,13 +1135,14 @@ func (r *Router) Quiescent() bool {
 // CheckInvariants panics if internal invariants are violated; tests call it
 // every cycle. Beyond the paper's structural invariants it verifies every
 // derived structure the SoA layout introduced — the occupancy index against
-// the buffers, the VA mask against the active lanes and the dry word against
-// the credits here, the register file's through its own check — and the two
-// rules a policy's VA pick and phase-0 latch must keep: a non-ejection output
-// VC is busy exactly when one active lane owns it, and no flit is buffered
-// with express hops still ahead of it.
+// the buffers, the VA mask against the active lanes, the dry word against the
+// credits and the two port words against the masks here, the register file's
+// through its own check — and the two rules a policy's VA pick and phase-0
+// latch must keep: a non-ejection output VC is busy exactly when one active
+// lane owns it, and no flit is buffered with express hops still ahead of it.
 func (r *Router) CheckInvariants() {
 	owners := make([]int, r.nOut*r.V)
+	var occPorts, actPorts uint64
 	for i := 0; i < r.nIn; i++ {
 		var occ, va uint64
 		for vc := 0; vc < r.V; vc++ {
@@ -1178,6 +1172,8 @@ func (r *Router) CheckInvariants() {
 		if va != r.va[i] {
 			panic(fmt.Sprintf("router %d: VA mask desynced at in %d (%b, lanes say %b)", r.ID, i, r.va[i], va))
 		}
+		occPorts |= min(occ, 1) << uint(i)
+		actPorts |= min(r.act[i], 1) << uint(i)
 	}
 	if err := r.pc.Check(); err != nil {
 		panic(fmt.Sprintf("router %d: %v", r.ID, err))
@@ -1195,6 +1191,12 @@ func (r *Router) CheckInvariants() {
 				panic(fmt.Sprintf("router %d: out %d vc %d busy=%v with %d owning lanes", r.ID, o, vc, r.vcBusy[o*r.V+vc], n))
 			}
 		}
+	}
+	if occPorts != r.occPorts {
+		panic(fmt.Sprintf("router %d: occupied-port word desynced (%b, occupancy masks say %b)", r.ID, r.occPorts, occPorts))
+	}
+	if actPorts != r.actPorts {
+		panic(fmt.Sprintf("router %d: active-port word desynced (%b, active masks say %b)", r.ID, r.actPorts, actPorts))
 	}
 }
 

@@ -88,7 +88,7 @@ func TestVAOrderMatchesRotation(t *testing.T) {
 			r.Tick(sim.Cycle(vc))
 		}
 		now := sim.Cycle(2*r.nIn + start)
-		r.ports = r.occupied()
+		r.ports = r.occPorts
 		r.admitHeads()
 		va(r, now)
 		return now
@@ -251,6 +251,40 @@ func TestCheckInvariantsCatchesDryDesync(t *testing.T) {
 			defer func() {
 				if msg := fmt.Sprint(recover()); !strings.Contains(msg, c.want) {
 					t.Errorf("flipping output %d's dry bit: CheckInvariants said %q; want %q", c.out, msg, c.want)
+				}
+			}()
+			b.r.CheckInvariants()
+		}()
+	}
+}
+
+// TestCheckInvariantsCatchesPortWordDesync flips one bit of each port word on
+// a router whose input 0 holds an admitted header and input 1 a buffered one,
+// and expects CheckInvariants to name the word and what the masks say.
+func TestCheckInvariantsCatchesPortWordDesync(t *testing.T) {
+	for _, c := range []struct {
+		flip func(r *Router)
+		want string
+	}{
+		{func(r *Router) { r.occPorts ^= 1 << 0 }, "occupied-port word desynced (10, occupancy masks say 11)"},
+		{func(r *Router) { r.occPorts ^= 1 << 4 }, "occupied-port word desynced (10011, occupancy masks say 11)"},
+		{func(r *Router) { r.actPorts ^= 1 << 0 }, "active-port word desynced (0, active masks say 1)"},
+		{func(r *Router) { r.actPorts ^= 1 << 1 }, "active-port word desynced (11, active masks say 1)"},
+	} {
+		b := newBench(5, 4, core.DefaultOptions(core.Baseline))
+		b.r.Deliver(0, head(1, 0, 2))
+		b.r.Tick(0)
+		b.r.Deliver(1, head(2, 0, 3))
+		b.r.Tick(1)
+		b.r.CheckInvariants()
+		if b.r.occPorts != 0b11 || b.r.actPorts != 0b1 {
+			t.Fatalf("set-up: occupied ports %b, active ports %b; want 11, 1", b.r.occPorts, b.r.actPorts)
+		}
+		c.flip(b.r)
+		func() {
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, c.want) {
+					t.Errorf("CheckInvariants said %q; want %q", msg, c.want)
 				}
 			}()
 			b.r.CheckInvariants()
