@@ -467,6 +467,25 @@ func TestStructuralRules(t *testing.T) {
 		}
 	})
 
+	// The per-lane and per-port records are stored in the width DESIGN.md
+	// §17 gives them (int8 port and VC ids, int16 counts and pointers), which
+	// is what keeps a 24×24 mesh's sparse cycle in cache. An int there is a
+	// record widened back to 64 bits.
+	t.Run("widths stay chosen", func(t *testing.T) {
+		seesEach(t, wideFields, map[string]string{
+			"declares LaneStore.BufLen []int": "package core\ntype LaneStore struct{ NumVCs int; InBase []int; BufLen []int }",
+			"declares Router.outVC []int":     "package router\ntype Router struct{ nIn int; ejection uint64; outVC []int }",
+			"declares Router.rrIn []int":      "package router\ntype Router struct{ nIn int; rrVC []int16; rrIn []int }",
+			"declares reservation.out int":    "package router\ntype reservation struct{ f *flit.Flit; in, vc int8; out int }",
+			"declares upstream.out int":       "package network\ntype upstream struct{ router int32; out int }",
+			"declares ni.credits []int":       "package network\ntype ni struct{ node int; credits []int }",
+		}, "package core\ntype LaneStore struct{ NumVCs, BufDepth int; OutBase []int; OutVC []int8; Credits []int16 }\n"+
+			"type Router struct{ nIn, V int; bufLen []int16 }\ntype upstream struct{ router, out int32 }\ntype delivery struct{ port int }")
+		for _, glob := range []string{"internal/core/*.go", "internal/router/*.go", "internal/network/*.go"} {
+			enforce(t, wideFields, glob, false)
+		}
+	})
+
 	// noc.Spec.Experiment and noc.WorkloadSpec.Workload turn names into an
 	// experiment for nocsim -config, the flags and the service alike; a
 	// parser in a command would be a second grammar growing back. What a
@@ -557,4 +576,46 @@ func TestStructuralRules(t *testing.T) {
 		}
 		enforce(t, pool, "noc/noc.go", false)
 	})
+}
+
+// narrowRecords names, per struct type, the fields that hold per-lane or
+// per-port state: every field of LaneStore but its parameters and per-router
+// prefix sums; Router's views of the store's lanes and its own per-port
+// records; the ports and VCs of a grant or an SA request; both fields of
+// upstream; an NI's credit counters.
+var narrowRecords = map[string]func(field string) bool{
+	"LaneStore": func(f string) bool { return f != "NumVCs" && f != "BufDepth" && f != "InBase" && f != "OutBase" },
+	"Router": func(f string) bool {
+		return strings.Contains(" bufLen outPort outVC credits rrVC lastOut rrIn chosen pcCand ", " "+f+" ")
+	},
+	"reservation": func(f string) bool { return f != "f" },
+	"saRequest":   func(string) bool { return true },
+	"upstream":    func(string) bool { return true },
+	"ni":          func(f string) bool { return f == "credits" },
+}
+
+// wideFields lists the narrowRecords fields declared int or []int.
+func wideFields(fset *token.FileSet, f *ast.File) []string {
+	var found []string
+	ast.Inspect(f, func(n ast.Node) bool {
+		ts, ok := n.(*ast.TypeSpec)
+		if !ok {
+			return true
+		}
+		st, ok := ts.Type.(*ast.StructType)
+		narrow := narrowRecords[ts.Name.Name]
+		if !ok || narrow == nil {
+			return false
+		}
+		for _, fld := range st.Fields.List {
+			typ := types.ExprString(fld.Type)
+			for _, name := range fld.Names {
+				if (typ == "int" || typ == "[]int") && narrow(name.Name) {
+					found = append(found, fmt.Sprintf("%s: declares %s.%s %s", fset.Position(name.Pos()), ts.Name.Name, name.Name, typ))
+				}
+			}
+		}
+		return false
+	})
+	return found
 }

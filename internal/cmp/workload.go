@@ -126,7 +126,10 @@ type core struct {
 	outstanding int
 	burst       int
 	lastBlock   uint64
-	hot         bool
+	// issue and miss are the two coins tickCore flips every unblocked cycle,
+	// as sim.Thresholds: the profile's issue probability (times HotCoreBoost,
+	// capped at 1, on a hot core) and its L1 miss rate.
+	issue, miss uint64
 
 	// Phase state: the hot pages this core works on until phaseEnd.
 	focus    []uint64
@@ -193,7 +196,12 @@ func New(t topology.Topology, cfg TableI, prof Profile, rng *sim.RNG) *Workload 
 	}
 	for i := 0; i < cfg.Cores; i++ {
 		r := rng.Split()
-		c := &core{id: i, node: layout.CoreNode(i), rng: r, hot: r.Bernoulli(prof.HotCoreFrac)}
+		issue := prof.IssueProb
+		if r.Bernoulli(prof.HotCoreFrac) {
+			issue = math.Min(1, issue*prof.HotCoreBoost)
+		}
+		c := &core{id: i, node: layout.CoreNode(i), rng: r,
+			issue: sim.Threshold(issue), miss: sim.Threshold(prof.MissRate)}
 		w.cores = append(w.cores, c)
 		w.byNode[c.node] = c
 	}
@@ -239,11 +247,7 @@ func (w *Workload) tickCore(now sim.Cycle, c *core, inj network.Injector) {
 		w.issueMiss(now, c, c.lastBlock+1+uint64(c.rng.Intn(4)), inj)
 		return
 	}
-	issue := p.IssueProb
-	if c.hot {
-		issue = math.Min(1, issue*p.HotCoreBoost)
-	}
-	if !c.rng.Bernoulli(issue) || !c.rng.Bernoulli(p.MissRate) {
+	if !c.rng.Below(c.issue) || !c.rng.Below(c.miss) {
 		return
 	}
 	block := w.chooseBlock(now, c)

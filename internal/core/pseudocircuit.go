@@ -138,9 +138,11 @@ type RegFile struct {
 	// Per input port: input VC and output port of the most recent crossbar
 	// connection through it. Termination clears only the valid bit, leaving the
 	// pair intact so speculation can reconnect the circuit (§3.C, §4.A). Spec
-	// marks a circuit speculation created, for accounting only.
-	InVC []int
-	Out  []int
+	// marks a circuit speculation created, for accounting only. Ports and VCs
+	// are stored as int8, -1 for none (LaneLimit); the methods take and return
+	// int.
+	InVC []int8
+	Out  []int8
 	Spec []bool
 	// Hist is the depth-N extension of the register pair (SpecHistoryDepth).
 	Hist []InputHistory
@@ -148,11 +150,11 @@ type RegFile struct {
 	// Per output port: the input port of the most recent pseudo-circuit
 	// through it, which settles which of several registers pointing at one
 	// idle output speculation reconnects.
-	HistIn []int
+	HistIn []int8
 	// ByOut[out] is the input port holding a valid circuit to out, -1 when
 	// none; the termination rules allow at most one. Derived from the
 	// registers and their valid bits.
-	ByOut []int
+	ByOut []int8
 
 	// ValidMask is the register pairs' valid bits themselves (bit in), the
 	// only record of them. HistMask and HeldMask are derived, one bit per
@@ -173,7 +175,7 @@ func (f *RegFile) Valid(in int) bool { return f.ValidMask>>uint(in)&1 != 0 }
 // hardware comparator (37 ps at 45 nm) fits within the ST stage, so matching
 // costs no extra cycle.
 func (f *RegFile) Match(in, vc, out int) bool {
-	return f.Valid(in) && f.InVC[in] == vc && f.Out[in] == out
+	return f.Valid(in) && int(f.InVC[in]) == vc && int(f.Out[in]) == out
 }
 
 // Connect records the crossbar traversal (in, vc) → out: the register is
@@ -188,18 +190,18 @@ func (f *RegFile) Connect(in, vc, out int) (created, displaced bool) {
 	if created = !f.Match(in, vc, out); !created && !f.Spec[in] {
 		return false, false
 	}
-	if j := f.ByOut[out]; j >= 0 && j != in {
+	if j := int(f.ByOut[out]); j >= 0 && j != in {
 		f.Terminate(j)
 		displaced = true
 	}
-	if f.Valid(in) && f.Out[in] != out {
-		f.release(f.Out[in])
+	if old := int(f.Out[in]); f.Valid(in) && old != out {
+		f.release(old)
 	}
 	f.set(in, vc, out, false)
-	if ev := f.Hist[in].Record(vc, out); ev >= 0 && f.HistIn[ev] == in {
+	if ev := f.Hist[in].Record(vc, out); ev >= 0 && int(f.HistIn[ev]) == in {
 		f.HistMask &^= 1 << uint(ev)
 	}
-	f.HistIn[out] = in
+	f.HistIn[out] = int8(in)
 	f.HistMask |= 1 << uint(out)
 	return created, displaced
 }
@@ -216,7 +218,7 @@ func (f *RegFile) ConnectSpeculative(out int) bool {
 	if f.HistMask>>uint(out)&1 == 0 || f.ByOut[out] >= 0 {
 		return false
 	}
-	in := f.HistIn[out]
+	in := int(f.HistIn[out])
 	if f.Valid(in) {
 		return false
 	}
@@ -232,7 +234,7 @@ func (f *RegFile) ConnectSpeculative(out int) bool {
 // pair for speculation to reconnect (§3.C).
 func (f *RegFile) Terminate(in int) {
 	f.ValidMask &^= 1 << uint(in)
-	f.release(f.Out[in])
+	f.release(int(f.Out[in]))
 }
 
 // Clear tears input port in's circuit down completely (fault teardown): the
@@ -241,9 +243,9 @@ func (f *RegFile) Terminate(in int) {
 // describes may be wrong when the link returns.
 func (f *RegFile) Clear(in int) {
 	if f.Valid(in) {
-		out := f.Out[in]
+		out := int(f.Out[in])
 		f.Hist[in].Drop(out)
-		if f.HistIn[out] == in {
+		if int(f.HistIn[out]) == in {
 			f.HistMask &^= 1 << uint(out)
 		}
 		f.Terminate(in)
@@ -253,9 +255,9 @@ func (f *RegFile) Clear(in int) {
 }
 
 func (f *RegFile) set(in, vc, out int, spec bool) {
-	f.InVC[in], f.Out[in], f.Spec[in] = vc, out, spec
+	f.InVC[in], f.Out[in], f.Spec[in] = int8(vc), int8(out), spec
 	f.ValidMask |= 1 << uint(in)
-	f.ByOut[out] = in
+	f.ByOut[out] = int8(in)
 	f.HeldMask |= 1 << uint(out)
 }
 
@@ -279,14 +281,14 @@ func (f *RegFile) Check() error {
 	for out := range f.ByOut {
 		holder := -1
 		for in := range f.Out {
-			if f.Valid(in) && f.Out[in] == out {
+			if f.Valid(in) && int(f.Out[in]) == out {
 				if holder >= 0 {
 					return fmt.Errorf("inputs %d and %d both hold a pseudo-circuit to output %d", holder, in, out)
 				}
 				holder = in
 			}
 		}
-		if holder != f.ByOut[out] {
+		if holder != int(f.ByOut[out]) {
 			return fmt.Errorf("ByOut[%d] = %d, registers say %d", out, f.ByOut[out], holder)
 		}
 		if holder >= 0 {

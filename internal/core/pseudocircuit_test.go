@@ -198,7 +198,7 @@ func TestHistory(t *testing.T) {
 func TestHistMaskIsWhatSpeculationCanRevive(t *testing.T) {
 	const nIn, nOut, nVC = 3, 4, 2
 	revivable := func(f *core.RegFile, out int) bool {
-		in := f.HistIn[out]
+		in := int(f.HistIn[out])
 		if in < 0 || f.ByOut[out] >= 0 || f.Valid(in) {
 			return false
 		}

@@ -51,7 +51,7 @@ func TestConnectOnItsOwnCircuitWritesNothing(t *testing.T) {
 					continue
 				}
 				before := deepCopy(f)
-				if created, displaced := f.Connect(i, f.InVC[i], f.Out[i]); created || displaced {
+				if created, displaced := f.Connect(i, int(f.InVC[i]), int(f.Out[i])); created || displaced {
 					t.Logf("depth %d, step %d: input %d's own flit reported created=%v displaced=%v", depth, step, i, created, displaced)
 					return false
 				}
@@ -62,7 +62,7 @@ func TestConnectOnItsOwnCircuitWritesNothing(t *testing.T) {
 					}
 					continue
 				}
-				if f.Spec[i] || f.Hist[i].entries[0] != (histEntry{VC: before.InVC[i], Out: before.Out[i]}) {
+				if f.Spec[i] || f.Hist[i].entries[0] != (histEntry{VC: int(before.InVC[i]), Out: int(before.Out[i])}) {
 					t.Logf("depth %d, step %d: riding input %d's speculative circuit left spec=%v, history %v", depth, step, i, f.Spec[i], f.Hist[i].entries)
 					return false
 				}

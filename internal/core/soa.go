@@ -32,12 +32,20 @@ package core
 import "fmt"
 
 // LaneLimit bounds VCs per port and ports per router: occupancy and
-// arbitration masks are single uint64 words.
+// arbitration masks are single uint64 words, and a port or VC id, with -1 for
+// none, fits the int8 the store keeps it in.
 const LaneLimit = 64
+
+// DepthLimit bounds BufDepth: a buffer fill and a credit count, 0 through the
+// depth, fit the int16 the store keeps them in.
+const DepthLimit = 1<<15 - 1
 
 // LaneStore is the flat hot-path state of every router in one network. All
 // slices are preallocated at construction; the steady-state tick path only
-// indexes them, never grows them.
+// indexes them, never grows them. Each per-lane and per-port record is stored
+// in the width its values need (DESIGN.md §17, "State inventory"): int16 for
+// a count bounded by DepthLimit, int8 for a port or VC id bounded by
+// LaneLimit.
 type LaneStore struct {
 	NumVCs, BufDepth int
 
@@ -49,28 +57,28 @@ type LaneStore struct {
 	// Per input lane l = (InBase[r]+in)*NumVCs + vc — the former vcState. The
 	// flits themselves (pointers, FIFO head first) are router-local; nothing
 	// in the store is per buffer slot.
-	BufLen  []int // buffered flits
-	OutPort []int
-	OutVC   []int
+	BufLen  []int16 // buffered flits
+	OutPort []int8  // the packet's output port, -1 when no packet owns the lane
+	OutVC   []int8  // its output VC, -1 awaiting VA
 
 	// Per input port p = InBase[r]+in: the storage of the pseudo-circuit
 	// register pairs (Fig. 3 (a); their valid bits are RegFile.ValidMask), plus
 	// the two mask words the phase scans are driven by.
-	PCInVC []int
-	PCOut  []int
+	PCInVC []int8
+	PCOut  []int8
 	PCSpec []bool
 	Occ    []uint64 // bit vc set ⇔ BufLen[lane] > 0 (the store's index)
 	Act    []uint64 // bit vc set: a packet owns the lane (the only record of it)
 
 	// Per output lane m = (OutBase[r]+out)*NumVCs + vc.
-	Credits []int
+	Credits []int16
 	VCBusy  []bool
 
 	// Per output port q = OutBase[r]+out: the storage of the history registers
 	// (Fig. 5 (b); their valid bits are RegFile.HistMask) and of the reverse
 	// index (router-local input, -1 when none).
-	HistIn  []int
-	PCByOut []int
+	HistIn  []int8
+	PCByOut []int8
 
 	// Regs[r] is router r's pseudo-circuit register file: a view of the PC*
 	// and Hist* arrays above plus the valid-bit words. The arrays are written
@@ -82,8 +90,9 @@ type LaneStore struct {
 // and output radices. All "no value" sentinels are -1; credits start at
 // BufDepth (every downstream buffer empty).
 func NewLaneStore(numVCs, bufDepth int, inPorts, outPorts []int) *LaneStore {
-	if numVCs < 1 || numVCs > LaneLimit || bufDepth < 1 {
-		panic(fmt.Sprintf("core: LaneStore needs NumVCs in [1,%d] and BufDepth >= 1, got %d/%d", LaneLimit, numVCs, bufDepth))
+	if numVCs < 1 || numVCs > LaneLimit || bufDepth < 1 || bufDepth > DepthLimit {
+		panic(fmt.Sprintf("core: LaneStore needs NumVCs in [1,%d] and BufDepth in [1,%d], got %d/%d",
+			LaneLimit, DepthLimit, numVCs, bufDepth))
 	}
 	if len(inPorts) != len(outPorts) {
 		panic("core: LaneStore radix slices disagree on router count")
@@ -103,24 +112,21 @@ func NewLaneStore(numVCs, bufDepth int, inPorts, outPorts []int) *LaneStore {
 	}
 	nIn, nOut := s.InBase[len(inPorts)], s.OutBase[len(outPorts)]
 
-	s.BufLen = make([]int, nIn*numVCs)
-	s.OutPort = fill(nIn*numVCs, -1)
-	s.OutVC = fill(nIn*numVCs, -1)
+	s.BufLen = make([]int16, nIn*numVCs)
+	s.OutPort = fill(nIn*numVCs, int8(-1))
+	s.OutVC = fill(nIn*numVCs, int8(-1))
 
-	s.PCInVC = fill(nIn, -1)
-	s.PCOut = fill(nIn, -1)
+	s.PCInVC = fill(nIn, int8(-1))
+	s.PCOut = fill(nIn, int8(-1))
 	s.PCSpec = make([]bool, nIn)
 	s.Occ = make([]uint64, nIn)
 	s.Act = make([]uint64, nIn)
 
-	s.Credits = make([]int, nOut*numVCs)
-	for i := range s.Credits {
-		s.Credits[i] = bufDepth
-	}
+	s.Credits = fill(nOut*numVCs, int16(bufDepth))
 	s.VCBusy = make([]bool, nOut*numVCs)
 
-	s.HistIn = fill(nOut, -1)
-	s.PCByOut = fill(nOut, -1)
+	s.HistIn = fill(nOut, int8(-1))
+	s.PCByOut = fill(nOut, int8(-1))
 
 	hist := make([]InputHistory, nIn)
 	s.Regs = make([]RegFile, len(inPorts))
@@ -145,8 +151,8 @@ func (s *LaneStore) RegFile(r, depth int) *RegFile {
 	return f
 }
 
-func fill(n, v int) []int {
-	s := make([]int, n)
+func fill[T int8 | int16](n int, v T) []T {
+	s := make([]T, n)
 	for i := range s {
 		s[i] = v
 	}
@@ -168,10 +174,10 @@ type LaneView struct {
 func (s *LaneStore) View(p, vc int) LaneView {
 	l := p*s.NumVCs + vc
 	return LaneView{
-		BufLen:  s.BufLen[l],
+		BufLen:  int(s.BufLen[l]),
 		Active:  s.Act[p]>>uint(vc)&1 != 0,
-		OutPort: s.OutPort[l],
-		OutVC:   s.OutVC[l],
+		OutPort: int(s.OutPort[l]),
+		OutVC:   int(s.OutVC[l]),
 	}
 }
 

@@ -29,6 +29,7 @@ package evc
 
 import (
 	"fmt"
+	"math/bits"
 
 	"pseudocircuit/internal/flit"
 	"pseudocircuit/internal/router"
@@ -148,11 +149,13 @@ func (r *Router) expressCapable(out, dst int) bool {
 }
 
 // Latch implements router.Policy: arriving express flits are forwarded
-// through the latch in their arrival cycle, with absolute priority.
+// through the latch in their arrival cycle, with absolute priority. Only the
+// direction ports a flit is staged on are visited.
 func (r *Router) Latch(now sim.Cycle) {
-	for i := range oppositeIn {
+	for m := r.StagedMask() & (1<<len(oppositeIn) - 1); m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
 		f := r.Staged(i)
-		if f == nil || f.ExpressHops == 0 {
+		if f.ExpressHops == 0 {
 			continue
 		}
 		if f.NextOut != oppositeIn[i] {
@@ -174,7 +177,7 @@ func (r *Router) Latch(now sim.Cycle) {
 // PickVC implements router.Policy: express-capable packets prefer their
 // parity EVC (dynamic EVC allocation); everything else takes the free NVC
 // with the most credit. Ejection uses VC 0 — the NI drains every VC.
-func (r *Router) PickVC(out, dst, class int, eject bool, busy []bool, credits []int) int {
+func (r *Router) PickVC(out, dst, class int, eject bool, busy []bool, credits []int16) int {
 	if eject {
 		return 0
 	}
@@ -183,7 +186,7 @@ func (r *Router) PickVC(out, dst, class int, eject bool, busy []bool, credits []
 			return v
 		}
 	}
-	best, bestCred := -1, -1
+	best, bestCred := -1, int16(-1)
 	for v := 0; v < r.base; v++ {
 		if !busy[v] && credits[v] > bestCred {
 			best, bestCred = v, credits[v]

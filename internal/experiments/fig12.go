@@ -24,9 +24,9 @@ type Fig12Result struct {
 	// the lowest load.
 	LowLoadImprovement [][]float64
 	// At the lowest load, [p][s]: pseudo-circuit reusability over all flit
-	// traversals, and the shares of header traversals that rode a circuit and
-	// that also bypassed the buffer.
-	LowLoadReuse, LowLoadHeadReuse, LowLoadHeadBypass [][]float64
+	// traversals, the shares of header traversals that rode a circuit and
+	// that also bypassed the buffer, and routers per packet (not rendered).
+	LowLoadReuse, LowLoadHeadReuse, LowLoadHeadBypass, LowLoadHops [][]float64
 }
 
 // fig12Patterns maps each pattern to its load sweep; the upper ends sit
@@ -59,7 +59,7 @@ func Fig12(o Options) Fig12Result {
 		ns := len(core.Schemes)
 		n := ns * len(pc.loads)
 		var lat [][]float64
-		reuse, head, bypass := make([]float64, ns), make([]float64, ns), make([]float64, ns)
+		reuse, head, bypass, hops := make([]float64, ns), make([]float64, ns), make([]float64, ns), make([]float64, ns)
 		for si, row := range rowsOf(rs[:n], len(pc.loads)) {
 			l := make([]float64, len(row))
 			for li, r := range row {
@@ -67,7 +67,7 @@ func Fig12(o Options) Fig12Result {
 			}
 			lat = append(lat, l)
 			t := tot[si*len(pc.loads)] // the scheme's lowest load
-			reuse[si], head[si], bypass[si] = row[0].Reusability, t.HeadReuseRate(), t.HeadBypassRate()
+			reuse[si], head[si], bypass[si], hops[si] = row[0].Reusability, t.HeadReuseRate(), t.HeadBypassRate(), row[0].AvgHops
 		}
 		rs, tot = rs[n:], tot[n:]
 		impr := make([]float64, len(lat))
@@ -81,6 +81,7 @@ func Fig12(o Options) Fig12Result {
 		res.LowLoadReuse = append(res.LowLoadReuse, reuse)
 		res.LowLoadHeadReuse = append(res.LowLoadHeadReuse, head)
 		res.LowLoadHeadBypass = append(res.LowLoadHeadBypass, bypass)
+		res.LowLoadHops = append(res.LowLoadHops, hops)
 	}
 	return res
 }

@@ -27,6 +27,12 @@ type Fig8Result struct {
 	// of header traversals that rode one and that also bypassed the buffer —
 	// the hits that shorten a packet, since its body flits follow its header.
 	Reuse, HeadReuse, HeadBypass [][]float64
+	// BaseLatency[b] is the baseline's network latency in cycles and Hops[b][s]
+	// the scheme's routers per packet: with the header rates they give the
+	// saving the header hits predict, hops × (reuse + bypass) cycles, and the
+	// rate a given reduction needs. Not rendered.
+	BaseLatency []float64
+	Hops        [][]float64
 	// AvgReduction[s] averages over benchmarks (paper: 16% for Pseudo+S+B).
 	AvgReduction                          []float64
 	AvgReuse, AvgHeadReuse, AvgHeadBypass []float64
@@ -56,9 +62,10 @@ func Fig8(o Options) Fig8Result {
 	tots := rowsOf(tot, len(core.Schemes))
 	for b, row := range rowsOf(rs, len(core.Schemes)) {
 		reds, reuse, head, bypass := make([]float64, ns), make([]float64, ns), make([]float64, ns), make([]float64, ns)
+		hops := make([]float64, ns)
 		for i, r := range row[1:] {
 			t := tots[b][i+1]
-			reds[i], reuse[i] = 1-r.AvgNetLatency/row[0].AvgNetLatency, r.Reusability
+			reds[i], reuse[i], hops[i] = 1-r.AvgNetLatency/row[0].AvgNetLatency, r.Reusability, r.AvgHops
 			head[i], bypass[i] = t.HeadReuseRate(), t.HeadBypassRate()
 			res.AvgReduction[i] += reds[i] / nb
 			res.AvgReuse[i] += reuse[i] / nb
@@ -69,6 +76,8 @@ func Fig8(o Options) Fig8Result {
 		res.Reuse = append(res.Reuse, reuse)
 		res.HeadReuse = append(res.HeadReuse, head)
 		res.HeadBypass = append(res.HeadBypass, bypass)
+		res.BaseLatency = append(res.BaseLatency, row[0].AvgNetLatency)
+		res.Hops = append(res.Hops, hops)
 	}
 	return res
 }

@@ -41,18 +41,20 @@ var simulating = []struct {
 	{"ext-depth", tables(experiments.SpecDepth)},
 }
 
-// TestGolden pins the rendered tables of every experiment, at a reduced
-// size, to testdata/<name>.golden. The files were recorded on the commit
-// before the experiments moved onto one runner (go test -run TestGolden
-// -update rewrites them); a refactor of this package must leave them
-// byte-identical. Three benchmarks, so the order in which an average is
-// accumulated is visible.
+// goldenOptions is the reduced size TestGolden pins the tables at. Three
+// benchmarks, so the order in which an average is accumulated is visible.
+var goldenOptions = experiments.Options{Warmup: 100, Measure: 400, Benchmarks: []string{"fma3d", "specjbb", "fft"}}
+
+// TestGolden pins the rendered tables of every experiment, at
+// goldenOptions, to testdata/<name>.golden. The files were recorded on the
+// commit before the experiments moved onto one runner (go test -run
+// TestGolden -update rewrites them); a refactor of this package must leave
+// them byte-identical.
 func TestGolden(t *testing.T) {
-	o := experiments.Options{Warmup: 100, Measure: 400, Benchmarks: []string{"fma3d", "specjbb", "fft"}}
 	for _, e := range simulating {
 		t.Run(e.name, func(t *testing.T) {
 			var got bytes.Buffer
-			for _, tb := range e.run(o) {
+			for _, tb := range e.run(goldenOptions) {
 				tb.Fprint(&got)
 			}
 			path := filepath.Join("testdata", e.name+".golden")

@@ -1,5 +1,7 @@
 package flit
 
+import "slices"
+
 // Pool is a free list of flits and packets that eliminates steady-state
 // allocations in the simulation kernel: a network splits packets into pooled
 // flits at injection and recycles them at ejection, so after warmup the tick
@@ -78,6 +80,7 @@ func (pl *Pool) SplitInto(dst []*Flit, p *Packet) []*Flit {
 	if p.Size <= 0 {
 		panic("flit: packet size must be positive")
 	}
+	dst = slices.Grow(dst, p.Size)
 	for i := 0; i < p.Size; i++ {
 		k := Body
 		switch {

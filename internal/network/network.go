@@ -176,10 +176,11 @@ func DefaultConfig(t topology.Topology) Config {
 	}
 }
 
-// upstream identifies what feeds a router input port.
+// upstream identifies what feeds a router input port, in int32s like the
+// ring's and the latch's router ids.
 type upstream struct {
-	router int // -1 when fed by an NI
-	out    int // output port, or node id when router == -1
+	router int32 // -1 when fed by an NI, -2 when unwired
+	out    int32 // output port, or node id when router == -1
 }
 
 // delivery is a flit in flight to input port port of router router, or to
@@ -231,11 +232,11 @@ func (n *Network) send(id, out int, f *flit.Flit) {
 // credit is the router Credit callback: a credit returns to whatever feeds
 // (id, in), router output or NI, through the credit latch: one cycle later.
 func (n *Network) credit(id, in, vc int) {
-	u := n.upstreamOf(id, in)
+	u := n.ups[n.lanes.InBase[id]+in]
 	if u.router == -2 {
 		panic(fmt.Sprintf("network: credit from unwired input port %d of router %d", in, id))
 	}
-	n.credNext = append(n.credNext, upCredit{router: int32(u.router), out: int32(u.out), vc: int32(vc)})
+	n.credNext = append(n.credNext, upCredit{router: u.router, out: u.out, vc: int32(vc)})
 }
 
 // latchCredit hands router r one credit for (out, vc), and schedules r when the
@@ -264,7 +265,7 @@ type Network struct {
 	niAlloc *vcalloc.Allocator
 	niIdle  []bool // all false, never written: an NI's port has no VC held when it picks
 	routers []Node
-	nis     []*ni
+	nis     []ni       // the NI of node i at i
 	ups     []upstream // what feeds input port in of router r, at lanes.InBase[r]+in
 	// lanes is the structure-of-arrays hot-path store every router's
 	// per-(port, vc) state lives in (core.LaneStore; DESIGN.md §17). The
@@ -496,13 +497,19 @@ func New(cfg Config) *Network {
 			}
 		}
 	}
-	// Wire terminals.
-	n.nis = make([]*ni, t.Nodes())
+	// Wire terminals. The NIs are one array and their credit counters one
+	// slab, every counter starting full.
+	V := cfg.NumVCs
+	credits := make([]int16, t.Nodes()*V)
+	for i := range credits {
+		credits[i] = int16(cfg.BufDepth)
+	}
+	n.nis = make([]ni, t.Nodes())
 	for node := range n.nis {
 		r, inP, outP := t.NodeRouter(node)
 		n.routers[r].MarkEjection(outP)
-		n.ups[n.lanes.InBase[r]+inP] = upstream{router: -1, out: node}
-		n.nis[node] = newNI(n, node, r, inP)
+		n.ups[n.lanes.InBase[r]+inP] = upstream{router: -1, out: int32(node)}
+		n.nis[node] = newNI(n, node, r, inP, credits[node*V:(node+1)*V:(node+1)*V])
 	}
 	return n
 }
@@ -529,7 +536,7 @@ func (n *Network) wire() {
 		if h.InPort < 0 || p >= inBase[h.Router+1] {
 			panic(fmt.Sprintf("network: router %d has no input port %d", h.Router, h.InPort))
 		}
-		u := upstream{router: r, out: out}
+		u := upstream{router: int32(r), out: int32(out)}
 		if cur := n.ups[p]; cur.router != -2 && cur != u {
 			panic(fmt.Sprintf("network: input port %d of router %d fed by two outputs", h.InPort, h.Router))
 		}
@@ -562,8 +569,12 @@ func (n *Network) fillRouteTab() {
 	}
 }
 
-// upstreamOf returns what feeds input port in of router r.
-func (n *Network) upstreamOf(r, in int) upstream { return n.ups[n.lanes.InBase[r]+in] }
+// upstreamOf returns what feeds input port in of router r: a router and its
+// output port, or router -1 and the node of the feeding NI.
+func (n *Network) upstreamOf(r, in int) (router, out int) {
+	u := n.ups[n.lanes.InBase[r]+in]
+	return int(u.router), int(u.out)
+}
 
 // Now returns the current simulation cycle.
 func (n *Network) Now() sim.Cycle { return n.now }
@@ -602,7 +613,7 @@ func (n *Network) Inject(p *flit.Packet) {
 	// Retransmissions (RelSeq already set) reuse their existing record;
 	// acks are never sequenced or tracked.
 	if n.rel != nil && !p.RelAck && p.RelSeq == 0 {
-		s := n.nis[p.Src]
+		s := &n.nis[p.Src]
 		s.relNext[p.Dst]++
 		p.RelSeq = s.relNext[p.Dst]
 		s.trackTx(p)
@@ -748,7 +759,7 @@ func (n *Network) phase(due []delivery) {
 	for wi, w := range n.inj {
 		for ; w != 0; w &= w - 1 {
 			b := bits.TrailingZeros64(w)
-			s := n.nis[wi<<6+b]
+			s := &n.nis[wi<<6+b]
 			s.inject(n.now)
 			if s.cur == nil && len(s.queue) == 0 {
 				n.inj[wi] &^= 1 << uint(b)
@@ -774,8 +785,8 @@ func (n *Network) phase(due []delivery) {
 // router that is not quiescent, whose bit is clear would be skipped by the
 // phase and the run would silently diverge from the naive one.
 func (n *Network) checkIndexes() {
-	for i, s := range n.nis {
-		if (s.cur != nil || len(s.queue) > 0) && !n.inj.has(i) {
+	for i := range n.nis {
+		if s := &n.nis[i]; (s.cur != nil || len(s.queue) > 0) && !n.inj.has(i) {
 			panic(fmt.Sprintf("network: NI %d holds packets but is not in the injection index", s.node))
 		}
 	}
@@ -888,8 +899,8 @@ func (n *Network) staleScan() {
 	for _, node := range n.routers {
 		node.(faultNode).FaultStale(cutoff, n.condemnFn)
 	}
-	for _, s := range n.nis {
-		if s.cur != nil && s.idx > 0 && s.cur[s.idx].Packet.NetStart < cutoff {
+	for i := range n.nis {
+		if s := &n.nis[i]; s.cur != nil && s.idx > 0 && s.cur[s.idx].Packet.NetStart < cutoff {
 			n.condemn(s.cur[s.idx].Packet)
 		}
 	}
@@ -921,8 +932,8 @@ func (n *Network) breakWedge() {
 			n.condemn(d.flit.Packet)
 		}
 	}
-	for _, s := range n.nis {
-		if s.cur != nil {
+	for i := range n.nis {
+		if s := &n.nis[i]; s.cur != nil {
 			n.condemn(s.cur[s.idx].Packet)
 		}
 	}
@@ -966,11 +977,11 @@ func (n *Network) stormScan() {
 				}
 				continue
 			}
-			u := n.upstreamOf(r, int(d.port))
+			ur, uo := n.upstreamOf(r, int(d.port))
 			switch {
-			case u.router >= 0 && st.LinkDead(u.router, u.out):
+			case ur >= 0 && st.LinkDead(ur, uo):
 				n.condemn(f.Packet)
-			case u.router == -1 && st.RouterDead(r):
+			case ur == -1 && st.RouterDead(r):
 				n.condemn(f.Packet)
 			case st.RouterDead(n.home[f.Packet.Dst]):
 				n.condemn(f.Packet)
@@ -985,7 +996,8 @@ func (n *Network) stormScan() {
 	// permanently dead source router never recovers, so everything queued
 	// there is condemned (reliability records, if any, keep retrying until
 	// their budgets give the packets up as DeliveryFailed).
-	for _, s := range n.nis {
+	for i := range n.nis {
+		s := &n.nis[i]
 		srcDead := st.RouterPermanentlyDown(s.router)
 		if s.cur != nil {
 			if p := s.cur[s.idx].Packet; srcDead || st.RouterDead(n.home[p.Dst]) {
@@ -1038,10 +1050,10 @@ func (n *Network) purgePacket(p *flit.Packet) {
 			if d.router >= 0 {
 				// The flit was heading into a buffer slot its sender already
 				// debited; hand the credit back (a relay joins the latch).
-				if u := n.upstreamOf(int(d.router), int(d.port)); u.router >= 0 {
-					n.latchCredit(u.router, u.out, f.VC)
+				if ur, uo := n.upstreamOf(int(d.router), int(d.port)); ur >= 0 {
+					n.latchCredit(ur, uo, f.VC)
 				} else {
-					n.nis[u.out].credit(f.VC)
+					n.nis[uo].credit(f.VC)
 				}
 			}
 			n.dropFlit(f)
@@ -1052,7 +1064,7 @@ func (n *Network) purgePacket(p *flit.Packet) {
 		node.(faultNode).FaultPurge(p, n.dropFlit)
 	}
 	// Source NI: unsent flits, the injection VC, and the queue entry.
-	src := n.nis[p.Src]
+	src := &n.nis[p.Src]
 	if src.cur != nil && src.cur[src.idx].Packet == p {
 		for i := src.idx; i < len(src.cur); i++ {
 			n.dropFlit(src.cur[i])
@@ -1200,7 +1212,8 @@ func (n *Network) LinkLoads() []LinkLoad {
 // (testing/diagnostics hook).
 func (n *Network) QueuedPackets() int {
 	q := 0
-	for _, s := range n.nis {
+	for i := range n.nis {
+		s := &n.nis[i]
 		q += len(s.queue)
 		if s.cur != nil {
 			q++

@@ -11,7 +11,7 @@ import (
 // ni is a network interface: the per-terminal endpoint that queues packets,
 // splits them into flits, injects at link bandwidth (one flit per cycle)
 // under credit flow control, and reassembles arriving flits into packets
-// (paper §3.A).
+// (paper §3.A). A network's NIs are one array (Network.nis).
 type ni struct {
 	net    *Network
 	node   int
@@ -24,10 +24,12 @@ type ni struct {
 	idx    int
 	outVC  int // VC allocated for the current packet, -1 while VA pending
 
-	credits []int // free slots per VC of the router input port this NI feeds
+	// credits is the free slots per VC of the router input port this NI
+	// feeds, cut from one slab for every NI and as wide as the store's.
+	credits []int16
 
-	rng     *sim.RNG
-	lastDst int // previous packet's destination (Fig. 1 end-to-end locality)
+	rng     sim.RNG // the route-class stream
+	lastDst int     // previous packet's destination (Fig. 1 end-to-end locality)
 
 	// Reliability state (allocated only with Config.Reliable; DESIGN.md §14).
 	// Sender side: relNext assigns per-destination sequence numbers, tx holds
@@ -41,15 +43,17 @@ type ni struct {
 	txIdx   map[uint64]int
 }
 
-func newNI(n *Network, node, r, inPort int) *ni {
-	s := &ni{
+// newNI returns the NI of node, feeding input port inPort of router r, with
+// credits as its (full) credit counters.
+func newNI(n *Network, node, r, inPort int, credits []int16) ni {
+	s := ni{
 		net:     n,
 		node:    node,
 		router:  r,
 		inPort:  inPort,
 		outVC:   -1,
-		credits: make([]int, n.cfg.NumVCs),
-		rng:     n.rng.Split(),
+		credits: credits,
+		rng:     *n.rng.Split(),
 		lastDst: -1,
 	}
 	if n.rel != nil {
@@ -58,9 +62,6 @@ func newNI(n *Network, node, r, inPort int) *ni {
 		s.relMax = make([]uint64, nodes)
 		s.relWin = make([]uint64, nodes)
 		s.txIdx = make(map[uint64]int)
-	}
-	for v := range s.credits {
-		s.credits[v] = n.cfg.BufDepth
 	}
 	return s
 }
@@ -95,7 +96,7 @@ func (s *ni) inject(now sim.Cycle) {
 		s.cur = s.net.pool.SplitInto(s.curBuf[:0], p)
 		s.curBuf = s.cur
 		s.idx = 0
-		p.RouteClass = s.net.engine.ClassFor(s.rng)
+		p.RouteClass = s.net.engine.ClassFor(&s.rng)
 		s.outVC = -1
 	}
 	// Read the packet through the next unsent flit: earlier flits may
@@ -137,7 +138,7 @@ func (s *ni) inject(now sim.Cycle) {
 // feeds.
 func (s *ni) credit(vc int) {
 	s.credits[vc]++
-	if s.credits[vc] > s.net.cfg.BufDepth {
+	if int(s.credits[vc]) > s.net.cfg.BufDepth {
 		panic(fmt.Sprintf("ni %d: credit overflow on vc %d", s.node, vc))
 	}
 }

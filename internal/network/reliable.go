@@ -199,7 +199,7 @@ func (n *Network) relInflightDelta(p *flit.Packet, d int, delivered bool) {
 	if n.rel == nil || p.RelAck || p.RelSeq == 0 {
 		return
 	}
-	s := n.nis[p.Src]
+	s := &n.nis[p.Src]
 	if i := s.lookupTx(p.Dst, p.RelSeq); i >= 0 {
 		s.tx[i].inflight += d
 		if delivered {
@@ -218,7 +218,8 @@ func (n *Network) relInflightDelta(p *flit.Packet, d int, delivered bool) {
 // never arrived, silent record retirement if it was delivered but every ack
 // was lost.
 func (n *Network) relTick(w Workload) {
-	for _, s := range n.nis {
+	for k := range n.nis {
+		s := &n.nis[k]
 		for i := 0; i < len(s.tx); {
 			rec := &s.tx[i]
 			if rec.deadline > n.now {

@@ -51,6 +51,13 @@ func TestLaneStoreRoundTrip(t *testing.T) {
 			return buildFaulted(core.Baseline, k, nil, true)
 		})
 	})
+	// The service's deepest buffer: credits start at 1 024, past what an
+	// int8 would hold, so the store's int16 counters are what carries them.
+	t.Run("depth1024", func(t *testing.T) {
+		laneStoreRoundTrip(t, topo, func(k kernel) *network.Network {
+			return buildKernelOpts(topo, core.DefaultOptions(core.PseudoSB), 4, 1024, routing.XY, vcalloc.Dynamic, k)
+		})
+	})
 }
 
 func laneStoreRoundTrip(t *testing.T, topo topology.Topology, build func(k kernel) *network.Network) {

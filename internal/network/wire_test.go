@@ -70,7 +70,7 @@ func referenceWiring(t topology.Topology, algo routing.Algorithm) (ups [][]upstr
 				if h.Router < 0 {
 					continue
 				}
-				u := upstream{router: r, out: o}
+				u := upstream{router: int32(r), out: int32(o)}
 				cur := ups[h.Router][h.InPort]
 				if cur.router != -2 && cur != u {
 					panic(fmt.Sprintf("network: input port %d of router %d fed by two outputs", h.InPort, h.Router))
@@ -81,7 +81,7 @@ func referenceWiring(t topology.Topology, algo routing.Algorithm) (ups [][]upstr
 	}
 	for node := 0; node < t.Nodes(); node++ {
 		r, inP, _ := t.NodeRouter(node)
-		ups[r][inP] = upstream{router: -1, out: node}
+		ups[r][inP] = upstream{router: -1, out: int32(node)}
 	}
 	return ups, ringLen, tab
 }

@@ -95,14 +95,15 @@ type Config struct {
 }
 
 // reservation is a switch-arbitration grant: flit at (in, vc) traverses to
-// out next cycle.
+// out next cycle. Ports and VCs are int8 (core.LaneLimit).
 type reservation struct {
-	in, vc, out int
 	f           *flit.Flit
+	in, vc, out int8
 }
 
+// saRequest is one lane's request for output out.
 type saRequest struct {
-	in, vc, out int
+	in, vc, out int8
 }
 
 // Policy is the scheme seam of the pipeline: what a rival flow-control
@@ -112,16 +113,18 @@ type saRequest struct {
 // installed on and shadows DeliverCredit when its credits need relaying.
 type Policy interface {
 	// Latch is phase 0, ahead of ST for last cycle's grants: the policy may
-	// Forward flits staged by Deliver straight through the crossbar. What it
-	// forwards owns its crossbar ports this cycle, so a grant for the same
-	// output is preempted (counted in Preemptions) and re-arbitrates — which
-	// is why the latch has to run before ST, not beside the arrivals phase.
+	// Forward flits staged by Deliver (StagedMask names their ports) straight
+	// through the crossbar. What it forwards owns its crossbar ports this
+	// cycle, so a grant for the same output is preempted (counted in
+	// Preemptions) and re-arbitrates — which is why the latch has to run before
+	// ST, not beside the arrivals phase. A tick with nothing staged does not
+	// call it.
 	Latch(now sim.Cycle)
 	// PickVC is the VA decision for a header bound for output port out of a
 	// packet to dst in routing class class: the output VC to allocate, or -1
 	// to retry next cycle. busy and credits are the port's per-VC state;
 	// eject marks a terminal port, whose VCs are neither busy nor credited.
-	PickVC(out, dst, class int, eject bool, busy []bool, credits []int) int
+	PickVC(out, dst, class int, eject bool, busy []bool, credits []int16) int
 	// Traversed sees every flit ST moves (never a forwarded one), after
 	// f.VC holds its output VC and before the flit is sent.
 	Traversed(f *flit.Flit)
@@ -141,10 +144,11 @@ type Router struct {
 	nIn, nOut int
 	V, D      int // NumVCs, BufDepth
 
-	// Input-lane views (len nIn*V).
-	bufLen  []int
-	outPort []int
-	outVC   []int
+	// Input-lane views (len nIn*V), in the store's widths; depth, flits and
+	// route read them as ints.
+	bufLen  []int16
+	outPort []int8 // -1 when no packet owns the lane
+	outVC   []int8 // -1 awaiting VA
 	// Router-local flat pointer arrays, same indexing as the store. pkt[l] owns
 	// lane l while act holds it: VA and the fault sweeps read it.
 	buf []*flit.Flit // lane*D + k, FIFO head at k = 0
@@ -161,7 +165,7 @@ type Router struct {
 	occPorts, actPorts uint64
 
 	// Output-lane views (len nOut*V).
-	credits []int
+	credits []int16
 	vcBusy  []bool
 	// dry is derived: bit out ⇔ non-ejection output out has no credit left in
 	// any VC. That is §3.C condition 2's "congestion at the downstream router
@@ -175,24 +179,26 @@ type Router struct {
 	// pc is the pseudo-circuit register file (read here, written in core).
 	pc *core.RegFile
 
-	// Router-local per-port state.
+	// Router-local per-port state: arrival shares buf's slab, the int16s one
+	// slab with chosen and pcCand below (New).
 	arrival  []*flit.Flit // staged by Deliver for this cycle
-	rrVC     []int        // SA input-arbitration round-robin pointers
-	lastOut  []int        // Fig. 1 temporal-locality measurement
-	rrIn     []int        // SA output-arbitration round-robin pointers
-	ejection []bool
+	rrVC     []int16      // SA input-arbitration round-robin pointers
+	lastOut  []int16      // Fig. 1 temporal-locality measurement
+	rrIn     []int16      // SA output-arbitration round-robin pointers
+	ejection uint64       // bit out ⇔ out is a terminal (ejection) port
 
+	// Grants, at most one per output: two halves of one slab, swapped by Tick.
 	res     []reservation // STs to execute this cycle
 	nextRes []reservation // grants made this cycle
 
 	// Per-tick scratch, reused across cycles.
-	busyIn  uint64 // input ports whose crossbar row is in use this cycle
-	busyOut uint64 // output ports whose crossbar column is in use this cycle
-	arrMask uint64 // input ports with a staged arrival this cycle
-	ports   uint64 // input ports with a buffered flit once ST is done: what phases 2-4 walk
-	reqs    []saRequest
-	chosen  []int // per input port: index into reqs selected by input arbitration, -1 none
-	pcCand  []int // per input port: vc of pseudo-circuit candidate, -1 none
+	busyIn  uint64      // input ports whose crossbar row is in use this cycle
+	busyOut uint64      // output ports whose crossbar column is in use this cycle
+	arrMask uint64      // input ports with a staged arrival this cycle
+	ports   uint64      // input ports with a buffered flit once ST is done: what phases 2-4 walk
+	reqs    []saRequest // at most one per lane, its capacity from New
+	chosen  []int16     // per input port: index into reqs selected by input arbitration, -1 none
+	pcCand  []int16     // per input port: vc of pseudo-circuit candidate, -1 none
 
 	// pol is the installed scheme policy, nil for the paper's own schemes.
 	pol Policy
@@ -232,6 +238,14 @@ func New(id, inPorts, outPorts int, cfg *Config) *Router {
 		}
 	}
 	V, D := cfg.NumVCs, cfg.BufDepth
+	// The flit pointers (buffers, then the staging latch), the int16 per-port
+	// state and the grants are one allocation each, and the SA requests get
+	// their full capacity: no list grows once the router runs.
+	nBuf := inPorts * V * D
+	flits := make([]*flit.Flit, nBuf+inPorts)
+	ints := make([]int16, 4*inPorts+outPorts)
+	port := func(k int) []int16 { return ints[k*inPorts : (k+1)*inPorts : (k+1)*inPorts] }
+	resv := make([]reservation, 2*outPorts)
 	r := &Router{
 		ID:   id,
 		cfg:  cfg,
@@ -243,7 +257,7 @@ func New(id, inPorts, outPorts int, cfg *Config) *Router {
 		bufLen:  ls.BufLen[inBase*V : (inBase+inPorts)*V],
 		outPort: ls.OutPort[inBase*V : (inBase+inPorts)*V],
 		outVC:   ls.OutVC[inBase*V : (inBase+inPorts)*V],
-		buf:     make([]*flit.Flit, inPorts*V*D),
+		buf:     flits[:nBuf:nBuf],
 		pkt:     make([]*flit.Packet, inPorts*V),
 
 		occ: ls.Occ[inBase : inBase+inPorts],
@@ -255,16 +269,19 @@ func New(id, inPorts, outPorts int, cfg *Config) *Router {
 
 		pc: ls.RegFile(slot, cfg.Opts.SpecHistoryDepth),
 
-		arrival:  make([]*flit.Flit, inPorts),
-		rrVC:     make([]int, inPorts),
-		lastOut:  make([]int, inPorts),
-		rrIn:     make([]int, outPorts),
-		ejection: make([]bool, outPorts),
+		arrival: flits[nBuf:],
+		rrVC:    port(0),
+		lastOut: port(1),
+		chosen:  port(2),
+		pcCand:  port(3),
+		rrIn:    ints[4*inPorts:],
 
-		chosen: make([]int, inPorts),
-		pcCand: make([]int, inPorts),
-		rs:     cfg.Reg.Router(id),
-		tr:     cfg.Trace,
+		res:     resv[:0:outPorts],
+		nextRes: resv[outPorts:outPorts],
+		reqs:    make([]saRequest, 0, inPorts*V),
+
+		rs: cfg.Reg.Router(id),
+		tr: cfg.Trace,
 	}
 	for i := range r.lastOut {
 		r.lastOut[i] = -1
@@ -285,20 +302,33 @@ func (r *Router) SetPolicy(p Policy) {
 // MarkEjection flags output port out as a terminal (ejection) port: VC state
 // and credits are unconstrained because the receiver NI sinks flits at link
 // rate.
-func (r *Router) MarkEjection(out int) { r.ejection[out] = true }
+func (r *Router) MarkEjection(out int) { r.ejection |= 1 << uint(out) }
+
+// ejects reports whether output port out is a terminal port.
+func (r *Router) ejects(out int) bool { return r.ejection>>uint(out)&1 != 0 }
 
 // --- lane helpers: the accessor seam ----------------------------------------
 //
 // Every mutation of a lane's record flows through these, which keeps the
 // occupancy index, the VA mask and the two port words consistent with it by
-// construction.
+// construction. They and the three readers below are where the store's narrow
+// widths meet the int arithmetic of the phases.
+
+// depth returns the number of flits buffered in lane l.
+func (r *Router) depth(l int) int { return int(r.bufLen[l]) }
+
+// flits returns lane l's buffered flits, head first.
+func (r *Router) flits(l int) []*flit.Flit { return r.buf[l*r.D : l*r.D+r.depth(l)] }
+
+// route returns lane l's output port and output VC, each -1 when unset.
+func (r *Router) route(l int) (out, ov int) { return int(r.outPort[l]), int(r.outVC[l]) }
 
 // pushBuf appends a flit to lane (in, vc) and returns the new depth.
 func (r *Router) pushBuf(in, vc int, f *flit.Flit) int {
 	l := in*r.V + vc
-	n := r.bufLen[l]
+	n := r.depth(l)
 	r.buf[l*r.D+n] = f
-	r.bufLen[l] = n + 1
+	r.bufLen[l] = int16(n + 1)
 	r.occ[in] |= 1 << uint(vc)
 	r.occPorts |= 1 << uint(in)
 	return n + 1
@@ -310,11 +340,11 @@ func (r *Router) pushBuf(in, vc int, f *flit.Flit) int {
 func (r *Router) popHead(in, vc int) {
 	l := in*r.V + vc
 	b := l * r.D
-	n := r.bufLen[l]
+	n := r.depth(l)
 	for k := b; k < b+n-1; k++ {
 		r.buf[k] = r.buf[k+1]
 	}
-	r.bufLen[l] = n - 1
+	r.bufLen[l] = int16(n - 1)
 	if n == 1 {
 		if r.occ[in] &^= 1 << uint(vc); r.occ[in] == 0 {
 			r.occPorts &^= 1 << uint(in)
@@ -327,11 +357,11 @@ func (r *Router) popHead(in, vc int) {
 func (r *Router) removeBufAt(in, vc, k int) {
 	l := in*r.V + vc
 	b := l * r.D
-	n := r.bufLen[l]
+	n := r.depth(l)
 	for j := b + k; j < b+n-1; j++ {
 		r.buf[j] = r.buf[j+1]
 	}
-	r.bufLen[l] = n - 1
+	r.bufLen[l] = int16(n - 1)
 	if n == 1 {
 		if r.occ[in] &^= 1 << uint(vc); r.occ[in] == 0 {
 			r.occPorts &^= 1 << uint(in)
@@ -371,6 +401,10 @@ func (r *Router) Deliver(in int, f *flit.Flit) {
 // when there is none or a policy already forwarded it.
 func (r *Router) Staged(in int) *flit.Flit { return r.arrival[in] }
 
+// StagedMask returns the input ports Staged has a flit for: bit in ⇔
+// Staged(in) != nil.
+func (r *Router) StagedMask() uint64 { return r.arrMask }
+
 // Forward sends the flit staged on input port in straight out of output port
 // out (Policy.Latch only): one crossbar traversal in the flit's arrival cycle
 // that touches no buffer, VC or credit state and claims both crossbar ports.
@@ -409,7 +443,7 @@ func (r *Router) trace(now sim.Cycle, kind obs.Kind, f *flit.Flit, in, vc, out i
 func (r *Router) DeliverCredit(out, vc int) bool {
 	m := out*r.V + vc
 	r.credits[m]++
-	if r.credits[m] > r.D {
+	if int(r.credits[m]) > r.D {
 		panic(fmt.Sprintf("router %d: credit overflow on out %d vc %d", r.ID, out, vc))
 	}
 	wasDry := r.dry>>uint(out)&1 != 0
@@ -418,7 +452,7 @@ func (r *Router) DeliverCredit(out, vc int) bool {
 }
 
 func (r *Router) hasCredit(out, vc int) bool {
-	return r.ejection[out] || r.credits[out*r.V+vc] > 0
+	return r.ejects(out) || r.credits[out*r.V+vc] > 0
 }
 
 // noCredit reports what output port out's dry bit records: no credit in any VC.
@@ -455,7 +489,7 @@ func (r *Router) noCredit(out int) bool {
 // (empty without Opts.Pseudo, whose register file never holds an output).
 func (r *Router) Tick(now sim.Cycle) bool {
 	r.busyIn, r.busyOut = 0, 0
-	if r.pol != nil {
+	if r.pol != nil && r.arrMask != 0 {
 		r.pol.Latch(now)
 	}
 	r.executeReservations(now)
@@ -483,36 +517,38 @@ func (r *Router) holdsFlits() bool {
 // executeReservations performs ST for last cycle's SA grants (phase 1) and
 // adds them to this cycle's crossbar busy sets.
 func (r *Router) executeReservations(now sim.Cycle) {
-	for _, res := range r.res {
+	for _, g := range r.res {
+		in, vc, out := int(g.in), int(g.vc), int(g.out)
 		// Grants are one per output, so only a flit forwarded in phase 0 can
 		// hold the column already: it preempts the grant, which re-arbitrates.
-		if (r.busyOut>>uint(res.out))&1 != 0 {
+		if (r.busyOut>>uint(out))&1 != 0 {
 			r.Preemptions++
 			continue
 		}
-		l := res.in*r.V + res.vc
+		l := in*r.V + vc
 		// Speculative SA: a grant issued in parallel with a failed VA is
 		// void (paper §3.A); the flit retries.
-		if r.outVC[l] < 0 {
+		_, ov := r.route(l)
+		if ov < 0 {
 			continue
 		}
 		// A fault storm may have killed or salvaged the VC since the grant
 		// (which also resets outVC, caught above); this guards the port too.
-		if r.linkDead(res.out) {
+		if r.linkDead(out) {
 			continue
 		}
 		// Credits may have been drained by a pseudo-circuit traversal after
 		// the request was credit-checked; re-verify and retry on failure.
-		if !r.hasCredit(res.out, r.outVC[l]) {
+		if !r.hasCredit(out, ov) {
 			continue
 		}
-		if r.bufLen[l] == 0 || r.buf[l*r.D] != res.f {
-			panic(fmt.Sprintf("router %d: reservation lost its flit at in %d vc %d", r.ID, res.in, res.vc))
+		if r.bufLen[l] == 0 || r.buf[l*r.D] != g.f {
+			panic(fmt.Sprintf("router %d: reservation lost its flit at in %d vc %d", r.ID, in, vc))
 		}
-		r.popHead(res.in, res.vc)
-		r.traverse(now, res.in, res.vc, res.out, res.f, false, false)
-		r.busyIn |= 1 << uint(res.in)
-		r.busyOut |= 1 << uint(res.out)
+		r.popHead(in, vc)
+		r.traverse(now, in, vc, out, g.f, false, false)
+		r.busyIn |= 1 << uint(in)
+		r.busyOut |= 1 << uint(out)
 	}
 }
 
@@ -538,18 +574,19 @@ func (r *Router) admit(in, vc int, h *flit.Flit) {
 	r.act[in] |= 1 << uint(vc)
 	r.actPorts |= 1 << uint(in)
 	r.va[in] |= 1 << uint(vc)
-	r.outPort[l] = h.NextOut
 	r.outVC[l] = -1
 	r.pkt[l] = h.Packet
-	if h.NextOut < 0 || h.NextOut >= r.nOut {
-		panic(fmt.Sprintf("router %d: header %v carries invalid output port %d", r.ID, h, h.NextOut))
+	out := h.NextOut
+	if out < 0 || out >= r.nOut {
+		panic(fmt.Sprintf("router %d: header %v carries invalid output port %d", r.ID, h, out))
 	}
 	// Lookahead routing computed NextOut at the previous hop; a fault storm
 	// between then and now may have killed the link. Re-route at admission
 	// so the stale lookahead cannot commit the packet to a dead port.
-	if r.cfg.Reroute != nil && r.outPort[l] < 4 && r.linkDead(r.outPort[l]) {
-		r.outPort[l] = r.cfg.Reroute(r.ID, h.Packet.Dst, h.Packet.RouteClass)
+	if r.cfg.Reroute != nil && out < 4 && r.linkDead(out) {
+		out = r.cfg.Reroute(r.ID, h.Packet.Dst, h.Packet.RouteClass)
 	}
+	r.outPort[l] = int8(out)
 }
 
 // linkDead reports whether output port out is currently unusable under the
@@ -594,8 +631,8 @@ func (r *Router) allocateVCs(now sim.Cycle) {
 // returns true on success.
 func (r *Router) tryVA(in, vc int) bool {
 	l := in*r.V + vc
-	out := r.outPort[l]
-	eject := r.ejection[out]
+	out, _ := r.route(l)
+	eject := r.ejects(out)
 	if !eject && r.linkDead(out) {
 		return false // dead link: hold the packet until recovery or reroute
 	}
@@ -617,7 +654,7 @@ func (r *Router) tryVA(in, vc int) bool {
 	if !eject {
 		busy[v] = true
 	}
-	r.outVC[l] = v
+	r.outVC[l] = int8(v)
 	r.va[in] &^= 1 << uint(vc)
 	return true
 }
@@ -637,19 +674,18 @@ func (r *Router) classify() {
 		r.pcCand[i] = -1
 		for m := r.act[i] & r.occ[i]; m != 0; m &= m - 1 {
 			vc := bits.TrailingZeros64(m)
-			l := i*r.V + vc
-			out := r.outPort[l]
+			out, ov := r.route(i*r.V + vc)
 			if r.linkDead(out) {
 				continue // dead link: stall until recovery or the storm's reroute
 			}
-			if r.outVC[l] < 0 {
+			if ov < 0 {
 				// Header whose VA failed: issue a speculative SA request
 				// anyway (grant will be void), modelling the speculative
 				// pipeline's wasted grants.
-				r.reqs = append(r.reqs, saRequest{in: i, vc: vc, out: out})
+				r.reqs = append(r.reqs, saRequest{int8(i), int8(vc), int8(out)})
 				continue
 			}
-			if !r.hasCredit(out, r.outVC[l]) {
+			if !r.hasCredit(out, ov) {
 				r.rs.In[i].CreditStalls++
 				continue // credit-gated: no request without credit
 			}
@@ -658,10 +694,10 @@ func (r *Router) classify() {
 			// is occupied this cycle (back-to-back streaming: it traverses
 			// next cycle, still without SA).
 			if pseudo && r.pcCand[i] < 0 && r.pc.Match(i, vc, out) {
-				r.pcCand[i] = vc
+				r.pcCand[i] = int16(vc)
 				continue
 			}
-			r.reqs = append(r.reqs, saRequest{in: i, vc: vc, out: out})
+			r.reqs = append(r.reqs, saRequest{int8(i), int8(vc), int8(out)})
 		}
 	}
 }
@@ -672,12 +708,12 @@ func (r *Router) classify() {
 func (r *Router) rideCircuits(now sim.Cycle) {
 	for p := r.ports; p != 0; p &= p - 1 {
 		i := bits.TrailingZeros64(p)
-		v := r.pcCand[i]
+		v := int(r.pcCand[i])
 		if v < 0 {
 			continue
 		}
 		l := i*r.V + v
-		out := r.outPort[l]
+		out, _ := r.route(l)
 		if (r.busyIn>>uint(i))&1 != 0 || (r.busyOut>>uint(out))&1 != 0 {
 			continue // crossbar port in use this cycle; ride the circuit next cycle
 		}
@@ -696,7 +732,7 @@ func (r *Router) rideCircuits(now sim.Cycle) {
 // output port out.
 func (r *Router) saClaims(in, out int) bool {
 	for _, q := range r.reqs {
-		if q.in == in || q.out == out {
+		if int(q.in) == in || int(q.out) == out {
 			return true
 		}
 	}
@@ -716,15 +752,16 @@ func (r *Router) switchArbitrate(now sim.Cycle) {
 	// Input arbitration: choose one requesting VC per input port.
 	var chosenMask uint64
 	for qi, q := range r.reqs {
-		if chosenMask&(1<<uint(q.in)) == 0 {
-			chosenMask |= 1 << uint(q.in)
-			r.chosen[q.in] = qi
+		in := int(q.in)
+		if chosenMask&(1<<uint(in)) == 0 {
+			chosenMask |= 1 << uint(in)
+			r.chosen[in] = int16(qi)
 			continue
 		}
 		// Round-robin preference: smallest (vc - rrVC) mod V wins.
-		cur := r.reqs[r.chosen[q.in]]
-		if rrDist(q.vc, r.rrVC[q.in], r.V) < rrDist(cur.vc, r.rrVC[q.in], r.V) {
-			r.chosen[q.in] = qi
+		cur, ptr := r.reqs[r.chosen[in]], int(r.rrVC[in])
+		if rrDist(int(q.vc), ptr, r.V) < rrDist(int(cur.vc), ptr, r.V) {
+			r.chosen[in] = int16(qi)
 		}
 	}
 	// Output arbitration among the per-input winners, visiting only outputs
@@ -738,10 +775,10 @@ func (r *Router) switchArbitrate(now sim.Cycle) {
 		best := -1
 		for m := chosenMask; m != 0; m &= m - 1 {
 			i := bits.TrailingZeros64(m)
-			if r.reqs[r.chosen[i]].out != o {
+			if int(r.reqs[r.chosen[i]].out) != o {
 				continue
 			}
-			if best < 0 || rrDist(i, r.rrIn[o], r.nIn) < rrDist(best, r.rrIn[o], r.nIn) {
+			if ptr := int(r.rrIn[o]); best < 0 || rrDist(i, ptr, r.nIn) < rrDist(best, ptr, r.nIn) {
 				best = i
 			}
 		}
@@ -750,27 +787,30 @@ func (r *Router) switchArbitrate(now sim.Cycle) {
 }
 
 func (r *Router) grant(now sim.Cycle, q saRequest) {
+	in, vc, out := int(q.in), int(q.vc), int(q.out)
 	r.rs.SAGrants++
-	f := r.buf[(q.in*r.V+q.vc)*r.D]
+	f := r.buf[(in*r.V+vc)*r.D]
 	if r.tr != nil {
-		r.trace(now, obs.SAGrant, f, q.in, q.vc, q.out)
+		r.trace(now, obs.SAGrant, f, in, vc, out)
 	}
-	r.nextRes = append(r.nextRes, reservation{in: q.in, vc: q.vc, out: q.out, f: f})
-	if r.rrVC[q.in] = q.vc + 1; r.rrVC[q.in] == r.V {
-		r.rrVC[q.in] = 0
+	r.nextRes = append(r.nextRes, reservation{f, q.in, q.vc, q.out})
+	nextVC, nextIn := vc+1, in+1
+	if nextVC == r.V {
+		nextVC = 0
 	}
-	if r.rrIn[q.out] = q.in + 1; r.rrIn[q.out] == r.nIn {
-		r.rrIn[q.out] = 0
+	if nextIn == r.nIn {
+		nextIn = 0
 	}
+	r.rrVC[in], r.rrIn[out] = int16(nextVC), int16(nextIn)
 	if r.cfg.Opts.Pseudo {
 		// The new connection claims its ports: terminate conflicting
 		// pseudo-circuits (§3.C condition 1) — the granted input's own
 		// circuit and the circuit of whichever input holds the output.
-		if r.pc.Valid(q.in) {
-			r.pc.Terminate(q.in)
+		if r.pc.Valid(in) {
+			r.pc.Terminate(in)
 			r.rs.PCTerminated++
 		}
-		if j := r.pc.ByOut[q.out]; j >= 0 {
+		if j := int(r.pc.ByOut[out]); j >= 0 {
 			r.pc.Terminate(j)
 			r.rs.PCTerminated++
 		}
@@ -796,7 +836,7 @@ func (r *Router) maintainPseudoCircuits() {
 	}
 	if r.cfg.Opts.TerminateOnZeroCredit {
 		for m := r.pc.HeldMask & r.dry; m != 0; m &= m - 1 {
-			r.pc.Terminate(r.pc.ByOut[bits.TrailingZeros64(m)])
+			r.pc.Terminate(int(r.pc.ByOut[bits.TrailingZeros64(m)]))
 			r.rs.PCTerminated++
 		}
 	}
@@ -808,8 +848,8 @@ func (r *Router) maintainPseudoCircuits() {
 	// rule) some credit left can host a speculative connection; the masks
 	// select exactly those, so at depth 1 every call below revives one.
 	bar := r.pc.HeldMask
-	for _, res := range r.nextRes {
-		bar |= 1 << uint(res.out)
+	for _, g := range r.nextRes {
+		bar |= 1 << uint(g.out)
 	}
 	if !r.cfg.Opts.SpeculateToCongested {
 		bar |= r.dry
@@ -836,7 +876,7 @@ func (r *Router) processArrivals(now sim.Cycle) {
 		if r.tryBypass(now, i, f) {
 			continue
 		}
-		if r.bufLen[i*r.V+f.VC] >= r.D {
+		if r.depth(i*r.V+f.VC) >= r.D {
 			panic(fmt.Sprintf("router %d: buffer overflow at in %d vc %d (credit protocol violated)", r.ID, i, f.VC))
 		}
 		r.rs.BufWrites++
@@ -878,20 +918,21 @@ func (r *Router) tryBypass(now sim.Cycle, i int, f *flit.Flit) bool {
 			return false
 		}
 	} else {
-		if !r.active(i, f.VC) || r.outVC[l] < 0 {
+		out, ov := r.route(l)
+		if !r.active(i, f.VC) || ov < 0 {
 			panic(fmt.Sprintf("router %d: body flit %v arrived on idle VC", r.ID, f))
 		}
-		if r.linkDead(r.outPort[l]) {
+		if r.linkDead(out) {
 			return false
 		}
-		if !r.pc.Match(i, f.VC, r.outPort[l]) || (r.busyOut>>uint(r.outPort[l]))&1 != 0 {
+		if !r.pc.Match(i, f.VC, out) || (r.busyOut>>uint(out))&1 != 0 {
 			return false
 		}
 	}
-	if !r.hasCredit(r.outPort[l], r.outVC[l]) {
+	out, ov := r.route(l)
+	if !r.hasCredit(out, ov) {
 		return false
 	}
-	out := r.outPort[l]
 	r.traverse(now, i, f.VC, out, f, true, true)
 	r.busyIn |= 1 << uint(i)
 	r.busyOut |= 1 << uint(out)
@@ -913,11 +954,11 @@ func (r *Router) traverse(now sim.Cycle, in, vc, out int, f *flit.Flit, viaPC, b
 	if head && r.pol == nil {
 		if r.lastOut[in] >= 0 {
 			rs.XbarPrev++
-			if r.lastOut[in] == out {
+			if int(r.lastOut[in]) == out {
 				rs.XbarSame++
 			}
 		}
-		r.lastOut[in] = out
+		r.lastOut[in] = int16(out)
 		rs.HeadTravs++
 	}
 
@@ -963,9 +1004,9 @@ func (r *Router) traverse(now sim.Cycle, in, vc, out int, f *flit.Flit, viaPC, b
 	}
 
 	// Flow control and lookahead state for the next hop.
-	ov := r.outVC[l]
+	_, ov := r.route(l)
 	f.VC = ov
-	if !r.ejection[out] {
+	if !r.ejects(out) {
 		m := out*r.V + ov
 		r.credits[m]--
 		if r.credits[m] < 0 {
@@ -982,7 +1023,7 @@ func (r *Router) traverse(now sim.Cycle, in, vc, out int, f *flit.Flit, viaPC, b
 		f.Packet.Hops++
 	}
 	if f.Kind.IsTail() {
-		if !r.ejection[out] {
+		if !r.ejects(out) {
 			r.vcBusy[out*r.V+ov] = false
 		}
 		r.resetLane(in, vc)
@@ -1028,14 +1069,14 @@ type FaultContext struct {
 // scratch state is idle.
 func (r *Router) FaultScan(fc *FaultContext) {
 	for i := 0; i < r.nIn; i++ {
-		if r.pc.Valid(i) && (fc.RouterDead || fc.LinkDead(r.pc.Out[i])) {
+		if r.pc.Valid(i) && (fc.RouterDead || fc.LinkDead(int(r.pc.Out[i]))) {
 			r.pc.Clear(i)
 			r.rs.PCTerminated++
 			fc.PCTerm()
 		}
 		for vc := 0; vc < r.V; vc++ {
 			l := i*r.V + vc
-			for _, f := range r.buf[l*r.D : l*r.D+r.bufLen[l]] {
+			for _, f := range r.flits(l) {
 				if fc.RouterDead || fc.DstDead(f.Packet.Dst) {
 					fc.Kill(f.Packet)
 				}
@@ -1043,21 +1084,22 @@ func (r *Router) FaultScan(fc *FaultContext) {
 			if !r.active(i, vc) {
 				continue
 			}
+			out, ov := r.route(l)
 			switch {
 			case fc.RouterDead || fc.DstDead(r.pkt[l].Dst):
 				fc.Kill(r.pkt[l])
-			case r.outPort[l] < r.nOut && !r.ejection[r.outPort[l]] && (fc.LinkDead(r.outPort[l]) ||
-				r.pol != nil && r.pol.PathDead(r.outPort[l], r.outVC[l])):
-				if r.outVC[l] < 0 {
+			case out < r.nOut && !r.ejects(out) && (fc.LinkDead(out) ||
+				r.pol != nil && r.pol.PathDead(out, ov)):
+				if ov < 0 {
 					// Not yet committed to an output VC: detour in place.
-					r.outPort[l] = fc.Reroute(r.pkt[l].Dst, r.pkt[l].RouteClass)
-				} else if fc.Salvage && r.bufLen[l] > 0 && r.buf[l*r.D].Kind.IsHead() {
+					r.outPort[l] = int8(fc.Reroute(r.pkt[l].Dst, r.pkt[l].RouteClass))
+				} else if fc.Salvage && r.depth(l) > 0 && r.buf[l*r.D].Kind.IsHead() {
 					// Committed but the whole packet is still here: release
 					// the allocation and detour.
-					r.vcBusy[r.outPort[l]*r.V+r.outVC[l]] = false
+					r.vcBusy[out*r.V+ov] = false
 					r.outVC[l] = -1
 					r.va[i] |= 1 << uint(vc)
-					r.outPort[l] = fc.Reroute(r.pkt[l].Dst, r.pkt[l].RouteClass)
+					r.outPort[l] = int8(fc.Reroute(r.pkt[l].Dst, r.pkt[l].RouteClass))
 					fc.Salvaged(r.pkt[l])
 				} else {
 					// Partially forwarded (or salvage disabled): the wormhole
@@ -1084,7 +1126,7 @@ func (r *Router) FaultStale(cutoff sim.Cycle, kill func(p *flit.Packet)) {
 	for i := 0; i < r.nIn; i++ {
 		for vc := 0; vc < r.V; vc++ {
 			l := i*r.V + vc
-			for _, f := range r.buf[l*r.D : l*r.D+r.bufLen[l]] {
+			for _, f := range r.flits(l) {
 				if f.Packet.NetStart < cutoff {
 					kill(f.Packet)
 				}
@@ -1106,7 +1148,7 @@ func (r *Router) FaultPurge(p *flit.Packet, drop func(f *flit.Flit)) {
 	for i := 0; i < r.nIn; i++ {
 		for vc := 0; vc < r.V; vc++ {
 			l := i*r.V + vc
-			for k := 0; k < r.bufLen[l]; {
+			for k := 0; k < r.depth(l); {
 				if r.buf[l*r.D+k].Packet != p {
 					k++
 					continue
@@ -1117,8 +1159,8 @@ func (r *Router) FaultPurge(p *flit.Packet, drop func(f *flit.Flit)) {
 				drop(f)
 			}
 			if r.active(i, vc) && r.pkt[l] == p {
-				if r.outVC[l] >= 0 && !r.ejection[r.outPort[l]] {
-					r.vcBusy[r.outPort[l]*r.V+r.outVC[l]] = false
+				if out, ov := r.route(l); ov >= 0 && !r.ejects(out) {
+					r.vcBusy[out*r.V+ov] = false
 				}
 				r.resetLane(i, vc)
 			}
@@ -1147,10 +1189,10 @@ func (r *Router) CheckInvariants() {
 		var occ, va uint64
 		for vc := 0; vc < r.V; vc++ {
 			l := i*r.V + vc
-			if r.bufLen[l] < 0 || r.bufLen[l] > r.D {
+			if n := r.depth(l); n < 0 || n > r.D {
 				panic(fmt.Sprintf("router %d: buffer overflow at in %d vc %d", r.ID, i, vc))
 			}
-			for _, f := range r.buf[l*r.D : l*r.D+r.bufLen[l]] {
+			for _, f := range r.flits(l) {
 				if f.ExpressHops != 0 {
 					panic(fmt.Sprintf("router %d: flit %v buffered mid-express at in %d vc %d", r.ID, f, i, vc))
 				}
@@ -1158,11 +1200,11 @@ func (r *Router) CheckInvariants() {
 			if r.bufLen[l] > 0 {
 				occ |= 1 << uint(vc)
 			}
-			if r.active(i, vc) {
-				if r.outVC[l] < 0 {
+			if out, ov := r.route(l); r.active(i, vc) {
+				if ov < 0 {
 					va |= 1 << uint(vc)
-				} else if !r.ejection[r.outPort[l]] {
-					owners[r.outPort[l]*r.V+r.outVC[l]]++
+				} else if !r.ejects(out) {
+					owners[out*r.V+ov]++
 				}
 			}
 		}
@@ -1179,12 +1221,12 @@ func (r *Router) CheckInvariants() {
 		panic(fmt.Sprintf("router %d: %v", r.ID, err))
 	}
 	for o := 0; o < r.nOut; o++ {
-		if dry := r.dry>>uint(o)&1 != 0; dry != (!r.ejection[o] && r.noCredit(o)) {
+		if dry := r.dry>>uint(o)&1 != 0; dry != (!r.ejects(o) && r.noCredit(o)) {
 			panic(fmt.Sprintf("router %d: dry bit desynced at out %d (%v, credits say %v)", r.ID, o, dry, !dry))
 		}
 		for vc := 0; vc < r.V; vc++ {
-			c := r.credits[o*r.V+vc]
-			if !r.ejection[o] && (c < 0 || c > r.D) {
+			c := int(r.credits[o*r.V+vc])
+			if !r.ejects(o) && (c < 0 || c > r.D) {
 				panic(fmt.Sprintf("router %d: credit %d out of range on out %d vc %d", r.ID, c, o, vc))
 			}
 			if n := owners[o*r.V+vc]; n > 1 || r.vcBusy[o*r.V+vc] != (n == 1) {
@@ -1203,7 +1245,7 @@ func (r *Router) CheckInvariants() {
 // PCValid reports whether input port in currently holds a valid
 // pseudo-circuit, and to which output (testing hook).
 func (r *Router) PCValid(in int) (out int, valid bool) {
-	return r.pc.Out[in], r.pc.Valid(in)
+	return int(r.pc.Out[in]), r.pc.Valid(in)
 }
 
 // BufferedFlits returns the number of flits buffered across all VCs of input
@@ -1211,7 +1253,7 @@ func (r *Router) PCValid(in int) (out int, valid bool) {
 func (r *Router) BufferedFlits(in int) int {
 	n := 0
 	for vc := 0; vc < r.V; vc++ {
-		n += r.bufLen[in*r.V+vc]
+		n += r.depth(in*r.V + vc)
 	}
 	return n
 }

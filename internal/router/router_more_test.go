@@ -335,7 +335,7 @@ func TestCheckInvariantsCatchesEachDesync(t *testing.T) {
 		if ls.OutVC[0] < 0 || ls.BufLen[0] != 2 {
 			t.Fatalf("set-up: lane (0,0) holds %d flits with output VC %d", ls.BufLen[0], ls.OutVC[0])
 		}
-		c.corrupt(ls, 2*4+ls.OutVC[0], fs[1])
+		c.corrupt(ls, 2*4+int(ls.OutVC[0]), fs[1])
 		func() {
 			defer func() {
 				if msg := fmt.Sprint(recover()); !strings.Contains(msg, c.want) {

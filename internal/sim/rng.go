@@ -6,6 +6,8 @@
 // are exactly repeatable and tests can assert on precise cycle counts.
 package sim
 
+import "math"
+
 // Cycle is a simulation time stamp measured in router clock cycles.
 type Cycle int64
 
@@ -57,6 +59,31 @@ func (r *RNG) Float64() float64 {
 // Bernoulli reports true with probability p.
 func (r *RNG) Bernoulli(p float64) bool {
 	return r.Float64() < p
+}
+
+// Threshold returns probability p as the integer ⌈p·2⁵³⌉ that Below compares
+// a draw with: 0 for p ≤ 0 or NaN, 2⁵³ for p ≥ 1. A source that flips the
+// same coin every cycle computes it once.
+//
+// Below(Threshold(p)) draws exactly what Bernoulli(p) draws, from the same
+// stream. Float64 is u/2⁵³ for the integer u = Uint64()>>11 < 2⁵³, and both
+// that quotient and p·2⁵³ are exact (scaling by a power of two; p ≥ 2⁻¹⁰⁷⁴
+// keeps p·2⁵³ a normal number), so u/2⁵³ < p holds exactly when u < p·2⁵³,
+// which for an integer u is u < ⌈p·2⁵³⌉.
+func Threshold(p float64) uint64 {
+	switch {
+	case !(p > 0):
+		return 0
+	case p >= 1:
+		return 1 << 53
+	}
+	return uint64(math.Ceil(p * (1 << 53)))
+}
+
+// Below reports whether the next 53-bit draw is under t: true with
+// probability t/2⁵³ (Threshold).
+func (r *RNG) Below(t uint64) bool {
+	return r.Uint64()>>11 < t
 }
 
 // Geometric returns a sample from a geometric distribution with success

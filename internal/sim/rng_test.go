@@ -158,3 +158,47 @@ func TestSplitIndependence(t *testing.T) {
 		t.Fatalf("split streams correlated: %d/100 equal draws", same)
 	}
 }
+
+// TestBelowThresholdIsBernoulli: Below(Threshold(p)) draws what Bernoulli(p)
+// draws, from the same stream, for any p. Besides the stream's own draws the
+// property tries the two a rounding decides: p equal to the next draw's value
+// u/2⁵³ (false either way) and p one ulp above it (true — what a threshold
+// truncated instead of rounded up gets wrong whenever p·2⁵³ has a fraction).
+func TestBelowThresholdIsBernoulli(t *testing.T) {
+	same := func(seed uint64, p float64) bool {
+		a, b := sim.NewRNG(seed), sim.NewRNG(seed)
+		th := sim.Threshold(p)
+		for i := 0; i < 64; i++ {
+			if a.Bernoulli(p) != b.Below(th) {
+				t.Logf("seed %d, p %g (threshold %d): draw %d differs", seed, p, th, i)
+				return false
+			}
+		}
+		return true
+	}
+	for _, c := range []struct {
+		p    float64
+		want uint64
+	}{
+		{0, 0}, {-0.25, 0}, {math.Inf(-1), 0}, {math.NaN(), 0},
+		{1, 1 << 53}, {1.5, 1 << 53}, {math.Inf(1), 1 << 53},
+		{math.SmallestNonzeroFloat64, 1}, {math.Nextafter(1, 0), 1<<53 - 1}, {0.5, 1 << 52},
+	} {
+		if got := sim.Threshold(c.p); got != c.want {
+			t.Errorf("Threshold(%g) = %d, want %d", c.p, got, c.want)
+		}
+		if !same(1, c.p) {
+			t.Errorf("Below(Threshold(%g)) and Bernoulli disagree", c.p)
+		}
+	}
+	err := quick.Check(func(seed uint64, p float64, q uint32, up bool) bool {
+		u := sim.NewRNG(seed).Float64() // the value of the stream's next draw
+		if up {
+			u = math.Nextafter(u, 1)
+		}
+		return same(seed, p) && same(seed, float64(q)/(1<<32)) && same(seed, u)
+	}, &quick.Config{MaxCount: 500})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

@@ -69,6 +69,9 @@ type Synthetic struct {
 	// rngs holds each node's stream by value: Tick draws from every one of
 	// them every cycle, in node order, so they sit in one array.
 	rngs []sim.RNG
+	// inject is the per-node packet probability rate/packetSize as a
+	// sim.Threshold, so the coin Tick flips is an integer compare.
+	inject uint64
 }
 
 // NewSynthetic builds a synthetic workload; rng seeds the per-node streams.
@@ -82,7 +85,8 @@ func NewSynthetic(cfg Config, rng *sim.RNG) *Synthetic {
 	if cfg.GridW <= 0 {
 		cfg.GridW = isqrt(cfg.Nodes)
 	}
-	s := &Synthetic{cfg: cfg, rngs: make([]sim.RNG, cfg.Nodes)}
+	s := &Synthetic{cfg: cfg, rngs: make([]sim.RNG, cfg.Nodes),
+		inject: sim.Threshold(cfg.Rate / float64(cfg.PacketSize))}
 	for i := range s.rngs {
 		s.rngs[i] = *rng.Split()
 	}
@@ -92,10 +96,10 @@ func NewSynthetic(cfg Config, rng *sim.RNG) *Synthetic {
 // Tick implements network.Workload: each node flips a Bernoulli coin with
 // probability rate/packetSize (so the flit rate matches cfg.Rate).
 func (s *Synthetic) Tick(now sim.Cycle, inj network.Injector) {
-	pPkt := s.cfg.Rate / float64(s.cfg.PacketSize)
-	for node := range s.rngs {
-		rng := &s.rngs[node]
-		if !rng.Bernoulli(pPkt) {
+	rngs, t := s.rngs, s.inject // locals: the draws' stores cannot alias them
+	for node := range rngs {
+		rng := &rngs[node]
+		if !rng.Below(t) {
 			continue
 		}
 		dst := s.Destination(node, rng)

@@ -107,9 +107,9 @@ func (a *Allocator) StaticVC(src, dst, class int) int {
 // Pick chooses an output VC for a packet (src → dst, routing class class)
 // given the downstream VC occupancy and credit state. busy[v] reports the
 // downstream input VC v is allocated to another in-flight packet; credits[v]
-// is its free buffer count. It returns -1 when no VC can be allocated this
-// cycle.
-func (a *Allocator) Pick(src, dst, class int, busy []bool, credits []int) int {
+// is its free buffer count, stored as wide as a buffer is deep. It returns -1
+// when no VC can be allocated this cycle.
+func (a *Allocator) Pick(src, dst, class int, busy []bool, credits []int16) int {
 	if a.policy == Static {
 		v := a.StaticVC(src, dst, class)
 		if !busy[v] {
@@ -118,7 +118,7 @@ func (a *Allocator) Pick(src, dst, class int, busy []bool, credits []int) int {
 		return -1
 	}
 	lo, hi := a.ClassRange(class)
-	best, bestCred := -1, -1
+	best, bestCred := -1, int16(-1)
 	for v := lo; v < hi; v++ {
 		if busy[v] {
 			continue

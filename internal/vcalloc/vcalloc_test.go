@@ -76,7 +76,7 @@ func TestStaticVCFlowKey(t *testing.T) {
 func TestDynamicPickPrefersCredits(t *testing.T) {
 	a := vcalloc.New(vcalloc.Dynamic, 4, 1, 64)
 	busy := []bool{false, false, false, false}
-	credits := []int{1, 4, 2, 3}
+	credits := []int16{1, 4, 2, 3}
 	if got := a.Pick(0, 1, 0, busy, credits); got != 1 {
 		t.Errorf("Pick = %d, want 1 (most credits)", got)
 	}
@@ -89,7 +89,7 @@ func TestDynamicPickPrefersCredits(t *testing.T) {
 func TestDynamicPickAllBusy(t *testing.T) {
 	a := vcalloc.New(vcalloc.Dynamic, 4, 1, 64)
 	busy := []bool{true, true, true, true}
-	if got := a.Pick(0, 1, 0, busy, []int{4, 4, 4, 4}); got != -1 {
+	if got := a.Pick(0, 1, 0, busy, []int16{4, 4, 4, 4}); got != -1 {
 		t.Errorf("Pick = %d, want -1", got)
 	}
 }
@@ -97,7 +97,7 @@ func TestDynamicPickAllBusy(t *testing.T) {
 func TestDynamicPickRespectsClass(t *testing.T) {
 	a := vcalloc.New(vcalloc.Dynamic, 4, 2, 64)
 	busy := []bool{false, false, false, false}
-	credits := []int{9, 9, 1, 2}
+	credits := []int16{9, 9, 1, 2}
 	if got := a.Pick(0, 1, 1, busy, credits); got != 3 {
 		t.Errorf("class-1 Pick = %d, want 3 (class partition [2,4))", got)
 	}
@@ -108,11 +108,11 @@ func TestStaticPickBlockedWhenBusy(t *testing.T) {
 	v := a.StaticVC(0, 7, 0)
 	busy := make([]bool, 4)
 	busy[v] = true
-	if got := a.Pick(0, 7, 0, busy, []int{4, 4, 4, 4}); got != -1 {
+	if got := a.Pick(0, 7, 0, busy, []int16{4, 4, 4, 4}); got != -1 {
 		t.Errorf("Pick = %d, want -1 (static VC busy, no fallback)", got)
 	}
 	busy[v] = false
-	if got := a.Pick(0, 7, 0, busy, []int{4, 4, 4, 4}); got != v {
+	if got := a.Pick(0, 7, 0, busy, []int16{4, 4, 4, 4}); got != v {
 		t.Errorf("Pick = %d, want %d", got, v)
 	}
 }

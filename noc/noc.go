@@ -334,6 +334,8 @@ func (e Experiment) validate() error {
 			e.NumVCs, e.BufDepth, e.Warmup, e.Measure)
 	case d.NumVCs > core.LaneLimit || radix > core.LaneLimit:
 		return fmt.Errorf("noc: %d VCs on a %d-port router exceed the %d-lane limit", d.NumVCs, radix, core.LaneLimit)
+	case d.BufDepth > core.DepthLimit:
+		return fmt.Errorf("noc: bufDepth %d exceeds the %d-flit depth limit", d.BufDepth, core.DepthLimit)
 	case e.Routing == O1TURN && d.NumVCs%2 != 0:
 		return fmt.Errorf("noc: O1TURN splits the VCs between its two classes; %d is odd", d.NumVCs)
 	case faults && churn:

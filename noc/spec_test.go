@@ -151,6 +151,7 @@ func TestOneRuleList(t *testing.T) {
 		"negative measure":  {noc.Spec{Topology: "mesh4x4", Measure: -5}, noc.Experiment{Topology: noc.Mesh(4, 4), Measure: -5}, "negative"},
 		"too many VCs":      {noc.Spec{Topology: "mesh4x4", NumVCs: 65}, noc.Experiment{Topology: noc.Mesh(4, 4), NumVCs: 65}, "lane limit"},
 		"radix too wide":    {noc.Spec{Topology: "fbfly40x40x1"}, noc.Experiment{Topology: noc.FBFly(40, 40, 1)}, "lane limit"},
+		"depth too deep":    {noc.Spec{Topology: "mesh4x4", BufDepth: 32768}, noc.Experiment{Topology: noc.Mesh(4, 4), BufDepth: 32768}, "32767-flit depth limit"},
 		"o1turn odd VCs": {noc.Spec{Topology: "mesh4x4", Routing: "o1turn", NumVCs: 3},
 			noc.Experiment{Topology: noc.Mesh(4, 4), Routing: noc.O1TURN, NumVCs: 3}, "O1TURN"},
 		"faults and churn": {noc.Spec{Topology: "mesh4x4", Faults: faults, Churn: &noc.ChurnSpec{LinkFail: 1e-4}},
