@@ -9,7 +9,11 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io/fs"
+	"os"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -618,4 +622,137 @@ func wideFields(fset *token.FileSet, f *ast.File) []string {
 		return false
 	})
 	return found
+}
+
+// pkgNode is a package of the module as TestEveryPackageIsReached sees it:
+// whether it is a command, whether it has a _test.go of its own, whether a CI
+// step or the benchmark script names it, and what its non-test files import.
+type pkgNode struct {
+	main, tested, named bool
+	imports             []string
+}
+
+// unreached lists, by import path, every library no other package imports
+// from a non-test file and every command that has no test of its own and that
+// no script names: surface nothing reaches.
+func unreached(pkgs map[string]pkgNode) []string {
+	imported := map[string]bool{}
+	for path, p := range pkgs {
+		for _, imp := range p.imports {
+			if imp != path {
+				imported[imp] = true
+			}
+		}
+	}
+	var found []string
+	for path, p := range pkgs {
+		switch {
+		case p.main && !p.tested && !p.named:
+			found = append(found, path+": command with no test of its own, named by no CI step or bench/run.sh")
+		case !p.main && !imported[path]:
+			found = append(found, path+": imported by no other package's non-test file")
+		}
+	}
+	slices.Sort(found)
+	return found
+}
+
+// modulePackages reads every package directory of the module outside bench/
+// (which is a module of its own) into the graph unreached takes.
+func modulePackages(t *testing.T) map[string]pkgNode {
+	t.Helper()
+	var scripts string
+	for _, name := range []string{".github/workflows/ci.yml", "bench/run.sh"} {
+		b, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scripts += string(b)
+	}
+	pkgs := map[string]pkgNode{}
+	err := filepath.WalkDir(".", func(name string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name != "." && (name == "bench" || name == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(name, ".go") {
+			return nil
+		}
+		dir := filepath.ToSlash(filepath.Dir(name))
+		path := "pseudocircuit"
+		if dir != "." {
+			path += "/" + dir
+		}
+		p := pkgs[path]
+		if strings.HasSuffix(name, "_test.go") {
+			p.tested = true
+		} else {
+			f, err := parser.ParseFile(token.NewFileSet(), name, nil, parser.ImportsOnly)
+			if err != nil {
+				return err
+			}
+			p.main = f.Name.Name == "main"
+			p.named = regexp.MustCompile(`(\./|pseudocircuit/)` + regexp.QuoteMeta(dir) + `\b`).MatchString(scripts)
+			for _, imp := range f.Imports {
+				p.imports = append(p.imports, strings.Trim(imp.Path.Value, `"`))
+			}
+		}
+		pkgs[path] = p
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pkgs
+}
+
+// TestEveryPackageIsReached: every package and command is reached by
+// something that runs. A library has a non-test importer outside itself; a
+// command has tests of its own or is run by CI or the benchmark. What nothing
+// reaches is surface no figure, oracle or daemon path depends on, and it goes.
+//
+// The root package is exempt: it is imported by nothing by design, because
+// its doc.go exists to carry the repo's cross-package tier-1 tests
+// (determinism, architecture, benchmarks).
+func TestEveryPackageIsReached(t *testing.T) {
+	pkgs := modulePackages(t)
+	if len(pkgs) < 20 || !pkgs["pseudocircuit/cmd/nocd"].main {
+		t.Fatalf("read %d packages; the walk missed the module", len(pkgs))
+	}
+	delete(pkgs, "pseudocircuit")
+	for _, f := range unreached(pkgs) {
+		t.Error(f)
+	}
+
+	t.Run("checker sees each", func(t *testing.T) {
+		clean := func() map[string]pkgNode {
+			return map[string]pkgNode{
+				"m/cmd/run":   {main: true, tested: true, imports: []string{"m/lib", "fmt"}},
+				"m/cmd/tool":  {main: true, named: true, imports: []string{"m/lib"}},
+				"m/lib":       {imports: []string{"m/lib/inner"}},
+				"m/lib/inner": {},
+			}
+		}
+		if got := unreached(clean()); len(got) != 0 {
+			t.Errorf("clean graph: reported %q", got)
+		}
+		for what, mutate := range map[string]func(g map[string]pkgNode){
+			"m/orphan: imported by no other": func(g map[string]pkgNode) { g["m/orphan"] = pkgNode{imports: []string{"m/lib"}} },
+			"m/self: imported by no other":   func(g map[string]pkgNode) { g["m/self"] = pkgNode{imports: []string{"m/self"}} },
+			"m/cmd/demo: command with no test": func(g map[string]pkgNode) {
+				g["m/cmd/demo"] = pkgNode{main: true, imports: []string{"m/lib"}}
+			},
+		} {
+			g := clean()
+			mutate(g)
+			if got := unreached(g); len(got) != 1 || !strings.HasPrefix(got[0], what) {
+				t.Errorf("%s: reported %q", what, got)
+			}
+		}
+	})
 }

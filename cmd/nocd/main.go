@@ -51,20 +51,18 @@ import (
 	"pseudocircuit/internal/service"
 	"pseudocircuit/internal/store"
 	"pseudocircuit/internal/sweepapi"
-	"pseudocircuit/internal/version"
 )
 
 func main() {
 	var (
-		listen      = flag.String("listen", "localhost:8080", "HTTP listen address")
-		workers     = flag.Int("workers", 0, "simulation workers (0 = GOMAXPROCS)")
-		queueCap    = flag.Int("queue", 64, "max queued jobs before submissions are rejected")
-		cacheCap    = flag.Int("cache", 1024, "max cached results (oldest evicted)")
-		chunk       = flag.Int("chunk", 1000, "cycles between cancellation checks and progress updates")
-		drain       = flag.Duration("drain", 30*time.Second, "graceful-shutdown drain deadline before in-flight jobs are cancelled")
-		spanCap     = flag.Int("spans", 4096, "max retained job-lifecycle spans (oldest evicted)")
-		logJSON     = flag.Bool("log-json", false, "emit one structured JSON log line per request on stderr")
-		showVersion = flag.Bool("version", false, "print build information and exit")
+		listen   = flag.String("listen", "localhost:8080", "HTTP listen address")
+		workers  = flag.Int("workers", 0, "simulation workers (0 = GOMAXPROCS)")
+		queueCap = flag.Int("queue", 64, "max queued jobs before submissions are rejected")
+		cacheCap = flag.Int("cache", 1024, "max cached results (oldest evicted)")
+		chunk    = flag.Int("chunk", 1000, "cycles between cancellation checks and progress updates")
+		drain    = flag.Duration("drain", 30*time.Second, "graceful-shutdown drain deadline before in-flight jobs are cancelled")
+		spanCap  = flag.Int("spans", 4096, "max retained job-lifecycle spans (oldest evicted)")
+		logJSON  = flag.Bool("log-json", false, "emit one structured JSON log line per request on stderr")
 
 		storeDir   = flag.String("store-dir", "", "directory for the persistent result store (empty = in-memory cache only)")
 		storeBytes = flag.Int64("store-bytes", 256<<20, "disk store byte cap; least-recently-used entries evicted past it")
@@ -77,10 +75,6 @@ func main() {
 		replicas = flag.Int("replicas", 2, "consistent-hash owners consulted per grid point before local fallback")
 	)
 	flag.Parse()
-	if *showVersion {
-		fmt.Println(version.String("nocd"))
-		return
-	}
 
 	var st *store.Store
 	if *storeDir != "" {

@@ -20,7 +20,6 @@ import (
 	"strings"
 
 	"pseudocircuit/internal/experiments"
-	"pseudocircuit/internal/version"
 	"pseudocircuit/noc"
 )
 
@@ -79,14 +78,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		seed     = fs.Uint64("seed", 1, "base seed")
 		csv      = fs.Bool("csv", false, "emit CSV instead of aligned tables")
 		progress = fs.Bool("progress", false, "report live per-simulation progress on stderr")
-
-		showVersion = fs.Bool("version", false, "print build information and exit")
 	)
 	fs.Parse(args)
-	if *showVersion {
-		fmt.Fprintln(stdout, version.String("sweep"))
-		return 0
-	}
 	fail := func(format string, a ...any) int {
 		fmt.Fprintf(stderr, "sweep: "+format+"\n", a...)
 		return 1

@@ -4,7 +4,6 @@
 package pseudocircuit_test
 
 import (
-	"bytes"
 	"fmt"
 	"reflect"
 	"testing"
@@ -14,7 +13,6 @@ import (
 	"pseudocircuit/internal/network"
 	"pseudocircuit/internal/sim"
 	"pseudocircuit/internal/topology"
-	"pseudocircuit/internal/trace"
 	"pseudocircuit/noc"
 )
 
@@ -133,48 +131,29 @@ func TestNaiveKernelEquivalence(t *testing.T) {
 	})
 }
 
-// TestTraceReplayKernelEquivalence closes the workload matrix: a packet
-// trace extracted from the CMP substrate is replayed open-loop (the paper's
-// methodology) through both schedules, driving the network's Drain path
-// rather than the fixed-cycle Run path. Both must drain the trace in
-// the same number of cycles with bit-identical statistics and per-router
-// counters (energy is their sum).
-func TestTraceReplayKernelEquivalence(t *testing.T) {
-	topo := topology.NewCMesh(4, 4, 4)
-	rec := network.New(network.DefaultConfig(topo))
-	var buf bytes.Buffer
-	tw, err := trace.NewWriter(&buf, topo.Nodes())
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestCMPDrainKernelEquivalence closes the workload matrix: the closed-loop
+// CMP substrate, stopped after a fixed number of misses (about 7 600 cycles
+// and 10 000 packets), is drained through both schedules, driving the network's Drain path rather than the fixed-cycle Run
+// path. Both must drain in the same number of cycles with bit-identical
+// statistics and per-router counters (energy is their sum).
+func TestCMPDrainKernelEquivalence(t *testing.T) {
 	prof, ok := cmp.ProfileByName("fft")
 	if !ok {
 		t.Fatal("unknown benchmark fft")
 	}
-	recorder := &trace.Recorder{Inner: cmp.New(topo, cmp.PaperTableI(), prof, sim.NewRNG(1)), W: tw}
-	rec.Run(recorder, 8000)
-	if err := tw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	tr, err := trace.NewReader(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs, err := tr.ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) == 0 {
-		t.Fatal("extracted an empty trace")
-	}
-
 	run := func(k kernelPoint) *network.Network {
-		cfg := network.DefaultConfig(topology.NewCMesh(4, 4, 4))
+		topo := topology.NewCMesh(4, 4, 4)
+		cfg := network.DefaultConfig(topo)
 		cfg.Opts = core.DefaultOptions(core.PseudoSB)
 		cfg.Naive = k.naive
 		n := network.New(cfg)
-		if !n.Drain(trace.NewPlayer(recs), 50*len(recs)+100000) {
-			t.Fatalf("%s: replay did not drain", k.name)
+		w := cmp.New(topo, cmp.PaperTableI(), prof, sim.NewRNG(1))
+		w.MaxMisses = 5000
+		if !n.Drain(w, 200000) {
+			t.Fatalf("%s: the workload did not drain", k.name)
+		}
+		if got := w.TotalMisses(); got != w.MaxMisses {
+			t.Fatalf("%s: drained after %d misses, want %d", k.name, got, w.MaxMisses)
 		}
 		return n
 	}
@@ -185,10 +164,10 @@ func TestTraceReplayKernelEquivalence(t *testing.T) {
 			t.Errorf("%s drained at cycle %d, %s at %d", kernelTriangle[0].name, ref.Now(), k.name, got.Now())
 		}
 		if !reflect.DeepEqual(ref.Stats, got.Stats) {
-			t.Errorf("trace replay stats diverge (%s vs %s):\nref: %+v\ngot: %+v", kernelTriangle[0].name, k.name, ref.Stats, got.Stats)
+			t.Errorf("drain stats diverge (%s vs %s):\nref: %+v\ngot: %+v", kernelTriangle[0].name, k.name, ref.Stats, got.Stats)
 		}
 		if !reflect.DeepEqual(ref.Registry().Routers(), got.Registry().Routers()) {
-			t.Errorf("trace replay per-router counters diverge (%s vs %s):\nref: %+v\ngot: %+v",
+			t.Errorf("drain per-router counters diverge (%s vs %s):\nref: %+v\ngot: %+v",
 				kernelTriangle[0].name, k.name, ref.Registry().Totals(), got.Registry().Totals())
 		}
 	}

@@ -4,8 +4,10 @@
 //
 // The public API lives in pseudocircuit/noc. The command-line tools are
 // cmd/nocsim (single simulation), cmd/sweep (regenerate every figure and
-// table of the paper's evaluation) and cmd/tracegen (trace extraction,
-// inspection and replay). bench_test.go in this directory provides one
+// table of the paper's evaluation) and cmd/nocd (the simulation service
+// daemon). This package holds no code: it carries the tests that span
+// packages. determinism_test.go holds the run-to-run and naive-versus-active
+// kernel checks, arch_test.go the structural rules, and bench_test.go one
 // testing.B benchmark per paper figure/table.
 //
 // See README.md for an overview, DESIGN.md for the system inventory and

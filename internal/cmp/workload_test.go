@@ -32,7 +32,7 @@ func TestCMPSmoke(t *testing.T) {
 	n.Run(w, 2000)
 	n.ResetStats()
 	n.Run(w, 8000)
-	t.Logf("fma3d pseudo+s+b: %v misses=%d", n.Stats.Summary(n.Registry().Totals()), w.TotalMisses())
+	t.Logf("fma3d pseudo+s+b: %+v misses=%d", n.Stats, w.TotalMisses())
 	if w.TotalMisses() == 0 {
 		t.Fatal("no misses generated")
 	}

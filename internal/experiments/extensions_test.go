@@ -2,6 +2,7 @@ package experiments_test
 
 import (
 	"os"
+	"reflect"
 	"testing"
 
 	"pseudocircuit/internal/experiments"
@@ -95,6 +96,25 @@ func TestAblationsRun(t *testing.T) {
 	if r.Paper[3] >= r.Flipped[3] {
 		t.Errorf("destination keying (%.2f) not better than flow keying (%.2f)",
 			r.Paper[3], r.Flipped[3])
+	}
+}
+
+// TestAblationsPaperReadingIsFig12: the paper row of ablations.fig12 is the
+// run Fig. 12 makes, so each flipped row differs from the figure by the flip
+// alone.
+func TestAblationsPaperReadingIsFig12(t *testing.T) {
+	const psb = 4 // Pseudo+S+B in Fig12Result.Schemes
+	r, f := experiments.Ablations(goldenOptions), experiments.Fig12(goldenOptions)
+	if !reflect.DeepEqual(r.Fig12Patterns, f.Patterns) || len(r.Fig12Readings) != 3 {
+		t.Fatalf("patterns %v and readings %v, want %v and three", r.Fig12Patterns, r.Fig12Readings, f.Patterns)
+	}
+	for p, name := range f.Patterns {
+		if r.Fig12Loads[p] != f.Loads[p][0] || r.Fig12Gain[p][0] != f.LowLoadImprovement[p][psb] ||
+			r.Fig12HeadReuse[p][0] != f.LowLoadHeadReuse[p][psb] || r.Fig12HeadBypass[p][0] != f.LowLoadHeadBypass[p][psb] {
+			t.Errorf("%s: paper reading (load %g, gain %v, hits %v/%v) is not Fig. 12's lowest-load Pseudo+S+B (%g, %v, %v/%v)", name,
+				r.Fig12Loads[p], r.Fig12Gain[p][0], r.Fig12HeadReuse[p][0], r.Fig12HeadBypass[p][0],
+				f.Loads[p][0], f.LowLoadImprovement[p][psb], f.LowLoadHeadReuse[p][psb], f.LowLoadHeadBypass[p][psb])
+		}
 	}
 }
 

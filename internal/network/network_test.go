@@ -1,6 +1,7 @@
 package network_test
 
 import (
+	"reflect"
 	"testing"
 
 	"pseudocircuit/internal/core"
@@ -24,19 +25,23 @@ func build(t *testing.T, topo topology.Topology, scheme core.Scheme, algo routin
 	return n
 }
 
-// TestDeterminism: identical configurations produce identical statistics.
+// TestDeterminism: identical configurations produce identical statistics and
+// per-router counters.
 func TestDeterminism(t *testing.T) {
-	run := func() string {
+	run := func() *network.Network {
 		n := build(t, topology.NewMesh(4, 4), core.PseudoSB, routing.O1TURN, vcalloc.Dynamic)
 		w := traffic.NewSynthetic(traffic.Config{
 			Pattern: traffic.UniformRandom, Nodes: 16, Rate: 0.15,
 		}, sim.NewRNG(77))
 		n.Run(w, 2000)
-		return n.Stats.Summary(n.Registry().Totals()) + n.Stats.LatencyHist.String()
+		return n
 	}
 	a, b := run(), run()
-	if a != b {
-		t.Fatalf("same seed diverged:\n%s\n%s", a, b)
+	if !reflect.DeepEqual(a.Stats, b.Stats) {
+		t.Errorf("same seed diverged:\n%+v\n%+v", a.Stats, b.Stats)
+	}
+	if !reflect.DeepEqual(a.Registry().Routers(), b.Registry().Routers()) {
+		t.Errorf("same seed, same statistics, different per-router counters")
 	}
 }
 

@@ -38,8 +38,8 @@ func TestSmokeSchemes(t *testing.T) {
 	base := runUniform(t, core.Baseline, 0.05)
 	psb := runUniform(t, core.PseudoSB, 0.05)
 	baseT, psbT := base.Registry().Totals(), psb.Registry().Totals()
-	t.Logf("baseline: %v", base.Stats.Summary(baseT))
-	t.Logf("pseudo+s+b: %v", psb.Stats.Summary(psbT))
+	t.Logf("baseline: %+v", baseT)
+	t.Logf("pseudo+s+b: %+v", psbT)
 	if baseT.PCReused != 0 {
 		t.Errorf("baseline reused pseudo-circuits: %d", baseT.PCReused)
 	}

@@ -102,34 +102,3 @@ func (r *RNG) Geometric(p float64) int {
 	}
 	return n
 }
-
-// Perm fills dst with a pseudo-random permutation of [0, len(dst)).
-func (r *RNG) Perm(dst []int) {
-	for i := range dst {
-		dst[i] = i
-	}
-	for i := len(dst) - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		dst[i], dst[j] = dst[j], dst[i]
-	}
-}
-
-// WeightedChoice returns an index in [0, len(weights)) with probability
-// proportional to weights[i]. Zero-total weights choose uniformly.
-func (r *RNG) WeightedChoice(weights []float64) int {
-	total := 0.0
-	for _, w := range weights {
-		total += w
-	}
-	if total <= 0 {
-		return r.Intn(len(weights))
-	}
-	x := r.Float64() * total
-	for i, w := range weights {
-		x -= w
-		if x < 0 {
-			return i
-		}
-	}
-	return len(weights) - 1
-}

@@ -98,52 +98,6 @@ func TestGeometricEdges(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	err := quick.Check(func(seed uint64, sz uint8) bool {
-		n := int(sz%64) + 1
-		dst := make([]int, n)
-		sim.NewRNG(seed).Perm(dst)
-		seen := make([]bool, n)
-		for _, v := range dst {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestWeightedChoice(t *testing.T) {
-	r := sim.NewRNG(5)
-	counts := make([]int, 3)
-	weights := []float64{0, 1, 3}
-	for i := 0; i < 40000; i++ {
-		counts[r.WeightedChoice(weights)]++
-	}
-	if counts[0] != 0 {
-		t.Fatalf("zero-weight bucket chosen %d times", counts[0])
-	}
-	ratio := float64(counts[2]) / float64(counts[1])
-	if math.Abs(ratio-3) > 0.3 {
-		t.Fatalf("weight ratio = %.2f, want ~3", ratio)
-	}
-}
-
-func TestWeightedChoiceZeroTotal(t *testing.T) {
-	r := sim.NewRNG(5)
-	seen := map[int]bool{}
-	for i := 0; i < 100; i++ {
-		seen[r.WeightedChoice([]float64{0, 0, 0})] = true
-	}
-	if len(seen) < 2 {
-		t.Fatal("zero-total weights should choose uniformly")
-	}
-}
-
 func TestSplitIndependence(t *testing.T) {
 	r := sim.NewRNG(11)
 	a := r.Split()

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 )
 
 // Histogram is a fixed-memory latency histogram with exponentially growing
@@ -117,26 +116,6 @@ func (h *Histogram) Quantiles() (p50, p95, p99 uint64) {
 	return h.Percentile(50), h.Percentile(95), h.Percentile(99)
 }
 
-// Merge folds other into h.
-func (h *Histogram) Merge(other *Histogram) {
-	for b, c := range other.counts {
-		if c == 0 {
-			continue
-		}
-		if b >= len(h.counts) {
-			grown := make([]uint64, b+histPerStep)
-			copy(grown, h.counts)
-			h.counts = grown
-		}
-		h.counts[b] += c
-	}
-	h.total += other.total
-	h.sum += other.sum
-	if other.max > h.max {
-		h.max = other.max
-	}
-}
-
 // Reset clears the histogram.
 func (h *Histogram) Reset() {
 	for i := range h.counts {
@@ -150,34 +129,6 @@ func (h *Histogram) String() string {
 	p50, p95, p99 := h.Quantiles()
 	return fmt.Sprintf("n=%d mean=%.2f p50=%d p95=%d p99=%d max=%d",
 		h.total, h.Mean(), p50, p95, p99, h.max)
-}
-
-// ASCII renders a bar chart of the nonempty buckets (diagnostics and the
-// loadsweep example); width is the widest bar in characters.
-func (h *Histogram) ASCII(width int) string {
-	if h.total == 0 {
-		return "(empty)\n"
-	}
-	var peak uint64
-	last := 0
-	for b, c := range h.counts {
-		if c > peak {
-			peak = c
-		}
-		if c > 0 {
-			last = b
-		}
-	}
-	var sb strings.Builder
-	for b := 0; b <= last; b++ {
-		c := h.counts[b]
-		if c == 0 {
-			continue
-		}
-		bar := int(math.Round(float64(c) / float64(peak) * float64(width)))
-		fmt.Fprintf(&sb, "%6d | %-*s %d\n", bucketLo(b), width, strings.Repeat("#", bar), c)
-	}
-	return sb.String()
 }
 
 // sortedBucketBounds is exposed for tests validating monotonicity.

@@ -80,24 +80,6 @@ func TestPercentileAgainstSort(t *testing.T) {
 	}
 }
 
-func TestHistogramMerge(t *testing.T) {
-	var a, b Histogram
-	for v := uint64(0); v < 100; v++ {
-		a.Add(v)
-		b.Add(v + 1000)
-	}
-	a.Merge(&b)
-	if a.Count() != 200 {
-		t.Fatalf("merged count = %d", a.Count())
-	}
-	if a.Max() != 1099 {
-		t.Fatalf("merged max = %d", a.Max())
-	}
-	if p := a.Percentile(75); p < 1000 {
-		t.Errorf("p75 = %d, want >= 1000", p)
-	}
-}
-
 func TestHistogramReset(t *testing.T) {
 	var h Histogram
 	h.Add(5)
@@ -112,24 +94,6 @@ func TestHistogramEmpty(t *testing.T) {
 	var h Histogram
 	if h.Percentile(50) != 0 || h.Mean() != 0 {
 		t.Fatal("empty histogram not zero")
-	}
-	if h.ASCII(10) != "(empty)\n" {
-		t.Fatal("empty ASCII")
-	}
-}
-
-func TestHistogramASCII(t *testing.T) {
-	var h Histogram
-	for i := 0; i < 10; i++ {
-		h.Add(3)
-	}
-	h.Add(7)
-	out := h.ASCII(20)
-	if !strings.Contains(out, "3 | ####################") {
-		t.Errorf("ASCII output:\n%s", out)
-	}
-	if !strings.Contains(out, "7 | ##") {
-		t.Errorf("ASCII output missing small bucket:\n%s", out)
 	}
 }
 

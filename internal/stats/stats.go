@@ -3,11 +3,7 @@
 // rate, communication temporal locality (Fig. 1), and hop counts.
 package stats
 
-import (
-	"fmt"
-
-	"pseudocircuit/internal/sim"
-)
+import "pseudocircuit/internal/sim"
 
 // Network accumulates what the NIs and the kernel's main phase measure over
 // one simulation run: packets, latency, end-to-end locality, faults and
@@ -141,12 +137,4 @@ func (n *Network) InjectionRate(nodes int) float64 {
 		return 0
 	}
 	return float64(n.PacketsInjected) / float64(cycles) / float64(nodes)
-}
-
-// Summary renders the run, with the routers' totals t, for logs and examples.
-func (n *Network) Summary(t Totals) string {
-	return fmt.Sprintf(
-		"pkts=%d lat=%.2f netlat=%.2f hops=%.2f reuse=%.1f%% bypass=%.1f%% xbarLoc=%.1f%% e2eLoc=%.1f%%",
-		n.PacketsDelivered, n.AvgLatency(), n.AvgNetLatency(), n.AvgHops(),
-		100*t.Reusability(), 100*t.BypassRate(), 100*t.XbarLocality(), 100*n.E2ELocality())
 }

@@ -2,7 +2,6 @@ package stats_test
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"pseudocircuit/internal/stats"
@@ -119,14 +118,5 @@ func TestZeroLengthWindow(t *testing.T) {
 	}
 	if got := n.InjectionRate(64); math.Abs(got-0.02) > 1e-9 {
 		t.Errorf("InjectionRate = %v, want 0.02", got)
-	}
-}
-
-func TestString(t *testing.T) {
-	var n stats.Network
-	n.RecordDelivery(10, 9, 2, 3, true)
-	s := n.Summary(stats.Totals{})
-	if !strings.Contains(s, "pkts=1") {
-		t.Errorf("Summary() = %q", s)
 	}
 }
