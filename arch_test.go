@@ -285,13 +285,13 @@ func TestOneRouterPipeline(t *testing.T) {
 			return "package router\nfunc (r *Router) f(in, out int) {\n" + stmt + "\n}"
 		}
 		seesEach(t, registerWritesIn, map[string]string{
-			"assigns r.pc.Out[in]":       body("r.pc.Out[in] = out"),
-			"assigns r.pc.HistIn[out]":   body("out, r.pc.HistIn[out] = in, in"),
-			"assigns r.pc.HistMask":      body("r.pc.HistMask &^= 1 << uint(out)"),
-			"assigns r.pc.ValidMask":     body("r.pc.ValidMask |= 1"),
-			"assigns r.pc.Hist[in].Keep": body("r.pc.Hist[in].Keep++"),
-			"assigns pc.HeldMask":        body("pc := r.pc\npc.HeldMask = 0"),
-			"assigns r.pcOut[in]":        body("r.pcOut[in] = out"),
+			"assigns r.pc.Out[in]":     body("r.pc.Out[in] = out"),
+			"assigns r.pc.HistIn[out]": body("out, r.pc.HistIn[out] = in, in"),
+			"assigns r.pc.HistMask":    body("r.pc.HistMask &^= 1 << uint(out)"),
+			"assigns r.pc.ValidMask":   body("r.pc.ValidMask |= 1"),
+			"assigns r.pc.InVC[in]":    body("r.pc.InVC[in] = int8(out)"),
+			"assigns pc.HeldMask":      body("pc := r.pc\npc.HeldMask = 0"),
+			"assigns r.pcOut[in]":      body("r.pcOut[in] = out"),
 		}, body("r.pc = nil\nr.pcCand[in] = -1\nx := r.pc.Out[in]\n_, _ = r.pc.Connect(in, x, out)"))
 	})
 	t.Run("router has no pc helper", func(t *testing.T) {

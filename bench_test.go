@@ -172,16 +172,6 @@ func BenchmarkExtReuseVsLoad(b *testing.B) {
 	b.ReportMetric(100*r.Gain[len(r.Gain)-1], "highload-gain-%")
 }
 
-func BenchmarkExtSpecDepth(b *testing.B) {
-	o := benchOptions()
-	o.Benchmarks = []string{"fma3d"}
-	var r experiments.SpecDepthResult
-	for i := 0; i < b.N; i++ {
-		r = experiments.SpecDepth(o)
-	}
-	b.ReportMetric(r.Latency[0]-r.Latency[1], "depth2-latency-delta")
-}
-
 // Simulator micro-benchmarks: raw stepping rate of the cycle kernel.
 func BenchmarkSimulatorMeshUniform(b *testing.B) {
 	exp := noc.Experiment{

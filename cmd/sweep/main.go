@@ -23,50 +23,14 @@ import (
 	"pseudocircuit/noc"
 )
 
-// tables adapts a typed experiment to "run it, render its tables".
-func tables[R interface{ Tables() []experiments.Table }](f func(experiments.Options) R) func(experiments.Options) []experiments.Table {
-	return func(o experiments.Options) []experiments.Table { return f(o).Tables() }
-}
-
-// table adapts a bare table the same way.
-func table(f func() experiments.Table) func(experiments.Options) []experiments.Table {
-	return func(experiments.Options) []experiments.Table { return []experiments.Table{f()} }
-}
-
-// experimentList is every experiment, in the order -exp all prints them.
-// The Fig. 9/10 grid is one entry: it renders both figures.
-var experimentList = []struct {
-	name string
-	run  func(experiments.Options) []experiments.Table
-}{
-	{"table1", table(experiments.TableI)},
-	{"table2", table(experiments.TableII)},
-	{"fig1", tables(experiments.Fig1)},
-	{"fig6", tables(experiments.Fig6)},
-	{"fig8", tables(experiments.Fig8)},
-	{"fig9", tables(experiments.Fig9And10)},
-	{"fig11", tables(experiments.Fig11)},
-	{"fig12", tables(experiments.Fig12)},
-	{"fig13", tables(experiments.Fig13)},
-	{"fig14", tables(experiments.Fig14)},
-	{"ablations", tables(experiments.Ablations)},
-	{"heatmap", tables(experiments.RouterHeatmap)},
-	{"faults", tables(experiments.FaultWindow)},
-	{"fault-heatmap", tables(experiments.FaultHeatmap)},
-	{"churn", tables(experiments.Churn)},
-	{"ext-system", tables(experiments.SystemImpact)},
-	{"ext-load", tables(experiments.ReuseVsLoad)},
-	{"ext-depth", tables(experiments.SpecDepth)},
-}
-
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // run is main with its inputs and outputs as parameters; it returns the
 // exit status.
 func run(args []string, stdout, stderr io.Writer) int {
 	var names []string
-	for _, e := range experimentList {
-		names = append(names, e.name)
+	for _, e := range experiments.All {
+		names = append(names, e.Name)
 	}
 
 	fs := flag.NewFlagSet("sweep", flag.ExitOnError)
@@ -105,19 +69,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	for _, e := range experimentList {
-		if *exp != "all" && *exp != e.name {
+	for _, e := range experiments.All {
+		if *exp != "all" && *exp != e.Name {
 			continue
 		}
 		if *progress {
 			o.Progress = func(done, total int) {
-				fmt.Fprintf(stderr, "\r%s: %d/%d", e.name, done, total)
+				fmt.Fprintf(stderr, "\r%s: %d/%d", e.Name, done, total)
 				if done == total {
 					fmt.Fprintln(stderr)
 				}
 			}
 		}
-		for _, t := range e.run(o) {
+		for _, t := range e.Run(o) {
 			if *csv {
 				t.CSV(stdout)
 			} else {

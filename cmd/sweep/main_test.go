@@ -2,8 +2,11 @@ package main
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
+
+	"pseudocircuit/internal/experiments"
 )
 
 // TestRejectsBadInput: input that used to surface as a goroutine dump or a
@@ -35,7 +38,7 @@ func TestRejectsBadInput(t *testing.T) {
 }
 
 // TestRunsOneAndAll: a name selects its experiment, fig10 is the fig9 grid,
-// and -progress ends every simulating experiment on an n/n line.
+// and -exp all -progress ends every simulating experiment on an n/n line.
 func TestRunsOneAndAll(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"-exp", "table2"}, &stdout, &stderr); code != 0 || !strings.HasPrefix(stdout.String(), "== table2:") {
@@ -47,4 +50,40 @@ func TestRunsOneAndAll(t *testing.T) {
 		!strings.Contains(stdout.String(), "== fig10.4:") || !strings.HasSuffix(stderr.String(), "fig9: 30/30\n") {
 		t.Errorf("fig10: exit %d, stdout %q, stderr %q", code, stdout.String(), stderr.String())
 	}
+	stdout.Reset()
+	stderr.Reset()
+	if code := run(append([]string{"-exp", "all"}, small...), &stdout, &stderr); code != 0 || !strings.HasPrefix(stdout.String(), "== table1:") {
+		t.Errorf("all: exit %d, stderr %q", code, stderr.String())
+	}
+	var simulating []string
+	for _, e := range experiments.All {
+		if !e.Static {
+			simulating = append(simulating, e.Name)
+		}
+	}
+	if short := unfinished(stderr.String(), simulating); len(short) > 0 {
+		t.Errorf("all: %v did not end on an n/n line; stderr %q", short, stderr.String())
+	}
+	// The check catches a stream that stops short and one that never starts.
+	if short := unfinished("\rfig1: 1/2\rfig1: 2/2\n\rfig6: 1/3\rfig6: 2/3", []string{"fig1", "fig6", "fig8"}); !slices.Equal(short, []string{"fig6", "fig8"}) {
+		t.Errorf("unfinished = %v, want [fig6 fig8]", short)
+	}
+}
+
+// unfinished returns the names whose last -progress line in stderr is not
+// n/n, in the order given.
+func unfinished(stderr string, names []string) []string {
+	last := map[string]string{}
+	for _, line := range strings.FieldsFunc(stderr, func(r rune) bool { return r == '\r' || r == '\n' }) {
+		if name, count, ok := strings.Cut(line, ": "); ok {
+			last[name] = count
+		}
+	}
+	var short []string
+	for _, name := range names {
+		if done, total, ok := strings.Cut(last[name], "/"); !ok || done != total {
+			short = append(short, name)
+		}
+	}
+	return short
 }

@@ -84,17 +84,6 @@ type Options struct {
 	// availability. Ablation: keep the circuit and merely stall.
 	TerminateOnZeroCredit bool
 
-	// SpecHistoryDepth extends pseudo-circuit speculation with a per-input
-	// history of the last N connections (default 1 — the paper's single
-	// register pair). The paper's speculation can only revive a circuit
-	// whose input register still points at the idle output; once the input
-	// port connects elsewhere the history is lost, which is why the paper
-	// finds speculation's contribution "small ... due to limited prediction
-	// capability" (§6.A). Depth N>1 remembers the input's N most recent
-	// connections and revives the most recent one targeting the idle
-	// output — an extension in the spirit of §8's future work.
-	SpecHistoryDepth int
-
 	// SpeculateToCongested allows pseudo-circuit speculation to revive
 	// circuits whose output port has no downstream credit. The paper
 	// forbids this ("to avoid buffer overflow in the downstream router,
@@ -122,7 +111,6 @@ func DefaultOptions(s Scheme) Options {
 	return Options{
 		Scheme:                s,
 		TerminateOnZeroCredit: true,
-		SpecHistoryDepth:      1,
 	}
 }
 
@@ -144,8 +132,6 @@ type RegFile struct {
 	InVC []int8
 	Out  []int8
 	Spec []bool
-	// Hist is the depth-N extension of the register pair (SpecHistoryDepth).
-	Hist []InputHistory
 
 	// Per output port: the input port of the most recent pseudo-circuit
 	// through it, which settles which of several registers pointing at one
@@ -158,10 +144,10 @@ type RegFile struct {
 
 	// ValidMask is the register pairs' valid bits themselves (bit in), the
 	// only record of them. HistMask and HeldMask are derived, one bit per
-	// output: HistMask bit out ⇔ HistIn[out] >= 0 and that input's history
-	// still remembers out — the history register's valid bit, cleared when
-	// the input it names forgets the output, so exactly the outputs
-	// speculation has a circuit to revive; HeldMask bit out ⇔ ByOut[out] >= 0.
+	// output: HistMask bit out ⇔ HistIn[out] = in >= 0 and Out[in] = out —
+	// the history register's valid bit, cleared when the input it names
+	// connects elsewhere or is cleared, so exactly the outputs speculation has
+	// a circuit to revive; HeldMask bit out ⇔ ByOut[out] >= 0.
 	ValidMask uint64
 	HistMask  uint64
 	HeldMask  uint64
@@ -180,12 +166,12 @@ func (f *RegFile) Match(in, vc, out int) bool {
 
 // Connect records the crossbar traversal (in, vc) → out: the register is
 // rewritten, valid and non-speculative (§3.B), any other input's circuit on
-// out is terminated, and both histories note the connection. created reports
+// out is terminated, and out's history register names in. created reports
 // that the flit did not already match the circuit, displaced that another
 // input's circuit was terminated. A flit riding a live non-speculative circuit
-// writes nothing: what the Connect that made it wrote (Hist[in]'s front,
-// HistIn[out], ByOut[out], the mask bits) holds while it is valid. A
-// speculative match clears Spec and may promote Hist[in] at depth > 1.
+// writes nothing: what the Connect that made it wrote (HistIn[out],
+// ByOut[out], the mask bits) holds while it is valid. A speculative match
+// clears Spec.
 func (f *RegFile) Connect(in, vc, out int) (created, displaced bool) {
 	if created = !f.Match(in, vc, out); !created && !f.Spec[in] {
 		return false, false
@@ -194,39 +180,28 @@ func (f *RegFile) Connect(in, vc, out int) (created, displaced bool) {
 		f.Terminate(j)
 		displaced = true
 	}
-	if old := int(f.Out[in]); f.Valid(in) && old != out {
-		f.release(old)
+	if old := int(f.Out[in]); old >= 0 && old != out {
+		if f.Valid(in) {
+			f.release(old)
+		}
+		f.forget(in, old)
 	}
 	f.set(in, vc, out, false)
-	if ev := f.Hist[in].Record(vc, out); ev >= 0 && int(f.HistIn[ev]) == in {
-		f.HistMask &^= 1 << uint(ev)
-	}
 	f.HistIn[out] = int8(in)
 	f.HistMask |= 1 << uint(out)
 	return created, displaced
 }
 
 // ConnectSpeculative reconnects the most recent circuit through the idle
-// output port out (§4.A): the input its history register names, on the VC
-// that input last used towards out. It reports false, changing nothing, when
-// out holds a circuit or has no history, or that input is connected elsewhere
-// or no longer remembers out. A HistMask bit already means the input
-// remembers out, so at depth 1 — where an input remembers only the output it
-// is connected to — an idle output with its bit set is always revived; the
-// remaining guards are for depth > 1.
+// output port out (§4.A): the register pair of the input its history register
+// names, which still points at out. It reports false, changing nothing, when
+// out holds a circuit or its history register is not valid.
 func (f *RegFile) ConnectSpeculative(out int) bool {
-	if f.HistMask>>uint(out)&1 == 0 || f.ByOut[out] >= 0 {
+	if (f.HistMask&^f.HeldMask)>>uint(out)&1 == 0 {
 		return false
 	}
 	in := int(f.HistIn[out])
-	if f.Valid(in) {
-		return false
-	}
-	vc, ok := f.Hist[in].Lookup(out)
-	if !ok {
-		return false
-	}
-	f.set(in, vc, out, true)
+	f.set(in, int(f.InVC[in]), out, true)
 	return true
 }
 
@@ -238,17 +213,15 @@ func (f *RegFile) Terminate(in int) {
 }
 
 // Clear tears input port in's circuit down completely (fault teardown): the
-// valid bit, the register pair and the input's memory of that output are all
-// reset, so no speculation path can reconnect it — the crossbar state it
-// describes may be wrong when the link returns.
+// valid bit, the register pair and the history register's valid bit that
+// names it are all reset, valid or not, so no speculation path can reconnect
+// it — the crossbar state it describes may be wrong when the link returns.
 func (f *RegFile) Clear(in int) {
-	if f.Valid(in) {
-		out := int(f.Out[in])
-		f.Hist[in].Drop(out)
-		if int(f.HistIn[out]) == in {
-			f.HistMask &^= 1 << uint(out)
+	if out := int(f.Out[in]); out >= 0 {
+		if f.Valid(in) {
+			f.Terminate(in)
 		}
-		f.Terminate(in)
+		f.forget(in, out)
 	}
 	f.InVC[in], f.Out[in] = -1, -1
 	f.Spec[in] = false
@@ -266,11 +239,19 @@ func (f *RegFile) release(out int) {
 	f.HeldMask &^= 1 << uint(out)
 }
 
+// forget clears out's history bit if its register names in, whose pair is
+// about to stop pointing at out.
+func (f *RegFile) forget(in, out int) {
+	if int(f.HistIn[out]) == in {
+		f.HistMask &^= 1 << uint(out)
+	}
+}
+
 // Check verifies the derived structures against the registers: every valid
 // bit sits on a written register pair, ByOut and HeldMask name exactly the
 // outputs those pairs hold, and with them no two inputs hold a circuit to one
 // output; HistMask names exactly the outputs whose history register points at
-// an input that still remembers them.
+// an input whose register pair still points back.
 func (f *RegFile) Check() error {
 	for m := f.ValidMask; m != 0; m &= m - 1 {
 		if in := bits.TrailingZeros64(m); in >= len(f.Out) || f.Out[in] < 0 {
@@ -300,80 +281,12 @@ func (f *RegFile) Check() error {
 	}
 	var hist uint64
 	for out, in := range f.HistIn {
-		if in >= 0 {
-			if _, ok := f.Hist[in].Lookup(out); ok {
-				hist |= 1 << uint(out)
-			}
+		if in >= 0 && int(f.Out[in]) == out {
+			hist |= 1 << uint(out)
 		}
 	}
 	if hist != f.HistMask {
-		return fmt.Errorf("HistMask %b, HistIn and the input histories say %b", f.HistMask, hist)
+		return fmt.Errorf("HistMask %b, HistIn and the register pairs say %b", f.HistMask, hist)
 	}
 	return nil
-}
-
-// InputHistory is the depth-N per-input connection history backing the
-// SpecHistoryDepth extension: a small most-recent-first list of the
-// connections this input port carried. Depth 1 reproduces the paper (the
-// single register pair is the history) and is what the zero value holds.
-type InputHistory struct {
-	entries []histEntry
-	depth   int
-}
-
-type histEntry struct {
-	VC, Out int
-}
-
-// NewInputHistory builds a history of the given depth (minimum 1).
-func NewInputHistory(depth int) InputHistory {
-	if depth < 1 {
-		depth = 1
-	}
-	return InputHistory{depth: depth}
-}
-
-// Record notes a connection (vc → out), promoting it to most recent. It
-// returns the output of the entry that fell off the end to make room, -1 when
-// none did.
-func (h *InputHistory) Record(vc, out int) (evicted int) {
-	e := histEntry{VC: vc, Out: out}
-	for i, x := range h.entries {
-		if x.Out == out {
-			copy(h.entries[1:i+1], h.entries[:i])
-			h.entries[0] = e
-			return -1
-		}
-	}
-	evicted = -1
-	if len(h.entries) == 0 || len(h.entries) < h.depth {
-		h.entries = append(h.entries, histEntry{})
-	} else {
-		evicted = h.entries[len(h.entries)-1].Out
-	}
-	copy(h.entries[1:], h.entries)
-	h.entries[0] = e
-	return evicted
-}
-
-// Drop removes any history entry targeting output port out (fault teardown:
-// a failed link's connections must not be revivable from history).
-func (h *InputHistory) Drop(out int) {
-	for i := 0; i < len(h.entries); {
-		if h.entries[i].Out == out {
-			h.entries = append(h.entries[:i], h.entries[i+1:]...)
-			continue
-		}
-		i++
-	}
-}
-
-// Lookup returns the input VC of the most recent connection to out, if any.
-func (h *InputHistory) Lookup(out int) (vc int, ok bool) {
-	for _, e := range h.entries {
-		if e.Out == out {
-			return e.VC, true
-		}
-	}
-	return 0, false
 }

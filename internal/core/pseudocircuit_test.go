@@ -44,8 +44,8 @@ func TestSchemeValidate(t *testing.T) {
 
 // regFile returns the register file of a lone router with the given radix, as
 // the router cuts it from its lane store.
-func regFile(in, out, depth int) *core.RegFile {
-	return core.NewLaneStore(2, 4, []int{in}, []int{out}).RegFile(0, depth)
+func regFile(in, out int) *core.RegFile {
+	return core.NewLaneStore(2, 4, []int{in}, []int{out}).RegFile(0)
 }
 
 func check(t *testing.T, f *core.RegFile) {
@@ -56,7 +56,7 @@ func check(t *testing.T, f *core.RegFile) {
 }
 
 func TestRegisterLifecycle(t *testing.T) {
-	f := regFile(3, 6, 1)
+	f := regFile(3, 6)
 	if f.Valid(1) || f.Match(1, 0, 0) {
 		t.Fatal("new register valid")
 	}
@@ -110,11 +110,20 @@ func TestRegisterLifecycle(t *testing.T) {
 	if f.ConnectSpeculative(5) {
 		t.Fatal("speculation reconnected a cleared circuit")
 	}
+	// So does clearing a circuit that was already terminated: the register
+	// pair goes, and with it the history bit that would revive it.
+	f.Connect(0, 1, 2)
+	f.Terminate(0)
+	f.Clear(0)
+	check(t, f)
+	if f.ConnectSpeculative(2) {
+		t.Fatal("speculation reconnected a circuit cleared after termination")
+	}
 }
 
 func TestSpeculativeConnectRefuses(t *testing.T) {
 	t.Run("valid", func(t *testing.T) {
-		f := regFile(2, 4, 1)
+		f := regFile(2, 4)
 		f.Connect(0, 0, 1)
 		f.Terminate(0)
 		f.Connect(0, 1, 2)
@@ -127,24 +136,24 @@ func TestSpeculativeConnectRefuses(t *testing.T) {
 		check(t, f)
 	})
 	t.Run("never-set", func(t *testing.T) {
-		f := regFile(2, 4, 1)
+		f := regFile(2, 4)
 		if f.ConnectSpeculative(3) {
 			t.Fatal("speculation connected an output that never held a circuit")
 		}
 		check(t, f)
 	})
-	// Depth 1 is the paper: once the input connects elsewhere it has
-	// forgotten the idle output. Depth 2 still remembers it.
-	for depth, want := range map[int]bool{1: false, 2: true} {
-		f := regFile(2, 4, depth)
+	// The register pair is the history (§4.A): once the input connects
+	// elsewhere it has forgotten the idle output.
+	t.Run("forgotten", func(t *testing.T) {
+		f := regFile(2, 4)
 		f.Connect(0, 0, 1)
 		f.Connect(0, 1, 2)
 		f.Terminate(0)
-		if got := f.ConnectSpeculative(1); got != want {
-			t.Errorf("depth %d: reconnecting the older output = %v, want %v", depth, got, want)
+		if f.ConnectSpeculative(1) {
+			t.Fatal("speculation reconnected an output its input has since left")
 		}
 		check(t, f)
-	}
+	})
 }
 
 // TestMatchProperty: the comparator matches exactly the stored connection
@@ -152,7 +161,7 @@ func TestSpeculativeConnectRefuses(t *testing.T) {
 func TestMatchProperty(t *testing.T) {
 	err := quick.Check(func(setVC, setOut, qVC, qOut uint8, terminated bool) bool {
 		setOut, qOut = setOut%core.LaneLimit, qOut%core.LaneLimit
-		f := regFile(1, core.LaneLimit, 1)
+		f := regFile(1, core.LaneLimit)
 		f.Connect(0, int(setVC), int(setOut))
 		if terminated {
 			f.Terminate(0)
@@ -169,7 +178,7 @@ func TestMatchProperty(t *testing.T) {
 // TestHistory: the per-output history register tracks the most recent input
 // through the output, and that is the one speculation reconnects (Fig. 5 (b)).
 func TestHistory(t *testing.T) {
-	f := regFile(4, 2, 1)
+	f := regFile(4, 2)
 	if f.HistMask != 0 {
 		t.Fatal("new history valid")
 	}
@@ -189,25 +198,20 @@ func TestHistory(t *testing.T) {
 }
 
 // TestHistMaskIsWhatSpeculationCanRevive drives random sequences of the four
-// writers at depths 1–4. After each, the register file checks clean; and
-// where phase 5 would offer outputs to ConnectSpeculative, every output's
-// answer agrees with the rule its guards state without reading HistMask — a
-// history register, no circuit on the output, its input not connected
-// elsewhere and still remembering the output. At depth 1 every output
-// HistMask offers while idle is revived: phase 5 retries nothing.
+// writers. After each, the register file checks clean; and where phase 5
+// would offer outputs to ConnectSpeculative, every output's answer agrees
+// with the rule stated without reading HistMask — a history register, no
+// circuit on the output, its input not connected and its register pair still
+// pointing at the output. Every output HistMask offers while idle is revived:
+// phase 5 retries nothing.
 func TestHistMaskIsWhatSpeculationCanRevive(t *testing.T) {
 	const nIn, nOut, nVC = 3, 4, 2
 	revivable := func(f *core.RegFile, out int) bool {
 		in := int(f.HistIn[out])
-		if in < 0 || f.ByOut[out] >= 0 || f.Valid(in) {
-			return false
-		}
-		_, ok := f.Hist[in].Lookup(out)
-		return ok
+		return in >= 0 && f.ByOut[out] < 0 && !f.Valid(in) && int(f.Out[in]) == out
 	}
-	prop := func(d uint8, ops []uint16) bool {
-		depth := 1 + int(d%4)
-		f := regFile(nIn, nOut, depth)
+	prop := func(ops []uint16) bool {
+		f := regFile(nIn, nOut)
 		for step, op := range ops {
 			in, vc, out := int(op>>2)%nIn, int(op>>4)%nVC, int(op>>6)%nOut
 			switch op % 4 {
@@ -224,16 +228,16 @@ func TestHistMaskIsWhatSpeculationCanRevive(t *testing.T) {
 				for o := 0; o < nOut; o++ {
 					want := revivable(f, o)
 					if got := f.ConnectSpeculative(o); got != want {
-						t.Logf("depth %d, step %d: ConnectSpeculative(%d) = %v, the rule says %v", depth, step, o, got, want)
+						t.Logf("step %d: ConnectSpeculative(%d) = %v, the rule says %v", step, o, got, want)
 						return false
-					} else if depth == 1 && offered>>uint(o)&1 != 0 && !got {
-						t.Logf("depth 1, step %d: output %d offered by HistMask %b and not revived", step, o, offered)
+					} else if offered>>uint(o)&1 != 0 && !got {
+						t.Logf("step %d: output %d offered by HistMask %b and not revived", step, o, offered)
 						return false
 					}
 				}
 			}
 			if err := f.Check(); err != nil {
-				t.Logf("depth %d, step %d (op %d): %v", depth, step, op%4, err)
+				t.Logf("step %d (op %d): %v", step, op%4, err)
 				return false
 			}
 		}
@@ -252,7 +256,7 @@ func TestHistMaskIsWhatSpeculationCanRevive(t *testing.T) {
 func TestCheckNamesTheDesyncedStructure(t *testing.T) {
 	live := func() (*core.LaneStore, *core.RegFile) {
 		s := core.NewLaneStore(2, 4, []int{2, 3}, []int{2, 4})
-		f := s.RegFile(1, 1)
+		f := s.RegFile(1)
 		f.Connect(0, 1, 2)
 		f.Connect(2, 0, 3)
 		f.Terminate(2)
@@ -272,10 +276,10 @@ func TestCheckNamesTheDesyncedStructure(t *testing.T) {
 		{"ByOut[2] = 0, registers say -1", func(s *core.LaneStore, f *core.RegFile) { f.ValidMask &^= 1 << 0 }},
 		{"input 1 has no register pair", func(s *core.LaneStore, f *core.RegFile) { f.ValidMask |= 1 << 1 }},
 		{"HeldMask", func(s *core.LaneStore, f *core.RegFile) { f.HeldMask &^= 1 << 2 }},
-		// Input 2 forgets output 3 and the bit stays: a revival that cannot be.
-		{"HistMask 1100, HistIn and the input histories say 100", func(s *core.LaneStore, f *core.RegFile) { f.Hist[2].Drop(3) }},
-		// Input 0 still remembers output 2 and the bit goes: a lost revival.
-		{"HistMask 1000, HistIn and the input histories say 1100", func(s *core.LaneStore, f *core.RegFile) { f.HistMask &^= 1 << 2 }},
+		// Input 2's pair is reset and the bit stays: a revival that cannot be.
+		{"HistMask 1100, HistIn and the register pairs say 100", func(s *core.LaneStore, f *core.RegFile) { f.InVC[2], f.Out[2] = -1, -1 }},
+		// Input 0 still points at output 2 and the bit goes: a lost revival.
+		{"HistMask 1000, HistIn and the register pairs say 1100", func(s *core.LaneStore, f *core.RegFile) { f.HistMask &^= 1 << 2 }},
 	} {
 		s, f := live()
 		c.corrupt(s, f)

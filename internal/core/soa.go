@@ -128,28 +128,19 @@ func NewLaneStore(numVCs, bufDepth int, inPorts, outPorts []int) *LaneStore {
 	s.HistIn = fill(nOut, int8(-1))
 	s.PCByOut = fill(nOut, int8(-1))
 
-	hist := make([]InputHistory, nIn)
 	s.Regs = make([]RegFile, len(inPorts))
 	for r := range s.Regs {
 		i0, i1, o0, o1 := s.InBase[r], s.InBase[r+1], s.OutBase[r], s.OutBase[r+1]
 		s.Regs[r] = RegFile{
 			InVC: s.PCInVC[i0:i1], Out: s.PCOut[i0:i1], Spec: s.PCSpec[i0:i1],
-			Hist:   hist[i0:i1],
 			HistIn: s.HistIn[o0:o1], ByOut: s.PCByOut[o0:o1],
 		}
 	}
 	return s
 }
 
-// RegFile returns router r's register file with an empty speculation history
-// of the given depth per input port (Options.SpecHistoryDepth).
-func (s *LaneStore) RegFile(r, depth int) *RegFile {
-	f := &s.Regs[r]
-	for i := range f.Hist {
-		f.Hist[i] = NewInputHistory(depth)
-	}
-	return f
-}
+// RegFile returns router r's register file.
+func (s *LaneStore) RegFile(r int) *RegFile { return &s.Regs[r] }
 
 func fill[T int8 | int16](n int, v T) []T {
 	s := make([]T, n)

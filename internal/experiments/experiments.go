@@ -54,6 +54,48 @@ func (o Options) defaults() Options {
 	return o
 }
 
+// Experiment is one entry of cmd/sweep's -exp list: its name, and what runs
+// it and renders its tables.
+type Experiment struct {
+	Name string
+	Run  func(Options) []Table
+	// Static marks the paper's two tables of constants: they run no
+	// simulation and report no progress.
+	Static bool
+}
+
+// All is every experiment, under its sweep name, in the order sweep -exp all
+// prints them. The Fig. 9/10 grid is one entry: it renders both figures.
+var All = []Experiment{
+	{Name: "table1", Run: table(TableI), Static: true},
+	{Name: "table2", Run: table(TableII), Static: true},
+	{Name: "fig1", Run: tables(Fig1)},
+	{Name: "fig6", Run: tables(Fig6)},
+	{Name: "fig8", Run: tables(Fig8)},
+	{Name: "fig9", Run: tables(Fig9And10)},
+	{Name: "fig11", Run: tables(Fig11)},
+	{Name: "fig12", Run: tables(Fig12)},
+	{Name: "fig13", Run: tables(Fig13)},
+	{Name: "fig14", Run: tables(Fig14)},
+	{Name: "ablations", Run: tables(Ablations)},
+	{Name: "heatmap", Run: tables(RouterHeatmap)},
+	{Name: "faults", Run: tables(FaultWindow)},
+	{Name: "fault-heatmap", Run: tables(FaultHeatmap)},
+	{Name: "churn", Run: tables(Churn)},
+	{Name: "ext-system", Run: tables(SystemImpact)},
+	{Name: "ext-load", Run: tables(ReuseVsLoad)},
+}
+
+// tables adapts a typed experiment to "run it, render its tables".
+func tables[R interface{ Tables() []Table }](f func(Options) R) func(Options) []Table {
+	return func(o Options) []Table { return f(o).Tables() }
+}
+
+// table adapts a bare table the same way.
+func table(f func() Table) func(Options) []Table {
+	return func(Options) []Table { return []Table{f()} }
+}
+
 // Table is a printable result set whose rows mirror a paper figure/table.
 type Table struct {
 	ID     string

@@ -72,72 +72,6 @@ func (r SystemImpactResult) Tables() []Table {
 	return []Table{t}
 }
 
-// SpecDepthResult evaluates the SpecHistoryDepth extension: speculation
-// with a per-input history of the last N connections instead of the
-// paper's single register pair (whose limited prediction capability the
-// paper itself notes, §6.A). Reported per depth: average latency,
-// reusability, and the fraction of reuses served by speculative circuits.
-type SpecDepthResult struct {
-	Depths    []int
-	Latency   []float64
-	Reuse     []float64
-	SpecShare []float64 // speculative reuses / all reuses
-}
-
-// SpecDepth runs the speculation-depth extension on the CMP platform
-// (Pseudo+S+B, XY + static VA, averaged over the benchmark subset).
-func SpecDepth(o Options) SpecDepthResult {
-	o = o.defaults()
-	res := SpecDepthResult{Depths: []int{1, 2, 4, 8}}
-	var points []point
-	for _, d := range res.Depths {
-		opts := core.DefaultOptions(core.PseudoSB)
-		opts.SpecHistoryDepth = d
-		for _, b := range o.Benchmarks {
-			p := cmpPoint(b, opts.Scheme, routing.XY, vcalloc.Static)
-			p.Opts = &opts
-			points = append(points, p)
-		}
-	}
-	rs := make([]noc.Result, len(points))
-	specShare := make([]float64, len(points))
-	o.each(points, func(i int, e noc.Experiment, n *noc.Network, w noc.Workload) {
-		rs[i] = e.RunOn(n, w)
-		if t := n.Registry().Totals(); t.PCReused > 0 {
-			specShare[i] = float64(t.SpecReused) / float64(t.PCReused)
-		}
-	})
-	nb := float64(len(o.Benchmarks))
-	shares := rowsOf(specShare, len(o.Benchmarks))
-	for di, row := range rowsOf(rs, len(o.Benchmarks)) {
-		var lat, reuse, share float64
-		for bi, r := range row {
-			lat += r.AvgNetLatency / nb
-			reuse += r.Reusability / nb
-			share += shares[di][bi] / nb
-		}
-		res.Latency = append(res.Latency, lat)
-		res.Reuse = append(res.Reuse, reuse)
-		res.SpecShare = append(res.SpecShare, share)
-	}
-	return res
-}
-
-// Tables renders the extension.
-func (r SpecDepthResult) Tables() []Table {
-	t := Table{
-		ID:     "ext-depth",
-		Title:  "Speculation history depth (extension; depth 1 = paper)",
-		Header: []string{"depth", "net latency", "reusability", "speculative share of reuses"},
-	}
-	for i, d := range r.Depths {
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d", d), num(r.Latency[i]), pct(r.Reuse[i]), pct(r.SpecShare[i]),
-		})
-	}
-	return []Table{t}
-}
-
 // ReuseVsLoadResult quantifies the paper's §8 observation that "the
 // pseudo-circuit hardly reduces communication latency in high-load traffic
 // due to contentions between flits": pseudo-circuit reusability and latency

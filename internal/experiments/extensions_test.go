@@ -54,32 +54,6 @@ func TestReuseVsLoadShape(t *testing.T) {
 	}
 }
 
-func TestSpecDepthShape(t *testing.T) {
-	o := quick()
-	o.Benchmarks = []string{"fma3d"}
-	r := experiments.SpecDepth(o)
-	if len(r.Depths) < 3 || r.Depths[0] != 1 {
-		t.Fatalf("depths = %v", r.Depths)
-	}
-	for i, d := range r.Depths {
-		if r.Latency[i] <= 0 || r.Reuse[i] <= 0 {
-			t.Errorf("depth %d: empty result", d)
-		}
-	}
-	// Deeper history must not hurt speculative share at depth 2 vs 1 (it
-	// strictly remembers more), and latencies stay in a tight band — the
-	// extension finding is a plateau, not a cliff.
-	if r.SpecShare[1] < r.SpecShare[0]*0.8 {
-		t.Errorf("depth 2 spec share %.4f collapsed vs depth 1 %.4f", r.SpecShare[1], r.SpecShare[0])
-	}
-	for i := 1; i < len(r.Depths); i++ {
-		if r.Latency[i] > r.Latency[0]*1.1 {
-			t.Errorf("depth %d latency %.2f regressed >10%% vs depth 1 %.2f",
-				r.Depths[i], r.Latency[i], r.Latency[0])
-		}
-	}
-}
-
 func TestAblationsRun(t *testing.T) {
 	o := quick()
 	o.Benchmarks = []string{"fma3d"}

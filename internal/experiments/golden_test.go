@@ -12,35 +12,6 @@ import (
 
 var update = flag.Bool("update", false, "rewrite testdata/*.golden from the current tree")
 
-// tables adapts a typed experiment to "run it, render its tables".
-func tables[R interface{ Tables() []experiments.Table }](f func(experiments.Options) R) func(experiments.Options) []experiments.Table {
-	return func(o experiments.Options) []experiments.Table { return f(o).Tables() }
-}
-
-// simulating lists every experiment that runs the simulator, under its
-// cmd/sweep name.
-var simulating = []struct {
-	name string
-	run  func(experiments.Options) []experiments.Table
-}{
-	{"fig1", tables(experiments.Fig1)},
-	{"fig6", tables(experiments.Fig6)},
-	{"fig8", tables(experiments.Fig8)},
-	{"fig9", tables(experiments.Fig9And10)},
-	{"fig11", tables(experiments.Fig11)},
-	{"fig12", tables(experiments.Fig12)},
-	{"fig13", tables(experiments.Fig13)},
-	{"fig14", tables(experiments.Fig14)},
-	{"ablations", tables(experiments.Ablations)},
-	{"heatmap", tables(experiments.RouterHeatmap)},
-	{"faults", tables(experiments.FaultWindow)},
-	{"fault-heatmap", tables(experiments.FaultHeatmap)},
-	{"churn", tables(experiments.Churn)},
-	{"ext-system", tables(experiments.SystemImpact)},
-	{"ext-load", tables(experiments.ReuseVsLoad)},
-	{"ext-depth", tables(experiments.SpecDepth)},
-}
-
 // goldenOptions is the reduced size TestGolden pins the tables at. Three
 // benchmarks, so the order in which an average is accumulated is visible.
 var goldenOptions = experiments.Options{Warmup: 100, Measure: 400, Benchmarks: []string{"fma3d", "specjbb", "fft"}}
@@ -51,13 +22,13 @@ var goldenOptions = experiments.Options{Warmup: 100, Measure: 400, Benchmarks: [
 // TestGolden -update rewrites them); a refactor of this package must leave
 // them byte-identical.
 func TestGolden(t *testing.T) {
-	for _, e := range simulating {
-		t.Run(e.name, func(t *testing.T) {
+	for _, e := range experiments.All {
+		t.Run(e.Name, func(t *testing.T) {
 			var got bytes.Buffer
-			for _, tb := range e.run(goldenOptions) {
+			for _, tb := range e.Run(goldenOptions) {
 				tb.Fprint(&got)
 			}
-			path := filepath.Join("testdata", e.name+".golden")
+			path := filepath.Join("testdata", e.Name+".golden")
 			if *update {
 				if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
 					t.Fatal(err)
@@ -69,7 +40,7 @@ func TestGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got.Bytes(), want) {
-				t.Errorf("%s differs from %s\n--- got ---\n%s--- want ---\n%s", e.name, path, got.Bytes(), want)
+				t.Errorf("%s differs from %s\n--- got ---\n%s--- want ---\n%s", e.Name, path, got.Bytes(), want)
 			}
 		})
 	}
@@ -79,8 +50,11 @@ func TestGolden(t *testing.T) {
 // it runs through Options.Progress, never past its total, and ends on
 // done == total.
 func TestProgressReported(t *testing.T) {
-	for _, e := range simulating {
-		t.Run(e.name, func(t *testing.T) {
+	for _, e := range experiments.All {
+		if e.Static {
+			continue
+		}
+		t.Run(e.Name, func(t *testing.T) {
 			calls, last, total := 0, 0, 0
 			o := experiments.Options{Warmup: 20, Measure: 60, Benchmarks: []string{"fma3d"}}
 			o.Progress = func(done, tot int) { // calls are serialized
@@ -90,7 +64,7 @@ func TestProgressReported(t *testing.T) {
 				}
 				last, total = done, tot
 			}
-			e.run(o)
+			e.Run(o)
 			if calls == 0 || last != total {
 				t.Errorf("%d progress calls, last %d/%d", calls, last, total)
 			}

@@ -179,11 +179,10 @@ func TestActiveSetMatchesNaive(t *testing.T) {
 
 // TestActiveSetMatchesNaiveAblations runs the pair over the options that
 // decide what a pseudo-circuit router's Tick returns and which credit wakes
-// it: the paper's defaults, each of the four ablation knobs of DESIGN.md §7 on
-// its own, and three of them together (circuits that are revived towards a dry
-// port and terminated again every cycle, a history deep enough that a
-// termination frees an input to be revived elsewhere, and candidates that
-// yield to SA requests). Every pseudo-circuit scheme, on the paper's buffers
+// it: the paper's defaults, each of the three ablation knobs of DESIGN.md §7 on
+// its own, and two of them together (circuits that are revived towards a dry
+// port and terminated again every cycle, and candidates that yield to SA
+// requests). Every pseudo-circuit scheme, on the paper's buffers
 // (4 VCs of 4 flits) from a network that is nearly always at its fixed point to
 // one past saturation, and on one VC of 2 flits, where a port is dry whenever
 // two flits are in flight on its link. The narrow points are the ones with
@@ -198,11 +197,8 @@ func TestActiveSetMatchesNaiveAblations(t *testing.T) {
 		{"defaults", func(o *core.Options) {}},
 		{"keep-on-zero-credit", func(o *core.Options) { o.TerminateOnZeroCredit = false }},
 		{"spec-to-congested", func(o *core.Options) { o.SpeculateToCongested = true }},
-		{"depth3", func(o *core.Options) { o.SpecHistoryDepth = 3 }},
 		{"pc-defers", func(o *core.Options) { o.PCDefersToSA = true }},
-		{"congested+depth2+defers", func(o *core.Options) {
-			o.SpeculateToCongested, o.SpecHistoryDepth, o.PCDefersToSA = true, 2, true
-		}},
+		{"congested+defers", func(o *core.Options) { o.SpeculateToCongested, o.PCDefersToSA = true, true }},
 	}
 	loads := []struct {
 		vcs, depth int

@@ -28,7 +28,7 @@ func TestFuzzOptionMatrix(t *testing.T) {
 		}
 		if scheme.Speculation {
 			o4 := o
-			o4.SpecHistoryDepth = 4
+			o4.TerminateOnZeroCredit, o4.SpeculateToCongested = false, true
 			combos = append(combos, o4)
 			o5 := o
 			o5.SpeculateToCongested = true

@@ -267,7 +267,7 @@ func New(id, inPorts, outPorts int, cfg *Config) *Router {
 		credits: ls.Credits[outBase*V : (outBase+outPorts)*V],
 		vcBusy:  ls.VCBusy[outBase*V : (outBase+outPorts)*V],
 
-		pc: ls.RegFile(slot, cfg.Opts.SpecHistoryDepth),
+		pc: ls.RegFile(slot),
 
 		arrival: flits[nBuf:],
 		rrVC:    port(0),
@@ -843,10 +843,10 @@ func (r *Router) maintainPseudoCircuits() {
 	if !r.cfg.Opts.Speculation {
 		return
 	}
-	// Only outputs whose history names an input that still remembers them, no
+	// Only outputs whose history names an input that still points at them, no
 	// live circuit, no crossbar reservation for next cycle and (the paper's
 	// rule) some credit left can host a speculative connection; the masks
-	// select exactly those, so at depth 1 every call below revives one.
+	// select exactly those, so every call below revives one.
 	bar := r.pc.HeldMask
 	for _, g := range r.nextRes {
 		bar |= 1 << uint(g.out)
