@@ -580,6 +580,64 @@ func TestStructuralRules(t *testing.T) {
 		}
 		enforce(t, pool, "noc/noc.go", false)
 	})
+
+	// A finished result is one *noc.Result per key inside the service tier:
+	// the cache entry, every job record and snapshot of the key and every
+	// sweep point share it (DESIGN.md §11). Outside noc, which fills it in,
+	// nothing writes through a Result field, so a change made for one
+	// reader cannot show up in another's answer.
+	t.Run("results are read-only", func(t *testing.T) {
+		body := func(stmt string) string { return "package service\nfunc f(j *Job, p []Point) {\n" + stmt + "\n}" }
+		seesEach(t, resultWritesIn, map[string]string{
+			"writes through j.Result":    body("j.Result.AvgLatency = 0"),
+			"writes through p[0].Result": body("p[0].Result.Cycles++"),
+			"writes through p[1].Result": body("*(p[1].Result) = noc.Result{}"),
+		}, body("j.Result = &res\nr := *j.Result\nr.Cycles = 0\nx := j.Result.Cycles == 0"))
+		for _, glob := range []string{"*.go", "cmd/*/*.go", "internal/*/*.go", "nocdclient/*.go"} {
+			enforce(t, resultWritesIn, glob, true)
+		}
+	})
+}
+
+// resultWritesIn lists the assignments and increments that write through a
+// Result field (x.Result.Cycles = …, x.Result.Cycles++, *x.Result = …):
+// setting the field itself is allowed, changing what it points at is not.
+func resultWritesIn(fset *token.FileSet, f *ast.File) []string {
+	var found []string
+	check := func(lhs ast.Expr) {
+		for e := lhs; ; {
+			switch x := e.(type) {
+			case *ast.SelectorExpr:
+				if x.Sel.Name == "Result" && e != lhs {
+					found = append(found, fmt.Sprintf("%s: writes through %s", fset.Position(lhs.Pos()), types.ExprString(x)))
+					return
+				}
+				e = x.X
+			case *ast.IndexExpr:
+				e = x.X
+			case *ast.StarExpr:
+				e = x.X
+			case *ast.ParenExpr:
+				e = x.X
+			default:
+				return
+			}
+		}
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.AssignStmt:
+			if x.Tok != token.DEFINE {
+				for _, lhs := range x.Lhs {
+					check(lhs)
+				}
+			}
+		case *ast.IncDecStmt:
+			check(x.X)
+		}
+		return true
+	})
+	return found
 }
 
 // narrowRecords names, per struct type, the fields that hold per-lane or

@@ -238,8 +238,8 @@ func decodeArg(what, arg string, v any) error {
 }
 
 // validate checks any of the three export formats, reporting each valid file
-// on stdout; used by CI to assert that emitted files match the documented
-// schemas.
+// on stdout; TestTraceExports holds emitted files to the documented schemas
+// with it.
 func validate(stdout io.Writer, metrics, events, trace string) error {
 	for _, c := range []struct {
 		path, kind, unit string

@@ -74,3 +74,51 @@ func TestFaultedJSON(t *testing.T) {
 		t.Errorf("FaultEvents %d, PacketsDropped %d: want 4 and > 0", r.FaultEvents, r.PacketsDropped)
 	}
 }
+
+// TestTraceExports: a small observed run writes exports that pass their own
+// validators (the per-router rows summing to the global line among them),
+// for the paper's scheme and for the EVC router on the shared pipeline. The
+// EVC run must be seen by the probes too: one metrics row per router (the
+// sums-to-global check is vacuous on none), crossbar traversals among its
+// events, and no crossbar-locality figure in its report.
+func TestTraceExports(t *testing.T) {
+	dir := t.TempDir()
+	for _, c := range []struct {
+		name string
+		args []string
+	}{
+		{"psb", []string{"-topo", "mesh4x4", "-traffic", "uniform", "-rate", "0.10"}},
+		{"evc", []string{"-topo", "mesh4x4", "-scheme", "baseline", "-evc", "-va", "dynamic",
+			"-traffic", "bitcomp", "-rate", "0.10"}},
+	} {
+		trace, events, metrics := filepath.Join(dir, c.name+".trace"), filepath.Join(dir, c.name+"-events.jsonl"), filepath.Join(dir, c.name+"-metrics.jsonl")
+		var stdout, stderr bytes.Buffer
+		args := append(c.args, "-warmup", "200", "-measure", "1000",
+			"-trace", trace, "-trace-jsonl", events, "-metrics-out", metrics)
+		if code := run(args, &stdout, &stderr); code != 0 {
+			t.Fatalf("%s: exit %d, stderr %q", c.name, code, stderr.String())
+		}
+		report := stdout.String()
+		stdout.Reset()
+		if code := run([]string{"-validate-trace", trace, "-validate-events", events, "-validate-metrics", metrics},
+			&stdout, &stderr); code != 0 || strings.Count(stdout.String(), ": valid ") != 3 {
+			t.Fatalf("%s: validators: exit %d, stdout %q, stderr %q", c.name, code, stdout.String(), stderr.String())
+		}
+		if c.name != "evc" {
+			continue
+		}
+		m, err := os.ReadFile(metrics)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rows := strings.Count(string(m), `"type":"router"`); rows != 16 {
+			t.Errorf("evc: %d router rows in the metrics, want 16", rows)
+		}
+		if e, err := os.ReadFile(events); err != nil || !strings.Contains(string(e), `"ev":"st"`) {
+			t.Errorf("evc: no crossbar traversal among the events (%v)", err)
+		}
+		if !strings.Contains(report, "crossbar n/a") {
+			t.Errorf("evc: the report gives a crossbar locality:\n%s", report)
+		}
+	}
+}

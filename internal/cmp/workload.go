@@ -40,7 +40,8 @@ const (
 	WriteBack
 )
 
-// msg is the protocol payload carried in flit.Packet.Meta.
+// msg is the protocol payload; a packet carries it in flit.Packet.Meta as a
+// *msg from the workload's free list.
 type msg struct {
 	kind  msgKind
 	block uint64
@@ -67,11 +68,14 @@ type writeTxn struct {
 	writes  int
 }
 
-// event is a deferred bank action (response becoming ready after the bank
-// and, on an L2 miss, memory latency).
+// event is a deferred message: a bank response becoming ready after the bank
+// and, on an L2 miss, memory latency, an invalidation or its ack, or a posted
+// write-back. It is kept by value and takes a packet when it is injected.
 type event struct {
-	due sim.Cycle
-	p   *flit.Packet
+	due            sim.Cycle
+	src, dst, size int
+	class          flit.Class
+	m              msg
 }
 
 // eventHeap is a min-heap on due. push and pop are container/heap's Push and
@@ -165,6 +169,8 @@ type Workload struct {
 	banks   []*bank
 	byNode  map[int]any // node -> *core or *bank
 	pending eventHeap
+	// free holds the msgs of delivered packets for reuse.
+	free []*msg
 
 	// Protocol selects write-through (paper default) or write-back
 	// coherence.
@@ -223,7 +229,7 @@ func (w *Workload) Tick(now sim.Cycle, inj network.Injector) {
 	w.cycles++
 	for len(w.pending) > 0 && w.pending[0].due <= now {
 		e := w.pending.pop()
-		inj.Inject(e.p)
+		w.send(inj, e.src, e.dst, e.size, e.class, e.m)
 	}
 	for _, c := range w.cores {
 		w.tickCore(now, c, inj)
@@ -327,19 +333,38 @@ func (w *Workload) issueMiss(now sim.Cycle, c *core, block uint64, inj network.I
 			size = w.cfg.DataFlits // the write carries its data to the bank
 		}
 	}
+	w.send(inj, c.node, bank.node, size, class, msg{kind: kind, block: block, core: c.id})
+}
+
+// send injects m in a packet from inj's pool, carried as a *msg from the free
+// list; Deliver, or DeliveryFailed, returns the msg to the list.
+func (w *Workload) send(inj network.Injector, src, dst, size int, class flit.Class, m msg) {
+	var pm *msg
+	if n := len(w.free); n > 0 {
+		pm, w.free = w.free[n-1], w.free[:n-1]
+	} else {
+		pm = new(msg)
+	}
+	*pm = m
 	pk := network.AcquirePacket(inj)
-	pk.Src, pk.Dst, pk.Size, pk.Class = c.node, bank.node, size, class
-	pk.Meta = msg{kind: kind, block: block, core: c.id}
+	pk.Src, pk.Dst, pk.Size, pk.Class, pk.Meta = src, dst, size, class, pm
 	inj.Inject(pk)
+}
+
+// take copies the msg a packet carried and returns it to the free list.
+func (w *Workload) take(meta any) msg {
+	pm, ok := meta.(*msg)
+	if !ok {
+		panic("cmp: foreign packet in CMP workload")
+	}
+	w.free = append(w.free, pm)
+	return *pm
 }
 
 // Deliver implements network.Workload: protocol reactions at banks and
 // cores.
 func (w *Workload) Deliver(now sim.Cycle, p *flit.Packet) {
-	m, ok := p.Meta.(msg)
-	if !ok {
-		panic("cmp: foreign packet delivered to CMP workload")
-	}
+	m := w.take(p.Meta)
 	switch dst := w.byNode[p.Dst].(type) {
 	case *bank:
 		w.bankReceive(now, dst, m)
@@ -442,19 +467,15 @@ func (w *Workload) respondWrite(due sim.Cycle, b *bank, coreID int, block uint64
 
 // respondAt schedules a bank→core packet for injection at cycle due.
 func (w *Workload) respondAt(due sim.Cycle, b *bank, coreID int, kind msgKind, size int, block uint64, class flit.Class) {
-	w.pending.push(event{due: due, p: &flit.Packet{
-		Src: b.node, Dst: w.cores[coreID].node, Size: size, Class: class,
-		Meta: msg{kind: kind, block: block, core: coreID},
-	}})
+	w.pending.push(event{due: due, src: b.node, dst: w.cores[coreID].node, size: size, class: class,
+		m: msg{kind: kind, block: block, core: coreID}})
 }
 
 // scheduleCoherence schedules a coherence-management packet (invalidation)
 // from a bank to a sharer core, tagged with the owning write transaction.
 func (w *Workload) scheduleCoherence(due sim.Cycle, from, sharer int, kind msgKind, block uint64, writer int) {
-	w.pending.push(event{due: due, p: &flit.Packet{
-		Src: from, Dst: w.cores[sharer].node, Size: w.cfg.AddrFlits, Class: flit.ClassCoherence,
-		Meta: msg{kind: kind, block: block, core: sharer, writer: writer},
-	}})
+	w.pending.push(event{due: due, src: from, dst: w.cores[sharer].node, size: w.cfg.AddrFlits,
+		class: flit.ClassCoherence, m: msg{kind: kind, block: block, core: sharer, writer: writer}})
 }
 
 // coreReceive completes misses and answers invalidations at a core.
@@ -470,11 +491,9 @@ func (w *Workload) coreReceive(now sim.Cycle, c *core, m msg) {
 			// residing in the L1 for a while (posted; holds no MSHR).
 			delay := sim.Cycle(50 + c.rng.Intn(300))
 			w.writebacks++
-			w.pending.push(event{due: now + delay, p: &flit.Packet{
-				Src: c.node, Dst: w.banks[w.layout.HomeBank(m.block)].node,
-				Size: w.cfg.DataFlits, Class: flit.ClassCoherence,
-				Meta: msg{kind: msgWriteBack, block: m.block, core: c.id},
-			}})
+			w.pending.push(event{due: now + delay, src: c.node, dst: w.banks[w.layout.HomeBank(m.block)].node,
+				size: w.cfg.DataFlits, class: flit.ClassCoherence,
+				m: msg{kind: msgWriteBack, block: m.block, core: c.id}})
 		}
 		// Misses complete roughly in issue order (same-path responses do
 		// not overtake); FIFO matching keeps the latency estimate honest
@@ -487,10 +506,8 @@ func (w *Workload) coreReceive(now sim.Cycle, c *core, m msg) {
 		// Drop the line and acknowledge to the home bank, echoing the write
 		// transaction's identity.
 		b := w.banks[w.layout.HomeBank(m.block)]
-		w.pending.push(event{due: now + 1, p: &flit.Packet{
-			Src: c.node, Dst: b.node, Size: w.cfg.AddrFlits, Class: flit.ClassCoherence,
-			Meta: msg{kind: msgInvAck, block: m.block, core: c.id, writer: m.writer},
-		}})
+		w.pending.push(event{due: now + 1, src: c.node, dst: b.node, size: w.cfg.AddrFlits,
+			class: flit.ClassCoherence, m: msg{kind: msgInvAck, block: m.block, core: c.id, writer: m.writer}})
 	default:
 		panic(fmt.Sprintf("cmp: core %d received unexpected %d", c.id, m.kind))
 	}
@@ -504,10 +521,7 @@ func (w *Workload) coreReceive(now sim.Cycle, c *core, m msg) {
 // complete), and a failed invalidation leg is treated as acknowledged so the
 // bank's write transaction can finish.
 func (w *Workload) DeliveryFailed(now sim.Cycle, src, dst int, class flit.Class, meta any) {
-	m, ok := meta.(msg)
-	if !ok {
-		panic("cmp: foreign packet reported failed to CMP workload")
-	}
+	m := w.take(meta)
 	switch m.kind {
 	case msgReadReq, msgWriteReq, msgData, msgWriteAck:
 		// The miss can no longer complete: either the request never reached

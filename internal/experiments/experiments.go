@@ -232,6 +232,20 @@ func (o Options) runTotals(points []point) ([]noc.Result, []stats.Totals) {
 	return out, tot
 }
 
+// censusRows label a .misses table's rows: the hits, then each miss class
+// of the census (stats.MissClass).
+var censusRows = append([]string{"hit (rode a circuit or bypassed)"}, stats.MissClassNames[:]...)
+
+// census returns t's header traversals as shares by censusRows; they sum
+// to one.
+func census(t stats.Totals) []float64 {
+	out := []float64{t.HeadReuseRate()}
+	for c := range stats.NumMissClasses {
+		out = append(out, t.MissRate(c))
+	}
+	return out
+}
+
 // rowsOf splits a row-major grid into its rows of n; applied again it
 // groups the rows of the next dimension out.
 func rowsOf[T any](xs []T, n int) [][]T {

@@ -27,6 +27,9 @@ type Fig12Result struct {
 	// traversals, the shares of header traversals that rode a circuit and
 	// that also bypassed the buffer, and routers per packet (not rendered).
 	LowLoadReuse, LowLoadHeadReuse, LowLoadHeadBypass, LowLoadHops [][]float64
+	// LowLoadMisses[p][c][s] is the share of header traversals in census row
+	// c (censusRows) at the lowest load.
+	LowLoadMisses [][][]float64
 }
 
 // fig12Patterns maps each pattern to its load sweep; the upper ends sit
@@ -60,6 +63,10 @@ func Fig12(o Options) Fig12Result {
 		n := ns * len(pc.loads)
 		var lat [][]float64
 		reuse, head, bypass, hops := make([]float64, ns), make([]float64, ns), make([]float64, ns), make([]float64, ns)
+		misses := make([][]float64, len(censusRows))
+		for c := range misses {
+			misses[c] = make([]float64, ns)
+		}
 		for si, row := range rowsOf(rs[:n], len(pc.loads)) {
 			l := make([]float64, len(row))
 			for li, r := range row {
@@ -68,6 +75,9 @@ func Fig12(o Options) Fig12Result {
 			lat = append(lat, l)
 			t := tot[si*len(pc.loads)] // the scheme's lowest load
 			reuse[si], head[si], bypass[si], hops[si] = row[0].Reusability, t.HeadReuseRate(), t.HeadBypassRate(), row[0].AvgHops
+			for c, share := range census(t) {
+				misses[c][si] = share
+			}
 		}
 		rs, tot = rs[n:], tot[n:]
 		impr := make([]float64, len(lat))
@@ -82,12 +92,13 @@ func Fig12(o Options) Fig12Result {
 		res.LowLoadHeadReuse = append(res.LowLoadHeadReuse, head)
 		res.LowLoadHeadBypass = append(res.LowLoadHeadBypass, bypass)
 		res.LowLoadHops = append(res.LowLoadHops, hops)
+		res.LowLoadMisses = append(res.LowLoadMisses, misses)
 	}
 	return res
 }
 
 // Tables renders one load-latency table per pattern, each followed by the
-// pattern's hit rates at its lowest load.
+// pattern's hit rates at its lowest load and why the other headers missed.
 func (r Fig12Result) Tables() []Table {
 	var out []Table
 	for pi, p := range r.Patterns {
@@ -106,6 +117,10 @@ func (r Fig12Result) Tables() []Table {
 			fmt.Sprintf("Pseudo-circuit hit rates at load %s, %s", loads[0], p),
 			"rate", []string{"reusability", "header reuse", "header bypass"}, r.Schemes,
 			func(q, s int) string { return pct(rates[q][s]) }, "", nil))
+		out = append(out, seriesTable(id+".misses",
+			fmt.Sprintf("Header traversals by why they missed, at load %s, %s", loads[0], p),
+			"class", censusRows, r.Schemes,
+			func(c, s int) string { return pct(r.LowLoadMisses[pi][c][s]) }, "", nil))
 	}
 	return out
 }

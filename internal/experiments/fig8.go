@@ -36,6 +36,10 @@ type Fig8Result struct {
 	// AvgReduction[s] averages over benchmarks (paper: 16% for Pseudo+S+B).
 	AvgReduction                          []float64
 	AvgReuse, AvgHeadReuse, AvgHeadBypass []float64
+	// AvgMisses[c][s] is the share of header traversals in census row c
+	// (censusRows: the hits, then why the rest missed), averaged over
+	// benchmarks.
+	AvgMisses [][]float64
 }
 
 // Fig8 runs the overall-performance experiment: per benchmark, the baseline
@@ -57,6 +61,9 @@ func Fig8(o Options) Fig8Result {
 		AvgHeadReuse:  make([]float64, ns),
 		AvgHeadBypass: make([]float64, ns),
 	}
+	for range censusRows {
+		res.AvgMisses = append(res.AvgMisses, make([]float64, ns))
+	}
 	nb := float64(len(o.Benchmarks))
 	rs, tot := o.runTotals(points)
 	tots := rowsOf(tot, len(core.Schemes))
@@ -71,6 +78,9 @@ func Fig8(o Options) Fig8Result {
 			res.AvgReuse[i] += reuse[i] / nb
 			res.AvgHeadReuse[i] += head[i] / nb
 			res.AvgHeadBypass[i] += bypass[i] / nb
+			for c, share := range census(t) {
+				res.AvgMisses[c][i] += share / nb
+			}
 		}
 		res.Reduction = append(res.Reduction, reds)
 		res.Reuse = append(res.Reuse, reuse)
@@ -82,7 +92,8 @@ func Fig8(o Options) Fig8Result {
 	return res
 }
 
-// Tables renders Fig. 8a and Fig. 8b, and beside 8b the header hit rates.
+// Tables renders Fig. 8a and Fig. 8b, and beside 8b the header hit rates and
+// why the other headers missed.
 func (r Fig8Result) Tables() []Table {
 	table := func(id, title string, cells [][]float64, avg []float64) Table {
 		return seriesTable(id, title, "benchmark", r.Benchmarks, r.Schemes,
@@ -94,5 +105,7 @@ func (r Fig8Result) Tables() []Table {
 		table("fig8b", "Overall pseudo-circuit reusability", r.Reuse, r.AvgReuse),
 		table("fig8b.head-reuse", "Header flits riding a pseudo-circuit", r.HeadReuse, r.AvgHeadReuse),
 		table("fig8b.head-bypass", "Header flits bypassing the buffer", r.HeadBypass, r.AvgHeadBypass),
+		seriesTable("fig8b.misses", "Header traversals by why they missed, average over benchmarks", "class",
+			censusRows, r.Schemes, func(c, s int) string { return pct(r.AvgMisses[c][s]) }, "", nil),
 	}
 }

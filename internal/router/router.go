@@ -101,6 +101,14 @@ type reservation struct {
 	in, vc, out int8
 }
 
+// Why an input's circuit was last terminated (Router.cause).
+const (
+	termOutput int8 = iota // an SA grant or another input's traversal took its output
+	termInput              // an SA grant on its own input
+	termCredit             // its output ran out of credit
+	termFault              // a fault cleared it
+)
+
 // saRequest is one lane's request for output out.
 type saRequest struct {
 	in, vc, out int8
@@ -211,6 +219,14 @@ type Router struct {
 	// site) unless tracing is on.
 	rs *stats.RouterStats
 	tr *obs.Tracer
+
+	// The miss census (DESIGN.md §6), one int8 slab: cause[in] is why input
+	// in's circuit was last terminated (a term constant), written at the
+	// five termination sites; missL[l] is the class lane l's header took at
+	// its first SA grant, -1 until then, counted when it traverses. Last, so
+	// that the fields every tick reads keep their places.
+	cause []int8
+	missL []int8
 }
 
 // New constructs a router with the given input and output radix. Ejection
@@ -245,6 +261,7 @@ func New(id, inPorts, outPorts int, cfg *Config) *Router {
 	flits := make([]*flit.Flit, nBuf+inPorts)
 	ints := make([]int16, 4*inPorts+outPorts)
 	port := func(k int) []int16 { return ints[k*inPorts : (k+1)*inPorts : (k+1)*inPorts] }
+	census := make([]int8, inPorts*V+inPorts)
 	resv := make([]reservation, 2*outPorts)
 	r := &Router{
 		ID:   id,
@@ -267,7 +284,9 @@ func New(id, inPorts, outPorts int, cfg *Config) *Router {
 		credits: ls.Credits[outBase*V : (outBase+outPorts)*V],
 		vcBusy:  ls.VCBusy[outBase*V : (outBase+outPorts)*V],
 
-		pc: ls.RegFile(slot),
+		pc:    ls.RegFile(slot),
+		cause: census[inPorts*V:],
+		missL: census[:inPorts*V],
 
 		arrival: flits[nBuf:],
 		rrVC:    port(0),
@@ -576,6 +595,7 @@ func (r *Router) admit(in, vc int, h *flit.Flit) {
 	r.va[in] |= 1 << uint(vc)
 	r.outVC[l] = -1
 	r.pkt[l] = h.Packet
+	r.missL[l] = -1
 	out := h.NextOut
 	if out < 0 || out >= r.nOut {
 		panic(fmt.Sprintf("router %d: header %v carries invalid output port %d", r.ID, h, out))
@@ -789,9 +809,13 @@ func (r *Router) switchArbitrate(now sim.Cycle) {
 func (r *Router) grant(now sim.Cycle, q saRequest) {
 	in, vc, out := int(q.in), int(q.vc), int(q.out)
 	r.rs.SAGrants++
-	f := r.buf[(in*r.V+vc)*r.D]
+	l := in*r.V + vc
+	f := r.buf[l*r.D]
 	if r.tr != nil {
 		r.trace(now, obs.SAGrant, f, in, vc, out)
+	}
+	if r.pol == nil && r.missL[l] < 0 && f.Kind.IsHead() {
+		r.missL[l] = int8(r.missClass(in, vc, out))
 	}
 	r.nextRes = append(r.nextRes, reservation{f, q.in, q.vc, q.out})
 	nextVC, nextIn := vc+1, in+1
@@ -809,11 +833,37 @@ func (r *Router) grant(now sim.Cycle, q saRequest) {
 		if r.pc.Valid(in) {
 			r.pc.Terminate(in)
 			r.rs.PCTerminated++
+			r.cause[in] = termInput
 		}
 		if j := int(r.pc.ByOut[out]); j >= 0 {
 			r.pc.Terminate(j)
 			r.rs.PCTerminated++
+			r.cause[j] = termOutput
 		}
+	}
+}
+
+// missClass is why the header at (in, vc), granted out, did not ride a
+// pseudo-circuit: its input's register pair, read before the grant
+// terminates anything, and for a terminated circuit that would have matched,
+// why it was terminated.
+func (r *Router) missClass(in, vc, out int) stats.MissClass {
+	regOut, live := int(r.pc.Out[in]), r.pc.Valid(in)
+	switch {
+	case regOut < 0:
+		return stats.MissNoCircuit
+	case regOut != out:
+		return stats.MissOtherOutput
+	case int(r.pc.InVC[in]) != vc && live:
+		return stats.MissOtherVC
+	case int(r.pc.InVC[in]) != vc:
+		return stats.MissDeadOtherVC
+	case live:
+		return stats.MissVAPending
+	case r.cause[in] == termOutput:
+		return stats.MissOutputTaken
+	default:
+		return stats.MissTornDown
 	}
 }
 
@@ -836,8 +886,10 @@ func (r *Router) maintainPseudoCircuits() {
 	}
 	if r.cfg.Opts.TerminateOnZeroCredit {
 		for m := r.pc.HeldMask & r.dry; m != 0; m &= m - 1 {
-			r.pc.Terminate(int(r.pc.ByOut[bits.TrailingZeros64(m)]))
+			j := int(r.pc.ByOut[bits.TrailingZeros64(m)])
+			r.pc.Terminate(j)
 			r.rs.PCTerminated++
+			r.cause[j] = termCredit
 		}
 	}
 	if !r.cfg.Opts.Speculation {
@@ -960,6 +1012,9 @@ func (r *Router) traverse(now sim.Cycle, in, vc, out int, f *flit.Flit, viaPC, b
 		}
 		r.lastOut[in] = int16(out)
 		rs.HeadTravs++
+		if !viaPC {
+			rs.Misses[r.missL[l]]++
+		}
 	}
 
 	// Traversals, reuses and bypasses are counted per input port (the router's
@@ -994,12 +1049,14 @@ func (r *Router) traverse(now sim.Cycle, in, vc, out int, f *flit.Flit, viaPC, b
 	// connection (§3.B) and the output claimed, terminating any other circuit
 	// on it; a flit riding a live non-speculative circuit finds both so.
 	if r.cfg.Opts.Pseudo {
+		held := r.pc.ByOut[out]
 		created, displaced := r.pc.Connect(in, vc, out)
 		if created {
 			rs.PCCreated++
 		}
 		if displaced {
 			rs.PCTerminated++
+			r.cause[held] = termOutput
 		}
 	}
 
@@ -1072,6 +1129,7 @@ func (r *Router) FaultScan(fc *FaultContext) {
 		if r.pc.Valid(i) && (fc.RouterDead || fc.LinkDead(int(r.pc.Out[i]))) {
 			r.pc.Clear(i)
 			r.rs.PCTerminated++
+			r.cause[i] = termFault
 			fc.PCTerm()
 		}
 		for vc := 0; vc < r.V; vc++ {

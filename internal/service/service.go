@@ -13,10 +13,11 @@
 //     submission (backpressure) rather than buffering without limit.
 //   - A fixed pool of workers drains the queue; every job builds its own
 //     network and shares nothing with the next.
-//   - Every job carries a context; cancelling it stops the simulation at
-//     the next chunk boundary (noc.Experiment.RunOnContext). Shutdown
-//     drains the queue gracefully and escalates to cancelling in-flight
-//     jobs when the drain deadline passes.
+//   - Every queued or running job carries a context; cancelling it stops
+//     the simulation at the next chunk boundary
+//     (noc.Experiment.RunOnContext). Shutdown drains the queue gracefully
+//     and escalates to cancelling in-flight jobs when the drain deadline
+//     passes.
 //
 // Results are bit-identical to CLI runs of the same spec: the manager
 // changes scheduling only (who runs the simulation when), never the
@@ -124,48 +125,72 @@ var (
 	ErrUnknownJob   = errors.New("service: unknown job")
 )
 
-// job is the mutable record behind Job snapshots. Of the embedded snapshot,
-// ID, Key, Request and CyclesTotal are fixed at creation; State, the hit
-// marks, CyclesDone, Result and Error change under mu; Dedup and the timing
-// fields are filled in per snapshot.
+// job is the record behind Job snapshots, kept until JobsCap evicts it. Of
+// the embedded snapshot, ID, Key, Request and CyclesTotal are fixed at
+// creation; State, the hit marks, CyclesDone, Result, Error and the frozen
+// timings change under mu; Dedup and a live job's timings are filled in per
+// snapshot. Result is shared, never copied: every record, cache entry and
+// sweep point of a key holds the one *noc.Result, and nothing writes
+// through it.
 type job struct {
 	Job
-	scheme string // bounded label value for per-scheme metrics
-	exp    noc.Experiment
-	ctx    context.Context
-	cancel context.CancelFunc
-	done   chan struct{} // closed when the job reaches a terminal state
+	done chan struct{} // closed when the job reaches a terminal state
 
-	mu sync.Mutex
-	// Wall-clock lifecycle marks; zero until the phase is reached.
-	enqueuedAt time.Time
-	startedAt  time.Time
-	finishedAt time.Time
+	mu  sync.Mutex
+	run *run // while queued or running; nil once terminal, and for hits
+}
+
+// run is what a job needs only until it ends: the experiment, the context
+// that cancels it, and its wall-clock marks. The terminal transition
+// freezes the timings into Job and drops it.
+type run struct {
+	exp      noc.Experiment
+	ctx      context.Context
+	cancel   context.CancelFunc
+	enqueued time.Time
+	started  time.Time // zero while queued
+}
+
+// hitDone is every hit's done channel: a hit is terminal on arrival.
+var hitDone = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
+
+// timing is a job's wall-clock figures from its marks, with the run
+// measured up to end.
+func (r *run) timing(end time.Time, cyclesDone int) (queueWaitMS, runMS, cyclesPerSec float64) {
+	queueWaitMS = float64(r.started.Sub(r.enqueued)) / float64(time.Millisecond)
+	runFor := end.Sub(r.started)
+	runMS = float64(runFor) / float64(time.Millisecond)
+	if secs := runFor.Seconds(); secs > 0 && cyclesDone > 0 {
+		cyclesPerSec = float64(cyclesDone) / secs
+	}
+	return queueWaitMS, runMS, cyclesPerSec
 }
 
 func (j *job) snapshot() Job {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	s := j.Job
-	if s.Result != nil {
-		r := *s.Result
-		s.Result = &r
-	}
-	if !j.startedAt.IsZero() {
-		s.QueueWaitMS = float64(j.startedAt.Sub(j.enqueuedAt)) / float64(time.Millisecond)
-		runFor := time.Since(j.startedAt)
-		if !j.finishedAt.IsZero() {
-			runFor = j.finishedAt.Sub(j.startedAt)
-		}
-		s.RunMS = float64(runFor) / float64(time.Millisecond)
-		if secs := runFor.Seconds(); secs > 0 && j.CyclesDone > 0 {
-			s.CyclesPerSec = float64(j.CyclesDone) / secs
-			if j.State == StateRunning {
-				s.ETASeconds = float64(j.CyclesTotal-j.CyclesDone) / s.CyclesPerSec
-			}
+	if r := j.run; r != nil && !r.started.IsZero() {
+		s.QueueWaitMS, s.RunMS, s.CyclesPerSec = r.timing(time.Now(), s.CyclesDone)
+		if s.CyclesPerSec > 0 {
+			s.ETASeconds = float64(s.CyclesTotal-s.CyclesDone) / s.CyclesPerSec
 		}
 	}
 	return s
+}
+
+// stop cancels j's run, if it still has one: stopping a terminal job is a
+// no-op.
+func (j *job) stop() {
+	j.mu.Lock()
+	if j.run != nil {
+		j.run.cancel()
+	}
+	j.mu.Unlock()
 }
 
 // Manager owns the queue, the workers, the cache and the job records.
@@ -181,7 +206,7 @@ type Manager struct {
 	jobs       map[string]*job
 	jobOrder   []string
 	inflight   map[string]*job // by key: queued or running, singleflight
-	cache      map[string]noc.Result
+	cache      map[string]*noc.Result
 	cacheOrder []string
 }
 
@@ -193,7 +218,7 @@ func New(cfg Config) *Manager {
 		queue:    make(chan *job, cfg.QueueCap),
 		jobs:     make(map[string]*job),
 		inflight: make(map[string]*job),
-		cache:    make(map[string]noc.Result),
+		cache:    make(map[string]*noc.Result),
 	}
 	m.ins = newInstruments(m, cfg.SpanCap)
 	for w := 0; w < cfg.Workers; w++ {
@@ -275,7 +300,7 @@ func (m *Manager) walk(ctx context.Context, r Request, fleet Fleet, wait bool) (
 		}
 		switch {
 		case onDisk != nil: // tier 3 hit, on the pass before
-			j := m.hitLocked(canon, key, exp, *onDisk, true, now)
+			j := m.hitLocked(canon, key, exp, onDisk, true, now)
 			m.mu.Unlock()
 			return j.snapshot(), source, nil
 		case askDisk: // tier 3
@@ -305,8 +330,8 @@ func (m *Manager) walk(ctx context.Context, r Request, fleet Fleet, wait bool) (
 			case <-time.After(queueFullRetry):
 			}
 		default: // tier 5
-			j := m.newJobLocked(canon, key, exp)
-			j.enqueuedAt = now
+			runCtx, cancel := context.WithCancel(context.Background())
+			j := m.newJobLocked(canon, key, exp, &run{exp: exp, ctx: runCtx, cancel: cancel, enqueued: now})
 			m.queue <- j // never blocks: every send is under m.mu, and there was room
 			m.inflight[key] = j
 			m.mu.Unlock()
@@ -326,13 +351,12 @@ func (m *Manager) walk(ctx context.Context, r Request, fleet Fleet, wait bool) (
 
 // hitLocked registers a job that is done on arrival, answered from the
 // memory cache or (storeHit) from the disk store, whose result it promotes
-// into memory; m.mu must be held.
-func (m *Manager) hitLocked(req Request, key string, exp noc.Experiment, res noc.Result, storeHit bool, now time.Time) *job {
-	j := m.newJobLocked(req, key, exp)
+// into memory; m.mu must be held. The record points at res and has no run.
+func (m *Manager) hitLocked(req Request, key string, exp noc.Experiment, res *noc.Result, storeHit bool, now time.Time) *job {
+	j := m.newJobLocked(req, key, exp, nil)
 	j.State, j.CacheHit, j.StoreHit = StateDone, true, storeHit
 	j.CyclesDone = j.CyclesTotal
-	j.Result = &res
-	close(j.done)
+	j.Result = res
 	m.ins.submissions.Inc()
 	m.ins.cacheHits.Inc()
 	span := "cache-hit"
@@ -358,24 +382,24 @@ func (m *Manager) await(ctx context.Context, j *job) (Job, error) {
 
 // cancelJob asks j to stop and returns its (possibly still running) snapshot.
 func (m *Manager) cancelJob(j *job) Job {
-	j.cancel()
+	j.stop()
 	m.ins.instant("cancel", j, "requested", time.Now())
 	return j.snapshot()
 }
 
-// newJobLocked allocates and registers a job record; m.mu must be held.
-func (m *Manager) newJobLocked(req Request, key string, exp noc.Experiment) *job {
+// newJobLocked allocates and registers a job record with run r, or a hit's
+// record when r is nil; m.mu must be held.
+func (m *Manager) newJobLocked(req Request, key string, exp noc.Experiment, r *run) *job {
 	m.seq++
 	warmup, measure := exp.Protocol()
-	ctx, cancel := context.WithCancel(context.Background())
 	j := &job{
 		Job: Job{ID: fmt.Sprintf("j%d", m.seq), Key: key, State: StateQueued,
 			CyclesTotal: warmup + measure, Request: req},
-		scheme: schemeLabel(req),
-		exp:    exp,
-		ctx:    ctx,
-		cancel: cancel,
-		done:   make(chan struct{}),
+		done: hitDone,
+		run:  r,
+	}
+	if r != nil {
+		j.done = make(chan struct{})
 	}
 	m.jobs[j.ID] = j
 	m.jobOrder = append(m.jobOrder, j.ID)
@@ -414,20 +438,21 @@ func (m *Manager) runJob(j *job) {
 	started := time.Now()
 	j.mu.Lock()
 	j.State = StateRunning
-	j.startedAt = started
+	r := j.run
+	r.started = started
 	j.mu.Unlock()
 	m.ins.queued.Add(-1)
-	m.ins.queueWait.Observe(started.Sub(j.enqueuedAt).Seconds())
-	m.ins.span("queue-wait", j, "dequeued", j.enqueuedAt, started)
+	m.ins.queueWait.Observe(started.Sub(r.enqueued).Seconds())
+	m.ins.span("queue-wait", j, "dequeued", r.enqueued, started)
 	m.ins.running.Add(1)
-	res, err := m.simulate(j)
+	res, err := m.simulate(j, r)
 	finished := time.Now()
 	m.ins.running.Add(-1)
 
 	m.mu.Lock()
 	delete(m.inflight, j.Key)
 	if err == nil {
-		m.addCacheLocked(j.Key, res)
+		m.addCacheLocked(j.Key, &res)
 	}
 	m.mu.Unlock()
 	if err == nil && m.cfg.Store != nil {
@@ -444,7 +469,6 @@ func (m *Manager) runJob(j *job) {
 	}
 
 	j.mu.Lock()
-	j.finishedAt = finished
 	switch {
 	case err == nil:
 		j.State = StateDone
@@ -457,25 +481,28 @@ func (m *Manager) runJob(j *job) {
 		j.State = StateFailed
 		j.Error = err.Error()
 	}
+	j.QueueWaitMS, j.RunMS, j.CyclesPerSec = r.timing(finished, j.CyclesDone)
+	j.run = nil
 	outcome := string(j.State)
 	cyclesDone := j.CyclesDone
 	j.mu.Unlock()
+	r.cancel()
 	m.ins.outcomes.With(outcome).Inc()
 	m.ins.cycles.Add(uint64(cyclesDone))
-	m.ins.runTime.With(j.scheme).Observe(finished.Sub(started).Seconds())
+	m.ins.runTime.With(schemeLabel(j.Request)).Observe(finished.Sub(started).Seconds())
 	m.ins.span("run", j, outcome, started, finished)
 	close(j.done)
 }
 
 // simulate runs one job to completion or cancellation. Any panic out of the
 // simulator becomes a failed job, not a dead worker.
-func (m *Manager) simulate(j *job) (res noc.Result, err error) {
+func (m *Manager) simulate(j *job, r *run) (res noc.Result, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("simulation panic: %v", p)
 		}
 	}()
-	exp := j.exp
+	exp := r.exp
 	w, err := j.Request.Workload.Workload(exp)
 	if err != nil {
 		return noc.Result{}, err
@@ -485,7 +512,7 @@ func (m *Manager) simulate(j *job) (res noc.Result, err error) {
 	built := time.Now()
 	m.ins.buildTime.Observe(built.Sub(buildStart).Seconds())
 	m.ins.span("build", j, "built", buildStart, built)
-	return exp.RunOnContext(j.ctx, n, w, m.cfg.Chunk, func(n *noc.Network) {
+	return exp.RunOnContext(r.ctx, n, w, m.cfg.Chunk, func(n *noc.Network) {
 		j.mu.Lock()
 		j.CyclesDone = int(n.Now())
 		j.mu.Unlock()
@@ -510,7 +537,7 @@ func (m *Manager) storeLookup(key string) *noc.Result {
 
 // addCacheLocked inserts a result, evicting the oldest entries over
 // CacheCap; m.mu must be held.
-func (m *Manager) addCacheLocked(key string, res noc.Result) {
+func (m *Manager) addCacheLocked(key string, res *noc.Result) {
 	if _, ok := m.cache[key]; !ok {
 		m.cacheOrder = append(m.cacheOrder, key)
 	}
@@ -622,7 +649,7 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 	case <-ctx.Done():
 		m.mu.Lock()
 		for _, j := range m.inflight {
-			j.cancel()
+			j.stop()
 		}
 		m.mu.Unlock()
 		<-done

@@ -130,7 +130,7 @@ func newInstruments(m *Manager, spanCap int) *instruments {
 // instant records a zero-length span at time now.
 func (ins *instruments) instant(name string, j *job, outcome string, now time.Time) {
 	ins.spans.Record(telemetry.Span{
-		Name: name, Job: j.ID, Key: j.Key, Scheme: j.scheme, Outcome: outcome,
+		Name: name, Job: j.ID, Key: j.Key, Scheme: schemeLabel(j.Request), Outcome: outcome,
 		Start: now, End: now,
 	})
 }
@@ -138,7 +138,7 @@ func (ins *instruments) instant(name string, j *job, outcome string, now time.Ti
 // span records a closed interval span.
 func (ins *instruments) span(name string, j *job, outcome string, start, end time.Time) {
 	ins.spans.Record(telemetry.Span{
-		Name: name, Job: j.ID, Key: j.Key, Scheme: j.scheme, Outcome: outcome,
+		Name: name, Job: j.ID, Key: j.Key, Scheme: schemeLabel(j.Request), Outcome: outcome,
 		Start: start, End: end,
 	})
 }

@@ -30,6 +30,49 @@ type Events struct {
 	XbarPrev     uint64 // header traversals with a previous connection to compare against
 	BufWrites    uint64 // flits written into an input VC buffer
 	BufReads     uint64 // flits read out of one
+	// Misses[c] counts the header traversals that went through SA, by why
+	// they missed (MissClass): with HeadReused they sum to HeadTravs.
+	Misses [NumMissClasses]uint64
+}
+
+// MissClass is why a header traversal did not ride a pseudo-circuit: the
+// state of its input port's register pair at the header's first SA grant,
+// before the grant terminates anything (DESIGN.md §6, the census).
+type MissClass int8
+
+const (
+	// MissOtherVC: a live circuit to the header's output, held for another
+	// input VC.
+	MissOtherVC MissClass = iota
+	// MissDeadOtherVC: the same, terminated.
+	MissDeadOtherVC
+	// MissOtherOutput: a circuit, live or terminated, to another output.
+	MissOtherOutput
+	// MissOutputTaken: a terminated circuit that would have matched, torn
+	// down because another connection took its output (§3.C, 1).
+	MissOutputTaken
+	// MissTornDown: a terminated circuit that would have matched, torn down
+	// by credit exhaustion (§3.C, 2) or a grant on its own input.
+	MissTornDown
+	// MissVAPending: a live circuit that matched, passed over because the
+	// header's VC allocation had not succeeded (its SA request is
+	// speculative).
+	MissVAPending
+	// MissNoCircuit: no register pair, because none was ever written (always
+	// under Baseline) or a fault cleared it.
+	MissNoCircuit
+	NumMissClasses
+)
+
+// MissClassNames labels the classes in tables, in MissClass order.
+var MissClassNames = [NumMissClasses]string{
+	"live circuit, same output, other VC",
+	"dead circuit, same output, other VC",
+	"circuit to another output",
+	"would have matched: output taken",
+	"would have matched: credit or own grant",
+	"matched, VA pending",
+	"no circuit",
 }
 
 func (e *Events) add(o *Events) {
@@ -45,6 +88,9 @@ func (e *Events) add(o *Events) {
 	e.XbarPrev += o.XbarPrev
 	e.BufWrites += o.BufWrites
 	e.BufReads += o.BufReads
+	for c := range e.Misses {
+		e.Misses[c] += o.Misses[c]
+	}
 }
 
 // RouterStats is one router's row: its own Events, its input ports' counters
@@ -97,6 +143,10 @@ func (t Totals) HeadReuseRate() float64 { return ratio(t.HeadReused, t.HeadTravs
 // HeadBypassRate returns the fraction of header-flit traversals that also
 // bypassed the input buffer.
 func (t Totals) HeadBypassRate() float64 { return ratio(t.HeadBypassed, t.HeadTravs) }
+
+// MissRate returns the fraction of header-flit traversals that missed for
+// reason c.
+func (t Totals) MissRate(c MissClass) float64 { return ratio(t.Misses[c], t.HeadTravs) }
 
 // XbarLocality returns crossbar-connection temporal locality (Fig. 1): the
 // fraction of header traversals repeating the previous connection at their

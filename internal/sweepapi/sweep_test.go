@@ -187,8 +187,8 @@ func TestSweepRunsAllPoints(t *testing.T) {
 			t.Fatalf("point %d: direct submission missed the sweep's cache entry (hit %v key %s vs %s)",
 				p.Index, j.CacheHit, j.Key, p.Key)
 		}
-		if got, want := mustJSON(t, *j.Result), mustJSON(t, *p.Result); got != want {
-			t.Fatalf("point %d result diverged from direct submission", p.Index)
+		if j.Result != p.Result {
+			t.Fatalf("point %d keeps its own copy of the key's result", p.Index)
 		}
 	}
 	// Incremental cursor: nothing new after the end.

@@ -60,10 +60,12 @@ type Job struct {
 	CyclesPerSec float64 `json:"cyclesPerSec,omitempty"`
 	// ETASeconds estimates the remaining run time from the current rate;
 	// present only while running.
-	ETASeconds float64     `json:"etaSeconds,omitempty"`
-	Request    Request     `json:"request"`
-	Result     *noc.Result `json:"result,omitempty"`
-	Error      string      `json:"error,omitempty"`
+	ETASeconds float64 `json:"etaSeconds,omitempty"`
+	Request    Request `json:"request"`
+	// Result is set once the job is done. Inside the daemon it is shared
+	// by every record, cache entry and sweep point of the key: read-only.
+	Result *noc.Result `json:"result,omitempty"`
+	Error  string      `json:"error,omitempty"`
 }
 
 // Terminal reports whether the job has finished (successfully or not).
@@ -95,15 +97,17 @@ func (s SweepStatus) Terminal() bool { return s.State.Terminal() }
 // SweepPoint is one completed grid point: the canonical spec, where and how
 // it was served, and the result.
 type SweepPoint struct {
-	Index    int         `json:"index"`
-	Key      string      `json:"key"`
-	Spec     Request     `json:"spec"`
-	State    State       `json:"state"` // done|failed|canceled
-	CacheHit bool        `json:"cacheHit,omitempty"`
-	StoreHit bool        `json:"storeHit,omitempty"`
-	Source   string      `json:"source,omitempty"` // local|remote|fallback
-	Result   *noc.Result `json:"result,omitempty"`
-	Error    string      `json:"error,omitempty"`
+	Index    int     `json:"index"`
+	Key      string  `json:"key"`
+	Spec     Request `json:"spec"`
+	State    State   `json:"state"` // done|failed|canceled
+	CacheHit bool    `json:"cacheHit,omitempty"`
+	StoreHit bool    `json:"storeHit,omitempty"`
+	Source   string  `json:"source,omitempty"` // local|remote|fallback
+	// Result is the pointer the point's job returned, shared with the
+	// daemon's records of the key: read-only.
+	Result *noc.Result `json:"result,omitempty"`
+	Error  string      `json:"error,omitempty"`
 }
 
 // SweepLine is one line of a sweep's NDJSON stream: a leading "sweep" line
