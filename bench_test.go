@@ -325,7 +325,7 @@ func BenchmarkNetworkBuild(b *testing.B) {
 		{"mesh8x8", noc.Mesh(8, 8)},
 		{"cmesh4x4x4", noc.CMesh(4, 4, 4)},
 		{"mesh24x24", noc.Mesh(24, 24)},
-		{"mesh32x32", noc.Mesh(32, 32)}, // the largest mesh whose route table is built
+		{"mesh32x32", noc.Mesh(32, 32)},
 		{"mesh64x64", noc.Mesh(64, 64)},
 	} {
 		b.Run(c.name, func(b *testing.B) {

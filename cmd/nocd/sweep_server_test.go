@@ -16,6 +16,7 @@ import (
 	"pseudocircuit/internal/service"
 	"pseudocircuit/internal/store"
 	"pseudocircuit/internal/sweepapi"
+	"pseudocircuit/internal/telemetry"
 	"pseudocircuit/noc"
 	"pseudocircuit/nocdclient"
 )
@@ -386,22 +387,24 @@ func TestSweepServedFromRestartedStore(t *testing.T) {
 		}
 	}
 
-	// The exposition confirms what the driver's persistence smoke asserts:
-	// hits counted, zero cycles simulated since the restart.
-	resp, err := http.Get(srv2.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
+	// The restarted daemon's exposition is well formed and says the same:
+	// hits counted, the six entries resident, zero cycles simulated since the
+	// restart.
+	_, body := get(t, srv2.URL+"/metrics")
+	if _, err := telemetry.ValidateExposition(strings.NewReader(body)); err != nil {
+		t.Fatalf("exposition invalid: %v\n%s", err, body)
 	}
-	defer resp.Body.Close()
-	sc := bufio.NewScanner(resp.Body)
 	metrics := map[string]string{}
-	for sc.Scan() {
-		if f := strings.Fields(sc.Text()); len(f) == 2 && !strings.HasPrefix(f[0], "#") {
+	for _, line := range strings.Split(body, "\n") {
+		if f := strings.Fields(line); len(f) == 2 && !strings.HasPrefix(f[0], "#") {
 			metrics[f[0]] = f[1]
 		}
 	}
 	if metrics["nocd_store_hits_total"] != "6" {
 		t.Fatalf("nocd_store_hits_total = %q, want 6", metrics["nocd_store_hits_total"])
+	}
+	if n, err := strconv.ParseFloat(metrics["nocd_store_entries"], 64); err != nil || n < 6 {
+		t.Fatalf("nocd_store_entries = %q, want at least 6", metrics["nocd_store_entries"])
 	}
 	if metrics["nocd_cycles_simulated_total"] != "0" {
 		t.Fatalf("restarted daemon simulated cycles: %q", metrics["nocd_cycles_simulated_total"])

@@ -39,3 +39,7 @@ func (n *Network) LanePackets() []LanePacket {
 // packet it numbers from now on carries a different ID than in an otherwise
 // identical run (the failing case of the per-lane packet comparison).
 func (n *Network) SkipPacketIDs(k uint64) { n.nextID += k }
+
+// HopMisses returns how many hops send resolved rather than read from the
+// hop memo.
+func (n *Network) HopMisses() uint64 { return n.hopMisses }

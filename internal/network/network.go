@@ -22,6 +22,7 @@ package network
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"sort"
 
@@ -215,18 +216,55 @@ func (b bitset) setAll(n int) {
 	}
 }
 
+// hop is one output lane's memo entry (Network.hops): where the last packet
+// through the lane went from there. It is keyed on that packet's destination
+// and route class and holds the delivery target (the next router and its
+// input port, or -1 and the node of the NI), the link latency and the
+// lookahead port at the next router (-1 when the hop ejects). lat 0 marks an
+// empty entry: a link takes at least a cycle.
+type hop struct {
+	dst, router, port int32
+	class, lat, next  int8
+}
+
 // send is the router Send callback: it resolves one hop for a flit leaving
 // output port out of router id and sets lookahead routing for the next
-// router. A flit switched during cycle t spends h.Latency cycles in link
-// traversal (LT) and is processed by the next hop at t + h.Latency + 1, so LT
-// is a real pipeline stage (paper Fig. 6: ... | ST | LT |).
+// router. A flit switched during cycle t spends the link's latency cycles in
+// link traversal (LT) and is processed by the next hop at t + latency + 1, so
+// LT is a real pipeline stage (paper Fig. 6: ... | ST | LT |).
+//
+// The hop is resolved once per packet: a header fills its output lane's memo
+// entry and the body and tail flits behind it, which hold the same lane
+// (vcBusy gives a non-ejection lane to one packet at a time), read it back.
+// Both answers are pure functions of (id, out, dst, class) while the links
+// hold, and applyFaults, the one place link state changes, clears the memo,
+// so a hit is exactly what resolving again would give.
 func (n *Network) send(id, out int, f *flit.Flit) {
-	h := n.topo.NextHop(id, out, f.Packet.Dst)
-	f.NextOut = -1
-	if h.Router >= 0 {
-		f.NextOut = n.routeFor(h.Router, f.Packet.Dst, f.Packet.RouteClass)
+	p := f.Packet
+	e := &n.hops[(n.lanes.OutBase[id]+out)*n.cfg.NumVCs+f.VC]
+	if e.dst != int32(p.Dst) || e.class != int8(p.RouteClass) || e.lat == 0 {
+		*e = n.resolve(id, out, p.Dst, p.RouteClass)
+		n.hopMisses++
+	} else if n.CheckInvariants {
+		if want := n.resolve(id, out, p.Dst, p.RouteClass); *e != want {
+			panic(fmt.Sprintf("network: hop memo at router %d out %d vc %d says %+v, the topology %+v", id, out, f.VC, *e, want))
+		}
 	}
-	n.schedule(h.Latency+1, delivery{flit: f, router: int32(h.Router), port: int32(h.InPort)})
+	f.NextOut = int(e.next)
+	n.schedule(int(e.lat)+1, delivery{flit: f, router: e.router, port: e.port})
+}
+
+// resolve asks the topology where a flit for dst of route class class lands
+// when it leaves output port out of router r, and the routing engine for the
+// lookahead port there.
+func (n *Network) resolve(r, out, dst, class int) hop {
+	h := n.topo.NextHop(r, out, dst)
+	e := hop{dst: int32(dst), router: int32(h.Router), port: int32(h.InPort),
+		class: int8(class), lat: int8(h.Latency), next: -1}
+	if h.Router >= 0 {
+		e.next = int8(n.routeFor(h.Router, dst, class))
+	}
+	return e
 }
 
 // credit is the router Credit callback: a credit returns to whatever feeds
@@ -249,14 +287,6 @@ func (n *Network) latchCredit(r, out, vc int) {
 	}
 }
 
-// routeTabLimit caps the route-table size (entries = classes × routers ×
-// nodes); topologies past it fall back to dynamic route computation. 1M
-// single-byte entries covers every configuration in the experiment suite.
-// Priced in DESIGN.md §17: the 4 KiB table of an 8×8 is worth 4–8 % of
-// sim_cycles_per_s; the 331 KiB table of a 24×24 buys no cycles at 0.002
-// flits/node/cycle and costs 0.3 ms, a sixth of that build.
-const routeTabLimit = 1 << 20
-
 // Network is a runnable simulated network.
 type Network struct {
 	cfg     Config
@@ -273,15 +303,11 @@ type Network struct {
 	// active-set walk touches one cache-linear region. A custom Factory node
 	// that is not built on internal/router leaves its region untouched.
 	lanes *core.LaneStore
-	// routeTab caches the pure dimension-order route for every
-	// (class, router, dst) triple, indexed (class*Routers + r)*Nodes + dst.
-	// Ports fit in int8 (core.LaneLimit caps radix at 64). The fault-free
-	// hot path reads it instead of re-deriving grid coordinates per hop;
-	// fault-aware routing (RouteAvoid) stays dynamic because it depends on
-	// live link state. nil when the topology is too large to tabulate
-	// (routeTabLimit).
-	routeTab []int8
-	nNodes   int
+	// hops is the hop memo send reads, one entry per output lane, indexed
+	// like the store's output lanes: (OutBase[r]+out)*NumVCs + vc.
+	// hopMisses counts the entries send resolved.
+	hops      []hop
+	hopMisses uint64
 
 	// Stats holds what the NIs and the main phase count; router events are
 	// counted in registry, one row per router written only by that router, and
@@ -461,7 +487,7 @@ func New(cfg Config) *Network {
 	n.lanes = core.NewLaneStore(cfg.NumVCs, cfg.BufDepth, inRadix, outRadix)
 	n.registry = stats.NewRegistry(inRadix, outRadix)
 	n.wire()
-	n.fillRouteTab()
+	n.hops = make([]hop, n.lanes.OutBase[t.Routers()]*cfg.NumVCs)
 
 	rcfg := router.Config{
 		NumVCs:   cfg.NumVCs,
@@ -545,28 +571,15 @@ func (n *Network) wire() {
 	for r = 0; r < t.Routers(); r++ {
 		t.Links(r, visit)
 	}
+	if maxLat > math.MaxInt8 {
+		panic(fmt.Sprintf("network: link latency %d does not fit a hop memo entry", maxLat))
+	}
 	ringLen := 1
 	for ringLen < maxLat+3 { // largest link latency plus slack
 		ringLen <<= 1
 	}
 	n.ring = make([][]delivery, ringLen)
 	n.ringMask = ringLen - 1
-}
-
-// fillRouteTab tabulates the routing engine a router row at a time; the cost
-// is the table's entries. Topologies past routeTabLimit get no table and
-// compute routes dynamically.
-func (n *Network) fillRouteTab() {
-	nR, nN := n.topo.Routers(), n.topo.Nodes()
-	n.nNodes = nN
-	rows := n.engine.NumClasses() * nR
-	if rows*nN > routeTabLimit {
-		return
-	}
-	n.routeTab = make([]int8, rows*nN)
-	for i := 0; i < rows; i++ {
-		n.engine.RouteRow(i%nR, i/nR, n.routeTab[i*nN:(i+1)*nN])
-	}
 }
 
 // upstreamOf returns what feeds input port in of router r: a router and its
@@ -646,9 +659,6 @@ func (n *Network) Inject(p *flit.Packet) {
 // when no fault schedule is configured, the fault-aware detour otherwise.
 func (n *Network) routeFor(r, dst, class int) int {
 	if n.faults == nil {
-		if n.routeTab != nil {
-			return int(n.routeTab[(class*len(n.routers)+r)*n.nNodes+dst])
-		}
 		return n.engine.Route(r, dst, class)
 	}
 	return n.engine.RouteAvoid(r, dst, class, n.wiredFn[r], n.deadFn[r])
@@ -837,6 +847,7 @@ func (n *Network) applyFaults() {
 			})
 		}
 	}
+	clear(n.hops) // link state changed: every memoized hop is resolved again
 	n.wakeAll()
 	if anyDown {
 		n.stormScan()

@@ -23,6 +23,9 @@ type ni struct {
 	curBuf []*flit.Flit // backing storage for cur, reused across packets
 	idx    int
 	outVC  int // VC allocated for the current packet, -1 while VA pending
+	// nextOut is the current packet's lookahead port at this NI's router,
+	// routed for its header; under a fault schedule, for every flit.
+	nextOut int
 
 	// credits is the free slots per VC of the router input port this NI
 	// feeds, cut from one slab for every NI and as wide as the store's.
@@ -113,7 +116,10 @@ func (s *ni) inject(now sim.Cycle) {
 	}
 	f := s.cur[s.idx]
 	f.VC = s.outVC
-	f.NextOut = s.net.routeFor(s.router, p.Dst, p.RouteClass)
+	if f.Kind.IsHead() || s.net.faults != nil { // only a fault changes a packet's route
+		s.nextOut = s.net.routeFor(s.router, p.Dst, p.RouteClass)
+	}
+	f.NextOut = s.nextOut
 	f.EnteredNet = now
 	if f.Kind.IsHead() {
 		p.NetStart = now

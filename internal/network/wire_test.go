@@ -18,10 +18,9 @@ func reachable(t topology.Topology, r, o, d int) bool {
 
 // referenceWiring is the pre-single-pass derivation, kept as the oracle: two
 // scans over every (router, outPort, dst) triple filtered by reachable (ring
-// sizing, then upstream wiring, with the original conflict panic), and a
-// third over (class, router, dst) for the route table. Terminal upstreams
-// are filled the way New does after the router-to-router pass.
-func referenceWiring(t topology.Topology, algo routing.Algorithm) (ups [][]upstream, ringLen int, tab []int8) {
+// sizing, then upstream wiring, with the original conflict panic). Terminal
+// upstreams are filled the way New does after the router-to-router pass.
+func referenceWiring(t topology.Topology) (ups [][]upstream, ringLen int) {
 	maxLat := 1
 	for r := 0; r < t.Routers(); r++ {
 		for o := 0; o < t.OutPorts(r); o++ {
@@ -38,19 +37,6 @@ func referenceWiring(t topology.Topology, algo routing.Algorithm) (ups [][]upstr
 	ringLen = 1
 	for ringLen < maxLat+3 {
 		ringLen <<= 1
-	}
-
-	engine := routing.New(algo, t)
-	if cls := engine.NumClasses(); cls*t.Routers()*t.Nodes() <= routeTabLimit {
-		tab = make([]int8, cls*t.Routers()*t.Nodes())
-		for c := 0; c < cls; c++ {
-			for r := 0; r < t.Routers(); r++ {
-				row := tab[(c*t.Routers()+r)*t.Nodes():]
-				for d := 0; d < t.Nodes(); d++ {
-					row[d] = int8(engine.Route(r, d, c))
-				}
-			}
-		}
 	}
 
 	ups = make([][]upstream, t.Routers())
@@ -83,14 +69,13 @@ func referenceWiring(t topology.Topology, algo routing.Algorithm) (ups [][]upstr
 		r, inP, _ := t.NodeRouter(node)
 		ups[r][inP] = upstream{router: -1, out: int32(node)}
 	}
-	return ups, ringLen, tab
+	return ups, ringLen
 }
 
-// TestWireMatchesReference is the build-equivalence oracle: the link walk and
-// the row fill must yield the same upstream table, ring length and route
-// table as the triple scans over (router, outPort, dst), on every topology
-// family, square and not, and every routing algorithm (O1TURN covers the
-// two-class table).
+// TestWireMatchesReference is the build-equivalence oracle: the link walk
+// must yield the same upstream table and ring length as the triple scans over
+// (router, outPort, dst), on every topology family, square and not, and every
+// routing algorithm.
 func TestWireMatchesReference(t *testing.T) {
 	topos := []struct {
 		name string
@@ -111,7 +96,7 @@ func TestWireMatchesReference(t *testing.T) {
 				cfg := DefaultConfig(tc.topo)
 				cfg.Algorithm = algo
 				n := New(cfg)
-				ups, ringLen, tab := referenceWiring(tc.topo, algo)
+				ups, ringLen := referenceWiring(tc.topo)
 				for r := range ups {
 					got := n.ups[n.lanes.InBase[r]:n.lanes.InBase[r+1]]
 					if !reflect.DeepEqual(got, ups[r]) {
@@ -120,9 +105,6 @@ func TestWireMatchesReference(t *testing.T) {
 				}
 				if len(n.ring) != ringLen {
 					t.Errorf("ring length = %d, reference %d", len(n.ring), ringLen)
-				}
-				if tab == nil || !reflect.DeepEqual(n.routeTab, tab) {
-					t.Errorf("route table differs from reference (%d vs %d entries)", len(n.routeTab), len(tab))
 				}
 			})
 		}
@@ -155,7 +137,7 @@ func panicOf(f func()) (msg any) {
 // an input port fed by two outputs panics with the reference's message.
 func TestWireRejectsSharedInput(t *testing.T) {
 	topo := sharedInputMesh{topology.NewMesh(2, 2)}
-	want := panicOf(func() { referenceWiring(topo, routing.XY) })
+	want := panicOf(func() { referenceWiring(topo) })
 	got := panicOf(func() { New(DefaultConfig(topo)) })
 	if want != "network: input port 1 of router 1 fed by two outputs" {
 		t.Fatalf("reference panic = %v", want)
@@ -165,54 +147,54 @@ func TestWireRejectsSharedInput(t *testing.T) {
 	}
 }
 
-// countingMesh counts what network.New asks of a topology: Route and NextHop
-// calls, and hops visited through Links (the mesh's own Links calls its own
-// NextHop, not the wrapper's, so nextHops counts New's direct calls only).
-type countingMesh struct {
-	*topology.Mesh
+// countingTopo counts what network.New asks of a topology: Route and NextHop
+// calls, and hops visited through Links (the embedded topology's Links calls
+// its own NextHop, not the wrapper's, so nextHops counts New's direct calls
+// only).
+type countingTopo struct {
+	topology.Topology
 	routes, nextHops, hops int
 }
 
-func (c *countingMesh) Route(r, dst, class int) int {
+func (c *countingTopo) Route(r, dst, class int) int {
 	c.routes++
-	return c.Mesh.Route(r, dst, class)
+	return c.Topology.Route(r, dst, class)
 }
 
-func (c *countingMesh) NextHop(r, out, dst int) topology.Hop {
+func (c *countingTopo) NextHop(r, out, dst int) topology.Hop {
 	c.nextHops++
-	return c.Mesh.NextHop(r, out, dst)
+	return c.Topology.NextHop(r, out, dst)
 }
 
-func (c *countingMesh) Links(r int, visit func(out int, h topology.Hop)) {
-	c.Mesh.Links(r, func(out int, h topology.Hop) {
+func (c *countingTopo) Links(r int, visit func(out int, h topology.Hop)) {
+	c.Topology.Links(r, func(out int, h topology.Hop) {
 		c.hops++
 		visit(out, h)
 	})
 }
 
 // TestBuildCostFollowsLinks pins what network.New may ask of a topology, as
-// counts that repeat exactly: one hop per link and not one Route or NextHop
-// call, at the largest size whose route table is still built (32×32 is
-// exactly routeTabLimit). A topology without a row form pays one Route per
-// table entry, in the row filler's fallback and nowhere else.
+// counts that repeat exactly, on every family: one hop per link and not one
+// Route or NextHop call. The links of a k×k grid of conc-node routers are one
+// ejection per node plus, on a mesh, 4k(k-1) directed channels and, on a
+// MECS or a flattened butterfly, 2(k-1) drop-offs or dedicated channels per
+// router.
 func TestBuildCostFollowsLinks(t *testing.T) {
-	const k = 32
-	c := &countingMesh{Mesh: topology.NewMesh(k, k)}
-	n := New(DefaultConfig(c))
-	if n.routeTab == nil {
-		t.Fatal("32x32 built no route table")
-	}
-	links := 4*k*(k-1) + k*k // directed router-to-router channels plus one ejection per node
-	if c.routes != 0 || c.nextHops != 0 || c.hops != links {
-		t.Errorf("New made %d Route and %d NextHop calls and visited %d hops; want 0, 0 and %d (the links)",
-			c.routes, c.nextHops, c.hops, links)
-	}
-
-	c = &countingMesh{Mesh: topology.NewMesh(8, 8)}
-	New(DefaultConfig(struct{ topology.Topology }{c})) // the embedded interface hides RouteRow
-	if want := 64 * 64; c.routes != want || c.nextHops != 0 {
-		t.Errorf("without a row form New made %d Route and %d NextHop calls; want %d (one per table entry) and 0",
-			c.routes, c.nextHops, want)
+	for _, tc := range []struct {
+		topo  topology.Topology
+		links int
+	}{
+		{topology.NewMesh(32, 32), 4*32*31 + 32*32},
+		{topology.NewCMesh(4, 4, 4), 4*4*3 + 64},
+		{topology.NewMECS(4, 4, 4), 16*6 + 64},
+		{topology.NewFBFly(4, 4, 4), 16*6 + 64},
+	} {
+		c := &countingTopo{Topology: tc.topo}
+		New(DefaultConfig(c))
+		if c.routes != 0 || c.nextHops != 0 || c.hops != tc.links {
+			t.Errorf("%s: New made %d Route and %d NextHop calls and visited %d hops; want 0, 0 and %d (the links)",
+				tc.topo.Name(), c.routes, c.nextHops, c.hops, tc.links)
+		}
 	}
 }
 

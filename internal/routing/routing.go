@@ -97,28 +97,6 @@ func (e *Engine) Route(r, dstNode, class int) int {
 	return e.topo.Route(r, dstNode, e.DimOrder(class))
 }
 
-// rowRouter is a topology that can work out Route(r, d, dim) for every node d
-// of one router at once (the grid topologies: coordinates hoisted, a port per
-// column or row). Route stays the per-hop call and the oracle RouteRow is
-// tested against.
-type rowRouter interface {
-	RouteRow(r, dim int, row []int8)
-}
-
-// RouteRow fills row[d] = Route(r, d, class) for every node d, one row of
-// the network's route table (ports fit in int8: core.LaneLimit caps the
-// radix at 64). A topology without a row form is asked per destination.
-func (e *Engine) RouteRow(r, class int, row []int8) {
-	dim := e.DimOrder(class)
-	if t, ok := e.topo.(rowRouter); ok {
-		t.RouteRow(r, dim, row)
-		return
-	}
-	for d := range row {
-		row[d] = int8(e.topo.Route(r, d, dim))
-	}
-}
-
 // RouteAvoid is the fault-aware variant of Route: it detours around dead
 // links with a fixed, deterministic preference order so both schedules make
 // the same choice.

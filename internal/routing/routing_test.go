@@ -106,40 +106,3 @@ func walk(t *testing.T, topo topology.Topology, e *routing.Engine, r, dst, class
 		cur = h.Router
 	}
 }
-
-// routeOnly hides a topology's row form, so the engine must fall back to
-// asking Route per destination.
-type routeOnly struct{ topology.Topology }
-
-// TestRouteRowMatchesRoute: a row of the route table, whether the topology
-// fills it at once or the engine asks per destination, is Route entry for
-// entry — every algorithm and class, square and non-square grids.
-func TestRouteRowMatchesRoute(t *testing.T) {
-	for name, topo := range map[string]topology.Topology{
-		"mesh3x5":    topology.NewMesh(3, 5),
-		"cmesh4x4x4": topology.NewCMesh(4, 4, 4),
-		"mecs2x3x2":  topology.NewMECS(2, 3, 2),
-		"mecs4x4x4":  topology.NewMECS(4, 4, 4),
-		"fbfly2x3x2": topology.NewFBFly(2, 3, 2),
-		"fbfly4x4x4": topology.NewFBFly(4, 4, 4),
-		"fallback":   routeOnly{topology.NewMesh(3, 5)},
-	} {
-		for _, algo := range []routing.Algorithm{routing.XY, routing.YX, routing.O1TURN} {
-			e := routing.New(algo, topo)
-			row := make([]int8, topo.Nodes())
-			for class := 0; class < e.NumClasses(); class++ {
-				for r := 0; r < topo.Routers(); r++ {
-					for d := range row {
-						row[d] = -1
-					}
-					e.RouteRow(r, class, row)
-					for d, got := range row {
-						if want := e.Route(r, d, class); int(got) != want {
-							t.Fatalf("%s/%v: RouteRow(%d, class %d)[%d] = %d, Route says %d", name, algo, r, class, d, got, want)
-						}
-					}
-				}
-			}
-		}
-	}
-}

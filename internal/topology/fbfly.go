@@ -125,10 +125,5 @@ func (f *FBFly) Route(r, dstNode, class int) int {
 	return f.xPort(x, dx)
 }
 
-// RouteRow fills row[d] = Route(r, d, class) for every node d.
-func (f *FBFly) RouteRow(r, class int, row []int8) { f.routeRow(f, r, class, row) }
-
-func (f *FBFly) termBase() int { return f.dirPorts() }
-
 // AvgDistance implements Topology.
 func (f *FBFly) AvgDistance() float64 { return f.avgGridDistance() }

@@ -134,8 +134,5 @@ func (m *MECS) Route(r, dstNode, class int) int {
 	return stepX(x, dx)
 }
 
-// RouteRow fills row[d] = Route(r, d, class) for every node d.
-func (m *MECS) RouteRow(r, class int, row []int8) { m.routeRow(compass{}, r, class, row) }
-
 // AvgDistance implements Topology.
 func (m *MECS) AvgDistance() float64 { return m.avgGridDistance() }

@@ -119,9 +119,6 @@ func (m *Mesh) Route(r, dstNode, class int) int {
 	return stepX(x, dx)
 }
 
-// RouteRow fills row[d] = Route(r, d, class) for every node d.
-func (m *Mesh) RouteRow(r, class int, row []int8) { m.routeRow(compass{}, r, class, row) }
-
 // AvgDistance implements Topology.
 func (m *Mesh) AvgDistance() float64 { return m.avgGridDistance() }
 

@@ -91,71 +91,6 @@ func (g grid) nodeSlot(node int) int      { return node % g.conc }
 func (g grid) validNode(node int) bool    { return node >= 0 && node < g.Nodes() }
 func (g grid) terminalPorts(base int) int { return base + g.conc }
 
-// dimPorts is what a grid topology states about its own port numbering, and
-// all routeRow needs beside the shared geometry: the output port at
-// coordinate from toward coordinate to (from != to) in each dimension, and
-// the first terminal output port.
-type dimPorts interface {
-	xPort(from, to int) int
-	yPort(from, to int) int
-	termBase() int
-}
-
-// compass is the port numbering Mesh and MECS share: one E, W, N, S output
-// per direction, terminals from port 4.
-type compass struct{}
-
-func (compass) xPort(x, dx int) int { return stepX(x, dx) }
-func (compass) yPort(y, dy int) int { return stepY(y, dy) }
-func (compass) termBase() int       { return 4 }
-
-// routeRow fills row[d] with the dimension-order output port at router r
-// toward every node d — Route(r, d, class) for all d, with r's coordinates
-// and the per-column and per-row ports worked out once instead of once per
-// destination. The leading dimension decides the port for every destination
-// off r's own line in it, so most of the row is one value per column (X
-// first: the first grid row's segment, copied down) or per grid row (Y
-// first).
-func (g grid) routeRow(p dimPorts, r, class int, row []int8) {
-	x, y := g.coord(r)
-	// set writes port for the nodes of the n routers from router dr on.
-	set := func(dr, n, port int) {
-		for s := dr * g.conc; s < (dr+n)*g.conc; s++ {
-			row[s] = int8(port)
-		}
-	}
-	if class == 0 {
-		for dx := 0; dx < g.kx; dx++ {
-			if dx != x {
-				set(dx, 1, p.xPort(x, dx))
-			}
-		}
-		seg := g.kx * g.conc // nodes per grid row
-		for dy := 1; dy < g.ky; dy++ {
-			copy(row[dy*seg:(dy+1)*seg], row[:seg])
-		}
-		for dy := 0; dy < g.ky; dy++ {
-			if dy != y {
-				set(g.router(x, dy), 1, p.yPort(y, dy))
-			}
-		}
-	} else {
-		for dy := 0; dy < g.ky; dy++ {
-			if dy != y {
-				set(g.router(0, dy), g.kx, p.yPort(y, dy))
-			}
-		}
-		for dx := 0; dx < g.kx; dx++ {
-			if dx != x {
-				set(g.router(dx, y), 1, p.xPort(x, dx))
-			}
-		}
-	}
-	for s := 0; s < g.conc; s++ {
-		row[r*g.conc+s] = int8(p.termBase() + s)
-	}
-}
-
 func (g grid) checkNode(node int) {
 	if !g.validNode(node) {
 		panic(fmt.Sprintf("topology: node %d out of range [0,%d)", node, g.Nodes()))
