@@ -316,7 +316,8 @@ func benchScheme(b *testing.B, s noc.Scheme) {
 // plus router, NI and lane-store construction — at the sizes the experiments
 // and the service use: the paper's two platforms, the benchmark's largest
 // direct workload and the largest spec nocd accepts. Run with -benchmem:
-// allocs/op is part of the cost a per-job build pays.
+// allocs/op is one per kind of state, the same at every size
+// (TestBuildAllocsIndependentOfSize), and bytes/op is what grows.
 func BenchmarkNetworkBuild(b *testing.B) {
 	for _, c := range []struct {
 		name string

@@ -8,11 +8,13 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"pseudocircuit/internal/service"
+	"pseudocircuit/internal/sweepapi"
 	"pseudocircuit/internal/telemetry"
 )
 
@@ -224,5 +226,85 @@ func TestWatchCarriesRate(t *testing.T) {
 	}
 	if last.RunMS <= 0 || last.CyclesPerSec <= 0 {
 		t.Fatalf("terminal watch line lacks rate: %+v", last)
+	}
+}
+
+// sampleSum adds up every sample of the named family in an exposition, over
+// all its label sets; found is false when it has none.
+func sampleSum(body, name string) (sum float64, found bool) {
+	for _, line := range strings.Split(body, "\n") {
+		f := strings.Fields(line)
+		if len(f) != 2 || strings.HasPrefix(f[0], "#") {
+			continue
+		}
+		if n, _, _ := strings.Cut(f[0], "{"); n == name {
+			v, err := strconv.ParseFloat(f[1], 64)
+			sum, found = sum+v, found || err == nil
+		}
+	}
+	return sum, found
+}
+
+// TestSweepMetricsAndLog: with the JSON request log on, a resubmitted job and
+// a 4-point sweep leave their traces on every observability surface: the
+// sweep counters and the network-build histogram on /metrics (one cold job
+// plus four cold points is five builds), a sweep span on /spans, and a
+// cache-hit outcome in the request log.
+func TestSweepMetricsAndLog(t *testing.T) {
+	m := service.New(service.Config{Workers: 2, Chunk: 100})
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		m.Shutdown(ctx)
+	}()
+	var logBuf bytes.Buffer
+	logger := slog.New(slog.NewJSONHandler(&logBuf, nil))
+	srv := httptest.NewServer(requestLog(logger, newMux(m, newTestSweeps(t, m))))
+	defer srv.Close()
+
+	post := func(path, body string) string {
+		t.Helper()
+		resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST %s: status %d, %v: %s", path, resp.StatusCode, err, b)
+		}
+		return string(b)
+	}
+	spec := `{"topology":"mesh4x4","scheme":"pseudo+s+b","va":"static","warmup":100,"measure":400,` +
+		`"workload":{"pattern":"uniform","rate":0.1}}`
+	post("/jobs?wait=1", spec)
+	post("/jobs?wait=1", spec)
+	var sweep sweepapi.Status
+	if err := json.Unmarshal([]byte(post("/sweeps?wait=1", `{"template":{"topology":"mesh4x4","scheme":"baseline",`+
+		`"va":"static","warmup":100,"measure":400,"workload":{"pattern":"uniform","rate":0.1}},`+
+		`"axes":{"scheme":["baseline","pseudo"],"seed":[1,2]}}`)), &sweep); err != nil {
+		t.Fatal(err)
+	}
+	if sweep.State != "done" || sweep.Done != 4 {
+		t.Fatalf("sweep: %+v", sweep)
+	}
+
+	_, body := get(t, srv.URL+"/metrics")
+	if _, err := telemetry.ValidateExposition(strings.NewReader(body)); err != nil {
+		t.Fatalf("exposition invalid: %v\n%s", err, body)
+	}
+	for _, c := range []struct {
+		name string
+		min  float64
+	}{{"nocd_sweeps_total", 1}, {"nocd_sweep_points_total", 4}, {"nocd_build_seconds_count", 5}} {
+		if v, ok := sampleSum(body, c.name); !ok || v < c.min {
+			t.Errorf("%s = %g (found %v), want at least %g", c.name, v, ok, c.min)
+		}
+	}
+	if _, spans := get(t, srv.URL+"/spans"); !strings.Contains(spans, `"span":"sweep"`) {
+		t.Errorf("/spans has no sweep span:\n%s", spans)
+	}
+	if !strings.Contains(logBuf.String(), `"outcome":"cache-hit"`) {
+		t.Errorf("request log has no cache-hit outcome:\n%s", logBuf.String())
 	}
 }

@@ -476,9 +476,9 @@ func New(cfg Config) *Network {
 		}
 	}
 
-	// The network owns the structure-of-arrays hot-path store and the counter
-	// registry; every router gets a contiguous region of the one and a row of
-	// the other (both prefix-summed by radix).
+	// The network owns the structure-of-arrays hot-path store, the counter
+	// registry and the router slab; every router gets a contiguous region of
+	// the store, a row of the registry and its private state from the slab.
 	inRadix := make([]int, t.Routers())
 	outRadix := make([]int, t.Routers())
 	for r := range inRadix {
@@ -493,6 +493,7 @@ func New(cfg Config) *Network {
 		NumVCs:   cfg.NumVCs,
 		BufDepth: cfg.BufDepth,
 		Lanes:    n.lanes,
+		Slab:     router.NewSlab(cfg.NumVCs, cfg.BufDepth, inRadix, outRadix),
 		Opts:     cfg.Opts,
 		Alloc:    alloc,
 		Send:     n.send,

@@ -77,6 +77,9 @@ type Config struct {
 	// Lanes is the network-owned structure-of-arrays hot-path store shared by
 	// every router. nil builds a private single-router store (unit tests).
 	Lanes *core.LaneStore
+	// Slab is the network-owned store every router carves its private state
+	// from. nil builds a private single-router slab (unit tests).
+	Slab *Slab
 	// Reg holds every router's row of event counters. A router counts each
 	// event once, into its own row and nowhere else; network-wide figures and
 	// energy are sums of rows taken on read.
@@ -187,15 +190,15 @@ type Router struct {
 	// pc is the pseudo-circuit register file (read here, written in core).
 	pc *core.RegFile
 
-	// Router-local per-port state: arrival shares buf's slab, the int16s one
-	// slab with chosen and pcCand below (New).
+	// Router-local per-port state, carved from the network's Slab: arrival
+	// follows buf in one region, the int16s share one with chosen and pcCand.
 	arrival  []*flit.Flit // staged by Deliver for this cycle
 	rrVC     []int16      // SA input-arbitration round-robin pointers
 	lastOut  []int16      // Fig. 1 temporal-locality measurement
 	rrIn     []int16      // SA output-arbitration round-robin pointers
 	ejection uint64       // bit out ⇔ out is a terminal (ejection) port
 
-	// Grants, at most one per output: two halves of one slab, swapped by Tick.
+	// Grants, at most one per output: two halves of one region, swapped by Tick.
 	res     []reservation // STs to execute this cycle
 	nextRes []reservation // grants made this cycle
 
@@ -229,6 +232,50 @@ type Router struct {
 	missL []int8
 }
 
+// Slab is the router-private state of every router in one network, one
+// allocation per kind (DESIGN.md §17): New carves each router's regions off
+// the front in build order, every region capped at its own end, so no append
+// reaches a neighbour's state.
+type Slab struct {
+	routers []Router
+	flits   []*flit.Flit // per router: lane buffers, then the staging latch
+	pkt     []*flit.Packet
+	ints    []int16 // per router: four int16s per input port, one per output
+	census  []int8  // per router: missL per lane, cause per input port
+	va      []uint64
+	resv    []reservation // per router: the two grant halves
+	reqs    []saRequest
+}
+
+// NewSlab sizes a slab for routers with the given per-router input and output
+// radices, the lists core.NewLaneStore takes.
+func NewSlab(numVCs, bufDepth int, inPorts, outPorts []int) *Slab {
+	var in, out int
+	for r := range inPorts {
+		in, out = in+inPorts[r], out+outPorts[r]
+	}
+	return &Slab{
+		routers: make([]Router, len(inPorts)),
+		flits:   make([]*flit.Flit, in*(numVCs*bufDepth+1)),
+		pkt:     make([]*flit.Packet, in*numVCs),
+		ints:    make([]int16, 4*in+out),
+		census:  make([]int8, in*(numVCs+1)),
+		va:      make([]uint64, in),
+		resv:    make([]reservation, 2*out),
+		reqs:    make([]saRequest, in*numVCs),
+	}
+}
+
+// carve cuts the next n elements off *s, capped at their own end.
+func carve[T any](s *[]T, n int) []T {
+	if n > len(*s) {
+		panic("router: slab too small for the routers built from it")
+	}
+	c := (*s)[:n:n]
+	*s = (*s)[n:]
+	return c
+}
+
 // New constructs a router with the given input and output radix. Ejection
 // output ports (terminal side) must be marked afterwards with MarkEjection.
 func New(id, inPorts, outPorts int, cfg *Config) *Router {
@@ -254,54 +301,44 @@ func New(id, inPorts, outPorts int, cfg *Config) *Router {
 		}
 	}
 	V, D := cfg.NumVCs, cfg.BufDepth
-	// The flit pointers (buffers, then the staging latch), the int16 per-port
-	// state and the grants are one allocation each, and the SA requests get
-	// their full capacity: no list grows once the router runs.
-	nBuf := inPorts * V * D
-	flits := make([]*flit.Flit, nBuf+inPorts)
-	ints := make([]int16, 4*inPorts+outPorts)
-	port := func(k int) []int16 { return ints[k*inPorts : (k+1)*inPorts : (k+1)*inPorts] }
-	census := make([]int8, inPorts*V+inPorts)
-	resv := make([]reservation, 2*outPorts)
-	r := &Router{
-		ID:   id,
-		cfg:  cfg,
-		nIn:  inPorts,
-		nOut: outPorts,
-		V:    V,
-		D:    D,
-
-		bufLen:  ls.BufLen[inBase*V : (inBase+inPorts)*V],
-		outPort: ls.OutPort[inBase*V : (inBase+inPorts)*V],
-		outVC:   ls.OutVC[inBase*V : (inBase+inPorts)*V],
-		buf:     flits[:nBuf:nBuf],
-		pkt:     make([]*flit.Packet, inPorts*V),
-
-		occ: ls.Occ[inBase : inBase+inPorts],
-		act: ls.Act[inBase : inBase+inPorts],
-		va:  make([]uint64, inPorts),
-
-		credits: ls.Credits[outBase*V : (outBase+outPorts)*V],
-		vcBusy:  ls.VCBusy[outBase*V : (outBase+outPorts)*V],
-
-		pc:    ls.RegFile(slot),
-		cause: census[inPorts*V:],
-		missL: census[:inPorts*V],
-
-		arrival: flits[nBuf:],
-		rrVC:    port(0),
-		lastOut: port(1),
-		chosen:  port(2),
-		pcCand:  port(3),
-		rrIn:    ints[4*inPorts:],
-
-		res:     resv[:0:outPorts],
-		nextRes: resv[outPorts:outPorts],
-		reqs:    make([]saRequest, 0, inPorts*V),
-
-		rs: cfg.Reg.Router(id),
-		tr: cfg.Trace,
+	// Every private slice is carved from the network's slab, or from a
+	// one-router slab when there is none; the flit pointers are the buffers,
+	// then the staging latch. The router is set in place, not copied from a
+	// literal, and no list grows once it runs.
+	sl := cfg.Slab
+	if sl == nil {
+		sl = NewSlab(V, D, []int{inPorts}, []int{outPorts})
 	}
+	nBuf := inPorts * V * D
+	flits := carve(&sl.flits, nBuf+inPorts)
+	ints := carve(&sl.ints, 4*inPorts+outPorts)
+	port := func(k int) []int16 { return ints[k*inPorts : (k+1)*inPorts : (k+1)*inPorts] }
+	census := carve(&sl.census, inPorts*V+inPorts)
+	resv := carve(&sl.resv, 2*outPorts)
+	r := &carve(&sl.routers, 1)[0]
+	r.ID, r.cfg, r.nIn, r.nOut, r.V, r.D = id, cfg, inPorts, outPorts, V, D
+
+	r.bufLen = ls.BufLen[inBase*V : (inBase+inPorts)*V]
+	r.outPort = ls.OutPort[inBase*V : (inBase+inPorts)*V]
+	r.outVC = ls.OutVC[inBase*V : (inBase+inPorts)*V]
+	r.buf, r.pkt = flits[:nBuf:nBuf], carve(&sl.pkt, inPorts*V)
+
+	r.occ, r.act = ls.Occ[inBase:inBase+inPorts], ls.Act[inBase:inBase+inPorts]
+	r.va = carve(&sl.va, inPorts)
+
+	r.credits = ls.Credits[outBase*V : (outBase+outPorts)*V]
+	r.vcBusy = ls.VCBusy[outBase*V : (outBase+outPorts)*V]
+
+	r.pc = ls.RegFile(slot)
+	r.cause, r.missL = census[inPorts*V:], census[:inPorts*V:inPorts*V]
+
+	r.arrival, r.rrIn = flits[nBuf:], ints[4*inPorts:]
+	r.rrVC, r.lastOut, r.chosen, r.pcCand = port(0), port(1), port(2), port(3)
+
+	r.res, r.nextRes = resv[:0:outPorts], resv[outPorts:outPorts]
+	r.reqs = carve(&sl.reqs, inPorts*V)[:0]
+
+	r.rs, r.tr = cfg.Reg.Router(id), cfg.Trace
 	for i := range r.lastOut {
 		r.lastOut[i] = -1
 	}

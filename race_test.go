@@ -1,0 +1,6 @@
+//go:build race
+
+package pseudocircuit_test
+
+// raceBuild is set under -race, whose instrumentation adds allocations.
+const raceBuild = true
