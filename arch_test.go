@@ -593,6 +593,22 @@ func TestStructuralRules(t *testing.T) {
 		enforce(t, pool, "noc/noc.go", false)
 	})
 
+	// nocd is assembled in one place, newDaemon, from its command line: main
+	// and every test that starts a daemon call it. A store, service, sweep
+	// manager, dispatcher or mux built anywhere else in the command would be
+	// a second assembly, which is how the tests came to drain in another
+	// order than main and to serve a handler main did not.
+	t.Run("one daemon assembly", func(t *testing.T) {
+		parts := outside("newDaemon", namesIn("service.New", "sweepapi.New", "cluster.New", "store.Open", "newMux"))
+		seesEach(t, parts, map[string]string{
+			"names service.New": "package main\nfunc testServer() { m := service.New(service.Config{}); _ = m }",
+			"names newMux":      "package main\nvar h = newMux(nil, nil)",
+			"names store.Open":  "package main\nfunc (d *daemon) reopen() { d.st, _ = store.Open(dir, 0) }",
+		}, "package main\nfunc newDaemon() { m := service.New(cfg); _ = newMux(m, sweepapi.New(m, c)) }\n"+
+			"func newMux() {}\nfunc f() { _ = cluster.NewRing(nil); d.jobs.Submit(r) }")
+		enforce(t, parts, "cmd/nocd/*.go", true)
+	})
+
 	// A finished result is one *noc.Result per key inside the service tier:
 	// the cache entry, every job record and snapshot of the key and every
 	// sweep point share it (DESIGN.md §11). Outside noc, which fills it in,
@@ -609,6 +625,25 @@ func TestStructuralRules(t *testing.T) {
 			enforce(t, resultWritesIn, glob, true)
 		}
 	})
+}
+
+// outside restricts check to what a file says outside the top-level function
+// fn. A function's own name is not a use of it, so every other function is
+// checked from its signature down.
+func outside(fn string, check checker) checker {
+	return func(fset *token.FileSet, f *ast.File) []string {
+		var found []string
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok {
+				if fd.Recv == nil && fd.Name.Name == fn {
+					continue
+				}
+				d = &ast.FuncDecl{Recv: fd.Recv, Name: ast.NewIdent("_"), Type: fd.Type, Body: fd.Body}
+			}
+			found = append(found, check(fset, &ast.File{Name: f.Name, Decls: []ast.Decl{d}})...)
+		}
+		return found
+	}
 }
 
 // resultWritesIn lists the assignments and increments that write through a

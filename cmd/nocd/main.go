@@ -38,9 +38,9 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
-	_ "net/http/pprof"
 	"os"
 	"os/signal"
 	"strings"
@@ -54,35 +54,83 @@ import (
 )
 
 func main() {
+	d, err := newDaemon(os.Args[1:], os.Stderr)
+	if err != nil {
+		fatal("%v", err)
+	}
+	srv := &http.Server{Addr: d.listen, Handler: d.handler}
+	errc := make(chan error, 1)
+	go func() { errc <- srv.ListenAndServe() }()
+	fmt.Fprintf(os.Stderr, "nocd: listening on %s\n", d.listen)
+
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	select {
+	case err := <-errc:
+		fatal("%v", err)
+	case <-ctx.Done():
+	}
+
+	fmt.Fprintf(os.Stderr, "nocd: draining (deadline %v)\n", d.drain)
+	dctx, cancel := context.WithTimeout(context.Background(), d.drain)
+	defer cancel()
+	d.shutdown(dctx, os.Stderr)
+	if err := srv.Shutdown(dctx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
+		fatal("http shutdown: %v", err)
+	}
+}
+
+// daemon is nocd assembled from its command line: the job service, the
+// sweep manager over it and the HTTP handler that serves both. main and the
+// package's tests build it the same way, with newDaemon.
+type daemon struct {
+	listen  string
+	drain   time.Duration
+	jobs    *service.Manager
+	sweeps  *sweepapi.Manager
+	handler http.Handler
+}
+
+// newDaemon parses nocd's flags from args and builds the daemon they
+// describe: the disk store, the service, the fleet dispatcher, the sweep
+// manager and the handler. Start-up notes, flag errors and, with -log-json,
+// the request log go to stderr. Like flag.CommandLine, -h exits 0 and a bad
+// flag exits 2.
+func newDaemon(args []string, stderr io.Writer) (*daemon, error) {
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+	fs.SetOutput(stderr)
 	var (
-		listen   = flag.String("listen", "localhost:8080", "HTTP listen address")
-		workers  = flag.Int("workers", 0, "simulation workers (0 = GOMAXPROCS)")
-		queueCap = flag.Int("queue", 64, "max queued jobs before submissions are rejected")
-		cacheCap = flag.Int("cache", 1024, "max cached results (oldest evicted)")
-		chunk    = flag.Int("chunk", 1000, "cycles between cancellation checks and progress updates")
-		drain    = flag.Duration("drain", 30*time.Second, "graceful-shutdown drain deadline before in-flight jobs are cancelled")
-		spanCap  = flag.Int("spans", 4096, "max retained job-lifecycle spans (oldest evicted)")
-		logJSON  = flag.Bool("log-json", false, "emit one structured JSON log line per request on stderr")
+		listen   = fs.String("listen", "localhost:8080", "HTTP listen address")
+		workers  = fs.Int("workers", 0, "simulation workers (0 = GOMAXPROCS)")
+		queueCap = fs.Int("queue", 64, "max queued jobs before submissions are rejected")
+		cacheCap = fs.Int("cache", 1024, "max cached results (oldest evicted)")
+		chunk    = fs.Int("chunk", 1000, "cycles between cancellation checks and progress updates")
+		drain    = fs.Duration("drain", 30*time.Second, "graceful-shutdown drain deadline before in-flight jobs are cancelled")
+		spanCap  = fs.Int("spans", 4096, "max retained job-lifecycle spans (oldest evicted)")
+		logJSON  = fs.Bool("log-json", false, "emit one structured JSON log line per request on stderr")
 
-		storeDir   = flag.String("store-dir", "", "directory for the persistent result store (empty = in-memory cache only)")
-		storeBytes = flag.Int64("store-bytes", 256<<20, "disk store byte cap; least-recently-used entries evicted past it")
+		storeDir   = fs.String("store-dir", "", "directory for the persistent result store (empty = in-memory cache only)")
+		storeBytes = fs.Int64("store-bytes", 256<<20, "disk store byte cap; least-recently-used entries evicted past it")
 
-		sweepPoints   = flag.Int("sweep-points", sweepapi.DefaultMaxPoints, "max grid points one sweep may expand to (larger grids are rejected)")
-		sweepInflight = flag.Int("sweep-inflight", 16, "grid points one sweep keeps in flight at once")
+		sweepPoints   = fs.Int("sweep-points", sweepapi.DefaultMaxPoints, "max grid points one sweep may expand to (larger grids are rejected)")
+		sweepInflight = fs.Int("sweep-inflight", 16, "grid points one sweep keeps in flight at once")
 
-		peers    = flag.String("peers", "", "comma-separated base URLs of peer nocds; sweeps dispatch grid points to their consistent-hash owners")
-		selfURL  = flag.String("self", "", "this node's own base URL exactly as the peers list it (required with -peers)")
-		replicas = flag.Int("replicas", 2, "consistent-hash owners consulted per grid point before local fallback")
+		peers    = fs.String("peers", "", "comma-separated base URLs of peer nocds; sweeps dispatch grid points to their consistent-hash owners")
+		selfURL  = fs.String("self", "", "this node's own base URL exactly as the peers list it (required with -peers)")
+		replicas = fs.Int("replicas", 2, "consistent-hash owners consulted per grid point before local fallback")
 	)
-	flag.Parse()
+	fs.Parse(args)
+	if *peers != "" && *selfURL == "" {
+		return nil, errors.New("-peers requires -self (this node's base URL as the peers list it)")
+	}
 
 	var st *store.Store
 	if *storeDir != "" {
 		var err error
 		if st, err = store.Open(*storeDir, *storeBytes); err != nil {
-			fatal("opening result store: %v", err)
+			return nil, fmt.Errorf("opening result store: %w", err)
 		}
-		fmt.Fprintf(os.Stderr, "nocd: result store %s: %d entries, %d bytes\n",
+		fmt.Fprintf(stderr, "nocd: result store %s: %d entries, %d bytes\n",
 			*storeDir, st.Len(), st.Bytes())
 	}
 
@@ -97,9 +145,6 @@ func main() {
 
 	var dispatcher service.Fleet
 	if *peers != "" {
-		if *selfURL == "" {
-			fatal("-peers requires -self (this node's base URL as the peers list it)")
-		}
 		peerList := strings.Split(*peers, ",")
 		for i := range peerList {
 			peerList[i] = strings.TrimSpace(peerList[i])
@@ -112,10 +157,11 @@ func main() {
 			Spans:     m.SpanLog(),
 		})
 		if err != nil {
-			fatal("%v", err)
+			m.Shutdown(context.Background())
+			return nil, err
 		}
 		dispatcher = d
-		fmt.Fprintf(os.Stderr, "nocd: dispatching sweeps across %v\n", d.Ring().Members())
+		fmt.Fprintf(stderr, "nocd: dispatching sweeps across %v\n", d.Ring().Members())
 	}
 
 	sw := sweepapi.New(m, sweepapi.Config{
@@ -124,43 +170,22 @@ func main() {
 		Dispatcher: dispatcher,
 	})
 
-	mux := newMux(m, sw)
-	// The pprof handlers self-register on the default mux; delegate the
-	// whole /debug/ subtree to it.
-	mux.Handle("GET /debug/", http.DefaultServeMux)
-
-	var handler http.Handler = mux
+	var handler http.Handler = newMux(m, sw)
 	if *logJSON {
-		logger := slog.New(slog.NewJSONHandler(os.Stderr, nil))
-		handler = requestLog(logger, mux)
+		handler = requestLog(slog.New(slog.NewJSONHandler(stderr, nil)), handler)
 	}
+	return &daemon{listen: *listen, drain: *drain, jobs: m, sweeps: sw, handler: handler}, nil
+}
 
-	srv := &http.Server{Addr: *listen, Handler: handler}
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
-	fmt.Fprintf(os.Stderr, "nocd: listening on %s\n", *listen)
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	select {
-	case err := <-errc:
-		fatal("%v", err)
-	case <-ctx.Done():
+// shutdown drains the daemon within ctx. Sweeps drain first: they are the
+// service's upstream, so their remaining points still reach an open job
+// queue, and only then does the queue close.
+func (d *daemon) shutdown(ctx context.Context, stderr io.Writer) {
+	if err := d.sweeps.Shutdown(ctx); err != nil {
+		fmt.Fprintf(stderr, "nocd: drain deadline hit, running sweeps cancelled: %v\n", err)
 	}
-
-	fmt.Fprintf(os.Stderr, "nocd: draining (deadline %v)\n", *drain)
-	dctx, cancel := context.WithTimeout(context.Background(), *drain)
-	defer cancel()
-	// Sweeps drain first: they are the service's upstream, so cancelling
-	// them stops new point submissions before the job queue closes.
-	if err := sw.Shutdown(dctx); err != nil {
-		fmt.Fprintf(os.Stderr, "nocd: drain deadline hit, running sweeps cancelled: %v\n", err)
-	}
-	if err := m.Shutdown(dctx); err != nil {
-		fmt.Fprintf(os.Stderr, "nocd: drain deadline hit, in-flight jobs cancelled: %v\n", err)
-	}
-	if err := srv.Shutdown(dctx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-		fatal("http shutdown: %v", err)
+	if err := d.jobs.Shutdown(ctx); err != nil {
+		fmt.Fprintf(stderr, "nocd: drain deadline hit, in-flight jobs cancelled: %v\n", err)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"net/http"
+	_ "net/http/pprof"
 	"time"
 
 	"pseudocircuit/internal/service"
@@ -26,8 +27,8 @@ const watchInterval = 250 * time.Millisecond
 // small points per second on a warm cache, so they report faster than jobs.
 const sweepWatchInterval = 100 * time.Millisecond
 
-// newMux builds the service API. main adds the /debug/ subtree and the
-// request-log middleware; tests serve this mux directly.
+// newMux builds nocd's HTTP surface: the service API and the stock
+// /debug/pprof subtree. newDaemon is its one caller.
 func newMux(m *service.Manager, sw *sweepapi.Manager) *http.ServeMux {
 	mux := http.NewServeMux()
 	// /healthz is liveness only: the process is up and serving. Readiness
@@ -98,6 +99,9 @@ func newMux(m *service.Manager, sw *sweepapi.Manager) *http.ServeMux {
 	}
 	mux.HandleFunc("POST /sweeps/{id}/cancel", sweepCancel)
 	mux.HandleFunc("DELETE /sweeps/{id}", sweepCancel)
+	// The pprof handlers self-register on the default mux; delegate the
+	// whole /debug/ subtree to it.
+	mux.Handle("GET /debug/", http.DefaultServeMux)
 	return mux
 }
 

@@ -2,34 +2,50 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"pseudocircuit/internal/service"
-	"pseudocircuit/internal/store"
+	"pseudocircuit/internal/telemetry"
 	"pseudocircuit/noc"
 	"pseudocircuit/nocdclient"
 )
 
-func testServer(t *testing.T, cfg service.Config) (*httptest.Server, *service.Manager, *nocdclient.Client) {
+// startDaemon builds nocd from a flag list with newDaemon, as main does, and
+// serves it until the test ends.
+func startDaemon(t *testing.T, args ...string) (*httptest.Server, *daemon, *nocdclient.Client) {
 	t.Helper()
-	if cfg.Chunk == 0 {
-		cfg.Chunk = 100
+	d, err := newDaemon(args, io.Discard)
+	if err != nil {
+		t.Fatal(err)
 	}
-	m := service.New(cfg)
-	srv := httptest.NewServer(newMux(m, newTestSweeps(t, m)))
-	t.Cleanup(func() {
-		srv.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		m.Shutdown(ctx)
-	})
-	return srv, m, nocdclient.New(srv.URL)
+	srv := serve(t, d)
+	return srv, d, nocdclient.New(srv.URL)
+}
+
+// serve serves d's handler on a test server and stops both when the test
+// ends, unless the test has stopped them first.
+func serve(t *testing.T, d *daemon) *httptest.Server {
+	srv := httptest.NewServer(d.handler)
+	t.Cleanup(func() { stopDaemon(srv, d) })
+	return srv
+}
+
+// stopDaemon drains d as main does, then closes its server. Either may have
+// been stopped before.
+func stopDaemon(srv *httptest.Server, d *daemon) {
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	d.shutdown(ctx, io.Discard)
+	srv.Close()
 }
 
 func smallReq(seed uint64) nocdclient.Request {
@@ -49,7 +65,7 @@ func smallReq(seed uint64) nocdclient.Request {
 // TestDaemonEndToEnd drives the whole loop through the client: health,
 // submit+wait, result fetch, cache hit on resubmission.
 func TestDaemonEndToEnd(t *testing.T) {
-	_, m, c := testServer(t, service.Config{Workers: 2})
+	_, d, c := startDaemon(t, "-workers", "2")
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
@@ -85,8 +101,69 @@ func TestDaemonEndToEnd(t *testing.T) {
 	if *j2.Result != *j.Result {
 		t.Fatalf("cached result differs from original")
 	}
-	if s := m.Stats(); s["completed"] != 1 || s["cache_hits"] != 1 {
+	if s := d.jobs.Stats(); s["completed"] != 1 || s["cache_hits"] != 1 {
 		t.Fatalf("stats after cache hit: %v", s)
+	}
+}
+
+// TestDaemonAsShipped serves nocd as main builds it from an empty command
+// line: the same spec twice is one simulation, then a cache hit with the
+// byte-identical result; /metrics validates and counts both; /debug/pprof/
+// serves and /debug/vars does not, since /metrics is the one counter
+// surface.
+func TestDaemonAsShipped(t *testing.T) {
+	srv, _, _ := startDaemon(t)
+	const spec = `{"topology":"mesh8x8","scheme":"pseudo+s+b","va":"static","warmup":200,"measure":1000,` +
+		`"workload":{"pattern":"uniform","rate":0.1}}`
+	submit := func() (cacheHit bool, result json.RawMessage) {
+		t.Helper()
+		resp, err := http.Post(srv.URL+"/jobs?wait=1", "application/json", strings.NewReader(spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var j struct {
+			State    string          `json:"state"`
+			CacheHit bool            `json:"cacheHit"`
+			Result   json.RawMessage `json:"result"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&j); err != nil || j.State != "done" {
+			t.Fatalf("POST /jobs?wait=1: status %d, state %q, %v", resp.StatusCode, j.State, err)
+		}
+		return j.CacheHit, j.Result
+	}
+	hit1, r1 := submit()
+	hit2, r2 := submit()
+	if hit1 || !hit2 {
+		t.Fatalf("cache hits %v then %v, want false then true", hit1, hit2)
+	}
+	if !bytes.Equal(r1, r2) {
+		t.Fatalf("cache hit answered a different result:\n%s\n%s", r1, r2)
+	}
+
+	_, body := get(t, srv.URL+"/metrics")
+	if _, err := telemetry.ValidateExposition(strings.NewReader(body)); err != nil {
+		t.Fatalf("exposition invalid: %v\n%s", err, body)
+	}
+	for _, want := range []string{"nocd_cache_hits_total 1", `nocd_jobs_total{outcome="done"} 1`} {
+		if !slices.Contains(strings.Split(body, "\n"), want) {
+			t.Errorf("no line %q in /metrics", want)
+		}
+	}
+	if resp, _ := get(t, srv.URL+"/debug/vars"); resp.StatusCode != http.StatusNotFound {
+		t.Errorf("/debug/vars = %d, want 404", resp.StatusCode)
+	}
+	if resp, body := get(t, srv.URL+"/debug/pprof/"); resp.StatusCode != http.StatusOK || !strings.Contains(body, "goroutine") {
+		t.Errorf("/debug/pprof/ = %d, want the profile index", resp.StatusCode)
+	}
+}
+
+// TestPeersNeedSelf: -peers without -self is refused by name before the
+// daemon is built.
+func TestPeersNeedSelf(t *testing.T) {
+	d, err := newDaemon([]string{"-peers", "http://localhost:1"}, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "-self") {
+		t.Fatalf("-peers without -self: daemon %v, error %v; want an error naming -self", d, err)
 	}
 }
 
@@ -95,11 +172,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 func TestClientSeesStoreHit(t *testing.T) {
 	dir := t.TempDir()
 	daemon := func() *nocdclient.Client {
-		st, err := store.Open(dir, 1<<30)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, _, c := testServer(t, service.Config{Workers: 1, Store: st})
+		_, _, c := startDaemon(t, "-workers", "1", "-store-dir", dir)
 		return c
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -133,7 +206,7 @@ func TestClientSeesStoreHit(t *testing.T) {
 // TestDaemonCancel cancels an in-flight job over HTTP and checks the pool
 // still serves the next job.
 func TestDaemonCancel(t *testing.T) {
-	_, _, c := testServer(t, service.Config{Workers: 1})
+	_, _, c := startDaemon(t, "-workers", "1", "-chunk", "100")
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
@@ -162,7 +235,7 @@ func TestDaemonCancel(t *testing.T) {
 
 // TestDaemonErrors maps service failures onto HTTP statuses.
 func TestDaemonErrors(t *testing.T) {
-	srv, _, c := testServer(t, service.Config{Workers: 1})
+	srv, _, c := startDaemon(t, "-workers", "1", "-chunk", "100")
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 
@@ -206,7 +279,7 @@ func isStatus(err error, status int) bool {
 // a distinct cache identity from the fault-free spec; hostile schedules come
 // back as 400, not worker panics.
 func TestDaemonFaultSchedules(t *testing.T) {
-	_, _, c := testServer(t, service.Config{Workers: 1})
+	_, _, c := startDaemon(t, "-workers", "1", "-chunk", "100")
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
@@ -249,7 +322,7 @@ func TestDaemonFaultSchedules(t *testing.T) {
 // TestDaemonWatchStream reads the NDJSON progress stream: every line must
 // decode as a job snapshot and the last one must be terminal.
 func TestDaemonWatchStream(t *testing.T) {
-	srv, _, c := testServer(t, service.Config{Workers: 1})
+	srv, _, c := startDaemon(t, "-workers", "1", "-chunk", "100")
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
@@ -293,7 +366,7 @@ func TestDaemonWatchStream(t *testing.T) {
 // the job mid-stream and the stream must end on a "canceled" line, not just
 // stop.
 func TestDaemonWatchStreamCanceledJob(t *testing.T) {
-	srv, _, c := testServer(t, service.Config{Workers: 1})
+	srv, _, c := startDaemon(t, "-workers", "1", "-chunk", "100")
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
@@ -343,7 +416,7 @@ func TestDaemonWatchStreamCanceledJob(t *testing.T) {
 // handler must return promptly (within roughly one tick), not keep encoding
 // into a dead connection for the life of the job.
 func TestDaemonWatchStreamClientCancel(t *testing.T) {
-	srv, _, c := testServer(t, service.Config{Workers: 1})
+	srv, _, c := startDaemon(t, "-workers", "1", "-chunk", "100")
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
@@ -384,15 +457,11 @@ func TestDaemonWatchStreamClientCancel(t *testing.T) {
 // must not be answered at all — the old behaviour wrote 200 with a stale
 // non-terminal snapshot, which a proxy or buffered client could mistake for
 // completion. Exercised for both GET /jobs/{id}?wait and POST /jobs?wait by
-// serving the mux directly with an already-canceled request context.
+// calling the daemon's handler directly with an already-canceled request
+// context.
 func TestDaemonWaitClientDisconnect(t *testing.T) {
-	m := service.New(service.Config{Workers: 1, Chunk: 100})
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		m.Shutdown(ctx)
-	}()
-	mux := newMux(m, newTestSweeps(t, m))
+	_, d, _ := startDaemon(t, "-workers", "1", "-chunk", "100")
+	m := d.jobs
 
 	long := smallReq(8)
 	long.Spec.Measure = 8_000_000
@@ -415,14 +484,14 @@ func TestDaemonWaitClientDisconnect(t *testing.T) {
 
 	hr := httptest.NewRequest("GET", "/jobs/"+j.ID+"?wait=1", nil).WithContext(gone)
 	rr := httptest.NewRecorder()
-	mux.ServeHTTP(rr, hr)
+	d.handler.ServeHTTP(rr, hr)
 	if rr.Body.Len() != 0 {
 		t.Fatalf("status?wait for disconnected client wrote a body: %s", rr.Body.String())
 	}
 
 	hr = httptest.NewRequest("POST", "/jobs?wait=1", strings.NewReader(string(body))).WithContext(gone)
 	rr = httptest.NewRecorder()
-	mux.ServeHTTP(rr, hr)
+	d.handler.ServeHTTP(rr, hr)
 	if rr.Body.Len() != 0 {
 		t.Fatalf("submit?wait for disconnected client wrote a body: %s", rr.Body.String())
 	}

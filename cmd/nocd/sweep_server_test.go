@@ -2,11 +2,11 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"strconv"
 	"strings"
 	"testing"
@@ -14,30 +14,11 @@ import (
 
 	"pseudocircuit/internal/cluster"
 	"pseudocircuit/internal/service"
-	"pseudocircuit/internal/store"
 	"pseudocircuit/internal/sweepapi"
 	"pseudocircuit/internal/telemetry"
 	"pseudocircuit/noc"
 	"pseudocircuit/nocdclient"
 )
-
-// newTestSweeps builds a sweep manager over m with its shutdown tied to the
-// test; every mux in tests gets one, mirroring main.
-func newTestSweeps(t *testing.T, m *service.Manager) *sweepapi.Manager {
-	t.Helper()
-	return newTestSweepsWith(t, m, sweepapi.Config{})
-}
-
-func newTestSweepsWith(t *testing.T, m *service.Manager, cfg sweepapi.Config) *sweepapi.Manager {
-	t.Helper()
-	sw := sweepapi.New(m, cfg)
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		sw.Shutdown(ctx)
-	})
-	return sw
-}
 
 const sweepBody = `{
   "template": {"topology":"mesh4x4","scheme":"baseline","va":"static",
@@ -105,7 +86,7 @@ func postSweepStream(t *testing.T, base, body string) (first, last sweepapi.Stat
 // TestSweepEndpointStreams: POST /sweeps?watch=1 streams every point and a
 // terminal status, each result bit-identical to a direct experiment run.
 func TestSweepEndpointStreams(t *testing.T) {
-	srv, _, _ := testServer(t, service.Config{Workers: 2})
+	srv, _, _ := startDaemon(t, "-workers", "2")
 	first, last, points := postSweepStream(t, srv.URL, sweepBody)
 	if first.Points != 6 || first.State != "running" {
 		t.Fatalf("first line: %+v", first)
@@ -136,7 +117,7 @@ func TestSweepEndpointStreams(t *testing.T) {
 // TestSweepEndpointRejects: hostile grids get explicit 400s, oversized
 // expansion included; nothing is retained.
 func TestSweepEndpointRejects(t *testing.T) {
-	srv, _, _ := testServer(t, service.Config{Workers: 1})
+	srv, _, _ := startDaemon(t, "-workers", "1", "-chunk", "100")
 	cases := []string{
 		`{"axes":{"seed":[1]}}`,
 		`{"template":{"topology":"mesh4x4"},"axes":{"seed":[1],"seed":[2]}}`,
@@ -175,7 +156,7 @@ func TestSweepEndpointRejects(t *testing.T) {
 // TestSweepEndpointCancel: DELETE /sweeps/{id} lands the sweep in the
 // canceled state with point accounting closed.
 func TestSweepEndpointCancel(t *testing.T) {
-	srv, _, _ := testServer(t, service.Config{Workers: 1})
+	srv, _, _ := startDaemon(t, "-workers", "1", "-chunk", "100")
 	body := `{
 	  "template": {"topology":"mesh8x8","scheme":"pseudo","va":"static",
 	               "warmup":100,"measure":20000,
@@ -223,12 +204,43 @@ func TestSweepEndpointCancel(t *testing.T) {
 	}
 }
 
+// TestShutdownDrainsSweepsFirst: a sweep still running when the daemon
+// drains finishes every point. Sweeps drain before jobs, so the points the
+// sweep has yet to submit still find the job queue open; drained the other
+// way round they meet a closed queue and the sweep ends canceled. One worker
+// and one point in flight keep most of the six points unsubmitted when
+// shutdown starts.
+func TestShutdownDrainsSweepsFirst(t *testing.T) {
+	srv, d, _ := startDaemon(t, "-workers", "1", "-sweep-inflight", "1")
+	resp, err := http.Post(srv.URL+"/sweeps", "application/json", strings.NewReader(sweepBody))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st sweepapi.Status
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: status %d, %v", resp.StatusCode, err)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	var stderr bytes.Buffer
+	d.shutdown(ctx, &stderr)
+	if stderr.Len() != 0 {
+		t.Errorf("drain was not clean: %s", stderr.String())
+	}
+	if st, _ = d.sweeps.Get(st.ID); st.State != "done" || st.Done != 6 || st.Failed != 0 {
+		t.Fatalf("sweep after the drain: %+v, want done with 6 of 6 points and none failed", st)
+	}
+}
+
 // TestSweepStreamWakesOnCompletion: a sweep answered wholly from the cache
 // is finished in a few milliseconds, and its stream must say so then, not at
 // the next progress tick. 64 points keep the sweep alive past the stream's
 // first look at it, which is the case that used to wait out the ticker.
 func TestSweepStreamWakesOnCompletion(t *testing.T) {
-	_, _, c := testServer(t, service.Config{Workers: 2})
+	_, _, c := startDaemon(t, "-workers", "2")
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	seeds := make([]any, 32)
@@ -278,7 +290,7 @@ func TestSweepStreamWakesOnCompletion(t *testing.T) {
 // iterator against the real daemon mux: acceptance line, every point,
 // io.EOF with the terminal status.
 func TestClientSweepEndToEnd(t *testing.T) {
-	_, _, c := testServer(t, service.Config{Workers: 2})
+	_, _, c := startDaemon(t, "-workers", "2")
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	stream, err := c.SubmitSweep(ctx, nocdclient.SweepRequest{
@@ -335,33 +347,14 @@ func TestClientSweepEndToEnd(t *testing.T) {
 // simulations, confirmed by the store-hit metric and the cycle counter.
 func TestSweepServedFromRestartedStore(t *testing.T) {
 	dir := t.TempDir()
-	openDaemon := func() (*httptest.Server, *service.Manager, func()) {
-		st, err := store.Open(dir, 1<<30)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m := service.New(service.Config{Workers: 2, Chunk: 100, Store: st})
-		sw := sweepapi.New(m, sweepapi.Config{})
-		srv := httptest.NewServer(newMux(m, sw))
-		stop := func() {
-			srv.Close()
-			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			defer cancel()
-			sw.Shutdown(ctx)
-			m.Shutdown(ctx)
-		}
-		return srv, m, stop
-	}
-
-	srv1, _, stop1 := openDaemon()
+	srv1, d1, _ := startDaemon(t, "-workers", "2", "-store-dir", dir)
 	_, last1, points1 := postSweepStream(t, srv1.URL, sweepBody)
 	if last1.State != "done" || last1.Done != 6 || last1.StoreHits != 0 {
 		t.Fatalf("first sweep: %+v", last1)
 	}
-	stop1()
+	stopDaemon(srv1, d1)
 
-	srv2, m2, stop2 := openDaemon()
-	defer stop2()
+	srv2, d2, _ := startDaemon(t, "-workers", "2", "-store-dir", dir)
 	_, last2, points2 := postSweepStream(t, srv2.URL, sweepBody)
 	if last2.State != "done" || last2.Done != 6 {
 		t.Fatalf("restarted sweep: %+v", last2)
@@ -369,7 +362,7 @@ func TestSweepServedFromRestartedStore(t *testing.T) {
 	if last2.StoreHits != 6 || last2.CacheHits != 6 {
 		t.Fatalf("restarted sweep not served from disk: %+v", last2)
 	}
-	if got := m2.Stats()["store_hits"]; got != 6 {
+	if got := d2.jobs.Stats()["store_hits"]; got != 6 {
 		t.Fatalf("store_hits = %d, want 6", got)
 	}
 
@@ -418,36 +411,11 @@ func TestSweepServedFromRestartedStore(t *testing.T) {
 // HTTP.
 func TestTwoNodeSweepDispatch(t *testing.T) {
 	// Node B first: a plain daemon; its URL seeds node A's peer list.
-	mB := service.New(service.Config{Workers: 2, Chunk: 100})
-	swB := sweepapi.New(mB, sweepapi.Config{})
-	srvB := httptest.NewServer(newMux(mB, swB))
-	defer func() {
-		srvB.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		swB.Shutdown(ctx)
-		mB.Shutdown(ctx)
-	}()
+	srvB, dB, _ := startDaemon(t, "-workers", "2")
 
 	// Node A: dispatches across {A, B}. Its own name never appears in a
 	// request, so any spelling works as long as it is ring-distinct.
-	mA := service.New(service.Config{Workers: 2, Chunk: 100})
-	d, err := cluster.New(cluster.Config{
-		Self: "http://node-a", Peers: []string{srvB.URL},
-		Replicas: 2, Telemetry: mA.Telemetry(), Spans: mA.SpanLog(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	swA := sweepapi.New(mA, sweepapi.Config{Dispatcher: d})
-	srvA := httptest.NewServer(newMux(mA, swA))
-	defer func() {
-		srvA.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		swA.Shutdown(ctx)
-		mA.Shutdown(ctx)
-	}()
+	srvA, dA, _ := startDaemon(t, "-workers", "2", "-self", "http://node-a", "-peers", srvB.URL)
 
 	body := `{
 	  "template": {"topology":"mesh4x4","scheme":"baseline","va":"static",
@@ -459,8 +427,8 @@ func TestTwoNodeSweepDispatch(t *testing.T) {
 		t.Fatalf("sweep: %+v", last)
 	}
 
-	aRan := mA.Stats()["completed"]
-	bRan := mB.Stats()["completed"]
+	aRan := dA.jobs.Stats()["completed"]
+	bRan := dB.jobs.Stats()["completed"]
 	if aRan+bRan != 16 || aRan == 0 || bRan == 0 {
 		t.Fatalf("fleet ran %d+%d jobs; want all 16 split across both nodes", aRan, bRan)
 	}
@@ -493,18 +461,11 @@ func TestTwoNodeSweepDispatch(t *testing.T) {
 // TestLocalTiersBeforeTheFleet: node A holds results (on disk, then in
 // memory) for keys whose ring owner is node B. A sweep on A serves them
 // itself, marked local and storeHit / cacheHit, and not one request reaches
-// B; a B-owned key A does not hold still goes to B. (At the parent a
-// peer-owned point went to the peer first and A's own tiers were never
-// looked at.)
+// B; a B-owned key A does not hold still goes to B, every time it is asked
+// for, since A does not adopt a peer's answer. Both nodes are built from
+// their command lines, A from -store-dir, -self and -peers.
 func TestLocalTiersBeforeTheFleet(t *testing.T) {
-	mB := service.New(service.Config{Workers: 2, Chunk: 100})
-	srvB := httptest.NewServer(newMux(mB, newTestSweeps(t, mB)))
-	t.Cleanup(func() {
-		srvB.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		mB.Shutdown(ctx)
-	})
+	srvB, _, _ := startDaemon(t, "-workers", "2")
 	reachedB := func() string {
 		t.Helper()
 		_, body := get(t, srvB.URL+"/metrics")
@@ -517,62 +478,39 @@ func TestLocalTiersBeforeTheFleet(t *testing.T) {
 		return ""
 	}
 
-	// Node A on a store directory, with or without the fleet behind it.
+	// Node A runs on a store directory, alone or in a fleet with B.
 	dir := t.TempDir()
-	nodeA := func(fleet bool) (*httptest.Server, *cluster.Dispatcher) {
-		st, err := store.Open(dir, 1<<30)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m := service.New(service.Config{Workers: 2, Chunk: 100, Store: st})
-		d, err := cluster.New(cluster.Config{
-			Self: "http://node-a", Peers: []string{srvB.URL},
-			Replicas: 2, Telemetry: m.Telemetry(), Spans: m.SpanLog(),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := sweepapi.Config{}
-		if fleet {
-			cfg.Dispatcher = d
-		}
-		srv := httptest.NewServer(newMux(m, newTestSweepsWith(t, m, cfg)))
-		t.Cleanup(func() {
-			srv.Close()
-			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			defer cancel()
-			m.Shutdown(ctx)
-		})
-		return srv, d
-	}
+	const self = "http://node-a"
+	ring := cluster.NewRing([]string{self, srvB.URL})
 	sweepOf := func(seeds []string) string {
 		return `{"template": {"topology":"mesh4x4","scheme":"pseudo","va":"static",
 		  "warmup":50,"measure":200,"workload":{"pattern":"uniform","rate":0.1}},
 		  "axes": {"seed": [` + strings.Join(seeds, ",") + `]}}`
 	}
-
-	// Alone, A simulates four B-owned keys into its store; a fifth stays unrun.
-	alone, d := nodeA(false)
 	var ofB []string
 	for seed := 1; seed < 4096 && len(ofB) < 5; seed++ {
 		plan, err := sweepapi.Parse([]byte(sweepOf([]string{strconv.Itoa(seed)})), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d.Ring().Owners(plan.Points[0].Key, 1)[0] == srvB.URL {
+		if ring.Owners(plan.Points[0].Key, 1)[0] == srvB.URL {
 			ofB = append(ofB, strconv.Itoa(seed))
 		}
 	}
 	if len(ofB) < 5 {
 		t.Fatalf("only %d seeds under 4096 hash to node B", len(ofB))
 	}
+
+	// Alone, A simulates four B-owned keys into its store; a fifth stays unrun.
 	held, notHeld := ofB[:4], ofB[4:]
+	alone, dAlone, _ := startDaemon(t, "-workers", "2", "-store-dir", dir)
 	if _, last, _ := postSweepStream(t, alone.URL, sweepOf(held)); last.Done != 4 || last.CacheHits != 0 {
 		t.Fatalf("seeding A's store: %+v", last)
 	}
+	stopDaemon(alone, dAlone)
 
 	// Restarted into the fleet, A has them on disk only.
-	inFleet, _ := nodeA(true)
+	inFleet, _, _ := startDaemon(t, "-workers", "2", "-store-dir", dir, "-self", self, "-peers", srvB.URL)
 	for pass, want := range []struct{ cacheHits, storeHits int }{{4, 4}, {4, 0}} {
 		_, last, points := postSweepStream(t, inFleet.URL, sweepOf(held))
 		if last.State != "done" || last.Done != 4 || last.Remote != 0 ||
@@ -589,9 +527,12 @@ func TestLocalTiersBeforeTheFleet(t *testing.T) {
 		}
 	}
 
-	// The fleet is really there: a B-owned key A does not hold goes to B.
-	_, last, points := postSweepStream(t, inFleet.URL, sweepOf(notHeld))
-	if last.Done != 1 || last.Remote != 1 || points[0].Source != service.RouteRemote || reachedB() != "1" {
-		t.Fatalf("key A does not hold: %+v, source %q, %s submissions at B", last, points[0].Source, reachedB())
+	// The fleet is really there: a B-owned key A does not hold goes to B,
+	// and goes again on a re-run, since A does not adopt a peer's answer.
+	for run := 1; run <= 2; run++ {
+		_, last, points := postSweepStream(t, inFleet.URL, sweepOf(notHeld))
+		if last.Done != 1 || last.Remote != 1 || points[0].Source != service.RouteRemote || reachedB() != strconv.Itoa(run) {
+			t.Fatalf("run %d of a key A does not hold: %+v, source %q, %s submissions at B", run, last, points[0].Source, reachedB())
+		}
 	}
 }

@@ -5,15 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"io"
-	"log/slog"
 	"net/http"
-	"net/http/httptest"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
-	"pseudocircuit/internal/service"
 	"pseudocircuit/internal/sweepapi"
 	"pseudocircuit/internal/telemetry"
 )
@@ -35,7 +32,7 @@ func get(t *testing.T, url string) (*http.Response, string) {
 // TestMetricsEndpoint: a double submission shows up on /metrics as a
 // cache hit, and the whole exposition parses under the strict validator.
 func TestMetricsEndpoint(t *testing.T) {
-	srv, _, c := testServer(t, service.Config{Workers: 2})
+	srv, _, c := startDaemon(t, "-workers", "2")
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
@@ -75,17 +72,16 @@ func TestMetricsEndpoint(t *testing.T) {
 // TestReadyzDraining: /readyz answers 200 while serving and 503 once the
 // manager is draining; /healthz stays 200 throughout (liveness only).
 func TestReadyzDraining(t *testing.T) {
-	m := service.New(service.Config{Workers: 1, Chunk: 100})
-	srv := httptest.NewServer(newMux(m, newTestSweeps(t, m)))
-	defer srv.Close()
+	srv, d, _ := startDaemon(t, "-workers", "1")
 
 	if resp, _ := get(t, srv.URL+"/readyz"); resp.StatusCode != http.StatusOK {
 		t.Fatalf("ready daemon /readyz = %d", resp.StatusCode)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if err := m.Shutdown(ctx); err != nil {
-		t.Fatal(err)
+	var stderr bytes.Buffer
+	if d.shutdown(ctx, &stderr); stderr.Len() != 0 {
+		t.Fatalf("idle daemon drained with: %s", stderr.String())
 	}
 	if resp, _ := get(t, srv.URL+"/readyz"); resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("draining daemon /readyz = %d, want 503", resp.StatusCode)
@@ -98,7 +94,7 @@ func TestReadyzDraining(t *testing.T) {
 // TestSpansEndpoint: both export formats validate under their own
 // checkers after a completed job.
 func TestSpansEndpoint(t *testing.T) {
-	srv, _, c := testServer(t, service.Config{Workers: 2})
+	srv, _, c := startDaemon(t, "-workers", "2")
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if _, err := c.SubmitWait(ctx, smallReq(4)); err != nil {
@@ -141,16 +137,12 @@ func TestSpansEndpoint(t *testing.T) {
 // emits one JSON line carrying method/path/status/duration, and job
 // handlers annotate it with id, spec hash and outcome.
 func TestRequestLogMiddleware(t *testing.T) {
-	m := service.New(service.Config{Workers: 2, Chunk: 100})
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		m.Shutdown(ctx)
-	}()
 	var logBuf bytes.Buffer
-	logger := slog.New(slog.NewJSONHandler(&logBuf, nil))
-	srv := httptest.NewServer(requestLog(logger, newMux(m, newTestSweeps(t, m))))
-	defer srv.Close()
+	d, err := newDaemon([]string{"-workers", "2", "-log-json"}, &logBuf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := serve(t, d)
 
 	body := `{"topology":"mesh4x4","scheme":"pseudo+s+b","va":"static","warmup":100,"measure":400,` +
 		`"workload":{"pattern":"uniform","rate":0.1}}`
@@ -201,7 +193,7 @@ func TestRequestLogMiddleware(t *testing.T) {
 // TestWatchCarriesRate: the ?watch NDJSON stream's terminal line reports
 // the simulation rate and timings.
 func TestWatchCarriesRate(t *testing.T) {
-	srv, _, c := testServer(t, service.Config{Workers: 2})
+	srv, _, c := startDaemon(t, "-workers", "2")
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	j, err := c.Submit(ctx, smallReq(5))
@@ -251,16 +243,12 @@ func sampleSum(body, name string) (sum float64, found bool) {
 // plus four cold points is five builds), a sweep span on /spans, and a
 // cache-hit outcome in the request log.
 func TestSweepMetricsAndLog(t *testing.T) {
-	m := service.New(service.Config{Workers: 2, Chunk: 100})
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		m.Shutdown(ctx)
-	}()
 	var logBuf bytes.Buffer
-	logger := slog.New(slog.NewJSONHandler(&logBuf, nil))
-	srv := httptest.NewServer(requestLog(logger, newMux(m, newTestSweeps(t, m))))
-	defer srv.Close()
+	d, err := newDaemon([]string{"-workers", "2", "-log-json"}, &logBuf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := serve(t, d)
 
 	post := func(path, body string) string {
 		t.Helper()

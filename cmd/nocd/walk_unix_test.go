@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"pseudocircuit/internal/service"
-	"pseudocircuit/internal/store"
 )
 
 // TestBlockedDiskReadHoldsNoLock: the disk tier is read with the manager's
@@ -24,11 +23,8 @@ import (
 // across its read.
 func TestBlockedDiskReadHoldsNoLock(t *testing.T) {
 	dir := t.TempDir()
-	st, err := store.Open(dir, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, m, c := testServer(t, service.Config{Workers: 1, Store: st})
+	srv, d, c := startDaemon(t, "-workers", "1", "-store-dir", dir, "-store-bytes", "1048576")
+	m := d.jobs
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	first, err := c.SubmitWait(ctx, smallReq(1))
@@ -96,7 +92,8 @@ func TestBlockedDiskReadHoldsNoLock(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("submission still blocked after the disk answered")
 	}
-	if st.Corrupt() != 1 {
-		t.Fatalf("the empty entry was counted corrupt %d times, want 1", st.Corrupt())
+	_, body := get(t, srv.URL+"/metrics")
+	if n, _ := sampleSum(body, "nocd_store_corrupt_total"); n != 1 {
+		t.Fatalf("the empty entry was counted corrupt %g times, want 1", n)
 	}
 }

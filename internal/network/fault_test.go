@@ -242,8 +242,16 @@ func TestFaultedDrainTerminates(t *testing.T) {
 				traffic.Flow{Src: 4, Dst: 7, Size: 5, Period: 11, Start: 3, Count: 40},
 				traffic.Flow{Src: 1, Dst: 13, Size: 1, Period: 5, Start: 1, Count: 80},
 			)
-			if !n.Drain(w, 20000) {
-				t.Fatalf("network failed to drain within 20000 cycles")
+			// The horizon is the standstill watchdog's bound. Router 5 comes
+			// back at cycle 5000; the watchdog waits while it is down, then
+			// purges a fabric that has not moved for stallLimit (1024)
+			// cycles, so a wedge left from the outage is gone by 6024. The
+			// slack of 176 cycles covers the packets still queued at the
+			// sources, which drain by 6078. Without the watchdog only the
+			// stale sweep breaks the wedge, and the drain ends at 7156.
+			const horizon = 5000 + 1024 + 176
+			if !n.Drain(w, horizon) {
+				t.Fatalf("network failed to drain within %d cycles", horizon)
 			}
 			done := n.Stats.PacketsDelivered + n.Stats.PacketsDropped
 			if want := uint64(60 + 40 + 80); done != want {
