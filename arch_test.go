@@ -609,6 +609,24 @@ func TestStructuralRules(t *testing.T) {
 		enforce(t, parts, "cmd/nocd/*.go", true)
 	})
 
+	// Every figure is one measurement protocol: warm up, reset the counters,
+	// measure. noc.Experiment.RunWindows is its home, and its hook is where
+	// a caller acts at a window boundary, so a ResetStats call anywhere but
+	// noc and internal/network (which owns it) is the loop grown back by hand.
+	t.Run("one measurement protocol", func(t *testing.T) {
+		reset := namesIn("ResetStats(")
+		seesEach(t, reset, map[string]string{
+			"names ResetStats(": "package experiments\nfunc f(n *noc.Network) { n.Run(w, 1000); n.ResetStats() }",
+		}, "package experiments\nfunc f(e noc.Experiment) { e.RunWindows(ctx, n, w, nil, 0, func(n *noc.Network) { w.ResetSystemStats() }) }")
+		for _, glob := range []string{"*.go", "cmd/*/*.go", "internal/*/*.go", "nocdclient/*.go", "bench/*.go"} {
+			for _, f := range findings(t, reset, glob, false) {
+				if !strings.HasPrefix(f, "internal/network/") {
+					t.Error(f)
+				}
+			}
+		}
+	})
+
 	// A finished result is one *noc.Result per key inside the service tier:
 	// the cache entry, every job record and snapshot of the key and every
 	// sweep point share it (DESIGN.md §11). Outside noc, which fills it in,

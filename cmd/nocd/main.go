@@ -4,7 +4,7 @@
 // answered from the result cache without re-simulating, and identical
 // in-flight submissions share one run. Cancelling a job (or shutting the
 // daemon down past its drain deadline) stops the simulation at the next
-// chunk boundary.
+// chunk boundary, within 1000 cycles.
 //
 // Quickstart:
 //
@@ -104,7 +104,6 @@ func newDaemon(args []string, stderr io.Writer) (*daemon, error) {
 		workers  = fs.Int("workers", 0, "simulation workers (0 = GOMAXPROCS)")
 		queueCap = fs.Int("queue", 64, "max queued jobs before submissions are rejected")
 		cacheCap = fs.Int("cache", 1024, "max cached results (oldest evicted)")
-		chunk    = fs.Int("chunk", 1000, "cycles between cancellation checks and progress updates")
 		drain    = fs.Duration("drain", 30*time.Second, "graceful-shutdown drain deadline before in-flight jobs are cancelled")
 		spanCap  = fs.Int("spans", 4096, "max retained job-lifecycle spans (oldest evicted)")
 		logJSON  = fs.Bool("log-json", false, "emit one structured JSON log line per request on stderr")
@@ -138,7 +137,6 @@ func newDaemon(args []string, stderr io.Writer) (*daemon, error) {
 		Workers:  *workers,
 		QueueCap: *queueCap,
 		CacheCap: *cacheCap,
-		Chunk:    *chunk,
 		SpanCap:  *spanCap,
 		Store:    st,
 	})

@@ -206,7 +206,7 @@ func TestClientSeesStoreHit(t *testing.T) {
 // TestDaemonCancel cancels an in-flight job over HTTP and checks the pool
 // still serves the next job.
 func TestDaemonCancel(t *testing.T) {
-	_, _, c := startDaemon(t, "-workers", "1", "-chunk", "100")
+	_, _, c := startDaemon(t, "-workers", "1")
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
@@ -235,7 +235,7 @@ func TestDaemonCancel(t *testing.T) {
 
 // TestDaemonErrors maps service failures onto HTTP statuses.
 func TestDaemonErrors(t *testing.T) {
-	srv, _, c := startDaemon(t, "-workers", "1", "-chunk", "100")
+	srv, _, c := startDaemon(t, "-workers", "1")
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 
@@ -279,7 +279,7 @@ func isStatus(err error, status int) bool {
 // a distinct cache identity from the fault-free spec; hostile schedules come
 // back as 400, not worker panics.
 func TestDaemonFaultSchedules(t *testing.T) {
-	_, _, c := startDaemon(t, "-workers", "1", "-chunk", "100")
+	_, _, c := startDaemon(t, "-workers", "1")
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
@@ -322,7 +322,7 @@ func TestDaemonFaultSchedules(t *testing.T) {
 // TestDaemonWatchStream reads the NDJSON progress stream: every line must
 // decode as a job snapshot and the last one must be terminal.
 func TestDaemonWatchStream(t *testing.T) {
-	srv, _, c := startDaemon(t, "-workers", "1", "-chunk", "100")
+	srv, _, c := startDaemon(t, "-workers", "1")
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
@@ -366,7 +366,7 @@ func TestDaemonWatchStream(t *testing.T) {
 // the job mid-stream and the stream must end on a "canceled" line, not just
 // stop.
 func TestDaemonWatchStreamCanceledJob(t *testing.T) {
-	srv, _, c := startDaemon(t, "-workers", "1", "-chunk", "100")
+	srv, _, c := startDaemon(t, "-workers", "1")
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
@@ -416,7 +416,7 @@ func TestDaemonWatchStreamCanceledJob(t *testing.T) {
 // handler must return promptly (within roughly one tick), not keep encoding
 // into a dead connection for the life of the job.
 func TestDaemonWatchStreamClientCancel(t *testing.T) {
-	srv, _, c := startDaemon(t, "-workers", "1", "-chunk", "100")
+	srv, _, c := startDaemon(t, "-workers", "1")
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
@@ -460,7 +460,7 @@ func TestDaemonWatchStreamClientCancel(t *testing.T) {
 // calling the daemon's handler directly with an already-canceled request
 // context.
 func TestDaemonWaitClientDisconnect(t *testing.T) {
-	_, d, _ := startDaemon(t, "-workers", "1", "-chunk", "100")
+	_, d, _ := startDaemon(t, "-workers", "1")
 	m := d.jobs
 
 	long := smallReq(8)

@@ -117,7 +117,7 @@ func TestSweepEndpointStreams(t *testing.T) {
 // TestSweepEndpointRejects: hostile grids get explicit 400s, oversized
 // expansion included; nothing is retained.
 func TestSweepEndpointRejects(t *testing.T) {
-	srv, _, _ := startDaemon(t, "-workers", "1", "-chunk", "100")
+	srv, _, _ := startDaemon(t, "-workers", "1")
 	cases := []string{
 		`{"axes":{"seed":[1]}}`,
 		`{"template":{"topology":"mesh4x4"},"axes":{"seed":[1],"seed":[2]}}`,
@@ -156,7 +156,7 @@ func TestSweepEndpointRejects(t *testing.T) {
 // TestSweepEndpointCancel: DELETE /sweeps/{id} lands the sweep in the
 // canceled state with point accounting closed.
 func TestSweepEndpointCancel(t *testing.T) {
-	srv, _, _ := startDaemon(t, "-workers", "1", "-chunk", "100")
+	srv, _, _ := startDaemon(t, "-workers", "1")
 	body := `{
 	  "template": {"topology":"mesh8x8","scheme":"pseudo","va":"static",
 	               "warmup":100,"measure":20000,

@@ -7,7 +7,8 @@
 // table of the paper's evaluation) and cmd/nocd (the simulation service
 // daemon). This package holds no code: it carries the tests that span
 // packages. determinism_test.go holds the run-to-run and naive-versus-active
-// kernel checks, arch_test.go the structural rules, and bench_test.go one
+// kernel checks, arch_test.go the structural rules, benchmod_test.go the
+// vet and tests of the benchmark module (bench/), and bench_test.go one
 // testing.B benchmark per paper figure/table.
 //
 // See README.md for an overview, DESIGN.md for the system inventory and

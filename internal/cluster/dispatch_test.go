@@ -23,7 +23,7 @@ import (
 // surface for the dispatcher's client.
 func peerServer(t *testing.T) (*httptest.Server, *service.Manager) {
 	t.Helper()
-	m := service.New(service.Config{Workers: 2, Chunk: 100})
+	m := service.New(service.Config{Workers: 2})
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
@@ -239,7 +239,7 @@ func TestDispatchBadRequestPropagates(t *testing.T) {
 // service; node B is the peer HTTP daemon).
 func TestDispatchExactlyOnce(t *testing.T) {
 	srv, peerSvc := peerServer(t)
-	localSvc := service.New(service.Config{Workers: 2, Chunk: 100})
+	localSvc := service.New(service.Config{Workers: 2})
 	defer func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()

@@ -65,7 +65,7 @@ func sweepOwnedBy(t *testing.T, d *Dispatcher, want string, n int) []byte {
 
 func localTier(t *testing.T) *service.Manager {
 	t.Helper()
-	m := service.New(service.Config{Workers: 2, Chunk: 100})
+	m := service.New(service.Config{Workers: 2})
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()

@@ -39,12 +39,7 @@ type Options struct {
 }
 
 func (o Options) defaults() Options {
-	if o.Warmup == 0 {
-		o.Warmup = 1000
-	}
-	if o.Measure == 0 {
-		o.Measure = 10000
-	}
+	o.Warmup, o.Measure = noc.Experiment{Warmup: o.Warmup, Measure: o.Measure}.Protocol()
 	if len(o.Benchmarks) == 0 {
 		o.Benchmarks = noc.CMPBenchmarks()
 	}

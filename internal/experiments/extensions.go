@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"pseudocircuit/internal/cmp"
@@ -38,10 +39,11 @@ func SystemImpact(o Options) SystemImpactResult {
 	missLat, stall := make([]float64, len(points)), make([]float64, len(points))
 	o.each(points, func(i int, e noc.Experiment, n *noc.Network, wl noc.Workload) {
 		w := wl.(*cmp.Workload)
-		n.Run(w, e.Warmup)
-		n.ResetStats()
-		w.ResetSystemStats()
-		n.Run(w, e.Measure)
+		e.RunWindows(context.Background(), n, w, nil, 0, func(n *noc.Network) {
+			if int(n.Now()) == e.Warmup {
+				w.ResetSystemStats()
+			}
+		}) // never cancelled; the figures are the workload's
 		missLat[i], stall[i] = w.AvgMissLatency(), w.StallFraction()
 	})
 	res := SystemImpactResult{Benchmarks: o.Benchmarks}

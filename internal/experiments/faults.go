@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"pseudocircuit/internal/core"
@@ -70,7 +71,7 @@ func FaultWindow(o Options) FaultWindowResult {
 	}
 	res.Cells = make([][]noc.Result, len(points))
 	o.each(points, func(i int, e noc.Experiment, n *noc.Network, w noc.Workload) {
-		res.Cells[i] = e.RunWindowsOn(n, w, []int{pre, during, post})
+		res.Cells[i], _ = e.RunWindows(context.Background(), n, w, []int{pre, during, post}, 0, nil) // never cancelled
 	})
 	return res
 }
@@ -141,13 +142,14 @@ func FaultHeatmap(o Options) FaultHeatmapResult {
 				res.StallDelta[id] += int64(sign) * int64(t.CreditStalls)
 			}
 		}
-		n.Run(w, e.Warmup)
-		n.ResetStats()
-		n.Run(w, half)
-		snapshot(-1)
-		n.ResetStats()
-		n.Run(w, e.Measure-half)
-		snapshot(+1)
+		e.RunWindows(context.Background(), n, w, []int{half, e.Measure - half}, 0, func(n *noc.Network) {
+			switch int(n.Now()) {
+			case e.Warmup + half:
+				snapshot(-1)
+			case e.Warmup + e.Measure:
+				snapshot(+1)
+			}
+		}) // never cancelled; the deltas are the hook's
 	})
 	return res
 }

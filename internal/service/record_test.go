@@ -50,7 +50,7 @@ func TestOneResultPerKey(t *testing.T) {
 		terminalRecordsHoldNoRun(t, m)
 	}
 
-	m1 := New(Config{Workers: 1, Chunk: 100, Store: openStore(t, dir)})
+	m1 := New(Config{Workers: 1, Store: openStore(t, dir)})
 	cold, err := m1.Submit(storeReq(1))
 	if err != nil {
 		t.Fatal(err)
@@ -67,7 +67,7 @@ func TestOneResultPerKey(t *testing.T) {
 	sharedBy(m1, cold.Key, cold, memHit, point)
 	shutdown(t, m1)
 
-	m2 := New(Config{Workers: 1, Chunk: 100, Store: openStore(t, dir)})
+	m2 := New(Config{Workers: 1, Store: openStore(t, dir)})
 	defer shutdown(t, m2)
 	storeHit, err := m2.Submit(storeReq(1))
 	if err != nil || !storeHit.StoreHit {
@@ -97,7 +97,7 @@ func TestMemoryHitAllocs(t *testing.T) {
 	if raceBuild {
 		t.Skip("the race detector allocates")
 	}
-	m := New(Config{Workers: 1, Chunk: 100})
+	m := New(Config{Workers: 1})
 	defer shutdown(t, m)
 	j, err := m.Submit(smallReq())
 	if err != nil {
@@ -119,7 +119,7 @@ func TestMemoryHitAllocs(t *testing.T) {
 // snapshot computes them, for a job that finished and one that was
 // cancelled mid-run. The marks are the job's queue-wait and run spans.
 func TestTerminalTimingsFrozen(t *testing.T) {
-	m := New(Config{Workers: 1, Chunk: 100})
+	m := New(Config{Workers: 1})
 	defer shutdown(t, m)
 	done, err := m.Submit(smallReq())
 	if err != nil {

@@ -14,8 +14,8 @@
 //   - A fixed pool of workers drains the queue; every job builds its own
 //     network and shares nothing with the next.
 //   - Every queued or running job carries a context; cancelling it stops
-//     the simulation at the next chunk boundary
-//     (noc.Experiment.RunOnContext). Shutdown drains the queue gracefully
+//     the simulation at the next chunk boundary, at most chunk cycles on
+//     (noc.Experiment.RunWindows). Shutdown drains the queue gracefully
 //     and escalates to cancelling in-flight jobs when the drain deadline
 //     passes.
 //
@@ -52,9 +52,6 @@ type Config struct {
 	// JobsCap bounds retained job records; oldest terminal records are
 	// evicted first (default 4096).
 	JobsCap int
-	// Chunk is the cycle count between cancellation checks and progress
-	// updates (default 1000).
-	Chunk int
 	// SpanCap bounds the job-lifecycle span ring (default 4096).
 	SpanCap int
 	// Store, when non-nil, persists results on disk under their canonical
@@ -77,9 +74,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.JobsCap <= 0 {
 		c.JobsCap = 4096
-	}
-	if c.Chunk <= 0 {
-		c.Chunk = 1000
 	}
 	if c.SpanCap <= 0 {
 		c.SpanCap = 4096
@@ -494,6 +488,10 @@ func (m *Manager) runJob(j *job) {
 	close(j.done)
 }
 
+// chunk is the cycle count between a running job's cancellation checks and
+// progress updates: a cancelled job stops within chunk cycles.
+const chunk = 1000
+
 // simulate runs one job to completion or cancellation. Any panic out of the
 // simulator becomes a failed job, not a dead worker.
 func (m *Manager) simulate(j *job, r *run) (res noc.Result, err error) {
@@ -512,11 +510,15 @@ func (m *Manager) simulate(j *job, r *run) (res noc.Result, err error) {
 	built := time.Now()
 	m.ins.buildTime.Observe(built.Sub(buildStart).Seconds())
 	m.ins.span("build", j, "built", buildStart, built)
-	return exp.RunOnContext(r.ctx, n, w, m.cfg.Chunk, func(n *noc.Network) {
+	out, err := exp.RunWindows(r.ctx, n, w, nil, chunk, func(n *noc.Network) {
 		j.mu.Lock()
 		j.CyclesDone = int(n.Now())
 		j.mu.Unlock()
 	})
+	if err != nil {
+		return noc.Result{}, err
+	}
+	return out[0], nil
 }
 
 // storeLookup fetches and decodes a result from the disk store, nil on a

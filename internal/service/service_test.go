@@ -67,7 +67,7 @@ func shutdown(t *testing.T, m *Manager) {
 // submissions simulate once, and the second returns the byte-identical
 // Result from the cache.
 func TestCacheHitSingleRun(t *testing.T) {
-	m := New(Config{Workers: 2, Chunk: 100})
+	m := New(Config{Workers: 2})
 	defer shutdown(t, m)
 
 	j1, err := m.Submit(smallReq())
@@ -124,7 +124,7 @@ func TestCacheHitSingleRun(t *testing.T) {
 // TestCacheMatchesCLIRun: the cached result is bit-identical to running the
 // same spec directly through the public API (what the CLI does).
 func TestCacheMatchesCLIRun(t *testing.T) {
-	m := New(Config{Workers: 1, Chunk: 100})
+	m := New(Config{Workers: 1})
 	defer shutdown(t, m)
 
 	j, err := m.Submit(smallReq())
@@ -160,7 +160,7 @@ func mustJSON(t *testing.T, v any) string {
 // TestDedupInflight: an identical submission while the first is queued or
 // running joins the same job instead of enqueueing a second run.
 func TestDedupInflight(t *testing.T) {
-	m := New(Config{Workers: 1, Chunk: 100})
+	m := New(Config{Workers: 1})
 
 	j1, err := m.Submit(longReq(7))
 	if err != nil {
@@ -193,7 +193,7 @@ func TestDedupInflight(t *testing.T) {
 // TestCancelInflight: cancelling a running job stops it promptly (one chunk)
 // and leaves the worker pool serving subsequent jobs.
 func TestCancelInflight(t *testing.T) {
-	m := New(Config{Workers: 1, Chunk: 100})
+	m := New(Config{Workers: 1})
 	defer shutdown(t, m)
 
 	j, err := m.Submit(longReq(3))
@@ -232,7 +232,7 @@ func TestCancelInflight(t *testing.T) {
 // TestQueueFullBackpressure: a bounded queue rejects overflow rather than
 // buffering it.
 func TestQueueFullBackpressure(t *testing.T) {
-	m := New(Config{Workers: 1, QueueCap: 1, Chunk: 100})
+	m := New(Config{Workers: 1, QueueCap: 1})
 
 	a, err := m.Submit(longReq(11))
 	if err != nil {
@@ -261,7 +261,7 @@ func TestQueueFullBackpressure(t *testing.T) {
 // TestCancelQueuedJob: cancelling before a worker picks the job up means it
 // terminates without simulating a cycle.
 func TestCancelQueuedJob(t *testing.T) {
-	m := New(Config{Workers: 1, QueueCap: 2, Chunk: 100})
+	m := New(Config{Workers: 1, QueueCap: 2})
 
 	a, err := m.Submit(longReq(21))
 	if err != nil {
@@ -293,7 +293,7 @@ func TestCancelQueuedJob(t *testing.T) {
 // TestGracefulDrain: Shutdown lets queued work finish, then refuses new
 // submissions.
 func TestGracefulDrain(t *testing.T) {
-	m := New(Config{Workers: 1, Chunk: 100})
+	m := New(Config{Workers: 1})
 	j, err := m.Submit(smallReq())
 	if err != nil {
 		t.Fatal(err)
@@ -311,7 +311,7 @@ func TestGracefulDrain(t *testing.T) {
 // TestDrainDeadlineCancels: a shutdown deadline forcibly cancels in-flight
 // work instead of hanging.
 func TestDrainDeadlineCancels(t *testing.T) {
-	m := New(Config{Workers: 1, Chunk: 100})
+	m := New(Config{Workers: 1})
 	j, err := m.Submit(longReq(31))
 	if err != nil {
 		t.Fatal(err)

@@ -50,7 +50,7 @@ func TestStoreSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
 	const points = 4
 
-	m1 := New(Config{Workers: 2, Chunk: 100, Store: openStore(t, dir)})
+	m1 := New(Config{Workers: 2, Store: openStore(t, dir)})
 	want := map[uint64]string{}
 	for seed := uint64(1); seed <= points; seed++ {
 		j, err := m1.Submit(storeReq(seed))
@@ -66,7 +66,7 @@ func TestStoreSurvivesRestart(t *testing.T) {
 	shutdown(t, m1)
 
 	// "Restart": a brand-new manager, empty memory cache, same directory.
-	m2 := New(Config{Workers: 2, Chunk: 100, Store: openStore(t, dir)})
+	m2 := New(Config{Workers: 2, Store: openStore(t, dir)})
 	defer shutdown(t, m2)
 	for seed := uint64(1); seed <= points; seed++ {
 		j, err := m2.Submit(storeReq(seed))
@@ -111,7 +111,7 @@ func TestStoreSurvivesRestart(t *testing.T) {
 // served — the submission simulates again and repairs the entry on disk.
 func TestStoreTornEntryResimulated(t *testing.T) {
 	dir := t.TempDir()
-	m1 := New(Config{Workers: 1, Chunk: 100, Store: openStore(t, dir)})
+	m1 := New(Config{Workers: 1, Store: openStore(t, dir)})
 	j, err := m1.Submit(storeReq(7))
 	if err != nil {
 		t.Fatal(err)
@@ -135,7 +135,7 @@ func TestStoreTornEntryResimulated(t *testing.T) {
 	if st.Corrupt() != 1 {
 		t.Fatalf("corrupt = %d, want 1 (torn entry evicted at open)", st.Corrupt())
 	}
-	m2 := New(Config{Workers: 1, Chunk: 100, Store: st})
+	m2 := New(Config{Workers: 1, Store: st})
 	defer shutdown(t, m2)
 	j2, err := m2.Submit(storeReq(7))
 	if err != nil {
@@ -166,7 +166,7 @@ func TestStoreTornEntryResimulated(t *testing.T) {
 // direct noc.Experiment run of the same spec.
 func TestStoreMatchesDirectRun(t *testing.T) {
 	dir := t.TempDir()
-	m1 := New(Config{Workers: 1, Chunk: 100, Store: openStore(t, dir)})
+	m1 := New(Config{Workers: 1, Store: openStore(t, dir)})
 	j, err := m1.Submit(storeReq(3))
 	if err != nil {
 		t.Fatal(err)
@@ -174,7 +174,7 @@ func TestStoreMatchesDirectRun(t *testing.T) {
 	waitDone(t, m1, j.ID)
 	shutdown(t, m1)
 
-	m2 := New(Config{Workers: 1, Chunk: 100, Store: openStore(t, dir)})
+	m2 := New(Config{Workers: 1, Store: openStore(t, dir)})
 	defer shutdown(t, m2)
 	j2, err := m2.Submit(storeReq(3))
 	if err != nil {

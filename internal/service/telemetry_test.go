@@ -26,7 +26,7 @@ func counterValue(t *testing.T, out, line string) bool {
 // counter, gauge and histogram the ISSUE names moved the way the
 // lifecycle says it must.
 func TestLifecycleMetrics(t *testing.T) {
-	m := New(Config{Workers: 1, Chunk: 100})
+	m := New(Config{Workers: 1})
 	defer shutdown(t, m)
 
 	j1, err := m.Submit(smallReq())
@@ -102,7 +102,7 @@ func TestLifecycleMetrics(t *testing.T) {
 
 // TestCoalescedAndCanceledMetrics drives the singleflight and cancel paths.
 func TestCoalescedAndCanceledMetrics(t *testing.T) {
-	m := New(Config{Workers: 1, Chunk: 100})
+	m := New(Config{Workers: 1})
 	defer shutdown(t, m)
 
 	j1, err := m.Submit(longReq(7))
@@ -184,7 +184,7 @@ func TestReadyAndDrainSpan(t *testing.T) {
 // TestQueueFullNotReady: a saturated queue reports ErrQueueFull through
 // Ready and counts the rejection.
 func TestQueueFullNotReady(t *testing.T) {
-	m := New(Config{Workers: 1, QueueCap: 1, Chunk: 100})
+	m := New(Config{Workers: 1, QueueCap: 1})
 	defer shutdown(t, m)
 
 	// Occupy the single worker, then fill the single queue slot. The first
@@ -230,7 +230,7 @@ func TestQueueFullNotReady(t *testing.T) {
 // TestJobTimingSnapshot: terminal snapshots carry queue wait and run
 // duration; cache hits carry neither.
 func TestJobTimingSnapshot(t *testing.T) {
-	m := New(Config{Workers: 1, Chunk: 100})
+	m := New(Config{Workers: 1})
 	defer shutdown(t, m)
 
 	j1, err := m.Submit(smallReq())
@@ -286,7 +286,7 @@ func TestServiceTelemetryNoBehaviorChange(t *testing.T) {
 	}
 	direct := exp.RunOn(exp.Build(), w)
 
-	m := New(Config{Workers: 2, Chunk: 100})
+	m := New(Config{Workers: 2})
 	defer shutdown(t, m)
 	j, err := m.Submit(req)
 	if err != nil {

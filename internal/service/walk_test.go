@@ -41,7 +41,7 @@ func do(t *testing.T, m *Manager, r Request, fleet Fleet) (Job, string) {
 // simulated here, and a fleet that sends the work back gets it run here.
 func TestWalkOrder(t *testing.T) {
 	dir := t.TempDir()
-	m := New(Config{Workers: 1, Chunk: 100, Store: openStore(t, dir)})
+	m := New(Config{Workers: 1, Store: openStore(t, dir)})
 	peer := &fleetStub{route: RouteRemote, res: noc.Result{Cycles: 7}}
 
 	// Everything misses: the fleet answers, nothing runs or is kept here.
@@ -73,7 +73,7 @@ func TestWalkOrder(t *testing.T) {
 	shutdown(t, m)
 
 	// A restarted node holds both on disk only: still not the fleet's turn.
-	m2 := New(Config{Workers: 1, Chunk: 100, Store: openStore(t, dir)})
+	m2 := New(Config{Workers: 1, Store: openStore(t, dir)})
 	defer shutdown(t, m2)
 	asked := peer.asked.Load()
 	j, source = do(t, m2, storeReq(uint64(len(RouteLocal))), peer)
@@ -109,7 +109,7 @@ func TestWalkFleetRefusal(t *testing.T) {
 // TestDoWaitsOutAFullQueue: the blocking walk retries a full queue instead
 // of failing, so more callers than queue slots all finish.
 func TestDoWaitsOutAFullQueue(t *testing.T) {
-	m := New(Config{Workers: 1, QueueCap: 1, Chunk: 100})
+	m := New(Config{Workers: 1, QueueCap: 1})
 	defer shutdown(t, m)
 	const callers = 6
 	var wg sync.WaitGroup
@@ -133,7 +133,7 @@ func TestDoWaitsOutAFullQueue(t *testing.T) {
 // TestDoCancelsItsJob: a context that ends while Do waits cancels the job
 // underneath, and Do returns the context's error at once.
 func TestDoCancelsItsJob(t *testing.T) {
-	m := New(Config{Workers: 1, Chunk: 100})
+	m := New(Config{Workers: 1})
 	defer shutdown(t, m)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
@@ -170,7 +170,7 @@ func TestDoCancelsItsJob(t *testing.T) {
 // released, so identical submissions race through it; still exactly one of
 // them may enqueue a simulation.
 func TestSingleflightAcrossTheDiskRead(t *testing.T) {
-	m := New(Config{Workers: 2, Chunk: 100, Store: openStore(t, t.TempDir())})
+	m := New(Config{Workers: 2, Store: openStore(t, t.TempDir())})
 	defer shutdown(t, m)
 	const callers = 16
 	var wg sync.WaitGroup

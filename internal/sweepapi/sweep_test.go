@@ -26,9 +26,6 @@ func newSvc(t *testing.T, cfg service.Config) *service.Manager {
 	if cfg.Workers == 0 {
 		cfg.Workers = 2
 	}
-	if cfg.Chunk == 0 {
-		cfg.Chunk = 100
-	}
 	m := service.New(cfg)
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -238,7 +235,7 @@ func TestSweepStreamIncremental(t *testing.T) {
 // TestSweepCancel: cancelling a running sweep stops feeding, cancels
 // in-flight points, and lands the sweep in the canceled state.
 func TestSweepCancel(t *testing.T) {
-	svc := newSvc(t, service.Config{Workers: 1, Chunk: 50})
+	svc := newSvc(t, service.Config{Workers: 1})
 	sw := New(svc, Config{Inflight: 2})
 	body := `{
 	  "template": {"topology":"mesh8x8","scheme":"pseudo","va":"static",

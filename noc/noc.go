@@ -425,64 +425,33 @@ func (e Experiment) RunOn(n *Network, w Workload) Result {
 	return e.RunOnObserved(n, w, 0, nil)
 }
 
-// RunWindowsOn executes the warmup once on an already-built network, then
-// runs each window of cycles in sequence, resetting statistics between
-// windows and collecting one Result per window. Fault schedules use absolute
-// cycles, so a schedule's events land in whichever window contains them —
-// this is the measurement protocol behind the fault-window experiment
-// (pre/during/post segments around a scheduled fault).
-func (e Experiment) RunWindowsOn(n *Network, w Workload, windows []int) []Result {
-	out, _ := e.defaults().runChunked(context.Background(), n, w, windows, 0, nil) // never cancelled
-	return out
-}
-
-// RunOnObserved is RunOn with a callback invoked between chunks of at most
-// `every` cycles, across both warmup and measurement. The callback runs on
-// the simulation goroutine while the network is quiescent between Steps, so
-// monitoring endpoints (expvar, live progress) can snapshot Stats without
-// racing the cycle loop. every <= 0 or a nil fn degrades to plain RunOn.
+// RunOnObserved is RunOn with RunWindows' chunks of every cycles and its
+// hook fn. It stays for its one caller, the benchmark's traced job
+// (bench/trace.go): the benchmark module changes only together with the
+// benchmark's definition, and that change can move it onto RunWindows.
 func (e Experiment) RunOnObserved(n *Network, w Workload, every int, fn func(n *Network)) Result {
-	e = e.defaults()
-	if every <= 0 {
-		fn = nil
-	}
-	out, _ := e.runChunked(context.Background(), n, w, []int{e.Measure}, every, fn) // never cancelled
+	out, _ := e.RunWindows(context.Background(), n, w, nil, every, fn) // never cancelled
 	return out[0]
 }
 
-// RunContext is Run with cancellation: the context is checked between
-// chunks of at most every cycles (0 selects 1000), so a cancelled context
-// stops the simulation within one chunk. It returns the context's error on
-// cancellation and a complete Result otherwise. An uncancelled RunContext is
-// bit-identical to Run: chunking never changes the cycle sequence, only
-// where the loop pauses to look at the context.
-func (e Experiment) RunContext(ctx context.Context, w Workload, every int) (Result, error) {
-	return e.RunOnContext(ctx, e.Build(), w, every, nil)
-}
-
-// RunOnContext is RunOnObserved with cancellation: fn (which may be nil) is
-// invoked between chunks exactly as in RunOnObserved, and the context is
-// polled at the same chunk boundaries. On cancellation the network is left
-// mid-run (callers inspecting it see a partial simulation) and the zero
-// Result is returned with ctx.Err(). every <= 0 selects 1000-cycle chunks.
-func (e Experiment) RunOnContext(ctx context.Context, n *Network, w Workload, every int, fn func(n *Network)) (Result, error) {
-	e = e.defaults()
-	if every <= 0 {
-		every = 1000
-	}
-	out, err := e.runChunked(ctx, n, w, []int{e.Measure}, every, fn)
-	if err != nil {
-		return Result{}, err
-	}
-	return out[0], nil
-}
-
-// runChunked is the one measurement loop behind the Run* methods: warm up,
+// RunWindows is the one measurement protocol behind every run: warm up,
 // then for each window reset the statistics, run it and collect its Result.
-// Every phase runs in chunks of at most every cycles (every <= 0: the whole
-// phase in one); ctx is polled before each chunk and fn, when not nil, is
-// called after each one, the last included. e must have its defaults applied.
-func (e Experiment) runChunked(ctx context.Context, n *Network, w Workload, windows []int, every int, fn func(n *Network)) ([]Result, error) {
+// Nil windows mean the one window of Measure cycles. Fault schedules use
+// absolute cycles, so an event lands in whichever window contains it.
+//
+// Every phase runs in chunks of at most every cycles (every <= 0: the
+// whole phase in one). ctx is polled before each chunk, so a cancelled run
+// stops within one chunk: it returns ctx.Err() and leaves the network
+// mid-run. fn, when not nil, is called after every chunk, on the
+// simulation goroutine while the network is between Steps; with every <= 0
+// that is after warmup and after each window, and n.Now() tells which.
+// Chunking never changes the cycle sequence, so the Results do not depend
+// on every.
+func (e Experiment) RunWindows(ctx context.Context, n *Network, w Workload, windows []int, every int, fn func(n *Network)) ([]Result, error) {
+	e = e.defaults()
+	if windows == nil {
+		windows = []int{e.Measure}
+	}
 	phase := func(total int) error {
 		for done := 0; done < total; {
 			if err := ctx.Err(); err != nil {

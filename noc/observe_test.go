@@ -168,20 +168,3 @@ func testObservedExports(t *testing.T, mk func(noc.Observe) noc.Experiment) {
 		t.Errorf("chrome trace invalid: %v", err)
 	}
 }
-
-// RunOnObserved must invoke the callback between chunks and produce the same
-// result as RunOn.
-func TestRunOnObserved(t *testing.T) {
-	e := observedExperiment(noc.Observe{})
-	_, plain := runObserved(e)
-
-	n := e.Build()
-	calls := 0
-	res := e.RunOnObserved(n, e.SyntheticWorkload(noc.Synthetic{Pattern: noc.UniformRandom, Rate: 0.10}), 500, func(*noc.Network) { calls++ })
-	if calls < (e.Warmup+e.Measure)/500 {
-		t.Errorf("callback ran %d times, want >= %d", calls, (e.Warmup+e.Measure)/500)
-	}
-	if res != plain {
-		t.Errorf("RunOnObserved result differs from RunOn:\n%+v\n%+v", res, plain)
-	}
-}
