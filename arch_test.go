@@ -609,6 +609,32 @@ func TestStructuralRules(t *testing.T) {
 		enforce(t, parts, "cmd/nocd/*.go", true)
 	})
 
+	// A bounded observation store is an obs.Ring, and a JSONL stream is read
+	// by obs.ReadJSONL. The flit tracer, the time series and the span log
+	// each kept their own wrap code and their own strict scanner before; a
+	// probe declaring a ring head or a drop count, or a scanner outside
+	// ReadJSONL, is that copy growing back. The Prometheus validator reads
+	// another format and keeps its own.
+	t.Run("one ring and one line reader", func(t *testing.T) {
+		copies := declaredIn("Tracer.head", "Tracer.dropped", "Series.head", "Series.dropped",
+			"SpanLog.head", "SpanLog.dropped")
+		scanner := outside("ReadJSONL", namesIn("bufio.NewScanner"))
+		seesEach(t, copies, map[string]string{
+			"declares Series.dropped": "package stats\ntype Series struct{ window int; dropped uint64 }",
+		}, "package stats\ntype Series struct{ window int; ring obs.Ring[Sample] }")
+		seesEach(t, scanner, map[string]string{
+			"names bufio.NewScanner": "package telemetry\nfunc ValidateSpansJSONL(r io.Reader) { sc := bufio.NewScanner(r); _ = sc }",
+		}, "package obs\nfunc ReadJSONL(r io.Reader) { sc := bufio.NewScanner(r); _ = sc }")
+		enforce(t, copies, "internal/*/*.go", false)
+		for _, dir := range []string{"internal/obs", "internal/stats", "internal/telemetry"} {
+			for _, f := range findings(t, scanner, filepath.Join(dir, "*.go"), false) {
+				if !strings.HasPrefix(f, filepath.Join("internal", "telemetry", "prometheus.go")+":") {
+					t.Error(f)
+				}
+			}
+		}
+	})
+
 	// Every figure is one measurement protocol: warm up, reset the counters,
 	// measure. noc.Experiment.RunWindows is its home, and its hook is where
 	// a caller acts at a window boundary, so a ResetStats call anywhere but

@@ -164,6 +164,13 @@ func simulate(args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 	}
+	// A ring that evicted says so: its export is the newest part of the run.
+	if tr := n.Tracer(); tr.Dropped() > 0 {
+		fmt.Fprintf(stderr, "nocsim: trace kept the newest %d events and dropped %d; raise -trace-cap to keep more\n", tr.Len(), tr.Dropped())
+	}
+	if s := n.Series(); s != nil && s.Dropped() > 0 {
+		fmt.Fprintf(stderr, "nocsim: time series kept the newest %d windows (a fixed cap) and dropped %d; a longer -window covers more of the run\n", s.Len(), s.Dropped())
+	}
 
 	if *jsonOut {
 		out := struct {

@@ -2,7 +2,10 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -77,25 +80,48 @@ func TestFaultedJSON(t *testing.T) {
 
 // TestTraceExports: a small observed run writes exports that pass their own
 // validators (the per-router rows summing to the global line among them),
-// for the paper's scheme and for the EVC router on the shared pipeline. The
-// EVC run must be seen by the probes too: one metrics row per router (the
-// sums-to-global check is vacuous on none), crossbar traversals among its
-// events, and no crossbar-locality figure in its report.
+// for the paper's scheme, for the EVC router on the shared pipeline and for
+// a faulted run that records every event kind. Each file is pinned byte for
+// byte, so a change to the rings or the line codec under the probes cannot
+// change what a run writes. The EVC run must be seen by the probes too: one
+// metrics row per router (the sums-to-global check is vacuous on none),
+// crossbar traversals among its events, and no crossbar-locality figure in
+// its report.
 func TestTraceExports(t *testing.T) {
+	const schedule = `{"drop":"reroute","events":[
+		{"cycle":400,"kind":"router-down","router":5},
+		{"cycle":800,"kind":"router-up","router":5},
+		{"cycle":500,"kind":"link-down","router":9,"port":0},
+		{"cycle":700,"kind":"link-up","router":9,"port":0}]}`
 	dir := t.TempDir()
 	for _, c := range []struct {
 		name string
 		args []string
+		sha  [3]string // trace, events, metrics
 	}{
-		{"psb", []string{"-topo", "mesh4x4", "-traffic", "uniform", "-rate", "0.10"}},
+		{"psb", []string{"-topo", "mesh4x4", "-traffic", "uniform", "-rate", "0.10"}, [3]string{
+			"bc18e70e1fe9246d46e28feae66d38cf87ac84daf0f02d52e05b7bf1c60f1a9e",
+			"5de6dd7dbbc53b5fdfaf2cc64d187aac89d33a875e8ae22eb41220e683464071",
+			"9b252f05bbb7a546859c8000ab3b7db4ca8706cffae660698366839ff0090850",
+		}},
 		{"evc", []string{"-topo", "mesh4x4", "-scheme", "baseline", "-evc", "-va", "dynamic",
-			"-traffic", "bitcomp", "-rate", "0.10"}},
+			"-traffic", "bitcomp", "-rate", "0.10"}, [3]string{
+			"c24a1959c2644d1d10a04f86e20a486029f63f0580bb8672a17072ad65dd1269",
+			"fef435ef76b48cf11d45e648eeeafd6dc139ea79b1b8baf2eb75af1448c6c8ee",
+			"ab1bc96fca862e587ecb184bc9e124ac72e0b84c84aeb14099fe2b4d180538b9",
+		}},
+		{"faulted", []string{"-topo", "mesh4x4", "-traffic", "uniform", "-rate", "0.10",
+			"-window", "100", "-faults", schedule}, [3]string{
+			"4d21d41dc803188ec9d50808cc1792f8c867547085cb20e756f28bdf6c7e6187",
+			"581a40ddde22360311353942c8a060bd4f9a8b2ea7e6540aa554db5a6cba06fe",
+			"a9bab7fe4de2ad2d941edb78a23454215ee965ab3331fd8e0a31b25993fdc792",
+		}},
 	} {
 		trace, events, metrics := filepath.Join(dir, c.name+".trace"), filepath.Join(dir, c.name+"-events.jsonl"), filepath.Join(dir, c.name+"-metrics.jsonl")
 		var stdout, stderr bytes.Buffer
 		args := append(c.args, "-warmup", "200", "-measure", "1000",
 			"-trace", trace, "-trace-jsonl", events, "-metrics-out", metrics)
-		if code := run(args, &stdout, &stderr); code != 0 {
+		if code := run(args, &stdout, &stderr); code != 0 || stderr.Len() != 0 {
 			t.Fatalf("%s: exit %d, stderr %q", c.name, code, stderr.String())
 		}
 		report := stdout.String()
@@ -104,21 +130,67 @@ func TestTraceExports(t *testing.T) {
 			&stdout, &stderr); code != 0 || strings.Count(stdout.String(), ": valid ") != 3 {
 			t.Fatalf("%s: validators: exit %d, stdout %q, stderr %q", c.name, code, stdout.String(), stderr.String())
 		}
-		if c.name != "evc" {
-			continue
+		file := map[string][]byte{}
+		for i, path := range []string{trace, events, metrics} {
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			file[path] = data
+			if sum := sha256.Sum256(data); hex.EncodeToString(sum[:]) != c.sha[i] {
+				t.Errorf("%s: %s changed: sha256 %x, want %s", c.name, filepath.Base(path), sum, c.sha[i])
+			}
 		}
-		m, err := os.ReadFile(metrics)
-		if err != nil {
-			t.Fatal(err)
+		switch c.name {
+		case "faulted":
+			e, m := string(file[events]), string(file[metrics])
+			for _, kind := range []string{"inject", "bw", "sa", "st", "bypass", "eject",
+				"link-down", "link-up", "router-down", "router-up", "drop"} {
+				if !strings.Contains(e, `"ev":"`+kind+`"`) {
+					t.Errorf("faulted: no %q event", kind)
+				}
+			}
+			if drops, windows := strings.Count(e, `"ev":"drop"`), strings.Count(m, `"type":"window"`); drops != 9 || windows != 12 {
+				t.Errorf("faulted: %d drop events and %d window lines, want 9 and 12", drops, windows)
+			}
+		case "evc":
+			if rows := strings.Count(string(file[metrics]), `"type":"router"`); rows != 16 {
+				t.Errorf("evc: %d router rows in the metrics, want 16", rows)
+			}
+			if !strings.Contains(string(file[events]), `"ev":"st"`) {
+				t.Error("evc: no crossbar traversal among the events")
+			}
+			if !strings.Contains(report, "crossbar n/a") {
+				t.Errorf("evc: the report gives a crossbar locality:\n%s", report)
+			}
 		}
-		if rows := strings.Count(string(m), `"type":"router"`); rows != 16 {
-			t.Errorf("evc: %d router rows in the metrics, want 16", rows)
+	}
+}
+
+// TestTruncationIsReported: a probe whose ring evicted says so on stderr,
+// once, with what it kept, what it dropped and what to change; the report on
+// stdout and the exit status are those of a run whose probes kept all.
+func TestTruncationIsReported(t *testing.T) {
+	dir := t.TempDir()
+	base := []string{"-topo", "mesh4x4", "-rate", "0.10", "-warmup", "200"}
+	for _, c := range []struct {
+		name, want string
+		args       []string
+	}{
+		{"trace", "nocsim: trace kept the newest 64 events and dropped ",
+			[]string{"-measure", "1000", "-trace-jsonl", filepath.Join(dir, "e.jsonl"), "-trace-cap", "64"}},
+		{"series", "nocsim: time series kept the newest 4096 windows (a fixed cap) and dropped 1104;",
+			[]string{"-measure", "5000", "-metrics-out", filepath.Join(dir, "m.jsonl"), "-window", "1"}},
+	} {
+		var stdout, stderr, plain bytes.Buffer
+		if code := run(append(base, c.args...), &stdout, &stderr); code != 0 {
+			t.Fatalf("%s: exit %d, stderr %q", c.name, code, stderr.String())
 		}
-		if e, err := os.ReadFile(events); err != nil || !strings.Contains(string(e), `"ev":"st"`) {
-			t.Errorf("evc: no crossbar traversal among the events (%v)", err)
+		if msg := stderr.String(); strings.Count(msg, "\n") != 1 || !strings.HasPrefix(msg, c.want) {
+			t.Errorf("%s: stderr %q, want one line starting %q", c.name, msg, c.want)
 		}
-		if !strings.Contains(report, "crossbar n/a") {
-			t.Errorf("evc: the report gives a crossbar locality:\n%s", report)
+		if code := run(append(base, c.args[:2]...), &plain, io.Discard); code != 0 || plain.String() != stdout.String() {
+			t.Errorf("%s: the report differs from an unprobed run's:\n%s\n%s", c.name, stdout.String(), plain.String())
 		}
 	}
 }

@@ -8,77 +8,81 @@ import (
 	"io"
 )
 
-// eventJSON is the JSONL wire form of an Event. Every field is always
-// present so the schema is strict and validators can reject unknown fields.
-type eventJSON struct {
-	Cycle int64  `json:"cycle"`
-	Ev    string `json:"ev"`
-	Pkt   uint64 `json:"pkt"`
-	Seq   int32  `json:"seq"`
-	Src   int32  `json:"src"`
-	Dst   int32  `json:"dst"`
-	At    int32  `json:"at"` // router ID, or terminal node for inject/eject
-	In    int32  `json:"in"`
-	VC    int32  `json:"vc"`
-	Out   int32  `json:"out"`
-}
-
-// WriteJSONL writes the tracer's retained events as one JSON object per
-// line, in recording order.
-func (t *Tracer) WriteJSONL(w io.Writer) error {
+// WriteJSONL writes vs as JSON Lines, one object per line, in order. It is
+// the one line encoder of every JSONL export: events, spans and metrics.
+func WriteJSONL[T any](w io.Writer, vs []T) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
-	for _, ev := range t.Events() {
-		line := eventJSON{
-			Cycle: ev.Cycle, Ev: ev.Kind.String(), Pkt: ev.Packet, Seq: ev.Seq,
-			Src: ev.Src, Dst: ev.Dst, At: ev.Loc, In: ev.In, VC: ev.VC, Out: ev.Out,
-		}
-		if err := enc.Encode(line); err != nil {
+	for _, v := range vs {
+		if err := enc.Encode(v); err != nil {
 			return err
 		}
 	}
 	return bw.Flush()
 }
 
-// ValidateEventsJSONL checks a lifecycle-event JSONL stream against the
-// schema: every line must strictly decode as an eventJSON with a known event
-// name, and cycles must be non-negative and non-decreasing (events are
-// recorded in simulation order). It returns the number of events validated.
-func ValidateEventsJSONL(r io.Reader) (int, error) {
+// ReadJSONL is the one strict line reader under every JSONL validator. It
+// hands each non-blank line to line, prefixes an error from it with
+// "<what> line N: " (N counts from 1), and refuses a stream with no lines.
+// It returns the number of lines read.
+func ReadJSONL(r io.Reader, what string, line func(data []byte) error) (int, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
 	n := 0
-	last := int64(-1)
 	for sc.Scan() {
 		data := bytes.TrimSpace(sc.Bytes())
 		if len(data) == 0 {
 			continue
 		}
 		n++
-		dec := json.NewDecoder(bytes.NewReader(data))
-		dec.DisallowUnknownFields()
-		var ev eventJSON
-		if err := dec.Decode(&ev); err != nil {
-			return n, fmt.Errorf("event line %d: %v", n, err)
+		if err := line(data); err != nil {
+			return n, fmt.Errorf("%s line %d: %w", what, n, err)
 		}
-		if _, ok := KindByName(ev.Ev); !ok {
-			return n, fmt.Errorf("event line %d: unknown event %q", n, ev.Ev)
-		}
-		if ev.Cycle < 0 {
-			return n, fmt.Errorf("event line %d: negative cycle %d", n, ev.Cycle)
-		}
-		if ev.Cycle < last {
-			return n, fmt.Errorf("event line %d: cycle %d before previous %d", n, ev.Cycle, last)
-		}
-		last = ev.Cycle
 	}
 	if err := sc.Err(); err != nil {
 		return n, err
 	}
 	if n == 0 {
-		return 0, fmt.Errorf("events: empty stream")
+		return 0, fmt.Errorf("%s: empty stream", what)
 	}
 	return n, nil
+}
+
+// Strict decodes one JSON value from data into v, refusing fields v does not
+// declare.
+func Strict(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
+}
+
+// WriteJSONL writes the tracer's retained events as one JSON object per
+// line, in recording order.
+func (t *Tracer) WriteJSONL(w io.Writer) error { return WriteJSONL(w, t.Events()) }
+
+// ValidateEventsJSONL checks a lifecycle-event JSONL stream against the
+// schema: every line must strictly decode as an Event with a known event
+// name, and cycles must be non-negative and non-decreasing (events are
+// recorded in simulation order). It returns the number of events validated.
+func ValidateEventsJSONL(r io.Reader) (int, error) {
+	last := int64(-1)
+	return ReadJSONL(r, "event", func(data []byte) error {
+		ev := Event{Kind: numKinds} // stays out of range when "ev" is absent or null
+		if err := Strict(data, &ev); err != nil {
+			return err
+		}
+		if ev.Kind == numKinds {
+			return fmt.Errorf("unknown event: no \"ev\" name")
+		}
+		if ev.Cycle < 0 {
+			return fmt.Errorf("negative cycle %d", ev.Cycle)
+		}
+		if ev.Cycle < last {
+			return fmt.Errorf("cycle %d before previous %d", ev.Cycle, last)
+		}
+		last = ev.Cycle
+		return nil
+	})
 }
 
 // Chrome trace_event export. One simulated cycle maps to one microsecond of

@@ -7,8 +7,12 @@
 // enabling it cannot perturb results — and the ring is preallocated, so the
 // recording path performs no allocations (the steady-state zero-alloc
 // contract holds with tracing enabled). When the ring fills, the oldest
-// events are evicted and counted in Dropped.
+// events are evicted and counted in Dropped. Ring is that bound, shared by
+// every probe in the repository, and WriteJSONL/ReadJSONL are their one line
+// codec.
 package obs
+
+import "fmt"
 
 // Kind identifies a flit-lifecycle pipeline event.
 type Kind uint8
@@ -67,57 +71,55 @@ func KindByName(s string) (Kind, bool) {
 	return 0, false
 }
 
+// MarshalText writes the kind as its exported event name.
+func (k Kind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
+
+// UnmarshalText reads an exported event name, refusing an unknown one.
+func (k *Kind) UnmarshalText(b []byte) error {
+	got, ok := KindByName(string(b))
+	if !ok {
+		return fmt.Errorf("unknown event %q", b)
+	}
+	*k = got
+	return nil
+}
+
 // Event is one recorded lifecycle event. Loc is the router ID for router
 // events (BufWrite, SAGrant, Traverse, Bypass) and the terminal node for NI
-// events (Inject, Eject). Fields that do not apply carry -1.
+// events (Inject, Eject). Fields that do not apply carry -1. The tags are
+// its JSONL wire form: every field is always present, so the schema is
+// strict and validators can reject unknown fields.
 type Event struct {
-	Cycle  int64
-	Kind   Kind
-	Packet uint64
-	Seq    int32 // flit index within its packet
-	Src    int32 // packet source node
-	Dst    int32 // packet destination node
-	Loc    int32 // router ID, or terminal node for Inject/Eject
-	In     int32 // input port at Loc, -1 for NI events
-	VC     int32 // virtual channel on the input side
-	Out    int32 // output port the flit is heading to, -1 when unknown
+	Cycle  int64  `json:"cycle"`
+	Kind   Kind   `json:"ev"`
+	Packet uint64 `json:"pkt"`
+	Seq    int32  `json:"seq"` // flit index within its packet
+	Src    int32  `json:"src"` // packet source node
+	Dst    int32  `json:"dst"` // packet destination node
+	Loc    int32  `json:"at"`  // router ID, or terminal node for Inject/Eject
+	In     int32  `json:"in"`  // input port at Loc, -1 for NI events
+	VC     int32  `json:"vc"`  // virtual channel on the input side
+	Out    int32  `json:"out"` // output port the flit is heading to, -1 when unknown
 }
 
 // Tracer is a bounded ring of Events. A nil *Tracer is the valid "disabled"
 // value; callers guard recording sites with a nil check so the disabled path
 // costs nothing. One simulation owns one tracer; it is not safe for
 // concurrent use.
-type Tracer struct {
-	ring    []Event // grows to cap, then wraps
-	head    int     // index of the oldest event once wrapped
-	dropped uint64
-}
+type Tracer struct{ ring Ring[Event] }
 
 // NewTracer returns a tracer retaining up to capacity events.
-func NewTracer(capacity int) *Tracer {
-	if capacity <= 0 {
-		panic("obs: tracer capacity must be positive")
-	}
-	return &Tracer{ring: make([]Event, 0, capacity)}
-}
+func NewTracer(capacity int) *Tracer { return &Tracer{ring: NewRing[Event](capacity)} }
 
 // Record appends one event, evicting the oldest when the ring is full.
-func (t *Tracer) Record(ev Event) {
-	if len(t.ring) < cap(t.ring) {
-		t.ring = append(t.ring, ev)
-		return
-	}
-	t.ring[t.head] = ev
-	t.head = (t.head + 1) % len(t.ring)
-	t.dropped++
-}
+func (t *Tracer) Record(ev Event) { t.ring.Push(ev) }
 
 // Len returns the number of retained events.
 func (t *Tracer) Len() int {
 	if t == nil {
 		return 0
 	}
-	return len(t.ring)
+	return t.ring.Len()
 }
 
 // Dropped returns how many events were evicted by the ring bound.
@@ -125,7 +127,7 @@ func (t *Tracer) Dropped() uint64 {
 	if t == nil {
 		return 0
 	}
-	return t.dropped
+	return t.ring.Dropped()
 }
 
 // Events returns the retained events in recording order (a copy; safe to
@@ -134,8 +136,5 @@ func (t *Tracer) Events() []Event {
 	if t == nil {
 		return nil
 	}
-	out := make([]Event, 0, len(t.ring))
-	out = append(out, t.ring[t.head:]...)
-	out = append(out, t.ring[:t.head]...)
-	return out
+	return t.ring.Values()
 }

@@ -96,6 +96,9 @@ func TestValidateEventsRejects(t *testing.T) {
 		{"empty", "", "empty"},
 		{"unknown event", `{"cycle":0,"ev":"warp","pkt":0,"seq":0,"src":0,"dst":0,"at":0,"in":0,"vc":0,"out":0}`, "unknown event"},
 		{"unknown field", `{"cycle":0,"ev":"st","bogus":1,"pkt":0,"seq":0,"src":0,"dst":0,"at":0,"in":0,"vc":0,"out":0}`, "bogus"},
+		{"no event name", `{"cycle":0,"pkt":0,"seq":0,"src":0,"dst":0,"at":0,"in":0,"vc":0,"out":0}`, "unknown event"},
+		{"null event name", `{"cycle":0,"ev":null,"pkt":0,"seq":0,"src":0,"dst":0,"at":0,"in":0,"vc":0,"out":0}`, "unknown event"},
+		{"numeric event", `{"cycle":0,"ev":3,"pkt":0,"seq":0,"src":0,"dst":0,"at":0,"in":0,"vc":0,"out":0}`, "event line 1"},
 		{"negative cycle", `{"cycle":-1,"ev":"st","pkt":0,"seq":0,"src":0,"dst":0,"at":0,"in":0,"vc":0,"out":0}`, "negative cycle"},
 		{
 			"cycle regression",

@@ -1,11 +1,11 @@
 package stats
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+
+	"pseudocircuit/internal/obs"
 )
 
 // Metrics JSONL export: one self-describing JSON object per line, typed by a
@@ -50,17 +50,8 @@ type RouterMetrics struct {
 
 // WindowMetrics is the serialized form of a Series sample.
 type WindowMetrics struct {
-	Type           string `json:"type"` // "window"
-	From           int64  `json:"from"`
-	To             int64  `json:"to"`
-	Injected       uint64 `json:"injected"`
-	Delivered      uint64 `json:"delivered"`
-	FlitsDelivered uint64 `json:"flits_delivered"`
-	LatencySamples uint64 `json:"latency_samples"`
-	LatencySum     uint64 `json:"latency_sum"`
-	Traversals     uint64 `json:"traversals"`
-	PCReused       uint64 `json:"pc_reused"`
-	Bypassed       uint64 `json:"bypassed"`
+	Type string `json:"type"` // "window"
+	Sample
 }
 
 // GlobalMetrics is the serialized form of the network-wide counters: the
@@ -101,8 +92,7 @@ type GlobalMetrics struct {
 // window lines from series (nil skips them), then the global line from st
 // (nil skips it) and reg's totals.
 func WriteMetricsJSONL(w io.Writer, reg *Registry, series *Series, st *Network) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
+	var routers []RouterMetrics
 	for _, r := range reg.Routers() {
 		t := r.Sum()
 		line := RouterMetrics{
@@ -133,33 +123,18 @@ func WriteMetricsJSONL(w io.Writer, reg *Registry, series *Series, st *Network) 
 				CreditStalls: p.CreditStalls,
 			}
 		}
-		if err := enc.Encode(line); err != nil {
-			return err
-		}
+		routers = append(routers, line)
 	}
+	var windows []WindowMetrics
 	if series != nil {
 		for _, s := range series.Samples() {
-			line := WindowMetrics{
-				Type:           "window",
-				From:           int64(s.From),
-				To:             int64(s.To),
-				Injected:       s.Injected,
-				Delivered:      s.Delivered,
-				FlitsDelivered: s.FlitsDelivered,
-				LatencySamples: s.LatencySamples,
-				LatencySum:     s.LatencySum,
-				Traversals:     s.Traversals,
-				PCReused:       s.PCReused,
-				Bypassed:       s.Bypassed,
-			}
-			if err := enc.Encode(line); err != nil {
-				return err
-			}
+			windows = append(windows, WindowMetrics{Type: "window", Sample: s})
 		}
 	}
+	var global []GlobalMetrics
 	if st != nil {
 		t := reg.Totals()
-		line := GlobalMetrics{
+		global = append(global, GlobalMetrics{
 			Type:              "global",
 			MeasuredFrom:      int64(st.MeasuredFrom),
 			MeasuredTo:        int64(st.MeasuredTo),
@@ -186,12 +161,15 @@ func WriteMetricsJSONL(w io.Writer, reg *Registry, series *Series, st *Network) 
 			AcksReceived:         st.AcksReceived,
 			DuplicatesDropped:    st.DuplicatesDropped,
 			DeliveryFailed:       st.DeliveryFailed,
-		}
-		if err := enc.Encode(line); err != nil {
-			return err
-		}
+		})
 	}
-	return bw.Flush()
+	if err := obs.WriteJSONL(w, routers); err != nil {
+		return err
+	}
+	if err := obs.WriteJSONL(w, windows); err != nil {
+		return err
+	}
+	return obs.WriteJSONL(w, global)
 }
 
 // ValidateMetricsJSONL checks a metrics JSONL stream against the schema:
@@ -200,42 +178,30 @@ func WriteMetricsJSONL(w io.Writer, reg *Registry, series *Series, st *Network) 
 // pseudo-circuit and traversal counters must sum exactly to the global
 // values. It returns the number of lines validated.
 func ValidateMetricsJSONL(r io.Reader) (int, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
 	var (
-		lines, routers, globals       int
+		routers, globals              int
 		sumReused, sumTrav, sumGrants uint64
 		global                        GlobalMetrics
 		seen                          = map[int]bool{}
 	)
-	strict := func(data []byte, v any) error {
-		dec := json.NewDecoder(bytes.NewReader(data))
-		dec.DisallowUnknownFields()
-		return dec.Decode(v)
-	}
-	for sc.Scan() {
-		data := bytes.TrimSpace(sc.Bytes())
-		if len(data) == 0 {
-			continue
-		}
-		lines++
+	lines, err := obs.ReadJSONL(r, "metrics", func(data []byte) error {
 		var head struct {
 			Type string `json:"type"`
 		}
 		if err := json.Unmarshal(data, &head); err != nil {
-			return lines, fmt.Errorf("metrics line %d: %v", lines, err)
+			return err
 		}
 		switch head.Type {
 		case "router":
 			var rm RouterMetrics
-			if err := strict(data, &rm); err != nil {
-				return lines, fmt.Errorf("metrics line %d (router): %v", lines, err)
+			if err := obs.Strict(data, &rm); err != nil {
+				return fmt.Errorf("router: %w", err)
 			}
 			if rm.Router < 0 {
-				return lines, fmt.Errorf("metrics line %d: negative router id %d", lines, rm.Router)
+				return fmt.Errorf("negative router id %d", rm.Router)
 			}
 			if seen[rm.Router] {
-				return lines, fmt.Errorf("metrics line %d: duplicate router %d", lines, rm.Router)
+				return fmt.Errorf("duplicate router %d", rm.Router)
 			}
 			seen[rm.Router] = true
 			var portReuse uint64
@@ -243,8 +209,7 @@ func ValidateMetricsJSONL(r io.Reader) (int, error) {
 				portReuse += p.PCReused
 			}
 			if portReuse != rm.PCReused {
-				return lines, fmt.Errorf("metrics line %d: router %d port pc_reused sum %d != router pc_reused %d",
-					lines, rm.Router, portReuse, rm.PCReused)
+				return fmt.Errorf("router %d port pc_reused sum %d != router pc_reused %d", rm.Router, portReuse, rm.PCReused)
 			}
 			routers++
 			sumReused += rm.PCReused
@@ -252,26 +217,24 @@ func ValidateMetricsJSONL(r io.Reader) (int, error) {
 			sumGrants += rm.SAGrants
 		case "window":
 			var wm WindowMetrics
-			if err := strict(data, &wm); err != nil {
-				return lines, fmt.Errorf("metrics line %d (window): %v", lines, err)
+			if err := obs.Strict(data, &wm); err != nil {
+				return fmt.Errorf("window: %w", err)
 			}
 			if wm.To <= wm.From {
-				return lines, fmt.Errorf("metrics line %d: empty window [%d,%d)", lines, wm.From, wm.To)
+				return fmt.Errorf("empty window [%d,%d)", wm.From, wm.To)
 			}
 		case "global":
-			if err := strict(data, &global); err != nil {
-				return lines, fmt.Errorf("metrics line %d (global): %v", lines, err)
+			if err := obs.Strict(data, &global); err != nil {
+				return fmt.Errorf("global: %w", err)
 			}
 			globals++
 		default:
-			return lines, fmt.Errorf("metrics line %d: unknown type %q", lines, head.Type)
+			return fmt.Errorf("unknown type %q", head.Type)
 		}
-	}
-	if err := sc.Err(); err != nil {
+		return nil
+	})
+	if err != nil {
 		return lines, err
-	}
-	if lines == 0 {
-		return 0, fmt.Errorf("metrics: empty stream")
 	}
 	if globals > 1 {
 		return lines, fmt.Errorf("metrics: %d global lines (want at most 1)", globals)

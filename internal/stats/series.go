@@ -3,24 +3,27 @@ package stats
 import (
 	"fmt"
 
+	"pseudocircuit/internal/obs"
 	"pseudocircuit/internal/sim"
 )
 
 // Sample is one closed window of the cycle-windowed time series: the deltas
 // of the global counters over [From, To). Rates derived from it expose the
 // transients a whole-run average hides (warmup convergence, injection bursts,
-// pseudo-circuit reuse ramping up as circuits form).
+// pseudo-circuit reuse ramping up as circuits form). The tags are its JSONL
+// wire form, a "window" line of the metrics export.
 type Sample struct {
-	From, To sim.Cycle
+	From sim.Cycle `json:"from"`
+	To   sim.Cycle `json:"to"`
 
-	Injected       uint64 // packets entering source queues
-	Delivered      uint64 // packets fully ejected
-	FlitsDelivered uint64
-	LatencySamples uint64
-	LatencySum     uint64
-	Traversals     uint64
-	PCReused       uint64
-	Bypassed       uint64
+	Injected       uint64 `json:"injected"`  // packets entering source queues
+	Delivered      uint64 `json:"delivered"` // packets fully ejected
+	FlitsDelivered uint64 `json:"flits_delivered"`
+	LatencySamples uint64 `json:"latency_samples"`
+	LatencySum     uint64 `json:"latency_sum"`
+	Traversals     uint64 `json:"traversals"`
+	PCReused       uint64 `json:"pc_reused"`
+	Bypassed       uint64 `json:"bypassed"`
 }
 
 // Cycles returns the window length.
@@ -65,7 +68,7 @@ func (s Sample) String() string {
 }
 
 // Series records cycle-windowed samples of the network-wide counters into a
-// bounded ring buffer. The network ticks it once per cycle; every window
+// bounded obs.Ring. The network ticks it once per cycle; every window
 // cycles it closes a Sample, and only then are the router rows summed. All
 // storage is preallocated, so the per-cycle path never allocates (the
 // steady-state zero-alloc contract holds with the series enabled).
@@ -75,10 +78,8 @@ func (s Sample) String() string {
 // warmup windows stay in the ring and post-reset windows difference against
 // the zeroed counters.
 type Series struct {
-	window  int
-	samples []Sample // ring storage, len grows to cap then wraps
-	head    int      // index of the oldest sample once wrapped
-	dropped uint64   // samples evicted by the ring bound
+	window int
+	ring   obs.Ring[Sample]
 
 	prev Sample    // cumulative counters at the last window boundary
 	from sim.Cycle // start of the currently open window
@@ -87,20 +88,20 @@ type Series struct {
 // NewSeries returns a series with the given window length in cycles and ring
 // capacity in windows. Both must be positive.
 func NewSeries(window, capacity int) *Series {
-	if window <= 0 || capacity <= 0 {
-		panic("stats: series window and capacity must be positive")
+	if window <= 0 {
+		panic("stats: series window must be positive")
 	}
-	return &Series{window: window, samples: make([]Sample, 0, capacity)}
+	return &Series{window: window, ring: obs.NewRing[Sample](capacity)}
 }
 
 // Window returns the configured window length in cycles.
 func (s *Series) Window() int { return s.window }
 
 // Dropped returns how many closed windows were evicted by the ring bound.
-func (s *Series) Dropped() uint64 { return s.dropped }
+func (s *Series) Dropped() uint64 { return s.ring.Dropped() }
 
 // Len returns the number of retained samples.
-func (s *Series) Len() int { return len(s.samples) }
+func (s *Series) Len() int { return s.ring.Len() }
 
 // Tick advances the series to cycle now; the network calls it once per Step
 // after updating st. When a window boundary is crossed the open window is
@@ -148,22 +149,11 @@ func (s *Series) close(now sim.Cycle, st *Network, reg *Registry) {
 		PCReused:       cur.PCReused - s.prev.PCReused,
 		Bypassed:       cur.Bypassed - s.prev.Bypassed,
 	}
-	if len(s.samples) < cap(s.samples) {
-		s.samples = append(s.samples, sm)
-	} else {
-		s.samples[s.head] = sm
-		s.head = (s.head + 1) % len(s.samples)
-		s.dropped++
-	}
+	s.ring.Push(sm)
 	s.prev = cur
 	s.from = now
 }
 
 // Samples returns the retained windows in chronological order (a copy; safe
 // to keep). Reporting-path only: it allocates.
-func (s *Series) Samples() []Sample {
-	out := make([]Sample, 0, len(s.samples))
-	out = append(out, s.samples[s.head:]...)
-	out = append(out, s.samples[:s.head]...)
-	return out
-}
+func (s *Series) Samples() []Sample { return s.ring.Values() }

@@ -1,9 +1,6 @@
 package telemetry
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
@@ -35,51 +32,40 @@ func (s Span) Duration() time.Duration { return s.End.Sub(s.Start) }
 
 // SpanLog is a bounded, concurrency-safe ring of Spans. Unlike the
 // simulation tracer (single-goroutine by contract) the service records spans
-// from every worker, so the ring takes a mutex — spans close at job
+// from every worker, so the obs.Ring sits behind a mutex — spans close at job
 // granularity (a handful per job), never per cycle, so the lock is cold.
 // When the ring fills, the oldest spans are evicted and counted in Dropped.
 type SpanLog struct {
-	mu      sync.Mutex
-	ring    []Span
-	head    int
-	dropped uint64
-	base    time.Time // export timestamps are offsets from here
+	mu   sync.Mutex
+	ring obs.Ring[Span]
+	base time.Time // export timestamps are offsets from here; never written after NewSpanLog
 }
 
 // NewSpanLog returns a log retaining up to capacity spans, with export
 // timestamps relative to now.
 func NewSpanLog(capacity int) *SpanLog {
-	if capacity <= 0 {
-		panic("telemetry: span log capacity must be positive")
-	}
-	return &SpanLog{ring: make([]Span, 0, capacity), base: time.Now()}
+	return &SpanLog{ring: obs.NewRing[Span](capacity), base: time.Now()}
 }
 
 // Record appends one span, evicting the oldest when the ring is full.
 func (l *SpanLog) Record(s Span) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if len(l.ring) < cap(l.ring) {
-		l.ring = append(l.ring, s)
-		return
-	}
-	l.ring[l.head] = s
-	l.head = (l.head + 1) % len(l.ring)
-	l.dropped++
+	l.ring.Push(s)
 }
 
 // Len returns the number of retained spans.
 func (l *SpanLog) Len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.ring)
+	return l.ring.Len()
 }
 
 // Dropped returns how many spans were evicted by the ring bound.
 func (l *SpanLog) Dropped() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.dropped
+	return l.ring.Dropped()
 }
 
 // Spans returns the retained spans in recording order (a copy; safe to
@@ -87,10 +73,7 @@ func (l *SpanLog) Dropped() uint64 {
 func (l *SpanLog) Spans() []Span {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]Span, 0, len(l.ring))
-	out = append(out, l.ring[l.head:]...)
-	out = append(out, l.ring[:l.head]...)
-	return out
+	return l.ring.Values()
 }
 
 // spanJSON is the strict JSONL wire form of a Span. Timestamps are
@@ -109,22 +92,16 @@ type spanJSON struct {
 // WriteJSONL writes the retained spans as one JSON object per line, in
 // recording order.
 func (l *SpanLog) WriteJSONL(w io.Writer) error {
-	l.mu.Lock()
-	base := l.base
-	l.mu.Unlock()
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for _, s := range l.Spans() {
-		line := spanJSON{
+	spans := l.Spans()
+	lines := make([]spanJSON, len(spans))
+	for i, s := range spans {
+		lines[i] = spanJSON{
 			Span: s.Name, Job: s.Job, Key: s.Key, Scheme: s.Scheme, Outcome: s.Outcome,
-			StartUs: s.Start.Sub(base).Microseconds(),
+			StartUs: s.Start.Sub(l.base).Microseconds(),
 			DurUs:   s.Duration().Microseconds(),
 		}
-		if err := enc.Encode(line); err != nil {
-			return err
-		}
 	}
-	return bw.Flush()
+	return obs.WriteJSONL(w, lines)
 }
 
 // ValidateSpansJSONL checks a span JSONL stream: every line must strictly
@@ -132,35 +109,19 @@ func (l *SpanLog) WriteJSONL(w io.Writer) error {
 // start/duration. Spans are recorded at close time by concurrent workers, so
 // no ordering is required. It returns the number of spans validated.
 func ValidateSpansJSONL(r io.Reader) (int, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
-	n := 0
-	for sc.Scan() {
-		data := bytes.TrimSpace(sc.Bytes())
-		if len(data) == 0 {
-			continue
-		}
-		n++
-		dec := json.NewDecoder(bytes.NewReader(data))
-		dec.DisallowUnknownFields()
+	return obs.ReadJSONL(r, "span", func(data []byte) error {
 		var s spanJSON
-		if err := dec.Decode(&s); err != nil {
-			return n, fmt.Errorf("span line %d: %v", n, err)
+		if err := obs.Strict(data, &s); err != nil {
+			return err
 		}
 		if s.Span == "" {
-			return n, fmt.Errorf("span line %d: empty span name", n)
+			return fmt.Errorf("empty span name")
 		}
 		if s.StartUs < 0 || s.DurUs < 0 {
-			return n, fmt.Errorf("span line %d: negative time (start %d, dur %d)", n, s.StartUs, s.DurUs)
+			return fmt.Errorf("negative time (start %d, dur %d)", s.StartUs, s.DurUs)
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return n, err
-	}
-	if n == 0 {
-		return 0, fmt.Errorf("spans: empty stream")
-	}
-	return n, nil
+		return nil
+	})
 }
 
 // ServicePid is the trace_event process ID service spans render under —
@@ -180,9 +141,6 @@ type spanArgs struct {
 // under a "nocd service" process, one thread lane per job. Ts is
 // microseconds since the log's base — the same axis as WriteJSONL.
 func (l *SpanLog) WriteChromeTrace(w io.Writer) error {
-	l.mu.Lock()
-	base := l.base
-	l.mu.Unlock()
 	cw, err := obs.NewChromeWriter(w)
 	if err != nil {
 		return err
@@ -203,7 +161,7 @@ func (l *SpanLog) WriteChromeTrace(w io.Writer) error {
 		}
 		if err := cw.Event(obs.ChromeEvent{
 			Name: name, Ph: ph,
-			Ts: s.Start.Sub(base).Microseconds(), Dur: dur,
+			Ts: s.Start.Sub(l.base).Microseconds(), Dur: dur,
 			Pid: ServicePid, Tid: spanLane(s.Job), S: scope,
 			Args: spanArgs{Job: s.Job, Key: shortKey(s.Key), Scheme: s.Scheme, Outcome: s.Outcome},
 		}); err != nil {

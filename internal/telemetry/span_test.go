@@ -2,7 +2,10 @@ package telemetry
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -66,6 +69,26 @@ func TestSpanJSONLRoundTrips(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("run span missing from export")
+	}
+}
+
+// TestSpanExportsPinned: the span log's two exports keep their bytes. The
+// timestamps are offsets from the log's base, so sampleLog's are fixed.
+func TestSpanExportsPinned(t *testing.T) {
+	for _, c := range []struct {
+		name, want string
+		write      func(*SpanLog, io.Writer) error
+	}{
+		{"jsonl", "063c099802be8554bf2b50277a43e0fc81bc2addb78a526cb643cb2ef765c16f", (*SpanLog).WriteJSONL},
+		{"chrome", "b726ad13d11d15a4b3ca5c3f7e74ee4a8e912e3495770f87de7dd9d5deedfa50", (*SpanLog).WriteChromeTrace},
+	} {
+		var buf bytes.Buffer
+		if err := c.write(sampleLog(), &buf); err != nil {
+			t.Fatal(err)
+		}
+		if sum := sha256.Sum256(buf.Bytes()); hex.EncodeToString(sum[:]) != c.want {
+			t.Errorf("%s export changed: sha256 %x, want %s\n%s", c.name, sum, c.want, buf.String())
+		}
 	}
 }
 

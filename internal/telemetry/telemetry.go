@@ -1,14 +1,14 @@
 // Package telemetry is the service-layer metrics core: named counters,
 // gauges and fixed-bucket histograms behind a Prometheus text-format
 // exposition writer (prometheus.go) and a wall-clock span log with JSONL /
-// Chrome trace exporters (span.go).
+// Chrome trace exporters (span.go) on internal/obs's ring and line codec.
 //
 // It mirrors the discipline the kernel's stats/obs layers established one
-// level down: dependency-free (standard library only), allocation-free on
-// the hot path (Counter.Add, Gauge.Set, Histogram.Observe and resolved
-// vector children perform no allocations and take no locks — everything is
-// atomics over preallocated storage), and observation-only (recording never
-// feeds back into the work being measured).
+// level down: allocation-free on the hot path (Counter.Add, Gauge.Set,
+// Histogram.Observe and resolved vector children perform no allocations and
+// take no locks — everything is atomics over preallocated storage), and
+// observation-only (recording never feeds back into the work being
+// measured).
 //
 // Cardinality is a design constraint, not an afterthought: vectors carry
 // exactly one label, children are created on first use and never deleted,
