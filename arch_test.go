@@ -237,7 +237,7 @@ func writesLaneWord(e ast.Expr) bool {
 }
 
 // setsView reports whether assigning to e in function fn is New pointing the
-// occ or act view at the lane store: the slice header, not a word in it.
+// occ or act view at its slab region: the slice header, not a word in it.
 func setsView(fn string, e ast.Expr) bool {
 	s, ok := e.(*ast.SelectorExpr)
 	return ok && fn == "New" && (s.Sel.Name == "occ" || s.Sel.Name == "act")
@@ -279,8 +279,8 @@ func laneWordWritesIn(fset *token.FileSet, f *ast.File) []string {
 // and holds no pc* helper of its own. The lane words have one set of writers:
 // the occupancy and active masks and the two port words derived from them are
 // assigned only by the five lane helpers, which is what keeps them in step
-// (New, which builds a router in place, points the two mask views at the lane
-// store and writes no word).
+// (New, which builds a router in place, points the two mask views at their
+// slab regions and writes no word).
 func TestOneRouterPipeline(t *testing.T) {
 	t.Run("evc redeclares no phase", func(t *testing.T) {
 		enforce(t, phasesIn, "internal/evc/*.go", true)
@@ -448,7 +448,7 @@ func TestStructuralRules(t *testing.T) {
 	})
 
 	// Every field of the cycle kernel's per-router state is the record of a
-	// fact, the store's index, or an accelerator with a price (DESIGN.md §17,
+	// fact, the layout's index, or an accelerator with a price (DESIGN.md §17,
 	// "State inventory"). Each name below was a second record once: a
 	// per-slot arrival stamp, a []bool beside the mask word that holds the
 	// bit, a per-lane copy of a field the lane's packet holds, an NI-side copy
@@ -460,22 +460,22 @@ func TestStructuralRules(t *testing.T) {
 	// record a purge of that ring needed.
 	t.Run("one record per fact", func(t *testing.T) {
 		second := declaredIn(
-			"LaneStore.At", "LaneStore.Active", "LaneStore.PCValid", "LaneStore.HistValid",
-			"LaneStore.Class", "LaneStore.Src", "LaneStore.Dst",
+			"Slab.At", "Slab.Active", "Slab.PCValid", "Slab.HistValid",
+			"Slab.Class", "Slab.Src", "Slab.Dst",
 			"RegFile.Valid", "RegFile.HistValid",
 			"Router.at", "Router.activeL", "Router.worked", "Router.classL", "Router.srcL", "Router.dstL",
 			"ni.busy", "ni.rx", "ni.class", "Network.active",
 			"Synthetic.rngs []*sim.RNG", "Flit.RouteClass", "delivery.vc", "credRet",
 		)
 		seesEach(t, second, map[string]string{
-			"declares LaneStore.Class":           "package core\ntype LaneStore struct{ OutVC, Class []int }",
+			"declares Slab.Class":                "package router\ntype Slab struct{ i8 []int8; Class []int }",
 			"declares ni.class":                  "package network\ntype ni struct{ idx, class int }",
 			"declares Flit.RouteClass":           "package flit\ntype Flit struct{ RouteClass int }",
 			"declares Synthetic.rngs []*sim.RNG": "package traffic\ntype Synthetic struct{ rngs []*sim.RNG }",
 			"declares delivery.vc":               "package network\ntype delivery struct{ router, port, vc int32 }",
 			"declares credRet":                   "package network\ntype credRet struct{ router, out, vc int }",
-		}, "package core\ntype LaneView struct{ Active bool; Class int }\ntype Synthetic struct{ rngs []sim.RNG }\n"+
-			"type Packet struct{ RouteClass int }\ntype Flit = struct{ RouteClass int }\nfunc (s *LaneStore) Class() {}\n"+
+		}, "package router\ntype Records struct{ Active bool; Class int }\ntype Synthetic struct{ rngs []sim.RNG }\n"+
+			"type Packet struct{ RouteClass int }\ntype Flit = struct{ RouteClass int }\nfunc (s *Slab) Class() {}\n"+
 			"type delivery struct{ router, port int32 }\ntype upCredit struct{ router, out, vc int32 }")
 
 		for _, dir := range []string{"core", "router", "network", "traffic", "flit"} {
@@ -489,17 +489,40 @@ func TestStructuralRules(t *testing.T) {
 	// record widened back to 64 bits.
 	t.Run("widths stay chosen", func(t *testing.T) {
 		seesEach(t, wideFields, map[string]string{
-			"declares LaneStore.BufLen []int": "package core\ntype LaneStore struct{ NumVCs int; InBase []int; BufLen []int }",
-			"declares Router.outVC []int":     "package router\ntype Router struct{ nIn int; ejection uint64; outVC []int }",
-			"declares Router.rrIn []int":      "package router\ntype Router struct{ nIn int; rrVC []int16; rrIn []int }",
-			"declares reservation.out int":    "package router\ntype reservation struct{ f *flit.Flit; in, vc int8; out int }",
-			"declares upstream.out int":       "package network\ntype upstream struct{ router int32; out int }",
-			"declares ni.credits []int":       "package network\ntype ni struct{ node int; credits []int }",
-		}, "package core\ntype LaneStore struct{ NumVCs, BufDepth int; OutBase []int; OutVC []int8; Credits []int16 }\n"+
+			"declares Slab.i16 []int":      "package router\ntype Slab struct{ routers []Router; i16 []int }",
+			"declares Router.outVC []int":  "package router\ntype Router struct{ nIn int; ejection uint64; outVC []int }",
+			"declares Router.rrIn []int":   "package router\ntype Router struct{ nIn int; rrVC []int16; rrIn []int }",
+			"declares reservation.out int": "package router\ntype reservation struct{ f *flit.Flit; in, vc int8; out int }",
+			"declares upstream.out int":    "package network\ntype upstream struct{ router int32; out int }",
+			"declares ni.credits []int":    "package network\ntype ni struct{ node int; credits []int }",
+		}, "package router\ntype Slab struct{ routers []Router; i16 []int16; i8 []int8; words []uint64 }\n"+
 			"type Router struct{ nIn, V int; bufLen []int16 }\ntype upstream struct{ router, out int32 }\ntype delivery struct{ port int }")
 		for _, glob := range []string{"internal/core/*.go", "internal/router/*.go", "internal/network/*.go"} {
 			enforce(t, wideFields, glob, false)
 		}
+	})
+
+	// A router's state has one store, router.Slab, and one package knows its
+	// layout: the network-wide lane store that sat beside it in core, and the
+	// router config field that handed it over, do not grow back.
+	t.Run("one store", func(t *testing.T) {
+		store := declaredIn("LaneStore", "NewLaneStore", "Config.Lanes")
+		seesEach(t, store, map[string]string{
+			"declares LaneStore":    "package core\ntype LaneStore struct{ BufLen []int16 }",
+			"declares NewLaneStore": "package core\nfunc NewLaneStore(numVCs int) {}",
+			"declares Config.Lanes": "package router\ntype Config struct{ NumVCs int; Lanes *Slab }",
+		}, "package router\ntype Config struct{ Slab *Slab }\nfunc NewSlab() {}\nfunc (r *Router) Records() {}")
+		globs := []string{"*.go", "noc/*.go", "cmd/*/*.go", "nocdclient/*.go"}
+		dirs, _ := filepath.Glob("internal/*")
+		for _, dir := range dirs {
+			if dir != filepath.Join("internal", "router") {
+				globs = append(globs, filepath.Join(dir, "*.go"))
+			}
+		}
+		for _, glob := range globs {
+			enforce(t, store, glob, false)
+		}
+		enforce(t, declaredIn("Config.Lanes"), "internal/router/*.go", false)
 	})
 
 	// noc.Spec.Experiment and noc.WorkloadSpec.Workload turn names into an
@@ -732,12 +755,11 @@ func resultWritesIn(fset *token.FileSet, f *ast.File) []string {
 }
 
 // narrowRecords names, per struct type, the fields that hold per-lane or
-// per-port state: every field of LaneStore but its parameters and per-router
-// prefix sums; Router's views of the store's lanes and its own per-port
-// records; the ports and VCs of a grant or an SA request; both fields of
-// upstream; an NI's credit counters.
+// per-port state: every region of Slab, one per kind; Router's lanes and
+// per-port records; the ports and VCs of a grant or an SA request; both fields
+// of upstream; an NI's credit counters.
 var narrowRecords = map[string]func(field string) bool{
-	"LaneStore": func(f string) bool { return f != "NumVCs" && f != "BufDepth" && f != "InBase" && f != "OutBase" },
+	"Slab": func(string) bool { return true },
 	"Router": func(f string) bool {
 		return strings.Contains(" bufLen outPort outVC credits rrVC lastOut rrIn chosen pcCand ", " "+f+" ")
 	},

@@ -313,7 +313,7 @@ func benchScheme(b *testing.B, s noc.Scheme) {
 }
 
 // BenchmarkNetworkBuild times Experiment.Build — network.New's wiring pass
-// plus router, NI and lane-store construction — at the sizes the experiments
+// plus router, NI and slab construction — at the sizes the experiments
 // and the service use: the paper's two platforms, the benchmark's largest
 // direct workload and the largest spec nocd accepts. Run with -benchmem:
 // allocs/op is one per kind of state, the same at every size

@@ -11,6 +11,7 @@ import (
 // per kind of state, not per router. Experiment.Build makes the same number
 // of allocations on Mesh(8,8), Mesh(24,24) and CMesh(4,4,4); the EVC mesh
 // adds its policy router, one allocation per router, and at most two more.
+// The count itself is pinned, so a new kind of state shows up here.
 func TestBuildAllocsIndependentOfSize(t *testing.T) {
 	if raceBuild {
 		t.Skip("the race detector allocates")
@@ -24,7 +25,11 @@ func TestBuildAllocsIndependentOfSize(t *testing.T) {
 		}
 		return int(testing.AllocsPerRun(20, func() { builtNet = e.Build() }))
 	}
+	const pinned = 40
 	mesh8 := allocs(noc.Experiment{Topology: noc.Mesh(8, 8)})
+	if mesh8 != pinned {
+		t.Errorf("mesh8x8: Build makes %d allocations, pinned at %d", mesh8, pinned)
+	}
 	for _, c := range []struct {
 		name string
 		topo noc.Topology

@@ -13,16 +13,25 @@
 //
 // This package holds that logic: RegFile is one router's register pairs,
 // history registers and comparator, with the only four operations that write
-// them (connect, connect speculatively, terminate, clear), over storage in the
-// LaneStore (soa.go); Scheme and Options select what the pipeline does with
-// them. The router package calls RegFile from its pipeline phases and holds no
-// pseudo-circuit state of its own.
+// them (connect, connect speculatively, terminate, clear), over storage the
+// router carves from its network's slab (InitRegFile); Scheme and Options
+// select what the pipeline does with them. The router package calls RegFile
+// from its pipeline phases and writes no pseudo-circuit state of its own.
 package core
 
 import (
 	"fmt"
 	"math/bits"
 )
+
+// LaneLimit bounds VCs per port and ports per router: occupancy and
+// arbitration masks are single uint64 words, and a port or VC id, with -1 for
+// none, fits the int8 the router keeps it in.
+const LaneLimit = 64
+
+// DepthLimit bounds BufDepth: a buffer fill and a credit count, 0 through the
+// depth, fit the int16 the router keeps them in.
+const DepthLimit = 1<<15 - 1
 
 // Scheme selects which of the paper's schemes is active. The four evaluated
 // configurations are Baseline (all false), Pseudo, Pseudo+S, Pseudo+B and
@@ -118,10 +127,10 @@ func DefaultOptions(s Scheme) Options {
 // writes it: per input port the register pair of Fig. 3 (a) with its valid
 // bit, per output port the history register of Fig. 5 (b), and the three
 // derived structures that keep the router's scans proportional to live and
-// revivable circuits (DESIGN.md §17 prices each). The slices are a per-router
-// view cut from the LaneStore, indexed by router-local port; the router reads
-// them freely and mutates them through the four methods below, which is what
-// keeps the derived structures in step. Check verifies that.
+// revivable circuits (DESIGN.md §17 prices each). The slices are laid over
+// storage the router carves (InitRegFile), indexed by router-local port; the
+// router reads them freely and mutates them through the four methods below,
+// which is what keeps the derived structures in step. Check verifies that.
 type RegFile struct {
 	// Per input port: input VC and output port of the most recent crossbar
 	// connection through it. Termination clears only the valid bit, leaving the
@@ -151,6 +160,28 @@ type RegFile struct {
 	ValidMask uint64
 	HistMask  uint64
 	HeldMask  uint64
+}
+
+// RegFileBytes is the int8 storage a register file of nIn input and nOut
+// output ports is laid over: a register pair per input, a history register and
+// a ByOut entry per output.
+func RegFileBytes(nIn, nOut int) int { return 2*nIn + 2*nOut }
+
+// InitRegFile lays an empty register file over storage its caller carved:
+// bytes of RegFileBytes(nIn, nOut) int8s and spec of nIn bools. Every
+// register, history register and ByOut entry reads -1, and each slice is
+// capped at its own end.
+func InitRegFile(f *RegFile, nIn, nOut int, bytes []int8, spec []bool) {
+	for i := range bytes {
+		bytes[i] = -1
+	}
+	clear(spec)
+	cut := func(n int) []int8 {
+		c := bytes[:n:n]
+		bytes = bytes[n:]
+		return c
+	}
+	*f = RegFile{InVC: cut(nIn), Out: cut(nIn), Spec: spec[:nIn:nIn], HistIn: cut(nOut), ByOut: cut(nOut)}
 }
 
 // Valid reports input port in's valid bit.

@@ -42,10 +42,12 @@ func TestSchemeValidate(t *testing.T) {
 	}
 }
 
-// regFile returns the register file of a lone router with the given radix, as
-// the router cuts it from its lane store.
+// regFile returns an empty register file with the given radix, laid over
+// storage of its own as a router lays it over what it carves.
 func regFile(in, out int) *core.RegFile {
-	return core.NewLaneStore(2, 4, []int{in}, []int{out}).RegFile(0)
+	f := new(core.RegFile)
+	core.InitRegFile(f, in, out, make([]int8, core.RegFileBytes(in, out)), make([]bool, in))
+	return f
 }
 
 func check(t *testing.T, f *core.RegFile) {
@@ -248,47 +250,51 @@ func TestHistMaskIsWhatSpeculationCanRevive(t *testing.T) {
 	}
 }
 
-// TestCheckNamesTheDesyncedStructure corrupts, on a live store, each derived
-// structure (the reverse index, the held mask, the history mask) and then the
-// valid bits they are derived from, and expects the store's consistency check
-// (which is the register file's own) to name what it found. A valid bit has no
-// second copy to disagree with: a wrong one is caught by what the holders say.
+// TestCheckNamesTheDesyncedStructure corrupts, on a live register file, each
+// derived structure (the reverse index, the held mask, the history mask) and
+// then the valid bits they are derived from, and expects RegFile.Check to name
+// what it found. A valid bit has no second copy to disagree with: a wrong one
+// is caught by what the holders say. Two files share one storage slice, as the
+// routers of a network share their slab; the first case writes through that
+// storage, and a corruption of the second file must leave the first clean.
 func TestCheckNamesTheDesyncedStructure(t *testing.T) {
-	live := func() (*core.LaneStore, *core.RegFile) {
-		s := core.NewLaneStore(2, 4, []int{2, 3}, []int{2, 4})
-		f := s.RegFile(1)
+	live := func() (bytes []int8, first, f *core.RegFile) {
+		n0 := core.RegFileBytes(2, 2)
+		bytes = make([]int8, n0+core.RegFileBytes(3, 4))
+		spec := make([]bool, 2+3)
+		first, f = new(core.RegFile), new(core.RegFile)
+		core.InitRegFile(first, 2, 2, bytes[:n0:n0], spec[:2:2])
+		core.InitRegFile(f, 3, 4, bytes[n0:], spec[2:])
 		f.Connect(0, 1, 2)
 		f.Connect(2, 0, 3)
 		f.Terminate(2)
-		if err := s.CheckConsistency(1, s.InBase[1], 3, s.OutBase[1], 4); err != nil {
-			t.Fatal(err)
-		}
-		return s, f
+		check(t, f)
+		return bytes, first, f
 	}
+	byOut2 := core.RegFileBytes(2, 2) + 2*3 + 4 + 2 // f.ByOut[2] in the shared storage
 	for _, c := range []struct {
 		want    string
-		corrupt func(s *core.LaneStore, f *core.RegFile)
+		corrupt func(bytes []int8, f *core.RegFile)
 	}{
-		{"ByOut[2]", func(s *core.LaneStore, f *core.RegFile) { s.PCByOut[s.OutBase[1]+2] = -1 }},
-		{"ByOut[3]", func(s *core.LaneStore, f *core.RegFile) { f.ByOut[3] = 2 }},
-		{"both hold", func(s *core.LaneStore, f *core.RegFile) { f.ValidMask, f.Out[2] = f.ValidMask|1<<2, 2 }},
-		{"ByOut[3] = -1, registers say 2", func(s *core.LaneStore, f *core.RegFile) { f.ValidMask |= 1 << 2 }},
-		{"ByOut[2] = 0, registers say -1", func(s *core.LaneStore, f *core.RegFile) { f.ValidMask &^= 1 << 0 }},
-		{"input 1 has no register pair", func(s *core.LaneStore, f *core.RegFile) { f.ValidMask |= 1 << 1 }},
-		{"HeldMask", func(s *core.LaneStore, f *core.RegFile) { f.HeldMask &^= 1 << 2 }},
+		{"ByOut[2]", func(bytes []int8, f *core.RegFile) { bytes[byOut2] = -1 }},
+		{"ByOut[3]", func(bytes []int8, f *core.RegFile) { f.ByOut[3] = 2 }},
+		{"both hold", func(bytes []int8, f *core.RegFile) { f.ValidMask, f.Out[2] = f.ValidMask|1<<2, 2 }},
+		{"ByOut[3] = -1, registers say 2", func(bytes []int8, f *core.RegFile) { f.ValidMask |= 1 << 2 }},
+		{"ByOut[2] = 0, registers say -1", func(bytes []int8, f *core.RegFile) { f.ValidMask &^= 1 << 0 }},
+		{"input 1 has no register pair", func(bytes []int8, f *core.RegFile) { f.ValidMask |= 1 << 1 }},
+		{"HeldMask", func(bytes []int8, f *core.RegFile) { f.HeldMask &^= 1 << 2 }},
 		// Input 2's pair is reset and the bit stays: a revival that cannot be.
-		{"HistMask 1100, HistIn and the register pairs say 100", func(s *core.LaneStore, f *core.RegFile) { f.InVC[2], f.Out[2] = -1, -1 }},
+		{"HistMask 1100, HistIn and the register pairs say 100", func(bytes []int8, f *core.RegFile) { f.InVC[2], f.Out[2] = -1, -1 }},
 		// Input 0 still points at output 2 and the bit goes: a lost revival.
-		{"HistMask 1000, HistIn and the register pairs say 1100", func(s *core.LaneStore, f *core.RegFile) { f.HistMask &^= 1 << 2 }},
+		{"HistMask 1000, HistIn and the register pairs say 1100", func(bytes []int8, f *core.RegFile) { f.HistMask &^= 1 << 2 }},
 	} {
-		s, f := live()
-		c.corrupt(s, f)
-		err := s.CheckConsistency(1, s.InBase[1], 3, s.OutBase[1], 4)
-		if err == nil || !strings.Contains(err.Error(), "router 1: ") || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("corrupting %s: CheckConsistency = %v", c.want, err)
+		bytes, first, f := live()
+		c.corrupt(bytes, f)
+		if err := f.Check(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("corrupting %s: Check = %v", c.want, err)
 		}
-		if err := s.CheckConsistency(0, 0, 2, 0, 2); err != nil {
-			t.Errorf("corrupting %s in router 1 failed router 0: %v", c.want, err)
+		if err := first.Check(); err != nil {
+			t.Errorf("corrupting %s in the second file failed the first: %v", c.want, err)
 		}
 	}
 }

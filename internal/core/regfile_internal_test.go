@@ -25,7 +25,8 @@ func deepCopy(f *RegFile) RegFile {
 func TestConnectOnItsOwnCircuitWritesNothing(t *testing.T) {
 	const nIn, nOut, nVC = 3, 4, 2
 	prop := func(ops []uint16) bool {
-		f := NewLaneStore(nVC, 4, []int{nIn}, []int{nOut}).RegFile(0)
+		f := new(RegFile)
+		InitRegFile(f, nIn, nOut, make([]int8, RegFileBytes(nIn, nOut)), make([]bool, nIn))
 		for step, op := range ops {
 			in, vc, out := int(op>>2)%nIn, int(op>>4)%nVC, int(op>>6)%nOut
 			switch op % 4 {

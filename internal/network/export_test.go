@@ -3,12 +3,8 @@ package network
 import (
 	"reflect"
 
-	"pseudocircuit/internal/core"
+	"pseudocircuit/internal/router"
 )
-
-// Lanes exposes the shared structure-of-arrays lane store to tests (layout
-// round-trip and consistency checks).
-func (n *Network) Lanes() *core.LaneStore { return n.lanes }
 
 // LanePacket names the packet that owns an input lane: what VA and the
 // fault sweeps read through the router's pkt record.
@@ -17,21 +13,75 @@ type LanePacket struct {
 	RouteClass int
 }
 
-// LanePackets returns, per global input lane of the store, the packet the
-// owning router's pkt record names (the zero LanePacket where it names none).
-// The record is unexported in package router, so it is read by reflection;
-// an EVC router reaches it through its embedded *router.Router.
+// routerValue returns node's router.Router: the node itself, or the one a
+// policy router (EVC) embeds.
+func routerValue(node Node) reflect.Value {
+	v := reflect.ValueOf(node).Elem()
+	if v.Type() != reflect.TypeFor[router.Router]() {
+		v = v.FieldByName("Router").Elem()
+	}
+	return v
+}
+
+// LanePackets returns, per network-wide input lane, the packet the owning
+// router's pkt record names (the zero LanePacket where it names none). The
+// record is unexported in package router, so it is read by reflection.
 func (n *Network) LanePackets() []LanePacket {
-	out := make([]LanePacket, len(n.lanes.BufLen))
+	out := make([]LanePacket, n.inBase[len(n.routers)]*n.cfg.NumVCs)
 	for r, node := range n.routers {
-		pkt := reflect.ValueOf(node).Elem().FieldByName("pkt")
-		base := n.lanes.InBase[r] * n.lanes.NumVCs
+		pkt := routerValue(node).FieldByName("pkt")
+		base := n.inBase[r] * n.cfg.NumVCs
 		for l := 0; l < pkt.Len(); l++ {
 			if p := pkt.Index(l); !p.IsNil() {
 				out[base+l] = LanePacket{p.Elem().FieldByName("ID").Uint(), int(p.Elem().FieldByName("RouteClass").Int())}
 			}
 		}
 	}
+	return out
+}
+
+// RouterState returns, by field name, every narrow slice router r keeps — its
+// lane, port and credit records, per-port pointers and census, each an
+// int8, int16, uint64 or bool slice — and every field of its register file:
+// the registers' storage and the mask words ("pc.ValidMask"). Each value is
+// widened to int64s. The fields are unexported in package router, so they are
+// read by reflection, as LanePackets reads pkt.
+func (n *Network) RouterState(r int) map[string][]int64 {
+	word := func(x reflect.Value) (int64, bool) {
+		switch x.Kind() {
+		case reflect.Int8, reflect.Int16:
+			return x.Int(), true
+		case reflect.Uint64:
+			return int64(x.Uint()), true
+		case reflect.Bool:
+			if x.Bool() {
+				return 1, true
+			}
+			return 0, true
+		}
+		return 0, false
+	}
+	out := map[string][]int64{}
+	add := func(prefix string, s reflect.Value, words bool) {
+		for i := 0; i < s.NumField(); i++ {
+			f := s.Field(i)
+			if f.Kind() == reflect.Slice {
+				if _, ok := word(reflect.Zero(f.Type().Elem())); !ok {
+					continue
+				}
+				w := make([]int64, f.Len())
+				for j := range w {
+					w[j], _ = word(f.Index(j))
+				}
+				out[prefix+s.Type().Field(i).Name] = w
+			} else if x, ok := word(f); ok && words {
+				out[prefix+s.Type().Field(i).Name] = []int64{x}
+			}
+		}
+	}
+	v := routerValue(n.routers[r])
+	add("", v, false)
+	add("pc.", v.FieldByName("pc").Elem(), true)
 	return out
 }
 

@@ -241,7 +241,7 @@ type hop struct {
 // so a hit is exactly what resolving again would give.
 func (n *Network) send(id, out int, f *flit.Flit) {
 	p := f.Packet
-	e := &n.hops[(n.lanes.OutBase[id]+out)*n.cfg.NumVCs+f.VC]
+	e := &n.hops[(n.outBase[id]+out)*n.cfg.NumVCs+f.VC]
 	if e.dst != int32(p.Dst) || e.class != int8(p.RouteClass) || e.lat == 0 {
 		*e = n.resolve(id, out, p.Dst, p.RouteClass)
 		n.hopMisses++
@@ -270,7 +270,7 @@ func (n *Network) resolve(r, out, dst, class int) hop {
 // credit is the router Credit callback: a credit returns to whatever feeds
 // (id, in), router output or NI, through the credit latch: one cycle later.
 func (n *Network) credit(id, in, vc int) {
-	u := n.ups[n.lanes.InBase[id]+in]
+	u := n.ups[n.inBase[id]+in]
 	if u.router == -2 {
 		panic(fmt.Sprintf("network: credit from unwired input port %d of router %d", in, id))
 	}
@@ -296,15 +296,12 @@ type Network struct {
 	niIdle  []bool // all false, never written: an NI's port has no VC held when it picks
 	routers []Node
 	nis     []ni       // the NI of node i at i
-	ups     []upstream // what feeds input port in of router r, at lanes.InBase[r]+in
-	// lanes is the structure-of-arrays hot-path store every router's
-	// per-(port, vc) state lives in (core.LaneStore; DESIGN.md §17). The
-	// network owns it so the arrays span all routers contiguously — the
-	// active-set walk touches one cache-linear region. A custom Factory node
-	// that is not built on internal/router leaves its region untouched.
-	lanes *core.LaneStore
-	// hops is the hop memo send reads, one entry per output lane, indexed
-	// like the store's output lanes: (OutBase[r]+out)*NumVCs + vc.
+	ups     []upstream // what feeds input port in of router r, at inBase[r]+in
+	// inBase[r] / outBase[r] are router r's first network-wide input / output
+	// port: prefix sums over the radices, with a final total.
+	inBase, outBase []int
+	// hops is the hop memo send reads, one entry per output lane:
+	// (outBase[r]+out)*NumVCs + vc.
 	// hopMisses counts the entries send resolved.
 	hops      []hop
 	hopMisses uint64
@@ -476,24 +473,24 @@ func New(cfg Config) *Network {
 		}
 	}
 
-	// The network owns the structure-of-arrays hot-path store, the counter
-	// registry and the router slab; every router gets a contiguous region of
-	// the store, a row of the registry and its private state from the slab.
-	inRadix := make([]int, t.Routers())
-	outRadix := make([]int, t.Routers())
+	// The network owns the router slab and the counter registry; every router
+	// carves its state from the slab and gets a row of the registry.
+	R := t.Routers()
+	inRadix, outRadix := make([]int, R), make([]int, R)
+	n.inBase, n.outBase = make([]int, R+1), make([]int, R+1)
 	for r := range inRadix {
 		inRadix[r], outRadix[r] = t.InPorts(r), t.OutPorts(r)
+		n.inBase[r+1], n.outBase[r+1] = n.inBase[r]+inRadix[r], n.outBase[r]+outRadix[r]
 	}
-	n.lanes = core.NewLaneStore(cfg.NumVCs, cfg.BufDepth, inRadix, outRadix)
+	slab := router.NewSlab(cfg.NumVCs, cfg.BufDepth, inRadix, outRadix)
 	n.registry = stats.NewRegistry(inRadix, outRadix)
 	n.wire()
-	n.hops = make([]hop, n.lanes.OutBase[t.Routers()]*cfg.NumVCs)
+	n.hops = make([]hop, n.outBase[R]*cfg.NumVCs)
 
 	rcfg := router.Config{
 		NumVCs:   cfg.NumVCs,
 		BufDepth: cfg.BufDepth,
-		Lanes:    n.lanes,
-		Slab:     router.NewSlab(cfg.NumVCs, cfg.BufDepth, inRadix, outRadix),
+		Slab:     slab,
 		Opts:     cfg.Opts,
 		Alloc:    alloc,
 		Send:     n.send,
@@ -535,7 +532,7 @@ func New(cfg Config) *Network {
 	for node := range n.nis {
 		r, inP, outP := t.NodeRouter(node)
 		n.routers[r].MarkEjection(outP)
-		n.ups[n.lanes.InBase[r]+inP] = upstream{router: -1, out: int32(node)}
+		n.ups[n.inBase[r]+inP] = upstream{router: -1, out: int32(node)}
 		n.nis[node] = newNI(n, node, r, inP, credits[node*V:(node+1)*V:(node+1)*V])
 	}
 	return n
@@ -547,7 +544,7 @@ func New(cfg Config) *Network {
 // which sizes the delivery ring. The cost is the links'.
 func (n *Network) wire() {
 	t := n.topo
-	inBase := n.lanes.InBase
+	inBase := n.inBase
 	n.ups = make([]upstream, inBase[t.Routers()])
 	for i := range n.ups {
 		n.ups[i] = upstream{router: -2}
@@ -586,7 +583,7 @@ func (n *Network) wire() {
 // upstreamOf returns what feeds input port in of router r: a router and its
 // output port, or router -1 and the node of the feeding NI.
 func (n *Network) upstreamOf(r, in int) (router, out int) {
-	u := n.ups[n.lanes.InBase[r]+in]
+	u := n.ups[n.inBase[r]+in]
 	return int(u.router), int(u.out)
 }
 

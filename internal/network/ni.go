@@ -28,7 +28,7 @@ type ni struct {
 	nextOut int
 
 	// credits is the free slots per VC of the router input port this NI
-	// feeds, cut from one slab for every NI and as wide as the store's.
+	// feeds, cut from one slab for every NI and as wide as the router's.
 	credits []int16
 
 	rng     sim.RNG // the route-class stream

@@ -2,7 +2,8 @@ package network_test
 
 import (
 	"fmt"
-	"reflect"
+	"slices"
+	"sort"
 	"testing"
 
 	"pseudocircuit/internal/core"
@@ -15,25 +16,21 @@ import (
 )
 
 // TestLaneStoreRoundTrip drives two identically seeded networks — the naive
-// reference and the active-set schedule, both over the shared
-// structure-of-arrays LaneStore — through randomized tick bursts and, after each burst, checks the layout from both
-// sides:
+// reference and the active-set schedule, both carving every router's state
+// from one slab — through randomized tick bursts and, after each burst,
+// compares them router by router: every narrow slice the router keeps (its
+// lane, credit and port records, its census, its register file's registers)
+// and the register file's mask words (RouterState), and the packet each
+// lane's owner names (its ID and route class, the fields VA and the fault
+// sweeps read through it). The state must be equal whichever schedule mutated
+// it, at every burst and not only in the end-of-run totals the determinism
+// harness compares. Within each network, CheckInvariants re-derives every
+// router's occupancy index from its buffers and RegFile.Check every derived
+// register structure from the registers, every cycle.
 //
-//   - flat view: LaneStore.CheckConsistency re-derives the occupancy index
-//     from the buffers and the PCByOut reverse index from the registers and
-//     their valid bits, for every router;
-//   - struct view: LaneStore.View materializes each lane back into the
-//     pre-SoA struct shape, and the schedules' views must be deeply equal
-//     lane by lane, as must the packet each lane's owner names (its ID and
-//     route class, the fields VA and the fault sweeps read through it),
-//     their credit counters and pseudo-circuit registers — the flat layout
-//     holds exactly the state the struct layout would, whichever schedule
-//     mutated it, at every burst and not only in the end-of-run totals the
-//     determinism harness compares.
-//
-// The EVC comparison router lives in the same store (it is a policy on the
-// same pipeline), so the whole check runs on it too; O1TURN puts packets of
-// both route classes in the lanes.
+// The EVC comparison router carves its state from the same slab (it is a
+// policy on the same pipeline), so the whole check runs on it too; O1TURN puts
+// packets of both route classes in the lanes.
 func TestLaneStoreRoundTrip(t *testing.T) {
 	topo := topology.NewMesh(4, 4)
 	t.Run("psb", func(t *testing.T) {
@@ -52,7 +49,7 @@ func TestLaneStoreRoundTrip(t *testing.T) {
 		})
 	})
 	// The service's deepest buffer: credits start at 1 024, past what an
-	// int8 would hold, so the store's int16 counters are what carries them.
+	// int8 would hold, so the routers' int16 counters are what carries them.
 	t.Run("depth1024", func(t *testing.T) {
 		laneStoreRoundTrip(t, topo, func(k kernel) *network.Network {
 			return buildKernelOpts(topo, core.DefaultOptions(core.PseudoSB), 4, 1024, routing.XY, vcalloc.Dynamic, k)
@@ -72,10 +69,14 @@ func laneStoreRoundTrip(t *testing.T, topo topology.Topology, build func(k kerne
 		w := traffic.NewSynthetic(traffic.Config{
 			Pattern: traffic.UniformRandom, Nodes: topo.Nodes(), Rate: 0.12,
 		}, sim.NewRNG(11))
-		if n.Lanes() == nil {
-			t.Fatal("every network must own a LaneStore")
-		}
 		legs = append(legs, leg{k.name, n, w})
+	}
+	state := legs[0].net.RouterState(0)
+	for _, name := range []string{"bufLen", "outPort", "outVC", "occ", "act", "va", "credits", "vcBusy",
+		"pc.InVC", "pc.Out", "pc.Spec", "pc.HistIn", "pc.ByOut", "pc.ValidMask", "pc.HistMask", "pc.HeldMask"} {
+		if _, ok := state[name]; !ok {
+			t.Fatalf("RouterState has no %s", name)
+		}
 	}
 
 	rng := sim.NewRNG(99)
@@ -85,63 +86,44 @@ func laneStoreRoundTrip(t *testing.T, topo topology.Topology, build func(k kerne
 			for i := 0; i < burst; i++ {
 				l.net.Step(l.w)
 			}
-			s := l.net.Lanes()
-			for r := 0; r < topo.Routers(); r++ {
-				inBase, outBase := s.InBase[r], s.OutBase[r]
-				nIn, nOut := s.InBase[r+1]-inBase, s.OutBase[r+1]-outBase
-				if err := s.CheckConsistency(r, inBase, nIn, outBase, nOut); err != nil {
-					t.Fatalf("trial %d, %s: %v", trial, l.name, err)
-				}
-			}
 		}
 		ref := legs[0]
 		for _, l := range legs[1:] {
 			if err := sameLanes(ref.net, l.net); err != nil {
 				t.Fatalf("trial %d: %s vs %s: %v", trial, ref.name, l.name, err)
 			}
-			a, b := ref.net.Lanes(), l.net.Lanes()
-			// What View leaves out: credit counters and output-VC ownership
-			// per output lane, the pseudo-circuit register file per input
-			// port with its valid bits, the speculation history per output
-			// port with its own.
-			valid := func(s *core.LaneStore) (v, h []uint64) {
-				for i := range s.Regs {
-					v, h = append(v, s.Regs[i].ValidMask), append(h, s.Regs[i].HistMask)
-				}
-				return v, h
-			}
-			av, ah := valid(a)
-			bv, bh := valid(b)
-			for _, f := range []struct {
-				name     string
-				ref, got any
-			}{
-				{"Credits", a.Credits, b.Credits}, {"VCBusy", a.VCBusy, b.VCBusy},
-				{"PCInVC", a.PCInVC, b.PCInVC}, {"PCOut", a.PCOut, b.PCOut},
-				{"ValidMask", av, bv}, {"PCSpec", a.PCSpec, b.PCSpec},
-				{"HistIn", a.HistIn, b.HistIn}, {"HistMask", ah, bh},
-			} {
-				if !reflect.DeepEqual(f.ref, f.got) {
-					t.Fatalf("trial %d: %s diverges:\n%s: %v\n%s: %v", trial, f.name, ref.name, f.ref, l.name, f.got)
-				}
-			}
 		}
 	}
 }
 
-// sameLanes reports the first input lane at which two networks differ, in
-// its struct view or in the packet its owner names.
+// sameState reports the first router slice at which two networks differ.
+func sameState(a, b *network.Network) error {
+	for r := 0; r < a.Topology().Routers(); r++ {
+		sa, sb := a.RouterState(r), b.RouterState(r)
+		names := make([]string, 0, len(sa))
+		for name := range sa {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		for _, name := range names {
+			if !slices.Equal(sa[name], sb[name]) {
+				return fmt.Errorf("router %d %s diverges: %v / %v", r, name, sa[name], sb[name])
+			}
+		}
+	}
+	return nil
+}
+
+// sameLanes reports the first router slice or input lane at which two
+// networks differ: in the state or in the packet the lane's owner names.
 func sameLanes(a, b *network.Network) error {
-	sa, sb := a.Lanes(), b.Lanes()
+	if err := sameState(a, b); err != nil {
+		return err
+	}
 	pa, pb := a.LanePackets(), b.LanePackets()
-	for p := 0; p < len(sa.Occ); p++ {
-		for vc := 0; vc < sa.NumVCs; vc++ {
-			if va, vb := sa.View(p, vc), sb.View(p, vc); va != vb {
-				return fmt.Errorf("lane view diverges at port %d vc %d: %+v / %+v", p, vc, va, vb)
-			}
-			if l := p*sa.NumVCs + vc; pa[l] != pb[l] {
-				return fmt.Errorf("lane at port %d vc %d names packet %+v / %+v", p, vc, pa[l], pb[l])
-			}
+	for l := range pa {
+		if pa[l] != pb[l] {
+			return fmt.Errorf("input lane %d names packet %+v / %+v", l, pa[l], pb[l])
 		}
 	}
 	return nil
@@ -149,7 +131,7 @@ func sameLanes(a, b *network.Network) error {
 
 // TestLaneComparisonSeesPackets is the failing case of the per-lane packet
 // comparison: two runs that differ only in the IDs the network hands out fill
-// every lane identically, so their struct views agree at every burst, and
+// every lane identically, so their router state agrees at every cycle, and
 // sameLanes must still tell them apart by the packets the lanes name.
 func TestLaneComparisonSeesPackets(t *testing.T) {
 	topo := topology.NewMesh(4, 4)
@@ -167,13 +149,8 @@ func TestLaneComparisonSeesPackets(t *testing.T) {
 		for i := range nets {
 			nets[i].Step(ws[i])
 		}
-		a, b := nets[0].Lanes(), nets[1].Lanes()
-		for p := 0; p < len(a.Occ); p++ {
-			for vc := 0; vc < a.NumVCs; vc++ {
-				if va, vb := a.View(p, vc), b.View(p, vc); va != vb {
-					t.Fatalf("cycle %d: packet IDs moved lane state at port %d vc %d: %+v / %+v", cycle, p, vc, va, vb)
-				}
-			}
+		if err := sameState(nets[0], nets[1]); err != nil {
+			t.Fatalf("cycle %d: packet IDs moved router state: %v", cycle, err)
 		}
 		caught = sameLanes(nets[0], nets[1]) != nil
 		for _, lp := range nets[0].LanePackets() {
@@ -185,32 +162,5 @@ func TestLaneComparisonSeesPackets(t *testing.T) {
 	}
 	if !class1 {
 		t.Fatal("no lane named a class-1 packet: the route class comparison saw only zeros")
-	}
-}
-
-// TestLaneStorePerRouterRanges pins the index scheme the flat layout is
-// built on (DESIGN.md §17): InBase/OutBase are prefix sums over the
-// topology's radices, so every router owns one contiguous lane range and the
-// array lengths are exactly the range totals.
-func TestLaneStorePerRouterRanges(t *testing.T) {
-	topo := topology.NewMECS(3, 3, 2) // asymmetric radix: inputs != outputs
-	cfg := network.DefaultConfig(topo)
-	n := network.New(cfg)
-	s := n.Lanes()
-	for r := 0; r < topo.Routers(); r++ {
-		if got := s.InBase[r+1] - s.InBase[r]; got != topo.InPorts(r) {
-			t.Errorf("router %d: InBase radix %d, topology says %d", r, got, topo.InPorts(r))
-		}
-		if got := s.OutBase[r+1] - s.OutBase[r]; got != topo.OutPorts(r) {
-			t.Errorf("router %d: OutBase radix %d, topology says %d", r, got, topo.OutPorts(r))
-		}
-	}
-	nIn := s.InBase[topo.Routers()]
-	nOut := s.OutBase[topo.Routers()]
-	if len(s.BufLen) != nIn*cfg.NumVCs || len(s.Occ) != nIn {
-		t.Errorf("input arrays sized %d/%d, want %d lanes / %d ports", len(s.BufLen), len(s.Occ), nIn*cfg.NumVCs, nIn)
-	}
-	if len(s.Credits) != nOut*cfg.NumVCs || len(s.PCByOut) != nOut {
-		t.Errorf("output arrays sized %d/%d, want %d lanes / %d ports", len(s.Credits), len(s.PCByOut), nOut*cfg.NumVCs, nOut)
 	}
 }

@@ -98,7 +98,7 @@ func TestWireMatchesReference(t *testing.T) {
 				n := New(cfg)
 				ups, ringLen := referenceWiring(tc.topo)
 				for r := range ups {
-					got := n.ups[n.lanes.InBase[r]:n.lanes.InBase[r+1]]
+					got := n.ups[n.inBase[r]:n.inBase[r+1]]
 					if !reflect.DeepEqual(got, ups[r]) {
 						t.Errorf("router %d upstreams = %v, reference %v", r, got, ups[r])
 					}

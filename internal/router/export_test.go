@@ -1,0 +1,15 @@
+package router
+
+// Records are a router's lane and credit records, the slices themselves: a
+// write through them reaches the router (the desync tests corrupt them).
+type Records struct {
+	BufLen, Credits []int16
+	OutVC           []int8
+	Occ, Act        []uint64
+	VCBusy          []bool
+}
+
+// Records returns r's lane and credit records.
+func (r *Router) Records() Records {
+	return Records{BufLen: r.bufLen, Credits: r.credits, OutVC: r.outVC, Occ: r.occ, Act: r.act, VCBusy: r.vcBusy}
+}

@@ -33,13 +33,12 @@
 // stamp on every traversing flit, and the fault-teardown test — and owns
 // everything else (DESIGN.md §17).
 //
-// Hot-path state lives in the structure-of-arrays core.LaneStore owned by
-// the network (DESIGN.md §17): per-(port, vc) lane metadata, per-port
-// occupancy masks and per-output credits are contiguous slices the phases
-// below walk linearly, with the occupancy masks letting every scan skip empty
-// lanes without touching them. Flit and packet pointers stay in router-local
-// flat arrays (same layout, router-owned) so core carries no dependency on the
-// data plane. Every fact has one record (DESIGN.md §17, "State inventory"):
+// Hot-path state is carved from the network's Slab, one allocation per kind
+// for every router (DESIGN.md §17): per-(port, vc) lane metadata, per-port
+// occupancy masks, per-output credits and the pseudo-circuit registers are
+// contiguous router-local slices the phases below walk linearly, with the
+// occupancy masks letting every scan skip empty lanes without touching them.
+// Every fact has one record (DESIGN.md §17, "State inventory"):
 // lane mutations go through the lane helper methods, which keep the occupancy
 // index, the VA mask and the port words in step with it; the pseudo-circuit
 // registers and everything derived from them are core.RegFile's, which this
@@ -74,11 +73,8 @@ type Config struct {
 	Alloc    *vcalloc.Allocator
 	Send     SendFunc
 	Credit   CreditFunc
-	// Lanes is the network-owned structure-of-arrays hot-path store shared by
-	// every router. nil builds a private single-router store (unit tests).
-	Lanes *core.LaneStore
-	// Slab is the network-owned store every router carves its private state
-	// from. nil builds a private single-router slab (unit tests).
+	// Slab is the network-owned store every router carves its state from.
+	// nil builds a private single-router slab (unit tests).
 	Slab *Slab
 	// Reg holds every router's row of event counters. A router counts each
 	// event once, into its own row and nowhere else; network-wide figures and
@@ -145,9 +141,8 @@ type Policy interface {
 }
 
 // Router is one pipelined router instance. All per-(port, vc) state lives in
-// subslices of the shared core.LaneStore, re-based so local indices are
-// in*V+vc (input lanes) and out*V+vc (output lanes); see the package comment
-// for the layout.
+// regions carved from the network's Slab, indexed in*V+vc (input lanes) and
+// out*V+vc (output lanes); see the package comment for the layout.
 type Router struct {
 	ID  int
 	cfg *Config
@@ -155,17 +150,17 @@ type Router struct {
 	nIn, nOut int
 	V, D      int // NumVCs, BufDepth
 
-	// Input-lane views (len nIn*V), in the store's widths; depth, flits and
-	// route read them as ints.
+	// Input lanes (len nIn*V), in their chosen widths; depth, flits and route
+	// read them as ints.
 	bufLen  []int16
 	outPort []int8 // -1 when no packet owns the lane
 	outVC   []int8 // -1 awaiting VA
-	// Router-local flat pointer arrays, same indexing as the store. pkt[l] owns
-	// lane l while act holds it: VA and the fault sweeps read it.
+	// Flat pointer arrays, same indexing. pkt[l] owns lane l while act holds
+	// it: VA and the fault sweeps read it.
 	buf []*flit.Flit // lane*D + k, FIFO head at k = 0
 	pkt []*flit.Packet
 
-	// Input-port views (len nIn): occ is the index of bufLen > 0; act is the
+	// Input ports (len nIn): occ is the index of bufLen > 0; act is the
 	// record of which lanes a packet owns.
 	occ []uint64
 	act []uint64
@@ -175,7 +170,7 @@ type Router struct {
 	// occ[in] != 0, and bit in ⇔ act[in] != 0.
 	occPorts, actPorts uint64
 
-	// Output-lane views (len nOut*V).
+	// Output lanes (len nOut*V).
 	credits []int16
 	vcBusy  []bool
 	// dry is derived: bit out ⇔ non-ejection output out has no credit left in
@@ -190,8 +185,7 @@ type Router struct {
 	// pc is the pseudo-circuit register file (read here, written in core).
 	pc *core.RegFile
 
-	// Router-local per-port state, carved from the network's Slab: arrival
-	// follows buf in one region, the int16s share one with chosen and pcCand.
+	// Per-port state: arrival follows buf in the flit region.
 	arrival  []*flit.Flit // staged by Deliver for this cycle
 	rrVC     []int16      // SA input-arbitration round-robin pointers
 	lastOut  []int16      // Fig. 1 temporal-locality measurement
@@ -232,37 +226,52 @@ type Router struct {
 	missL []int8
 }
 
-// Slab is the router-private state of every router in one network, one
-// allocation per kind (DESIGN.md §17): New carves each router's regions off
-// the front in build order, every region capped at its own end, so no append
+// Slab is the state of every router in one network, one allocation per kind
+// (DESIGN.md §17): New carves each router's regions off the front of every
+// kind in build order, each region capped at its own end, so no append
 // reaches a neighbour's state.
 type Slab struct {
 	routers []Router
+	regs    []core.RegFile
 	flits   []*flit.Flit // per router: lane buffers, then the staging latch
 	pkt     []*flit.Packet
-	ints    []int16 // per router: four int16s per input port, one per output
-	census  []int8  // per router: missL per lane, cause per input port
-	va      []uint64
+	i16     []int16       // per router: bufLen, credits, four per input port, rrIn
+	i8      []int8        // per router: outPort, outVC, missL, cause, the registers
+	words   []uint64      // per router: occ, act, va
+	bools   []bool        // per router: vcBusy, the registers' Spec
 	resv    []reservation // per router: the two grant halves
 	reqs    []saRequest
 }
 
 // NewSlab sizes a slab for routers with the given per-router input and output
-// radices, the lists core.NewLaneStore takes.
+// radices.
 func NewSlab(numVCs, bufDepth int, inPorts, outPorts []int) *Slab {
-	var in, out int
-	for r := range inPorts {
-		in, out = in+inPorts[r], out+outPorts[r]
+	if numVCs < 1 || numVCs > core.LaneLimit || bufDepth < 1 || bufDepth > core.DepthLimit {
+		panic(fmt.Sprintf("router: Slab needs NumVCs in [1,%d] and BufDepth in [1,%d], got %d/%d",
+			core.LaneLimit, core.DepthLimit, numVCs, bufDepth))
 	}
+	if len(inPorts) != len(outPorts) {
+		panic("router: Slab radix slices disagree on router count")
+	}
+	var in, out int
+	for r, p := range inPorts {
+		if p < 1 || p > core.LaneLimit || outPorts[r] < 1 || outPorts[r] > core.LaneLimit {
+			panic(fmt.Sprintf("router: Slab router %d radix %d/%d outside [1,%d]", r, p, outPorts[r], core.LaneLimit))
+		}
+		in, out = in+p, out+outPorts[r]
+	}
+	V := numVCs
 	return &Slab{
 		routers: make([]Router, len(inPorts)),
-		flits:   make([]*flit.Flit, in*(numVCs*bufDepth+1)),
-		pkt:     make([]*flit.Packet, in*numVCs),
-		ints:    make([]int16, 4*in+out),
-		census:  make([]int8, in*(numVCs+1)),
-		va:      make([]uint64, in),
+		regs:    make([]core.RegFile, len(inPorts)),
+		flits:   make([]*flit.Flit, in*(V*bufDepth+1)),
+		pkt:     make([]*flit.Packet, in*V),
+		i16:     make([]int16, (in+out)*V+4*in+out),
+		i8:      make([]int8, 3*in*V+in+core.RegFileBytes(in, out)),
+		words:   make([]uint64, 3*in),
+		bools:   make([]bool, out*V+in),
 		resv:    make([]reservation, 2*out),
-		reqs:    make([]saRequest, in*numVCs),
+		reqs:    make([]saRequest, in*V),
 	}
 }
 
@@ -279,66 +288,50 @@ func carve[T any](s *[]T, n int) []T {
 // New constructs a router with the given input and output radix. Ejection
 // output ports (terminal side) must be marked afterwards with MarkEjection.
 func New(id, inPorts, outPorts int, cfg *Config) *Router {
-	if cfg.NumVCs < 1 || cfg.BufDepth < 1 {
-		panic("router: NumVCs and BufDepth must be positive")
-	}
 	if err := cfg.Opts.Validate(); err != nil {
 		panic(err)
 	}
-	ls, slot := cfg.Lanes, id
-	inBase, outBase := 0, 0
-	if ls == nil {
-		ls, slot = core.NewLaneStore(cfg.NumVCs, cfg.BufDepth, []int{inPorts}, []int{outPorts}), 0
-	} else {
-		inBase, outBase = ls.InBase[id], ls.OutBase[id]
-		if ls.InBase[id+1]-inBase != inPorts || ls.OutBase[id+1]-outBase != outPorts {
-			panic(fmt.Sprintf("router %d: radix %d/%d disagrees with the lane store's %d/%d",
-				id, inPorts, outPorts, ls.InBase[id+1]-inBase, ls.OutBase[id+1]-outBase))
-		}
-		if ls.NumVCs != cfg.NumVCs || ls.BufDepth != cfg.BufDepth {
-			panic(fmt.Sprintf("router %d: VC/depth %d/%d disagrees with the lane store's %d/%d",
-				id, cfg.NumVCs, cfg.BufDepth, ls.NumVCs, ls.BufDepth))
-		}
-	}
-	V, D := cfg.NumVCs, cfg.BufDepth
-	// Every private slice is carved from the network's slab, or from a
-	// one-router slab when there is none; the flit pointers are the buffers,
-	// then the staging latch. The router is set in place, not copied from a
+	// Every slice is carved from the network's slab, or from a one-router slab
+	// when there is none. The router is set in place, not copied from a
 	// literal, and no list grows once it runs.
+	V, D := cfg.NumVCs, cfg.BufDepth
 	sl := cfg.Slab
 	if sl == nil {
 		sl = NewSlab(V, D, []int{inPorts}, []int{outPorts})
 	}
-	nBuf := inPorts * V * D
-	flits := carve(&sl.flits, nBuf+inPorts)
-	ints := carve(&sl.ints, 4*inPorts+outPorts)
-	port := func(k int) []int16 { return ints[k*inPorts : (k+1)*inPorts : (k+1)*inPorts] }
-	census := carve(&sl.census, inPorts*V+inPorts)
-	resv := carve(&sl.resv, 2*outPorts)
+	nLane, nOutLane := inPorts*V, outPorts*V
 	r := &carve(&sl.routers, 1)[0]
 	r.ID, r.cfg, r.nIn, r.nOut, r.V, r.D = id, cfg, inPorts, outPorts, V, D
 
-	r.bufLen = ls.BufLen[inBase*V : (inBase+inPorts)*V]
-	r.outPort = ls.OutPort[inBase*V : (inBase+inPorts)*V]
-	r.outVC = ls.OutVC[inBase*V : (inBase+inPorts)*V]
-	r.buf, r.pkt = flits[:nBuf:nBuf], carve(&sl.pkt, inPorts*V)
+	r.buf, r.arrival = carve(&sl.flits, nLane*D), carve(&sl.flits, inPorts)
+	r.pkt = carve(&sl.pkt, nLane)
 
-	r.occ, r.act = ls.Occ[inBase:inBase+inPorts], ls.Act[inBase:inBase+inPorts]
-	r.va = carve(&sl.va, inPorts)
+	r.bufLen, r.credits = carve(&sl.i16, nLane), carve(&sl.i16, nOutLane)
+	r.rrVC, r.lastOut = carve(&sl.i16, inPorts), carve(&sl.i16, inPorts)
+	r.chosen, r.pcCand = carve(&sl.i16, inPorts), carve(&sl.i16, inPorts)
+	r.rrIn = carve(&sl.i16, outPorts)
 
-	r.credits = ls.Credits[outBase*V : (outBase+outPorts)*V]
-	r.vcBusy = ls.VCBusy[outBase*V : (outBase+outPorts)*V]
+	r.outPort, r.outVC = carve(&sl.i8, nLane), carve(&sl.i8, nLane)
+	r.missL, r.cause = carve(&sl.i8, nLane), carve(&sl.i8, inPorts)
 
-	r.pc = ls.RegFile(slot)
-	r.cause, r.missL = census[inPorts*V:], census[:inPorts*V:inPorts*V]
+	r.occ, r.act, r.va = carve(&sl.words, inPorts), carve(&sl.words, inPorts), carve(&sl.words, inPorts)
+	r.vcBusy = carve(&sl.bools, nOutLane)
 
-	r.arrival, r.rrIn = flits[nBuf:], ints[4*inPorts:]
-	r.rrVC, r.lastOut, r.chosen, r.pcCand = port(0), port(1), port(2), port(3)
+	r.pc = &carve(&sl.regs, 1)[0]
+	core.InitRegFile(r.pc, inPorts, outPorts,
+		carve(&sl.i8, core.RegFileBytes(inPorts, outPorts)), carve(&sl.bools, inPorts))
 
+	resv := carve(&sl.resv, 2*outPorts)
 	r.res, r.nextRes = resv[:0:outPorts], resv[outPorts:outPorts]
-	r.reqs = carve(&sl.reqs, inPorts*V)[:0]
+	r.reqs = carve(&sl.reqs, nLane)[:0]
 
 	r.rs, r.tr = cfg.Reg.Router(id), cfg.Trace
+	for l := range r.outPort {
+		r.outPort[l], r.outVC[l] = -1, -1
+	}
+	for m := range r.credits {
+		r.credits[m] = int16(D)
+	}
 	for i := range r.lastOut {
 		r.lastOut[i] = -1
 	}
@@ -367,7 +360,7 @@ func (r *Router) ejects(out int) bool { return r.ejection>>uint(out)&1 != 0 }
 //
 // Every mutation of a lane's record flows through these, which keeps the
 // occupancy index, the VA mask and the two port words consistent with it by
-// construction. They and the three readers below are where the store's narrow
+// construction. They and the three readers below are where the records' narrow
 // widths meet the int arithmetic of the phases.
 
 // depth returns the number of flits buffered in lane l.

@@ -314,19 +314,17 @@ func TestInvariantCheckerCatchesDoubleDelivery(t *testing.T) {
 func TestCheckInvariantsCatchesEachDesync(t *testing.T) {
 	for _, c := range []struct {
 		want    string
-		corrupt func(ls *core.LaneStore, m int, f *flit.Flit) // m: the owned output lane
+		corrupt func(ls router.Records, m int, f *flit.Flit) // m: the owned output lane
 	}{
-		{"occupancy mask desynced", func(ls *core.LaneStore, m int, f *flit.Flit) { ls.Occ[0] = 0 }},
-		{"VA mask desynced", func(ls *core.LaneStore, m int, f *flit.Flit) { ls.OutVC[0] = -1 }},
-		{"busy=false with 1 owning lanes", func(ls *core.LaneStore, m int, f *flit.Flit) { ls.VCBusy[m] = false }},
-		{"busy=true with 0 owning lanes", func(ls *core.LaneStore, m int, f *flit.Flit) { ls.Act[0] = 0 }},
-		{"credit 5 out of range", func(ls *core.LaneStore, m int, f *flit.Flit) { ls.Credits[m] = 5 }},
-		{"buffered mid-express", func(ls *core.LaneStore, m int, f *flit.Flit) { f.ExpressHops = 1 }},
+		{"occupancy mask desynced", func(ls router.Records, m int, f *flit.Flit) { ls.Occ[0] = 0 }},
+		{"VA mask desynced", func(ls router.Records, m int, f *flit.Flit) { ls.OutVC[0] = -1 }},
+		{"busy=false with 1 owning lanes", func(ls router.Records, m int, f *flit.Flit) { ls.VCBusy[m] = false }},
+		{"busy=true with 0 owning lanes", func(ls router.Records, m int, f *flit.Flit) { ls.Act[0] = 0 }},
+		{"credit 5 out of range", func(ls router.Records, m int, f *flit.Flit) { ls.Credits[m] = 5 }},
+		{"buffered mid-express", func(ls router.Records, m int, f *flit.Flit) { f.ExpressHops = 1 }},
 	} {
 		h := newHarness(t, core.DefaultOptions(core.Baseline))
-		ls := core.NewLaneStore(4, 4, []int{5}, []int{5})
-		h.cfg.Lanes = ls
-		h.r = router.New(0, 5, 5, h.cfg)
+		ls := h.r.Records()
 		fs := mkPacket(1, 0, 2, 3)
 		h.r.Deliver(0, fs[0])
 		h.tick()

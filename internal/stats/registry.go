@@ -162,8 +162,8 @@ func ratio(num, den uint64) float64 {
 
 // Registry holds every router's row for one network, allocated flat (one
 // slice of rows, one of ports, one of output counts, prefix-summed by radix
-// as core.LaneStore lays out lanes). A router writes only its own row, so
-// there is nothing to merge.
+// in router order). A router writes only its own row, so there is nothing to
+// merge.
 type Registry struct {
 	rows []RouterStats
 	in   []PortStats
