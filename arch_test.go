@@ -616,6 +616,21 @@ func TestStructuralRules(t *testing.T) {
 		enforce(t, pool, "noc/noc.go", false)
 	})
 
+	// A finished sweep point is a view of the job record that answered it
+	// (DESIGN.md §16): the sweep keeps the record and the route, and builds
+	// the wire PointStatus when a stream reads it. A PointStatus held in a
+	// sweepapi struct would be the second copy of every point growing back.
+	t.Run("one record per point", func(t *testing.T) {
+		copies := fieldsOfType("PointStatus", "[]PointStatus", "*PointStatus", "nocdclient.SweepPoint", "[]nocdclient.SweepPoint")
+		seesEach(t, copies, map[string]string{
+			"declares a []PointStatus field": "package sweepapi\ntype sweep struct{ mu sync.Mutex; points []PointStatus }",
+			"declares a PointStatus field":   "package sweepapi\ntype point struct{ PointStatus }",
+			"declares a *PointStatus field":  "package sweepapi\nvar last struct{ p *PointStatus }",
+		}, "package sweepapi\ntype point struct{ job *service.Job; source string }\n"+
+			"func (p point) status(i int) PointStatus { return PointStatus{Index: i} }\nvar out []PointStatus")
+		enforce(t, copies, "internal/sweepapi/*.go", false)
+	})
+
 	// nocd is assembled in one place, newDaemon, from its command line: main
 	// and every test that starts a daemon call it. A store, service, sweep
 	// manager, dispatcher or mux built anywhere else in the command would be
@@ -692,6 +707,25 @@ func TestStructuralRules(t *testing.T) {
 			enforce(t, resultWritesIn, glob, true)
 		}
 	})
+}
+
+// fieldsOfType lists the fields, of any struct type, declared with one of
+// the banned types.
+func fieldsOfType(banned ...string) checker {
+	return func(fset *token.FileSet, f *ast.File) []string {
+		var found []string
+		ast.Inspect(f, func(n ast.Node) bool {
+			if st, ok := n.(*ast.StructType); ok {
+				for _, fld := range st.Fields.List {
+					if typ := types.ExprString(fld.Type); slices.Contains(banned, typ) {
+						found = append(found, fmt.Sprintf("%s: declares a %s field", fset.Position(fld.Pos()), typ))
+					}
+				}
+			}
+			return true
+		})
+		return found
+	}
 }
 
 // outside restricts check to what a file says outside the top-level function

@@ -174,9 +174,13 @@ func Profiles() []Profile {
 	}
 }
 
+// profiles is Profiles' table built once, for ProfileByName: canonicalizing
+// a service request looks a benchmark up, and should not copy the table.
+var profiles = Profiles()
+
 // ProfileByName returns the named profile, or false when unknown.
 func ProfileByName(name string) (Profile, bool) {
-	for _, p := range Profiles() {
+	for _, p := range profiles {
 		if p.Name == name {
 			return p, true
 		}

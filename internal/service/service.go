@@ -119,13 +119,13 @@ var (
 	ErrUnknownJob   = errors.New("service: unknown job")
 )
 
-// job is the record behind Job snapshots, kept until JobsCap evicts it. Of
-// the embedded snapshot, ID, Key, Request and CyclesTotal are fixed at
-// creation; State, the hit marks, CyclesDone, Result, Error and the frozen
-// timings change under mu; Dedup and a live job's timings are filled in per
-// snapshot. Result is shared, never copied: every record, cache entry and
-// sweep point of a key holds the one *noc.Result, and nothing writes
-// through it.
+// job is the record behind Job snapshots, kept until JobsCap evicts it and
+// no sweep point holds it. Of the embedded snapshot, ID, Key, Request and
+// CyclesTotal are fixed at creation; State, the hit marks, CyclesDone,
+// Result, Error and the frozen timings change under mu until it is
+// terminal; Dedup and a live job's timings are filled in per snapshot.
+// Result is shared, never copied: every record and cache entry of a key
+// holds the one *noc.Result, and nothing writes through it.
 type job struct {
 	Job
 	done chan struct{} // closed when the job reaches a terminal state
@@ -227,18 +227,29 @@ func New(cfg Config) *Manager {
 // enqueues a new job and returns. Errors: ErrBadRequest (wrapped, invalid
 // spec), ErrQueueFull, ErrShuttingDown.
 func (m *Manager) Submit(r Request) (Job, error) {
-	j, _, err := m.walk(context.Background(), r, nil, false)
-	return j, err
+	j, dedup, _, err := m.walk(context.Background(), r, nil, false)
+	if err != nil {
+		return Job{}, err
+	}
+	s := j.snapshot()
+	s.Dedup = dedup
+	return s, nil
 }
 
 // Do runs the whole walk to a terminal job: every local tier, then fleet
 // (nil: there is none), then a simulation here, waiting out a full queue
-// and the run itself. It also says where the result came from (a Route
-// constant). When ctx ends first the job it waits on is cancelled, as by
-// Cancel, and Do returns ctx's error; its other errors are Submit's (never
-// ErrQueueFull) and fleet's.
-func (m *Manager) Do(ctx context.Context, r Request, fleet Fleet) (Job, string, error) {
-	return m.walk(ctx, r, fleet, true)
+// and the run itself. It returns the terminal record, read-only as its
+// Result is (shared with every caller that joined it, never marked Dedup; a
+// peer's answer gets one of its own), and where the result came from (a
+// Route constant). When ctx ends first the job it waits on is cancelled, as
+// by Cancel, and Do returns ctx's error; its other errors are Submit's
+// (never ErrQueueFull) and fleet's.
+func (m *Manager) Do(ctx context.Context, r Request, fleet Fleet) (*Job, string, error) {
+	j, _, source, err := m.walk(ctx, r, fleet, true)
+	if err != nil {
+		return nil, source, err
+	}
+	return &j.Job, source, nil
 }
 
 // queueFullRetry is how long Do sleeps before offering its job to a full
@@ -259,13 +270,14 @@ const queueFullRetry = 5 * time.Millisecond
 // wrong answer that outlives it (DESIGN.md §11).
 //
 // Without wait the walk returns where the job is enqueued or the queue is
-// full, and skips the fleet, which would block: that is Submit.
-func (m *Manager) walk(ctx context.Context, r Request, fleet Fleet, wait bool) (Job, string, error) {
+// full, and skips the fleet, which would block: that is Submit. Dedup says
+// the record was joined in flight (tier 2).
+func (m *Manager) walk(ctx context.Context, r Request, fleet Fleet, wait bool) (j *job, dedup bool, source string, err error) {
 	canon, key, exp, err := Canonicalize(r)
 	if err != nil {
-		return Job{}, "", err
+		return nil, false, "", err
 	}
-	source := RouteLocal
+	source = RouteLocal
 	askDisk, askFleet := m.cfg.Store != nil, fleet != nil && wait
 	var onDisk *noc.Result
 	for ctx.Err() == nil {
@@ -273,30 +285,28 @@ func (m *Manager) walk(ctx context.Context, r Request, fleet Fleet, wait bool) (
 		m.mu.Lock()
 		if m.closed {
 			m.mu.Unlock()
-			return Job{}, source, ErrShuttingDown
+			return nil, false, source, ErrShuttingDown
 		}
 		if res, ok := m.cache[key]; ok { // tier 1
 			j := m.hitLocked(canon, key, exp, res, false, now)
 			m.mu.Unlock()
-			return j.snapshot(), source, nil
+			return j, false, source, nil
 		}
 		if j, ok := m.inflight[key]; ok { // tier 2
 			m.mu.Unlock()
 			m.ins.submissions.Inc()
 			m.ins.coalesced.Inc()
 			m.ins.instant("cache-lookup", j, "coalesced", now)
-			s, err := j.snapshot(), error(nil)
 			if wait {
-				s, err = m.await(ctx, j)
+				err = m.await(ctx, j)
 			}
-			s.Dedup = true
-			return s, source, err
+			return j, true, source, err
 		}
 		switch {
 		case onDisk != nil: // tier 3 hit, on the pass before
 			j := m.hitLocked(canon, key, exp, onDisk, true, now)
 			m.mu.Unlock()
-			return j.snapshot(), source, nil
+			return j, false, source, nil
 		case askDisk: // tier 3
 			m.mu.Unlock()
 			askDisk = false
@@ -308,16 +318,16 @@ func (m *Manager) walk(ctx context.Context, r Request, fleet Fleet, wait bool) (
 			askFleet = false
 			var res noc.Result
 			if res, source, err = fleet.Dispatch(ctx, key, canon); err != nil {
-				return Job{}, source, err
+				return nil, false, source, err
 			}
 			if source == RouteRemote {
-				return Job{Key: key, State: StateDone, Request: canon, Result: &res}, source, nil
+				return &job{Job: Job{Key: key, State: StateDone, Request: canon, Result: &res}, done: hitDone}, false, source, nil
 			}
 		case len(m.queue) == cap(m.queue): // tier 5 has no room
 			m.mu.Unlock()
 			m.ins.rejected.Inc()
 			if !wait {
-				return Job{}, source, ErrQueueFull
+				return nil, false, source, ErrQueueFull
 			}
 			select {
 			case <-ctx.Done():
@@ -333,14 +343,13 @@ func (m *Manager) walk(ctx context.Context, r Request, fleet Fleet, wait bool) (
 			m.ins.cacheMisses.Inc()
 			m.ins.queued.Add(1)
 			m.ins.instant("cache-lookup", j, "miss", now)
-			if !wait {
-				return j.snapshot(), source, nil
+			if wait {
+				err = m.await(ctx, j)
 			}
-			s, err := m.await(ctx, j)
-			return s, source, err
+			return j, false, source, err
 		}
 	}
-	return Job{}, source, ctx.Err()
+	return nil, false, source, ctx.Err()
 }
 
 // hitLocked registers a job that is done on arrival, answered from the
@@ -365,12 +374,13 @@ func (m *Manager) hitLocked(req Request, key string, exp noc.Experiment, res *no
 
 // await blocks until j is terminal. A context that ends first cancels the
 // job, every submitter attached to it included (singleflight semantics).
-func (m *Manager) await(ctx context.Context, j *job) (Job, error) {
+func (m *Manager) await(ctx context.Context, j *job) error {
 	select {
 	case <-j.done:
-		return j.snapshot(), nil
+		return nil
 	case <-ctx.Done():
-		return m.cancelJob(j), ctx.Err()
+		m.cancelJob(j)
+		return ctx.Err()
 	}
 }
 
@@ -405,20 +415,14 @@ func (m *Manager) newJobLocked(req Request, key string, exp noc.Experiment, r *r
 func (m *Manager) evictJobsLocked() {
 	for i := 0; len(m.jobs) > m.cfg.JobsCap && i < len(m.jobOrder); {
 		id := m.jobOrder[i]
-		j, ok := m.jobs[id]
-		if ok && !j.snapshotStateTerminal() {
+		select {
+		case <-m.jobs[id].done:
+			delete(m.jobs, id)
+			m.jobOrder = append(m.jobOrder[:i], m.jobOrder[i+1:]...)
+		default:
 			i++
-			continue
 		}
-		delete(m.jobs, id)
-		m.jobOrder = append(m.jobOrder[:i], m.jobOrder[i+1:]...)
 	}
-}
-
-func (j *job) snapshotStateTerminal() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.State.Terminal()
 }
 
 func (m *Manager) worker() {
@@ -551,12 +555,17 @@ func (m *Manager) addCacheLocked(key string, res *noc.Result) {
 	}
 }
 
+// record returns job id's record, nil when none is retained.
+func (m *Manager) record(id string) *job {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.jobs[id]
+}
+
 // Get returns a snapshot of the job.
 func (m *Manager) Get(id string) (Job, bool) {
-	m.mu.Lock()
-	j, ok := m.jobs[id]
-	m.mu.Unlock()
-	if !ok {
+	j := m.record(id)
+	if j == nil {
 		return Job{}, false
 	}
 	return j.snapshot(), true
@@ -565,12 +574,9 @@ func (m *Manager) Get(id string) (Job, bool) {
 // Jobs lists snapshots of all retained jobs, oldest first.
 func (m *Manager) Jobs() []Job {
 	m.mu.Lock()
-	order := append([]string(nil), m.jobOrder...)
-	js := make([]*job, 0, len(order))
-	for _, id := range order {
-		if j, ok := m.jobs[id]; ok {
-			js = append(js, j)
-		}
+	js := make([]*job, len(m.jobOrder))
+	for i, id := range m.jobOrder {
+		js[i] = m.jobs[id]
 	}
 	m.mu.Unlock()
 	out := make([]Job, len(js))
@@ -582,10 +588,8 @@ func (m *Manager) Jobs() []Job {
 
 // Done exposes the job's completion channel (closed at terminal state).
 func (m *Manager) Done(id string) (<-chan struct{}, bool) {
-	m.mu.Lock()
-	j, ok := m.jobs[id]
-	m.mu.Unlock()
-	if !ok {
+	j := m.record(id)
+	if j == nil {
 		return nil, false
 	}
 	return j.done, true
@@ -594,10 +598,8 @@ func (m *Manager) Done(id string) (<-chan struct{}, bool) {
 // Wait blocks until the job reaches a terminal state or the context ends;
 // either way it returns the latest snapshot.
 func (m *Manager) Wait(ctx context.Context, id string) (Job, error) {
-	m.mu.Lock()
-	j, ok := m.jobs[id]
-	m.mu.Unlock()
-	if !ok {
+	j := m.record(id)
+	if j == nil {
 		return Job{}, ErrUnknownJob
 	}
 	select {
@@ -613,10 +615,8 @@ func (m *Manager) Wait(ctx context.Context, id string) (Job, error) {
 // With singleflight dedup a cancel also cancels every submitter attached to
 // the job — they share one underlying run by design.
 func (m *Manager) Cancel(id string) (Job, error) {
-	m.mu.Lock()
-	j, ok := m.jobs[id]
-	m.mu.Unlock()
-	if !ok {
+	j := m.record(id)
+	if j == nil {
 		return Job{}, ErrUnknownJob
 	}
 	return m.cancelJob(j), nil

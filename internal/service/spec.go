@@ -76,6 +76,9 @@ func Canonicalize(r Request) (Request, string, noc.Experiment, error) {
 		return r, "", exp, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
 	canon := Request{Spec: noc.SpecOf(exp), Workload: wl}
+	if canon.Topology == r.Topology { // keep the caller's string: a sweep's points share one
+		canon.Topology = r.Topology
+	}
 	enc, err := json.Marshal(canon)
 	if err != nil {
 		return r, "", exp, fmt.Errorf("%w: %v", ErrBadRequest, err)

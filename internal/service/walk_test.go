@@ -25,13 +25,16 @@ func (f *fleetStub) Dispatch(ctx context.Context, key string, req Request) (noc.
 	return f.res, f.route, f.err
 }
 
-func do(t *testing.T, m *Manager, r Request, fleet Fleet) (Job, string) {
+func do(t *testing.T, m *Manager, r Request, fleet Fleet) (*Job, string) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	j, source, err := m.Do(ctx, r, fleet)
-	if err != nil || j.State != StateDone || j.Result == nil {
-		t.Fatalf("Do: state %s err %v", j.State, err)
+	if err != nil {
+		t.Fatalf("Do: %v", err)
+	}
+	if j.State != StateDone || j.Result == nil {
+		t.Fatalf("Do: state %s", j.State)
 	}
 	return j, source
 }
@@ -119,8 +122,10 @@ func TestDoWaitsOutAFullQueue(t *testing.T) {
 			defer wg.Done()
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 			defer cancel()
-			if j, _, err := m.Do(ctx, storeReq(seed), nil); err != nil || j.State != StateDone {
-				t.Errorf("seed %d: state %s err %v", seed, j.State, err)
+			if j, _, err := m.Do(ctx, storeReq(seed), nil); err != nil {
+				t.Errorf("seed %d: %v", seed, err)
+			} else if j.State != StateDone {
+				t.Errorf("seed %d: state %s", seed, j.State)
 			}
 		}(uint64(i + 1))
 	}

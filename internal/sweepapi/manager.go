@@ -58,15 +58,24 @@ type sweep struct {
 	cancel context.CancelFunc
 	done   chan struct{}
 	start  time.Time
-	// points are the grid in order. A point is owned by exactly one worker
-	// until it is published (appended to completedOrder under mu); after
-	// publication it is immutable.
-	points []PointStatus
+	// plan is the grid in order, kept until every point has run; points
+	// are how they ended. A point is owned by exactly one worker until it
+	// is published (appended to completedOrder under mu), then immutable.
+	plan   []PlanPoint
+	points []point
 
 	mu             sync.Mutex
 	st             Status // all but Completed and ElapsedMS, which statusLocked fills in
 	finish         time.Time
 	completedOrder []int // publication order; index into points
+}
+
+// point is a finished grid point: the terminal job record that answered it
+// (the service's own, or for a point no local job answered, one holding
+// what the wire shows of it) and the route it came by.
+type point struct {
+	job    *service.Job
+	source string
 }
 
 func (s *sweep) statusLocked() Status {
@@ -110,7 +119,7 @@ type Manager struct {
 func New(svc *service.Manager, cfg Config) *Manager {
 	cfg = cfg.withDefaults()
 	reg := svc.Telemetry()
-	m := &Manager{
+	return &Manager{
 		svc:    svc,
 		cfg:    cfg,
 		sweeps: map[string]*sweep{},
@@ -122,7 +131,6 @@ func New(svc *service.Manager, cfg Config) *Manager {
 		pointsActive: reg.Gauge("nocd_sweep_points_active",
 			"grid points of running sweeps not yet terminal"),
 	}
-	return m
 }
 
 // Submit parses, expands and starts a sweep, returning its initial status.
@@ -142,11 +150,8 @@ func (m *Manager) Submit(data []byte) (Status, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &sweep{
 		ctx: ctx, cancel: cancel, done: make(chan struct{}), start: time.Now(),
-		points: make([]PointStatus, len(plan.Points)),
-		st:     Status{ID: fmt.Sprintf("s%d", m.seq), State: service.StateRunning, Points: len(plan.Points)},
-	}
-	for i, pp := range plan.Points {
-		s.points[i] = PointStatus{Index: i, Key: pp.Key, Spec: pp.Req}
+		plan: plan.Points, points: make([]point, len(plan.Points)),
+		st: Status{ID: fmt.Sprintf("s%d", m.seq), State: service.StateRunning, Points: len(plan.Points)},
 	}
 	m.sweeps[s.st.ID] = s
 	m.order = append(m.order, s.st.ID)
@@ -165,13 +170,13 @@ func (m *Manager) Submit(data []byte) (Status, error) {
 func (m *Manager) evictSweepsLocked() {
 	for i := 0; len(m.sweeps) > m.cfg.SweepsCap && i < len(m.order); {
 		id := m.order[i]
-		s, ok := m.sweeps[id]
-		if ok && !s.status().Terminal() {
+		select {
+		case <-m.sweeps[id].done:
+			delete(m.sweeps, id)
+			m.order = append(m.order[:i], m.order[i+1:]...)
+		default:
 			i++
-			continue
 		}
-		delete(m.sweeps, id)
-		m.order = append(m.order[:i], m.order[i+1:]...)
 	}
 }
 
@@ -188,7 +193,7 @@ func (m *Manager) run(s *sweep) {
 		go func() {
 			defer pwg.Done()
 			for i := range idxc {
-				m.runPoint(s, &s.points[i])
+				m.runPoint(s, i)
 			}
 		}()
 	}
@@ -205,10 +210,10 @@ feed:
 	pwg.Wait()
 	// Points never handed to a worker are canceled wholesale.
 	for i := fed; i < len(s.points); i++ {
-		p := &s.points[i]
-		p.State, p.Error = service.StateCanceled, "sweep canceled"
-		m.publish(s, p)
+		s.points[i].job = unanswered(s.plan[i], service.StateCanceled, "sweep canceled")
+		m.publish(s, i)
 	}
+	s.plan = nil
 
 	s.mu.Lock()
 	s.st.State = service.StateDone
@@ -229,41 +234,46 @@ feed:
 	close(s.done)
 }
 
-// runPoint takes one grid point through the service's walk to a terminal
-// job and records how it ended.
-func (m *Manager) runPoint(s *sweep, p *PointStatus) {
-	defer m.publish(s, p)
-	j, source, err := m.svc.Do(s.ctx, p.Spec, m.cfg.Dispatcher)
-	p.Source, p.CacheHit, p.StoreHit = source, j.CacheHit, j.StoreHit
+// runPoint takes grid point i through the service's walk to a terminal job
+// and records how it ended.
+func (m *Manager) runPoint(s *sweep, i int) {
+	pp := s.plan[i]
+	j, source, err := m.svc.Do(s.ctx, pp.Req, m.cfg.Dispatcher)
 	switch {
 	case err != nil && s.ctx.Err() != nil:
-		p.State, p.Error = service.StateCanceled, "sweep canceled"
+		j = unanswered(pp, service.StateCanceled, "sweep canceled")
 	case errors.Is(err, service.ErrShuttingDown):
-		p.State, p.Error = service.StateCanceled, err.Error()
+		j = unanswered(pp, service.StateCanceled, err.Error())
 	case err != nil:
 		// Parse vetted the spec, so this is the fleet's refusal or a bug;
 		// either way it is the point's failure.
-		p.State, p.Error = service.StateFailed, err.Error()
-	default:
-		p.State, p.Result, p.Error = j.State, j.Result, j.Error
+		j = unanswered(pp, service.StateFailed, err.Error())
 	}
+	s.points[i] = point{job: j, source: source}
+	m.publish(s, i)
 }
 
-// publish makes a terminal point visible to streamers and accounting. The
-// point's fields must not change afterwards.
-func (m *Manager) publish(s *sweep, p *PointStatus) {
+// unanswered is the record of a point that no job answered.
+func unanswered(pp PlanPoint, state service.State, msg string) *service.Job {
+	return &service.Job{Key: pp.Key, Request: pp.Req, State: state, Error: msg}
+}
+
+// publish makes terminal point i visible to streamers and accounting. The
+// point must not change afterwards.
+func (m *Manager) publish(s *sweep, i int) {
+	p := s.points[i]
 	s.mu.Lock()
-	s.completedOrder = append(s.completedOrder, p.Index)
-	switch p.State {
+	s.completedOrder = append(s.completedOrder, i)
+	switch p.job.State {
 	case service.StateDone:
 		s.st.Done++
-		if p.CacheHit {
+		if p.job.CacheHit {
 			s.st.CacheHits++
 		}
-		if p.StoreHit {
+		if p.job.StoreHit {
 			s.st.StoreHits++
 		}
-		if p.Source == service.RouteRemote {
+		if p.source == service.RouteRemote {
 			s.st.Remote++
 		}
 	case service.StateCanceled:
@@ -272,16 +282,21 @@ func (m *Manager) publish(s *sweep, p *PointStatus) {
 		s.st.Failed++
 	}
 	s.mu.Unlock()
-	m.pointsTotal.With(string(p.State)).Inc()
+	m.pointsTotal.With(string(p.job.State)).Inc()
 	m.pointsActive.Add(-1)
+}
+
+// lookup returns sweep id's record, nil when none is retained.
+func (m *Manager) lookup(id string) *sweep {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.sweeps[id]
 }
 
 // Get returns the sweep's status snapshot.
 func (m *Manager) Get(id string) (Status, bool) {
-	m.mu.Lock()
-	s, ok := m.sweeps[id]
-	m.mu.Unlock()
-	if !ok {
+	s := m.lookup(id)
+	if s == nil {
 		return Status{}, false
 	}
 	return s.status(), true
@@ -290,17 +305,10 @@ func (m *Manager) Get(id string) (Status, bool) {
 // Sweeps lists snapshots of all retained sweeps, oldest first.
 func (m *Manager) Sweeps() []Status {
 	m.mu.Lock()
-	order := append([]string(nil), m.order...)
-	ss := make([]*sweep, 0, len(order))
-	for _, id := range order {
-		if s, ok := m.sweeps[id]; ok {
-			ss = append(ss, s)
-		}
-	}
-	m.mu.Unlock()
-	out := make([]Status, len(ss))
-	for i, s := range ss {
-		out[i] = s.status()
+	defer m.mu.Unlock()
+	out := make([]Status, len(m.order))
+	for i, id := range m.order {
+		out[i] = m.sweeps[id].status()
 	}
 	return out
 }
@@ -309,10 +317,8 @@ func (m *Manager) Sweeps() []Status {
 // in-flight points are cancelled (including their underlying jobs), and the
 // sweep reaches the canceled state. Cancelling a terminal sweep is a no-op.
 func (m *Manager) Cancel(id string) (Status, error) {
-	m.mu.Lock()
-	s, ok := m.sweeps[id]
-	m.mu.Unlock()
-	if !ok {
+	s := m.lookup(id)
+	if s == nil {
 		return Status{}, ErrUnknownSweep
 	}
 	s.cancel()
@@ -323,23 +329,18 @@ func (m *Manager) Cancel(id string) (Status, error) {
 // of points already consumed), the new cursor, and the sweep's status — the
 // polling primitive the NDJSON streamers are built on.
 func (m *Manager) PointsSince(id string, cursor int) ([]PointStatus, int, Status, bool) {
-	m.mu.Lock()
-	s, ok := m.sweeps[id]
-	m.mu.Unlock()
-	if !ok {
+	s := m.lookup(id)
+	if s == nil {
 		return nil, cursor, Status{}, false
 	}
 	s.mu.Lock()
-	if cursor < 0 {
-		cursor = 0
-	}
-	if cursor > len(s.completedOrder) {
-		cursor = len(s.completedOrder)
-	}
+	cursor = min(max(cursor, 0), len(s.completedOrder))
 	fresh := s.completedOrder[cursor:]
 	out := make([]PointStatus, len(fresh))
-	for i, idx := range fresh {
-		out[i] = s.points[idx]
+	for i, idx := range fresh { // each point on the wire, built from its record
+		j, source := s.points[idx].job, s.points[idx].source
+		out[i] = PointStatus{Index: idx, Key: j.Key, Spec: j.Request, State: j.State, CacheHit: j.CacheHit,
+			StoreHit: j.StoreHit, Source: source, Result: j.Result, Error: j.Error}
 	}
 	st := s.statusLocked()
 	s.mu.Unlock()
@@ -348,10 +349,8 @@ func (m *Manager) PointsSince(id string, cursor int) ([]PointStatus, int, Status
 
 // Done exposes the sweep's completion channel (closed at terminal state).
 func (m *Manager) Done(id string) (<-chan struct{}, bool) {
-	m.mu.Lock()
-	s, ok := m.sweeps[id]
-	m.mu.Unlock()
-	if !ok {
+	s := m.lookup(id)
+	if s == nil {
 		return nil, false
 	}
 	return s.done, true
@@ -360,10 +359,8 @@ func (m *Manager) Done(id string) (<-chan struct{}, bool) {
 // Wait blocks until the sweep is terminal or ctx ends, returning the latest
 // status either way.
 func (m *Manager) Wait(ctx context.Context, id string) (Status, error) {
-	m.mu.Lock()
-	s, ok := m.sweeps[id]
-	m.mu.Unlock()
-	if !ok {
+	s := m.lookup(id)
+	if s == nil {
 		return Status{}, ErrUnknownSweep
 	}
 	select {

@@ -11,17 +11,16 @@ import (
 	"pseudocircuit/internal/store"
 )
 
-// BenchmarkRetainedPoint reports the live heap a finished sweep point keeps
-// in the service tier: its job record, its sweep point and its share of the
-// result. The loop is svc-cmp-sweep's at fewer cycles: 120 sweeps of 32 CMP
-// points, seeds sliding by one block of 8 a sweep, through a one-worker tier
-// whose memory cache holds two blocks over a disk store, so that each sweep
-// has 8 cold points, 16 memory hits and 8 store hits, and every record stays
-// under the default JobsCap and SweepsCap. Run it with
-//
-//	go test -run '^$' -bench RetainedPoint -benchtime 1x ./internal/sweepapi
-func BenchmarkRetainedPoint(b *testing.B) {
-	const block, sweeps = 8, 120
+// retainedPerPoint runs svc-cmp-sweep's loop at fewer cycles and returns the
+// live heap a finished sweep point keeps in the service tier: its job
+// record, its sweep point and its share of the result. The loop is a warm-up
+// sweep and then sweeps sweeps of 32 CMP points, seeds sliding by one block
+// of 8 a sweep, through a one-worker tier whose memory cache holds two
+// blocks over a disk store, so that each sweep has 8 cold points, 16 memory
+// hits and 8 store hits, and every record stays under the default JobsCap
+// and SweepsCap.
+func retainedPerPoint(tb testing.TB, sweeps int) float64 {
+	const block = 8
 	sweep := func(sw *Manager, blocks ...int) {
 		var seeds []int
 		for _, k := range blocks {
@@ -37,12 +36,12 @@ func BenchmarkRetainedPoint(b *testing.B) {
 		})
 		st, err := sw.Submit(body)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 		defer cancel()
 		if st, err = sw.Wait(ctx, st.ID); err != nil || st.Done != len(seeds) {
-			b.Fatalf("sweep %s: %+v, %v", st.ID, st, err)
+			tb.Fatalf("sweep %s: %+v, %v", st.ID, st, err)
 		}
 	}
 	live := func() uint64 {
@@ -51,26 +50,51 @@ func BenchmarkRetainedPoint(b *testing.B) {
 		runtime.ReadMemStats(&ms)
 		return ms.HeapAlloc
 	}
-	for n := 0; n < b.N; n++ {
-		st, err := store.Open(b.TempDir(), 256<<20)
-		if err != nil {
-			b.Fatal(err)
-		}
-		svc := service.New(service.Config{Workers: 1, CacheCap: 2 * block, Store: st})
-		sw := New(svc, Config{Inflight: 1})
-		before := live()
-		sweep(sw, 1, 0, 2)
-		for j := 0; j < sweeps; j++ {
-			sweep(sw, j, j+1, j+2, j+3)
-		}
-		after := live()
-		if got := svc.Stats()["jobs"]; got != 3*block+sweeps*4*block {
-			b.Fatalf("%d job records retained, want every point's", got)
-		}
-		b.ReportMetric(float64(after-before)/float64(3*block+sweeps*4*block), "B/point")
+	st, err := store.Open(tb.TempDir(), 256<<20)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	svc := service.New(service.Config{Workers: 1, CacheCap: 2 * block, Store: st})
+	sw := New(svc, Config{Inflight: 1})
+	defer func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
 		sw.Shutdown(ctx)
 		svc.Shutdown(ctx)
-		cancel()
+	}()
+	before := live()
+	sweep(sw, 1, 0, 2)
+	for j := 0; j < sweeps; j++ {
+		sweep(sw, j, j+1, j+2, j+3)
 	}
+	after := live()
+	points := 3*block + sweeps*4*block
+	if got := svc.Stats()["jobs"]; got != int64(points) {
+		tb.Fatalf("%d job records retained, want every point's", got)
+	}
+	return float64(after-before) / float64(points)
+}
+
+// BenchmarkRetainedPoint reports retainedPerPoint over svc-cmp-sweep's 120
+// sweeps, the 3 864 points the default caps retain. Run it with
+//
+//	go test -run '^$' -bench RetainedPoint -benchtime 1x ./internal/sweepapi
+func BenchmarkRetainedPoint(b *testing.B) {
+	for n := 0; n < b.N; n++ {
+		b.ReportMetric(retainedPerPoint(b, 120), "B/point")
+	}
+}
+
+// maxRetainedPoint bounds TestRetainedPointBytes. A point read 1 225 B while
+// the sweep kept its own copy of every point's job record beside the
+// service's, and reads about 770 B as a view of it.
+const maxRetainedPoint = 950
+
+// TestRetainedPointBytes is BenchmarkRetainedPoint at a third of the sweeps.
+func TestRetainedPointBytes(t *testing.T) {
+	got := retainedPerPoint(t, 40)
+	if got > maxRetainedPoint {
+		t.Fatalf("a finished sweep point keeps %.0f B of live heap, want at most %d", got, maxRetainedPoint)
+	}
+	t.Logf("%.0f B/point", got)
 }

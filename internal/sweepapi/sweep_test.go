@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"pseudocircuit/internal/service"
+	"pseudocircuit/internal/store"
 	"pseudocircuit/noc"
 )
 
@@ -33,6 +34,15 @@ func newSvc(t *testing.T, cfg service.Config) *service.Manager {
 		m.Shutdown(ctx)
 	})
 	return m
+}
+
+func openStore(t *testing.T) *store.Store {
+	t.Helper()
+	st, err := store.Open(t.TempDir(), 256<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
 }
 
 func waitSweep(t *testing.T, sw *Manager, id string) Status {
@@ -307,6 +317,16 @@ func TestSweepDispatcherRemote(t *testing.T) {
 	if got := local.Stats()["submitted"]; got != 0 {
 		t.Fatalf("local manager saw %d submissions; want 0 (all remote)", got)
 	}
+	if got := local.Stats()["jobs"]; got != 0 {
+		t.Fatalf("local manager keeps %d job records for remote points", got)
+	}
+	own := map[*service.Job]bool{}
+	for _, r := range records(sw, st.ID) {
+		own[r.job] = true
+	}
+	if len(own) != 6 {
+		t.Fatalf("6 remote points share %d records, want one each", len(own))
+	}
 	pts, _, _, _ := sw.PointsSince(st.ID, 0)
 	for _, p := range pts {
 		if p.Source != service.RouteRemote {
@@ -318,6 +338,127 @@ func TestSweepDispatcherRemote(t *testing.T) {
 		}
 		if !j.CacheHit || mustJSON(t, *j.Result) != mustJSON(t, *p.Result) {
 			t.Fatalf("point %d diverged from the peer's cached result", p.Index)
+		}
+	}
+}
+
+// records returns a sweep's points as it keeps them.
+func records(sw *Manager, id string) []point {
+	s := sw.lookup(id)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return append([]point(nil), s.points...)
+}
+
+// waitStats polls svc until ok accepts its counters.
+func waitStats(t *testing.T, svc *service.Manager, ok func(map[string]int64) bool) {
+	t.Helper()
+	for deadline := time.Now().Add(30 * time.Second); !ok(svc.Stats()); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("service never reached the state: %v", svc.Stats())
+		}
+	}
+}
+
+// TestSweepPointIsItsJob: a finished point is a view of the terminal job
+// record that answered it, not a copy. A sweep with a memory hit, a store
+// hit, a cold point and a point that joins it in flight reports, for each,
+// the key, spec, hit marks and result of the service's record, and the
+// joined point is the cold point's record, unmarked by the join. A point
+// canceled before it was fed still reports its index, key and spec.
+func TestSweepPointIsItsJob(t *testing.T) {
+	svc := newSvc(t, service.Config{Workers: 1, CacheCap: 2, Store: openStore(t)})
+	sw := New(svc, Config{Inflight: 4})
+	body := func(seeds string) []byte {
+		return []byte(`{"template": {"topology":"mesh4x4","scheme":"pseudo","va":"static",
+		  "warmup":50,"measure":200,"workload":{"pattern":"uniform","rate":0.1}},
+		  "axes": {"seed": [` + seeds + `]}}`)
+	}
+	run := func(seeds string) Status {
+		st, err := sw.Submit(body(seeds))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return waitSweep(t, sw, st.ID)
+	}
+	// Memory keeps the last two results: 11 and 13, not 10.
+	for _, seed := range []string{"10", "13", "11"} {
+		if st := run(seed); st.Done != 1 || st.CacheHits != 0 {
+			t.Fatalf("warm-up point %s: %+v", seed, st)
+		}
+	}
+	// A job on the only worker holds the cold point queued until its twin
+	// has joined it.
+	blocker := service.Request{Spec: noc.Spec{Topology: "mesh4x4", Warmup: 100, Measure: 8_000_000},
+		Workload: noc.WorkloadSpec{Rate: 0.1}}
+	bj, err := svc.Submit(blocker)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := sw.Submit(body("11, 10, 12, 12"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitStats(t, svc, func(c map[string]int64) bool { return c["dedup_hits"] == 1 && c["cache_hits"] == 2 })
+	if _, err := svc.Cancel(bj.ID); err != nil {
+		t.Fatal(err)
+	}
+	if st = waitSweep(t, sw, st.ID); st.Done != 4 || st.CacheHits != 2 || st.StoreHits != 1 {
+		t.Fatalf("sweep finished %+v", st)
+	}
+
+	recs := records(sw, st.ID)
+	pts, _, _, _ := sw.PointsSince(st.ID, 0)
+	for _, p := range pts {
+		r := recs[p.Index].job
+		j, ok := svc.Get(r.ID)
+		if !ok || j.Key != p.Key || mustJSON(t, j.Request) != mustJSON(t, p.Spec) ||
+			j.CacheHit != p.CacheHit || j.StoreHit != p.StoreHit || j.Result != p.Result || p.Result == nil {
+			t.Errorf("point %d is not its job record:\npoint %+v\nrecord %+v", p.Index, p, j)
+		}
+		if j.Dedup || r.Dedup {
+			t.Errorf("point %d marked its shared record dedup", p.Index)
+		}
+	}
+	want := []struct{ cacheHit, storeHit bool }{{true, false}, {true, true}, {false, false}, {false, false}}
+	for i, w := range want {
+		if r := recs[i].job; r.CacheHit != w.cacheHit || r.StoreHit != w.storeHit {
+			t.Errorf("point %d: cacheHit %v storeHit %v, want %v %v", i, r.CacheHit, r.StoreHit, w.cacheHit, w.storeHit)
+		}
+	}
+	if recs[2].job != recs[3].job {
+		t.Error("the point that joined an identical one in flight keeps a record of its own")
+	}
+
+	// Canceled while its first point waits behind a blocker: the rest are
+	// never fed, and have no job record to be a view of.
+	if bj, err = svc.Submit(blocker); err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Cancel(bj.ID)
+	sw1 := New(svc, Config{Inflight: 1})
+	st, err = sw1.Submit(body("20, 21, 22"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitStats(t, svc, func(c map[string]int64) bool { return c["running"] == 1 && c["queue_len"] == 1 })
+	sw1.Cancel(st.ID)
+	st = waitSweep(t, sw1, st.ID)
+	plan, err := Parse(body("20, 21, 22"), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts, _, _, _ = sw1.PointsSince(st.ID, 0)
+	if len(pts) != 3 {
+		t.Fatalf("%d points of 3 reported", len(pts))
+	}
+	for _, p := range pts {
+		pp := plan.Points[p.Index]
+		if p.State != service.StateCanceled || p.Key != pp.Key || mustJSON(t, p.Spec) != mustJSON(t, pp.Req) {
+			t.Errorf("canceled point %d: %+v", p.Index, p)
+		}
+		if fed := p.Index == 0; (p.Source != "") != fed {
+			t.Errorf("point %d: source %q", p.Index, p.Source)
 		}
 	}
 }

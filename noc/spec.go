@@ -219,9 +219,11 @@ func (w WorkloadSpec) Normalize(e Experiment) (WorkloadSpec, error) {
 		if w.Pattern != "" || w.Rate != 0 || w.PacketSize != 0 {
 			return w, fmt.Errorf("noc: cmp workload takes only a benchmark, not synthetic fields")
 		}
-		if _, ok := cmp.ProfileByName(w.Benchmark); !ok {
+		prof, ok := cmp.ProfileByName(w.Benchmark)
+		if !ok {
 			return w, fmt.Errorf("noc: unknown benchmark %q (have %v)", w.Benchmark, CMPBenchmarks())
 		}
+		w.Benchmark = prof.Name // the table's string, not the caller's
 		if cfg := cmp.PaperTableI(); nodes != cfg.Cores+cfg.L2Banks {
 			return w, fmt.Errorf("noc: cmp workloads need a %d-terminal topology, %s has %d",
 				cfg.Cores+cfg.L2Banks, topologyName(e.Topology), nodes)
@@ -318,22 +320,48 @@ func topologyName(t Topology) string {
 	return fmt.Sprintf("%s%dx%dx%d", t.Name(), kx, ky, t.Concentration())
 }
 
+// schemeNames and routingNames are the canonical names ParseScheme and
+// Spec.Experiment accept and SpecOf prints: constants, so a canonical spec
+// shares its name strings with every other.
+var (
+	schemeNames = map[Scheme]string{Baseline: "baseline", Pseudo: "pseudo",
+		PseudoS: "pseudo+s", PseudoB: "pseudo+b", PseudoSB: "pseudo+s+b"}
+	routingNames = map[routing.Algorithm]string{routing.XY: "xy", routing.YX: "yx", routing.O1TURN: "o1turn"}
+)
+
+// nameOf is v's canonical name in names, or its String lowercased when it
+// has none.
+func nameOf[K interface {
+	comparable
+	String() string
+}](names map[K]string, v K) string {
+	if n, ok := names[v]; ok {
+		return n
+	}
+	return strings.ToLower(v.String())
+}
+
+// byName resolves a case-insensitive name from names; empty selects def.
+func byName[K comparable](names map[K]string, s string, def K) (K, bool) {
+	if s == "" {
+		return def, true
+	}
+	s = strings.ToLower(s)
+	for k, n := range names {
+		if n == s {
+			return k, true
+		}
+	}
+	return def, false
+}
+
 // ParseScheme resolves a scheme name.
 func ParseScheme(s string) (Scheme, error) {
-	switch strings.ToLower(s) {
-	case "", "baseline":
-		return Baseline, nil
-	case "pseudo":
-		return Pseudo, nil
-	case "pseudo+s":
-		return PseudoS, nil
-	case "pseudo+b":
-		return PseudoB, nil
-	case "pseudo+s+b":
-		return PseudoSB, nil
-	default:
+	sc, ok := byName(schemeNames, s, Baseline)
+	if !ok {
 		return Baseline, fmt.Errorf("noc: unknown scheme %q", s)
 	}
+	return sc, nil
 }
 
 // Experiment materializes the spec. It is total: a spec it accepts builds
@@ -348,14 +376,8 @@ func (s Spec) Experiment() (Experiment, error) {
 	if e.Scheme, err = ParseScheme(s.Scheme); err != nil {
 		return e, err
 	}
-	switch strings.ToLower(s.Routing) {
-	case "", "xy":
-		e.Routing = routing.XY
-	case "yx":
-		e.Routing = routing.YX
-	case "o1turn":
-		e.Routing = routing.O1TURN
-	default:
+	var ok bool
+	if e.Routing, ok = byName(routingNames, s.Routing, routing.XY); !ok {
 		return e, fmt.Errorf("noc: unknown routing %q", s.Routing)
 	}
 	switch strings.ToLower(s.VA) {
@@ -404,8 +426,8 @@ func SpecOf(e Experiment) Spec {
 	e = e.defaults()
 	s := Spec{
 		Topology: topologyName(e.Topology),
-		Scheme:   strings.ToLower(e.Scheme.String()),
-		Routing:  strings.ToLower(e.Routing.String()),
+		Scheme:   nameOf(schemeNames, e.Scheme),
+		Routing:  nameOf(routingNames, e.Routing),
 		VA:       strings.TrimSuffix(e.Policy.String(), "VA"),
 		NumVCs:   e.NumVCs,
 		BufDepth: e.BufDepth,

@@ -95,7 +95,11 @@ type SweepStatus struct {
 func (s SweepStatus) Terminal() bool { return s.State.Terminal() }
 
 // SweepPoint is one completed grid point: the canonical spec, where and how
-// it was served, and the result.
+// it was served, and the result. Inside the daemon a point is a view of the
+// job record that answered it, built when it is read: Index and Source are
+// the sweep's, every other field the record's. That record is shared with
+// every submission that joined the same job in flight; a point answered by a
+// peer, refused or canceled has one of its own.
 type SweepPoint struct {
 	Index    int     `json:"index"`
 	Key      string  `json:"key"`
@@ -104,8 +108,8 @@ type SweepPoint struct {
 	CacheHit bool    `json:"cacheHit,omitempty"`
 	StoreHit bool    `json:"storeHit,omitempty"`
 	Source   string  `json:"source,omitempty"` // local|remote|fallback
-	// Result is the pointer the point's job returned, shared with the
-	// daemon's records of the key: read-only.
+	// Result is the pointer the point's job record holds, shared with the
+	// daemon's other records of the key: read-only.
 	Result *noc.Result `json:"result,omitempty"`
 	Error  string      `json:"error,omitempty"`
 }
