@@ -525,6 +525,35 @@ func TestStructuralRules(t *testing.T) {
 		enforce(t, declaredIn("Config.Lanes"), "internal/router/*.go", false)
 	})
 
+	// Every layer asks the one fault view, fault.State, itself (DESIGN.md
+	// §13): routing takes it as an argument, the routers and the EVC policy
+	// read it from their config, and a storm hands each router the kernel's
+	// hoisted kill callback. The context of closures a storm rebuilt per
+	// router, the interface that hid the teardown from Node, the config
+	// closures in front of the view, the per-router closures and the second
+	// neighbour table behind them do not grow back.
+	t.Run("one fault view", func(t *testing.T) {
+		front := declaredIn("FaultContext", "faultNode", "Config.LinkUp", "Config.Reroute")
+		closures := namesIn("wiredFn", "deadFn", "routeFor", "NeighborTable")
+		seesEach(t, front, map[string]string{
+			"declares FaultContext":   "package router\ntype FaultContext struct{ RouterDead bool; Kill func(p *flit.Packet) }",
+			"declares faultNode":      "package network\ntype faultNode interface{ FaultScan(all bool) }",
+			"declares Config.LinkUp":  "package router\ntype Config struct{ NumVCs int; LinkUp func(id, out int) bool }",
+			"declares Config.Reroute": "package router\ntype Config struct{ Reroute func(id, dst, class int) int }",
+		}, "package router\ntype Config struct{ Faults *fault.State; Routing *routing.Engine }\n"+
+			"func (r *Router) FaultScan(all bool) {}\nconst Reroute = 1")
+		seesEach(t, closures, map[string]string{
+			"names wiredFn":       "package network\ntype Network struct{ wiredFn []func(out int) bool }",
+			"names deadFn":        "package network\nfunc f(n *Network) bool { return n.deadFn[0](1) }",
+			"names routeFor":      "package network\nfunc (n *Network) routeFor(r, dst, class int) int { return 0 }",
+			"names NeighborTable": "package network\nvar nbr = fault.NeighborTable(topo)",
+		}, "package network\nfunc f(n *Network) { n.engine.RouteAvoid(0, 1, 0, n.faults); _ = n.faults.Wired(0, 1) }")
+		for _, glob := range []string{"*.go", "noc/*.go", "cmd/*/*.go", "internal/*/*.go", "nocdclient/*.go", "bench/*.go"} {
+			enforce(t, front, glob, false)
+			enforce(t, closures, glob, true)
+		}
+	})
+
 	// noc.Spec.Experiment and noc.WorkloadSpec.Workload turn names into an
 	// experiment for nocsim -config, the flags and the service alike; a
 	// parser in a command would be a second grammar growing back. What a

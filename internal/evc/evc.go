@@ -101,14 +101,11 @@ func (r *Router) parityFor(out int) int {
 // unusable: either the link to the intermediate router or the intermediate
 // router's onward link (same direction) is dead.
 func (r *Router) expressBlocked(out int) bool {
-	if r.cfg.LinkUp == nil {
+	st := r.cfg.Faults
+	if st == nil {
 		return false
 	}
-	if !r.cfg.LinkUp(r.ID, out) {
-		return true
-	}
-	mid := r.mesh.NextHop(r.ID, out, 0).Router
-	return !r.cfg.LinkUp(mid, out)
+	return st.LinkDead(r.ID, out) || st.LinkDead(r.mid(out), out)
 }
 
 // expressRouteStable reports whether fault-aware lookahead routing keeps the
@@ -118,15 +115,15 @@ func (r *Router) expressBlocked(out int) bool {
 // (recomputed by the network at send time) could turn — an express flit must
 // travel straight through the relay latch, so such paths are ineligible.
 func (r *Router) expressRouteStable(out, dst, class int) bool {
-	if r.cfg.Reroute == nil {
+	st := r.cfg.Faults
+	if st == nil {
 		return true
 	}
-	if r.cfg.Reroute(r.ID, dst, class) != out {
-		return false
-	}
-	mid := r.mesh.NextHop(r.ID, out, 0).Router
-	return r.cfg.Reroute(mid, dst, class) == out
+	return r.cfg.Routing.RouteAvoid(r.ID, dst, class, st) == out && r.cfg.Routing.RouteAvoid(r.mid(out), dst, class, st) == out
 }
+
+// mid returns the intermediate router of the express path via out.
+func (r *Router) mid(out int) int { return r.mesh.NextHop(r.ID, out, 0).Router }
 
 // expressCapable reports whether a packet leaving via out toward dst has at
 // least two remaining hops in that dimension (l_max = 2 express paths).

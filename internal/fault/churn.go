@@ -138,7 +138,7 @@ func (c Churn) Expand(t Topo, horizon int64) (*Schedule, error) {
 	}
 	for r := 0; r < routers; r++ {
 		for out := 0; out < 4; out++ {
-			if !wired(t, r, out) {
+			if neighbor(t, r, out) < 0 {
 				continue
 			}
 			if err := expand(r, out, LinkDown, LinkUp, c.LinkFail, c.LinkRepair); err != nil {

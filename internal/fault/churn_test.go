@@ -174,7 +174,7 @@ func TestChurnPermanentFaults(t *testing.T) {
 		}
 		seen[e.Router] = true
 	}
-	st := NewState(*s, m.Routers(), NeighborTable(m))
+	st := NewState(*s, m)
 	last := s.Events[len(s.Events)-1]
 	for cyc := int64(0); cyc <= last.Cycle; cyc++ {
 		for _, e := range st.Take(cyc) {

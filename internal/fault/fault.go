@@ -150,63 +150,39 @@ func (s *Schedule) Canon() {
 	})
 }
 
-// Topo is the slice of topology the validator needs. *topology.Mesh
-// satisfies it; topologies without a wired-port notion are rejected before
-// validation reaches here.
+// Topo is the slice of topology faults are declared on and answered over.
+// *topology.Mesh satisfies it; topologies without a wired-port notion are
+// rejected before validation reaches here.
 type Topo interface {
 	Routers() int
+	Nodes() int
 	// Dims returns the router grid dimensions (mesh-like topologies).
 	Dims() (kx, ky int)
 	// Coord returns router r's grid coordinates.
 	Coord(r int) (x, y int)
+	// NodeRouter returns the router terminal node attaches to.
+	NodeRouter(node int) (router, inPort, outPort int)
 }
 
-// wired reports whether direction port out of router r connects to a
-// neighbor on the grid (edge ports exist but are unwired).
-func wired(t Topo, r, out int) bool {
+// neighbor returns the router at the far end of direction port out (0..3:
+// E, W, N, S) of router r, or -1 when the port is off the grid edge.
+func neighbor(t Topo, r, out int) int {
 	kx, ky := t.Dims()
 	x, y := t.Coord(r)
 	switch out {
 	case 0: // E
-		return x+1 < kx
+		x++
 	case 1: // W
-		return x > 0
+		x--
 	case 2: // N
-		return y > 0
+		y--
 	case 3: // S
-		return y+1 < ky
+		y++
 	}
-	return false
-}
-
-// NeighborTable builds the (router*4 + port) → far-end-router table a State
-// needs: the router at the other end of each direction link, or -1 for
-// unwired grid-edge ports.
-func NeighborTable(t Topo) []int {
-	kx, ky := t.Dims()
-	nbr := make([]int, t.Routers()*4)
-	for r := 0; r < t.Routers(); r++ {
-		x, y := t.Coord(r)
-		for out := 0; out < 4; out++ {
-			nx, ny := x, y
-			switch out {
-			case 0: // E
-				nx++
-			case 1: // W
-				nx--
-			case 2: // N
-				ny--
-			case 3: // S
-				ny++
-			}
-			if nx < 0 || nx >= kx || ny < 0 || ny >= ky {
-				nbr[r*4+out] = -1
-			} else {
-				nbr[r*4+out] = ny*kx + nx
-			}
-		}
+	if x < 0 || x >= kx || y < 0 || y >= ky {
+		return -1
 	}
-	return nbr
+	return y*kx + x
 }
 
 // Validate canonicalizes the schedule in place and checks every structural
@@ -242,7 +218,7 @@ func (s *Schedule) Validate(t Topo, horizon int64) error {
 			if e.Port < 0 || e.Port > 3 {
 				return fmt.Errorf("fault: link port %d outside direction ports 0..3", e.Port)
 			}
-			if !wired(t, e.Router, e.Port) {
+			if neighbor(t, e.Router, e.Port) < 0 {
 				return fmt.Errorf("fault: router %d port %d is off the grid edge", e.Router, e.Port)
 			}
 		} else if e.Port != 0 {
@@ -284,9 +260,10 @@ func (s *Schedule) Validate(t Topo, horizon int64) error {
 	return nil
 }
 
-// State replays a validated schedule at runtime. The kernel mutates it in a
-// cycle's main phase only, strictly before any router ticks, so the dead-state
-// queries (LinkDead, RouterDead) answer the same all through a cycle.
+// State replays a validated schedule at runtime, and is the one fault view
+// every layer asks: the kernel, fault-aware routing, the routers and the EVC
+// policy. The kernel mutates it in a cycle's main phase only, strictly before
+// any router ticks, so every query answers the same all through a cycle.
 type State struct {
 	policy     Policy
 	events     []Event
@@ -297,6 +274,8 @@ type State struct {
 	// out, or -1 when the port is unwired. A link is dead when either its
 	// own down flag is set or either endpoint router is down.
 	nbr []int
+	// home[node] is the router terminal node attaches to.
+	home []int
 	// remLink/remRouter count the schedule events not yet applied for each
 	// target. A down whose target has no remaining events is permanent (an
 	// AllowOpen schedule left it open); every other down is transient. The
@@ -306,23 +285,27 @@ type State struct {
 	remLink        []int
 	remRouter      []int
 	transientDowns int
-	permDowns      int
 }
 
-// NewState builds runtime state for a validated schedule over a mesh-like
-// topology. nbr maps (router*4 + port) to the far-end router or -1.
-func NewState(s Schedule, routers int, nbr []int) *State {
-	if len(nbr) != routers*4 {
-		panic(fmt.Sprintf("fault: neighbor table length %d != %d routers * 4", len(nbr), routers))
-	}
+// NewState builds runtime state for a validated schedule over t, with the
+// neighbour and node→router tables its queries read.
+func NewState(s Schedule, t Topo) *State {
+	routers := t.Routers()
 	st := &State{
 		policy:     s.Policy,
 		events:     s.Events,
 		linkDown:   make([]bool, routers*4),
 		routerDown: make([]bool, routers),
-		nbr:        nbr,
+		nbr:        make([]int, routers*4),
+		home:       make([]int, t.Nodes()),
 		remLink:    make([]int, routers*4),
 		remRouter:  make([]int, routers),
+	}
+	for i := range st.nbr {
+		st.nbr[i] = neighbor(t, i/4, i%4)
+	}
+	for node := range st.home {
+		st.home[node], _, _ = t.NodeRouter(node)
 	}
 	for _, e := range s.Events {
 		if e.Kind.IsLink() {
@@ -351,18 +334,12 @@ func (st *State) Take(now int64) []Event {
 	return st.events[lo:st.next]
 }
 
-// Pending reports whether any events remain unapplied.
-func (st *State) Pending() bool { return st.next < len(st.events) }
-
-// AnyDown reports whether any link or router is currently down.
-func (st *State) AnyDown() bool { return st.transientDowns+st.permDowns > 0 }
-
 // AnyTransientDown reports whether any link or router is down with a
 // restoring up event still pending. Permanent downs (open AllowOpen
 // schedules) are excluded: nothing is coming back, so termination machinery
 // — the standstill watchdog and stale sweep — must keep running rather than
-// wait out a recovery that never happens. On closed schedules this is
-// identical to AnyDown.
+// wait out a recovery that never happens. On closed schedules every down is
+// transient.
 func (st *State) AnyTransientDown() bool { return st.transientDowns > 0 }
 
 // Apply folds one event into the state. Events must be applied in schedule
@@ -374,9 +351,7 @@ func (st *State) Apply(e Event) {
 		i := e.Router*4 + e.Port
 		st.linkDown[i] = true
 		st.remLink[i]--
-		if st.remLink[i] == 0 {
-			st.permDowns++
-		} else {
+		if st.remLink[i] > 0 { // an up is still to come
 			st.transientDowns++
 		}
 	case LinkUp:
@@ -387,9 +362,7 @@ func (st *State) Apply(e Event) {
 	case RouterDown:
 		st.routerDown[e.Router] = true
 		st.remRouter[e.Router]--
-		if st.remRouter[e.Router] == 0 {
-			st.permDowns++
-		} else {
+		if st.remRouter[e.Router] > 0 {
 			st.transientDowns++
 		}
 	case RouterUp:
@@ -398,6 +371,10 @@ func (st *State) Apply(e Event) {
 		st.transientDowns--
 	}
 }
+
+// Wired reports whether direction port out (0..3) of router r connects to a
+// neighbour on the grid (edge ports exist but are unwired).
+func (st *State) Wired(r, out int) bool { return st.nbr[r*4+out] >= 0 }
 
 // LinkDead reports whether output port out of router r is currently unusable:
 // the link itself is down, the sending router is down, or the receiving
@@ -421,6 +398,10 @@ func (st *State) LinkDead(r, out int) bool {
 
 // RouterDead reports whether router r is currently down.
 func (st *State) RouterDead(r int) bool { return st.routerDown[r] }
+
+// DstDead reports whether the router terminal node attaches to is down: a
+// packet addressed to it cannot be delivered.
+func (st *State) DstDead(node int) bool { return st.routerDown[st.home[node]] }
 
 // RouterPermanentlyDown reports whether router r is down with no restoring
 // event left in the schedule: it will never come back. Packets sourced at a

@@ -172,19 +172,42 @@ func TestPolicyByName(t *testing.T) {
 	}
 }
 
+// TestNeighborTable: the State's neighbour table names the router at the far
+// end of every direction link, so a dead router kills exactly the links into
+// it, and its node table names the router a terminal attaches to.
 func TestNeighborTable(t *testing.T) {
 	m := topology.NewMesh(4, 4)
-	nbr := NeighborTable(m)
 	// Router 5 sits at (1,1) of a 4x4 grid.
 	want := map[int]int{topology.PortE: 6, topology.PortW: 4, topology.PortN: 1, topology.PortS: 9}
 	for out, w := range want {
-		if nbr[5*4+out] != w {
-			t.Errorf("router 5 port %d: neighbor %d, want %d", out, nbr[5*4+out], w)
+		st := NewState(sched(Event{Cycle: 1, Kind: RouterDown, Router: w}, Event{Cycle: 2, Kind: RouterUp, Router: w}), m)
+		for _, e := range st.Take(1) {
+			st.Apply(e)
+		}
+		for o := 0; o < 4; o++ {
+			if dead := st.LinkDead(5, o); dead != (o == out) {
+				t.Errorf("router %d down: link 5.%d dead=%v, want %v", w, o, dead, o == out)
+			}
 		}
 	}
 	// Corner router 0 has no west or north neighbor.
-	if nbr[0*4+topology.PortW] != -1 || nbr[0*4+topology.PortN] != -1 {
-		t.Errorf("router 0 edge ports should be unwired")
+	st := NewState(Schedule{}, m)
+	for out, wired := range []bool{true, false, false, true} {
+		if st.Wired(0, out) != wired {
+			t.Errorf("router 0 port %d: wired=%v, want %v", out, !wired, wired)
+		}
+	}
+	// On a concentrated mesh four nodes share a router, and go down with it.
+	c := topology.NewCMesh(2, 2, 4)
+	st = NewState(sched(Event{Cycle: 1, Kind: RouterDown, Router: 3}, Event{Cycle: 2, Kind: RouterUp, Router: 3}), c)
+	for _, e := range st.Take(1) {
+		st.Apply(e)
+	}
+	for node := 0; node < c.Nodes(); node++ {
+		r, _, _ := c.NodeRouter(node)
+		if st.DstDead(node) != (r == 3) {
+			t.Errorf("cmesh node %d on router %d: DstDead=%v with router 3 down", node, r, st.DstDead(node))
+		}
 	}
 }
 
@@ -199,7 +222,7 @@ func TestStateReplay(t *testing.T) {
 	if err := s.Validate(m, 100); err != nil {
 		t.Fatal(err)
 	}
-	st := NewState(s, m.Routers(), NeighborTable(m))
+	st := NewState(s, m)
 
 	if evs := st.Take(9); evs != nil {
 		t.Fatalf("cycle 9: unexpected events %v", evs)
@@ -228,8 +251,11 @@ func TestStateReplay(t *testing.T) {
 	if st.LinkDead(5, topology.PortW) {
 		t.Errorf("link 5.W should be alive")
 	}
-	if !st.AnyDown() || !st.Pending() {
-		t.Errorf("mid-window: AnyDown=%v Pending=%v, want true/true", st.AnyDown(), st.Pending())
+	if !st.DstDead(9) || st.DstDead(5) {
+		t.Errorf("node 9 sits on dead router 9, node 5 on live router 5: DstDead = %v, %v", st.DstDead(9), st.DstDead(5))
+	}
+	if !st.AnyTransientDown() {
+		t.Errorf("mid-window: AnyTransientDown=false, want true")
 	}
 
 	for _, e := range st.Take(30) {
@@ -241,11 +267,8 @@ func TestStateReplay(t *testing.T) {
 	for _, e := range st.Take(40) {
 		st.Apply(e)
 	}
-	if st.AnyDown() {
-		t.Errorf("all targets restored; AnyDown should be false")
-	}
-	if st.Pending() {
-		t.Errorf("cursor should be exhausted")
+	if st.AnyTransientDown() {
+		t.Errorf("all targets restored; AnyTransientDown should be false")
 	}
 	// Ejection ports die only with their router.
 	if st.LinkDead(5, 4) {
@@ -262,7 +285,7 @@ func TestTakeZeroAllocFastPath(t *testing.T) {
 	if err := s.Validate(m, 1<<41); err != nil {
 		t.Fatal(err)
 	}
-	st := NewState(s, m.Routers(), NeighborTable(m))
+	st := NewState(s, m)
 	allocs := testing.AllocsPerRun(100, func() {
 		for c := int64(0); c < 1000; c++ {
 			if st.Take(c) != nil {

@@ -102,13 +102,12 @@ type Node interface {
 	MarkEjection(out int)
 	Quiescent() bool
 	CheckInvariants()
-}
-
-// faultNode is the teardown surface a router must additionally provide when
-// a fault schedule is configured. It is deliberately not part of Node so
-// fault-free configurations keep accepting any Node implementation.
-type faultNode interface {
-	FaultScan(fc *router.FaultContext)
+	// The fault teardown, called from the main phase under a fault schedule
+	// only: FaultScan applies a storm as the router's fault view reads (all
+	// purges everything) and returns the circuits torn and packets detoured,
+	// FaultStale reports packets resident since before cutoff, FaultPurge
+	// removes a condemned packet.
+	FaultScan(all bool, kill func(p *flit.Packet)) (torn, salvaged uint64)
 	FaultStale(cutoff sim.Cycle, kill func(p *flit.Packet))
 	FaultPurge(p *flit.Packet, drop func(f *flit.Flit))
 }
@@ -251,6 +250,11 @@ func (n *Network) send(id, out int, f *flit.Flit) {
 		}
 	}
 	f.NextOut = int(e.next)
+	if f.ExpressHops > 0 {
+		// An express flit follows its header straight through the router it
+		// bypasses, even after an up event closed the detour that made it so.
+		f.NextOut = out
+	}
 	n.schedule(int(e.lat)+1, delivery{flit: f, router: e.router, port: e.port})
 }
 
@@ -262,7 +266,7 @@ func (n *Network) resolve(r, out, dst, class int) hop {
 	e := hop{dst: int32(dst), router: int32(h.Router), port: int32(h.InPort),
 		class: int8(class), lat: int8(h.Latency), next: -1}
 	if h.Router >= 0 {
-		e.next = int8(n.routeFor(h.Router, dst, class))
+		e.next = int8(n.engine.RouteAvoid(h.Router, dst, class, n.faults))
 	}
 	return e
 }
@@ -343,15 +347,10 @@ type Network struct {
 	tick bitset
 	inj  bitset
 
-	// Fault machinery (nil/empty without a schedule): the replayed schedule
-	// state, the node→home-router table, per-router wired/dead closures
-	// (precomputed so fault-aware route computation allocates nothing on the
-	// hot path), the misroute livelock bound, and the scratch victim list
+	// Fault machinery (nil/empty without a schedule): the fault view every
+	// layer asks, the misroute livelock bound, and the scratch victim list
 	// reused across purges.
 	faults   *fault.State
-	home     []int
-	wiredFn  []func(out int) bool
-	deadFn   []func(out int) bool
 	hopLimit int
 	victims  []*flit.Packet
 	// Wedge watchdog (active only with a schedule): fault detours are not
@@ -365,7 +364,8 @@ type Network struct {
 	lastMove   uint64
 	stallRun   int
 	stallLimit int
-	condemnFn  func(p *flit.Packet) // hoisted n.condemn (per-call method values allocate)
+	condemnFn  func(p *flit.Packet) // hoisted n.condemn and n.dropFlit (a method
+	dropFn     func(f *flit.Flit)   // value passed to an interface method allocates)
 	// Stale sweep (the watchdog's partial-wedge companion): a detour
 	// deadlock that other traffic keeps flowing around never trips the
 	// standstill watchdog, so every staleScanEvery cycles resident packets
@@ -441,8 +441,7 @@ func New(cfg Config) *Network {
 		if err := sched.Validate(ft, 1<<62); err != nil {
 			panic(fmt.Sprintf("network: invalid fault schedule: %v", err))
 		}
-		nbr := fault.NeighborTable(ft)
-		n.faults = fault.NewState(sched, t.Routers(), nbr)
+		n.faults = fault.NewState(sched, ft)
 		// Misrouting around dead links can exceed the minimal hop count;
 		// bound it so a pathological schedule becomes packet drops, never
 		// livelock. Generous: a detour never needs more than a few grid
@@ -458,19 +457,7 @@ func New(cfg Config) *Network {
 		// cycles), small enough that a wedge clears within a few thousand
 		// cycles of forming.
 		n.staleLimit = 2048
-		n.condemnFn = n.condemn
-		n.wiredFn = make([]func(out int) bool, t.Routers())
-		n.deadFn = make([]func(out int) bool, t.Routers())
-		for r := 0; r < t.Routers(); r++ {
-			r := r
-			n.wiredFn[r] = func(out int) bool { return nbr[r*4+out] >= 0 }
-			n.deadFn[r] = func(out int) bool { return n.faults.LinkDead(r, out) }
-		}
-		n.home = make([]int, t.Nodes())
-		for node := 0; node < t.Nodes(); node++ {
-			hr, _, _ := t.NodeRouter(node)
-			n.home[node] = hr
-		}
+		n.condemnFn, n.dropFn = n.condemn, n.dropFlit
 	}
 
 	// The network owns the router slab and the counter registry; every router
@@ -497,10 +484,8 @@ func New(cfg Config) *Network {
 		Credit:   n.credit,
 		Reg:      n.registry,
 		Trace:    cfg.Tracer,
-	}
-	if n.faults != nil {
-		rcfg.LinkUp = func(id, out int) bool { return !n.faults.LinkDead(id, out) }
-		rcfg.Reroute = func(id, dst, class int) int { return n.routeFor(id, dst, class) }
+		Faults:   n.faults,
+		Routing:  engine,
 	}
 	factory := cfg.Factory
 	if factory == nil {
@@ -515,11 +500,6 @@ func New(cfg Config) *Network {
 	n.routers = make([]Node, t.Routers())
 	for r := range n.routers {
 		n.routers[r] = factory(r, t.InPorts(r), t.OutPorts(r), &rcfg)
-		if n.faults != nil {
-			if _, ok := n.routers[r].(faultNode); !ok {
-				panic(fmt.Sprintf("network: router %T cannot run under a fault schedule", n.routers[r]))
-			}
-		}
 	}
 	// Wire terminals. The NIs are one array and their credit counters one
 	// slab, every counter starting full.
@@ -629,37 +609,20 @@ func (n *Network) Inject(p *flit.Packet) {
 		p.RelSeq = s.relNext[p.Dst]
 		s.trackTx(p)
 	}
-	if n.faults != nil && (n.faults.RouterDead(n.home[p.Dst]) || n.faults.RouterPermanentlyDown(n.home[p.Src])) {
+	if n.faults != nil && (n.faults.DstDead(p.Dst) || n.faults.RouterPermanentlyDown(n.nis[p.Src].router)) {
 		// The destination's home router is down, or the source's own router
 		// is permanently dead: the packet can never be delivered, so it is
 		// accounted and dropped at the source instead of wedging a queue
 		// behind an unreachable destination (or behind a router that will
 		// never inject again).
 		n.Stats.PacketsInjected++
-		n.Stats.PacketsDropped++
-		if tr := n.tracer; tr != nil {
-			tr.Record(obs.Event{
-				Cycle: int64(n.now), Kind: obs.Drop, Packet: p.ID, Seq: -1,
-				Src: int32(p.Src), Dst: int32(p.Dst), Loc: int32(p.Src),
-				In: -1, VC: -1, Out: -1,
-			})
-		}
-		n.pool.RecyclePacket(p)
+		n.dropPacket(p)
 		return
 	}
 	n.nis[p.Src].enqueue(p)
 	n.inFlight++
 	n.Stats.PacketsInjected++
 	n.relInflightDelta(p, 1, false)
-}
-
-// routeFor computes lookahead routing at router r: plain dimension-order
-// when no fault schedule is configured, the fault-aware detour otherwise.
-func (n *Network) routeFor(r, dst, class int) int {
-	if n.faults == nil {
-		return n.engine.Route(r, dst, class)
-	}
-	return n.engine.RouteAvoid(r, dst, class, n.wiredFn[r], n.deadFn[r])
 }
 
 // schedule appends delivery d to the ring slot due in latency cycles.
@@ -906,7 +869,7 @@ func (n *Network) staleScan() {
 	}
 	cutoff := n.now - n.staleLimit
 	for _, node := range n.routers {
-		node.(faultNode).FaultStale(cutoff, n.condemnFn)
+		node.FaultStale(cutoff, n.condemnFn)
 	}
 	for i := range n.nis {
 		if s := &n.nis[i]; s.cur != nil && s.idx > 0 && s.cur[s.idx].Packet.NetStart < cutoff {
@@ -925,16 +888,9 @@ func (n *Network) staleScan() {
 // but uninjected packets survive — once the fabric is empty they inject and
 // route normally. Runs on the main phase only.
 func (n *Network) breakWedge() {
-	never := func(int) bool { return false }
 	for _, node := range n.routers {
-		fc := router.FaultContext{
-			RouterDead: true,
-			LinkDead:   never,
-			DstDead:    never,
-			Kill:       n.condemn,
-			PCTerm:     func() { n.Stats.PCFaultTerminated++ },
-		}
-		node.(faultNode).FaultScan(&fc)
+		torn, _ := node.FaultScan(true, n.condemnFn)
+		n.Stats.PCFaultTerminated += torn
 	}
 	for _, due := range n.ring {
 		for _, d := range due {
@@ -958,20 +914,10 @@ func (n *Network) breakWedge() {
 // ascending router/slot/node order provides.
 func (n *Network) stormScan() {
 	st := n.faults
-	salvage := st.Policy() == fault.Reroute
-	for r, node := range n.routers {
-		r := r
-		fc := router.FaultContext{
-			RouterDead: st.RouterDead(r),
-			LinkDead:   func(out int) bool { return st.LinkDead(r, out) },
-			DstDead:    func(dst int) bool { return st.RouterDead(n.home[dst]) },
-			Salvage:    salvage,
-			Reroute:    func(dst, class int) int { return n.routeFor(r, dst, class) },
-			Kill:       n.condemn,
-			Salvaged:   func(p *flit.Packet) { n.Stats.PacketsRerouted++ },
-			PCTerm:     func() { n.Stats.PCFaultTerminated++ },
-		}
-		node.(faultNode).FaultScan(&fc)
+	for _, node := range n.routers {
+		torn, salvaged := node.FaultScan(false, n.condemnFn)
+		n.Stats.PCFaultTerminated += torn
+		n.Stats.PacketsRerouted += salvaged
 	}
 	// In-flight flits: a packet dies when one of its flits is mid-link on a
 	// dead feeder, when its destination's home router died, or when it is an
@@ -992,7 +938,7 @@ func (n *Network) stormScan() {
 				n.condemn(f.Packet)
 			case ur == -1 && st.RouterDead(r):
 				n.condemn(f.Packet)
-			case st.RouterDead(n.home[f.Packet.Dst]):
+			case st.DstDead(f.Packet.Dst):
 				n.condemn(f.Packet)
 			case f.ExpressHops > 0 && st.LinkDead(r, f.NextOut):
 				n.condemn(f.Packet)
@@ -1009,12 +955,12 @@ func (n *Network) stormScan() {
 		s := &n.nis[i]
 		srcDead := st.RouterPermanentlyDown(s.router)
 		if s.cur != nil {
-			if p := s.cur[s.idx].Packet; srcDead || st.RouterDead(n.home[p.Dst]) {
+			if p := s.cur[s.idx].Packet; srcDead || st.DstDead(p.Dst) {
 				n.condemn(p)
 			}
 		}
 		for _, p := range s.queue {
-			if srcDead || st.RouterDead(n.home[p.Dst]) {
+			if srcDead || st.DstDead(p.Dst) {
 				n.condemn(p)
 			}
 		}
@@ -1070,7 +1016,7 @@ func (n *Network) purgePacket(p *flit.Packet) {
 		n.ring[slot] = kept
 	}
 	for _, node := range n.routers {
-		node.(faultNode).FaultPurge(p, n.dropFlit)
+		node.FaultPurge(p, n.dropFn)
 	}
 	// Source NI: unsent flits, the injection VC, and the queue entry.
 	src := &n.nis[p.Src]
@@ -1090,6 +1036,11 @@ func (n *Network) purgePacket(p *flit.Packet) {
 	p.Arrived = 0
 	n.inFlight--
 	n.relInflightDelta(p, -1, false)
+	n.dropPacket(p)
+}
+
+// dropPacket accounts, traces and recycles a packet the network drops.
+func (n *Network) dropPacket(p *flit.Packet) {
 	n.Stats.PacketsDropped++
 	if tr := n.tracer; tr != nil {
 		tr.Record(obs.Event{

@@ -117,7 +117,7 @@ func (s *ni) inject(now sim.Cycle) {
 	f := s.cur[s.idx]
 	f.VC = s.outVC
 	if f.Kind.IsHead() || s.net.faults != nil { // only a fault changes a packet's route
-		s.nextOut = s.net.routeFor(s.router, p.Dst, p.RouteClass)
+		s.nextOut = s.net.engine.RouteAvoid(s.router, p.Dst, p.RouteClass, s.net.faults)
 	}
 	f.NextOut = s.nextOut
 	f.EnteredNet = now

@@ -2,6 +2,8 @@ package network_test
 
 import (
 	"bytes"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"pseudocircuit/internal/core"
@@ -59,11 +61,11 @@ func observedSteadyStateZeroAlloc(t *testing.T, useEVC bool) {
 }
 
 // TestFaultedSteadyStateZeroAlloc adds a fault schedule to the observed
-// zero-alloc test: the storm lands (and may allocate — storms are rare by
-// construction) during warmup, and the measured steady-state loop must then
-// stay allocation-free — the per-cycle fault cost is one event-cycle
-// comparison plus the watchdog's counter check and the stale sweep's guard,
-// none of which may touch the heap.
+// zero-alloc test: the storm lands during warmup, and the measured
+// steady-state loop must then stay allocation-free — the per-cycle fault cost
+// is one event-cycle comparison plus the watchdog's counter check and the
+// stale sweep's guard, none of which may touch the heap. (A storm cycle
+// allocates nothing either, once warm: TestFaultPlaneAllocs.)
 func TestFaultedSteadyStateZeroAlloc(t *testing.T) {
 	topo := topology.NewMesh(8, 8)
 	cfg := network.DefaultConfig(topo)
@@ -148,5 +150,64 @@ func TestFaultedExportsValidate(t *testing.T) {
 	}
 	if _, err := obs.ValidateChromeTrace(bytes.NewReader(chrome.Bytes())); err != nil {
 		t.Errorf("faulted Chrome trace fails validation: %v", err)
+	}
+}
+
+// TestFaultPlaneAllocs pins what the fault plane allocates. A faulted New
+// makes the same number of allocations on Mesh(8,8) and Mesh(16,16): the
+// fault view is one table per kind, not a closure per router. And a storm
+// cycle that purges packets allocates nothing, under either policy: the scan
+// asks the view and hands every router the same hoisted callbacks. The first
+// of four storms grows the victim list and the pool's free lists; each later
+// one is measured.
+func TestFaultPlaneAllocs(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	config := func(k int, pol fault.Policy) network.Config {
+		cfg := network.DefaultConfig(topology.NewMesh(k, k))
+		cfg.Opts = core.DefaultOptions(core.PseudoSB)
+		cfg.Faults = &fault.Schedule{Policy: pol}
+		for i := int64(0); i < 4; i++ {
+			at := 600 + 400*i
+			cfg.Faults.Events = append(cfg.Faults.Events,
+				fault.Event{Cycle: at, Kind: fault.RouterDown, Router: 27},
+				fault.Event{Cycle: at + 200, Kind: fault.RouterUp, Router: 27})
+		}
+		return cfg
+	}
+	t.Run("build", func(t *testing.T) {
+		allocs := func(k int) float64 {
+			cfg := config(k, fault.Drop)
+			return testing.AllocsPerRun(5, func() { network.New(cfg) })
+		}
+		if a8, a16 := allocs(8), allocs(16); a8 != a16 {
+			t.Errorf("a faulted New makes %.0f allocations on Mesh(8,8) and %.0f on Mesh(16,16)", a8, a16)
+		}
+	})
+	for _, pol := range []fault.Policy{fault.Drop, fault.Reroute} {
+		t.Run("storm/"+pol.String(), func(t *testing.T) {
+			cfg := config(8, pol)
+			n := network.New(cfg)
+			w := traffic.NewSynthetic(traffic.Config{
+				Pattern: traffic.UniformRandom, Nodes: cfg.Topo.Nodes(), Rate: 0.2,
+			}, sim.NewRNG(7))
+			var before, after runtime.MemStats
+			for i, e := range cfg.Faults.Events {
+				if !e.Kind.IsDown() {
+					continue
+				}
+				n.Run(w, int(e.Cycle)-int(n.Now()))
+				dropped := n.Stats.PacketsDropped
+				runtime.ReadMemStats(&before)
+				n.Step(w)
+				runtime.ReadMemStats(&after)
+				if n.Stats.PacketsDropped == dropped {
+					t.Fatalf("the storm at cycle %d purged no packet; the test exercises nothing", e.Cycle)
+				}
+				if allocs := after.Mallocs - before.Mallocs; i > 0 && allocs != 0 {
+					t.Errorf("the storm at cycle %d allocated %d objects, want 0", e.Cycle, allocs)
+				}
+			}
+		})
 	}
 }

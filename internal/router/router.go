@@ -50,8 +50,10 @@ import (
 	"math/bits"
 
 	"pseudocircuit/internal/core"
+	"pseudocircuit/internal/fault"
 	"pseudocircuit/internal/flit"
 	"pseudocircuit/internal/obs"
+	"pseudocircuit/internal/routing"
 	"pseudocircuit/internal/sim"
 	"pseudocircuit/internal/stats"
 	"pseudocircuit/internal/vcalloc"
@@ -82,15 +84,13 @@ type Config struct {
 	Reg *stats.Registry
 	// Trace enables flit-lifecycle event recording when non-nil.
 	Trace *obs.Tracer
-	// LinkUp reports whether output port out of router id is currently
-	// usable; nil means no fault schedule is configured (always up). Fault
-	// state changes only in the kernel's main phase, so the answer is constant
-	// through a cycle's router ticks.
-	LinkUp func(id, out int) bool
-	// Reroute returns a detour output port at router id for a packet to
-	// dst with routing class class whose nominal port is dead (fault-aware
-	// routing); nil when no fault schedule is configured.
-	Reroute func(id, dst, class int) int
+	// Faults is the network's fault view, nil when no fault schedule is
+	// configured. It changes only in the kernel's main phase, so its answers
+	// are constant through a cycle's router ticks.
+	Faults *fault.State
+	// Routing is the network's routing engine; a router asks it for a detour
+	// when the output its packet was routed to has died.
+	Routing *routing.Engine
 }
 
 // reservation is a switch-arbitration grant: flit at (in, vc) traverses to
@@ -633,8 +633,8 @@ func (r *Router) admit(in, vc int, h *flit.Flit) {
 	// Lookahead routing computed NextOut at the previous hop; a fault storm
 	// between then and now may have killed the link. Re-route at admission
 	// so the stale lookahead cannot commit the packet to a dead port.
-	if r.cfg.Reroute != nil && out < 4 && r.linkDead(out) {
-		out = r.cfg.Reroute(r.ID, h.Packet.Dst, h.Packet.RouteClass)
+	if out < 4 && r.linkDead(out) {
+		out = r.detour(h.Packet)
 	}
 	r.outPort[l] = int8(out)
 }
@@ -642,7 +642,12 @@ func (r *Router) admit(in, vc int, h *flit.Flit) {
 // linkDead reports whether output port out is currently unusable under the
 // configured fault schedule; always false without one.
 func (r *Router) linkDead(out int) bool {
-	return r.cfg.LinkUp != nil && !r.cfg.LinkUp(r.ID, out)
+	return r.cfg.Faults != nil && r.cfg.Faults.LinkDead(r.ID, out)
+}
+
+// detour is the fault-aware route of packet p out of this router.
+func (r *Router) detour(p *flit.Packet) int {
+	return r.cfg.Routing.RouteAvoid(r.ID, p.Dst, p.RouteClass, r.cfg.Faults)
 }
 
 // allocateVCs performs VA for admitted packets without an output VC
@@ -1120,53 +1125,34 @@ func (r *Router) traverse(now sim.Cycle, in, vc, out int, f *flit.Flit, viaPC, b
 	r.cfg.Send(r.ID, out, f)
 }
 
-// FaultContext parameterizes a fault storm sweep over one router. All
-// callbacks run on the kernel's main goroutine.
-type FaultContext struct {
-	// RouterDead marks the router itself as failed: every held packet is
-	// killed and every pseudo-circuit cleared.
-	RouterDead bool
-	// LinkDead reports whether an output port's link is unusable.
-	LinkDead func(out int) bool
-	// DstDead reports whether a destination node's home router is dead
-	// (such packets cannot be delivered and are killed immediately).
-	DstDead func(dst int) bool
-	// Salvage enables the reroute drop policy: a committed packet whose
-	// header is still buffered at this router is re-routed instead of
-	// killed when its output link dies.
-	Salvage bool
-	// Reroute returns the detour output port for (dst, class).
-	Reroute func(dst, class int) int
-	// Kill reports a victim packet; the network dedups repeated reports of
-	// the same packet and performs the actual purge.
-	Kill func(p *flit.Packet)
-	// Salvaged reports a committed packet re-routed in place.
-	Salvaged func(p *flit.Packet)
-	// PCTerm is called once per pseudo-circuit torn down by the fault (which
-	// the router has already counted as a termination in its own row).
-	PCTerm func()
-}
-
-// FaultScan applies a fault transition to this router: pseudo-circuits
-// crossing dead links are cleared together with the history that could
-// revive them, packets that can no longer make progress are reported to
-// fc.Kill, and survivors whose committed-but-unallocated output died are
-// re-routed. A policy's PathDead counts as a dead output link. Called between
-// cycles from the kernel's main phase, so staged arrivals are always nil and
-// scratch state is idle.
-func (r *Router) FaultScan(fc *FaultContext) {
+// FaultScan applies a fault transition to this router, as its fault view
+// now reads: pseudo-circuits crossing dead links are cleared together with
+// the history that could revive them, packets that can no longer make
+// progress (or are bound for a dead router) are reported to kill, and
+// survivors whose committed-but-unallocated output died are detoured. Under
+// the reroute policy a committed packet whose header is still buffered here
+// releases its output VC and is detoured too. A policy's PathDead counts as a
+// dead output link. all treats the router as dead (the standstill watchdog's
+// purge): every held packet is killed and every pseudo-circuit cleared. It
+// returns the pseudo-circuits torn down (already counted as terminations in
+// the router's row) and the packets detoured under the reroute policy.
+// Called between cycles from the kernel's main phase, so staged arrivals are
+// always nil and scratch state is idle.
+func (r *Router) FaultScan(all bool, kill func(p *flit.Packet)) (torn, salvaged uint64) {
+	st := r.cfg.Faults
+	dead := all || st.RouterDead(r.ID)
 	for i := 0; i < r.nIn; i++ {
-		if r.pc.Valid(i) && (fc.RouterDead || fc.LinkDead(int(r.pc.Out[i]))) {
+		if r.pc.Valid(i) && (dead || st.LinkDead(r.ID, int(r.pc.Out[i]))) {
 			r.pc.Clear(i)
 			r.rs.PCTerminated++
 			r.cause[i] = termFault
-			fc.PCTerm()
+			torn++
 		}
 		for vc := 0; vc < r.V; vc++ {
 			l := i*r.V + vc
 			for _, f := range r.flits(l) {
-				if fc.RouterDead || fc.DstDead(f.Packet.Dst) {
-					fc.Kill(f.Packet)
+				if dead || st.DstDead(f.Packet.Dst) {
+					kill(f.Packet)
 				}
 			}
 			if !r.active(i, vc) {
@@ -1174,29 +1160,30 @@ func (r *Router) FaultScan(fc *FaultContext) {
 			}
 			out, ov := r.route(l)
 			switch {
-			case fc.RouterDead || fc.DstDead(r.pkt[l].Dst):
-				fc.Kill(r.pkt[l])
-			case out < r.nOut && !r.ejects(out) && (fc.LinkDead(out) ||
+			case dead || st.DstDead(r.pkt[l].Dst):
+				kill(r.pkt[l])
+			case out < r.nOut && !r.ejects(out) && (st.LinkDead(r.ID, out) ||
 				r.pol != nil && r.pol.PathDead(out, ov)):
 				if ov < 0 {
 					// Not yet committed to an output VC: detour in place.
-					r.outPort[l] = int8(fc.Reroute(r.pkt[l].Dst, r.pkt[l].RouteClass))
-				} else if fc.Salvage && r.depth(l) > 0 && r.buf[l*r.D].Kind.IsHead() {
+					r.outPort[l] = int8(r.detour(r.pkt[l]))
+				} else if st.Policy() == fault.Reroute && r.depth(l) > 0 && r.buf[l*r.D].Kind.IsHead() {
 					// Committed but the whole packet is still here: release
 					// the allocation and detour.
 					r.vcBusy[out*r.V+ov] = false
 					r.outVC[l] = -1
 					r.va[i] |= 1 << uint(vc)
-					r.outPort[l] = int8(fc.Reroute(r.pkt[l].Dst, r.pkt[l].RouteClass))
-					fc.Salvaged(r.pkt[l])
+					r.outPort[l] = int8(r.detour(r.pkt[l]))
+					salvaged++
 				} else {
 					// Partially forwarded (or salvage disabled): the wormhole
 					// spans the dead link and cannot be reassembled.
-					fc.Kill(r.pkt[l])
+					kill(r.pkt[l])
 				}
 			}
 		}
 	}
+	return torn, salvaged
 }
 
 // FaultStale reports every packet resident in this router whose header

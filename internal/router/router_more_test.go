@@ -6,10 +6,13 @@ import (
 	"testing"
 
 	"pseudocircuit/internal/core"
+	"pseudocircuit/internal/fault"
 	"pseudocircuit/internal/flit"
 	"pseudocircuit/internal/router"
+	"pseudocircuit/internal/routing"
 	"pseudocircuit/internal/sim"
 	"pseudocircuit/internal/stats"
+	"pseudocircuit/internal/topology"
 	"pseudocircuit/internal/vcalloc"
 )
 
@@ -108,21 +111,48 @@ func TestVARetry(t *testing.T) {
 // TestO1TURNClassSurvivesRetryAndDetour: an O1TURN packet's route class is
 // the packet's own (the source NI sets it once), and the router reads it
 // through the lane's packet every time it routes or allocates, not only in
-// the header's admission cycle. A class-1 (YX) header rerouted at admission
-// onto a dead link fails VA until the link recovers; an uncommitted class-1
-// header is detoured by FaultScan. Both must route and allocate inside class
-// 1 — VCs 2 and 3 of 4 — where a read that fell back to class 0 (a zeroed
-// field) would detour to output 1 and take VC 0 or 1.
+// the header's admission cycle. The router is router 5 of a Mesh(4,4), its
+// fault view a real one with scheduled link-downs, and every packet heads for
+// node 10, one hop east and one south: class 1 (YX) routes S, class 0 (XY) E.
+// A class-1 header rerouted at admission while every link of the router is
+// dead keeps its nominal S and fails VA until S recovers; an uncommitted
+// class-1 header whose output then dies is detoured by FaultScan. Both must
+// route and allocate inside class 1 — output 3 and VCs 2 or 3 of 4 — where a
+// read that fell back to class 0 (a zeroed field) would route E and take
+// VC 0 or 1.
 func TestO1TURNClassSurvivesRetryAndDetour(t *testing.T) {
-	setup := func(t *testing.T, dead map[int]bool) *harness {
-		h := newHarness(t, core.DefaultOptions(core.Baseline))
-		h.cfg.Alloc = vcalloc.New(vcalloc.Dynamic, 4, 2, 64)
-		h.cfg.LinkUp = func(id, out int) bool { return !dead[out] }
-		p := &flit.Packet{ID: 1, Src: 0, Dst: 9, Size: 2, RouteClass: 1}
+	m := topology.NewMesh(4, 4)
+	setup := func(t *testing.T, events ...fault.Event) (*harness, *fault.State) {
+		s := fault.Schedule{Events: events}
+		if err := s.Validate(m, 100); err != nil {
+			t.Fatal(err)
+		}
+		st := fault.NewState(s, m)
+		h := &harness{}
+		h.cfg = &router.Config{
+			NumVCs: 4, BufDepth: 4,
+			Opts:    core.DefaultOptions(core.Baseline),
+			Alloc:   vcalloc.New(vcalloc.Dynamic, 4, 2, 64),
+			Reg:     stats.NewRegistry([]int{5, 5, 5, 5, 5, 5}, []int{5, 5, 5, 5, 5, 5}),
+			Send:    func(id, out int, f *flit.Flit) { h.sent = append(h.sent, sentFlit{out: out, f: f, cycle: h.now}) },
+			Credit:  func(id, in, vc int) {},
+			Faults:  st,
+			Routing: routing.New(routing.O1TURN, m),
+		}
+		h.r = router.New(5, 5, 5, h.cfg)
+		h.r.MarkEjection(4)
+		return h, st
+	}
+	apply := func(st *fault.State, cycle int64) {
+		for _, e := range st.Take(cycle) {
+			st.Apply(e)
+		}
+	}
+	header := func(id uint64, in int, h *harness) {
+		p := &flit.Packet{ID: id, Src: 0, Dst: 10, Size: 2, RouteClass: 1}
 		f := flit.Split(p)[0]
-		f.VC, f.NextOut = 2, 2
-		h.r.Deliver(0, f)
-		return h
+		f.VC, f.NextOut = 2, topology.PortN // a lookahead from before the fault
+		h.r.Deliver(in, f)
 	}
 	settle := func(t *testing.T, h *harness) {
 		t.Helper()
@@ -132,57 +162,62 @@ func TestO1TURNClassSurvivesRetryAndDetour(t *testing.T) {
 		if len(h.sent) != 1 {
 			t.Fatalf("sent %d flits after the link recovered, want the header", len(h.sent))
 		}
-		if s := h.sent[0]; s.out != 3 || s.f.VC < 2 {
+		if s := h.sent[0]; s.out != topology.PortS || s.f.VC < 2 {
 			t.Fatalf("header left on output %d VC %d, want output 3 and a class-1 VC (2 or 3)", s.out, s.f.VC)
 		}
 	}
-	var classes []int
-	reroute := func(class int) int { // class 1 → 3, class 0 → 1
-		classes = append(classes, class)
-		return 1 + 2*class
+	link := func(cycle int64, kind fault.Kind, port int) fault.Event {
+		return fault.Event{Cycle: cycle, Kind: kind, Router: 5, Port: port}
 	}
 
 	t.Run("VA retry", func(t *testing.T) {
-		classes = nil
-		dead := map[int]bool{2: true, 3: true}
-		h := setup(t, dead)
-		h.cfg.Reroute = func(id, dst, class int) int { return reroute(class) }
+		var events []fault.Event
+		for port := 0; port < 4; port++ {
+			up := int64(3)
+			if port == topology.PortS {
+				up = 2
+			}
+			events = append(events, link(1, fault.LinkDown, port), link(up, fault.LinkUp, port))
+		}
+		h, st := setup(t, events...)
+		apply(st, 1) // every link of router 5 dead
+		header(1, 0, h)
 		for i := 0; i < 4; i++ {
 			h.tick()
 		}
 		if len(h.sent) != 0 {
 			t.Fatalf("header left on output %d while its class-1 detour was dead", h.sent[0].out)
 		}
-		dead[3] = false
+		apply(st, 2) // S recovers
 		settle(t, h)
-		if len(classes) != 1 || classes[0] != 1 {
-			t.Fatalf("admission rerouted with classes %v, want [1]", classes)
-		}
 	})
 
 	t.Run("fault detour", func(t *testing.T) {
-		classes = nil
-		dead := map[int]bool{}
-		h := setup(t, dead)
-		h.tick() // BW: the header is buffered, not yet admitted
-		dead[2] = true
-		h.tick() // admitted; VA refused on the dead link, so uncommitted
-		h.tick()
+		h, st := setup(t, link(1, fault.LinkDown, topology.PortN), link(2, fault.LinkUp, topology.PortN))
+		// Two class-1 packets hold both class-1 VCs of output N: their
+		// headers leave, their tails have not arrived.
+		header(2, 1, h)
+		header(3, 2, h)
+		for i := 0; i < 4; i++ {
+			h.tick()
+		}
+		if len(h.sent) != 2 {
+			t.Fatalf("sent %d headers on the live link, want both blockers'", len(h.sent))
+		}
+		h.sent = nil
+		header(1, 0, h)
+		h.tick() // BW
+		h.tick() // admitted; VA refused, both class-1 VCs busy, so uncommitted
 		if len(h.sent) != 0 {
 			t.Fatal("header left before its link was detoured")
 		}
-		h.r.FaultScan(&router.FaultContext{
-			LinkDead: func(out int) bool { return dead[out] },
-			DstDead:  func(int) bool { return false },
-			Reroute:  func(dst, class int) int { return reroute(class) },
-			Kill:     func(p *flit.Packet) { t.Fatalf("packet %d killed; an uncommitted header is detoured", p.ID) },
-			Salvaged: func(*flit.Packet) {},
-			PCTerm:   func() {},
+		apply(st, 1) // N dies
+		h.r.FaultScan(false, func(p *flit.Packet) {
+			if p.ID == 1 {
+				t.Fatalf("packet %d killed; an uncommitted header is detoured", p.ID)
+			}
 		})
 		settle(t, h)
-		if len(classes) != 1 || classes[0] != 1 {
-			t.Fatalf("FaultScan detoured with classes %v, want [1]", classes)
-		}
 	})
 }
 

@@ -12,6 +12,7 @@ package routing
 import (
 	"fmt"
 
+	"pseudocircuit/internal/fault"
 	"pseudocircuit/internal/sim"
 	"pseudocircuit/internal/topology"
 )
@@ -97,9 +98,10 @@ func (e *Engine) Route(r, dstNode, class int) int {
 	return e.topo.Route(r, dstNode, e.DimOrder(class))
 }
 
-// RouteAvoid is the fault-aware variant of Route: it detours around dead
-// links with a fixed, deterministic preference order so both schedules make
-// the same choice.
+// RouteAvoid is the fault-aware variant of Route: it asks the fault view st
+// which links are dead and detours around them with a fixed, deterministic
+// preference order, so both schedules make the same choice. A nil view (no
+// fault schedule) is Route.
 //
 // Selection order:
 //
@@ -109,24 +111,22 @@ func (e *Engine) Route(r, dstNode, class int) int {
 //  3. the first wired, alive direction port in fixed E, W, N, S order
 //     (a deterministic misroute);
 //  4. the nominal port — every escape is dead, so the flit waits in place
-//     for the link to recover (faults are transient by validation).
+//     for the link to recover.
 //
-// wired reports whether a direction port connects to a neighbor; dead
-// reports whether the port's link is currently unusable. Misrouting can
-// raise hop counts, so the network bounds livelock with a hop limit when a
-// fault schedule is configured.
-func (e *Engine) RouteAvoid(r, dstNode, class int, wired, dead func(out int) bool) int {
+// Misrouting can raise hop counts, so the network bounds livelock with a hop
+// limit when a fault schedule is configured.
+func (e *Engine) RouteAvoid(r, dstNode, class int, st *fault.State) int {
 	nominal := e.Route(r, dstNode, class)
-	if nominal >= 4 || !dead(nominal) {
+	if st == nil || nominal >= 4 || !st.LinkDead(r, nominal) {
 		return nominal
 	}
 	for dimClass := 0; dimClass < 2; dimClass++ {
-		if alt := e.topo.Route(r, dstNode, dimClass); alt != nominal && alt < 4 && wired(alt) && !dead(alt) {
+		if alt := e.topo.Route(r, dstNode, dimClass); alt != nominal && alt < 4 && st.Wired(r, alt) && !st.LinkDead(r, alt) {
 			return alt
 		}
 	}
 	for out := 0; out < 4; out++ {
-		if wired(out) && !dead(out) {
+		if st.Wired(r, out) && !st.LinkDead(r, out) {
 			return out
 		}
 	}

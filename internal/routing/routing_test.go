@@ -3,6 +3,7 @@ package routing_test
 import (
 	"testing"
 
+	"pseudocircuit/internal/fault"
 	"pseudocircuit/internal/routing"
 	"pseudocircuit/internal/sim"
 	"pseudocircuit/internal/topology"
@@ -104,5 +105,73 @@ func walk(t *testing.T, topo topology.Topology, e *routing.Engine, r, dst, class
 			return
 		}
 		cur = h.Router
+	}
+}
+
+// TestRouteAvoid pins RouteAvoid's documented order. A nil view is Route, at
+// every router, destination and class. Under a live view each case below is
+// one step of the order, on the routers of a Mesh(4,4): 5 sits at (1,1) with
+// every direction wired, 4 at (0,1) has no west neighbour. Node n is router
+// n's, so node 6 is one hop east of router 5 and node 10 one east and one
+// south. An ejection port is never detoured, even when its router is down.
+func TestRouteAvoid(t *testing.T) {
+	for _, topo := range []topology.Topology{topology.NewMesh(4, 4), topology.NewCMesh(4, 4, 4)} {
+		e := routing.New(routing.O1TURN, topo)
+		for r := 0; r < topo.Routers(); r++ {
+			for d := 0; d < topo.Nodes(); d++ {
+				for class := 0; class < e.NumClasses(); class++ {
+					if got, want := e.RouteAvoid(r, d, class, nil), e.Route(r, d, class); got != want {
+						t.Errorf("%s: RouteAvoid(%d, %d, %d, nil) = %d, Route = %d", topo.Name(), r, d, class, got, want)
+					}
+				}
+			}
+		}
+	}
+
+	m := topology.NewMesh(4, 4)
+	e := routing.New(routing.XY, m)
+	// view takes the links (router, port) down, and the routers (port -1).
+	view := func(down ...[2]int) *fault.State {
+		var s fault.Schedule
+		for _, d := range down {
+			if d[1] < 0 {
+				s.Events = append(s.Events, fault.Event{Cycle: 1, Kind: fault.RouterDown, Router: d[0]},
+					fault.Event{Cycle: 2, Kind: fault.RouterUp, Router: d[0]})
+				continue
+			}
+			s.Events = append(s.Events, fault.Event{Cycle: 1, Kind: fault.LinkDown, Router: d[0], Port: d[1]},
+				fault.Event{Cycle: 2, Kind: fault.LinkUp, Router: d[0], Port: d[1]})
+		}
+		if err := s.Validate(m, 10); err != nil {
+			t.Fatal(err)
+		}
+		st := fault.NewState(s, m)
+		for _, ev := range st.Take(1) {
+			st.Apply(ev)
+		}
+		return st
+	}
+	const E, W, N, S = topology.PortE, topology.PortW, topology.PortN, topology.PortS
+	for _, c := range []struct {
+		name    string
+		r, dst  int
+		st      *fault.State
+		want    int
+		nominal int
+	}{
+		{"nominal port alive", 5, 10, view([2]int{5, S}, [2]int{5, W}), E, E},
+		{"other dimension's step", 5, 10, view([2]int{5, E}), S, E},
+		{"first live port in E, W, N, S order", 5, 6, view([2]int{5, E}), W, E},
+		{"first wired port in E, W, N, S order", 4, 5, view([2]int{4, E}), N, E},
+		{"dead neighbour kills the link", 5, 6, view([2]int{6, -1}, [2]int{5, W}), N, E},
+		{"every escape dead: nominal", 5, 6, view([2]int{5, E}, [2]int{5, W}, [2]int{5, N}, [2]int{5, S}), E, E},
+		{"ejection port with its router down", 5, 5, view([2]int{5, -1}), 4, 4},
+	} {
+		if nominal := e.Route(c.r, c.dst, 0); nominal != c.nominal {
+			t.Fatalf("%s: fixture's nominal port is %d, want %d", c.name, nominal, c.nominal)
+		}
+		if got := e.RouteAvoid(c.r, c.dst, 0, c.st); got != c.want {
+			t.Errorf("%s: RouteAvoid(%d, node %d) = %d, want %d", c.name, c.r, c.dst, got, c.want)
+		}
 	}
 }
