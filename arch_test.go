@@ -655,7 +655,7 @@ func TestStructuralRules(t *testing.T) {
 			"declares a []PointStatus field": "package sweepapi\ntype sweep struct{ mu sync.Mutex; points []PointStatus }",
 			"declares a PointStatus field":   "package sweepapi\ntype point struct{ PointStatus }",
 			"declares a *PointStatus field":  "package sweepapi\nvar last struct{ p *PointStatus }",
-		}, "package sweepapi\ntype point struct{ job *service.Job; source string }\n"+
+		}, "package sweepapi\ntype point struct{ rec *service.Record; source string }\n"+
 			"func (p point) status(i int) PointStatus { return PointStatus{Index: i} }\nvar out []PointStatus")
 		enforce(t, copies, "internal/sweepapi/*.go", false)
 	})

@@ -10,8 +10,10 @@ package pseudocircuit_test
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"pseudocircuit/internal/experiments"
+	"pseudocircuit/internal/router"
 	"pseudocircuit/noc"
 )
 
@@ -347,3 +349,78 @@ func BenchmarkNetworkBuild(b *testing.B) {
 // builtNet keeps BenchmarkNetworkBuild's result reachable so the compiler
 // cannot elide the build.
 var builtNet *noc.Network
+
+// BenchmarkStageClock answers "where does a busy tick go?" at two of the
+// repository benchmark's operating points: mesh8-ur-psb (8×8 Pseudo+S+B,
+// uniform 0.10) and mesh24-ur-sparse (24×24 Baseline, uniform 0.002). Two
+// copies of the network run the same cycles in alternating chunks, one with
+// the router stage clock on; they tick the same bits, so the extra wall time
+// of the timed copy is the clock's own, and divided by its reads it prices
+// one read in place (read-ns, against back-to-back-read-ns, the cost of a
+// read with nothing around it). Each phase then reports its ns per tick net
+// of the reads its bucket holds, and the share of ticks that ran it.
+// EXPERIMENTS.md "Where a busy tick goes" is its table:
+//
+//	go test -run '^$' -bench StageClock -benchtime 20000x .
+func BenchmarkStageClock(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		exp  noc.Experiment
+		syn  noc.Synthetic
+	}{
+		{"mesh8-ur-psb", noc.Experiment{Topology: noc.Mesh(8, 8), Scheme: noc.PseudoSB, Routing: noc.XY,
+			Policy: noc.StaticVA}, noc.Synthetic{Pattern: noc.UniformRandom, Rate: 0.10}},
+		{"mesh24-ur-sparse", noc.Experiment{Topology: noc.Mesh(24, 24), Scheme: noc.Baseline, Routing: noc.XY,
+			Policy: noc.StaticVA}, noc.Synthetic{Pattern: noc.UniformRandom, Rate: 0.002}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			exp := c.exp
+			plain := exp.Build()
+			plainW := exp.SyntheticWorkload(c.syn)
+			exp.Observe.Stages = true
+			timed := exp.Build()
+			timedW := exp.SyntheticWorkload(c.syn)
+			plain.Run(plainW, 2000)
+			timed.Run(timedW, 2000)
+			clock := timed.Stages()
+			*clock = noc.StageClock{}
+			var plainNS, timedNS time.Duration
+			b.ReportAllocs()
+			b.ResetTimer()
+			const chunks = 10
+			for i := 0; i < chunks; i++ {
+				cycles := b.N / chunks
+				if i < b.N%chunks {
+					cycles++
+				}
+				start := time.Now()
+				plain.Run(plainW, cycles)
+				mid := time.Now()
+				timed.Run(timedW, cycles)
+				plainNS, timedNS = plainNS+mid.Sub(start), timedNS+time.Since(mid)
+			}
+			b.StopTimer()
+			if plain.Stats.FlitsDelivered != timed.Stats.FlitsDelivered {
+				b.Fatal("the timed copy diverged")
+			}
+			ticks := float64(clock.Ticks)
+			reads := ticks // each tick's opening read
+			for _, bk := range clock.Stages {
+				reads += float64(bk.Entered)
+			}
+			read := float64(timedNS-plainNS) / reads
+			var net float64
+			for s, bk := range clock.Stages {
+				ns := (float64(bk.NS) - float64(bk.Entered)*read) / ticks
+				net += ns
+				b.ReportMetric(ns, noc.Stage(s).String()+"-ns/tick")
+				b.ReportMetric(100*float64(bk.Entered)/ticks, noc.Stage(s).String()+"-ran-%")
+			}
+			b.ReportMetric(net, "net-ns/tick")
+			b.ReportMetric(read, "read-ns")
+			b.ReportMetric(router.ClockReadNS(), "back-to-back-read-ns")
+			b.ReportMetric(float64(plainNS)/float64(b.N), "untimed-ns/cycle")
+			b.ReportMetric(ticks/float64(b.N), "ticks/cycle")
+		})
+	}
+}

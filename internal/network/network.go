@@ -159,6 +159,8 @@ type Config struct {
 	// Tracer records flit lifecycle events into a bounded ring.
 	Series *stats.Series
 	Tracer *obs.Tracer
+	// Stages times every phase of every router tick (router.StageClock).
+	Stages *router.StageClock
 }
 
 // DefaultConfig returns the paper's network configuration (§5) on the given
@@ -486,6 +488,7 @@ func New(cfg Config) *Network {
 		Trace:    cfg.Tracer,
 		Faults:   n.faults,
 		Routing:  engine,
+		Stages:   cfg.Stages,
 	}
 	factory := cfg.Factory
 	if factory == nil {
@@ -1126,6 +1129,9 @@ func (n *Network) Series() *stats.Series { return n.series }
 
 // Tracer returns the flit-lifecycle tracer, nil when tracing is off.
 func (n *Network) Tracer() *obs.Tracer { return n.tracer }
+
+// Stages returns the router stage clock, nil when it is off.
+func (n *Network) Stages() *router.StageClock { return n.cfg.Stages }
 
 // Router returns node r (testing hook); for standard networks it is a
 // *router.Router.

@@ -10,6 +10,7 @@ import (
 	"pseudocircuit/internal/fault"
 	"pseudocircuit/internal/network"
 	"pseudocircuit/internal/obs"
+	"pseudocircuit/internal/router"
 	"pseudocircuit/internal/routing"
 	"pseudocircuit/internal/sim"
 	"pseudocircuit/internal/stats"
@@ -20,7 +21,8 @@ import (
 
 // TestObservedSteadyStateZeroAlloc is TestSteadyStateZeroAlloc with every
 // observability probe enabled: a windowed series (which sums the router rows
-// at every window close) and the lifecycle tracer (small enough to wrap).
+// at every window close), the lifecycle tracer (small enough to wrap) and the
+// router stage clock.
 // Probes write into preallocated storage, so the Step path must stay
 // allocation-free even while observing.
 func TestObservedSteadyStateZeroAlloc(t *testing.T) {
@@ -33,6 +35,7 @@ func observedSteadyStateZeroAlloc(t *testing.T, useEVC bool) {
 	cfg, pattern := allocConfig(topo, useEVC)
 	cfg.Series = stats.NewSeries(100, 8) // ring wraps during the run
 	cfg.Tracer = obs.NewTracer(1 << 10)  // ring wraps during the run
+	cfg.Stages = new(router.StageClock)
 	n := network.New(cfg)
 	w := traffic.NewSynthetic(traffic.Config{
 		Pattern: pattern, Nodes: topo.Nodes(), Rate: 0.10,

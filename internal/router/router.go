@@ -91,6 +91,8 @@ type Config struct {
 	// Routing is the network's routing engine; a router asks it for a detour
 	// when the output its packet was routed to has died.
 	Routing *routing.Engine
+	// Stages, when non-nil, times every phase of every Tick (StageClock).
+	Stages *StageClock
 }
 
 // reservation is a switch-arbitration grant: flit at (in, vc) traverses to
@@ -537,6 +539,9 @@ func (r *Router) noCredit(out int) bool {
 // port its circuit holds: the next tick's to terminate, exactly HeldMask & dry
 // (empty without Opts.Pseudo, whose register file never holds an output).
 func (r *Router) Tick(now sim.Cycle) bool {
+	if r.cfg.Stages != nil {
+		return r.timedTick(now)
+	}
 	r.busyIn, r.busyOut = 0, 0
 	if r.pol != nil && r.arrMask != 0 {
 		r.pol.Latch(now)
@@ -555,6 +560,49 @@ func (r *Router) Tick(now sim.Cycle) bool {
 	r.processArrivals(now)
 	r.res, r.nextRes = r.nextRes, r.res[:0]
 	return r.holdsFlits() || r.cfg.Opts.TerminateOnZeroCredit && r.pc.HeldMask&r.dry != 0
+}
+
+// timedTick is Tick with each phase timed into the stage clock: the same
+// phases under the same conditions in the same order, so the clock moves no
+// bit (TestStageClockChangesNoBit).
+func (r *Router) timedTick(now sim.Cycle) bool {
+	c := r.cfg.Stages
+	c.Ticks++
+	t := clockNS()
+	r.busyIn, r.busyOut = 0, 0
+	if r.pol != nil && r.arrMask != 0 {
+		r.pol.Latch(now)
+		t = c.lap(StageLatch, t)
+	} else {
+		c.skip(StageLatch, StageLatch)
+	}
+	r.executeReservations(now)
+	t = c.lap(StageST, t)
+	if r.ports = r.occPorts; r.ports != 0 {
+		r.admitHeads()
+		t = c.lap(StageAdmit, t)
+		r.allocateVCs(now)
+		t = c.lap(StageVA, t)
+		r.classify()
+		t = c.lap(StageClassify, t)
+		if r.cfg.Opts.Pseudo {
+			r.rideCircuits(now)
+			t = c.lap(StageRide, t)
+		} else {
+			c.skip(StageRide, StageRide)
+		}
+		r.switchArbitrate(now)
+		t = c.lap(StageSA, t)
+	} else {
+		c.skip(StageAdmit, StageSA)
+	}
+	r.maintainPseudoCircuits()
+	t = c.lap(StagePCMaint, t)
+	r.processArrivals(now)
+	r.res, r.nextRes = r.nextRes, r.res[:0]
+	again := r.holdsFlits() || r.cfg.Opts.TerminateOnZeroCredit && r.pc.HeldMask&r.dry != 0
+	c.lap(StageArrivals, t) // with the tick's own bookkeeping
+	return again
 }
 
 // holdsFlits reports whether any state demands a tick next cycle: pending

@@ -54,9 +54,13 @@ func TestEpochPinsResults(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", row.name, err)
 		}
-		j, _, err := m.Do(context.Background(), req, nil)
-		if err != nil || j.State != StateDone {
-			t.Fatalf("%s: %v (job %+v)", row.name, err, j)
+		rec, _, err := m.Do(context.Background(), req, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", row.name, err)
+		}
+		j := rec.Job()
+		if j.State != StateDone {
+			t.Fatalf("%s: job %+v", row.name, j)
 		}
 		b, err := json.Marshal(j.Result)
 		if err != nil {

@@ -26,12 +26,17 @@
 package service
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"pseudocircuit/internal/store"
@@ -119,25 +124,58 @@ var (
 	ErrUnknownJob   = errors.New("service: unknown job")
 )
 
-// job is the record behind Job snapshots, kept until JobsCap evicts it and
-// no sweep point holds it. Of the embedded snapshot, ID, Key, Request and
-// CyclesTotal are fixed at creation; State, the hit marks, CyclesDone,
-// Result, Error and the frozen timings change under mu until it is
-// terminal; Dedup and a live job's timings are filled in per snapshot.
-// Result is shared, never copied: every record and cache entry of a key
-// holds the one *noc.Result, and nothing writes through it.
-type job struct {
-	Job
-	done chan struct{} // closed when the job reaches a terminal state
-
-	mu  sync.Mutex
-	run *run // while queued or running; nil once terminal, and for hits
+// answer is what a key resolves to: its key, its canonical request, its
+// cycle count and, once a run or the store produced it, its result. The
+// memory cache and every record of the key point at the one answer; nothing
+// is copied per record. A store hit or a peer's reply makes its own. The
+// result is written once, by the worker that produced it, before the answer
+// enters the cache or its record turns terminal, and never after.
+type answer struct {
+	key    string
+	req    Request
+	res    *noc.Result
+	cycles int // warmup + measure
 }
 
-// run is what a job needs only until it ends: the experiment, the context
-// that cancels it, and its wall-clock marks. The terminal transition
-// freezes the timings into Job and drops it.
+// Record is one job: a pointer to its key's answer and the facts that are
+// its own. A job that is queued or running also has a run; a hit is
+// terminal on arrival and never has one. While the run is there it guards
+// the record's state, cycle count and, at the end, the frozen timings and
+// error under its lock; once it is gone the record never changes. Do hands
+// out the terminal record itself, and a sweep point keeps it: Job builds
+// the wire view on every read.
+type Record struct {
+	ans  *answer
+	live atomic.Pointer[run]
+	seq  int // the ID is "j" and seq; 0 for a record the manager does not retain
+
+	waited, ran        time.Duration // the queue wait and the run, frozen at the end; zero for hits
+	err                string
+	cyclesDone         int32 // a job is at most MaxCycles long
+	state              phase
+	cacheHit, storeHit bool
+}
+
+// phase is a record's State in a byte.
+type phase uint8
+
+const (
+	phaseQueued phase = iota
+	phaseRunning
+	phaseDone
+	phaseFailed
+	phaseCanceled
+)
+
+var phaseStates = [...]State{StateQueued, StateRunning, StateDone, StateFailed, StateCanceled}
+
+// run is what a job needs only while it is queued or running: the lock over
+// its record, its done channel, the experiment, the context that cancels
+// it, and its wall-clock marks. The terminal transition freezes the timings
+// into the record and drops it.
 type run struct {
+	mu       sync.Mutex
+	done     chan struct{} // closed when the job reaches a terminal state
 	exp      noc.Experiment
 	ctx      context.Context
 	cancel   context.CancelFunc
@@ -145,62 +183,113 @@ type run struct {
 	started  time.Time // zero while queued
 }
 
-// hitDone is every hit's done channel: a hit is terminal on arrival.
-var hitDone = func() chan struct{} {
+// ended is the done channel of every record without a run: it is terminal.
+var ended = func() chan struct{} {
 	c := make(chan struct{})
 	close(c)
 	return c
 }()
 
-// timing is a job's wall-clock figures from its marks, with the run
-// measured up to end.
-func (r *run) timing(end time.Time, cyclesDone int) (queueWaitMS, runMS, cyclesPerSec float64) {
-	queueWaitMS = float64(r.started.Sub(r.enqueued)) / float64(time.Millisecond)
-	runFor := end.Sub(r.started)
-	runMS = float64(runFor) / float64(time.Millisecond)
-	if secs := runFor.Seconds(); secs > 0 && cyclesDone > 0 {
-		cyclesPerSec = float64(cyclesDone) / secs
+// timing fills s's wall-clock figures from a queue wait and a run of
+// s.CyclesDone cycles.
+func timing(s *Job, waited, ran time.Duration) {
+	s.QueueWaitMS = float64(waited) / float64(time.Millisecond)
+	s.RunMS = float64(ran) / float64(time.Millisecond)
+	if secs := ran.Seconds(); secs > 0 && s.CyclesDone > 0 {
+		s.CyclesPerSec = float64(s.CyclesDone) / secs
 	}
-	return queueWaitMS, runMS, cyclesPerSec
 }
 
-func (j *job) snapshot() Job {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	s := j.Job
-	if r := j.run; r != nil && !r.started.IsZero() {
-		s.QueueWaitMS, s.RunMS, s.CyclesPerSec = r.timing(time.Now(), s.CyclesDone)
-		if s.CyclesPerSec > 0 {
-			s.ETASeconds = float64(s.CyclesTotal-s.CyclesDone) / s.CyclesPerSec
+// Unanswered is the record of work no job answered: the key and request it
+// asked for, how it ended and why. The manager does not retain it.
+func Unanswered(key string, req Request, state State, msg string) *Record {
+	rec := &Record{ans: &answer{key: key, req: req}, err: msg}
+	for p, s := range phaseStates {
+		if s == state {
+			rec.state = phase(p)
 		}
+	}
+	return rec
+}
+
+// Job is the wire view of the record, built on read. A queued or running
+// job's timings run up to now.
+func (j *Record) Job() Job {
+	if r := j.live.Load(); r != nil {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		s := j.wire()
+		if !s.State.Terminal() && !r.started.IsZero() {
+			timing(&s, r.started.Sub(r.enqueued), time.Since(r.started))
+			if s.CyclesPerSec > 0 {
+				s.ETASeconds = float64(s.CyclesTotal-s.CyclesDone) / s.CyclesPerSec
+			}
+		}
+		return s
+	}
+	return j.wire()
+}
+
+// wire fills the wire Job from the record's fields; the run's lock must be
+// held while there is a run.
+func (j *Record) wire() Job {
+	s := Job{ID: j.id(), Key: j.ans.key, State: phaseStates[j.state], CacheHit: j.cacheHit, StoreHit: j.storeHit,
+		CyclesDone: int(j.cyclesDone), CyclesTotal: j.ans.cycles, Request: j.ans.req, Error: j.err}
+	timing(&s, j.waited, j.ran)
+	if j.state == phaseDone {
+		s.Result = j.ans.res
 	}
 	return s
 }
 
+// id is the record's job ID, printed from its sequence number.
+func (j *Record) id() string {
+	if j.seq == 0 {
+		return ""
+	}
+	return string(strconv.AppendInt(append(make([]byte, 0, 24), 'j'), int64(j.seq), 10))
+}
+
+// parseID is id's inverse: the sequence number of a job ID, false for any
+// string id does not print.
+func parseID(id string) (int, bool) {
+	digits, ok := strings.CutPrefix(id, "j")
+	if !ok || digits == "" || digits[0] < '1' || digits[0] > '9' { // no sign, no leading zero
+		return 0, false
+	}
+	seq, err := strconv.Atoi(digits)
+	return seq, err == nil
+}
+
+// done is the channel closed once the job is terminal.
+func (j *Record) done() <-chan struct{} {
+	if r := j.live.Load(); r != nil {
+		return r.done
+	}
+	return ended
+}
+
 // stop cancels j's run, if it still has one: stopping a terminal job is a
 // no-op.
-func (j *job) stop() {
-	j.mu.Lock()
-	if j.run != nil {
-		j.run.cancel()
+func (j *Record) stop() {
+	if r := j.live.Load(); r != nil {
+		r.cancel()
 	}
-	j.mu.Unlock()
 }
 
 // Manager owns the queue, the workers, the cache and the job records.
 type Manager struct {
 	cfg   Config
-	queue chan *job
+	queue chan *Record
 	wg    sync.WaitGroup
 	ins   *instruments
 
 	mu         sync.Mutex
 	closed     bool
 	seq        int
-	jobs       map[string]*job
-	jobOrder   []string
-	inflight   map[string]*job // by key: queued or running, singleflight
-	cache      map[string]*noc.Result
+	jobs       []*Record          // retained records, by ascending seq
+	inflight   map[string]*Record // by key: queued or running, singleflight
+	cache      map[string]*answer
 	cacheOrder []string
 }
 
@@ -209,10 +298,9 @@ func New(cfg Config) *Manager {
 	cfg = cfg.withDefaults()
 	m := &Manager{
 		cfg:      cfg,
-		queue:    make(chan *job, cfg.QueueCap),
-		jobs:     make(map[string]*job),
-		inflight: make(map[string]*job),
-		cache:    make(map[string]*noc.Result),
+		queue:    make(chan *Record, cfg.QueueCap),
+		inflight: make(map[string]*Record),
+		cache:    make(map[string]*answer),
 	}
 	m.ins = newInstruments(m, cfg.SpanCap)
 	for w := 0; w < cfg.Workers; w++ {
@@ -231,25 +319,25 @@ func (m *Manager) Submit(r Request) (Job, error) {
 	if err != nil {
 		return Job{}, err
 	}
-	s := j.snapshot()
+	s := j.Job()
 	s.Dedup = dedup
 	return s, nil
 }
 
 // Do runs the whole walk to a terminal job: every local tier, then fleet
 // (nil: there is none), then a simulation here, waiting out a full queue
-// and the run itself. It returns the terminal record, read-only as its
-// Result is (shared with every caller that joined it, never marked Dedup; a
+// and the run itself. It returns the terminal record, which no longer
+// changes (shared with every caller that joined it, never marked Dedup; a
 // peer's answer gets one of its own), and where the result came from (a
 // Route constant). When ctx ends first the job it waits on is cancelled, as
 // by Cancel, and Do returns ctx's error; its other errors are Submit's
 // (never ErrQueueFull) and fleet's.
-func (m *Manager) Do(ctx context.Context, r Request, fleet Fleet) (*Job, string, error) {
+func (m *Manager) Do(ctx context.Context, r Request, fleet Fleet) (*Record, string, error) {
 	j, _, source, err := m.walk(ctx, r, fleet, true)
 	if err != nil {
 		return nil, source, err
 	}
-	return &j.Job, source, nil
+	return j, source, nil
 }
 
 // queueFullRetry is how long Do sleeps before offering its job to a full
@@ -271,12 +359,16 @@ const queueFullRetry = 5 * time.Millisecond
 //
 // Without wait the walk returns where the job is enqueued or the queue is
 // full, and skips the fleet, which would block: that is Submit. Dedup says
-// the record was joined in flight (tier 2).
-func (m *Manager) walk(ctx context.Context, r Request, fleet Fleet, wait bool) (j *job, dedup bool, source string, err error) {
+// the record was joined in flight (tier 2). A walk that ends with a record
+// is timed once, under the tier that answered.
+func (m *Manager) walk(ctx context.Context, r Request, fleet Fleet, wait bool) (j *Record, dedup bool, source string, err error) {
+	start := time.Now()
 	canon, key, exp, err := Canonicalize(r)
 	if err != nil {
 		return nil, false, "", err
 	}
+	warmup, measure := exp.Protocol()
+	cycles := warmup + measure
 	source = RouteLocal
 	askDisk, askFleet := m.cfg.Store != nil, fleet != nil && wait
 	var onDisk *noc.Result
@@ -287,9 +379,10 @@ func (m *Manager) walk(ctx context.Context, r Request, fleet Fleet, wait bool) (
 			m.mu.Unlock()
 			return nil, false, source, ErrShuttingDown
 		}
-		if res, ok := m.cache[key]; ok { // tier 1
-			j := m.hitLocked(canon, key, exp, res, false, now)
+		if a, ok := m.cache[key]; ok { // tier 1
+			j := m.hitLocked(a, false, now)
 			m.mu.Unlock()
+			m.ins.walked(tierMemory, start)
 			return j, false, source, nil
 		}
 		if j, ok := m.inflight[key]; ok { // tier 2
@@ -300,12 +393,16 @@ func (m *Manager) walk(ctx context.Context, r Request, fleet Fleet, wait bool) (
 			if wait {
 				err = m.await(ctx, j)
 			}
+			if err == nil {
+				m.ins.walked(tierInflight, start)
+			}
 			return j, true, source, err
 		}
 		switch {
 		case onDisk != nil: // tier 3 hit, on the pass before
-			j := m.hitLocked(canon, key, exp, onDisk, true, now)
+			j := m.hitLocked(&answer{key: key, req: canon, res: onDisk, cycles: cycles}, true, now)
 			m.mu.Unlock()
+			m.ins.walked(tierStore, start)
 			return j, false, source, nil
 		case askDisk: // tier 3
 			m.mu.Unlock()
@@ -321,7 +418,9 @@ func (m *Manager) walk(ctx context.Context, r Request, fleet Fleet, wait bool) (
 				return nil, false, source, err
 			}
 			if source == RouteRemote {
-				return &job{Job: Job{Key: key, State: StateDone, Request: canon, Result: &res}, done: hitDone}, false, source, nil
+				m.ins.walked(tierFleet, start)
+				a := &answer{key: key, req: canon, res: &res, cycles: cycles}
+				return &Record{ans: a, state: phaseDone, cyclesDone: int32(cycles)}, false, source, nil
 			}
 		case len(m.queue) == cap(m.queue): // tier 5 has no room
 			m.mu.Unlock()
@@ -334,10 +433,7 @@ func (m *Manager) walk(ctx context.Context, r Request, fleet Fleet, wait bool) (
 			case <-time.After(queueFullRetry):
 			}
 		default: // tier 5
-			runCtx, cancel := context.WithCancel(context.Background())
-			j := m.newJobLocked(canon, key, exp, &run{exp: exp, ctx: runCtx, cancel: cancel, enqueued: now})
-			m.queue <- j // never blocks: every send is under m.mu, and there was room
-			m.inflight[key] = j
+			j := m.enqueueLocked(&answer{key: key, req: canon, cycles: cycles}, exp, now)
 			m.mu.Unlock()
 			m.ins.submissions.Inc()
 			m.ins.cacheMisses.Inc()
@@ -346,25 +442,26 @@ func (m *Manager) walk(ctx context.Context, r Request, fleet Fleet, wait bool) (
 			if wait {
 				err = m.await(ctx, j)
 			}
+			if err == nil {
+				m.ins.walked(tierSimulate, start)
+			}
 			return j, false, source, err
 		}
 	}
 	return nil, false, source, ctx.Err()
 }
 
-// hitLocked registers a job that is done on arrival, answered from the
-// memory cache or (storeHit) from the disk store, whose result it promotes
-// into memory; m.mu must be held. The record points at res and has no run.
-func (m *Manager) hitLocked(req Request, key string, exp noc.Experiment, res *noc.Result, storeHit bool, now time.Time) *job {
-	j := m.newJobLocked(req, key, exp, nil)
-	j.State, j.CacheHit, j.StoreHit = StateDone, true, storeHit
-	j.CyclesDone = j.CyclesTotal
-	j.Result = res
+// hitLocked registers a record that is done on arrival, answered by a from
+// the memory cache or (storeHit) from the disk store, whose answer it
+// promotes into memory; m.mu must be held.
+func (m *Manager) hitLocked(a *answer, storeHit bool, now time.Time) *Record {
+	j := &Record{ans: a, state: phaseDone, cacheHit: true, storeHit: storeHit, cyclesDone: int32(a.cycles)}
+	m.addJobLocked(j)
 	m.ins.submissions.Inc()
 	m.ins.cacheHits.Inc()
 	span := "cache-hit"
 	if storeHit {
-		m.addCacheLocked(key, res)
+		m.addCacheLocked(a)
 		m.ins.storeHits.Inc()
 		span = "store-hit"
 	}
@@ -372,11 +469,23 @@ func (m *Manager) hitLocked(req Request, key string, exp noc.Experiment, res *no
 	return j
 }
 
+// enqueueLocked registers a new job that will answer a and hands it to the
+// queue, which must have room; m.mu must be held.
+func (m *Manager) enqueueLocked(a *answer, exp noc.Experiment, now time.Time) *Record {
+	ctx, cancel := context.WithCancel(context.Background())
+	j := &Record{ans: a}
+	j.live.Store(&run{done: make(chan struct{}), exp: exp, ctx: ctx, cancel: cancel, enqueued: now})
+	m.addJobLocked(j)
+	m.queue <- j // never blocks: every send is under m.mu, and there was room
+	m.inflight[a.key] = j
+	return j
+}
+
 // await blocks until j is terminal. A context that ends first cancels the
 // job, every submitter attached to it included (singleflight semantics).
-func (m *Manager) await(ctx context.Context, j *job) error {
+func (m *Manager) await(ctx context.Context, j *Record) error {
 	select {
-	case <-j.done:
+	case <-j.done():
 		return nil
 	case <-ctx.Done():
 		m.cancelJob(j)
@@ -385,42 +494,27 @@ func (m *Manager) await(ctx context.Context, j *job) error {
 }
 
 // cancelJob asks j to stop and returns its (possibly still running) snapshot.
-func (m *Manager) cancelJob(j *job) Job {
+func (m *Manager) cancelJob(j *Record) Job {
 	j.stop()
 	m.ins.instant("cancel", j, "requested", time.Now())
-	return j.snapshot()
+	return j.Job()
 }
 
-// newJobLocked allocates and registers a job record with run r, or a hit's
-// record when r is nil; m.mu must be held.
-func (m *Manager) newJobLocked(req Request, key string, exp noc.Experiment, r *run) *job {
+// addJobLocked gives j the next sequence number and retains it, evicting the
+// oldest terminal records over JobsCap; m.mu must be held.
+func (m *Manager) addJobLocked(j *Record) {
 	m.seq++
-	warmup, measure := exp.Protocol()
-	j := &job{
-		Job: Job{ID: fmt.Sprintf("j%d", m.seq), Key: key, State: StateQueued,
-			CyclesTotal: warmup + measure, Request: req},
-		done: hitDone,
-		run:  r,
-	}
-	if r != nil {
-		j.done = make(chan struct{})
-	}
-	m.jobs[j.ID] = j
-	m.jobOrder = append(m.jobOrder, j.ID)
-	m.evictJobsLocked()
-	return j
-}
-
-// evictJobsLocked drops the oldest terminal job records over JobsCap.
-func (m *Manager) evictJobsLocked() {
-	for i := 0; len(m.jobs) > m.cfg.JobsCap && i < len(m.jobOrder); {
-		id := m.jobOrder[i]
-		select {
-		case <-m.jobs[id].done:
-			delete(m.jobs, id)
-			m.jobOrder = append(m.jobOrder[:i], m.jobOrder[i+1:]...)
-		default:
+	j.seq = m.seq
+	m.jobs = append(m.jobs, j)
+	for i := 0; len(m.jobs) > m.cfg.JobsCap && i < len(m.jobs); {
+		switch {
+		case m.jobs[i].live.Load() != nil:
 			i++
+		case i == 0:
+			m.jobs[0] = nil
+			m.jobs = m.jobs[1:]
+		default:
+			m.jobs = slices.Delete(m.jobs, i, i+1)
 		}
 	}
 }
@@ -432,13 +526,13 @@ func (m *Manager) worker() {
 	}
 }
 
-func (m *Manager) runJob(j *job) {
+func (m *Manager) runJob(j *Record) {
+	r := j.live.Load()
 	started := time.Now()
-	j.mu.Lock()
-	j.State = StateRunning
-	r := j.run
+	r.mu.Lock()
+	j.state = phaseRunning
 	r.started = started
-	j.mu.Unlock()
+	r.mu.Unlock()
 	m.ins.queued.Add(-1)
 	m.ins.queueWait.Observe(started.Sub(r.enqueued).Seconds())
 	m.ins.span("queue-wait", j, "dequeued", r.enqueued, started)
@@ -447,10 +541,14 @@ func (m *Manager) runJob(j *job) {
 	finished := time.Now()
 	m.ins.running.Add(-1)
 
-	m.mu.Lock()
-	delete(m.inflight, j.Key)
+	key := j.ans.key
 	if err == nil {
-		m.addCacheLocked(j.Key, &res)
+		j.ans.res = &res // before anyone can read it: the record is live and the answer not cached
+	}
+	m.mu.Lock()
+	delete(m.inflight, key)
+	if err == nil {
+		m.addCacheLocked(j.ans)
 	}
 	m.mu.Unlock()
 	if err == nil && m.cfg.Store != nil {
@@ -458,7 +556,7 @@ func (m *Manager) runJob(j *job) {
 		// not correctness — the result is already in memory — so it is
 		// counted, never fatal.
 		if payload, merr := json.Marshal(res); merr == nil {
-			if perr := m.cfg.Store.Put(j.Key, payload); perr != nil {
+			if perr := m.cfg.Store.Put(key, payload); perr != nil {
 				m.ins.storePutErrs.Inc()
 			}
 		} else {
@@ -466,30 +564,29 @@ func (m *Manager) runJob(j *job) {
 		}
 	}
 
-	j.mu.Lock()
+	r.mu.Lock()
 	switch {
 	case err == nil:
-		j.State = StateDone
-		j.CyclesDone = j.CyclesTotal
-		j.Result = &res
+		j.state = phaseDone
+		j.cyclesDone = int32(j.ans.cycles)
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		j.State = StateCanceled
-		j.Error = err.Error()
+		j.state = phaseCanceled
+		j.err = err.Error()
 	default:
-		j.State = StateFailed
-		j.Error = err.Error()
+		j.state = phaseFailed
+		j.err = err.Error()
 	}
-	j.QueueWaitMS, j.RunMS, j.CyclesPerSec = r.timing(finished, j.CyclesDone)
-	j.run = nil
-	outcome := string(j.State)
-	cyclesDone := j.CyclesDone
-	j.mu.Unlock()
+	j.waited, j.ran = started.Sub(r.enqueued), finished.Sub(started)
+	outcome := string(phaseStates[j.state])
+	cyclesDone := uint64(j.cyclesDone)
+	r.mu.Unlock()
 	r.cancel()
 	m.ins.outcomes.With(outcome).Inc()
-	m.ins.cycles.Add(uint64(cyclesDone))
-	m.ins.runTime.With(schemeLabel(j.Request)).Observe(finished.Sub(started).Seconds())
+	m.ins.cycles.Add(cyclesDone)
+	m.ins.runTime.With(schemeLabel(j.ans.req)).Observe(finished.Sub(started).Seconds())
 	m.ins.span("run", j, outcome, started, finished)
-	close(j.done)
+	j.live.Store(nil) // from here on the record is read without a lock
+	close(r.done)
 }
 
 // chunk is the cycle count between a running job's cancellation checks and
@@ -498,14 +595,14 @@ const chunk = 1000
 
 // simulate runs one job to completion or cancellation. Any panic out of the
 // simulator becomes a failed job, not a dead worker.
-func (m *Manager) simulate(j *job, r *run) (res noc.Result, err error) {
+func (m *Manager) simulate(j *Record, r *run) (res noc.Result, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("simulation panic: %v", p)
 		}
 	}()
 	exp := r.exp
-	w, err := j.Request.Workload.Workload(exp)
+	w, err := j.ans.req.Workload.Workload(exp)
 	if err != nil {
 		return noc.Result{}, err
 	}
@@ -515,9 +612,9 @@ func (m *Manager) simulate(j *job, r *run) (res noc.Result, err error) {
 	m.ins.buildTime.Observe(built.Sub(buildStart).Seconds())
 	m.ins.span("build", j, "built", buildStart, built)
 	out, err := exp.RunWindows(r.ctx, n, w, nil, chunk, func(n *noc.Network) {
-		j.mu.Lock()
-		j.CyclesDone = int(n.Now())
-		j.mu.Unlock()
+		r.mu.Lock()
+		j.cyclesDone = int32(n.Now())
+		r.mu.Unlock()
 	})
 	if err != nil {
 		return noc.Result{}, err
@@ -541,13 +638,13 @@ func (m *Manager) storeLookup(key string) *noc.Result {
 	return &res
 }
 
-// addCacheLocked inserts a result, evicting the oldest entries over
+// addCacheLocked inserts an answer, evicting the oldest entries over
 // CacheCap; m.mu must be held.
-func (m *Manager) addCacheLocked(key string, res *noc.Result) {
-	if _, ok := m.cache[key]; !ok {
-		m.cacheOrder = append(m.cacheOrder, key)
+func (m *Manager) addCacheLocked(a *answer) {
+	if _, ok := m.cache[a.key]; !ok {
+		m.cacheOrder = append(m.cacheOrder, a.key)
 	}
-	m.cache[key] = res
+	m.cache[a.key] = a
 	for len(m.cache) > m.cfg.CacheCap {
 		old := m.cacheOrder[0]
 		m.cacheOrder = m.cacheOrder[1:]
@@ -556,10 +653,18 @@ func (m *Manager) addCacheLocked(key string, res *noc.Result) {
 }
 
 // record returns job id's record, nil when none is retained.
-func (m *Manager) record(id string) *job {
+func (m *Manager) record(id string) *Record {
+	seq, ok := parseID(id)
+	if !ok {
+		return nil
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.jobs[id]
+	i, found := slices.BinarySearchFunc(m.jobs, seq, func(j *Record, seq int) int { return cmp.Compare(j.seq, seq) })
+	if !found {
+		return nil
+	}
+	return m.jobs[i]
 }
 
 // Get returns a snapshot of the job.
@@ -568,20 +673,17 @@ func (m *Manager) Get(id string) (Job, bool) {
 	if j == nil {
 		return Job{}, false
 	}
-	return j.snapshot(), true
+	return j.Job(), true
 }
 
 // Jobs lists snapshots of all retained jobs, oldest first.
 func (m *Manager) Jobs() []Job {
 	m.mu.Lock()
-	js := make([]*job, len(m.jobOrder))
-	for i, id := range m.jobOrder {
-		js[i] = m.jobs[id]
-	}
+	js := slices.Clone(m.jobs)
 	m.mu.Unlock()
 	out := make([]Job, len(js))
 	for i, j := range js {
-		out[i] = j.snapshot()
+		out[i] = j.Job()
 	}
 	return out
 }
@@ -592,7 +694,7 @@ func (m *Manager) Done(id string) (<-chan struct{}, bool) {
 	if j == nil {
 		return nil, false
 	}
-	return j.done, true
+	return j.done(), true
 }
 
 // Wait blocks until the job reaches a terminal state or the context ends;
@@ -603,10 +705,10 @@ func (m *Manager) Wait(ctx context.Context, id string) (Job, error) {
 		return Job{}, ErrUnknownJob
 	}
 	select {
-	case <-j.done:
-		return j.snapshot(), nil
+	case <-j.done():
+		return j.Job(), nil
 	case <-ctx.Done():
-		return j.snapshot(), ctx.Err()
+		return j.Job(), ctx.Err()
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"sync"
 
 	"pseudocircuit/noc"
 	"pseudocircuit/nocdclient"
@@ -79,13 +80,31 @@ func Canonicalize(r Request) (Request, string, noc.Experiment, error) {
 	if canon.Topology == r.Topology { // keep the caller's string: a sweep's points share one
 		canon.Topology = r.Topology
 	}
-	enc, err := json.Marshal(canon)
-	if err != nil {
+	ke := keyEncoders.Get().(*keyEncoder)
+	defer keyEncoders.Put(ke)
+	ke.buf.Reset()
+	if err := ke.enc.Encode(&canon); err != nil {
 		return r, "", exp, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
-	sum := sha256.Sum256(enc)
-	return canon, hex.EncodeToString(sum[:]), exp, nil
+	enc := ke.buf.Bytes()
+	sum := sha256.Sum256(enc[:len(enc)-1]) // json.Marshal's bytes: Encode adds a newline
+	var key [2 * sha256.Size]byte
+	hex.Encode(key[:], sum[:])
+	return canon, string(key[:]), exp, nil
 }
+
+// keyEncoder is a reusable JSON encoder for canonical requests: a key costs
+// no buffer of its own.
+type keyEncoder struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+var keyEncoders = sync.Pool{New: func() any {
+	ke := &keyEncoder{}
+	ke.enc = json.NewEncoder(&ke.buf)
+	return ke
+}}
 
 // materialize bounds the grid, then runs Spec.Experiment: the topology it
 // constructs allocates in proportion to the node count. The recover guard

@@ -36,12 +36,29 @@ type instruments struct {
 	storePutErrs *telemetry.Counter
 
 	queueWait *telemetry.Histogram
-	buildTime *telemetry.Histogram   // inside runTime: constructing the network
-	runTime   telemetry.HistogramVec // label scheme
+	walk      [numTiers]*telemetry.Histogram // by the tier that answered
+	buildTime *telemetry.Histogram           // inside runTime: constructing the network
+	runTime   telemetry.HistogramVec         // label scheme
 
 	queued  *telemetry.Gauge // jobs waiting for a worker
 	running *telemetry.Gauge // jobs inside simulate
 }
+
+// The tiers of a walk (Manager.walk), in the order it asks them.
+const (
+	tierMemory = iota
+	tierInflight
+	tierStore
+	tierFleet
+	tierSimulate
+	numTiers
+)
+
+var tierNames = [numTiers]string{"memory", "inflight", "store", "fleet", "simulate"}
+
+// walkBuckets are DurationBuckets with three below them: a memory hit takes
+// microseconds.
+var walkBuckets = append([]float64{0.00001, 0.000025, 0.00005}, telemetry.DurationBuckets...)
 
 // newInstruments registers the service metric schema on a fresh registry and
 // wires the pull-style gauges to the manager's own state.
@@ -72,6 +89,12 @@ func newInstruments(m *Manager, spanCap int) *instruments {
 			"wall time a worker spent constructing one job's network, before its first cycle", nil),
 		runTime: reg.HistogramVec("nocd_run_seconds",
 			"wall time a worker spent simulating one job", "scheme", nil),
+	}
+	walks := reg.HistogramVec("nocd_walk_seconds",
+		"wall time of one result walk, from the request to the tier that answered it (a waiting walk includes the wait)",
+		"tier", walkBuckets)
+	for t, name := range tierNames {
+		ins.walk[t] = walks.With(name)
 	}
 	states := reg.GaugeVec("nocd_jobs",
 		"jobs currently in a non-terminal state, by state", "state")
@@ -128,19 +151,22 @@ func newInstruments(m *Manager, spanCap int) *instruments {
 }
 
 // instant records a zero-length span at time now.
-func (ins *instruments) instant(name string, j *job, outcome string, now time.Time) {
-	ins.spans.Record(telemetry.Span{
-		Name: name, Job: j.ID, Key: j.Key, Scheme: schemeLabel(j.Request), Outcome: outcome,
-		Start: now, End: now,
-	})
+func (ins *instruments) instant(name string, j *Record, outcome string, now time.Time) {
+	ins.span(name, j, outcome, now, now)
 }
 
 // span records a closed interval span.
-func (ins *instruments) span(name string, j *job, outcome string, start, end time.Time) {
+func (ins *instruments) span(name string, j *Record, outcome string, start, end time.Time) {
 	ins.spans.Record(telemetry.Span{
-		Name: name, Job: j.ID, Key: j.Key, Scheme: schemeLabel(j.Request), Outcome: outcome,
+		Name: name, Job: j.id(), Key: j.ans.key, Scheme: schemeLabel(j.ans.req), Outcome: outcome,
 		Start: start, End: end,
 	})
+}
+
+// walked observes one walk that started at start, under the tier that
+// answered it.
+func (ins *instruments) walked(tier int, start time.Time) {
+	ins.walk[tier].Observe(time.Since(start).Seconds())
 }
 
 // Telemetry returns the manager's metric registry, ready for Prometheus

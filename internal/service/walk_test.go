@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -25,14 +26,15 @@ func (f *fleetStub) Dispatch(ctx context.Context, key string, req Request) (noc.
 	return f.res, f.route, f.err
 }
 
-func do(t *testing.T, m *Manager, r Request, fleet Fleet) (*Job, string) {
+func do(t *testing.T, m *Manager, r Request, fleet Fleet) (Job, string) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	j, source, err := m.Do(ctx, r, fleet)
+	rec, source, err := m.Do(ctx, r, fleet)
 	if err != nil {
 		t.Fatalf("Do: %v", err)
 	}
+	j := rec.Job()
 	if j.State != StateDone || j.Result == nil {
 		t.Fatalf("Do: state %s", j.State)
 	}
@@ -122,9 +124,9 @@ func TestDoWaitsOutAFullQueue(t *testing.T) {
 			defer wg.Done()
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 			defer cancel()
-			if j, _, err := m.Do(ctx, storeReq(seed), nil); err != nil {
+			if rec, _, err := m.Do(ctx, storeReq(seed), nil); err != nil {
 				t.Errorf("seed %d: %v", seed, err)
-			} else if j.State != StateDone {
+			} else if j := rec.Job(); j.State != StateDone {
 				t.Errorf("seed %d: state %s", seed, j.State)
 			}
 		}(uint64(i + 1))
@@ -195,5 +197,70 @@ func TestSingleflightAcrossTheDiskRead(t *testing.T) {
 	}
 	if _, err := m.Cancel(m.Jobs()[0].ID); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestWalkLatencyPerTier: each walk observes nocd_walk_seconds once, under
+// the tier that answered it, and no other: a simulation, a memory hit, a
+// store hit, a job joined in flight and a peer's answer each move exactly
+// their own child. A walk that nothing answered moves none.
+func TestWalkLatencyPerTier(t *testing.T) {
+	m := New(Config{Workers: 1, CacheCap: 1, Store: openStore(t, t.TempDir())})
+	defer shutdown(t, m)
+	var seen [numTiers]uint64
+	moved := func(step string, tier int) {
+		t.Helper()
+		for i, h := range m.ins.walk {
+			want := seen[i]
+			if i == tier {
+				want++
+			}
+			if got := h.Count(); got != want {
+				t.Errorf("%s: tier %s observed %d walks, want %d", step, tierNames[i], got, want)
+			}
+			seen[i] = h.Count()
+		}
+	}
+	do(t, m, storeReq(1), nil)
+	moved("cold", tierSimulate)
+	do(t, m, storeReq(1), nil)
+	moved("repeat", tierMemory)
+	do(t, m, storeReq(2), nil)
+	moved("second key", tierSimulate)
+	do(t, m, storeReq(1), nil)
+	moved("first key again", tierStore)
+	do(t, m, storeReq(3), &fleetStub{route: RouteRemote, res: noc.Result{Cycles: 7}})
+	moved("peer", tierFleet)
+
+	blocker, err := m.Submit(longReq(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	moved("blocker", tierSimulate)
+	waitState(t, m, blocker.ID, StateRunning)
+	queued, err := m.Submit(storeReq(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	moved("queued", tierSimulate)
+	if j, err := m.Submit(storeReq(5)); err != nil || !j.Dedup {
+		t.Fatalf("twin: %+v, %v", j, err)
+	}
+	moved("twin", tierInflight)
+	if _, _, err := m.Do(context.Background(), smallReq(), &fleetStub{route: RouteRemote, err: errors.New("no")}); err == nil {
+		t.Fatal("a refusing fleet answered")
+	}
+	moved("refused", -1)
+	m.Cancel(blocker.ID)
+	m.Cancel(queued.ID)
+
+	var b strings.Builder
+	if err := m.Telemetry().WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range tierNames {
+		if line := `nocd_walk_seconds_count{tier="` + name + `"}`; !strings.Contains(b.String(), line) {
+			t.Errorf("/metrics lacks %s", line)
+		}
 	}
 }

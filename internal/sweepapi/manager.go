@@ -71,10 +71,10 @@ type sweep struct {
 }
 
 // point is a finished grid point: the terminal job record that answered it
-// (the service's own, or for a point no local job answered, one holding
-// what the wire shows of it) and the route it came by.
+// (the service's own, or for a point no local job answered, an unanswered
+// one) and the route it came by.
 type point struct {
-	job    *service.Job
+	rec    *service.Record
 	source string
 }
 
@@ -210,7 +210,7 @@ feed:
 	pwg.Wait()
 	// Points never handed to a worker are canceled wholesale.
 	for i := fed; i < len(s.points); i++ {
-		s.points[i].job = unanswered(s.plan[i], service.StateCanceled, "sweep canceled")
+		s.points[i].rec = service.Unanswered(s.plan[i].Key, s.plan[i].Req, service.StateCanceled, "sweep canceled")
 		m.publish(s, i)
 	}
 	s.plan = nil
@@ -238,39 +238,35 @@ feed:
 // and records how it ended.
 func (m *Manager) runPoint(s *sweep, i int) {
 	pp := s.plan[i]
-	j, source, err := m.svc.Do(s.ctx, pp.Req, m.cfg.Dispatcher)
+	rec, source, err := m.svc.Do(s.ctx, pp.Req, m.cfg.Dispatcher)
 	switch {
 	case err != nil && s.ctx.Err() != nil:
-		j = unanswered(pp, service.StateCanceled, "sweep canceled")
+		rec = service.Unanswered(pp.Key, pp.Req, service.StateCanceled, "sweep canceled")
 	case errors.Is(err, service.ErrShuttingDown):
-		j = unanswered(pp, service.StateCanceled, err.Error())
+		rec = service.Unanswered(pp.Key, pp.Req, service.StateCanceled, err.Error())
 	case err != nil:
 		// Parse vetted the spec, so this is the fleet's refusal or a bug;
 		// either way it is the point's failure.
-		j = unanswered(pp, service.StateFailed, err.Error())
+		rec = service.Unanswered(pp.Key, pp.Req, service.StateFailed, err.Error())
 	}
-	s.points[i] = point{job: j, source: source}
+	s.points[i] = point{rec: rec, source: source}
 	m.publish(s, i)
-}
-
-// unanswered is the record of a point that no job answered.
-func unanswered(pp PlanPoint, state service.State, msg string) *service.Job {
-	return &service.Job{Key: pp.Key, Request: pp.Req, State: state, Error: msg}
 }
 
 // publish makes terminal point i visible to streamers and accounting. The
 // point must not change afterwards.
 func (m *Manager) publish(s *sweep, i int) {
 	p := s.points[i]
+	j := p.rec.Job()
 	s.mu.Lock()
 	s.completedOrder = append(s.completedOrder, i)
-	switch p.job.State {
+	switch j.State {
 	case service.StateDone:
 		s.st.Done++
-		if p.job.CacheHit {
+		if j.CacheHit {
 			s.st.CacheHits++
 		}
-		if p.job.StoreHit {
+		if j.StoreHit {
 			s.st.StoreHits++
 		}
 		if p.source == service.RouteRemote {
@@ -282,7 +278,7 @@ func (m *Manager) publish(s *sweep, i int) {
 		s.st.Failed++
 	}
 	s.mu.Unlock()
-	m.pointsTotal.With(string(p.job.State)).Inc()
+	m.pointsTotal.With(string(j.State)).Inc()
 	m.pointsActive.Add(-1)
 }
 
@@ -338,7 +334,7 @@ func (m *Manager) PointsSince(id string, cursor int) ([]PointStatus, int, Status
 	fresh := s.completedOrder[cursor:]
 	out := make([]PointStatus, len(fresh))
 	for i, idx := range fresh { // each point on the wire, built from its record
-		j, source := s.points[idx].job, s.points[idx].source
+		j, source := s.points[idx].rec.Job(), s.points[idx].source
 		out[i] = PointStatus{Index: idx, Key: j.Key, Spec: j.Request, State: j.State, CacheHit: j.CacheHit,
 			StoreHit: j.StoreHit, Source: source, Result: j.Result, Error: j.Error}
 	}

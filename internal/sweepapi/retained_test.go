@@ -87,8 +87,9 @@ func BenchmarkRetainedPoint(b *testing.B) {
 
 // maxRetainedPoint bounds TestRetainedPointBytes. A point read 1 225 B while
 // the sweep kept its own copy of every point's job record beside the
-// service's, and reads about 770 B as a view of it.
-const maxRetainedPoint = 950
+// service's, about 775 B as a view of a record that held a whole wire Job,
+// and reads about 450 B now that a hit's record points at its key's answer.
+const maxRetainedPoint = 550
 
 // TestRetainedPointBytes is BenchmarkRetainedPoint at a third of the sweeps.
 func TestRetainedPointBytes(t *testing.T) {

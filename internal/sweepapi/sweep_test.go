@@ -320,9 +320,9 @@ func TestSweepDispatcherRemote(t *testing.T) {
 	if got := local.Stats()["jobs"]; got != 0 {
 		t.Fatalf("local manager keeps %d job records for remote points", got)
 	}
-	own := map[*service.Job]bool{}
+	own := map[*service.Record]bool{}
 	for _, r := range records(sw, st.ID) {
-		own[r.job] = true
+		own[r.rec] = true
 	}
 	if len(own) != 6 {
 		t.Fatalf("6 remote points share %d records, want one each", len(own))
@@ -410,7 +410,7 @@ func TestSweepPointIsItsJob(t *testing.T) {
 	recs := records(sw, st.ID)
 	pts, _, _, _ := sw.PointsSince(st.ID, 0)
 	for _, p := range pts {
-		r := recs[p.Index].job
+		r := recs[p.Index].rec.Job()
 		j, ok := svc.Get(r.ID)
 		if !ok || j.Key != p.Key || mustJSON(t, j.Request) != mustJSON(t, p.Spec) ||
 			j.CacheHit != p.CacheHit || j.StoreHit != p.StoreHit || j.Result != p.Result || p.Result == nil {
@@ -422,11 +422,11 @@ func TestSweepPointIsItsJob(t *testing.T) {
 	}
 	want := []struct{ cacheHit, storeHit bool }{{true, false}, {true, true}, {false, false}, {false, false}}
 	for i, w := range want {
-		if r := recs[i].job; r.CacheHit != w.cacheHit || r.StoreHit != w.storeHit {
+		if r := recs[i].rec.Job(); r.CacheHit != w.cacheHit || r.StoreHit != w.storeHit {
 			t.Errorf("point %d: cacheHit %v storeHit %v, want %v %v", i, r.CacheHit, r.StoreHit, w.cacheHit, w.storeHit)
 		}
 	}
-	if recs[2].job != recs[3].job {
+	if recs[2].rec != recs[3].rec {
 		t.Error("the point that joined an identical one in flight keeps a record of its own")
 	}
 

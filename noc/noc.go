@@ -119,10 +119,10 @@ type Network = network.Network
 type Workload = network.Workload
 
 // Observability re-exports from the internal layers. The router rows are the
-// simulator's own counters and always there; the probes (Series, Tracer) are
-// opt-in and observation-only: enabling them cannot change simulation results
-// (the determinism harness covers this), and the zero-value Observe keeps
-// both off at zero cost.
+// simulator's own counters and always there; the probes (Series, Tracer,
+// StageClock) are opt-in and observation-only: enabling them cannot change
+// simulation results (the determinism harness covers this), and the
+// zero-value Observe keeps them off at zero cost.
 type (
 	// Registry holds every router's event counters; see Network.Registry.
 	Registry = stats.Registry
@@ -138,7 +138,15 @@ type (
 	Tracer = obs.Tracer
 	// TraceEvent is one recorded lifecycle event.
 	TraceEvent = obs.Event
+	// StageClock times each phase of every router tick; see
+	// Network.Stages.
+	StageClock = router.StageClock
+	// Stage names one phase of a router tick, StageClock's bucket index.
+	Stage = router.Stage
 )
+
+// NumStages is the number of phases a StageClock times.
+const NumStages = router.NumStages
 
 // Fault injection re-exports. A FaultSchedule is a model parameter, not an
 // execution knob: it participates in canonical specs and result caching, and
@@ -185,6 +193,8 @@ type Observe struct {
 	Trace bool
 	// TraceCap bounds the retained events (ring buffer); 0 selects 1<<17.
 	TraceCap int
+	// Stages times each phase of every router tick (Network.Stages).
+	Stages bool
 }
 
 // Experiment describes one simulation configuration. Zero values select the
@@ -401,6 +411,9 @@ func (e Experiment) Build() *Network {
 			tcap = 1 << 17
 		}
 		cfg.Tracer = obs.NewTracer(tcap)
+	}
+	if e.Observe.Stages {
+		cfg.Stages = new(router.StageClock)
 	}
 	if e.UseEVC {
 		m := e.Topology.(*topology.Mesh)

@@ -89,7 +89,7 @@ func testRegistryAggregation(t *testing.T, mk func(noc.Observe) noc.Experiment) 
 func TestObservabilityNoBehaviorChange(t *testing.T) {
 	observedLegs(t, func(t *testing.T, mk func(noc.Observe) noc.Experiment) {
 		_, base := runObserved(mk(noc.Observe{}))
-		_, full := runObserved(mk(noc.Observe{Window: 250, Trace: true, TraceCap: 1 << 12}))
+		_, full := runObserved(mk(noc.Observe{Window: 250, Trace: true, TraceCap: 1 << 12, Stages: true}))
 		if base != full {
 			t.Errorf("observability changed results:\noff: %+v\non:  %+v", base, full)
 		}
