@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/parser"
+	"go/printer"
 	"go/token"
 	"go/types"
 	"io/fs"
@@ -326,6 +327,117 @@ func TestOneRouterPipeline(t *testing.T) {
 			"func (r *Router) resetLane(in, vc int) { r.act[in] = 0; r.actPorts = 0 }\n"+
 			"func (r *Router) Tick(in, vc int) { r.ports = r.occPorts; r.va[in] |= 1; x := &Router{occ: nil}; _ = x }")
 	})
+	t.Run("timedTick is Tick with the clock's laps", func(t *testing.T) {
+		enforce(t, timedTickDriftIn, "internal/router/router.go", false)
+		const tick = "package router\n" +
+			"func (r *Router) Tick() bool {\n\tif r.cfg.Stages != nil {\n\t\treturn r.timedTick()\n\t}\n" +
+			"\tr.a()\n\tif r.p {\n\t\tr.b()\n\t}\n\treturn r.done()\n}\n"
+		timed := func(body string) string {
+			return tick + "func (r *Router) timedTick() bool {\n\tc := r.cfg.Stages\n\tt := clockNS()\n" + body + "}\n"
+		}
+		seesEach(t, timedTickDriftIn, map[string]string{
+			`timedTick has "" where Tick has "return r.done()"`: timed(
+				"r.a()\nt = c.lap(0, t)\nif r.p {\nr.b()\n}\n"),
+			`timedTick has "if r.q" where Tick has "if r.p"`: timed(
+				"r.a()\nt = c.lap(0, t)\nif r.q {\nr.b()\n}\nreturn r.done()\n"),
+			`timedTick has "r.b()" where Tick has "r.a()"`: timed(
+				"r.b()\nif r.p {\nr.a()\n}\nreturn r.done()\n"),
+		}, timed("r.a()\nt = c.lap(0, t)\nif r.p {\nr.b()\nt = c.lap(1, t)\n} else {\nc.skip(1, 1)\n}\n"+
+			"again := r.done()\nc.lap(2, t)\nreturn again\n"))
+	})
+}
+
+// timedTickDriftIn reports where router.timedTick stops being Tick with the
+// stage clock added. With every statement that names the clock (c) or its lap
+// start (t) left out, an else left empty by that dropped, and the closing
+// `again := x; return again` read as `return x`, timedTick must read
+// statement for statement as Tick after Tick's hand-over to it: the untimed
+// tick keeps its one nil test, and a change to Tick cannot leave the timed
+// copy behind.
+func timedTickDriftIn(fset *token.FileSet, f *ast.File) []string {
+	var tick, timed *ast.FuncDecl
+	for _, d := range f.Decls {
+		if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv != nil && fn.Body != nil {
+			switch fn.Name.Name {
+			case "Tick":
+				tick = fn
+			case "timedTick":
+				timed = fn
+			}
+		}
+	}
+	if tick == nil || timed == nil || len(tick.Body.List) == 0 {
+		return nil
+	}
+	want := tickLines(fset, tick.Body.List[1:], false)
+	got := tickLines(fset, timed.Body.List, true)
+	if n := len(got); n >= 2 && strings.HasPrefix(got[n-2], "again := ") && got[n-1] == "return again" {
+		got = append(got[:n-2], "return "+strings.TrimPrefix(got[n-2], "again := "))
+	}
+	for i := 0; i < max(len(got), len(want)); i++ {
+		var g, w string
+		if i < len(got) {
+			g = got[i]
+		}
+		if i < len(want) {
+			w = want[i]
+		}
+		if g != w {
+			return []string{fmt.Sprintf("%s: timedTick has %q where Tick has %q", fset.Position(timed.Pos()), g, w)}
+		}
+	}
+	return nil
+}
+
+// tickLines flattens a statement list to one line per statement, an if
+// opened and closed around its branches, so that two bodies compare without
+// their positions or comments. With untimed it leaves out what timedTick
+// adds to Tick (timedTickDriftIn).
+func tickLines(fset *token.FileSet, list []ast.Stmt, untimed bool) []string {
+	src := func(n ast.Node) string {
+		var b strings.Builder
+		printer.Fprint(&b, fset, n)
+		return b.String()
+	}
+	var out []string
+	for _, s := range list {
+		is, ok := s.(*ast.IfStmt)
+		if !ok {
+			if !untimed || !namesClock(s) {
+				out = append(out, src(s))
+			}
+			continue
+		}
+		head := "if " + src(is.Cond)
+		if is.Init != nil {
+			head = "if " + src(is.Init) + "; " + src(is.Cond)
+		}
+		out = append(out, head)
+		out = append(out, tickLines(fset, is.Body.List, untimed)...)
+		if is.Else != nil {
+			els := []ast.Stmt{is.Else}
+			if b, ok := is.Else.(*ast.BlockStmt); ok {
+				els = b.List
+			}
+			if lines := tickLines(fset, els, untimed); len(lines) > 0 {
+				out = append(append(out, "else"), lines...)
+			}
+		}
+		out = append(out, "end if")
+	}
+	return out
+}
+
+// namesClock reports whether s names timedTick's clock c or lap start t.
+func namesClock(s ast.Stmt) bool {
+	found := false
+	ast.Inspect(s, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok && (id.Name == "c" || id.Name == "t") {
+			found = true
+		}
+		return !found
+	})
+	return found
 }
 
 // declaredIn lists declarations of banned names. "T.f" is field f of struct

@@ -361,7 +361,7 @@ var builtNet *noc.Network
 // of the reads its bucket holds, and the share of ticks that ran it.
 // EXPERIMENTS.md "Where a busy tick goes" is its table:
 //
-//	go test -run '^$' -bench StageClock -benchtime 20000x .
+//	go test -run '^$' -bench StageClock -benchtime 40000x -count 7 .
 func BenchmarkStageClock(b *testing.B) {
 	for _, c := range []struct {
 		name string

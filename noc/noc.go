@@ -145,9 +145,6 @@ type (
 	Stage = router.Stage
 )
 
-// NumStages is the number of phases a StageClock times.
-const NumStages = router.NumStages
-
 // Fault injection re-exports. A FaultSchedule is a model parameter, not an
 // execution knob: it participates in canonical specs and result caching, and
 // faulted runs stay bit-identical between the naive and the active-set
