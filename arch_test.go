@@ -486,7 +486,7 @@ func declaredIn(banned ...string) checker {
 // namesIn lists where a source names something banned: an identifier
 // ("outSends", matched exactly), or, however deep it is reached (r.cfg.Stats
 // for "cfg.Stats"), a selector, an == or != comparison ("rs != nil"), a call
-// ("Store.Get("), a comma-ok read an if tests ("m.cache[key]; ok"), or an
+// ("Store.Get("), a comma-ok read an if tests ("m.inflight[key]; ok"), or an
 // import path.
 func namesIn(banned ...string) checker {
 	return func(fset *token.FileSet, f *ast.File) []string {
@@ -703,7 +703,7 @@ func TestStructuralRules(t *testing.T) {
 		dispatcher := declaredIn("Dispatcher")
 		dispatch := namesIn("Dispatch")
 		sweepAPI := namesIn("pseudocircuit/internal/sweepapi")
-		walkSites := []string{"m.cache[key]; ok", "m.inflight[key]; ok", "Store.Get(", "Dispatch("}
+		walkSites := []string{"m.answers[key]; ok && a.cached", "m.inflight[key]; ok", "Store.Get(", "Dispatch("}
 		wire := declaredIn("Job", "Request", "SweepStatus", "Status", "SweepPoint", "PointStatus", "SweepLine", "sweepLine")
 		pool := namesIn("Pool", "NewPool")
 		seesEach(t, dispatcher, map[string]string{
@@ -717,11 +717,11 @@ func TestStructuralRules(t *testing.T) {
 		}, "package cluster\nimport _ \"pseudocircuit/nocdclient\"")
 		body := func(stmt string) string { return "package service\nfunc (m *Manager) f(key string) {\n" + stmt + "\n}" }
 		seesEach(t, namesIn(walkSites...), map[string]string{
-			"names m.cache[key]; ok":    body("if res, ok := m.cache[key]; ok { _ = res }"),
-			"names m.inflight[key]; ok": body("if j, ok := m.inflight[key]; ok { _ = j }"),
-			"names Store.Get(":          body("payload, ok := m.cfg.Store.Get(key)"),
-			"names Dispatch(":           body("fleet.Dispatch(ctx, key)"),
-		}, body("if _, ok := m.cache[key]; !ok { m.cache[key] = res }\nm.inflight[key] = j\nm.cfg.Store.Put(key)"))
+			"names m.answers[key]; ok && a.cached": body("if a, ok := m.answers[key]; ok && a.cached { _ = a }"),
+			"names m.inflight[key]; ok":            body("if j, ok := m.inflight[key]; ok { _ = j }"),
+			"names Store.Get(":                     body("payload, ok := m.cfg.Store.Get(key)"),
+			"names Dispatch(":                      body("fleet.Dispatch(ctx, key)"),
+		}, body("a, ok := m.answers[key]\nif ok && a.cached { m.answers[key] = a }\nm.inflight[key] = j\nm.cfg.Store.Put(key)"))
 		seesEach(t, wire, map[string]string{
 			"declares SweepLine": "package nocd\ntype SweepLine struct{ Type string }",
 		}, "package sweepapi\ntype (\n\tStatus = nocdclient.SweepStatus\n\tLine = nocdclient.SweepLine\n)")

@@ -8,6 +8,17 @@ import (
 	"unsafe"
 )
 
+// cachedAnswer is the answer m's memory cache holds for key, nil when the
+// key is not cached.
+func cachedAnswer(m *Manager, key string) *answer {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if a := m.answers[key]; a != nil && a.cached {
+		return a
+	}
+	return nil
+}
+
 // terminalRecordsHoldNoRun fails t if any terminal record of m still holds
 // its run part.
 func terminalRecordsHoldNoRun(t *testing.T, m *Manager) {
@@ -31,9 +42,7 @@ func TestOneResultPerKey(t *testing.T) {
 	defer cancel()
 	sharedBy := func(m *Manager, key string, jobs ...Job) {
 		t.Helper()
-		m.mu.Lock()
-		cached := m.cache[key]
-		m.mu.Unlock()
+		cached := cachedAnswer(m, key)
 		if cached == nil {
 			t.Fatal("key not cached")
 		}
@@ -88,18 +97,19 @@ func TestOneResultPerKey(t *testing.T) {
 
 // TestOneAnswerPerKey extends TestOneResultPerKey from the result to the
 // whole answer: every record of a key that one manager retains — the cold
-// run, a job that joined it in flight, memory hits, a Do's record — and
-// every wire view of them share one key string, one request and one result,
-// the ones the cache holds; after a restart the store hit's answer is the
-// one every later record shares.
+// run, a job that joined it in flight, memory hits, a Do's record, and a
+// store hit after the key left the memory cache — and every wire view of
+// them share one key string, one request and one result, the ones the cache
+// holds; after a restart the store hit's answer is the one every later
+// record shares.
 func TestOneAnswerPerKey(t *testing.T) {
 	dir := t.TempDir()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	oneAnswer := func(m *Manager, key string, want int, extra ...*Record) {
 		t.Helper()
+		a := cachedAnswer(m, key)
 		m.mu.Lock()
-		a := m.cache[key]
 		var recs []*Record
 		for _, j := range m.jobs {
 			if j.ans.key == key {
@@ -126,7 +136,7 @@ func TestOneAnswerPerKey(t *testing.T) {
 		}
 	}
 
-	m1 := New(Config{Workers: 1, Store: openStore(t, dir)})
+	m1 := New(Config{Workers: 1, CacheCap: 1, Store: openStore(t, dir)})
 	blocker, err := m1.Submit(longReq(3))
 	if err != nil {
 		t.Fatal(err)
@@ -153,6 +163,15 @@ func TestOneAnswerPerKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	oneAnswer(m1, cold.Key, 4, point)
+	waitDone(t, m1, mustSubmit(t, m1, storeReq(2)).ID) // evicts the key from the one-entry cache
+	if cachedAnswer(m1, cold.Key) != nil {
+		t.Fatal("the key is still cached")
+	}
+	if hit := mustSubmit(t, m1, storeReq(1)); !hit.StoreHit {
+		t.Fatalf("after the key left the cache: %+v", hit)
+	}
+	oneAnswer(m1, cold.Key, 5, point)
+	checkIndex(t, m1)
 	shutdown(t, m1)
 
 	m2 := New(Config{Workers: 1, Store: openStore(t, dir)})
@@ -169,13 +188,132 @@ func TestOneAnswerPerKey(t *testing.T) {
 	oneAnswer(m2, cold.Key, 3, point)
 }
 
+// mustSubmit is Submit that fails t on an error.
+func mustSubmit(t *testing.T, m *Manager, r Request) Job {
+	t.Helper()
+	j, err := m.Submit(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return j
+}
+
+// checkIndex fails t unless m's answer index is what its records and cache
+// hold: every answer's hold count is the retained records that point at it
+// plus one while it is cached, every cached key names its cached answer, and
+// every indexed key has a holder, so the index never has more keys than
+// there are retained records and cache entries.
+func checkIndex(t *testing.T, m *Manager) {
+	t.Helper()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	holds := map[*answer]int32{}
+	for _, j := range m.jobs {
+		holds[j.ans]++
+	}
+	for _, k := range m.cacheOrder {
+		if a := m.answers[k]; a == nil || !a.cached {
+			t.Errorf("cached key %.8s names no cached answer", k)
+		} else {
+			holds[a]++
+		}
+	}
+	for a, n := range holds {
+		if a.holds != n {
+			t.Errorf("answer of key %.8s counts %d holds, has %d", a.key, a.holds, n)
+		}
+		if a.cached && m.answers[a.key] != a {
+			t.Errorf("cached answer of key %.8s is not the one the index names", a.key)
+		}
+	}
+	for k, a := range m.answers {
+		if a.key != k || holds[a] == 0 {
+			t.Errorf("index keeps key %.8s, which no retained record or cache entry holds", k)
+		}
+	}
+	if len(m.cacheOrder) > m.cfg.CacheCap {
+		t.Errorf("%d cached keys, CacheCap %d", len(m.cacheOrder), m.cfg.CacheCap)
+	}
+	if len(m.answers) > len(m.jobs)+len(m.cacheOrder) {
+		t.Errorf("index holds %d keys for %d records and %d cache entries", len(m.answers), len(m.jobs), len(m.cacheOrder))
+	}
+}
+
+// TestStoreHitOfAnotherResult: a checksum-valid store entry whose result
+// differs from the one the key's retained cold record holds (a rewritten
+// payload) is served as read, under an answer of its own, which the cache
+// then holds; the cold record keeps its answer.
+func TestStoreHitOfAnotherResult(t *testing.T) {
+	st := openStore(t, t.TempDir())
+	m := New(Config{Workers: 1, CacheCap: 1, Store: st})
+	defer shutdown(t, m)
+	cold := waitDone(t, m, mustSubmit(t, m, storeReq(1)).ID)
+	waitDone(t, m, mustSubmit(t, m, storeReq(2)).ID) // evicts the key from the one-entry cache
+	rewritten := *cold.Result
+	rewritten.AvgLatency++
+	if err := st.Put(cold.Key, []byte(mustJSON(t, rewritten))); err != nil {
+		t.Fatal(err)
+	}
+	hit := mustSubmit(t, m, storeReq(1))
+	if !hit.StoreHit || hit.Result == cold.Result || *hit.Result != rewritten {
+		t.Fatalf("store hit of a rewritten entry: %+v", hit)
+	}
+	if a := cachedAnswer(m, cold.Key); a == nil || a.res != hit.Result {
+		t.Fatal("the cache does not hold the store hit's answer")
+	}
+	if again, _ := m.Get(cold.ID); again.Result != cold.Result {
+		t.Fatal("the cold record lost its own answer")
+	}
+	checkIndex(t, m)
+}
+
+// TestAnswerIndexBounded: under small JobsCap and CacheCap, with store hits
+// that share a retained record's answer and store hits that make their own,
+// the index stays exactly what the records and the cache hold, and a key
+// whose every record was evicted, and that is not cached, leaves it. The
+// tiers answer as they would without the index.
+func TestAnswerIndexBounded(t *testing.T) {
+	m := New(Config{Workers: 1, JobsCap: 6, CacheCap: 2, Store: openStore(t, t.TempDir())})
+	defer shutdown(t, m)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	keys := map[string]bool{}
+	for round := 0; round < 3; round++ {
+		for seed := uint64(1); seed <= 5; seed++ {
+			j, _, err := m.Do(ctx, storeReq(seed), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			keys[j.ans.key] = true
+			checkIndex(t, m)
+		}
+	}
+	if s := m.Stats(); s["enqueued"] != 5 || s["store_hits"] != 10 {
+		t.Fatalf("5 keys, 3 rounds, 2 cached: %d cold runs and %d store hits, want 5 and 10", s["enqueued"], s["store_hits"])
+	}
+	for seed := uint64(6); seed <= 11; seed++ { // evicts every record of the first five keys
+		if _, _, err := m.Do(ctx, storeReq(seed), nil); err != nil {
+			t.Fatal(err)
+		}
+		checkIndex(t, m)
+	}
+	m.mu.Lock()
+	for k := range keys {
+		if _, ok := m.answers[k]; ok {
+			t.Errorf("key %.8s has no record and no cache entry left, but the index keeps it", k)
+		}
+	}
+	m.mu.Unlock()
+}
+
 // memHitAllocs is the allocation count of a memory-hit Submit:
 // canonicalizing and hashing the request, registering the record and taking
 // its snapshot. It was 20 while the canonical scheme and routing names were
 // lowercased into fresh strings, 25 while every record carried a context, a
-// channel and a copy of the result, and 18 while the key's JSON and hex
-// went through buffers of their own.
-const memHitAllocs = 17
+// channel and a copy of the result, 18 while the key's JSON and hex went
+// through buffers of their own, and 17 while the topology name was parsed,
+// twice, with fmt.Sscanf.
+const memHitAllocs = 7
 
 func TestMemoryHitAllocs(t *testing.T) {
 	if raceBuild {

@@ -127,14 +127,18 @@ var (
 // answer is what a key resolves to: its key, its canonical request, its
 // cycle count and, once a run or the store produced it, its result. The
 // memory cache and every record of the key point at the one answer; nothing
-// is copied per record. A store hit or a peer's reply makes its own. The
-// result is written once, by the worker that produced it, before the answer
-// enters the cache or its record turns terminal, and never after.
+// is copied per record. A store hit shares the answer the manager's index
+// holds for its key when the results are equal, and makes its own
+// otherwise; a peer's reply always makes its own. The result is written
+// once, by the worker that produced it, before the answer enters the cache
+// or its record turns terminal, and never after.
 type answer struct {
 	key    string
 	req    Request
 	res    *noc.Result
-	cycles int // warmup + measure
+	cycles int   // warmup + measure
+	holds  int32 // retained records and the cache that point at it; m.mu guards it
+	cached bool  // in the memory cache; m.mu guards it
 }
 
 // Record is one job: a pointer to its key's answer and the facts that are
@@ -289,8 +293,8 @@ type Manager struct {
 	seq        int
 	jobs       []*Record          // retained records, by ascending seq
 	inflight   map[string]*Record // by key: queued or running, singleflight
-	cache      map[string]*answer
-	cacheOrder []string
+	answers    map[string]*answer // by key: the answer that last entered the cache, while anything holds it
+	cacheOrder []string           // the memory cache: keys of cached answers, oldest first
 }
 
 // New starts a manager and its workers.
@@ -300,7 +304,7 @@ func New(cfg Config) *Manager {
 		cfg:      cfg,
 		queue:    make(chan *Record, cfg.QueueCap),
 		inflight: make(map[string]*Record),
-		cache:    make(map[string]*answer),
+		answers:  make(map[string]*answer),
 	}
 	m.ins = newInstruments(m, cfg.SpanCap)
 	for w := 0; w < cfg.Workers; w++ {
@@ -379,7 +383,7 @@ func (m *Manager) walk(ctx context.Context, r Request, fleet Fleet, wait bool) (
 			m.mu.Unlock()
 			return nil, false, source, ErrShuttingDown
 		}
-		if a, ok := m.cache[key]; ok { // tier 1
+		if a, ok := m.answers[key]; ok && a.cached { // tier 1
 			j := m.hitLocked(a, false, now)
 			m.mu.Unlock()
 			m.ins.walked(tierMemory, start)
@@ -400,7 +404,11 @@ func (m *Manager) walk(ctx context.Context, r Request, fleet Fleet, wait bool) (
 		}
 		switch {
 		case onDisk != nil: // tier 3 hit, on the pass before
-			j := m.hitLocked(&answer{key: key, req: canon, res: onDisk, cycles: cycles}, true, now)
+			a, ok := m.answers[key] // not cached: a retained record holds it
+			if !ok || *a.res != *onDisk {
+				a = &answer{key: key, req: canon, res: onDisk, cycles: cycles}
+			}
+			j := m.hitLocked(a, true, now)
 			m.mu.Unlock()
 			m.ins.walked(tierStore, start)
 			return j, false, source, nil
@@ -505,17 +513,30 @@ func (m *Manager) cancelJob(j *Record) Job {
 func (m *Manager) addJobLocked(j *Record) {
 	m.seq++
 	j.seq = m.seq
+	j.ans.holds++
 	m.jobs = append(m.jobs, j)
 	for i := 0; len(m.jobs) > m.cfg.JobsCap && i < len(m.jobs); {
+		old := m.jobs[i]
 		switch {
-		case m.jobs[i].live.Load() != nil:
+		case old.live.Load() != nil:
 			i++
+			continue
 		case i == 0:
 			m.jobs[0] = nil
 			m.jobs = m.jobs[1:]
 		default:
 			m.jobs = slices.Delete(m.jobs, i, i+1)
 		}
+		m.releaseLocked(old.ans)
+	}
+}
+
+// releaseLocked drops one hold on a, when a record that points at it is
+// evicted or the cache lets it go: the index forgets the key once nothing
+// holds the answer it names. m.mu must be held.
+func (m *Manager) releaseLocked(a *answer) {
+	if a.holds--; a.holds == 0 && m.answers[a.key] == a {
+		delete(m.answers, a.key)
 	}
 }
 
@@ -638,17 +659,21 @@ func (m *Manager) storeLookup(key string) *noc.Result {
 	return &res
 }
 
-// addCacheLocked inserts an answer, evicting the oldest entries over
-// CacheCap; m.mu must be held.
+// addCacheLocked caches an answer and makes it the one the index names for
+// its key, evicting the oldest cached keys over CacheCap; m.mu must be held.
+// The walk caches a key only while it is not cached: a cold run's key
+// cannot enter the cache while the run is in flight, and a store hit
+// follows a memory miss under the same lock.
 func (m *Manager) addCacheLocked(a *answer) {
-	if _, ok := m.cache[a.key]; !ok {
-		m.cacheOrder = append(m.cacheOrder, a.key)
-	}
-	m.cache[a.key] = a
-	for len(m.cache) > m.cfg.CacheCap {
-		old := m.cacheOrder[0]
+	a.cached = true
+	a.holds++
+	m.answers[a.key] = a
+	m.cacheOrder = append(m.cacheOrder, a.key)
+	for len(m.cacheOrder) > m.cfg.CacheCap {
+		old := m.answers[m.cacheOrder[0]]
 		m.cacheOrder = m.cacheOrder[1:]
-		delete(m.cache, old)
+		old.cached = false
+		m.releaseLocked(old)
 	}
 }
 
@@ -789,7 +814,7 @@ func (m *Manager) Stats() map[string]int64 {
 		"canceled":     count(ins.outcomes.With(string(StateCanceled))),
 		"running":      int64(ins.running.Value()),
 		"queue_len":    int64(len(m.queue)),
-		"cache_size":   int64(len(m.cache)),
+		"cache_size":   int64(len(m.cacheOrder)),
 		"inflight":     int64(len(m.inflight)),
 		"jobs":         int64(len(m.jobs)),
 	}

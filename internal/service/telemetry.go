@@ -107,7 +107,7 @@ func newInstruments(m *Manager, spanCap int) *instruments {
 		func() float64 {
 			m.mu.Lock()
 			defer m.mu.Unlock()
-			return float64(len(m.cache))
+			return float64(len(m.cacheOrder))
 		})
 	reg.GaugeFunc("nocd_inflight_keys", "distinct canonical specs queued or running",
 		func() float64 {

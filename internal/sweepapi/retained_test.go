@@ -88,8 +88,10 @@ func BenchmarkRetainedPoint(b *testing.B) {
 // maxRetainedPoint bounds TestRetainedPointBytes. A point read 1 225 B while
 // the sweep kept its own copy of every point's job record beside the
 // service's, about 775 B as a view of a record that held a whole wire Job,
-// and reads about 450 B now that a hit's record points at its key's answer.
-const maxRetainedPoint = 550
+// about 455 B while a store hit decoded and kept an answer of its own, and
+// reads about 335 B now that it shares the answer its key's retained cold
+// record holds.
+const maxRetainedPoint = 380
 
 // TestRetainedPointBytes is BenchmarkRetainedPoint at a third of the sweeps.
 func TestRetainedPointBytes(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 
 	"pseudocircuit/internal/cmp"
@@ -266,25 +267,47 @@ func ParsePattern(s string) (Pattern, error) {
 
 // ParseTopologyName splits a topology name of the forms Spec.Topology
 // documents into its kind ("mesh", "cmesh", "mecs" or "fbfly"), grid
-// dimensions and concentration (1 for a mesh). It constructs nothing, so a
-// caller facing untrusted input can bound the dimensions before
-// ParseTopology allocates in proportion to them.
+// dimensions and concentration (1 for a mesh). Each dimension is an
+// unsigned decimal without a leading zero, so the names it accepts are
+// exactly the ones topologyName prints. It constructs and allocates
+// nothing, so a caller facing untrusted input can bound the dimensions
+// before ParseTopology allocates in proportion to them.
 func ParseTopologyName(s string) (kind string, kx, ky, c int, err error) {
-	for _, kind = range []string{"mesh", "cmesh", "mecs", "fbfly"} {
-		if !strings.HasPrefix(s, kind) {
+	for _, k := range [...]string{"mesh", "cmesh", "mecs", "fbfly"} {
+		rest, ok := strings.CutPrefix(s, k)
+		if !ok {
 			continue
 		}
-		c = 1
-		format, dims := kind+"%dx%dx%d", []any{&kx, &ky, &c}
-		if kind == "mesh" {
-			format, dims = "mesh%dx%d", dims[:2]
+		xs, rest, _ := strings.Cut(rest, "x")
+		ys, cs, hasC := strings.Cut(rest, "x")
+		if !hasC {
+			cs = "1"
 		}
-		if n, serr := fmt.Sscanf(s, format, dims...); n == len(dims) && serr == nil {
-			return kind, kx, ky, c, nil
+		var okx, oky, okc bool
+		kx, okx = topologyDim(xs)
+		ky, oky = topologyDim(ys)
+		c, okc = topologyDim(cs)
+		if hasC != (k == "mesh") && okx && oky && okc {
+			return k, kx, ky, c, nil
 		}
 		break
 	}
 	return "", 0, 0, 0, fmt.Errorf("noc: unknown topology %q", s)
+}
+
+// topologyDim parses one dimension of a topology name: decimal digits, no
+// sign and no leading zero.
+func topologyDim(s string) (int, bool) {
+	if s == "" || len(s) > 1 && s[0] == '0' {
+		return 0, false
+	}
+	for i := 0; i < len(s); i++ {
+		if s[i] < '0' || s[i] > '9' {
+			return 0, false
+		}
+	}
+	n, err := strconv.Atoi(s) // fails only on overflow
+	return n, err == nil
 }
 
 // ParseTopology resolves a topology name of the forms Spec.Topology

@@ -82,23 +82,36 @@ func TestSpecDefaults(t *testing.T) {
 	}
 }
 
+// TestParseTopologyName: every form Spec.Topology documents parses, with
+// unsigned decimal dimensions and no leading zero; anything else, a valid
+// name with text around it included, is refused, and a parse allocates
+// nothing.
 func TestParseTopologyName(t *testing.T) {
 	for name, want := range map[string][4]any{
-		"mesh8x16":   {"mesh", 8, 16, 1},
-		"cmesh8x8x2": {"cmesh", 8, 8, 2},
-		"mecs4x4x4":  {"mecs", 4, 4, 4},
-		"fbfly2x3x4": {"fbfly", 2, 3, 4},
-		"mesh-4x-4":  {"mesh", -4, -4, 1}, // parsed, not judged: bounds are the caller's
+		"mesh8x16":     {"mesh", 8, 16, 1},
+		"cmesh8x8x2":   {"cmesh", 8, 8, 2},
+		"mecs4x4x4":    {"mecs", 4, 4, 4},
+		"fbfly2x3x4":   {"fbfly", 2, 3, 4},
+		"mesh0x4":      {"mesh", 0, 4, 1}, // parsed, not judged: bounds are the caller's
+		"cmesh64x10x0": {"cmesh", 64, 10, 0},
 	} {
 		kind, kx, ky, c, err := noc.ParseTopologyName(name)
 		if got := [4]any{kind, kx, ky, c}; err != nil || got != want {
 			t.Errorf("%s: got %v, %v; want %v", name, got, err, want)
 		}
 	}
-	for _, name := range []string{"", "ring8", "mesh", "mesh8", "cmesh4x4", "cmeshy4x4x4", "fbfly"} {
-		if kind, _, _, _, err := noc.ParseTopologyName(name); err == nil {
-			t.Errorf("%q accepted as %s", name, kind)
+	for _, name := range []string{
+		"", "ring8", "mesh", "mesh8", "cmesh4x4", "cmeshy4x4x4", "fbfly",
+		"mesh4x4x9", "mesh4x4junk", "mesh 4x4", "mesh+4x4", "mesh8x8x2",
+		"mesh-4x-4", "mesh04x4", "mesh4x", "meshx4", "mesh4X4", " mesh4x4", "mesh4x4\n",
+		"cmesh4x4x4x4", "mecs4x4x", "fbfly2x2x-1", "fbfly2x2x+1", "mesh99999999999999999999x4",
+	} {
+		if kind, _, _, _, err := noc.ParseTopologyName(name); err == nil || err.Error() != fmt.Sprintf("noc: unknown topology %q", name) {
+			t.Errorf("%q: parsed as %s, error %v", name, kind, err)
 		}
+	}
+	if n := testing.AllocsPerRun(100, func() { _, _, _, _, _ = noc.ParseTopologyName("cmesh8x8x2") }); n != 0 {
+		t.Errorf("a parse allocates %v objects", n)
 	}
 }
 
