@@ -140,8 +140,9 @@ func BenchmarkFig14EVC(b *testing.B) {
 	b.ReportMetric(r.Avg[1][2], "cmesh-psb-normalized")
 }
 
-// Ablation benches (DESIGN.md §7): each design choice as published vs
-// flipped, on the CMP platform.
+// BenchmarkAblations scores each reading the model keeps (DESIGN.md §7)
+// against the paper's Fig. 8 and Fig. 12 gains; a score is the largest
+// |measured − paper|, in points.
 func BenchmarkAblations(b *testing.B) {
 	o := benchOptions()
 	o.Benchmarks = []string{"fma3d"}
@@ -149,9 +150,8 @@ func BenchmarkAblations(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r = experiments.Ablations(o)
 	}
-	for i, name := range r.Names {
-		_ = name
-		b.ReportMetric(r.Flipped[i]-r.Paper[i], "ablation"+string(rune('A'+i))+"-lat-delta")
+	for i := range r.Readings {
+		b.ReportMetric(100*r.Score(i), "reading"+string(rune('A'+i))+"-score-pts")
 	}
 }
 

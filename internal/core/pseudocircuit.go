@@ -82,46 +82,17 @@ func (s Scheme) Validate() error {
 	return nil
 }
 
-// Options bundles the scheme with the ablation knobs DESIGN.md §7 calls out.
-// DefaultOptions returns the paper's configuration.
+// Options is what a router is configured with: the scheme alone. One reading
+// of §3.C and §4.A is modelled, the paper's: a circuit ends when its output
+// runs out of credit, speculation never revives a circuit to such an output,
+// and an SA grant preempts a circuit. DESIGN.md §7 records the readings that
+// were measured against it and removed.
 type Options struct {
 	Scheme
-
-	// TerminateOnZeroCredit terminates a pseudo-circuit as soon as its
-	// output port runs out of downstream credit (§3.C condition 2). The
-	// paper requires this so a connected pseudo-circuit guarantees credit
-	// availability. Ablation: keep the circuit and merely stall.
-	TerminateOnZeroCredit bool
-
-	// SpeculateToCongested allows pseudo-circuit speculation to revive
-	// circuits whose output port has no downstream credit. The paper
-	// forbids this ("to avoid buffer overflow in the downstream router,
-	// pseudo-circuit speculation does not create any pseudo-circuit to the
-	// output port of the congested downstream router", §4.A); enabling it
-	// is an ablation that shows such circuits are immediately re-terminated
-	// and only churn state.
-	SpeculateToCongested bool
-
-	// PCDefersToSA selects the strict reading of §3.C's "pseudo-circuit
-	// traversal is made only when no other flit in SA claims any part of
-	// the pseudo-circuit": when true, a matching flit yields to mere SA
-	// *requests* on either port. The default (false) reads "claims" as
-	// granted connections: SA grants always win — they terminate the
-	// circuit and reconfigure the crossbar for the next cycle — while the
-	// matching flit may still ride the circuit in the current cycle.
-	// Both readings are starvation-free (arbitration is never blocked by a
-	// pseudo-circuit); the strict reading costs extra deferral cycles and
-	// is kept as an ablation.
-	PCDefersToSA bool
 }
 
 // DefaultOptions returns the paper's configuration for the given scheme.
-func DefaultOptions(s Scheme) Options {
-	return Options{
-		Scheme:                s,
-		TerminateOnZeroCredit: true,
-	}
-}
+func DefaultOptions(s Scheme) Options { return Options{Scheme: s} }
 
 // RegFile is the pseudo-circuit state of one router and the only code that
 // writes it: per input port the register pair of Fig. 3 (a) with its valid

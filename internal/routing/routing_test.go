@@ -130,27 +130,6 @@ func TestRouteAvoid(t *testing.T) {
 
 	m := topology.NewMesh(4, 4)
 	e := routing.New(routing.XY, m)
-	// view takes the links (router, port) down, and the routers (port -1).
-	view := func(down ...[2]int) *fault.State {
-		var s fault.Schedule
-		for _, d := range down {
-			if d[1] < 0 {
-				s.Events = append(s.Events, fault.Event{Cycle: 1, Kind: fault.RouterDown, Router: d[0]},
-					fault.Event{Cycle: 2, Kind: fault.RouterUp, Router: d[0]})
-				continue
-			}
-			s.Events = append(s.Events, fault.Event{Cycle: 1, Kind: fault.LinkDown, Router: d[0], Port: d[1]},
-				fault.Event{Cycle: 2, Kind: fault.LinkUp, Router: d[0], Port: d[1]})
-		}
-		if err := s.Validate(m, 10); err != nil {
-			t.Fatal(err)
-		}
-		st := fault.NewState(s, m)
-		for _, ev := range st.Take(1) {
-			st.Apply(ev)
-		}
-		return st
-	}
 	const E, W, N, S = topology.PortE, topology.PortW, topology.PortN, topology.PortS
 	for _, c := range []struct {
 		name    string
@@ -159,13 +138,13 @@ func TestRouteAvoid(t *testing.T) {
 		want    int
 		nominal int
 	}{
-		{"nominal port alive", 5, 10, view([2]int{5, S}, [2]int{5, W}), E, E},
-		{"other dimension's step", 5, 10, view([2]int{5, E}), S, E},
-		{"first live port in E, W, N, S order", 5, 6, view([2]int{5, E}), W, E},
-		{"first wired port in E, W, N, S order", 4, 5, view([2]int{4, E}), N, E},
-		{"dead neighbour kills the link", 5, 6, view([2]int{6, -1}, [2]int{5, W}), N, E},
-		{"every escape dead: nominal", 5, 6, view([2]int{5, E}, [2]int{5, W}, [2]int{5, N}, [2]int{5, S}), E, E},
-		{"ejection port with its router down", 5, 5, view([2]int{5, -1}), 4, 4},
+		{"nominal port alive", 5, 10, view(t, m, [2]int{5, S}, [2]int{5, W}), E, E},
+		{"other dimension's step", 5, 10, view(t, m, [2]int{5, E}), S, E},
+		{"first live port in E, W, N, S order", 5, 6, view(t, m, [2]int{5, E}), W, E},
+		{"first wired port in E, W, N, S order", 4, 5, view(t, m, [2]int{4, E}), N, E},
+		{"dead neighbour kills the link", 5, 6, view(t, m, [2]int{6, -1}, [2]int{5, W}), N, E},
+		{"every escape dead: nominal", 5, 6, view(t, m, [2]int{5, E}, [2]int{5, W}, [2]int{5, N}, [2]int{5, S}), E, E},
+		{"ejection port with its router down", 5, 5, view(t, m, [2]int{5, -1}), 4, 4},
 	} {
 		if nominal := e.Route(c.r, c.dst, 0); nominal != c.nominal {
 			t.Fatalf("%s: fixture's nominal port is %d, want %d", c.name, nominal, c.nominal)
@@ -174,4 +153,28 @@ func TestRouteAvoid(t *testing.T) {
 			t.Errorf("%s: RouteAvoid(%d, node %d) = %d, want %d", c.name, c.r, c.dst, got, c.want)
 		}
 	}
+}
+
+// view is a fault view of m with the links (router, port) down, and the
+// routers (port -1).
+func view(t *testing.T, m *topology.Mesh, down ...[2]int) *fault.State {
+	t.Helper()
+	var s fault.Schedule
+	for _, d := range down {
+		if d[1] < 0 {
+			s.Events = append(s.Events, fault.Event{Cycle: 1, Kind: fault.RouterDown, Router: d[0]},
+				fault.Event{Cycle: 2, Kind: fault.RouterUp, Router: d[0]})
+			continue
+		}
+		s.Events = append(s.Events, fault.Event{Cycle: 1, Kind: fault.LinkDown, Router: d[0], Port: d[1]},
+			fault.Event{Cycle: 2, Kind: fault.LinkUp, Router: d[0], Port: d[1]})
+	}
+	if err := s.Validate(m, 10); err != nil {
+		t.Fatal(err)
+	}
+	st := fault.NewState(s, m)
+	for _, ev := range st.Take(1) {
+		st.Apply(ev)
+	}
+	return st
 }

@@ -55,12 +55,6 @@ var (
 // Schemes lists the five configurations in the paper's order.
 var Schemes = core.Schemes
 
-// Options exposes the ablation knobs around a Scheme.
-type Options = core.Options
-
-// DefaultOptions returns the paper's options for a scheme.
-func DefaultOptions(s Scheme) Options { return core.DefaultOptions(s) }
-
 // Topology construction (paper §5, §7.A).
 type Topology = topology.Topology
 
@@ -200,10 +194,8 @@ type Observe struct {
 type Experiment struct {
 	Topology Topology
 	Scheme   Scheme
-	// Opts overrides the scheme's default ablation knobs when non-nil.
-	Opts    *Options
-	Routing Algorithm
-	Policy  Policy
+	Routing  Algorithm
+	Policy   Policy
 	// StaticKey selects the static-VA hash (destination by default).
 	StaticKey vcalloc.StaticKey
 	NumVCs    int
@@ -395,9 +387,6 @@ func (e Experiment) Build() *Network {
 			panic("noc: " + err.Error())
 		}
 		cfg.Faults = sched
-	}
-	if e.Opts != nil {
-		cfg.Opts = *e.Opts
 	}
 	if e.Observe.Window > 0 {
 		cfg.Series = stats.NewSeries(e.Observe.Window, 4096)

@@ -74,22 +74,6 @@ func TestEVCValidation(t *testing.T) {
 	})
 }
 
-func TestOptionOverride(t *testing.T) {
-	opts := noc.DefaultOptions(noc.PseudoSB)
-	opts.TerminateOnZeroCredit = false
-	exp := noc.Experiment{
-		Topology: noc.Mesh(4, 4),
-		Scheme:   noc.PseudoSB,
-		Opts:     &opts,
-		Warmup:   100,
-		Measure:  500,
-	}
-	res := exp.RunSynthetic(noc.Synthetic{Pattern: noc.UniformRandom, Rate: 0.05})
-	if res.PacketsDelivered == 0 {
-		t.Fatal("no deliveries with overridden options")
-	}
-}
-
 // TestSchemeOrderingSynthetic: the paper's headline ordering at moderate
 // uniform load: every scheme at least matches baseline; Pseudo+S+B is the
 // best of the aggressive schemes or within noise of Pseudo+B.
