@@ -1,18 +1,20 @@
-// Golden determinism tests over the public API: the simulator must produce
-// bit-identical results run-to-run, and the work-proportional kernel must be
-// indistinguishable from the naive tick-every-router reference loop.
+// Golden determinism over the public API: the simulator must produce
+// bit-identical results run-to-run. That the active-set kernel is
+// indistinguishable from the naive tick-every-router reference loop is
+// internal/network's FuzzSpecKernel, over the same public Spec; its
+// public-API points are pinned here.
 package pseudocircuit_test
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
-	"pseudocircuit/internal/cmp"
-	"pseudocircuit/internal/core"
-	"pseudocircuit/internal/network"
-	"pseudocircuit/internal/sim"
-	"pseudocircuit/internal/topology"
+	"pseudocircuit/internal/service"
 	"pseudocircuit/noc"
 )
 
@@ -44,24 +46,13 @@ func TestGoldenDeterminism(t *testing.T) {
 	}
 }
 
-// kernelPoint selects a schedule of the cycle kernel through the public API:
-// the naive reference loop or the default active-set kernel.
-type kernelPoint struct {
-	name  string
-	naive bool
-}
-
-// kernelTriangle is checked in every equivalence test below: the naive
-// reference first, then the active-set kernel that must match it.
-var kernelTriangle = []kernelPoint{
-	{"naive", true},
-	{"active", false},
-}
-
-// TestNaiveKernelEquivalence checks the NaiveKernel reference loop against
-// the default active-set kernel through the public API, including the EVC comparison router and the closed-loop CMP
-// substrate, whose workloads have idle phases that exercise router
-// deactivation.
+// TestNaiveKernelEquivalence pins the public-API points of FuzzSpecKernel's
+// corpus (internal/network/testdata/fuzz/FuzzSpecKernel/public-*), on which
+// that fuzz target runs the naive and the active-set schedule: each entry
+// must build, through nocd's front door, exactly the noc.Experiment and the
+// workload written here — the full scheme with synthetic traffic, the EVC
+// comparison router, and the closed-loop CMP substrate, whose idle phases
+// exercise router deactivation.
 func TestNaiveKernelEquivalence(t *testing.T) {
 	base := noc.Experiment{
 		Topology: noc.Mesh(4, 4),
@@ -71,104 +62,47 @@ func TestNaiveKernelEquivalence(t *testing.T) {
 		Warmup:   500,
 		Measure:  3000,
 	}
-
-	// A leg is compared as its Result and every router's own row: kernels
-	// that agree in total but count an event at different routers diverge.
-	type ran struct {
-		res  noc.Result
-		rows []noc.RouterStats
-	}
-	runOn := func(e noc.Experiment, k kernelPoint, w noc.Workload) ran {
-		e.NaiveKernel = k.naive
-		n := e.Build()
-		return ran{e.RunOn(n, w), n.Registry().Routers()}
-	}
-	triangle := func(t *testing.T, run func(k kernelPoint) ran) {
-		t.Helper()
-		ref := run(kernelTriangle[0])
-		for _, k := range kernelTriangle[1:] {
-			got := run(k)
-			if ref.res != got.res {
-				t.Errorf("%s and %s kernels diverge:\n%s: %+v\n%s: %+v",
-					kernelTriangle[0].name, k.name, kernelTriangle[0].name, ref.res, k.name, got.res)
-			}
-			if !reflect.DeepEqual(ref.rows, got.rows) {
-				t.Errorf("%s and %s kernels report the same Result from different per-router counters", kernelTriangle[0].name, k.name)
-			}
+	evc := base
+	evc.Scheme, evc.UseEVC = noc.Baseline, true
+	cmp := base
+	cmp.Topology, cmp.Routing, cmp.Policy = noc.CMesh(4, 4, 4), noc.O1TURN, noc.DynamicVA
+	uniform := noc.WorkloadSpec{Pattern: "uniform", Rate: 0.10}
+	for _, tc := range []struct {
+		name string
+		e    noc.Experiment
+		w    noc.WorkloadSpec
+	}{
+		{"synthetic", base, uniform},
+		{"evc", evc, uniform},
+		{"cmp", cmp, noc.WorkloadSpec{Kind: "cmp", Benchmark: "fma3d"}},
+	} {
+		raw, err := os.ReadFile(filepath.Join("internal", "network", "testdata", "fuzz", "FuzzSpecKernel", "public-"+tc.name))
+		if err != nil {
+			t.Error(err)
+			continue
 		}
-	}
-
-	t.Run("synthetic", func(t *testing.T) {
-		t.Parallel()
-		triangle(t, func(k kernelPoint) ran {
-			return runOn(base, k, base.SyntheticWorkload(noc.Synthetic{Pattern: noc.UniformRandom, Rate: 0.10}))
-		})
-	})
-
-	t.Run("evc", func(t *testing.T) {
-		t.Parallel()
-		triangle(t, func(k kernelPoint) ran {
-			e := base
-			e.Scheme = noc.Baseline
-			e.UseEVC = true
-			return runOn(e, k, e.SyntheticWorkload(noc.Synthetic{Pattern: noc.UniformRandom, Rate: 0.10}))
-		})
-	})
-
-	t.Run("cmp", func(t *testing.T) {
-		t.Parallel()
-		triangle(t, func(k kernelPoint) ran {
-			e := base
-			e.Topology = noc.CMesh(4, 4, 4)
-			e.Routing = noc.O1TURN
-			e.Policy = noc.DynamicVA
-			w, err := e.CMPWorkload("fma3d")
-			if err != nil {
-				t.Fatal(err)
-			}
-			return runOn(e, k, w)
-		})
-	})
-}
-
-// TestCMPDrainKernelEquivalence closes the workload matrix: the closed-loop
-// CMP substrate, stopped after a fixed number of misses (about 7 600 cycles
-// and 10 000 packets), is drained through both schedules, driving the network's Drain path rather than the fixed-cycle Run
-// path. Both must drain in the same number of cycles with bit-identical
-// statistics and per-router counters (energy is their sum).
-func TestCMPDrainKernelEquivalence(t *testing.T) {
-	prof, ok := cmp.ProfileByName("fft")
-	if !ok {
-		t.Fatal("unknown benchmark fft")
-	}
-	run := func(k kernelPoint) *network.Network {
-		topo := topology.NewCMesh(4, 4, 4)
-		cfg := network.DefaultConfig(topo)
-		cfg.Opts = core.DefaultOptions(core.PseudoSB)
-		cfg.Naive = k.naive
-		n := network.New(cfg)
-		w := cmp.New(topo, cmp.PaperTableI(), prof, sim.NewRNG(1))
-		w.MaxMisses = 5000
-		if !n.Drain(w, 200000) {
-			t.Fatalf("%s: the workload did not drain", k.name)
+		// A corpus file is "go test fuzz v1" and one []byte literal.
+		_, lit, _ := strings.Cut(strings.TrimSpace(string(raw)), "\n")
+		data, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lit, "[]byte("), ")"))
+		if err != nil {
+			t.Errorf("public-%s: %v", tc.name, err)
+			continue
 		}
-		if got := w.TotalMisses(); got != w.MaxMisses {
-			t.Fatalf("%s: drained after %d misses, want %d", k.name, got, w.MaxMisses)
+		req, err := service.DecodeRequest([]byte(data))
+		if err != nil {
+			t.Errorf("public-%s: %v", tc.name, err)
+			continue
 		}
-		return n
-	}
-	ref := run(kernelTriangle[0])
-	for _, k := range kernelTriangle[1:] {
-		got := run(k)
-		if ref.Now() != got.Now() {
-			t.Errorf("%s drained at cycle %d, %s at %d", kernelTriangle[0].name, ref.Now(), k.name, got.Now())
+		canon, _, e, err := service.Canonicalize(req)
+		if err != nil {
+			t.Errorf("public-%s: %v", tc.name, err)
+			continue
 		}
-		if !reflect.DeepEqual(ref.Stats, got.Stats) {
-			t.Errorf("drain stats diverge (%s vs %s):\nref: %+v\ngot: %+v", kernelTriangle[0].name, k.name, ref.Stats, got.Stats)
+		if !reflect.DeepEqual(e, tc.e) {
+			t.Errorf("public-%s builds %+v, want %+v", tc.name, e, tc.e)
 		}
-		if !reflect.DeepEqual(ref.Registry().Routers(), got.Registry().Routers()) {
-			t.Errorf("drain per-router counters diverge (%s vs %s):\nref: %+v\ngot: %+v",
-				kernelTriangle[0].name, k.name, ref.Registry().Totals(), got.Registry().Totals())
+		if w, err := tc.w.Normalize(tc.e); err != nil || canon.Workload != w {
+			t.Errorf("public-%s runs %+v, want %+v (%v)", tc.name, canon.Workload, w, err)
 		}
 	}
 }

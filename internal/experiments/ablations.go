@@ -45,9 +45,10 @@ type AblationResult struct {
 	Gain, HeadReuse [][][]float64
 }
 
-// Ablations runs, per reading and seed, a Baseline and a Pseudo+S+B for each
-// benchmark in Fig. 8's configuration and for each Fig. 12 pattern at its
-// lowest load.
+// Ablations runs, per seed, a Baseline and a Pseudo+S+B for each benchmark in
+// Fig. 8's configuration, and per reading and seed the same pair for each
+// Fig. 12 pattern at its lowest load. Fig. 8 runs dynamic VA, which never
+// reads the static key, so every reading shares its Fig. 8 cells.
 func Ablations(o Options) AblationResult {
 	o = o.defaults()
 	res := AblationResult{Gains: []string{"Fig. 8 avg"}}
@@ -55,36 +56,41 @@ func Ablations(o Options) AblationResult {
 		res.Gains = append(res.Gains, fmt.Sprintf("%s %.2f", pc.name, pc.loads[0]))
 	}
 	var points []point
+	pair := func(s int, key vcalloc.StaticKey, base, psb point) {
+		base.Seed, base.StaticKey = uint64(s), key
+		psb.Seed, psb.StaticKey = uint64(s), key
+		points = append(points, base, psb)
+	}
+	for s := range ablationSeeds {
+		for _, b := range o.Benchmarks {
+			pair(s, vcalloc.KeyDestination, cmpPoint(b, core.Baseline, routing.O1TURN, vcalloc.Dynamic),
+				cmpPoint(b, core.PseudoSB, routing.O1TURN, vcalloc.Dynamic))
+		}
+	}
 	for _, rd := range readings {
 		res.Readings = append(res.Readings, rd.name)
 		for s := range ablationSeeds {
-			pair := func(base, psb point) {
-				base.Seed, base.StaticKey = uint64(s), rd.key
-				psb.Seed, psb.StaticKey = uint64(s), rd.key
-				points = append(points, base, psb)
-			}
-			for _, b := range o.Benchmarks {
-				pair(cmpPoint(b, core.Baseline, routing.O1TURN, vcalloc.Dynamic),
-					cmpPoint(b, core.PseudoSB, routing.O1TURN, vcalloc.Dynamic))
-			}
 			for _, pc := range fig12Patterns {
 				syn := noc.Synthetic{Pattern: pc.pattern, Rate: pc.loads[0], PacketSize: 5}
-				pair(meshPoint(core.Baseline, syn), meshPoint(core.PseudoSB, syn))
+				pair(s, rd.key, meshPoint(core.Baseline, syn), meshPoint(core.PseudoSB, syn))
 			}
 		}
 	}
 	rs, tot := o.runTotals(points)
+	// Accumulated as Fig8 and Fig12 do, so the paper row is their runs.
 	nb := float64(len(o.Benchmarks))
+	fig8Gain, fig8Head := make([]float64, ablationSeeds), make([]float64, ablationSeeds)
+	for s := range ablationSeeds {
+		for range o.Benchmarks {
+			fig8Gain[s] += (1 - rs[1].AvgNetLatency/rs[0].AvgNetLatency) / nb
+			fig8Head[s] += tot[1].HeadReuseRate() / nb
+			rs, tot = rs[2:], tot[2:]
+		}
+	}
 	for range readings {
 		var gain, head [][]float64
-		for range ablationSeeds {
-			// Accumulated as Fig8 and Fig12 do, so the paper row is their runs.
-			g, h := []float64{0}, []float64{0}
-			for range o.Benchmarks {
-				g[0] += (1 - rs[1].AvgNetLatency/rs[0].AvgNetLatency) / nb
-				h[0] += tot[1].HeadReuseRate() / nb
-				rs, tot = rs[2:], tot[2:]
-			}
+		for s := range ablationSeeds {
+			g, h := []float64{fig8Gain[s]}, []float64{fig8Head[s]}
 			for range fig12Patterns {
 				g = append(g, 1-rs[1].AvgLatency/rs[0].AvgLatency)
 				h = append(h, tot[1].HeadReuseRate())

@@ -6,13 +6,10 @@ import (
 	"sort"
 	"testing"
 
-	"pseudocircuit/internal/core"
 	"pseudocircuit/internal/network"
-	"pseudocircuit/internal/routing"
 	"pseudocircuit/internal/sim"
-	"pseudocircuit/internal/topology"
-	"pseudocircuit/internal/traffic"
-	"pseudocircuit/internal/vcalloc"
+	"pseudocircuit/noc"
+	"pseudocircuit/nocdclient"
 )
 
 // TestLaneStoreRoundTrip drives two identically seeded networks — the naive
@@ -32,32 +29,30 @@ import (
 // policy on the same pipeline), so the whole check runs on it too; O1TURN puts
 // packets of both route classes in the lanes.
 func TestLaneStoreRoundTrip(t *testing.T) {
-	topo := topology.NewMesh(4, 4)
-	t.Run("psb", func(t *testing.T) {
-		laneStoreRoundTrip(t, topo, func(k kernel) *network.Network {
-			return buildKernel(topo, core.PseudoSB, routing.XY, vcalloc.Static, k)
-		})
-	})
-	t.Run("o1turn", func(t *testing.T) {
-		laneStoreRoundTrip(t, topo, func(k kernel) *network.Network {
-			return buildKernel(topo, core.PseudoSB, routing.O1TURN, vcalloc.Dynamic, k)
-		})
-	})
-	t.Run("evc", func(t *testing.T) {
-		laneStoreRoundTrip(t, topo, func(k kernel) *network.Network {
-			return buildFaulted(core.Baseline, k, nil, true)
-		})
-	})
-	// The service's deepest buffer: credits start at 1 024, past what an
-	// int8 would hold, so the routers' int16 counters are what carries them.
-	t.Run("depth1024", func(t *testing.T) {
-		laneStoreRoundTrip(t, topo, func(k kernel) *network.Network {
-			return buildKernelOpts(topo, core.DefaultOptions(core.PseudoSB), 4, 1024, routing.XY, vcalloc.Dynamic, k)
-		})
-	})
+	for _, tc := range []struct {
+		name string
+		spec noc.Spec
+	}{
+		{"psb", noc.Spec{Scheme: "pseudo+s+b", VA: "static"}},
+		{"o1turn", noc.Spec{Scheme: "pseudo+s+b", Routing: "o1turn"}},
+		{"evc", noc.Spec{Scheme: "baseline", VA: "static", UseEVC: true}},
+		// The service's deepest buffer: credits start at 1 024, past what an
+		// int8 would hold, so the routers' int16 counters are what carries
+		// them.
+		{"depth1024", noc.Spec{Scheme: "pseudo+s+b", BufDepth: 1024}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { laneStoreRoundTrip(t, laneRequest(tc.spec)) })
+	}
 }
 
-func laneStoreRoundTrip(t *testing.T, topo topology.Topology, build func(k kernel) *network.Network) {
+// laneRequest is spec on a 4×4 mesh under uniform-random traffic at 0.12
+// flits/node/cycle.
+func laneRequest(spec noc.Spec) nocdclient.Request {
+	spec.Topology, spec.Seed = "mesh4x4", 11
+	return nocdclient.Request{Spec: spec, Workload: noc.WorkloadSpec{Rate: 0.12}}
+}
+
+func laneStoreRoundTrip(t *testing.T, req nocdclient.Request) {
 	type leg struct {
 		name string
 		net  *network.Network
@@ -65,10 +60,7 @@ func laneStoreRoundTrip(t *testing.T, topo topology.Topology, build func(k kerne
 	}
 	var legs []leg
 	for _, k := range kernels {
-		n := build(k)
-		w := traffic.NewSynthetic(traffic.Config{
-			Pattern: traffic.UniformRandom, Nodes: topo.Nodes(), Rate: 0.12,
-		}, sim.NewRNG(11))
+		_, n, w := specNet(t, req, k)
 		legs = append(legs, leg{k.name, n, w})
 	}
 	state := legs[0].net.RouterState(0)
@@ -134,14 +126,10 @@ func sameLanes(a, b *network.Network) error {
 // every lane identically, so their router state agrees at every cycle, and
 // sameLanes must still tell them apart by the packets the lanes name.
 func TestLaneComparisonSeesPackets(t *testing.T) {
-	topo := topology.NewMesh(4, 4)
 	var nets [2]*network.Network
 	var ws [2]network.Workload
 	for i := range nets {
-		nets[i] = buildKernel(topo, core.PseudoSB, routing.O1TURN, vcalloc.Dynamic, kernels[1])
-		ws[i] = traffic.NewSynthetic(traffic.Config{
-			Pattern: traffic.UniformRandom, Nodes: topo.Nodes(), Rate: 0.12,
-		}, sim.NewRNG(11))
+		_, nets[i], ws[i] = specNet(t, laneRequest(noc.Spec{Scheme: "pseudo+s+b", Routing: "o1turn"}), kernels[1])
 	}
 	nets[1].SkipPacketIDs(1 << 40)
 	caught, class1 := false, false
