@@ -47,8 +47,8 @@ func concurrencyIn(fset *token.FileSet, f *ast.File) []string {
 // called Step. More CPUs go to whole simulations side by side
 // (experiments.forEach, nocd's job workers), so the packages a cycle runs in
 // start no goroutine, declare no channel and import no lock. The sharded
-// kernel that did was deleted by measurement (EXPERIMENTS.md "Cycle kernel
-// schedules"); this is what keeps it from growing back unmeasured.
+// kernel that did was deleted by measurement (EXPERIMENTS.md "Simulator
+// performance"); this is what keeps it from growing back unmeasured.
 func TestCycleKernelIsOneGoroutine(t *testing.T) {
 	for _, dir := range []string{"internal/network", "internal/router", "internal/core", "internal/evc"} {
 		enforce(t, concurrencyIn, filepath.Join(dir, "*.go"), false)

@@ -224,7 +224,7 @@ func BenchmarkSimulatorNaiveKernel(b *testing.B) {
 func BenchmarkFig12Sequential(b *testing.B) { benchKernel(b, 8, 0.18) }
 
 // BenchmarkKernelSchedules is the mesh-size matrix behind EXPERIMENTS.md
-// "Cycle kernel schedules": what a cycle of the one schedule costs as the
+// "Simulator performance": what a cycle of the one schedule costs as the
 // network grows. The large meshes take seconds to warm; run it with a fixed,
 // small iteration count (-benchtime 500x).
 func BenchmarkKernelSchedules(b *testing.B) {
@@ -359,7 +359,7 @@ var builtNet *noc.Network
 // one read in place (read-ns, against back-to-back-read-ns, the cost of a
 // read with nothing around it). Each phase then reports its ns per tick net
 // of the reads its bucket holds, and the share of ticks that ran it.
-// EXPERIMENTS.md "Where a busy tick goes" is its table:
+// EXPERIMENTS.md "Simulator performance" has its verdict:
 //
 //	go test -run '^$' -bench StageClock -benchtime 40000x -count 7 .
 func BenchmarkStageClock(b *testing.B) {

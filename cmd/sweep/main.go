@@ -4,7 +4,7 @@
 //
 // Examples:
 //
-//	sweep -exp all                 # everything (takes a few minutes)
+//	sweep -exp all                 # everything (~40 s on 2 CPUs)
 //	sweep -exp fig8                # one figure
 //	sweep -exp fig9 -benchmarks fma3d,specjbb -measure 5000
 //	sweep -exp fig12 -csv          # CSV output for plotting

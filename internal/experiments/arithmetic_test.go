@@ -23,7 +23,8 @@ import (
 // Fig. 8 benchmark and on Fig. 12's three 5-flit patterns at their lowest
 // load. The runs are the golden ones (goldenOptions), so the rates are those
 // the goldens pin. At full size the residuals read 0.15–1.02 cycles on the
-// CMP and 1.92–2.11 on the patterns (EXPERIMENTS.md "Fig. 8").
+// CMP and 1.92–2.11 on the patterns (CHANGES.md records that run; the full-size
+// tables print the rates but not the hops or baseline latencies they need).
 func TestHeaderHitsPredictTheSaving(t *testing.T) {
 	const psb = 3 // Pseudo+S+B in Fig8Result.Schemes; Fig12Result's also list the baseline
 	const lo, hi = 0.0, 2.5

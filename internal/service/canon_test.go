@@ -153,6 +153,8 @@ func TestCanonicalizeRejects(t *testing.T) {
 		"oblong transpose":   `{"topology":"mesh8x4","scheme":"pseudo","workload":{"pattern":"transpose","rate":0.1}}`,
 		"huge packets":       `{"topology":"mesh8x8","scheme":"pseudo","workload":{"rate":0.1,"packetSize":2000000000}}`,
 		"packets over bound": `{"topology":"mesh8x8","scheme":"pseudo","workload":{"rate":0.1,"packetSize":1025}}`,
+		"huge buffers":       `{"topology":"mesh64x64","scheme":"pseudo","numVCs":64,"bufDepth":1024,"workload":{"rate":0.1}}`,
+		"buffers over bound": `{"topology":"cmesh2x2x13","scheme":"pseudo","numVCs":64,"bufDepth":1024,"workload":{"rate":0.1}}`,
 	}
 	for name, raw := range bad {
 		r, err := DecodeRequest([]byte(raw))
@@ -170,9 +172,11 @@ func TestCanonicalizeRejects(t *testing.T) {
 }
 
 // TestCanonicalizeAcceptsAtTheBounds: the largest values the front door
-// lets through still canonicalize.
+// lets through still canonicalize. cmesh2x2x12 has 64 input ports, so 64 VCs
+// × 1 024 flits is exactly MaxBufferSlots; one port more is rejected
+// (TestCanonicalizeRejects, "buffers over bound").
 func TestCanonicalizeAcceptsAtTheBounds(t *testing.T) {
-	keyOf(t, `{"topology":"mesh8x8","scheme":"pseudo","numVCs":64,"bufDepth":1024,
+	keyOf(t, `{"topology":"cmesh2x2x12","scheme":"pseudo","numVCs":64,"bufDepth":1024,
 		"warmup":0,"measure":9999000,"workload":{"rate":0.1,"packetSize":1024}}`)
 }
 

@@ -39,6 +39,10 @@ const (
 	// MaxPacketSize bounds the flits per synthetic packet: a packet's flit
 	// slice is allocated at injection.
 	MaxPacketSize = 1024
+	// MaxBufferSlots bounds the flit slots of a topology's input buffers
+	// (noc.Experiment.BufferSlots): each is an 8-byte pointer allocated at
+	// build, so this is 32 MiB a job.
+	MaxBufferSlots = 1 << 22
 )
 
 // DecodeRequest parses a job request strictly: unknown fields, trailing
@@ -141,6 +145,10 @@ func checkBounds(exp noc.Experiment, r Request) error {
 	}
 	if warmup, measure := exp.Protocol(); warmup > MaxCycles-measure { // both >= 0: no overflow
 		return fmt.Errorf("warmup %d + measure %d exceeds limit %d", warmup, measure, MaxCycles)
+	}
+	if slots := exp.BufferSlots(); slots > MaxBufferSlots {
+		return fmt.Errorf("topology %q has %d buffer slots (input ports × VCs × depth), limit %d",
+			r.Topology, slots, MaxBufferSlots)
 	}
 	// Reliable delivery keeps three per-peer arrays on every NI — O(nodes²)
 	// words total — so it gets a tighter node bound than plain runs.

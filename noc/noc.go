@@ -304,6 +304,19 @@ func (e Experiment) Protocol() (warmup, measure int) {
 	return e.Warmup, e.Measure
 }
 
+// BufferSlots returns the flit slots of every router's input buffers after
+// applying defaults: Σ over routers of input ports × VCs × depth. Each slot
+// is a pointer in the network's router slab, so a caller bounding a run's
+// memory bounds this.
+func (e Experiment) BufferSlots() int {
+	e = e.defaults()
+	in := 0
+	for r := range e.Topology.Routers() {
+		in += e.Topology.InPorts(r)
+	}
+	return in * e.NumVCs * e.BufDepth
+}
+
 // faultTopo returns the topology as the grid faults and churn are declared
 // on; MECS and the flattened butterfly are not one.
 func (e Experiment) faultTopo() (fault.Topo, error) {
