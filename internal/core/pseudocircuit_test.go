@@ -43,10 +43,15 @@ func TestSchemeValidate(t *testing.T) {
 }
 
 // regFile returns an empty register file with the given radix, laid over
-// storage of its own as a router lays it over what it carves.
+// storage of its own as a router lays it over what it carves; the speculative
+// flags start dirty, so InitRegFile must clear them.
 func regFile(in, out int) *core.RegFile {
 	f := new(core.RegFile)
-	core.InitRegFile(f, in, out, make([]int8, core.RegFileBytes(in, out)), make([]bool, in))
+	spec := make([]bool, in)
+	for i := range spec {
+		spec[i] = true
+	}
+	core.InitRegFile(f, in, out, make([]int8, core.RegFileBytes(in, out)), spec)
 	return f
 }
 
@@ -59,7 +64,7 @@ func check(t *testing.T, f *core.RegFile) {
 
 func TestRegisterLifecycle(t *testing.T) {
 	f := regFile(3, 6)
-	if f.Valid(1) || f.Match(1, 0, 0) {
+	if f.Valid(1) || f.Match(1, 0, 0) || f.Spec[1] {
 		t.Fatal("new register valid")
 	}
 	if created, displaced := f.Connect(1, 2, 5); !created || displaced {
@@ -162,7 +167,8 @@ func TestSpeculativeConnectRefuses(t *testing.T) {
 // while valid (Fig. 3 (a) semantics).
 func TestMatchProperty(t *testing.T) {
 	err := quick.Check(func(setVC, setOut, qVC, qOut uint8, terminated bool) bool {
-		setOut, qOut = setOut%core.LaneLimit, qOut%core.LaneLimit
+		// Ids stay below LaneLimit, as routers enforce: an int8 holds no VC 128.
+		setVC, setOut, qVC, qOut = setVC%core.LaneLimit, setOut%core.LaneLimit, qVC%core.LaneLimit, qOut%core.LaneLimit
 		f := regFile(1, core.LaneLimit)
 		f.Connect(0, int(setVC), int(setOut))
 		if terminated {
@@ -282,6 +288,7 @@ func TestCheckNamesTheDesyncedStructure(t *testing.T) {
 		{"ByOut[3] = -1, registers say 2", func(bytes []int8, f *core.RegFile) { f.ValidMask |= 1 << 2 }},
 		{"ByOut[2] = 0, registers say -1", func(bytes []int8, f *core.RegFile) { f.ValidMask &^= 1 << 0 }},
 		{"input 1 has no register pair", func(bytes []int8, f *core.RegFile) { f.ValidMask |= 1 << 1 }},
+		{"input 3 has no register pair", func(bytes []int8, f *core.RegFile) { f.ValidMask |= 1 << 3 }},
 		{"HeldMask", func(bytes []int8, f *core.RegFile) { f.HeldMask &^= 1 << 2 }},
 		// Input 2's pair is reset and the bit stays: a revival that cannot be.
 		{"HistMask 1100, HistIn and the register pairs say 100", func(bytes []int8, f *core.RegFile) { f.InVC[2], f.Out[2] = -1, -1 }},

@@ -6,6 +6,7 @@ import (
 	"pseudocircuit/internal/core"
 	"pseudocircuit/internal/evc"
 	"pseudocircuit/internal/network"
+	"pseudocircuit/internal/router"
 	"pseudocircuit/internal/sim"
 	"pseudocircuit/internal/topology"
 	"pseudocircuit/internal/traffic"
@@ -112,15 +113,22 @@ func TestEVCPreemption(t *testing.T) {
 }
 
 // TestEVCRejectsPseudoOptions: the express policy rides the baseline
-// pipeline; a network that asks for pseudo-circuits too is refused at build
-// time rather than silently running an unsupported combination.
+// pipeline; a network that asks for pseudo-circuits too, or for an EVC count
+// the parity striping cannot split, is refused at build time rather than
+// silently running an unsupported combination.
 func TestEVCRejectsPseudoOptions(t *testing.T) {
-	cfg := evcConfig(topology.NewMesh(4, 4))
-	cfg.Opts = core.DefaultOptions(core.PseudoSB)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("EVC routers accepted pseudo-circuit options")
-		}
-	}()
-	network.New(cfg)
+	m := topology.NewMesh(4, 4)
+	pseudo, odd := evcConfig(m), evcConfig(m)
+	pseudo.Opts = core.DefaultOptions(core.PseudoSB)
+	odd.Factory = func(id, in, out int, rcfg *router.Config) network.Node { return evc.New(id, in, out, rcfg, m, 3) }
+	for name, cfg := range map[string]network.Config{"pseudo-circuit options": pseudo, "3 EVCs": odd} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("EVC routers accepted %s", name)
+				}
+			}()
+			network.New(cfg)
+		}()
+	}
 }

@@ -3,15 +3,16 @@ package evc_test
 import (
 	"testing"
 
+	"pseudocircuit/internal/evc"
 	"pseudocircuit/internal/network"
 	"pseudocircuit/internal/topology"
 	"pseudocircuit/internal/traffic"
 )
 
 // TestParityStriping: express paths sourced at even and odd coordinates use
-// different EVCs, so each (link, VC) pair carries one source's flits —
-// observable as both EVC indices appearing among forwarded express flits on
-// a row with sources of both parities.
+// different EVCs, so each (link, VC) pair carries one source's flits; a
+// packet one hop short of an express path takes an NVC, and ejection takes VC
+// 0 whatever the credits say (the NI drains every VC).
 func TestParityStriping(t *testing.T) {
 	m := topology.NewMesh(8, 8)
 	cfg := evcConfig(m)
@@ -29,6 +30,18 @@ func TestParityStriping(t *testing.T) {
 	// Both parities express: sources 0,2,4 (even EVC) and 1,3,5 (odd EVC)
 	// along the paths; no credit mis-relay would show as a stall or a
 	// credit-overflow panic under CheckInvariants.
+	pick := func(r, out, dst int) int { // VC 0 has the least credit; port 4 ejects
+		return n.Router(r).(*evc.Router).PickVC(out, dst, 0, out == 4, make([]bool, 4), []int16{1, 4, 4, 4})
+	}
+	if even, odd := pick(0, topology.PortE, 7), pick(1, topology.PortE, 6); even < 2 || odd < 2 || even == odd {
+		t.Errorf("express paths from x = 0 and x = 1 took VCs %d and %d; want one EVC each", even, odd)
+	}
+	if v := pick(5, topology.PortE, 6); v != 1 {
+		t.Errorf("a one-hop packet took VC %d; want NVC 1, the one with most credit", v)
+	}
+	if v := pick(6, 4, 6); v != 0 {
+		t.Errorf("ejection took VC %d; want 0", v)
+	}
 }
 
 // TestEVCCreditConservationUnderChurn: sustained mixed traffic with many

@@ -46,6 +46,11 @@ func TestChurnExpandSeedAndParamsMatter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Routers cannot fail here, so their chains draw nothing and the links
+	// see the seed's first numbers: the trace is pinned, not only stable.
+	if n, first := len(ref.Events), ref.Events[0]; n != 1851 || first != (Event{Cycle: 14, Kind: LinkDown, Router: 9}) {
+		t.Errorf("expanded %d events from %+v, want 1851 from link 9:0 down at cycle 14", n, first)
+	}
 	for name, c := range map[string]Churn{
 		"seed":       {Seed: 8, LinkFail: 1e-3, LinkRepair: 0.02},
 		"linkFail":   {Seed: 7, LinkFail: 2e-3, LinkRepair: 0.02},
@@ -99,6 +104,12 @@ func TestChurnExpandWellFormed(t *testing.T) {
 		}
 		down[tg] = isDown
 	}
+	// Certain churn flips every router each cycle, down at 1 and 3 and up at
+	// 2; the repair due at the horizon is not scheduled, so each stays down.
+	s, err = Churn{RouterFail: 1, RouterRepair: 1}.Expand(topology.NewMesh(2, 2), 4)
+	if err != nil || len(s.Events) != 12 || s.Events[11] != (Event{Cycle: 3, Kind: RouterDown, Router: 3}) {
+		t.Errorf("certain churn over 4 cycles: %+v, %v; want 12 events, the last router 3 down at cycle 3", s, err)
+	}
 }
 
 // TestChurnValidateRejectsHostileParams covers the probability domain checks,
@@ -127,6 +138,9 @@ func TestChurnValidateRejectsHostileParams(t *testing.T) {
 // layer treats "churn absent" and "churn zero" as the same run.
 func TestChurnExpandZeroIsEmpty(t *testing.T) {
 	m := topology.NewMesh(4, 4)
+	if (Churn{Seed: 5, LinkRepair: 0.5, RouterRepair: 0.5}).Enabled() {
+		t.Error("a churn that can fail nothing is enabled")
+	}
 	for name, expand := range map[string]func() (*Schedule, error){
 		"zero probabilities": func() (*Schedule, error) { return Churn{Seed: 5, LinkRepair: 0.5}.Expand(m, 10000) },
 		"zero horizon":       func() (*Schedule, error) { return Churn{Seed: 5, LinkFail: 0.5}.Expand(m, 0) },

@@ -125,25 +125,33 @@ func TestValidateRejectsOversized(t *testing.T) {
 }
 
 func TestCanonOrderIndependent(t *testing.T) {
-	a := sched(
-		Event{Cycle: 20, Kind: LinkUp, Router: 1, Port: topology.PortE},
-		Event{Cycle: 10, Kind: LinkDown, Router: 1, Port: topology.PortE},
-		Event{Cycle: 15, Kind: RouterDown, Router: 6},
-		Event{Cycle: 18, Kind: RouterUp, Router: 6},
-	)
-	b := sched(
-		Event{Cycle: 15, Kind: RouterDown, Router: 6},
-		Event{Cycle: 10, Kind: LinkDown, Router: 1, Port: topology.PortE},
-		Event{Cycle: 18, Kind: RouterUp, Router: 6},
-		Event{Cycle: 20, Kind: LinkUp, Router: 1, Port: topology.PortE},
-	)
-	a.Canon()
-	b.Canon()
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("canonical forms differ:\n%v\n%v", a, b)
+	// The canonical order: cycle, then router, then port, then kind. Each
+	// tie below is broken by the next key, against the order the one after
+	// it would give.
+	want := []Event{
+		{Cycle: 10, Kind: LinkDown, Router: 5, Port: 1},
+		{Cycle: 10, Kind: LinkDown, Router: 5, Port: 2},
+		{Cycle: 10, Kind: LinkDown, Router: 6, Port: 0},
+		{Cycle: 20, Kind: LinkUp, Router: 5, Port: 1},
+		{Cycle: 20, Kind: LinkUp, Router: 5, Port: 2},
+		{Cycle: 20, Kind: LinkUp, Router: 6, Port: 0},
+		{Cycle: 30, Kind: LinkDown, Router: 6, Port: 0},
+		{Cycle: 30, Kind: RouterDown, Router: 6},
+		{Cycle: 40, Kind: LinkUp, Router: 6, Port: 0},
+		{Cycle: 40, Kind: RouterUp, Router: 6},
 	}
-	m := topology.NewMesh(4, 4)
-	if err := a.Validate(m, 100); err != nil {
+	for _, order := range [][]int{{9, 8, 7, 6, 5, 4, 3, 2, 1, 0}, {2, 0, 1, 7, 6, 3, 5, 4, 9, 8}} {
+		var s Schedule
+		for _, i := range order {
+			s.Events = append(s.Events, want[i])
+		}
+		s.Canon()
+		if !reflect.DeepEqual(s.Events, want) {
+			t.Errorf("Canon of order %v:\n%v\nwant\n%v", order, s.Events, want)
+		}
+	}
+	s := sched(want...)
+	if err := s.Validate(topology.NewMesh(4, 4), 100); err != nil {
 		t.Fatalf("canonical schedule failed validation: %v", err)
 	}
 }
@@ -164,8 +172,10 @@ func TestPolicyByName(t *testing.T) {
 	if p, ok := PolicyByName(""); !ok || p != Drop {
 		t.Errorf("empty policy: got (%v, %v)", p, ok)
 	}
-	if p, ok := PolicyByName("reroute"); !ok || p != Reroute {
-		t.Errorf("reroute: got (%v, %v)", p, ok)
+	for _, want := range []Policy{Drop, Reroute} {
+		if p, ok := PolicyByName(want.String()); !ok || p != want {
+			t.Errorf("%v: got (%v, %v)", want, p, ok)
+		}
 	}
 	if _, ok := PolicyByName("explode"); ok {
 		t.Errorf("unknown policy resolved")

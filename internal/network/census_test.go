@@ -16,7 +16,7 @@ import (
 // full scheme on one VC of 2 flits, where ports run dry and circuits are torn
 // down by credit, and on two VCs past saturation, where a header's VC
 // allocation fails beside a live circuit it matches. Across the grid every
-// class is met at least once.
+// class is met at least once, and some header bypasses its buffer.
 func TestMissCensusSumsToHeadTraversals(t *testing.T) {
 	var reqs []nocdclient.Request
 	point := func(scheme, routing, va string, vcs, depth int, pattern string, rate float64) {
@@ -33,6 +33,7 @@ func TestMissCensusSumsToHeadTraversals(t *testing.T) {
 	point("pseudo+s+b", "xy", "static", 1, 2, "uniform", 0.08)
 	point("pseudo+s+b", "xy", "static", 2, 4, "uniform", 0.30)
 	var seen [stats.NumMissClasses]uint64
+	var bypassed uint64 // header flits that skipped their buffer (+B)
 	for _, req := range reqs {
 		for _, k := range kernels {
 			name := fmt.Sprintf("%s/%s/%s/%dx%d/%s", req.Scheme, req.Routing, req.VA, req.NumVCs, req.BufDepth, k.name)
@@ -44,14 +45,19 @@ func TestMissCensusSumsToHeadTraversals(t *testing.T) {
 					seen[c] += m
 				}
 			}
-			if tot := n.Registry().Totals(); tot.HeadTravs == 0 {
+			tot := n.Registry().Totals()
+			if tot.HeadTravs == 0 {
 				t.Errorf("%s: no header traversed", name)
 			}
+			bypassed += tot.HeadBypassed
 		}
 	}
 	for c, m := range seen {
 		if m == 0 {
 			t.Errorf("class %q never met", stats.MissClassNames[c])
 		}
+	}
+	if bypassed == 0 {
+		t.Error("no header bypassed its buffer")
 	}
 }

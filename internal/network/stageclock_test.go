@@ -150,6 +150,10 @@ func TestStageClockLedger(t *testing.T) {
 		w := traffic.NewSynthetic(traffic.Config{Pattern: pat, Nodes: topo.Nodes(), Rate: 0.10}, sim.NewRNG(uint64(trial)+1))
 		n.Run(w, 500)
 		pair, read := pairNS(), router.ClockReadNS() // the host's clock cost drifts: price it per trial
+		// The pair is two reads and a call.
+		if read < pair/8 {
+			t.Fatalf("a clock read costs %.2f ns beside a %.1f ns pair: ClockReadNS times no read", read, pair)
+		}
 		*clock, outside = router.StageClock{}, 0
 		n.Run(w, 1000)
 		var buckets int64

@@ -120,6 +120,20 @@ func TestTicksFollowFlits(t *testing.T) {
 		}
 	})
 
+	// The naive reference ticks every router every cycle, past the first
+	// word of its index too: it is the schedule the active set is held to.
+	t.Run("naive", func(t *testing.T) {
+		cfg := network.DefaultConfig(topology.NewMesh(9, 9))
+		cfg.Naive = true
+		l := counted(&cfg)
+		network.New(cfg).Run(nil, 3)
+		for r, c := range l {
+			if c.calls != 3 {
+				t.Fatalf("the naive reference ticked router %d %d times in 3 cycles; want 3", r, c.calls)
+			}
+		}
+	})
+
 	mesh8, mesh24 := topology.NewMesh(8, 8), topology.NewMesh(24, 24)
 	for _, tc := range []struct {
 		name            string

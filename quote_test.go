@@ -1,6 +1,6 @@
-// EXPERIMENTS.md quotes the committed full-size run rather than copying
-// numbers by hand: every table it shows is checked against the file here,
-// and CI regenerates the file and diffs it.
+// EXPERIMENTS.md and DESIGN.md quote the committed full-size run rather
+// than copying numbers by hand: every table they show is checked against the
+// file here, and CI regenerates the file and diffs it.
 package pseudocircuit_test
 
 import (
@@ -95,8 +95,8 @@ func checkQuote(block []string, tables map[string][]string) error {
 	return nil
 }
 
-// TestExperimentsQuoteTheFullRun: every table EXPERIMENTS.md shows is a
-// table of the committed full-size run, as printed.
+// TestExperimentsQuoteTheFullRun: every table EXPERIMENTS.md or DESIGN.md
+// shows is a table of the committed full-size run, as printed.
 func TestExperimentsQuoteTheFullRun(t *testing.T) {
 	read := func(path string) string {
 		b, err := os.ReadFile(path)
@@ -106,13 +106,14 @@ func TestExperimentsQuoteTheFullRun(t *testing.T) {
 		return string(b)
 	}
 	tables := tablesOf(read(fullRun))
-	blocks := quotes(read("EXPERIMENTS.md"))
-	if len(blocks) == 0 {
+	if len(quotes(read("EXPERIMENTS.md"))) == 0 {
 		t.Fatal("EXPERIMENTS.md quotes no table")
 	}
-	for _, block := range blocks {
-		if err := checkQuote(block, tables); err != nil {
-			t.Error(err)
+	for _, doc := range []string{"EXPERIMENTS.md", "DESIGN.md"} {
+		for _, block := range quotes(read(doc)) {
+			if err := checkQuote(block, tables); err != nil {
+				t.Errorf("%s: %v", doc, err)
+			}
 		}
 	}
 
