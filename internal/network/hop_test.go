@@ -74,7 +74,7 @@ func TestHopMemoMatchesTopology(t *testing.T) {
 				fault.Event{Cycle: c, Kind: fault.LinkDown, Router: 5, Port: topology.PortS},
 				fault.Event{Cycle: c + 100, Kind: fault.LinkUp, Router: 5, Port: topology.PortS})
 		}
-		n := buildFaulted(core.Baseline, kernels[1], sched, false)
+		n := buildFaulted(core.Baseline, kernels[1], sched)
 		n.Run(traffic.NewSynthetic(traffic.Config{
 			Pattern: traffic.UniformRandom, Nodes: 16, Rate: 0.3,
 		}, sim.NewRNG(42)), 2000)

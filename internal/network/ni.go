@@ -22,7 +22,7 @@ type ni struct {
 	cur    []*flit.Flit // flits of the packet being injected
 	curBuf []*flit.Flit // backing storage for cur, reused across packets
 	idx    int
-	outVC  int // VC allocated for the current packet, -1 while VA pending
+	outVC  int // VC allocated for the current packet; -1 until it picks, reset wherever cur is cleared
 	// nextOut is the current packet's lookahead port at this NI's router,
 	// routed for its header; under a fault schedule, for every flit.
 	nextOut int
@@ -100,7 +100,6 @@ func (s *ni) inject(now sim.Cycle) {
 		s.curBuf = s.cur
 		s.idx = 0
 		p.RouteClass = s.net.engine.ClassFor(&s.rng)
-		s.outVC = -1
 	}
 	// Read the packet through the next unsent flit: earlier flits may
 	// already have been delivered and recycled (their Packet pointer zeroed)

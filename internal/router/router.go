@@ -199,7 +199,11 @@ type Router struct {
 	nextRes []reservation // grants made this cycle
 
 	// Per-tick scratch, reused across cycles.
-	busyIn  uint64      // input ports whose crossbar row is in use this cycle
+	// busyIn: input ports whose crossbar row is in use this cycle, set by
+	// executeReservations, Forward and tryBypass. A circuit ride sets no bit:
+	// the one later reader, tryBypass, can bypass on a ridden input only
+	// through the same circuit, whose output the ride has set in busyOut.
+	busyIn  uint64
 	busyOut uint64      // output ports whose crossbar column is in use this cycle
 	arrMask uint64      // input ports with a staged arrival this cycle
 	ports   uint64      // input ports with a buffered flit once ST is done: what phases 2-4 walk
@@ -828,7 +832,6 @@ func (r *Router) rideCircuits(now sim.Cycle) {
 		f := r.buf[l*r.D]
 		r.popHead(i, v)
 		r.traverse(now, i, v, out, f, true, false)
-		r.busyIn |= 1 << uint(i)
 		r.busyOut |= 1 << uint(out)
 	}
 }
