@@ -23,6 +23,7 @@
 package store
 
 import (
+	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -56,12 +57,10 @@ type Store struct {
 	maxBytes int64
 
 	mu      sync.Mutex
-	entries map[string]*entry
-	// lru orders resident entries, least recently used first. Entries track
-	// their slice position so touch/remove stay O(n) only in the eviction
-	// path, O(1)-amortized on hits (move-to-back via index swap would break
-	// ordering; n is small — thousands — and Get already does disk I/O).
-	lru []*entry
+	entries map[string]*list.Element // each holds its *entry in lru
+	// lru orders resident entries, least recently used first, so a hit's
+	// move to the back and an eviction from the front are O(1) under mu.
+	lru list.List
 
 	// count and bytes mirror len(entries) and the entries' total size, so the
 	// gauges that read them never wait for mu — which Get holds across a file
@@ -93,7 +92,7 @@ func Open(dir string, maxBytes int64) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	s := &Store{dir: dir, maxBytes: maxBytes, entries: map[string]*entry{}}
+	s := &Store{dir: dir, maxBytes: maxBytes, entries: map[string]*list.Element{}}
 	if err := s.checkEpoch(); err != nil {
 		return nil, err
 	}
@@ -177,10 +176,7 @@ func (s *Store) scan() error {
 		return alive[i].e.key < alive[j].e.key // stable order for equal stamps
 	})
 	for _, sv := range alive {
-		s.entries[sv.e.key] = sv.e
-		s.lru = append(s.lru, sv.e)
-		s.count.Add(1)
-		s.bytes.Add(sv.e.size)
+		s.addLocked(sv.e)
 	}
 	return nil
 }
@@ -206,15 +202,11 @@ func (s *Store) Get(key string) ([]byte, bool) {
 		s.dropLocked(key)
 		return nil, false
 	}
-	if e, ok := s.entries[key]; ok {
-		s.touchLocked(e)
+	if el, ok := s.entries[key]; ok {
+		s.lru.MoveToBack(el)
 	} else {
 		// Written by another process sharing the directory; adopt it.
-		e := &entry{key: key, size: int64(len(payload)) + headerLen}
-		s.entries[key] = e
-		s.lru = append(s.lru, e)
-		s.count.Add(1)
-		s.bytes.Add(e.size)
+		s.addLocked(&entry{key: key, size: int64(len(payload)) + headerLen})
 		s.evictOverCapLocked(0)
 	}
 	// Refresh the on-disk recency mark so LRU order survives a restart.
@@ -262,16 +254,13 @@ func (s *Store) Put(key string, payload []byte) error {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("store: %w", err)
 	}
-	if e, ok := s.entries[key]; ok {
+	if el, ok := s.entries[key]; ok {
+		e := el.Value.(*entry)
 		s.bytes.Add(size - e.size)
 		e.size = size
-		s.touchLocked(e)
+		s.lru.MoveToBack(el)
 	} else {
-		e := &entry{key: key, size: size}
-		s.entries[key] = e
-		s.lru = append(s.lru, e)
-		s.count.Add(1)
-		s.bytes.Add(size)
+		s.addLocked(&entry{key: key, size: size})
 	}
 	return nil
 }
@@ -279,40 +268,31 @@ func (s *Store) Put(key string, payload []byte) error {
 // evictOverCapLocked removes least-recently-used entries until `need` more
 // bytes fit under the cap.
 func (s *Store) evictOverCapLocked(need int64) {
-	for len(s.lru) > 0 && s.bytes.Load()+need > s.maxBytes {
-		e := s.lru[0]
+	for s.lru.Len() > 0 && s.bytes.Load()+need > s.maxBytes {
+		e := s.lru.Front().Value.(*entry)
 		os.Remove(filepath.Join(s.dir, e.key))
 		s.dropLocked(e.key)
 		s.evictions.Add(1)
 	}
 }
 
+// addLocked indexes e as the most recently used entry.
+func (s *Store) addLocked(e *entry) {
+	s.entries[e.key] = s.lru.PushBack(e)
+	s.count.Add(1)
+	s.bytes.Add(e.size)
+}
+
 // dropLocked removes key from the index without touching the disk.
 func (s *Store) dropLocked(key string) {
-	e, ok := s.entries[key]
+	el, ok := s.entries[key]
 	if !ok {
 		return
 	}
 	delete(s.entries, key)
-	for i, le := range s.lru {
-		if le == e {
-			s.lru = append(s.lru[:i], s.lru[i+1:]...)
-			break
-		}
-	}
+	e := s.lru.Remove(el).(*entry)
 	s.count.Add(-1)
 	s.bytes.Add(-e.size)
-}
-
-// touchLocked moves e to the most-recently-used end.
-func (s *Store) touchLocked(e *entry) {
-	for i, le := range s.lru {
-		if le == e {
-			copy(s.lru[i:], s.lru[i+1:])
-			s.lru[len(s.lru)-1] = e
-			return
-		}
-	}
 }
 
 // Len returns the number of resident entries.

@@ -6,6 +6,7 @@ package pseudocircuit_test
 import (
 	"fmt"
 	"os"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
@@ -95,8 +96,32 @@ func checkQuote(block []string, tables map[string][]string) error {
 	return nil
 }
 
-// TestExperimentsQuoteTheFullRun: every table EXPERIMENTS.md or DESIGN.md
-// shows is a table of the committed full-size run, as printed.
+// prNumber is how a document names a change by its number: "PR 12", "PRs 46–47".
+var prNumber = regexp.MustCompile(`\bPRs? [0-9]`)
+
+// narration returns the lines of doc that name a PR outside its history
+// note, the paragraph that opens with "**History.**": the rest of a design
+// document says what is, not how it came to be.
+func narration(doc string) []string {
+	var found []string
+	history := false
+	for i, line := range strings.Split(doc, "\n") {
+		switch {
+		case strings.HasPrefix(line, "**History.**"):
+			history = true
+		case line == "":
+			history = false
+		}
+		if !history && prNumber.MatchString(line) {
+			found = append(found, fmt.Sprintf("line %d: %q", i+1, line))
+		}
+	}
+	return found
+}
+
+// TestExperimentsQuoteTheFullRun: EXPERIMENTS.md and DESIGN.md each quote
+// the committed full-size run, and every table they show is one of its
+// tables, as printed. DESIGN.md names a PR only in its history note.
 func TestExperimentsQuoteTheFullRun(t *testing.T) {
 	read := func(path string) string {
 		b, err := os.ReadFile(path)
@@ -106,15 +131,19 @@ func TestExperimentsQuoteTheFullRun(t *testing.T) {
 		return string(b)
 	}
 	tables := tablesOf(read(fullRun))
-	if len(quotes(read("EXPERIMENTS.md"))) == 0 {
-		t.Fatal("EXPERIMENTS.md quotes no table")
-	}
 	for _, doc := range []string{"EXPERIMENTS.md", "DESIGN.md"} {
-		for _, block := range quotes(read(doc)) {
+		blocks := quotes(read(doc))
+		if len(blocks) == 0 {
+			t.Errorf("%s quotes no table", doc)
+		}
+		for _, block := range blocks {
 			if err := checkQuote(block, tables); err != nil {
 				t.Errorf("%s: %v", doc, err)
 			}
 		}
+	}
+	for _, line := range narration(read("DESIGN.md")) {
+		t.Errorf("DESIGN.md names a PR outside its history note, %s", line)
 	}
 
 	t.Run("checker sees each", func(t *testing.T) {
@@ -158,6 +187,17 @@ x  y
 		doc := "text\n```\n" + title + "\n" + header + "\n```\n```sh\ngo run ./cmd/sweep\n```\n"
 		if got := quotes(doc); len(got) != 1 || len(got[0]) != 2 {
 			t.Errorf("quotes found %q, want the one fenced table", got)
+		}
+		if got := quotes("text\n```sh\ngo run ./cmd/sweep\n```\n== fig0: A figure ==\n"); len(got) != 0 {
+			t.Errorf("quotes found %q in a document that fences no table", got)
+		}
+
+		history := "**History.** PR 12 added it,\nand PRs 13–14 moved it.\n\nIt is one function.\n"
+		if got := narration(history); len(got) != 0 {
+			t.Errorf("narration flagged the history note: %q", got)
+		}
+		if got := narration(history + "PR 15 made it faster.\n\n**History.** PR 16.\n"); len(got) != 1 || !strings.Contains(got[0], "line 5") {
+			t.Errorf("narration found %q, want line 5 alone", got)
 		}
 	})
 }
