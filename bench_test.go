@@ -1,10 +1,7 @@
-// Benchmarks regenerating every table and figure of the paper's evaluation,
-// one testing.B target per artifact, plus simulator micro-benchmarks and the
-// DESIGN.md ablation benches. Each iteration runs a reduced-size version of
-// the experiment (cmd/sweep runs the full-size versions); the headline
-// quantity of each figure is attached via b.ReportMetric so
-// `go test -bench=. -benchmem` prints the reproduced series alongside the
-// timings.
+// Simulator micro-benchmarks: what a simulated cycle and a network build
+// cost, with allocations (-benchmem). The paper's tables and figures are not
+// benchmarks: internal/experiments' TestGolden pins each one at reduced size
+// and `go run ./cmd/sweep -exp <id>` prints it at full size.
 package pseudocircuit_test
 
 import (
@@ -12,190 +9,11 @@ import (
 	"testing"
 	"time"
 
-	"pseudocircuit/internal/experiments"
 	"pseudocircuit/internal/router"
 	"pseudocircuit/noc"
 )
 
-// benchOptions keeps per-iteration cost manageable while preserving every
-// experiment's shape.
-func benchOptions() experiments.Options {
-	return experiments.Options{
-		Warmup:     300,
-		Measure:    2500,
-		Benchmarks: []string{"fma3d", "specjbb", "fft"},
-	}
-}
-
-func BenchmarkTable01CMPConfig(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t := experiments.TableI()
-		if len(t.Rows) == 0 {
-			b.Fatal("empty table")
-		}
-	}
-}
-
-func BenchmarkTable02EnergyModel(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t := experiments.TableII()
-		if len(t.Rows) != 3 {
-			b.Fatal("unexpected table shape")
-		}
-	}
-}
-
-func BenchmarkFig01Locality(b *testing.B) {
-	var r experiments.Fig1Result
-	for i := 0; i < b.N; i++ {
-		r = experiments.Fig1(benchOptions())
-	}
-	b.ReportMetric(100*r.AvgE2E, "e2e-locality-%")
-	b.ReportMetric(100*r.AvgXbar, "xbar-locality-%")
-}
-
-func BenchmarkFig06Pipeline(b *testing.B) {
-	var r experiments.Fig6Result
-	for i := 0; i < b.N; i++ {
-		r = experiments.Fig6(experiments.Options{Warmup: 200, Measure: 1000})
-	}
-	b.ReportMetric(r.PerHop[0], "baseline-cycles/hop")
-	b.ReportMetric(r.PerHop[1], "pseudo-cycles/hop")
-	b.ReportMetric(r.PerHop[2], "bypass-cycles/hop")
-}
-
-func BenchmarkFig08Overall(b *testing.B) {
-	var r experiments.Fig8Result
-	for i := 0; i < b.N; i++ {
-		r = experiments.Fig8(benchOptions())
-	}
-	b.ReportMetric(100*r.AvgReduction[3], "psb-latency-reduction-%")
-	b.ReportMetric(100*r.AvgReuse[3], "psb-reusability-%")
-}
-
-func BenchmarkFig09RoutingVA(b *testing.B) {
-	o := benchOptions()
-	o.Benchmarks = []string{"fma3d"}
-	var r experiments.GridResult
-	for i := 0; i < b.N; i++ {
-		r = experiments.Fig9And10(o)
-	}
-	red, _ := r.AvgOverBenchmarks()
-	b.ReportMetric(100*red[3][0], "psb-staticXY-reduction-%")
-	b.ReportMetric(100*red[3][3], "psb-dynamicXY-reduction-%")
-}
-
-func BenchmarkFig10Reusability(b *testing.B) {
-	o := benchOptions()
-	o.Benchmarks = []string{"fma3d"}
-	var r experiments.GridResult
-	for i := 0; i < b.N; i++ {
-		r = experiments.Fig9And10(o)
-	}
-	_, reuse := r.AvgOverBenchmarks()
-	b.ReportMetric(100*reuse[3][0], "psb-staticXY-reuse-%")
-	b.ReportMetric(100*reuse[3][3], "psb-dynamicXY-reuse-%")
-}
-
-func BenchmarkFig11Energy(b *testing.B) {
-	o := benchOptions()
-	o.Benchmarks = []string{"fma3d", "specjbb"}
-	var r experiments.Fig11Result
-	for i := 0; i < b.N; i++ {
-		r = experiments.Fig11(o)
-	}
-	b.ReportMetric(100*(1-r.Avg[0][4]), "psb-energy-saving-XY-%")
-}
-
-func BenchmarkFig12Synthetic(b *testing.B) {
-	o := experiments.Options{Warmup: 300, Measure: 2000}
-	var r experiments.Fig12Result
-	for i := 0; i < b.N; i++ {
-		r = experiments.Fig12(o)
-	}
-	b.ReportMetric(100*r.LowLoadImprovement[0][4], "UR-lowload-gain-%")
-	b.ReportMetric(100*r.LowLoadImprovement[1][4], "BC-lowload-gain-%")
-	b.ReportMetric(100*r.LowLoadImprovement[2][4], "BP-lowload-gain-%")
-}
-
-func BenchmarkFig13Topologies(b *testing.B) {
-	o := experiments.Options{Warmup: 300, Measure: 2500}
-	var r experiments.Fig13Result
-	for i := 0; i < b.N; i++ {
-		r = experiments.Fig13(o)
-	}
-	b.ReportMetric(r.Normalized[0][4], "mesh-psb-normalized")
-	b.ReportMetric(r.Normalized[3][4], "fbfly-psb-normalized")
-}
-
-func BenchmarkFig14EVC(b *testing.B) {
-	o := benchOptions()
-	o.Benchmarks = []string{"fma3d"}
-	var r experiments.Fig14Result
-	for i := 0; i < b.N; i++ {
-		r = experiments.Fig14(o)
-	}
-	b.ReportMetric(r.Avg[0][1], "mesh-evc-normalized")
-	b.ReportMetric(r.Avg[1][1], "cmesh-evc-normalized")
-	b.ReportMetric(r.Avg[1][2], "cmesh-psb-normalized")
-}
-
-// BenchmarkAblations scores each reading the model keeps (DESIGN.md §7)
-// against the paper's Fig. 8 and Fig. 12 gains; a score is the largest
-// |measured − paper|, in points.
-func BenchmarkAblations(b *testing.B) {
-	o := benchOptions()
-	o.Benchmarks = []string{"fma3d"}
-	var r experiments.AblationResult
-	for i := 0; i < b.N; i++ {
-		r = experiments.Ablations(o)
-	}
-	for i := range r.Readings {
-		b.ReportMetric(100*r.Score(i), "reading"+string(rune('A'+i))+"-score-pts")
-	}
-}
-
-func BenchmarkExtSystemImpact(b *testing.B) {
-	o := benchOptions()
-	o.Benchmarks = []string{"fma3d"}
-	var r experiments.SystemImpactResult
-	for i := 0; i < b.N; i++ {
-		r = experiments.SystemImpact(o)
-	}
-	b.ReportMetric(100*(1-r.PSBMissLat[0]/r.BaseMissLat[0]), "miss-latency-gain-%")
-}
-
-func BenchmarkExtReuseVsLoad(b *testing.B) {
-	var r experiments.ReuseVsLoadResult
-	for i := 0; i < b.N; i++ {
-		r = experiments.ReuseVsLoad(experiments.Options{Warmup: 300, Measure: 2000})
-	}
-	b.ReportMetric(100*r.Gain[0], "lowload-gain-%")
-	b.ReportMetric(100*r.Gain[len(r.Gain)-1], "highload-gain-%")
-}
-
-// Simulator micro-benchmarks: raw stepping rate of the cycle kernel.
-func BenchmarkSimulatorMeshUniform(b *testing.B) {
-	exp := noc.Experiment{
-		Topology: noc.Mesh(8, 8),
-		Scheme:   noc.PseudoSB,
-		Routing:  noc.XY,
-		Policy:   noc.StaticVA,
-		Warmup:   100,
-		Measure:  1,
-	}
-	n := exp.Build()
-	w := exp.SyntheticWorkload(noc.Synthetic{Pattern: noc.UniformRandom, Rate: 0.10})
-	n.Run(w, 2000) // reach the zero-alloc steady state before measuring
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n.Step(w)
-	}
-	b.ReportMetric(float64(n.Stats.FlitsDelivered)/float64(b.N), "flits/cycle")
-}
-
-// BenchmarkSimulatorNaiveKernel is BenchmarkSimulatorMeshUniform with the
+// BenchmarkSimulatorNaiveKernel is BenchmarkSchemeOverheadPseudoSB with the
 // active-set scheduler disabled; the ratio of the two is the kernel's
 // speedup at this load.
 func BenchmarkSimulatorNaiveKernel(b *testing.B) {
@@ -294,6 +112,9 @@ func BenchmarkSimulatorCMP(b *testing.B) {
 	}
 }
 
+// BenchmarkSchemeOverheadBaseline and BenchmarkSchemeOverheadPseudoSB step
+// the same 8×8 uniform-random network at 0.10 flits/node/cycle; the ratio of
+// the two is what the pseudo-circuit scheme costs a cycle.
 func BenchmarkSchemeOverheadBaseline(b *testing.B) { benchScheme(b, noc.Baseline) }
 func BenchmarkSchemeOverheadPseudoSB(b *testing.B) { benchScheme(b, noc.PseudoSB) }
 

@@ -8,9 +8,10 @@
 // daemon). This package holds no code: it carries the tests that span
 // packages. determinism_test.go holds the run-to-run and naive-versus-active
 // kernel checks, arch_test.go the structural rules, benchmod_test.go the
-// vet and tests of the benchmark module (bench/), and bench_test.go one
-// testing.B benchmark per paper figure/table.
+// vet and tests of the benchmark module (bench/), and bench_test.go the
+// simulator micro-benchmarks.
 //
-// See README.md for an overview, DESIGN.md for the system inventory and
-// EXPERIMENTS.md for the paper-versus-measured record.
+// See README.md for an overview and its Architecture tree for the system
+// inventory, DESIGN.md for the design and EXPERIMENTS.md for the
+// paper-versus-measured record.
 package pseudocircuit

@@ -205,57 +205,6 @@ func TestHistory(t *testing.T) {
 	check(t, f)
 }
 
-// TestHistMaskIsWhatSpeculationCanRevive drives random sequences of the four
-// writers. After each, the register file checks clean; and where phase 5
-// would offer outputs to ConnectSpeculative, every output's answer agrees
-// with the rule stated without reading HistMask — a history register, no
-// circuit on the output, its input not connected and its register pair still
-// pointing at the output. Every output HistMask offers while idle is revived:
-// phase 5 retries nothing.
-func TestHistMaskIsWhatSpeculationCanRevive(t *testing.T) {
-	const nIn, nOut, nVC = 3, 4, 2
-	revivable := func(f *core.RegFile, out int) bool {
-		in := int(f.HistIn[out])
-		return in >= 0 && f.ByOut[out] < 0 && !f.Valid(in) && int(f.Out[in]) == out
-	}
-	prop := func(ops []uint16) bool {
-		f := regFile(nIn, nOut)
-		for step, op := range ops {
-			in, vc, out := int(op>>2)%nIn, int(op>>4)%nVC, int(op>>6)%nOut
-			switch op % 4 {
-			case 0:
-				f.Connect(in, vc, out)
-			case 1:
-				if f.Valid(in) {
-					f.Terminate(in)
-				}
-			case 2:
-				f.Clear(in)
-			case 3: // phase 5's offer, every output in ascending order
-				offered := f.HistMask &^ f.HeldMask
-				for o := 0; o < nOut; o++ {
-					want := revivable(f, o)
-					if got := f.ConnectSpeculative(o); got != want {
-						t.Logf("step %d: ConnectSpeculative(%d) = %v, the rule says %v", step, o, got, want)
-						return false
-					} else if offered>>uint(o)&1 != 0 && !got {
-						t.Logf("step %d: output %d offered by HistMask %b and not revived", step, o, offered)
-						return false
-					}
-				}
-			}
-			if err := f.Check(); err != nil {
-				t.Logf("step %d (op %d): %v", step, op%4, err)
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestCheckNamesTheDesyncedStructure corrupts, on a live register file, each
 // derived structure (the reverse index, the held mask, the history mask) and
 // then the valid bits they are derived from, and expects RegFile.Check to name

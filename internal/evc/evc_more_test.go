@@ -114,14 +114,17 @@ func TestEVCPreemption(t *testing.T) {
 
 // TestEVCRejectsPseudoOptions: the express policy rides the baseline
 // pipeline; a network that asks for pseudo-circuits too, or for an EVC count
-// the parity striping cannot split, is refused at build time rather than
-// silently running an unsupported combination.
+// the parity striping cannot split, or one that leaves no NVC, is refused
+// at build time rather than silently running an unsupported combination.
 func TestEVCRejectsPseudoOptions(t *testing.T) {
 	m := topology.NewMesh(4, 4)
-	pseudo, odd := evcConfig(m), evcConfig(m)
+	pseudo, odd, noNVC := evcConfig(m), evcConfig(m), evcConfig(m)
 	pseudo.Opts = core.DefaultOptions(core.PseudoSB)
 	odd.Factory = func(id, in, out int, rcfg *router.Config) network.Node { return evc.New(id, in, out, rcfg, m, 3) }
-	for name, cfg := range map[string]network.Config{"pseudo-circuit options": pseudo, "3 EVCs": odd} {
+	noNVC.Factory = func(id, in, out int, rcfg *router.Config) network.Node {
+		return evc.New(id, in, out, rcfg, m, rcfg.NumVCs)
+	}
+	for name, cfg := range map[string]network.Config{"pseudo-circuit options": pseudo, "3 EVCs": odd, "as many EVCs as VCs": noNVC} {
 		func() {
 			defer func() {
 				if recover() == nil {

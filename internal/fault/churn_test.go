@@ -51,6 +51,15 @@ func TestChurnExpandSeedAndParamsMatter(t *testing.T) {
 	if n, first := len(ref.Events), ref.Events[0]; n != 1851 || first != (Event{Cycle: 14, Kind: LinkDown, Router: 9}) {
 		t.Errorf("expanded %d events from %+v, want 1851 from link 9:0 down at cycle 14", n, first)
 	}
+	// A certain failure and a zero repair draw nothing either: with every
+	// router down for good at cycle 1, the links expand exactly as before.
+	dead, err := Churn{Seed: 7, LinkFail: 1e-3, LinkRepair: 0.02, RouterFail: 1}.Expand(m, 20000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if links := dead.Events[len(dead.Events)-len(ref.Events):]; !reflect.DeepEqual(links, ref.Events) {
+		t.Errorf("certain, permanent router churn moved the link trace (%d events, %d routers first)", len(dead.Events), len(dead.Events)-len(ref.Events))
+	}
 	for name, c := range map[string]Churn{
 		"seed":       {Seed: 8, LinkFail: 1e-3, LinkRepair: 0.02},
 		"linkFail":   {Seed: 7, LinkFail: 2e-3, LinkRepair: 0.02},

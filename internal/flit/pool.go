@@ -20,9 +20,9 @@ import "slices"
 //     that constructs its own packets (tests, ahead-of-time schedulers) is
 //     unaffected.
 //
-// A Pool is not safe for concurrent use. Each network owns one; parallel
-// experiment drivers give each worker its own pool and reuse it across that
-// worker's sequential runs.
+// A Pool is not safe for concurrent use. Each network owns one, made by
+// network.New, and it lives and dies with that network: concurrent runs
+// never share a pool because they never share a network.
 type Pool struct {
 	flits   []*Flit
 	packets []*Packet

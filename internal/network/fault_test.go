@@ -6,6 +6,7 @@ import (
 
 	"pseudocircuit/internal/core"
 	"pseudocircuit/internal/fault"
+	"pseudocircuit/internal/flit"
 	"pseudocircuit/internal/network"
 	"pseudocircuit/internal/routing"
 	"pseudocircuit/internal/sim"
@@ -60,7 +61,7 @@ func TestFaultedDeterminismTriangle(t *testing.T) {
 // churn under reliable delivery with a short timeout. One active-set run of
 // each, its packets sent as responses, must see fault events,
 // retransmissions, acks and deduplicated copies, and deliver every packet
-// with the class it was sent with.
+// with the class and Meta it was sent with.
 func TestReliableChurnDeterminismTriangle(t *testing.T) {
 	pinFaulted(t, []faultedPin{
 		{sub: "psb/seed1-drop", entry: "reliable-psb-seed1-drop", topo: "mesh4x4", scheme: pseudoSB, va: "static", seed: 42, measure: 2500, rate: 0.10,
@@ -222,7 +223,7 @@ func pinFaulted(t *testing.T, pins []faultedPin) {
 			}
 			p.check(t, n.Stats)
 			if rw != nil && rw.wrongClass != 0 {
-				t.Errorf("%d packets delivered without the class they were sent with", rw.wrongClass)
+				t.Errorf("%d packets delivered without the class or Meta they were sent with", rw.wrongClass)
 			}
 		})
 	}
@@ -348,5 +349,28 @@ func TestFaultedDrainTerminates(t *testing.T) {
 					n.Stats.PacketsDelivered, n.Stats.PacketsDropped, done, want)
 			}
 		})
+	}
+	// A flit mid-link dies with its link in the storm's cycle, not after
+	// the repair: a one-flit packet from node 5 is on its injection link
+	// in cycle 1, and one from node 3 on router 1's link into router 0 in
+	// cycle 12.
+	for _, c := range []struct {
+		name     string
+		src, dst int
+		down, up fault.Event
+	}{
+		{"injection link", 5, 7, fault.Event{Cycle: 1, Kind: fault.RouterDown, Router: 5},
+			fault.Event{Cycle: 40, Kind: fault.RouterUp, Router: 5}},
+		{"link into router 0", 3, 0, fault.Event{Cycle: 12, Kind: fault.LinkDown, Router: 1, Port: topology.PortW},
+			fault.Event{Cycle: 40, Kind: fault.LinkUp, Router: 1, Port: topology.PortW}},
+	} {
+		n := buildFaulted(core.Baseline, kernel{}, &fault.Schedule{Events: []fault.Event{c.down, c.up}})
+		n.Inject(&flit.Packet{Src: c.src, Dst: c.dst, Size: 1})
+		for n.Now() <= sim.Cycle(c.down.Cycle) {
+			n.Step(nil)
+		}
+		if n.Stats.PacketsDropped != 1 {
+			t.Errorf("%s: %d packets dropped by the storm, want 1", c.name, n.Stats.PacketsDropped)
+		}
 	}
 }

@@ -65,6 +65,19 @@ func TestDrainToQuiescence(t *testing.T) {
 	if n.Stats.PacketsDelivered != 150 {
 		t.Fatalf("delivered %d, want 150", n.Stats.PacketsDelivered)
 	}
+	// A drain reports the state it ends in and gives up after its cycle
+	// budget, and a packet stays queued until its tail has left the NI.
+	if !n.Drain(nil, 0) {
+		t.Error("a 0-cycle drain of a drained network reported failure")
+	}
+	n.Inject(&flit.Packet{Src: 0, Dst: 15, Size: 5})
+	from := n.Now()
+	if n.Drain(nil, 2) || n.Now() != from+2 {
+		t.Errorf("a 2-cycle drain of a 5-flit packet reported success after %d cycles", n.Now()-from)
+	}
+	if n.QueuedPackets() != 1 {
+		t.Errorf("two cycles into a 5-flit injection: %d packets queued, want 1", n.QueuedPackets())
+	}
 }
 
 // TestPacketConservation: every injected packet is delivered exactly once
@@ -133,13 +146,18 @@ func TestInjectValidation(t *testing.T) {
 	n := build(t, topology.NewMesh(4, 4), core.Baseline, routing.XY, vcalloc.Dynamic)
 	for name, p := range map[string]*flit.Packet{
 		"self":     {Src: 3, Dst: 3, Size: 1},
+		"oob-src":  {Src: 16, Dst: 1, Size: 1},
 		"oob-dst":  {Src: 0, Dst: 16, Size: 1},
 		"zero-len": {Src: 0, Dst: 1, Size: 0},
 	} {
 		func() {
 			defer func() {
-				if recover() == nil {
+				// The refusal is Inject's own message, not a runtime
+				// error from a later index.
+				if r := recover(); r == nil {
 					t.Errorf("%s packet accepted", name)
+				} else if _, ok := r.(string); !ok {
+					t.Errorf("%s packet: %v, want Inject's refusal", name, r)
 				}
 			}()
 			n.Inject(p)
@@ -167,7 +185,7 @@ func TestMeasurementWindow(t *testing.T) {
 // covers the measurement window like every other figure.
 func TestLinkLoads(t *testing.T) {
 	n := build(t, topology.NewMesh(4, 4), core.PseudoSB, routing.XY, vcalloc.Static)
-	w := traffic.NewFlows(traffic.Flow{Src: 0, Dst: 3, Size: 5, Period: 10, Count: 30})
+	w := traffic.NewFlows(traffic.Flow{Src: 3, Dst: 0, Size: 5, Period: 10, Count: 30})
 	if !n.Drain(w, 5000) {
 		t.Fatal("drain failed")
 	}
@@ -180,16 +198,17 @@ func TestLinkLoads(t *testing.T) {
 			t.Fatal("loads not sorted")
 		}
 	}
-	// The flow crosses routers 0->1->2->3 along row 0: each of the three
-	// row links carries all 150 flits; the ejection port at router 3 too.
+	// The flow crosses routers 3->2->1->0 along row 0: each of the three
+	// row links carries all 150 flits; the ejection port at router 0 too
+	// (and the link into router 0 is not one).
 	var total uint64
 	ejections := 0
 	for _, l := range loads {
 		total += l.Flits
 		if l.Ejection {
 			ejections++
-			if l.Router != 3 {
-				t.Errorf("ejection traffic at router %d, want 3", l.Router)
+			if l.Router != 0 {
+				t.Errorf("ejection traffic at router %d, want 0", l.Router)
 			}
 		}
 		if l.Utilization < 0 || l.Utilization > 1 {
@@ -208,7 +227,7 @@ func TestLinkLoads(t *testing.T) {
 	// a second flow's 10 packets are divided by the cycles since the reset.
 	n.ResetStats()
 	from := n.Now()
-	if !n.Drain(traffic.NewFlows(traffic.Flow{Src: 0, Dst: 3, Size: 5, Period: 10, Start: from, Count: 10}), 5000) {
+	if !n.Drain(traffic.NewFlows(traffic.Flow{Src: 3, Dst: 0, Size: 5, Period: 10, Start: from, Count: 10}), 5000) {
 		t.Fatal("second drain failed")
 	}
 	loads = n.LinkLoads()

@@ -110,7 +110,8 @@ func TestFaultedSteadyStateZeroAlloc(t *testing.T) {
 
 // TestFaultedExportsValidate runs a faulted, traced run and holds both
 // export formats to their strict validators: the streams must decode
-// cleanly with the fault transitions present among the events.
+// cleanly with injections, ejections and all four fault transitions
+// present among the events.
 func TestFaultedExportsValidate(t *testing.T) {
 	topo := topology.NewMesh(4, 4)
 	cfg := network.DefaultConfig(topo)
@@ -122,6 +123,8 @@ func TestFaultedExportsValidate(t *testing.T) {
 		Policy: fault.Reroute,
 		Events: []fault.Event{
 			{Cycle: 600, Kind: fault.RouterDown, Router: 5},
+			{Cycle: 700, Kind: fault.LinkDown, Router: 10, Port: topology.PortE},
+			{Cycle: 800, Kind: fault.LinkUp, Router: 10, Port: topology.PortE},
 			{Cycle: 900, Kind: fault.RouterUp, Router: 5},
 		},
 	}
@@ -135,7 +138,7 @@ func TestFaultedExportsValidate(t *testing.T) {
 	if err := n.Tracer().WriteJSONL(&jsonl); err != nil {
 		t.Fatalf("WriteJSONL: %v", err)
 	}
-	for _, kind := range []string{`"ev":"router-down"`, `"ev":"router-up"`, `"ev":"drop"`} {
+	for _, kind := range []string{`"ev":"inject"`, `"ev":"eject"`, `"ev":"router-down"`, `"ev":"router-up"`, `"ev":"link-down"`, `"ev":"link-up"`, `"ev":"drop"`} {
 		if !bytes.Contains(jsonl.Bytes(), []byte(kind)) {
 			t.Errorf("JSONL export missing %s event", kind)
 		}

@@ -32,17 +32,20 @@ func buildReliable(k kernel, sched *fault.Schedule) *network.Network {
 }
 
 // responses hands the network every packet of its workload as a
-// ClassResponse, and counts the packets delivered as any other class and the
-// ones the network reports abandoned.
+// ClassResponse carrying responseMeta, and counts the packets delivered as
+// any other class or without that Meta, and the ones the network reports
+// abandoned.
 type responses struct {
 	network.Workload
 	wrongClass, failed int
 }
 
+const responseMeta = "response"
+
 type responseInjector struct{ network.Injector }
 
 func (i responseInjector) Inject(p *flit.Packet) {
-	p.Class = flit.ClassResponse
+	p.Class, p.Meta = flit.ClassResponse, responseMeta
 	i.Injector.Inject(p)
 }
 
@@ -51,7 +54,7 @@ func (w *responses) Tick(now sim.Cycle, inj network.Injector) {
 }
 
 func (w *responses) Deliver(now sim.Cycle, p *flit.Packet) {
-	if p.Class != flit.ClassResponse {
+	if p.Class != flit.ClassResponse || p.Meta != responseMeta {
 		w.wrongClass++
 	}
 	w.Workload.Deliver(now, p)

@@ -1,5 +1,7 @@
 package router
 
+import "math/bits"
+
 // Records are a router's lane and credit records, the slices themselves: a
 // write through them reaches the router (the desync tests corrupt them).
 type Records struct {
@@ -13,3 +15,6 @@ type Records struct {
 func (r *Router) Records() Records {
 	return Records{BufLen: r.bufLen, Credits: r.credits, OutVC: r.outVC, Occ: r.occ, Act: r.act, VCBusy: r.vcBusy}
 }
+
+// ValidCircuits is the number of r's live pseudo-circuits.
+func (r *Router) ValidCircuits() int { return bits.OnesCount64(r.pc.ValidMask) }

@@ -135,6 +135,11 @@ func fuzzRouter(t *testing.T, opts core.Options, cycles int, rng *sim.RNG) {
 	if !h.r.Quiescent() {
 		t.Fatal("router not quiescent after drain")
 	}
+	// Without speculation, which revives circuits no traversal wrote, every
+	// circuit a traversal wrote is live or was counted as terminated.
+	if ev := h.row.Events; !opts.Speculation && ev.PCCreated != ev.PCTerminated+uint64(h.r.ValidCircuits()) {
+		t.Errorf("%d circuits created, %d terminated + %d live", ev.PCCreated, ev.PCTerminated, h.r.ValidCircuits())
+	}
 	_ = streams
 }
 
