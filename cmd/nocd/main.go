@@ -28,7 +28,8 @@
 //
 // -store-dir persists results on disk (content-addressed by canonical
 // spec hash, checksummed, LRU-bounded by -store-bytes), so a restarted
-// daemon re-serves its history without re-simulating. -peers/-self
+// daemon re-serves its history without re-simulating. A directory that
+// does not exist yet is created with the first result. -peers/-self
 // dispatch sweep grid points across a fleet by consistent hashing of the
 // spec hash, with replica failover and local fallback; see DESIGN.md §16.
 package main

@@ -8,6 +8,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -164,6 +166,20 @@ func TestPeersNeedSelf(t *testing.T) {
 	d, err := newDaemon([]string{"-peers", "http://localhost:1"}, io.Discard)
 	if err == nil || !strings.Contains(err.Error(), "-self") {
 		t.Fatalf("-peers without -self: daemon %v, error %v; want an error naming -self", d, err)
+	}
+}
+
+// TestStoreDirMustBeADirectory: a -store-dir that could never be created (a
+// component is a regular file) is refused before the daemon is built, even
+// though a missing one is otherwise left for the first write to make.
+func TestStoreDirMustBeADirectory(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	d, err := newDaemon([]string{"-store-dir", filepath.Join(file, "store")}, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "opening result store") {
+		t.Fatalf("-store-dir below a regular file: daemon %v, error %v; want an error opening the store", d, err)
 	}
 }
 

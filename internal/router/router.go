@@ -104,7 +104,7 @@ type reservation struct {
 
 // Why an input's circuit was last terminated (Router.cause).
 const (
-	termOutput int8 = iota // an SA grant or another input's traversal took its output
+	termOutput int8 = iota // an SA grant took its output
 	termInput              // an SA grant on its own input
 	termCredit             // its output ran out of credit
 	termFault              // a fault cleared it
@@ -1118,8 +1118,12 @@ func (r *Router) traverse(now sim.Cycle, in, vc, out int, f *flit.Flit, viaPC, b
 	}
 
 	// Pseudo-circuit refresh: every traversal leaves the register holding its
-	// connection (§3.B) and the output claimed, terminating any other circuit
-	// on it; a flit riding a live non-speculative circuit finds both so.
+	// connection (§3.B) and the output claimed; a flit riding a live
+	// non-speculative circuit finds both so. No other input's circuit can
+	// hold the output here, by Tick's phase order: an SA grant terminates the
+	// output's holder when it is granted, phase 5 keeps a reserved output out
+	// of speculation (so nothing reconnects it before the grant traverses),
+	// and a ride or a bypass traverses on the input's own circuit.
 	if r.cfg.Opts.Pseudo {
 		held := r.pc.ByOut[out]
 		created, displaced := r.pc.Connect(in, vc, out)
@@ -1127,8 +1131,7 @@ func (r *Router) traverse(now sim.Cycle, in, vc, out int, f *flit.Flit, viaPC, b
 			rs.PCCreated++
 		}
 		if displaced {
-			rs.PCTerminated++
-			r.cause[held] = termOutput
+			panic(fmt.Sprintf("router %d: traversal from in %d to out %d displaced in %d's circuit", r.ID, in, out, held))
 		}
 	}
 

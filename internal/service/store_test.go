@@ -193,3 +193,44 @@ func TestStoreMatchesDirectRun(t *testing.T) {
 		t.Fatalf("store-served result diverged from direct run:\nstore:  %s\ndirect: %s", got, wantB)
 	}
 }
+
+// TestFailedStoreWriteKeepsTheResult: a store whose directory cannot be made
+// by the first write (Open found the path missing; a regular file took it
+// since) fails that write. The job still ends done with the result a
+// storeless manager computes, the failure is counted, and the result is
+// served from memory after.
+func TestFailedStoreWriteKeepsTheResult(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "store")
+	st := openStore(t, dir)
+	if err := os.WriteFile(dir, []byte("not a directory"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m := New(Config{Workers: 1, Store: st})
+	defer shutdown(t, m)
+	j, err := m.Submit(storeReq(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	j = waitDone(t, m, j.ID)
+
+	bare := New(Config{Workers: 1})
+	defer shutdown(t, bare)
+	want, err := bare.Submit(storeReq(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = waitDone(t, bare, want.ID)
+	if got, w := mustJSON(t, *j.Result), mustJSON(t, *want.Result); got != w {
+		t.Fatalf("result with a failed store write:\n%s\nwithout a store:\n%s", got, w)
+	}
+	if v := m.ins.storePutErrs.Value(); v != 1 {
+		t.Fatalf("nocd_store_put_errors_total = %d, want 1", v)
+	}
+	again, err := m.Submit(storeReq(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.State != StateDone || !again.CacheHit || again.StoreHit {
+		t.Fatalf("resubmission: state %s cacheHit %v storeHit %v; want a memory hit", again.State, again.CacheHit, again.StoreHit)
+	}
+}

@@ -17,6 +17,11 @@
 // key, so a directory from another epoch (or from before there were epochs)
 // is emptied at Open rather than trusted.
 //
+// A directory that does not exist yet costs nothing at Open: it is created
+// and stamped with its first entry, by the first Put, so no entry is ever
+// written without its stamp. A Put that fails there (the directory cannot be
+// made) is a failed write like any other, and the next Put tries again.
+//
 // The store knows nothing about what the payloads mean: it moves bytes. The
 // service layer owns (de)serialization of noc.Result and the metric names;
 // the store exports plain counters (Evictions, Corrupt) for it to re-expose.
@@ -26,13 +31,16 @@ import (
 	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 )
 
@@ -56,7 +64,10 @@ type Store struct {
 	dir      string
 	maxBytes int64
 
-	mu      sync.Mutex
+	mu sync.Mutex
+	// unmade is set while dir does not exist: the next Put creates and
+	// stamps it before writing its entry.
+	unmade  bool
 	entries map[string]*list.Element // each holds its *entry in lru
 	// lru orders resident entries, least recently used first, so a hit's
 	// move to the back and an eviction from the front are O(1) under mu.
@@ -77,10 +88,15 @@ type entry struct {
 	size int64 // file size on disk, header included
 }
 
-// Open opens (creating if needed) the store at dir with the given byte cap.
-// A directory whose stamp is absent or names another Epoch loses every entry
-// first (counted as evictions) and is stamped anew. Then the index is
-// rebuilt from a directory scan: leftover temp files are
+// Open opens the store at dir with the given byte cap. A dir that does not
+// exist yet is left so, and the store starts empty: the first Put creates and
+// stamps it. Open writes nothing for it, but refuses a dir that could not be
+// created (a path component is a regular file or, on unix, the nearest
+// existing ancestor is not writable by this process).
+//
+// An existing directory whose stamp is absent or names another Epoch loses
+// every entry first (counted as evictions) and is stamped anew. Then the
+// index is rebuilt from a directory scan: leftover temp files are
 // removed, every entry is checksum-verified (corrupt and truncated entries
 // are evicted on the spot), survivors are ordered least-recently-used first
 // by file modification time, and the byte cap is enforced before Open
@@ -89,10 +105,16 @@ func Open(dir string, maxBytes int64) (*Store, error) {
 	if maxBytes <= 0 {
 		return nil, fmt.Errorf("store: byte cap %d must be positive", maxBytes)
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	s := &Store{dir: dir, maxBytes: maxBytes, entries: map[string]*list.Element{}}
+	if _, err := os.Stat(dir); errors.Is(err, fs.ErrNotExist) {
+		if err := creatable(dir); err != nil {
+			return nil, fmt.Errorf("store: %w", err)
+		}
+		s.unmade = true
+		return s, nil
+	} else if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	s := &Store{dir: dir, maxBytes: maxBytes, entries: map[string]*list.Element{}}
 	if err := s.checkEpoch(); err != nil {
 		return nil, err
 	}
@@ -103,6 +125,41 @@ func Open(dir string, maxBytes int64) (*Store, error) {
 	s.evictOverCapLocked(0)
 	s.mu.Unlock()
 	return s, nil
+}
+
+// creatable reports why the missing directory dir could not be created, or
+// nil: it walks up to the nearest ancestor that exists, which must be a
+// directory this process may create entries in. It writes nothing.
+func creatable(dir string) error {
+	for p := filepath.Dir(dir); ; p = filepath.Dir(p) {
+		fi, err := os.Stat(p)
+		switch {
+		case errors.Is(err, fs.ErrNotExist) && p != filepath.Dir(p):
+			continue
+		case err != nil:
+			return err
+		case !fi.IsDir(): // Windows reports a path below a file as missing
+			return &fs.PathError{Op: "mkdir", Path: p, Err: syscall.ENOTDIR}
+		}
+		if err := writable(p); err != nil {
+			return &fs.PathError{Op: "mkdir", Path: dir, Err: err}
+		}
+		return nil
+	}
+}
+
+// makeLocked creates the directory Open found missing and stamps it.
+// checkEpoch does the stamping, so a directory another process made in the
+// meantime keeps its entries only under this Epoch's stamp.
+func (s *Store) makeLocked() error {
+	if err := os.MkdirAll(s.dir, 0o755); err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	if err := s.checkEpoch(); err != nil {
+		return err
+	}
+	s.unmade = false
+	return nil
 }
 
 // checkEpoch leaves a directory stamped with Epoch alone; any other is
@@ -236,6 +293,11 @@ func (s *Store) Put(key string, payload []byte) error {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.unmade {
+		if err := s.makeLocked(); err != nil {
+			return err
+		}
+	}
 	s.evictOverCapLocked(size)
 	tmp, err := os.CreateTemp(s.dir, ".tmp-*")
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -323,38 +324,117 @@ func TestLRUOrderSurvivesRestart(t *testing.T) {
 }
 
 // TestConcurrentAccess hammers one store from several goroutines; the race
-// detector and the final invariants are the assertions.
+// detector and the final invariants are the assertions. On a directory that
+// does not exist yet the first Puts race to make it, and a watcher checks
+// that no entry is ever on disk without the stamp.
 func TestConcurrentAccess(t *testing.T) {
-	s := mustOpen(t, t.TempDir(), 1<<20)
-	done := make(chan struct{})
-	for g := 0; g < 4; g++ {
-		go func(g int) {
-			defer func() { done <- struct{}{} }()
-			for i := 0; i < 50; i++ {
-				k := testKey(g*50 + i)
-				if err := s.Put(k, []byte(fmt.Sprintf("g%d-%d", g, i))); err != nil {
-					t.Error(err)
-					return
+	for name, dir := range map[string]string{
+		"existing": t.TempDir(),
+		"missing":  filepath.Join(t.TempDir(), "a", "b"),
+	} {
+		t.Run(name, func(t *testing.T) {
+			s := mustOpen(t, dir, 1<<20)
+			stop, watched := make(chan struct{}), make(chan struct{})
+			go func() {
+				defer close(watched)
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					des, _ := os.ReadDir(dir)
+					for _, de := range des {
+						if !validKey(de.Name()) {
+							continue
+						}
+						// The stamp is never removed, so a stat after the
+						// listing sees it if it preceded the entry.
+						if _, err := os.Stat(filepath.Join(dir, epochFile)); err != nil {
+							t.Errorf("entry %s on disk without the stamp: %v", de.Name()[:8], err)
+							return
+						}
+					}
 				}
-				if _, ok := s.Get(k); !ok {
-					t.Errorf("just-written key %s missing", k[:8])
-					return
-				}
+			}()
+			done := make(chan struct{})
+			for g := 0; g < 4; g++ {
+				go func(g int) {
+					defer func() { done <- struct{}{} }()
+					for i := 0; i < 50; i++ {
+						k := testKey(g*50 + i)
+						if err := s.Put(k, []byte(fmt.Sprintf("g%d-%d", g, i))); err != nil {
+							t.Error(err)
+							return
+						}
+						if _, ok := s.Get(k); !ok {
+							t.Errorf("just-written key %s missing", k[:8])
+							return
+						}
+					}
+				}(g)
 			}
-		}(g)
+			for g := 0; g < 4; g++ {
+				<-done
+			}
+			close(stop)
+			<-watched
+			if s.Len() != 200 {
+				t.Fatalf("Len = %d, want 200", s.Len())
+			}
+			if s2 := mustOpen(t, dir, 1<<20); s2.Len() != 200 || s2.Evictions() != 0 {
+				t.Fatalf("reopen: Len %d, Evictions %d; want 200 and 0", s2.Len(), s2.Evictions())
+			}
+		})
 	}
-	for g := 0; g < 4; g++ {
-		<-done
+}
+
+// TestOpenRefuses: Open fails, and writes nothing, for a cap that is not
+// positive and for a directory that could not be created.
+func TestOpenRefuses(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if s.Len() != 200 {
-		t.Fatalf("Len = %d, want 200", s.Len())
+	readOnly := filepath.Join(t.TempDir(), "ro")
+	if err := os.Mkdir(readOnly, 0o555); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		dir  string
+		cap  int64
+		skip bool
+	}{
+		{"cap not positive", filepath.Join(t.TempDir(), "s"), 0, false},
+		{"below a regular file", filepath.Join(file, "a", "s"), 1 << 20, false},
+		{"a regular file", file, 1 << 20, false},
+		// access(2) grants root write everywhere, and a platform without
+		// uids (-1) leaves this case to the first Put.
+		{"under a read-only parent", filepath.Join(readOnly, "a", "s"), 1 << 20, os.Geteuid() <= 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.skip {
+				t.Skip("euid", os.Geteuid())
+			}
+			before, _ := os.Stat(tc.dir)
+			if s, err := Open(tc.dir, tc.cap); err == nil {
+				t.Fatalf("Open(%s, %d) = %v, want an error", tc.dir, tc.cap, s)
+			}
+			if after, _ := os.Stat(tc.dir); (before == nil) != (after == nil) {
+				t.Fatalf("Open changed %s: %v before, %v after", tc.dir, before, after)
+			}
+		})
 	}
 }
 
 // TestEpochStamp: a directory is trusted only under the stamp of the epoch
 // that wrote it. A fresh directory gets the stamp; a matching stamp keeps
 // the entries; a missing or different one evicts every entry (counted) and
-// re-stamps; files that are not entries are left alone either way.
+// re-stamps; files that are not entries are left alone either way. A
+// directory that does not exist stays so through Open and a Get miss, and
+// its first Put makes it holding the stamp and that one entry.
 func TestEpochStamp(t *testing.T) {
 	fill := func(t *testing.T) string {
 		dir := t.TempDir()
@@ -382,6 +462,7 @@ func TestEpochStamp(t *testing.T) {
 		{"missing stamp evicts", func(dir string) error { return os.Remove(stamp(dir)) }, 0},
 		{"older stamp evicts", func(dir string) error { return os.WriteFile(stamp(dir), []byte("0\n"), 0o644) }, 0},
 		{"torn stamp evicts", func(dir string) error { return os.WriteFile(stamp(dir), nil, 0o644) }, 0},
+		{"missing directory made by the first put", os.RemoveAll, 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -389,22 +470,47 @@ func TestEpochStamp(t *testing.T) {
 			if err := tc.tamper(dir); err != nil {
 				t.Fatal(err)
 			}
+			_, err := os.Stat(dir)
+			missing := os.IsNotExist(err)
 			s := mustOpen(t, dir, 1<<20)
-			if s.Len() != tc.entries || s.Evictions() != uint64(3-tc.entries) {
-				t.Fatalf("Len %d, Evictions %d; want %d and %d", s.Len(), s.Evictions(), tc.entries, 3-tc.entries)
+			if missing {
+				if _, ok := s.Get(testKey(0)); ok || s.Len() != 0 || s.Evictions() != 0 {
+					t.Fatalf("missing directory: hit %v, Len %d, Evictions %d", ok, s.Len(), s.Evictions())
+				}
+				if _, err := os.Stat(dir); !os.IsNotExist(err) {
+					t.Fatalf("Open or a Get miss made the directory (%v)", err)
+				}
+			} else {
+				if s.Len() != tc.entries || s.Evictions() != uint64(3-tc.entries) {
+					t.Fatalf("Len %d, Evictions %d; want %d and %d", s.Len(), s.Evictions(), tc.entries, 3-tc.entries)
+				}
+				if _, ok := s.Get(testKey(0)); ok != (tc.entries > 0) {
+					t.Fatalf("Get after reopen: hit %v, want %v", ok, tc.entries > 0)
+				}
+				if got, err := os.ReadFile(stamp(dir)); err != nil || string(got) != Epoch+"\n" {
+					t.Fatalf("stamp after reopen %q, %v; want %q", got, err, Epoch+"\n")
+				}
+				if got, err := os.ReadFile(filepath.Join(dir, "README.txt")); err != nil || string(got) != "not ours" {
+					t.Fatalf("foreign file touched: %q, %v", got, err)
+				}
 			}
-			if _, ok := s.Get(testKey(0)); ok != (tc.entries > 0) {
-				t.Fatalf("Get after reopen: hit %v, want %v", ok, tc.entries > 0)
-			}
-			if got, err := os.ReadFile(stamp(dir)); err != nil || string(got) != Epoch+"\n" {
-				t.Fatalf("stamp after reopen %q, %v; want %q", got, err, Epoch+"\n")
-			}
-			if got, err := os.ReadFile(filepath.Join(dir, "README.txt")); err != nil || string(got) != "not ours" {
-				t.Fatalf("foreign file touched: %q, %v", got, err)
-			}
-			// Once re-stamped the directory is trusted again.
+			// Once re-stamped (or made) the directory is trusted again.
 			if err := s.Put(testKey(9), []byte("new")); err != nil {
 				t.Fatal(err)
+			}
+			if missing {
+				des, err := os.ReadDir(dir)
+				var names []string
+				for _, de := range des {
+					names = append(names, de.Name())
+				}
+				slices.Sort(names)
+				if err != nil || !slices.Equal(names, []string{testKey(9), epochFile}) {
+					t.Fatalf("first Put left %v, %v; want its entry and the stamp", names, err)
+				}
+				if got, err := os.ReadFile(stamp(dir)); err != nil || string(got) != Epoch+"\n" {
+					t.Fatalf("stamp after the first Put %q, %v; want %q", got, err, Epoch+"\n")
+				}
 			}
 			if s2 := mustOpen(t, dir, 1<<20); s2.Len() != tc.entries+1 || s2.Evictions() != 0 {
 				t.Fatalf("second reopen: Len %d, Evictions %d; want %d and 0", s2.Len(), s2.Evictions(), tc.entries+1)

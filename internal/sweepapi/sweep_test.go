@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -477,6 +478,73 @@ func TestSweepSubmitRejects(t *testing.T) {
 	if _, ok := sw.Get("s1"); ok {
 		t.Fatal("rejected sweep is queryable")
 	}
+}
+
+// TestSweepsCap: past SweepsCap the oldest terminal sweeps are forgotten
+// by every lookup, and a running sweep is kept however old it is.
+func TestSweepsCap(t *testing.T) {
+	svc := newSvc(t, service.Config{Workers: 1})
+	sw := New(svc, Config{SweepsCap: 2})
+	const short = `{"template":{"topology":"mesh4x4","scheme":"baseline","va":"static",
+	  "warmup":50,"measure":200,"workload":{"pattern":"uniform","rate":0.1}}}`
+	submit := func(body string) string {
+		t.Helper()
+		st, err := sw.Submit([]byte(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.ID
+	}
+	finish := func() string {
+		t.Helper()
+		id := submit(short)
+		waitSweep(t, sw, id)
+		return id
+	}
+	retained := func(want ...string) {
+		t.Helper()
+		var got []string
+		for _, st := range sw.Sweeps() {
+			got = append(got, st.ID)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("Sweeps = %v, want %v", got, want)
+		}
+	}
+	var ids []string
+	for i := 0; i < 4; i++ {
+		ids = append(ids, finish())
+	}
+	retained(ids[2], ids[3])
+	for _, id := range ids[:2] {
+		if _, ok := sw.Get(id); ok {
+			t.Errorf("Get(%s) found an evicted sweep", id)
+		}
+		if _, _, _, ok := sw.PointsSince(id, 0); ok {
+			t.Errorf("PointsSince(%s) found an evicted sweep", id)
+		}
+		if _, ok := sw.Done(id); ok {
+			t.Errorf("Done(%s) found an evicted sweep", id)
+		}
+		if _, err := sw.Wait(context.Background(), id); !errors.Is(err, ErrUnknownSweep) {
+			t.Errorf("Wait(%s) = %v, want ErrUnknownSweep", id, err)
+		}
+	}
+
+	running := submit(`{"template":{"topology":"mesh8x8","scheme":"pseudo","va":"static",
+	  "warmup":100,"measure":8000000,"workload":{"pattern":"uniform","rate":0.05}}}`)
+	retained(ids[3], running)
+	newer := finish()
+	retained(running, newer)
+	newest := finish()
+	retained(running, newest)
+	if st, ok := sw.Get(running); !ok || st.Terminal() {
+		t.Fatalf("running sweep: %+v, %v", st, ok)
+	}
+	if _, err := sw.Cancel(running); err != nil {
+		t.Fatal(err)
+	}
+	waitSweep(t, sw, running)
 }
 
 // TestSweepShutdown: Shutdown refuses new sweeps and drains active ones.
