@@ -583,10 +583,6 @@ func (w *Workload) Done() bool {
 // TotalMisses returns the number of L1 misses issued so far.
 func (w *Workload) TotalMisses() uint64 { return w.totalMisses }
 
-// Writebacks returns posted write-back packets scheduled so far
-// (write-back protocol only).
-func (w *Workload) Writebacks() uint64 { return w.writebacks }
-
 // AvgMissLatency returns the mean cycles from miss issue to data/ack
 // arrival — the system-level quantity the network accelerates (paper §8:
 // "overall system performance such as IPC"; miss latency is its dominant
@@ -618,23 +614,4 @@ func (w *Workload) ResetSystemStats() {
 	for _, c := range w.cores {
 		c.stallCycles = 0
 	}
-}
-
-// BankRequests returns per-bank request counts (hotspot diagnostics).
-func (w *Workload) BankRequests() []uint64 {
-	out := make([]uint64, len(w.banks))
-	for i, b := range w.banks {
-		out[i] = b.requests
-	}
-	return out
-}
-
-// CoreStalls returns per-core MSHR-full stall cycles (self-throttling
-// diagnostics).
-func (w *Workload) CoreStalls() []uint64 {
-	out := make([]uint64, len(w.cores))
-	for i, c := range w.cores {
-		out[i] = c.stallCycles
-	}
-	return out
 }

@@ -141,7 +141,8 @@ func RegFileBytes(nIn, nOut int) int { return 2*nIn + 2*nOut }
 // InitRegFile lays an empty register file over storage its caller carved:
 // bytes of RegFileBytes(nIn, nOut) int8s and spec of nIn bools. Every
 // register, history register and ByOut entry reads -1, and each slice is
-// capped at its own end.
+// capped at its own end. f is zero, as the slab hands it out, and is set in
+// place.
 func InitRegFile(f *RegFile, nIn, nOut int, bytes []int8, spec []bool) {
 	for i := range bytes {
 		bytes[i] = -1
@@ -152,7 +153,8 @@ func InitRegFile(f *RegFile, nIn, nOut int, bytes []int8, spec []bool) {
 		bytes = bytes[n:]
 		return c
 	}
-	*f = RegFile{InVC: cut(nIn), Out: cut(nIn), Spec: spec[:nIn:nIn], HistIn: cut(nOut), ByOut: cut(nOut)}
+	f.InVC, f.Out, f.Spec = cut(nIn), cut(nIn), spec[:nIn:nIn]
+	f.HistIn, f.ByOut = cut(nOut), cut(nOut)
 }
 
 // Valid reports input port in's valid bit.

@@ -126,11 +126,10 @@ func (r *Router) expressRouteStable(out, dst, class int) bool {
 func (r *Router) mid(out int) int { return r.mesh.NextHop(r.ID, out, 0).Router }
 
 // expressCapable reports whether a packet leaving via out toward dst has at
-// least two remaining hops in that dimension (l_max = 2 express paths).
+// least two remaining hops in that dimension (l_max = 2 express paths). out is
+// a direction port, 0–3: the only caller, PickVC, returns for an ejection
+// port first, and a mesh's other output ports are its terminals.
 func (r *Router) expressCapable(out, dst int) bool {
-	if out >= 4 {
-		return false
-	}
 	dr, _, _ := r.mesh.NodeRouter(dst)
 	dx, dy := r.mesh.Coord(dr)
 	switch out {

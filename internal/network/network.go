@@ -516,7 +516,7 @@ func New(cfg Config) *Network {
 		r, inP, outP := t.NodeRouter(node)
 		n.routers[r].MarkEjection(outP)
 		n.ups[n.inBase[r]+inP] = upstream{router: -1, out: int32(node)}
-		n.nis[node] = newNI(n, node, r, inP, credits[node*V:(node+1)*V:(node+1)*V])
+		initNI(&n.nis[node], n, node, r, inP, credits[node*V:(node+1)*V:(node+1)*V])
 	}
 	return n
 }

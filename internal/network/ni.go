@@ -46,19 +46,15 @@ type ni struct {
 	txIdx   map[uint64]int
 }
 
-// newNI returns the NI of node, feeding input port inPort of router r, with
-// credits as its (full) credit counters.
-func newNI(n *Network, node, r, inPort int, credits []int16) ni {
-	s := ni{
-		net:     n,
-		node:    node,
-		router:  r,
-		inPort:  inPort,
-		outVC:   -1,
-		credits: credits,
-		rng:     *n.rng.Split(),
-		lastDst: -1,
-	}
+// initNI makes s, a zero slot of Network.nis, the NI of node, feeding input
+// port inPort of router r, with credits as its (full) credit counters. It
+// sets the slot field by field: a whole ni copied into every slot is a
+// measurable share of a large network's build (DESIGN.md §17).
+func initNI(s *ni, n *Network, node, r, inPort int, credits []int16) {
+	s.net, s.node, s.router, s.inPort = n, node, r, inPort
+	s.outVC, s.lastDst = -1, -1
+	s.credits = credits
+	s.rng = *n.rng.Split()
 	if n.rel != nil {
 		nodes := n.topo.Nodes()
 		s.relNext = make([]uint64, nodes)
@@ -66,7 +62,6 @@ func newNI(n *Network, node, r, inPort int, credits []int16) ni {
 		s.relWin = make([]uint64, nodes)
 		s.txIdx = make(map[uint64]int)
 	}
-	return s
 }
 
 // enqueue adds a packet to the source queue and records end-to-end temporal

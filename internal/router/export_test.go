@@ -18,3 +18,19 @@ func (r *Router) Records() Records {
 
 // ValidCircuits is the number of r's live pseudo-circuits.
 func (r *Router) ValidCircuits() int { return bits.OnesCount64(r.pc.ValidMask) }
+
+// PCValid reports whether input port in currently holds a valid
+// pseudo-circuit, and to which output.
+func (r *Router) PCValid(in int) (out int, valid bool) {
+	return int(r.pc.Out[in]), r.pc.Valid(in)
+}
+
+// BufferedFlits returns the number of flits buffered across all VCs of input
+// port in.
+func (r *Router) BufferedFlits(in int) int {
+	n := 0
+	for vc := 0; vc < r.V; vc++ {
+		n += r.depth(in*r.V + vc)
+	}
+	return n
+}

@@ -1356,19 +1356,3 @@ func (r *Router) CheckInvariants() {
 		panic(fmt.Sprintf("router %d: active-port word desynced (%b, active masks say %b)", r.ID, r.actPorts, actPorts))
 	}
 }
-
-// PCValid reports whether input port in currently holds a valid
-// pseudo-circuit, and to which output (testing hook).
-func (r *Router) PCValid(in int) (out int, valid bool) {
-	return int(r.pc.Out[in]), r.pc.Valid(in)
-}
-
-// BufferedFlits returns the number of flits buffered across all VCs of input
-// port in (testing hook).
-func (r *Router) BufferedFlits(in int) int {
-	n := 0
-	for vc := 0; vc < r.V; vc++ {
-		n += r.depth(in*r.V + vc)
-	}
-	return n
-}

@@ -185,11 +185,10 @@ func NewRegistry(inPorts, outPorts []int) *Registry {
 	}
 	nIn, nOut = 0, 0
 	for r := range g.rows {
-		g.rows[r] = RouterStats{
-			ID:       r,
-			In:       g.in[nIn : nIn+inPorts[r] : nIn+inPorts[r]],
-			OutSends: g.out[nOut : nOut+outPorts[r] : nOut+outPorts[r]],
-		}
+		row := &g.rows[r]
+		row.ID = r
+		row.In = g.in[nIn : nIn+inPorts[r] : nIn+inPorts[r]]
+		row.OutSends = g.out[nOut : nOut+outPorts[r] : nOut+outPorts[r]]
 		nIn += inPorts[r]
 		nOut += outPorts[r]
 	}

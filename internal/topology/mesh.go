@@ -76,16 +76,25 @@ func (m *Mesh) NextHop(r, out, dstNode int) Hop {
 }
 
 // Links implements Topology: the direction ports that have a neighbor (edge
-// ports are unwired), then the terminal ports.
+// ports are unwired), then the terminal ports. Each hop is NextHop's, built
+// from r directly: a NextHop call per link would divide r into coordinates
+// again each time (TestLinksAreTheRoutedHops holds the two to each other).
 func (m *Mesh) Links(r int, visit func(out int, h Hop)) {
 	x, y := m.coord(r)
-	for out, wired := range [4]bool{PortE: x+1 < m.kx, PortW: x > 0, PortN: y > 0, PortS: y+1 < m.ky} {
-		if wired {
-			visit(out, m.NextHop(r, out, 0))
-		}
+	if x+1 < m.kx {
+		visit(PortE, Hop{Router: r + 1, InPort: PortW, Latency: m.span})
 	}
-	for out := 4; out < m.OutPorts(r); out++ {
-		visit(out, m.NextHop(r, out, 0))
+	if x > 0 {
+		visit(PortW, Hop{Router: r - 1, InPort: PortE, Latency: m.span})
+	}
+	if y > 0 {
+		visit(PortN, Hop{Router: r - m.kx, InPort: PortS, Latency: m.span})
+	}
+	if y+1 < m.ky {
+		visit(PortS, Hop{Router: r + m.kx, InPort: PortN, Latency: m.span})
+	}
+	for k := 0; k < m.conc; k++ {
+		visit(4+k, Hop{Router: -1, InPort: r*m.conc + k, Latency: 1})
 	}
 }
 
