@@ -127,14 +127,11 @@ func handleSweepSubmit(sw *sweepapi.Manager, w http.ResponseWriter, r *http.Requ
 	}
 	st, err := sw.Submit(body)
 	switch {
-	case errors.Is(err, service.ErrBadRequest):
-		writeError(w, http.StatusBadRequest, err)
-		return
 	case errors.Is(err, service.ErrShuttingDown):
 		writeError(w, http.StatusServiceUnavailable, err)
 		return
-	case err != nil:
-		writeError(w, http.StatusInternalServerError, err)
+	case err != nil: // Submit's every other error wraps service.ErrBadRequest
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	answerSweep(sw, w, r, st, http.StatusAccepted)
@@ -239,17 +236,14 @@ func handleSubmit(m *service.Manager, w http.ResponseWriter, r *http.Request) {
 	}
 	j, err := m.Submit(req)
 	switch {
-	case errors.Is(err, service.ErrBadRequest):
-		writeError(w, http.StatusBadRequest, err)
-		return
 	case errors.Is(err, service.ErrQueueFull):
 		writeError(w, http.StatusTooManyRequests, err)
 		return
 	case errors.Is(err, service.ErrShuttingDown):
 		writeError(w, http.StatusServiceUnavailable, err)
 		return
-	case err != nil:
-		writeError(w, http.StatusInternalServerError, err)
+	case err != nil: // Submit's every other error wraps service.ErrBadRequest
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	if r.URL.Query().Get("wait") != "" {

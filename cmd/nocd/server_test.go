@@ -5,14 +5,17 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"pseudocircuit/internal/service"
@@ -510,5 +513,77 @@ func TestDaemonWaitClientDisconnect(t *testing.T) {
 	d.handler.ServeHTTP(rr, hr)
 	if rr.Body.Len() != 0 {
 		t.Fatalf("submit?wait for disconnected client wrote a body: %s", rr.Body.String())
+	}
+}
+
+// TestDaemonRefusals: each refusal the handlers make has its own status: an
+// unreadable or oversized body, a job or sweep that does not exist, a result
+// asked for before its job finished, a full queue and a draining daemon. A
+// drain whose deadline passes with work running says so on stderr.
+func TestDaemonRefusals(t *testing.T) {
+	_, d, _ := startDaemon(t, "-workers", "1", "-queue", "1")
+	do := func(method, path string, body io.Reader) (int, string) {
+		rec := httptest.NewRecorder()
+		d.handler.ServeHTTP(rec, httptest.NewRequest(method, path, body))
+		return rec.Code, rec.Body.String()
+	}
+	for _, c := range []struct {
+		method, path string
+		body         io.Reader
+		want         int
+	}{
+		{"POST", "/jobs", iotest.ErrReader(errors.New("connection reset")), http.StatusBadRequest},
+		{"POST", "/sweeps", iotest.ErrReader(errors.New("connection reset")), http.StatusBadRequest},
+		{"POST", "/jobs", strings.NewReader(strings.Repeat(" ", maxBodyBytes+1)), http.StatusRequestEntityTooLarge},
+		{"GET", "/jobs/nope/result", nil, http.StatusNotFound},
+		{"POST", "/sweeps/nope/cancel", nil, http.StatusNotFound},
+	} {
+		if got, body := do(c.method, c.path, c.body); got != c.want {
+			t.Errorf("%s %s: status %d, want %d: %s", c.method, c.path, got, c.want, body)
+		}
+	}
+
+	// One worker and a queue of one: long jobs fill both, and the next
+	// submission is refused until one leaves.
+	long := func(seed int) string {
+		return `{"topology":"mesh4x4","scheme":"baseline","measure":8000000,"seed":` + strconv.Itoa(seed) +
+			`,"workload":{"pattern":"uniform","rate":0.1}}`
+	}
+	status, body := do("POST", "/jobs", strings.NewReader(long(1)))
+	var first service.Job
+	if err := json.Unmarshal([]byte(body), &first); status != http.StatusAccepted || err != nil {
+		t.Fatalf("long job: status %d, %v: %s", status, err, body)
+	}
+	if status, body := do("GET", "/jobs/"+first.ID+"/result", nil); status != http.StatusConflict {
+		t.Errorf("result of a running job: status %d, want 409: %s", status, body)
+	}
+	full := false
+	for seed := 2; seed <= 4 && !full; seed++ {
+		status, _ = do("POST", "/jobs", strings.NewReader(long(seed)))
+		full = status == http.StatusTooManyRequests
+	}
+	if !full {
+		t.Errorf("no 429 with one worker and a queue of one full of long jobs (last status %d)", status)
+	}
+	sweep := `{"template":{"topology":"mesh4x4","scheme":"baseline","measure":8000000,` +
+		`"workload":{"pattern":"uniform","rate":0.1}},"axes":{"seed":[5,6]}}`
+	if status, body := do("POST", "/sweeps", strings.NewReader(sweep)); status != http.StatusAccepted {
+		t.Fatalf("long sweep: status %d: %s", status, body)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	var stderr bytes.Buffer
+	d.shutdown(ctx, &stderr)
+	for _, want := range []string{"running sweeps cancelled", "in-flight jobs cancelled"} {
+		if !strings.Contains(stderr.String(), want) {
+			t.Errorf("drain past its deadline: stderr lacks %q:\n%s", want, stderr.String())
+		}
+	}
+	if status, _ := do("POST", "/jobs", strings.NewReader(long(7))); status != http.StatusServiceUnavailable {
+		t.Errorf("submit while draining: status %d, want 503", status)
+	}
+	if status, _ := do("POST", "/sweeps", strings.NewReader(sweep)); status != http.StatusServiceUnavailable {
+		t.Errorf("sweep while draining: status %d, want 503", status)
 	}
 }

@@ -5,8 +5,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"strings"
 	"testing"
@@ -533,6 +535,73 @@ func TestLocalTiersBeforeTheFleet(t *testing.T) {
 		_, last, points := postSweepStream(t, inFleet.URL, sweepOf(notHeld))
 		if last.Done != 1 || last.Remote != 1 || points[0].Source != service.RouteRemote || reachedB() != strconv.Itoa(run) {
 			t.Fatalf("run %d of a key A does not hold: %+v, source %q, %s submissions at B", run, last, points[0].Source, reachedB())
+		}
+	}
+}
+
+// goneClient is a ResponseWriter whose body writes fail once ok of them have
+// gone through, as a connection the client has closed does.
+type goneClient struct {
+	header http.Header
+	ok     int
+}
+
+func (g *goneClient) Header() http.Header { return g.header }
+func (g *goneClient) WriteHeader(int)     {}
+func (g *goneClient) Write(b []byte) (int, error) {
+	if g.ok == 0 {
+		return 0, errors.New("client gone")
+	}
+	g.ok--
+	return len(b), nil
+}
+
+// TestStreamsEndWithTheirClient: a stream whose writes start failing ends
+// at its next line (a job's status, a sweep's first line or a point), and a
+// sweep wait or stream whose client hangs up returns while the sweep runs
+// on.
+func TestStreamsEndWithTheirClient(t *testing.T) {
+	_, d, c := startDaemon(t, "-workers", "1")
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	j, err := c.SubmitWait(ctx, smallReq(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweep, err := d.sweeps.Submit([]byte(sweepBody))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.sweeps.Wait(ctx, sweep.ID); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []struct {
+		target string
+		ok     int
+	}{
+		{"/jobs/" + j.ID + "?watch=1", 0},
+		{"/sweeps/" + sweep.ID + "?watch=1", 0},
+		{"/sweeps/" + sweep.ID + "?watch=1", 1},
+	} {
+		w := &goneClient{header: http.Header{}, ok: s.ok}
+		d.handler.ServeHTTP(w, httptest.NewRequest("GET", s.target, nil))
+		if w.ok != 0 {
+			t.Errorf("%s: stream stopped before its writes failed", s.target)
+		}
+	}
+
+	long, err := d.sweeps.Submit([]byte(`{"template":{"topology":"mesh4x4","scheme":"baseline","measure":8000000,
+		"workload":{"pattern":"uniform","rate":0.1}},"axes":{"seed":[1,2]}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.sweeps.Cancel(long.ID)
+	for _, target := range []string{"/sweeps/" + long.ID + "?wait=1", "/sweeps/" + long.ID + "?watch=1"} {
+		hangUp, stop := context.WithTimeout(ctx, 20*time.Millisecond)
+		d.handler.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", target, nil).WithContext(hangUp))
+		stop()
+		if st, _ := d.sweeps.Get(long.ID); st.Terminal() {
+			t.Errorf("%s: the client's hang-up ended the sweep: %+v", target, st)
 		}
 	}
 }

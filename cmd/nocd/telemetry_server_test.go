@@ -13,6 +13,7 @@ import (
 
 	"pseudocircuit/internal/sweepapi"
 	"pseudocircuit/internal/telemetry"
+	"pseudocircuit/nocdclient"
 )
 
 func get(t *testing.T, url string) (*http.Response, string) {
@@ -187,6 +188,40 @@ func TestRequestLogMiddleware(t *testing.T) {
 	}
 	if rec.Path != "/healthz" || rec.Job != "" {
 		t.Fatalf("healthz log record: %+v", rec)
+	}
+}
+
+// TestRequestLogSeesCoalescingAndStreams: a submission that joins an
+// identical job in flight is logged as coalesced, and a watch stream is
+// flushed through the log's recorder and logged when it ends.
+func TestRequestLogSeesCoalescingAndStreams(t *testing.T) {
+	var logBuf bytes.Buffer
+	d, err := newDaemon([]string{"-workers", "1", "-log-json"}, &logBuf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := serve(t, d)
+	c := nocdclient.New(srv.URL)
+	ctx := context.Background()
+	long := smallReq(1)
+	long.Spec.Measure = 8_000_000
+	var j nocdclient.Job
+	for range 2 {
+		if j, err = c.Submit(ctx, long); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := c.Cancel(ctx, j.ID); err != nil {
+		t.Fatal(err)
+	}
+	if resp, body := get(t, srv.URL+"/jobs/"+j.ID+"?watch=1"); resp.StatusCode != http.StatusOK || !strings.Contains(body, `"canceled"`) {
+		t.Fatalf("watch of a canceled job: status %d:\n%s", resp.StatusCode, body)
+	}
+	log := logBuf.String()
+	for _, want := range []string{`"outcome":"coalesced"`, `"method":"GET","path":"/jobs/` + j.ID + `","status":200`} {
+		if !strings.Contains(log, want) {
+			t.Errorf("request log lacks %s:\n%s", want, log)
+		}
 	}
 }
 

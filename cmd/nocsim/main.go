@@ -13,6 +13,7 @@ package main
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -279,11 +280,8 @@ func writeFile(path string, write func(w io.Writer) error) error {
 	if err != nil {
 		return err
 	}
-	if err := write(f); err != nil {
-		f.Close()
-		return fmt.Errorf("writing %s: %w", path, err)
-	}
-	if err := f.Close(); err != nil {
+	err = write(f)
+	if err := cmp.Or(err, f.Close()); err != nil {
 		return fmt.Errorf("writing %s: %w", path, err)
 	}
 	return nil

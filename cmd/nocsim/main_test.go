@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
@@ -23,7 +24,21 @@ func TestRejectsBadInput(t *testing.T) {
 	if err := os.WriteFile(workers, []byte(`{"topology":"mesh4x4","scheme":"pseudo","workers":2}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	garbage := filepath.Join(t.TempDir(), "garbage.jsonl")
+	if err := os.WriteFile(garbage, []byte("not json\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	for _, args := range [][]string{
+		{"-faults", "{"},
+		{"-faults", `{"events":[]} {}`}, // trailing data
+		{"-faults", "@" + filepath.Join(t.TempDir(), "missing.json")},
+		{"-churn", `{"linkFail":2}`},
+		{"-churn", "nope"},
+		{"-reliable", `{"budget":-1}`},
+		{"-reliable", "nope"},
+		{"-topo", "mesh4x4", "-measure", "100", "-metrics-out", filepath.Join(t.TempDir(), "no", "m.jsonl")},
+		{"-validate-metrics", filepath.Join(t.TempDir(), "missing.jsonl")},
+		{"-validate-events", garbage},
 		{"-topo", "mecs4x4x4", "-evc", "-scheme", "baseline"},
 		{"-topo", "mesh8x8", "-evc", "-scheme", "pseudo"},
 		{"-topo", "mesh0x4"},
@@ -51,6 +66,58 @@ func TestRejectsBadInput(t *testing.T) {
 	}
 	if !strings.Contains(stdout.String(), `"topology": "mecs8x2x4"`) {
 		t.Errorf("mecs8x2x4 report names another topology:\n%s", stdout.String())
+	}
+}
+
+// TestDocumentedFlags: the README's -churn, -reliable and -links each show
+// in the report: the fault line, the reliability line and the most-loaded
+// channels, an ejection port among them.
+func TestDocumentedFlags(t *testing.T) {
+	for _, c := range []struct {
+		args     []string
+		want     []string
+		channels int // lines under "most-loaded channels:"
+	}{
+		{[]string{"-churn", `{"seed":7,"linkFail":1e-3,"linkRepair":0.01}`, "-reliable", "default"},
+			[]string{"faults              ", "reliability         "}, 0},
+		{[]string{"-reliable", `{"timeout":128,"budget":4}`, "-links", "3"},
+			[]string{"reliability         ", "most-loaded channels:\n", "(eject)"}, 3},
+	} {
+		var stdout, stderr bytes.Buffer
+		args := append([]string{"-topo", "mesh4x4", "-rate", "0.2", "-warmup", "100", "-measure", "500"}, c.args...)
+		if code := run(args, &stdout, &stderr); code != 0 {
+			t.Fatalf("%v: exit %d, stderr %q", c.args, code, stderr.String())
+		}
+		for _, want := range c.want {
+			if !strings.Contains(stdout.String(), want) {
+				t.Errorf("%v: report lacks %q:\n%s", c.args, want, stdout.String())
+			}
+		}
+		if n := strings.Count(stdout.String(), "\n  router "); n != c.channels {
+			t.Errorf("%v: %d channel lines, want %d", c.args, n, c.channels)
+		}
+	}
+}
+
+// failWriter refuses every write, as a full disk or a closed pipe does.
+type failWriter struct{}
+
+func (failWriter) Write([]byte) (int, error) { return 0, errors.New("disk full") }
+
+// TestWriteFailuresAreReported: an export or a report that cannot be
+// written is the run's error, not a silently short file.
+func TestWriteFailuresAreReported(t *testing.T) {
+	small := []string{"-topo", "mesh4x4", "-warmup", "100", "-measure", "200"}
+	var stderr bytes.Buffer
+	if code := run(append(small, "-json"), failWriter{}, &stderr); code != 1 || !strings.Contains(stderr.String(), "encoding result") {
+		t.Errorf("-json into a failing stdout: exit %d, stderr %q", code, stderr.String())
+	}
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full to fail a file write")
+	}
+	stderr.Reset()
+	if code := run(append(small, "-metrics-out", "/dev/full"), io.Discard, &stderr); code != 1 || !strings.Contains(stderr.String(), "writing /dev/full") {
+		t.Errorf("-metrics-out /dev/full: exit %d, stderr %q", code, stderr.String())
 	}
 }
 

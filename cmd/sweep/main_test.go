@@ -45,6 +45,11 @@ func TestRunsOneAndAll(t *testing.T) {
 		t.Errorf("table2: exit %d, stdout %q, stderr %q", code, stdout.String(), stderr.String())
 	}
 	stdout.Reset()
+	if code := run([]string{"-exp", "table2", "-csv"}, &stdout, &stderr); code != 0 ||
+		!strings.HasPrefix(stdout.String(), "component,energy/event (pJ),share\nBuffer (write+read),1.96,23.4%\n") {
+		t.Errorf("table2 -csv: exit %d, stdout %q, stderr %q", code, stdout.String(), stderr.String())
+	}
+	stdout.Reset()
 	small := []string{"-warmup", "20", "-measure", "60", "-benchmarks", "fma3d", "-progress"}
 	if code := run(append([]string{"-exp", "fig10"}, small...), &stdout, &stderr); code != 0 ||
 		!strings.Contains(stdout.String(), "== fig10.4:") || !strings.HasSuffix(stderr.String(), "fig9: 30/30\n") {

@@ -213,6 +213,37 @@ func TestDispatchReplicaFailover(t *testing.T) {
 	}
 }
 
+// TestDispatchUnusablePeerAnswers: a peer whose job failed, or that calls
+// a job done without a result, has not answered the point: the dispatcher
+// records why on the span and falls back to a local run. A dispatcher
+// without its own address is refused.
+func TestDispatchUnusablePeerAnswers(t *testing.T) {
+	if _, err := New(Config{Peers: []string{"http://peer"}}); err == nil {
+		t.Error("New without Self: no error")
+	}
+	for outcome, job := range map[string]string{
+		"failed": `{"id":"j1","state":"failed","error":"simulation panic"}`,
+		"error":  `{"id":"j1","state":"done"}`,
+	} {
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			io.WriteString(w, job)
+		}))
+		spans := telemetry.NewSpanLog(4)
+		d, err := New(Config{Self: "http://self", Peers: []string{srv.URL}, Replicas: 1, Retry: fastRetry(), Spans: spans})
+		if err != nil {
+			t.Fatal(err)
+		}
+		req, key := keyOwnedBy(t, d.Ring(), srv.URL)
+		if _, route, err := d.Dispatch(context.Background(), key, req); err != nil || route != service.RouteFallback {
+			t.Errorf("peer answering %s: route %q, err %v; want fallback", job, route, err)
+		}
+		if got := spans.Spans(); len(got) != 1 || got[0].Outcome != outcome {
+			t.Errorf("peer answering %s: spans %+v, want one with outcome %q", job, got, outcome)
+		}
+		srv.Close()
+	}
+}
+
 // TestDispatchBadRequestPropagates: a deterministic 4xx from the owner is
 // returned to the caller, not retried on other replicas.
 func TestDispatchBadRequestPropagates(t *testing.T) {

@@ -11,11 +11,18 @@ import (
 	"pseudocircuit/internal/topology"
 )
 
-// countingInjector wraps a network to count packets by class while still
-// running the simulation.
+// classCounter wraps a workload to count the packets it injects, by class
+// and by class and destination node, while still running the simulation.
 type classCounter struct {
 	inner network.Workload
 	count map[flit.Class]uint64
+	to    map[dest]uint64
+}
+
+// dest is a packet's class and destination node.
+type dest struct {
+	class flit.Class
+	node  int
 }
 
 func (c *classCounter) Tick(now sim.Cycle, inj network.Injector) {
@@ -32,9 +39,20 @@ type countInjector struct {
 func (ci countInjector) Inject(p *flit.Packet) {
 	if ci.c.count == nil {
 		ci.c.count = map[flit.Class]uint64{}
+		ci.c.to = map[dest]uint64{}
 	}
 	ci.c.count[p.Class]++
+	ci.c.to[dest{p.Class, p.Dst}]++
 	ci.inj.Inject(p)
+}
+
+// toBanks sums the packets of class c sent to L2 banks.
+func (c *classCounter) toBanks(layout cmp.Layout, banks int, class flit.Class) uint64 {
+	var n uint64
+	for j := 0; j < banks; j++ {
+		n += c.to[dest{class, layout.BankNode(j)}]
+	}
+	return n
 }
 
 // TestCoherenceMessagesFlow: a write-heavy, high-sharing workload generates
@@ -126,31 +144,40 @@ func TestMissLatencyAccounting(t *testing.T) {
 // generates posted write-backs, and shifts traffic from request to response
 // flits versus write-through.
 func TestWriteBackProtocol(t *testing.T) {
-	run := func(p cmp.Protocol) (*classCounter, *cmp.Workload, bool) {
-		topo := topology.NewCMesh(4, 4, 4)
+	topo := topology.NewCMesh(4, 4, 4)
+	cfg := cmp.PaperTableI()
+	layout := cmp.NewLayout(topo, cfg)
+	// Every invalidation a bank sends to a core is acknowledged by one
+	// coherence packet back to the bank, so what the banks receive beyond
+	// what the cores receive are the posted write-backs.
+	writebacks := func(cc *classCounter) uint64 {
+		toBanks := cc.toBanks(layout, cfg.L2Banks, flit.ClassCoherence)
+		return toBanks - (cc.count[flit.ClassCoherence] - toBanks)
+	}
+	run := func(p cmp.Protocol) (*classCounter, bool) {
 		n := network.New(network.DefaultConfig(topo))
 		n.CheckInvariants = true
 		prof, _ := cmp.ProfileByName("radix")
 		prof.ReadFrac = 0.5
-		w := cmp.New(topo, cmp.PaperTableI(), prof, sim.NewRNG(23))
+		w := cmp.New(topo, cfg, prof, sim.NewRNG(23))
 		w.Protocol = p
 		w.MaxMisses = 1500
 		cc := &classCounter{inner: w}
 		ok := n.Drain(cc, 500000)
-		return cc, w, ok
+		return cc, ok
 	}
-	wtCC, wtW, ok := run(cmp.WriteThrough)
+	wtCC, ok := run(cmp.WriteThrough)
 	if !ok {
 		t.Fatal("write-through did not drain")
 	}
-	if wtW.Writebacks() != 0 {
+	if writebacks(wtCC) != 0 {
 		t.Fatal("write-through produced write-backs")
 	}
-	wbCC, wbW, ok := run(cmp.WriteBack)
+	wbCC, ok := run(cmp.WriteBack)
 	if !ok {
 		t.Fatal("write-back did not drain")
 	}
-	if wbW.Writebacks() == 0 {
+	if writebacks(wbCC) == 0 {
 		t.Fatal("write-back produced no write-backs")
 	}
 	// Same misses, different shapes: write-back requests are all 1-flit,

@@ -5,6 +5,8 @@ import (
 
 	"pseudocircuit/internal/cmp"
 	"pseudocircuit/internal/core"
+	"pseudocircuit/internal/fault"
+	"pseudocircuit/internal/flit"
 	"pseudocircuit/internal/network"
 	"pseudocircuit/internal/sim"
 	"pseudocircuit/internal/topology"
@@ -49,10 +51,13 @@ func TestMSHRSelfThrottling(t *testing.T) {
 func TestHotspotSkewShowsInBanks(t *testing.T) {
 	imbalance := func(prof string) float64 {
 		n, w := buildCMP(t, core.Baseline, prof)
-		n.Run(w, 8000)
-		reqs := w.BankRequests()
+		cc := &classCounter{inner: w}
+		n.Run(cc, 8000)
+		cfg := cmp.PaperTableI()
+		layout := cmp.NewLayout(topology.NewCMesh(4, 4, 4), cfg)
 		var max, total uint64
-		for _, r := range reqs {
+		for j := 0; j < cfg.L2Banks; j++ {
+			r := cc.to[dest{flit.ClassRequest, layout.BankNode(j)}]
 			total += r
 			if r > max {
 				max = r
@@ -61,7 +66,7 @@ func TestHotspotSkewShowsInBanks(t *testing.T) {
 		if total == 0 {
 			t.Fatalf("%s generated no bank requests", prof)
 		}
-		return float64(max) * float64(len(reqs)) / float64(total)
+		return float64(max) * float64(cfg.L2Banks) / float64(total)
 	}
 	jbb := imbalance("specjbb")
 	grid := imbalance("mgrid")
@@ -71,6 +76,34 @@ func TestHotspotSkewShowsInBanks(t *testing.T) {
 	}
 	if jbb < 2 {
 		t.Errorf("specjbb imbalance %.2f too mild for a hotspot workload", jbb)
+	}
+}
+
+// TestLayoutRules: a topology that cannot split into the Table I cores
+// and banks is refused, and an interleave of zero blocks is one block.
+func TestLayoutRules(t *testing.T) {
+	odd := cmp.PaperTableI()
+	odd.Cores = 48 - odd.L2Banks // cmesh4x4x3's terminal count, split unevenly per router
+	for name, c := range map[string]struct {
+		topo topology.Topology
+		cfg  cmp.TableI
+	}{
+		"16 terminals":    {topology.NewMesh(4, 4), cmp.PaperTableI()},
+		"concentration 3": {topology.NewCMesh(4, 4, 3), odd},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: NewLayout did not panic", name)
+				}
+			}()
+			cmp.NewLayout(c.topo, c.cfg)
+		}()
+	}
+	cfg := cmp.PaperTableI()
+	cfg.InterleaveBlocks = 0
+	if got := cmp.NewLayout(topology.NewCMesh(4, 4, 4), cfg).HomeBank(37); got != 37%cfg.L2Banks {
+		t.Errorf("HomeBank(37) with no interleave = %d, want %d", got, 37%cfg.L2Banks)
 	}
 }
 
@@ -199,5 +232,52 @@ func TestStallFractionBounds(t *testing.T) {
 	f := w.StallFraction()
 	if f < 0 || f > 1 {
 		t.Fatalf("stall fraction %v out of [0,1]", f)
+	}
+}
+
+// TestDeliveryFailureUnwindsTransactions: under reliable delivery, a bank
+// whose router is dead for the whole run never answers, so the network
+// abandons the packets to and from it after their retry budget. Each
+// abandoned request, response or invalidation leg is unwound by
+// DeliveryFailed: the workload still drains, with every MSHR released and
+// no write transaction left open, instead of wedging on a reply that cannot
+// come.
+func TestDeliveryFailureUnwindsTransactions(t *testing.T) {
+	topo := topology.NewCMesh(4, 4, 4)
+	cfg := cmp.PaperTableI()
+	dead, _, _ := topo.NodeRouter(cmp.NewLayout(topo, cfg).BankNode(0))
+	ncfg := network.DefaultConfig(topo)
+	ncfg.Opts = core.DefaultOptions(core.PseudoSB)
+	ncfg.Faults = &fault.Schedule{
+		Policy:    fault.Drop,
+		AllowOpen: true,
+		Events:    []fault.Event{{Cycle: 2000, Kind: fault.RouterDown, Router: dead}},
+	}
+	ncfg.Reliable = &network.Reliability{Timeout: 64, MaxTimeout: 128, Budget: 3}
+	n := network.New(ncfg)
+	n.CheckInvariants = true
+
+	// Heavy write sharing of a small block set, so that invalidations and
+	// their acks cross the dead router too.
+	prof, _ := cmp.ProfileByName("radix")
+	prof.SharedFrac, prof.ReadFrac, prof.SharedBlocks = 0.9, 0.5, 64
+	w := cmp.New(topo, cfg, prof, sim.NewRNG(31))
+	w.MaxMisses = 2000
+	// A lost packet is given up Timeout+2·MaxTimeout = 320 cycles after its
+	// first send, holding its core's MSHR until then. The run drains in
+	// ~8 300 cycles; a wedge would run to the bound.
+	const drainBound = 60000
+	if !n.Drain(w, drainBound) {
+		t.Fatalf("no drain within %d cycles: %d misses issued, %d packets in flight, %d sender records open",
+			drainBound, w.TotalMisses(), n.InFlight(), n.RelPending())
+	}
+	// Done holds only with every core's MSHRs released and no bank
+	// transaction open.
+	if !w.Done() {
+		t.Fatal("drained, but the workload is not done")
+	}
+	t.Logf("drained at cycle %d, %d packets abandoned", n.Now(), n.Stats.DeliveryFailed)
+	if n.Stats.DeliveryFailed == 0 {
+		t.Fatal("no packet abandoned with a bank's router dead")
 	}
 }

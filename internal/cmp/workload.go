@@ -155,8 +155,6 @@ type bank struct {
 	dir    map[uint64]uint32 // block -> sharer bitmask (32 cores)
 	txns   map[txnKey]*writeTxn
 	freeAt sim.Cycle // bank occupied until (serialization -> hotspot contention)
-
-	requests uint64
 }
 
 // Workload is the closed-loop CMP traffic generator; it implements
@@ -180,8 +178,6 @@ type Workload struct {
 	// terminates (0 = unbounded).
 	MaxMisses   uint64
 	totalMisses uint64
-	// writebacks counts posted write-back packets (diagnostics).
-	writebacks uint64
 
 	// System-impact accounting (paper §8 future work: overall system
 	// performance, not just network latency).
@@ -379,7 +375,6 @@ func (w *Workload) Deliver(now sim.Cycle, p *flit.Packet) {
 func (w *Workload) bankReceive(now sim.Cycle, b *bank, m msg) {
 	switch m.kind {
 	case msgReadReq:
-		b.requests++
 		ready := w.bankService(now, b, w.cfg.DataFlits)
 		b.dir[m.block] |= 1 << uint(m.core)
 		w.respondAt(ready, b, m.core, msgData, w.cfg.DataFlits, m.block, flit.ClassResponse)
@@ -387,10 +382,8 @@ func (w *Workload) bankReceive(now sim.Cycle, b *bank, m msg) {
 		// Posted dirty-line write-back (write-back protocol): the bank
 		// absorbs the data; no reply, no directory change (the writer
 		// keeps ownership until invalidated).
-		b.requests++
 		w.bankService(now, b, 2)
 	case msgWriteReq:
-		b.requests++
 		occupancy := 2
 		if w.Protocol == WriteBack {
 			occupancy = w.cfg.DataFlits // the exclusive fill serializes the reply port
@@ -490,7 +483,6 @@ func (w *Workload) coreReceive(now sim.Cycle, c *core, m msg) {
 			// A fraction of filled lines are dirtied and written back after
 			// residing in the L1 for a while (posted; holds no MSHR).
 			delay := sim.Cycle(50 + c.rng.Intn(300))
-			w.writebacks++
 			w.pending.push(event{due: now + delay, src: c.node, dst: w.banks[w.layout.HomeBank(m.block)].node,
 				size: w.cfg.DataFlits, class: flit.ClassCoherence,
 				m: msg{kind: msgWriteBack, block: m.block, core: c.id}})
@@ -559,7 +551,10 @@ func (w *Workload) DeliveryFailed(now sim.Cycle, src, dst int, class flit.Class,
 }
 
 // Done implements network.Workload: true when a miss cap is set, reached,
-// and all transactions have completed.
+// and all transactions have completed. A bank's write transaction is open
+// only while its writer's MSHR is held (the reply that frees the MSHR is
+// sent when the transaction closes), so idle cores mean closed
+// transactions.
 func (w *Workload) Done() bool {
 	if w.MaxMisses == 0 || w.totalMisses < w.MaxMisses {
 		return false
@@ -569,11 +564,6 @@ func (w *Workload) Done() bool {
 	}
 	for _, c := range w.cores {
 		if c.outstanding > 0 {
-			return false
-		}
-	}
-	for _, b := range w.banks {
-		if len(b.txns) > 0 {
 			return false
 		}
 	}

@@ -71,10 +71,8 @@ func churnWait(rng *sim.RNG, p float64, limit int64) int64 {
 	if p >= 1 {
 		return 1
 	}
+	// Both logs are ≤ 0, so their quotient is ≥ 0 and k ≥ 1.
 	k := math.Floor(math.Log1p(-rng.Float64())/math.Log1p(-p)) + 1
-	if k < 1 {
-		k = 1
-	}
 	if k >= float64(limit) {
 		return limit
 	}

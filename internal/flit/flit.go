@@ -62,9 +62,6 @@ const (
 	ClassCoherence
 	// ClassData is generic synthetic-workload data.
 	ClassData
-	// ClassAck is a reliability-layer acknowledgement (single flit, sent by
-	// the receiver NI back to the packet's source; never itself acked).
-	ClassAck
 )
 
 func (c Class) String() string {
@@ -77,8 +74,6 @@ func (c Class) String() string {
 		return "coh"
 	case ClassData:
 		return "data"
-	case ClassAck:
-		return "ack"
 	default:
 		return "?"
 	}

@@ -76,7 +76,7 @@ func TestSplitPanicsOnZeroSize(t *testing.T) {
 
 func TestKindStrings(t *testing.T) {
 	for k, want := range map[flit.Kind]string{
-		flit.Header: "H", flit.Body: "B", flit.Tail: "T", flit.HeadTail: "HT",
+		flit.Header: "H", flit.Body: "B", flit.Tail: "T", flit.HeadTail: "HT", flit.Kind(9): "?",
 	} {
 		if k.String() != want {
 			t.Errorf("%v.String() = %q, want %q", k, k.String(), want)
@@ -87,7 +87,7 @@ func TestKindStrings(t *testing.T) {
 func TestClassStrings(t *testing.T) {
 	for c, want := range map[flit.Class]string{
 		flit.ClassRequest: "req", flit.ClassResponse: "resp",
-		flit.ClassCoherence: "coh", flit.ClassData: "data",
+		flit.ClassCoherence: "coh", flit.ClassData: "data", flit.Class(9): "?",
 	} {
 		if c.String() != want {
 			t.Errorf("%v.String() = %q, want %q", c, c.String(), want)

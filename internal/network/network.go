@@ -1108,10 +1108,6 @@ func (n *Network) Quiescent() bool {
 	return true
 }
 
-// RNG exposes the network's deterministic random stream (workloads derive
-// sub-streams from it).
-func (n *Network) RNG() *sim.RNG { return n.rng }
-
 // Registry returns the routers' event counters: one row per router, and the
 // network-wide figures as their Totals.
 func (n *Network) Registry() *stats.Registry { return n.registry }

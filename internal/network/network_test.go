@@ -1,9 +1,11 @@
 package network_test
 
 import (
+	"strings"
 	"testing"
 
 	"pseudocircuit/internal/core"
+	"pseudocircuit/internal/fault"
 	"pseudocircuit/internal/flit"
 	"pseudocircuit/internal/network"
 	"pseudocircuit/internal/routing"
@@ -59,8 +61,8 @@ func TestDrainToQuiescence(t *testing.T) {
 	if !n.Drain(w, 10000) {
 		t.Fatalf("drain failed: inflight=%d queued=%d", n.InFlight(), n.QueuedPackets())
 	}
-	if !n.Quiescent() || n.QueuedPackets() != 0 {
-		t.Fatalf("not quiescent after drain: %d packets queued", n.QueuedPackets())
+	if !n.Quiescent() || n.QueuedPackets() != 0 || n.InFlight() != 0 {
+		t.Fatalf("not quiescent after drain: %d packets queued, %d in flight", n.QueuedPackets(), n.InFlight())
 	}
 	if n.Stats.PacketsDelivered != 150 {
 		t.Fatalf("delivered %d, want 150", n.Stats.PacketsDelivered)
@@ -75,8 +77,8 @@ func TestDrainToQuiescence(t *testing.T) {
 	if n.Drain(nil, 2) || n.Now() != from+2 {
 		t.Errorf("a 2-cycle drain of a 5-flit packet reported success after %d cycles", n.Now()-from)
 	}
-	if n.QueuedPackets() != 1 {
-		t.Errorf("two cycles into a 5-flit injection: %d packets queued, want 1", n.QueuedPackets())
+	if n.QueuedPackets() != 1 || n.Quiescent() {
+		t.Errorf("two cycles into a 5-flit injection: %d packets queued (want 1), quiescent %v", n.QueuedPackets(), n.Quiescent())
 	}
 }
 
@@ -161,6 +163,29 @@ func TestInjectValidation(t *testing.T) {
 				}
 			}()
 			n.Inject(p)
+		}()
+	}
+}
+
+// TestNewRefusesBadConfigs: a configuration the kernel cannot run is
+// refused by name when the network is built, not by a later index error.
+func TestNewRefusesBadConfigs(t *testing.T) {
+	for name, mutate := range map[string]func(*network.Config){
+		"no VCs":                   func(c *network.Config) { c.NumVCs = 0 },
+		"NI VC limit under O1TURN": func(c *network.Config) { c.Algorithm, c.NIVCLimit = routing.O1TURN, 1 },
+		"fault on a missing router": func(c *network.Config) {
+			c.Faults = &fault.Schedule{Events: []fault.Event{{Cycle: 1, Kind: fault.RouterDown, Router: 99}}}
+		},
+	} {
+		func() {
+			defer func() {
+				if r, ok := recover().(string); !ok || !strings.HasPrefix(r, "network: ") {
+					t.Errorf("%s: %v, want New's refusal", name, r)
+				}
+			}()
+			cfg := network.DefaultConfig(topology.NewMesh(4, 4))
+			mutate(&cfg)
+			network.New(cfg)
 		}()
 	}
 }

@@ -7,13 +7,14 @@ import (
 
 // End-to-end reliable delivery (DESIGN.md §14). With Config.Reliable set,
 // every workload packet carries a per-flow (src,dst) sequence number; the
-// receiving NI acknowledges each sequenced packet with a 1-flit ClassAck
-// packet that travels the network like any other traffic, and deduplicates
-// retransmissions against a per-source sliding window. The sending NI keeps
-// one retransmit record per unacked packet and re-injects a fresh copy on a
-// deterministic timeout with capped exponential backoff; a bounded retry
-// budget turns permanent loss into a counted DeliveryFailed (reported to the
-// workload when it implements FailureObserver), never a hang.
+// receiving NI acknowledges each sequenced packet with a 1-flit ack packet
+// (RelAck set) that travels the network like any other traffic, and
+// deduplicates retransmissions against a per-source sliding window. The
+// sending NI keeps one retransmit record per unacked packet and re-injects a
+// fresh copy on a deterministic timeout with capped exponential backoff; a
+// bounded retry budget turns permanent loss into a counted DeliveryFailed
+// (reported to the workload when it implements FailureObserver), never a
+// hang.
 //
 // Determinism: every piece of reliability state — sequence counters, sender
 // records, receiver windows — is mutated in the kernel's main phase only
@@ -182,7 +183,6 @@ func (s *ni) sendAck(p *flit.Packet) {
 	a := s.net.pool.NewPacket()
 	a.Src, a.Dst = s.node, p.Src
 	a.Size = 1
-	a.Class = flit.ClassAck
 	a.RelAck = true
 	a.RelSeq = p.RelSeq
 	s.net.Stats.AcksSent++

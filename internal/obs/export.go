@@ -3,6 +3,7 @@ package obs
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -118,69 +119,64 @@ type ChromeEvent struct {
 
 // ChromeWriter streams ChromeEvents as trace_event JSON (the object form:
 // {"traceEvents": [...]}). NewChromeWriter writes the header; Event appends
-// entries; Close terminates the array and flushes. The writer dedups
+// entries; Close terminates the array, flushes and reports the stream's
+// error: an event that did not encode, else the first failed write, after
+// which bufio.Writer makes every later write a no-op. The writer dedups
 // process_name metadata so every exporter sharing the file names its lanes
 // exactly once.
 type ChromeWriter struct {
 	bw    *bufio.Writer
+	err   error // the first event that did not encode
 	first bool
 	named map[int64]bool
 }
 
 // NewChromeWriter starts a trace_event stream on w.
-func NewChromeWriter(w io.Writer) (*ChromeWriter, error) {
+func NewChromeWriter(w io.Writer) *ChromeWriter {
 	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(`{"displayTimeUnit":"ms","traceEvents":[`); err != nil {
-		return nil, err
-	}
-	return &ChromeWriter{bw: bw, first: true, named: map[int64]bool{}}, nil
+	bw.WriteString(`{"displayTimeUnit":"ms","traceEvents":[`)
+	return &ChromeWriter{bw: bw, first: true, named: map[int64]bool{}}
 }
 
 // Event appends one trace entry.
-func (cw *ChromeWriter) Event(ev ChromeEvent) error {
-	if !cw.first {
-		if err := cw.bw.WriteByte(','); err != nil {
-			return err
-		}
-	}
-	cw.first = false
+func (cw *ChromeWriter) Event(ev ChromeEvent) {
 	data, err := json.Marshal(ev)
 	if err != nil {
-		return err
+		cw.err = cmp.Or(cw.err, err)
+		return
 	}
-	_, err = cw.bw.Write(data)
-	return err
+	if !cw.first {
+		cw.bw.WriteByte(',')
+	}
+	cw.first = false
+	cw.bw.Write(data)
 }
 
 // NameProcess emits a process_name metadata entry for pid once; repeated
 // calls for the same pid are no-ops.
-func (cw *ChromeWriter) NameProcess(pid int64, name string) error {
+func (cw *ChromeWriter) NameProcess(pid int64, name string) {
 	if cw.named[pid] {
-		return nil
+		return
 	}
 	cw.named[pid] = true
-	return cw.Event(ChromeEvent{
+	cw.Event(ChromeEvent{
 		Name: "process_name", Ph: "M", Pid: pid, Tid: 0,
 		Args: map[string]string{"name": name},
 	})
 }
 
-// Close terminates the traceEvents array and flushes.
+// Close terminates the traceEvents array, flushes, and returns the
+// stream's error.
 func (cw *ChromeWriter) Close() error {
-	if _, err := cw.bw.WriteString("]}\n"); err != nil {
-		return err
-	}
-	return cw.bw.Flush()
+	cw.bw.WriteString("]}\n")
+	return cmp.Or(cw.err, cw.bw.Flush())
 }
 
 // WriteChromeTrace writes the retained events in Chrome trace_event JSON
 // (the object form: {"traceEvents": [...]}), loadable by chrome://tracing
 // and ui.perfetto.dev.
 func (t *Tracer) WriteChromeTrace(w io.Writer) error {
-	cw, err := NewChromeWriter(w)
-	if err != nil {
-		return err
-	}
+	cw := NewChromeWriter(w)
 	for _, ev := range t.Events() {
 		pid := int64(ev.Loc)
 		procName := fmt.Sprintf("router %d", ev.Loc)
@@ -201,9 +197,7 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 		if tid < 0 {
 			tid = 0
 		}
-		if err := cw.NameProcess(pid, procName); err != nil {
-			return err
-		}
+		cw.NameProcess(pid, procName)
 		name := fmt.Sprintf("%s p%d.%d", ev.Kind, ev.Packet, ev.Seq)
 		switch ev.Kind {
 		case LinkDown, LinkUp:
@@ -211,13 +205,11 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 		case RouterDown, RouterUp:
 			name = ev.Kind.String()
 		}
-		if err := cw.Event(ChromeEvent{
+		cw.Event(ChromeEvent{
 			Name: name,
 			Ph:   ph, Ts: ev.Cycle, Dur: dur, Pid: pid, Tid: tid, S: scope,
 			Args: chromeArgs{Pkt: ev.Packet, Seq: ev.Seq, Src: ev.Src, Dst: ev.Dst, VC: ev.VC, Out: ev.Out},
-		}); err != nil {
-			return err
-		}
+		})
 	}
 	return cw.Close()
 }

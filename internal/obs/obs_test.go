@@ -2,8 +2,11 @@ package obs
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 func TestKindNamesRoundTrip(t *testing.T) {
@@ -170,5 +173,31 @@ func TestRecordZeroAlloc(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Errorf("Record allocates %.2f per call, want 0", avg)
+	}
+}
+
+// failWriter refuses every write, as a full disk or a closed pipe does.
+type failWriter struct{}
+
+func (failWriter) Write([]byte) (int, error) { return 0, errors.New("disk full") }
+
+// TestExportsReportErrors: a writer that fails, a reader that fails and an
+// event that does not encode each come back as the export's error.
+func TestExportsReportErrors(t *testing.T) {
+	if err := WriteJSONL(failWriter{}, make([]Event, 200)); err == nil {
+		t.Error("WriteJSONL past a buffer into a failing writer: no error")
+	}
+	if err := demoTracer().WriteChromeTrace(failWriter{}); err == nil {
+		t.Error("WriteChromeTrace into a failing writer: no error")
+	}
+	if _, err := ReadJSONL(iotest.ErrReader(errors.New("read failed")), "events",
+		func([]byte) error { return nil }); err == nil || !strings.Contains(err.Error(), "read failed") {
+		t.Errorf("ReadJSONL from a failing reader: %v", err)
+	}
+	cw := NewChromeWriter(io.Discard)
+	cw.Event(ChromeEvent{Name: "x", Args: func() {}})
+	cw.Event(ChromeEvent{Name: "y"})
+	if err := cw.Close(); err == nil || !strings.Contains(err.Error(), "func") {
+		t.Errorf("an event that does not encode: Close returned %v", err)
 	}
 }

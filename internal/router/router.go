@@ -635,16 +635,17 @@ func (r *Router) executeReservations(now sim.Cycle) {
 		if ov < 0 {
 			continue
 		}
-		// A fault storm may have killed or salvaged the VC since the grant
-		// (which also resets outVC, caught above); this guards the port too.
+		// Classify requests no dead link, and a link that died since the
+		// grant went through the storm scan before this tick: it detoured,
+		// salvaged or purged every lane routed to it, and each resets outVC,
+		// caught above.
 		if r.linkDead(out) {
-			continue
+			panic(fmt.Sprintf("router %d: grant from in %d vc %d to dead out %d survived the storm scan", r.ID, in, vc, out))
 		}
-		// Credits may have been drained by a pseudo-circuit traversal after
-		// the request was credit-checked; re-verify and retry on failure.
-		if !r.hasCredit(out, ov) {
-			continue
-		}
+		// The credit SA saw is still there: output VC ov belongs to this
+		// lane alone, whose buffered head bars it from bypassing, and phase
+		// 5 speculates no circuit onto a reserved output. (An ejection
+		// port always has credit.) traverse panics on a negative credit.
 		if r.bufLen[l] == 0 || r.buf[l*r.D] != g.f {
 			panic(fmt.Sprintf("router %d: reservation lost its flit at in %d vc %d", r.ID, in, vc))
 		}
@@ -727,8 +728,10 @@ func (r *Router) allocateVCs(now sim.Cycle) {
 			i := bits.TrailingZeros64(w)
 			for m := r.va[i] & r.occ[i]; m != 0; m &= m - 1 {
 				vc := bits.TrailingZeros64(m)
-				if !r.buf[(i*r.V+vc)*r.D].Kind.IsHead() {
-					continue // header already traversed; body flits keep the VC
+				// A header leaves only with an output VC (ST, a ride and a
+				// bypass all need one), so a lane awaiting VA still holds it.
+				if h := r.buf[(i*r.V+vc)*r.D]; !h.Kind.IsHead() {
+					panic(fmt.Sprintf("router %d: lane in %d vc %d awaits VA behind non-head %v", r.ID, i, vc, h))
 				}
 				r.tryVA(i, vc)
 			}
@@ -1025,8 +1028,11 @@ func (r *Router) tryBypass(now sim.Cycle, i int, f *flit.Flit) bool {
 		return false
 	}
 	if f.Kind.IsHead() {
+		// A VC carries one packet at a time, in order: the previous
+		// packet's tail arrived before this header and is still buffered
+		// (refused above) or has left, releasing the lane.
 		if r.active(i, f.VC) {
-			return false // previous packet's tail still in flight upstream of us
+			panic(fmt.Sprintf("router %d: header %v arrived on empty active VC %d of in %d", r.ID, f, f.VC, i))
 		}
 		if r.linkDead(f.NextOut) {
 			return false // dead onward link: buffer, then re-route at admission
@@ -1046,8 +1052,11 @@ func (r *Router) tryBypass(now sim.Cycle, i int, f *flit.Flit) bool {
 		if !r.active(i, f.VC) || ov < 0 {
 			panic(fmt.Sprintf("router %d: body flit %v arrived on idle VC", r.ID, f))
 		}
+		// Links die only between cycles, and the storm scan then purged
+		// every packet committed to a dead output, or salvaged it with its
+		// header still buffered here (refused above).
 		if r.linkDead(out) {
-			return false
+			panic(fmt.Sprintf("router %d: body flit %v bound for dead out %d outlived the storm scan", r.ID, f, out))
 		}
 		if !r.pc.Match(i, f.VC, out) || (r.busyOut>>uint(out))&1 != 0 {
 			return false

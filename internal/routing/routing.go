@@ -54,9 +54,6 @@ func New(algo Algorithm, topo topology.Topology) *Engine {
 	return &Engine{algo: algo, topo: topo}
 }
 
-// Algorithm returns the configured algorithm.
-func (e *Engine) Algorithm() Algorithm { return e.algo }
-
 // NumClasses returns how many VC classes the algorithm needs for deadlock
 // freedom: O1TURN needs 2 (XY flits and YX flits must not share VCs); the
 // single-order algorithms need 1.

@@ -65,6 +65,16 @@ func TestO1TURNClassSelectsOrder(t *testing.T) {
 	}
 }
 
+func TestAlgorithmStrings(t *testing.T) {
+	for a, want := range map[routing.Algorithm]string{
+		routing.XY: "XY", routing.YX: "YX", routing.O1TURN: "O1TURN", routing.Algorithm(7): "Algorithm(7)",
+	} {
+		if a.String() != want {
+			t.Errorf("%d.String() = %q, want %q", int(a), a.String(), want)
+		}
+	}
+}
+
 // TestRoutesTerminate walks every (src router, dst node, class, algorithm)
 // pair to the destination, bounding hop count by the network diameter.
 func TestRoutesTerminate(t *testing.T) {
@@ -81,7 +91,7 @@ func TestRoutesTerminate(t *testing.T) {
 			for r := 0; r < topo.Routers(); r++ {
 				for d := 0; d < topo.Nodes(); d++ {
 					for class := 0; class < e.NumClasses(); class++ {
-						walk(t, topo, e, r, d, class)
+						walk(t, topo, algo, e, r, d, class)
 					}
 				}
 			}
@@ -89,12 +99,12 @@ func TestRoutesTerminate(t *testing.T) {
 	}
 }
 
-func walk(t *testing.T, topo topology.Topology, e *routing.Engine, r, dst, class int) {
+func walk(t *testing.T, topo topology.Topology, algo routing.Algorithm, e *routing.Engine, r, dst, class int) {
 	t.Helper()
 	cur := r
 	for hops := 0; ; hops++ {
 		if hops > topo.Routers()+2 {
-			t.Fatalf("%s/%v: route %d->node %d class %d did not terminate", topo.Name(), e.Algorithm(), r, dst, class)
+			t.Fatalf("%s/%v: route %d->node %d class %d did not terminate", topo.Name(), algo, r, dst, class)
 		}
 		out := e.Route(cur, dst, class)
 		h := topo.NextHop(cur, out, dst)

@@ -155,6 +155,8 @@ func TestCanonicalizeRejects(t *testing.T) {
 		"packets over bound": `{"topology":"mesh8x8","scheme":"pseudo","workload":{"rate":0.1,"packetSize":1025}}`,
 		"huge buffers":       `{"topology":"mesh64x64","scheme":"pseudo","numVCs":64,"bufDepth":1024,"workload":{"rate":0.1}}`,
 		"buffers over bound": `{"topology":"cmesh2x2x13","scheme":"pseudo","numVCs":64,"bufDepth":1024,"workload":{"rate":0.1}}`,
+		"nodes over bound":   `{"topology":"cmesh64x64x2","scheme":"pseudo","workload":{"rate":0.1}}`,
+		"reliable too large": `{"topology":"mesh64x32","scheme":"pseudo","reliable":{},"workload":{"rate":0.1}}`,
 	}
 	for name, raw := range bad {
 		r, err := DecodeRequest([]byte(raw))

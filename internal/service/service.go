@@ -576,11 +576,11 @@ func (m *Manager) runJob(j *Record) {
 		// Write-through to the disk tier. A failed write degrades durability,
 		// not correctness — the result is already in memory — so it is
 		// counted, never fatal.
-		if payload, merr := json.Marshal(res); merr == nil {
-			if perr := m.cfg.Store.Put(key, payload); perr != nil {
-				m.ins.storePutErrs.Inc()
-			}
-		} else {
+		payload, perr := json.Marshal(res)
+		if perr == nil {
+			perr = m.cfg.Store.Put(key, payload)
+		}
+		if perr != nil {
 			m.ins.storePutErrs.Inc()
 		}
 	}

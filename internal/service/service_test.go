@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -350,4 +352,46 @@ func TestBadRequests(t *testing.T) {
 	if s := m.Stats(); s["submitted"] != 0 {
 		t.Errorf("bad requests counted as submissions: %d", s["submitted"])
 	}
+	// A Go caller can hand over what JSON cannot carry; it is refused as
+	// the request it is, not simulated.
+	nan := smallReq()
+	nan.Workload.Rate = math.NaN()
+	if _, err := m.Submit(nan); !errors.Is(err, ErrBadRequest) {
+		t.Errorf("NaN rate: err %v, want ErrBadRequest", err)
+	}
+	if _, ok := m.Done("nope"); ok {
+		t.Error("Done of an unknown job reported a channel")
+	}
+	if _, err := m.Wait(context.Background(), "nope"); !errors.Is(err, ErrUnknownJob) {
+		t.Errorf("Wait of an unknown job: %v, want ErrUnknownJob", err)
+	}
+}
+
+// TestRetentionSkipsLiveJobs: over JobsCap, the oldest finished records go
+// first, wherever they sit; a job still running is kept, even at the head.
+func TestRetentionSkipsLiveJobs(t *testing.T) {
+	m := New(Config{Workers: 2, JobsCap: 2})
+	defer shutdown(t, m)
+	long, err := m.Submit(longReq(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, m, long.ID, StateRunning)
+	short, err := m.Submit(smallReq())
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, m, short.ID, StateDone)
+	hit, err := m.Submit(smallReq()) // a cache hit: a third record, done at once
+	if err != nil || !hit.CacheHit {
+		t.Fatalf("resubmission: %+v, %v", hit, err)
+	}
+	var ids []string
+	for _, j := range m.Jobs() {
+		ids = append(ids, j.ID)
+	}
+	if want := []string{long.ID, hit.ID}; !slices.Equal(ids, want) {
+		t.Errorf("retained %v, want %v: the running head kept, the oldest finished record evicted", ids, want)
+	}
+	m.Cancel(long.ID)
 }

@@ -234,3 +234,30 @@ func TestFailedStoreWriteKeepsTheResult(t *testing.T) {
 		t.Fatalf("resubmission: state %s cacheHit %v storeHit %v; want a memory hit", again.State, again.CacheHit, again.StoreHit)
 	}
 }
+
+// TestStoreGarbageIsAMiss: an entry whose checksum holds but whose payload
+// is not a result (another program's bytes under a key) is a miss: the spec
+// is simulated again, and the entry is overwritten with its result.
+func TestStoreGarbageIsAMiss(t *testing.T) {
+	st := openStore(t, t.TempDir())
+	_, key, _, err := Canonicalize(storeReq(9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Put(key, []byte("not a result")); err != nil {
+		t.Fatal(err)
+	}
+	m := New(Config{Workers: 1, Store: st})
+	defer shutdown(t, m)
+	j, err := m.Submit(storeReq(9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j.CacheHit || j.StoreHit {
+		t.Fatal("a payload that is not a result was served")
+	}
+	waitDone(t, m, j.ID)
+	if payload, ok := st.Get(key); !ok || !json.Valid(payload) {
+		t.Fatalf("entry after the run: %q, %v", payload, ok)
+	}
+}

@@ -96,6 +96,10 @@ func TestGeometricEdges(t *testing.T) {
 	if got := r.Geometric(2); got != 0 {
 		t.Fatalf("Geometric(2) = %d, want 0", got)
 	}
+	// A probability of zero never succeeds; the draw stops at its cap.
+	if got := r.Geometric(0); got != 1<<20 {
+		t.Fatalf("Geometric(0) = %d, want the cap %d", got, 1<<20)
+	}
 }
 
 func TestSplitIndependence(t *testing.T) {

@@ -92,7 +92,7 @@ type GlobalMetrics struct {
 // window lines from series (nil skips them), then the global line from st
 // (nil skips it) and reg's totals.
 func WriteMetricsJSONL(w io.Writer, reg *Registry, series *Series, st *Network) error {
-	var routers []RouterMetrics
+	var lines []any
 	for _, r := range reg.Routers() {
 		t := r.Sum()
 		line := RouterMetrics{
@@ -123,18 +123,16 @@ func WriteMetricsJSONL(w io.Writer, reg *Registry, series *Series, st *Network) 
 				CreditStalls: p.CreditStalls,
 			}
 		}
-		routers = append(routers, line)
+		lines = append(lines, line)
 	}
-	var windows []WindowMetrics
 	if series != nil {
 		for _, s := range series.Samples() {
-			windows = append(windows, WindowMetrics{Type: "window", Sample: s})
+			lines = append(lines, WindowMetrics{Type: "window", Sample: s})
 		}
 	}
-	var global []GlobalMetrics
 	if st != nil {
 		t := reg.Totals()
-		global = append(global, GlobalMetrics{
+		lines = append(lines, GlobalMetrics{
 			Type:              "global",
 			MeasuredFrom:      int64(st.MeasuredFrom),
 			MeasuredTo:        int64(st.MeasuredTo),
@@ -163,13 +161,7 @@ func WriteMetricsJSONL(w io.Writer, reg *Registry, series *Series, st *Network) 
 			DeliveryFailed:       st.DeliveryFailed,
 		})
 	}
-	if err := obs.WriteJSONL(w, routers); err != nil {
-		return err
-	}
-	if err := obs.WriteJSONL(w, windows); err != nil {
-		return err
-	}
-	return obs.WriteJSONL(w, global)
+	return obs.WriteJSONL(w, lines)
 }
 
 // ValidateMetricsJSONL checks a metrics JSONL stream against the schema:

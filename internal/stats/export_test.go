@@ -98,6 +98,19 @@ func TestValidateMetricsRejects(t *testing.T) {
 			"pc_reused sum",
 		},
 		{"two globals", `{"type":"global"}` + "\n" + `{"type":"global"}`, "global lines"},
+		{"not JSON", `{"type":`, "metrics line 1"},
+		{"unknown router field", `{"type":"router","router":0,"bogus":1}`, "router: "},
+		{"unknown window field", `{"type":"window","from":0,"to":1,"bogus":1}`, "window: "},
+		{
+			"traversal sum mismatch",
+			`{"type":"router","router":0,"traversals":2}` + "\n" + `{"type":"global","traversals":3}`,
+			"traversals sum",
+		},
+		{
+			"grant sum mismatch",
+			`{"type":"router","router":0,"sa_grants":2}` + "\n" + `{"type":"global","sa_grants":3}`,
+			"sa_grants sum",
+		},
 	}
 	for _, c := range cases {
 		_, err := stats.ValidateMetricsJSONL(strings.NewReader(c.input))

@@ -26,6 +26,9 @@ func TestPercentileSingleSample(t *testing.T) {
 		if h.Max() != v || h.Mean() != float64(v) {
 			t.Errorf("single sample %d: max=%d mean=%v", v, h.Max(), h.Mean())
 		}
+		if got := h.Percentile(150); got != v { // a rank past the last sample
+			t.Errorf("single sample %d: p150 = %d, want the maximum", v, got)
+		}
 	}
 }
 

@@ -1,8 +1,6 @@
 package stats
 
 import (
-	"fmt"
-
 	"pseudocircuit/internal/obs"
 	"pseudocircuit/internal/sim"
 )
@@ -61,12 +59,6 @@ func (s Sample) Reusability() float64 {
 	return float64(s.PCReused) / float64(s.Traversals)
 }
 
-// String renders one sample for logs.
-func (s Sample) String() string {
-	return fmt.Sprintf("[%d,%d) inj=%d dlv=%d lat=%.2f reuse=%.1f%%",
-		s.From, s.To, s.Injected, s.Delivered, s.AvgLatency(), 100*s.Reusability())
-}
-
 // Series records cycle-windowed samples of the network-wide counters into a
 // bounded obs.Ring. The network ticks it once per cycle; every window
 // cycles it closes a Sample, and only then are the router rows summed. All
@@ -93,9 +85,6 @@ func NewSeries(window, capacity int) *Series {
 	}
 	return &Series{window: window, ring: obs.NewRing[Sample](capacity)}
 }
-
-// Window returns the configured window length in cycles.
-func (s *Series) Window() int { return s.window }
 
 // Dropped returns how many closed windows were evicted by the ring bound.
 func (s *Series) Dropped() uint64 { return s.ring.Dropped() }

@@ -518,3 +518,47 @@ func TestEpochStamp(t *testing.T) {
 		})
 	}
 }
+
+// TestSharedAndDamagedDirectories: two stores over one directory see each
+// other's entries, a subdirectory among the entries is passed over, and a
+// directory damaged under a store (a directory where the stamp or an entry
+// belongs, or the whole directory gone) is refused as an error, never
+// served from.
+func TestSharedAndDamagedDirectories(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.Mkdir(filepath.Join(dir, "sub"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	a, b := mustOpen(t, dir, 1<<20), mustOpen(t, dir, 1<<20)
+	if err := a.Put(testKey(0), []byte("shared")); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := b.Get(testKey(0)); !ok || string(got) != "shared" || b.Len() != 1 {
+		t.Fatalf("the other store's entry: %q, %v, Len %d", got, ok, b.Len())
+	}
+
+	if err := os.Mkdir(filepath.Join(dir, testKey(1)), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, testKey(1), "x"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Put(testKey(1), []byte("blocked")); err == nil {
+		t.Error("Put over a directory holding the key's name: no error")
+	}
+
+	stamped := t.TempDir()
+	if err := os.Mkdir(filepath.Join(stamped, epochFile), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if s, err := Open(stamped, 1<<20); err == nil {
+		t.Errorf("Open with a directory for its stamp = %v, want an error", s)
+	}
+
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Put(testKey(2), []byte("gone")); err == nil {
+		t.Error("Put into a removed directory: no error")
+	}
+}

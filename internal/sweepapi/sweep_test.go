@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -137,6 +138,11 @@ func TestParseRejects(t *testing.T) {
 				t.Fatalf("err = %v, want ErrBadRequest", err)
 			}
 		})
+	}
+	// An invalid point is named by its coordinate on every axis.
+	_, err := Parse([]byte(`{"template":`+tmpl+`,"axes":{"seed":[1],"topology":["mesh4x4","mesh1x1"]}}`), 0)
+	if !errors.Is(err, service.ErrBadRequest) || !strings.Contains(err.Error(), `seed=1, topology="mesh1x1"`) {
+		t.Errorf("bad point: err = %v, want its coordinate", err)
 	}
 }
 
@@ -566,6 +572,31 @@ func TestSweepShutdown(t *testing.T) {
 	fin, ok := sw.Get(st.ID)
 	if !ok || !fin.Terminal() {
 		t.Fatalf("sweep not drained by shutdown: %+v", fin)
+	}
+}
+
+// TestSweepOutlivesItsService: a Wait whose context ends first returns the
+// status at hand with the context's error, and a sweep whose service drains
+// under it ends with every point canceled: the running one by the drain,
+// the rest refused by the closed service.
+func TestSweepOutlivesItsService(t *testing.T) {
+	svc := newSvc(t, service.Config{Workers: 1})
+	sw := New(svc, Config{Inflight: 1})
+	st, err := sw.Submit([]byte(`{"template": {"topology":"mesh4x4","scheme":"baseline","measure":8000000,
+		"workload":{"pattern":"uniform","rate":0.1}}, "axes": {"seed": [1,2,3]}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer cancel()
+	if got, err := sw.Wait(ctx, st.ID); !errors.Is(err, context.DeadlineExceeded) || got.ID != st.ID {
+		t.Fatalf("Wait past its deadline: %+v, %v", got, err)
+	}
+	if err := svc.Shutdown(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("service drain with a long point running: %v", err)
+	}
+	if fin := waitSweep(t, sw, st.ID); fin.Canceled != 3 || fin.Done != 0 {
+		t.Errorf("sweep after its service drained: %+v, want 3 points canceled", fin)
 	}
 }
 

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 )
@@ -79,6 +80,21 @@ func TestValidateExpositionRejects(t *testing.T) {
 			"h_bucket{le=\"1\"} 1\nh_sum 1\nh_count 1\n",
 		"count != +Inf bucket": "# TYPE h histogram\n" +
 			"h_bucket{le=\"1\"} 1\nh_bucket{le=\"+Inf\"} 2\nh_sum 1\nh_count 3\n",
+		"unknown type":          "# TYPE a widget\na 1\n",
+		"bucket without le":     "# TYPE h histogram\nh_bucket{x=\"1\"} 1\n",
+		"bad le":                "# TYPE h histogram\nh_bucket{le=\"one\"} 1\n",
+		"fractional bucket":     "# TYPE h histogram\nh_bucket{le=\"1\"} 1.5\n",
+		"histogram sans suffix": "# TYPE h histogram\nh 1\n",
+		"no value":              "# TYPE a gauge\na\n",
+		"three fields":          "# TYPE a gauge\na 1 2 3\n",
+		"label without =":       "# TYPE a gauge\na{x} 1\n",
+		"bad label name":        "# TYPE a gauge\na{9x=\"1\"} 1\n",
+		"unquoted label":        "# TYPE a gauge\na{x=1} 1\n",
+		"unknown escape":        "# TYPE a gauge\na{x=\"\\q\"} 1\n",
+		"dangling escape":       "# TYPE a gauge\na{x=\"\\} 1\n",
+		"unterminated value":    "# TYPE a gauge\na{x=\"1} 1\n",
+		"duplicate label":       "# TYPE a gauge\na{x=\"1\",x=\"2\"} 1\n",
+		"line over 1 MiB":       "# TYPE a gauge\na " + strings.Repeat("1", 1<<20) + "\n",
 	}
 	for name, doc := range cases {
 		if _, err := ValidateExposition(strings.NewReader(doc)); err == nil {
@@ -90,5 +106,32 @@ func TestValidateExpositionRejects(t *testing.T) {
 	ok := "# TYPE foo_count gauge\nfoo_count 3\n"
 	if _, err := ValidateExposition(strings.NewReader(ok)); err != nil {
 		t.Errorf("gauge named foo_count rejected: %v", err)
+	}
+	// Blank lines, escaped label values and the spelled-out float values
+	// are all legal.
+	ok = "# TYPE a gauge\n\na{x=\"\\\\ \\\" \\n\"} NaN\n"
+	if _, err := ValidateExposition(strings.NewReader(ok)); err != nil {
+		t.Errorf("escapes and NaN rejected: %v\n%s", err, ok)
+	}
+}
+
+// TestNonFiniteGaugesRoundTrip: a gauge at ±Inf or NaN is written in the
+// text format's spelling and read back by the validator.
+func TestNonFiniteGaugesRoundTrip(t *testing.T) {
+	r := NewRegistry()
+	r.Gauge("up_inf", "").Set(math.Inf(1))
+	r.Gauge("down_inf", "").Set(math.Inf(-1))
+	r.Gauge("not_a_number", "").Set(math.NaN())
+	var buf bytes.Buffer
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"up_inf +Inf\n", "down_inf -Inf\n", "not_a_number NaN\n"} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("exposition lacks %q:\n%s", want, buf.String())
+		}
+	}
+	if n, err := ValidateExposition(&buf); err != nil || n != 3 {
+		t.Errorf("validated %d families, %v; want 3", n, err)
 	}
 }

@@ -141,13 +141,8 @@ type spanArgs struct {
 // under a "nocd service" process, one thread lane per job. Ts is
 // microseconds since the log's base — the same axis as WriteJSONL.
 func (l *SpanLog) WriteChromeTrace(w io.Writer) error {
-	cw, err := obs.NewChromeWriter(w)
-	if err != nil {
-		return err
-	}
-	if err := cw.NameProcess(ServicePid, "nocd service"); err != nil {
-		return err
-	}
+	cw := obs.NewChromeWriter(w)
+	cw.NameProcess(ServicePid, "nocd service")
 	for _, s := range l.Spans() {
 		name := s.Name
 		if s.Outcome != "" {
@@ -159,14 +154,12 @@ func (l *SpanLog) WriteChromeTrace(w io.Writer) error {
 			// Instant spans (cache lookups, cancels) as thread-scoped marks.
 			ph, dur, scope = "i", 0, "t"
 		}
-		if err := cw.Event(obs.ChromeEvent{
+		cw.Event(obs.ChromeEvent{
 			Name: name, Ph: ph,
 			Ts: s.Start.Sub(l.base).Microseconds(), Dur: dur,
 			Pid: ServicePid, Tid: spanLane(s.Job), S: scope,
 			Args: spanArgs{Job: s.Job, Key: shortKey(s.Key), Scheme: s.Scheme, Outcome: s.Outcome},
-		}); err != nil {
-			return err
-		}
+		})
 	}
 	return cw.Close()
 }

@@ -135,10 +135,8 @@ func (k kind) String() string {
 		return "counter"
 	case kindGauge, kindGaugeFunc:
 		return "gauge"
-	case kindHistogram:
-		return "histogram"
 	}
-	return "?"
+	return "histogram"
 }
 
 // child is one labeled series within a family (or the single unlabeled

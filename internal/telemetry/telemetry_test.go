@@ -38,6 +38,15 @@ func TestVecChildren(t *testing.T) {
 	assertPanics(t, func() { r.CounterVec("jobs_by_state_total", "x", "scheme") })
 	assertPanics(t, func() { r.Gauge("jobs_by_state_total", "x") })
 	assertPanics(t, func() { r.Counter("invalid name!", "x") })
+	assertPanics(t, func() { r.Counter("", "x") })
+	assertPanics(t, func() { r.CounterVec("by_scheme_total", "x", "bad label") })
+	assertPanics(t, func() { r.CounterVec("c_total", "x", "") })
+	assertPanics(t, func() { r.GaugeVec("g", "x", "") })
+	assertPanics(t, func() { r.HistogramVec("h_seconds", "x", "", nil) })
+	r.GaugeFunc("cache_entries", "x", func() float64 { return 0 })
+	assertPanics(t, func() { r.GaugeFunc("cache_entries", "x", func() float64 { return 0 }) })
+	r.CounterFunc("evictions_total", "x", func() uint64 { return 0 })
+	assertPanics(t, func() { r.CounterFunc("evictions_total", "x", func() uint64 { return 0 }) })
 }
 
 func TestHistogramBasics(t *testing.T) {

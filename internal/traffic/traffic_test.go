@@ -24,8 +24,8 @@ func TestUniformRandomProperties(t *testing.T) {
 	for cy := sim.Cycle(0); cy < 2000; cy++ {
 		w.Tick(cy, &s)
 	}
-	if len(s.pkts) == 0 {
-		t.Fatal("no packets")
+	if len(s.pkts) == 0 || w.Done() {
+		t.Fatalf("%d packets, done %v: an open-loop source injects and never finishes", len(s.pkts), w.Done())
 	}
 	seen := map[int]bool{}
 	for _, p := range s.pkts {
@@ -145,6 +145,7 @@ func TestPatternStrings(t *testing.T) {
 		traffic.BitComplement:  "bitcomp",
 		traffic.BitPermutation: "transpose",
 		traffic.Hotspot:        "hotspot",
+		traffic.Pattern(9):     "Pattern(9)",
 	} {
 		if p.String() != want {
 			t.Errorf("%v.String() = %q", p, p.String())

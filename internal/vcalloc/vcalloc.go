@@ -74,12 +74,6 @@ func (a *Allocator) WithStaticKey(k StaticKey) *Allocator {
 	return a
 }
 
-// Policy returns the configured policy.
-func (a *Allocator) Policy() Policy { return a.policy }
-
-// NumVCs returns the VC count per input port.
-func (a *Allocator) NumVCs() int { return a.numVCs }
-
 // ClassRange returns the half-open VC index range [lo, hi) belonging to a
 // routing class.
 func (a *Allocator) ClassRange(class int) (lo, hi int) {

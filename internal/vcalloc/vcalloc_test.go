@@ -118,7 +118,7 @@ func TestStaticPickBlockedWhenBusy(t *testing.T) {
 }
 
 func TestPolicyStrings(t *testing.T) {
-	if vcalloc.Dynamic.String() != "dynamicVA" || vcalloc.Static.String() != "staticVA" {
+	if vcalloc.Dynamic.String() != "dynamicVA" || vcalloc.Static.String() != "staticVA" || vcalloc.Policy(7).String() != "Policy(7)" {
 		t.Error("policy strings changed")
 	}
 }

@@ -206,7 +206,7 @@ func (w WorkloadSpec) Normalize(e Experiment) (WorkloadSpec, error) {
 		if w.Benchmark != "" {
 			return w, fmt.Errorf("noc: synthetic workload cannot name a benchmark (%q)", w.Benchmark)
 		}
-		if w.Rate <= 0 || w.Rate > 1 {
+		if !(w.Rate > 0 && w.Rate <= 1) { // NaN included
 			return w, fmt.Errorf("noc: synthetic injection rate %v outside (0, 1]", w.Rate)
 		}
 		if w.PacketSize < 0 {

@@ -3,6 +3,7 @@ package noc_test
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -45,6 +46,7 @@ func TestSpecRejectsGarbage(t *testing.T) {
 		{Topology: "mesh8x8", Scheme: "baseline", Routing: "diagonal"},
 		{Topology: "mesh8x8", Scheme: "baseline", VA: "quantum"},
 		{Topology: "mesh8x8", Scheme: "baseline", StaticKey: "vibes"},
+		{Topology: "mesh8x8", Reliable: &noc.ReliableSpec{Timeout: 100, MaxTimeout: 50}},
 	} {
 		if _, err := s.Experiment(); err == nil {
 			t.Errorf("spec %v accepted", s)
@@ -79,6 +81,31 @@ func TestSpecDefaults(t *testing.T) {
 	}
 	if e.Scheme.Pseudo {
 		t.Error("empty scheme should be baseline")
+	}
+	// A timeout beyond the default backoff cap raises the cap with it.
+	e, err = noc.Spec{Topology: "mesh4x4", Reliable: &noc.ReliableSpec{Timeout: 5000}}.Experiment()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := noc.SpecOf(e).Reliable; r.Timeout != 5000 || r.MaxTimeout != 5000 {
+		t.Errorf("canonical reliable spec %+v, want timeout and maxTimeout 5000", r)
+	}
+	// A scheme with no canonical name is spelled by its String.
+	e.Scheme = noc.Scheme{Speculation: true}
+	if got, want := noc.SpecOf(e).Scheme, strings.ToLower(e.Scheme.String()); got != want {
+		t.Errorf("unnamed scheme printed %q, want %q", got, want)
+	}
+}
+
+// TestSpecString: a spec prints as its JSON, and one that has no JSON (a
+// NaN probability) says why.
+func TestSpecString(t *testing.T) {
+	if got := (noc.Spec{Topology: "mesh4x4"}).String(); !strings.HasPrefix(got, `{"topology":"mesh4x4"`) {
+		t.Errorf("String = %s", got)
+	}
+	nan := noc.Spec{Topology: "mesh4x4", Churn: &noc.ChurnSpec{LinkFail: math.NaN()}}
+	if got := nan.String(); !strings.HasPrefix(got, "Spec{") || !strings.Contains(got, "NaN") {
+		t.Errorf("String of a NaN spec = %s", got)
 	}
 }
 
@@ -248,6 +275,11 @@ func TestWorkloadRulesAreErrors(t *testing.T) {
 	oblong := noc.Experiment{Topology: noc.Mesh(8, 4)}
 	if _, err := (noc.WorkloadSpec{Pattern: "transpose", Rate: 0.1}).Normalize(oblong); err == nil || !strings.Contains(err.Error(), "square") {
 		t.Errorf("transpose on 32 nodes: err = %v, want the square-count rule", err)
+	}
+	for _, w := range []noc.WorkloadSpec{{Pattern: "zigzag", Rate: 0.1}, {Rate: 0.1, PacketSize: -1}, {Rate: math.NaN()}} {
+		if _, err := w.Normalize(small); err == nil {
+			t.Errorf("%+v: accepted", w)
+		}
 	}
 	if _, err := (noc.WorkloadSpec{Kind: "cmp", Benchmark: "fma3d"}).Normalize(noc.Experiment{Topology: noc.CMesh(4, 4, 4)}); err != nil {
 		t.Errorf("cmp on cmesh4x4x4: %v", err)

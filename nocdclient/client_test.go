@@ -4,8 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -203,6 +206,9 @@ func TestRetryDisabled(t *testing.T) {
 // TestRetryDelayBounds pins the jitter window: every sampled delay must lie
 // in [½d, 1½d) of the capped exponential step.
 func TestRetryDelayBounds(t *testing.T) {
+	if p := (RetryPolicy{BaseDelay: 3 * time.Second, MaxDelay: time.Second}).withDefaults(); p.MaxDelay != p.BaseDelay {
+		t.Errorf("a cap below the base delay: MaxDelay %v, want it raised to BaseDelay %v", p.MaxDelay, p.BaseDelay)
+	}
 	p := RetryPolicy{BaseDelay: 50 * time.Millisecond, MaxDelay: 2 * time.Second}.withDefaults()
 	for retry := 0; retry < 12; retry++ {
 		d := p.BaseDelay << uint(retry)
@@ -271,5 +277,79 @@ func TestJobTimingFields(t *testing.T) {
 	}
 	if j.QueueWaitMS != 1.5 || j.RunMS != 250.25 || j.CyclesPerSec != 120000 || j.ETASeconds != 4.5 {
 		t.Fatalf("timing fields: %+v", j)
+	}
+}
+
+// roundTrip is an http.RoundTripper from a function.
+type roundTrip func(*http.Request) (*http.Response, error)
+
+func (f roundTrip) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
+
+// TestClientErrors: every way a call can fail before, during or after its
+// HTTP exchange comes back as the call's error: a request that does not
+// encode, a base URL that does not parse, a daemon that is gone, a body cut
+// short, a failed health check, a wait whose context ends.
+func TestClientErrors(t *testing.T) {
+	ctx := context.Background()
+	once := RetryPolicy{MaxAttempts: 1}
+	nan := testRequest()
+	nan.Workload.Rate = math.NaN()
+	if _, err := New("http://localhost").Submit(ctx, nan); err == nil || !strings.Contains(err.Error(), "NaN") {
+		t.Errorf("Submit of a NaN rate: %v", err)
+	}
+	bad := New("http://bad\x7f").WithRetry(once)
+	if _, err := bad.Submit(ctx, testRequest()); err == nil {
+		t.Error("Submit to an unparsable base URL: no error")
+	}
+	if _, err := bad.Cancel(ctx, "j1"); err == nil {
+		t.Error("Cancel on an unparsable base URL: no error")
+	}
+	if err := bad.Health(ctx); err == nil {
+		t.Error("Health on an unparsable base URL: no error")
+	}
+	if a := bad.RetryStats().Attempts; a != 0 {
+		t.Errorf("%d attempts sent for requests that could not be built", a)
+	}
+
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/healthz":
+			w.WriteHeader(http.StatusServiceUnavailable)
+		case "/jobs":
+			serveJob(w, "queued") // a daemon that answers ?wait=1 early
+		case "/jobs/j1":
+			serveJob(w, "done")
+		default: // a body shorter than it says it is
+			w.Header().Set("Content-Length", "100")
+			io.WriteString(w, `{"id":`)
+		}
+	}))
+	c := New(srv.URL).WithRetry(once)
+	var apiErr *APIError
+	if err := c.Health(ctx); !errors.As(err, &apiErr) || apiErr.Status != http.StatusServiceUnavailable ||
+		err.Error() != "nocd: 503: health check failed" {
+		t.Errorf("Health of a 503 daemon: %v", err)
+	}
+	if j, err := c.SubmitWait(ctx, testRequest()); err != nil || j.State != "done" {
+		t.Errorf("SubmitWait past an early answer: %+v, %v", j, err)
+	}
+	if _, err := c.Result(ctx, "j1"); err == nil {
+		t.Error("Result with a truncated body: no error")
+	}
+	srv.Close()
+	if err := c.Health(ctx); err == nil {
+		t.Error("Health of a stopped daemon: no error")
+	}
+
+	// The transport hands back a running job as the context ends: Wait
+	// stops with the context's error and the snapshot it has.
+	wctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	running := New("http://nocd").WithHTTP(&http.Client{Transport: roundTrip(func(r *http.Request) (*http.Response, error) {
+		cancel()
+		return &http.Response{StatusCode: http.StatusOK, Body: io.NopCloser(strings.NewReader(`{"id":"j1","state":"running"}`))}, nil
+	})})
+	if j, err := running.Wait(wctx, "j1"); !errors.Is(err, context.Canceled) || j.State != "running" {
+		t.Errorf("Wait as its context ends: %+v, %v", j, err)
 	}
 }

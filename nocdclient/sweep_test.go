@@ -6,11 +6,15 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"pseudocircuit/noc"
 )
 
 // sweepScript serves POST /sweeps?watch=1 with a canned NDJSON body,
@@ -250,5 +254,37 @@ func TestSweepStatusAndCancel(t *testing.T) {
 	st, err = c.CancelSweep(context.Background(), "s7")
 	if err != nil || !cancelled || st.State != "canceled" {
 		t.Fatalf("cancel: %+v %v (hit %v)", st, err, cancelled)
+	}
+}
+
+// TestSubmitSweepErrors: a sweep that does not encode, a base URL that does
+// not parse, a daemon that is gone, a refusal that is not JSON and a stream
+// with no acceptance line each fail the submission.
+func TestSubmitSweepErrors(t *testing.T) {
+	ctx := context.Background()
+	nan := SweepRequest{Template: Request{Workload: noc.WorkloadSpec{Rate: math.NaN()}}}
+	if _, err := New("http://localhost").SubmitSweep(ctx, nan); err == nil {
+		t.Error("a NaN rate: no error")
+	}
+	if _, err := New("http://bad\x7f").SubmitSweep(ctx, SweepRequest{}); err == nil {
+		t.Error("an unparsable base URL: no error")
+	}
+	var calls atomic.Int32
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if calls.Add(1) == 1 {
+			http.Error(w, "overloaded", http.StatusBadGateway)
+		} // then: 200 with an empty stream
+	}))
+	var apiErr *APIError
+	if _, err := New(srv.URL).SubmitSweep(ctx, SweepRequest{}); !errors.As(err, &apiErr) ||
+		apiErr.Status != http.StatusBadGateway || apiErr.Message != "overloaded\n" {
+		t.Errorf("a plain-text refusal: %v", err)
+	}
+	if _, err := New(srv.URL).SubmitSweep(ctx, SweepRequest{}); err == nil || !strings.Contains(err.Error(), "acceptance") {
+		t.Errorf("an empty stream: %v", err)
+	}
+	srv.Close()
+	if _, err := New(srv.URL).SubmitSweep(ctx, SweepRequest{}); err == nil {
+		t.Error("a stopped daemon: no error")
 	}
 }
