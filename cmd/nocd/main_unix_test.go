@@ -57,10 +57,11 @@ func freeAddr(t *testing.T) string {
 
 // TestMainDrainsOnSIGTERM runs nocd as shipped, as its own process on a
 // temporary store: it becomes ready, serves a job, and on SIGTERM drains and
-// exits 0 with its drain notice on stderr.
+// exits 0 with its drain notice on stderr, once the job still running at the
+// signal has finished and reached the store.
 func TestMainDrainsOnSIGTERM(t *testing.T) {
-	addr := freeAddr(t)
-	cmd, stderr := nocdProcess(t, "-listen", addr, "-store-dir", t.TempDir(), "-drain", "10s")
+	addr, dir := freeAddr(t), t.TempDir()
+	cmd, stderr := nocdProcess(t, "-listen", addr, "-store-dir", dir, "-drain", "10s")
 	base := "http://" + addr
 	deadline := time.Now().Add(20 * time.Second)
 	for {
@@ -88,11 +89,24 @@ func TestMainDrainsOnSIGTERM(t *testing.T) {
 		t.Errorf("POST /jobs?wait=1: status %d", resp.StatusCode)
 	}
 
+	resp, err = http.Post(base+"/jobs", "application/json", strings.NewReader(
+		`{"topology":"mesh4x4","scheme":"pseudo+s+b","warmup":100,"measure":200000,"workload":{"pattern":"uniform","rate":0.1}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Errorf("POST /jobs: status %d", resp.StatusCode)
+	}
+
 	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
 	if err := cmd.Wait(); err != nil {
 		t.Fatalf("nocd after SIGTERM: %v; stderr:\n%s", err, stderr)
+	}
+	if des, err := os.ReadDir(dir); err != nil || len(des) != 3 { // EPOCH and both results
+		t.Errorf("store after the drain: %d files (%v), want EPOCH and 2 entries", len(des), err)
 	}
 	for _, want := range []string{"nocd: result store ", "nocd: listening on " + addr, "nocd: draining (deadline 10s)"} {
 		if !strings.Contains(stderr.String(), want) {

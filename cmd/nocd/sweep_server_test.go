@@ -14,8 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"pseudocircuit/internal/cluster"
-	"pseudocircuit/internal/service"
 	"pseudocircuit/internal/sweepapi"
 	"pseudocircuit/internal/telemetry"
 	"pseudocircuit/noc"
@@ -288,60 +286,6 @@ func TestSweepStreamWakesOnCompletion(t *testing.T) {
 	}
 }
 
-// TestClientSweepEndToEnd drives a sweep through nocdclient's streaming
-// iterator against the real daemon mux: acceptance line, every point,
-// io.EOF with the terminal status.
-func TestClientSweepEndToEnd(t *testing.T) {
-	_, _, c := startDaemon(t, "-workers", "2")
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	stream, err := c.SubmitSweep(ctx, nocdclient.SweepRequest{
-		Template: smallReq(0),
-		Axes: map[string][]any{
-			"scheme": {"baseline", "pseudo"},
-			"seed":   {1, 2},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stream.Close()
-	if got := stream.Sweep(); got.Points != 4 || got.ID == "" {
-		t.Fatalf("acceptance: %+v", got)
-	}
-	seen := map[string]bool{}
-	for {
-		p, err := stream.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p.State != "done" || p.Result == nil {
-			t.Fatalf("point %d: %+v", p.Index, p)
-		}
-		if seen[p.Key] {
-			t.Fatalf("point key %s streamed twice", p.Key)
-		}
-		seen[p.Key] = true
-		// The streamed result matches a direct job fetch of the same spec.
-		j, err := c.SubmitWait(ctx, p.Spec)
-		if err != nil || !j.CacheHit {
-			t.Fatalf("point %d re-fetch: %+v %v", p.Index, j, err)
-		}
-		got, _ := json.Marshal(*p.Result)
-		want, _ := json.Marshal(*j.Result)
-		if string(got) != string(want) {
-			t.Fatalf("point %d diverged from the job API", p.Index)
-		}
-	}
-	fin, ok := stream.Final()
-	if !ok || fin.State != "done" || fin.Done != 4 || len(seen) != 4 {
-		t.Fatalf("final: ok %v %+v, %d distinct points", ok, fin, len(seen))
-	}
-}
-
 // TestSweepServedFromRestartedStore is the acceptance test for the
 // persistence tier at the daemon level: a sweep runs against one daemon
 // with a disk store, the daemon is torn down, and a fresh daemon on the
@@ -395,11 +339,15 @@ func TestSweepServedFromRestartedStore(t *testing.T) {
 			metrics[f[0]] = f[1]
 		}
 	}
-	if metrics["nocd_store_hits_total"] != "6" {
-		t.Fatalf("nocd_store_hits_total = %q, want 6", metrics["nocd_store_hits_total"])
+	if metrics["nocd_store_hits_total"] != "6" || metrics["nocd_store_evictions_total"] != "0" {
+		t.Fatalf("nocd_store_hits_total = %q, want 6; nocd_store_evictions_total = %q, want 0",
+			metrics["nocd_store_hits_total"], metrics["nocd_store_evictions_total"])
 	}
 	if n, err := strconv.ParseFloat(metrics["nocd_store_entries"], 64); err != nil || n < 6 {
 		t.Fatalf("nocd_store_entries = %q, want at least 6", metrics["nocd_store_entries"])
+	}
+	if n, err := strconv.ParseFloat(metrics["nocd_store_bytes"], 64); err != nil || n <= 0 {
+		t.Fatalf("nocd_store_bytes = %q, want the entries' bytes", metrics["nocd_store_bytes"])
 	}
 	if metrics["nocd_cycles_simulated_total"] != "0" {
 		t.Fatalf("restarted daemon simulated cycles: %q", metrics["nocd_cycles_simulated_total"])
@@ -457,85 +405,6 @@ func TestTwoNodeSweepDispatch(t *testing.T) {
 	}
 	if remotes != int(bRan) {
 		t.Fatalf("%d points marked remote, node B ran %d", remotes, bRan)
-	}
-}
-
-// TestLocalTiersBeforeTheFleet: node A holds results (on disk, then in
-// memory) for keys whose ring owner is node B. A sweep on A serves them
-// itself, marked local and storeHit / cacheHit, and not one request reaches
-// B; a B-owned key A does not hold still goes to B, every time it is asked
-// for, since A does not adopt a peer's answer. Both nodes are built from
-// their command lines, A from -store-dir, -self and -peers.
-func TestLocalTiersBeforeTheFleet(t *testing.T) {
-	srvB, _, _ := startDaemon(t, "-workers", "2")
-	reachedB := func() string {
-		t.Helper()
-		_, body := get(t, srvB.URL+"/metrics")
-		for _, line := range strings.Split(body, "\n") {
-			if v, ok := strings.CutPrefix(line, "nocd_submissions_total "); ok {
-				return v
-			}
-		}
-		t.Fatal("node B exposes no nocd_submissions_total")
-		return ""
-	}
-
-	// Node A runs on a store directory, alone or in a fleet with B.
-	dir := t.TempDir()
-	const self = "http://node-a"
-	ring := cluster.NewRing([]string{self, srvB.URL})
-	sweepOf := func(seeds []string) string {
-		return `{"template": {"topology":"mesh4x4","scheme":"pseudo","va":"static",
-		  "warmup":50,"measure":200,"workload":{"pattern":"uniform","rate":0.1}},
-		  "axes": {"seed": [` + strings.Join(seeds, ",") + `]}}`
-	}
-	var ofB []string
-	for seed := 1; seed < 4096 && len(ofB) < 5; seed++ {
-		plan, err := sweepapi.Parse([]byte(sweepOf([]string{strconv.Itoa(seed)})), 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ring.Owners(plan.Points[0].Key, 1)[0] == srvB.URL {
-			ofB = append(ofB, strconv.Itoa(seed))
-		}
-	}
-	if len(ofB) < 5 {
-		t.Fatalf("only %d seeds under 4096 hash to node B", len(ofB))
-	}
-
-	// Alone, A simulates four B-owned keys into its store; a fifth stays unrun.
-	held, notHeld := ofB[:4], ofB[4:]
-	alone, dAlone, _ := startDaemon(t, "-workers", "2", "-store-dir", dir)
-	if _, last, _ := postSweepStream(t, alone.URL, sweepOf(held)); last.Done != 4 || last.CacheHits != 0 {
-		t.Fatalf("seeding A's store: %+v", last)
-	}
-	stopDaemon(alone, dAlone)
-
-	// Restarted into the fleet, A has them on disk only.
-	inFleet, _, _ := startDaemon(t, "-workers", "2", "-store-dir", dir, "-self", self, "-peers", srvB.URL)
-	for pass, want := range []struct{ cacheHits, storeHits int }{{4, 4}, {4, 0}} {
-		_, last, points := postSweepStream(t, inFleet.URL, sweepOf(held))
-		if last.State != "done" || last.Done != 4 || last.Remote != 0 ||
-			last.CacheHits != want.cacheHits || last.StoreHits != want.storeHits {
-			t.Fatalf("pass %d: %+v, want %+v and nothing remote", pass, last, want)
-		}
-		for _, p := range points {
-			if p.Source != service.RouteLocal || !p.CacheHit || p.StoreHit != (want.storeHits > 0) {
-				t.Fatalf("pass %d, point %d: source %q cacheHit %v storeHit %v", pass, p.Index, p.Source, p.CacheHit, p.StoreHit)
-			}
-		}
-		if got := reachedB(); got != "0" {
-			t.Fatalf("pass %d: %s submissions reached node B for keys A holds", pass, got)
-		}
-	}
-
-	// The fleet is really there: a B-owned key A does not hold goes to B,
-	// and goes again on a re-run, since A does not adopt a peer's answer.
-	for run := 1; run <= 2; run++ {
-		_, last, points := postSweepStream(t, inFleet.URL, sweepOf(notHeld))
-		if last.Done != 1 || last.Remote != 1 || points[0].Source != service.RouteRemote || reachedB() != strconv.Itoa(run) {
-			t.Fatalf("run %d of a key A does not hold: %+v, source %q, %s submissions at B", run, last, points[0].Source, reachedB())
-		}
 	}
 }
 

@@ -87,8 +87,8 @@ func TestReadyzDraining(t *testing.T) {
 	if resp, _ := get(t, srv.URL+"/readyz"); resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("draining daemon /readyz = %d, want 503", resp.StatusCode)
 	}
-	if resp, _ := get(t, srv.URL+"/healthz"); resp.StatusCode != http.StatusOK {
-		t.Fatalf("draining daemon /healthz = %d, want 200 (liveness)", resp.StatusCode)
+	if resp, body := get(t, srv.URL+"/healthz"); resp.StatusCode != http.StatusOK || body != "ok\n" {
+		t.Fatalf("draining daemon /healthz = %d %q, want 200 ok (liveness)", resp.StatusCode, body)
 	}
 }
 
@@ -103,8 +103,8 @@ func TestSpansEndpoint(t *testing.T) {
 	}
 
 	resp, body := get(t, srv.URL+"/spans")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/spans status %d", resp.StatusCode)
+	if ct := resp.Header.Get("Content-Type"); resp.StatusCode != http.StatusOK || ct != "application/x-ndjson" {
+		t.Fatalf("/spans status %d, content type %q", resp.StatusCode, ct)
 	}
 	n, err := telemetry.ValidateSpansJSONL(strings.NewReader(body))
 	if err != nil {
@@ -116,8 +116,8 @@ func TestSpansEndpoint(t *testing.T) {
 	}
 
 	resp, body = get(t, srv.URL+"/spans?format=chrome")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/spans?format=chrome status %d", resp.StatusCode)
+	if ct := resp.Header.Get("Content-Type"); resp.StatusCode != http.StatusOK || ct != "application/json" {
+		t.Fatalf("/spans?format=chrome status %d, content type %q", resp.StatusCode, ct)
 	}
 	var doc struct {
 		TraceEvents []json.RawMessage `json:"traceEvents"`
@@ -157,10 +157,13 @@ func TestRequestLogMiddleware(t *testing.T) {
 		t.Fatalf("submit status %d", resp.StatusCode)
 	}
 	get(t, srv.URL+"/healthz")
+	if resp, _ := get(t, srv.URL+"/jobs/nope"); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("unknown job through the request log: status %d", resp.StatusCode)
+	}
 
 	lines := strings.Split(strings.TrimSpace(logBuf.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("%d log lines, want 2:\n%s", len(lines), logBuf.String())
+	if len(lines) != 3 {
+		t.Fatalf("%d log lines, want 3:\n%s", len(lines), logBuf.String())
 	}
 	var rec struct {
 		Msg      string  `json:"msg"`
@@ -188,6 +191,9 @@ func TestRequestLogMiddleware(t *testing.T) {
 	}
 	if rec.Path != "/healthz" || rec.Job != "" {
 		t.Fatalf("healthz log record: %+v", rec)
+	}
+	if err := json.Unmarshal([]byte(lines[2]), &rec); err != nil || rec.Status != http.StatusNotFound {
+		t.Fatalf("unknown job log record: %+v (%v)", rec, err)
 	}
 }
 
@@ -217,10 +223,36 @@ func TestRequestLogSeesCoalescingAndStreams(t *testing.T) {
 	if resp, body := get(t, srv.URL+"/jobs/"+j.ID+"?watch=1"); resp.StatusCode != http.StatusOK || !strings.Contains(body, `"canceled"`) {
 		t.Fatalf("watch of a canceled job: status %d:\n%s", resp.StatusCode, body)
 	}
+	// A ?wait=1 read is logged with the state its wait ended in.
+	long.Spec.Seed = 2
+	q, err := c.Submit(ctx, long)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waited := make(chan error)
+	go func() {
+		resp, err := http.Get(srv.URL + "/jobs/" + q.ID + "?wait=1")
+		if err == nil {
+			resp.Body.Close()
+		}
+		waited <- err
+	}()
+	time.Sleep(50 * time.Millisecond)
+	if _, err := c.Cancel(ctx, q.ID); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-waited; err != nil {
+		t.Fatal(err)
+	}
 	log := logBuf.String()
 	for _, want := range []string{`"outcome":"coalesced"`, `"method":"GET","path":"/jobs/` + j.ID + `","status":200`} {
 		if !strings.Contains(log, want) {
 			t.Errorf("request log lacks %s:\n%s", want, log)
+		}
+	}
+	for _, line := range strings.Split(log, "\n") {
+		if strings.Contains(line, `"path":"/jobs/`+q.ID+`"`) && !strings.Contains(line, `"outcome":"canceled"`) {
+			t.Errorf("the waited read is not logged canceled: %s", line)
 		}
 	}
 }
@@ -322,6 +354,12 @@ func TestSweepMetricsAndLog(t *testing.T) {
 	}{{"nocd_sweeps_total", 1}, {"nocd_sweep_points_total", 4}, {"nocd_build_seconds_count", 5}} {
 		if v, ok := sampleSum(body, c.name); !ok || v < c.min {
 			t.Errorf("%s = %g (found %v), want at least %g", c.name, v, ok, c.min)
+		}
+	}
+	// Every sweep and point has ended, so the gauges are back at zero.
+	for _, name := range []string{"nocd_sweeps_active", "nocd_sweep_points_active"} {
+		if v, ok := sampleSum(body, name); !ok || v != 0 {
+			t.Errorf("%s = %g (found %v), want 0", name, v, ok)
 		}
 	}
 	if _, spans := get(t, srv.URL+"/spans"); !strings.Contains(spans, `"span":"sweep"`) {

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"pseudocircuit/internal/service"
-	"pseudocircuit/internal/sweepapi"
 	"pseudocircuit/internal/telemetry"
 	"pseudocircuit/noc"
 	"pseudocircuit/nocdclient"
@@ -114,6 +113,9 @@ func TestDispatchSelfOwned(t *testing.T) {
 	_, route, err := d.Dispatch(context.Background(), key, req)
 	if err != nil || route != service.RouteLocal {
 		t.Fatalf("route %q err %v, want local", route, err)
+	}
+	if out := exposition(t, reg); !strings.Contains(out, `nocd_dispatch_total{route="local"} 1`) {
+		t.Fatalf("metrics lack the local route:\n%s", out)
 	}
 }
 
@@ -221,10 +223,12 @@ func TestDispatchUnusablePeerAnswers(t *testing.T) {
 	if _, err := New(Config{Peers: []string{"http://peer"}}); err == nil {
 		t.Error("New without Self: no error")
 	}
-	for outcome, job := range map[string]string{
-		"failed": `{"id":"j1","state":"failed","error":"simulation panic"}`,
-		"error":  `{"id":"j1","state":"done"}`,
+	for _, c := range []struct{ outcome, job string }{
+		{"failed", `{"id":"j1","state":"failed","error":"simulation panic"}`},
+		{"error", `{"id":"j1","state":"done"}`},
+		{"error", `not a job`},
 	} {
+		outcome, job := c.outcome, c.job
 		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			io.WriteString(w, job)
 		}))
@@ -261,62 +265,5 @@ func TestDispatchBadRequestPropagates(t *testing.T) {
 	var apiErr *nocdclient.APIError
 	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest {
 		t.Fatalf("err = %v, want propagated 400", err)
-	}
-}
-
-// TestDispatchExactlyOnce is the fleet-level acceptance check at the
-// package level: two nodes, each dispatching the same grid with the same
-// ring, simulate each point exactly once between them (node A runs a real
-// service; node B is the peer HTTP daemon).
-func TestDispatchExactlyOnce(t *testing.T) {
-	srv, peerSvc := peerServer(t)
-	localSvc := service.New(service.Config{Workers: 2})
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		localSvc.Shutdown(ctx)
-	}()
-	d, err := New(Config{Self: "http://self", Peers: []string{srv.URL},
-		Replicas: 2, Retry: fastRetry(), Telemetry: localSvc.Telemetry(), Spans: localSvc.SpanLog()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sw := sweepapi.New(localSvc, sweepapi.Config{Dispatcher: d, Inflight: 4})
-	st, err := sw.Submit([]byte(`{
-	  "template": {"topology":"mesh4x4","scheme":"baseline","va":"static",
-	               "warmup":50,"measure":200,
-	               "workload":{"pattern":"uniform","rate":0.1}},
-	  "axes": {"scheme": ["baseline","pseudo"], "seed": [1,2,3,4,5,6,7,8]}}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	if st, err = sw.Wait(ctx, st.ID); err != nil || st.State != "done" || st.Done != 16 {
-		t.Fatalf("sweep: %+v err %v", st, err)
-	}
-	localDone := localSvc.Stats()["completed"]
-	peerDone := peerSvc.Stats()["completed"]
-	if localDone+peerDone != 16 || localDone == 0 || peerDone == 0 {
-		t.Fatalf("fleet simulated %d+%d points, want each of the 16 points run exactly once",
-			localDone, peerDone)
-	}
-	if st.Remote != int(peerDone) {
-		t.Fatalf("sweep counted %d remote points, peer completed %d", st.Remote, peerDone)
-	}
-
-	// Every point's result is bit-identical to a direct experiment run.
-	pts, _, _, _ := sw.PointsSince(st.ID, 0)
-	for _, p := range pts {
-		exp, err := p.Spec.Spec.Experiment()
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := exp.RunSynthetic(noc.Synthetic{Pattern: noc.UniformRandom, Rate: p.Spec.Workload.Rate})
-		got, _ := json.Marshal(*p.Result)
-		wantB, _ := json.Marshal(want)
-		if string(got) != string(wantB) {
-			t.Fatalf("point %d (%s seed %d) diverged from direct run", p.Index, p.Spec.Scheme, p.Spec.Seed)
-		}
 	}
 }

@@ -142,7 +142,8 @@ func TestCancelDoesNotWaitForAHungPeer(t *testing.T) {
 	const points = 3
 	srv, hung := hungPeer(t, func(*http.Request) bool { return true }, nil)
 	local := localTier(t)
-	d, err := New(Config{Self: "http://self", Peers: []string{srv.URL}, Replicas: 1, Retry: fastRetry()})
+	d, err := New(Config{Self: "http://self", Peers: []string{srv.URL}, Replicas: 1, Retry: fastRetry(),
+		Telemetry: local.Telemetry()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,6 +170,11 @@ func TestCancelDoesNotWaitForAHungPeer(t *testing.T) {
 	}
 	if got := local.Stats()["submitted"]; got != 0 {
 		t.Fatalf("canceled points reached the local queue: %d submissions", got)
+	}
+	// A canceled point is neither a peer's failure nor a fallback.
+	if out := exposition(t, local.Telemetry()); strings.Contains(out, `route="fallback"`) ||
+		!strings.Contains(out, "nocd_dispatch_peer_errors_total 0") {
+		t.Fatalf("canceled points counted as peer errors or fallbacks:\n%s", out)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -23,6 +24,19 @@ func TestRingDeterministic(t *testing.T) {
 		if len(ao) != 2 || len(bo) != 2 || ao[0] != bo[0] || ao[1] != bo[1] {
 			t.Fatalf("key %d: owners diverge across member orders: %v vs %v", i, ao, bo)
 		}
+	}
+	if !slices.Equal(b.Members(), []string{"http://n1", "http://n2", "http://n3"}) {
+		t.Errorf("members %v, want the three distinct names sorted", b.Members())
+	}
+	// Nodes of different builds must agree too, so the ring is pinned: a
+	// four-node fleet's owner lists of a thousand keys, hashed.
+	four := NewRing([]string{"http://n1", "http://n2", "http://n3", "http://n4"})
+	h := sha256.New()
+	for i := 0; i < 1000; i++ {
+		fmt.Fprintln(h, four.Owners(keyOf(i), 3))
+	}
+	if got, pinned := hex.EncodeToString(h.Sum(nil))[:16], "fdf85a11b5ceb6ed"; got != pinned {
+		t.Errorf("owner lists hash to %s, pinned %s", got, pinned)
 	}
 }
 

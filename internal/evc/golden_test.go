@@ -132,8 +132,10 @@ func TestGoldenEVC(t *testing.T) {
 			e := g.exp
 			n := e.Build()
 			n.CheckInvariants = true
-			w := e.SyntheticWorkload(g.syn)
-			if g.cmp != "" {
+			var w noc.Workload
+			if g.cmp == "" {
+				w = e.SyntheticWorkload(g.syn)
+			} else {
 				var err error
 				if w, err = e.CMPWorkload(g.cmp); err != nil {
 					t.Fatal(err)

@@ -48,7 +48,6 @@ func TestMatrix(t *testing.T) {
 					n.CheckInvariants = true
 					w := traffic.NewSynthetic(traffic.Config{
 						Pattern: pat, Nodes: topo.Nodes(), Rate: 0.06,
-						GridW: isqrt(topo.Nodes()),
 					}, sim.NewRNG(31))
 					n.Run(w, 2500)
 					if n.Stats.PacketsDelivered < 20 {

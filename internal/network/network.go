@@ -422,7 +422,7 @@ func New(cfg Config) *Network {
 		tracer:  cfg.Tracer,
 	}
 	if cfg.Reliable != nil {
-		rel := cfg.Reliable.withDefaults()
+		rel := cfg.Reliable.WithDefaults()
 		n.rel = &rel
 	}
 

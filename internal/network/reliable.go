@@ -50,8 +50,8 @@ const (
 	DefaultRelBudget     = 8
 )
 
-// withDefaults fills zero fields and clamps the pair ordering.
-func (r Reliability) withDefaults() Reliability {
+// WithDefaults fills zero fields and clamps the pair ordering.
+func (r Reliability) WithDefaults() Reliability {
 	if r.Timeout <= 0 {
 		r.Timeout = DefaultRelTimeout
 	}

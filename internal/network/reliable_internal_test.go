@@ -11,8 +11,8 @@ func TestReliableBookkeeping(t *testing.T) {
 		{Reliability{}, Reliability{DefaultRelTimeout, DefaultRelMaxTimeout, DefaultRelBudget}},
 		{Reliability{Timeout: 512, MaxTimeout: 100, Budget: 3}, Reliability{512, 512, 3}},
 	} {
-		if got := c.in.withDefaults(); got != c.want {
-			t.Errorf("%+v.withDefaults() = %+v, want %+v", c.in, got, c.want)
+		if got := c.in.WithDefaults(); got != c.want {
+			t.Errorf("%+v.WithDefaults() = %+v, want %+v", c.in, got, c.want)
 		}
 	}
 	s := &ni{relMax: make([]uint64, 1), relWin: make([]uint64, 1)}

@@ -129,6 +129,7 @@ func TestCanonicalizeRejects(t *testing.T) {
 		"negative mesh dims": `{"topology":"mesh-4x-4","scheme":"pseudo","workload":{"rate":0.1}}`,
 		"degenerate mesh":    `{"topology":"mesh1x1","scheme":"pseudo","workload":{"rate":0.1}}`,
 		"huge mesh":          `{"topology":"mesh4096x4096","scheme":"pseudo","workload":{"rate":0.1}}`,
+		"dimension over 64":  `{"topology":"mesh65x2","scheme":"pseudo","workload":{"rate":0.1}}`,
 		"huge concentration": `{"topology":"cmesh4x4x4096","scheme":"pseudo","workload":{"rate":0.1}}`,
 		"bare cmesh":         `{"topology":"cmesh","scheme":"pseudo","workload":{"rate":0.1}}`,
 		"rate over 1":        `{"topology":"mesh8x8","scheme":"pseudo","workload":{"rate":1.5}}`,
@@ -180,6 +181,10 @@ func TestCanonicalizeRejects(t *testing.T) {
 func TestCanonicalizeAcceptsAtTheBounds(t *testing.T) {
 	keyOf(t, `{"topology":"cmesh2x2x12","scheme":"pseudo","numVCs":64,"bufDepth":1024,
 		"warmup":0,"measure":9999000,"workload":{"rate":0.1,"packetSize":1024}}`)
+	keyOf(t, `{"topology":"mesh64x2","scheme":"pseudo","workload":{"rate":0.1}}`)
+	keyOf(t, `{"topology":"mesh2x64","scheme":"pseudo","workload":{"rate":0.1}}`)
+	keyOf(t, `{"topology":"mesh64x64","scheme":"pseudo","workload":{"rate":0.1}}`) // MaxNodes
+	keyOf(t, `{"topology":"mesh32x32","scheme":"pseudo","reliable":{},"workload":{"rate":0.1}}`)
 }
 
 // TestCanonicalTopologyKeepsItsGrid: a key names one experiment. The

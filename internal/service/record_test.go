@@ -32,71 +32,7 @@ func terminalRecordsHoldNoRun(t *testing.T, m *Manager) {
 	}
 }
 
-// TestOneResultPerKey: a cold run, a memory hit and a Do of the same key
-// (what a sweep point keeps) all hold the cache's one *noc.Result; a
-// restarted manager over the same store shares its disk-decoded result the
-// same way. No terminal record keeps a run part.
-func TestOneResultPerKey(t *testing.T) {
-	dir := t.TempDir()
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	sharedBy := func(m *Manager, key string, jobs ...Job) {
-		t.Helper()
-		cached := cachedAnswer(m, key)
-		if cached == nil {
-			t.Fatal("key not cached")
-		}
-		for _, j := range jobs {
-			if j.Result != cached.res {
-				t.Errorf("job %s (cacheHit %v storeHit %v) holds its own result, not the cached one",
-					j.ID, j.CacheHit, j.StoreHit)
-			}
-			if got, _ := m.Get(j.ID); got.Result != cached.res {
-				t.Errorf("a snapshot of job %s copies the result", j.ID)
-			}
-		}
-		terminalRecordsHoldNoRun(t, m)
-	}
-
-	m1 := New(Config{Workers: 1, Store: openStore(t, dir)})
-	cold, err := m1.Submit(storeReq(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold = waitDone(t, m1, cold.ID)
-	memHit, err := m1.Submit(storeReq(1))
-	if err != nil || !memHit.CacheHit || memHit.StoreHit {
-		t.Fatalf("second submission: %+v, %v", memHit, err)
-	}
-	point, _, err := m1.Do(ctx, storeReq(1), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharedBy(m1, cold.Key, cold, memHit, point.Job())
-	shutdown(t, m1)
-
-	m2 := New(Config{Workers: 1, Store: openStore(t, dir)})
-	defer shutdown(t, m2)
-	storeHit, err := m2.Submit(storeReq(1))
-	if err != nil || !storeHit.StoreHit {
-		t.Fatalf("restarted manager: %+v, %v", storeHit, err)
-	}
-	memHit, err = m2.Submit(storeReq(1))
-	if err != nil || !memHit.CacheHit || memHit.StoreHit {
-		t.Fatalf("after the store hit: %+v, %v", memHit, err)
-	}
-	point, _, err = m2.Do(ctx, storeReq(1), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharedBy(m2, cold.Key, storeHit, memHit, point.Job())
-	if mustJSON(t, *storeHit.Result) != mustJSON(t, *cold.Result) {
-		t.Fatal("the store's result differs from the run's")
-	}
-}
-
-// TestOneAnswerPerKey extends TestOneResultPerKey from the result to the
-// whole answer: every record of a key that one manager retains — the cold
+// TestOneAnswerPerKey: one key has one answer, the whole of it: every record of a key that one manager retains — the cold
 // run, a job that joined it in flight, memory hits, a Do's record, and a
 // store hit after the key left the memory cache — and every wire view of
 // them share one key string, one request and one result, the ones the cache

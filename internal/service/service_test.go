@@ -65,64 +65,6 @@ func shutdown(t *testing.T, m *Manager) {
 	}
 }
 
-// TestCacheHitSingleRun is the subsystem's core contract: two identical
-// submissions simulate once, and the second returns the byte-identical
-// Result from the cache.
-func TestCacheHitSingleRun(t *testing.T) {
-	m := New(Config{Workers: 2})
-	defer shutdown(t, m)
-
-	j1, err := m.Submit(smallReq())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if j1.CacheHit {
-		t.Fatal("first submission reported a cache hit")
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	j1, err = m.Wait(ctx, j1.ID)
-	if err != nil || j1.State != StateDone {
-		t.Fatalf("first job: state %s err %v (job err %q)", j1.State, err, j1.Error)
-	}
-
-	// Resubmit the same spec from a different JSON spelling: reordered
-	// fields and defaults written out explicitly.
-	raw := []byte(`{
-		"workload": {"rate": 0.10, "pattern": "uniform", "packetSize": 5, "kind": "synthetic"},
-		"measure": 400, "warmup": 100,
-		"va": "static", "routing": "xy", "scheme": "pseudo+s+b", "topology": "mesh4x4",
-		"numVCs": 4, "bufDepth": 4, "seed": 1
-	}`)
-	req2, err := DecodeRequest(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j2, err := m.Submit(req2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !j2.CacheHit || j2.State != StateDone {
-		t.Fatalf("second submission: cacheHit=%v state=%s, want cache hit + done", j2.CacheHit, j2.State)
-	}
-	if j2.Key != j1.Key {
-		t.Fatalf("keys differ for identical specs: %s vs %s", j1.Key, j2.Key)
-	}
-	b1, _ := json.Marshal(j1.Result)
-	b2, _ := json.Marshal(j2.Result)
-	if string(b1) != string(b2) {
-		t.Fatalf("cached result not byte-identical:\nfirst:  %s\nsecond: %s", b1, b2)
-	}
-
-	s := m.Stats()
-	if s["completed"] != 1 {
-		t.Errorf("completed = %d, want exactly 1 underlying run", s["completed"])
-	}
-	if s["cache_hits"] != 1 {
-		t.Errorf("cache_hits = %d, want 1", s["cache_hits"])
-	}
-}
-
 // TestCacheMatchesCLIRun: the cached result is bit-identical to running the
 // same spec directly through the public API (what the CLI does).
 func TestCacheMatchesCLIRun(t *testing.T) {

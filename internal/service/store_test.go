@@ -86,6 +86,15 @@ func TestStoreSurvivesRestart(t *testing.T) {
 	if stats["store_hits"] != points {
 		t.Fatalf("store_hits = %d, want %d", stats["store_hits"], points)
 	}
+	hits := 0
+	for _, s := range m2.SpanLog().Spans() {
+		if s.Name == "store-hit" {
+			hits++
+		}
+	}
+	if hits != points {
+		t.Fatalf("%d store-hit spans, want %d", hits, points)
+	}
 	if v := m2.ins.cycles.Value(); v != 0 {
 		t.Fatalf("restarted manager simulated %d cycles; want 0", v)
 	}

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -68,6 +69,10 @@ func TestLifecycleMetrics(t *testing.T) {
 		`nocd_run_seconds_count{scheme="pseudo+s+b"} 1`,
 		"nocd_cache_entries 1",
 		"nocd_ready 1",
+		"nocd_span_log_dropped 0",
+		"nocd_queue_capacity 64",
+		"nocd_jobs_retained 2",
+		"nocd_inflight_keys 0",
 	} {
 		if !counterValue(t, out, want) {
 			t.Errorf("exposition missing line %q\n%s", want, out)
@@ -97,6 +102,22 @@ func TestLifecycleMetrics(t *testing.T) {
 		if got, ok := names[span]; !ok || got != outcome {
 			t.Errorf("span %q outcome = %q ok=%v, want %q", span, got, ok, outcome)
 		}
+	}
+
+	// An EVC run is timed under its own scheme label.
+	evc := smallReq()
+	evc.Spec.Scheme, evc.Spec.UseEVC = "baseline", true
+	j3, err := m.Submit(evc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Wait(ctx, j3.ID); err != nil {
+		t.Fatal(err)
+	}
+	buf.Reset()
+	m.Telemetry().WritePrometheus(&buf)
+	if want := `nocd_run_seconds_count{scheme="evc"} 1`; !counterValue(t, buf.String(), want) {
+		t.Errorf("exposition missing line %q\n%s", want, buf.String())
 	}
 }
 
@@ -265,6 +286,36 @@ func TestJobTimingSnapshot(t *testing.T) {
 	}
 	if hit.RunMS != 0 || hit.QueueWaitMS != 0 {
 		t.Fatalf("cache hit carries timings: run=%v wait=%v", hit.RunMS, hit.QueueWaitMS)
+	}
+
+	// A running job's timings run up to now, with an ETA once it has a
+	// rate (a 32x32 mesh's first chunk takes a while); a queued one has
+	// none yet.
+	long := smallReq()
+	long.Spec.Topology, long.Spec.Measure = "mesh32x32", 8_000_000
+	running, err := m.Submit(long)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Cancel(running.ID)
+	j = waitState(t, m, running.ID, StateRunning)
+	if _, err := json.Marshal(j); err != nil || j.CyclesPerSec == 0 && j.ETASeconds != 0 {
+		t.Errorf("running job before its first chunk: ETA %v at %v cycles/s (%v)", j.ETASeconds, j.CyclesPerSec, err)
+	}
+	long.Spec.Seed = 2
+	queued, err := m.Submit(long)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Cancel(queued.ID)
+	for deadline := time.Now().Add(10 * time.Second); j.CyclesDone == 0 && time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		j, _ = m.Get(running.ID)
+	}
+	if j.State != StateRunning || j.RunMS <= 0 || j.ETASeconds <= 0 {
+		t.Errorf("running job: %s, RunMS %v, ETA %v; want both > 0", j.State, j.RunMS, j.ETASeconds)
+	}
+	if j, _ := m.Get(queued.ID); j.State != StateQueued || j.RunMS != 0 || j.QueueWaitMS != 0 {
+		t.Errorf("queued job: %s, RunMS %v, QueueWaitMS %v; want 0 and 0", j.State, j.RunMS, j.QueueWaitMS)
 	}
 }
 

@@ -50,7 +50,19 @@ func TestPutGetRoundTrip(t *testing.T) {
 }
 
 func TestRejectsInvalidKeys(t *testing.T) {
-	s := mustOpen(t, t.TempDir(), 1<<20)
+	dir := t.TempDir()
+	s := mustOpen(t, dir, 1<<20)
+	// A file that is not an entry is never read, evicted or removed.
+	notes := filepath.Join(dir, "notes")
+	if err := os.WriteFile(notes, []byte("not an entry"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.Get("notes"); ok || s.Corrupt() != 0 {
+		t.Errorf("Get of a foreign file: hit %v, Corrupt %d", ok, s.Corrupt())
+	}
+	if _, err := os.Stat(notes); err != nil {
+		t.Errorf("foreign file removed: %v", err)
+	}
 	for _, key := range []string{"", "abc", strings.Repeat("g", 64), strings.Repeat("A", 64), "../../etc/passwd"} {
 		if err := s.Put(key, []byte("x")); err == nil {
 			t.Errorf("Put(%q) accepted an invalid key", key)
@@ -436,6 +448,19 @@ func TestOpenRefuses(t *testing.T) {
 // directory that does not exist stays so through Open and a Get miss, and
 // its first Put makes it holding the stamp and that one entry.
 func TestEpochStamp(t *testing.T) {
+	// A first Put that cannot stamp the directory it made writes no entry.
+	made := filepath.Join(t.TempDir(), "new")
+	s := mustOpen(t, made, 1<<20)
+	if err := os.MkdirAll(filepath.Join(made, epochFile), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(testKey(0), []byte("payload")); err == nil {
+		t.Error("Put into a directory it could not stamp: no error")
+	}
+	if _, err := os.Stat(filepath.Join(made, testKey(0))); !os.IsNotExist(err) {
+		t.Errorf("an entry without its stamp (%v)", err)
+	}
+
 	fill := func(t *testing.T) string {
 		dir := t.TempDir()
 		s := mustOpen(t, dir, 1<<20)
@@ -530,11 +555,31 @@ func TestSharedAndDamagedDirectories(t *testing.T) {
 		t.Fatal(err)
 	}
 	a, b := mustOpen(t, dir, 1<<20), mustOpen(t, dir, 1<<20)
+	small := mustOpen(t, dir, headerLen+6) // room for one "shared"
 	if err := a.Put(testKey(0), []byte("shared")); err != nil {
 		t.Fatal(err)
 	}
 	if got, ok := b.Get(testKey(0)); !ok || string(got) != "shared" || b.Len() != 1 {
 		t.Fatalf("the other store's entry: %q, %v, Len %d", got, ok, b.Len())
+	}
+	// An entry another store removed is a miss, and leaves the index.
+	if err := b.Put(testKey(4), []byte("gone soon")); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(dir, testKey(4))); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := b.Get(testKey(4)); ok || b.Len() != 1 {
+		t.Fatalf("a removed entry: hit %v, Len %d; want a miss and 1", ok, b.Len())
+	}
+	// Adopting what another store wrote keeps the adopter's byte cap.
+	if err := a.Put(testKey(3), []byte("shared")); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int{3, 0} {
+		if _, ok := small.Get(testKey(k)); !ok || small.Len() != 1 || small.Bytes() > headerLen+6 {
+			t.Fatalf("adopting entry %d: %v, Len %d, Bytes %d", k, ok, small.Len(), small.Bytes())
+		}
 	}
 
 	if err := os.Mkdir(filepath.Join(dir, testKey(1)), 0o755); err != nil {
@@ -545,6 +590,17 @@ func TestSharedAndDamagedDirectories(t *testing.T) {
 	}
 	if err := a.Put(testKey(1), []byte("blocked")); err == nil {
 		t.Error("Put over a directory holding the key's name: no error")
+	}
+
+	// A directory under an entry's name is not an entry: reopening leaves it.
+	if err := os.Mkdir(filepath.Join(dir, testKey(7)), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if r := mustOpen(t, dir, 1<<20); r.Corrupt() != 0 {
+		t.Errorf("reopen counted %d corrupt entries", r.Corrupt())
+	}
+	if _, err := os.Stat(filepath.Join(dir, testKey(7))); err != nil {
+		t.Errorf("directory under an entry's name removed: %v", err)
 	}
 
 	stamped := t.TempDir()

@@ -235,10 +235,16 @@ feed:
 }
 
 // runPoint takes grid point i through the service's walk to a terminal job
-// and records how it ended.
+// and records how it ended. A point a worker takes after the sweep was
+// canceled is not walked: the feed's select may pick a ready worker over
+// the closed context, and such a point has no source.
 func (m *Manager) runPoint(s *sweep, i int) {
 	pp := s.plan[i]
-	rec, source, err := m.svc.Do(s.ctx, pp.Req, m.cfg.Dispatcher)
+	var rec *service.Record
+	source, err := "", s.ctx.Err()
+	if err == nil {
+		rec, source, err = m.svc.Do(s.ctx, pp.Req, m.cfg.Dispatcher)
+	}
 	switch {
 	case err != nil && s.ctx.Err() != nil:
 		rec = service.Unanswered(pp.Key, pp.Req, service.StateCanceled, "sweep canceled")

@@ -91,8 +91,10 @@ func TestParseExpansionOrder(t *testing.T) {
 			i++
 		}
 	}
-	// Same request parses to the same plan: expansion is deterministic.
-	plan2, err := Parse([]byte(sweepBody), 0)
+	// Same request parses to the same plan, whatever order it names the
+	// axes in: expansion is deterministic.
+	plan2, err := Parse([]byte(strings.Replace(sweepBody, `"scheme": ["baseline","pseudo"], "seed": [1,2,3]`,
+		`"seed": [1,2,3], "scheme": ["baseline","pseudo"]`, 1)), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,9 +141,24 @@ func TestParseRejects(t *testing.T) {
 			}
 		})
 	}
-	// An invalid point is named by its coordinate on every axis.
+	// An unknown axis is answered with the known ones, sorted.
+	var names []string
+	for n := range axisFields {
+		names = append(names, n)
+	}
+	slices.Sort(names)
+	if _, err := Parse([]byte(`{"template":`+tmpl+`,"axes":{"speed":[1]}}`), 0); err == nil ||
+		!strings.Contains(err.Error(), fmt.Sprint(names)) {
+		t.Errorf("unknown axis: err = %v, want the names %v", err, names)
+	}
+	// An invalid point is named by its coordinate on every axis, and an
+	// invalid template with no axes as the template.
+	if _, err := Parse([]byte(`{"template":{"topology":"mesh1x1","workload":{"rate":0.1}}}`), 0); err == nil ||
+		!strings.HasSuffix(err.Error(), "(point template)") {
+		t.Errorf("bad template: err = %v, want it named", err)
+	}
 	_, err := Parse([]byte(`{"template":`+tmpl+`,"axes":{"seed":[1],"topology":["mesh4x4","mesh1x1"]}}`), 0)
-	if !errors.Is(err, service.ErrBadRequest) || !strings.Contains(err.Error(), `seed=1, topology="mesh1x1"`) {
+	if !errors.Is(err, service.ErrBadRequest) || !strings.HasSuffix(err.Error(), `(point seed=1, topology="mesh1x1")`) {
 		t.Errorf("bad point: err = %v, want its coordinate", err)
 	}
 }
@@ -247,6 +264,13 @@ func TestSweepStreamIncremental(t *testing.T) {
 	if len(seen) != 6 {
 		t.Fatalf("streamed %d points, want 6", len(seen))
 	}
+	// A cursor out of range is clamped: below zero replays every point,
+	// past the end yields none.
+	for _, c := range []struct{ cursor, n int }{{-3, 6}, {99, 0}} {
+		if pts, next, _, _ := sw.PointsSince(st.ID, c.cursor); len(pts) != c.n || next != 6 {
+			t.Errorf("cursor %d: %d points, next %d; want %d, 6", c.cursor, len(pts), next, c.n)
+		}
+	}
 }
 
 // TestSweepCancel: cancelling a running sweep stops feeding, cancels
@@ -347,6 +371,31 @@ func TestSweepDispatcherRemote(t *testing.T) {
 			t.Fatalf("point %d diverged from the peer's cached result", p.Index)
 		}
 	}
+
+	if spans := local.SpanLog().Spans(); spans[len(spans)-1].Outcome != "done" {
+		t.Fatalf("last span %+v, want the sweep's, done", spans[len(spans)-1])
+	}
+
+	// A fleet that refuses every point fails each one, and the sweep's span
+	// says so.
+	sw = New(local, Config{Dispatcher: refusingFleet{}})
+	if st, err = sw.Submit([]byte(sweepBody)); err != nil {
+		t.Fatal(err)
+	}
+	if st = waitSweep(t, sw, st.ID); st.State != "done" || st.Failed != 6 {
+		t.Fatalf("refused sweep finished %+v", st)
+	}
+	spans := local.SpanLog().Spans()
+	if s := spans[len(spans)-1]; s.Name != "sweep" || s.Job != st.ID || s.Outcome != "failed" {
+		t.Fatalf("last span %+v, want the sweep's, failed", s)
+	}
+}
+
+// refusingFleet refuses every point it is handed.
+type refusingFleet struct{}
+
+func (refusingFleet) Dispatch(context.Context, string, service.Request) (noc.Result, string, error) {
+	return noc.Result{}, service.RouteRemote, errors.New("refused")
 }
 
 // records returns a sweep's points as it keeps them.
@@ -484,6 +533,10 @@ func TestSweepSubmitRejects(t *testing.T) {
 	if _, ok := sw.Get("s1"); ok {
 		t.Fatal("rejected sweep is queryable")
 	}
+	// A configured point bound holds.
+	if _, err := New(svc, Config{MaxPoints: 5}).Submit([]byte(sweepBody)); !errors.Is(err, service.ErrBadRequest) {
+		t.Fatalf("6 points under a bound of 5: err = %v, want ErrBadRequest", err)
+	}
 }
 
 // TestSweepsCap: past SweepsCap the oldest terminal sweeps are forgotten
@@ -517,6 +570,19 @@ func TestSweepsCap(t *testing.T) {
 			t.Fatalf("Sweeps = %v, want %v", got, want)
 		}
 	}
+	// The default cap keeps more than one finished sweep.
+	dflt := New(svc, Config{})
+	for range 2 {
+		st, err := dflt.Submit([]byte(short))
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitSweep(t, dflt, st.ID)
+	}
+	if n := len(dflt.Sweeps()); n != 2 {
+		t.Fatalf("default cap kept %d of 2 finished sweeps", n)
+	}
+
 	var ids []string
 	for i := 0; i < 4; i++ {
 		ids = append(ids, finish())
@@ -547,10 +613,19 @@ func TestSweepsCap(t *testing.T) {
 	if st, ok := sw.Get(running); !ok || st.Terminal() {
 		t.Fatalf("running sweep: %+v, %v", st, ok)
 	}
-	if _, err := sw.Cancel(running); err != nil {
-		t.Fatal(err)
+	// Running sweeps are never evicted: past the cap they are all kept.
+	long := `{"template":{"topology":"mesh8x8","scheme":"pseudo","va":"static",
+	  "warmup":100,"measure":8000000,"workload":{"pattern":"uniform","rate":0.06}}}`
+	second := submit(long)
+	retained(running, second)
+	third := submit(strings.Replace(long, "0.06", "0.07", 1))
+	retained(running, second, third)
+	for _, id := range []string{running, second, third} {
+		if _, err := sw.Cancel(id); err != nil {
+			t.Fatal(err)
+		}
+		waitSweep(t, sw, id)
 	}
-	waitSweep(t, sw, running)
 }
 
 // TestSweepShutdown: Shutdown refuses new sweeps and drains active ones.
@@ -572,6 +647,22 @@ func TestSweepShutdown(t *testing.T) {
 	fin, ok := sw.Get(st.ID)
 	if !ok || !fin.Terminal() {
 		t.Fatalf("sweep not drained by shutdown: %+v", fin)
+	}
+
+	// Past its deadline Shutdown cancels what still runs and returns once
+	// that has unwound.
+	sw = New(svc, Config{})
+	if st, err = sw.Submit([]byte(`{"template": {"topology":"mesh4x4","scheme":"baseline","measure":8000000,
+		"workload":{"pattern":"uniform","rate":0.1}}}`)); err != nil {
+		t.Fatal(err)
+	}
+	short, stop := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer stop()
+	if err := sw.Shutdown(short); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("shutdown past its deadline: %v", err)
+	}
+	if fin, _ = sw.Get(st.ID); fin.State != service.StateCanceled {
+		t.Fatalf("a sweep canceled by the drain: %+v", fin)
 	}
 }
 

@@ -50,10 +50,9 @@ func (p Pattern) String() string {
 // Config parameterizes a synthetic workload.
 type Config struct {
 	Pattern Pattern
-	// Nodes is the terminal count; GridW is the node-grid width used by
-	// BitPermutation (nodes are laid out row-major on a GridW-wide grid).
+	// Nodes is the terminal count. BitPermutation lays them out row-major
+	// on a square grid.
 	Nodes int
-	GridW int
 	// Rate is the injection rate in flits per node per cycle.
 	Rate float64
 	// PacketSize is the flit count per packet (paper: 5).
@@ -72,6 +71,8 @@ type Synthetic struct {
 	// inject is the per-node packet probability rate/packetSize as a
 	// sim.Threshold, so the coin Tick flips is an integer compare.
 	inject uint64
+	// side is the node grid's width, isqrt(Nodes).
+	side int
 }
 
 // NewSynthetic builds a synthetic workload; rng seeds the per-node streams.
@@ -82,11 +83,8 @@ func NewSynthetic(cfg Config, rng *sim.RNG) *Synthetic {
 	if cfg.PacketSize <= 0 {
 		cfg.PacketSize = 5
 	}
-	if cfg.GridW <= 0 {
-		cfg.GridW = isqrt(cfg.Nodes)
-	}
 	s := &Synthetic{cfg: cfg, rngs: make([]sim.RNG, cfg.Nodes),
-		inject: sim.Threshold(cfg.Rate / float64(cfg.PacketSize))}
+		inject: sim.Threshold(cfg.Rate / float64(cfg.PacketSize)), side: isqrt(cfg.Nodes)}
 	for i := range s.rngs {
 		s.rngs[i] = *rng.Split()
 	}
@@ -128,7 +126,7 @@ func (s *Synthetic) Destination(node int, rng *sim.RNG) int {
 	case BitComplement:
 		return n - 1 - node
 	case BitPermutation:
-		w := s.cfg.GridW
+		w := s.side
 		if w*w != n {
 			panic(fmt.Sprintf("traffic: transpose needs a square node grid, got %d nodes, width %d", n, w))
 		}

@@ -76,7 +76,7 @@ func TestBitComplement(t *testing.T) {
 
 func TestBitPermutationTranspose(t *testing.T) {
 	w := traffic.NewSynthetic(traffic.Config{
-		Pattern: traffic.BitPermutation, Nodes: 64, GridW: 8, Rate: 1,
+		Pattern: traffic.BitPermutation, Nodes: 64, Rate: 1,
 	}, sim.NewRNG(3))
 	rng := sim.NewRNG(4)
 	// (x,y) -> (y,x): node 1 = (1,0) -> (0,1) = node 8.

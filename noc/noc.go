@@ -94,7 +94,6 @@ const (
 	UniformRandom  = traffic.UniformRandom
 	BitComplement  = traffic.BitComplement
 	BitPermutation = traffic.BitPermutation
-	Hotspot        = traffic.Hotspot
 )
 
 // Synthetic parameterizes a synthetic workload: the pattern and the per-node
@@ -511,8 +510,13 @@ func ValidateMetricsJSONL(r io.Reader) (int, error) {
 
 // SyntheticWorkload builds the synthetic workload for this experiment's
 // topology without running it (for callers driving the Network directly).
+// It panics on a workload WorkloadSpec.Normalize would refuse, as Build
+// panics on an invalid experiment.
 func (e Experiment) SyntheticWorkload(s Synthetic) Workload {
 	e = e.defaults()
+	if err := s.check(e.Topology.Nodes()); err != nil {
+		panic(err.Error())
+	}
 	return traffic.NewSynthetic(traffic.Config{
 		Pattern:    s.Pattern,
 		Nodes:      e.Topology.Nodes(),

@@ -9,7 +9,6 @@ import (
 
 	"pseudocircuit/internal/cmp"
 	"pseudocircuit/internal/fault"
-	"pseudocircuit/internal/network"
 	"pseudocircuit/internal/routing"
 	"pseudocircuit/internal/topology"
 	"pseudocircuit/internal/vcalloc"
@@ -200,17 +199,11 @@ func (w WorkloadSpec) Normalize(e Experiment) (WorkloadSpec, error) {
 			return w, err
 		}
 		w.Pattern = p.String()
-		if side := int(math.Sqrt(float64(nodes))); p == BitPermutation && side*side != nodes {
-			return w, fmt.Errorf("noc: transpose needs a square node count, %s has %d", topologyName(e.Topology), nodes)
+		if err := (Synthetic{Pattern: p, Rate: w.Rate, PacketSize: w.PacketSize}).check(nodes); err != nil {
+			return w, err
 		}
 		if w.Benchmark != "" {
 			return w, fmt.Errorf("noc: synthetic workload cannot name a benchmark (%q)", w.Benchmark)
-		}
-		if !(w.Rate > 0 && w.Rate <= 1) { // NaN included
-			return w, fmt.Errorf("noc: synthetic injection rate %v outside (0, 1]", w.Rate)
-		}
-		if w.PacketSize < 0 {
-			return w, fmt.Errorf("noc: negative packet size %d", w.PacketSize)
 		}
 		if w.PacketSize == 0 {
 			w.PacketSize = 5
@@ -233,6 +226,22 @@ func (w WorkloadSpec) Normalize(e Experiment) (WorkloadSpec, error) {
 		return w, fmt.Errorf("noc: unknown workload kind %q", w.Kind)
 	}
 	return w, nil
+}
+
+// check holds the rules a synthetic workload keeps on a topology of nodes
+// terminals: a rate in (0, 1], a packet size of at least 0 (0 takes the
+// default) and transpose only on a square node count.
+func (s Synthetic) check(nodes int) error {
+	if side := int(math.Sqrt(float64(nodes))); s.Pattern == BitPermutation && side*side != nodes {
+		return fmt.Errorf("noc: transpose needs a square node count, not %d", nodes)
+	}
+	if !(s.Rate > 0 && s.Rate <= 1) { // NaN included
+		return fmt.Errorf("noc: synthetic injection rate %v outside (0, 1]", s.Rate)
+	}
+	if s.PacketSize < 0 {
+		return fmt.Errorf("noc: negative packet size %d", s.PacketSize)
+	}
+	return nil
 }
 
 // Workload materializes the spec against an experiment (which supplies the
@@ -502,24 +511,8 @@ func SpecOf(e Experiment) Spec {
 	// Reliability renders with defaults filled, so an explicit default and
 	// the zero form produce one canonical spec (and one cache key).
 	if e.Reliable != nil {
-		r := ReliableSpec{
-			Timeout:    e.Reliable.Timeout,
-			MaxTimeout: e.Reliable.MaxTimeout,
-			Budget:     e.Reliable.Budget,
-		}
-		if r.Timeout <= 0 {
-			r.Timeout = network.DefaultRelTimeout
-		}
-		if r.MaxTimeout <= 0 {
-			r.MaxTimeout = network.DefaultRelMaxTimeout
-		}
-		if r.MaxTimeout < r.Timeout {
-			r.MaxTimeout = r.Timeout
-		}
-		if r.Budget <= 0 {
-			r.Budget = network.DefaultRelBudget
-		}
-		s.Reliable = &r
+		r := e.Reliable.WithDefaults()
+		s.Reliable = &ReliableSpec{Timeout: r.Timeout, MaxTimeout: r.MaxTimeout, Budget: r.Budget}
 	}
 	return s
 }

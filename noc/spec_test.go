@@ -272,14 +272,36 @@ func TestWorkloadRulesAreErrors(t *testing.T) {
 	if _, err := (noc.WorkloadSpec{Kind: "cmp", Benchmark: "fma3d"}).Workload(small); err == nil || !strings.Contains(err.Error(), "64-terminal") {
 		t.Errorf("cmp on 16 nodes: err = %v, want the 64-terminal rule", err)
 	}
-	oblong := noc.Experiment{Topology: noc.Mesh(8, 4)}
-	if _, err := (noc.WorkloadSpec{Pattern: "transpose", Rate: 0.1}).Normalize(oblong); err == nil || !strings.Contains(err.Error(), "square") {
-		t.Errorf("transpose on 32 nodes: err = %v, want the square-count rule", err)
+	if _, err := (noc.WorkloadSpec{Pattern: "zigzag", Rate: 0.1}).Normalize(small); err == nil {
+		t.Error("pattern zigzag: accepted")
 	}
-	for _, w := range []noc.WorkloadSpec{{Pattern: "zigzag", Rate: 0.1}, {Rate: 0.1, PacketSize: -1}, {Rate: math.NaN()}} {
-		if _, err := w.Normalize(small); err == nil {
-			t.Errorf("%+v: accepted", w)
+	// A Go caller that skips the spec layer meets the same rules as a panic.
+	oblong := noc.Experiment{Topology: noc.Mesh(8, 4)}
+	for _, c := range []struct {
+		e    noc.Experiment
+		w    noc.WorkloadSpec
+		rule string
+	}{
+		{oblong, noc.WorkloadSpec{Pattern: "transpose", Rate: 0.1}, "square"},
+		{small, noc.WorkloadSpec{Rate: 0.1, PacketSize: -1}, "packet size"},
+		{small, noc.WorkloadSpec{Rate: math.NaN()}, "rate"},
+		{small, noc.WorkloadSpec{Rate: 0}, "rate"},
+		{small, noc.WorkloadSpec{Rate: 1.5}, "rate"},
+	} {
+		_, err := c.w.Normalize(c.e)
+		if err == nil || !strings.Contains(err.Error(), c.rule) {
+			t.Errorf("%+v: err = %v, want the %s rule", c.w, err, c.rule)
+			continue
 		}
+		p, _ := noc.ParsePattern(c.w.Pattern)
+		func() {
+			defer func() {
+				if r := recover(); r != err.Error() {
+					t.Errorf("%+v: SyntheticWorkload panicked with %v, want %q", c.w, r, err)
+				}
+			}()
+			c.e.SyntheticWorkload(noc.Synthetic{Pattern: p, Rate: c.w.Rate, PacketSize: c.w.PacketSize})
+		}()
 	}
 	if _, err := (noc.WorkloadSpec{Kind: "cmp", Benchmark: "fma3d"}).Normalize(noc.Experiment{Topology: noc.CMesh(4, 4, 4)}); err != nil {
 		t.Errorf("cmp on cmesh4x4x4: %v", err)

@@ -96,13 +96,16 @@ func TestSubmitDoesNotRetry400(t *testing.T) {
 	var calls atomic.Int32
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		calls.Add(1)
+		if ct := r.Header.Get("Content-Type"); ct != "application/json" {
+			t.Errorf("submission content type %q", ct)
+		}
 		http.Error(w, `{"error":"bad request: unknown scheme"}`, http.StatusBadRequest)
 	}))
 	defer srv.Close()
 
 	_, err := New(srv.URL).WithRetry(fastRetry).Submit(context.Background(), testRequest())
 	var apiErr *APIError
-	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest {
+	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest || apiErr.Message != "bad request: unknown scheme" {
 		t.Fatalf("err = %v, want 400 APIError", err)
 	}
 	if got := calls.Load(); got != 1 {
@@ -155,6 +158,13 @@ func TestRetryBoundedByContext(t *testing.T) {
 	if got := calls.Load(); got != 1 {
 		t.Fatalf("server saw %d requests, want 1 before the deadline", got)
 	}
+	// A context already done is neither retried nor slept on.
+	done, stop := context.WithCancel(context.Background())
+	stop()
+	c := New(srv.URL).WithRetry(slow)
+	if _, err := c.Submit(done, testRequest()); !errors.Is(err, context.Canceled) || c.RetryStats() != (RetryStats{Attempts: 1}) {
+		t.Fatalf("canceled Submit: %v, %+v", err, c.RetryStats())
+	}
 }
 
 // TestWaitRetries503 asserts the long-poll loop rides through transient
@@ -206,11 +216,19 @@ func TestRetryDisabled(t *testing.T) {
 // TestRetryDelayBounds pins the jitter window: every sampled delay must lie
 // in [½d, 1½d) of the capped exponential step.
 func TestRetryDelayBounds(t *testing.T) {
+	if p := (RetryPolicy{}).withDefaults(); p != (RetryPolicy{MaxAttempts: 4, BaseDelay: 50 * time.Millisecond, MaxDelay: 2 * time.Second}) {
+		t.Errorf("zero policy defaults to %+v", p)
+	}
+	if c := New("http://nocd").WithRetry(RetryPolicy{MaxAttempts: 7}); c.retry.MaxAttempts != 7 || c.retry.BaseDelay != 50*time.Millisecond {
+		t.Errorf("WithRetry(7 attempts) set %+v", c.retry)
+	}
 	if p := (RetryPolicy{BaseDelay: 3 * time.Second, MaxDelay: time.Second}).withDefaults(); p.MaxDelay != p.BaseDelay {
 		t.Errorf("a cap below the base delay: MaxDelay %v, want it raised to BaseDelay %v", p.MaxDelay, p.BaseDelay)
 	}
 	p := RetryPolicy{BaseDelay: 50 * time.Millisecond, MaxDelay: 2 * time.Second}.withDefaults()
-	for retry := 0; retry < 12; retry++ {
+	// Past 12 retries the shift overflows to a negative delay and past 63
+	// to none: both take the cap.
+	for _, retry := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 40, 64, 200} {
 		d := p.BaseDelay << uint(retry)
 		if d <= 0 || d > p.MaxDelay {
 			d = p.MaxDelay
@@ -327,14 +345,14 @@ func TestClientErrors(t *testing.T) {
 	c := New(srv.URL).WithRetry(once)
 	var apiErr *APIError
 	if err := c.Health(ctx); !errors.As(err, &apiErr) || apiErr.Status != http.StatusServiceUnavailable ||
-		err.Error() != "nocd: 503: health check failed" {
-		t.Errorf("Health of a 503 daemon: %v", err)
+		err.Error() != "nocd: 503: health check failed" || c.RetryStats().Attempts != 1 {
+		t.Errorf("Health of a 503 daemon: %v, %d attempts counted", err, c.RetryStats().Attempts)
 	}
 	if j, err := c.SubmitWait(ctx, testRequest()); err != nil || j.State != "done" {
 		t.Errorf("SubmitWait past an early answer: %+v, %v", j, err)
 	}
-	if _, err := c.Result(ctx, "j1"); err == nil {
-		t.Error("Result with a truncated body: no error")
+	if _, err := c.Result(ctx, "j1"); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("Result with a truncated body: %v, want the read's error", err)
 	}
 	srv.Close()
 	if err := c.Health(ctx); err == nil {

@@ -166,6 +166,18 @@ func TestSweepStreamMalformed(t *testing.T) {
 			}
 		})
 	}
+	// A line past bufio's 64 KiB default but within maxStreamLine is whole.
+	long := strings.Repeat("x", 100<<10)
+	srv := sweepScript(t, []string{sweepLines()[0], `{"type":"point","point":{"index":0,"error":"` + long + `"}}`}, -1)
+	defer srv.Close()
+	st, err := New(srv.URL).SubmitSweep(context.Background(), SweepRequest{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if p, err := st.Next(); err != nil || p.Error != long {
+		t.Fatalf("a 100 KiB line: %d bytes of error, %v", len(p.Error), err)
+	}
 }
 
 // TestSweepStreamBadFirstLine: a stream that does not open with the sweep
@@ -219,14 +231,21 @@ func TestSweepStreamContextCancel(t *testing.T) {
 // body into an APIError.
 func TestSubmitSweepAPIError(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if ct := r.Header.Get("Content-Type"); ct != "application/json" {
+			t.Errorf("sweep submission content type %q", ct)
+		}
 		w.WriteHeader(http.StatusBadRequest)
 		json.NewEncoder(w).Encode(map[string]string{"error": "grid too large"})
 	}))
 	defer srv.Close()
-	_, err := New(srv.URL).SubmitSweep(context.Background(), SweepRequest{})
+	c := New(srv.URL)
+	_, err := c.SubmitSweep(context.Background(), SweepRequest{})
 	var apiErr *APIError
-	if !errors.As(err, &apiErr) || apiErr.Status != 400 || !strings.Contains(apiErr.Message, "grid too large") {
+	if !errors.As(err, &apiErr) || apiErr.Status != 400 || apiErr.Message != "grid too large" {
 		t.Fatalf("err = %v", err)
+	}
+	if s := c.RetryStats(); s.Attempts != 1 {
+		t.Errorf("a refused sweep: %d attempts counted, want 1", s.Attempts)
 	}
 }
 
@@ -263,8 +282,9 @@ func TestSweepStatusAndCancel(t *testing.T) {
 func TestSubmitSweepErrors(t *testing.T) {
 	ctx := context.Background()
 	nan := SweepRequest{Template: Request{Workload: noc.WorkloadSpec{Rate: math.NaN()}}}
-	if _, err := New("http://localhost").SubmitSweep(ctx, nan); err == nil {
-		t.Error("a NaN rate: no error")
+	var bad *json.UnsupportedValueError
+	if _, err := New("http://localhost").SubmitSweep(ctx, nan); !errors.As(err, &bad) {
+		t.Errorf("a NaN rate: %v, want the encoding's error", err)
 	}
 	if _, err := New("http://bad\x7f").SubmitSweep(ctx, SweepRequest{}); err == nil {
 		t.Error("an unparsable base URL: no error")
